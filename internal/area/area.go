@@ -398,18 +398,34 @@ func (a *Area) ReadPage(p page.No, buf []byte) error {
 	if len(buf) != page.Size {
 		return fmt.Errorf("area: ReadPage buffer is %d bytes, want %d", len(buf), page.Size)
 	}
+	return a.ReadRun(p, buf)
+}
+
+// ReadRun reads the len(buf)/page.Size contiguous pages starting at start
+// into buf: one latch, one bounds check, one store read. Segments are
+// contiguous (paper §2), so a slotted, overflow, data, or large-object run
+// moves as one unit; a run can never be longer than the largest segment.
+// Stats counts it as one read per page.
+func (a *Area) ReadRun(start page.No, buf []byte) error {
+	n := len(buf) / page.Size
+	if n == 0 || len(buf)%page.Size != 0 {
+		return fmt.Errorf("area: ReadRun buffer is %d bytes, want a positive multiple of %d", len(buf), page.Size)
+	}
+	if n > MaxSegmentPages {
+		return ErrTooLarge
+	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return ErrClosed
 	}
 	limit := extentStart(len(a.extents))
-	a.reads++
+	a.reads += int64(n)
 	a.mu.Unlock()
-	if p < 0 || p >= limit {
+	if start < 0 || start > limit-page.No(n) {
 		return ErrOutOfRange
 	}
-	_, err := a.st.ReadAt(buf, int64(p)*page.Size)
+	_, err := a.st.ReadAt(buf, int64(start)*page.Size)
 	return err
 }
 

@@ -294,3 +294,74 @@ func TestRandomAllocFreeNoOverlapMem(t *testing.T) {
 		live = append(live, seg{s, n})
 	}
 }
+
+// TestReadRun pins ReadRun against the per-page reference: a run read is
+// byte-for-byte n ReadPage calls, counts n reads, and rejects every
+// malformed request before touching the store.
+func TestReadRun(t *testing.T) {
+	mem, err := NewMem(1, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := CreateFile(filepath.Join(t.TempDir(), "run.area"), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Area{"mem": mem, "file": file} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(12))
+			limit := a.Pages()
+			pg := make([]byte, page.Size)
+			for p := page.No(0); p < limit; p++ {
+				rng.Read(pg)
+				if err := a.WritePage(p, pg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				n := 1 + rng.Intn(MaxSegmentPages)
+				start := page.No(rng.Int63n(int64(limit) - int64(n) + 1))
+				reads0, _, _ := a.Stats()
+				run := make([]byte, n*page.Size)
+				if err := a.ReadRun(start, run); err != nil {
+					t.Fatalf("ReadRun(%d, %d pages): %v", start, n, err)
+				}
+				if reads1, _, _ := a.Stats(); reads1-reads0 != int64(n) {
+					t.Fatalf("Stats reads advanced by %d for a %d-page run", reads1-reads0, n)
+				}
+				for j := 0; j < n; j++ {
+					if err := a.ReadPage(start+page.No(j), pg); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(run[j*page.Size:(j+1)*page.Size], pg) {
+						t.Fatalf("run at %d: page %d differs from ReadPage", start, j)
+					}
+				}
+			}
+
+			two := make([]byte, 2*page.Size)
+			if err := a.ReadRun(limit-2, two); err != nil {
+				t.Fatalf("run ending at the limit: %v", err)
+			}
+			for _, start := range []page.No{limit - 1, limit, limit + 7, -1, 1<<62 + 5} {
+				if err := a.ReadRun(start, two); err != ErrOutOfRange {
+					t.Fatalf("ReadRun(%d, 2 pages) = %v, want ErrOutOfRange", start, err)
+				}
+			}
+			if err := a.ReadRun(1, make([]byte, (MaxSegmentPages+1)*page.Size)); err != ErrTooLarge {
+				t.Fatalf("oversized run = %v, want ErrTooLarge", err)
+			}
+			for _, size := range []int{0, 10, page.Size + 1} {
+				if err := a.ReadRun(1, make([]byte, size)); err == nil {
+					t.Fatalf("%d-byte buffer accepted", size)
+				}
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ReadRun(1, two); err != ErrClosed {
+				t.Fatalf("read after close: %v", err)
+			}
+		})
+	}
+}

@@ -29,12 +29,7 @@ func (s *AreaStore) ReadRun(start page.No, n int, buf []byte) error {
 	if len(buf) < n*page.Size {
 		return fmt.Errorf("largeobj: ReadRun buffer too small (%d < %d)", len(buf), n*page.Size)
 	}
-	for i := 0; i < n; i++ {
-		if err := s.A.ReadPage(start+page.No(i), buf[i*page.Size:(i+1)*page.Size]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.A.ReadRun(start, buf[:n*page.Size])
 }
 
 // WriteRun writes len(data)/page.Size contiguous pages.

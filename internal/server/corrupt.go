@@ -1,6 +1,6 @@
-// Silent-corruption resilience (DESIGN.md §5): every server read path
-// verifies the section checksums carried by slotted images, data and
-// overflow runs, and large-object descriptors. Detected damage is repaired
+// Silent-corruption resilience (DESIGN.md §5): the server's read path
+// (read.go) verifies the section checksums carried by slotted images, data
+// and overflow runs, and large-object descriptors. Detected damage is repaired
 // in place by replaying the WAL's full-page history — the log is never
 // truncated and logAndApply records whole page images, so the latest
 // durable record for a page IS its current content (CLRs already in the
@@ -9,7 +9,7 @@
 // traffic) cannot be reconstructed; their segment is quarantined with a
 // typed error while the rest of the server keeps serving.
 //
-// The same verified read paths back the background scrubber (StartScrub)
+// The same verified read path backs the background scrubber (StartScrub)
 // and `bess-inspect -verify`, so one walker covers online scrubbing,
 // offline audit, and demand-read verification.
 package server
@@ -159,117 +159,12 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 	return nil
 }
 
-// repairFor picks the damaged range from the detection error and repairs
-// it. dec is the decoded header when decoding succeeded (section damage);
-// nil when the slotted image itself would not decode.
-func (s *Server) repairFor(seg proto.SegKey, sm *segMeta, dec *segment.Seg, err error) error {
-	var ce *page.CorruptError
-	if errors.As(err, &ce) && dec != nil {
-		switch ce.Section {
-		case "data":
-			return s.repairRange(uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, int(dec.Hdr.DataPages), true)
-		case "overflow":
-			return s.repairRange(uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, int(dec.Hdr.OverPages), true)
-		}
-	}
-	// Header, slot region, or magic damage: the slotted image itself.
-	return s.repairRange(seg.Area, page.No(seg.Start), sm.SlottedPages, false)
-}
-
-// readSegVerified is readSeg's detect→repair→quarantine wrapper: one
-// verified read, one repair attempt, one re-read. A segment that still
-// fails after replaying its WAL history is quarantined.
-func (s *Server) readSegVerified(seg proto.SegKey, sm *segMeta) (*segment.Seg, []byte, []byte, error) {
-	if err := s.quarCheck(seg); err != nil {
-		return nil, nil, nil, err
-	}
-	dec, img, over, err := s.readSegOnce(seg, sm)
-	if err == nil || !corruptionIn(err) {
-		return dec, img, over, err
-	}
-	s.scrubCtr.corruptions.Add(1)
-	if rerr := s.repairFor(seg, sm, dec, err); rerr == nil {
-		if dec, img, over, err2 := s.readSegOnce(seg, sm); err2 == nil {
-			s.scrubCtr.repaired.Add(1)
-			return dec, img, over, nil
-		}
-	}
-	s.quarantine(seg, err)
-	return nil, nil, nil, fmt.Errorf("%w: segment %d/%d: %v", ErrQuarantined, seg.Area, seg.Start, err)
-}
-
-// readDataVerified reads a segment's data run and checks it against the
-// header's recorded checksum, repairing from the log on mismatch.
-//
-//bess:verified
-func (s *Server) readDataVerified(seg proto.SegKey, dec *segment.Seg) ([]byte, error) {
-	data, err := s.readData(dec)
-	if err != nil {
-		return nil, err
-	}
-	verr := dec.VerifyData(data)
-	if verr == nil {
-		return data, nil
-	}
-	s.scrubCtr.corruptions.Add(1)
-	if rerr := s.repairFor(seg, nil, dec, verr); rerr == nil {
-		if data, err = s.readData(dec); err == nil && dec.VerifyData(data) == nil {
-			s.scrubCtr.repaired.Add(1)
-			return data, nil
-		}
-	}
-	s.quarantine(seg, verr)
-	return nil, fmt.Errorf("%w: segment %d/%d: %v", ErrQuarantined, seg.Area, seg.Start, verr)
-}
-
-// readLargeVerified reads a large object's run and checks the stored bytes
-// against the descriptor's checksum, repairing the run from the log on
-// mismatch.
-//
-//bess:verified
-func (s *Server) readLargeVerified(seg proto.SegKey, areaID uint32, start int64, pages, stored int, crc uint32) ([]byte, error) {
-	read := func() ([]byte, error) {
-		a := s.lookupArea(areaID)
-		if a == nil {
-			return nil, ErrNoArea
-		}
-		buf := make([]byte, pages*page.Size)
-		for i := 0; i < pages; i++ {
-			if err := a.ReadPage(page.No(start)+page.No(i), buf[i*page.Size:(i+1)*page.Size]); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	}
-	buf, err := read()
-	if err != nil {
-		return nil, err
-	}
-	verr := page.Verify(buf[:stored], crc, "large", segment.ErrChecksum)
-	if verr == nil {
-		return buf, nil
-	}
-	var ce *page.CorruptError
-	if errors.As(verr, &ce) {
-		ce.Area, ce.Page = page.AreaID(areaID), page.No(start)
-	}
-	s.scrubCtr.corruptions.Add(1)
-	if rerr := s.repairRange(areaID, page.No(start), pages, true); rerr == nil {
-		if buf, err = read(); err == nil && page.Verify(buf[:stored], crc, "large", segment.ErrChecksum) == nil {
-			s.scrubCtr.repaired.Add(1)
-			return buf, nil
-		}
-	}
-	s.quarantine(seg, verr)
-	return nil, fmt.Errorf("%w: segment %d/%d: %v", ErrQuarantined, seg.Area, seg.Start, verr)
-}
-
 // --- background scrubber ---
 
-// ScrubOnce walks every cataloged segment through the verified read paths,
-// repairing or quarantining whatever it finds. Segments with an active
-// lock holder are skipped (a writer is mid-flight; the next pass will see
-// the committed image), as are already-quarantined ones. It returns the
+// ScrubOnce walks every cataloged segment through the verified read path
+// (readImage), repairing or quarantining whatever it finds. Segments with an
+// active lock holder are skipped (a writer is mid-flight; the next pass will
+// see the committed image), as are already-quarantined ones. It returns the
 // cumulative counters and the first non-corruption error.
 //
 // The walker is shared by three consumers: the background scrubber
@@ -280,28 +175,18 @@ func (s *Server) ScrubOnce() (ScrubStats, error) {
 			break
 		}
 		seg := sm.Seg
-		if s.quarCheck(seg) != nil {
-			continue
-		}
 		if len(s.locks.Holders(segLockName(seg))) > 0 {
 			continue // in-flight writer: verify on the next pass
 		}
-		dec, _, _, err := s.readSegVerified(seg, sm)
+		_, sl, over, data, err := s.readImage(seg, secAll, s.live())
 		s.scrubCtr.segsChecked.Add(1)
 		if err != nil {
-			if errors.Is(err, ErrQuarantined) {
-				continue
+			if errors.Is(err, ErrQuarantined) || errors.Is(err, ErrTornRead) {
+				continue // out of service, or a writer slipped in after the holder check
 			}
 			return s.ScrubStatus(), err
 		}
-		pages := sm.SlottedPages + int(dec.Hdr.OverPages)
-		if dec.Hdr.DataPages > 0 {
-			if _, err := s.readDataVerified(seg, dec); err != nil && !errors.Is(err, ErrQuarantined) {
-				return s.ScrubStatus(), err
-			}
-			pages += int(dec.Hdr.DataPages)
-		}
-		s.scrubCtr.pagesVerified.Add(int64(pages))
+		s.scrubCtr.pagesVerified.Add(int64((len(sl) + len(over) + len(data)) / page.Size))
 		if s.scrubPace > 0 {
 			time.Sleep(s.scrubPace)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,5 +226,126 @@ func TestLargeObjectChecksumRepair(t *testing.T) {
 	}
 	if st := s.ScrubStatus(); st.Repaired == 0 {
 		t.Fatalf("counters = %+v", st)
+	}
+}
+
+// TestSnapshotReadRepairsDataRot: a snapshot reading an unchanged segment
+// off disk gets the same verify→repair treatment as FetchSeg — the data
+// section used to ship to snapshots unchecked.
+func TestSnapshotReadRepairsDataRot(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("as-of payload"))
+	sl, _, err := s.FetchSlotted(0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := segment.DecodeSlotted(sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := s.Hello("reader")
+	snap, _, err := s.SnapOpen(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 5)
+	before := s.ScrubStatus()
+	if got := snapObject(t, s, cl, snap, key); !bytes.Equal(got, []byte("as-of payload")) {
+		t.Fatalf("snapshot read after data rot = %q", got)
+	}
+	if st := s.ScrubStatus(); st.Repaired != before.Repaired+1 || st.Quarantined != 0 {
+		t.Fatalf("counters = %+v, before %+v", st, before)
+	}
+	if s.VersionStats().DiskReads == 0 {
+		t.Fatal("snapshot read never took the disk verdict")
+	}
+}
+
+// TestTornReadsAreNotCorruption races unlocked readers — snapshots, and
+// the optimistic live fetches clients make — against a committer rewriting
+// the same segment. A reader that catches the segment mid-overwrite fails
+// verification, but that is a torn read: a snapshot must retry and serve a
+// committed image, a live fetch may report ErrTornRead, and nobody may
+// count, repair, or quarantine.
+func TestTornReadsAreNotCorruption(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key, imgs, bodies := altImages(t, s, db, "torn")
+	writer, _ := s.Hello("w")
+	commit := func(i int) error {
+		txid, err := s.NewTx()
+		if err != nil {
+			return err
+		}
+		if err := s.Lock(writer, txid, key, proto.LockX); err != nil {
+			return err
+		}
+		return s.Commit(writer, txid, []proto.SegImage{imgs[i%2]})
+	}
+	if err := commit(0); err != nil {
+		t.Fatal(err)
+	}
+	// read fetches the segment once, live or through a fresh snapshot.
+	read := func(cl uint32, live bool) ([]byte, []byte, []byte, error) {
+		if live {
+			return s.FetchSeg(0, key)
+		}
+		snap, _, err := s.SnapOpen(cl)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer s.SnapClose(cl, snap)
+		return s.SnapFetchSeg(cl, snap, key)
+	}
+
+	const readers, commits = 4, 150
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(live bool) {
+			defer wg.Done()
+			cl, _ := s.Hello("r")
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sl, ov, data, err := read(cl, live)
+				if live && errors.Is(err, ErrTornRead) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("fetch (live=%v): %v", live, err)
+					return
+				}
+				dec, err := segment.DecodeSlotted(sl)
+				if err != nil {
+					t.Errorf("image (live=%v): %v", live, err)
+					return
+				}
+				dec.Overflow, dec.Data = ov, data
+				if b, err := dec.ObjectBytes(0); err != nil ||
+					!(bytes.Equal(b, bodies[0]) || bytes.Equal(b, bodies[1])) {
+					t.Errorf("read (live=%v) %q, %v: not a committed image", live, b, err)
+					return
+				}
+			}
+		}(r%2 == 0)
+	}
+	for i := 1; i <= commits; i++ {
+		if err := commit(i); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if st := s.ScrubStatus(); st.CorruptionsFound != 0 || st.Repaired != 0 || st.Quarantined != 0 {
+		t.Fatalf("torn reads were treated as corruption: %+v", st)
 	}
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
+	"bess/internal/area"
 	"bess/internal/goleak"
 	"bess/internal/oid"
 	"bess/internal/proto"
@@ -232,6 +234,67 @@ func TestRPCFullSurface(t *testing.T) {
 	st := s.Snapshot()
 	if st.Messages == 0 || st.Commits == 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRPCRunBoundsRejected: raw-run requests arrive off the wire, so every
+// malformed one must come back as an error — a negative page count used to
+// panic the server process and a huge one sized a gigabyte buffer before the
+// first range check; a ragged WriteRun payload silently lost its tail.
+func TestRPCRunBoundsRejected(t *testing.T) {
+	s, p := callPeer(t)
+	var odb proto.OpenDBReply
+	if err := p.Call("OpenDB", &proto.OpenDBArgs{Name: "db", Create: true}, &odb); err != nil {
+		t.Fatal(err)
+	}
+	var ar proto.AllocRunReply
+	if err := p.Call("AllocRun", &proto.AllocRunArgs{DB: odb.DB, NPages: 2}, &ar); err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(s.lookupArea(ar.Area).Pages())
+	for _, c := range []struct {
+		name   string
+		start  int64
+		nPages int
+		want   error
+	}{
+		{"negative count", ar.Start, -1, area.ErrOutOfRange},
+		{"zero count", ar.Start, 0, area.ErrOutOfRange},
+		{"huge count", ar.Start, 1 << 40, area.ErrOutOfRange},
+		{"over a segment", ar.Start, area.MaxSegmentPages + 1, area.ErrOutOfRange},
+		{"negative start", -1, 1, area.ErrOutOfRange},
+		{"past the limit", limit - 1, 2, area.ErrOutOfRange},
+		{"at the limit", limit, 1, area.ErrOutOfRange},
+	} {
+		if _, err := s.ReadRun(odb.DB, ar.Area, c.start, c.nPages); !errors.Is(err, c.want) {
+			t.Errorf("%s: ReadRun = %v, want %v", c.name, err, c.want)
+		}
+		var rr proto.RunReply
+		err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
+		if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
+			t.Errorf("%s: ReadRun over RPC = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	data := bytes.Repeat([]byte{0xAB}, 2*4096)
+	if err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
+		t.Fatal(err)
+	}
+	ragged := make([]byte, 4096+100)
+	if err := s.WriteRun(odb.DB, ar.Area, ar.Start, ragged); !errors.Is(err, ErrBadRun) {
+		t.Errorf("ragged WriteRun = %v, want ErrBadRun", err)
+	}
+	err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: ragged}, &proto.Empty{})
+	if err == nil || !strings.Contains(err.Error(), ErrBadRun.Error()) {
+		t.Errorf("ragged WriteRun over RPC = %v, want ErrBadRun", err)
+	}
+	// The server is still up, and the rejected write touched nothing.
+	var rr proto.RunReply
+	if err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rr.Data, data) {
+		t.Fatal("rejected WriteRun modified the run")
 	}
 }
 

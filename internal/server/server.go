@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -43,6 +44,7 @@ var (
 	ErrUnknownTx   = errors.New("server: unknown transaction")
 	ErrTooLarge    = errors.New("server: object exceeds transparent large-object limit")
 	ErrShutdown    = errors.New("server: shut down")
+	ErrBadRun      = errors.New("server: bad raw run")
 	errUnknownName = errors.New("server: unknown client")
 )
 
@@ -587,63 +589,6 @@ func (s *Server) SegInfo(seg proto.SegKey) (int, error) {
 	return sm.SlottedPages, nil
 }
 
-// readSeg loads, decodes, and checksum-verifies a segment's slotted image
-// plus overflow. Corruption is repaired from WAL history in place, or the
-// segment is quarantined (corrupt.go).
-func (s *Server) readSeg(seg proto.SegKey) (*segment.Seg, []byte, []byte, error) {
-	sm, _, ok := s.cat.segMetaOf(seg)
-	if !ok {
-		return nil, nil, nil, ErrNoSegment
-	}
-	return s.readSegVerified(seg, sm)
-}
-
-// readSegOnce is the raw one-attempt read under readSegVerified: the
-// slotted image is verified by DecodeSlotted (header + slot-region CRCs),
-// the overflow bytes against the header's recorded section checksum. On
-// corruption the decoded header (when available) rides along so the caller
-// can locate the damaged range.
-//
-//bess:verified
-func (s *Server) readSegOnce(seg proto.SegKey, sm *segMeta) (*segment.Seg, []byte, []byte, error) {
-	a := s.lookupArea(seg.Area)
-	if a == nil {
-		return nil, nil, nil, ErrNoArea
-	}
-	img := make([]byte, sm.SlottedPages*page.Size)
-	for i := 0; i < sm.SlottedPages; i++ {
-		if err := a.ReadPage(page.No(seg.Start)+page.No(i), img[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	dec, err := segment.DecodeSlotted(img)
-	if err != nil {
-		var ce *page.CorruptError
-		if errors.As(err, &ce) {
-			ce.Area, ce.Page = page.AreaID(seg.Area), page.No(seg.Start)
-		}
-		return nil, nil, nil, err
-	}
-	var over []byte
-	if dec.Hdr.OverPages > 0 {
-		oa := s.lookupArea(uint32(dec.Hdr.OverArea))
-		if oa == nil {
-			return nil, nil, nil, ErrNoArea
-		}
-		over = make([]byte, int(dec.Hdr.OverPages)*page.Size)
-		for i := 0; i < int(dec.Hdr.OverPages); i++ {
-			if err := oa.ReadPage(dec.Hdr.OverStart+page.No(i), over[i*page.Size:(i+1)*page.Size]); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		if err := dec.VerifyOverflow(over); err != nil {
-			return dec, nil, nil, err
-		}
-		dec.Overflow = over
-	}
-	return dec, img, over, nil
-}
-
 // recordCopy notes that client caches seg so callbacks reach it.
 func (s *Server) recordCopy(client uint32, seg proto.SegKey) {
 	if client == 0 {
@@ -659,27 +604,12 @@ func (s *Server) recordCopy(client uint32, seg proto.SegKey) {
 	s.copyMu.Unlock()
 }
 
-// readData loads the data segment named by a decoded slotted header.
-func (s *Server) readData(dec *segment.Seg) ([]byte, error) {
-	da := s.lookupArea(uint32(dec.Hdr.DataArea))
-	if da == nil {
-		return nil, ErrNoArea
-	}
-	data := make([]byte, int(dec.Hdr.DataPages)*page.Size)
-	for i := 0; i < int(dec.Hdr.DataPages); i++ {
-		if err := da.ReadPage(dec.Hdr.DataStart+page.No(i), data[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
 // FetchSlotted implements proto.Conn; it also records the client in the
 // copy table so callbacks reach it.
 func (s *Server) FetchSlotted(client uint32, seg proto.SegKey) ([]byte, []byte, error) {
 	s.stats.messages.Add(1)
 	s.stats.slottedFetches.Add(1)
-	_, img, over, err := s.readSeg(seg)
+	_, img, over, _, err := s.readImage(seg, secOverflow, s.live())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -692,11 +622,8 @@ func (s *Server) FetchSlotted(client uint32, seg proto.SegKey) ([]byte, []byte, 
 func (s *Server) FetchData(client uint32, seg proto.SegKey) ([]byte, error) {
 	s.stats.messages.Add(1)
 	s.stats.dataFetches.Add(1)
-	dec, _, _, err := s.readSeg(seg)
-	if err != nil {
-		return nil, err
-	}
-	return s.readDataVerified(seg, dec)
+	_, _, _, data, err := s.readImage(seg, secData, s.live())
+	return data, err
 }
 
 // FetchSeg implements proto.Conn: the combined cold-touch fetch. One message
@@ -708,11 +635,7 @@ func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []by
 	s.stats.messages.Add(1)
 	s.stats.slottedFetches.Add(1)
 	s.stats.dataFetches.Add(1)
-	dec, img, over, err := s.readSeg(seg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	data, err := s.readDataVerified(seg, dec)
+	_, img, over, data, err := s.readImage(seg, secAll, s.live())
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -726,7 +649,8 @@ func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []by
 func (s *Server) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
 	s.stats.messages.Add(1)
 	s.stats.largeFetches.Add(1)
-	dec, _, _, err := s.readSeg(seg)
+	v := s.live()
+	dec, _, _, _, err := s.readImage(seg, secOverflow, v)
 	if err != nil {
 		return nil, err
 	}
@@ -738,7 +662,12 @@ func (s *Server) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, 
 		return nil, err
 	}
 	areaID, start, pages, stored, crc := decodeLargeDesc(d)
-	buf, err := s.readLargeVerified(seg, areaID, start, pages, stored, crc)
+	buf, err := s.readRun(seg, runRead{
+		Area: areaID, Start: page.No(start), Pages: pages, ZeroBase: true,
+		Verify: func(run []byte) error {
+			return page.Verify(run[:stored], crc, "large", segment.ErrChecksum)
+		},
+	}, v)
 	if err != nil {
 		return nil, err
 	}
@@ -925,31 +854,15 @@ func (s *Server) applySegImages(t *tx.Tx, segs []proto.SegImage) error {
 }
 
 func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
-	sm, _, ok := s.cat.segMetaOf(si.Seg)
-	if !ok {
-		return ErrNoSegment
-	}
 	newSeg, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
-	cur, curImg, curOver, err := s.readSeg(si.Seg)
+	cur, old, capture, err := s.updateBase(si.Seg)
 	if err != nil {
 		return err
 	}
-	// Stage the update with the version store before any page is
-	// overwritten: snapshot reads of this segment wait out the overwrite
-	// window, and with a snapshot open the pre-update image is captured for
-	// its chain (data section read only when the copy will actually happen).
-	capture := s.txm.SnapshotCount() > 0
-	var curData []byte
-	if capture {
-		if curData, err = s.readDataVerified(si.Seg, cur); err != nil {
-			return err
-		}
-	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg),
-		cache.VImage{Slotted: curImg, Overflow: curOver, Data: curData}, capture)
+	s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg), old, capture)
 	// Grown data segment? Allocate a fresh run and point the header at it
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
@@ -1032,28 +945,40 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
 	}
 	// Re-encode with the final geometry and write everything with logging.
 	img := newSeg.EncodeSlotted()
-	if err := s.logAndApply(t, si.Seg.Area, page.No(si.Seg.Start), img[:sm.SlottedPages*page.Size]); err != nil {
+	if err := s.logAndApply(t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
 		return err
 	}
 	if len(si.Data) > 0 {
-		n := int(newSeg.Hdr.DataPages) * page.Size
-		if n > len(si.Data) {
-			n = len(si.Data)
-		}
-		if err := s.logAndApply(t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, si.Data[:n]); err != nil {
+		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
+		if err := s.logAndApply(t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, nil, si.Data[:n]); err != nil {
 			return err
 		}
 	}
 	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
-		n := int(newSeg.Hdr.OverPages) * page.Size
-		if n > len(si.Overflow) {
-			n = len(si.Overflow)
-		}
-		if err := s.logAndApply(t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, si.Overflow[:n]); err != nil {
+		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
+		if err := s.logAndApply(t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, nil, si.Overflow[:n]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// updateBase reads what an updater about to overwrite seg needs: the decoded
+// current header (overflow attached) and the image to stage with the version
+// store. The caller must StageUpdate it before the first page of seg is
+// overwritten: snapshot reads of the segment then wait out the overwrite
+// window, and with a snapshot open (capture) the pre-update image joins its
+// chain — the data section is read only when that copy will actually happen.
+// Without the staging an open snapshot's Recheck passes (the stamp never
+// advanced) while pages change underneath it: a torn as-of read.
+func (s *Server) updateBase(seg proto.SegKey) (cur *segment.Seg, old cache.VImage, capture bool, err error) {
+	capture = s.txm.SnapshotCount() > 0
+	want := secOverflow
+	if capture {
+		want = secAll
+	}
+	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, want, s.live())
+	return cur, old, capture, err
 }
 
 // areaForAlloc picks the area for a relocation allocation (same area as the
@@ -1066,34 +991,42 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 	return a, areaID, nil
 }
 
-// logAndApply writes page images with full-page update records, skipping
-// pages whose bytes are unchanged.
-func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, data []byte) error {
-	n := (len(data) + page.Size - 1) / page.Size
-	before := make([]byte, page.Size)
-	for i := 0; i < n; i++ {
-		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(i)}
-		end := (i + 1) * page.Size
-		if end > len(data) {
-			end = len(data)
+// logAndApply writes data over the run at start with full-page update
+// records, skipping pages whose bytes are unchanged. before is the run's
+// current content in whole pages — the caller's own read of it, or nil to
+// have it read here. Writes stay per page: WritePage is the WAL-ordering
+// and crash-point unit.
+func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
+	if before == nil {
+		a := s.lookupArea(areaID)
+		if a == nil {
+			return ErrNoArea
 		}
-		after := data[i*page.Size : end]
-		if err := s.ReadPage(pid, before); err != nil {
+		before = make([]byte, (len(data)+page.Size-1)/page.Size*page.Size)
+		if err := a.ReadRun(start, before); err != nil {
 			return err
 		}
-		if string(before[:len(after)]) == string(after) {
+	}
+	for lo := 0; lo < len(data); lo += page.Size {
+		hi := min(lo+page.Size, len(data))
+		was, after := before[lo:hi], data[lo:hi]
+		if bytes.Equal(was, after) {
 			continue
 		}
-		if _, err := t.LogUpdate(pid, 0, before[:len(after)], after); err != nil {
+		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}
+		if _, err := t.LogUpdate(pid, 0, was, after); err != nil {
 			return err
 		}
-		full := before
-		copy(full, after)
+		full := after
+		if len(after) < page.Size {
+			// Short tail: the rest of the page keeps its current bytes.
+			full = make([]byte, page.Size)
+			copy(full, after)
+			copy(full[len(after):], before[hi:lo+page.Size])
+		}
 		if err := s.WritePage(pid, full); err != nil {
 			return err
 		}
-		// Reset scratch for the next page read.
-		before = make([]byte, page.Size)
 	}
 	return nil
 }
@@ -1260,24 +1193,11 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	if err := s.revokeCopies(seg, client); err != nil {
 		return 0, err
 	}
-	dec, curImg, curOver, err := s.readSeg(seg)
+	dec, old, capture, err := s.updateBase(seg)
 	if err != nil {
 		return 0, err
 	}
-	sm, _, _ := s.cat.segMetaOf(seg)
-	// Stage with the version store before any page of seg is overwritten,
-	// exactly as applyOne does for commit images: without this, an open
-	// snapshot's Recheck passes (the stamp never advanced) while the
-	// descriptor pages change underneath it — a torn as-of read.
-	capture := s.txm.SnapshotCount() > 0
-	var curData []byte
-	if capture {
-		if curData, err = s.readDataVerified(seg, dec); err != nil {
-			return 0, err
-		}
-	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(seg),
-		cache.VImage{Slotted: curImg, Overflow: curOver, Data: curData}, capture)
+	s.vs.StageUpdate(t.ID(), vkeyOf(seg), old, capture)
 	// Store the content in its own run.
 	a, aid, err := s.areaForAlloc(seg.Area)
 	if err != nil {
@@ -1293,7 +1213,7 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	}
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
-	if err := s.logAndApply(t, aid, start, padded); err != nil {
+	if err := s.logAndApply(t, aid, start, nil, padded); err != nil {
 		return 0, err
 	}
 	// Grow overflow if needed and add the descriptor slot.
@@ -1313,10 +1233,12 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 		return 0, err
 	}
 	img := dec.EncodeSlotted()
-	if err := s.logAndApply(t, seg.Area, page.No(seg.Start), img[:sm.SlottedPages*page.Size]); err != nil {
+	if err := s.logAndApply(t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
 		return 0, err
 	}
-	if err := s.logAndApply(t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, dec.Overflow); err != nil {
+	// dec.Overflow aliases the overflow run updateBase read and now holds
+	// the new descriptor, so its before-image is read back from disk.
+	if err := s.logAndApply(t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, nil, dec.Overflow); err != nil {
 		return 0, err
 	}
 	// Force only this transaction's records (WAL rule for the page writes
@@ -1364,11 +1286,14 @@ func (s *Server) ReadRun(db uint32, areaID uint32, start int64, nPages int) ([]b
 	if a == nil {
 		return nil, ErrNoArea
 	}
+	// nPages arrives off the wire: bound it before it sizes an allocation.
+	// Area.ReadRun checks the range itself.
+	if nPages <= 0 || nPages > area.MaxSegmentPages {
+		return nil, fmt.Errorf("%w: run of %d pages", area.ErrOutOfRange, nPages)
+	}
 	buf := make([]byte, nPages*page.Size)
-	for i := 0; i < nPages; i++ {
-		if err := a.ReadPage(page.No(start)+page.No(i), buf[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, err
-		}
+	if err := a.ReadRun(page.No(start), buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
@@ -1379,6 +1304,9 @@ func (s *Server) WriteRun(db uint32, areaID uint32, start int64, data []byte) er
 	a := s.lookupArea(areaID)
 	if a == nil {
 		return ErrNoArea
+	}
+	if len(data)%page.Size != 0 {
+		return fmt.Errorf("%w: %d bytes is not a whole number of pages", ErrBadRun, len(data))
 	}
 	n := len(data) / page.Size
 	for i := 0; i < n; i++ {

@@ -1,13 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 
 	"bess/internal/cache"
 	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
-	"bess/internal/segment"
 	"bess/internal/tx"
 	"bess/internal/wal"
 )
@@ -127,9 +127,10 @@ func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]b
 
 // readAsOf serves seg's image as of stamp t: a retained chain version, the
 // current disk image when the segment is unchanged since t (verified
-// against concurrent overwrites), or a WAL undo reconstruction. On the hot
-// outcomes it allocates nothing: chain images are served as-is and the
-// disk read reuses the fetch path's buffers.
+// against concurrent overwrites), or — chain trimmed, or version never
+// captured — the disk image rewound with WAL before-images. On the hot
+// outcomes it allocates nothing of its own: chain images are served as-is
+// and the disk read is the fetch path's readImage.
 //
 //bess:hotpath
 func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
@@ -137,13 +138,7 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 	key := vkeyOf(seg)
 	for {
 		//bess:lockfree ignore=version-store latch only: AsOf pins a chain entry under VersionStore.mu, never the lock manager; it blocks only on a committing writer's page-copy window
-		v, err := s.vs.AsOf(key, t)
-		if err != nil {
-			// Chain trimmed (or version never captured): rebuild from WAL
-			// before-images.
-			//bess:lockfree ignore=WAL fallback for trimmed chains: reconstruction reads the catalog and log under their latches, off the hot chain and disk paths
-			return s.reconstructAsOf(seg, t)
-		}
+		v, trimmed := s.vs.AsOf(key, t)
 		if v != nil {
 			// Chain images are immutable after capture (StageUpdate clones
 			// them once), so the sections are returned as-is: the reply
@@ -157,94 +152,21 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 			return sl, ov, data, nil
 		}
 		// Disk image verdict: read it, then confirm no update staged or
-		// committed underneath the read.
-		//bess:lockfree ignore=disk read under the area's short page latches; the lock manager is never consulted
-		dec, img, over, err := s.readSeg(seg)
-		if err != nil {
-			return nil, nil, nil, err
+		// committed underneath the read. A rebuilt image needs no recheck —
+		// its rewind already undid every write that could have raced it.
+		//bess:lockfree ignore=disk read under the area's short page latches (plus the catalog and log latches on the trimmed-chain rebuild, off the hot chain and disk paths); the lock manager is never consulted
+		_, img, over, data, err := s.readImage(seg, secAll, view{t: t, rebuild: trimmed != nil})
+		if errors.Is(err, ErrTornRead) {
+			continue
 		}
-		//bess:lockfree ignore=disk read under the area's short page latches; the lock manager is never consulted
-		data, err := s.readData(dec)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		//bess:lockfree ignore=version-store latch only: Recheck compares the stamp under VersionStore.mu and returns
-		if s.vs.Recheck(key, t) {
+		if trimmed != nil || s.vs.Recheck(key, t) {
 			return img, over, data, nil
 		}
 	}
-}
-
-// reconstructAsOf rebuilds seg's image at stamp t from the WAL: the as-of
-// content of a page is the before-image of its earliest update by a
-// transaction that committed after t (or never committed); pages with no
-// such update still hold their as-of content on disk. Updates are logged as
-// full-page images (logAndApply), so reconstruction is exact. Pages are
-// read before the log is scanned — any write that could have raced the read
-// appended its record first (WAL rule), so the scan always sees it.
-//
-// Known limitation: CreateSegment initializes pages without logging, so an
-// as-of image whose pages were since freed and handed to a new segment
-// reconstructs to that segment's initial state. Snapshot workloads that
-// drop and reallocate whole segments should not outlive the version chain.
-func (s *Server) reconstructAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
-	sm, _, ok := s.cat.segMetaOf(seg)
-	if !ok {
-		return nil, nil, nil, ErrNoSegment
-	}
-	a := s.lookupArea(seg.Area)
-	if a == nil {
-		return nil, nil, nil, ErrNoArea
-	}
-
-	// Slotted section first: its reconstructed header names the data and
-	// overflow runs as of t.
-	sl := make([]byte, sm.SlottedPages*page.Size)
-	for i := 0; i < sm.SlottedPages; i++ {
-		pid := page.ID{Area: page.AreaID(seg.Area), Page: page.No(seg.Start) + page.No(i)}
-		if err := s.ReadPage(pid, sl[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	befores, err := s.asOfBefores(t)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	overlayAsOf(befores, page.AreaID(seg.Area), page.No(seg.Start), sl)
-	dec, err := segment.DecodeSlotted(sl)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: no image at stamp %d", ErrNoSegment, t)
-	}
-
-	// Data and overflow at the reconstructed geometry. Pages again read
-	// before a fresh scan; the rescan may only add before-images for pages
-	// the first scan had none for, so the slotted geometry stays valid.
-	data := make([]byte, int(dec.Hdr.DataPages)*page.Size)
-	for i := 0; i < int(dec.Hdr.DataPages); i++ {
-		pid := page.ID{Area: dec.Hdr.DataArea, Page: dec.Hdr.DataStart + page.No(i)}
-		if err := s.ReadPage(pid, data[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var over []byte
-	if dec.Hdr.OverPages > 0 {
-		over = make([]byte, int(dec.Hdr.OverPages)*page.Size)
-		for i := 0; i < int(dec.Hdr.OverPages); i++ {
-			pid := page.ID{Area: dec.Hdr.OverArea, Page: dec.Hdr.OverStart + page.No(i)}
-			if err := s.ReadPage(pid, over[i*page.Size:(i+1)*page.Size]); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-	befores, err = s.asOfBefores(t)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	overlayAsOf(befores, dec.Hdr.DataArea, dec.Hdr.DataStart, data)
-	if over != nil {
-		overlayAsOf(befores, dec.Hdr.OverArea, dec.Hdr.OverStart, over)
-	}
-	return sl, over, data, nil
 }
 
 // asOfBefores scans the durable log and returns, per page, the before-image
@@ -293,22 +215,13 @@ func (s *Server) asOfBefores(t page.LSN) (map[page.ID][]byte, error) {
 	return befores, nil
 }
 
-// overlayAsOf replaces pages of buf (a run starting at area/start) that have
-// an as-of before-image.
+// overlayAsOf replaces the pages of buf (a whole-page run starting at
+// area/start) that have an as-of before-image.
 func overlayAsOf(befores map[page.ID][]byte, areaID page.AreaID, start page.No, buf []byte) {
-	n := (len(buf) + page.Size - 1) / page.Size
-	for i := 0; i < n; i++ {
-		b, ok := befores[page.ID{Area: areaID, Page: start + page.No(i)}]
-		if !ok {
-			continue
-		}
-		end := (i + 1) * page.Size
-		if end > len(buf) {
-			end = len(buf)
-		}
-		dst := buf[i*page.Size : end]
-		for j := copy(dst, b); j < len(dst); j++ {
-			dst[j] = 0
+	for off := 0; off < len(buf); off += page.Size {
+		if b, ok := befores[page.ID{Area: areaID, Page: start + page.No(off/page.Size)}]; ok {
+			dst := buf[off : off+page.Size]
+			clear(dst[copy(dst, b):])
 		}
 	}
 }
