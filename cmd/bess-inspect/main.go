@@ -104,11 +104,20 @@ func main() {
 			n++
 			switch rec.Type {
 			case wal.TUpdate, wal.TCLR:
-				fmt.Printf("  %8d %-10s tx=%-6d page=%v off=%d len=%d\n",
-					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After))
+				// A whole-page image anchors replay of its page: restart redo
+				// and repair start from one, byte-range records build on it.
+				mark := ""
+				if rec.WholePage() {
+					mark = "  anchor"
+				}
+				fmt.Printf("  %8d %-10s tx=%-6d page=%v off=%d before=%d after=%d%s\n",
+					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.Before), len(rec.After), mark)
 			case wal.TCheckpoint:
 				fmt.Printf("  %8d %-10s active=%d dirty=%d\n",
 					lsn, rec.Type, len(rec.ActiveTxs), len(rec.DirtyPages))
+				for _, e := range rec.DirtyPages {
+					fmt.Printf("  %8s   page=%v recLSN=%d\n", "", e.Page, e.RecLSN)
+				}
 			default:
 				fmt.Printf("  %8d %-10s tx=%d\n", lsn, rec.Type, rec.Tx)
 			}

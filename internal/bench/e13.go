@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"bess/internal/area"
 	"bess/internal/fault"
+	"bess/internal/lock"
 	"bess/internal/page"
+	"bess/internal/tx"
 	"bess/internal/wal"
 )
 
@@ -24,23 +26,31 @@ import (
 //
 //	(1) every acknowledged commit (Flush returned nil before the crash)
 //	    has a durable TCommit in the surviving log;
-//	(2) every winner's page holds exactly its final after-image, every
-//	    loser's page is rolled back to its initial image;
+//	(2) every page holds exactly the image its last winner left, or its
+//	    initial image if only losers touched it;
 //	(3) the torn log tail is treated as end-of-log — reopen never errors
 //	    and recovery never replays garbage;
 //	(4) recovery is idempotent: a second restart on the recovered image
-//	    changes nothing and finds no losers.
+//	    changes nothing and finds no losers;
+//	(5) the restart invariant of the logging rule: the earliest record redo
+//	    replays for any page is a whole-page image
+//	    (wal.RecoveryStats.UnanchoredPages == 0).
 //
 // Tear modes per crash point: clean (the fatal write vanishes), torn
 // (one 512B sector of it survives), and torn+garbage (the lost extent is
 // overwritten with seeded noise — a drive scribbling as power died).
 
-// Workload shape. Each transaction owns a private page (matching the
-// segment-granular strict 2PL the server enforces) and logs full-page
-// before/after images, mirroring server.logAndApply.
+// Workload shape. Transactions log through the product's own rule
+// (tx.Tx.LogUpdate, the function server.logAndApply calls) and commit, abort
+// and checkpoint through tx.Manager, so the log under torture has the
+// product's layout: a whole-page anchor for a page's first update after open
+// and after the checkpoint, byte-range records for the sub-page overwrites in
+// between. Each transaction works on a private page (matching the
+// segment-granular strict 2PL the server enforces); two of them come back to
+// a page after the checkpoint.
 const (
-	e13Txs     = 12 // transactions; odd commit, even are left in flight
-	e13Updates = 3  // full-page updates per transaction
+	e13Txs     = 12 // transactions; odd commit, even are left in flight (one aborts)
+	e13Updates = 3  // updates per transaction: the whole page, then two sub-page overwrites
 	e13AreaID  = 7
 )
 
@@ -67,9 +77,17 @@ type E13Report struct {
 	MaxRecoverUs   float64   `json:"max_recover_us"`
 	MeanRedo       float64   `json:"mean_redo_applied"`
 	MeanUndo       float64   `json:"mean_undo_applied"`
+	WorkloadLog    int64     `json:"workload_log_bytes"`     // log written by the fault-free run
 	Failures       []string  `json:"failures,omitempty"`     // first few inconsistency descriptions
 	WorkloadAcked  int       `json:"workload_acked_commits"` // in the fault-free run
 	WorkloadEvents string    `json:"workload_event_window"`
+}
+
+// e13Write is one logged page change in the shadow model: who made it and
+// what the page held afterwards.
+type e13Write struct {
+	tx  uint64
+	img []byte
 }
 
 // e13World is one simulated machine: WAL and area on a shared event clock,
@@ -80,10 +98,13 @@ type e13World struct {
 	areaSt *fault.Store
 	log    *wal.Log
 	area   *area.Area
+	txm    *tx.Manager
 
-	pages  map[uint64]page.No // tx -> its private page
-	acked  map[uint64]bool    // commits acknowledged before any crash
-	finals map[uint64][]byte  // tx -> final after-image of its page
+	pages   map[uint64]page.No     // tx -> its private page
+	acked   map[uint64]bool        // commits acknowledged before any crash
+	history map[page.No][]e13Write // page -> its logged changes, in log order
+	buffer  map[page.No][]byte     // the buffer pool: current content of every touched page
+	unsaved map[page.No]bool       // buffered content not yet written to the area
 
 	setupEvents int64
 }
@@ -94,10 +115,12 @@ type e13World struct {
 // scenario.
 func e13Setup(seed int64) (*e13World, error) {
 	w := &e13World{
-		inj:    fault.NewInjector(seed),
-		pages:  make(map[uint64]page.No),
-		acked:  make(map[uint64]bool),
-		finals: make(map[uint64][]byte),
+		inj:     fault.NewInjector(seed),
+		pages:   make(map[uint64]page.No),
+		acked:   make(map[uint64]bool),
+		history: make(map[page.No][]e13Write),
+		buffer:  make(map[page.No][]byte),
+		unsaved: make(map[page.No]bool),
 	}
 	w.walSt = fault.NewStore(w.inj)
 	w.areaSt = fault.NewStore(w.inj)
@@ -112,6 +135,7 @@ func e13Setup(seed int64) (*e13World, error) {
 		return nil, fmt.Errorf("create area: %w", err)
 	}
 	w.area = a
+	w.txm = tx.NewManager(l, lock.NewManager(), e13Pager{a}, nil)
 	for t := uint64(1); t <= e13Txs; t++ {
 		first, _, err := a.AllocSegment(1)
 		if err != nil {
@@ -126,97 +150,129 @@ func e13Setup(seed int64) (*e13World, error) {
 	return w, nil
 }
 
-// e13Image is the deterministic page content of tx t after its k-th update.
-func e13Image(t uint64, k int) []byte {
-	img := make([]byte, page.Size)
-	for j := range img {
-		img[j] = byte(uint64(j)*31 + t*131 + uint64(k)*17 + 1)
+// update has t overwrite n bytes of pg at off with a pattern of (t, k): the
+// change is logged through the product's rule, lands in the buffer pool, and
+// joins the shadow model.
+func (w *e13World) update(t *tx.Tx, pg page.No, k, off, n int) error {
+	before := w.buffer[pg]
+	if before == nil {
+		before = make([]byte, page.Size) // freshly allocated zeros
 	}
-	return img
+	after := append([]byte(nil), before...)
+	for j := off; j < off+n; j++ {
+		after[j] = byte(uint64(j)*31 + t.ID()*131 + uint64(k)*17 + 1)
+	}
+	if _, err := t.LogUpdate(page.ID{Area: e13AreaID, Page: pg}, before, after); err != nil {
+		return err
+	}
+	w.buffer[pg], w.unsaved[pg] = after, true
+	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after})
+	return nil
+}
+
+// steal writes pg's buffered content to the area, forcing the log through
+// t's last record first (the WAL rule: log before data).
+func (w *e13World) steal(t *tx.Tx, pg page.No) error {
+	if err := w.log.Flush(t.LastLSN()); err != nil {
+		return err
+	}
+	if err := w.area.WritePage(pg, w.buffer[pg]); err != nil {
+		return err
+	}
+	delete(w.unsaved, pg)
+	return nil
 }
 
 // e13Workload runs the transaction mix. Any error is the scheduled crash
 // (or a cascade of it) and simply ends the run — everything acknowledged
 // before that moment is in w.acked, and that is what recovery must honor.
 //
-// Odd transactions commit (append TCommit, force the log, ack, TEnd); even
-// ones are left in flight. Dirty pages are stolen to the area — after
-// forcing the log up to their last update, per the WAL rule — for all even
-// transactions and every fourth odd one, so both redo of lost winner
-// writes and undo of stolen loser writes are exercised. A fuzzy checkpoint
-// with accurate transaction and dirty-page tables lands mid-run.
+// Every transaction rewrites its whole private page, then overwrites two
+// sub-page ranges of it. Odd transactions commit; even ones are left in
+// flight, except one that rolls back at run time (CLRs under the same rule).
+// Dirty pages are stolen to the area — after forcing the log up to their
+// last update — for all even transactions and every fourth odd one, so both
+// redo of lost winner writes and undo of stolen loser writes are exercised.
+// Mid-run the buffer pool is flushed and the product's checkpoint taken: it
+// lists the in-flight transactions' pages at their anchors' LSNs — one of them
+// a page another transaction anchored — and starts a new anchor epoch. After it, an in-flight transaction and a new one come
+// back to pages logged before it, so their next records must be anchors
+// again for a torn steal to heal.
 func e13Workload(w *e13World) {
-	active := make(map[uint64]page.LSN)
-	dpt := make(map[page.ID]page.LSN)
-
-	for t := uint64(1); t <= e13Txs; t++ {
-		pg := page.ID{Area: e13AreaID, Page: w.pages[t]}
-		var prev page.LSN
-		img := make([]byte, page.Size) // initial image: freshly allocated zeros
+	inflight := make(map[uint64]*tx.Tx)
+	for id := uint64(1); id <= e13Txs; id++ {
+		t := w.txm.BeginWithID(id)
+		pg := w.pages[id]
 		for k := 0; k < e13Updates; k++ {
-			before := append([]byte(nil), img...)
-			img = e13Image(t, k)
-			lsn, err := w.log.Append(&wal.Record{
-				Type:    wal.TUpdate,
-				Tx:      t,
-				PrevLSN: prev,
-				Page:    pg,
-				Off:     0,
-				Before:  before,
-				After:   append([]byte(nil), img...),
-			})
-			if err != nil {
-				return
+			off, n := 0, page.Size
+			if k > 0 {
+				off, n = 512*k+int(id)*40, 96+int(id)
 			}
-			prev = lsn
-			if _, ok := dpt[pg]; !ok {
-				dpt[pg] = lsn
-			}
-		}
-		w.finals[t] = append([]byte(nil), img...)
-		active[t] = prev
-
-		steal := t%2 == 0 || t%4 == 1
-		if steal {
-			if err := w.log.Flush(prev); err != nil { // WAL rule: log before data
-				return
-			}
-			if err := w.area.WritePage(w.pages[t], img); err != nil {
+			if w.update(t, pg, k, off, n) != nil {
 				return
 			}
 		}
-
-		if t%2 == 1 {
-			clsn, err := w.log.Append(&wal.Record{Type: wal.TCommit, Tx: t, PrevLSN: prev})
-			if err != nil {
+		if id == e13Txs/2 {
+			// The last transaction in flight at the checkpoint also changes a
+			// committed neighbour's page, anchored by that neighbour: the
+			// checkpoint must list it at the anchor, not at this delta.
+			if w.update(t, w.pages[id-1], e13Updates, 2048, 64) != nil || w.steal(t, w.pages[id-1]) != nil {
 				return
 			}
-			if err := w.log.Flush(clsn); err != nil {
+		}
+		if id == e13Txs/2+1 {
+			// Back to a committed page and to an in-flight one, first touches
+			// of the new epoch both; the second change to each is a delta.
+			old := inflight[2]
+			for k := e13Updates; k < e13Updates+2; k++ {
+				if w.update(t, w.pages[1], k, 100*k, 64) != nil ||
+					w.update(old, w.pages[2], k, 100*k, 64) != nil {
+					return
+				}
+			}
+			if w.steal(t, w.pages[1]) != nil || w.steal(old, w.pages[2]) != nil {
 				return
 			}
-			w.acked[t] = true // the commit is acknowledged from here on
-			if _, err := w.log.Append(&wal.Record{Type: wal.TEnd, Tx: t}); err != nil {
+		}
+		if id%2 == 0 || id%4 == 1 {
+			if w.steal(t, pg) != nil {
 				return
 			}
-			delete(active, t)
+		}
+		switch {
+		case id%2 == 1:
+			if t.Commit() != nil {
+				return
+			}
+			w.acked[id] = true // the commit is acknowledged from here on
+		case id == e13Txs-2:
+			// Run-time rollback: the pager restores the page on the area.
+			if t.Abort() != nil {
+				return
+			}
+			delete(w.unsaved, pg)
+		default:
+			inflight[id] = t
 		}
 
-		if t == e13Txs/2 {
-			var act []wal.CkptTx
-			for tx, last := range active {
-				act = append(act, wal.CkptTx{Tx: tx, LastLSN: last})
+		if id == e13Txs/2 {
+			// A checkpoint's dirty-page table holds only what active
+			// transactions changed, so everything else must be durable first:
+			// write back what is still only buffered, sync, then checkpoint.
+			// In page order, so that a crash point names the same write in
+			// every replay.
+			for id := uint64(1); id <= e13Txs; id++ {
+				if pno := w.pages[id]; w.unsaved[pno] {
+					if w.area.WritePage(pno, w.buffer[pno]) != nil {
+						return
+					}
+					delete(w.unsaved, pno)
+				}
 			}
-			sort.Slice(act, func(i, j int) bool { return act[i].Tx < act[j].Tx })
-			// Stolen pages stay in the DPT: their writes are not yet synced,
-			// so dropping them could let redo start too late. Sorted so the
-			// checkpoint record — and thus the whole log image — is byte-for-
-			// byte reproducible from the seed.
-			var dirty []wal.CkptPage
-			for p, rec := range dpt {
-				dirty = append(dirty, wal.CkptPage{Page: p, RecLSN: rec})
+			if w.area.Sync() != nil {
+				return
 			}
-			sort.Slice(dirty, func(i, j int) bool { return dirty[i].Page.Page < dirty[j].Page.Page })
-			if _, err := wal.Checkpoint(w.log, act, dirty); err != nil {
+			if _, err := w.txm.Checkpoint(); err != nil {
 				return
 			}
 		}
@@ -283,27 +339,32 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
 
-	// (2) winners' effects present, losers' rolled back.
-	zero := make([]byte, page.Size)
-	buf := make([]byte, page.Size)
-	for t := uint64(1); t <= e13Txs; t++ {
-		pg, ok := w.pages[t]
-		if !ok {
-			continue
-		}
-		want := zero
-		if winners[t] {
-			want = w.finals[t]
-			if want == nil {
-				return nil, fmt.Errorf("tx %d committed durably but shadow has no final image", t)
+	if stats.UnanchoredPages != 0 {
+		return nil, fmt.Errorf("redo started %d page(s) from a byte-range record", stats.UnanchoredPages)
+	}
+
+	// (2) each page holds what its last winner left.
+	check := func(when string) error {
+		buf := make([]byte, page.Size)
+		for t := uint64(1); t <= e13Txs; t++ {
+			pg := w.pages[t]
+			want := make([]byte, page.Size)
+			for _, wr := range w.history[pg] {
+				if winners[wr.tx] {
+					want = wr.img
+				}
+			}
+			if err := a.ReadPage(pg, buf); err != nil {
+				return fmt.Errorf("read page of tx %d: %w", t, err)
+			}
+			if !bytes.Equal(buf, want) {
+				return fmt.Errorf("page of tx %d (winner=%v) diverges from shadow %s", t, winners[t], when)
 			}
 		}
-		if err := a.ReadPage(pg, buf); err != nil {
-			return nil, fmt.Errorf("read page of tx %d: %w", t, err)
-		}
-		if !bytesEqual(buf, want) {
-			return nil, fmt.Errorf("tx %d (winner=%v): page content diverges from shadow", t, winners[t])
-		}
+		return nil
+	}
+	if err := check("after recovery"); err != nil {
+		return nil, err
 	}
 
 	// (4) idempotence: a second restart finds no losers and changes nothing.
@@ -314,31 +375,10 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 	if len(stats2.Losers) != 0 {
 		return nil, fmt.Errorf("second recovery found losers %v", stats2.Losers)
 	}
-	for t := uint64(1); t <= e13Txs; t++ {
-		want := zero
-		if winners[t] {
-			want = w.finals[t]
-		}
-		if err := a.ReadPage(w.pages[t], buf); err != nil {
-			return nil, err
-		}
-		if !bytesEqual(buf, want) {
-			return nil, fmt.Errorf("tx %d: second recovery changed the page", t)
-		}
+	if err := check("after a second recovery"); err != nil {
+		return nil, err
 	}
 	return stats, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // e13TearModes are the three ways the fatal write can tear.
@@ -372,6 +412,7 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 	rep.SetupEvents = base.setupEvents
 	rep.TotalEvents = base.inj.Events()
 	rep.WorkloadAcked = len(base.acked)
+	rep.WorkloadLog = int64(base.log.NextLSN())
 	rep.WorkloadEvents = fmt.Sprintf("(%d, %d]", rep.SetupEvents, rep.TotalEvents)
 
 	points := make([]int64, 0, rep.TotalEvents-rep.SetupEvents)

@@ -559,3 +559,64 @@ func TestDataSegmentGrowth(t *testing.T) {
 	}
 	s2.Commit()
 }
+
+// TestReadOnlyCommitCostsNoLogForce: committing a transaction that wrote
+// nothing appends no record and forces nothing, over the direct and over the
+// RPC connection alike — and still ends the transaction.
+func TestReadOnlyCommitCostsNoLogForce(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	w := openDirect(t, srv, "writer")
+	td, err := w.RegisterType(nodeType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := w.CreateSegment(1, 1, 4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := w.CreateObject(seg, td.ID, nodeBytes(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetRoot("seven", addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	remote, _ := openRemote(t, srv, "remote-reader")
+	for name, s := range map[string]*Session{"direct": openDirect(t, srv, "direct-reader"), "rpc": remote} {
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := s.Root("seven")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodeVal(obj) != 7 {
+			t.Fatalf("%s: value = %d", name, nodeVal(obj))
+		}
+		next, syncs, commits := srv.Log().NextLSN(), srv.Log().Stats().Syncs, srv.Snapshot().Commits
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Log().NextLSN(); got != next {
+			t.Errorf("%s: read-only commit appended %d log bytes", name, got-next)
+		}
+		if got := srv.Log().Stats().Syncs; got != syncs {
+			t.Errorf("%s: read-only commit forced the log (%d syncs)", name, got-syncs)
+		}
+		if got := srv.Snapshot().Commits; got != commits+1 {
+			t.Errorf("%s: commit did not reach the server (%d commits)", name, got-commits)
+		}
+		if err := s.Begin(); err != nil {
+			t.Errorf("%s: session still in a transaction after commit: %v", name, err)
+		}
+		s.Abort()
+	}
+}

@@ -153,17 +153,18 @@ func TestCommitErrorForgetsTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, img := mkSegImage(t, s, db, []byte("payload"))
 	c, _ := s.Hello("app")
 	txid, _ := s.NewTx()
 	if err := s.Lock(c, txid, key, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
-	// Closing the WAL under the server makes the commit-record append fail.
+	// Closing the WAL under the server makes the first append fail (a commit
+	// that logs nothing would not touch the log at all).
 	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(c, txid, nil); err == nil {
+	if err := s.Commit(c, txid, []proto.SegImage{img}); err == nil {
 		t.Fatal("commit succeeded with a closed log")
 	}
 	if s.txs.get(txid) != nil {

@@ -1,13 +1,15 @@
 // Silent-corruption resilience (DESIGN.md §5): the server's read path
 // (read.go) verifies the section checksums carried by slotted images, data
 // and overflow runs, and large-object descriptors. Detected damage is repaired
-// in place by replaying the WAL's full-page history — the log is never
-// truncated and logAndApply records whole page images, so the latest
-// durable record for a page IS its current content (CLRs already in the
-// log replay the undo, exactly as ARIES restart does). Pages with no
-// logged history (initial images written by CreateSegment, raw WriteRun
-// traffic) cannot be reconstructed; their segment is quarantined with a
-// typed error while the rest of the server keeps serving.
+// in place by replaying the page's WAL history — the log is never truncated,
+// and a page's first record after every Open and checkpoint, hence its first
+// record ever, is a whole-page image (the anchor rule, internal/tx/logging.go),
+// so replaying every record of the page in LSN order — the anchors whole, the
+// byte-range updates and CLRs over them, exactly as ARIES redo does — ends at
+// its current content. Pages with no logged history (initial images written
+// by CreateSegment, raw WriteRun traffic) cannot be reconstructed; their
+// segment is quarantined with a typed error while the rest of the server
+// keeps serving.
 //
 // The same verified read path backs the background scrubber (StartScrub)
 // and `bess-inspect -verify`, so one walker covers online scrubbing,
@@ -96,12 +98,13 @@ func corruptionIn(err error) bool {
 }
 
 // repairRange reconstructs pages [start, start+n) of area from the durable
-// log: every update record is replayed in LSN order, so the last image wins
-// exactly as redo would leave it. zeroBase marks ranges whose initial
-// on-disk state was all zeroes (data and overflow runs, which CreateSegment
-// and the allocator zero without logging) — those replay correctly from an
-// empty history, while a slotted page is only repairable once some commit
-// has logged a full image of it.
+// log: every update and CLR of a page is replayed in LSN order — its anchors
+// whole, its byte-range records over them — which leaves the page as redo
+// would. zeroBase marks ranges whose initial on-disk state was all zeroes
+// (data and overflow runs, which CreateSegment and the allocator zero without
+// logging) — those replay correctly from an empty history, while a slotted
+// page is only repairable from a whole-page image, which the anchor rule
+// makes the first record any commit logs of it.
 func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool) error {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()

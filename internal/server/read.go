@@ -45,8 +45,7 @@ type view struct {
 	// with the WAL's before-images (asOfBefores) between read and verify. The
 	// run is read before the log is scanned — any write that could have raced
 	// the read appended its record first (WAL rule) — so the rewind also
-	// heals torn reads. Updates are logged as full-page images, which makes
-	// the rewind exact.
+	// heals torn reads.
 	//
 	// Known limitation: CreateSegment initializes pages without logging, so
 	// an as-of image whose pages were since freed and handed to a new segment
@@ -82,11 +81,11 @@ func (s *Server) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 			return err
 		}
 		if v.rebuild {
-			befores, err := s.asOfBefores(v.t)
+			befores, err := s.asOfBefores(v.t, page.AreaID(r.Area), r.Start, r.Pages)
 			if err != nil {
 				return err
 			}
-			overlayAsOf(befores, page.AreaID(r.Area), r.Start, buf)
+			overlayAsOf(befores, r.Start, buf)
 		}
 		return r.Verify(buf)
 	}

@@ -12,7 +12,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -991,11 +990,13 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 	return a, areaID, nil
 }
 
-// logAndApply writes data over the run at start with full-page update
-// records, skipping pages whose bytes are unchanged. before is the run's
-// current content in whole pages — the caller's own read of it, or nil to
-// have it read here. Writes stay per page: WritePage is the WAL-ordering
-// and crash-point unit.
+// logAndApply writes data over the run at start, page by page: each page that
+// changes is logged through tx.Tx.LogUpdate — a byte-range record, or the
+// page's whole-image anchor when one is due (internal/tx/logging.go) — and
+// then written whole; WritePage is the WAL-ordering and crash-point unit.
+// Unchanged pages are neither logged nor written. before is the run's current
+// content in whole pages — the caller's own read of it, or nil to have it
+// read here.
 func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
 	if before == nil {
 		a := s.lookupArea(areaID)
@@ -1008,23 +1009,20 @@ func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, before, dat
 		}
 	}
 	for lo := 0; lo < len(data); lo += page.Size {
-		hi := min(lo+page.Size, len(data))
-		was, after := before[lo:hi], data[lo:hi]
-		if bytes.Equal(was, after) {
-			continue
-		}
-		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}
-		if _, err := t.LogUpdate(pid, 0, was, after); err != nil {
-			return err
-		}
-		full := after
+		was, after := before[lo:lo+page.Size], data[lo:min(lo+page.Size, len(data))]
 		if len(after) < page.Size {
 			// Short tail: the rest of the page keeps its current bytes.
-			full = make([]byte, page.Size)
-			copy(full, after)
-			copy(full[len(after):], before[hi:lo+page.Size])
+			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
 		}
-		if err := s.WritePage(pid, full); err != nil {
+		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}
+		lsn, err := t.LogUpdate(pid, was, after)
+		if err != nil {
+			return err
+		}
+		if lsn == 0 {
+			continue // unchanged
+		}
+		if err := s.WritePage(pid, after); err != nil {
 			return err
 		}
 	}

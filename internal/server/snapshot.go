@@ -169,59 +169,83 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 	}
 }
 
-// asOfBefores scans the durable log and returns, per page, the before-image
-// of its earliest update whose transaction committed after t or has no
-// commit record — exactly the content the page held at stamp t. The log is
-// flushed first so records for every page write that already reached an
-// area are visible to the scan.
-func (s *Server) asOfBefores(t page.LSN) (map[page.ID][]byte, error) {
+// undone is the undo image of one update record: Before, cut at Off.
+type undone struct {
+	page   page.No
+	off    uint32
+	before []byte
+}
+
+// asOfBefores scans the durable log once and returns, for each page of the
+// run [start, start+n) of areaID changed after stamp t, the undo images that
+// take the page's current content back to what it held at t, in log order.
+//
+// A transaction's images wait in pending until the log says how it ended. A
+// commit at or before t makes its updates part of the as-of state: whatever
+// was collected for their pages came from writers that rolled back before
+// this one got its lock (their CLRs already netted them out of the image it
+// built on) and is dropped. Any other ending — a later commit, an abort, none
+// yet — moves its images to their pages' lists. Two-phase locking keeps each
+// page's list in log order and puts every transaction committed by t ahead of
+// those that were not, so laying a list over its page latest-first
+// (overlayAsOf) undoes exactly the writes the stamp must not see. CLRs need no
+// part in it: a range a CLR restored is covered by the image of the update it
+// compensates. Resolving a transaction at its own commit, abort or end record
+// also keeps a transaction id reissued after a restart apart from its earlier
+// life. The log is flushed first so records for every page write that already
+// reached an area are visible to the scan.
+func (s *Server) asOfBefores(t page.LSN, areaID page.AreaID, start page.No, n int) (map[page.No][]undone, error) {
 	if err := s.log.Flush(s.log.NextLSN()); err != nil {
 		return nil, err
 	}
-	commit := make(map[uint64]page.LSN)
+	befores := make(map[page.No][]undone)
+	pending := make(map[uint64][]undone)
+	undo := func(tx uint64) {
+		for _, u := range pending[tx] {
+			befores[u.page] = append(befores[u.page], u)
+		}
+		delete(pending, tx)
+	}
 	if err := s.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
-		if rec.Type == wal.TCommit {
-			commit[rec.Tx] = lsn
+		switch rec.Type {
+		case wal.TUpdate:
+			if rec.Page.Area != areaID || rec.Page.Page < start || rec.Page.Page >= start+page.No(n) {
+				return nil
+			}
+			if int(rec.Off)+len(rec.Before) > page.Size {
+				return fmt.Errorf("server: as-of reconstruction: update at %d runs past its page", lsn)
+			}
+			pending[rec.Tx] = append(pending[rec.Tx], undone{rec.Page.Page, rec.Off, rec.Before})
+		case wal.TCommit:
+			if lsn > t {
+				undo(rec.Tx)
+				return nil
+			}
+			for _, u := range pending[rec.Tx] {
+				delete(befores, u.page)
+			}
+			delete(pending, rec.Tx)
+		case wal.TAbort, wal.TEnd:
+			undo(rec.Tx)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	befores := make(map[page.ID][]byte)
-	if err := s.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
-		if rec.Type != wal.TUpdate {
-			return nil
-		}
-		if cl, done := commit[rec.Tx]; done && cl <= t {
-			// Part of the as-of state: its After supersedes anything an
-			// earlier rolled-back writer left in the map. The as-of image is
-			// now this update's After — the Before of the next undone write,
-			// or the disk content if none follows (aborted writers in
-			// between net out through their CLRs).
-			delete(befores, rec.Page)
-			return nil
-		}
-		if _, seen := befores[rec.Page]; seen {
-			return nil // an earlier undone update already fixed this page's as-of image
-		}
-		if rec.Off != 0 {
-			return fmt.Errorf("server: as-of reconstruction: partial update at %d (off %d)", lsn, rec.Off)
-		}
-		befores[rec.Page] = append([]byte(nil), rec.Before...)
-		return nil
-	}); err != nil {
-		return nil, err
+	for tx := range pending {
+		undo(tx) // still running, or in doubt
 	}
 	return befores, nil
 }
 
-// overlayAsOf replaces the pages of buf (a whole-page run starting at
-// area/start) that have an as-of before-image.
-func overlayAsOf(befores map[page.ID][]byte, areaID page.AreaID, start page.No, buf []byte) {
+// overlayAsOf rewinds buf, a whole-page run starting at start, with the undo
+// images asOfBefores collected: per page latest-first, so that where two
+// overlap the earliest — the content at the stamp — wins.
+func overlayAsOf(befores map[page.No][]undone, start page.No, buf []byte) {
 	for off := 0; off < len(buf); off += page.Size {
-		if b, ok := befores[page.ID{Area: areaID, Page: start + page.No(off/page.Size)}]; ok {
-			dst := buf[off : off+page.Size]
-			clear(dst[copy(dst, b):])
+		us := befores[start+page.No(off/page.Size)]
+		for i := len(us) - 1; i >= 0; i-- {
+			copy(buf[off+int(us[i].off):], us[i].before)
 		}
 	}
 }

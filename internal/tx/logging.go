@@ -1,0 +1,245 @@
+package tx
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+
+	"bess/internal/page"
+	"bess/internal/wal"
+	"bess/internal/walcheck"
+)
+
+// What the log holds for a page change — the one place that decides it.
+//
+// Which bytes. An update record covers the first through the last byte that
+// differ between the page's images, not the page: a 128-byte overwrite logs
+// about 130 bytes of before-image and as many of after-image.
+//
+// Anchors. A byte-range record only means something on top of the page it was
+// cut from, and a torn or rotted page write can leave anything on disk. So
+// the first record of a page after Open and after every checkpoint — the
+// anchor — carries the whole page (Off 0, page.Size bytes), and Manager.anchors
+// remembers, per checkpoint epoch, which pages have one and at which LSN.
+// CLRs follow the same rule, so every redo-able record this package appends
+// does.
+//
+// recLSN. A checkpoint lists, for each page an active transaction changed,
+// the LSN of the anchor the page had when the transaction first changed it —
+// at or before the transaction's first record of the page. Restart redo
+// replays a page from its recLSN (wal.Recover), and a page first seen after
+// the checkpoint from its first record, which the reset below makes an
+// anchor: either way replay starts from a whole image, and
+// wal.RecoveryStats.UnanchoredPages stays 0. Repair by log replay
+// (server.repairRange) gets the same guarantee from the log's very first
+// record of the page.
+//
+// Atomicity. "Is an anchor due", the append, and the table update must not
+// straddle a checkpoint's reset, and a transaction's commit or abort record
+// must not slip in between a checkpoint's look at the transaction table and
+// its record. Manager.epoch provides both: appenders hold it shared,
+// Checkpoint holds it exclusively around snapshot + reset + append. Nobody
+// holds it across a log force.
+//
+// The rule assumes what the server guarantees: a page that has been logged
+// is never again written without a record (unlogged initial images and raw
+// runs only ever precede a page's first record).
+
+// LogUpdate appends the update record for pid changing from before to after,
+// both whole-page images, and returns its LSN — 0, with no record, when the
+// images are equal. The caller writes the page after LogUpdate returns; the
+// log is forced no later than the transaction's commit or prepare.
+func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (page.LSN, error) {
+	if len(before) != page.Size || len(after) != page.Size {
+		return 0, fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
+			t.id, pid, len(before), len(after))
+	}
+	lo, hi := diffRange(before, after)
+	m := t.m
+	m.epoch.RLock()
+	defer m.epoch.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != Active {
+		return 0, ErrNotActive
+	}
+	if lo == hi {
+		return 0, nil
+	}
+	lsn, err := t.appendRedo(&wal.Record{Type: wal.TUpdate, Tx: t.id, PrevLSN: t.lastLSN, Page: pid},
+		before, after, lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	walcheck.NoteUpdate(pid)
+	return lsn, nil
+}
+
+// undo rolls back one update record of t: it logs the CLR, then restores the
+// before-image through the pager. buf is page-sized scratch.
+func (t *Tx) undo(rec *wal.Record, buf []byte) error {
+	m := t.m
+	if err := m.pager.ReadPage(rec.Page, buf); err != nil {
+		return err
+	}
+	copy(buf[rec.Off:], rec.Before)
+	m.epoch.RLock()
+	t.mu.Lock()
+	_, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN},
+		nil, buf, int(rec.Off), int(rec.Off)+len(rec.Before))
+	t.mu.Unlock()
+	m.epoch.RUnlock()
+	if err != nil {
+		return err
+	}
+	walcheck.NoteUpdate(rec.Page)
+	return m.pager.WritePage(rec.Page, buf)
+}
+
+// appendRedo appends rec, an update or CLR of rec.Page that leaves the page
+// holding img and changes img[lo:hi] (from before[lo:hi]; nil for a CLR,
+// which has no undo image). Under the anchor rule the record carries that
+// range if the page has an anchor in this checkpoint epoch, and the whole
+// page — becoming the anchor — if not. The caller holds m.epoch shared and
+// t.mu.
+func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (page.LSN, error) {
+	m := t.m
+	m.mu.Lock()
+	anchor, anchored := m.anchors[rec.Page]
+	m.mu.Unlock()
+	if !anchored {
+		lo, hi = 0, page.Size
+	}
+	rec.Off, rec.After = uint32(lo), img[lo:hi]
+	if before != nil {
+		rec.Before = before[lo:hi]
+	}
+	lsn, err := m.log.Append(rec)
+	if err != nil {
+		return 0, err
+	}
+	t.lastLSN = lsn
+	if !anchored {
+		// Segment locks keep two transactions off one page, so nobody else
+		// decided about this page between the lookup and here.
+		anchor = lsn
+		m.mu.Lock()
+		m.anchors[rec.Page] = lsn
+		m.mu.Unlock()
+	}
+	if _, ok := t.dirty[rec.Page]; !ok {
+		t.dirty[rec.Page] = anchor
+	}
+	return lsn, nil
+}
+
+// logEnd moves t to state to — Prepared, Committed or Aborted — and appends
+// the records that say so, the first chained to t's last record, as one step
+// with respect to Checkpoint: a checkpoint then lists t as active exactly when
+// those records follow its own, never after them (restart would take a
+// committed transaction for a loser, or roll a rolled-back one back again).
+// It returns the first record's LSN for the caller to force, outside every
+// lock. A transaction that logged nothing ends without a record: LSN 0.
+func (t *Tx) logEnd(to State, types ...wal.Type) (page.LSN, error) {
+	m := t.m
+	m.epoch.RLock()
+	defer m.epoch.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != Active && (t.state != Prepared || to == Prepared) {
+		return 0, ErrNotActive
+	}
+	var first page.LSN
+	if t.lastLSN != 0 || to == Prepared {
+		for i, typ := range types {
+			rec := &wal.Record{Type: typ, Tx: t.id}
+			if i == 0 {
+				rec.PrevLSN = t.lastLSN
+			}
+			lsn, err := m.log.Append(rec)
+			if err != nil {
+				return 0, err
+			}
+			if i == 0 {
+				first = lsn
+			}
+		}
+		t.lastLSN = first
+	}
+	t.state = to
+	return first, nil
+}
+
+// diffRange returns the smallest [lo, hi) holding every byte at which the
+// equally long a and b differ; lo == hi when they are equal.
+func diffRange(a, b []byte) (lo, hi int) {
+	n := len(a)
+	le := binary.LittleEndian
+	for lo+8 <= n && le.Uint64(a[lo:]) == le.Uint64(b[lo:]) {
+		lo += 8
+	}
+	for lo < n && a[lo] == b[lo] {
+		lo++
+	}
+	if lo == n {
+		return 0, 0
+	}
+	hi = n
+	for hi-8 > lo && le.Uint64(a[hi-8:]) == le.Uint64(b[hi-8:]) {
+		hi -= 8
+	}
+	for a[hi-1] == b[hi-1] { // stops at lo at the latest
+		hi--
+	}
+	return lo, hi
+}
+
+// Checkpoint writes a fuzzy checkpoint — the transactions still active or
+// prepared with their last LSNs, the pages they changed with their recLSNs —
+// starts a new anchor epoch, and forces the log.
+func (m *Manager) Checkpoint() (page.LSN, error) {
+	m.epoch.Lock()
+	m.mu.Lock()
+	txs := make([]*Tx, 0, len(m.active))
+	for _, t := range m.active {
+		txs = append(txs, t)
+	}
+	m.anchors = make(map[page.ID]page.LSN)
+	m.mu.Unlock()
+	var at []wal.CkptTx
+	recLSN := make(map[page.ID]page.LSN)
+	for _, t := range txs {
+		t.mu.Lock()
+		// A transaction past Active/Prepared has its commit or abort record
+		// in the log already, ahead of this checkpoint's: restart must not
+		// take it for a loser. One that logged nothing is not restart's
+		// business at all.
+		if (t.state == Active || t.state == Prepared) && t.lastLSN != 0 {
+			at = append(at, wal.CkptTx{Tx: t.id, LastLSN: t.lastLSN})
+			for pid, lsn := range t.dirty {
+				if have, ok := recLSN[pid]; !ok || lsn < have {
+					recLSN[pid] = lsn
+				}
+			}
+		}
+		t.mu.Unlock()
+	}
+	dp := make([]wal.CkptPage, 0, len(recLSN))
+	for pid, lsn := range recLSN {
+		dp = append(dp, wal.CkptPage{Page: pid, RecLSN: lsn})
+	}
+	// Sorted, so that the same history writes the same log bytes.
+	sort.Slice(at, func(i, j int) bool { return at[i].Tx < at[j].Tx })
+	sort.Slice(dp, func(i, j int) bool {
+		if dp[i].Page.Area != dp[j].Page.Area {
+			return dp[i].Page.Area < dp[j].Page.Area
+		}
+		return dp[i].Page.Page < dp[j].Page.Page
+	})
+	lsn, err := m.log.Append(&wal.Record{Type: wal.TCheckpoint, ActiveTxs: at, DirtyPages: dp})
+	m.epoch.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return lsn, m.log.Flush(lsn)
+}

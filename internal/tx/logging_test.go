@@ -1,0 +1,550 @@
+package tx
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"bess/internal/lock"
+	"bess/internal/page"
+	"bess/internal/wal"
+)
+
+// readRec returns the record at lsn, forcing the log first.
+func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
+	t.Helper()
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := l.ReadRecord(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestLogUpdateRule is the table for the logging rule: which bytes a record
+// carries, and when it carries the whole page instead.
+func TestLogUpdateRule(t *testing.T) {
+	m, _, l, _ := newEnv()
+	pid := page.ID{Area: 1, Page: 9}
+	cur := make([]byte, page.Size) // the page as the "disk" holds it
+	for i := range cur {
+		cur[i] = byte(i * 7)
+	}
+	tr := m.Begin()
+
+	// step logs cur → cur with edit applied and checks the record.
+	step := func(name string, edit func(img []byte), wantOff, wantLen int) {
+		t.Helper()
+		after := append([]byte(nil), cur...)
+		edit(after)
+		next := l.NextLSN()
+		lsn, err := tr.LogUpdate(pid, cur, after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if wantLen == 0 {
+			if lsn != 0 || l.NextLSN() != next {
+				t.Fatalf("%s: logged a record (lsn %d) for an unchanged page", name, lsn)
+			}
+			return
+		}
+		rec := readRec(t, l, lsn)
+		if rec.Type != wal.TUpdate || rec.Page != pid || int(rec.Off) != wantOff ||
+			len(rec.Before) != wantLen || len(rec.After) != wantLen {
+			t.Fatalf("%s: record off %d, before %d, after %d bytes; want off %d, %d bytes",
+				name, rec.Off, len(rec.Before), len(rec.After), wantOff, wantLen)
+		}
+		if !bytes.Equal(rec.Before, cur[wantOff:wantOff+wantLen]) || !bytes.Equal(rec.After, after[wantOff:wantOff+wantLen]) {
+			t.Fatalf("%s: images are not the pages' bytes at the record's range", name)
+		}
+		if rec.WholePage() != (wantOff == 0 && wantLen == page.Size) {
+			t.Fatalf("%s: WholePage() = %v", name, rec.WholePage())
+		}
+		cur = after
+	}
+	flip := func(at ...int) func([]byte) {
+		return func(img []byte) {
+			for _, i := range at {
+				img[i] ^= 0xFF
+			}
+		}
+	}
+
+	step("identical pages, never logged", flip(), 0, 0)
+	step("first touch after open: anchor, whatever changed", flip(1000), 0, page.Size)
+	step("identical pages", flip(), 0, 0)
+	step("one byte", flip(77), 77, 1)
+	step("first byte", flip(0), 0, 1)
+	step("last byte", flip(page.Size-1), page.Size-1, 1)
+	step("two distant ranges: one covering range", flip(100, 101, 3000), 100, 2901)
+	step("range not aligned to the compare stride", flip(13, 14, 15, 16, 17), 13, 5)
+	step("whole page", func(img []byte) {
+		for i := range img {
+			img[i]++
+		}
+	}, 0, page.Size)
+	step("short tail: a change confined to the page's head", func(img []byte) {
+		copy(img, bytes.Repeat([]byte{0x5A}, 300))
+	}, 0, 300)
+
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	step("first touch after a checkpoint: anchor", flip(2000), 0, page.Size)
+	step("second touch after a checkpoint: delta", flip(2000, 2001), 2000, 2)
+
+	// A new manager over the same log is what a reopened server starts with.
+	m2 := NewManager(l, lock.NewManager(), newMemPager(), nil)
+	tr.Commit()
+	tr = m2.Begin()
+	step("first touch after reopen: anchor", flip(5), 0, page.Size)
+	step("second touch after reopen: delta", flip(5), 5, 1)
+
+	if _, err := tr.LogUpdate(pid, cur[:100], cur[:100]); err == nil {
+		t.Fatal("LogUpdate accepted images shorter than a page")
+	}
+}
+
+// TestCLRFollowsAnchorRule: a CLR is a redo-only record and obeys the same
+// rule as an update — a byte range when its page has an anchor in the epoch,
+// the whole restored page when not (a checkpoint since the update; a branch
+// adopted after restart, whose pages the new manager has never seen).
+func TestCLRFollowsAnchorRule(t *testing.T) {
+	lastCLR := func(l *wal.Log) *wal.Record {
+		var clr *wal.Record
+		l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+			if r.Type == wal.TCLR {
+				clr = r
+			}
+			return nil
+		})
+		return clr
+	}
+	pid := page.ID{Area: 1, Page: 4}
+
+	m, pg, l, _ := newEnv()
+	tr := m.Begin()
+	logAt(tr, pg, pid, 0, []byte("anchor"))
+	pg.set(pid, 0, []byte("anchor"))
+	logAt(tr, pg, pid, 50, []byte("delta"))
+	pg.set(pid, 50, []byte("delta"))
+	if err := tr.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	// Undo runs backwards: the last CLR compensates the anchor, by which time
+	// the page is anchored, and so it carries the anchor's range — the page.
+	// The one before it compensates the delta.
+	var clrs []*wal.Record
+	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TCLR {
+			clrs = append(clrs, r)
+		}
+		return nil
+	})
+	if len(clrs) != 2 || clrs[0].Off != 50 || len(clrs[0].After) != 5 || !clrs[1].WholePage() {
+		t.Fatalf("CLRs of an anchored page: %+v", clrs)
+	}
+	if got := pg.get(pid, 0, 60); !bytes.Equal(got, make([]byte, 60)) {
+		t.Fatalf("abort left %q", got)
+	}
+
+	m, pg, l, _ = newEnv()
+	tr = m.Begin()
+	logAt(tr, pg, pid, 0, []byte("anchor"))
+	pg.set(pid, 0, []byte("anchor"))
+	logAt(tr, pg, pid, 50, []byte("delta"))
+	pg.set(pid, 50, []byte("delta"))
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	first := true
+	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TCLR && first {
+			first = false
+			if !r.WholePage() || string(r.After[:6]) != "anchor" || !bytes.Equal(r.After[50:55], make([]byte, 5)) {
+				t.Errorf("first CLR after a checkpoint is not the whole restored page: off %d, %d bytes", r.Off, len(r.After))
+			}
+		}
+		return nil
+	})
+	if first {
+		t.Fatal("abort logged no CLR")
+	}
+
+	m, pg, l, _ = newEnv()
+	tr = m.Begin()
+	logAt(tr, pg, pid, 0, []byte("anchor"))
+	pg.set(pid, 0, []byte("anchor"))
+	lsn, _ := logAt(tr, pg, pid, 50, []byte("delta"))
+	pg.set(pid, 50, []byte("delta"))
+	l.Flush(lsn)
+	m2 := NewManager(l, lock.NewManager(), pg, nil)
+	if err := m2.AdoptPrepared(tr.ID(), lsn).Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if clr := lastCLR(l); clr == nil || !clr.WholePage() {
+		t.Fatalf("an adopted branch's CLRs must anchor their pages: %+v", clr)
+	}
+}
+
+// TestNothingLoggedNothingForced: a transaction that logged nothing commits
+// and aborts without a record or a log force; locks release, hooks fire and
+// the version clock stays put.
+func TestNothingLoggedNothingForced(t *testing.T) {
+	m, _, l, _ := newEnv()
+	var committed, unstaged []uint64
+	m.SetCommitHook(func(id uint64, _ page.LSN) { committed = append(committed, id) })
+	m.SetAbortHook(func(id uint64) { unstaged = append(unstaged, id) })
+	w := m.Begin()
+	logAt(w, newMemPager(), page.ID{Area: 1, Page: 1}, 0, []byte("x"))
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	next, syncs, stamp := l.NextLSN(), l.Stats().Syncs, m.CommitStamp()
+
+	name := lock.PageName(1, 10, 0)
+	for _, end := range []func(*Tx) error{(*Tx).Commit, (*Tx).Abort} {
+		tr := m.Begin()
+		if err := tr.Lock(name, lock.X); err != nil {
+			t.Fatal(err)
+		}
+		if err := end(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.NextLSN() != next || l.Stats().Syncs != syncs {
+		t.Fatalf("log moved: next LSN %d -> %d, syncs %d -> %d", next, l.NextLSN(), syncs, l.Stats().Syncs)
+	}
+	if m.CommitStamp() != stamp {
+		t.Fatalf("version clock moved: %d -> %d", stamp, m.CommitStamp())
+	}
+	if c, a := m.Counts(); c != 2 || a != 1 || m.ActiveCount() != 0 {
+		t.Fatalf("commits %d, aborts %d, active %d", c, a, m.ActiveCount())
+	}
+	// Both endings drop what the transaction staged; neither publishes.
+	if len(committed) != 1 || len(unstaged) != 2 {
+		t.Fatalf("commit hook ran for %v, abort hook for %v", committed, unstaged)
+	}
+	// A checkpoint has nothing to say about a transaction the log never saw.
+	idle := m.Begin()
+	lsn, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := readRec(t, l, lsn); len(rec.ActiveTxs) != 0 {
+		t.Fatalf("checkpoint lists %+v", rec.ActiveTxs)
+	}
+	idle.Commit()
+}
+
+// checkpointsListOnlyUnfinished checks every checkpoint in l against the
+// records ahead of it: a transaction whose commit or abort record precedes the
+// checkpoint's must not be listed as active — restart would take it for a
+// loser unless its end record also happened to survive.
+func checkpointsListOnlyUnfinished(t *testing.T, l *wal.Log) {
+	t.Helper()
+	finished := make(map[uint64]page.LSN)
+	l.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+		switch r.Type {
+		case wal.TCommit, wal.TAbort:
+			finished[r.Tx] = lsn
+		case wal.TCheckpoint:
+			for _, e := range r.ActiveTxs {
+				if fin, ok := finished[e.Tx]; ok {
+					t.Errorf("checkpoint at %d lists tx %d as active; its commit/abort record is at %d", lsn, e.Tx, fin)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// gatedBacking is a memory wal.Backing whose Sync can be held up: the test
+// decides when a commit's force completes.
+type gatedBacking struct {
+	mu      sync.Mutex
+	buf     []byte
+	entered chan struct{} // receives once per gated Sync, on entry
+	gate    chan struct{} // a gated Sync returns once this is closed; nil = open
+}
+
+func (b *gatedBacking) WriteAt(p []byte, off int64) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if end := int(off) + len(p); end > len(b.buf) {
+		b.buf = append(b.buf, make([]byte, end-len(b.buf))...)
+	}
+	copy(b.buf[off:], p)
+	return len(p), nil
+}
+
+func (b *gatedBacking) ReadAt(p []byte, off int64) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if int(off)+len(p) > len(b.buf) {
+		return 0, fmt.Errorf("gatedBacking: read past end")
+	}
+	return copy(p, b.buf[off:]), nil
+}
+
+func (b *gatedBacking) Sync() error {
+	b.mu.Lock()
+	gate := b.gate
+	b.mu.Unlock()
+	if gate != nil {
+		b.entered <- struct{}{}
+		<-gate
+	}
+	return nil
+}
+
+func (b *gatedBacking) Close() error { return nil }
+
+func (b *gatedBacking) Size() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return int64(len(b.buf))
+}
+
+// TestCheckpointDuringCommitKeepsTheCommit forces the interleaving that used
+// to lose acknowledged commits: a checkpoint runs while a transaction is in
+// the middle of its commit force. Whatever the checkpoint says about the
+// transaction, restart from it must find the commit a winner.
+func TestCheckpointDuringCommitKeepsTheCommit(t *testing.T) {
+	back := &gatedBacking{entered: make(chan struct{}, 4)}
+	l, err := wal.Open(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := newMemPager()
+	m := NewManager(l, lock.NewManager(), pg, nil)
+	pid := page.ID{Area: 1, Page: 1}
+	tr := m.Begin()
+	logAt(tr, pg, pid, 0, []byte("ACKED"))
+	pg.set(pid, 0, []byte("ACKED"))
+
+	back.mu.Lock()
+	back.gate = make(chan struct{})
+	back.mu.Unlock()
+	commitDone := make(chan error, 1)
+	go func() { commitDone <- tr.Commit() }()
+	<-back.entered // the commit record is appended and its force is in flight
+
+	before := l.NextLSN()
+	ckptDone := make(chan error, 1)
+	go func() { _, err := m.Checkpoint(); ckptDone <- err }()
+	// The checkpoint must not wait for the force: its record lands now.
+	for deadline := time.Now().Add(5 * time.Second); l.NextLSN() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint is stuck behind a commit's log force")
+		}
+	}
+	back.mu.Lock()
+	close(back.gate)
+	back.gate = nil
+	back.mu.Unlock()
+	if err := <-commitDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ckptDone; err != nil {
+		t.Fatal(err)
+	}
+
+	crashed, err := wal.OpenMemFrom(l.DurableBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointsListOnlyUnfinished(t, crashed)
+	st, err := wal.Recover(crashed, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointLSN == 0 || len(st.Losers) != 0 || st.UndoApplied != 0 {
+		t.Fatalf("restart from checkpoint %d undid an acknowledged commit: losers %v, %d undone",
+			st.CheckpointLSN, st.Losers, st.UndoApplied)
+	}
+	if got := pg.get(pid, 0, 5); string(got) != "ACKED" {
+		t.Fatalf("acknowledged commit lost: page holds %q", got)
+	}
+}
+
+// lockedPager is a memPager shared by concurrent transactions.
+type lockedPager struct {
+	mu sync.Mutex
+	p  *memPager
+}
+
+func (p *lockedPager) ReadPage(id page.ID, buf []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.p.ReadPage(id, buf)
+}
+
+func (p *lockedPager) WritePage(id page.ID, data []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.p.WritePage(id, data)
+}
+
+// TestCheckpointInterleaving runs updaters (overwrite, commit, abort, or stay
+// in flight) against a checkpointer that never pauses, then crashes. Restart
+// must (i) start every page it replays from a whole-page image — checked both
+// by the counter and by handing it garbage in place of every page it is
+// entitled to rebuild — and (ii) find every acknowledged commit a winner.
+func TestCheckpointInterleaving(t *testing.T) {
+	rounds := 20
+	if testing.Short() {
+		rounds = 5
+	}
+	for round := 0; round < rounds; round++ {
+		l := wal.NewMem()
+		pg := &lockedPager{p: newMemPager()}
+		m := NewManager(l, lock.NewManager(), pg, nil)
+
+		const workers, pagesEach = 4, 3
+		want := make([]map[page.ID][]byte, workers) // per worker: page → last committed image
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			want[w] = make(map[page.ID][]byte)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*100 + w)))
+				cur := make(map[page.ID][]byte) // committed content of the worker's pages
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					tr := m.Begin()
+					mine := make(map[page.ID][]byte)
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						pid := page.ID{Area: 1, Page: page.No(w*pagesEach + rng.Intn(pagesEach))}
+						before := mine[pid]
+						if before == nil {
+							if before = cur[pid]; before == nil {
+								before = make([]byte, page.Size)
+							}
+						}
+						after := append([]byte(nil), before...)
+						off, ln := rng.Intn(page.Size), 1+rng.Intn(200)
+						if rng.Intn(8) == 0 {
+							off, ln = 0, page.Size
+						}
+						for i := off; i < off+ln && i < page.Size; i++ {
+							after[i] = byte(rng.Intn(256))
+						}
+						if _, err := tr.LogUpdate(pid, before, after); err != nil {
+							t.Error(err)
+							return
+						}
+						if err := pg.WritePage(pid, after); err != nil {
+							t.Error(err)
+							return
+						}
+						mine[pid] = after
+					}
+					switch r := rng.Intn(10); {
+					case r < 7:
+						if err := tr.Commit(); err != nil {
+							t.Error(err)
+							return
+						}
+						for pid, img := range mine {
+							cur[pid], want[w][pid] = img, img
+						}
+					case r < 9:
+						if err := tr.Abort(); err != nil {
+							t.Error(err)
+							return
+						}
+					default:
+						return // left in flight: a loser at restart
+					}
+				}
+			}()
+		}
+		ckpts := 0
+		for ; ckpts < 30; ckpts++ {
+			if _, err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if err := l.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+
+		// Crash. Find what restart is entitled to rebuild — the last
+		// checkpoint's dirty pages and every page logged after it — and
+		// replace exactly those with garbage.
+		crashed, err := wal.OpenMemFrom(l.DurableBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpointsListOnlyUnfinished(t, crashed)
+		var ckptLSN page.LSN
+		var ckpt *wal.Record
+		crashed.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+			if r.Type == wal.TCheckpoint {
+				ckptLSN, ckpt = lsn, r
+			}
+			return nil
+		})
+		rebuilt := make(map[page.ID]bool)
+		for _, e := range ckpt.DirtyPages {
+			rebuilt[e.Page] = true
+		}
+		crashed.Iterate(ckptLSN, func(_ page.LSN, r *wal.Record) error {
+			if r.Type == wal.TUpdate || r.Type == wal.TCLR {
+				rebuilt[r.Page] = true
+			}
+			return nil
+		})
+		disk := pg.p.clone()
+		noise := rand.New(rand.NewSource(int64(round)))
+		for pid := range rebuilt {
+			junk := make([]byte, page.Size)
+			noise.Read(junk)
+			disk.WritePage(pid, junk)
+		}
+		st, err := wal.Recover(crashed, disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.UnanchoredPages != 0 {
+			t.Fatalf("round %d: redo started %d pages from a byte-range record (redo start %d, checkpoint %d)",
+				round, st.UnanchoredPages, st.RedoStartLSN, st.CheckpointLSN)
+		}
+		buf := make([]byte, page.Size)
+		for w := range want {
+			for i := 0; i < pagesEach; i++ {
+				pid := page.ID{Area: 1, Page: page.No(w*pagesEach + i)}
+				img := want[w][pid]
+				if img == nil {
+					img = make([]byte, page.Size)
+				}
+				disk.ReadPage(pid, buf)
+				if !bytes.Equal(buf, img) {
+					t.Fatalf("round %d: page %v (rebuilt from garbage: %v) differs from its last acknowledged commit",
+						round, pid, rebuilt[pid])
+				}
+			}
+		}
+	}
+}

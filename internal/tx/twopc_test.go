@@ -26,7 +26,7 @@ func (p *localPart) Prepare(gid uint64) error {
 		return errors.New("refused")
 	}
 	p.branch = p.m.BeginWithID(gid)
-	p.branch.LogUpdate(p.pid, 0, []byte{0}, []byte{p.val})
+	logAt(p.branch, p.pg, p.pid, 0, []byte{p.val})
 	p.pg.set(p.pid, 0, []byte{p.val})
 	if err := p.branch.Prepare(); err != nil {
 		return err

@@ -2,10 +2,13 @@
 // the WAL and lock manager (paper §3), with runtime rollback under CLR
 // protection and two-phase commit for distributed transactions.
 //
+// The package also owns what goes into the log for a page change (logging.go):
+// byte-range records, a whole-page anchor per page and checkpoint epoch, and
+// the dirty-page table a checkpoint lists.
+//
 // The package opts into bess-vet's walorder analyzer: any store through the
 // Pager interface must follow a WAL append on the same path (log-before-data;
-// DESIGN.md §4f). The one deliberate exception — Abort's before-image
-// restore — carries an inline waiver.
+// DESIGN.md §4f).
 //
 //bess:walorder
 //bess:walsink Pager.WritePage
@@ -21,7 +24,6 @@ import (
 	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/wal"
-	"bess/internal/walcheck"
 )
 
 // State is a transaction's lifecycle state.
@@ -65,9 +67,14 @@ type Manager struct {
 	pager wal.Pager
 	hooks *hooks.Registry
 
-	mu     sync.Mutex
-	nextID uint64
-	active map[uint64]*Tx
+	// epoch orders appends against Checkpoint (logging.go). Lock order:
+	// epoch, then Tx.mu, then mu; never held across a log force.
+	epoch sync.RWMutex
+
+	mu      sync.Mutex
+	nextID  uint64
+	active  map[uint64]*Tx
+	anchors map[page.ID]page.LSN // guarded by mu; see logging.go
 
 	// LockTimeout is passed to lock acquisitions made through transactions;
 	// the paper uses timeouts for distributed deadlock detection.
@@ -91,12 +98,13 @@ type Manager struct {
 // NewManager wires a transaction manager. hooks may be nil.
 func NewManager(log *wal.Log, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) *Manager {
 	return &Manager{
-		log:    log,
-		locks:  locks,
-		pager:  pager,
-		hooks:  hk,
-		nextID: 1,
-		active: make(map[uint64]*Tx),
+		log:     log,
+		locks:   locks,
+		pager:   pager,
+		hooks:   hk,
+		nextID:  1,
+		active:  make(map[uint64]*Tx),
+		anchors: make(map[page.ID]page.LSN),
 	}
 }
 
@@ -107,8 +115,8 @@ type Tx struct {
 	mu      sync.Mutex
 	state   State
 	lastLSN page.LSN
-	// dirty tracks pages this tx updated, with the LSN of the first update
-	// (recLSN) — feeds checkpoints.
+	// dirty maps each page this tx changed to the recLSN a checkpoint lists
+	// for it: the LSN of the page's anchor at the tx's first change.
 	dirty map[page.ID]page.LSN
 }
 
@@ -201,90 +209,53 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 	return err
 }
 
-// LogUpdate appends an update record for a byte-range change the caller has
-// made (or is about to make) to pid. The caller supplies before/after
-// images; WAL ordering (log before page write reaches disk) is enforced by
-// the buffer layer calling Log.Flush before eviction.
-func (t *Tx) LogUpdate(pid page.ID, off uint32, before, after []byte) (page.LSN, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != Active {
-		return 0, ErrNotActive
-	}
-	lsn, err := t.m.log.Append(&wal.Record{
-		Type: wal.TUpdate, Tx: t.id, PrevLSN: t.lastLSN,
-		Page: pid, Off: off,
-		Before: append([]byte(nil), before...),
-		After:  append([]byte(nil), after...),
-	})
-	if err != nil {
-		return 0, err
-	}
-	walcheck.NoteUpdate(pid)
-	t.lastLSN = lsn
-	if _, ok := t.dirty[pid]; !ok {
-		t.dirty[pid] = lsn
-	}
-	return lsn, nil
-}
-
-// DirtyPages returns the tx's dirty pages with their recLSNs.
-func (t *Tx) DirtyPages() []wal.CkptPage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]wal.CkptPage, 0, len(t.dirty))
-	for pid, lsn := range t.dirty {
-		out = append(out, wal.CkptPage{Page: pid, RecLSN: lsn})
-	}
-	return out
-}
-
 // Commit logs and forces a commit record, releases all locks (strict 2PL),
-// and retires the transaction.
+// and retires the transaction. A transaction that logged nothing commits
+// without a record or a force: nothing of it is in the log to resolve, and
+// the version clock stays where it is.
 func (t *Tx) Commit() error {
-	t.mu.Lock()
-	if t.state != Active && t.state != Prepared {
-		t.mu.Unlock()
-		return ErrNotActive
-	}
-	lsn, err := t.m.log.Append(&wal.Record{Type: wal.TCommit, Tx: t.id, PrevLSN: t.lastLSN})
+	m := t.m
+	lsn, err := t.logEnd(Committed, wal.TCommit)
 	if err != nil {
-		t.mu.Unlock()
 		return err
 	}
-	if err := t.m.log.Flush(lsn); err != nil {
-		t.mu.Unlock()
-		return err
+	if lsn == 0 {
+		// Whatever it staged with the version store was left unchanged.
+		if h := m.abortHook; h != nil {
+			h(t.id)
+		}
+	} else {
+		if err := m.log.Flush(lsn); err != nil {
+			return err
+		}
+		if _, err := m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id}); err != nil {
+			return err
+		}
+		// Version-store publication order: append the committed images to the
+		// version chains (hook) while this writer's X locks still exclude any
+		// concurrent stager of the same segments, then advance the version
+		// clock so new snapshots can observe them, then release locks.
+		if h := m.commitHook; h != nil {
+			h(t.id, lsn)
+		}
+		m.noteCommit(lsn)
 	}
-	if _, err := t.m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id}); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	t.state = Committed
-	t.lastLSN = lsn
-	t.mu.Unlock()
-	// Version-store publication order: append the committed images to the
-	// version chains (hook) while this writer's X locks still exclude any
-	// concurrent stager of the same segments, then advance the version clock
-	// so new snapshots can observe them, then release locks.
-	if h := t.m.commitHook; h != nil {
-		h(t.id, lsn)
-	}
-	t.m.noteCommit(lsn)
 	t.finish()
-	if t.m.hooks != nil {
-		_ = t.m.hooks.Fire(hooks.EvTxCommit, t.id)
+	if m.hooks != nil {
+		_ = m.hooks.Fire(hooks.EvTxCommit, t.id)
 	}
-	t.m.mu.Lock()
-	t.m.commits++
-	t.m.mu.Unlock()
+	m.mu.Lock()
+	m.commits++
+	m.mu.Unlock()
 	return nil
 }
 
 // Abort rolls the transaction back at runtime: it walks the update chain in
-// reverse, restores before-images through the pager, writes CLRs, then logs
-// abort+end and releases locks.
+// reverse, logs a CLR for each update and restores its before-image through
+// the pager, then logs abort+end and releases locks. A transaction that
+// logged nothing has nothing to undo and, like its commit, leaves no record.
 func (t *Tx) Abort() error {
+	m := t.m
 	t.mu.Lock()
 	if t.state != Active && t.state != Prepared {
 		t.mu.Unlock()
@@ -293,38 +264,23 @@ func (t *Tx) Abort() error {
 	next := t.lastLSN
 	t.mu.Unlock()
 
-	// The records to undo may still be buffered; force through this
-	// transaction's last record so ReadRecord sees the chain — no need to
-	// wait on other transactions' unforced tails beyond it.
-	if err := t.m.log.Flush(next); err != nil {
-		return err
+	if next != 0 {
+		// The records to undo may still be buffered; force through this
+		// transaction's last record so ReadRecord sees the chain — no need to
+		// wait on other transactions' unforced tails beyond it.
+		if err := m.log.Flush(next); err != nil {
+			return err
+		}
 	}
 	buf := make([]byte, page.Size)
 	for next != 0 {
-		rec, err := t.m.log.ReadRecord(next)
+		rec, err := m.log.ReadRecord(next)
 		if err != nil {
 			return fmt.Errorf("tx %d: abort read at %d: %w", t.id, next, err)
 		}
 		switch rec.Type {
 		case wal.TUpdate:
-			if len(rec.Before) > 0 && t.m.pager != nil {
-				if err := t.m.pager.ReadPage(rec.Page, buf); err != nil {
-					return err
-				}
-				copy(buf[rec.Off:], rec.Before)
-				// The update record being undone covers this restore: its
-				// before-image is exactly the bytes going back. The CLR
-				// below re-describes them for redo.
-				walcheck.NoteUpdate(rec.Page)
-				//bess:walorder ignore=undo restores a before-image whose update record is already durable; the CLR appended below re-logs the restore for redo
-				if err := t.m.pager.WritePage(rec.Page, buf); err != nil {
-					return err
-				}
-			}
-			if _, err := t.m.log.Append(&wal.Record{
-				Type: wal.TCLR, Tx: t.id, Page: rec.Page, Off: rec.Off,
-				After: rec.Before, UndoNext: rec.PrevLSN,
-			}); err != nil {
+			if err := t.undo(rec, buf); err != nil {
 				return err
 			}
 			next = rec.PrevLSN
@@ -334,50 +290,36 @@ func (t *Tx) Abort() error {
 			next = rec.PrevLSN
 		}
 	}
-	lsn, err := t.m.log.Append(&wal.Record{Type: wal.TAbort, Tx: t.id})
+	lsn, err := t.logEnd(Aborted, wal.TAbort, wal.TEnd)
 	if err != nil {
 		return err
 	}
-	if _, err := t.m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id}); err != nil {
-		return err
+	if lsn != 0 {
+		if err := m.log.Flush(lsn); err != nil {
+			return err
+		}
 	}
-	if err := t.m.log.Flush(lsn); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.state = Aborted
-	t.mu.Unlock()
-	if h := t.m.abortHook; h != nil {
+	if h := m.abortHook; h != nil {
 		h(t.id)
 	}
 	t.finish()
-	if t.m.hooks != nil {
-		_ = t.m.hooks.Fire(hooks.EvTxAbort, t.id)
+	if m.hooks != nil {
+		_ = m.hooks.Fire(hooks.EvTxAbort, t.id)
 	}
-	t.m.mu.Lock()
-	t.m.aborts++
-	t.m.mu.Unlock()
+	m.mu.Lock()
+	m.aborts++
+	m.mu.Unlock()
 	return nil
 }
 
 // Prepare logs and forces a prepare record (2PC participant vote). The
 // transaction holds its locks until the decision.
 func (t *Tx) Prepare() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != Active {
-		return ErrNotActive
-	}
-	lsn, err := t.m.log.Append(&wal.Record{Type: wal.TPrepare, Tx: t.id, PrevLSN: t.lastLSN})
+	lsn, err := t.logEnd(Prepared, wal.TPrepare)
 	if err != nil {
 		return err
 	}
-	if err := t.m.log.Flush(lsn); err != nil {
-		return err
-	}
-	t.state = Prepared
-	t.lastLSN = lsn
-	return nil
+	return t.m.log.Flush(lsn)
 }
 
 // finish releases locks and removes the tx from the active table.
@@ -389,37 +331,6 @@ func (t *Tx) finish() {
 	if t.m.hooks != nil {
 		_ = t.m.hooks.Fire(hooks.EvLockRelease, t.id)
 	}
-}
-
-// ActiveSnapshot returns checkpoint entries for all live transactions.
-func (m *Manager) ActiveSnapshot() ([]wal.CkptTx, []wal.CkptPage) {
-	m.mu.Lock()
-	txs := make([]*Tx, 0, len(m.active))
-	for _, t := range m.active {
-		txs = append(txs, t)
-	}
-	m.mu.Unlock()
-	var at []wal.CkptTx
-	var dp []wal.CkptPage
-	seen := make(map[page.ID]bool)
-	for _, t := range txs {
-		t.mu.Lock()
-		at = append(at, wal.CkptTx{Tx: t.id, LastLSN: t.lastLSN})
-		for pid, lsn := range t.dirty {
-			if !seen[pid] {
-				seen[pid] = true
-				dp = append(dp, wal.CkptPage{Page: pid, RecLSN: lsn})
-			}
-		}
-		t.mu.Unlock()
-	}
-	return at, dp
-}
-
-// Checkpoint writes a fuzzy checkpoint of the live state.
-func (m *Manager) Checkpoint() (page.LSN, error) {
-	at, dp := m.ActiveSnapshot()
-	return wal.Checkpoint(m.log, at, dp)
 }
 
 // Counts reports cumulative commits and aborts.

@@ -33,6 +33,14 @@ func (p *memPager) WritePage(id page.ID, data []byte) error {
 	return nil
 }
 
+func (p *memPager) clone() *memPager {
+	c := newMemPager()
+	for id, pg := range p.pages {
+		c.pages[id] = append([]byte(nil), pg...)
+	}
+	return c
+}
+
 func (p *memPager) set(id page.ID, off int, b []byte) {
 	buf := make([]byte, page.Size)
 	p.ReadPage(id, buf)
@@ -44,6 +52,16 @@ func (p *memPager) get(id page.ID, off, n int) []byte {
 	buf := make([]byte, page.Size)
 	p.ReadPage(id, buf)
 	return buf[off : off+n]
+}
+
+// logAt logs the change of pid's bytes at off to b, as LogUpdate wants it:
+// whole-page images, before from the pager.
+func logAt(tr *Tx, p *memPager, id page.ID, off int, b []byte) (page.LSN, error) {
+	before := make([]byte, page.Size)
+	p.ReadPage(id, before)
+	after := append([]byte(nil), before...)
+	copy(after[off:], b)
+	return tr.LogUpdate(id, before, after)
 }
 
 func newEnv() (*Manager, *memPager, *wal.Log, *hooks.Registry) {
@@ -61,7 +79,7 @@ func TestCommitForcesLog(t *testing.T) {
 	if tr.State() != Active {
 		t.Fatal("not active")
 	}
-	if _, err := tr.LogUpdate(pid, 0, []byte{0, 0, 0}, []byte("abc")); err != nil {
+	if _, err := logAt(tr, pg, pid, 0, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	pg.set(pid, 0, []byte("abc"))
@@ -84,7 +102,7 @@ func TestCommitForcesLog(t *testing.T) {
 		t.Fatal("tx still active")
 	}
 	// Further operations fail.
-	if _, err := tr.LogUpdate(pid, 0, nil, nil); err != ErrNotActive {
+	if _, err := logAt(tr, pg, pid, 0, []byte("x")); err != ErrNotActive {
 		t.Fatalf("update after commit: %v", err)
 	}
 	if err := tr.Commit(); err != ErrNotActive {
@@ -98,10 +116,9 @@ func TestAbortRollsBack(t *testing.T) {
 	pg.set(pid, 0, []byte("old-value"))
 
 	tr := m.Begin()
-	before := pg.get(pid, 0, 9)
-	tr.LogUpdate(pid, 0, before, []byte("new-value"))
+	logAt(tr, pg, pid, 0, []byte("new-value"))
 	pg.set(pid, 0, []byte("new-value"))
-	tr.LogUpdate(pid, 20, []byte{0, 0}, []byte("zz"))
+	logAt(tr, pg, pid, 20, []byte("zz"))
 	pg.set(pid, 20, []byte("zz"))
 
 	if err := tr.Abort(); err != nil {
@@ -171,7 +188,7 @@ func TestCrashAfterCommitRecovers(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
-	tr.LogUpdate(pid, 0, []byte{0, 0, 0, 0}, []byte("DATA"))
+	logAt(tr, pg, pid, 0, []byte("DATA"))
 	// Page write is lost (never reached "disk"): no-force.
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
@@ -197,7 +214,7 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
-	tr.LogUpdate(pid, 0, []byte{0, 0, 0}, []byte("BAD"))
+	logAt(tr, pg, pid, 0, []byte("BAD"))
 	pg.set(pid, 0, []byte("BAD"))
 	l.Flush(0) // stolen page forced the WAL
 	// Crash before commit.
@@ -221,7 +238,7 @@ func TestPrepareMakesTxInDoubt(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 2}
 	tr := m.Begin()
-	tr.LogUpdate(pid, 0, []byte{0}, []byte{9})
+	logAt(tr, pg, pid, 0, []byte{9})
 	pg.set(pid, 0, []byte{9})
 	if err := tr.Prepare(); err != nil {
 		t.Fatal(err)
@@ -251,7 +268,7 @@ func TestPreparedTxCanCommitOrAbort(t *testing.T) {
 	m, pg, _, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 2}
 	tr := m.Begin()
-	tr.LogUpdate(pid, 0, []byte{0}, []byte{7})
+	logAt(tr, pg, pid, 0, []byte{7})
 	pg.set(pid, 0, []byte{7})
 	tr.Prepare()
 	if err := tr.Commit(); err != nil {
@@ -259,7 +276,7 @@ func TestPreparedTxCanCommitOrAbort(t *testing.T) {
 	}
 
 	tr2 := m.Begin()
-	tr2.LogUpdate(pid, 1, []byte{0}, []byte{8})
+	logAt(tr2, pg, pid, 1, []byte{8})
 	pg.set(pid, 1, []byte{8})
 	tr2.Prepare()
 	if err := tr2.Abort(); err != nil {
@@ -277,7 +294,7 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 4}
 	tr := m.Begin()
-	tr.LogUpdate(pid, 0, []byte{0}, []byte{1})
+	logAt(tr, pg, pid, 0, []byte{1})
 	pg.set(pid, 0, []byte{1})
 	lsn, err := m.Checkpoint()
 	if err != nil {

@@ -25,9 +25,9 @@ func FuzzWALDecodeRecord(f *testing.F) {
 			DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
 	}
 	for _, r := range seed {
-		f.Add(r.encode())
+		f.Add(r.appendTo(nil))
 	}
-	enc := seed[2].encode()
+	enc := seed[2].appendTo(nil)
 	f.Add(enc[:20])                       // truncated mid-record
 	f.Add(bytes.Repeat([]byte{0xA5}, 32)) // garbage that passes the length gate
 
@@ -36,7 +36,10 @@ func FuzzWALDecodeRecord(f *testing.F) {
 		if err != nil {
 			return // rejected is fine; panicking is not
 		}
-		out := rec.encode()
+		out := rec.appendTo(nil)
+		if len(out) != rec.encodedLen() {
+			t.Fatalf("encodedLen %d, encoded %d bytes (input %x)", rec.encodedLen(), len(out), b)
+		}
 		rec2, err := decodeRecord(out)
 		if err != nil {
 			t.Fatalf("re-decoding our own encoding failed: %v (input %x)", err, b)

@@ -37,6 +37,11 @@ type RecoveryStats struct {
 	InDoubtLast   map[uint64]page.LSN
 	CheckpointLSN page.LSN
 	RedoStartLSN  page.LSN
+	// UnanchoredPages counts pages whose earliest replayed record was a
+	// byte-range delta instead of a whole-page image. The logging rule
+	// (tx.Tx.LogUpdate) keeps it at 0: redo then rebuilds every page it
+	// touches from a full image, whatever a torn write left on disk.
+	UnanchoredPages int
 }
 
 // txInfo tracks one transaction during analysis.
@@ -48,6 +53,11 @@ type txInfo struct {
 // Recover performs ARIES-style restart: analysis from the most recent
 // checkpoint, physical redo of history, and undo of loser transactions with
 // CLR logging. New CLR/abort records are appended to l and flushed.
+//
+// Redo replays a record only at or after its page's recLSN — the
+// checkpoint's dirty-page entry, or the page's first record after the
+// checkpoint. Update records are byte ranges, so where a page's replay starts
+// matters: the logging rule makes each of those two LSNs a whole-page image.
 func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 	st := &RecoveryStats{}
 
@@ -134,12 +144,19 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 	}
 	st.RedoStartLSN = redoStart
 	buf := make([]byte, page.Size)
+	replayed := make(map[page.ID]bool)
 	if err := l.Iterate(redoStart, func(lsn page.LSN, rec *Record) error {
 		if rec.Type != TUpdate && rec.Type != TCLR {
 			return nil
 		}
-		if len(rec.After) == 0 {
+		if rl, dirty := dpt[rec.Page]; !dirty || lsn < rl || len(rec.After) == 0 {
 			return nil
+		}
+		if !replayed[rec.Page] {
+			replayed[rec.Page] = true
+			if !rec.WholePage() {
+				st.UnanchoredPages++
+			}
 		}
 		if err := p.ReadPage(rec.Page, buf); err != nil {
 			return fmt.Errorf("wal: redo read %v: %w", rec.Page, err)

@@ -321,3 +321,61 @@ func TestCrashPointProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRedoStartsEachPageAtItsRecLSN: with byte-range records, where a page's
+// replay starts matters. Redo skips records of a page ahead of its recLSN —
+// the checkpoint's entry, or the page's first record after the checkpoint —
+// and counts a page whose first replayed record is not a whole-page image.
+func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
+	l := NewMem()
+	pP, pQ, pR := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
+	whole := func(b byte) string { return string(bytes.Repeat([]byte{b}, page.Size)) }
+	zeros := whole(0)
+
+	// Tx 1 anchors Q and commits. Tx 2 anchors P and stays active. Tx 3 then
+	// cuts a delta out of Q — after P's anchor, i.e. past the redo start the
+	// checkpoint implies, but Q is not in its dirty-page table.
+	q0, _ := l.Append(upd(1, 0, pQ, 0, zeros, whole('q')))
+	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: q0})
+	l.Append(&Record{Type: TEnd, Tx: 1})
+	pAnchor, _ := l.Append(upd(2, 0, pP, 0, zeros, whole('p')))
+	q1, _ := l.Append(upd(3, 0, pQ, 10, "qq", "ZZ"))
+	l.Append(&Record{Type: TCommit, Tx: 3, PrevLSN: q1})
+	l.Append(&Record{Type: TEnd, Tx: 3})
+	if _, err := Checkpoint(l, []CkptTx{{Tx: 2, LastLSN: pAnchor}}, []CkptPage{{Page: pP, RecLSN: pAnchor}}); err != nil {
+		t.Fatal(err)
+	}
+	// After the checkpoint: a delta of P (anchored by its recLSN), and R's
+	// first record ever, a delta — the layout the logging rule never writes.
+	p1, _ := l.Append(upd(2, pAnchor, pP, 5, "ppp", "abc"))
+	l.Append(&Record{Type: TCommit, Tx: 2, PrevLSN: p1})
+	r0, _ := l.Append(upd(4, 0, pR, 0, "\x00", "r"))
+	l.Append(&Record{Type: TCommit, Tx: 4, PrevLSN: r0})
+	l.Flush(0)
+
+	// The disk lost everything but Q, which the checkpoint vouches for.
+	disk := newMemPager()
+	wantQ := []byte(whole('q'))
+	copy(wantQ[10:], "ZZ")
+	disk.WritePage(pQ, wantQ)
+	disk.pages[pQ][0] = '!' // would be "repaired" by a replay the checkpoint does not ask for
+
+	st, err := Recover(l, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RedoStartLSN != pAnchor {
+		t.Fatalf("redo start = %d, want P's anchor %d", st.RedoStartLSN, pAnchor)
+	}
+	if disk.byteAt(pQ, 0) != '!' || disk.byteAt(pQ, 10) != 'Z' {
+		t.Fatal("redo replayed a page the checkpoint lists as clean")
+	}
+	wantP := []byte(whole('p'))
+	copy(wantP[5:], "abc")
+	if !bytes.Equal(disk.pages[pP], wantP) {
+		t.Fatal("P not rebuilt from its anchor")
+	}
+	if st.RedoApplied != 3 || st.UnanchoredPages != 1 {
+		t.Fatalf("redo applied %d records, %d unanchored pages; want 3 and 1 (R)", st.RedoApplied, st.UnanchoredPages)
+	}
+}

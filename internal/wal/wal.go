@@ -87,6 +87,10 @@ type Record struct {
 	DirtyPages []CkptPage
 }
 
+// WholePage reports whether r's redo image covers its entire page: such a
+// record anchors replay (restart redo, repair) whatever the page held before.
+func (r *Record) WholePage() bool { return r.Off == 0 && len(r.After) == page.Size }
+
 // Errors returned by the log.
 var (
 	ErrCorrupt = errors.New("wal: corrupt record")
@@ -95,54 +99,53 @@ var (
 
 const recHeaderSize = 4 + 4 // length + crc
 
-// encode serializes r (excluding the length/crc header).
-func (r *Record) encode() []byte {
-	var b []byte
-	b = append(b, byte(r.Type))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], r.Tx)
-	b = append(b, tmp[:]...)
-	binary.BigEndian.PutUint64(tmp[:], uint64(r.PrevLSN))
-	b = append(b, tmp[:]...)
+// encodedLen is the exact size of r's body as appendTo writes it, so Append
+// can size one buffer up front.
+func (r *Record) encodedLen() int {
+	n := 1 + 8 + 8 // type, tx, prevLSN
 	switch r.Type {
 	case TUpdate, TCLR:
-		binary.BigEndian.PutUint32(tmp[:4], uint32(r.Page.Area))
-		b = append(b, tmp[:4]...)
-		binary.BigEndian.PutUint64(tmp[:], uint64(r.Page.Page))
-		b = append(b, tmp[:]...)
-		binary.BigEndian.PutUint32(tmp[:4], r.Off)
-		b = append(b, tmp[:4]...)
-		binary.BigEndian.PutUint64(tmp[:], uint64(r.UndoNext))
-		b = append(b, tmp[:]...)
-		binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.Before)))
-		b = append(b, tmp[:4]...)
+		n += 4 + 8 + 4 + 8 + 4 + len(r.Before) + 4 + len(r.After)
+	case TCheckpoint:
+		n += 4 + 16*len(r.ActiveTxs) + 4 + 20*len(r.DirtyPages)
+	}
+	return n
+}
+
+// appendTo serializes r (excluding the length/crc header) onto b.
+func (r *Record) appendTo(b []byte) []byte {
+	be := binary.BigEndian
+	b = append(b, byte(r.Type))
+	b = be.AppendUint64(b, r.Tx)
+	b = be.AppendUint64(b, uint64(r.PrevLSN))
+	switch r.Type {
+	case TUpdate, TCLR:
+		b = be.AppendUint32(b, uint32(r.Page.Area))
+		b = be.AppendUint64(b, uint64(r.Page.Page))
+		b = be.AppendUint32(b, r.Off)
+		b = be.AppendUint64(b, uint64(r.UndoNext))
+		b = be.AppendUint32(b, uint32(len(r.Before)))
 		b = append(b, r.Before...)
-		binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.After)))
-		b = append(b, tmp[:4]...)
+		b = be.AppendUint32(b, uint32(len(r.After)))
 		b = append(b, r.After...)
 	case TCheckpoint:
-		binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.ActiveTxs)))
-		b = append(b, tmp[:4]...)
+		b = be.AppendUint32(b, uint32(len(r.ActiveTxs)))
 		for _, e := range r.ActiveTxs {
-			binary.BigEndian.PutUint64(tmp[:], e.Tx)
-			b = append(b, tmp[:]...)
-			binary.BigEndian.PutUint64(tmp[:], uint64(e.LastLSN))
-			b = append(b, tmp[:]...)
+			b = be.AppendUint64(b, e.Tx)
+			b = be.AppendUint64(b, uint64(e.LastLSN))
 		}
-		binary.BigEndian.PutUint32(tmp[:4], uint32(len(r.DirtyPages)))
-		b = append(b, tmp[:4]...)
+		b = be.AppendUint32(b, uint32(len(r.DirtyPages)))
 		for _, e := range r.DirtyPages {
-			binary.BigEndian.PutUint32(tmp[:4], uint32(e.Page.Area))
-			b = append(b, tmp[:4]...)
-			binary.BigEndian.PutUint64(tmp[:], uint64(e.Page.Page))
-			b = append(b, tmp[:]...)
-			binary.BigEndian.PutUint64(tmp[:], uint64(e.RecLSN))
-			b = append(b, tmp[:]...)
+			b = be.AppendUint32(b, uint32(e.Page.Area))
+			b = be.AppendUint64(b, uint64(e.Page.Page))
+			b = be.AppendUint64(b, uint64(e.RecLSN))
 		}
 	}
 	return b
 }
 
+// decodeRecord parses a record body. The record's Before and After alias b:
+// readAt hands every record a buffer of its own.
 func decodeRecord(b []byte) (*Record, error) {
 	if len(b) < 17 {
 		return nil, ErrCorrupt
@@ -192,13 +195,17 @@ func decodeRecord(b []byte) (*Record, error) {
 		if err != nil || int(nb) > len(p) {
 			return nil, ErrCorrupt
 		}
-		r.Before = append([]byte(nil), p[:nb]...)
+		if nb > 0 {
+			r.Before = p[:nb:nb]
+		}
 		p = p[nb:]
 		na, err := u32()
 		if err != nil || int(na) > len(p) {
 			return nil, ErrCorrupt
 		}
-		r.After = append([]byte(nil), p[:na]...)
+		if na > 0 {
+			r.After = p[:na:na]
+		}
 		p = p[na:]
 	case TCheckpoint:
 		n, err := u32()
@@ -441,13 +448,15 @@ func (l *Log) init() error {
 }
 
 // Append buffers rec and returns its LSN. The record is durable only after
-// a Flush covering the LSN.
+// a Flush covering the LSN. rec is encoded before Append returns, so the
+// caller keeps ownership of every slice it points to. The record is encoded
+// once, outside the lock (the CRC of a whole-page image is not work to
+// serialize committers on), and copied once, into the tail.
 func (l *Log) Append(rec *Record) (page.LSN, error) {
-	body := rec.encode()
-	buf := make([]byte, recHeaderSize+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], page.Checksum(body))
-	copy(buf[recHeaderSize:], body)
+	n := rec.encodedLen()
+	buf := rec.appendTo(make([]byte, recHeaderSize, recHeaderSize+n))
+	binary.BigEndian.PutUint32(buf[0:4], uint32(n))
+	binary.BigEndian.PutUint32(buf[4:8], page.Checksum(buf[recHeaderSize:]))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
