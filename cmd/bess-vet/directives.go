@@ -15,7 +15,6 @@ import (
 //	//bess:prepublish                  (func builds a value not yet shared)
 //	// guarded by mu                   (struct field annotation)
 //	//bess:resource acquire=F release=G [sink=T.f[,T.g]] [mode=owned|pinned]
-//	//bess:codecsym                    (package opts into codec symmetry)
 //	//bess:golife                      (package opts into goroutine lifecycle)
 //	//bess:golife ignore=<reason>      (waives the go statement on/under it)
 //	//bess:walorder                    (package opts into write-ahead ordering)
@@ -43,7 +42,6 @@ type directives struct {
 	guarded    map[*types.Var]string // struct field -> mutex field name
 
 	resources []*resourceDecl // //bess:resource pairs, all packages
-	codecsym  map[string]bool // package path -> opted into codecsym
 
 	golife map[string]bool // package path -> opted into goroutine lifecycle
 	// golifeIgnores maps file -> line -> waiver reason. A waiver applies to
@@ -89,7 +87,6 @@ func newDirectives() *directives {
 		holds:           make(map[*types.Func]string),
 		prepublish:      make(map[*types.Func]bool),
 		guarded:         make(map[*types.Var]string),
-		codecsym:        make(map[string]bool),
 		golife:          make(map[string]bool),
 		golifeIgnores:   make(map[string]map[int]string),
 		walorder:        make(map[string]bool),
@@ -201,12 +198,6 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		if err := d.parseResource(p, arg, pos); err != nil {
 			d.badf(pos, "%v", err)
 		}
-	case "codecsym":
-		if arg != "" {
-			d.badf(pos, "//bess:codecsym takes no argument (got %q)", arg)
-			return
-		}
-		d.codecsym[p.path] = true
 	case "golife":
 		if arg == "" {
 			d.golife[p.path] = true
@@ -277,7 +268,7 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		}
 		// Bare form: attaches to the function whose doc holds it (collectFunc).
 	default:
-		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, resource, codecsym, golife, walorder, walsink, lockfree, hotpath, verified)", verb)
+		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, resource, golife, walorder, walsink, lockfree, hotpath, verified)", verb)
 	}
 }
 

@@ -153,6 +153,15 @@ func isStringType(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
+func isByteSlice(t types.Type) bool {
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint8
+}
+
 func (a *hotallocAnalysis) flag(pos token.Pos, msg string) {
 	position := a.fset.Position(pos)
 	m := a.dirs.hotpathIgnores[position.Filename]

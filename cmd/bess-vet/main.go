@@ -14,8 +14,6 @@
 //   - atomicmix: a field accessed through sync/atomic anywhere must be
 //     accessed atomically everywhere, and plain 64-bit fields used with the
 //     64-bit atomics must be 8-aligned under the 32-bit layout.
-//   - codecsym: Append*/Decode* pairs in //bess:codecsym packages write and
-//     read the same field sequence (count, order, width).
 //   - golife: every goroutine spawned in a //bess:golife package has a
 //     provable stop path (done-channel close, stop flag, WaitGroup join,
 //     or error-break on a closable source), or an explicit
@@ -74,7 +72,7 @@ func main() {
 	}
 	var (
 		dir     = flag.String("C", ".", "module directory to analyze")
-		only    = flag.String("only", "", "comma-separated analyzer subset (lockorder,durability,guarded,defers,poollife,atomicmix,codecsym,golife,chanflow,walorder,lockfree,hotalloc,directive)")
+		only    = flag.String("only", "", "comma-separated analyzer subset (lockorder,durability,guarded,defers,poollife,atomicmix,golife,chanflow,walorder,lockfree,hotalloc,directive)")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	)
 	flag.Parse()
@@ -161,7 +159,7 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	if only == "" {
 		enabled = map[string]bool{
 			"lockorder": true, "durability": true, "guarded": true, "defers": true,
-			"poollife": true, "atomicmix": true, "codecsym": true,
+			"poollife": true, "atomicmix": true,
 			"golife": true, "chanflow": true,
 			"walorder": true, "lockfree": true, "hotalloc": true, "crcpath": true,
 			"directive": true,
@@ -195,9 +193,6 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	}
 	if enabled["atomicmix"] {
 		analyzeAtomicMix(pkgs, dirs, r)
-	}
-	if enabled["codecsym"] {
-		analyzeCodecSym(pkgs, dirs, r)
 	}
 	if enabled["golife"] {
 		analyzeGoLife(pkgs, dirs, r)

@@ -16,10 +16,6 @@ package directive
 //
 //bess:golife ignore // want directive
 
-// codecsym takes no argument.
-//
-//bess:codecsym extra // want directive
-
 // A walsink must name a Type.Method.
 //
 //bess:walsink NoDotHere // want directive

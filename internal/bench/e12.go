@@ -85,17 +85,13 @@ func e12Binary(payload []byte) *e12Caller {
 			if err != nil {
 				return
 			}
-			p.Handle("Lock", func(body []byte) ([]byte, error) {
-				if _, _, _, _, err := proto.DecodeLockArgs(body); err != nil {
-					return nil, err
-				}
-				return nil, nil
-			})
-			p.Handle("FetchSeg", func(body []byte) ([]byte, error) {
-				if _, _, err := proto.DecodeFetchArgs(body); err != nil {
-					return nil, err
-				}
-				return proto.EncodeSegImage(&proto.SegImage{Seg: e12Seg, Data: payload}), nil
+			p.Serve(map[string]rpc.Handler{
+				"Lock": rpc.Typed(func(*proto.LockArgs) (*proto.Empty, error) {
+					return &proto.Empty{}, nil
+				}),
+				"FetchSeg": rpc.Typed(func(*proto.ClientSegArgs) (*proto.SegImage, error) {
+					return &proto.SegImage{Seg: e12Seg, Data: payload}, nil
+				}),
 			})
 		}
 	})
@@ -103,19 +99,12 @@ func e12Binary(payload []byte) *e12Caller {
 	must(err)
 	return &e12Caller{
 		lock: func() error {
-			_, err := c.CallRaw("Lock", proto.AppendLockArgs(nil, 1, 42, e12Seg, proto.LockX))
-			return err
+			return c.Call("Lock", &proto.LockArgs{Client: 1, Tx: 42, Seg: e12Seg, Mode: proto.LockX}, &proto.Empty{})
 		},
 		fetch: func() (int, error) {
-			rb, err := c.CallRaw("FetchSeg", proto.AppendFetchArgs(nil, 1, e12Seg))
-			if err != nil {
-				return 0, err
-			}
-			img, err := proto.DecodeSegImage(rb)
-			if err != nil {
-				return 0, err
-			}
-			return len(img.Data), nil
+			var img proto.SegImage
+			err := c.Call("FetchSeg", &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img)
+			return len(img.Data), err
 		},
 		stats: c.WireStats,
 		close: func() { c.Close(); l.Close(); <-done },
@@ -150,7 +139,7 @@ func e12Gob(payload []byte) *e12Caller {
 		},
 		fetch: func() (int, error) {
 			var img proto.SegImage
-			if err := c.Call("FetchSeg", &proto.FetchDataArgs{Client: 1, Seg: e12Seg}, &img); err != nil {
+			if err := c.Call("FetchSeg", &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img); err != nil {
 				return 0, err
 			}
 			return len(img.Data), nil

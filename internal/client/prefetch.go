@@ -257,12 +257,6 @@ func (st *scanStream) pinnedFrames() int {
 	return n
 }
 
-// isNoHandler reports the dispatch error an old server returns for an
-// unknown method — the fallback trigger.
-func isNoHandler(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "no handler for method")
-}
-
 // isNoSegment matches server.ErrNoSegment across the wire (the client does
 // not import internal/server): a segment listed by SegmentsOf but dropped
 // before it could be read.
@@ -275,7 +269,7 @@ func isNoSegment(err error) bool {
 // pushes segment images ahead of the cursor and the iterator consumes them
 // from local prefetched frames, so a cold full-file scan needs one round
 // trip total instead of two per segment. Falls back to the pull path on
-// non-RPC connections and on servers that predate the scan protocol.
+// non-RPC connections.
 func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Object) error) error {
 	if s.remote == nil {
 		return s.Scan(fileID, fn)
@@ -289,20 +283,18 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 	// commits. The pull fallback is equally consistent — the fetcher routes
 	// cold reads to SnapFetchSeg.
 	snapID, inSnap := s.snapState()
-	var scanID uint64
-	var plan []proto.ScanSeg
+	args := proto.ScanStartArgs{Client: s.client, DB: s.db, FileID: fileID, BatchBytes: uint32(s.scanBatch)}
+	var started proto.ScanStartReply
 	var err error
 	if inSnap {
-		scanID, plan, err = s.remote.snapScanStart(s.client, s.db, fileID, uint32(s.scanBatch), snapID)
+		err = s.remote.call("SnapScanStart", &proto.SnapScanStartArgs{ScanStartArgs: args, Snap: snapID}, &started)
 	} else {
-		scanID, plan, err = s.remote.scanStart(s.client, s.db, fileID, uint32(s.scanBatch))
+		err = s.remote.call("ScanStart", &args, &started)
 	}
 	if err != nil {
-		if isNoHandler(err) {
-			return s.Scan(fileID, fn)
-		}
 		return err
 	}
+	scanID, plan := started.Scan, started.Segs
 	// Pool of 2x the window: the window bounds undelivered bytes, and the
 	// extra headroom absorbs the gather/consume lag of the current image.
 	slots := 2*window/page.Size + 8

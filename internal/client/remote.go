@@ -15,8 +15,8 @@ import (
 )
 
 // Remote implements proto.Conn over an RPC peer; one per server connection.
-// The hot methods encode their bodies with the binary codecs in
-// internal/proto via CallRaw; cold methods go through the gob fallback.
+// Every method is one rpc.Call carrying its args and reply message from
+// internal/proto.
 type Remote struct {
 	p     *rpc.Peer
 	calls atomic.Int64 // message count (E6); off the mutex so calls don't serialize
@@ -31,20 +31,12 @@ type Remote struct {
 // refused until a session installs its policy.
 func NewRemote(p *rpc.Peer) *Remote {
 	r := &Remote{p: p}
-	p.Handle("Callback", func(body []byte) ([]byte, error) {
-		seg, err := proto.DecodeCallbackArgs(body)
-		if err != nil {
-			return nil, err
-		}
+	p.Handle("Callback", rpc.Typed(func(a *proto.SegArgs) (*proto.CallbackReply, error) {
 		r.mu.Lock()
 		cb := r.onCallback
 		r.mu.Unlock()
-		refused := true
-		if cb != nil {
-			refused = cb(seg)
-		}
-		return proto.AppendCallbackReply(nil, refused), nil
-	})
+		return &proto.CallbackReply{Refused: cb == nil || cb(a.Seg)}, nil
+	}))
 	// Pushed scan batches. Frames for an unregistered scan id (in flight
 	// after a cancel, or racing the ScanStart reply of a scan the client
 	// abandoned) are dropped here.
@@ -100,37 +92,18 @@ func (r *Remote) SetCallback(fn func(proto.SegKey) bool) {
 // Calls reports the number of RPCs issued (message counting for E6).
 func (r *Remote) Calls() int64 { return r.calls.Load() }
 
-func (r *Remote) call(method string, args, reply any) error {
+func (r *Remote) call(method string, args, reply proto.Message) error {
 	r.calls.Add(1)
 	return r.p.Call(method, args, reply)
 }
 
-func (r *Remote) callRaw(method string, body []byte) ([]byte, error) {
-	r.calls.Add(1)
-	return r.p.CallRaw(method, body)
-}
-
-// scanStart opens a streaming scan and returns the scan id and plan.
-func (r *Remote) scanStart(client, db, fileID, batchBytes uint32) (uint64, []proto.ScanSeg, error) {
-	rb, err := r.callRaw("ScanStart", proto.AppendScanStartArgs(nil, client, db, fileID, batchBytes))
-	if err != nil {
-		return 0, nil, err
-	}
-	return proto.DecodeScanStartReply(rb)
-}
-
-// snapScanStart opens a streaming scan pinned to a snapshot's stamp.
-func (r *Remote) snapScanStart(client, db, fileID, batchBytes uint32, snap uint64) (uint64, []proto.ScanSeg, error) {
-	rb, err := r.callRaw("SnapScanStart", proto.AppendSnapScanStartArgs(nil, client, db, fileID, batchBytes, snap))
-	if err != nil {
-		return 0, nil, err
-	}
-	return proto.DecodeScanStartReply(rb)
-}
-
 // scanCtl sends one flow-control frame for scan id (credit grant or cancel).
 func (r *Remote) scanCtl(id uint64, cancel bool, credit uint64) error {
-	return r.p.SendStream("ScanCtl", id, proto.AppendScanCtl(nil, cancel, credit))
+	body, err := proto.Encode(&proto.ScanCtl{Cancel: cancel, Credit: credit})
+	if err != nil {
+		return err
+	}
+	return r.p.SendStream("ScanCtl", id, body)
 }
 
 // registerScan routes pushed ScanData frames for id to st.
@@ -152,11 +125,11 @@ func (r *Remote) unregisterScan(id uint64) {
 
 // Hello implements proto.Conn.
 func (r *Remote) Hello(name string) (uint32, error) {
-	var rep proto.HelloReply
+	var rep proto.IDReply
 	if err := r.call("Hello", &proto.HelloArgs{Name: name}, &rep); err != nil {
 		return 0, err
 	}
-	return rep.Client, nil
+	return rep.ID, nil
 }
 
 // OpenDB implements proto.Conn.
@@ -171,7 +144,7 @@ func (r *Remote) OpenDB(name string, create bool) (uint32, uint16, error) {
 // NewTx implements proto.Conn.
 func (r *Remote) NewTx() (uint64, error) {
 	var rep proto.NewTxReply
-	if err := r.call("NewTx", &proto.NewTxArgs{}, &rep); err != nil {
+	if err := r.call("NewTx", &proto.ClientArgs{}, &rep); err != nil {
 		return 0, err
 	}
 	return rep.Tx, nil
@@ -189,7 +162,7 @@ func (r *Remote) RegisterType(db uint32, t proto.TypeInfo) (proto.TypeInfo, erro
 // Types implements proto.Conn.
 func (r *Remote) Types(db uint32) ([]proto.TypeInfo, error) {
 	var rep proto.TypesReply
-	if err := r.call("Types", &proto.TypesArgs{DB: db}, &rep); err != nil {
+	if err := r.call("Types", &proto.DBArgs{DB: db}, &rep); err != nil {
 		return nil, err
 	}
 	return rep.Infos, nil
@@ -197,20 +170,20 @@ func (r *Remote) Types(db uint32) ([]proto.TypeInfo, error) {
 
 // NewFileID implements proto.Conn.
 func (r *Remote) NewFileID(db uint32) (uint32, error) {
-	var rep proto.NewFileIDReply
-	if err := r.call("NewFileID", &proto.NewFileIDArgs{DB: db}, &rep); err != nil {
+	var rep proto.IDReply
+	if err := r.call("NewFileID", &proto.DBArgs{DB: db}, &rep); err != nil {
 		return 0, err
 	}
-	return rep.File, nil
+	return rep.ID, nil
 }
 
 // AddArea implements proto.Conn.
 func (r *Remote) AddArea(db uint32) (uint32, error) {
-	var rep proto.AddAreaReply
-	if err := r.call("AddArea", &proto.AddAreaArgs{DB: db}, &rep); err != nil {
+	var rep proto.IDReply
+	if err := r.call("AddArea", &proto.DBArgs{DB: db}, &rep); err != nil {
 		return 0, err
 	}
-	return rep.Area, nil
+	return rep.ID, nil
 }
 
 // CreateSegment implements proto.Conn.
@@ -225,70 +198,57 @@ func (r *Remote) CreateSegment(db, fileID uint32, slottedPages, dataPages, areaH
 // SegInfo implements proto.Conn.
 func (r *Remote) SegInfo(seg proto.SegKey) (int, error) {
 	var rep proto.SegInfoReply
-	err := r.call("SegInfo", &proto.SegInfoArgs{Seg: seg}, &rep)
+	err := r.call("SegInfo", &proto.SegArgs{Seg: seg}, &rep)
 	return rep.SlottedPages, err
 }
 
 // FetchSlotted implements proto.Conn.
 func (r *Remote) FetchSlotted(client uint32, seg proto.SegKey) ([]byte, []byte, error) {
-	rb, err := r.callRaw("FetchSlotted", proto.AppendFetchArgs(nil, client, seg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return proto.DecodeFetchSlottedReply(rb)
+	var rep proto.FetchSlottedReply
+	err := r.call("FetchSlotted", &proto.ClientSegArgs{Client: client, Seg: seg}, &rep)
+	return rep.Slotted, rep.Overflow, err
 }
 
 // FetchData implements proto.Conn.
 func (r *Remote) FetchData(client uint32, seg proto.SegKey) ([]byte, error) {
-	return r.callRaw("FetchData", proto.AppendFetchArgs(nil, client, seg))
+	var rep proto.Bytes
+	err := r.call("FetchData", &proto.ClientSegArgs{Client: client, Seg: seg}, &rep)
+	return rep.Data, err
 }
 
 // FetchSeg implements proto.Conn: slotted + overflow + data in one round
-// trip (the reply body is one SegImage encoding).
+// trip (the reply is one SegImage).
 func (r *Remote) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
-	rb, err := r.callRaw("FetchSeg", proto.AppendFetchArgs(nil, client, seg))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	img, err := proto.DecodeSegImage(rb)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return img.Slotted, img.Overflow, img.Data, nil
+	var img proto.SegImage
+	err := r.call("FetchSeg", &proto.ClientSegArgs{Client: client, Seg: seg}, &img)
+	return img.Slotted, img.Overflow, img.Data, err
 }
 
 // FetchLarge implements proto.Conn.
 func (r *Remote) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
-	return r.callRaw("FetchLarge", proto.AppendFetchLargeArgs(nil, client, seg, slot))
+	var rep proto.Bytes
+	err := r.call("FetchLarge", &proto.FetchLargeArgs{Client: client, Seg: seg, Slot: slot}, &rep)
+	return rep.Data, err
 }
 
 // SnapOpen implements proto.Conn: open a server-side snapshot.
 func (r *Remote) SnapOpen(client uint32) (uint64, uint64, error) {
-	rb, err := r.callRaw("SnapOpen", proto.AppendSnapOpenArgs(nil, client))
-	if err != nil {
-		return 0, 0, err
-	}
-	return proto.DecodeSnapOpenReply(rb)
+	var rep proto.SnapOpenReply
+	err := r.call("SnapOpen", &proto.ClientArgs{Client: client}, &rep)
+	return rep.Snap, rep.Stamp, err
 }
 
 // SnapClose implements proto.Conn.
 func (r *Remote) SnapClose(client uint32, snap uint64) error {
-	_, err := r.callRaw("SnapClose", proto.AppendSnapCloseArgs(nil, client, snap))
-	return err
+	return r.call("SnapClose", &proto.SnapCloseArgs{Client: client, Snap: snap}, &proto.Empty{})
 }
 
 // SnapFetchSeg implements proto.Conn: the segment's image as of the
 // snapshot's stamp, without joining the callback protocol.
 func (r *Remote) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
-	rb, err := r.callRaw("SnapFetchSeg", proto.AppendSnapFetchArgs(nil, client, snap, seg))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	img, err := proto.DecodeSegImage(rb)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return img.Slotted, img.Overflow, img.Data, nil
+	var img proto.SegImage
+	err := r.call("SnapFetchSeg", &proto.SnapFetchArgs{Client: client, Snap: snap, Seg: seg}, &img)
+	return img.Slotted, img.Overflow, img.Data, err
 }
 
 // Resolve implements proto.Conn.
@@ -300,20 +260,17 @@ func (r *Remote) Resolve(db uint32, headerOff uint64) (proto.SegKey, int, error)
 
 // Lock implements proto.Conn.
 func (r *Remote) Lock(client uint32, tx uint64, seg proto.SegKey, mode proto.LockMode) error {
-	_, err := r.callRaw("Lock", proto.AppendLockArgs(nil, client, tx, seg, mode))
-	return err
+	return r.call("Lock", &proto.LockArgs{Client: client, Tx: tx, Seg: seg, Mode: mode}, &proto.Empty{})
 }
 
 // LockObject implements proto.Conn.
 func (r *Remote) LockObject(client uint32, tx uint64, seg proto.SegKey, slot int, mode proto.LockMode) error {
-	_, err := r.callRaw("LockObject", proto.AppendLockObjectArgs(nil, client, tx, seg, slot, mode))
-	return err
+	return r.call("LockObject", &proto.LockObjectArgs{Client: client, Tx: tx, Seg: seg, Slot: slot, Mode: mode}, &proto.Empty{})
 }
 
 // Commit implements proto.Conn.
 func (r *Remote) Commit(client uint32, tx uint64, segs []proto.SegImage) error {
-	_, err := r.callRaw("Commit", proto.AppendCommitArgs(nil, client, tx, segs))
-	return err
+	return r.call("Commit", &proto.CommitArgs{Client: client, Tx: tx, Segs: segs}, &proto.Empty{})
 }
 
 // Abort implements proto.Conn.
@@ -323,7 +280,7 @@ func (r *Remote) Abort(client uint32, tx uint64) error {
 
 // Prepare implements proto.Conn.
 func (r *Remote) Prepare(client uint32, tx uint64, segs []proto.SegImage) error {
-	return r.call("Prepare", &proto.PrepareArgs{Client: client, Tx: tx, Segs: segs}, &proto.Empty{})
+	return r.call("Prepare", &proto.CommitArgs{Client: client, Tx: tx, Segs: segs}, &proto.Empty{})
 }
 
 // Decide implements proto.Conn.
@@ -340,7 +297,7 @@ func (r *Remote) SegmentsOf(db, fileID uint32) ([]proto.SegKey, error) {
 
 // Released implements proto.Conn.
 func (r *Remote) Released(client uint32, seg proto.SegKey) error {
-	return r.call("Released", &proto.ReleasedArgs{Client: client, Seg: seg}, &proto.Empty{})
+	return r.call("Released", &proto.ClientSegArgs{Client: client, Seg: seg}, &proto.Empty{})
 }
 
 // CreateLarge implements proto.Conn.
@@ -366,7 +323,7 @@ func (r *Remote) FreeRun(db, area uint32, start int64) error {
 
 // ReadRun implements proto.Conn.
 func (r *Remote) ReadRun(db, area uint32, start int64, nPages int) ([]byte, error) {
-	var rep proto.RunReply
+	var rep proto.Bytes
 	err := r.call("ReadRun", &proto.RunArgs{DB: db, Area: area, Start: start, NPages: nPages}, &rep)
 	return rep.Data, err
 }
@@ -378,32 +335,24 @@ func (r *Remote) WriteRun(db, area uint32, start int64, data []byte) error {
 
 // NameBind implements proto.Conn.
 func (r *Remote) NameBind(db uint32, name string, o oid.OID) error {
-	var a proto.NameBindArgs
-	a.DB, a.Name = db, name
-	o.Put(a.OID[:])
-	return r.call("NameBind", &a, &proto.Empty{})
+	return r.call("NameBind", &proto.NameBindArgs{DB: db, Name: name, OID: o}, &proto.Empty{})
 }
 
 // NameLookup implements proto.Conn.
 func (r *Remote) NameLookup(db uint32, name string) (oid.OID, error) {
 	var rep proto.NameLookupReply
-	if err := r.call("NameLookup", &proto.NameLookupArgs{DB: db, Name: name}, &rep); err != nil {
-		return oid.Nil, err
-	}
-	return oid.Decode(rep.OID[:])
+	err := r.call("NameLookup", &proto.NameArgs{DB: db, Name: name}, &rep)
+	return rep.OID, err
 }
 
 // NameUnbind implements proto.Conn.
 func (r *Remote) NameUnbind(db uint32, name string) error {
-	return r.call("NameUnbind", &proto.NameUnbindArgs{DB: db, Name: name}, &proto.Empty{})
+	return r.call("NameUnbind", &proto.NameArgs{DB: db, Name: name}, &proto.Empty{})
 }
 
 // NameRemoveOID implements proto.Conn.
 func (r *Remote) NameRemoveOID(db uint32, o oid.OID) error {
-	var a proto.NameRemoveOIDArgs
-	a.DB = db
-	o.Put(a.OID[:])
-	return r.call("NameRemoveOID", &a, &proto.Empty{})
+	return r.call("NameRemoveOID", &proto.NameRemoveOIDArgs{DB: db, OID: o}, &proto.Empty{})
 }
 
 // Close tears down the connection.

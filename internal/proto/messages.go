@@ -1,0 +1,622 @@
+package proto
+
+import "bess/internal/oid"
+
+// The wire messages: the args and reply of every rpc method, the scan
+// stream frames, and the commit image. Each type's Fields method, right
+// below it, is its whole wire layout (cursor.go). The method that carries a
+// message is named in its comment; internal/rpc/frame.go holds the id table.
+
+// Empty is the reply of a method that returns only an error.
+type Empty struct{}
+
+func (*Empty) Fields(*Cursor) {}
+
+// Bytes is a reply that is one byte string (FetchData, FetchLarge, ReadRun):
+// it travels as the raw frame body with no wrapper at all.
+type Bytes struct{ Data []byte }
+
+func (m *Bytes) Fields(c *Cursor) { c.Rest(&m.Data) }
+
+// HelloArgs introduces a client.
+type HelloArgs struct{ Name string }
+
+func (m *HelloArgs) Fields(c *Cursor) { c.String(&m.Name) }
+
+// IDReply carries a freshly assigned id: Hello's client id, NewFileID's file
+// id, AddArea's area id.
+type IDReply struct{ ID uint32 }
+
+func (m *IDReply) Fields(c *Cursor) { c.U32(&m.ID) }
+
+// OpenDBArgs requests a database open.
+type OpenDBArgs struct {
+	Name   string
+	Create bool
+}
+
+func (m *OpenDBArgs) Fields(c *Cursor) {
+	c.String(&m.Name)
+	c.Bool(&m.Create)
+}
+
+// OpenDBReply returns the database id and host number.
+type OpenDBReply struct {
+	DB   uint32
+	Host uint16
+}
+
+func (m *OpenDBReply) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.U16(&m.Host)
+}
+
+// ClientArgs names the calling client: the args of NewTx and SnapOpen.
+type ClientArgs struct{ Client uint32 }
+
+func (m *ClientArgs) Fields(c *Cursor) { c.U32(&m.Client) }
+
+// NewTxReply carries a fresh transaction id.
+type NewTxReply struct{ Tx uint64 }
+
+func (m *NewTxReply) Fields(c *Cursor) { c.U64(&m.Tx) }
+
+// Fields is the layout of a type descriptor inside the messages and the
+// catalog that carry one.
+func (t *TypeInfo) Fields(c *Cursor) {
+	c.U32(&t.ID)
+	c.String(&t.Name)
+	c.Count(&t.Size)
+	offs := Repeat(c, &t.RefOffsets, 4)
+	for i := range offs {
+		c.Count(&offs[i])
+	}
+}
+
+// TypeInfoMin is the least a TypeInfo occupies (Repeat's bound).
+const TypeInfoMin = 4 + 4 + 4 + 4
+
+// RegisterTypeArgs registers a type.
+type RegisterTypeArgs struct {
+	DB   uint32
+	Info TypeInfo
+}
+
+func (m *RegisterTypeArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	m.Info.Fields(c)
+}
+
+// RegisterTypeReply returns the canonical descriptor.
+type RegisterTypeReply struct{ Info TypeInfo }
+
+func (m *RegisterTypeReply) Fields(c *Cursor) { m.Info.Fields(c) }
+
+// DBArgs names a database: the args of Types, NewFileID and AddArea.
+type DBArgs struct{ DB uint32 }
+
+func (m *DBArgs) Fields(c *Cursor) { c.U32(&m.DB) }
+
+// TypesReply lists a database's registered types.
+type TypesReply struct{ Infos []TypeInfo }
+
+func (m *TypesReply) Fields(c *Cursor) {
+	infos := Repeat(c, &m.Infos, TypeInfoMin)
+	for i := range infos {
+		infos[i].Fields(c)
+	}
+}
+
+// CreateSegmentArgs allocates an object segment. AreaHint is -1 for "the
+// first area".
+type CreateSegmentArgs struct {
+	DB           uint32
+	FileID       uint32
+	SlottedPages int
+	DataPages    int
+	AreaHint     int
+}
+
+func (m *CreateSegmentArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.U32(&m.FileID)
+	c.Count(&m.SlottedPages)
+	c.Count(&m.DataPages)
+	c.I32(&m.AreaHint)
+}
+
+// CreateSegmentReply names the new segment.
+type CreateSegmentReply struct{ Seg SegKey }
+
+func (m *CreateSegmentReply) Fields(c *Cursor) { c.SegKey(&m.Seg) }
+
+// SegArgs names a segment: the args of SegInfo (its slotted geometry) and of
+// Callback, the server→client revocation request — drop the cached copy of
+// Seg (callback locking, §3).
+type SegArgs struct{ Seg SegKey }
+
+func (m *SegArgs) Fields(c *Cursor) { c.SegKey(&m.Seg) }
+
+// SegInfoReply carries the slotted size of a segment in pages.
+type SegInfoReply struct{ SlottedPages int }
+
+func (m *SegInfoReply) Fields(c *Cursor) { c.Count(&m.SlottedPages) }
+
+// ClientSegArgs names a client's copy of a segment: the args of FetchSlotted,
+// FetchData (the reply is Bytes), FetchSeg (a SegImage) and Released (the
+// client dropped its cached copy).
+type ClientSegArgs struct {
+	Client uint32
+	Seg    SegKey
+}
+
+func (m *ClientSegArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.SegKey(&m.Seg)
+}
+
+// FetchSlottedReply carries slotted + overflow images.
+type FetchSlottedReply struct{ Slotted, Overflow []byte }
+
+func (m *FetchSlottedReply) Fields(c *Cursor) {
+	c.Section(&m.Slotted)
+	c.Section(&m.Overflow)
+}
+
+// FetchLargeArgs fetches a transparent large object; the reply is Bytes.
+type FetchLargeArgs struct {
+	Client uint32
+	Seg    SegKey
+	Slot   int
+}
+
+func (m *FetchLargeArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.SegKey(&m.Seg)
+	c.I32(&m.Slot)
+}
+
+// ResolveArgs resolves a header offset.
+type ResolveArgs struct {
+	DB        uint32
+	HeaderOff uint64
+}
+
+func (m *ResolveArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.U64(&m.HeaderOff)
+}
+
+// ResolveReply names the slot.
+type ResolveReply struct {
+	Seg  SegKey
+	Slot int
+}
+
+func (m *ResolveReply) Fields(c *Cursor) {
+	c.SegKey(&m.Seg)
+	c.Count(&m.Slot)
+}
+
+// LockArgs requests a segment lock.
+type LockArgs struct {
+	Client uint32
+	Tx     uint64
+	Seg    SegKey
+	Mode   LockMode
+}
+
+func (m *LockArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
+	c.SegKey(&m.Seg)
+	c.U8((*uint8)(&m.Mode))
+}
+
+// LockObjectArgs requests an object-level lock.
+type LockObjectArgs struct {
+	Client uint32
+	Tx     uint64
+	Seg    SegKey
+	Slot   int
+	Mode   LockMode
+}
+
+func (m *LockObjectArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
+	c.SegKey(&m.Seg)
+	c.I32(&m.Slot)
+	c.U8((*uint8)(&m.Mode))
+}
+
+const (
+	segImageMagic   uint16 = 0xB5E9
+	segImageVersion uint8  = 1
+	// segImageMin is the least a framed image occupies: its length prefix,
+	// magic, version, key and three empty sections.
+	segImageMin = 4 + 2 + 1 + 12 + 3*4
+)
+
+// Fields is the canonical, versioned wire form of one commit image: magic
+// and version (these bytes outlive a process pair — shipped logs, archived
+// images, cross-version peers), the key, three sections.
+//
+//bess:hotpath
+func (s *SegImage) Fields(c *Cursor) {
+	magic, version := segImageMagic, segImageVersion
+	c.U16(&magic)
+	c.U8(&version)
+	if magic != segImageMagic || version != segImageVersion {
+		c.notImage(magic, version)
+	}
+	c.SegKey(&s.Seg)
+	c.Section(&s.Slotted)
+	c.Section(&s.Overflow)
+	c.Section(&s.Data)
+}
+
+func (c *Cursor) notImage(magic uint16, version uint8) {
+	c.Failf("not a segment image this build reads: magic %#04x version %d", magic, version)
+}
+
+// images carries a list of segment images, each in its own length-prefixed
+// frame.
+//
+//bess:hotpath
+func (c *Cursor) images(s *[]SegImage) {
+	imgs := Repeat(c, s, segImageMin)
+	for i := range imgs {
+		mark := c.open()
+		imgs[i].Fields(c)
+		c.close(mark)
+	}
+}
+
+// CommitArgs ships a transaction's dirty segments: the args of Commit and
+// of Prepare (the 2PC vote request for a distributed branch).
+type CommitArgs struct {
+	Client uint32
+	Tx     uint64
+	Segs   []SegImage
+}
+
+func (m *CommitArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
+	c.images(&m.Segs)
+}
+
+// AbortArgs aborts a transaction.
+type AbortArgs struct {
+	Client uint32
+	Tx     uint64
+}
+
+func (m *AbortArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
+}
+
+// DecideArgs delivers the 2PC decision.
+type DecideArgs struct {
+	Tx     uint64
+	Commit bool
+}
+
+func (m *DecideArgs) Fields(c *Cursor) {
+	c.U64(&m.Tx)
+	c.Bool(&m.Commit)
+}
+
+// SegmentsOfArgs lists a file's segments.
+type SegmentsOfArgs struct {
+	DB     uint32
+	FileID uint32
+}
+
+func (m *SegmentsOfArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.U32(&m.FileID)
+}
+
+// SegmentsOfReply carries them.
+type SegmentsOfReply struct{ Segs []SegKey }
+
+func (m *SegmentsOfReply) Fields(c *Cursor) {
+	segs := Repeat(c, &m.Segs, 12)
+	for i := range segs {
+		c.SegKey(&segs[i])
+	}
+}
+
+// CreateLargeArgs stores a transparent large object.
+type CreateLargeArgs struct {
+	Client  uint32
+	Tx      uint64
+	Seg     SegKey
+	Type    uint32
+	Content []byte
+}
+
+func (m *CreateLargeArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
+	c.SegKey(&m.Seg)
+	c.U32(&m.Type)
+	c.Section(&m.Content)
+}
+
+// CreateLargeReply names the new slot.
+type CreateLargeReply struct{ Slot int }
+
+func (m *CreateLargeReply) Fields(c *Cursor) { c.Count(&m.Slot) }
+
+// AllocRunArgs allocates a raw page run.
+type AllocRunArgs struct {
+	DB     uint32
+	NPages int
+}
+
+func (m *AllocRunArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.Count(&m.NPages)
+}
+
+// AllocRunReply names the run.
+type AllocRunReply struct {
+	Area    uint32
+	Start   int64
+	Granted int
+}
+
+func (m *AllocRunReply) Fields(c *Cursor) {
+	c.U32(&m.Area)
+	c.I64(&m.Start)
+	c.Count(&m.Granted)
+}
+
+// RunArgs addresses a raw page run: the args of FreeRun, ReadRun (NPages;
+// the reply is Bytes) and WriteRun (Data).
+type RunArgs struct {
+	DB     uint32
+	Area   uint32
+	Start  int64
+	NPages int
+	Data   []byte
+}
+
+func (m *RunArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.U32(&m.Area)
+	c.I64(&m.Start)
+	c.Count(&m.NPages)
+	c.Section(&m.Data)
+}
+
+// NameArgs names a root object: the args of NameLookup and NameUnbind.
+type NameArgs struct {
+	DB   uint32
+	Name string
+}
+
+func (m *NameArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.String(&m.Name)
+}
+
+// NameBindArgs binds a root-object name.
+type NameBindArgs struct {
+	DB   uint32
+	Name string
+	OID  oid.OID
+}
+
+func (m *NameBindArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.String(&m.Name)
+	c.OID(&m.OID)
+}
+
+// NameLookupReply carries the OID.
+type NameLookupReply struct{ OID oid.OID }
+
+func (m *NameLookupReply) Fields(c *Cursor) { c.OID(&m.OID) }
+
+// NameRemoveOIDArgs removes the name bound to an OID (object deletion).
+type NameRemoveOIDArgs struct {
+	DB  uint32
+	OID oid.OID
+}
+
+func (m *NameRemoveOIDArgs) Fields(c *Cursor) {
+	c.U32(&m.DB)
+	c.OID(&m.OID)
+}
+
+// CallbackReply reports whether the client complied; Refused means a live
+// transaction is using the copy and the requester must wait.
+type CallbackReply struct{ Refused bool }
+
+func (m *CallbackReply) Fields(c *Cursor) { c.Bool(&m.Refused) }
+
+// SnapOpenReply names the snapshot and its version stamp.
+type SnapOpenReply struct {
+	Snap  uint64
+	Stamp uint64
+}
+
+func (m *SnapOpenReply) Fields(c *Cursor) {
+	c.U64(&m.Snap)
+	c.U64(&m.Stamp)
+}
+
+// SnapCloseArgs releases a snapshot.
+type SnapCloseArgs struct {
+	Client uint32
+	Snap   uint64
+}
+
+func (m *SnapCloseArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Snap)
+}
+
+// SnapFetchArgs fetches a segment image as of a snapshot's stamp; the reply
+// is a SegImage.
+type SnapFetchArgs struct {
+	Client uint32
+	Snap   uint64
+	Seg    SegKey
+}
+
+func (m *SnapFetchArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Snap)
+	c.SegKey(&m.Seg)
+}
+
+// The streaming scan protocol (DESIGN.md §6): a scan is opened with an
+// ordinary request/reply (ScanStart, SnapScanStart) and then runs as two
+// one-way streams sharing the scan id — the server pushes ScanData frames
+// (each one a ScanBatch) and the client sends ScanCtl frames.
+
+// ScanStartArgs opens a streaming scan. BatchBytes is the client's preferred
+// batch granularity in bytes; zero lets the server choose.
+type ScanStartArgs struct {
+	Client, DB, FileID, BatchBytes uint32
+}
+
+func (m *ScanStartArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U32(&m.DB)
+	c.U32(&m.FileID)
+	c.U32(&m.BatchBytes)
+}
+
+// SnapScanStartArgs is ScanStartArgs plus the snapshot the cursor reads as
+// of.
+type SnapScanStartArgs struct {
+	ScanStartArgs
+	Snap uint64
+}
+
+func (m *SnapScanStartArgs) Fields(c *Cursor) {
+	m.ScanStartArgs.Fields(c)
+	c.U64(&m.Snap)
+}
+
+// ScanSeg is one entry of a scan plan: the segment key plus its slotted
+// geometry, so the prefetching client can reserve address space without a
+// per-segment SegInfo round trip.
+type ScanSeg struct {
+	Seg          SegKey
+	SlottedPages uint32
+}
+
+// ScanStartReply carries the scan id and the plan: the segment list the
+// cursor will walk, in push order.
+type ScanStartReply struct {
+	Scan uint64
+	Segs []ScanSeg
+}
+
+func (m *ScanStartReply) Fields(c *Cursor) {
+	c.U64(&m.Scan)
+	segs := Repeat(c, &m.Segs, 16)
+	for i := range segs {
+		c.SegKey(&segs[i].Seg)
+		c.U32(&segs[i].SlottedPages)
+	}
+}
+
+// ScanBatch is one pushed batch of segment images. Seq numbers batches from
+// zero within a scan; Last marks the final batch. A non-empty Err reports a
+// server-side scan failure (the batch carries no images in that case and is
+// also the last one).
+type ScanBatch struct {
+	Seq    uint32
+	Last   bool
+	Err    string
+	Images []SegImage
+}
+
+//bess:hotpath
+func (m *ScanBatch) Fields(c *Cursor) {
+	c.U32(&m.Seq)
+	c.Bool(&m.Last)
+	c.String(&m.Err)
+	c.images(&m.Images)
+}
+
+// ScanCtl is a flow-control frame: Cancel aborts the scan, otherwise Credit
+// grants the server that many more bytes of push budget.
+type ScanCtl struct {
+	Cancel bool
+	Credit uint64
+}
+
+func (m *ScanCtl) Fields(c *Cursor) {
+	c.Bool(&m.Cancel)
+	c.U64(&m.Credit)
+}
+
+// The entry points below call one message's Fields on a stack cursor: a
+// call through the Message interface would move the cursor, and a message
+// built for the call, to the heap. They serve the paths that encode into
+// pooled buffers or run once per image.
+
+// AppendSegImage appends the encoding of s to b. It allocates nothing when
+// b has room: the scan push path encodes straight into a pooled batch.
+//
+//bess:hotpath
+func AppendSegImage(b []byte, s *SegImage) []byte {
+	c := Cursor{buf: b}
+	s.Fields(&c)
+	return c.buf
+}
+
+// DecodeSegImage parses exactly one image.
+//
+//bess:hotpath
+func DecodeSegImage(b []byte) (*SegImage, error) {
+	s := &SegImage{}
+	c := decoder(b)
+	s.Fields(&c)
+	return s, c.finish()
+}
+
+// AppendCommitArgs appends the encoding of a CommitArgs to b.
+func AppendCommitArgs(b []byte, client uint32, tx uint64, segs []SegImage) []byte {
+	m := CommitArgs{Client: client, Tx: tx, Segs: segs}
+	c := Cursor{buf: b}
+	m.Fields(&c)
+	return c.buf
+}
+
+// DecodeCommitArgs parses a CommitArgs.
+func DecodeCommitArgs(b []byte) (client uint32, tx uint64, segs []SegImage, err error) {
+	var m CommitArgs
+	c := decoder(b)
+	m.Fields(&c)
+	return m.Client, m.Tx, m.Segs, c.finish()
+}
+
+// AppendScanBatch appends the encoding of sb to b: every image lands
+// directly in b (the pooled batch buffer), so a steady-state scan allocates
+// nothing per batch.
+//
+//bess:hotpath
+func AppendScanBatch(b []byte, sb *ScanBatch) []byte {
+	c := Cursor{buf: b}
+	sb.Fields(&c)
+	return c.buf
+}
+
+// DecodeScanBatch parses one pushed batch.
+func DecodeScanBatch(b []byte) (*ScanBatch, error) {
+	sb := &ScanBatch{}
+	c := decoder(b)
+	sb.Fields(&c)
+	return sb, c.finish()
+}

@@ -150,270 +150,3 @@ const (
 	LockSIX
 	LockX
 )
-
-// --- RPC arg/reply structs (exported for gob) ---
-
-// HelloArgs introduces a client.
-type HelloArgs struct{ Name string }
-
-// HelloReply carries the assigned client id.
-type HelloReply struct{ Client uint32 }
-
-// OpenDBArgs requests a database open.
-type OpenDBArgs struct {
-	Name   string
-	Create bool
-}
-
-// OpenDBReply returns the database id and host number.
-type OpenDBReply struct {
-	DB   uint32
-	Host uint16
-}
-
-// NewTxArgs requests a transaction id.
-type NewTxArgs struct{ Client uint32 }
-
-// NewTxReply carries it.
-type NewTxReply struct{ Tx uint64 }
-
-// RegisterTypeArgs registers a type.
-type RegisterTypeArgs struct {
-	DB   uint32
-	Info TypeInfo
-}
-
-// RegisterTypeReply returns the canonical descriptor.
-type RegisterTypeReply struct{ Info TypeInfo }
-
-// TypesArgs lists types.
-type TypesArgs struct{ DB uint32 }
-
-// TypesReply carries them.
-type TypesReply struct{ Infos []TypeInfo }
-
-// CreateSegmentArgs allocates an object segment.
-type CreateSegmentArgs struct {
-	DB           uint32
-	FileID       uint32
-	SlottedPages int
-	DataPages    int
-	AreaHint     int
-}
-
-// AddAreaArgs attaches a storage area to a database.
-type AddAreaArgs struct{ DB uint32 }
-
-// AddAreaReply names the new area.
-type AddAreaReply struct{ Area uint32 }
-
-// NewFileIDArgs allocates a file id.
-type NewFileIDArgs struct{ DB uint32 }
-
-// NewFileIDReply carries it.
-type NewFileIDReply struct{ File uint32 }
-
-// CreateLargeArgs stores a transparent large object.
-type CreateLargeArgs struct {
-	Client  uint32
-	Tx      uint64
-	Seg     SegKey
-	Type    uint32
-	Content []byte
-}
-
-// CreateLargeReply names the new slot.
-type CreateLargeReply struct{ Slot int }
-
-// AllocRunArgs allocates a raw page run.
-type AllocRunArgs struct {
-	DB     uint32
-	NPages int
-}
-
-// AllocRunReply names the run.
-type AllocRunReply struct {
-	Area    uint32
-	Start   int64
-	Granted int
-}
-
-// RunArgs addresses a raw page run.
-type RunArgs struct {
-	DB     uint32
-	Area   uint32
-	Start  int64
-	NPages int
-	Data   []byte
-}
-
-// RunReply carries run bytes.
-type RunReply struct{ Data []byte }
-
-// CreateSegmentReply names the new segment.
-type CreateSegmentReply struct{ Seg SegKey }
-
-// SegInfoArgs asks for slotted geometry.
-type SegInfoArgs struct{ Seg SegKey }
-
-// SegInfoReply carries it.
-type SegInfoReply struct{ SlottedPages int }
-
-// FetchSlottedArgs fetches control structures.
-type FetchSlottedArgs struct {
-	Client uint32
-	Seg    SegKey
-}
-
-// FetchSlottedReply carries slotted + overflow images.
-type FetchSlottedReply struct{ Slotted, Overflow []byte }
-
-// FetchDataArgs fetches a data segment.
-type FetchDataArgs struct {
-	Client uint32
-	Seg    SegKey
-}
-
-// FetchDataReply carries the bytes.
-type FetchDataReply struct{ Data []byte }
-
-// FetchLargeArgs fetches a transparent large object.
-type FetchLargeArgs struct {
-	Client uint32
-	Seg    SegKey
-	Slot   int
-}
-
-// FetchLargeReply carries the bytes.
-type FetchLargeReply struct{ Data []byte }
-
-// ResolveArgs resolves a header offset.
-type ResolveArgs struct {
-	DB        uint32
-	HeaderOff uint64
-}
-
-// ResolveReply names the slot.
-type ResolveReply struct {
-	Seg  SegKey
-	Slot int
-}
-
-// LockArgs requests a segment lock.
-type LockArgs struct {
-	Client uint32
-	Tx     uint64
-	Seg    SegKey
-	Mode   LockMode
-}
-
-// LockObjectArgs requests an object-level lock.
-type LockObjectArgs struct {
-	Client uint32
-	Tx     uint64
-	Seg    SegKey
-	Slot   int
-	Mode   LockMode
-}
-
-// CommitArgs ships the transaction's dirty segments.
-type CommitArgs struct {
-	Client uint32
-	Tx     uint64
-	Segs   []SegImage
-}
-
-// AbortArgs aborts a transaction.
-type AbortArgs struct {
-	Client uint32
-	Tx     uint64
-}
-
-// SegmentsOfArgs lists a file's segments.
-type SegmentsOfArgs struct {
-	DB     uint32
-	FileID uint32
-}
-
-// SegmentsOfReply carries them.
-type SegmentsOfReply struct{ Segs []SegKey }
-
-// ReleasedArgs reports a dropped cached copy.
-type ReleasedArgs struct {
-	Client uint32
-	Seg    SegKey
-}
-
-// NameBindArgs binds a root-object name.
-type NameBindArgs struct {
-	DB   uint32
-	Name string
-	OID  [12]byte
-}
-
-// NameLookupArgs resolves a name.
-type NameLookupArgs struct {
-	DB   uint32
-	Name string
-}
-
-// NameLookupReply carries the OID.
-type NameLookupReply struct{ OID [12]byte }
-
-// NameUnbindArgs removes a name.
-type NameUnbindArgs struct {
-	DB   uint32
-	Name string
-}
-
-// NameRemoveOIDArgs removes the name bound to an OID (object deletion).
-type NameRemoveOIDArgs struct {
-	DB  uint32
-	OID [12]byte
-}
-
-// CallbackArgs is the server→client revocation request: drop the cached
-// copy of Seg (callback locking, §3).
-type CallbackArgs struct{ Seg SegKey }
-
-// CallbackReply reports whether the client complied; Refused means a live
-// transaction is using the copy and the requester must wait.
-type CallbackReply struct{ Refused bool }
-
-// Empty is the empty reply.
-type Empty struct{}
-
-// SnapOpenArgs opens a snapshot.
-type SnapOpenArgs struct{ Client uint32 }
-
-// SnapOpenReply names the snapshot and its version stamp.
-type SnapOpenReply struct {
-	Snap  uint64
-	Stamp uint64
-}
-
-// SnapCloseArgs releases a snapshot.
-type SnapCloseArgs struct {
-	Client uint32
-	Snap   uint64
-}
-
-// SnapFetchArgs fetches a segment image as of a snapshot's stamp.
-type SnapFetchArgs struct {
-	Client uint32
-	Snap   uint64
-	Seg    SegKey
-}
-
-// PrepareArgs is the 2PC vote request for a distributed branch.
-type PrepareArgs struct {
-	Client uint32
-	Tx     uint64
-	Segs   []SegImage
-}
-
-// DecideArgs delivers the 2PC decision.
-type DecideArgs struct {
-	Tx     uint64
-	Commit bool
-}

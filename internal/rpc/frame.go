@@ -31,14 +31,14 @@ import (
 // loopback benches that never opt in pay nothing. N never includes the
 // trailer.
 //
-// The payload of a request is the method's encoded argument body; hot
-// methods use the hand-written codecs in internal/proto, cold methods carry
-// a gob stream. A reply's payload is the encoded result body, or the error
-// message when the error flag is set — either way the bytes travel exactly
-// once (no inner encode of an outer frame, unlike the pre-E12 double-gob
-// protocol). Methods outside the fixed id table (flagNamed) prefix the
-// payload with a 2-byte name length and the method name, keeping the
-// protocol open to tests and future methods without burning ids.
+// The payload of a request is the method's argument message and a reply's
+// payload is its result message, both in the internal/proto codec, or the
+// error message when the error flag is set — either way the bytes travel
+// exactly once (no inner encode of an outer frame, unlike the pre-E12
+// double-gob protocol). Methods outside the fixed id table (flagNamed)
+// prefix the payload with a 2-byte name length and the method name, keeping
+// the protocol open to tests and probes without burning ids; the flag says
+// nothing about the body.
 //
 // Stream frames (flagStream) are one-way: the id field names a stream (a
 // scan id) instead of a pending request, no reply is ever matched, and the

@@ -5,10 +5,10 @@
 // requests.
 //
 // Wire format: a stream of length-prefixed binary frames (see frame.go);
-// each frame carries a request or a reply matched by id. Hot methods encode
-// their bodies with the hand-written codecs in internal/proto via CallRaw /
-// Handle; cold methods keep gob bodies via Call / HandleFunc, so the two
-// body codecs coexist on one connection. Outbound frames coalesce: a sender
+// each frame carries a request or a reply matched by id. A body is one
+// message in the internal/proto codec: Call and Typed encode and decode it,
+// CallRaw and a bare Handler move bytes that are already encoded. Outbound
+// frames coalesce: a sender
 // appends its frame to a pending buffer and the first sender to reach the
 // socket flushes for everyone queued behind it — the same leader/follower
 // pattern the WAL uses for group commit, applied to writes instead of
@@ -27,8 +27,6 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +37,7 @@ import (
 
 	"bess/internal/goleak"
 	"bess/internal/lockcheck"
+	"bess/internal/proto"
 )
 
 // Errors returned by the peer.
@@ -123,6 +122,11 @@ type Peer struct {
 	closeErr error                    // guarded by mu
 
 	onClose func(error) // guarded by mu; runs once when the read loop exits
+
+	// served is closed when inbound requests may be dispatched: at once on
+	// a peer from NewPeer, at the first Serve on one from Listener.Accept.
+	served     chan struct{}
+	servedOnce sync.Once
 }
 
 // SetOnClose registers fn to run once when the peer shuts down, composing
@@ -148,11 +152,19 @@ func (p *Peer) SetOnClose(fn func(error)) {
 
 // NewPeer wraps a connection and starts the read loop.
 func NewPeer(conn io.ReadWriteCloser) *Peer {
+	p := newPeer(conn)
+	p.release()
+	return p
+}
+
+// newPeer starts a peer that holds inbound requests until release.
+func newPeer(conn io.ReadWriteCloser) *Peer {
 	p := &Peer{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
 		handlers: make(map[string]Handler),
 		calls:    make(map[uint64]chan frame),
+		served:   make(chan struct{}),
 	}
 	p.mu.Init("Peer.mu", rankPeerMu)
 	p.wmu.Init("Peer.wmu", rankPeerWmu)
@@ -161,14 +173,23 @@ func NewPeer(conn io.ReadWriteCloser) *Peer {
 	return p
 }
 
-// Handle registers a raw method handler (binary body codec). Must be called
-// before the method can arrive; registering after NewPeer but before the
-// other side calls is the normal pattern.
-func (p *Peer) Handle(method string, h Handler) {
+// Serve installs a table of method handlers in one step. On a peer from
+// Listener.Accept it also releases the requests that arrived before it: an
+// accepted peer answers nothing until its first Serve, so a client that
+// calls the moment it connects can never find half a handler table.
+func (p *Peer) Serve(handlers map[string]Handler) {
 	p.mu.Lock()
-	p.handlers[method] = h
+	for method, h := range handlers {
+		p.handlers[method] = h
+	}
 	p.mu.Unlock()
+	p.release()
 }
+
+// Handle is Serve for a single method.
+func (p *Peer) Handle(method string, h Handler) { p.Serve(map[string]Handler{method: h}) }
+
+func (p *Peer) release() { p.servedOnce.Do(func() { close(p.served) }) }
 
 // HandleStream registers a handler for one-way stream frames of method. A
 // stream frame whose method has no handler is silently dropped — frames in
@@ -196,25 +217,27 @@ func (p *Peer) SendStream(method string, stream uint64, body []byte) error {
 	return p.send(&f)
 }
 
-// HandleFunc registers a typed gob handler: args is decoded into a fresh A.
-// This is the cold-method fallback; hot methods register a Handle with a
-// proto binary codec instead.
-func HandleFunc[A any, R any](p *Peer, method string, fn func(*A) (*R, error)) {
-	p.Handle(method, func(body []byte) ([]byte, error) {
-		var a A
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-			return nil, fmt.Errorf("rpc: decode %s args: %w", method, err)
-		}
-		res, err := fn(&a)
-		if err != nil || res == nil {
+// Typed adapts a function over decoded messages to a Handler: the request
+// body is decoded into a fresh A (a malformed or out-of-range body is
+// refused before fn runs) and fn's reply is encoded as the reply body.
+func Typed[A, R any, PA interface {
+	*A
+	proto.Message
+}, PR interface {
+	*R
+	proto.Message
+}](fn func(*A) (*R, error)) Handler {
+	return func(body []byte) ([]byte, error) {
+		a := new(A)
+		if err := proto.Decode(body, PA(a)); err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+		r, err := fn(a)
+		if err != nil {
 			return nil, err
 		}
-		return buf.Bytes(), nil
-	})
+		return proto.Encode(PR(r))
+	}
 }
 
 // CallRaw sends a request whose body is already encoded and returns the
@@ -255,25 +278,19 @@ func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
 	return rf.body, nil
 }
 
-// Call sends a request with a gob-encoded body and gob-decodes the reply
-// into reply (a pointer). The cold-method path.
-func (p *Peer) Call(method string, args any, reply any) error {
-	var body []byte
-	if args != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(args); err != nil {
-			return err
-		}
-		body = buf.Bytes()
+// Call encodes args as the request body and decodes the reply body into
+// reply; a nil reply ignores the body.
+func (p *Peer) Call(method string, args, reply proto.Message) error {
+	body, err := proto.Encode(args)
+	if err != nil {
+		return fmt.Errorf("rpc: encode %s args: %w", method, err)
 	}
 	rb, err := p.CallRaw(method, body)
-	if err != nil {
+	if err != nil || reply == nil {
 		return err
 	}
-	if reply != nil {
-		if err := gob.NewDecoder(bytes.NewReader(rb)).Decode(reply); err != nil {
-			return fmt.Errorf("rpc: decode %s reply: %w", method, err)
-		}
+	if err := proto.Decode(rb, reply); err != nil {
+		return fmt.Errorf("rpc: decode %s reply: %w", method, err)
 	}
 	return nil
 }
@@ -437,6 +454,7 @@ func (p *Peer) readLoop() {
 }
 
 func (p *Peer) dispatch(f frame) {
+	<-p.served // an accepted peer's first Serve, or shutdown
 	p.mu.Lock()
 	h := p.handlers[f.name]
 	p.mu.Unlock()
@@ -479,6 +497,7 @@ func (p *Peer) shutdown(err error) {
 	}
 	onClose := p.onClose
 	p.mu.Unlock()
+	p.release() // requests still held get a closed peer, not a wait
 	// Fail senders parked on the coalescing buffer and any future writes.
 	p.wmu.Lock()
 	if p.werr == nil {
@@ -545,13 +564,15 @@ func Listen(addr string) (*Listener, error) {
 // Addr returns the bound address.
 func (l *Listener) Addr() string { return l.l.Addr().String() }
 
-// Accept waits for the next peer.
+// Accept waits for the next peer. The peer reads from the start but holds
+// inbound requests until its first Serve (or Handle): the caller installs
+// its handlers after Accept returns, and the client may already have sent.
 func (l *Listener) Accept() (*Peer, error) {
 	conn, err := l.l.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return NewPeer(conn), nil
+	return newPeer(conn), nil
 }
 
 // Close stops accepting.

@@ -9,18 +9,22 @@ import (
 	"time"
 
 	"bess/internal/goleak"
+	"bess/internal/proto"
 )
 
 type echoArgs struct{ Msg string }
 type echoReply struct{ Msg string }
 
+func (m *echoArgs) Fields(c *proto.Cursor)  { c.String(&m.Msg) }
+func (m *echoReply) Fields(c *proto.Cursor) { c.String(&m.Msg) }
+
 func TestCallOverPipe(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	HandleFunc(b, "echo", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "re: " + in.Msg}, nil
-	})
+	}))
 	var rep echoReply
 	if err := a.Call("echo", &echoArgs{Msg: "hi"}, &rep); err != nil {
 		t.Fatal(err)
@@ -34,9 +38,9 @@ func TestRemoteError(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	HandleFunc(b, "boom", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("boom", Typed(func(in *echoArgs) (*echoReply, error) {
 		return nil, errors.New("kapow")
-	})
+	}))
 	err := a.Call("boom", &echoArgs{}, &echoReply{})
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "kapow" {
@@ -58,18 +62,18 @@ func TestBidirectionalCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	HandleFunc(a, "client-side", func(in *echoArgs) (*echoReply, error) {
+	a.Handle("client-side", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "from-a"}, nil
-	})
+	}))
 	// b's handler calls back into a over the same connection — the callback
 	// locking pattern.
-	HandleFunc(b, "server-side", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("server-side", Typed(func(in *echoArgs) (*echoReply, error) {
 		var rep echoReply
 		if err := b.Call("client-side", &echoArgs{}, &rep); err != nil {
 			return nil, err
 		}
 		return &echoReply{Msg: "server saw " + rep.Msg}, nil
-	})
+	}))
 	var rep echoReply
 	if err := a.Call("server-side", &echoArgs{}, &rep); err != nil {
 		t.Fatal(err)
@@ -83,9 +87,9 @@ func TestConcurrentCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	HandleFunc(b, "echo", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: in.Msg}, nil
-	})
+	}))
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {
@@ -120,10 +124,10 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 	t.Cleanup(func() { goleak.Check(t, "rpc.") })
 	a, b := Pipe()
 	release := make(chan struct{})
-	HandleFunc(b, "slow", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("slow", Typed(func(in *echoArgs) (*echoReply, error) {
 		<-release
 		return &echoReply{}, nil
-	})
+	}))
 	defer close(release)
 	const pending = 8
 	done := make(chan error, pending)
@@ -156,12 +160,12 @@ func TestCloseMidBurstDrainsDispatch(t *testing.T) {
 	a, b := Pipe()
 	var entered, exited atomic.Int32
 	release := make(chan struct{})
-	HandleFunc(b, "slow", func(in *echoArgs) (*echoReply, error) {
+	b.Handle("slow", Typed(func(in *echoArgs) (*echoReply, error) {
 		entered.Add(1)
 		<-release
 		exited.Add(1)
 		return &echoReply{}, nil
-	})
+	}))
 	const burst = 16
 	done := make(chan error, burst)
 	for i := 0; i < burst; i++ {
@@ -311,29 +315,63 @@ func TestTCPTransport(t *testing.T) {
 		if err != nil {
 			return
 		}
-		HandleFunc(p, "echo", func(in *echoArgs) (*echoReply, error) {
+		p.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
 			return &echoReply{Msg: "tcp " + in.Msg}, nil
-		})
+		}))
 	}()
 	c, err := Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The handler registers asynchronously after accept; the accepted peer
+	// holds the request until then.
 	var rep echoReply
-	// The handler registers asynchronously after accept; retry briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err = c.Call("echo", &echoArgs{Msg: "net"}, &rep)
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
+	if err := c.Call("echo", &echoArgs{Msg: "net"}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Msg != "tcp net" {
 		t.Fatalf("reply = %q", rep.Msg)
+	}
+}
+
+// TestAcceptHoldsRequestsUntilServe is the accept/serve race regression: a
+// request already in the socket buffer when Accept returns — and for as long
+// as the server takes to install its handlers — is answered, never refused
+// with "no handler for method".
+func TestAcceptHoldsRequestsUntilServe(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := Dial(l.Addr()) // completes in the kernel's backlog, before Accept
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	done := make(chan error, 1)
+	var rep echoReply
+	go func() { done <- c.Call("echo", &echoArgs{Msg: "early"}, &rep) }()
+	for c.WireStats().Flushes == 0 { // the request is on the socket
+		time.Sleep(time.Millisecond)
+	}
+	p, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// Give a read loop that dispatches before Serve every chance to refuse.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("call finished before any handler was installed: %v", err)
+	default:
+	}
+	p.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
+		return &echoReply{Msg: "re: " + in.Msg}, nil
+	}))
+	if err := <-done; err != nil || rep.Msg != "re: early" {
+		t.Fatalf("reply = %q, err = %v", rep.Msg, err)
 	}
 }

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +10,7 @@ import (
 
 	"bess/internal/lockcheck"
 	"bess/internal/names"
+	"bess/internal/page"
 	"bess/internal/proto"
 )
 
@@ -20,13 +21,16 @@ type segMeta struct {
 	SlottedPages int
 }
 
-// dbMeta is the catalog's record of one database.
+// dbMeta is the catalog's record of one database. Segments never leave the
+// catalog, so the list of them in creation order is the whole record;
+// Segments and Files index it.
 type dbMeta struct {
 	ID       uint32
 	Name     string
-	Areas    []uint32 // storage areas, in attach order
-	Segments map[proto.SegKey]*segMeta
-	Files    map[uint32][]proto.SegKey
+	Areas    []uint32                  // storage areas, in attach order
+	Created  []*segMeta                // every segment, in creation order
+	Segments map[proto.SegKey]*segMeta // Created by key
+	Files    map[uint32][]proto.SegKey // Created by file, order kept
 	NextFile uint32
 	Types    []proto.TypeInfo
 	NamesEnc []byte // encoded names.Directory
@@ -42,8 +46,9 @@ type catalog struct {
 	NextDB uint32 // guarded by mu
 	// NextArea is global: area ids are unique per server.
 	NextArea uint32             // guarded by mu
-	DBs      map[string]*dbMeta // guarded by mu
-	ByID     map[uint32]*dbMeta // guarded by mu
+	Created  []*dbMeta          // guarded by mu; every database, in creation order
+	DBs      map[string]*dbMeta // guarded by mu; Created by name
+	ByID     map[uint32]*dbMeta // guarded by mu; Created by id
 
 	// decoded name directories, lazily materialized from NamesEnc
 	dirs map[uint32]*names.Directory // guarded by mu
@@ -61,38 +66,117 @@ func newCatalog(path string) *catalog {
 	return c
 }
 
-// loadCatalog reads the catalog from path. The returned value is not yet
-// shared, so fields are touched without c.mu.
+// The catalog file is the catalog message below in the proto codec followed
+// by a CRC-32C of those bytes. Only lists are written, each in creation
+// order, so the same DDL sequence always produces the same file.
+const (
+	catalogMagic   uint32 = 0xBE55CA7A
+	catalogVersion uint16 = 1
+)
+
+// ErrCatalogCorrupt reports a catalog file that fails its checksum or does
+// not parse; ErrCatalogOldFormat a data directory whose catalog was written
+// by a build that still used gob (no migration path: recreate the
+// directory).
+var (
+	ErrCatalogCorrupt   = errors.New("server: catalog file is corrupt")
+	ErrCatalogOldFormat = errors.New("server: catalog.gob was written by an older build; this build cannot read it")
+)
+
+// Fields is the catalog file's layout.
+//
+//bess:holds mu
+func (c *catalog) Fields(w *proto.Cursor) {
+	magic, version := catalogMagic, catalogVersion
+	w.U32(&magic)
+	w.U16(&version)
+	if magic != catalogMagic || version != catalogVersion {
+		w.Failf("catalog magic %#08x version %d", magic, version)
+	}
+	w.U32(&c.NextDB)
+	w.U32(&c.NextArea)
+	dbs := proto.Repeat(w, &c.Created, dbMetaMin)
+	for i := range dbs {
+		if dbs[i] == nil { // decoding
+			dbs[i] = new(dbMeta)
+		}
+		dbs[i].Fields(w)
+	}
+}
+
+// dbMetaMin is the least a dbMeta occupies: its two words and the length or
+// count of its five variable parts.
+const dbMetaMin = 7 * 4
+
+func (m *dbMeta) Fields(w *proto.Cursor) {
+	w.U32(&m.ID)
+	w.String(&m.Name)
+	areas := proto.Repeat(w, &m.Areas, 4)
+	for i := range areas {
+		w.U32(&areas[i])
+	}
+	segs := proto.Repeat(w, &m.Created, 12+4+4)
+	for i := range segs {
+		if segs[i] == nil { // decoding
+			segs[i] = new(segMeta)
+		}
+		w.SegKey(&segs[i].Seg)
+		w.U32(&segs[i].FileID)
+		w.Count(&segs[i].SlottedPages)
+	}
+	w.U32(&m.NextFile)
+	types := proto.Repeat(w, &m.Types, proto.TypeInfoMin)
+	for i := range types {
+		types[i].Fields(w)
+	}
+	w.Section(&m.NamesEnc)
+}
+
+// index enters m, whose Created list is complete, into the catalog's maps
+// and builds its own.
+//
+//bess:holds mu
+func (c *catalog) index(m *dbMeta) {
+	c.DBs[m.Name], c.ByID[m.ID] = m, m
+	m.Segments = make(map[proto.SegKey]*segMeta, len(m.Created))
+	m.Files = make(map[uint32][]proto.SegKey)
+	for _, sm := range m.Created {
+		m.add(sm)
+	}
+}
+
+// add indexes one segment of m.Created.
+func (m *dbMeta) add(sm *segMeta) {
+	m.Segments[sm.Seg] = sm
+	m.Files[sm.FileID] = append(m.Files[sm.FileID], sm.Seg)
+}
+
+// loadCatalog reads the catalog of a server directory; a directory without
+// one gets an empty catalog. The returned value is not yet shared, so
+// fields are touched without c.mu.
 //
 //bess:prepublish
-func loadCatalog(path string) (c *catalog, err error) {
-	c = newCatalog(path)
-	f, err := os.Open(path)
+func loadCatalog(dir string) (*catalog, error) {
+	if _, err := os.Stat(filepath.Join(dir, "catalog.gob")); err == nil {
+		return nil, ErrCatalogOldFormat
+	}
+	c := newCatalog(filepath.Join(dir, "catalog.bess"))
+	b, err := os.ReadFile(c.path)
 	if os.IsNotExist(err) {
 		return c, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer func() { err = errors.Join(err, f.Close()) }()
-	if err := gob.NewDecoder(f).Decode(c); err != nil {
-		return nil, fmt.Errorf("server: load catalog: %w", err)
+	body := len(b) - 4
+	if body < 0 || binary.BigEndian.Uint32(b[body:]) != page.Checksum(b[:body]) {
+		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCatalogCorrupt, c.path)
 	}
-	c.path = path
-	c.dirs = make(map[uint32]*names.Directory)
-	// gob skips nil maps inside; normalize.
-	if c.DBs == nil {
-		c.DBs = make(map[string]*dbMeta)
+	if err := proto.Decode(b[:body], c); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCatalogCorrupt, c.path, err)
 	}
-	c.ByID = make(map[uint32]*dbMeta)
-	for _, m := range c.DBs {
-		if m.Segments == nil {
-			m.Segments = make(map[proto.SegKey]*segMeta)
-		}
-		if m.Files == nil {
-			m.Files = make(map[uint32][]proto.SegKey)
-		}
-		c.ByID[m.ID] = m
+	for _, m := range c.Created {
+		c.index(m)
 	}
 	return c, nil
 }
@@ -112,17 +196,20 @@ func (c *catalog) persistLocked() error {
 	if c.path == "" {
 		return nil
 	}
+	b, err := proto.Encode(c)
+	if err != nil {
+		return err
+	}
+	b = binary.BigEndian.AppendUint32(b, page.Checksum(b))
 	tmp := c.path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(c); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return err
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		err = errors.Join(err, f.Close())
 		os.Remove(tmp)
 		return err
@@ -139,16 +226,10 @@ func (c *catalog) createDB(name string) (*dbMeta, error) {
 	if _, dup := c.DBs[name]; dup {
 		return nil, fmt.Errorf("server: database %q exists", name)
 	}
-	m := &dbMeta{
-		ID:       c.NextDB,
-		Name:     name,
-		Segments: make(map[proto.SegKey]*segMeta),
-		Files:    make(map[uint32][]proto.SegKey),
-		NextFile: 1,
-	}
+	m := &dbMeta{ID: c.NextDB, Name: name, NextFile: 1}
 	c.NextDB++
-	c.DBs[name] = m
-	c.ByID[m.ID] = m
+	c.Created = append(c.Created, m)
+	c.index(m)
 	return m, c.persistLocked()
 }
 
@@ -183,8 +264,8 @@ func (c *catalog) allocAreaID(db *dbMeta) (uint32, error) {
 func (c *catalog) addSegment(db *dbMeta, sm *segMeta) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	db.Segments[sm.Seg] = sm
-	db.Files[sm.FileID] = append(db.Files[sm.FileID], sm.Seg)
+	db.Created = append(db.Created, sm)
+	db.add(sm)
 	return c.persistLocked()
 }
 
@@ -320,6 +401,3 @@ func (c *catalog) allSegMetas() []*segMeta {
 	})
 	return out
 }
-
-// catalogPath computes the catalog file path for a server directory.
-func catalogPath(dir string) string { return filepath.Join(dir, "catalog.gob") }

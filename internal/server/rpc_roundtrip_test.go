@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -28,11 +30,11 @@ func callPeer(t *testing.T) (*Server, *rpc.Peer) {
 func TestRPCFullSurface(t *testing.T) {
 	s, p := callPeer(t)
 
-	var hello proto.HelloReply
+	var hello proto.IDReply
 	if err := p.Call("Hello", &proto.HelloArgs{Name: "rpc-test"}, &hello); err != nil {
 		t.Fatal(err)
 	}
-	if hello.Client == 0 {
+	if hello.ID == 0 {
 		t.Fatal("no client id")
 	}
 
@@ -41,16 +43,16 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var fid proto.NewFileIDReply
-	if err := p.Call("NewFileID", &proto.NewFileIDArgs{DB: odb.DB}, &fid); err != nil {
+	var fid proto.IDReply
+	if err := p.Call("NewFileID", &proto.DBArgs{DB: odb.DB}, &fid); err != nil {
 		t.Fatal(err)
 	}
-	if fid.File == 0 {
+	if fid.ID == 0 {
 		t.Fatal("file id 0")
 	}
 
-	var aa proto.AddAreaReply
-	if err := p.Call("AddArea", &proto.AddAreaArgs{DB: odb.DB}, &aa); err != nil {
+	var aa proto.IDReply
+	if err := p.Call("AddArea", &proto.DBArgs{DB: odb.DB}, &aa); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +63,7 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tys proto.TypesReply
-	if err := p.Call("Types", &proto.TypesArgs{DB: odb.DB}, &tys); err != nil {
+	if err := p.Call("Types", &proto.DBArgs{DB: odb.DB}, &tys); err != nil {
 		t.Fatal(err)
 	}
 	if len(tys.Infos) != 1 || tys.Infos[0].Name != "T" {
@@ -70,12 +72,12 @@ func TestRPCFullSurface(t *testing.T) {
 
 	var cs proto.CreateSegmentReply
 	if err := p.Call("CreateSegment", &proto.CreateSegmentArgs{
-		DB: odb.DB, FileID: fid.File, SlottedPages: 1, DataPages: 2, AreaHint: 1,
+		DB: odb.DB, FileID: fid.ID, SlottedPages: 1, DataPages: 2, AreaHint: 1,
 	}, &cs); err != nil {
 		t.Fatal(err)
 	}
 	var si proto.SegInfoReply
-	if err := p.Call("SegInfo", &proto.SegInfoArgs{Seg: cs.Seg}, &si); err != nil {
+	if err := p.Call("SegInfo", &proto.SegArgs{Seg: cs.Seg}, &si); err != nil {
 		t.Fatal(err)
 	}
 	if si.SlottedPages != 1 {
@@ -83,30 +85,24 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	var segs proto.SegmentsOfReply
-	if err := p.Call("SegmentsOf", &proto.SegmentsOfArgs{DB: odb.DB, FileID: fid.File}, &segs); err != nil {
+	if err := p.Call("SegmentsOf", &proto.SegmentsOfArgs{DB: odb.DB, FileID: fid.ID}, &segs); err != nil {
 		t.Fatal(err)
 	}
 	if len(segs.Segs) != 1 || segs.Segs[0] != cs.Seg {
 		t.Fatalf("segments = %v", segs.Segs)
 	}
 
-	// Hot methods speak the binary codecs over raw frame bodies.
-	fsBody, err := p.CallRaw("FetchSlotted", proto.AppendFetchArgs(nil, hello.Client, cs.Seg))
-	if err != nil {
-		t.Fatal(err)
+	fetch := &proto.ClientSegArgs{Client: hello.ID, Seg: cs.Seg}
+	var fsl proto.FetchSlottedReply
+	if err := p.Call("FetchSlotted", fetch, &fsl); err != nil || len(fsl.Slotted) == 0 {
+		t.Fatalf("FetchSlotted: %d slotted bytes, err %v", len(fsl.Slotted), err)
 	}
-	if _, _, err := proto.DecodeFetchSlottedReply(fsBody); err != nil {
-		t.Fatal(err)
+	var fd proto.Bytes
+	if err := p.Call("FetchData", fetch, &fd); err != nil || len(fd.Data) == 0 {
+		t.Fatalf("FetchData: %d bytes, err %v", len(fd.Data), err)
 	}
-	if _, err := p.CallRaw("FetchData", proto.AppendFetchArgs(nil, hello.Client, cs.Seg)); err != nil {
-		t.Fatal(err)
-	}
-	segBody, err := p.CallRaw("FetchSeg", proto.AppendFetchArgs(nil, hello.Client, cs.Seg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := proto.DecodeSegImage(segBody)
-	if err != nil {
+	var img proto.SegImage
+	if err := p.Call("FetchSeg", fetch, &img); err != nil {
 		t.Fatal(err)
 	}
 	if img.Seg != cs.Seg || len(img.Slotted) == 0 || len(img.Data) == 0 {
@@ -114,13 +110,13 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	var ntx proto.NewTxReply
-	if err := p.Call("NewTx", &proto.NewTxArgs{Client: hello.Client}, &ntx); err != nil {
+	if err := p.Call("NewTx", &proto.ClientArgs{Client: hello.ID}, &ntx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CallRaw("Lock", proto.AppendLockArgs(nil, hello.Client, ntx.Tx, cs.Seg, proto.LockX)); err != nil {
+	if err := p.Call("Lock", &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CallRaw("LockObject", proto.AppendLockObjectArgs(nil, hello.Client, ntx.Tx, cs.Seg, 0, proto.LockS)); err != nil {
+	if err := p.Call("LockObject", &proto.LockObjectArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockS}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,18 +124,18 @@ func TestRPCFullSurface(t *testing.T) {
 	var cl proto.CreateLargeReply
 	content := bytes.Repeat([]byte("x"), 5000)
 	if err := p.Call("CreateLarge", &proto.CreateLargeArgs{
-		Client: hello.Client, Tx: ntx.Tx, Seg: cs.Seg, Content: content,
+		Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Content: content,
 	}, &cl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CallRaw("Commit", proto.AppendCommitArgs(nil, hello.Client, ntx.Tx, nil)); err != nil {
+	if err := p.Call("Commit", &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
-	flData, err := p.CallRaw("FetchLarge", proto.AppendFetchLargeArgs(nil, hello.Client, cs.Seg, cl.Slot))
-	if err != nil {
+	var fl proto.Bytes
+	if err := p.Call("FetchLarge", &proto.FetchLargeArgs{Client: hello.ID, Seg: cs.Seg, Slot: cl.Slot}, &fl); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(flData, content) {
+	if !bytes.Equal(fl.Data, content) {
 		t.Fatal("large content over RPC")
 	}
 
@@ -153,7 +149,7 @@ func TestRPCFullSurface(t *testing.T) {
 	if err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
-	var rr proto.RunReply
+	var rr proto.Bytes
 	if err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 1}, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -176,40 +172,34 @@ func TestRPCFullSurface(t *testing.T) {
 
 	// Names.
 	o := oid.OID{Host: 1, DB: uint16(odb.DB), Offset: off, Unique: 0}
-	var nb proto.NameBindArgs
-	nb.DB, nb.Name = odb.DB, "root"
-	o.Put(nb.OID[:])
+	nb := proto.NameBindArgs{DB: odb.DB, Name: "root", OID: o}
 	if err := p.Call("NameBind", &nb, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	var nl proto.NameLookupReply
-	if err := p.Call("NameLookup", &proto.NameLookupArgs{DB: odb.DB, Name: "root"}, &nl); err != nil {
+	if err := p.Call("NameLookup", &proto.NameArgs{DB: odb.DB, Name: "root"}, &nl); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := oid.Decode(nl.OID[:])
-	if got != o {
-		t.Fatalf("lookup = %v", got)
+	if nl.OID != o {
+		t.Fatalf("lookup = %v", nl.OID)
 	}
-	var nro proto.NameRemoveOIDArgs
-	nro.DB = odb.DB
-	o.Put(nro.OID[:])
-	if err := p.Call("NameRemoveOID", &nro, &proto.Empty{}); err != nil {
+	if err := p.Call("NameRemoveOID", &proto.NameRemoveOIDArgs{DB: odb.DB, OID: o}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("NameLookup", &proto.NameLookupArgs{DB: odb.DB, Name: "root"}, &nl); err == nil {
+	if err := p.Call("NameLookup", &proto.NameArgs{DB: odb.DB, Name: "root"}, &nl); err == nil {
 		t.Fatal("name survived RemoveOID over RPC")
 	}
 	if err := p.Call("NameBind", &nb, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("NameUnbind", &proto.NameUnbindArgs{DB: odb.DB, Name: "root"}, &proto.Empty{}); err != nil {
+	if err := p.Call("NameUnbind", &proto.NameArgs{DB: odb.DB, Name: "root"}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// 2PC over RPC.
 	var ntx2 proto.NewTxReply
-	p.Call("NewTx", &proto.NewTxArgs{}, &ntx2)
-	if err := p.Call("Prepare", &proto.PrepareArgs{Client: hello.Client, Tx: ntx2.Tx}, &proto.Empty{}); err != nil {
+	p.Call("NewTx", &proto.ClientArgs{}, &ntx2)
+	if err := p.Call("Prepare", &proto.CommitArgs{Client: hello.ID, Tx: ntx2.Tx}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Call("Decide", &proto.DecideArgs{Tx: ntx2.Tx, Commit: false}, &proto.Empty{}); err != nil {
@@ -217,12 +207,12 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	// Abort of a never-started tx is a no-op.
-	if err := p.Call("Abort", &proto.AbortArgs{Client: hello.Client, Tx: 999999}, &proto.Empty{}); err != nil {
+	if err := p.Call("Abort", &proto.AbortArgs{Client: hello.ID, Tx: 999999}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Released.
-	if err := p.Call("Released", &proto.ReleasedArgs{Client: hello.Client, Seg: cs.Seg}, &proto.Empty{}); err != nil {
+	if err := p.Call("Released", &proto.ClientSegArgs{Client: hello.ID, Seg: cs.Seg}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,10 +227,12 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 }
 
-// TestRPCRunBoundsRejected: raw-run requests arrive off the wire, so every
+// TestRPCRunBoundsRejected: page counts arrive off the wire, so every
 // malformed one must come back as an error — a negative page count used to
 // panic the server process and a huge one sized a gigabyte buffer before the
-// first range check; a ragged WriteRun payload silently lost its tail.
+// first range check; a ragged WriteRun payload silently lost its tail. A
+// count outside 31 bits no longer reaches a handler at all: the message's
+// field list refuses it at decode, on every page-count field.
 func TestRPCRunBoundsRejected(t *testing.T) {
 	s, p := callPeer(t)
 	var odb proto.OpenDBReply
@@ -269,10 +261,46 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		if _, err := s.ReadRun(odb.DB, ar.Area, c.start, c.nPages); !errors.Is(err, c.want) {
 			t.Errorf("%s: ReadRun = %v, want %v", c.name, err, c.want)
 		}
-		var rr proto.RunReply
+		var rr proto.Bytes
 		err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
-		if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
+		if c.nPages < 0 || c.nPages > math.MaxInt32 {
+			// Not representable in the field's 31 bits: the call never leaves.
+			if !errors.Is(err, proto.ErrBadMessage) {
+				t.Errorf("%s: ReadRun over RPC = %v, want ErrBadMessage from the encoder", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
 			t.Errorf("%s: ReadRun over RPC = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// A peer that writes the bytes itself can still put anything in a count
+	// field. Each such body is refused before its handler runs.
+	body := func(m proto.Message, off int, word uint32) []byte {
+		b, err := proto.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(b[off:], word)
+		return b
+	}
+	run := &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start}
+	for _, c := range []struct {
+		method string
+		body   []byte
+	}{
+		{"ReadRun", body(run, 16, 0xFFFFFFFF)}, // int32(-1)
+		{"ReadRun", body(run, 16, 0x80000000)},
+		{"AllocRun", body(&proto.AllocRunArgs{DB: odb.DB}, 4, 0xFFFFFFFF)},
+		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, DataPages: 1}, 8, 0xFFFFFFFF)},
+		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1}, 12, 0x80000000)},
+	} {
+		before := s.Snapshot().Messages
+		_, err := p.CallRaw(c.method, c.body)
+		if err == nil || !strings.Contains(err.Error(), proto.ErrBadMessage.Error()) {
+			t.Errorf("%s with count %x: err = %v, want ErrBadMessage", c.method, c.body, err)
+		}
+		if after := s.Snapshot().Messages; after != before {
+			t.Errorf("%s with a hostile count reached its handler", c.method)
 		}
 	}
 
@@ -289,7 +317,7 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		t.Errorf("ragged WriteRun over RPC = %v, want ErrBadRun", err)
 	}
 	// The server is still up, and the rejected write touched nothing.
-	var rr proto.RunReply
+	var rr proto.Bytes
 	if err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +328,7 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 
 func TestRPCDisconnectCleans(t *testing.T) {
 	s, p := callPeer(t)
-	var hello proto.HelloReply
+	var hello proto.IDReply
 	if err := p.Call("Hello", &proto.HelloArgs{Name: "flaky"}, &hello); err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +337,8 @@ func TestRPCDisconnectCleans(t *testing.T) {
 	var cs proto.CreateSegmentReply
 	p.Call("CreateSegment", &proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1, DataPages: 1}, &cs)
 	var ntx proto.NewTxReply
-	p.Call("NewTx", &proto.NewTxArgs{}, &ntx)
-	if _, err := p.CallRaw("Lock", proto.AppendLockArgs(nil, hello.Client, ntx.Tx, cs.Seg, proto.LockX)); err != nil {
+	p.Call("NewTx", &proto.ClientArgs{}, &ntx)
+	if err := p.Call("Lock", &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	p.Close() // connection drops; OnClose disconnects the client

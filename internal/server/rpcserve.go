@@ -1,298 +1,162 @@
 package server
 
 import (
-	"bess/internal/oid"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 )
 
 // ServePeer wires one connected peer to the server: every proto method gets
-// an RPC handler, and the client's callback path (server→client revocation)
-// is routed back over the same connection. It returns after registering;
-// the peer's read loop drives everything.
-//
-// The hot methods — fetches, locks, commit, and the callback — use the
-// binary codecs from internal/proto over raw frame bodies; everything else
-// stays on the gob fallback.
+// an rpc handler over its args and reply message, and the client's callback
+// path (server→client revocation) is routed back over the same connection.
+// The whole table is installed in one step — an accepted peer answers no
+// request before it — and ServePeer returns; the peer's read loop drives
+// everything.
 func ServePeer(s *Server, p *rpc.Peer) {
 	var clientID uint32
-
-	rpc.HandleFunc(p, "Hello", func(a *proto.HelloArgs) (*proto.HelloReply, error) {
-		id, err := s.Hello(a.Name)
-		if err != nil {
-			return nil, err
-		}
-		clientID = id
-		// Revocations travel back over this connection.
-		err = s.SetCallback(id, func(seg proto.SegKey) (bool, error) {
-			rb, err := p.CallRaw("Callback", proto.AppendCallbackArgs(nil, seg))
-			if err != nil {
-				return false, err
-			}
-			return proto.DecodeCallbackReply(rb)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &proto.HelloReply{Client: id}, nil
-	})
-
 	p.SetOnClose(func(error) {
 		if clientID != 0 {
 			s.Disconnect(clientID)
 		}
 	})
+	empty := &proto.Empty{}
 
-	// Streaming scans: ScanStart plus the ScanData/ScanCtl stream pair.
-	serveScan(s, p)
-
-	rpc.HandleFunc(p, "OpenDB", func(a *proto.OpenDBArgs) (*proto.OpenDBReply, error) {
-		db, host, err := s.OpenDB(a.Name, a.Create)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.OpenDBReply{DB: db, Host: host}, nil
-	})
-	rpc.HandleFunc(p, "NewTx", func(a *proto.NewTxArgs) (*proto.NewTxReply, error) {
-		id, err := s.NewTx()
-		if err != nil {
-			return nil, err
-		}
-		return &proto.NewTxReply{Tx: id}, nil
-	})
-	rpc.HandleFunc(p, "RegisterType", func(a *proto.RegisterTypeArgs) (*proto.RegisterTypeReply, error) {
-		info, err := s.RegisterType(a.DB, a.Info)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.RegisterTypeReply{Info: info}, nil
-	})
-	rpc.HandleFunc(p, "Types", func(a *proto.TypesArgs) (*proto.TypesReply, error) {
-		infos, err := s.Types(a.DB)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.TypesReply{Infos: infos}, nil
-	})
-	rpc.HandleFunc(p, "NewFileID", func(a *proto.NewFileIDArgs) (*proto.NewFileIDReply, error) {
-		id, err := s.NewFileID(a.DB)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.NewFileIDReply{File: id}, nil
-	})
-	rpc.HandleFunc(p, "AddArea", func(a *proto.AddAreaArgs) (*proto.AddAreaReply, error) {
-		id, err := s.AddArea(a.DB)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.AddAreaReply{Area: id}, nil
-	})
-	rpc.HandleFunc(p, "CreateSegment", func(a *proto.CreateSegmentArgs) (*proto.CreateSegmentReply, error) {
-		seg, err := s.CreateSegment(a.DB, a.FileID, a.SlottedPages, a.DataPages, a.AreaHint)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.CreateSegmentReply{Seg: seg}, nil
-	})
-	rpc.HandleFunc(p, "SegInfo", func(a *proto.SegInfoArgs) (*proto.SegInfoReply, error) {
-		n, err := s.SegInfo(a.Seg)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.SegInfoReply{SlottedPages: n}, nil
-	})
-	p.Handle("FetchSlotted", func(body []byte) ([]byte, error) {
-		client, seg, err := proto.DecodeFetchArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		sl, ov, err := s.FetchSlotted(client, seg)
-		if err != nil {
-			return nil, err
-		}
-		return proto.AppendFetchSlottedReply(nil, sl, ov), nil
-	})
-	p.Handle("FetchData", func(body []byte) ([]byte, error) {
-		client, seg, err := proto.DecodeFetchArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return s.FetchData(client, seg)
-	})
-	p.Handle("FetchSeg", func(body []byte) ([]byte, error) {
-		client, seg, err := proto.DecodeFetchArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		sl, ov, data, err := s.FetchSeg(client, seg)
-		if err != nil {
-			return nil, err
-		}
-		return proto.EncodeSegImage(&proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: data}), nil
-	})
-	// Snapshot reads (DESIGN.md §7): binary codecs, zero locks server-side.
-	p.Handle("SnapOpen", func(body []byte) ([]byte, error) {
-		client, err := proto.DecodeSnapOpenArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		snap, stamp, err := s.SnapOpen(client)
-		if err != nil {
-			return nil, err
-		}
-		return proto.AppendSnapOpenReply(nil, snap, stamp), nil
-	})
-	p.Handle("SnapClose", func(body []byte) ([]byte, error) {
-		client, snap, err := proto.DecodeSnapCloseArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.SnapClose(client, snap)
-	})
-	p.Handle("SnapFetchSeg", func(body []byte) ([]byte, error) {
-		client, snap, seg, err := proto.DecodeSnapFetchArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		sl, ov, data, err := s.SnapFetchSeg(client, snap, seg)
-		if err != nil {
-			return nil, err
-		}
-		return proto.EncodeSegImage(&proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: data}), nil
-	})
-	p.Handle("FetchLarge", func(body []byte) ([]byte, error) {
-		client, seg, slot, err := proto.DecodeFetchLargeArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return s.FetchLarge(client, seg, slot)
-	})
-	rpc.HandleFunc(p, "Resolve", func(a *proto.ResolveArgs) (*proto.ResolveReply, error) {
-		seg, slot, err := s.Resolve(a.DB, a.HeaderOff)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.ResolveReply{Seg: seg, Slot: slot}, nil
-	})
-	p.Handle("Lock", func(body []byte) ([]byte, error) {
-		client, tx, seg, mode, err := proto.DecodeLockArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.Lock(client, tx, seg, mode)
-	})
-	p.Handle("LockObject", func(body []byte) ([]byte, error) {
-		client, tx, seg, slot, mode, err := proto.DecodeLockObjectArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.LockObject(client, tx, seg, slot, mode)
-	})
-	p.Handle("Commit", func(body []byte) ([]byte, error) {
-		client, tx, segs, err := proto.DecodeCommitArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.Commit(client, tx, segs)
-	})
-	rpc.HandleFunc(p, "Abort", func(a *proto.AbortArgs) (*proto.Empty, error) {
-		if err := s.Abort(a.Client, a.Tx); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "Prepare", func(a *proto.PrepareArgs) (*proto.Empty, error) {
-		if err := s.Prepare(a.Client, a.Tx, a.Segs); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "Decide", func(a *proto.DecideArgs) (*proto.Empty, error) {
-		if err := s.Decide(a.Tx, a.Commit); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "SegmentsOf", func(a *proto.SegmentsOfArgs) (*proto.SegmentsOfReply, error) {
-		segs, err := s.SegmentsOf(a.DB, a.FileID)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.SegmentsOfReply{Segs: segs}, nil
-	})
-	rpc.HandleFunc(p, "Released", func(a *proto.ReleasedArgs) (*proto.Empty, error) {
-		if err := s.Released(a.Client, a.Seg); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "CreateLarge", func(a *proto.CreateLargeArgs) (*proto.CreateLargeReply, error) {
-		slot, err := s.CreateLarge(a.Client, a.Tx, a.Seg, a.Type, a.Content)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.CreateLargeReply{Slot: slot}, nil
-	})
-	rpc.HandleFunc(p, "AllocRun", func(a *proto.AllocRunArgs) (*proto.AllocRunReply, error) {
-		areaID, start, granted, err := s.AllocRun(a.DB, a.NPages)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.AllocRunReply{Area: areaID, Start: start, Granted: granted}, nil
-	})
-	rpc.HandleFunc(p, "FreeRun", func(a *proto.RunArgs) (*proto.Empty, error) {
-		if err := s.FreeRun(a.DB, a.Area, a.Start); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "ReadRun", func(a *proto.RunArgs) (*proto.RunReply, error) {
-		d, err := s.ReadRun(a.DB, a.Area, a.Start, a.NPages)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.RunReply{Data: d}, nil
-	})
-	rpc.HandleFunc(p, "WriteRun", func(a *proto.RunArgs) (*proto.Empty, error) {
-		if err := s.WriteRun(a.DB, a.Area, a.Start, a.Data); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "NameBind", func(a *proto.NameBindArgs) (*proto.Empty, error) {
-		o, err := oid.Decode(a.OID[:])
-		if err != nil {
-			return nil, err
-		}
-		if err := s.NameBind(a.DB, a.Name, o); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "NameLookup", func(a *proto.NameLookupArgs) (*proto.NameLookupReply, error) {
-		o, err := s.NameLookup(a.DB, a.Name)
-		if err != nil {
-			return nil, err
-		}
-		var rep proto.NameLookupReply
-		o.Put(rep.OID[:])
-		return &rep, nil
-	})
-	rpc.HandleFunc(p, "NameUnbind", func(a *proto.NameUnbindArgs) (*proto.Empty, error) {
-		if err := s.NameUnbind(a.DB, a.Name); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
-	rpc.HandleFunc(p, "NameRemoveOID", func(a *proto.NameRemoveOIDArgs) (*proto.Empty, error) {
-		o, err := oid.Decode(a.OID[:])
-		if err != nil {
-			return nil, err
-		}
-		if err := s.NameRemoveOID(a.DB, o); err != nil {
-			return nil, err
-		}
-		return &proto.Empty{}, nil
-	})
+	h := map[string]rpc.Handler{
+		"Hello": rpc.Typed(func(a *proto.HelloArgs) (*proto.IDReply, error) {
+			id, err := s.Hello(a.Name)
+			if err != nil {
+				return nil, err
+			}
+			clientID = id
+			// Revocations travel back over this connection.
+			err = s.SetCallback(id, func(seg proto.SegKey) (bool, error) {
+				var rep proto.CallbackReply
+				err := p.Call("Callback", &proto.SegArgs{Seg: seg}, &rep)
+				return rep.Refused, err
+			})
+			return &proto.IDReply{ID: id}, err
+		}),
+		"OpenDB": rpc.Typed(func(a *proto.OpenDBArgs) (*proto.OpenDBReply, error) {
+			db, host, err := s.OpenDB(a.Name, a.Create)
+			return &proto.OpenDBReply{DB: db, Host: host}, err
+		}),
+		"NewTx": rpc.Typed(func(*proto.ClientArgs) (*proto.NewTxReply, error) {
+			id, err := s.NewTx()
+			return &proto.NewTxReply{Tx: id}, err
+		}),
+		"RegisterType": rpc.Typed(func(a *proto.RegisterTypeArgs) (*proto.RegisterTypeReply, error) {
+			info, err := s.RegisterType(a.DB, a.Info)
+			return &proto.RegisterTypeReply{Info: info}, err
+		}),
+		"Types": rpc.Typed(func(a *proto.DBArgs) (*proto.TypesReply, error) {
+			infos, err := s.Types(a.DB)
+			return &proto.TypesReply{Infos: infos}, err
+		}),
+		"NewFileID": rpc.Typed(func(a *proto.DBArgs) (*proto.IDReply, error) {
+			id, err := s.NewFileID(a.DB)
+			return &proto.IDReply{ID: id}, err
+		}),
+		"AddArea": rpc.Typed(func(a *proto.DBArgs) (*proto.IDReply, error) {
+			id, err := s.AddArea(a.DB)
+			return &proto.IDReply{ID: id}, err
+		}),
+		"CreateSegment": rpc.Typed(func(a *proto.CreateSegmentArgs) (*proto.CreateSegmentReply, error) {
+			seg, err := s.CreateSegment(a.DB, a.FileID, a.SlottedPages, a.DataPages, a.AreaHint)
+			return &proto.CreateSegmentReply{Seg: seg}, err
+		}),
+		"SegInfo": rpc.Typed(func(a *proto.SegArgs) (*proto.SegInfoReply, error) {
+			n, err := s.SegInfo(a.Seg)
+			return &proto.SegInfoReply{SlottedPages: n}, err
+		}),
+		"FetchSlotted": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.FetchSlottedReply, error) {
+			sl, ov, err := s.FetchSlotted(a.Client, a.Seg)
+			return &proto.FetchSlottedReply{Slotted: sl, Overflow: ov}, err
+		}),
+		"FetchData": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.Bytes, error) {
+			d, err := s.FetchData(a.Client, a.Seg)
+			return &proto.Bytes{Data: d}, err
+		}),
+		"FetchSeg": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.SegImage, error) {
+			sl, ov, data, err := s.FetchSeg(a.Client, a.Seg)
+			return &proto.SegImage{Seg: a.Seg, Slotted: sl, Overflow: ov, Data: data}, err
+		}),
+		"FetchLarge": rpc.Typed(func(a *proto.FetchLargeArgs) (*proto.Bytes, error) {
+			d, err := s.FetchLarge(a.Client, a.Seg, a.Slot)
+			return &proto.Bytes{Data: d}, err
+		}),
+		// Snapshot reads (DESIGN.md §7): zero locks server-side.
+		"SnapOpen": rpc.Typed(func(a *proto.ClientArgs) (*proto.SnapOpenReply, error) {
+			snap, stamp, err := s.SnapOpen(a.Client)
+			return &proto.SnapOpenReply{Snap: snap, Stamp: stamp}, err
+		}),
+		"SnapClose": rpc.Typed(func(a *proto.SnapCloseArgs) (*proto.Empty, error) {
+			return empty, s.SnapClose(a.Client, a.Snap)
+		}),
+		"SnapFetchSeg": rpc.Typed(func(a *proto.SnapFetchArgs) (*proto.SegImage, error) {
+			sl, ov, data, err := s.SnapFetchSeg(a.Client, a.Snap, a.Seg)
+			return &proto.SegImage{Seg: a.Seg, Slotted: sl, Overflow: ov, Data: data}, err
+		}),
+		"Resolve": rpc.Typed(func(a *proto.ResolveArgs) (*proto.ResolveReply, error) {
+			seg, slot, err := s.Resolve(a.DB, a.HeaderOff)
+			return &proto.ResolveReply{Seg: seg, Slot: slot}, err
+		}),
+		"Lock": rpc.Typed(func(a *proto.LockArgs) (*proto.Empty, error) {
+			return empty, s.Lock(a.Client, a.Tx, a.Seg, a.Mode)
+		}),
+		"LockObject": rpc.Typed(func(a *proto.LockObjectArgs) (*proto.Empty, error) {
+			return empty, s.LockObject(a.Client, a.Tx, a.Seg, a.Slot, a.Mode)
+		}),
+		"Commit": rpc.Typed(func(a *proto.CommitArgs) (*proto.Empty, error) {
+			return empty, s.Commit(a.Client, a.Tx, a.Segs)
+		}),
+		"Abort": rpc.Typed(func(a *proto.AbortArgs) (*proto.Empty, error) {
+			return empty, s.Abort(a.Client, a.Tx)
+		}),
+		"Prepare": rpc.Typed(func(a *proto.CommitArgs) (*proto.Empty, error) {
+			return empty, s.Prepare(a.Client, a.Tx, a.Segs)
+		}),
+		"Decide": rpc.Typed(func(a *proto.DecideArgs) (*proto.Empty, error) {
+			return empty, s.Decide(a.Tx, a.Commit)
+		}),
+		"SegmentsOf": rpc.Typed(func(a *proto.SegmentsOfArgs) (*proto.SegmentsOfReply, error) {
+			segs, err := s.SegmentsOf(a.DB, a.FileID)
+			return &proto.SegmentsOfReply{Segs: segs}, err
+		}),
+		"Released": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.Empty, error) {
+			return empty, s.Released(a.Client, a.Seg)
+		}),
+		"CreateLarge": rpc.Typed(func(a *proto.CreateLargeArgs) (*proto.CreateLargeReply, error) {
+			slot, err := s.CreateLarge(a.Client, a.Tx, a.Seg, a.Type, a.Content)
+			return &proto.CreateLargeReply{Slot: slot}, err
+		}),
+		"AllocRun": rpc.Typed(func(a *proto.AllocRunArgs) (*proto.AllocRunReply, error) {
+			areaID, start, granted, err := s.AllocRun(a.DB, a.NPages)
+			return &proto.AllocRunReply{Area: areaID, Start: start, Granted: granted}, err
+		}),
+		"FreeRun": rpc.Typed(func(a *proto.RunArgs) (*proto.Empty, error) {
+			return empty, s.FreeRun(a.DB, a.Area, a.Start)
+		}),
+		"ReadRun": rpc.Typed(func(a *proto.RunArgs) (*proto.Bytes, error) {
+			d, err := s.ReadRun(a.DB, a.Area, a.Start, a.NPages)
+			return &proto.Bytes{Data: d}, err
+		}),
+		"WriteRun": rpc.Typed(func(a *proto.RunArgs) (*proto.Empty, error) {
+			return empty, s.WriteRun(a.DB, a.Area, a.Start, a.Data)
+		}),
+		"NameBind": rpc.Typed(func(a *proto.NameBindArgs) (*proto.Empty, error) {
+			return empty, s.NameBind(a.DB, a.Name, a.OID)
+		}),
+		"NameLookup": rpc.Typed(func(a *proto.NameArgs) (*proto.NameLookupReply, error) {
+			o, err := s.NameLookup(a.DB, a.Name)
+			return &proto.NameLookupReply{OID: o}, err
+		}),
+		"NameUnbind": rpc.Typed(func(a *proto.NameArgs) (*proto.Empty, error) {
+			return empty, s.NameUnbind(a.DB, a.Name)
+		}),
+		"NameRemoveOID": rpc.Typed(func(a *proto.NameRemoveOIDArgs) (*proto.Empty, error) {
+			return empty, s.NameRemoveOID(a.DB, a.OID)
+		}),
+	}
+	// Streaming scans: ScanStart/SnapScanStart plus the ScanCtl stream.
+	serveScan(s, p, h)
+	p.Serve(h)
 }

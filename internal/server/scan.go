@@ -160,20 +160,21 @@ func (t *scanTable) cancelAll() {
 	}
 }
 
-// serveScan registers the streaming-scan handlers on one peer.
-func serveScan(s *Server, p *rpc.Peer) {
+// serveScan adds the streaming-scan handlers of one peer to its handler
+// table h and registers the ScanCtl stream.
+func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 	table := newScanTable()
 	p.SetOnClose(func(error) { table.cancelAll() })
 
-	start := func(client, db, fileID, batch uint32, snap bool, asOf page.LSN) ([]byte, error) {
-		b := int(batch)
+	start := func(a *proto.ScanStartArgs, snap bool, asOf page.LSN) (*proto.ScanStartReply, error) {
+		b := int(a.BatchBytes)
 		if b <= 0 {
 			b = defaultScanBatch
 		}
 		if b > maxScanBatch {
 			b = maxScanBatch
 		}
-		segs, err := s.SegmentsOf(db, fileID)
+		segs, err := s.SegmentsOf(a.DB, a.FileID)
 		if err != nil {
 			return nil, err
 		}
@@ -188,41 +189,33 @@ func serveScan(s *Server, p *rpc.Peer) {
 			}
 			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
 		}
-		c := table.add(client, b, plan, snap, asOf)
+		c := table.add(a.Client, b, plan, snap, asOf)
 		goleak.Go("server.runScan", func() { s.runScan(p, table, c) })
-		return proto.AppendScanStartReply(nil, c.id, plan), nil
+		return &proto.ScanStartReply{Scan: c.id, Segs: plan}, nil
 	}
 
-	p.Handle("ScanStart", func(body []byte) ([]byte, error) {
-		client, db, fileID, batch, err := proto.DecodeScanStartArgs(body)
-		if err != nil {
-			return nil, err
-		}
-		return start(client, db, fileID, batch, false, 0)
+	h["ScanStart"] = rpc.Typed(func(a *proto.ScanStartArgs) (*proto.ScanStartReply, error) {
+		return start(a, false, 0)
 	})
 
 	// SnapScanStart opens the same push cursor, but every image the cursor
 	// ships is read as of the snapshot's stamp — a stable analytics scan
 	// while updaters commit underneath (DESIGN.md §7).
-	p.Handle("SnapScanStart", func(body []byte) ([]byte, error) {
-		client, db, fileID, batch, snap, err := proto.DecodeSnapScanStartArgs(body)
+	h["SnapScanStart"] = rpc.Typed(func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
+		stamp, err := s.snapStamp(a.Snap)
 		if err != nil {
 			return nil, err
 		}
-		stamp, err := s.snapStamp(snap)
-		if err != nil {
-			return nil, err
-		}
-		return start(client, db, fileID, batch, true, stamp)
+		return start(&a.ScanStartArgs, true, stamp)
 	})
 
 	p.HandleStream("ScanCtl", func(stream uint64, body []byte) {
-		cancel, credit, err := proto.DecodeScanCtl(body)
-		if err != nil {
+		var ctl proto.ScanCtl
+		if proto.Decode(body, &ctl) != nil {
 			return // a garbled ctl frame is dropped, not fatal
 		}
 		if c := table.lookup(stream); c != nil {
-			c.grant(cancel, credit)
+			c.grant(ctl.Cancel, ctl.Credit)
 		}
 	})
 }

@@ -76,14 +76,11 @@ func TestScanCursorProtocol(t *testing.T) {
 	ServePeer(s, sEnd)
 	cli := newScanClient(cEnd)
 
-	rb, err := cEnd.CallRaw("ScanStart", proto.AppendScanStartArgs(nil, 1, db, fileID, 8<<10))
-	if err != nil {
+	var started proto.ScanStartReply
+	if err := cEnd.Call("ScanStart", &proto.ScanStartArgs{Client: 1, DB: db, FileID: fileID, BatchBytes: 8 << 10}, &started); err != nil {
 		t.Fatal(err)
 	}
-	scanID, plan, err := proto.DecodeScanStartReply(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scanID, plan := started.Scan, started.Segs
 	if len(plan) != len(want) {
 		t.Fatalf("plan has %d segments, want %d", len(plan), len(want))
 	}
@@ -104,7 +101,8 @@ func TestScanCursorProtocol(t *testing.T) {
 	}
 	cli.mu.Unlock()
 
-	if err := cEnd.SendStream("ScanCtl", scanID, proto.AppendScanCtl(nil, false, 1<<20)); err != nil {
+	grant, _ := proto.Encode(&proto.ScanCtl{Credit: 1 << 20})
+	if err := cEnd.SendStream("ScanCtl", scanID, grant); err != nil {
 		t.Fatal(err)
 	}
 	batches := cli.wait(t)

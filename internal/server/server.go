@@ -230,7 +230,7 @@ func open(dir string, host uint16) (*Server, error) {
 		s.cat = newCatalog("")
 		s.log = wal.NewMem()
 	} else {
-		s.cat, err = loadCatalog(catalogPath(dir))
+		s.cat, err = loadCatalog(dir)
 		if err != nil {
 			return nil, err
 		}
