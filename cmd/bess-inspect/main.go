@@ -1,6 +1,7 @@
 // bess-inspect dumps the on-disk structures of a BeSS server directory:
-// the catalog (databases, areas, files, types, root names), each storage
-// area's geometry and segments, and the write-ahead log record stream.
+// the catalog (what restart built it from; databases, areas, files, types,
+// root names), each storage area's geometry and segments, and the
+// write-ahead log record stream, catalog records decoded.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 
 	"bess/internal/area"
 	"bess/internal/page"
+	"bess/internal/proto"
 	"bess/internal/segment"
 	"bess/internal/server"
 	"bess/internal/wal"
@@ -60,6 +62,13 @@ func main() {
 	}
 
 	fmt.Printf("BeSS server directory %s\n", *dir)
+	// What restart built the catalog from: the checkpoint image and the
+	// catalog records the log holds at or above its stamp.
+	if info.ImageLSN == 0 {
+		fmt.Printf("catalog: no image; %d log records replayed\n", info.Replayed)
+	} else {
+		fmt.Printf("catalog: image stamped lsn %d + %d log records replayed\n", info.ImageLSN, info.Replayed)
+	}
 	for _, db := range info.Databases {
 		fmt.Printf("\ndatabase %q (id %d)\n", db.Name, db.ID)
 		fmt.Printf("  areas:    %v\n", db.Areas)
@@ -112,6 +121,13 @@ func main() {
 				}
 				fmt.Printf("  %8d %-10s tx=%-6d page=%v off=%d before=%d after=%d%s\n",
 					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.Before), len(rec.After), mark)
+			case wal.TCatalog:
+				var op proto.CatalogOp
+				if err := proto.Decode(rec.Body, &op); err != nil {
+					fmt.Printf("  %8d %-10s undecodable (%d bytes): %v\n", lsn, rec.Type, len(rec.Body), err)
+				} else {
+					fmt.Printf("  %8d %-10s %v\n", lsn, rec.Type, &op)
+				}
 			case wal.TCheckpoint:
 				fmt.Printf("  %8d %-10s active=%d dirty=%d\n",
 					lsn, rec.Type, len(rec.ActiveTxs), len(rec.DirtyPages))

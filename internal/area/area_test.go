@@ -365,3 +365,178 @@ func TestReadRun(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteRun pins WriteRun against the per-page reference the same way: a
+// run write is byte-for-byte n WritePage calls, counts n writes, touches
+// nothing outside the run, and rejects every malformed request before
+// touching the store.
+func TestWriteRun(t *testing.T) {
+	mem, err := NewMem(1, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := CreateFile(filepath.Join(t.TempDir(), "run.area"), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Area{"mem": mem, "file": file} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(16))
+			limit := a.Pages()
+			// The shadow starts as the area is; pages 0 and the extent maps
+			// are fair game, the test never reloads the area.
+			shadow := make([]byte, int(limit)*page.Size)
+			for p := page.No(0); p < limit; p += MaxSegmentPages {
+				if err := a.ReadRun(p, shadow[int(p)*page.Size:int(min(p+MaxSegmentPages, limit))*page.Size]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				n := 1 + rng.Intn(MaxSegmentPages)
+				start := page.No(rng.Int63n(int64(limit) - int64(n) + 1))
+				run := make([]byte, n*page.Size)
+				rng.Read(run)
+				_, writes0, _ := a.Stats()
+				if err := a.WriteRun(start, run); err != nil {
+					t.Fatalf("WriteRun(%d, %d pages): %v", start, n, err)
+				}
+				if _, writes1, _ := a.Stats(); writes1-writes0 != int64(n) {
+					t.Fatalf("Stats writes advanced by %d for a %d-page run", writes1-writes0, n)
+				}
+				copy(shadow[int(start)*page.Size:], run)
+			}
+			pg := make([]byte, page.Size)
+			for p := page.No(0); p < limit; p++ {
+				if err := a.ReadPage(p, pg); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pg, shadow[int(p)*page.Size:int(p+1)*page.Size]) {
+					t.Fatalf("page %d differs from the shadow", p)
+				}
+			}
+
+			two := make([]byte, 2*page.Size)
+			if err := a.WriteRun(limit-2, two); err != nil {
+				t.Fatalf("run ending at the limit: %v", err)
+			}
+			for _, start := range []page.No{limit - 1, limit, limit + 7, -1, 1<<62 + 5} {
+				if err := a.WriteRun(start, two); err != ErrOutOfRange {
+					t.Fatalf("WriteRun(%d, 2 pages) = %v, want ErrOutOfRange", start, err)
+				}
+			}
+			if err := a.WriteRun(1, make([]byte, (MaxSegmentPages+1)*page.Size)); err != ErrTooLarge {
+				t.Fatalf("oversized run = %v, want ErrTooLarge", err)
+			}
+			for _, size := range []int{0, 10, page.Size + 1} {
+				if err := a.WriteRun(1, make([]byte, size)); err == nil {
+					t.Fatalf("%d-byte buffer accepted", size)
+				}
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.WriteRun(1, two); err != ErrClosed {
+				t.Fatalf("write after close: %v", err)
+			}
+		})
+	}
+}
+
+// TestEnsureSegment: restart's redo of a logged allocation. Whatever the
+// extent map held — the block live, free, or in an extent the file never got
+// — EnsureSegment leaves exactly AllocSegment's block live, is idempotent,
+// survives a reload, and refuses a block that collides with a different one.
+func TestEnsureSegment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ensure.area")
+	a, err := CreateFile(path, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The allocations a live area made, as the log would name them.
+	type run struct {
+		start page.No
+		pages int // as asked for
+	}
+	rng := rand.New(rand.NewSource(16))
+	var logged []run
+	for a.Extents() < 3 {
+		n := 1 + rng.Intn(40)
+		start, _, err := a.AllocSegment(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, run{start, n})
+	}
+	free := a.FreePages()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh area of one extent is what a crash that lost every map write
+	// and both growths leaves.
+	lost := filepath.Join(t.TempDir(), "lost.area")
+	b, err := CreateFile(lost, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ { // the second pass finds everything live
+		for _, r := range logged {
+			if err := b.EnsureSegment(r.start, r.pages); err != nil {
+				t.Fatalf("pass %d: EnsureSegment(%d, %d): %v", pass, r.start, r.pages, err)
+			}
+		}
+		if b.Extents() != 3 || b.FreePages() != free {
+			t.Fatalf("pass %d: %d extents, %d free pages; the live area had 3 and %d", pass, b.Extents(), b.FreePages(), free)
+		}
+	}
+	for _, r := range logged {
+		k := 1
+		for k < r.pages {
+			k *= 2
+		}
+		if n, live := b.SegmentPages(r.start); !live || n != k {
+			t.Fatalf("block at %d: %d pages, live %v; want %d", r.start, n, live, k)
+		}
+	}
+	// Collisions: a different size at a live start, and a block inside one.
+	big := logged[0]
+	for _, r := range logged {
+		if r.pages > big.pages {
+			big = r
+		}
+	}
+	if err := b.EnsureSegment(big.start, 1); err == nil {
+		t.Fatal("a 1-page block accepted where a larger one is live")
+	}
+	if err := b.EnsureSegment(big.start+1, 1); err == nil {
+		t.Fatal("a block accepted inside a live one")
+	}
+	if err := b.EnsureSegment(0, 1); err != ErrOutOfRange {
+		t.Fatalf("page 0: %v", err)
+	}
+	if err := b.EnsureSegment(1, MaxSegmentPages+1); err != ErrTooLarge {
+		t.Fatalf("oversized: %v", err)
+	}
+	if b.FreePages() != free {
+		t.Fatalf("refused calls changed the allocator: %d free pages, want %d", b.FreePages(), free)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The maps were written through.
+	c, err := OpenFile(lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Extents() != 3 || c.FreePages() != free {
+		t.Fatalf("reloaded: %d extents, %d free pages", c.Extents(), c.FreePages())
+	}
+	fixed, err := NewMem(4, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fixed.EnsureSegment(extentStart(1)+1, 1); err != ErrOutOfRange {
+		t.Fatalf("a block beyond a fixed-size area: %v", err)
+	}
+}

@@ -620,3 +620,48 @@ func TestReadOnlyCommitCostsNoLogForce(t *testing.T) {
 		s.Abort()
 	}
 }
+
+// BenchmarkCreateObjectFullSegment creates 4 KB objects in segments of 126
+// data pages, the shape the benchmark's scan_stream set-up populates. Each
+// create refreshes the session's mapped slotted image; that refresh must not
+// checksum the 504 KB data section (segment.Seg.EncodeSlots), or a create
+// costs O(segment) and filling a segment O(segment²).
+func BenchmarkCreateObjectFullSegment(b *testing.B) {
+	const dataPages, objSize = 126, 4000
+	srv := server.NewMem(1)
+	defer srv.Close()
+	s, err := Open(srv, "bench", "benchdb", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	td, err := s.RegisterType(segment.TypeDesc{Name: "Blob", Size: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := make([]byte, objSize)
+	perSeg := dataPages * 4096 / objSize
+	b.SetBytes(objSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		b.StopTimer()
+		seg, err := s.CreateSegment(1, 1, dataPages, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Begin(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for o := 0; o < perSeg && i < b.N; o, i = o+1, i+1 {
+			if _, err := s.CreateObject(seg, td.ID, body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := s.Abort(); err != nil {
+			b.Fatal(err)
+		}
+		s.DropAllCached()
+		b.StartTimer()
+	}
+}

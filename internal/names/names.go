@@ -45,23 +45,38 @@ func New() *Directory {
 // Bind names an object. A name maps to exactly one object and an object has
 // at most one name; rebinding either side fails (unbind first).
 func (d *Directory) Bind(name string, o oid.OID) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.canBind(name, o); err != nil {
+		return err
+	}
+	d.byName[name] = o
+	d.byOID[o] = name
+	d.dirty = true
+	return nil
+}
+
+// CanBind reports the error Bind(name, o) would return, changing nothing: the
+// server checks a binding before it logs it.
+func (d *Directory) CanBind(name string, o oid.OID) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.canBind(name, o)
+}
+
+func (d *Directory) canBind(name string, o oid.OID) error {
 	if name == "" || len(name) >= MaxNameLen {
 		return ErrBadName
 	}
 	if o.IsNil() {
 		return ErrNilOID
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, dup := d.byName[name]; dup {
 		return ErrExists
 	}
 	if _, dup := d.byOID[o]; dup {
 		return ErrExists
 	}
-	d.byName[name] = o
-	d.byOID[o] = name
-	d.dirty = true
 	return nil
 }
 

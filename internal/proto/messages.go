@@ -1,11 +1,16 @@
 package proto
 
-import "bess/internal/oid"
+import (
+	"fmt"
+
+	"bess/internal/oid"
+)
 
 // The wire messages: the args and reply of every rpc method, the scan
-// stream frames, and the commit image. Each type's Fields method, right
-// below it, is its whole wire layout (cursor.go). The method that carries a
-// message is named in its comment; internal/rpc/frame.go holds the id table.
+// stream frames, the commit image, and the catalog's log record. Each type's
+// Fields method, right below it, is its whole wire layout (cursor.go). The
+// method that carries a message is named in its comment; internal/rpc/frame.go
+// holds the id table.
 
 // Empty is the reply of a method that returns only an error.
 type Empty struct{}
@@ -559,6 +564,101 @@ type ScanCtl struct {
 func (m *ScanCtl) Fields(c *Cursor) {
 	c.Bool(&m.Cancel)
 	c.U64(&m.Credit)
+}
+
+// CatalogOpKind says which catalog change a CatalogOp records.
+type CatalogOpKind uint8
+
+// The catalog changes. The values are log bytes: append, never renumber.
+const (
+	CatCreateDB     CatalogOpKind = iota // DB (the id assigned), Name
+	CatAddArea                           // DB, ID (the area id assigned)
+	CatNewFile                           // DB, ID (the file id handed out)
+	CatRegisterType                      // DB, Type (with the id assigned)
+	CatAddSegment                        // DB, Seg, FileID, SlottedPages, DataStart, DataPages
+	CatNameBind                          // DB, Name, OID
+	CatNameUnbind                        // DB, Name
+	CatNameRemove                        // DB, OID
+)
+
+var catalogOpNames = [...]string{"create-db", "add-area", "new-file", "register-type", "add-segment", "name-bind", "name-unbind", "name-remove"}
+
+// String names the kind.
+func (k CatalogOpKind) String() string {
+	if int(k) < len(catalogOpNames) {
+		return catalogOpNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// CatalogOp is one change to a server's catalog: the body of a wal.TCatalog
+// record, redo-only. Everything the change decided — the ids it assigned, the
+// runs it allocated — is in the op, so applying it at restart rebuilds what
+// the live server had (server/catalog.go). Only the fields its Kind lists
+// are carried.
+type CatalogOp struct {
+	Kind CatalogOpKind
+	DB   uint32
+	ID   uint32
+	Name string
+	OID  oid.OID
+	Type TypeInfo
+
+	// CatAddSegment: the slotted run is Seg.Start for SlottedPages pages, the
+	// data run DataStart for DataPages pages as granted, both in Seg.Area.
+	Seg          SegKey
+	FileID       uint32
+	SlottedPages int
+	DataStart    int64
+	DataPages    int
+}
+
+func (m *CatalogOp) Fields(c *Cursor) {
+	c.U8((*uint8)(&m.Kind))
+	c.U32(&m.DB)
+	switch m.Kind {
+	case CatCreateDB, CatNameUnbind:
+		c.String(&m.Name)
+	case CatAddArea, CatNewFile:
+		c.U32(&m.ID)
+	case CatRegisterType:
+		m.Type.Fields(c)
+	case CatAddSegment:
+		c.SegKey(&m.Seg)
+		c.U32(&m.FileID)
+		c.Count(&m.SlottedPages)
+		c.I64(&m.DataStart)
+		c.Count(&m.DataPages)
+	case CatNameBind:
+		c.String(&m.Name)
+		c.OID(&m.OID)
+	case CatNameRemove:
+		c.OID(&m.OID)
+	default:
+		c.Failf("catalog op of unknown kind %d", m.Kind)
+	}
+}
+
+// String prints the op as bess-inspect shows it: the kind and its fields.
+func (m *CatalogOp) String() string {
+	s := fmt.Sprintf("%s db=%d", m.Kind, m.DB)
+	switch m.Kind {
+	case CatCreateDB, CatNameUnbind:
+		s += fmt.Sprintf(" name=%q", m.Name)
+	case CatAddArea:
+		s += fmt.Sprintf(" area=%d", m.ID)
+	case CatNewFile:
+		s += fmt.Sprintf(" file=%d", m.ID)
+	case CatRegisterType:
+		s += fmt.Sprintf(" type=%d %q size=%d refs=%v", m.Type.ID, m.Type.Name, m.Type.Size, m.Type.RefOffsets)
+	case CatAddSegment:
+		s += fmt.Sprintf(" seg=%d/%d file=%d slotted=%dp data=%d(%dp)", m.Seg.Area, m.Seg.Start, m.FileID, m.SlottedPages, m.DataStart, m.DataPages)
+	case CatNameBind:
+		s += fmt.Sprintf(" name=%q oid=%v", m.Name, m.OID)
+	case CatNameRemove:
+		s += fmt.Sprintf(" oid=%v", m.OID)
+	}
+	return s
 }
 
 // The entry points below call one message's Fields on a stack cursor: a

@@ -1,6 +1,6 @@
 // Package prototest is the test support of the wire codec: the registry of
-// every rpc method's args and reply message, and the checks every message
-// layout must pass. The tests of proto, rpc (the method table) and server
+// every rpc method's args and reply message and of the catalog's log record,
+// and the checks every message layout must pass. The tests of proto, rpc (the method table) and server
 // (the catalog file) share it.
 package prototest
 
@@ -83,8 +83,21 @@ var Methods = []Method{
 	{"SnapScanStart", &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanPlan},
 }
 
+// CatalogOps holds a populated proto.CatalogOp — the body of the catalog's
+// log record — of every kind, in kind order.
+var CatalogOps = []*proto.CatalogOp{
+	{Kind: proto.CatCreateDB, DB: 4, Name: "db"},
+	{Kind: proto.CatAddArea, DB: 4, ID: 7},
+	{Kind: proto.CatNewFile, DB: 4, ID: 9},
+	{Kind: proto.CatRegisterType, DB: 4, Type: info},
+	{Kind: proto.CatAddSegment, DB: 4, Seg: seg, FileID: 9, SlottedPages: 2, DataStart: 1<<40 + 2, DataPages: 16},
+	{Kind: proto.CatNameBind, DB: 4, Name: "root", OID: root},
+	{Kind: proto.CatNameUnbind, DB: 4, Name: "root"},
+	{Kind: proto.CatNameRemove, DB: 4, OID: root},
+}
+
 // Messages returns one populated sample per distinct message type in
-// Methods, keyed by the type's name.
+// Methods, keyed by the type's name, plus CatalogOp's (its add-segment kind).
 func Messages() map[string]proto.Message { return messages }
 
 var messages = func() map[string]proto.Message {
@@ -96,6 +109,7 @@ var messages = func() map[string]proto.Message {
 			}
 		}
 	}
+	out["CatalogOp"] = CatalogOps[proto.CatAddSegment]
 	return out
 }()
 

@@ -555,6 +555,17 @@ func (s *Seg) EncodeSlotted() []byte {
 		s.Hdr.OverCRC = page.Checksum(s.Overflow)
 		s.Hdr.CRCFlags |= CRCOver
 	}
+	return s.EncodeSlots()
+}
+
+// EncodeSlots is EncodeSlotted without the walk over the attached sections:
+// the header carries the data and overflow checksums it already had, the
+// header and slot-region checksums are computed as always. It costs O(slotted
+// pages) where EncodeSlotted costs O(segment), which is what a client wants
+// when it refreshes its mapped slotted image after every slot change
+// (swizzle.Mapper.TrustedSlotUpdate): nothing verifies a section against
+// that image, and the image that ships at commit comes from EncodeSlotted.
+func (s *Seg) EncodeSlots() []byte {
 	s.Hdr.CRCFlags |= CRCSlots
 	buf := make([]byte, int(s.Hdr.SlottedPages)*page.Size)
 	h := s.Hdr

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"bess/internal/oid"
+	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/proto/prototest"
 )
@@ -17,7 +19,7 @@ import (
 // sampleCatalog is a catalog with every list populated.
 func sampleCatalog() *catalog {
 	c := newCatalog("")
-	c.NextDB, c.NextArea = 3, 4
+	c.LSN, c.NextDB, c.NextArea = 1<<33|8, 3, 4
 	c.Created = []*dbMeta{
 		{
 			ID: 1, Name: "main", Areas: []uint32{1, 3}, NextFile: 3,
@@ -62,8 +64,8 @@ func TestCatalogLayout(t *testing.T) {
 	tiny := newCatalog("")
 	tiny.Created = []*dbMeta{{}}
 	b, err := proto.Encode(tiny)
-	if err != nil || len(b) != 4+2+4+4+4+dbMetaMin {
-		t.Fatalf("smallest database encodes to %d bytes (err %v), dbMetaMin says %d", len(b)-18, err, dbMetaMin)
+	if err != nil || len(b) != 4+2+8+4+4+4+dbMetaMin {
+		t.Fatalf("smallest database encodes to %d bytes (err %v), dbMetaMin says %d", len(b)-26, err, dbMetaMin)
 	}
 	if err := proto.Decode(b, newCatalog("")); err != nil {
 		t.Fatalf("catalog with one empty database: %v", err)
@@ -71,7 +73,7 @@ func TestCatalogLayout(t *testing.T) {
 }
 
 // ddl drives a fixed DDL sequence against a fresh file-backed server in dir
-// and returns the catalog file it leaves.
+// and returns the catalog image its Close leaves.
 func ddl(t *testing.T, dir string) []byte {
 	t.Helper()
 	s, err := Open(dir, 1)
@@ -114,8 +116,9 @@ func ddl(t *testing.T, dir string) []byte {
 	return b
 }
 
-// TestCatalogFileReproducible: the same DDL sequence writes the same bytes,
-// run after run — every map is written in key order.
+// TestCatalogFileReproducible: the same DDL sequence writes the same image,
+// run after run — only lists are written, and the stamp is the end of a log
+// that is itself reproducible.
 func TestCatalogFileReproducible(t *testing.T) {
 	a, b := ddl(t, t.TempDir()), ddl(t, t.TempDir())
 	if !bytes.Equal(a, b) {
@@ -180,14 +183,22 @@ func TestCatalogEveryByteFlip(t *testing.T) {
 }
 
 // TestCatalogFromOlderBuildRefused: a data directory whose catalog was
-// written with gob is refused by name, with an error that says why — not
-// opened as if it were empty.
+// written with gob, or as the version-1 write-through file (intact, checksum
+// and all), is refused with an error that says why — not opened as if it were
+// empty, and not called corrupt.
 func TestCatalogFromOlderBuildRefused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "catalog.gob"), []byte("\x3f\xff\x81\x03\x01\x01\x07catalog"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, 1); !errors.Is(err, ErrCatalogOldFormat) {
-		t.Fatalf("Open = %v, want ErrCatalogOldFormat", err)
+	v1 := []byte{0xBE, 0x55, 0xCA, 0x7A, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0} // magic, version 1, NextDB, NextArea, no databases
+	v1 = binary.BigEndian.AppendUint32(v1, page.Checksum(v1))
+	for name, content := range map[string][]byte{
+		"catalog.gob":  []byte("\x3f\xff\x81\x03\x01\x01\x07catalog"),
+		"catalog.bess": v1,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 1); !errors.Is(err, ErrCatalogOldFormat) {
+			t.Fatalf("%s: Open = %v, want ErrCatalogOldFormat", name, err)
+		}
 	}
 }

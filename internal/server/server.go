@@ -135,12 +135,15 @@ type Server struct {
 	// simulated stores).
 	media *Media
 
-	cat   *catalog
-	log   *wal.Log
-	locks *lock.Manager
-	txm   *tx.Manager
-	vs    *cache.VersionStore
-	hk    *hooks.Registry
+	cat *catalog
+	// imageMu serializes saveCatalog: one catalog image is written at a time
+	// (Checkpoint, Close). Taken with no other server lock held.
+	imageMu sync.Mutex
+	log     *wal.Log
+	locks   *lock.Manager
+	txm     *tx.Manager
+	vs      *cache.VersionStore
+	hk      *hooks.Registry
 
 	nextTx atomic.Uint64
 
@@ -157,7 +160,7 @@ type Server struct {
 
 // NewMem creates an in-memory server (tests, benches).
 func NewMem(host uint16) *Server {
-	s, err := open("", host)
+	s, err := open("", host, nil)
 	if err != nil {
 		panic(err) // memory backing cannot fail
 	}
@@ -165,19 +168,21 @@ func NewMem(host uint16) *Server {
 }
 
 // Open creates or reopens a file-backed server rooted at dir, running
-// ARIES restart over its log.
+// restart over its log: the catalog first, then ARIES for the pages.
 func Open(dir string, host uint16) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return open(dir, host)
+	return open(dir, host, nil)
 }
 
 // Media supplies the durable devices for OpenMedia: a WAL backing plus a
 // factory invoked for each storage area the server attaches. It lets fault
 // harnesses (experiment E19) run the full server stack — commit, WAL,
 // checksums, repair — over simulated media with injected corruption. The
-// catalog stays in memory: a Media server's metadata does not survive it.
+// catalog is memory-only: its changes are logged like any server's, but no
+// image is written and nothing replays them, so a Media server's metadata
+// does not survive it.
 type Media struct {
 	Log     wal.Backing
 	NewArea func(id uint32) (area.Store, error)
@@ -185,32 +190,14 @@ type Media struct {
 
 // OpenMedia creates a server over the given devices (see Media).
 func OpenMedia(m Media, host uint16) (*Server, error) {
-	s, err := open("", host)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Open(m.Log)
-	if err != nil {
-		return nil, err
-	}
-	s.log = log
-	s.media = &m
-	// Rebind the managers to the real log (open("") wired a throwaway
-	// in-memory one), and the version store to the new tx manager.
-	s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
-	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
-	s.txm.SetCommitHook(s.vs.CommitTx)
-	s.txm.SetAbortHook(s.vs.AbortTx)
-	if nl := s.log.NextLSN(); nl > 0 {
-		s.txm.SeedCommitStamp(nl - 1)
-	}
-	return s, nil
+	return open("", host, &m)
 }
 
-func open(dir string, host uint16) (*Server, error) {
+func open(dir string, host uint16, media *Media) (*Server, error) {
 	s := &Server{
 		host:            host,
 		dir:             dir,
+		media:           media,
 		areas:           make(map[uint32]*area.Area),
 		clients:         make(map[uint32]*clientHandle),
 		copies:          make(map[proto.SegKey]map[uint32]bool),
@@ -226,39 +213,39 @@ func open(dir string, host uint16) (*Server, error) {
 	s.scrubDone = make(chan struct{})
 	s.locks.DefaultTimeout = 5 * time.Second
 	var err error
-	if dir == "" {
+	switch {
+	case media != nil:
+		s.cat = newCatalog("")
+		s.log, err = wal.Open(media.Log)
+	case dir == "":
 		s.cat = newCatalog("")
 		s.log = wal.NewMem()
-	} else {
-		s.cat, err = loadCatalog(dir)
-		if err != nil {
-			return nil, err
+	default:
+		if s.cat, err = loadCatalog(dir); err == nil {
+			s.log, err = wal.OpenFile(filepath.Join(dir, "wal.log"))
 		}
-		s.log, err = wal.OpenFile(filepath.Join(dir, "wal.log"))
-		if err != nil {
-			return nil, err
-		}
-		// Open every known area.
-		for _, aid := range s.cat.areaIDs() {
-			a, err := area.OpenFile(s.areaPath(aid))
-			if err != nil {
-				return nil, fmt.Errorf("server: open area %d: %w", aid, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.cat.log = s.log
+	var st *wal.RecoveryStats
+	if dir != "" {
+		if st, err = s.restart(); err != nil {
+			errs := []error{err, s.log.Close()}
+			for _, a := range s.openAreas() {
+				errs = append(errs, a.Close())
 			}
-			s.areas[aid] = a
+			return nil, errors.Join(errs...)
 		}
-		// Restart: repeat history, roll back losers; in-doubt 2PC branches
-		// are adopted below so the coordinator's decision can complete them.
-		st, err := wal.Recover(s.log, s)
-		if err != nil {
-			return nil, fmt.Errorf("server: recovery: %w", err)
-		}
-		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
+	}
+	s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
+	if st != nil {
+		// In-doubt 2PC branches are adopted so the coordinator's decision
+		// can complete them.
 		for _, id := range st.InDoubt {
 			s.txs.put(id, s.txm.AdoptPrepared(id, st.InDoubtLast[id]), 0)
 		}
-	}
-	if s.txm == nil {
-		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
 	}
 	// Multiversion reads (DESIGN.md §7): the version store retains
 	// superseded segment images while snapshots are open, fed by the tx
@@ -274,6 +261,66 @@ func open(dir string, host uint16) (*Server, error) {
 	}
 	s.nextTx.Store(uint64(host)<<48 | 1)
 	return s, nil
+}
+
+// restart brings a file-backed server's storage to what its log describes,
+// outermost structure first: the catalog (the image plus the ops logged since
+// it was taken), then the storage those ops name — an area file created, a
+// segment's runs allocated and formatted — and only then the pages
+// (wal.Recover: repeat history, roll back losers), which need both.
+func (s *Server) restart() (*wal.RecoveryStats, error) {
+	updated := make(map[page.ID]page.LSN)
+	ops, err := s.cat.replay(updated)
+	if err != nil {
+		return nil, err
+	}
+	// An area the replayed ops created may have no file yet (the record
+	// outlived the directory entry); an area the image names must have one.
+	created := make(map[uint32]bool)
+	for _, op := range ops {
+		if op.Kind == proto.CatAddArea {
+			created[op.ID] = true
+		}
+	}
+	for _, aid := range s.cat.areaIDs() {
+		a, err := area.OpenFile(s.areaPath(aid))
+		if created[aid] && errors.Is(err, os.ErrNotExist) {
+			a, err = s.createArea(aid)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: open area %d: %w", aid, err)
+		}
+		s.areaMu.Lock()
+		s.areas[aid] = a
+		s.areaMu.Unlock()
+	}
+	// An area file the catalog does not name is what AddArea left when it
+	// crashed before its record was durable: nothing refers to it.
+	files, err := filepath.Glob(filepath.Join(s.dir, "area-*.bess"))
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range files {
+		var aid uint32
+		if _, err := fmt.Sscanf(filepath.Base(f), "area-%d.bess", &aid); err != nil || s.lookupArea(aid) != nil {
+			continue
+		}
+		if err := os.Remove(f); err != nil {
+			return nil, err
+		}
+	}
+	for _, op := range ops {
+		if op.Kind == proto.CatAddSegment {
+			if err := s.redoSegment(op, updated); err != nil {
+				return nil, fmt.Errorf("server: redo of segment %d/%d (lsn %d): %w", op.Seg.Area, op.Seg.Start, op.lsn, err)
+			}
+		}
+	}
+	st, err := wal.Recover(s.log, s)
+	if err != nil {
+		return nil, fmt.Errorf("server: recovery: %w", err)
+	}
+	return st, nil
 }
 
 func (s *Server) areaPath(id uint32) string {
@@ -437,52 +484,77 @@ func (s *Server) OpenDB(name string, create bool) (uint32, uint16, error) {
 	return m.ID, s.host, nil
 }
 
-// AddArea implements proto.Conn: attach one more storage area to db.
+// AddArea implements proto.Conn: attach one more storage area to db. The area
+// is durable when AddArea returns.
 func (s *Server) AddArea(db uint32) (uint32, error) {
 	s.stats.messages.Add(1)
 	m, err := s.cat.db(db)
 	if err != nil {
 		return 0, err
 	}
-	aid, err := s.cat.allocAreaID(m)
-	if err != nil {
-		return 0, err
+	// The area exists, whole, before the record that names it: a crash in
+	// between leaves a file no catalog refers to, which restart discards.
+	s.cat.mu.Lock()
+	aid := s.cat.NextArea
+	var lsn page.LSN
+	a, err := s.createArea(aid)
+	if err == nil {
+		lsn, err = s.cat.change(&proto.CatalogOp{Kind: proto.CatAddArea, DB: m.ID, ID: aid}, nil)
 	}
-	var a *area.Area
-	if s.media != nil {
-		var st area.Store
-		if st, err = s.media.NewArea(aid); err == nil {
-			a, err = area.Create(st, page.AreaID(aid), 1, true)
+	s.cat.mu.Unlock()
+	if err != nil {
+		if a != nil {
+			err = errors.Join(err, s.discardArea(a, aid))
 		}
-	} else if s.dir == "" {
-		a, err = area.NewMem(page.AreaID(aid), 1, true)
-	} else {
-		a, err = area.CreateFile(s.areaPath(aid), page.AreaID(aid), 1)
-	}
-	if err != nil {
 		return 0, err
 	}
 	s.areaMu.Lock()
 	s.areas[aid] = a
 	s.areaMu.Unlock()
-	return aid, nil
+	return aid, s.log.Flush(lsn)
 }
 
-// NewFileID implements proto.Conn.
+// createArea creates storage area aid, empty, on the server's medium. A file
+// is synced before anything can name it.
+func (s *Server) createArea(aid uint32) (*area.Area, error) {
+	switch {
+	case s.media != nil:
+		st, err := s.media.NewArea(aid)
+		if err != nil {
+			return nil, err
+		}
+		return area.Create(st, page.AreaID(aid), 1, true)
+	case s.dir == "":
+		return area.NewMem(page.AreaID(aid), 1, true)
+	}
+	a, err := area.CreateFile(s.areaPath(aid), page.AreaID(aid), 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.Sync(); err != nil {
+		return nil, errors.Join(err, s.discardArea(a, aid))
+	}
+	return a, nil
+}
+
+// discardArea closes an area createArea made and nothing names, and removes
+// its file.
+func (s *Server) discardArea(a *area.Area, aid uint32) error {
+	if s.dir == "" {
+		return a.Close()
+	}
+	return errors.Join(a.Close(), os.Remove(s.areaPath(aid)))
+}
+
+// NewFileID implements proto.Conn. The id is durable with the next log force:
+// no later than the commit of anything stored under it.
 func (s *Server) NewFileID(db uint32) (uint32, error) {
 	s.stats.messages.Add(1)
 	m, err := s.cat.db(db)
 	if err != nil {
 		return 0, err
 	}
-	s.cat.mu.Lock()
-	defer s.cat.mu.Unlock()
-	id := m.NextFile
-	m.NextFile++
-	if err := s.cat.persistLocked(); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return s.cat.newFileID(m)
 }
 
 // NewTx implements proto.Conn.
@@ -531,8 +603,10 @@ func (s *Server) areaOf(m *dbMeta, hint int) (*area.Area, uint32, error) {
 	return a, aid, nil
 }
 
-// CreateSegment implements proto.Conn: allocate slotted + data runs and
-// write the initial images.
+// CreateSegment implements proto.Conn: allocate slotted + data runs, log the
+// segment, and write its initial images. Nothing is forced: the segment is
+// durable with the next log force, and the log is a prefix, so its record
+// precedes the commit record of any object stored in it.
 func (s *Server) CreateSegment(db uint32, fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
 	s.stats.messages.Add(1)
 	m, err := s.cat.db(db)
@@ -552,30 +626,76 @@ func (s *Server) CreateSegment(db uint32, fileID uint32, slottedPages, dataPages
 	}
 	dtStart, dtGranted, err := a.AllocSegment(dataPages)
 	if err != nil {
-		_ = a.FreeSegment(slStart)
+		return proto.SegKey{}, errors.Join(err, a.FreeSegment(slStart))
+	}
+	op := &proto.CatalogOp{
+		Kind: proto.CatAddSegment, DB: m.ID, Seg: proto.SegKey{Area: aid, Start: int64(slStart)},
+		FileID: fileID, SlottedPages: slottedPages, DataStart: int64(dtStart), DataPages: dtGranted,
+	}
+	// The record goes first, the images after it: a crash in between leaks
+	// the two runs, or — the record durable — has restart format them
+	// (redoSegment); it never catalogs a segment nobody formats.
+	s.cat.mu.Lock()
+	lsn, err := s.cat.change(op, func() error { return formatSegment(a, op) })
+	s.cat.mu.Unlock()
+	if err != nil {
+		if lsn == 0 {
+			err = errors.Join(err, a.FreeSegment(slStart), a.FreeSegment(dtStart))
+		}
+		// Else the op is in the log and restart will apply it: the runs stay
+		// allocated, as its redo expects to find or make them, and this
+		// server simply never learns of the segment.
 		return proto.SegKey{}, err
 	}
-	seg := segment.New(fileID, slottedPages, dtGranted, page.AreaID(aid), dtStart)
-	// Attach the zeroed data section so the initial encode records its
-	// checksum: the segment is verifiable from its very first read.
-	seg.Data = make([]byte, dtGranted*page.Size)
-	img := seg.EncodeSlotted()
-	for i := 0; i < slottedPages; i++ {
-		if err := a.WritePage(slStart+page.No(i), img[i*page.Size:(i+1)*page.Size]); err != nil {
-			return proto.SegKey{}, err
-		}
+	return op.Seg, nil
+}
+
+// formatSegment writes the initial images of the segment op adds: the empty
+// slotted segment and the zeroed data section, one write per run. The data
+// section is attached when the header is encoded, so the segment verifies
+// from its very first read.
+func formatSegment(a *area.Area, op *proto.CatalogOp) error {
+	seg := segment.New(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
+	if err := a.WriteRun(page.No(op.Seg.Start), seg.EncodeSlotted()); err != nil {
+		return err
 	}
-	zero := make([]byte, page.Size)
-	for i := 0; i < dtGranted; i++ {
-		if err := a.WritePage(dtStart+page.No(i), zero); err != nil {
-			return proto.SegKey{}, err
-		}
+	return a.WriteRun(page.No(op.DataStart), seg.Data)
+}
+
+// redoSegment re-establishes at restart the storage of a replayed add-segment
+// op: both runs are made live in the extent map (the map write may not have
+// survived the crash), and the initial images are written again unless the
+// segment is already there. It must never clobber: the op can be replayed
+// although the segment was updated and committed after it and page redo starts
+// later still (the catalog snapshot a checkpoint's image holds is older than
+// the checkpoint record, DESIGN.md §5), so a page the log changed after the op
+// is left to redo and repair, and a slotted page that verifies as this
+// segment is left alone.
+func (s *Server) redoSegment(op loggedOp, updated map[page.ID]page.LSN) error {
+	a := s.lookupArea(op.Seg.Area)
+	if a == nil {
+		return ErrNoArea
 	}
-	key := proto.SegKey{Area: aid, Start: int64(slStart)}
-	if err := s.cat.addSegment(m, &segMeta{Seg: key, FileID: fileID, SlottedPages: slottedPages}); err != nil {
-		return proto.SegKey{}, err
+	slStart := page.No(op.Seg.Start)
+	if err := a.EnsureSegment(slStart, op.SlottedPages); err != nil {
+		return err
 	}
-	return key, nil
+	if err := a.EnsureSegment(page.No(op.DataStart), op.DataPages); err != nil {
+		return err
+	}
+	// Every commit to a segment rewrites checksums in its first slotted page.
+	if updated[page.ID{Area: a.ID(), Page: slStart}] > op.lsn {
+		return nil
+	}
+	sl := make([]byte, op.SlottedPages*page.Size)
+	if err := a.ReadRun(slStart, sl); err != nil {
+		return err
+	}
+	if on, err := segment.DecodeSlotted(sl); err == nil && // magic, header and slot CRCs, geometry
+		on.Hdr.FileID == op.FileID && on.Hdr.DataStart == page.No(op.DataStart) {
+		return nil
+	}
+	return formatSegment(a, op.CatalogOp)
 }
 
 // SegInfo implements proto.Conn.
@@ -1306,32 +1426,23 @@ func (s *Server) WriteRun(db uint32, areaID uint32, start int64, data []byte) er
 	if len(data)%page.Size != 0 {
 		return fmt.Errorf("%w: %d bytes is not a whole number of pages", ErrBadRun, len(data))
 	}
-	n := len(data) / page.Size
-	for i := 0; i < n; i++ {
-		if err := a.WritePage(page.No(start)+page.No(i), data[i*page.Size:(i+1)*page.Size]); err != nil {
-			return err
-		}
+	if len(data) == 0 {
+		return nil
 	}
-	return nil
+	return a.WriteRun(page.No(start), data)
 }
 
 // --- names ---
 
-// NameBind implements proto.Conn.
+// NameBind implements proto.Conn. Like the other name changes it is durable
+// when it returns.
 func (s *Server) NameBind(db uint32, name string, o oid.OID) error {
 	s.stats.messages.Add(1)
 	m, err := s.cat.db(db)
 	if err != nil {
 		return err
 	}
-	d, err := s.cat.namesDir(m)
-	if err != nil {
-		return err
-	}
-	if err := d.Bind(name, o); err != nil {
-		return err
-	}
-	return s.cat.persistNames()
+	return s.cat.nameBind(m, name, o)
 }
 
 // NameLookup implements proto.Conn.
@@ -1355,14 +1466,7 @@ func (s *Server) NameUnbind(db uint32, name string) error {
 	if err != nil {
 		return err
 	}
-	d, err := s.cat.namesDir(m)
-	if err != nil {
-		return err
-	}
-	if err := d.Unbind(name); err != nil {
-		return err
-	}
-	return s.cat.persistNames()
+	return s.cat.nameUnbind(m, name)
 }
 
 // NameRemoveOID implements proto.Conn: referential integrity on object
@@ -1373,14 +1477,7 @@ func (s *Server) NameRemoveOID(db uint32, o oid.OID) error {
 	if err != nil {
 		return err
 	}
-	d, err := s.cat.namesDir(m)
-	if err != nil {
-		return err
-	}
-	if d.ObjectRemoved(o) {
-		return s.cat.persistNames()
-	}
-	return nil
+	return s.cat.nameRemoveOID(m, o)
 }
 
 // DBInfo summarizes one database for tools.
@@ -1396,6 +1493,10 @@ type DBInfo struct {
 
 // InspectInfo is the server summary bess-inspect prints.
 type InspectInfo struct {
+	// ImageLSN is the stamp of the catalog image restart loaded (0 = none),
+	// Replayed the number of catalog records of the log it applied on top.
+	ImageLSN  page.LSN
+	Replayed  int
 	Databases []DBInfo
 }
 
@@ -1403,10 +1504,8 @@ type InspectInfo struct {
 func (s *Server) Inspect() InspectInfo {
 	var out InspectInfo
 	s.cat.mu.Lock()
-	metas := make([]*dbMeta, 0, len(s.cat.ByID))
-	for _, m := range s.cat.ByID {
-		metas = append(metas, m)
-	}
+	out.ImageLSN, out.Replayed = s.cat.LSN, s.cat.replayed
+	metas := append([]*dbMeta(nil), s.cat.Created...)
 	s.cat.mu.Unlock()
 	for _, m := range metas {
 		di := DBInfo{ID: m.ID, Name: m.Name, Areas: append([]uint32(nil), m.Areas...)}
@@ -1423,35 +1522,69 @@ func (s *Server) Inspect() InspectInfo {
 	return out
 }
 
-// Checkpoint writes a fuzzy checkpoint to the log.
+// Checkpoint makes what the log's earlier part describes durable outside it
+// and writes a fuzzy checkpoint record, in this order: snapshot the catalog
+// (if it changed since its image was written) → sync every area → write the
+// catalog image → append and force the checkpoint record. Restart redoes
+// pages only from the checkpoint record on, so every page write of a
+// transaction that ended before the sync is on the device by then; the image
+// likewise only names segments whose initial images the sync covered.
 func (s *Server) Checkpoint() error {
+	if err := s.saveCatalog(false); err != nil {
+		return err
+	}
 	_, err := s.txm.Checkpoint()
 	return err
 }
 
-// Close flushes and shuts down.
+// saveCatalog syncs the areas and — after the snapshot, before the write, so
+// that the image never describes storage less durable than itself — writes
+// the catalog image. A memory-only catalog, or with always unset an unchanged
+// one, writes none.
+func (s *Server) saveCatalog(always bool) error {
+	s.imageMu.Lock()
+	defer s.imageMu.Unlock()
+	img, stamp, err := s.cat.snapshot(always)
+	if err != nil {
+		return err
+	}
+	for _, a := range s.openAreas() {
+		if err := a.Sync(); err != nil {
+			return err
+		}
+	}
+	if img == nil {
+		return nil
+	}
+	return s.cat.writeImage(img, stamp)
+}
+
+// openAreas lists the attached areas.
+func (s *Server) openAreas() []*area.Area {
+	s.areaMu.RLock()
+	defer s.areaMu.RUnlock()
+	areas := make([]*area.Area, 0, len(s.areas))
+	for _, a := range s.areas {
+		areas = append(areas, a)
+	}
+	return areas
+}
+
+// Close flushes and shuts down. A file-backed server leaves a catalog image
+// stamped with the end of its log: the next Open replays nothing. Everything
+// is closed whatever fails on the way; the errors come back joined.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	s.StopScrub()
 	s.vs.Close()
-	s.areaMu.RLock()
-	areas := make([]*area.Area, 0, len(s.areas))
-	for _, a := range s.areas {
-		areas = append(areas, a)
-	}
-	s.areaMu.RUnlock()
-	if err := s.log.Close(); err != nil {
-		return err
-	}
-	for _, a := range areas {
-		if err := a.Close(); err != nil {
-			return err
-		}
+	errs := []error{s.saveCatalog(true), s.log.Close()}
+	for _, a := range s.openAreas() {
+		errs = append(errs, a.Close())
 	}
 	s.locks.Close()
-	return nil
+	return errors.Join(errs...)
 }
 
 var _ proto.Conn = (*Server)(nil)

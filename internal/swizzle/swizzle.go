@@ -776,8 +776,11 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 	}
 	ferr := fn(ms.seg)
 	if ferr == nil {
-		// Refresh the mapped image in place so user-visible bytes match.
-		img := ms.seg.EncodeSlotted()
+		// Refresh the mapped image in place so user-visible bytes match. The
+		// section checksums are not this image's business (EncodeSlots): an
+		// object created in a full-size segment must not cost a CRC of the
+		// whole data section.
+		img := ms.seg.EncodeSlots()
 		for i := 0; i < ms.slottedPages && (i+1)*page.Size <= len(img); i++ {
 			if err := m.space.WriteAt(ms.slottedBase+vmem.Addr(i*page.Size), img[i*page.Size:(i+1)*page.Size]); err != nil {
 				return err

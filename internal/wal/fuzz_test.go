@@ -6,7 +6,19 @@ import (
 	"testing"
 
 	"bess/internal/page"
+	"bess/internal/proto"
+	"bess/internal/proto/prototest"
 )
+
+// catalogBody is a catalog record's body as the server writes it: an encoded
+// proto.CatalogOp (the add-segment kind).
+func catalogBody(t testing.TB) []byte {
+	b, err := proto.Encode(prototest.CatalogOps[proto.CatAddSegment])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // FuzzWALDecodeRecord drives the record decoder with arbitrary bytes — the
 // exact situation recovery faces when a torn or scribbled log tail happens
@@ -23,6 +35,8 @@ func FuzzWALDecodeRecord(f *testing.F) {
 		{Type: TCheckpoint,
 			ActiveTxs:  []CkptTx{{Tx: 5, LastLSN: 100}, {Tx: 6, LastLSN: 200}},
 			DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
+		{Type: TCatalog, Body: catalogBody(f)},
+		{Type: TCatalog}, // an empty body is the server's to reject, not the log's
 	}
 	for _, r := range seed {
 		f.Add(r.appendTo(nil))

@@ -58,6 +58,10 @@ type txInfo struct {
 // checkpoint's dirty-page entry, or the page's first record after the
 // checkpoint. Update records are byte ranges, so where a page's replay starts
 // matters: the logging rule makes each of those two LSNs a whole-page image.
+//
+// Catalog records (TCatalog) are not Recover's: the server replays them into
+// its catalog, and re-establishes the storage they name, before it calls
+// Recover. All three passes skip them.
 func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 	st := &RecoveryStats{}
 

@@ -379,3 +379,57 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 		t.Fatalf("redo applied %d records, %d unanchored pages; want 3 and 1 (R)", st.RedoApplied, st.UnanchoredPages)
 	}
 }
+
+// TestRecoverPassesOverCatalogRecords: catalog records belong to the server,
+// not to a transaction or a page. Interleaved with a winner and a loser they
+// change nothing about what restart rebuilds, come back from the log byte for
+// byte, and verify like any other record.
+func TestRecoverPassesOverCatalogRecords(t *testing.T) {
+	l := NewMem()
+	disk := newMemPager()
+	pA := page.ID{Area: 1, Page: 1}
+	body := catalogBody(t)
+	cat := func() page.LSN {
+		lsn, err := l.Append(&Record{Type: TCatalog, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+
+	first := cat()
+	r1 := upd(1, 0, pA, 0, "\x00\x00\x00", "WIN")
+	lsn1, _ := l.Append(r1)
+	cat()
+	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: lsn1})
+	r2 := upd(2, 0, pA, 100, "\x00\x00", "XX")
+	l.Append(r2)
+	last := cat()
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	applyUpd(disk, r2) // the loser's page was stolen; the winner's was not
+
+	st, err := Recover(l, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Winners) != 1 || len(st.Losers) != 1 || st.RecordsAnalyzed != 6 {
+		t.Fatalf("winners %v losers %v over %d records", st.Winners, st.Losers, st.RecordsAnalyzed)
+	}
+	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 100) != 0 {
+		t.Fatal("catalog records in the log changed what restart rebuilt")
+	}
+	for _, lsn := range []page.LSN{first, last} {
+		rec, err := l.ReadRecord(lsn)
+		if err != nil || rec.Type != TCatalog || !bytes.Equal(rec.Body, body) || rec.Tx != 0 {
+			t.Fatalf("catalog record at %d came back as %+v (%v)", lsn, rec, err)
+		}
+	}
+	if _, err := l.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := TCatalog.String(); got != "catalog" {
+		t.Fatalf("TCatalog prints as %q", got)
+	}
+}

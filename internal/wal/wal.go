@@ -33,6 +33,10 @@ const (
 	TEnd   // transaction removed from the table (after commit or abort)
 	TCheckpoint
 	TPrepare // 2PC: participant vote logged and forced; tx is in-doubt until decision
+	// TCatalog is a redo-only catalog change. Its Body is opaque here — the
+	// server encodes, decodes and replays it (server/catalog.go); it belongs to
+	// no transaction, and every walker of page history passes over it.
+	TCatalog
 )
 
 // String names the record type.
@@ -52,6 +56,8 @@ func (t Type) String() string {
 		return "checkpoint"
 	case TPrepare:
 		return "prepare"
+	case TCatalog:
+		return "catalog"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -85,6 +91,9 @@ type Record struct {
 	// Checkpoint fields.
 	ActiveTxs  []CkptTx
 	DirtyPages []CkptPage
+
+	// Catalog record: the rest of the record, as the server wrote it.
+	Body []byte
 }
 
 // WholePage reports whether r's redo image covers its entire page: such a
@@ -108,6 +117,8 @@ func (r *Record) encodedLen() int {
 		n += 4 + 8 + 4 + 8 + 4 + len(r.Before) + 4 + len(r.After)
 	case TCheckpoint:
 		n += 4 + 16*len(r.ActiveTxs) + 4 + 20*len(r.DirtyPages)
+	case TCatalog:
+		n += len(r.Body)
 	}
 	return n
 }
@@ -140,12 +151,14 @@ func (r *Record) appendTo(b []byte) []byte {
 			b = be.AppendUint64(b, uint64(e.Page.Page))
 			b = be.AppendUint64(b, uint64(e.RecLSN))
 		}
+	case TCatalog:
+		b = append(b, r.Body...)
 	}
 	return b
 }
 
-// decodeRecord parses a record body. The record's Before and After alias b:
-// readAt hands every record a buffer of its own.
+// decodeRecord parses a record body. The record's Before, After and Body alias
+// b: readAt hands every record a buffer of its own.
 func decodeRecord(b []byte) (*Record, error) {
 	if len(b) < 17 {
 		return nil, ErrCorrupt
@@ -244,6 +257,10 @@ func decodeRecord(b []byte) (*Record, error) {
 				Page:   page.ID{Area: page.AreaID(area), Page: page.No(pg)},
 				RecLSN: page.LSN(l),
 			})
+		}
+	case TCatalog:
+		if len(p) > 0 {
+			r.Body = p[:len(p):len(p)]
 		}
 	case TCommit, TAbort, TEnd, TPrepare:
 		// header only
