@@ -392,12 +392,43 @@ var e13TearModes = []struct {
 	{"garbage", 1, true},
 }
 
-// RunE13 enumerates crash points. sample <= 0 runs the full enumeration;
-// otherwise at most sample evenly spaced crash points run (the CI short
-// mode). Every trial replays the workload from scratch with the crash
-// scheduled, so garbage bytes and event interleavings reproduce exactly
-// from (seed, crash point, mode).
+// RunE13 enumerates the crash points of e13Workload.
 func RunE13(seed int64, sample int) (E13Report, error) {
+	return e13Enumerate(seed, sample, e13Workload)
+}
+
+// e13LongTx is a second workload for the same enumeration: one transaction
+// whose log is longer than the log buffer several times over, then its commit.
+// Its records reach the file in rounds the appender leads itself each time the
+// buffer set is full (wal.Log), so a crash can fall between any two of them,
+// or inside one; two pages are stolen on the way, so undo has work on the
+// area. Restart must leave all of it or none of it.
+func e13LongTx(w *e13World) {
+	const updates = 2560 // whole-page before+after records: 21 MB of log, 2.5 times the log's buffer set
+	t := w.txm.BeginWithID(1)
+	for k := 0; k < updates; k++ {
+		pg := w.pages[uint64(1+k%e13Txs)]
+		if w.update(t, pg, k, 0, page.Size) != nil {
+			return
+		}
+		if k == updates/3 || k == updates/2 {
+			if w.steal(t, pg) != nil {
+				return
+			}
+		}
+	}
+	if t.Commit() != nil {
+		return
+	}
+	w.acked[1] = true
+}
+
+// e13Enumerate enumerates workload's crash points. sample <= 0 runs the full
+// enumeration; otherwise at most sample evenly spaced crash points run (the
+// CI short mode). Every trial replays the workload from scratch with the
+// crash scheduled, so garbage bytes and event interleavings reproduce exactly
+// from (seed, crash point, mode).
+func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, error) {
 	rep := E13Report{Seed: seed}
 
 	// Fault-free run: count events and record the expected ack set.
@@ -405,7 +436,7 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 	if err != nil {
 		return rep, fmt.Errorf("e13 baseline setup: %w", err)
 	}
-	e13Workload(base)
+	workload(base)
 	if base.inj.Crashed() {
 		return rep, fmt.Errorf("e13 baseline run crashed with no fault scheduled")
 	}
@@ -441,7 +472,7 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 				return rep, fmt.Errorf("e13 setup (crash at %d): %w", n, err)
 			}
 			w.inj.SetCrashPoint(n, mode.tearSectors, mode.garbage)
-			e13Workload(w)
+			workload(w)
 			if !w.inj.Crashed() {
 				return rep, fmt.Errorf("e13: crash at event %d never fired (%s)", n, w.inj)
 			}

@@ -44,3 +44,31 @@ func TestE13SeedStability(t *testing.T) {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
+
+// TestE13LongTransaction enumerates every crash point of one transaction that
+// reaches the log in several sync rounds before it commits: at each of them,
+// in all three tear modes, restart finds all of the transaction or none.
+func TestE13LongTransaction(t *testing.T) {
+	base, err := e13Setup(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e13LongTx(base)
+	if rounds := base.log.Stats().Syncs; !base.acked[1] || rounds < 4 {
+		t.Fatalf("the transaction (committed=%v) reached the log in %d rounds, want its records in 3 or more and the commit after", base.acked[1], rounds)
+	}
+	sample := 0
+	if testing.Short() {
+		sample = 6
+	}
+	rep, err := e13Enumerate(42, sample, e13LongTx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CrashPoints == 0 || rep.Inconsistent != 0 {
+		t.Fatalf("%d crash points, %d/%d trials inconsistent; first failures: %v",
+			rep.CrashPoints, rep.Inconsistent, rep.Trials, rep.Failures)
+	}
+	t.Logf("%d crash points x %d modes over %d bytes of log in %d sync rounds, %d consistent",
+		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, base.log.Stats().Syncs, rep.Consistent)
+}

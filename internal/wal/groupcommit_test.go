@@ -60,6 +60,10 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	if st.GroupedCommits == 0 {
 		t.Fatal("no grouped commits recorded")
 	}
+	// A force is covered by another's round or leads its own, never both.
+	if st.Syncs+st.GroupedCommits > st.Flushes {
+		t.Fatalf("syncs %d + grouped %d > flushes %d: a force that led its own round was counted as grouped", st.Syncs, st.GroupedCommits, st.Flushes)
+	}
 	if l.FlushedLSN() != l.NextLSN() {
 		t.Fatalf("tail left unflushed: flushed=%d next=%d", l.FlushedLSN(), l.NextLSN())
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
@@ -211,46 +210,5 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 		if r.Tx != records[i].Tx || r.Type != records[i].Type {
 			t.Fatalf("record %d: %+v", i, r)
 		}
-	}
-}
-
-// TestAppendCopiesOnceAndOwnsNothing pins the append path's copy diet: one
-// allocation per update record — the encode buffer, sized up front; growth of
-// the shared tail amortizes away — for a byte-range record and for a
-// whole-page anchor, and no reference to the caller's slices once Append has
-// returned.
-func TestAppendCopiesOnceAndOwnsNothing(t *testing.T) {
-	l := NewMem()
-	defer l.Close()
-	pid := page.ID{Area: 1, Page: 7}
-	sizes := []int{128, page.Size}
-	if lockcheck.Enabled {
-		sizes = nil // the instrumented Log.mu allocates on every Lock
-	}
-	for _, n := range sizes {
-		rec := &Record{Type: TUpdate, Tx: 1, Page: pid, Before: make([]byte, n), After: bytes.Repeat([]byte{0xAB}, n)}
-		if got := testing.AllocsPerRun(200, func() {
-			if _, err := l.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}); got > 1 {
-			t.Errorf("%d-byte update record: %v allocations per append, want <= 1", n, got)
-		}
-	}
-	after := []byte("after-image")
-	lsn, err := l.Append(&Record{Type: TUpdate, Tx: 2, Page: pid, Before: []byte("before"), After: after})
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(after, "scribbled!!")
-	if err := l.Flush(lsn); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := l.ReadRecord(lsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rec.After) != "after-image" || string(rec.Before) != "before" {
-		t.Fatalf("log kept the caller's memory: %q / %q", rec.Before, rec.After)
 	}
 }
