@@ -17,15 +17,10 @@ import (
 //	//bess:resource acquire=F release=G [sink=T.f[,T.g]] [mode=owned|pinned]
 //	//bess:golife                      (package opts into goroutine lifecycle)
 //	//bess:golife ignore=<reason>      (waives the go statement on/under it)
-//	//bess:walorder                    (package opts into write-ahead ordering)
-//	//bess:walorder capture=T.M mutate=T.M  (mutate calls need a prior capture)
-//	//bess:walorder ignore=<reason>    (waives the sink/mutate on/under it)
-//	//bess:walsink Type.Method         (calls to it are page-store sink events)
 //	//bess:lockfree                    (func doc: taint root for lock freedom)
 //	//bess:lockfree ignore=<reason>    (waives the lock/call on/under it)
 //	//bess:hotpath                     (func doc: per-op allocations flagged)
 //	//bess:hotpath ignore=<reason>     (waives the allocation on/under it)
-//	//bess:verified                    (func doc: read path must call Verify*)
 //
 // A //bess: line whose verb is unknown, or whose argument does not parse,
 // is itself a finding (analyzer "directive") — a typo must not silently
@@ -49,30 +44,15 @@ type directives struct {
 	// (comment-above style). An empty reason is itself a finding.
 	golifeIgnores map[string]map[int]string
 
-	walorder        map[string]bool // package path -> opted into WAL ordering
-	walsinks        map[string]bool // "Type.Method" names treated as page-store sinks
-	walcaptures     []capturePair   // capture-before-mutate requirements
-	walorderIgnores map[string]map[int]string
-
 	lockfreeRoots   map[*types.Func]bool // taint roots for the lockfree analyzer
 	lockfreeIgnores map[string]map[int]string
 
 	hotpath        map[*types.Func]bool // functions under per-op allocation review
 	hotpathIgnores map[string]map[int]string
 
-	verified map[*types.Func]bool // read paths that must call a Verify* function
-
 	// bad collects malformed or unknown //bess: directives; run() reports
 	// them under the "directive" analyzer.
 	bad []dirDiag
-}
-
-// capturePair declares that every call to mutate must be preceded, in the
-// same function, by a call to capture (name-matched as "Type.Method" of the
-// static callee, so the pair may live in another package).
-type capturePair struct {
-	capture, mutate string
-	pos             token.Pos
 }
 
 // dirDiag is one malformed/unknown directive, reported as a finding.
@@ -89,14 +69,10 @@ func newDirectives() *directives {
 		guarded:         make(map[*types.Var]string),
 		golife:          make(map[string]bool),
 		golifeIgnores:   make(map[string]map[int]string),
-		walorder:        make(map[string]bool),
-		walsinks:        make(map[string]bool),
-		walorderIgnores: make(map[string]map[int]string),
 		lockfreeRoots:   make(map[*types.Func]bool),
 		lockfreeIgnores: make(map[string]map[int]string),
 		hotpath:         make(map[*types.Func]bool),
 		hotpathIgnores:  make(map[string]map[int]string),
-		verified:        make(map[*types.Func]bool),
 	}
 }
 
@@ -224,25 +200,6 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		if arg != "" {
 			d.badf(pos, "//bess:prepublish takes no argument (got %q)", arg)
 		}
-	case "walorder":
-		switch {
-		case arg == "":
-			d.walorder[p.path] = true
-		case strings.HasPrefix(arg, "ignore="):
-			d.ignoreAt(p, "walorder", d.walorderIgnores, strings.TrimPrefix(arg, "ignore="), pos)
-		case strings.HasPrefix(arg, "capture="):
-			if err := d.parseCapture(arg, pos); err != nil {
-				d.badf(pos, "%v", err)
-			}
-		default:
-			d.badf(pos, "//bess:walorder: unknown clause %q (want bare, ignore=<reason>, or capture=T.M mutate=T.M)", arg)
-		}
-	case "walsink":
-		if arg == "" || !strings.Contains(arg, ".") || strings.ContainsAny(arg, " =") {
-			d.badf(pos, "//bess:walsink needs a Type.Method name (got %q)", arg)
-			return
-		}
-		d.walsinks[arg] = true
 	case "lockfree":
 		switch {
 		case arg == "":
@@ -262,38 +219,9 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		default:
 			d.badf(pos, "//bess:hotpath: unknown clause %q (want bare or ignore=<reason>)", arg)
 		}
-	case "verified":
-		if arg != "" {
-			d.badf(pos, "//bess:verified takes no argument (got %q)", arg)
-		}
-		// Bare form: attaches to the function whose doc holds it (collectFunc).
 	default:
-		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, resource, golife, walorder, walsink, lockfree, hotpath, verified)", verb)
+		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, resource, golife, lockfree, hotpath)", verb)
 	}
-}
-
-// parseCapture parses "capture=Type.Method mutate=Type.Method".
-func (d *directives) parseCapture(arg string, pos token.Pos) error {
-	pair := capturePair{pos: pos}
-	for _, kv := range strings.Fields(arg) {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" || !strings.Contains(val, ".") {
-			return fmt.Errorf("//bess:walorder: bad clause %q (want capture=T.M mutate=T.M)", kv)
-		}
-		switch key {
-		case "capture":
-			pair.capture = val
-		case "mutate":
-			pair.mutate = val
-		default:
-			return fmt.Errorf("//bess:walorder: unknown clause %q (want capture= or mutate=)", key)
-		}
-	}
-	if pair.capture == "" || pair.mutate == "" {
-		return fmt.Errorf("//bess:walorder: capture= and mutate= are both required")
-	}
-	d.walcaptures = append(d.walcaptures, pair)
-	return nil
 }
 
 func (d *directives) parseOrder(spec string, pos token.Pos) error {
@@ -336,9 +264,6 @@ func (d *directives) collectFunc(p *pkg, fn *ast.FuncDecl) {
 		}
 		if text == "bess:hotpath" {
 			d.hotpath[obj] = true
-		}
-		if text == "bess:verified" {
-			d.verified[obj] = true
 		}
 	}
 }

@@ -68,9 +68,9 @@ func (l *loader) Import(path string) (*types.Package, error) {
 }
 
 // buildTags reports whether the file's build constraints accept the
-// analysis configuration: default tags with lockcheck, goleak, and
-// walcheck OFF (bess-vet checks the production build; the tag-on files
-// mirror plain sync, go-statement, and page-write usage).
+// analysis configuration: default tags with invariants OFF (bess-vet checks
+// the production build; the tag-on files mirror plain sync and go-statement
+// usage).
 func buildTagsOK(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -83,7 +83,7 @@ func buildTagsOK(f *ast.File) bool {
 			}
 			return expr.Eval(func(tag string) bool {
 				switch tag {
-				case "lockcheck", "goleak", "walcheck":
+				case "invariants":
 					return false
 				case "linux", "unix", build.Default.GOOS, build.Default.GOARCH:
 					return true

@@ -26,7 +26,7 @@ type lockfreeAnalysis struct {
 	dirs  *directives
 	r     *reporter
 	fset  *token.FileSet
-	decls map[*types.Func]*walDecl
+	decls map[*types.Func]*golifeDecl
 	seen  map[string]bool
 }
 
@@ -37,7 +37,7 @@ func analyzeLockFree(pkgs []*pkg, dirs *directives, r *reporter) {
 	a := &lockfreeAnalysis{
 		dirs:  dirs,
 		r:     r,
-		decls: make(map[*types.Func]*walDecl),
+		decls: make(map[*types.Func]*golifeDecl),
 		seen:  make(map[string]bool),
 	}
 	for _, p := range pkgs {
@@ -49,7 +49,7 @@ func analyzeLockFree(pkgs []*pkg, dirs *directives, r *reporter) {
 					continue
 				}
 				if fn, _ := p.info.Defs[fd.Name].(*types.Func); fn != nil {
-					a.decls[fn] = &walDecl{p: p, fd: fd}
+					a.decls[fn] = &golifeDecl{p: p, fd: fd}
 				}
 			}
 		}

@@ -22,11 +22,6 @@
 //     no double-close or send-after-close on any path, no unbuffered sends
 //     from goroutines without a select escape, no WaitGroup.Add inside the
 //     spawned goroutine.
-//   - walorder: in //bess:walorder packages, every page-store sink (a call
-//     to a //bess:walsink function) must be dominated by a wal Append on
-//     the same path, declared capture=/mutate= pairs must stage a
-//     pre-update image before overwriting, and LSN chains must stay
-//     monotone (no stale PrevLSN after a newer Append).
 //   - lockfree: interprocedural taint from //bess:lockfree roots (snapshot
 //     fetch, snapshot scans, version-chain readers): any reachable
 //     Lock/RLock or lock-manager Acquire is a finding unless waived with
@@ -72,7 +67,7 @@ func main() {
 	}
 	var (
 		dir     = flag.String("C", ".", "module directory to analyze")
-		only    = flag.String("only", "", "comma-separated analyzer subset (lockorder,durability,guarded,defers,poollife,atomicmix,golife,chanflow,walorder,lockfree,hotalloc,directive)")
+		only    = flag.String("only", "", "comma-separated analyzer subset (lockorder,durability,guarded,defers,poollife,atomicmix,golife,chanflow,lockfree,hotalloc,directive)")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	)
 	flag.Parse()
@@ -161,7 +156,7 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 			"lockorder": true, "durability": true, "guarded": true, "defers": true,
 			"poollife": true, "atomicmix": true,
 			"golife": true, "chanflow": true,
-			"walorder": true, "lockfree": true, "hotalloc": true, "crcpath": true,
+			"lockfree": true, "hotalloc": true,
 			"directive": true,
 		}
 	} else {
@@ -200,17 +195,11 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	if enabled["chanflow"] {
 		analyzeChanFlow(pkgs, dirs, r)
 	}
-	if enabled["walorder"] {
-		analyzeWALOrder(pkgs, dirs, r)
-	}
 	if enabled["lockfree"] {
 		analyzeLockFree(pkgs, dirs, r)
 	}
 	if enabled["hotalloc"] {
 		analyzeHotAlloc(pkgs, dirs, r)
-	}
-	if enabled["crcpath"] {
-		analyzeCrcPath(pkgs, dirs, r)
 	}
 	return r.sorted(), nil
 }

@@ -16,14 +16,6 @@ package directive
 //
 //bess:golife ignore // want directive
 
-// A walsink must name a Type.Method.
-//
-//bess:walsink NoDotHere // want directive
-
-// A capture pair needs both sides.
-//
-//bess:walorder capture=Store.Stage mutate= // want directive
-
 // An ignore waiver without a reason is worthless in review.
 //
 //bess:lockfree ignore= // want directive

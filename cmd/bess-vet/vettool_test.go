@@ -56,25 +56,25 @@ func writeUnitConfig(t *testing.T, cfg *vetConfig) string {
 // TestVettoolFindingsUnitScoped: the per-unit analysis must surface the
 // fixture's intended findings and only for files inside the unit.
 func TestVettoolFindingsUnitScoped(t *testing.T) {
-	cfg, abs := fixtureUnitConfig(t, "walorder")
+	cfg, abs := fixtureUnitConfig(t, "lockfree")
 	findings, err := vettoolFindings(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) == 0 {
-		t.Fatal("vettoolFindings returned no findings for the walorder fixture")
+		t.Fatal("vettoolFindings returned no findings for the lockfree fixture")
 	}
-	sawWalorder := false
+	sawLockfree := false
 	for _, f := range findings {
 		if !strings.HasPrefix(filepath.Clean(f.pos.Filename), abs) {
 			t.Errorf("finding outside the unit: %s", f.pos.Filename)
 		}
-		if f.analyzer == "walorder" {
-			sawWalorder = true
+		if f.analyzer == "lockfree" {
+			sawLockfree = true
 		}
 	}
-	if !sawWalorder {
-		t.Error("no walorder finding in the walorder unit")
+	if !sawLockfree {
+		t.Error("no lockfree finding in the lockfree unit")
 	}
 }
 

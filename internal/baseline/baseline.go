@@ -16,6 +16,9 @@
 //     detection — the programmer explicitly marks dirty data, and compiled
 //     code must conservatively request exclusive locks whenever an object
 //     pointer escapes into a function (paper §2.3). E7.
+//
+//   - LRU (lru.go): the textbook replacement policy the two-level clock is
+//     compared with. E4.
 package baseline
 
 import (

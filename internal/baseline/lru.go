@@ -1,4 +1,4 @@
-package cache
+package baseline
 
 import (
 	"container/list"

@@ -20,7 +20,6 @@ import (
 
 	"bess/internal/baseline"
 	"bess/internal/buddy"
-	"bess/internal/cache"
 	"bess/internal/client"
 	"bess/internal/core"
 	"bess/internal/largeobj"
@@ -352,7 +351,7 @@ func RunE4(pages, slots, procs, accesses int, seed int64) E4Result {
 	}
 
 	// LRU baseline over the identical trace.
-	lru := cache.NewLRU(slots)
+	lru := baseline.NewLRU(slots)
 	for _, id := range ids {
 		if _, ok := lru.Get(id); !ok {
 			lru.Put(id, nil)
@@ -616,7 +615,6 @@ type E8Result struct {
 // optionally checkpointed midway, then restarts.
 func RunE8(txns, updates int, checkpoint bool) E8Result {
 	l := wal.NewMem()
-	disk := &memPager{pages: make(map[page.ID][]byte)}
 	var at []wal.CkptTx
 	for t := 0; t < txns; t++ {
 		id := uint64(t + 1)
@@ -647,7 +645,7 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	must(l.Flush(0))
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	must(err)
-	st, err := wal.Recover(crashed, disk)
+	st, err := wal.Recover(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
 	must(err)
 	return E8Result{
 		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint,
@@ -656,7 +654,24 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	}
 }
 
-type memPager struct{ pages map[page.ID][]byte }
+// memPager is the in-memory database image E8 and E19's checkpoint trials
+// recover log onto: pages never written read as zeroes.
+type memPager struct {
+	log   *wal.Log
+	pages map[page.ID][]byte
+}
+
+// checkProof is what every pager of this package asserts of a store: the proof
+// names a page, by a record that is in l.
+func checkProof(l *wal.Log, proof wal.Logged) error {
+	if proof.LSN() == 0 {
+		return wal.ErrNotLogged
+	}
+	if proof.Page().Area == 0 || proof.LSN() >= l.NextLSN() {
+		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
+	}
+	return nil
+}
 
 func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	if pg, ok := p.pages[id]; ok {
@@ -669,10 +684,11 @@ func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *memPager) WritePage(id page.ID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p.pages[id] = cp
+func (p *memPager) WritePage(proof wal.Logged, data []byte) error {
+	if err := checkProof(p.log, proof); err != nil {
+		return err
+	}
+	p.pages[proof.Page()] = append([]byte(nil), data...)
 	return nil
 }
 

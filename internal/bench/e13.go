@@ -135,7 +135,7 @@ func e13Setup(seed int64) (*e13World, error) {
 		return nil, fmt.Errorf("create area: %w", err)
 	}
 	w.area = a
-	w.txm = tx.NewManager(l, lock.NewManager(), e13Pager{a}, nil)
+	w.txm = tx.NewManager(l, lock.NewManager(), e13Pager{a, l}, nil)
 	for t := uint64(1); t <= e13Txs; t++ {
 		first, _, err := a.AllocSegment(1)
 		if err != nil {
@@ -279,8 +279,12 @@ func e13Workload(w *e13World) {
 	}
 }
 
-// e13Pager adapts a rebooted area to wal.Pager.
-type e13Pager struct{ a *area.Area }
+// e13Pager adapts an area to wal.Pager, and checks every store's proof
+// against the log it came from.
+type e13Pager struct {
+	a *area.Area
+	l *wal.Log
+}
 
 func (p e13Pager) ReadPage(id page.ID, buf []byte) error {
 	if id.Area != e13AreaID {
@@ -289,7 +293,11 @@ func (p e13Pager) ReadPage(id page.ID, buf []byte) error {
 	return p.a.ReadPage(id.Page, buf)
 }
 
-func (p e13Pager) WritePage(id page.ID, data []byte) error {
+func (p e13Pager) WritePage(proof wal.Logged, data []byte) error {
+	if err := checkProof(p.l, proof); err != nil {
+		return fmt.Errorf("e13: %w", err)
+	}
+	id := proof.Page()
 	if id.Area != e13AreaID {
 		return fmt.Errorf("e13: write of foreign area %d", id.Area)
 	}
@@ -334,7 +342,7 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 		}
 	}
 
-	stats, err := wal.Recover(l, e13Pager{a})
+	stats, err := wal.Recover(l, e13Pager{a, l})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
@@ -368,7 +376,7 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 	}
 
 	// (4) idempotence: a second restart finds no losers and changes nothing.
-	stats2, err := wal.Recover(l, e13Pager{a})
+	stats2, err := wal.Recover(l, e13Pager{a, l})
 	if err != nil {
 		return nil, fmt.Errorf("second recover: %w", err)
 	}

@@ -423,29 +423,6 @@ func e19WALBody(seed int64, sample int, rep *E19Report) (E19Category, error) {
 	return c, nil
 }
 
-// e19MapPager is the in-memory database image the checkpoint trials recover
-// onto: zero-filled pages written by redo/undo.
-type e19MapPager struct{ pages map[page.ID][]byte }
-
-func newE19MapPager() *e19MapPager { return &e19MapPager{pages: make(map[page.ID][]byte)} }
-
-func (p *e19MapPager) ReadPage(id page.ID, buf []byte) error {
-	img, ok := p.pages[id]
-	if !ok {
-		for i := range buf {
-			buf[i] = 0
-		}
-		return nil
-	}
-	copy(buf, img)
-	return nil
-}
-
-func (p *e19MapPager) WritePage(id page.ID, data []byte) error {
-	p.pages[id] = append([]byte(nil), data...)
-	return nil
-}
-
 // e19CkptLog writes the checkpoint-trial log: tx1 commits an update to page
 // 1, checkpoint #1, tx2 commits an update to page 2, checkpoint #2, then a
 // loser transaction touches page 3 (undone on clean recovery, lost with a
@@ -536,7 +513,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 	if err != nil {
 		return c, fmt.Errorf("reopen clean log: %w", err)
 	}
-	pager := newE19MapPager()
+	pager := &memPager{log: clean, pages: make(map[page.ID][]byte)}
 	st, err := wal.Recover(clean, pager)
 	_ = clean.Close()
 	if err != nil {
@@ -545,7 +522,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 	if st.CheckpointLSN != ckpt2 {
 		return c, fmt.Errorf("clean recovery used checkpoint %d, want %d", st.CheckpointLSN, ckpt2)
 	}
-	checkState := func(p *e19MapPager) error {
+	checkState := func(p *memPager) error {
 		buf := make([]byte, page.Size)
 		for id, w := range want {
 			if err := p.ReadPage(id, buf); err != nil {
@@ -575,7 +552,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 			c.record("silent")
 			continue
 		}
-		p := newE19MapPager()
+		p := &memPager{log: l, pages: make(map[page.ID][]byte)}
 		st, err := wal.Recover(l, p)
 		if err != nil {
 			rep.fail(fmt.Sprintf("%s: recover: %v", label, err))

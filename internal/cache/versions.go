@@ -167,12 +167,24 @@ func (vs *VersionStore) Close() {
 	vs.mu.Unlock()
 }
 
-// StageUpdate records that txID is about to overwrite key's pages. With
-// capture set (the caller saw an open snapshot), old — the current
-// committed image — is copied for the version chain; without it, WAL
-// before-images cover reconstruction. Must be called before the first page
-// of the new image is written, under the updater's X lock.
-func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage, capture bool) {
+// Staged is proof that a transaction has staged a segment with the version
+// store: what the server's page-overwriting path takes before it writes the
+// first page, so an update nobody staged cannot be written (DESIGN.md §4f).
+// Only StageUpdate makes a non-zero one.
+type Staged struct {
+	tx uint64
+	ok bool
+}
+
+// By reports whether s was minted for transaction txID; false for the zero
+// Staged.
+func (s Staged) By(txID uint64) bool { return s.ok && s.tx == txID }
+
+// StageUpdate records that txID is about to overwrite key's pages, under the
+// updater's X lock, and returns the proof of it. With capture set (the caller
+// saw an open snapshot), old — the current committed image — is copied for
+// the version chain; without it, WAL before-images cover reconstruction.
+func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage, capture bool) Staged {
 	vs.mu.Lock()
 	u := stagedUpdate{key: key, from: vs.stamp[key]}
 	if capture {
@@ -183,6 +195,7 @@ func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage, capture b
 	vs.pending[txID] = append(vs.pending[txID], u)
 	vs.staged[key]++
 	vs.mu.Unlock()
+	return Staged{tx: txID, ok: true}
 }
 
 // CommitTx publishes txID's staged updates at commit stamp: captured old

@@ -2,9 +2,9 @@
 // a build-tagged goroutine-leak tracker in the mold of internal/lockcheck.
 //
 // Production code spawns long-lived goroutines through Go(name, fn) instead
-// of a bare `go` statement. Without the `goleak` build tag the wrapper
+// of a bare `go` statement. Without the `invariants` build tag the wrapper
 // compiles to a plain `go fn()` and the tracker costs nothing. With
-// `-tags goleak` every spawn is registered under its site label until the
+// `-tags invariants` every spawn is registered under its site label until the
 // goroutine returns, and tests assert teardown with
 //
 //	goleak.Check(t)                    // no tracked goroutine may be live

@@ -1,4 +1,4 @@
-//go:build !goleak
+//go:build !invariants
 
 package goleak
 
@@ -9,7 +9,7 @@ import (
 
 func TestOffModeStillRuns(t *testing.T) {
 	if Enabled {
-		t.Fatal("Enabled = true without the goleak tag")
+		t.Fatal("Enabled = true without the invariants tag")
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

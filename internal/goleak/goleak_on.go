@@ -1,4 +1,4 @@
-//go:build goleak
+//go:build invariants
 
 package goleak
 

@@ -1,5 +1,5 @@
 // Package lockcheck provides drop-in replacements for sync.Mutex and
-// sync.RWMutex that, when built with the `lockcheck` tag, validate the
+// sync.RWMutex that, when built with the `invariants` tag, validate the
 // declared lock hierarchy at runtime: every goroutine's held-lock set is
 // tracked, and acquiring a lock whose rank is not strictly greater than
 // every ranked lock already held panics with both acquisition sites.

@@ -1,4 +1,4 @@
-//go:build !lockcheck
+//go:build !invariants
 
 package lockcheck
 
@@ -7,7 +7,7 @@ import "sync"
 // Enabled reports whether runtime lock-order checking is compiled in.
 const Enabled = false
 
-// Mutex is sync.Mutex when the lockcheck tag is absent. Lock, TryLock, and
+// Mutex is sync.Mutex when the invariants tag is absent. Lock, TryLock, and
 // Unlock are promoted from the embedded primitive, so there is no wrapper
 // overhead at all.
 type Mutex struct {
@@ -17,7 +17,7 @@ type Mutex struct {
 // Init names the lock and assigns its hierarchy rank. No-op in this build.
 func (m *Mutex) Init(name string, rank Rank) {}
 
-// RWMutex is sync.RWMutex when the lockcheck tag is absent.
+// RWMutex is sync.RWMutex when the invariants tag is absent.
 type RWMutex struct {
 	sync.RWMutex
 }

@@ -1,4 +1,4 @@
-//go:build !lockcheck
+//go:build !invariants
 
 package lockcheck
 
@@ -11,7 +11,7 @@ import (
 // nesting in any order, recursion-free usage, and sync.Cond interop.
 func TestPassthrough(t *testing.T) {
 	if Enabled {
-		t.Fatal("Enabled must be false without the lockcheck tag")
+		t.Fatal("Enabled must be false without the invariants tag")
 	}
 	var a, b Mutex
 	a.Init("a", 10)

@@ -1,4 +1,4 @@
-//go:build lockcheck
+//go:build invariants
 
 package lockcheck
 

@@ -26,7 +26,6 @@ import (
 	"bess/internal/proto"
 	"bess/internal/segment"
 	"bess/internal/wal"
-	"bess/internal/walcheck"
 )
 
 // ErrQuarantined marks a segment whose corruption could not be repaired
@@ -104,16 +103,24 @@ func corruptionIn(err error) bool {
 // (data and overflow runs, which CreateSegment and the allocator zero without
 // logging) — those replay correctly from an empty history, while a slotted
 // page is only repairable from a whole-page image, which the anchor rule
-// makes the first record any commit logs of it.
+// makes the first record any commit logs of it. A page with history is
+// rewritten on the proof of the last record replayed; a zeroBase page with
+// none gets its unlogged initial image back the way it first got it, by an
+// area write (formatSegment).
 func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool) error {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()
+	a := s.lookupArea(areaID)
+	if a == nil {
+		return ErrNoArea
+	}
 	if err := s.log.Flush(0); err != nil {
 		return err
 	}
 	type pageHist struct {
 		img  []byte
-		full bool // a whole-page image anchors the replay
+		full bool       // a whole-page image anchors the replay
+		last wal.Logged // of the last record replayed
 	}
 	hist := make(map[page.No]*pageHist, n)
 	err := s.log.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
@@ -135,11 +142,13 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 		if int(rec.Off)+len(rec.After) <= page.Size {
 			copy(ph.img[rec.Off:], rec.After)
 		}
+		ph.last = rec.Logged()
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("server: repair: log history unreadable: %w", err)
 	}
+	zero := make([]byte, page.Size)
 	for i := 0; i < n; i++ {
 		pno := start + page.No(i)
 		ph := hist[pno]
@@ -147,15 +156,16 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 			if !zeroBase {
 				return fmt.Errorf("server: repair: page %d:%d has no logged history", areaID, pno)
 			}
-			ph = &pageHist{img: make([]byte, page.Size)}
+			if err := a.WritePage(pno, zero); err != nil {
+				return err
+			}
+			s.stats.pagesWritten.Add(1)
+			continue
 		}
 		if !ph.full && !zeroBase {
 			return fmt.Errorf("server: repair: page %d:%d has no full-page image in the log", areaID, pno)
 		}
-		pid := page.ID{Area: page.AreaID(areaID), Page: pno}
-		walcheck.NoteUpdate(pid)
-		//bess:walorder ignore=repair replays page images whose update records are already durable in the log
-		if err := s.WritePage(pid, ph.img); err != nil {
+		if err := s.WritePage(ph.last, ph.img); err != nil {
 			return err
 		}
 	}

@@ -93,6 +93,7 @@ func TestRepairDataSectionFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 7)
+	written := s.Snapshot().PagesWritten
 	b, err := fetchObject(t, s, key)
 	if err != nil {
 		t.Fatalf("fetch after data rot: %v", err)
@@ -102,6 +103,15 @@ func TestRepairDataSectionFromWAL(t *testing.T) {
 	}
 	if st := s.ScrubStatus(); st.Repaired == 0 {
 		t.Fatalf("counters = %+v", st)
+	}
+	// The commit logged the run's first page only. Repair rewrites that one
+	// on its record's proof and gives the rest — never logged, so no proof
+	// exists — their unlogged initial image back; both count as page writes.
+	if dec.Hdr.DataPages < 2 {
+		t.Fatalf("data run of %d pages: the test needs a page without log history", dec.Hdr.DataPages)
+	}
+	if got := s.Snapshot().PagesWritten - written; got != int64(dec.Hdr.DataPages) {
+		t.Fatalf("repair wrote %d pages, want the run's %d", got, dec.Hdr.DataPages)
 	}
 }
 

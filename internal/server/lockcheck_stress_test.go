@@ -1,4 +1,4 @@
-//go:build lockcheck
+//go:build invariants
 
 package server
 
@@ -16,7 +16,7 @@ import (
 // checker is compiled in.
 func TestLockcheckEnabled(t *testing.T) {
 	if !lockcheck.Enabled {
-		t.Fatal("lockcheck build tag set but lockcheck.Enabled is false")
+		t.Fatal("invariants build tag set but lockcheck.Enabled is false")
 	}
 }
 

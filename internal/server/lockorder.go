@@ -5,7 +5,7 @@
 // cmd/bess-vet parses it and statically rejects any function whose call
 // graph acquires these locks in a violating nested order, and the rank
 // constants feed the same order to the runtime checker
-// (internal/lockcheck, active under the `lockcheck` build tag).
+// (internal/lockcheck, active under the `invariants` build tag).
 //
 // Names are unqualified Type.field pairs; "a < b" means a goroutine holding
 // a may acquire b, never the reverse. Locks of equal rank (the 32 tx table

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"bess/internal/cache"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
@@ -110,13 +111,14 @@ func TestLogAndApplyShortTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := s.txm.Begin()
+	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{}, false)
 	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	if err := s.logAndApply(tr, aid, page.No(start), nil, data); err != nil { // anchors both pages
+	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data); err != nil { // anchors both pages
 		t.Fatal(err)
 	}
 	copy(data[page.Size+10:], "short")
 	from := s.log.NextLSN()
-	if err := s.logAndApply(tr, aid, page.No(start), nil, data); err != nil {
+	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := func() (*wal.Record, error) {

@@ -1,0 +1,258 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"bess/internal/cache"
+	"bess/internal/page"
+	"bess/internal/proto"
+	"bess/internal/rpc"
+	"bess/internal/segment"
+	"bess/internal/wal"
+)
+
+// Tests of what the proof tokens (DESIGN.md §4f) leave to run time: the zero
+// value of each is refused in every build, and every reader of a segment image
+// verifies it.
+
+// readPage reads one page straight off the area.
+func readPage(t *testing.T, s *Server, id page.ID) []byte {
+	t.Helper()
+	buf := make([]byte, page.Size)
+	if err := s.ReadPage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestWritePageRejectsZeroProof: the page store writes nothing on the zero
+// wal.Logged — which is also what LogUpdate returns when it logged nothing —
+// and, as the transaction manager's pager, takes a rollback's stores on the
+// proofs of its CLRs.
+func TestWritePageRejectsZeroProof(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	aid, start, _, err := s.AllocRun(db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := page.ID{Area: page.AreaID(aid), Page: page.No(start)}
+	was := readPage(t, s, pid)
+	junk := bytes.Repeat([]byte{0xC3}, page.Size)
+	written := s.Snapshot().PagesWritten
+
+	tr := s.txm.Begin()
+	none, err := tr.LogUpdate(pid, was, was)
+	if err != nil || none != (wal.Logged{}) {
+		t.Fatalf("LogUpdate of an unchanged page: proof %+v, err %v; want the zero proof", none, err)
+	}
+	for _, proof := range []wal.Logged{{}, none} {
+		if err := s.WritePage(proof, junk); !errors.Is(err, wal.ErrNotLogged) {
+			t.Fatalf("WritePage on the zero proof: %v, want wal.ErrNotLogged", err)
+		}
+	}
+	if !bytes.Equal(readPage(t, s, pid), was) || s.Snapshot().PagesWritten != written {
+		t.Fatal("a store without a log record reached the area")
+	}
+
+	proof, err := tr.LogUpdate(pid, was, junk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proof.Page() != pid || proof.LSN() < wal.FirstLSN() || proof.LSN() >= s.log.NextLSN() {
+		t.Fatalf("proof names %v at lsn %d; logged %v, log ends at %d", proof.Page(), proof.LSN(), pid, s.log.NextLSN())
+	}
+	if err := s.WritePage(proof, junk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readPage(t, s, pid), junk) {
+		t.Fatal("a proven store did not reach the area")
+	}
+	if err := tr.Abort(); err != nil {
+		t.Fatalf("abort, whose undo stores through Server.WritePage: %v", err)
+	}
+	if !bytes.Equal(readPage(t, s, pid), was) || s.Snapshot().PagesWritten != written+2 {
+		t.Fatal("rollback did not restore the page through the page store")
+	}
+}
+
+// TestLogAndApplyRequiresStaging: no page of a segment is logged or written
+// for a transaction that did not stage the overwrite with the version store.
+func TestLogAndApplyRequiresStaging(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("staged or not at all"))
+	pid := page.ID{Area: page.AreaID(key.Area), Page: page.No(key.Start)}
+	was := readPage(t, s, pid)
+	data := bytes.Repeat([]byte{0x3C}, page.Size)
+
+	tr, other := s.txm.Begin(), s.txm.Begin()
+	defer func() { _, _ = tr.Abort(), other.Abort() }()
+	_, _, foreign, err := s.updateBase(other, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := s.log.NextLSN()
+	for name, staged := range map[string]cache.Staged{"zero": {}, "another transaction's": foreign} {
+		if err := s.logAndApply(staged, tr, key.Area, page.No(key.Start), nil, data); !errors.Is(err, ErrNotStaged) {
+			t.Fatalf("logAndApply on %s Staged: %v, want ErrNotStaged", name, err)
+		}
+	}
+	if s.log.NextLSN() != end || !bytes.Equal(readPage(t, s, pid), was) {
+		t.Fatal("an unstaged overwrite was logged or written")
+	}
+	if err := s.logAndApply(foreign, other, key.Area, page.No(key.Start), nil, data); err != nil {
+		t.Fatalf("logAndApply on the transaction's own Staged: %v", err)
+	}
+	if !bytes.Equal(readPage(t, s, pid), data) {
+		t.Fatal("a staged overwrite did not reach the area")
+	}
+}
+
+// TestEveryReadPathVerifies flips a byte on disk under each consumer of
+// readImage: every one of them must notice (the corruption counter moves) and,
+// the history being in the log, serve the repaired bytes.
+func TestEveryReadPathVerifies(t *testing.T) {
+	body := []byte("verified wherever it is read")
+	big := bytes.Repeat([]byte("large-object-content."), 300)
+	wantBody := func(t *testing.T, sl, ov, data []byte) {
+		t.Helper()
+		if b, err := decodeSeg(t, sl, ov, data).ObjectBytes(0); err != nil || !bytes.Equal(b, body) {
+			t.Fatalf("object after rot = %q, %v", b, err)
+		}
+	}
+	type target int
+	const (
+		slotted target = iota
+		data
+		largeRun
+	)
+	cases := []struct {
+		name string
+		rot  target
+		read func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey, slot int)
+	}{
+		{"FetchSlotted", slotted, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+			sl, _, err := s.FetchSlotted(0, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := segment.DecodeSlotted(sl); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"FetchData", data, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+			d, err := s.FetchData(0, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl, ov, err := s.FetchSlotted(0, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBody(t, sl, ov, d)
+		}},
+		{"FetchSeg", data, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+			sl, ov, d, err := s.FetchSeg(0, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBody(t, sl, ov, d)
+		}},
+		{"FetchLarge", largeRun, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, slot int) {
+			got, err := s.FetchLarge(0, key, slot)
+			if err != nil || !bytes.Equal(got, big) {
+				t.Fatalf("large object after rot: %d bytes, %v", len(got), err)
+			}
+		}},
+		{"SnapFetchSeg", data, func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey, _ int) {
+			sl, ov, d, err := s.SnapFetchSeg(cl, snap, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBody(t, sl, ov, d)
+		}},
+		{"StreamScan", data, func(t *testing.T, s *Server, cl uint32, _ uint64, key proto.SegKey, _ int) {
+			cEnd, sEnd := rpc.Pipe()
+			defer cEnd.Close()
+			ServePeer(s, sEnd)
+			cli := newScanClient(cEnd)
+			var started proto.ScanStartReply
+			if err := cEnd.Call("ScanStart", &proto.ScanStartArgs{Client: cl, DB: 1, FileID: 1, BatchBytes: 64 << 10}, &started); err != nil {
+				t.Fatal(err)
+			}
+			grant, _ := proto.Encode(&proto.ScanCtl{Credit: 1 << 20})
+			if err := cEnd.SendStream("ScanCtl", started.Scan, grant); err != nil {
+				t.Fatal(err)
+			}
+			seen := false
+			for _, sb := range cli.wait(t) {
+				if sb.Err != "" {
+					t.Fatalf("scan batch carries error %q", sb.Err)
+				}
+				for _, im := range sb.Images {
+					if im.Seg == key {
+						wantBody(t, im.Slotted, im.Overflow, im.Data)
+						seen = true
+					}
+				}
+			}
+			if !seen {
+				t.Fatal("the scan never pushed the segment")
+			}
+		}},
+		{"ScrubOnce", data, func(t *testing.T, s *Server, _ uint32, _ uint64, _ proto.SegKey, _ int) {
+			if _, err := s.ScrubOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewMem(1)
+			defer s.Close()
+			db, _, _ := s.OpenDB("d", true)
+			key := commitOne(t, s, db, body)
+			cl, _ := s.Hello("reader")
+			txid, _ := s.NewTx()
+			slot, err := s.CreateLarge(cl, txid, key, 7, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(cl, txid, nil); err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := s.SnapOpen(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl, ov, err := s.FetchSlotted(0, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := decodeSeg(t, sl, ov, nil)
+			switch c.rot {
+			case slotted:
+				flipPageByte(t, s, key.Area, page.No(key.Start), segment.HeaderSize+3)
+			case data:
+				flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 5)
+			case largeRun:
+				d, err := dec.Descriptor(slot, largeDescSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				areaID, start, _, _, _ := decodeLargeDesc(d)
+				flipPageByte(t, s, areaID, page.No(start)+1, 9)
+			}
+			before := s.ScrubStatus()
+			c.read(t, s, cl, snap, key, slot)
+			if st := s.ScrubStatus(); st.CorruptionsFound != before.CorruptionsFound+1 || st.Repaired != before.Repaired+1 || st.Quarantined != 0 {
+				t.Fatalf("counters %+v, before the read %+v: the flipped byte went unnoticed or unrepaired", st, before)
+			}
+		})
+	}
+}

@@ -62,8 +62,6 @@ func (s *Server) live() view { return view{t: s.txm.CommitStamp()} }
 // the run was rebuilt, a checksum failure while vs.Recheck reports an update
 // staged, or committed since v.t, underneath the read is a torn read, not
 // rot: it returns ErrTornRead and counts, repairs, and quarantines nothing.
-//
-//bess:verified
 func (s *Server) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 	if err := s.quarCheck(seg); err != nil {
 		return nil, err

@@ -187,7 +187,7 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 // TestScanCancelReleasesCursorGoroutines cancels a cursor whose sender is
 // blocked waiting for credit and verifies the whole pipeline unwinds: the
 // fetch loop stops, the sender drains, the cursor leaves the table, and
-// (under -tags goleak) no server goroutine stays behind.
+// (under -tags invariants) no server goroutine stays behind.
 func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()

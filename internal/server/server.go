@@ -31,7 +31,6 @@ import (
 	"bess/internal/segment"
 	"bess/internal/tx"
 	"bess/internal/wal"
-	"bess/internal/walcheck"
 )
 
 // Errors returned by the server.
@@ -44,6 +43,7 @@ var (
 	ErrTooLarge    = errors.New("server: object exceeds transparent large-object limit")
 	ErrShutdown    = errors.New("server: shut down")
 	ErrBadRun      = errors.New("server: bad raw run")
+	ErrNotStaged   = errors.New("server: segment overwrite not staged with the version store by this transaction")
 	errUnknownName = errors.New("server: unknown client")
 )
 
@@ -86,7 +86,7 @@ type Stats struct {
 // cached-copy table, and the active-transaction map is the sharded txs
 // table. None of these locks is ever held while acquiring another; the
 // permitted nesting order, should one ever be introduced, is declared in
-// lockorder.go and enforced by cmd/bess-vet and `-tags lockcheck` builds.
+// lockorder.go and enforced by cmd/bess-vet and `-tags invariants` builds.
 type Server struct {
 	host uint16
 	dir  string // "" = in-memory
@@ -382,30 +382,18 @@ func (s *Server) ReadPage(id page.ID, buf []byte) error {
 	return a.ReadPage(id.Page, buf)
 }
 
-// Write-ahead ordering (DESIGN.md §4f). The server package opts into
-// bess-vet's walorder analyzer: every call to Server.WritePage — the
-// page-store choke point for logged mutations — must be dominated on its
-// path by a WAL append (directly, or through a callee like tx.Tx.LogUpdate
-// whose call-graph summary proves one), and every call to
-// Server.logAndApply must be preceded in the same function by a
-// VersionStore.StageUpdate capture, so open snapshots always see the
-// pre-update image staged before the first page of the overwrite lands.
-// The walcheck build tag enforces the same log-before-data contract at
-// runtime (internal/walcheck).
-//
-//bess:walorder
-//bess:walsink Server.WritePage
-//bess:walorder capture=VersionStore.StageUpdate mutate=Server.logAndApply
-
-// WritePage implements wal.Pager. This is the page-store choke point for
-// every logged mutation: under `-tags walcheck` the store asserts that a
-// covering log record was appended first (internal/walcheck).
-func (s *Server) WritePage(id page.ID, data []byte) error {
+// WritePage implements wal.Pager: the page-store choke point for every logged
+// mutation. The page it writes is the one proof's record changed, so there is
+// no calling it for a page nothing was logged for (DESIGN.md §4f).
+func (s *Server) WritePage(proof wal.Logged, data []byte) error {
+	if proof.LSN() == 0 {
+		return wal.ErrNotLogged
+	}
+	id := proof.Page()
 	a := s.lookupArea(uint32(id.Area))
 	if a == nil {
 		return ErrNoArea
 	}
-	walcheck.NoteWrite(id)
 	s.stats.pagesWritten.Add(1)
 	return a.WritePage(id.Page, data)
 }
@@ -977,11 +965,10 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
-	cur, old, capture, err := s.updateBase(si.Seg)
+	cur, old, staged, err := s.updateBase(t, si.Seg)
 	if err != nil {
 		return err
 	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg), old, capture)
 	// Grown data segment? Allocate a fresh run and point the header at it
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
@@ -1064,40 +1051,43 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
 	}
 	// Re-encode with the final geometry and write everything with logging.
 	img := newSeg.EncodeSlotted()
-	if err := s.logAndApply(t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
+	if err := s.logAndApply(staged, t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
 		return err
 	}
 	if len(si.Data) > 0 {
 		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
-		if err := s.logAndApply(t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, nil, si.Data[:n]); err != nil {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, nil, si.Data[:n]); err != nil {
 			return err
 		}
 	}
 	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
 		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
-		if err := s.logAndApply(t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, nil, si.Overflow[:n]); err != nil {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, nil, si.Overflow[:n]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// updateBase reads what an updater about to overwrite seg needs: the decoded
-// current header (overflow attached) and the image to stage with the version
-// store. The caller must StageUpdate it before the first page of seg is
-// overwritten: snapshot reads of the segment then wait out the overwrite
-// window, and with a snapshot open (capture) the pre-update image joins its
+// updateBase starts t's overwrite of seg: it reads the decoded current header
+// (overflow attached) and the current image, and stages the image with the
+// version store, whose proof of that is what logAndApply takes to write a
+// page. From here until t ends, snapshot reads of the segment wait out the
+// overwrite window, and with a snapshot open the pre-update image joins its
 // chain — the data section is read only when that copy will actually happen.
 // Without the staging an open snapshot's Recheck passes (the stamp never
 // advanced) while pages change underneath it: a torn as-of read.
-func (s *Server) updateBase(seg proto.SegKey) (cur *segment.Seg, old cache.VImage, capture bool, err error) {
-	capture = s.txm.SnapshotCount() > 0
+func (s *Server) updateBase(t *tx.Tx, seg proto.SegKey) (cur *segment.Seg, old cache.VImage, staged cache.Staged, err error) {
+	capture := s.txm.SnapshotCount() > 0
 	want := secOverflow
 	if capture {
 		want = secAll
 	}
 	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, want, s.live())
-	return cur, old, capture, err
+	if err != nil {
+		return nil, old, staged, err
+	}
+	return cur, old, s.vs.StageUpdate(t.ID(), vkeyOf(seg), old, capture), nil
 }
 
 // areaForAlloc picks the area for a relocation allocation (same area as the
@@ -1113,11 +1103,15 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 // logAndApply writes data over the run at start, page by page: each page that
 // changes is logged through tx.Tx.LogUpdate — a byte-range record, or the
 // page's whole-image anchor when one is due (internal/tx/logging.go) — and
-// then written whole; WritePage is the WAL-ordering and crash-point unit.
-// Unchanged pages are neither logged nor written. before is the run's current
+// then written whole on the record's proof; WritePage is the crash-point unit.
+// Unchanged pages are neither logged nor written. staged is updateBase's proof
+// that t staged the segment these pages belong to. before is the run's current
 // content in whole pages — the caller's own read of it, or nil to have it
 // read here.
-func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
+func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
+	if !staged.By(t.ID()) {
+		return ErrNotStaged
+	}
 	if before == nil {
 		a := s.lookupArea(areaID)
 		if a == nil {
@@ -1135,14 +1129,14 @@ func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, before, dat
 			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
 		}
 		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}
-		lsn, err := t.LogUpdate(pid, was, after)
+		proof, err := t.LogUpdate(pid, was, after)
 		if err != nil {
 			return err
 		}
-		if lsn == 0 {
+		if proof.LSN() == 0 {
 			continue // unchanged
 		}
-		if err := s.WritePage(pid, after); err != nil {
+		if err := s.WritePage(proof, after); err != nil {
 			return err
 		}
 	}
@@ -1311,11 +1305,10 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	if err := s.revokeCopies(seg, client); err != nil {
 		return 0, err
 	}
-	dec, old, capture, err := s.updateBase(seg)
+	dec, old, staged, err := s.updateBase(t, seg)
 	if err != nil {
 		return 0, err
 	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(seg), old, capture)
 	// Store the content in its own run.
 	a, aid, err := s.areaForAlloc(seg.Area)
 	if err != nil {
@@ -1331,7 +1324,7 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	}
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
-	if err := s.logAndApply(t, aid, start, nil, padded); err != nil {
+	if err := s.logAndApply(staged, t, aid, start, nil, padded); err != nil {
 		return 0, err
 	}
 	// Grow overflow if needed and add the descriptor slot.
@@ -1351,12 +1344,12 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 		return 0, err
 	}
 	img := dec.EncodeSlotted()
-	if err := s.logAndApply(t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
+	if err := s.logAndApply(staged, t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
 		return 0, err
 	}
 	// dec.Overflow aliases the overflow run updateBase read and now holds
 	// the new descriptor, so its before-image is read back from disk.
-	if err := s.logAndApply(t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, nil, dec.Overflow); err != nil {
+	if err := s.logAndApply(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, nil, dec.Overflow); err != nil {
 		return 0, err
 	}
 	// Force only this transaction's records (WAL rule for the page writes

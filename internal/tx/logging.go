@@ -7,7 +7,6 @@ import (
 
 	"bess/internal/page"
 	"bess/internal/wal"
-	"bess/internal/walcheck"
 )
 
 // What the log holds for a page change — the one place that decides it.
@@ -46,12 +45,13 @@ import (
 // runs only ever precede a page's first record).
 
 // LogUpdate appends the update record for pid changing from before to after,
-// both whole-page images, and returns its LSN — 0, with no record, when the
-// images are equal. The caller writes the page after LogUpdate returns; the
-// log is forced no later than the transaction's commit or prepare.
-func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (page.LSN, error) {
+// both whole-page images, and returns the record's proof, which is what the
+// page store takes to write the page (wal.Pager) — the zero proof, with no
+// record, when the images are equal. The log is forced no later than the
+// transaction's commit or prepare.
+func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (wal.Logged, error) {
 	if len(before) != page.Size || len(after) != page.Size {
-		return 0, fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
+		return wal.Logged{}, fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
 			t.id, pid, len(before), len(after))
 	}
 	lo, hi := diffRange(before, after)
@@ -61,22 +61,16 @@ func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (page.LSN, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state != Active {
-		return 0, ErrNotActive
+		return wal.Logged{}, ErrNotActive
 	}
 	if lo == hi {
-		return 0, nil
+		return wal.Logged{}, nil
 	}
-	lsn, err := t.appendRedo(&wal.Record{Type: wal.TUpdate, Tx: t.id, PrevLSN: t.lastLSN, Page: pid},
-		before, after, lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	walcheck.NoteUpdate(pid)
-	return lsn, nil
+	return t.appendRedo(&wal.Record{Type: wal.TUpdate, Tx: t.id, Page: pid}, before, after, lo, hi)
 }
 
 // undo rolls back one update record of t: it logs the CLR, then restores the
-// before-image through the pager. buf is page-sized scratch.
+// before-image through the pager on the CLR's proof. buf is page-sized scratch.
 func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 	m := t.m
 	if err := m.pager.ReadPage(rec.Page, buf); err != nil {
@@ -85,15 +79,14 @@ func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 	copy(buf[rec.Off:], rec.Before)
 	m.epoch.RLock()
 	t.mu.Lock()
-	_, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN},
+	clr, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN},
 		nil, buf, int(rec.Off), int(rec.Off)+len(rec.Before))
 	t.mu.Unlock()
 	m.epoch.RUnlock()
 	if err != nil {
 		return err
 	}
-	walcheck.NoteUpdate(rec.Page)
-	return m.pager.WritePage(rec.Page, buf)
+	return m.pager.WritePage(clr, buf)
 }
 
 // appendRedo appends rec, an update or CLR of rec.Page that leaves the page
@@ -102,7 +95,7 @@ func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 // range if the page has an anchor in this checkpoint epoch, and the whole
 // page — becoming the anchor — if not. The caller holds m.epoch shared and
 // t.mu.
-func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (page.LSN, error) {
+func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (wal.Logged, error) {
 	m := t.m
 	m.mu.Lock()
 	anchor, anchored := m.anchors[rec.Page]
@@ -114,11 +107,10 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (page.L
 	if before != nil {
 		rec.Before = before[lo:hi]
 	}
-	lsn, err := m.log.Append(rec)
+	lsn, err := t.chain(rec)
 	if err != nil {
-		return 0, err
+		return wal.Logged{}, err
 	}
-	t.lastLSN = lsn
 	if !anchored {
 		// Segment locks keep two transactions off one page, so nobody else
 		// decided about this page between the lookup and here.
@@ -130,6 +122,22 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (page.L
 	if _, ok := t.dirty[rec.Page]; !ok {
 		t.dirty[rec.Page] = anchor
 	}
+	return rec.Logged(), nil
+}
+
+// chain appends rec as the next record of t's chain: it is the one place a
+// record is linked to the transaction's last and the last moved on, both under
+// t.mu (which the caller holds), so nobody else holds an LSN that an append
+// could leave stale. A CLR is linked by its UndoNext alone.
+func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
+	if rec.Type != wal.TCLR {
+		rec.PrevLSN = t.lastLSN
+	}
+	lsn, err := t.m.log.Append(rec)
+	if err != nil {
+		return 0, err
+	}
+	t.lastLSN = lsn
 	return lsn, nil
 }
 
@@ -151,20 +159,15 @@ func (t *Tx) logEnd(to State, types ...wal.Type) (page.LSN, error) {
 	}
 	var first page.LSN
 	if t.lastLSN != 0 || to == Prepared {
-		for i, typ := range types {
-			rec := &wal.Record{Type: typ, Tx: t.id}
-			if i == 0 {
-				rec.PrevLSN = t.lastLSN
-			}
-			lsn, err := m.log.Append(rec)
-			if err != nil {
+		var err error
+		if first, err = t.chain(&wal.Record{Type: types[0], Tx: t.id}); err != nil {
+			return 0, err
+		}
+		for _, typ := range types[1:] {
+			if _, err := m.log.Append(&wal.Record{Type: typ, Tx: t.id}); err != nil {
 				return 0, err
 			}
-			if i == 0 {
-				first = lsn
-			}
 		}
-		t.lastLSN = first
 	}
 	t.state = to
 	return first, nil

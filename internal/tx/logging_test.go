@@ -43,9 +43,13 @@ func TestLogUpdateRule(t *testing.T) {
 		after := append([]byte(nil), cur...)
 		edit(after)
 		next := l.NextLSN()
-		lsn, err := tr.LogUpdate(pid, cur, after)
+		proof, err := tr.LogUpdate(pid, cur, after)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		lsn := proof.LSN()
+		if lsn != 0 && proof.Page() != pid {
+			t.Fatalf("%s: proof names %v, logged %v", name, proof.Page(), pid)
 		}
 		if wantLen == 0 {
 			if lsn != 0 || l.NextLSN() != next {
@@ -388,10 +392,10 @@ func (p *lockedPager) ReadPage(id page.ID, buf []byte) error {
 	return p.p.ReadPage(id, buf)
 }
 
-func (p *lockedPager) WritePage(id page.ID, data []byte) error {
+func (p *lockedPager) WritePage(proof wal.Logged, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.p.WritePage(id, data)
+	return p.p.WritePage(proof, data)
 }
 
 // TestCheckpointInterleaving runs updaters (overwrite, commit, abort, or stay
@@ -407,6 +411,7 @@ func TestCheckpointInterleaving(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		l := wal.NewMem()
 		pg := &lockedPager{p: newMemPager()}
+		pg.p.log = l
 		m := NewManager(l, lock.NewManager(), pg, nil)
 
 		const workers, pagesEach = 4, 3
@@ -445,11 +450,15 @@ func TestCheckpointInterleaving(t *testing.T) {
 						for i := off; i < off+ln && i < page.Size; i++ {
 							after[i] = byte(rng.Intn(256))
 						}
-						if _, err := tr.LogUpdate(pid, before, after); err != nil {
+						proof, err := tr.LogUpdate(pid, before, after)
+						if err != nil {
 							t.Error(err)
 							return
 						}
-						if err := pg.WritePage(pid, after); err != nil {
+						if proof.LSN() == 0 {
+							continue // the random bytes changed nothing
+						}
+						if err := pg.WritePage(proof, after); err != nil {
 							t.Error(err)
 							return
 						}
@@ -521,8 +530,9 @@ func TestCheckpointInterleaving(t *testing.T) {
 		for pid := range rebuilt {
 			junk := make([]byte, page.Size)
 			noise.Read(junk)
-			disk.WritePage(pid, junk)
+			disk.pages[pid] = junk
 		}
+		disk.log = crashed
 		st, err := wal.Recover(crashed, disk)
 		if err != nil {
 			t.Fatal(err)

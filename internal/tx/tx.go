@@ -5,13 +5,6 @@
 // The package also owns what goes into the log for a page change (logging.go):
 // byte-range records, a whole-page anchor per page and checkpoint epoch, and
 // the dirty-page table a checkpoint lists.
-//
-// The package opts into bess-vet's walorder analyzer: any store through the
-// Pager interface must follow a WAL append on the same path (log-before-data;
-// DESIGN.md §4f).
-//
-//bess:walorder
-//bess:walsink Pager.WritePage
 package tx
 
 import (

@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,8 +11,12 @@ import (
 	"bess/internal/wal"
 )
 
-// memPager mirrors the wal test pager.
-type memPager struct{ pages map[page.ID][]byte }
+// memPager mirrors the wal test pager: as a wal.Pager it asserts every store's
+// proof — non-zero, and of a record below the end of log when it has one.
+type memPager struct {
+	pages map[page.ID][]byte
+	log   *wal.Log
+}
 
 func newMemPager() *memPager { return &memPager{pages: make(map[page.ID][]byte)} }
 
@@ -26,10 +31,14 @@ func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *memPager) WritePage(id page.ID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p.pages[id] = cp
+func (p *memPager) WritePage(proof wal.Logged, data []byte) error {
+	if proof.LSN() == 0 {
+		return wal.ErrNotLogged
+	}
+	if p.log != nil && proof.LSN() >= p.log.NextLSN() {
+		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+	}
+	p.pages[proof.Page()] = append([]byte(nil), data...)
 	return nil
 }
 
@@ -45,7 +54,7 @@ func (p *memPager) set(id page.ID, off int, b []byte) {
 	buf := make([]byte, page.Size)
 	p.ReadPage(id, buf)
 	copy(buf[off:], b)
-	p.WritePage(id, buf)
+	p.pages[id] = buf
 }
 
 func (p *memPager) get(id page.ID, off, n int) []byte {
@@ -61,13 +70,15 @@ func logAt(tr *Tx, p *memPager, id page.ID, off int, b []byte) (page.LSN, error)
 	p.ReadPage(id, before)
 	after := append([]byte(nil), before...)
 	copy(after[off:], b)
-	return tr.LogUpdate(id, before, after)
+	proof, err := tr.LogUpdate(id, before, after)
+	return proof.LSN(), err
 }
 
 func newEnv() (*Manager, *memPager, *wal.Log, *hooks.Registry) {
 	l := wal.NewMem()
 	lm := lock.NewManager()
 	pg := newMemPager()
+	pg.log = l
 	hk := hooks.NewRegistry()
 	return NewManager(l, lm, pg, hk), pg, l, hk
 }

@@ -5,22 +5,14 @@ import (
 	"sort"
 
 	"bess/internal/page"
-	"bess/internal/walcheck"
 )
 
-// The wal package opts into bess-vet's walorder analyzer (DESIGN.md §4f):
-// recovery's stores through the Pager interface replay records already in
-// the durable log — redo applies after-images inside the Iterate closure
-// (covered by the walcheck runtime checker), and undo's restores follow the
-// abort/end appends of the loser pass on the same walk.
-//
-//bess:walorder
-//bess:walsink Pager.WritePage
-
-// Pager is the page store recovery replays against.
+// Pager is the page store recovery replays against. WritePage stores data as
+// the whole of page proof.Page() and rejects the zero proof with ErrNotLogged:
+// there is no way to name a page to it other than by a record of that page.
 type Pager interface {
 	ReadPage(id page.ID, buf []byte) error
-	WritePage(id page.ID, data []byte) error
+	WritePage(proof Logged, data []byte) error
 }
 
 // RecoveryStats summarizes one restart.
@@ -169,10 +161,7 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 			return fmt.Errorf("wal: redo record at %d out of page bounds", lsn)
 		}
 		copy(buf[rec.Off:], rec.After)
-		// Redo re-applies a record already durable in the log: that record
-		// is the coverage.
-		walcheck.NoteUpdate(rec.Page)
-		if err := p.WritePage(rec.Page, buf); err != nil {
+		if err := p.WritePage(rec.Logged(), buf); err != nil {
 			return fmt.Errorf("wal: redo write %v: %w", rec.Page, err)
 		}
 		st.RedoApplied++
@@ -236,8 +225,7 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 				copy(buf[rec.Off:], rec.Before)
 				// The loser's update record covers its own undo; the CLR
 				// appended below re-describes the restore for redo.
-				walcheck.NoteUpdate(rec.Page)
-				if err := p.WritePage(rec.Page, buf); err != nil {
+				if err := p.WritePage(rec.Logged(), buf); err != nil {
 					return nil, err
 				}
 			}

@@ -2,15 +2,19 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"bess/internal/page"
 )
 
-// memPager is an in-memory page store; missing pages read as zeros.
+// memPager is an in-memory page store; missing pages read as zeros. As a
+// Pager (recoverOn) it asserts every store's proof: non-zero, and of a record
+// below the end of the log being recovered.
 type memPager struct {
 	pages map[page.ID][]byte
+	log   *Log
 }
 
 func newMemPager() *memPager { return &memPager{pages: make(map[page.ID][]byte)} }
@@ -26,11 +30,26 @@ func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *memPager) WritePage(id page.ID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p.pages[id] = cp
+func (p *memPager) WritePage(proof Logged, data []byte) error {
+	if proof.LSN() == 0 {
+		return ErrNotLogged
+	}
+	if proof.LSN() >= p.log.NextLSN() {
+		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+	}
+	p.put(proof.Page(), data)
 	return nil
+}
+
+// recoverOn is Recover with p checking proofs against l.
+func recoverOn(l *Log, p *memPager) (*RecoveryStats, error) {
+	p.log = l
+	return Recover(l, p)
+}
+
+// put is the raw device write a buffer manager would do.
+func (p *memPager) put(id page.ID, data []byte) {
+	p.pages[id] = append([]byte(nil), data...)
 }
 
 func (p *memPager) clone() *memPager {
@@ -54,7 +73,7 @@ func applyUpd(p *memPager, r *Record) {
 	buf := make([]byte, page.Size)
 	p.ReadPage(r.Page, buf)
 	copy(buf[r.Off:], r.After)
-	p.WritePage(r.Page, buf)
+	p.put(r.Page, buf)
 }
 
 func TestRecoverCommittedSurvivesLoserRolledBack(t *testing.T) {
@@ -85,7 +104,7 @@ func TestRecoverCommittedSurvivesLoserRolledBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Recover(crashedLog, disk)
+	st, err := recoverOn(crashedLog, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +144,7 @@ func TestRecoverRedoesLostCommittedWrites(t *testing.T) {
 	l.Append(&Record{Type: TCommit, Tx: 7, PrevLSN: lsn})
 	l.Flush(0)
 	// Page NOT applied to disk before crash.
-	st, err := Recover(l, disk)
+	st, err := recoverOn(l, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +169,12 @@ func TestRecoverIdempotent(t *testing.T) {
 	l.Flush(0)
 	applyUpd(disk, r)
 
-	if _, err := Recover(l, disk); err != nil {
+	if _, err := recoverOn(l, disk); err != nil {
 		t.Fatal(err)
 	}
 	snapshot := disk.clone()
 	// Second restart over the extended log (with CLRs/abort records).
-	st2, err := Recover(l, disk)
+	st2, err := recoverOn(l, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +223,7 @@ func TestRecoverWithCheckpoint(t *testing.T) {
 	l.Flush(0)
 	applyUpd(disk, r2)
 
-	st, err := Recover(l, disk)
+	st, err := recoverOn(l, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +299,7 @@ func TestCrashPointProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		crashDisk := disk.clone()
-		if _, err := Recover(crashLog, crashDisk); err != nil {
+		if _, err := recoverOn(crashLog, crashDisk); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
@@ -357,10 +376,10 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	disk := newMemPager()
 	wantQ := []byte(whole('q'))
 	copy(wantQ[10:], "ZZ")
-	disk.WritePage(pQ, wantQ)
+	disk.put(pQ, wantQ)
 	disk.pages[pQ][0] = '!' // would be "repaired" by a replay the checkpoint does not ask for
 
-	st, err := Recover(l, disk)
+	st, err := recoverOn(l, disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +429,7 @@ func TestRecoverPassesOverCatalogRecords(t *testing.T) {
 	}
 	applyUpd(disk, r2) // the loser's page was stolen; the winner's was not
 
-	st, err := Recover(l, disk)
+	st, err := recoverOn(l, disk)
 	if err != nil {
 		t.Fatal(err)
 	}

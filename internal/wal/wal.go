@@ -96,6 +96,37 @@ type Record struct {
 
 	// Catalog record: the rest of the record, as the server wrote it.
 	Body []byte
+
+	logged Logged // see Record.Logged
+}
+
+// Logged is proof that an update or CLR record of Page is in the log, at LSN:
+// what a page store demands in place of a page id before it overwrites the
+// page (log before data, DESIGN.md §4f). Only this package makes a non-zero
+// one — Append stamps it into the record it has taken, and records read back
+// from the log carry theirs — so a store cannot be asked to write a page
+// nothing was logged for. It says a record of the page precedes the store,
+// not that the bytes stored are that record's.
+type Logged struct {
+	page page.ID
+	lsn  page.LSN
+}
+
+// Page is the page the record changes.
+func (p Logged) Page() page.ID { return p.page }
+
+// LSN is the record's LSN; 0 in the zero Logged, which proves nothing.
+func (p Logged) LSN() page.LSN { return p.lsn }
+
+// Logged returns r's proof: zero until Append has taken r or unless r was
+// read from the log, and for every record that is not an update or a CLR.
+func (r *Record) Logged() Logged { return r.logged }
+
+// stamp makes r, the record at lsn, carry its proof.
+func (r *Record) stamp(lsn page.LSN) {
+	if r.Type == TUpdate || r.Type == TCLR {
+		r.logged = Logged{page: r.Page, lsn: lsn}
+	}
 }
 
 // WholePage reports whether r's redo image covers its entire page: such a
@@ -106,6 +137,8 @@ func (r *Record) WholePage() bool { return r.Off == 0 && len(r.After) == page.Si
 var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 	ErrClosed  = errors.New("wal: closed")
+	// ErrNotLogged is a page store's answer to the zero Logged.
+	ErrNotLogged = errors.New("wal: page store without a log record")
 )
 
 const recHeaderSize = 4 + 4 // length + crc
@@ -550,6 +583,7 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 	lsn := l.nextLSN
 	l.nextLSN += page.LSN(recHeaderSize + n)
 	l.appends++
+	rec.stamp(lsn)
 	return lsn, nil
 }
 
@@ -789,6 +823,7 @@ func (r *logReader) next(lsn page.LSN, own bool) (*Record, page.LSN, error) {
 	if err != nil {
 		return nil, lsn, fmt.Errorf("wal: record at lsn %d: %w", lsn, err)
 	}
+	rec.stamp(lsn)
 	return rec, lsn + page.LSN(len(b)), nil
 }
 
