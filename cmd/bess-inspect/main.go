@@ -109,18 +109,29 @@ func main() {
 			}
 		}()
 		n := 0
+		var totals logTotals
 		err = l.Iterate(0, func(lsn page.LSN, rec *wal.Record) error {
 			n++
+			fp := rec.Footprint()
+			totals[rec.Type].add(1, fp)
 			switch rec.Type {
 			case wal.TUpdate, wal.TCLR:
-				// A whole-page image anchors replay of its page: restart redo
-				// and repair start from one, byte-range records build on it.
+				// The two halves, each offset+length. A whole-page redo image
+				// anchors replay of its page: restart redo and repair start
+				// from one, byte-range records build on it. An all-zero image
+				// is in the log as its length only.
 				mark := ""
 				if rec.WholePage() {
-					mark = "  anchor"
+					mark += "  anchor"
 				}
-				fmt.Printf("  %8d %-10s tx=%-6d page=%v off=%d before=%d after=%d%s\n",
-					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.Before), len(rec.After), mark)
+				if fp.ZeroBefore > 0 {
+					mark += "  zero-before"
+				}
+				if fp.ZeroAfter > 0 {
+					mark += "  zero-after"
+				}
+				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d undo=%d+%d%s\n",
+					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), rec.UndoOff, len(rec.Before), mark)
 			case wal.TCatalog:
 				var op proto.CatalogOp
 				if err := proto.Decode(rec.Body, &op); err != nil {
@@ -143,7 +154,43 @@ func main() {
 			log.Fatalf("iterate: %v", err)
 		}
 		fmt.Printf("  %d records\n", n)
+		totals.print()
 	}
+}
+
+// logTotals answers "where do the log's bytes go": per record type, how many
+// records, and their bytes split into header (everything that is not an
+// image), before- and after-images stored, and image bytes elided (all-zero
+// images the log keeps as a length).
+type logTotals [wal.TCatalog + 1]logTotal
+
+type logTotal struct {
+	records int
+	wal.Footprint
+}
+
+func (tt *logTotal) add(records int, fp wal.Footprint) {
+	tt.records += records
+	tt.Header += fp.Header
+	tt.Before += fp.Before
+	tt.After += fp.After
+	tt.ZeroBefore += fp.ZeroBefore
+	tt.ZeroAfter += fp.ZeroAfter
+}
+
+func (t *logTotals) print() {
+	fmt.Printf("\n  %-10s %9s %12s %12s %12s %12s\n", "type", "records", "header B", "before B", "after B", "elided B")
+	row := func(name string, tt logTotal) {
+		fmt.Printf("  %-10s %9d %12d %12d %12d %12d\n", name, tt.records, tt.Header, tt.Before, tt.After, tt.ZeroBefore+tt.ZeroAfter)
+	}
+	var sum logTotal
+	for typ, tt := range t {
+		if tt.records > 0 {
+			row(wal.Type(typ).String(), tt)
+			sum.add(tt.records, tt.Footprint)
+		}
+	}
+	row("total", sum)
 }
 
 // runVerify is the offline scrub: one pass of the server's own checksum

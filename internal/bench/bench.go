@@ -623,7 +623,7 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 			pid := page.ID{Area: 1, Page: page.No(u % 32)}
 			rec := &wal.Record{
 				Type: wal.TUpdate, Tx: id, PrevLSN: last, Page: pid,
-				Off: uint32(u % 100), Before: []byte{0}, After: []byte{byte(t)},
+				Off: uint32(u % 100), After: []byte{byte(t)}, UndoOff: uint32(u % 100), Before: []byte{0},
 			}
 			lsn, err := l.Append(rec)
 			must(err)

@@ -162,12 +162,62 @@ func (w *e13World) update(t *tx.Tx, pg page.No, k, off, n int) error {
 	for j := off; j < off+n; j++ {
 		after[j] = byte(uint64(j)*31 + t.ID()*131 + uint64(k)*17 + 1)
 	}
+	return w.change(t, pg, before, after)
+}
+
+// clear has t zero n bytes of pg at off.
+func (w *e13World) clear(t *tx.Tx, pg page.No, off, n int) error {
+	before := w.buffer[pg]
+	after := append([]byte(nil), before...)
+	clear(after[off : off+n])
+	return w.change(t, pg, before, after)
+}
+
+// change logs t's change of pg from before to after through the product's
+// rule, puts it in the buffer pool and adds it to the shadow model.
+func (w *e13World) change(t *tx.Tx, pg page.No, before, after []byte) error {
 	if _, err := t.LogUpdate(page.ID{Area: e13AreaID, Page: pg}, before, after); err != nil {
 		return err
 	}
 	w.buffer[pg], w.unsaved[pg] = after, true
 	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after})
 	return nil
+}
+
+// rollback aborts t at run time: the pager restores its pages on the area, to
+// what the buffer pool then holds again — was, per page (nil: never written,
+// all zero).
+func (w *e13World) rollback(t *tx.Tx, was map[page.No][]byte) error {
+	if err := t.Abort(); err != nil {
+		return err
+	}
+	for pg, img := range was {
+		delete(w.unsaved, pg)
+		if w.buffer[pg] = img; img == nil {
+			delete(w.buffer, pg)
+		}
+	}
+	return nil
+}
+
+// flushAndCheckpoint writes back what is only buffered, syncs the area and
+// takes the product's checkpoint. A checkpoint's dirty-page table holds only
+// what active transactions changed, so everything else must be durable first.
+// In page order, so that a crash point names the same write in every replay.
+func (w *e13World) flushAndCheckpoint() error {
+	for id := uint64(1); id <= e13Txs; id++ {
+		if pno := w.pages[id]; w.unsaved[pno] {
+			if err := w.area.WritePage(pno, w.buffer[pno]); err != nil {
+				return err
+			}
+			delete(w.unsaved, pno)
+		}
+	}
+	if err := w.area.Sync(); err != nil {
+		return err
+	}
+	_, err := w.txm.Checkpoint()
+	return err
 }
 
 // steal writes pg's buffered content to the area, forcing the log through
@@ -255,26 +305,8 @@ func e13Workload(w *e13World) {
 			inflight[id] = t
 		}
 
-		if id == e13Txs/2 {
-			// A checkpoint's dirty-page table holds only what active
-			// transactions changed, so everything else must be durable first:
-			// write back what is still only buffered, sync, then checkpoint.
-			// In page order, so that a crash point names the same write in
-			// every replay.
-			for id := uint64(1); id <= e13Txs; id++ {
-				if pno := w.pages[id]; w.unsaved[pno] {
-					if w.area.WritePage(pno, w.buffer[pno]) != nil {
-						return
-					}
-					delete(w.unsaved, pno)
-				}
-			}
-			if w.area.Sync() != nil {
-				return
-			}
-			if _, err := w.txm.Checkpoint(); err != nil {
-				return
-			}
+		if id == e13Txs/2 && w.flushAndCheckpoint() != nil {
+			return
 		}
 	}
 }
@@ -412,7 +444,7 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 // or inside one; two pages are stolen on the way, so undo has work on the
 // area. Restart must leave all of it or none of it.
 func e13LongTx(w *e13World) {
-	const updates = 2560 // whole-page before+after records: 21 MB of log, 2.5 times the log's buffer set
+	const updates = 2560 // whole-page overwrites, before and after both stored: 21 MB of log, 2.5 times the log's buffer set
 	t := w.txm.BeginWithID(1)
 	for k := 0; k < updates; k++ {
 		pg := w.pages[uint64(1+k%e13Txs)]
@@ -429,6 +461,77 @@ func e13LongTx(w *e13World) {
 		return
 	}
 	w.acked[1] = true
+}
+
+// e13FreshPages is a third workload: pages nothing was ever logged for, all
+// zero, are filled — update records whose before-image the log keeps as a
+// length — and the fill is taken back every way it can be: rolled back at run
+// time with the anchor still in the epoch (range CLRs with a zero after-image)
+// and after a checkpoint (the CLR is the anchor, a whole page of zeroes), and
+// left to restart undo as a loser, part of it stolen. A committed fill is then
+// changed in ranges — one of them zeroed — and that is rolled back too. Every
+// page ends all zero or byte-exact as its last winner left it.
+func e13FreshPages(w *e13World) {
+	pg := func(i uint64) page.No { return w.pages[i] }
+	fill := func(t *tx.Tx, p page.No) error { return w.update(t, p, 0, 0, page.Size) }
+
+	// Filled, one page stolen, rolled back at run time: back to zeroes.
+	t := w.txm.BeginWithID(2)
+	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.update(t, pg(3), 1, 700, 300) != nil ||
+		w.steal(t, pg(2)) != nil || w.rollback(t, map[page.No][]byte{pg(1): nil, pg(2): nil, pg(3): nil}) != nil {
+		return
+	}
+
+	// Filled — the second and third the same pages again, zero once more — and
+	// committed: the winner every later rollback must leave byte-exact.
+	t = w.txm.BeginWithID(1)
+	if fill(t, pg(2)) != nil || fill(t, pg(3)) != nil || w.update(t, pg(4), 1, 1000, 200) != nil || w.steal(t, pg(3)) != nil {
+		return
+	}
+	if t.Commit() != nil {
+		return
+	}
+	w.acked[1] = true
+
+	// Filled, stolen, and rolled back after a checkpoint: the CLR anchors the
+	// page with a whole image of zeroes.
+	late := w.txm.BeginWithID(4)
+	if fill(late, pg(5)) != nil || w.steal(late, pg(5)) != nil {
+		return
+	}
+	// The loser: fills fresh pages before and after the checkpoint, one of each
+	// stolen, and is never heard of again.
+	loser := w.txm.BeginWithID(6)
+	if fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.steal(loser, pg(6)) != nil {
+		return
+	}
+	if w.flushAndCheckpoint() != nil {
+		return
+	}
+	if w.rollback(late, map[page.No][]byte{pg(5): nil}) != nil {
+		return
+	}
+	if fill(loser, pg(8)) != nil || w.update(loser, pg(9), 1, 64, 3000) != nil || w.steal(loser, pg(8)) != nil {
+		return
+	}
+
+	// The committed fill changed in ranges, one zeroed, stolen, rolled back.
+	t = w.txm.BeginWithID(8)
+	was := map[page.No][]byte{pg(2): w.buffer[pg(2)], pg(3): w.buffer[pg(3)], pg(4): w.buffer[pg(4)]}
+	if w.update(t, pg(2), 2, 100, 50) != nil || w.clear(t, pg(3), 2000, 500) != nil || w.clear(t, pg(4), 0, page.Size) != nil ||
+		w.update(t, pg(2), 3, 3000, 10) != nil || w.steal(t, pg(3)) != nil || w.steal(t, pg(4)) != nil || w.rollback(t, was) != nil {
+		return
+	}
+
+	// And a second winner over a rolled-back page and a fresh one.
+	t = w.txm.BeginWithID(3)
+	if fill(t, pg(1)) != nil || fill(t, pg(10)) != nil {
+		return
+	}
+	if t.Commit() != nil {
+		return
+	}
+	w.acked[3] = true
 }
 
 // e13Enumerate enumerates workload's crash points. sample <= 0 runs the full

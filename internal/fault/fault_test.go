@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"bess/internal/area"
@@ -58,6 +59,48 @@ func TestReadBeyondEOF(t *testing.T) {
 	}
 	if n, err := w.ReadAt(make([]byte, 8), 2); err != io.ErrUnexpectedEOF || n != 2 {
 		t.Fatalf("short read: n=%d err=%v, want 2, ErrUnexpectedEOF", n, err)
+	}
+}
+
+// TestExtendingWritesCopyLinearly: a medium written a record at a time — a log
+// forced per commit — grows geometrically, not by one reallocation of the
+// whole image per extending write; and a write past the end, also past bytes
+// a truncate cut off, leaves a hole of zeroes.
+func TestExtendingWritesCopyLinearly(t *testing.T) {
+	st := fault.NewStore(fault.NewInjector(1))
+	w := st.WAL()
+	const writes, n = 4096, 1024
+	rec := bytes.Repeat([]byte{0xA7}, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < writes; i++ {
+		if _, err := w.WriteAt(rec, int64(i*n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Exact reallocation copies writes/2 images on average: 8 GB here.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*writes*n); got > limit {
+		t.Fatalf("%d extending writes of %d bytes allocated %d bytes, want at most %d", writes, n, got, limit)
+	}
+	if w.Size() != writes*n {
+		t.Fatalf("Size = %d, want %d", w.Size(), writes*n)
+	}
+
+	a := st.Area()
+	if err := a.Truncate(n); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.WriteAt(rec, 3*n); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 4*n)
+	if _, err := a.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(bytes.Clone(rec), make([]byte, 2*n)...), rec...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a hole over truncated bytes does not read as zeroes")
 	}
 }
 

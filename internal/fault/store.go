@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -61,10 +62,14 @@ func (s *Store) writeAt(p []byte, off int64) (int, error) {
 		return 0, ErrCrashed
 	}
 	end := off + int64(len(p))
-	if end > int64(len(s.cur)) {
-		grown := make([]byte, end)
-		copy(grown, s.cur)
-		s.cur = grown
+	if old := int64(len(s.cur)); end > old {
+		// Grow's capacity is append's, geometric: a log written record by
+		// record is not copied once per write. A hole reads as zeroes, also
+		// over bytes a truncate cut off.
+		s.cur = slices.Grow(s.cur, int(end-old))[:end]
+		if off > old {
+			clear(s.cur[old:off])
+		}
 	}
 	copy(s.cur[off:end], p)
 	if f.rotBytes > 0 {

@@ -136,7 +136,7 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 			ph = &pageHist{img: make([]byte, page.Size)}
 			hist[rec.Page.Page] = ph
 		}
-		if rec.Off == 0 && len(rec.After) == page.Size {
+		if rec.WholePage() {
 			ph.full = true
 		}
 		if int(rec.Off)+len(rec.After) <= page.Size {

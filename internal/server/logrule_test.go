@@ -63,12 +63,13 @@ func commitImage(t *testing.T, s *Server, img proto.SegImage) {
 // whole-page logging: a committed 128-byte overwrite of pages that already
 // have their anchors logs a few hundred bytes (two byte-range records — the
 // object's bytes and the header's checksums — plus commit and end), and a
-// first touch logs no more than the two whole-page records it always did.
+// first touch logs two anchors: a page each plus the same few hundred bytes of
+// undo ranges, not the two pages each that an anchor used to cost.
 func TestLogVolumeBudget(t *testing.T) {
 	const (
-		wholePage  = 8249 // header + 2 × page.Size: what every changed page used to log
 		commitEnd  = 50
 		deltaBound = 600
+		anchors    = 2*page.Size + deltaBound // two whole-page redo halves, range-sized undo halves
 	)
 	s := NewMem(1)
 	defer s.Close()
@@ -86,13 +87,94 @@ func TestLogVolumeBudget(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := logged(3); n > 2*wholePage+commitEnd {
-		t.Fatalf("first touch after a checkpoint logged %d bytes, more than two whole-page records (%d)", n, 2*wholePage+commitEnd)
+	if n := logged(3); n > anchors+commitEnd {
+		t.Fatalf("first touch after a checkpoint logged %d bytes, more than two anchors with range-sized undo (%d)", n, anchors+commitEnd)
 	} else if n <= deltaBound {
 		t.Fatalf("first touch after a checkpoint logged %d bytes: no anchor", n)
 	}
 	if n := logged(4); n > deltaBound {
 		t.Fatalf("second touch after a checkpoint logged %d bytes, budget %d", n, deltaBound)
+	}
+}
+
+// TestAsOfAcrossRangeAnchor: an as-of image rebuilt from the disk image and the
+// log's undo halves alone is byte-exact at every stamp of a history that holds
+// every shape of undo half — the zero before-images of a first commit into
+// fresh data pages, the range-sized undo of an anchor, plain byte ranges, and
+// a rolled-back overwrite's — back to the stamp before the segment's first
+// commit, where its data pages are all zero again.
+func TestAsOfAcrossRangeAnchor(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	type past struct {
+		stamp        page.LSN
+		sl, ov, data []byte
+	}
+	var key proto.SegKey
+	var history []past
+	record := func() {
+		t.Helper()
+		sl, ov, data, err := s.FetchSeg(0, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		history = append(history, past{s.txm.CommitStamp(), bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(data)})
+	}
+	body := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 300) }
+
+	var img proto.SegImage
+	key, img = mkSegImage(t, s, db, body(1))
+	record() // created, nothing committed: the data pages are fresh
+	if !bytes.Equal(history[0].data, make([]byte, len(history[0].data))) {
+		t.Fatal("a created segment's data pages are not all zero")
+	}
+	commitImage(t, s, img) // fresh-page records: zero before-images
+	record()
+	commitImage(t, s, overwriteImage(t, s, key, body(2))) // byte ranges
+	record()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitImage(t, s, overwriteImage(t, s, key, body(3))) // anchors: whole-page redo, range undo
+	record()
+	cl, _ := s.Hello("c")
+	txid, _ := s.NewTx()
+	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prepare(cl, txid, []proto.SegImage{overwriteImage(t, s, key, body(4))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Decide(txid, false); err != nil { // rolled back: CLRs over the ranges
+		t.Fatal(err)
+	}
+	commitImage(t, s, overwriteImage(t, s, key, body(5)))
+	record()
+
+	var shapes struct{ zeroBefore, rangeAnchor int }
+	s.log.Flush(0)
+	s.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TUpdate && r.Footprint().ZeroBefore > 0 {
+			shapes.zeroBefore++
+		}
+		if r.Type == wal.TUpdate && r.WholePage() && len(r.Before) < page.Size/2 {
+			shapes.rangeAnchor++
+		}
+		return nil
+	})
+	if shapes.zeroBefore == 0 || shapes.rangeAnchor == 0 {
+		t.Fatalf("history lacks a shape: %+v", shapes)
+	}
+	for i, h := range history {
+		_, sl, ov, data, err := s.readImage(key, secAll, view{t: h.stamp, rebuild: true})
+		if err != nil {
+			t.Fatalf("as of stamp %d: %v", h.stamp, err)
+		}
+		if !bytes.Equal(sl, h.sl) || !bytes.Equal(ov, h.ov) || !bytes.Equal(data, h.data) {
+			t.Fatalf("as of stamp %d (history %d of %d): rebuilt image differs from the one read then (slotted %v, overflow %v, data %v)",
+				h.stamp, i, len(history), bytes.Equal(sl, h.sl), bytes.Equal(ov, h.ov), bytes.Equal(data, h.data))
+		}
 	}
 }
 
@@ -113,12 +195,12 @@ func TestLogAndApplyShortTail(t *testing.T) {
 	tr := s.txm.Begin()
 	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{}, false)
 	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data); err != nil { // anchors both pages
+	if err := s.overwriteRun(staged, tr, aid, page.No(start), data, new([]byte)); err != nil { // anchors both pages
 		t.Fatal(err)
 	}
 	copy(data[page.Size+10:], "short")
 	from := s.log.NextLSN()
-	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data); err != nil {
+	if err := s.overwriteRun(staged, tr, aid, page.No(start), data, new([]byte)); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := func() (*wal.Record, error) {

@@ -949,8 +949,11 @@ func (s *Server) revokeCopies(seg proto.SegKey, except uint32) error {
 // applySegImages logs and applies the shipped images under t, allocating
 // new runs when a segment's data or overflow grew (server-side relocation).
 func (s *Server) applySegImages(t *tx.Tx, segs []proto.SegImage) error {
+	// One buffer for the current content of every data and overflow run the
+	// commit overwrites, grown to the largest and reused from segment to segment.
+	var scratch []byte
 	for _, si := range segs {
-		if err := s.applyOne(t, si); err != nil {
+		if err := s.applyOne(t, si, &scratch); err != nil {
 			return err
 		}
 	}
@@ -960,7 +963,7 @@ func (s *Server) applySegImages(t *tx.Tx, segs []proto.SegImage) error {
 	return nil
 }
 
-func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
+func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	newSeg, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
@@ -1056,13 +1059,13 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
 	}
 	if len(si.Data) > 0 {
 		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, nil, si.Data[:n]); err != nil {
+		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, si.Data[:n], scratch); err != nil {
 			return err
 		}
 	}
 	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
 		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, nil, si.Overflow[:n]); err != nil {
+		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, si.Overflow[:n], scratch); err != nil {
 			return err
 		}
 	}
@@ -1106,21 +1109,10 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 // then written whole on the record's proof; WritePage is the crash-point unit.
 // Unchanged pages are neither logged nor written. staged is updateBase's proof
 // that t staged the segment these pages belong to. before is the run's current
-// content in whole pages — the caller's own read of it, or nil to have it
-// read here.
+// content in whole pages, as the caller read it.
 func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
 	if !staged.By(t.ID()) {
 		return ErrNotStaged
-	}
-	if before == nil {
-		a := s.lookupArea(areaID)
-		if a == nil {
-			return ErrNoArea
-		}
-		before = make([]byte, (len(data)+page.Size-1)/page.Size*page.Size)
-		if err := a.ReadRun(start, before); err != nil {
-			return err
-		}
 	}
 	for lo := 0; lo < len(data); lo += page.Size {
 		was, after := before[lo:lo+page.Size], data[lo:min(lo+page.Size, len(data))]
@@ -1141,6 +1133,25 @@ func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start
 		}
 	}
 	return nil
+}
+
+// overwriteRun is logAndApply for a caller that has not read the run: its
+// current content is read here, into *scratch, which grows geometrically to the
+// largest run it has served and is the caller's to hand to the next call.
+func (s *Server) overwriteRun(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, data []byte, scratch *[]byte) error {
+	a := s.lookupArea(areaID)
+	if a == nil {
+		return ErrNoArea
+	}
+	n := (len(data) + page.Size - 1) / page.Size * page.Size
+	if cap(*scratch) < n {
+		*scratch = make([]byte, max(n, 2*cap(*scratch)))
+	}
+	before := (*scratch)[:n]
+	if err := a.ReadRun(start, before); err != nil {
+		return err
+	}
+	return s.logAndApply(staged, t, areaID, start, before, data)
 }
 
 // requireLocks verifies the tx holds X (or SIX) on each shipped segment.
@@ -1324,7 +1335,8 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	}
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
-	if err := s.logAndApply(staged, t, aid, start, nil, padded); err != nil {
+	var scratch []byte
+	if err := s.overwriteRun(staged, t, aid, start, padded, &scratch); err != nil {
 		return 0, err
 	}
 	// Grow overflow if needed and add the descriptor slot.
@@ -1349,7 +1361,7 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	}
 	// dec.Overflow aliases the overflow run updateBase read and now holds
 	// the new descriptor, so its before-image is read back from disk.
-	if err := s.logAndApply(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, nil, dec.Overflow); err != nil {
+	if err := s.overwriteRun(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, dec.Overflow, &scratch); err != nil {
 		return 0, err
 	}
 	// Force only this transaction's records (WAL rule for the page writes

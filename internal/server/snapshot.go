@@ -169,7 +169,7 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 	}
 }
 
-// undone is the undo image of one update record: Before, cut at Off.
+// undone is the undo half of one update record: Before, cut at UndoOff.
 type undone struct {
 	page   page.No
 	off    uint32
@@ -212,10 +212,10 @@ func (s *Server) asOfBefores(t page.LSN, areaID page.AreaID, start page.No, n in
 			if rec.Page.Area != areaID || rec.Page.Page < start || rec.Page.Page >= start+page.No(n) {
 				return nil
 			}
-			if int(rec.Off)+len(rec.Before) > page.Size {
+			if int(rec.UndoOff)+len(rec.Before) > page.Size {
 				return fmt.Errorf("server: as-of reconstruction: update at %d runs past its page", lsn)
 			}
-			pending[rec.Tx] = append(pending[rec.Tx], undone{rec.Page.Page, rec.Off, rec.Before})
+			pending[rec.Tx] = append(pending[rec.Tx], undone{rec.Page.Page, rec.UndoOff, rec.Before})
 		case wal.TCommit:
 			if lsn > t {
 				undo(rec.Tx)

@@ -318,6 +318,16 @@ func (p *Process) handleFault(f vmem.Fault) error {
 	}
 	switch f.Kind {
 	case vmem.FaultNoBacking:
+		// Not under a slot latch: re-mapping waits on slot latches
+		// (acquireSlot's fill and barrier), which may be the one this process
+		// holds. The level-1 clock took the frame between Access and the
+		// latch; the access fails and the caller Accesses again outside it.
+		p.mu.Lock()
+		latched := len(p.heldLatches) > 0
+		p.mu.Unlock()
+		if latched {
+			return ErrNotMapped
+		}
 		p.sc.mu.Lock()
 		id := p.sc.smt[frame]
 		assigned := p.sc.assigned[frame] && frame != 0

@@ -249,16 +249,19 @@ func TestLatches(t *testing.T) {
 	entered := make(chan struct{})
 	go func() {
 		p1.WithLatch(r, func() error {
-			close(entered)
 			mu.Lock()
 			order = append(order, "p1")
 			mu.Unlock()
+			// Only now: the test looks at order as soon as it hears this.
+			close(entered)
 			<-done
 			return nil
 		})
 	}()
 	<-entered
+	p2done := make(chan struct{})
 	go func() {
+		defer close(p2done)
 		p2.WithLatch(r, func() error {
 			mu.Lock()
 			order = append(order, "p2")
@@ -273,17 +276,9 @@ func TestLatches(t *testing.T) {
 	}
 	mu.Unlock()
 	close(done)
-	// Wait for p2 to finish.
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 2 {
-			break
-		}
-	}
+	<-p2done
 	mu.Lock()
-	if order[0] != "p1" || order[1] != "p2" {
+	if len(order) != 2 || order[0] != "p1" || order[1] != "p2" {
 		t.Fatalf("order = %v", order)
 	}
 	mu.Unlock()

@@ -11,17 +11,32 @@ import (
 
 // What the log holds for a page change — the one place that decides it.
 //
-// Which bytes. An update record covers the first through the last byte that
-// differ between the page's images, not the page: a 128-byte overwrite logs
-// about 130 bytes of before-image and as many of after-image.
+// Two halves. An update record has a redo half (Off, After: what restart and
+// repair copy onto the page) and an undo half (UndoOff, Before: what rollback
+// and an as-of rebuild copy back), and each holds only the bytes its reader
+// needs.
 //
-// Anchors. A byte-range record only means something on top of the page it was
-// cut from, and a torn or rotted page write can leave anything on disk. So
+// Which bytes. Both halves of an ordinary record cover [lo, hi), the first
+// through the last byte that differ between the page's images, not the page:
+// a 128-byte overwrite logs about 130 bytes of before-image and as many of
+// after-image.
+//
+// Anchors. A byte-range redo image only means something on top of the page it
+// was cut from, and a torn or rotted page write can leave anything on disk. So
 // the first record of a page after Open and after every checkpoint — the
-// anchor — carries the whole page (Off 0, page.Size bytes), and Manager.anchors
-// remembers, per checkpoint epoch, which pages have one and at which LSN.
-// CLRs follow the same rule, so every redo-able record this package appends
-// does.
+// anchor — carries the whole page as its redo half (Off 0, page.Size bytes),
+// and Manager.anchors remembers, per checkpoint epoch, which pages have one and
+// at which LSN. CLRs follow the same rule, so every redo-able record this
+// package appends does. The anchor's undo half stays [lo, hi): the two images
+// are equal outside it, so once redo has laid the whole after-image down,
+// copying Before back over [lo, hi) leaves exactly the before-image — undo
+// never needed the rest, and a changed range of k bytes costs an anchor
+// page.Size + k, not two pages.
+//
+// Zero images. The log stores an image that is all zero as its length
+// (internal/wal): filling a page nothing was ever written to logs its
+// after-image only, and the CLR that empties it again logs a length. That is
+// the codec's rule, not this file's — nothing here knows a page is fresh.
 //
 // recLSN. A checkpoint lists, for each page an active transaction changed,
 // the LSN of the anchor the page had when the transaction first changed it —
@@ -76,11 +91,14 @@ func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 	if err := m.pager.ReadPage(rec.Page, buf); err != nil {
 		return err
 	}
-	copy(buf[rec.Off:], rec.Before)
+	lo, hi := int(rec.UndoOff), int(rec.UndoOff)+len(rec.Before)
+	if hi > len(buf) {
+		return fmt.Errorf("tx %d: undo of %v: image [%d, %d) runs past the page", t.id, rec.Page, lo, hi)
+	}
+	copy(buf[lo:], rec.Before)
 	m.epoch.RLock()
 	t.mu.Lock()
-	clr, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN},
-		nil, buf, int(rec.Off), int(rec.Off)+len(rec.Before))
+	clr, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN}, nil, buf, lo, hi)
 	t.mu.Unlock()
 	m.epoch.RUnlock()
 	if err != nil {
@@ -91,22 +109,22 @@ func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 
 // appendRedo appends rec, an update or CLR of rec.Page that leaves the page
 // holding img and changes img[lo:hi] (from before[lo:hi]; nil for a CLR,
-// which has no undo image). Under the anchor rule the record carries that
-// range if the page has an anchor in this checkpoint epoch, and the whole
-// page — becoming the anchor — if not. The caller holds m.epoch shared and
-// t.mu.
+// which has no undo image). The undo half is that range. Under the anchor
+// rule the redo half is the same range if the page has an anchor in this
+// checkpoint epoch, and the whole page — becoming the anchor — if not. The
+// caller holds m.epoch shared and t.mu.
 func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (wal.Logged, error) {
 	m := t.m
 	m.mu.Lock()
 	anchor, anchored := m.anchors[rec.Page]
 	m.mu.Unlock()
+	if before != nil {
+		rec.UndoOff, rec.Before = uint32(lo), before[lo:hi]
+	}
 	if !anchored {
 		lo, hi = 0, page.Size
 	}
 	rec.Off, rec.After = uint32(lo), img[lo:hi]
-	if before != nil {
-		rec.Before = before[lo:hi]
-	}
 	lsn, err := t.chain(rec)
 	if err != nil {
 		return wal.Logged{}, err

@@ -26,8 +26,8 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	return rec
 }
 
-// TestLogUpdateRule is the table for the logging rule: which bytes a record
-// carries, and when it carries the whole page instead.
+// TestLogUpdateRule is the table for the logging rule: which bytes a record's
+// halves carry, and when the redo half is the whole page instead.
 func TestLogUpdateRule(t *testing.T) {
 	m, _, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 9}
@@ -37,8 +37,10 @@ func TestLogUpdateRule(t *testing.T) {
 	}
 	tr := m.Begin()
 
-	// step logs cur → cur with edit applied and checks the record.
-	step := func(name string, edit func(img []byte), wantOff, wantLen int) {
+	// step logs cur → cur with edit applied and checks the record: its undo
+	// half is [wantOff, wantOff+wantLen) and so is its redo half, unless the
+	// record is the page's anchor.
+	step := func(name string, edit func(img []byte), wantOff, wantLen int, anchor bool) {
 		t.Helper()
 		after := append([]byte(nil), cur...)
 		edit(after)
@@ -58,15 +60,19 @@ func TestLogUpdateRule(t *testing.T) {
 			return
 		}
 		rec := readRec(t, l, lsn)
-		if rec.Type != wal.TUpdate || rec.Page != pid || int(rec.Off) != wantOff ||
-			len(rec.Before) != wantLen || len(rec.After) != wantLen {
-			t.Fatalf("%s: record off %d, before %d, after %d bytes; want off %d, %d bytes",
-				name, rec.Off, len(rec.Before), len(rec.After), wantOff, wantLen)
+		redoOff, redoLen := wantOff, wantLen
+		if anchor {
+			redoOff, redoLen = 0, page.Size
 		}
-		if !bytes.Equal(rec.Before, cur[wantOff:wantOff+wantLen]) || !bytes.Equal(rec.After, after[wantOff:wantOff+wantLen]) {
-			t.Fatalf("%s: images are not the pages' bytes at the record's range", name)
+		if rec.Type != wal.TUpdate || rec.Page != pid || int(rec.UndoOff) != wantOff || len(rec.Before) != wantLen ||
+			int(rec.Off) != redoOff || len(rec.After) != redoLen {
+			t.Fatalf("%s: record undo off %d, %d bytes, redo off %d, %d bytes; want %d, %d and %d, %d",
+				name, rec.UndoOff, len(rec.Before), rec.Off, len(rec.After), wantOff, wantLen, redoOff, redoLen)
 		}
-		if rec.WholePage() != (wantOff == 0 && wantLen == page.Size) {
+		if !bytes.Equal(rec.Before, cur[wantOff:wantOff+wantLen]) || !bytes.Equal(rec.After, after[redoOff:redoOff+redoLen]) {
+			t.Fatalf("%s: images are not the pages' bytes at the record's ranges", name)
+		}
+		if rec.WholePage() != (redoOff == 0 && redoLen == page.Size) {
 			t.Fatalf("%s: WholePage() = %v", name, rec.WholePage())
 		}
 		cur = after
@@ -79,35 +85,35 @@ func TestLogUpdateRule(t *testing.T) {
 		}
 	}
 
-	step("identical pages, never logged", flip(), 0, 0)
-	step("first touch after open: anchor, whatever changed", flip(1000), 0, page.Size)
-	step("identical pages", flip(), 0, 0)
-	step("one byte", flip(77), 77, 1)
-	step("first byte", flip(0), 0, 1)
-	step("last byte", flip(page.Size-1), page.Size-1, 1)
-	step("two distant ranges: one covering range", flip(100, 101, 3000), 100, 2901)
-	step("range not aligned to the compare stride", flip(13, 14, 15, 16, 17), 13, 5)
+	step("identical pages, never logged", flip(), 0, 0, false)
+	step("first touch after open: anchor, undo of what changed", flip(1000), 1000, 1, true)
+	step("identical pages", flip(), 0, 0, false)
+	step("one byte", flip(77), 77, 1, false)
+	step("first byte", flip(0), 0, 1, false)
+	step("last byte", flip(page.Size-1), page.Size-1, 1, false)
+	step("two distant ranges: one covering range", flip(100, 101, 3000), 100, 2901, false)
+	step("range not aligned to the compare stride", flip(13, 14, 15, 16, 17), 13, 5, false)
 	step("whole page", func(img []byte) {
 		for i := range img {
 			img[i]++
 		}
-	}, 0, page.Size)
+	}, 0, page.Size, false)
 	step("short tail: a change confined to the page's head", func(img []byte) {
 		copy(img, bytes.Repeat([]byte{0x5A}, 300))
-	}, 0, 300)
+	}, 0, 300, false)
 
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	step("first touch after a checkpoint: anchor", flip(2000), 0, page.Size)
-	step("second touch after a checkpoint: delta", flip(2000, 2001), 2000, 2)
+	step("first touch after a checkpoint: anchor", flip(2000), 2000, 1, true)
+	step("second touch after a checkpoint: delta", flip(2000, 2001), 2000, 2, false)
 
 	// A new manager over the same log is what a reopened server starts with.
 	m2 := NewManager(l, lock.NewManager(), newMemPager(), nil)
 	tr.Commit()
 	tr = m2.Begin()
-	step("first touch after reopen: anchor", flip(5), 0, page.Size)
-	step("second touch after reopen: delta", flip(5), 5, 1)
+	step("first touch after reopen: anchor", flip(5), 5, 1, true)
+	step("second touch after reopen: delta", flip(5), 5, 1, false)
 
 	if _, err := tr.LogUpdate(pid, cur[:100], cur[:100]); err == nil {
 		t.Fatal("LogUpdate accepted images shorter than a page")
@@ -119,15 +125,14 @@ func TestLogUpdateRule(t *testing.T) {
 // the whole restored page when not (a checkpoint since the update; a branch
 // adopted after restart, whose pages the new manager has never seen).
 func TestCLRFollowsAnchorRule(t *testing.T) {
-	lastCLR := func(l *wal.Log) *wal.Record {
-		var clr *wal.Record
+	allCLRs := func(l *wal.Log) (clrs []*wal.Record) {
 		l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
 			if r.Type == wal.TCLR {
-				clr = r
+				clrs = append(clrs, r)
 			}
 			return nil
 		})
-		return clr
+		return clrs
 	}
 	pid := page.ID{Area: 1, Page: 4}
 
@@ -141,16 +146,10 @@ func TestCLRFollowsAnchorRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Undo runs backwards: the last CLR compensates the anchor, by which time
-	// the page is anchored, and so it carries the anchor's range — the page.
-	// The one before it compensates the delta.
-	var clrs []*wal.Record
-	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		if r.Type == wal.TCLR {
-			clrs = append(clrs, r)
-		}
-		return nil
-	})
-	if len(clrs) != 2 || clrs[0].Off != 50 || len(clrs[0].After) != 5 || !clrs[1].WholePage() {
+	// the page is anchored, and so it carries the anchor's undo range — the six
+	// bytes that changed, not the page. The one before it compensates the delta.
+	clrs := allCLRs(l)
+	if len(clrs) != 2 || clrs[0].Off != 50 || len(clrs[0].After) != 5 || clrs[1].Off != 0 || len(clrs[1].After) != 6 {
 		t.Fatalf("CLRs of an anchored page: %+v", clrs)
 	}
 	if got := pg.get(pid, 0, 60); !bytes.Equal(got, make([]byte, 60)) {
@@ -169,18 +168,15 @@ func TestCLRFollowsAnchorRule(t *testing.T) {
 	if err := tr.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	first := true
-	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		if r.Type == wal.TCLR && first {
-			first = false
-			if !r.WholePage() || string(r.After[:6]) != "anchor" || !bytes.Equal(r.After[50:55], make([]byte, 5)) {
-				t.Errorf("first CLR after a checkpoint is not the whole restored page: off %d, %d bytes", r.Off, len(r.After))
-			}
-		}
-		return nil
-	})
-	if first {
-		t.Fatal("abort logged no CLR")
+	clrs = allCLRs(l)
+	if len(clrs) != 2 {
+		t.Fatalf("abort logged %d CLRs, want 2", len(clrs))
+	}
+	if r := clrs[0]; !r.WholePage() || string(r.After[:6]) != "anchor" || !bytes.Equal(r.After[50:55], make([]byte, 5)) {
+		t.Errorf("first CLR after a checkpoint is not the whole restored page: off %d, %d bytes", r.Off, len(r.After))
+	}
+	if r := clrs[1]; r.Off != 0 || len(r.After) != 6 {
+		t.Errorf("second CLR after a checkpoint: off %d, %d bytes, want the anchor's undo range", r.Off, len(r.After))
 	}
 
 	m, pg, l, _ = newEnv()
@@ -194,8 +190,8 @@ func TestCLRFollowsAnchorRule(t *testing.T) {
 	if err := m2.AdoptPrepared(tr.ID(), lsn).Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if clr := lastCLR(l); clr == nil || !clr.WholePage() {
-		t.Fatalf("an adopted branch's CLRs must anchor their pages: %+v", clr)
+	if clrs = allCLRs(l); len(clrs) != 2 || !clrs[0].WholePage() || clrs[1].WholePage() {
+		t.Fatalf("an adopted branch's first CLR of a page, and only that one, must anchor it: %+v", clrs)
 	}
 }
 
@@ -556,5 +552,92 @@ func TestCheckpointInterleaving(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnchorUndoIsRangeSized: the first update of a page after a checkpoint
+// changes k bytes and costs the log a page plus k, not two pages — its redo
+// half is the whole page, its undo half the k bytes — and both undos restore
+// the page byte-exactly from it: rollback at run time, whose CLR covers the
+// undo range only, and restart undo on top of whatever a torn write left.
+func TestAnchorUndoIsRangeSized(t *testing.T) {
+	const off, k = 1234, 400
+	pid := page.ID{Area: 1, Page: 6}
+	was := make([]byte, page.Size)
+	for i := range was {
+		was[i] = byte(i*13 + 5)
+	}
+	change := bytes.Repeat([]byte{0xEE}, k)
+
+	// setup commits was, checkpoints, and has a second transaction log the
+	// change — the anchor of the new epoch — and steal it to the pager.
+	setup := func() (*Manager, *memPager, *wal.Log, *Tx, page.LSN) {
+		m, pg, l, _ := newEnv()
+		w := m.Begin()
+		logAt(w, pg, pid, 0, was)
+		pg.set(pid, 0, was)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		tr := m.Begin()
+		start := l.NextLSN()
+		lsn, err := logAt(tr, pg, pid, off, change)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(l.NextLSN() - start); got > page.Size+k+64 {
+			t.Fatalf("anchor of a %d-byte change appended %d bytes, want at most %d", k, got, page.Size+k+64)
+		}
+		pg.set(pid, off, change)
+		rec := readRec(t, l, lsn)
+		if !rec.WholePage() || int(rec.UndoOff) != off || len(rec.Before) != k || !bytes.Equal(rec.Before, was[off:off+k]) {
+			t.Fatalf("anchor: WholePage %v, undo half %d+%d", rec.WholePage(), rec.UndoOff, len(rec.Before))
+		}
+		return m, pg, l, tr, lsn
+	}
+
+	_, pg, l, tr, lsn := setup()
+	if err := tr.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pg.get(pid, 0, page.Size); !bytes.Equal(got, was) {
+		t.Fatal("rollback of the anchor did not restore the page")
+	}
+	var clr *wal.Record
+	l.Iterate(lsn, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TCLR {
+			clr = r
+		}
+		return nil
+	})
+	if clr == nil || int(clr.Off) != off || !bytes.Equal(clr.After, was[off:off+k]) {
+		t.Fatalf("CLR of the anchor: %+v, want the undo range %d+%d", clr, off, k)
+	}
+
+	// Restart: the steal tore, the page holds garbage. Redo lays the anchor's
+	// whole image down and undo copies the range back over it.
+	_, pg, l, _, lsn = setup()
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.OpenMemFrom(l.DurableBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := pg.clone()
+	crashed.log = l2
+	crashed.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size)
+	st, err := wal.Recover(l2, crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.UnanchoredPages != 0 || st.UndoApplied != 1 {
+		t.Fatalf("restart: %+v", st)
+	}
+	if got := crashed.get(pid, 0, page.Size); !bytes.Equal(got, was) {
+		t.Fatal("restart undo of the anchor did not restore the page")
 	}
 }

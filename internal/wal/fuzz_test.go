@@ -37,6 +37,14 @@ func FuzzWALDecodeRecord(f *testing.F) {
 			DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
 		{Type: TCatalog, Body: catalogBody(f)},
 		{Type: TCatalog}, // an empty body is the server's to reject, not the log's
+		// An anchor (whole-page redo half, range undo half at its own offset),
+		// the fill of a fresh page (zero before-image) and the CLR that takes
+		// a range back to zero: the flagged-length encodings.
+		{Type: TUpdate, Tx: 3, Page: page.ID{Area: 1, Page: 9}, After: bytes.Repeat([]byte{0x5C}, page.Size),
+			UndoOff: 1200, Before: []byte("what-changed")},
+		{Type: TUpdate, Tx: 3, Page: page.ID{Area: 1, Page: 9}, After: bytes.Repeat([]byte{0x5C}, page.Size),
+			Before: make([]byte, page.Size)},
+		{Type: TCLR, Tx: 3, Page: page.ID{Area: 1, Page: 9}, Off: 512, After: make([]byte, 96), UndoNext: 24},
 	}
 	for _, r := range seed {
 		f.Add(r.appendTo(nil))

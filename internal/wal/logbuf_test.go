@@ -15,19 +15,38 @@ import (
 	"bess/internal/page"
 )
 
+// appendShapes are the update-record shapes the logging rule produces: a byte
+// range, a whole-page overwrite of live bytes, an anchor (whole-page redo
+// half, range undo half) and the fill of a fresh page (zero before-image).
+type appendShape struct {
+	name string
+	rec  *Record
+}
+
+func appendShapes() []appendShape {
+	pid := page.ID{Area: 1, Page: 7}
+	img := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	return []appendShape{
+		{"128B", &Record{Type: TUpdate, Tx: 1, Page: pid, Off: 640, After: img(128, 0xAB), UndoOff: 640, Before: img(128, 0xCD)}},
+		{"8KB", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: img(page.Size, 0xCD)}},
+		{"anchor", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), UndoOff: 640, Before: img(128, 0xCD)}},
+		{"fresh", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: make([]byte, page.Size)}},
+	}
+}
+
 // TestAppendAllocatesNothing: Append encodes in place, into a buffer the log
-// already owns — no allocation for a byte-range record or for a whole-page
-// anchor — and keeps no reference to the caller's slices.
+// already owns — no allocation for any record shape — and keeps no reference
+// to the caller's slices.
 func TestAppendAllocatesNothing(t *testing.T) {
 	l := NewMem()
 	defer l.Close()
 	pid := page.ID{Area: 1, Page: 7}
-	sizes := []int{128, page.Size}
+	shapes := appendShapes()
 	if lockcheck.Enabled {
-		sizes = nil // the instrumented Log.mu allocates on every Lock
+		shapes = nil // the instrumented Log.mu allocates on every Lock
 	}
-	for _, n := range sizes {
-		rec := &Record{Type: TUpdate, Tx: 1, Page: pid, Before: make([]byte, n), After: bytes.Repeat([]byte{0xAB}, n)}
+	for _, sh := range shapes {
+		rec := sh.rec
 		// Warm up: the buffer exists, and it is empty, so the measured appends
 		// fit it and none of them leads a round into the growing mem backing.
 		if _, err := l.Append(rec); err != nil {
@@ -41,7 +60,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); got != 0 {
-			t.Errorf("%d-byte update record: %v allocations per append, want 0", n, got)
+			t.Errorf("%s update record: %v allocations per append, want 0", sh.name, got)
 		}
 	}
 	after := []byte("after-image")
@@ -60,6 +79,15 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	if string(rec.After) != "after-image" || string(rec.Before) != "before" {
 		t.Fatalf("log kept the caller's memory: %q / %q", rec.Before, rec.After)
 	}
+}
+
+// encodedLen and appendTo are the codec the plain way, one record at a time:
+// Append does the same with one look at the images for both.
+func (r *Record) encodedLen() int { return r.sizeOf(r.zeroImages()) }
+
+func (r *Record) appendTo(b []byte) []byte {
+	zb, za := r.zeroImages()
+	return r.encode(b, zb, za)
 }
 
 // serialEncoding is the log format written the plain way: one record after
@@ -386,19 +414,16 @@ type discard struct{ memBacking }
 func (*discard) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
 
 // BenchmarkAppend measures the append path alone — reserve, encode in place,
-// CRC — in MB of log per second, for a byte-range record and a whole-page one.
+// CRC — in MB of log per second, for each shape of update record.
 func BenchmarkAppend(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		n    int
-	}{{"128B", 128}, {"8KB", page.Size}} {
+	for _, bc := range appendShapes() {
 		b.Run(bc.name, func(b *testing.B) {
 			l, err := Open(&discard{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			rec := &Record{Type: TUpdate, Tx: 1, Page: page.ID{Area: 1, Page: 7}, Before: make([]byte, bc.n), After: bytes.Repeat([]byte{0xAB}, bc.n)}
+			rec := bc.rec
 			b.SetBytes(int64(recHeaderSize + rec.encodedLen()))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -222,7 +222,10 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 				if err := p.ReadPage(rec.Page, buf); err != nil {
 					return nil, err
 				}
-				copy(buf[rec.Off:], rec.Before)
+				if int(rec.UndoOff)+len(rec.Before) > len(buf) {
+					return nil, fmt.Errorf("wal: undo record at %d out of page bounds", cur.next)
+				}
+				copy(buf[rec.UndoOff:], rec.Before)
 				// The loser's update record covers its own undo; the CLR
 				// appended below re-describes the restore for redo.
 				if err := p.WritePage(rec.Logged(), buf); err != nil {
@@ -233,7 +236,7 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 				Type:     TCLR,
 				Tx:       rec.Tx,
 				Page:     rec.Page,
-				Off:      rec.Off,
+				Off:      rec.UndoOff,
 				After:    rec.Before, // the CLR's redo is the undo image
 				UndoNext: rec.PrevLSN,
 			}); err != nil {

@@ -276,7 +276,7 @@ func TestCrashPointProperty(t *testing.T) {
 				before := buf[off]
 				rec := &Record{
 					Type: TUpdate, Tx: id, PrevLSN: tx.last, Page: pid,
-					Off: uint32(off), Before: []byte{before}, After: []byte{val},
+					Off: uint32(off), After: []byte{val}, UndoOff: uint32(off), Before: []byte{before},
 				}
 				lsn, _ := l.Append(rec)
 				tx.last = lsn

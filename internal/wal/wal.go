@@ -83,11 +83,15 @@ type Record struct {
 	Tx      uint64
 	PrevLSN page.LSN // previous record of the same transaction
 
-	// Update / CLR fields.
+	// Update / CLR fields. The redo half (Off, After) and the undo half
+	// (UndoOff, Before) are independent ranges of the page: an anchor's redo
+	// image is the whole page while its undo image is only what changed
+	// (internal/tx/logging.go). An image read back from the log is read-only.
 	Page     page.ID
-	Off      uint32   // byte offset within the page
-	Before   []byte   // undo image (empty for CLRs)
+	Off      uint32   // byte offset of After within the page
 	After    []byte   // redo image
+	UndoOff  uint32   // byte offset of Before within the page
+	Before   []byte   // undo image (empty for CLRs)
 	UndoNext page.LSN // CLR: next record to undo
 
 	// Checkpoint fields.
@@ -139,17 +143,58 @@ var (
 	ErrClosed  = errors.New("wal: closed")
 	// ErrNotLogged is a page store's answer to the zero Logged.
 	ErrNotLogged = errors.New("wal: page store without a log record")
+	// ErrOffset is Append's answer to an Off or UndoOff the record's offset
+	// word cannot hold.
+	ErrOffset = errors.New("wal: record offset out of range")
+	// ErrOldFormat is Open's answer to a log whose records an older build
+	// encoded differently.
+	ErrOldFormat = errors.New("wal: the log was written by an older build; this build cannot read it")
 )
 
 const recHeaderSize = 4 + 4 // length + crc
 
-// encodedLen is the exact size of r's body as appendTo writes it: what Append
+// An update or CLR record stores its two offsets in one word, Off in the low
+// half and UndoOff in the high half, so offsets stop at maxOff; and an image
+// that is all zero — the before-image of a page nothing was ever written to,
+// the after-image of the CLR that takes it back there — as its length alone,
+// with zeroImage set in the length word. Decoding hands such an image back as
+// a slice of zeroes, so readers of a Record see neither.
+const (
+	offBits   = 16
+	maxOff    = 1<<offBits - 1
+	zeroImage = 1 << 31
+)
+
+// zeroes backs every image decoded from a length alone. Nothing writes to it.
+var zeroes [page.Size]byte
+
+// isZero reports whether img is stored as its length alone.
+func isZero(img []byte) bool {
+	return len(img) > 0 && len(img) <= len(zeroes) && bytes.Equal(img, zeroes[:len(img)])
+}
+
+// zeroImages reports which of r's images are stored as their length alone.
+// Append asks once and sizes and encodes the record by the same answer.
+func (r *Record) zeroImages() (before, after bool) {
+	if r.Type != TUpdate && r.Type != TCLR {
+		return false, false
+	}
+	return isZero(r.Before), isZero(r.After)
+}
+
+// sizeOf is the exact size of r's body as encode writes it: what Append
 // reserves in the log buffer before it encodes.
-func (r *Record) encodedLen() int {
+func (r *Record) sizeOf(zeroBefore, zeroAfter bool) int {
 	n := 1 + 8 + 8 // type, tx, prevLSN
 	switch r.Type {
 	case TUpdate, TCLR:
-		n += 4 + 8 + 4 + 8 + 4 + len(r.Before) + 4 + len(r.After)
+		n += 4 + 8 + 4 + 8 + 4 + 4
+		if !zeroBefore {
+			n += len(r.Before)
+		}
+		if !zeroAfter {
+			n += len(r.After)
+		}
 	case TCheckpoint:
 		n += 4 + 16*len(r.ActiveTxs) + 4 + 20*len(r.DirtyPages)
 	case TCatalog:
@@ -158,8 +203,40 @@ func (r *Record) encodedLen() int {
 	return n
 }
 
-// appendTo serializes r (excluding the length/crc header) onto b.
-func (r *Record) appendTo(b []byte) []byte {
+// Footprint says where the log's bytes for one record go.
+type Footprint struct {
+	Header int // length, CRC and every field that is not an image
+	Before int // undo image bytes stored
+	After  int // redo image bytes stored
+	// Image bytes not stored, the image being all zero and kept as its length.
+	ZeroBefore, ZeroAfter int
+}
+
+// Footprint measures r as Append encodes it.
+func (r *Record) Footprint() Footprint {
+	zb, za := r.zeroImages()
+	f := Footprint{Before: len(r.Before), After: len(r.After)}
+	if zb {
+		f.Before, f.ZeroBefore = 0, len(r.Before)
+	}
+	if za {
+		f.After, f.ZeroAfter = 0, len(r.After)
+	}
+	f.Header = recHeaderSize + r.sizeOf(zb, za) - f.Before - f.After
+	return f
+}
+
+// appendImage writes one image: its length and bytes, or for an all-zero one
+// its flagged length.
+func appendImage(b, img []byte, zero bool) []byte {
+	if zero {
+		return binary.BigEndian.AppendUint32(b, uint32(len(img))|zeroImage)
+	}
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(img))), img...)
+}
+
+// encode serializes r (excluding the length/crc header) onto b.
+func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
 	be := binary.BigEndian
 	b = append(b, byte(r.Type))
 	b = be.AppendUint64(b, r.Tx)
@@ -168,12 +245,10 @@ func (r *Record) appendTo(b []byte) []byte {
 	case TUpdate, TCLR:
 		b = be.AppendUint32(b, uint32(r.Page.Area))
 		b = be.AppendUint64(b, uint64(r.Page.Page))
-		b = be.AppendUint32(b, r.Off)
+		b = be.AppendUint32(b, r.Off|r.UndoOff<<offBits)
 		b = be.AppendUint64(b, uint64(r.UndoNext))
-		b = be.AppendUint32(b, uint32(len(r.Before)))
-		b = append(b, r.Before...)
-		b = be.AppendUint32(b, uint32(len(r.After)))
-		b = append(b, r.After...)
+		b = appendImage(b, r.Before, zeroBefore)
+		b = appendImage(b, r.After, zeroAfter)
 	case TCheckpoint:
 		b = be.AppendUint32(b, uint32(len(r.ActiveTxs)))
 		for _, e := range r.ActiveTxs {
@@ -234,28 +309,37 @@ func decodeRecord(b []byte) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Off = off
+		r.Off, r.UndoOff = off&maxOff, off>>offBits
 		un, err := u64()
 		if err != nil {
 			return nil, err
 		}
 		r.UndoNext = page.LSN(un)
-		nb, err := u32()
-		if err != nil || int(nb) > len(p) {
-			return nil, ErrCorrupt
+		image := func() ([]byte, error) {
+			n, err := u32()
+			switch {
+			case err != nil:
+				return nil, err
+			case n&zeroImage != 0:
+				if n &^= zeroImage; n == 0 || int(n) > len(zeroes) {
+					return nil, ErrCorrupt
+				}
+				return zeroes[:n:n], nil
+			case int(n) > len(p):
+				return nil, ErrCorrupt
+			case n == 0:
+				return nil, nil
+			}
+			img := p[:n:n]
+			p = p[n:]
+			return img, nil
 		}
-		if nb > 0 {
-			r.Before = p[:nb:nb]
+		if r.Before, err = image(); err != nil {
+			return nil, err
 		}
-		p = p[nb:]
-		na, err := u32()
-		if err != nil || int(na) > len(p) {
-			return nil, ErrCorrupt
+		if r.After, err = image(); err != nil {
+			return nil, err
 		}
-		if na > 0 {
-			r.After = p[:na:na]
-		}
-		p = p[na:]
 	case TCheckpoint:
 		n, err := u32()
 		if err != nil {
@@ -434,7 +518,10 @@ type LogStats struct {
 // header so that LSN 0 can mean "none".
 const firstLSN = page.LSN(8)
 
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 1}
+// logMagic opens the file: four bytes of magic and the format version.
+// Version 2 split an update record's offset word in two and gave all-zero
+// images their flagged length; version 1 logs are refused, not misread.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 2}
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.
@@ -505,10 +592,13 @@ func (l *Log) init() error {
 	if _, err := l.back.ReadAt(hdr, 0); err != nil {
 		return err
 	}
-	for i := 0; i < 4; i++ {
-		if hdr[i] != logMagic[i] {
-			return fmt.Errorf("wal: bad log magic")
-		}
+	if !bytes.Equal(hdr[:4], logMagic[:4]) {
+		return fmt.Errorf("wal: bad log magic")
+	}
+	if have, want := binary.BigEndian.Uint32(hdr[4:]), binary.BigEndian.Uint32(logMagic[4:]); have < want {
+		return fmt.Errorf("%w (format version %d, want %d)", ErrOldFormat, have, want)
+	} else if have > want {
+		return fmt.Errorf("wal: log format version %d, this build reads %d", have, want)
 	}
 	// Scan to the last valid record: a torn tail ends the log.
 	r := logReader{back: l.back, limit: size, ahead: readAhead}
@@ -567,7 +657,11 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 //
 //bess:hotpath
 func (l *Log) Append(rec *Record) (page.LSN, error) {
-	n := rec.encodedLen()
+	if rec.Off > maxOff || rec.UndoOff > maxOff {
+		return 0, ErrOffset
+	}
+	zb, za := rec.zeroImages()
+	n := rec.sizeOf(zb, za)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	slot, err := l.reserve(recHeaderSize + n)
@@ -576,7 +670,7 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 	}
 	b := l.bufs[slot]
 	at := len(b)
-	b = rec.appendTo(b[:at+recHeaderSize])
+	b = rec.encode(b[:at+recHeaderSize], zb, za)
 	binary.BigEndian.PutUint32(b[at:], uint32(n))
 	binary.BigEndian.PutUint32(b[at+4:], page.Checksum(b[at+recHeaderSize:]))
 	l.bufs[slot] = b

@@ -2,6 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -10,8 +13,8 @@ import (
 
 func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, before, after string) *Record {
 	return &Record{
-		Type: TUpdate, Tx: tx, PrevLSN: prev, Page: pid, Off: off,
-		Before: []byte(before), After: []byte(after),
+		Type: TUpdate, Tx: tx, PrevLSN: prev, Page: pid,
+		Off: off, After: []byte(after), UndoOff: off, Before: []byte(before),
 	}
 }
 
@@ -184,12 +187,18 @@ func TestClosedLog(t *testing.T) {
 func TestRecordEncodingAllTypes(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 9, Page: 1234}
+	whole := bytes.Repeat([]byte{0xC3}, page.Size)
 	records := []*Record{
 		upd(1, 0, pid, 77, "before-bytes", "after-bytes"),
 		{Type: TCLR, Tx: 1, PrevLSN: 5, Page: pid, Off: 3, After: []byte("undoimg"), UndoNext: 17},
 		{Type: TCommit, Tx: 2, PrevLSN: 9},
 		{Type: TAbort, Tx: 3},
 		{Type: TEnd, Tx: 3},
+		// An anchor: whole-page redo half, undo half a range with its own offset.
+		{Type: TUpdate, Tx: 4, Page: pid, After: whole, UndoOff: 4000, Before: []byte("range")},
+		// The fill of a fresh page and the CLR that takes it back: all-zero images.
+		{Type: TUpdate, Tx: 4, Page: pid, After: whole, Before: make([]byte, page.Size)},
+		{Type: TCLR, Tx: 4, Page: pid, Off: 100, After: make([]byte, 300), UndoNext: 9},
 	}
 	for _, r := range records {
 		if _, err := l.Append(r); err != nil {
@@ -207,8 +216,116 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 		t.Fatalf("clr = %+v", clr)
 	}
 	for i, r := range got {
-		if r.Tx != records[i].Tx || r.Type != records[i].Type {
+		want := records[i]
+		if r.Tx != want.Tx || r.Type != want.Type || r.Off != want.Off || r.UndoOff != want.UndoOff ||
+			!bytes.Equal(r.Before, want.Before) || !bytes.Equal(r.After, want.After) {
 			t.Fatalf("record %d: %+v", i, r)
 		}
+	}
+	if a := got[5]; !a.WholePage() || a.UndoOff != 4000 || string(a.Before) != "range" {
+		t.Fatalf("anchor = off %d, %d bytes; undo %d+%d", a.Off, len(a.After), a.UndoOff, len(a.Before))
+	}
+}
+
+// TestZeroImageRoundTrip: an all-zero image is in the log as its length —
+// before-image, after-image, both, whole page or range — and comes back as
+// that many zeroes; the size Append reserves is the size encode writes; and a
+// record cut short, or whose flagged length is not one encode writes, is
+// corrupt, never a panic.
+func TestZeroImageRoundTrip(t *testing.T) {
+	pid := page.ID{Area: 2, Page: 5}
+	some := bytes.Repeat([]byte{7}, 200)
+	for _, tc := range []struct {
+		name   string
+		rec    Record
+		stored int // image bytes in the encoding
+	}{
+		{"fresh-page fill", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, page.Size},
+		{"range of a fresh page", Record{Type: TUpdate, Page: pid, Off: 64, After: some, UndoOff: 64, Before: make([]byte, 200)}, 200},
+		{"range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 200},
+		{"CLR back to zero", Record{Type: TCLR, Page: pid, Off: 64, After: make([]byte, 200), UndoNext: 8}, 0},
+		{"anchor CLR of an empty page", Record{Type: TCLR, Page: pid, After: make([]byte, page.Size), UndoNext: 8}, 0},
+		{"one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 1},
+		{"nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 400},
+		{"zeroes longer than a page are stored", Record{Type: TUpdate, Page: pid, After: make([]byte, page.Size+1)}, page.Size + 1},
+	} {
+		rec := tc.rec
+		enc := rec.appendTo(nil)
+		if len(enc) != rec.encodedLen() {
+			t.Fatalf("%s: encodedLen %d, encoded %d bytes", tc.name, rec.encodedLen(), len(enc))
+		}
+		if fixed := 17 + 4 + 8 + 4 + 8 + 4 + 4; len(enc) != fixed+tc.stored {
+			t.Fatalf("%s: %d bytes encoded, want %d of fields and %d of images", tc.name, len(enc), fixed, tc.stored)
+		}
+		if fp := rec.Footprint(); fp.Header+fp.Before+fp.After != recHeaderSize+len(enc) ||
+			fp.Before+fp.After != tc.stored || fp.ZeroBefore+fp.ZeroAfter != len(rec.Before)+len(rec.After)-tc.stored {
+			t.Fatalf("%s: footprint %+v of %d encoded bytes", tc.name, fp, len(enc))
+		}
+		got, err := decodeRecord(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Off != rec.Off || got.UndoOff != rec.UndoOff || got.UndoNext != rec.UndoNext ||
+			!bytes.Equal(got.Before, rec.Before) || !bytes.Equal(got.After, rec.After) {
+			t.Fatalf("%s: decoded %+v", tc.name, got)
+		}
+		for cut := 0; cut < len(enc); cut += max(1, len(enc)/64) {
+			if _, err := decodeRecord(enc[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s cut at %d of %d: %v, want ErrCorrupt", tc.name, cut, len(enc), err)
+			}
+		}
+	}
+	// Flagged lengths encode never writes: none, and more than a page.
+	enc := (&Record{Type: TCLR, Page: pid, After: make([]byte, 8)}).appendTo(nil)
+	for _, n := range []uint32{0, page.Size + 1, 1<<31 - 1} {
+		binary.BigEndian.PutUint32(enc[len(enc)-4:], n|zeroImage)
+		if _, err := decodeRecord(enc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flagged length %d: %v, want ErrCorrupt", n, err)
+		}
+	}
+	if !bytes.Equal(zeroes[:], make([]byte, page.Size)) {
+		t.Fatal("something wrote to the shared zero page")
+	}
+	// An offset the record's offset word cannot hold is refused, not truncated.
+	l := NewMem()
+	defer l.Close()
+	for _, rec := range []*Record{{Type: TUpdate, Page: pid, Off: maxOff + 1, After: some}, {Type: TUpdate, Page: pid, UndoOff: 1 << 20, Before: some}} {
+		if _, err := l.Append(rec); !errors.Is(err, ErrOffset) {
+			t.Fatalf("Append with off %d, undo off %d: %v, want ErrOffset", rec.Off, rec.UndoOff, err)
+		}
+	}
+}
+
+// TestOldLogVersionRefused: a log whose header carries the version before the
+// offset word was split is refused by name, whatever its records look like,
+// and one from a later build is refused too.
+func TestOldLogVersionRefused(t *testing.T) {
+	l := NewMem()
+	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "old", "new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	img := l.DurableBytes()
+	if _, err := OpenMemFrom(img); err != nil {
+		t.Fatalf("reopening this build's own log: %v", err)
+	}
+	img[7] = 1
+	if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("version 1 log: %v, want ErrOldFormat", err)
+	}
+	img[7] = logMagic[7] + 1
+	if _, err := OpenMemFrom(img); err == nil || errors.Is(err, ErrOldFormat) {
+		t.Fatalf("log from a later build: %v, want a refusal that does not call it old", err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	img[7] = 1
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("version 1 log file: %v, want ErrOldFormat", err)
 	}
 }
