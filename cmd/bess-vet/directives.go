@@ -14,7 +14,7 @@ import (
 //	//bess:holds mu                    (func contract: caller holds recv.mu)
 //	//bess:prepublish                  (func builds a value not yet shared)
 //	// guarded by mu                   (struct field annotation)
-//	//bess:resource acquire=F release=G [sink=T.f[,T.g]] [mode=owned|pinned]
+//	//bess:resource acquire=F release=G mode=pinned
 //	//bess:golife                      (package opts into goroutine lifecycle)
 //	//bess:golife ignore=<reason>      (waives the go statement on/under it)
 //	//bess:lockfree                    (func doc: taint root for lock freedom)
@@ -76,17 +76,14 @@ func newDirectives() *directives {
 	}
 }
 
-// resourceDecl is one //bess:resource pair. In owned mode (the default) the
-// acquire result is an owned value that must reach the release function (or
-// a declared sink field, or a return) on every path; in pinned mode only
+// resourceDecl is one //bess:resource pair. Pinned is the one mode: only
 // double-release and use-after-release are checked, because pins and
-// mappings legitimately outlive the acquiring function.
+// mappings legitimately outlive the acquiring function. The clause is
+// spelled out at every declaration so nobody reads leak checking into it.
 type resourceDecl struct {
-	name    string // "getBuf/putBuf", for messages
+	name    string // "Acquire/Unpin", for messages
 	acquire *types.Func
 	release *types.Func
-	sinks   map[*types.Var]bool // struct fields allowed to hold the value
-	pinned  bool
 	// argKeyed: the acquire returns no resource value (only error); the
 	// release identifies the resource by its first argument expression
 	// (Space.Map / Space.Unmap style). Checked for double-release only.
@@ -289,11 +286,11 @@ func (d *directives) collectGuarded(p *pkg, st *ast.StructType) {
 }
 
 // parseResource parses a //bess:resource directive. acquire/release accept
-// a package function name ("getBuf") or "Type.Method" ("Pool.Acquire"),
-// resolved in the directive's own package. sink lists comma-separated
-// "Type.field" struct fields that may legitimately hold the resource.
+// a package function name ("acquire") or "Type.Method" ("Pool.Acquire"),
+// resolved in the directive's own package.
 func (d *directives) parseResource(p *pkg, spec string, pos token.Pos) error {
-	r := &resourceDecl{sinks: make(map[*types.Var]bool), pos: pos}
+	r := &resourceDecl{pos: pos}
+	pinned := false
 	for _, kv := range strings.Fields(spec) {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok || val == "" {
@@ -310,28 +307,17 @@ func (d *directives) parseResource(p *pkg, spec string, pos token.Pos) error {
 			} else {
 				r.release = fn
 			}
-		case "sink":
-			for _, s := range strings.Split(val, ",") {
-				fv, err := resolveField(p, s)
-				if err != nil {
-					return fmt.Errorf("//bess:resource sink=%s: %w", s, err)
-				}
-				r.sinks[fv] = true
-			}
 		case "mode":
-			switch val {
-			case "owned":
-			case "pinned":
-				r.pinned = true
-			default:
-				return fmt.Errorf("//bess:resource: unknown mode %q", val)
+			if val != "pinned" {
+				return fmt.Errorf("//bess:resource: unknown mode %q (pinned is the only one)", val)
 			}
+			pinned = true
 		default:
 			return fmt.Errorf("//bess:resource: unknown clause %q", key)
 		}
 	}
-	if r.acquire == nil || r.release == nil {
-		return fmt.Errorf("//bess:resource: both acquire= and release= are required")
+	if r.acquire == nil || r.release == nil || !pinned {
+		return fmt.Errorf("//bess:resource: acquire=, release= and mode=pinned are all required")
 	}
 	// The resource identity: normally the acquire's first non-error result.
 	// When the acquire returns nothing trackable, fall back to keying the
@@ -375,28 +361,6 @@ func resolveFunc(p *pkg, name string) (*types.Func, error) {
 		return fn, nil
 	}
 	return nil, fmt.Errorf("function %s not found in package %s", name, p.path)
-}
-
-// resolveField looks up a "Type.field" struct field in the package scope.
-func resolveField(p *pkg, name string) (*types.Var, error) {
-	typ, field, ok := strings.Cut(name, ".")
-	if !ok {
-		return nil, fmt.Errorf("want Type.field, got %q", name)
-	}
-	tn, _ := p.tpkg.Scope().Lookup(typ).(*types.TypeName)
-	if tn == nil {
-		return nil, fmt.Errorf("type %s not found in package %s", typ, p.path)
-	}
-	st, _ := tn.Type().Underlying().(*types.Struct)
-	if st == nil {
-		return nil, fmt.Errorf("%s is not a struct type", typ)
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == field {
-			return f, nil
-		}
-	}
-	return nil, fmt.Errorf("field %s not found on %s", field, typ)
 }
 
 func guardedMu(cg *ast.CommentGroup) string {

@@ -7,12 +7,11 @@ import (
 )
 
 // hotalloc reviews //bess:hotpath functions — frame encode/decode, the hot
-// wire codecs, the scan push loop, the prefetch scatter — for per-op heap
-// allocations. The flagged shapes:
+// wire codecs, the scan push loop — for per-op heap allocations. The flagged
+// shapes:
 //
-//   - make(...) — a fresh slice/map/channel per call; use the pooled
-//     buffers (rpc's getBuf/putBuf, the scan batch pool) or append into a
-//     caller-provided buffer instead.
+//   - make(...) — a fresh slice/map/channel per call; use a pooled buffer
+//     (the scan batch pool) or append into a caller-provided one instead.
 //   - append([]T(nil), ...) — the clone idiom allocates every call.
 //   - string <-> []byte conversions — each direction copies.
 //   - new(T) and function literals — the value (or the closure's captured

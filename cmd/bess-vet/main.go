@@ -8,9 +8,9 @@
 //   - guarded: struct fields annotated `// guarded by <mu>` may only be
 //     touched with that mutex held (writes need the exclusive lock).
 //   - defers: every Lock/RLock is paired with an Unlock on every exit path.
-//   - poollife: acquire/release pairs declared by //bess:resource (pooled
-//     frame buffers, segment pins, mmap mappings) are released exactly once
-//     on every path and never escape the pool's sight.
+//   - poollife: acquire/release pairs declared by //bess:resource (page
+//     pins, version pins, mmap mappings) are never released twice and never
+//     used after their release.
 //   - atomicmix: a field accessed through sync/atomic anywhere must be
 //     accessed atomically everywhere, and plain 64-bit fields used with the
 //     64-bit atomics must be 8-aligned under the 32-bit layout.

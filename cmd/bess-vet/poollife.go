@@ -6,40 +6,27 @@ import (
 	"go/types"
 )
 
-// poollife tracks the acquire/release pairs declared by //bess:resource
-// through every function, path-sensitively (the same branch-forking shape as
-// the lock-flow walker) and interprocedurally (callee parameter summaries:
-// a callee that forwards its parameter to the release function releases it
-// for the caller; one that stores or returns it takes ownership).
+// poollife tracks the acquire/release pairs declared by //bess:resource —
+// page pins, version pins, mappings — through every function,
+// path-sensitively (the same branch-forking shape as the lock-flow walker)
+// and interprocedurally (a callee that forwards its parameter to the release
+// function releases it for the caller; a function that returns a fresh
+// acquire is an acquire).
 //
-// Owned mode (default) checks, per path:
-//   - use-after-release and double-release,
-//   - release missing on one branch of a merge (the error-path-leak class),
-//   - a live value at a return or the end of the function (leak),
-//   - escapes into struct fields (other than declared sinks), composite
-//     literals, channels, and goroutines.
-//
-// Pinned mode (segment pins, mmap mappings) checks only double-release and
-// use-after-release: pins legitimately outlive the acquiring function.
+// It checks two things per path: use-after-release and double-release. A pin
+// legitimately outlives the function that took it, so a value still held at
+// an exit, stored in a field, returned or sent away is not a finding.
 //
 // Known holes, on purpose: values captured by closures are not tracked (the
-// closure body is walked with a fresh state), and interface calls are
-// borrows. The analyzer is tuned to stay false-positive-free on real code.
-
-type resStatus int
-
-const (
-	resLive     resStatus = iota
-	resReleased           // released; further use or release is a bug
-	resGone               // ownership transferred (sink, consume, return)
-)
+// closure body is walked with a fresh state), and interface calls release
+// nothing. The analyzer is tuned to stay false-positive-free on real code.
 
 // resSlot is one tracked resource value on one path.
 type resSlot struct {
 	decl     *resourceDecl
 	names    map[string]bool // aliases currently holding the value
-	status   resStatus
-	deferred bool // a deferred release covers every exit
+	released bool            // further use or release is a bug
+	deferred bool            // a deferred release is pending
 	acqPos   token.Pos
 	relPos   token.Pos
 	reported bool // one use-after-release report per slot
@@ -96,15 +83,6 @@ func (st *rstate) dropName(name string) {
 	}
 }
 
-// paramEffect classifies what a callee does with one parameter.
-type paramEffect int
-
-const (
-	effBorrow  paramEffect = iota // reads it; caller keeps ownership
-	effRelease                    // forwards it to the release function
-	effConsume                    // stores or returns it; callee owns it now
-)
-
 type funcDef struct {
 	decl *ast.FuncDecl
 	p    *pkg
@@ -118,10 +96,10 @@ type poolAnalysis struct {
 
 	defs map[*types.Func]*funcDef
 
-	effects    map[*types.Func][]paramEffect
-	effectsWIP map[*types.Func]bool
-	wrappers   map[*types.Func]*resourceDecl
-	wrapperWIP map[*types.Func]bool
+	forwards    map[*types.Func][]bool
+	forwardsWIP map[*types.Func]bool
+	wrappers    map[*types.Func]*resourceDecl
+	wrapperWIP  map[*types.Func]bool
 
 	seen map[string]bool // finding dedupe: file:line
 }
@@ -131,14 +109,14 @@ func analyzePoolLife(pkgs []*pkg, dirs *directives, r *reporter) {
 		return
 	}
 	a := &poolAnalysis{
-		dirs:       dirs,
-		r:          r,
-		defs:       make(map[*types.Func]*funcDef),
-		effects:    make(map[*types.Func][]paramEffect),
-		effectsWIP: make(map[*types.Func]bool),
-		wrappers:   make(map[*types.Func]*resourceDecl),
-		wrapperWIP: make(map[*types.Func]bool),
-		seen:       make(map[string]bool),
+		dirs:        dirs,
+		r:           r,
+		defs:        make(map[*types.Func]*funcDef),
+		forwards:    make(map[*types.Func][]bool),
+		forwardsWIP: make(map[*types.Func]bool),
+		wrappers:    make(map[*types.Func]*resourceDecl),
+		wrapperWIP:  make(map[*types.Func]bool),
+		seen:        make(map[string]bool),
 	}
 	for _, p := range pkgs {
 		a.fset = p.fset
@@ -164,10 +142,7 @@ func analyzePoolLife(pkgs []*pkg, dirs *directives, r *reporter) {
 					continue // the acquire/release functions themselves
 				}
 				w := &rwalk{a: a, p: p}
-				st := newRstate()
-				if !w.walkBlock(fd.Body, st) {
-					w.exitCheck(fd.Body.End(), st)
-				}
+				w.walkBlock(fd.Body, newRstate())
 			}
 		}
 	}
@@ -261,100 +236,57 @@ func (a *poolAnalysis) wrapper(fn *types.Func) *resourceDecl {
 	return found
 }
 
-// paramEffects computes per-parameter summaries for a module function.
-// Missing bodies (stdlib, interfaces) yield nil: every parameter borrows.
-func (a *poolAnalysis) paramEffects(fn *types.Func) []paramEffect {
+// releases reports, per parameter of a module function, whether the function
+// forwards it to the release function — directly or through another such
+// callee. Missing bodies (stdlib, interfaces) yield nil: nothing is released.
+func (a *poolAnalysis) releases(fn *types.Func) []bool {
 	if fn == nil {
 		return nil
 	}
-	if eff, ok := a.effects[fn]; ok {
-		return eff
+	if fwd, ok := a.forwards[fn]; ok {
+		return fwd
 	}
-	if a.effectsWIP[fn] {
+	if a.forwardsWIP[fn] {
 		return nil
 	}
 	def := a.defs[fn]
 	if def == nil || a.isPrimitive(fn) {
-		a.effects[fn] = nil
+		a.forwards[fn] = nil
 		return nil
 	}
-	a.effectsWIP[fn] = true
-	defer delete(a.effectsWIP, fn)
+	a.forwardsWIP[fn] = true
+	defer delete(a.forwardsWIP, fn)
 
 	sig := fn.Type().(*types.Signature)
-	eff := make([]paramEffect, sig.Params().Len())
+	fwd := make([]bool, sig.Params().Len())
 	paramIdx := map[types.Object]int{}
 	for i := 0; i < sig.Params().Len(); i++ {
 		paramIdx[sig.Params().At(i)] = i
 	}
-	upgrade := func(i int, e paramEffect) {
-		if i >= 0 && i < len(eff) && e > eff[i] {
-			eff[i] = e
-		}
-	}
-	classify := func(e ast.Expr) int {
-		if obj := baseIdentObj(def.p, e); obj != nil {
-			if i, ok := paramIdx[obj]; ok {
-				return i
-			}
-		}
-		return -1
-	}
 	ast.Inspect(def.decl.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.CallExpr:
-			callee := calleeOf(def.p, s)
-			rel := a.releaseDecl(callee)
-			var sub []paramEffect
-			if rel == nil {
-				sub = a.paramEffects(callee)
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := calleeOf(def.p, call)
+		rel := a.releaseDecl(callee)
+		var sub []bool
+		if rel == nil {
+			sub = a.releases(callee)
+		}
+		for i, arg := range call.Args {
+			pi, ok := paramIdx[baseIdentObj(def.p, arg)]
+			if !ok {
+				continue
 			}
-			for i, arg := range s.Args {
-				pi := classify(arg)
-				if pi < 0 {
-					continue
-				}
-				switch {
-				case rel != nil && i == 0 && !rel.argKeyed:
-					upgrade(pi, effRelease)
-				case i < len(sub) && sub[i] == effRelease:
-					upgrade(pi, effRelease)
-				case i < len(sub) && sub[i] == effConsume:
-					upgrade(pi, effConsume)
-				}
-			}
-		case *ast.AssignStmt:
-			for li, l := range s.Lhs {
-				switch l.(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr:
-					if li < len(s.Rhs) {
-						if pi := classify(s.Rhs[li]); pi >= 0 {
-							upgrade(pi, effConsume)
-						}
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				if pi := classify(r); pi >= 0 {
-					upgrade(pi, effConsume)
-				}
-			}
-		case *ast.SendStmt:
-			if pi := classify(s.Value); pi >= 0 {
-				upgrade(pi, effConsume)
-			}
-		case *ast.GoStmt:
-			for _, arg := range s.Call.Args {
-				if pi := classify(arg); pi >= 0 {
-					upgrade(pi, effConsume)
-				}
+			if rel != nil && i == 0 && !rel.argKeyed || i < len(sub) && sub[i] {
+				fwd[pi] = true
 			}
 		}
 		return true
 	})
-	a.effects[fn] = eff
-	return eff
+	a.forwards[fn] = fwd
+	return fwd
 }
 
 func (a *poolAnalysis) reportOnce(pos token.Pos, format string, args ...any) {
@@ -462,21 +394,10 @@ func (w *rwalk) walkBlock(b *ast.BlockStmt, st *rstate) bool {
 	return false
 }
 
-// exitCheck reports owned values still live at a function exit.
-func (w *rwalk) exitCheck(pos token.Pos, st *rstate) {
-	for _, s := range st.slots {
-		if s.status == resLive && !s.deferred && !s.decl.pinned {
-			w.a.reportOnce(pos,
-				"%s value acquired at %s is not released on this path (missing %s)",
-				s.decl.name, w.a.fset.Position(s.acqPos), s.decl.release.Name())
-		}
-	}
-}
-
 // useCheck flags a read of a released value.
 func (w *rwalk) useCheck(name string, pos token.Pos, st *rstate) {
 	s := st.find(name)
-	if s == nil || s.reported || s.status != resReleased {
+	if s == nil || s.reported || !s.released {
 		return
 	}
 	s.reported = true
@@ -485,22 +406,10 @@ func (w *rwalk) useCheck(name string, pos token.Pos, st *rstate) {
 		s.decl.name, name, w.a.fset.Position(s.relPos))
 }
 
-// escape reports an owned value leaking somewhere the pool cannot see.
-func (w *rwalk) escape(s *resSlot, pos token.Pos, how string) {
-	if s.decl.pinned {
-		s.status = resGone
-		return
-	}
-	w.a.reportOnce(pos,
-		"%s value escapes into %s; the pool can no longer recycle it safely",
-		s.decl.name, how)
-	s.status = resGone
-}
-
 // applyRelease marks a slot released, reporting double releases.
-func (w *rwalk) applyRelease(s *resSlot, pos token.Pos, st *rstate) {
+func (w *rwalk) applyRelease(s *resSlot, pos token.Pos) {
 	switch {
-	case s.status == resReleased:
+	case s.released:
 		w.a.reportOnce(pos,
 			"%s value released again; first released at %s",
 			s.decl.name, w.a.fset.Position(s.relPos))
@@ -509,91 +418,76 @@ func (w *rwalk) applyRelease(s *resSlot, pos token.Pos, st *rstate) {
 			"%s value released explicitly although a deferred release already covers it",
 			s.decl.name)
 	default:
-		s.status = resReleased
+		s.released = true
 		s.relPos = pos
 	}
 }
 
 // scanExpr walks an expression, applying call effects and use checks.
-// retain names a variable whose ownership round-trips through the call on
-// this assignment (`*bp = appendFrame((*bp)[:0], f)`): it is borrowed, not
-// consumed.
-func (w *rwalk) scanExpr(e ast.Expr, st *rstate, retain string) {
+func (w *rwalk) scanExpr(e ast.Expr, st *rstate) {
 	switch n := e.(type) {
 	case nil:
 		return
 	case *ast.CallExpr:
-		w.scanCall(n, st, retain, false)
+		w.scanCall(n, st)
 	case *ast.Ident:
 		w.useCheck(n.Name, n.Pos(), st)
 	case *ast.UnaryExpr:
-		w.scanExpr(n.X, st, retain)
+		w.scanExpr(n.X, st)
 	case *ast.StarExpr:
-		w.scanExpr(n.X, st, retain)
+		w.scanExpr(n.X, st)
 	case *ast.ParenExpr:
-		w.scanExpr(n.X, st, retain)
+		w.scanExpr(n.X, st)
 	case *ast.SelectorExpr:
-		w.scanExpr(n.X, st, retain)
+		w.scanExpr(n.X, st)
 	case *ast.IndexExpr:
-		w.scanExpr(n.X, st, retain)
-		w.scanExpr(n.Index, st, retain)
+		w.scanExpr(n.X, st)
+		w.scanExpr(n.Index, st)
 	case *ast.SliceExpr:
-		w.scanExpr(n.X, st, retain)
-		w.scanExpr(n.Low, st, retain)
-		w.scanExpr(n.High, st, retain)
-		w.scanExpr(n.Max, st, retain)
+		w.scanExpr(n.X, st)
+		w.scanExpr(n.Low, st)
+		w.scanExpr(n.High, st)
+		w.scanExpr(n.Max, st)
 	case *ast.BinaryExpr:
-		w.scanExpr(n.X, st, retain)
-		w.scanExpr(n.Y, st, retain)
+		w.scanExpr(n.X, st)
+		w.scanExpr(n.Y, st)
 	case *ast.TypeAssertExpr:
-		w.scanExpr(n.X, st, retain)
+		w.scanExpr(n.X, st)
 	case *ast.CompositeLit:
 		for _, el := range n.Elts {
-			v := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				v = kv.Value
+				el = kv.Value
 			}
-			if s := st.find(baseIdentName(v)); s != nil && s.status == resLive {
-				w.escape(s, v.Pos(), "a composite literal")
-				continue
-			}
-			w.scanExpr(v, st, retain)
+			w.scanExpr(el, st)
 		}
 	case *ast.FuncLit:
 		// Closures run in their own dynamic context; captured resources are
 		// out of scope for this analysis (documented hole).
-		sub := newRstate()
-		if !w.walkBlock(n.Body, sub) {
-			w.exitCheck(n.Body.End(), sub)
-		}
+		w.walkBlock(n.Body, newRstate())
 	}
 }
 
-// scanCall applies acquire/release/consume semantics of one call.
-// topAssigned is true when the call is the sole RHS of an assignment (its
-// acquired result is tracked by the caller of scanCall).
-func (w *rwalk) scanCall(call *ast.CallExpr, st *rstate, retain string, topAssigned bool) {
+// scanCall applies the release semantics of one call: the release function
+// itself, or a callee that forwards the argument to it.
+func (w *rwalk) scanCall(call *ast.CallExpr, st *rstate) {
 	callee := calleeOf(w.p, call)
 	relDecl := w.a.releaseDecl(callee)
-	var sub []paramEffect
+	var fwd []bool
 	if relDecl == nil {
-		sub = w.a.paramEffects(callee)
+		fwd = w.a.releases(callee)
 	}
 	for i, arg := range call.Args {
-		name := baseIdentName(arg)
 		spread := call.Ellipsis.IsValid() && i == len(call.Args)-1
-		s := st.find(name)
+		s := st.find(baseIdentName(arg))
 		switch {
 		case relDecl != nil && i == 0 && !relDecl.argKeyed:
 			if s != nil {
-				w.applyRelease(s, call.Pos(), st)
+				w.applyRelease(s, call.Pos())
 				continue
 			}
-			// Releasing an untracked value: nothing to say (the walker loses
-			// track through consuming helpers by design).
+			// Releasing an untracked value: nothing to say.
 		case relDecl != nil && i == 0 && relDecl.argKeyed:
-			key := render(arg)
-			if key != "" {
+			if key := render(arg); key != "" {
 				if prev, ok := st.relKeys[key]; ok {
 					w.a.reportOnce(call.Pos(),
 						"%s released twice for %q; first released at %s",
@@ -602,53 +496,34 @@ func (w *rwalk) scanCall(call *ast.CallExpr, st *rstate, retain string, topAssig
 					st.relKeys[key] = call.Pos()
 				}
 			}
-		case s != nil && s.status == resLive && !spread && name != retain:
-			eff := effBorrow
-			if i < len(sub) {
-				eff = sub[i]
-			}
-			switch eff {
-			case effRelease:
-				w.applyRelease(s, call.Pos(), st)
-				continue
-			case effConsume:
-				s.status = resGone
-				continue
-			}
+		case s != nil && !s.released && !spread && i < len(fwd) && fwd[i]:
+			w.applyRelease(s, call.Pos())
+			continue
 		}
-		w.scanExpr(arg, st, retain)
+		w.scanExpr(arg, st)
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		w.scanExpr(sel.X, st, retain)
-	}
-	// An acquire whose result is discarded leaks immediately.
-	if !topAssigned {
-		if d := w.a.acquireDecl(callee); d != nil && !d.pinned {
-			w.a.reportOnce(call.Pos(),
-				"result of %s is discarded; the %s value can never be released",
-				d.acquire.Name(), d.name)
-		}
+		w.scanExpr(sel.X, st)
 	}
 }
 
 func (w *rwalk) walkStmt(s ast.Stmt, st *rstate) bool {
 	switch n := s.(type) {
 	case *ast.ExprStmt:
+		w.scanExpr(n.X, st)
 		if call, ok := n.X.(*ast.CallExpr); ok && callTerminatesStatic(call) {
-			w.scanExpr(n.X, st, "")
 			return true
 		}
-		w.scanExpr(n.X, st, "")
 	case *ast.AssignStmt:
 		w.walkAssign(n, st)
 	case *ast.IncDecStmt:
-		w.scanExpr(n.X, st, "")
+		w.scanExpr(n.X, st)
 	case *ast.DeclStmt:
 		if gd, ok := n.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						w.scanExpr(v, st, "")
+						w.scanExpr(v, st)
 					}
 				}
 			}
@@ -657,39 +532,16 @@ func (w *rwalk) walkStmt(s ast.Stmt, st *rstate) bool {
 		w.walkDefer(n, st)
 	case *ast.GoStmt:
 		for _, arg := range n.Call.Args {
-			if sl := st.find(baseIdentName(arg)); sl != nil && sl.status == resLive {
-				w.escape(sl, arg.Pos(), "a goroutine")
-				continue
-			}
-			w.scanExpr(arg, st, "")
+			w.scanExpr(arg, st)
 		}
-		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			sub := newRstate()
-			if !w.walkBlock(fl.Body, sub) {
-				w.exitCheck(fl.Body.End(), sub)
-			}
-		}
+		w.scanExpr(n.Call.Fun, st)
 	case *ast.SendStmt:
-		w.scanExpr(n.Chan, st, "")
-		if sl := st.find(baseIdentName(n.Value)); sl != nil && sl.status == resLive {
-			w.escape(sl, n.Value.Pos(), "a channel")
-		} else {
-			w.scanExpr(n.Value, st, "")
-		}
+		w.scanExpr(n.Chan, st)
+		w.scanExpr(n.Value, st)
 	case *ast.ReturnStmt:
 		for _, r := range n.Results {
-			if sl := st.find(baseIdentName(r)); sl != nil && sl.status == resLive {
-				sl.status = resGone // ownership moves to the caller
-				continue
-			}
-			if call, ok := r.(*ast.CallExpr); ok {
-				// A returned acquire result transfers to the caller.
-				w.scanCall(call, st, "", true)
-				continue
-			}
-			w.scanExpr(r, st, "")
+			w.scanExpr(r, st)
 		}
-		w.exitCheck(n.Pos(), st)
 		return true
 	case *ast.BranchStmt:
 		return true
@@ -701,16 +553,16 @@ func (w *rwalk) walkStmt(s ast.Stmt, st *rstate) bool {
 		if n.Init != nil {
 			w.walkStmt(n.Init, st)
 		}
-		w.scanExpr(n.Cond, st, "")
+		w.scanExpr(n.Cond, st)
 		w.walkLoopBody(n.Body, st)
 	case *ast.RangeStmt:
-		w.scanExpr(n.X, st, "")
+		w.scanExpr(n.X, st)
 		w.walkLoopBody(n.Body, st)
 	case *ast.SwitchStmt:
 		if n.Init != nil {
 			w.walkStmt(n.Init, st)
 		}
-		w.scanExpr(n.Tag, st, "")
+		w.scanExpr(n.Tag, st)
 		return w.walkCases(n.Body, st, true)
 	case *ast.TypeSwitchStmt:
 		if n.Init != nil {
@@ -746,70 +598,22 @@ func callTerminatesStatic(call *ast.CallExpr) bool {
 }
 
 func (w *rwalk) walkAssign(n *ast.AssignStmt, st *rstate) {
-	// Ownership round-trip: `x = f(x, ...)` / `*x = f((*x)[:0], ...)` keeps
-	// the caller the owner even when f's summary says consume.
-	retain := ""
-	if len(n.Rhs) == 1 {
-		if _, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Lhs) > 0 {
-			if name := baseIdentName(n.Lhs[0]); name != "" && st.find(name) != nil {
-				retain = name
-			}
-		}
-	}
-
-	// Scan the RHS with call effects applied.
 	for _, r := range n.Rhs {
-		if call, ok := r.(*ast.CallExpr); ok && len(n.Rhs) == 1 {
-			w.scanCall(call, st, retain, true)
-			continue
-		}
-		w.scanExpr(r, st, retain)
+		w.scanExpr(r, st)
 	}
-
-	// LHS bookkeeping, done before new tracking so `bp = getBuf()` first
-	// severs the old alias, then tracks the new value.
-	for li, l := range n.Lhs {
+	// LHS bookkeeping, done before new tracking so `slot, err = p.Acquire(id)`
+	// first severs the old alias, then tracks the new value.
+	for _, l := range n.Lhs {
 		switch lhs := l.(type) {
 		case *ast.Ident:
-			if lhs.Name != "_" {
-				// Keep the alias when the RHS round-trips ownership.
-				if lhs.Name != retain {
-					st.dropName(lhs.Name)
-				}
-			}
+			st.dropName(lhs.Name)
 		case *ast.SelectorExpr:
-			var rhs ast.Expr
-			if len(n.Rhs) == len(n.Lhs) {
-				rhs = n.Rhs[li]
-			} else if len(n.Rhs) == 1 {
-				rhs = n.Rhs[0]
-			}
-			if sl := st.find(baseIdentName(rhs)); sl != nil && sl.status == resLive {
-				if fv := w.fieldOf(lhs); fv != nil && sl.decl.sinks[fv] {
-					sl.status = resGone // declared sink: ownership handed over
-				} else {
-					w.escape(sl, n.Pos(), "struct field "+render(lhs))
-				}
-				continue
-			}
-			w.scanExpr(lhs.X, st, "")
+			w.scanExpr(lhs.X, st)
 		case *ast.IndexExpr:
-			var rhs ast.Expr
-			if len(n.Rhs) == len(n.Lhs) {
-				rhs = n.Rhs[li]
-			}
-			if sl := st.find(baseIdentName(rhs)); sl != nil && sl.status == resLive {
-				w.escape(sl, n.Pos(), "a map or slice element")
-				continue
-			}
-			w.scanExpr(lhs.X, st, "")
-			w.scanExpr(lhs.Index, st, "")
-		case *ast.StarExpr:
-			// Writing through the pointer mutates the resource, not the
-			// tracking.
+			w.scanExpr(lhs.X, st)
+			w.scanExpr(lhs.Index, st)
 		}
 	}
-
 	// New tracking from the RHS.
 	if len(n.Rhs) != 1 || len(n.Lhs) == 0 {
 		return
@@ -827,21 +631,6 @@ func (w *rwalk) walkAssign(n *ast.AssignStmt, st *rstate) {
 				acqPos: n.Pos(),
 			})
 		}
-	case *ast.SelectorExpr:
-		// Reading a declared sink re-establishes ownership (the flush path
-		// detaches the coalescing buffer and must recycle it).
-		if fv := w.fieldOf(r); fv != nil {
-			for _, d := range w.a.dirs.resources {
-				if d.sinks[fv] {
-					st.slots = append(st.slots, &resSlot{
-						decl:   d,
-						names:  map[string]bool{lhs0.Name: true},
-						acqPos: n.Pos(),
-					})
-					break
-				}
-			}
-		}
 	case *ast.Ident:
 		if sl := st.find(r.Name); sl != nil {
 			sl.names[lhs0.Name] = true
@@ -849,26 +638,15 @@ func (w *rwalk) walkAssign(n *ast.AssignStmt, st *rstate) {
 	}
 }
 
-func (w *rwalk) fieldOf(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := w.p.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
 func (w *rwalk) walkDefer(n *ast.DeferStmt, st *rstate) {
 	callee := calleeOf(w.p, n.Call)
 	relDecl := w.a.releaseDecl(callee)
 	if relDecl == nil {
-		if eff := w.a.paramEffects(callee); len(eff) > 0 {
-			for i, arg := range n.Call.Args {
-				if i < len(eff) && eff[i] == effRelease {
-					if sl := st.find(baseIdentName(arg)); sl != nil {
-						w.markDeferred(sl, n.Pos())
-						return
-					}
+		for i, fwd := range w.a.releases(callee) {
+			if fwd && i < len(n.Call.Args) {
+				if sl := st.find(baseIdentName(n.Call.Args[i])); sl != nil {
+					w.markDeferred(sl, n.Pos())
+					return
 				}
 			}
 		}
@@ -889,7 +667,7 @@ func (w *rwalk) walkDefer(n *ast.DeferStmt, st *rstate) {
 			return
 		}
 		for _, arg := range n.Call.Args {
-			w.scanExpr(arg, st, "")
+			w.scanExpr(arg, st)
 		}
 		return
 	}
@@ -904,7 +682,7 @@ func (w *rwalk) walkDefer(n *ast.DeferStmt, st *rstate) {
 }
 
 func (w *rwalk) markDeferred(sl *resSlot, pos token.Pos) {
-	if sl.status == resReleased {
+	if sl.released {
 		w.a.reportOnce(pos,
 			"%s value already released at %s; the deferred release will run it again",
 			sl.decl.name, w.a.fset.Position(sl.relPos))
@@ -917,7 +695,7 @@ func (w *rwalk) walkIf(n *ast.IfStmt, st *rstate) bool {
 	if n.Init != nil {
 		w.walkStmt(n.Init, st)
 	}
-	w.scanExpr(n.Cond, st, "")
+	w.scanExpr(n.Cond, st)
 	thenSt := st.copy()
 	elseSt := st.copy()
 	tTerm := w.walkBlock(n.Body, thenSt)
@@ -933,15 +711,15 @@ func (w *rwalk) walkIf(n *ast.IfStmt, st *rstate) bool {
 	case eTerm:
 		*st = *thenSt
 	default:
-		*st = *w.mergeStates(n.End(), thenSt, elseSt)
+		*st = *mergeStates(thenSt, elseSt)
 	}
 	return false
 }
 
-// mergeStates joins two branch states, reporting release imbalances: a value
-// released on one path but live on the other is the release-missing-on-
-// error-path bug class.
-func (w *rwalk) mergeStates(pos token.Pos, a, b *rstate) *rstate {
+// mergeStates joins two branch states. A value released on either path is
+// released from here on; one acquired and released inside a single branch is
+// finished with and dropped.
+func mergeStates(a, b *rstate) *rstate {
 	out := newRstate()
 	matched := map[*resSlot]bool{}
 	for _, sa := range a.slots {
@@ -953,7 +731,9 @@ func (w *rwalk) mergeStates(pos token.Pos, a, b *rstate) *rstate {
 			}
 		}
 		if sb == nil {
-			w.mergeLone(pos, sa, out)
+			if !sa.released {
+				out.slots = append(out.slots, sa.copy())
+			}
 			continue
 		}
 		matched[sb] = true
@@ -962,31 +742,14 @@ func (w *rwalk) mergeStates(pos token.Pos, a, b *rstate) *rstate {
 			m.names[k] = true
 		}
 		m.deferred = sa.deferred && sb.deferred
-		switch {
-		case sa.status == sb.status:
-			// agree
-		case (sa.status == resLive && sb.status == resReleased) ||
-			(sa.status == resReleased && sb.status == resLive):
-			if !sa.decl.pinned && !m.deferred {
-				w.a.reportOnce(pos,
-					"%s value released on one branch path but not the other reaching this point",
-					sa.decl.name)
-			}
-			m.status = resReleased
-			m.relPos = sa.relPos
-			if sb.status == resReleased {
-				m.relPos = sb.relPos
-			}
-		default:
-			// live vs gone, released vs gone: ownership left on one path;
-			// stop tracking rather than guess.
-			m.status = resGone
+		if sb.released && !m.released {
+			m.released, m.relPos = true, sb.relPos
 		}
 		out.slots = append(out.slots, m)
 	}
 	for _, sb := range b.slots {
-		if !matched[sb] {
-			w.mergeLone(pos, sb, out)
+		if !matched[sb] && !sb.released {
+			out.slots = append(out.slots, sb.copy())
 		}
 	}
 	// Arg-keyed releases merge by intersection: only keys released on every
@@ -999,48 +762,15 @@ func (w *rwalk) mergeStates(pos token.Pos, a, b *rstate) *rstate {
 	return out
 }
 
-// mergeLone handles a slot acquired inside only one branch.
-func (w *rwalk) mergeLone(pos token.Pos, s *resSlot, out *rstate) {
-	if s.status == resLive && !s.deferred && !s.decl.pinned {
-		w.a.reportOnce(pos,
-			"%s value acquired at %s inside a branch is not released before the merge",
-			s.decl.name, w.a.fset.Position(s.acqPos))
-		return
-	}
-	if s.status == resLive {
-		out.slots = append(out.slots, s.copy())
-	}
-}
-
-// walkLoopBody walks a loop body once on a forked state, then reports owned
-// values acquired inside the body that are still live when it ends, and
-// adopts releases of pre-existing values (one-or-more-iterations view).
+// walkLoopBody walks a loop body once on a forked state and adopts its
+// releases of pre-existing values (assume the loop runs).
 func (w *rwalk) walkLoopBody(body *ast.BlockStmt, st *rstate) {
 	sub := st.copy()
-	term := w.walkBlock(body, sub)
-	if !term {
-		for _, s := range sub.slots {
-			pre := false
-			for _, p := range st.slots {
-				if p.acqPos == s.acqPos {
-					pre = true
-					break
-				}
-			}
-			if !pre && s.status == resLive && !s.deferred && !s.decl.pinned {
-				w.a.reportOnce(body.End(),
-					"%s value acquired at %s is not released by the end of the loop body (leaks every iteration)",
-					s.decl.name, w.a.fset.Position(s.acqPos))
-			}
-		}
-	}
-	// Pre-existing values released or transferred inside the body stay that
-	// way (assume the loop runs; the zero-iteration leak is out of scope).
+	w.walkBlock(body, sub)
 	for _, p := range st.slots {
 		for _, s := range sub.slots {
-			if s.acqPos == p.acqPos && s.status != resLive {
-				p.status = s.status
-				p.relPos = s.relPos
+			if s.acqPos == p.acqPos && s.released {
+				p.released, p.relPos = true, s.relPos
 				break
 			}
 		}
@@ -1055,7 +785,7 @@ func (w *rwalk) walkCases(body *ast.BlockStmt, st *rstate, implicitSkip bool) bo
 		switch c := cs.(type) {
 		case *ast.CaseClause:
 			for _, e := range c.List {
-				w.scanExpr(e, st, "")
+				w.scanExpr(e, st)
 			}
 			if c.List == nil {
 				hasDefault = true
@@ -1089,7 +819,7 @@ func (w *rwalk) walkCases(body *ast.BlockStmt, st *rstate, implicitSkip bool) bo
 	}
 	merged := survivors[0]
 	for _, s := range survivors[1:] {
-		merged = w.mergeStates(body.End(), merged, s)
+		merged = mergeStates(merged, s)
 	}
 	*st = *merged
 	return false

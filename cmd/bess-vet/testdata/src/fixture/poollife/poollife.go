@@ -1,142 +1,9 @@
-// Package poollife reproduces pooled-buffer lifecycle bugs: releases missing
-// on error paths, double releases, use-after-release, and escapes that put a
-// recycled buffer beyond the pool's sight.
-//
-//bess:resource acquire=getBuf release=putBuf sink=Writer.pending
+// Package poollife reproduces pin-lifecycle bugs: double releases and
+// use-after-release of pins and mappings that may otherwise outlive the
+// function that took them.
 package poollife
 
-import (
-	"errors"
-	"sync"
-)
-
-var pool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
-func getBuf() *[]byte { return pool.Get().(*[]byte) }
-
-func putBuf(bp *[]byte) {
-	*bp = (*bp)[:0]
-	pool.Put(bp)
-}
-
-// Writer coalesces frames into a pooled buffer; pending is the declared
-// sink, stash is not.
-type Writer struct {
-	pending []byte
-	stash   *[]byte
-	out     chan *[]byte
-}
-
-func (w *Writer) write(b []byte) error {
-	if len(b) == 0 {
-		return errors.New("empty")
-	}
-	return nil
-}
-
-// SendOK releases on the single exit path.
-func (w *Writer) SendOK(msg []byte) error {
-	bp := getBuf()
-	*bp = append((*bp)[:0], msg...)
-	err := w.write(*bp)
-	putBuf(bp)
-	return err
-}
-
-// LeakOnError skips the release on the failure path.
-func (w *Writer) LeakOnError(msg []byte) error {
-	bp := getBuf()
-	*bp = append((*bp)[:0], msg...)
-	if err := w.write(*bp); err != nil {
-		return err // want poollife
-	}
-	putBuf(bp)
-	return nil
-}
-
-// DoubleFree releases the same buffer twice.
-func DoubleFree() {
-	bp := getBuf()
-	putBuf(bp)
-	putBuf(bp) // want poollife
-}
-
-// UseAfterFree reads the buffer after handing it back.
-func UseAfterFree() byte {
-	bp := getBuf()
-	*bp = append(*bp, 1)
-	putBuf(bp)
-	return (*bp)[0] // want poollife
-}
-
-// Stash parks the buffer in an undeclared field: the pool loses it.
-func (w *Writer) Stash() {
-	bp := getBuf()
-	w.stash = bp // want poollife
-}
-
-// SinkOK hands the buffer to the declared sink field.
-func (w *Writer) SinkOK() {
-	if w.pending == nil {
-		bp := getBuf()
-		w.pending = *bp
-	}
-	w.pending = append(w.pending, 0)
-}
-
-// SendChan pushes the buffer into a channel: another goroutine now owns it.
-func (w *Writer) SendChan() {
-	bp := getBuf()
-	w.out <- bp // want poollife
-}
-
-// HalfRelease frees on only one branch reaching the merge.
-func HalfRelease(ok bool) {
-	bp := getBuf()
-	if ok {
-		putBuf(bp)
-	} // want poollife
-}
-
-// DeferOK covers every exit with a deferred release.
-func DeferOK(msg []byte) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	*bp = append((*bp)[:0], msg...)
-	if len(*bp) == 0 {
-		return errors.New("empty")
-	}
-	return nil
-}
-
-// newBuf is an acquire wrapper: its caller owns the result.
-func newBuf() *[]byte { return getBuf() }
-
-// recycle forwards its parameter to the release: calling it releases.
-func recycle(bp *[]byte) { putBuf(bp) }
-
-// WrapperOK acquires and releases through the wrappers.
-func WrapperOK() {
-	bp := newBuf()
-	recycle(bp)
-}
-
-// WrapperLeak never releases the wrapped acquisition.
-func WrapperLeak() {
-	bp := newBuf()
-	_ = bp
-} // want poollife
-
-// FlushHalf detaches the sink buffer but recycles it only on success.
-func (w *Writer) FlushHalf() error {
-	buf := w.pending
-	w.pending = nil
-	if err := w.write(buf); err != nil {
-		return err // want poollife
-	}
-	putBuf(&buf)
-	return nil
-}
+import "errors"
 
 // Pin-style pair: the acquire returns an index, and pins may legitimately
 // outlive the acquiring function — only double-release and use-after-release
@@ -216,4 +83,23 @@ func UnmapBranchOK(s *Space, addr uint64, fail bool) error {
 		return errors.New("fail")
 	}
 	return s.Unmap(addr)
+}
+
+// pinFirst is an acquire wrapper: its caller holds the pin.
+func pinFirst(p *Pool) (int, error) { return p.Acquire(1) }
+
+// unpin forwards its parameter to the release: calling it releases.
+func unpin(p *Pool, slot int) { _ = p.Unpin(slot) }
+
+// PinWrapperOK pins and unpins through the wrappers.
+func PinWrapperOK(p *Pool) {
+	slot, _ := pinFirst(p)
+	unpin(p, slot)
+}
+
+// PinWrapperDouble releases through the helper, then again directly.
+func PinWrapperDouble(p *Pool) {
+	slot, _ := pinFirst(p)
+	unpin(p, slot)
+	_ = p.Unpin(slot) // want poollife
 }

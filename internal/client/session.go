@@ -70,10 +70,9 @@ type Session struct {
 	// touches it).
 	pendingDrops map[proto.SegKey]bool // guarded by mu
 
-	// Streaming scan tuning (prefetch.go). Set before StreamScan; not
-	// touched by the RPC goroutine.
-	scanWindow int
-	scanBatch  int
+	// Streaming scan (prefetch.go). Not touched by the RPC goroutine.
+	scanWindow int // credit window in image bytes: defaultScanWindow
+	scanBatch  int // batch granularity asked of the server; 0 takes its default
 	scanHook   func(images, bytes int)
 	lastScan   *scanStream // most recent stream, kept for leak checks in tests
 
@@ -92,6 +91,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		touched:      make(map[proto.SegKey]bool),
 		dirtySlotted: make(map[proto.SegKey]bool),
 		pendingDrops: make(map[proto.SegKey]bool),
+		scanWindow:   defaultScanWindow,
 	}
 	id, err := conn.Hello(name)
 	if err != nil {
@@ -175,147 +175,119 @@ func (s *Session) RegisterType(td segment.TypeDesc) (*segment.TypeDesc, error) {
 
 // --- fetcher: the mapper's view of the connection ---
 
-// fetcher fetches with the combined FetchSeg RPC: the mapper always asks for
-// the slotted image first and the data image right after, so FetchSlotted
-// pulls all three images in one round trip and stashes the data bytes for
-// the FetchData that follows. The stash is invalidated whenever the cached
-// segment is dropped (Session.dropSeg) so a refetch never sees stale data.
+// fetcher is the mapper's view of the connection. A segment travels as one
+// image — slotted, overflow and data in one round trip — but the mapper
+// asks in steps: the slotted size, then the slotted part, then, when a data
+// page is first touched, the data part. Between those steps the image waits
+// in ready, which also takes the images a streaming scan was pushed ahead of
+// demand. A held image is let go whenever the cached segment is dropped
+// (Session.dropSeg), so a refetch never sees stale data.
 type fetcher struct {
 	s *Session
 
-	mu     sync.Mutex
-	stash  map[swizzle.SegID][]byte     // guarded by mu
-	primed map[swizzle.SegID]*primedSeg // guarded by mu
+	mu    sync.Mutex
+	ready map[swizzle.SegID]*proto.SegImage // guarded by mu
 }
 
-// primedSeg is a segment image handed to the fetcher ahead of demand by the
-// streaming scan prefetcher: the next load of this segment is served
-// locally, with zero round trips.
-type primedSeg struct {
-	img   *proto.SegImage
-	pages int // slotted pages (the geometry SegInfo would report)
-}
-
-// prime installs a prefetched image for id.
-func (f *fetcher) prime(id swizzle.SegID, img *proto.SegImage, pages int) {
+// hold keeps img for the mapper's next step on id. An image held while a
+// snapshot is open is an as-of image — pushed by the snapshot's scan or
+// fetched at its stamp — and this is the one place it is marked for the
+// end-of-snapshot drop. (Data held over from a live fetch that preceded the
+// snapshot is not held again, so a registered copy stays cached.)
+func (f *fetcher) hold(id swizzle.SegID, img *proto.SegImage) {
 	f.mu.Lock()
-	if f.primed == nil {
-		f.primed = make(map[swizzle.SegID]*primedSeg)
+	if f.ready == nil {
+		f.ready = make(map[swizzle.SegID]*proto.SegImage)
 	}
-	f.primed[id] = &primedSeg{img: img, pages: pages}
+	f.ready[id] = img
+	f.mu.Unlock()
+	f.s.markSnapFetched(id)
+}
+
+// drop lets go of whatever is held for id.
+func (f *fetcher) drop(id swizzle.SegID) {
+	f.mu.Lock()
+	delete(f.ready, id)
 	f.mu.Unlock()
 }
 
-// unprime discards a prefetched image that was not consumed.
-func (f *fetcher) unprime(id swizzle.SegID) {
+// image hands over id's image: the held one if there is one, else fetched
+// in one round trip — as of the open snapshot's stamp, or live.
+func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	f.mu.Lock()
-	delete(f.primed, id)
+	img := f.ready[id]
+	delete(f.ready, id)
 	f.mu.Unlock()
+	if img != nil {
+		return img, nil
+	}
+	img = &proto.SegImage{Seg: segKey(id)}
+	var err error
+	if snap, inSnap := f.s.snapState(); inSnap {
+		img.Slotted, img.Overflow, img.Data, err = f.s.conn.SnapFetchSeg(f.s.client, snap, img.Seg)
+	} else {
+		img.Slotted, img.Overflow, img.Data, err = f.s.conn.FetchSeg(f.s.client, img.Seg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
 func (f *fetcher) SlottedPages(id swizzle.SegID) (int, error) {
 	f.mu.Lock()
-	p, ok := f.primed[id]
+	img := f.ready[id]
 	f.mu.Unlock()
-	if ok {
-		return p.pages, nil
+	if img == nil {
+		if _, inSnap := f.s.snapState(); !inSnap {
+			return f.s.conn.SegInfo(segKey(id)) // a reservation fetches nothing
+		}
+		// The live geometry may postdate the stamp: answer from the as-of
+		// image and hold it for the FetchSlotted that follows.
+		var err error
+		if img, err = f.image(id); err != nil {
+			return 0, err
+		}
+		f.hold(id, img)
 	}
-	if snap, inSnap := f.s.snapState(); inSnap {
-		// The live geometry may postdate the stamp: fetch the as-of image
-		// and answer from it (primed for the FetchSlotted that follows).
-		return f.snapPages(snap, id)
-	}
-	return f.s.conn.SegInfo(segKey(id))
+	return len(img.Slotted) / page.Size, nil
 }
 
+// FetchSlotted and FetchData are the end-to-end verification at cache
+// fault-in, each over its part of the one image: wire or transport
+// corruption is caught before the bytes enter the client cache.
 func (f *fetcher) FetchSlotted(id swizzle.SegID) (*segment.Seg, error) {
-	var sl, ov, data []byte
-	f.mu.Lock()
-	p, ok := f.primed[id]
-	if ok {
-		delete(f.primed, id)
-	}
-	f.mu.Unlock()
-	if ok {
-		sl, ov, data = p.img.Slotted, p.img.Overflow, p.img.Data
-		// A primed image consumed mid-snapshot (the snapshot scan path) is
-		// an as-of image: mark it for the end-of-snapshot drop.
-		if _, inSnap := f.s.snapState(); inSnap {
-			f.s.markSnapFetched(id)
-		}
-	} else if snap, inSnap := f.s.snapState(); inSnap {
-		img, err := f.snapFetch(snap, id)
-		if err != nil {
-			return nil, err
-		}
-		sl, ov, data = img.Slotted, img.Overflow, img.Data
-	} else {
-		var err error
-		sl, ov, data, err = f.s.conn.FetchSeg(f.s.client, segKey(id))
-		if err != nil {
-			return nil, err
-		}
-	}
-	dec, err := segment.DecodeSlotted(sl)
+	img, err := f.image(id)
 	if err != nil {
 		return nil, err
 	}
-	dec.Overflow = ov
-	// End-to-end verification at cache fault-in: DecodeSlotted checked the
-	// header and slot-region CRCs; the overflow bytes are checked here
-	// against the header's recorded section checksum, so wire or transport
-	// corruption is caught before the image enters the client cache.
+	// DecodeSlotted checks the header and slot-region CRCs; the overflow
+	// bytes are checked against the header's recorded section checksum.
+	dec, err := segment.DecodeSlotted(img.Slotted)
+	if err != nil {
+		return nil, err
+	}
+	dec.Overflow = img.Overflow
 	if err := dec.VerifySections(); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	if f.stash == nil {
-		f.stash = make(map[swizzle.SegID][]byte)
-	}
-	f.stash[id] = data
-	f.mu.Unlock()
+	f.hold(id, img) // the data part waits for FetchData
 	return dec, nil
 }
 
 func (f *fetcher) FetchData(id swizzle.SegID, dec *segment.Seg) ([]byte, error) {
-	f.mu.Lock()
-	data, ok := f.stash[id]
-	if ok {
-		delete(f.stash, id)
+	img, err := f.image(id)
+	if err != nil {
+		return nil, err
 	}
-	f.mu.Unlock()
-	if !ok {
-		if snap, inSnap := f.s.snapState(); inSnap {
-			img, err := f.snapFetch(snap, id)
-			if err != nil {
-				return nil, err
-			}
-			data = img.Data
-		} else {
-			var err error
-			if data, err = f.s.conn.FetchData(f.s.client, segKey(id)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Verify the data section against the cached header's checksum before
-	// it enters the client cache (skipped when the caller has no decoded
-	// header or the bytes are not the full on-disk section).
-	if dec != nil && len(data) == int(dec.Hdr.DataPages)*page.Size {
-		if err := dec.VerifyData(data); err != nil {
+	// Checked against the cached header's checksum (skipped when the caller
+	// has no decoded header or the bytes are not the full on-disk section).
+	if dec != nil && len(img.Data) == int(dec.Hdr.DataPages)*page.Size {
+		if err := dec.VerifyData(img.Data); err != nil {
 			return nil, err
 		}
 	}
-	return data, nil
-}
-
-func (f *fetcher) dropStash(id swizzle.SegID) {
-	f.mu.Lock()
-	delete(f.stash, id)
-	// A dropped segment also invalidates any prefetched image: a refetch
-	// must go to the server for the fresh copy.
-	delete(f.primed, id)
-	f.mu.Unlock()
+	return img.Data, nil
 }
 
 func (f *fetcher) FetchLarge(id swizzle.SegID, _ *segment.Seg, slot int) ([]byte, error) {
@@ -422,10 +394,10 @@ func (s *Session) drainDrop(key proto.SegKey) error {
 	return s.dropSeg(segID(key))
 }
 
-// dropSeg drops a cached segment and the fetcher's stashed data image for
+// dropSeg drops a cached segment and whatever image the fetcher holds for
 // it, so a revoked or aborted copy can never satisfy the next fetch.
 func (s *Session) dropSeg(id swizzle.SegID) error {
-	s.fetch.dropStash(id)
+	s.fetch.drop(id)
 	return s.mapper.DropSeg(id)
 }
 

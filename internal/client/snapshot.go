@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 
-	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/swizzle"
 )
@@ -121,36 +120,12 @@ func (s *Session) snapState() (uint64, bool) {
 	return s.snapID, s.snapMode
 }
 
-// markSnapFetched records an as-of image now cached in the mapper; it is
-// dropped at EndSnapshot.
+// markSnapFetched records, while a snapshot is open, an as-of image on its
+// way into the mapper; it is dropped at EndSnapshot.
 func (s *Session) markSnapFetched(id swizzle.SegID) {
 	s.mu.Lock()
 	if s.snapMode {
 		s.snapFetched[id] = true
 	}
 	s.mu.Unlock()
-}
-
-// snapFetch pulls id's as-of image in one SnapFetchSeg round trip and marks
-// it for the end-of-snapshot drop.
-func (f *fetcher) snapFetch(snap uint64, id swizzle.SegID) (*proto.SegImage, error) {
-	sl, ov, data, err := f.s.conn.SnapFetchSeg(f.s.client, snap, segKey(id))
-	if err != nil {
-		return nil, err
-	}
-	f.s.markSnapFetched(id)
-	return &proto.SegImage{Seg: segKey(id), Slotted: sl, Overflow: ov, Data: data}, nil
-}
-
-// snapPages fetches id's as-of image, primes the fetcher with it, and
-// returns its slotted page count — SegInfo for snapshot mode, where the
-// live geometry may postdate the stamp.
-func (f *fetcher) snapPages(snap uint64, id swizzle.SegID) (int, error) {
-	img, err := f.snapFetch(snap, id)
-	if err != nil {
-		return 0, err
-	}
-	pages := len(img.Slotted) / page.Size
-	f.prime(id, img, pages)
-	return pages, nil
 }

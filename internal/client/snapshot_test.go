@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -178,6 +179,109 @@ func TestSnapshotColdFetchAsOf(t *testing.T) {
 	}
 	if err := r.EndSnapshot(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapSpy records the data section of each SnapFetchSeg of seg: the slice the
+// session was handed (and goes on to swizzle in place) and a copy of its
+// bytes as the server returned them.
+type snapSpy struct {
+	proto.Conn
+	seg       proto.SegKey
+	got, sent [][]byte
+}
+
+func (c *snapSpy) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
+	sl, ov, data, err := c.Conn.SnapFetchSeg(client, snap, seg)
+	if err == nil && seg == c.seg {
+		c.got = append(c.got, data)
+		c.sent = append(c.sent, bytes.Clone(data))
+	}
+	return sl, ov, data, err
+}
+
+// TestDirectHandleSnapshotLeavesChainImageIntact: what a proto.Conn returns
+// is the caller's to write to, whatever the Conn. The mapper swizzles the
+// references of a fetched data section in place; on a direct server handle
+// that section used to be the version chain's own image, so the first
+// snapshot reader of an object with a reference rewrote the retained version
+// under every later reader of the same stamp.
+func TestDirectHandleSnapshotLeavesChainImageIntact(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	w := openDirect(t, srv, "writer")
+	td, err := w.RegisterType(nodeType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segA, _ := w.CreateSegment(1, 1, 2, -1)
+	segB, _ := w.CreateSegment(1, 1, 2, -1)
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.CreateObject(segB, td.ID, nodeBytes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.CreateObject(segA, td.ID, nodeBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objA, _ := w.Deref(a)
+	if err := objA.SetRefField(0, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	spy := &snapSpy{Conn: srv, seg: segA}
+	var readers [2]*Session
+	for i := range readers {
+		if readers[i], err = Open(spy, "reader", "testdb", false); err != nil {
+			t.Fatal(err)
+		}
+		if err := readers[i].BeginSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s0, s1 := readers[0].SnapStamp(), readers[1].SnapStamp(); s0 != s1 {
+		t.Fatalf("snapshots pinned stamps %d and %d, want one stamp", s0, s1)
+	}
+	// Overwriting A after the pin moves its as-of image into the version chain.
+	hits := srv.VersionStats().ChainHits
+	setNodeVal(t, w, segA, 0, 9)
+
+	for i, r := range readers {
+		if v := getNodeVal(t, r, segA, 0); v != 1 {
+			t.Fatalf("reader %d: as-of value = %d, want 1", i, v)
+		}
+		addr, _ := r.AddrOfSlot(segA, 0)
+		head, err := r.Deref(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := head.RefField(0)
+		if err != nil {
+			t.Fatalf("reader %d: reference field: %v", i, err)
+		}
+		if objB, err := r.Deref(next); err != nil || nodeVal(objB) != 2 {
+			t.Fatalf("reader %d: chased A -> B: %v", i, err)
+		}
+	}
+	if n := srv.VersionStats().ChainHits - hits; n != 2 || len(spy.got) != 2 {
+		t.Fatalf("%d chain hits over %d fetches of A, want 2 over 2", n, len(spy.got))
+	}
+	if bytes.Equal(spy.got[0], spy.sent[0]) {
+		t.Fatal("the first reader never swizzled its image: the test exercises nothing")
+	}
+	if !bytes.Equal(spy.sent[1], spy.sent[0]) {
+		t.Fatal("the second reader was served an image the first reader had swizzled")
+	}
+	for _, r := range readers {
+		if err := r.EndSnapshot(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

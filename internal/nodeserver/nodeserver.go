@@ -12,6 +12,7 @@
 package nodeserver
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"time"
@@ -252,6 +253,10 @@ func (ns *NodeServer) CreateSegment(db, fileID uint32, slottedPages, dataPages, 
 // SegInfo delegates upstream.
 func (ns *NodeServer) SegInfo(seg proto.SegKey) (int, error) { return ns.up.SegInfo(seg) }
 
+// The node's cached images are shared by its local sessions, and a fetched
+// image is the caller's to write to (proto.Conn): every fetch below hands out
+// a copy of the cached bytes, on a hit and on the fill alike.
+
 // FetchSlotted serves from the node cache when possible; otherwise it
 // fetches upstream under the node server's client id and caches the image.
 func (ns *NodeServer) FetchSlotted(local uint32, seg proto.SegKey) ([]byte, []byte, error) {
@@ -262,7 +267,7 @@ func (ns *NodeServer) FetchSlotted(local uint32, seg proto.SegKey) ([]byte, []by
 		ns.recordCopyLocked(seg, local)
 		sl, ov := img.slotted, img.overflow
 		ns.mu.Unlock()
-		return sl, ov, nil
+		return bytes.Clone(sl), bytes.Clone(ov), nil
 	}
 	ns.mu.Unlock()
 	sl, ov, err := ns.up.FetchSlotted(ns.client, seg)
@@ -274,7 +279,7 @@ func (ns *NodeServer) FetchSlotted(local uint32, seg proto.SegKey) ([]byte, []by
 	ns.images[seg] = &cachedSeg{slotted: sl, overflow: ov}
 	ns.recordCopyLocked(seg, local)
 	ns.mu.Unlock()
-	return sl, ov, nil
+	return bytes.Clone(sl), bytes.Clone(ov), nil
 }
 
 func (ns *NodeServer) recordCopyLocked(seg proto.SegKey, local uint32) {
@@ -293,7 +298,7 @@ func (ns *NodeServer) FetchData(local uint32, seg proto.SegKey) ([]byte, error) 
 		ns.stats.hits++
 		d := img.data
 		ns.mu.Unlock()
-		return d, nil
+		return bytes.Clone(d), nil
 	}
 	ns.mu.Unlock()
 	d, err := ns.up.FetchData(ns.client, seg)
@@ -304,6 +309,7 @@ func (ns *NodeServer) FetchData(local uint32, seg proto.SegKey) ([]byte, error) 
 	ns.stats.upstream++
 	if img := ns.images[seg]; img != nil {
 		img.data = d
+		d = bytes.Clone(d)
 	}
 	ns.mu.Unlock()
 	return d, nil
@@ -319,7 +325,7 @@ func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, 
 		ns.recordCopyLocked(seg, local)
 		sl, ov, d := img.slotted, img.overflow, img.data
 		ns.mu.Unlock()
-		return sl, ov, d, nil
+		return bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(d), nil
 	}
 	ns.mu.Unlock()
 	sl, ov, d, err := ns.up.FetchSeg(ns.client, seg)
@@ -331,7 +337,7 @@ func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, 
 	ns.images[seg] = &cachedSeg{slotted: sl, overflow: ov, data: d}
 	ns.recordCopyLocked(seg, local)
 	ns.mu.Unlock()
-	return sl, ov, d, nil
+	return bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(d), nil
 }
 
 // SnapOpen forwards: snapshots live on the owning server, whose commit

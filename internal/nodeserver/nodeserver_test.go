@@ -1,6 +1,7 @@
 package nodeserver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"bess/internal/rpc"
 	"bess/internal/segment"
 	"bess/internal/server"
+	"bess/internal/swizzle"
 )
 
 var nodeType = segment.TypeDesc{Name: "Node", Size: 16, RefOffsets: []int{0}}
@@ -78,6 +80,75 @@ func TestLocalSessionsShareNodeCache(t *testing.T) {
 	}
 	if after.LocalHits <= before.LocalHits {
 		t.Fatal("no local hits recorded")
+	}
+}
+
+// TestLocalFetchLeavesNodeCacheIntact: a fetched image is the session's to
+// write to — the mapper swizzles references in place — so the node hands each
+// local session its own copy; the cached image keeps its persistent
+// references for the next local.
+func TestLocalFetchLeavesNodeCacheIntact(t *testing.T) {
+	srv, ns := env(t)
+	// The writer commits at the server itself, so the node cache fills from
+	// upstream on the first local fetch and hits on the second.
+	w, err := client.Open(srv, "writer", "db", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, _ := w.RegisterType(nodeType)
+	segA, _ := w.CreateSegment(1, 1, 2, -1)
+	segB, _ := w.CreateSegment(1, 1, 2, -1)
+	w.Begin()
+	b, err := w.CreateObject(segB, td.ID, val(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.CreateObject(segA, td.ID, val(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objA, _ := w.Deref(a)
+	if err := objA.SetRefField(0, b); err != nil {
+		t.Fatal(err)
+	}
+	w.SetRoot("head", a)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var cached []byte
+	for _, name := range []string{"app-A", "app-B"} {
+		s, err := client.Open(ns, name, "db", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Begin()
+		head, err := s.Root("head")
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := head.RefField(0)
+		if err != nil {
+			t.Fatalf("%s: reference field: %v", name, err)
+		}
+		objB, err := s.Deref(next)
+		if err != nil {
+			t.Fatalf("%s: chased A -> B: %v", name, err)
+		}
+		var v [8]byte
+		objB.Read(8, v[:])
+		if got := binary.BigEndian.Uint64(v[:]); got != 2 {
+			t.Fatalf("%s: chased value = %d, want 2", name, got)
+		}
+		s.Commit()
+		ns.mu.Lock()
+		now := bytes.Clone(ns.images[segA].data)
+		ns.mu.Unlock()
+		if cached == nil {
+			cached = now
+		}
+		if raw := binary.BigEndian.Uint64(now); len(now) == 0 || !bytes.Equal(now, cached) || swizzle.IsSwizzled(raw) {
+			t.Fatalf("%s swizzled the node's cached image of A in place (reference field %#x)", name, raw)
+		}
 	}
 }
 

@@ -23,8 +23,11 @@ import (
 // anything is allocated, so a corrupt prefix cannot drive a huge
 // allocation. A message is exactly its fields: trailing bytes are an error,
 // and a successful decode always re-encodes to the identical bytes (the
-// encoding is canonical). Decoded byte sections are owned copies: they
-// outlive the rpc frame buffer they were read from.
+// encoding is canonical). Byte fields have one ownership rule: a decoded
+// Section or Rest is a view of the input, not a copy — decoding hands the
+// input over (rpc allocates a body per frame and never reuses it) — and a
+// view's capacity ends with its bytes, so appending to one field reallocates
+// instead of reaching the next.
 
 // ErrBadMessage reports bytes that are not a valid encoding of the message
 // they were decoded as, or a value its wire width cannot carry.
@@ -120,7 +123,7 @@ func (c *Cursor) take(n int) []byte {
 		return nil
 	}
 	c.off += n
-	return c.buf[c.off-n : c.off]
+	return c.buf[c.off-n : c.off : c.off]
 }
 
 func (c *Cursor) truncated(n int) {
@@ -255,19 +258,21 @@ func (c *Cursor) length(n int) int {
 	return int(u)
 }
 
-// Section carries a u32 length and that many bytes. A decoded section is an
-// owned copy; an empty one decodes to nil.
+// Section carries a u32 length and that many bytes. A decoded section is a
+// view of the input; an empty one decodes to nil.
+func (c *Cursor) Section(v *[]byte) { c.bytes(v, c.length(len(*v))) }
+
+// bytes carries n bytes with no prefix of its own: the body of Section and
+// Rest, and the one place a decoded byte field is produced.
 //
 //bess:hotpath
-func (c *Cursor) Section(v *[]byte) {
-	b := run(c, *v, c.length(len(*v)))
-	switch {
-	case c.mode != decoding:
-	case len(b) == 0:
+func (c *Cursor) bytes(v *[]byte, n int) {
+	b := run(c, *v, n)
+	if c.mode == decoding {
 		*v = nil
-	default:
-		//bess:hotpath ignore=decoded sections must outlive the rpc frame buffer; one owned copy per section is the decode contract
-		*v = append([]byte(nil), b...)
+		if len(b) > 0 {
+			*v = b
+		}
 	}
 }
 
@@ -280,17 +285,8 @@ func (c *Cursor) String(v *string) {
 
 // Rest carries every remaining byte of the message with no length prefix:
 // the whole body of a reply that is one byte string. It must be the last
-// field. A decoded Rest aliases the input instead of copying it: a frame
-// body is allocated per frame and handed over to its consumer.
-func (c *Cursor) Rest(v *[]byte) {
-	b := run(c, *v, c.end-c.off)
-	if c.mode == decoding {
-		*v = nil
-		if len(b) > 0 {
-			*v = b
-		}
-	}
-}
+// field. Like a Section, a decoded Rest is a view of the input.
+func (c *Cursor) Rest(v *[]byte) { c.bytes(v, c.end-c.off) }
 
 // SegKey carries a segment key: u32 area, i64 start page.
 func (c *Cursor) SegKey(v *SegKey) {

@@ -60,6 +60,10 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // Conn is the service surface a client session consumes. Implementations:
 // server.Server (direct, "open server"), client.Remote (RPC), and
 // nodeserver.NodeServer (local cache + RPC upstream).
+//
+// A byte slice a method returns is the caller's, to keep and to write to (the
+// mapper swizzles a fetched data image in place): an implementation serving
+// from something it retains — a version chain, a node cache — returns a copy.
 type Conn interface {
 	// Hello registers the caller and returns its client id.
 	Hello(name string) (uint32, error)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"bess/internal/page"
 )
@@ -137,8 +136,25 @@ type frame struct {
 	body   []byte
 }
 
-// appendFrame serializes f onto dst, returning the extended slice. It
-// runs once per frame on the send path and must not allocate beyond dst.
+// payloadLen is the header's N: the body, after a named frame's inline name.
+func (f *frame) payloadLen() int {
+	if f.flags&flagNamed != 0 {
+		return 2 + len(f.name) + len(f.body)
+	}
+	return len(f.body)
+}
+
+// wireLen is the number of bytes appendFrame adds for f.
+func (f *frame) wireLen() int {
+	if f.flags&flagCRC != 0 {
+		return frameHdrLen + f.payloadLen() + 4
+	}
+	return frameHdrLen + f.payloadLen()
+}
+
+// appendFrame serializes f onto dst, returning the extended slice. It runs
+// once per frame on the send path, straight into the peer's pending batch,
+// and must not allocate beyond dst.
 //
 //bess:hotpath
 func appendFrame(dst []byte, f *frame) []byte {
@@ -146,11 +162,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, f.id)
 	dst = append(dst, f.flags)
 	dst = binary.BigEndian.AppendUint16(dst, f.method)
-	plen := len(f.body)
-	if f.flags&flagNamed != 0 {
-		plen += 2 + len(f.name)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(plen))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(f.payloadLen()))
 	if f.flags&flagNamed != 0 {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.name)))
 		dst = append(dst, f.name...)
@@ -213,8 +225,10 @@ func (f *frame) setPayload(payload []byte) error {
 	return nil
 }
 
-// readFrame reads and parses one frame from br. The returned frame's body
-// is freshly allocated: it may be retained and aliased by the consumer.
+// readFrame reads and parses one frame from br. The body is allocated for
+// this frame and never reused: it belongs to whoever the frame is handed to
+// (a Handler, a StreamHandler, the caller of CallRaw), who may keep it, view
+// into it and write to it.
 func readFrame(br *bufio.Reader) (frame, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -281,24 +295,4 @@ func decodeFrame(b []byte) (frame, int, error) {
 		return frame{}, 0, err
 	}
 	return f, total, nil
-}
-
-// bufPool recycles frame-encode scratch and write-coalescing buffers; the
-// send path allocates nothing steady-state for small frames.
-//
-//bess:resource acquire=getBuf release=putBuf sink=Peer.pending
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// maxPooledBuf keeps one giant commit payload from pinning a huge buffer in
-// the pool forever.
-const maxPooledBuf = 1 << 20
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(bp *[]byte) {
-	if cap(*bp) > maxPooledBuf {
-		return
-	}
-	*bp = (*bp)[:0]
-	bufPool.Put(bp)
 }

@@ -7,13 +7,18 @@
 // Wire format: a stream of length-prefixed binary frames (see frame.go);
 // each frame carries a request or a reply matched by id. A body is one
 // message in the internal/proto codec: Call and Typed encode and decode it,
-// CallRaw and a bare Handler move bytes that are already encoded. Outbound
-// frames coalesce: a sender
-// appends its frame to a pending buffer and the first sender to reach the
-// socket flushes for everyone queued behind it — the same leader/follower
-// pattern the WAL uses for group commit, applied to writes instead of
-// fsyncs. Transports: TCP (cmd/bess-server) and net.Pipe for in-process
-// deterministic tests.
+// CallRaw and a bare Handler move bytes that are already encoded.
+//
+// One hop, one buffer. Outbound, a sender encodes its frame once, into the
+// peer's pending batch, and the first sender to reach the socket writes the
+// batch for everyone queued behind it — the same leader/follower pattern the
+// WAL uses for group commit, applied to writes instead of fsyncs. The batch
+// goes to the connection as it is; while it is on the socket senders fill
+// the one spare, and the two swap (an idle peer keeps at most 2 x maxSpare).
+// Inbound, a frame's body is allocated for that frame and belongs to whoever
+// receives it — handler, stream handler or caller — to keep, view into and
+// write to; nothing on the read side is recycled. Transports: TCP
+// (cmd/bess-server) and net.Pipe for in-process deterministic tests.
 //
 // Besides request/reply, a peer carries one-way stream frames (SendStream /
 // HandleStream): server-pushed scan batches and their credit/cancel flow
@@ -61,14 +66,14 @@ type RemoteError struct{ Msg string }
 func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
 
 // Handler serves one method: parse the request body, return the encoded
-// reply body (nil for an empty reply). The body aliases the read buffer of
-// its frame and may be retained.
+// reply body (nil for an empty reply). The body is the frame's own
+// allocation and now the handler's: it may be retained and written to.
 type Handler func(body []byte) ([]byte, error)
 
 // StreamHandler consumes one one-way stream frame. Stream handlers run
 // synchronously on the read loop so frames of one stream arrive in order;
 // they must hand off promptly and never block on traffic over the same
-// peer. The body aliases the read buffer of its frame and may be retained.
+// peer. The body is the frame's own allocation and now the handler's.
 type StreamHandler func(stream uint64, body []byte)
 
 // Stats are cumulative wire counters. With write coalescing Flushes stays
@@ -99,20 +104,22 @@ type Peer struct {
 	// against state the caller is about to tear down.
 	dg sync.WaitGroup
 
-	// Write side: senders append encoded frames to pending; the first to
-	// arrive becomes the leader, detaches the buffer, and writes+flushes it
-	// outside the lock while followers park on wcond (mirrors wal.Log.Flush).
+	// Write side: senders encode their frames into pending; the first to
+	// arrive becomes the leader, swaps pending for the spare, and writes the
+	// batch to the connection outside the lock while followers park on wcond
+	// (mirrors wal.Log.Flush). A frame is in exactly one buffer between its
+	// sender's body and the socket.
 	wmu      lockcheck.Mutex
 	wcond    *sync.Cond
-	bw       *bufio.Writer // leader-only (serialized by writing)
-	pending  []byte        // guarded by wmu
-	wseq     uint64        // guarded by wmu; frames appended
-	wflushed uint64        // guarded by wmu; frames on the socket
-	writing  bool          // guarded by wmu; a leader is on the socket
-	werr     error         // guarded by wmu; sticky first write error
-	frames   int64         // guarded by wmu
-	flushes  int64         // guarded by wmu
-	grouped  int64         // guarded by wmu
+	pending  []byte // guarded by wmu; frames encoded, not yet handed to a write
+	spare    []byte // guarded by wmu; the last batch written, empty, at most maxSpare
+	wseq     uint64 // guarded by wmu; frames appended
+	wflushed uint64 // guarded by wmu; frames on the socket
+	writing  bool   // guarded by wmu; a leader is on the socket
+	werr     error  // guarded by wmu; sticky first write error
+	frames   int64  // guarded by wmu
+	flushes  int64  // guarded by wmu
+	grouped  int64  // guarded by wmu
 
 	mu       lockcheck.Mutex
 	handlers map[string]Handler       // guarded by mu
@@ -161,7 +168,6 @@ func NewPeer(conn io.ReadWriteCloser) *Peer {
 func newPeer(conn io.ReadWriteCloser) *Peer {
 	p := &Peer{
 		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 64<<10),
 		handlers: make(map[string]Handler),
 		calls:    make(map[uint64]chan frame),
 		served:   make(chan struct{}),
@@ -241,7 +247,7 @@ func Typed[A, R any, PA interface {
 }
 
 // CallRaw sends a request whose body is already encoded and returns the
-// reply body. The reply aliases the read buffer — no second decode pass.
+// reply body, which is the reply frame's own allocation and now the caller's.
 func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
 	id := p.nextID.Add(1)
 	ch := make(chan frame, 1)
@@ -309,37 +315,33 @@ func (p *Peer) EnableChecksums() { p.crcOut.Store(true) }
 // ChecksumsEnabled reports whether outbound frames carry CRC trailers.
 func (p *Peer) ChecksumsEnabled() bool { return p.crcOut.Load() }
 
-// send serializes f into a pooled scratch buffer and hands the bytes to the
-// coalescing writer.
+// send encodes f straight into the pending batch and returns once those
+// bytes are on the socket — written either by this sender as leader or by
+// another sender's write that covered them.
 func (p *Peer) send(f *frame) error {
 	if p.crcOut.Load() {
 		f.flags |= flagCRC
 	}
-	bp := getBuf()
-	*bp = appendFrame((*bp)[:0], f)
-	err := p.write(*bp)
-	putBuf(bp)
-	return err
-}
-
-// write appends one encoded frame to the pending buffer and returns once
-// those bytes are on the socket — flushed either by this sender as leader
-// or by another sender's flush that covered them.
-func (p *Peer) write(frame []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.werr != nil {
 		return p.werr
 	}
-	if p.pending == nil {
-		bp := getBuf()
-		p.pending = *bp
+	// Grow at most once per frame, by its whole size: a large frame must not
+	// double its way up from a small batch.
+	if need := len(p.pending) + f.wireLen(); need > cap(p.pending) {
+		p.pending = append(make([]byte, 0, max(need, 2*cap(p.pending))), p.pending...)
 	}
-	p.pending = append(p.pending, frame...)
+	p.pending = appendFrame(p.pending, f)
 	p.wseq++
 	p.frames++
 	return p.flushPending(p.wseq)
 }
+
+// maxSpare keeps one giant commit frame from pinning a buffer of its size
+// for the life of the peer: a batch that grew past it is dropped after its
+// write, not kept as the spare.
+const maxSpare = 1 << 20
 
 // flushPending blocks until every frame through seq is written. Called with
 // p.wmu held; returns with it held (the lock is dropped around each socket
@@ -369,15 +371,17 @@ func (p *Peer) flushPending(seq uint64) error {
 	// Frames appended while a batch is on the socket ride the next pass, so
 	// their senders stay parked and count as coalesced — the leader drains
 	// the queue for everyone instead of handing the socket back per frame.
+	// The batch is the write buffer: it goes to the connection as it is,
+	// while senders fill the spare, and becomes the spare once written.
 	p.writing = true
 	for p.werr == nil && len(p.pending) > 0 {
 		buf := p.pending
 		top := p.wseq
-		p.pending = nil
+		p.pending, p.spare = p.spare, nil
 		p.wmu.Unlock()
-		_, err := p.bw.Write(buf)
-		if err == nil {
-			err = p.bw.Flush()
+		n, err := p.conn.Write(buf)
+		if err == nil && n < len(buf) {
+			err = io.ErrShortWrite
 		}
 		p.wmu.Lock()
 		if err != nil {
@@ -388,9 +392,9 @@ func (p *Peer) flushPending(seq uint64) error {
 			p.wflushed = top
 			p.flushes++
 		}
-		// The detached batch buffer is recycled on both outcomes: a failed
-		// connection must not leak one pooled buffer per peer.
-		putBuf(&buf)
+		if cap(buf) <= maxSpare {
+			p.spare = buf[:0]
+		}
 		p.wcond.Broadcast()
 	}
 	p.writing = false

@@ -92,7 +92,7 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			return empty, s.SnapClose(a.Client, a.Snap)
 		}),
 		"SnapFetchSeg": rpc.Typed(func(a *proto.SnapFetchArgs) (*proto.SegImage, error) {
-			sl, ov, data, err := s.SnapFetchSeg(a.Client, a.Snap, a.Seg)
+			sl, ov, data, _, err := s.snapFetch(a.Snap, a.Seg) // encoded, never written: no clone
 			return &proto.SegImage{Seg: a.Seg, Slotted: sl, Overflow: ov, Data: data}, err
 		}),
 		"Resolve": rpc.Typed(func(a *proto.ResolveArgs) (*proto.ResolveReply, error) {

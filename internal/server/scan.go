@@ -34,11 +34,9 @@ const (
 )
 
 // scanBatchPool recycles encoded ScanData bodies: SendStream copies the
-// bytes into the peer's coalescing writer before returning, so the sender
+// bytes into the peer's write batch before returning, so the sender
 // goroutine can hand each body straight back for the next flush instead
-// of allocating ~1MB per batch. Not declared as a //bess:resource pair:
-// ownership crosses a goroutine (flush encodes, the sender releases),
-// which poollife's single-function model deliberately rejects.
+// of allocating ~1MB per batch.
 var scanBatchPool = sync.Pool{New: func() any { b := make([]byte, 0, defaultScanBatch); return &b }}
 
 func getScanBuf() *[]byte  { return scanBatchPool.Get().(*[]byte) }
@@ -279,7 +277,7 @@ func (s *Server) runScan(p *rpc.Peer, t *scanTable, c *scanCursor) {
 		if c.snap {
 			// As-of fetch: no locks, no copy-table registration, so the
 			// pushed images never join the callback protocol.
-			sl, ov, data, err = s.readAsOf(e.Seg, c.asOf)
+			sl, ov, data, _, err = s.readAsOf(e.Seg, c.asOf) // shared or not, the encoder only reads
 		} else {
 			//bess:lockfree ignore=live-scan branch: FetchSeg takes the usual short read locks and copy-table registration by design; the snap branch stays lock-free
 			sl, ov, data, err = s.FetchSeg(c.client, e.Seg)

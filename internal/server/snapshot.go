@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -111,16 +112,29 @@ func (s *Server) closeClientSnaps(client uint32) {
 // SnapFetchSeg implements proto.Conn: the segment's image as of the
 // snapshot's stamp. Unlike FetchSeg it records no cached copy (the image
 // may be stale by design, so it must not join the callback protocol) and
-// acquires no locks. bess-vet's lockfree analyzer walks the whole call
-// graph from here: any reachable lock acquisition is a finding unless a
-// waiver names the deliberate exception.
+// acquires no locks. What it returns is the caller's (proto.Conn): a session
+// on a direct handle swizzles the data in place, so an image the version
+// chain still owns is cloned here — and only here; the rpc handler encodes
+// straight from the chain (snapFetch). bess-vet's lockfree analyzer walks
+// the whole call graph from here: any reachable lock acquisition is a
+// finding unless a waiver names the deliberate exception.
 //
 //bess:lockfree
 func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
+	sl, ov, data, shared, err := s.snapFetch(snap, seg)
+	if shared {
+		sl, ov, data = bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(data)
+	}
+	return sl, ov, data, err
+}
+
+// snapFetch is SnapFetchSeg for a caller that only reads the image: shared
+// reports that the bytes are the version chain's own.
+func (s *Server) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte, shared bool, err error) {
 	s.stats.messages.Add(1)
 	t, err := s.snapStamp(snap)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, false, err
 	}
 	return s.readAsOf(seg, t)
 }
@@ -130,10 +144,11 @@ func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]b
 // against concurrent overwrites), or — chain trimmed, or version never
 // captured — the disk image rewound with WAL before-images. On the hot
 // outcomes it allocates nothing of its own: chain images are served as-is
-// and the disk read is the fetch path's readImage.
+// (shared: read them, do not write them) and the disk read is the fetch
+// path's readImage.
 //
 //bess:hotpath
-func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
+func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
 	s.stats.snapFetches.Add(1)
 	key := vkeyOf(seg)
 	for {
@@ -146,25 +161,25 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 			// hot snapshot path are pure waste. Release only unpins the
 			// entry; the GC drops the chain reference and the bytes stay
 			// alive for as long as this reply needs them.
-			sl, ov, data := v.Img.Slotted, v.Img.Overflow, v.Img.Data
+			sl, ov, data = v.Img.Slotted, v.Img.Overflow, v.Img.Data
 			//bess:lockfree ignore=version-store latch only: Release unpins under VersionStore.mu and returns
 			s.vs.Release(v)
-			return sl, ov, data, nil
+			return sl, ov, data, true, nil
 		}
 		// Disk image verdict: read it, then confirm no update staged or
 		// committed underneath the read. A rebuilt image needs no recheck —
 		// its rewind already undid every write that could have raced it.
 		//bess:lockfree ignore=disk read under the area's short page latches (plus the catalog and log latches on the trimmed-chain rebuild, off the hot chain and disk paths); the lock manager is never consulted
-		_, img, over, data, err := s.readImage(seg, secAll, view{t: t, rebuild: trimmed != nil})
+		_, sl, ov, data, err = s.readImage(seg, secAll, view{t: t, rebuild: trimmed != nil})
 		if errors.Is(err, ErrTornRead) {
 			continue
 		}
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, false, err
 		}
 		//bess:lockfree ignore=version-store latch only: Recheck compares the stamp under VersionStore.mu and returns
 		if trimmed != nil || s.vs.Recheck(key, t) {
-			return img, over, data, nil
+			return sl, ov, data, false, nil
 		}
 	}
 }
