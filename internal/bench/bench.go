@@ -705,18 +705,7 @@ const DiskDelay = 300 * time.Microsecond
 // would.
 type delayConn struct{ proto.Conn }
 
-func (d delayConn) FetchSlotted(c uint32, seg proto.SegKey) ([]byte, []byte, error) {
-	time.Sleep(DiskDelay)
-	return d.Conn.FetchSlotted(c, seg)
-}
-
-func (d delayConn) FetchData(c uint32, seg proto.SegKey) ([]byte, error) {
-	time.Sleep(DiskDelay)
-	return d.Conn.FetchData(c, seg)
-}
-
 func (d delayConn) FetchSeg(c uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
-	// One combined fetch is still one disk visit.
 	time.Sleep(DiskDelay)
 	return d.Conn.FetchSeg(c, seg)
 }

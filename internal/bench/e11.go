@@ -67,13 +67,11 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 		keys[c], err = srv.CreateSegment(db, fid, 1, 2, -1)
 		must(err)
 		for v := 0; v < 2; v++ {
-			sl, ov, err := srv.FetchSlotted(0, keys[c])
+			sl, ov, data, err := srv.FetchSeg(0, keys[c])
 			must(err)
 			seg, err := segment.DecodeSlotted(sl)
 			must(err)
-			seg.Overflow = ov
-			seg.Data, err = srv.FetchData(0, keys[c])
-			must(err)
+			seg.Overflow, seg.Data = ov, data
 			_, err = seg.CreateObject(0, []byte(fmt.Sprintf("e11-client-%03d-v%d", c, v)))
 			must(err)
 			imgs[c][v] = proto.SegImage{Seg: keys[c], Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}

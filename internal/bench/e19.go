@@ -192,7 +192,7 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 	}
 
 	commit := func(key proto.SegKey, body []byte) error {
-		sl, ov, err := srv.FetchSlotted(0, key)
+		sl, ov, data, err := srv.FetchSeg(0, key)
 		if err != nil {
 			return err
 		}
@@ -200,10 +200,7 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 		if err != nil {
 			return err
 		}
-		seg.Overflow = ov
-		if seg.Data, err = srv.FetchData(0, key); err != nil {
-			return err
-		}
+		seg.Overflow, seg.Data = ov, data
 		if seg.Live(0) {
 			if err := seg.ResizeObject(0, body); err != nil {
 				return err

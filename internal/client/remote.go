@@ -22,8 +22,8 @@ type Remote struct {
 	calls atomic.Int64 // message count (E6); off the mutex so calls don't serialize
 
 	mu         sync.Mutex
-	onCallback func(proto.SegKey) bool // returns refused; guarded by mu
-	scans      map[uint64]*scanStream  // live streaming scans; guarded by mu
+	onCallback func(proto.SegKey) (bool, error) // guarded by mu
+	scans      map[uint64]*scanStream           // live streaming scans; guarded by mu
 }
 
 // NewRemote wraps a connected peer. The "Callback" handler is registered
@@ -35,7 +35,11 @@ func NewRemote(p *rpc.Peer) *Remote {
 		r.mu.Lock()
 		cb := r.onCallback
 		r.mu.Unlock()
-		return &proto.CallbackReply{Refused: cb == nil || cb(a.Seg)}, nil
+		if cb == nil {
+			return &proto.CallbackReply{Refused: true}, nil
+		}
+		refused, err := cb(a.Seg)
+		return &proto.CallbackReply{Refused: refused}, err
 	}))
 	// Pushed scan batches. Frames for an unregistered scan id (in flight
 	// after a cancel, or racing the ScanStart reply of a scan the client
@@ -82,11 +86,13 @@ func DialWith(d *rpc.Dialer, addr string) (*Remote, error) {
 	return NewRemote(p), nil
 }
 
-// SetCallback installs the revocation policy (the session's cache drop).
-func (r *Remote) SetCallback(fn func(proto.SegKey) bool) {
+// SetCallback implements proto.Conn. The server calls back over this
+// connection, which carries one client: cb answers its Callback requests.
+func (r *Remote) SetCallback(_ uint32, cb func(proto.SegKey) (bool, error)) error {
 	r.mu.Lock()
-	r.onCallback = fn
+	r.onCallback = cb
 	r.mu.Unlock()
+	return nil
 }
 
 // Calls reports the number of RPCs issued (message counting for E6).
@@ -200,20 +206,6 @@ func (r *Remote) SegInfo(seg proto.SegKey) (int, error) {
 	var rep proto.SegInfoReply
 	err := r.call("SegInfo", &proto.SegArgs{Seg: seg}, &rep)
 	return rep.SlottedPages, err
-}
-
-// FetchSlotted implements proto.Conn.
-func (r *Remote) FetchSlotted(client uint32, seg proto.SegKey) ([]byte, []byte, error) {
-	var rep proto.FetchSlottedReply
-	err := r.call("FetchSlotted", &proto.ClientSegArgs{Client: client, Seg: seg}, &rep)
-	return rep.Slotted, rep.Overflow, err
-}
-
-// FetchData implements proto.Conn.
-func (r *Remote) FetchData(client uint32, seg proto.SegKey) ([]byte, error) {
-	var rep proto.Bytes
-	err := r.call("FetchData", &proto.ClientSegArgs{Client: client, Seg: seg}, &rep)
-	return rep.Data, err
 }
 
 // FetchSeg implements proto.Conn: slotted + overflow + data in one round

@@ -116,22 +116,10 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 	s.mapper = swizzle.NewMapper(s.space, s.fetch, s.types)
 	s.det = detect.New(s.mapper, true)
 	s.det.SetAccessFunc(s.onAccess)
-	// Wire the revocation path. Remote connections route the server's
-	// Callback RPC here; direct server handles and node servers expose a
-	// SetCallback method.
-	type callbackSetter interface {
-		SetCallback(uint32, func(proto.SegKey) (bool, error)) error
-	}
-	switch c := conn.(type) {
-	case *Remote:
-		s.remote = c
-		c.SetCallback(s.onCallback)
-	case callbackSetter:
-		if err := c.SetCallback(id, func(k proto.SegKey) (bool, error) {
-			return s.onCallback(k), nil
-		}); err != nil {
-			return nil, err
-		}
+	s.remote, _ = conn.(*Remote)
+	err = conn.SetCallback(id, func(k proto.SegKey) (bool, error) { return s.onCallback(k), nil })
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -15,9 +15,10 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"bess/internal/oid"
+	"bess/internal/callback"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/shm"
@@ -37,30 +38,27 @@ type Stats struct {
 	LocalCallbacks  int64 // revocations forwarded to local applications
 }
 
-// cachedSeg is the node's cached image of one object segment.
-type cachedSeg struct {
-	slotted  []byte
-	overflow []byte
-	data     []byte // nil until fetched
-}
-
-// NodeServer is the node-local BeSS process.
+// NodeServer is the node-local BeSS process. It is a proto.Conn for the
+// node's applications by being one to its upstream: the embedded Conn answers
+// every call the node has nothing to add to (catalog, names, raw runs, Decide),
+// and the methods below are the ones it changes — it registers the locals and
+// calls them back itself, serves fetches from its image cache, and speaks
+// upstream under its own client id.
 type NodeServer struct {
-	up     proto.Conn
-	client uint32 // the node server's upstream client id
+	proto.Conn        // upstream
+	client     uint32 // the node server's upstream client id
+
+	// locals is callback locking among the node's applications: the same
+	// table a server keeps for its clients.
+	locals *callback.Table
 
 	mu        sync.Mutex
-	locals    map[uint32]func(proto.SegKey) (bool, error)
-	nextLocal uint32
-	copies    map[proto.SegKey]map[uint32]bool
-	images    map[proto.SegKey]*cachedSeg
-	defaultDB uint32
+	images    map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
+	defaultDB uint32                           // guarded by mu
 
 	sc *shm.SharedCache
 
-	stats struct {
-		upstream, hits, callbacks, localCallbacks int64
-	}
+	stats struct{ upstream, hits, callbacks atomic.Int64 }
 
 	// RevokeTimeout bounds local revocation loops.
 	RevokeTimeout time.Duration
@@ -75,11 +73,10 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		return nil, err
 	}
 	ns := &NodeServer{
-		up:            up,
+		Conn:          up,
 		client:        id,
-		locals:        make(map[uint32]func(proto.SegKey) (bool, error)),
-		copies:        make(map[proto.SegKey]map[uint32]bool),
-		images:        make(map[proto.SegKey]*cachedSeg),
+		locals:        callback.New(ErrRevocation, nil),
+		images:        make(map[proto.SegKey]*proto.SegImage),
 		RevokeTimeout: time.Second,
 	}
 	sc, err := shm.NewSharedCache(cacheSlots, frames, &pageBacking{ns: ns})
@@ -88,33 +85,20 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 	}
 	ns.sc = sc
 	// Upstream revocations arrive here; forward to the locals.
-	type callbackSetter interface {
-		SetCallback(uint32, func(proto.SegKey) (bool, error)) error
-	}
-	switch c := up.(type) {
-	case interface {
-		SetCallback(func(proto.SegKey) bool)
-	}:
-		c.SetCallback(func(k proto.SegKey) bool { return ns.onUpstreamCallback(k) })
-	case callbackSetter:
-		if err := c.SetCallback(id, func(k proto.SegKey) (bool, error) {
-			return ns.onUpstreamCallback(k), nil
-		}); err != nil {
-			return nil, err
-		}
+	if err := up.SetCallback(id, ns.onUpstreamCallback); err != nil {
+		return nil, err
 	}
 	return ns, nil
 }
 
 // Snapshot returns the node's counters.
 func (ns *NodeServer) Snapshot() Stats {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
+	local, _ := ns.locals.Counts()
 	return Stats{
-		UpstreamFetches: ns.stats.upstream,
-		LocalHits:       ns.stats.hits,
-		Callbacks:       ns.stats.callbacks,
-		LocalCallbacks:  ns.stats.localCallbacks,
+		UpstreamFetches: ns.stats.upstream.Load(),
+		LocalHits:       ns.stats.hits.Load(),
+		Callbacks:       ns.stats.callbacks.Load(),
+		LocalCallbacks:  local,
 	}
 }
 
@@ -126,65 +110,14 @@ func (ns *NodeServer) SharedCache() *shm.SharedCache { return ns.sc }
 func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach() }
 
 // onUpstreamCallback revokes the node's copy of seg: every local copy must
-// drop first, then the image cache and shared cache entries go.
-func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool) {
-	ns.mu.Lock()
-	ns.stats.callbacks++
-	ns.mu.Unlock()
-	if ns.revokeLocals(seg, 0) != nil {
-		return true
+// drop first, then the image cache entry goes.
+func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
+	ns.stats.callbacks.Add(1)
+	if ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil {
+		return true, nil
 	}
 	ns.dropImage(seg)
-	return false
-}
-
-// revokeLocals asks every local holder except `except` to drop seg.
-func (ns *NodeServer) revokeLocals(seg proto.SegKey, except uint32) error {
-	deadline := time.Now().Add(ns.RevokeTimeout)
-	for {
-		ns.mu.Lock()
-		var cbs []func(proto.SegKey) (bool, error)
-		var ids []uint32
-		for lid := range ns.copies[seg] {
-			if lid == except {
-				continue
-			}
-			if cb := ns.locals[lid]; cb != nil {
-				cbs = append(cbs, cb)
-				ids = append(ids, lid)
-			}
-		}
-		ns.mu.Unlock()
-		if len(cbs) == 0 {
-			return nil
-		}
-		anyRefused := false
-		for i, cb := range cbs {
-			ns.mu.Lock()
-			ns.stats.localCallbacks++
-			ns.mu.Unlock()
-			refused, err := cb(seg)
-			if err != nil || refused {
-				anyRefused = true
-				continue
-			}
-			ns.mu.Lock()
-			if set := ns.copies[seg]; set != nil {
-				delete(set, ids[i])
-				if len(set) == 0 {
-					delete(ns.copies, seg)
-				}
-			}
-			ns.mu.Unlock()
-		}
-		if !anyRefused {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return ErrRevocation
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return false, nil
 }
 
 func (ns *NodeServer) dropImage(seg proto.SegKey) {
@@ -193,33 +126,25 @@ func (ns *NodeServer) dropImage(seg proto.SegKey) {
 	ns.mu.Unlock()
 }
 
-// --- proto.Conn for local applications ---
+// --- the proto.Conn methods the node answers differently from its upstream ---
 
 // Hello registers a local application. Upstream there is only one client —
 // the node server itself.
-func (ns *NodeServer) Hello(name string) (uint32, error) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.nextLocal++
-	id := ns.nextLocal
-	ns.locals[id] = nil
-	return id, nil
-}
+func (ns *NodeServer) Hello(name string) (uint32, error) { return ns.locals.Register(), nil }
 
 // SetCallback installs a local application's revocation handler.
 func (ns *NodeServer) SetCallback(local uint32, cb func(proto.SegKey) (bool, error)) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if _, ok := ns.locals[local]; !ok {
-		return errors.New("nodeserver: unknown local client")
-	}
-	ns.locals[local] = cb
-	return nil
+	return ns.locals.SetCallback(local, cb)
 }
 
-// OpenDB delegates upstream.
+// Disconnect forgets a local application that went away: its copies no
+// longer stand in the way of the node's other writers.
+func (ns *NodeServer) Disconnect(local uint32) { ns.locals.Remove(local) }
+
+// OpenDB delegates upstream, remembering the database the shared cache's
+// pages belong to.
 func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
-	db, host, err := ns.up.OpenDB(name, create)
+	db, host, err := ns.Conn.OpenDB(name, create)
 	if err == nil {
 		ns.mu.Lock()
 		ns.defaultDB = db
@@ -228,169 +153,66 @@ func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
 	return db, host, err
 }
 
-// NewTx delegates upstream.
-func (ns *NodeServer) NewTx() (uint64, error) { return ns.up.NewTx() }
-
-// RegisterType delegates upstream.
-func (ns *NodeServer) RegisterType(db uint32, t proto.TypeInfo) (proto.TypeInfo, error) {
-	return ns.up.RegisterType(db, t)
-}
-
-// Types delegates upstream.
-func (ns *NodeServer) Types(db uint32) ([]proto.TypeInfo, error) { return ns.up.Types(db) }
-
-// AddArea delegates upstream.
-func (ns *NodeServer) AddArea(db uint32) (uint32, error) { return ns.up.AddArea(db) }
-
-// NewFileID delegates upstream.
-func (ns *NodeServer) NewFileID(db uint32) (uint32, error) { return ns.up.NewFileID(db) }
-
-// CreateSegment delegates upstream.
-func (ns *NodeServer) CreateSegment(db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
-	return ns.up.CreateSegment(db, fileID, slottedPages, dataPages, areaHint)
-}
-
-// SegInfo delegates upstream.
-func (ns *NodeServer) SegInfo(seg proto.SegKey) (int, error) { return ns.up.SegInfo(seg) }
-
-// The node's cached images are shared by its local sessions, and a fetched
-// image is the caller's to write to (proto.Conn): every fetch below hands out
-// a copy of the cached bytes, on a hit and on the fill alike.
-
-// FetchSlotted serves from the node cache when possible; otherwise it
-// fetches upstream under the node server's client id and caches the image.
-func (ns *NodeServer) FetchSlotted(local uint32, seg proto.SegKey) ([]byte, []byte, error) {
-	ns.mu.Lock()
-	img := ns.images[seg]
-	if img != nil {
-		ns.stats.hits++
-		ns.recordCopyLocked(seg, local)
-		sl, ov := img.slotted, img.overflow
-		ns.mu.Unlock()
-		return bytes.Clone(sl), bytes.Clone(ov), nil
-	}
-	ns.mu.Unlock()
-	sl, ov, err := ns.up.FetchSlotted(ns.client, seg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.images[seg] = &cachedSeg{slotted: sl, overflow: ov}
-	ns.recordCopyLocked(seg, local)
-	ns.mu.Unlock()
-	return bytes.Clone(sl), bytes.Clone(ov), nil
-}
-
-func (ns *NodeServer) recordCopyLocked(seg proto.SegKey, local uint32) {
-	set := ns.copies[seg]
-	if set == nil {
-		set = make(map[uint32]bool)
-		ns.copies[seg] = set
-	}
-	set[local] = true
-}
-
-// FetchData serves from the node cache when possible.
-func (ns *NodeServer) FetchData(local uint32, seg proto.SegKey) ([]byte, error) {
-	ns.mu.Lock()
-	if img := ns.images[seg]; img != nil && img.data != nil {
-		ns.stats.hits++
-		d := img.data
-		ns.mu.Unlock()
-		return bytes.Clone(d), nil
-	}
-	ns.mu.Unlock()
-	d, err := ns.up.FetchData(ns.client, seg)
-	if err != nil {
-		return nil, err
-	}
-	ns.mu.Lock()
-	ns.stats.upstream++
-	if img := ns.images[seg]; img != nil {
-		img.data = d
-		d = bytes.Clone(d)
-	}
-	ns.mu.Unlock()
-	return d, nil
-}
-
-// FetchSeg serves the combined fetch from the node cache when all three
-// images are present; otherwise one upstream FetchSeg fills the whole cache
-// entry (a cold touch through the node costs one upstream round trip).
+// FetchSeg serves from the node cache when it can; otherwise one upstream
+// FetchSeg under the node server's client id fills the cache entry. The
+// cached image is shared by the node's local sessions and a fetched image is
+// the caller's to write to (proto.Conn), so a hit and a fill alike hand out a
+// copy.
 func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	ns.mu.Lock()
-	if img := ns.images[seg]; img != nil && img.data != nil {
-		ns.stats.hits++
-		ns.recordCopyLocked(seg, local)
-		sl, ov, d := img.slotted, img.overflow, img.data
+	img := ns.images[seg]
+	ns.mu.Unlock()
+	if img != nil {
+		ns.stats.hits.Add(1)
+	} else {
+		sl, ov, d, err := ns.Conn.FetchSeg(ns.client, seg)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ns.stats.upstream.Add(1)
+		img = &proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: d}
+		ns.mu.Lock()
+		ns.images[seg] = img
 		ns.mu.Unlock()
-		return bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(d), nil
 	}
-	ns.mu.Unlock()
-	sl, ov, d, err := ns.up.FetchSeg(ns.client, seg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.images[seg] = &cachedSeg{slotted: sl, overflow: ov, data: d}
-	ns.recordCopyLocked(seg, local)
-	ns.mu.Unlock()
-	return bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(d), nil
+	ns.locals.Record(seg, local)
+	return bytes.Clone(img.Slotted), bytes.Clone(img.Overflow), bytes.Clone(img.Data), nil
+}
+
+// FetchLarge delegates upstream (large objects are not image-cached).
+func (ns *NodeServer) FetchLarge(local uint32, seg proto.SegKey, slot int) ([]byte, error) {
+	ns.stats.upstream.Add(1)
+	return ns.Conn.FetchLarge(ns.client, seg, slot)
 }
 
 // SnapOpen forwards: snapshots live on the owning server, whose commit
 // stamps define the version clock. Node-cached images are never served to a
 // snapshot — they track the live state, not the as-of one.
 func (ns *NodeServer) SnapOpen(local uint32) (uint64, uint64, error) {
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.mu.Unlock()
-	return ns.up.SnapOpen(ns.client)
+	return ns.Conn.SnapOpen(ns.client)
 }
 
 // SnapClose forwards.
 func (ns *NodeServer) SnapClose(local uint32, snap uint64) error {
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.mu.Unlock()
-	return ns.up.SnapClose(ns.client, snap)
+	return ns.Conn.SnapClose(ns.client, snap)
 }
 
 // SnapFetchSeg forwards (as-of images bypass the node image cache).
 func (ns *NodeServer) SnapFetchSeg(local uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.mu.Unlock()
-	return ns.up.SnapFetchSeg(ns.client, snap, seg)
-}
-
-// FetchLarge delegates upstream (large objects are not image-cached).
-func (ns *NodeServer) FetchLarge(local uint32, seg proto.SegKey, slot int) ([]byte, error) {
-	ns.mu.Lock()
-	ns.stats.upstream++
-	ns.mu.Unlock()
-	return ns.up.FetchLarge(ns.client, seg, slot)
-}
-
-// Resolve delegates upstream.
-func (ns *NodeServer) Resolve(db uint32, headerOff uint64) (proto.SegKey, int, error) {
-	return ns.up.Resolve(db, headerOff)
+	ns.stats.upstream.Add(1)
+	return ns.Conn.SnapFetchSeg(ns.client, snap, seg)
 }
 
 // Lock acquires upstream under the node server's client id (the node server
 // "acquires locks on behalf of the local applications").
 func (ns *NodeServer) Lock(local uint32, tx uint64, seg proto.SegKey, mode proto.LockMode) error {
-	if err := ns.up.Lock(ns.client, tx, seg, mode); err != nil {
+	if err := ns.Conn.Lock(ns.client, tx, seg, mode); err != nil {
 		return err
 	}
 	// Intra-node consistency: an exclusive intent revokes the other local
 	// applications' copies before the write proceeds.
 	if mode == proto.LockX || mode == proto.LockSIX || mode == proto.LockIX {
-		if err := ns.revokeLocals(seg, local); err != nil {
-			return err
-		}
+		return ns.locals.Revoke(seg, local, ns.RevokeTimeout)
 	}
 	return nil
 }
@@ -398,114 +220,57 @@ func (ns *NodeServer) Lock(local uint32, tx uint64, seg proto.SegKey, mode proto
 // LockObject forwards under the node server's client id. Object locks are
 // logical; cache revocation stays tied to segment X locks.
 func (ns *NodeServer) LockObject(local uint32, tx uint64, seg proto.SegKey, slot int, mode proto.LockMode) error {
-	return ns.up.LockObject(ns.client, tx, seg, slot, mode)
+	return ns.Conn.LockObject(ns.client, tx, seg, slot, mode)
 }
 
-// Commit invalidates the node's images of the shipped segments (their disk
-// state changes) and forwards.
+// Commit forwards and drops the node's images of the shipped segments, so the
+// next local fetch goes upstream. What was shipped is no substitute: the slices
+// are the committing session's own, which it keeps writing to, and the header
+// is the one from before the server settled geometry and checksums.
 func (ns *NodeServer) Commit(local uint32, tx uint64, segs []proto.SegImage) error {
-	if err := ns.up.Commit(ns.client, tx, segs); err != nil {
-		return err
-	}
-	// Refresh image cache with the committed state so other locals see it.
-	ns.mu.Lock()
-	for _, si := range segs {
-		ns.images[si.Seg] = &cachedSeg{slotted: si.Slotted, overflow: si.Overflow, data: si.Data}
-	}
-	ns.mu.Unlock()
-	return nil
+	return ns.ship(ns.Conn.Commit, tx, segs)
 }
 
-// Abort forwards.
-func (ns *NodeServer) Abort(local uint32, tx uint64) error {
-	return ns.up.Abort(ns.client, tx)
-}
-
-// Prepare forwards the 2PC vote.
+// Prepare forwards the 2PC vote. The shipped segments are applied upstream
+// but undecided: the node keeps no image of them either way.
 func (ns *NodeServer) Prepare(local uint32, tx uint64, segs []proto.SegImage) error {
-	err := ns.up.Prepare(ns.client, tx, segs)
+	return ns.ship(ns.Conn.Prepare, tx, segs)
+}
+
+func (ns *NodeServer) ship(send func(uint32, uint64, []proto.SegImage) error, tx uint64, segs []proto.SegImage) error {
+	err := send(ns.client, tx, segs)
 	if err == nil {
 		ns.mu.Lock()
 		for _, si := range segs {
-			ns.images[si.Seg] = &cachedSeg{slotted: si.Slotted, overflow: si.Overflow, data: si.Data}
+			delete(ns.images, si.Seg)
 		}
 		ns.mu.Unlock()
 	}
 	return err
 }
 
-// Decide forwards the 2PC decision.
-func (ns *NodeServer) Decide(tx uint64, commit bool) error { return ns.up.Decide(tx, commit) }
-
-// SegmentsOf delegates upstream.
-func (ns *NodeServer) SegmentsOf(db, fileID uint32) ([]proto.SegKey, error) {
-	return ns.up.SegmentsOf(db, fileID)
+// Abort forwards.
+func (ns *NodeServer) Abort(local uint32, tx uint64) error {
+	return ns.Conn.Abort(ns.client, tx)
 }
 
 // Released drops a local copy; the upstream copy is released only when no
 // local still caches the segment.
 func (ns *NodeServer) Released(local uint32, seg proto.SegKey) error {
-	ns.mu.Lock()
-	if set := ns.copies[seg]; set != nil {
-		delete(set, local)
-		if len(set) > 0 {
-			ns.mu.Unlock()
-			return nil
-		}
-		delete(ns.copies, seg)
+	if !ns.locals.Drop(seg, local) {
+		return nil
 	}
-	delete(ns.images, seg)
-	ns.mu.Unlock()
-	return ns.up.Released(ns.client, seg)
+	ns.dropImage(seg)
+	return ns.Conn.Released(ns.client, seg)
 }
 
 // CreateLarge forwards and invalidates the image.
 func (ns *NodeServer) CreateLarge(local uint32, tx uint64, seg proto.SegKey, typ uint32, content []byte) (int, error) {
-	slot, err := ns.up.CreateLarge(ns.client, tx, seg, typ, content)
+	slot, err := ns.Conn.CreateLarge(ns.client, tx, seg, typ, content)
 	if err == nil {
 		ns.dropImage(seg)
 	}
 	return slot, err
-}
-
-// AllocRun forwards.
-func (ns *NodeServer) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
-	return ns.up.AllocRun(db, nPages)
-}
-
-// FreeRun forwards.
-func (ns *NodeServer) FreeRun(db, area uint32, start int64) error {
-	return ns.up.FreeRun(db, area, start)
-}
-
-// ReadRun forwards.
-func (ns *NodeServer) ReadRun(db, area uint32, start int64, nPages int) ([]byte, error) {
-	return ns.up.ReadRun(db, area, start, nPages)
-}
-
-// WriteRun forwards.
-func (ns *NodeServer) WriteRun(db, area uint32, start int64, data []byte) error {
-	return ns.up.WriteRun(db, area, start, data)
-}
-
-// NameBind forwards.
-func (ns *NodeServer) NameBind(db uint32, name string, o oid.OID) error {
-	return ns.up.NameBind(db, name, o)
-}
-
-// NameLookup forwards.
-func (ns *NodeServer) NameLookup(db uint32, name string) (oid.OID, error) {
-	return ns.up.NameLookup(db, name)
-}
-
-// NameUnbind forwards.
-func (ns *NodeServer) NameUnbind(db uint32, name string) error {
-	return ns.up.NameUnbind(db, name)
-}
-
-// NameRemoveOID forwards.
-func (ns *NodeServer) NameRemoveOID(db uint32, o oid.OID) error {
-	return ns.up.NameRemoveOID(db, o)
 }
 
 var _ proto.Conn = (*NodeServer)(nil)
@@ -518,12 +283,12 @@ func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
 	b.ns.mu.Lock()
 	db := b.ns.defaultDB
 	b.ns.mu.Unlock()
-	return b.ns.up.ReadRun(db, uint32(id.Area), int64(id.Page), 1)
+	return b.ns.ReadRun(db, uint32(id.Area), int64(id.Page), 1)
 }
 
 func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
 	b.ns.mu.Lock()
 	db := b.ns.defaultDB
 	b.ns.mu.Unlock()
-	return b.ns.up.WriteRun(db, uint32(id.Area), int64(id.Page), data)
+	return b.ns.WriteRun(db, uint32(id.Area), int64(id.Page), data)
 }

@@ -56,29 +56,39 @@ func TestLocalSessionsShareNodeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The commit dropped the node's image (what the server wrote is not what
+	// the committer shipped), so the second local application's fetch fills the
+	// node cache from upstream — once — and the third is served from it.
+	read := func(name string) {
+		t.Helper()
+		s, err := client.Open(ns, name, "db", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Begin()
+		obj, err := s.Root("shared")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [8]byte
+		obj.Read(8, b[:])
+		if binary.BigEndian.Uint64(b[:]) != 5 {
+			t.Fatalf("%s: value = %d", name, binary.BigEndian.Uint64(b[:]))
+		}
+		s.Commit()
+	}
 	before := ns.Snapshot()
-	// Second local application: its fetch is served from the node cache,
-	// not upstream.
-	s2, err := client.Open(ns, "app-B", "db", false)
-	if err != nil {
-		t.Fatal(err)
+	read("app-B")
+	filled := ns.Snapshot()
+	if got := filled.UpstreamFetches - before.UpstreamFetches; got != 1 {
+		t.Fatalf("first fetch after a local commit: %d upstream fetches, want 1", got)
 	}
-	s2.Begin()
-	obj, err := s2.Root("shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [8]byte
-	obj.Read(8, b[:])
-	if binary.BigEndian.Uint64(b[:]) != 5 {
-		t.Fatalf("value = %d", binary.BigEndian.Uint64(b[:]))
-	}
-	s2.Commit()
+	read("app-C")
 	after := ns.Snapshot()
-	if after.UpstreamFetches != before.UpstreamFetches {
-		t.Fatalf("node cache missed: %d -> %d upstream fetches", before.UpstreamFetches, after.UpstreamFetches)
+	if after.UpstreamFetches != filled.UpstreamFetches {
+		t.Fatalf("node cache missed: %d -> %d upstream fetches", filled.UpstreamFetches, after.UpstreamFetches)
 	}
-	if after.LocalHits <= before.LocalHits {
+	if after.LocalHits <= filled.LocalHits {
 		t.Fatal("no local hits recorded")
 	}
 }
@@ -141,7 +151,7 @@ func TestLocalFetchLeavesNodeCacheIntact(t *testing.T) {
 		}
 		s.Commit()
 		ns.mu.Lock()
-		now := bytes.Clone(ns.images[segA].data)
+		now := bytes.Clone(ns.images[segA].Data)
 		ns.mu.Unlock()
 		if cached == nil {
 			cached = now

@@ -76,13 +76,3 @@ func TestAppendScanBatchAllocs(t *testing.T) {
 		t.Fatalf("round trip mismatch: got %d images seq %d", len(dec.Images), dec.Seq)
 	}
 }
-
-func TestAppendFetchSlottedReplyAllocs(t *testing.T) {
-	slotted, overflow := make([]byte, 512), make([]byte, 128)
-	buf := make([]byte, 0, 8+len(slotted)+len(overflow))
-	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendFetchSlottedReply(buf[:0], slotted, overflow)
-	}); n != 0 {
-		t.Fatalf("AppendFetchSlottedReply: %v allocs/op into a sized buffer, want 0", n)
-	}
-}

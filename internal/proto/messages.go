@@ -17,7 +17,7 @@ type Empty struct{}
 
 func (*Empty) Fields(*Cursor) {}
 
-// Bytes is a reply that is one byte string (FetchData, FetchLarge, ReadRun):
+// Bytes is a reply that is one byte string (FetchLarge, ReadRun):
 // it travels as the raw frame body with no wrapper at all.
 type Bytes struct{ Data []byte }
 
@@ -147,9 +147,8 @@ type SegInfoReply struct{ SlottedPages int }
 
 func (m *SegInfoReply) Fields(c *Cursor) { c.Count(&m.SlottedPages) }
 
-// ClientSegArgs names a client's copy of a segment: the args of FetchSlotted,
-// FetchData (the reply is Bytes), FetchSeg (a SegImage) and Released (the
-// client dropped its cached copy).
+// ClientSegArgs names a client's copy of a segment: the args of FetchSeg (the
+// reply is a SegImage) and Released (the client dropped its cached copy).
 type ClientSegArgs struct {
 	Client uint32
 	Seg    SegKey
@@ -158,14 +157,6 @@ type ClientSegArgs struct {
 func (m *ClientSegArgs) Fields(c *Cursor) {
 	c.U32(&m.Client)
 	c.SegKey(&m.Seg)
-}
-
-// FetchSlottedReply carries slotted + overflow images.
-type FetchSlottedReply struct{ Slotted, Overflow []byte }
-
-func (m *FetchSlottedReply) Fields(c *Cursor) {
-	c.Section(&m.Slotted)
-	c.Section(&m.Overflow)
 }
 
 // FetchLargeArgs fetches a transparent large object; the reply is Bytes.

@@ -61,12 +61,24 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // server.Server (direct, "open server"), client.Remote (RPC), and
 // nodeserver.NodeServer (local cache + RPC upstream).
 //
+// A segment image leaves a Conn one way: FetchSeg (SnapFetchSeg as of a
+// snapshot's stamp) returns the slotted, overflow and data parts together. A
+// fetch registers the caller as a holder of a cached copy, and the copy stays
+// consistent only because the Conn can call it back — so delivering
+// revocations (SetCallback) is part of the contract, not an extra some
+// implementations have.
+//
 // A byte slice a method returns is the caller's, to keep and to write to (the
 // mapper swizzles a fetched data image in place): an implementation serving
 // from something it retains — a version chain, a node cache — returns a copy.
 type Conn interface {
 	// Hello registers the caller and returns its client id.
 	Hello(name string) (uint32, error)
+	// SetCallback installs client's revocation handler: before a write to a
+	// segment is granted, every other client caching it is asked through cb
+	// to drop its copy. refused means a live transaction is using the copy
+	// (the asker waits and asks again); an error means the client is gone.
+	SetCallback(client uint32, cb func(SegKey) (refused bool, err error)) error
 	// OpenDB opens (or creates, if create) a database by name.
 	OpenDB(name string, create bool) (db uint32, host uint16, err error)
 	// NewTx allocates a transaction id valid on this connection.
@@ -85,13 +97,9 @@ type Conn interface {
 	CreateSegment(db uint32, fileID uint32, slottedPages, dataPages, areaHint int) (SegKey, error)
 	// SegInfo returns the slotted size of seg in pages.
 	SegInfo(seg SegKey) (slottedPages int, err error)
-	// FetchSlotted returns the encoded slotted image and overflow image.
-	FetchSlotted(client uint32, seg SegKey) (slotted, overflow []byte, err error)
-	// FetchData returns the data segment image.
-	FetchData(client uint32, seg SegKey) ([]byte, error)
-	// FetchSeg returns the slotted, overflow, and data images in one round
-	// trip — the combined fetch a cold segment touch uses instead of a
-	// FetchSlotted/FetchData pair.
+	// FetchSeg returns the encoded slotted image (header + slots), the
+	// overflow image and the data segment image in one round trip, and
+	// records client as caching seg.
 	FetchSeg(client uint32, seg SegKey) (slotted, overflow, data []byte, err error)
 	// FetchLarge returns the content of a transparent large object.
 	FetchLarge(client uint32, seg SegKey, slot int) ([]byte, error)

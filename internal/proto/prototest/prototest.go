@@ -51,8 +51,6 @@ var Methods = []Method{
 	{"AddArea", dbArgs, &proto.IDReply{ID: 7}},
 	{"CreateSegment", &proto.CreateSegmentArgs{DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1}, &proto.CreateSegmentReply{Seg: seg}},
 	{"SegInfo", &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}},
-	{"FetchSlotted", fetchArgs, &proto.FetchSlottedReply{Slotted: []byte("slotted"), Overflow: []byte("ov")}},
-	{"FetchData", fetchArgs, raw},
 	{"FetchLarge", &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw},
 	{"FetchSeg", fetchArgs, &img},
 	{"Resolve", &proto.ResolveArgs{DB: 4, HeaderOff: 1 << 33}, &proto.ResolveReply{Seg: seg, Slot: 11}},

@@ -15,10 +15,3 @@ func EncodeSegImage(s *SegImage) []byte {
 	b, _ := Encode(s)
 	return b
 }
-
-func AppendFetchSlottedReply(b, slotted, overflow []byte) []byte {
-	m := FetchSlottedReply{Slotted: slotted, Overflow: overflow}
-	c := Cursor{buf: b}
-	m.Fields(&c)
-	return c.buf
-}

@@ -72,9 +72,9 @@ var ErrBadFrame = errors.New("rpc: bad frame encoding")
 // unframeable past this point and is shut down.
 var ErrFrameChecksum = errors.New("rpc: frame checksum mismatch")
 
-// Method ids. The table below is part of the wire protocol: ids are
-// append-only and never reassigned (the golden wire test pins them).
-// Id 0 is reserved for named-method frames.
+// Method ids. The table below is part of the wire protocol: ids are append-only
+// and never reassigned (the golden wire test pins them); "" marks a retired id,
+// answered with ErrNoHandler. Id 0 is reserved for named-method frames.
 var methodNames = [...]string{
 	1:  "Hello",
 	2:  "OpenDB",
@@ -85,8 +85,8 @@ var methodNames = [...]string{
 	7:  "AddArea",
 	8:  "CreateSegment",
 	9:  "SegInfo",
-	10: "FetchSlotted",
-	11: "FetchData",
+	10: "", // retired: the slotted-part fetch (FetchSeg carries the whole image)
+	11: "", // retired: the data-part fetch
 	12: "FetchLarge",
 	13: "FetchSeg",
 	14: "Resolve",

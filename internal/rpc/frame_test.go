@@ -17,11 +17,11 @@ func TestGoldenWireFormat(t *testing.T) {
 	}{
 		{
 			name: "request/table-method/body",
-			f:    frame{id: 0x0102030405060708, method: 10, body: []byte{0xAA, 0xBB}},
+			f:    frame{id: 0x0102030405060708, method: 13, body: []byte{0xAA, 0xBB}},
 			want: []byte{
 				0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // id
 				0x00,       // flags
-				0x00, 0x0A, // method id (FetchSlotted)
+				0x00, 0x0D, // method id (FetchSeg)
 				0x00, 0x00, 0x00, 0x02, // payload length
 				0xAA, 0xBB, // body
 			},
@@ -72,14 +72,14 @@ func TestGoldenWireFormat(t *testing.T) {
 		},
 		{
 			name: "request/crc-trailer",
-			f:    frame{id: 5, flags: flagCRC, method: 10, body: []byte{0xAA, 0xBB}},
+			f:    frame{id: 5, flags: flagCRC, method: 13, body: []byte{0xAA, 0xBB}},
 			want: []byte{
 				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, // id
 				0x10,       // flags: crc
-				0x00, 0x0A, // method id (FetchSlotted)
+				0x00, 0x0D, // method id (FetchSeg)
 				0x00, 0x00, 0x00, 0x02, // payload length (trailer NOT counted)
 				0xAA, 0xBB, // body
-				0x83, 0x1C, 0xFB, 0x85, // CRC-32C of the 17 preceding bytes
+				0x9E, 0xF9, 0x4B, 0x0C, // CRC-32C of the 17 preceding bytes
 			},
 		},
 		{
@@ -121,7 +121,7 @@ func TestMethodIDTablePinned(t *testing.T) {
 	want := map[string]uint16{
 		"Hello": 1, "OpenDB": 2, "NewTx": 3, "RegisterType": 4, "Types": 5,
 		"NewFileID": 6, "AddArea": 7, "CreateSegment": 8, "SegInfo": 9,
-		"FetchSlotted": 10, "FetchData": 11, "FetchLarge": 12, "FetchSeg": 13,
+		"FetchLarge": 12, "FetchSeg": 13, // 10 and 11 are retired
 		"Resolve": 14, "Lock": 15, "LockObject": 16, "Commit": 17, "Abort": 18,
 		"Prepare": 19, "Decide": 20, "SegmentsOf": 21, "Released": 22,
 		"CreateLarge": 23, "AllocRun": 24, "FreeRun": 25, "ReadRun": 26,
@@ -141,7 +141,7 @@ func TestMethodIDTablePinned(t *testing.T) {
 }
 
 func TestFrameDecodeRejects(t *testing.T) {
-	valid := appendFrame(nil, &frame{id: 1, method: 10})
+	valid := appendFrame(nil, &frame{id: 1, method: 13})
 	cases := []struct {
 		name string
 		b    []byte

@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bufio"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +57,38 @@ func TestUnknownMethod(t *testing.T) {
 	err := a.Call("nope", &echoArgs{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no handler") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRetiredAndUnknownIDsAnswered: a request frame carrying a method id
+// this build has no name for — a retired hole in the table, or an id past its
+// end — gets the same prompt ErrNoHandler reply as an unregistered name, not
+// silence.
+func TestRetiredAndUnknownIDsAnswered(t *testing.T) {
+	c, sc := net.Pipe()
+	srv := NewPeer(sc)
+	defer srv.Close()
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	for i, method := range []uint16{10, 11, uint16(len(methodNames)), 0xFFFF} {
+		if int(method) < len(methodNames) && methodNames[method] != "" {
+			t.Fatalf("id %d is assigned to %q", method, methodNames[method])
+		}
+		id := uint64(100 + i)
+		// net.Pipe is unbuffered: the peer reads as this writes.
+		if _, err := c.Write(appendFrame(nil, &frame{id: id, method: method, body: []byte("args")})); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("id %d: no reply: %v", method, err)
+		}
+		if rep.id != id || rep.flags&(flagReply|flagError) != flagReply|flagError || !strings.Contains(string(rep.body), ErrNoHandler.Error()) {
+			t.Fatalf("id %d: reply %+v (%q), want an error reply naming %v", method, rep, rep.body, ErrNoHandler)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func altImages(t *testing.T, s *Server, db uint32, tag string) (proto.SegKey, [2
 	var imgs [2]proto.SegImage
 	var bodies [2][]byte
 	for v := 0; v < 2; v++ {
-		sl, ov, err := s.FetchSlotted(0, key)
+		sl, ov, data, err := s.FetchSeg(0, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,9 +34,7 @@ func altImages(t *testing.T, s *Server, db uint32, tag string) (proto.SegKey, [2
 			t.Fatal(err)
 		}
 		seg.Overflow = ov
-		if seg.Data, err = s.FetchData(0, key); err != nil {
-			t.Fatal(err)
-		}
+		seg.Data = data
 		bodies[v] = []byte(fmt.Sprintf("%s-v%d", tag, v))
 		if _, err := seg.CreateObject(0, bodies[v]); err != nil {
 			t.Fatal(err)
@@ -123,7 +121,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 	defer s2.Close()
 	want := (commitsEach - 1) % 2
 	for c := 0; c < clients; c++ {
-		sl, _, err := s2.FetchSlotted(0, keys[c])
+		sl, _, data, err := s2.FetchSeg(0, keys[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +129,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Data, err = s2.FetchData(0, keys[c]); err != nil {
-			t.Fatal(err)
-		}
+		dec.Data = data
 		b, err := dec.ObjectBytes(0)
 		if err != nil {
 			t.Fatal(err)

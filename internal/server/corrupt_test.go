@@ -84,7 +84,7 @@ func TestRepairDataSectionFromWAL(t *testing.T) {
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, []byte("data section payload"))
-	sl, _, err := s.FetchSlotted(0, key)
+	sl, _, _, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestQuarantineUnrepairableSegment(t *testing.T) {
 	}
 	healthy := commitOne(t, s, db, []byte("healthy"))
 	flipPageByte(t, s, doomed.Area, page.No(doomed.Start), 40)
-	if _, _, err := s.FetchSlotted(0, doomed); !errors.Is(err, ErrQuarantined) {
+	if _, _, _, err := s.FetchSeg(0, doomed); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("want ErrQuarantined, got %v", err)
 	}
 	// Quarantine is sticky and typed on the fast path too.
-	if _, _, err := s.FetchSlotted(0, doomed); !errors.Is(err, ErrQuarantined) {
+	if _, _, _, err := s.FetchSeg(0, doomed); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("second fetch: %v", err)
 	}
 	if q := s.Quarantined(); len(q) != 1 {
@@ -150,7 +150,7 @@ func TestScrubOnceRepairs(t *testing.T) {
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, []byte("scrub me"))
-	sl, _, _ := s.FetchSlotted(0, key)
+	sl, _, _, _ := s.FetchSeg(0, key)
 	dec, _ := segment.DecodeSlotted(sl)
 	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 100)
 	st, err := s.ScrubOnce()
@@ -169,7 +169,7 @@ func TestBackgroundScrubberRepairs(t *testing.T) {
 	s := NewMem(1)
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, []byte("background"))
-	sl, _, _ := s.FetchSlotted(0, key)
+	sl, _, _, _ := s.FetchSeg(0, key)
 	dec, _ := segment.DecodeSlotted(sl)
 	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 11)
 	s.StartScrub(time.Millisecond, 0)
@@ -212,7 +212,7 @@ func TestLargeObjectChecksumRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the run and rot one of its pages.
-	sl, ov, err := s.FetchSlotted(0, key)
+	sl, ov, _, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestSnapshotReadRepairsDataRot(t *testing.T) {
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, []byte("as-of payload"))
-	sl, _, err := s.FetchSlotted(0, key)
+	sl, _, _, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestLockcheckServerWorkload(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// Fetch registers a cached copy, so the next writer's commit
 				// revokes it via the callback.
-				if _, _, err := s.FetchSlotted(conns[c], keys[c]); err != nil {
+				if _, _, _, err := s.FetchSeg(conns[c], keys[c]); err != nil {
 					errs <- err
 					return
 				}

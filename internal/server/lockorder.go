@@ -25,7 +25,7 @@
 // hierarchy exists so that any future nesting some PR introduces is forced
 // into one deadlock-free direction and mechanically verified.
 //
-//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Server.clientMu < Server.copyMu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
+//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Table.mu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
 package server
 
 import "bess/internal/lockcheck"
@@ -33,8 +33,9 @@ import "bess/internal/lockcheck"
 // Runtime ranks mirroring the //bess:lockorder directive above. Lower rank
 // = acquired earlier (outermost). Log.mu's rank lives in the wal package
 // (wal.RankLogMu), VersionStore.mu's in the cache package
-// (cache.RankVersionStoreMu), and the Peer ranks in the rpc package
-// (rankPeerMu, rankPeerWmu) because none of those can import server;
+// (cache.RankVersionStoreMu), the Peer ranks in the rpc package (rankPeerMu,
+// rankPeerWmu) and Table.mu's — the copy table's one lock — in the callback
+// package (rankTableMu) because none of those can import server;
 // bess-vet's self-test keeps the files consistent with the directive.
 //
 // The two multiversion locks rank where their real nesting demands:
@@ -43,10 +44,8 @@ import "bess/internal/lockcheck"
 // innermost but for Log.mu — commit hooks publish staged versions while
 // the committing transaction still holds everything else.
 const (
-	rankAreaMu   lockcheck.Rank = 10
-	rankClientMu lockcheck.Rank = 20
-	rankCopyMu   lockcheck.Rank = 30
-	rankSnapMu   lockcheck.Rank = 35
-	rankTxShard  lockcheck.Rank = 40
-	rankCatalog  lockcheck.Rank = 50
+	rankAreaMu  lockcheck.Rank = 10
+	rankSnapMu  lockcheck.Rank = 35
+	rankTxShard lockcheck.Rank = 40
+	rankCatalog lockcheck.Rank = 50
 )

@@ -395,7 +395,7 @@ func TestLoggingRuleProperty(t *testing.T) {
 
 		// (i) rot one page of one segment, then read everything.
 		victim := keys[rng.Intn(nSegs)]
-		sl, _, err := s.FetchSlotted(0, victim)
+		sl, _, _, err := s.FetchSeg(0, victim)
 		if err != nil {
 			t.Fatalf("%s: %v", at, err)
 		}

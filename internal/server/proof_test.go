@@ -136,21 +136,8 @@ func TestEveryReadPathVerifies(t *testing.T) {
 		rot  target
 		read func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey, slot int)
 	}{
-		{"FetchSlotted", slotted, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
-			sl, _, err := s.FetchSlotted(0, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := segment.DecodeSlotted(sl); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"FetchData", data, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
-			d, err := s.FetchData(0, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sl, ov, err := s.FetchSlotted(0, key)
+		{"FetchSeg of a rotted slotted page", slotted, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+			sl, ov, d, err := s.FetchSeg(0, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +217,7 @@ func TestEveryReadPathVerifies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sl, ov, err := s.FetchSlotted(0, key)
+			sl, ov, _, err := s.FetchSeg(0, key)
 			if err != nil {
 				t.Fatal(err)
 			}

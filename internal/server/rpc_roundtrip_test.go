@@ -93,13 +93,11 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	fetch := &proto.ClientSegArgs{Client: hello.ID, Seg: cs.Seg}
-	var fsl proto.FetchSlottedReply
-	if err := p.Call("FetchSlotted", fetch, &fsl); err != nil || len(fsl.Slotted) == 0 {
-		t.Fatalf("FetchSlotted: %d slotted bytes, err %v", len(fsl.Slotted), err)
-	}
-	var fd proto.Bytes
-	if err := p.Call("FetchData", fetch, &fd); err != nil || len(fd.Data) == 0 {
-		t.Fatalf("FetchData: %d bytes, err %v", len(fd.Data), err)
+	// The two-step fetch is off the wire: a peer that still asks is told so.
+	for _, retired := range []string{"FetchSlotted", "FetchData"} {
+		if err := p.Call(retired, fetch, nil); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
+			t.Fatalf("%s: %v, want %v", retired, err, rpc.ErrNoHandler)
+		}
 	}
 	var img proto.SegImage
 	if err := p.Call("FetchSeg", fetch, &img); err != nil {

@@ -67,14 +67,6 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			n, err := s.SegInfo(a.Seg)
 			return &proto.SegInfoReply{SlottedPages: n}, err
 		}),
-		"FetchSlotted": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.FetchSlottedReply, error) {
-			sl, ov, err := s.FetchSlotted(a.Client, a.Seg)
-			return &proto.FetchSlottedReply{Slotted: sl, Overflow: ov}, err
-		}),
-		"FetchData": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.Bytes, error) {
-			d, err := s.FetchData(a.Client, a.Seg)
-			return &proto.Bytes{Data: d}, err
-		}),
 		"FetchSeg": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.SegImage, error) {
 			sl, ov, data, err := s.FetchSeg(a.Client, a.Seg)
 			return &proto.SegImage{Seg: a.Seg, Slotted: sl, Overflow: ov, Data: data}, err

@@ -22,6 +22,7 @@ import (
 
 	"bess/internal/area"
 	"bess/internal/cache"
+	"bess/internal/callback"
 	"bess/internal/hooks"
 	"bess/internal/lock"
 	"bess/internal/lockcheck"
@@ -35,27 +36,16 @@ import (
 
 // Errors returned by the server.
 var (
-	ErrNoArea      = errors.New("server: no such storage area")
-	ErrNoSegment   = errors.New("server: no such segment")
-	ErrNotLocked   = errors.New("server: transaction does not hold the required lock")
-	ErrCallback    = errors.New("server: callback revocation timed out")
-	ErrUnknownTx   = errors.New("server: unknown transaction")
-	ErrTooLarge    = errors.New("server: object exceeds transparent large-object limit")
-	ErrShutdown    = errors.New("server: shut down")
-	ErrBadRun      = errors.New("server: bad raw run")
-	ErrNotStaged   = errors.New("server: segment overwrite not staged with the version store by this transaction")
-	errUnknownName = errors.New("server: unknown client")
+	ErrNoArea    = errors.New("server: no such storage area")
+	ErrNoSegment = errors.New("server: no such segment")
+	ErrNotLocked = errors.New("server: transaction does not hold the required lock")
+	ErrCallback  = errors.New("server: callback revocation timed out")
+	ErrUnknownTx = errors.New("server: unknown transaction")
+	ErrTooLarge  = errors.New("server: object exceeds transparent large-object limit")
+	ErrShutdown  = errors.New("server: shut down")
+	ErrBadRun    = errors.New("server: bad raw run")
+	ErrNotStaged = errors.New("server: segment overwrite not staged with the version store by this transaction")
 )
-
-// CallbackFunc revokes a client's cached copy of seg; refused=true means a
-// live transaction is using it and the server must wait.
-type CallbackFunc func(seg proto.SegKey) (refused bool, err error)
-
-type clientHandle struct {
-	id       uint32
-	name     string
-	callback CallbackFunc
-}
 
 // Stats are cumulative server counters (experiment E6 reads them).
 type Stats struct {
@@ -82,11 +72,12 @@ type Stats struct {
 //
 // Locking is striped per concern so fetches, lock calls, and commits from
 // different clients do not contend on one server-wide mutex: areaMu guards
-// the area table (read-mostly), clientMu the client registry, copyMu the
-// cached-copy table, and the active-transaction map is the sharded txs
-// table. None of these locks is ever held while acquiring another; the
-// permitted nesting order, should one ever be introduced, is declared in
-// lockorder.go and enforced by cmd/bess-vet and `-tags invariants` builds.
+// the area table (read-mostly), the client registry and cached-copy table
+// share the copy table's lock (callback.Table), and the active-transaction
+// map is the sharded txs table. None of these locks is ever held while
+// acquiring another; the permitted nesting order, should one ever be
+// introduced, is declared in lockorder.go and enforced by cmd/bess-vet and
+// `-tags invariants` builds.
 type Server struct {
 	host uint16
 	dir  string // "" = in-memory
@@ -94,12 +85,9 @@ type Server struct {
 	areaMu lockcheck.RWMutex
 	areas  map[uint32]*area.Area // guarded by areaMu
 
-	clientMu   lockcheck.Mutex
-	clients    map[uint32]*clientHandle // guarded by clientMu
-	nextClient uint32                   // guarded by clientMu
-
-	copyMu lockcheck.Mutex
-	copies map[proto.SegKey]map[uint32]bool // guarded by copyMu
+	// copies is the callback-locking state (§3): the connected clients and
+	// which of them caches which segment.
+	copies *callback.Table
 
 	// The snapshot registry is copy-on-write: writers (open/close, rare)
 	// mutate the map under snapMu and publish an immutable copy to
@@ -149,8 +137,7 @@ type Server struct {
 
 	stats struct {
 		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
-		commits, aborts, callbacks, refusals, pagesWritten  atomic.Int64
-		snapFetches                                         atomic.Int64
+		commits, aborts, pagesWritten, snapFetches          atomic.Int64
 	}
 
 	// CallbackTimeout bounds revocation waits (paper: timeouts detect
@@ -199,15 +186,14 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		dir:             dir,
 		media:           media,
 		areas:           make(map[uint32]*area.Area),
-		clients:         make(map[uint32]*clientHandle),
-		copies:          make(map[proto.SegKey]map[uint32]bool),
 		locks:           lock.NewManager(),
 		hk:              hooks.NewRegistry(),
 		CallbackTimeout: 2 * time.Second,
 	}
 	s.areaMu.Init("Server.areaMu", rankAreaMu)
-	s.clientMu.Init("Server.clientMu", rankClientMu)
-	s.copyMu.Init("Server.copyMu", rankCopyMu)
+	// A client whose callback fails is gone: what else the server keeps for
+	// it goes too.
+	s.copies = callback.New(ErrCallback, s.Disconnect)
 	s.txs.init()
 	s.scrubStop = make(chan struct{})
 	s.scrubDone = make(chan struct{})
@@ -344,6 +330,7 @@ func (s *Server) Log() *wal.Log { return s.log }
 // Snapshot returns cumulative statistics.
 func (s *Server) Snapshot() Stats {
 	ls := s.log.Stats()
+	callbacks, refusals := s.copies.Counts()
 	return Stats{
 		Messages:         s.stats.messages.Load(),
 		SlottedFetches:   s.stats.slottedFetches.Load(),
@@ -351,8 +338,8 @@ func (s *Server) Snapshot() Stats {
 		LargeFetches:     s.stats.largeFetches.Load(),
 		Commits:          s.stats.commits.Load(),
 		Aborts:           s.stats.aborts.Load(),
-		Callbacks:        s.stats.callbacks.Load(),
-		CallbackRefusals: s.stats.refusals.Load(),
+		Callbacks:        callbacks,
+		CallbackRefusals: refusals,
 		PagesWritten:     s.stats.pagesWritten.Load(),
 		SnapFetches:      s.stats.snapFetches.Load(),
 
@@ -405,27 +392,13 @@ func (s *Server) Hello(name string) (uint32, error) {
 	if s.closed.Load() {
 		return 0, ErrShutdown
 	}
-	s.clientMu.Lock()
-	defer s.clientMu.Unlock()
-	s.nextClient++
-	id := s.nextClient
-	s.clients[id] = &clientHandle{id: id, name: name}
-	return id, nil
+	return s.copies.Register(), nil
 }
 
-// SetCallback installs the revocation path for a client (in-process clients
-// pass a closure; ServePeer wires the RPC callback). The parameter is the
-// raw function type so client code can wire it through a small interface
-// without importing this package.
+// SetCallback implements proto.Conn: in-process clients pass a closure;
+// ServePeer wires the RPC callback.
 func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error)) error {
-	s.clientMu.Lock()
-	defer s.clientMu.Unlock()
-	h := s.clients[client]
-	if h == nil {
-		return errUnknownName
-	}
-	h.callback = cb
-	return nil
+	return s.copies.SetCallback(client, cb)
 }
 
 // Disconnect drops a client: its cached copies are forgotten, its live
@@ -434,17 +407,7 @@ func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error))
 func (s *Server) Disconnect(client uint32) {
 	s.closeClientSnaps(client)
 	doomed := s.txs.takeOwned(client)
-	s.copyMu.Lock()
-	for seg, set := range s.copies {
-		delete(set, client)
-		if len(set) == 0 {
-			delete(s.copies, seg)
-		}
-	}
-	s.copyMu.Unlock()
-	s.clientMu.Lock()
-	delete(s.clients, client)
-	s.clientMu.Unlock()
+	s.copies.Remove(client)
 	for _, t := range doomed {
 		_ = t.Abort()
 	}
@@ -696,48 +659,10 @@ func (s *Server) SegInfo(seg proto.SegKey) (int, error) {
 	return sm.SlottedPages, nil
 }
 
-// recordCopy notes that client caches seg so callbacks reach it.
-func (s *Server) recordCopy(client uint32, seg proto.SegKey) {
-	if client == 0 {
-		return
-	}
-	s.copyMu.Lock()
-	set := s.copies[seg]
-	if set == nil {
-		set = make(map[uint32]bool)
-		s.copies[seg] = set
-	}
-	set[client] = true
-	s.copyMu.Unlock()
-}
-
-// FetchSlotted implements proto.Conn; it also records the client in the
-// copy table so callbacks reach it.
-func (s *Server) FetchSlotted(client uint32, seg proto.SegKey) ([]byte, []byte, error) {
-	s.stats.messages.Add(1)
-	s.stats.slottedFetches.Add(1)
-	_, img, over, _, err := s.readImage(seg, secOverflow, s.live())
-	if err != nil {
-		return nil, nil, err
-	}
-	s.recordCopy(client, seg)
-	_ = s.hk.Fire(hooks.EvSegmentFault, seg)
-	return img, over, nil
-}
-
-// FetchData implements proto.Conn.
-func (s *Server) FetchData(client uint32, seg proto.SegKey) ([]byte, error) {
-	s.stats.messages.Add(1)
-	s.stats.dataFetches.Add(1)
-	_, _, _, data, err := s.readImage(seg, secData, s.live())
-	return data, err
-}
-
-// FetchSeg implements proto.Conn: the combined cold-touch fetch. One message
-// returns what a FetchSlotted + FetchData pair would, so a first access to a
-// segment costs a single round trip. Both per-kind fetch counters still
-// advance (E3's fault accounting counts segment faults, not messages), but
-// the message counter advances once.
+// FetchSeg implements proto.Conn: the one way a live segment image leaves
+// the server — slotted, overflow and data in a single message — recording the
+// client in the copy table so callbacks reach it. Both per-kind fetch counters
+// advance (E3's fault accounting counts segment faults, not messages).
 func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	s.stats.messages.Add(1)
 	s.stats.slottedFetches.Add(1)
@@ -746,7 +671,7 @@ func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []by
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.recordCopy(client, seg)
+	s.copies.Record(seg, client)
 	_ = s.hk.Fire(hooks.EvSegmentFault, seg)
 	return img, over, data, nil
 }
@@ -824,20 +749,8 @@ func (s *Server) SegmentsOf(db uint32, fileID uint32) ([]proto.SegKey, error) {
 // Released implements proto.Conn: the client dropped its cached copy.
 func (s *Server) Released(client uint32, seg proto.SegKey) error {
 	s.stats.messages.Add(1)
-	s.dropCopy(seg, client)
+	s.copies.Drop(seg, client)
 	return nil
-}
-
-// dropCopy forgets one client's cached copy of seg.
-func (s *Server) dropCopy(seg proto.SegKey, client uint32) {
-	s.copyMu.Lock()
-	if set := s.copies[seg]; set != nil {
-		delete(set, client)
-		if len(set) == 0 {
-			delete(s.copies, seg)
-		}
-	}
-	s.copyMu.Unlock()
 }
 
 // --- locking with callbacks ---
@@ -861,9 +774,7 @@ func (s *Server) Lock(client uint32, txid uint64, seg proto.SegKey, mode proto.L
 		return err
 	}
 	if lm == lock.X || lm == lock.SIX || lm == lock.IX {
-		if err := s.revokeCopies(seg, client); err != nil {
-			return err
-		}
+		return s.copies.Revoke(seg, client, s.CallbackTimeout)
 	}
 	return nil
 }
@@ -885,63 +796,6 @@ func (s *Server) LockObject(client uint32, txid uint64, seg proto.SegKey, slot i
 		return err
 	}
 	return t.Lock(lock.ObjectName(seg.Area, seg.Start, slot), lm)
-}
-
-// revokeCopies calls back every other client caching seg until they all
-// comply or the timeout passes.
-func (s *Server) revokeCopies(seg proto.SegKey, except uint32) error {
-	deadline := time.Now().Add(s.CallbackTimeout)
-	for {
-		s.copyMu.Lock()
-		cids := make([]uint32, 0, len(s.copies[seg]))
-		for cid := range s.copies[seg] {
-			if cid != except {
-				cids = append(cids, cid)
-			}
-		}
-		s.copyMu.Unlock()
-		var targets []*clientHandle
-		s.clientMu.Lock()
-		var unreachable []uint32
-		for _, cid := range cids {
-			if h := s.clients[cid]; h != nil && h.callback != nil {
-				targets = append(targets, h)
-			} else {
-				unreachable = append(unreachable, cid)
-			}
-		}
-		s.clientMu.Unlock()
-		// No way to reach them (disconnected): forget the copies.
-		for _, cid := range unreachable {
-			s.dropCopy(seg, cid)
-		}
-		if len(targets) == 0 {
-			return nil
-		}
-		anyRefused := false
-		for _, h := range targets {
-			s.stats.callbacks.Add(1)
-			refused, err := h.callback(seg)
-			if err != nil {
-				// Client unreachable: drop it.
-				s.Disconnect(h.id)
-				continue
-			}
-			if refused {
-				s.stats.refusals.Add(1)
-				anyRefused = true
-				continue
-			}
-			s.dropCopy(seg, h.id)
-		}
-		if !anyRefused {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return ErrCallback
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // --- commit / abort / 2PC ---
@@ -1313,7 +1167,7 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	if err := t.Lock(segLockName(seg), lock.X); err != nil {
 		return 0, err
 	}
-	if err := s.revokeCopies(seg, client); err != nil {
+	if err := s.copies.Revoke(seg, client, s.CallbackTimeout); err != nil {
 		return 0, err
 	}
 	dec, old, staged, err := s.updateBase(t, seg)

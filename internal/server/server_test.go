@@ -21,7 +21,7 @@ func mkSegImage(t *testing.T, s *Server, db uint32, body []byte) (proto.SegKey, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, ov, err := s.FetchSlotted(0, key)
+	sl, ov, data, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,7 @@ func mkSegImage(t *testing.T, s *Server, db uint32, body []byte) (proto.SegKey, 
 		t.Fatal(err)
 	}
 	seg.Overflow = ov
-	seg.Data, err = s.FetchData(0, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg.Data = data
 	if _, err := seg.CreateObject(0, body); err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +59,9 @@ func TestCommitRequiresLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The object is durably readable.
-	sl, _, _ := s.FetchSlotted(0, key)
+	sl, _, data, _ := s.FetchSeg(0, key)
 	dec, _ := segment.DecodeSlotted(sl)
-	dec.Data, _ = s.FetchData(0, key)
+	dec.Data = data
 	b, err := dec.ObjectBytes(0)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +133,9 @@ func TestTwoPCAcrossServers(t *testing.T) {
 		key proto.SegKey
 		v   string
 	}{{s1, k1, "branch-1"}, {s2, k2, "branch-2"}} {
-		sl, _, _ := pair.s.FetchSlotted(0, pair.key)
+		sl, _, data, _ := pair.s.FetchSeg(0, pair.key)
 		dec, _ := segment.DecodeSlotted(sl)
-		dec.Data, _ = pair.s.FetchData(0, pair.key)
+		dec.Data = data
 		b, err := dec.ObjectBytes(0)
 		if err != nil || string(b) != pair.v {
 			t.Fatalf("server %d: %q %v", i+1, b, err)
@@ -161,7 +158,7 @@ func TestTwoPCAbortDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The branch's effects were rolled back: segment has no objects.
-	sl, _, _ := s.FetchSlotted(0, key)
+	sl, _, _, _ := s.FetchSeg(0, key)
 	dec, _ := segment.DecodeSlotted(sl)
 	if dec.Hdr.NObjects != 0 {
 		t.Fatalf("aborted branch left %d objects", dec.Hdr.NObjects)
@@ -201,12 +198,12 @@ func TestServerRestartRecovers(t *testing.T) {
 	if db2 != db {
 		t.Fatalf("db id changed: %d -> %d", db, db2)
 	}
-	sl, _, err := s2.FetchSlotted(0, key)
+	sl, _, data, err := s2.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec, _ := segment.DecodeSlotted(sl)
-	dec.Data, _ = s2.FetchData(0, key)
+	dec.Data = data
 	b, err := dec.ObjectBytes(0)
 	if err != nil || !bytes.Equal(b, []byte("durable")) {
 		t.Fatalf("after restart: %q %v", b, err)

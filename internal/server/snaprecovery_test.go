@@ -14,7 +14,7 @@ import (
 // body (same size, so the segment geometry is untouched).
 func overwriteImage(t *testing.T, s *Server, key proto.SegKey, body []byte) proto.SegImage {
 	t.Helper()
-	sl, ov, err := s.FetchSlotted(0, key)
+	sl, ov, data, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,10 +23,7 @@ func overwriteImage(t *testing.T, s *Server, key proto.SegKey, body []byte) prot
 		t.Fatal(err)
 	}
 	seg.Overflow = ov
-	seg.Data, err = s.FetchData(0, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg.Data = data
 	if err := seg.UpdateObject(0, body); err != nil {
 		t.Fatal(err)
 	}
