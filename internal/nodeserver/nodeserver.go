@@ -52,9 +52,12 @@ type NodeServer struct {
 	// table a server keeps for its clients.
 	locals *callback.Table
 
-	mu        sync.Mutex
-	images    map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
-	defaultDB uint32                           // guarded by mu
+	// mu is held across locals.Record and locals.Drop (neither calls back), so
+	// it nests outside Table.mu; never across an upstream call or a Revoke.
+	mu     sync.Mutex
+	images map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
+
+	defaultDB atomic.Uint32 // the database the shared cache's pages belong to
 
 	sc *shm.SharedCache
 
@@ -109,15 +112,14 @@ func (ns *NodeServer) SharedCache() *shm.SharedCache { return ns.sc }
 // AttachShared attaches a shared-memory-mode process.
 func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach() }
 
-// onUpstreamCallback revokes the node's copy of seg: every local copy must
-// drop first, then the image cache entry goes.
+// onUpstreamCallback revokes the node's copy of seg. The image goes first, so
+// that from here on a local fetch goes upstream instead of becoming a new
+// holder of the image the node is about to say it gave up; then every local
+// copy must drop.
 func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
 	ns.stats.callbacks.Add(1)
-	if ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil {
-		return true, nil
-	}
 	ns.dropImage(seg)
-	return false, nil
+	return ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil, nil
 }
 
 func (ns *NodeServer) dropImage(seg proto.SegKey) {
@@ -146,9 +148,7 @@ func (ns *NodeServer) Disconnect(local uint32) { ns.locals.Remove(local) }
 func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
 	db, host, err := ns.Conn.OpenDB(name, create)
 	if err == nil {
-		ns.mu.Lock()
-		ns.defaultDB = db
-		ns.mu.Unlock()
+		ns.defaultDB.Store(db)
 	}
 	return db, host, err
 }
@@ -157,10 +157,15 @@ func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
 // FetchSeg under the node server's client id fills the cache entry. The
 // cached image is shared by the node's local sessions and a fetched image is
 // the caller's to write to (proto.Conn), so a hit and a fill alike hand out a
-// copy.
+// copy. Finding (or storing) the image and recording its new holder are one
+// step under mu, as dropping the last holder and the image are in Released: a
+// local never holds a copy of an image the node has already released upstream.
 func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	ns.mu.Lock()
 	img := ns.images[seg]
+	if img != nil {
+		ns.locals.Record(seg, local)
+	}
 	ns.mu.Unlock()
 	if img != nil {
 		ns.stats.hits.Add(1)
@@ -173,9 +178,9 @@ func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, 
 		img = &proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: d}
 		ns.mu.Lock()
 		ns.images[seg] = img
+		ns.locals.Record(seg, local)
 		ns.mu.Unlock()
 	}
-	ns.locals.Record(seg, local)
 	return bytes.Clone(img.Slotted), bytes.Clone(img.Overflow), bytes.Clone(img.Data), nil
 }
 
@@ -255,12 +260,17 @@ func (ns *NodeServer) Abort(local uint32, tx uint64) error {
 }
 
 // Released drops a local copy; the upstream copy is released only when no
-// local still caches the segment.
+// local still caches the segment, and the node's image goes with it.
 func (ns *NodeServer) Released(local uint32, seg proto.SegKey) error {
-	if !ns.locals.Drop(seg, local) {
+	ns.mu.Lock()
+	last := ns.locals.Drop(seg, local)
+	if last {
+		delete(ns.images, seg)
+	}
+	ns.mu.Unlock()
+	if !last {
 		return nil
 	}
-	ns.dropImage(seg)
 	return ns.Conn.Released(ns.client, seg)
 }
 
@@ -280,15 +290,9 @@ var _ proto.Conn = (*NodeServer)(nil)
 type pageBacking struct{ ns *NodeServer }
 
 func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
-	b.ns.mu.Lock()
-	db := b.ns.defaultDB
-	b.ns.mu.Unlock()
-	return b.ns.ReadRun(db, uint32(id.Area), int64(id.Page), 1)
+	return b.ns.ReadRun(b.ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), 1)
 }
 
 func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
-	b.ns.mu.Lock()
-	db := b.ns.defaultDB
-	b.ns.mu.Unlock()
-	return b.ns.WriteRun(db, uint32(id.Area), int64(id.Page), data)
+	return b.ns.WriteRun(b.ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), data)
 }
