@@ -17,6 +17,7 @@ type finding struct {
 type reporter struct {
 	fset     *token.FileSet
 	findings []finding
+	seen     map[string]bool // reportOnce's analyzer:file:line keys
 }
 
 func (r *reporter) report(pos token.Pos, analyzer, format string, args ...any) {
@@ -25,6 +26,22 @@ func (r *reporter) report(pos token.Pos, analyzer, format string, args ...any) {
 		analyzer: analyzer,
 		msg:      fmt.Sprintf(format, args...),
 	})
+}
+
+// reportOnce is report for the analyzers that can come to one site by two
+// routes: at most one finding per analyzer and source line, which is also
+// what a waiver covers.
+func (r *reporter) reportOnce(pos token.Pos, analyzer, format string, args ...any) {
+	p := r.fset.Position(pos)
+	key := fmt.Sprintf("%s:%s:%d", analyzer, p.Filename, p.Line)
+	if r.seen[key] {
+		return
+	}
+	if r.seen == nil {
+		r.seen = make(map[string]bool)
+	}
+	r.seen[key] = true
+	r.report(pos, analyzer, format, args...)
 }
 
 func (r *reporter) sorted() []finding {

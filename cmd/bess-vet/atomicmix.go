@@ -253,3 +253,31 @@ func owningStruct(pkgs []*pkg, v *types.Var) (*types.Struct, int) {
 	}
 	return nil, 0
 }
+
+// baseIdentObj unwraps &x, *x, (x), x[i], x[:] down to x's object.
+func baseIdentObj(p *pkg, e ast.Expr) types.Object {
+	for {
+		switch n := e.(type) {
+		case *ast.Ident:
+			if o := p.info.Uses[n]; o != nil {
+				return o
+			}
+			return p.info.Defs[n]
+		case *ast.UnaryExpr:
+			if n.Op != token.AND {
+				return nil
+			}
+			e = n.X
+		case *ast.StarExpr:
+			e = n.X
+		case *ast.ParenExpr:
+			e = n.X
+		case *ast.SliceExpr:
+			e = n.X
+		case *ast.IndexExpr:
+			e = n.X
+		default:
+			return nil
+		}
+	}
+}

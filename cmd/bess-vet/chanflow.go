@@ -11,10 +11,10 @@ import (
 // Three checks, all scoped to packages that opted into goroutine lifecycle
 // analysis:
 //
-//   - double-close and send-after-close: a path-sensitive walk of each
-//     function tracks definitely-closed channels (branches fork and merge
-//     by intersection, loop bodies are walked once, a reassignment makes
-//     the channel fresh) and flags a second close or a later send.
+//   - double-close and send-after-close: the shared path walker (pathwalk.go)
+//     tracks definitely-closed channels through each function (merging
+//     keeps what both paths closed, a reassignment makes the channel fresh)
+//     and flags a second close or a later send.
 //   - blocked-forever sender: a send inside a goroutine literal on a
 //     channel made unbuffered in this package, with no select escape (a
 //     default or a receive case alongside it), blocks forever once the
@@ -23,21 +23,12 @@ import (
 //     literal races the matching Wait; the Add belongs before the spawn.
 
 func analyzeChanFlow(pkgs []*pkg, dirs *directives, r *reporter) {
-	opted := false
-	for _, p := range pkgs {
-		if dirs.golife[p.path] {
-			opted = true
-			break
-		}
-	}
-	if !opted {
-		return
-	}
 	for _, p := range pkgs {
 		if !dirs.golife[p.path] || p.isTest {
 			continue
 		}
 		c := &chanflow{p: p, r: r, unbuffered: unbufferedChans(p)}
+		c.walk.h = c
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -52,6 +43,7 @@ func analyzeChanFlow(pkgs []*pkg, dirs *directives, r *reporter) {
 }
 
 type chanflow struct {
+	walk       pathWalker[closedState]
 	p          *pkg
 	r          *reporter
 	unbuffered map[types.Object]bool
@@ -147,165 +139,40 @@ func (s closedState) merge(other closedState) closedState {
 
 // walkFresh walks a function (or literal) body with an empty closed set.
 func (c *chanflow) walkFresh(body *ast.BlockStmt) {
-	c.walkBlock(body, make(closedState))
+	c.walk.block(body, make(closedState))
 }
 
-// walkBlock walks stmts sequentially; returns true when the path
-// terminates (return, or an unconditional branch).
-func (c *chanflow) walkBlock(block *ast.BlockStmt, st closedState) bool {
-	for _, stmt := range block.List {
-		if c.walkStmt(stmt, st) {
-			return true
-		}
+func (c *chanflow) assign(s *ast.AssignStmt, st closedState) {
+	for _, rhs := range s.Rhs {
+		c.expr(rhs, st, false)
 	}
-	return false
-}
-
-func (c *chanflow) walkStmt(stmt ast.Stmt, st closedState) bool {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		c.checkExpr(s.X, st)
-	case *ast.SendStmt:
-		c.checkSend(s, st)
-		c.walkNestedLits(s)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			c.checkExpr(rhs, st)
+	// Reassignment makes the channel a fresh value.
+	for _, lhs := range s.Lhs {
+		if o := golifeTarget(c.p, lhs); o != nil {
+			delete(st, o)
 		}
-		// Reassignment makes the channel a fresh value.
-		for _, lhs := range s.Lhs {
-			if o := golifeTarget(c.p, lhs); o != nil {
-				delete(st, o)
-			}
-		}
-	case *ast.DeferStmt:
-		// Deferred closes run at function exit; they do not close the
-		// channel for the statements that follow on this path.
-		c.walkNestedLits(s)
-	case *ast.GoStmt:
-		c.walkNestedLits(s)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.checkExpr(r, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
-	case *ast.BlockStmt:
-		return c.walkBlock(s, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.walkStmt(s.Init, st)
-		}
-		c.checkExpr(s.Cond, st)
-		thenSt := st.clone()
-		thenDead := c.walkBlock(s.Body, thenSt)
-		elseSt := st.clone()
-		elseDead := false
-		if s.Else != nil {
-			elseDead = c.walkStmt(s.Else, elseSt)
-		}
-		switch {
-		case thenDead && elseDead:
-			return true
-		case thenDead:
-			adopt(st, elseSt)
-		case elseDead:
-			adopt(st, thenSt)
-		default:
-			adopt(st, thenSt.merge(elseSt))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.walkStmt(s.Init, st)
-		}
-		// The body may run zero times: walk it for reports on a clone and
-		// discard the resulting state.
-		c.walkBlock(s.Body, st.clone())
-	case *ast.RangeStmt:
-		c.checkExpr(s.X, st)
-		c.walkBlock(s.Body, st.clone())
-	case *ast.SwitchStmt:
-		c.walkCases(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		c.walkCases(s.Body, st)
-	case *ast.SelectStmt:
-		states := make([]closedState, 0, len(s.Body.List))
-		for _, cl := range s.Body.List {
-			comm, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			caseSt := st.clone()
-			if send, ok := comm.Comm.(*ast.SendStmt); ok {
-				c.checkSend(send, caseSt)
-			}
-			dead := false
-			for _, cs := range comm.Body {
-				if c.walkStmt(cs, caseSt) {
-					dead = true
-					break
-				}
-			}
-			if !dead {
-				states = append(states, caseSt)
-			}
-		}
-		if len(states) == 0 && len(s.Body.List) > 0 {
-			return true
-		}
-		mergeAll(st, states)
-	case *ast.LabeledStmt:
-		return c.walkStmt(s.Stmt, st)
-	}
-	return false
-}
-
-func (c *chanflow) walkCases(body *ast.BlockStmt, st closedState) {
-	var states []closedState
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		caseSt := st.clone()
-		dead := false
-		for _, cs := range cc.Body {
-			if c.walkStmt(cs, caseSt) {
-				dead = true
-				break
-			}
-		}
-		if !dead {
-			states = append(states, caseSt)
-		}
-	}
-	mergeAll(st, states)
-}
-
-func adopt(dst, src closedState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
 	}
 }
 
-func mergeAll(st closedState, states []closedState) {
-	if len(states) == 0 {
-		return
-	}
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = merged.merge(s)
-	}
-	adopt(st, merged)
+func (c *chanflow) send(s *ast.SendStmt, st closedState) {
+	c.checkSend(s, st)
+	c.walkNestedLits(s)
 }
 
-// checkExpr records close(ch) calls and walks nested literals as fresh
+func (c *chanflow) cond(e ast.Expr, st closedState) (closedState, closedState) {
+	return forkAfter[closedState](c, e, st)
+}
+
+// deferred: a deferred close runs at function exit; it does not close the
+// channel for the statements that follow on this path.
+func (c *chanflow) deferred(s *ast.DeferStmt, _ closedState) { c.walkNestedLits(s) }
+func (c *chanflow) spawn(s *ast.GoStmt, _ closedState)       { c.walkNestedLits(s) }
+func (c *chanflow) exit(token.Pos, closedState)              {}
+func (c *chanflow) rejoin(_ token.Pos, _, _ closedState)     {}
+
+// expr records close(ch) calls and walks nested literals as fresh
 // functions.
-func (c *chanflow) checkExpr(e ast.Expr, st closedState) {
+func (c *chanflow) expr(e ast.Expr, st closedState, _ bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:

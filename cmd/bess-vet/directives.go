@@ -14,11 +14,8 @@ import (
 //	//bess:holds mu                    (func contract: caller holds recv.mu)
 //	//bess:prepublish                  (func builds a value not yet shared)
 //	// guarded by mu                   (struct field annotation)
-//	//bess:resource acquire=F release=G mode=pinned
 //	//bess:golife                      (package opts into goroutine lifecycle)
 //	//bess:golife ignore=<reason>      (waives the go statement on/under it)
-//	//bess:lockfree                    (func doc: taint root for lock freedom)
-//	//bess:lockfree ignore=<reason>    (waives the lock/call on/under it)
 //	//bess:hotpath                     (func doc: per-op allocations flagged)
 //	//bess:hotpath ignore=<reason>     (waives the allocation on/under it)
 //
@@ -26,7 +23,7 @@ import (
 // is itself a finding (analyzer "directive") — a typo must not silently
 // disable checking.
 type directives struct {
-	// rank maps a lock class ("Server.areaMu") to its position in the
+	// rank maps a lock class ("reader.areaMu") to its position in the
 	// declared hierarchy (1-based; outermost lowest). 0 = unranked.
 	rank      map[string]int
 	orderSrc  token.Pos // where the //bess:lockorder directive lives
@@ -36,16 +33,11 @@ type directives struct {
 	prepublish map[*types.Func]bool
 	guarded    map[*types.Var]string // struct field -> mutex field name
 
-	resources []*resourceDecl // //bess:resource pairs, all packages
-
 	golife map[string]bool // package path -> opted into goroutine lifecycle
 	// golifeIgnores maps file -> line -> waiver reason. A waiver applies to
 	// a spawn on the same line (trailing comment) or on the line below it
 	// (comment-above style). An empty reason is itself a finding.
 	golifeIgnores map[string]map[int]string
-
-	lockfreeRoots   map[*types.Func]bool // taint roots for the lockfree analyzer
-	lockfreeIgnores map[string]map[int]string
 
 	hotpath        map[*types.Func]bool // functions under per-op allocation review
 	hotpathIgnores map[string]map[int]string
@@ -63,32 +55,15 @@ type dirDiag struct {
 
 func newDirectives() *directives {
 	return &directives{
-		rank:            make(map[string]int),
-		holds:           make(map[*types.Func]string),
-		prepublish:      make(map[*types.Func]bool),
-		guarded:         make(map[*types.Var]string),
-		golife:          make(map[string]bool),
-		golifeIgnores:   make(map[string]map[int]string),
-		lockfreeRoots:   make(map[*types.Func]bool),
-		lockfreeIgnores: make(map[string]map[int]string),
-		hotpath:         make(map[*types.Func]bool),
-		hotpathIgnores:  make(map[string]map[int]string),
+		rank:           make(map[string]int),
+		holds:          make(map[*types.Func]string),
+		prepublish:     make(map[*types.Func]bool),
+		guarded:        make(map[*types.Var]string),
+		golife:         make(map[string]bool),
+		golifeIgnores:  make(map[string]map[int]string),
+		hotpath:        make(map[*types.Func]bool),
+		hotpathIgnores: make(map[string]map[int]string),
 	}
-}
-
-// resourceDecl is one //bess:resource pair. Pinned is the one mode: only
-// double-release and use-after-release are checked, because pins and
-// mappings legitimately outlive the acquiring function. The clause is
-// spelled out at every declaration so nobody reads leak checking into it.
-type resourceDecl struct {
-	name    string // "Acquire/Unpin", for messages
-	acquire *types.Func
-	release *types.Func
-	// argKeyed: the acquire returns no resource value (only error); the
-	// release identifies the resource by its first argument expression
-	// (Space.Map / Space.Unmap style). Checked for double-release only.
-	argKeyed bool
-	pos      token.Pos
 }
 
 // collect scans one type-checked package for all directive forms. Malformed
@@ -131,15 +106,8 @@ func (d *directives) badf(pos token.Pos, format string, args ...any) {
 	d.bad = append(d.bad, dirDiag{pos: pos, msg: fmt.Sprintf(format, args...)})
 }
 
-// ignoreAt records an ignore= waiver line; an empty reason is a finding
-// right away (a waiver must say why). Anything after an embedded "//" is a
-// trailing comment, not part of the reason.
-func (d *directives) ignoreAt(p *pkg, verb string, ignores map[string]map[int]string, reason string, pos token.Pos) {
-	reason, _, _ = strings.Cut(reason, "//")
-	if strings.TrimSpace(reason) == "" {
-		d.badf(pos, "//bess:%s ignore waiver needs a reason (ignore=<why this site is safe>)", verb)
-		return
-	}
+// waive records an ignore= waiver for the line at pos.
+func waive(p *pkg, ignores map[string]map[int]string, reason string, pos token.Pos) {
 	position := p.fset.Position(pos)
 	m := ignores[position.Filename]
 	if m == nil {
@@ -147,6 +115,15 @@ func (d *directives) ignoreAt(p *pkg, verb string, ignores map[string]map[int]st
 		ignores[position.Filename] = m
 	}
 	m[position.Line] = strings.TrimSpace(reason)
+}
+
+// waiverAt looks for a waiver on pos's line or the line directly above it.
+func waiverAt(ignores map[string]map[int]string, pos token.Position) (reason string, ok bool) {
+	m := ignores[pos.Filename]
+	if reason, ok = m[pos.Line]; !ok {
+		reason, ok = m[pos.Line-1]
+	}
+	return reason, ok
 }
 
 // parseDirective dispatches one "//bess:<verb> [arg]" line. rest is the text
@@ -163,14 +140,6 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		if err := d.parseOrder(arg, pos); err != nil {
 			d.badf(pos, "%v", err)
 		}
-	case "resource":
-		if arg == "" {
-			d.badf(pos, "//bess:resource needs acquire= and release= clauses")
-			return
-		}
-		if err := d.parseResource(p, arg, pos); err != nil {
-			d.badf(pos, "%v", err)
-		}
 	case "golife":
 		if arg == "" {
 			d.golife[p.path] = true
@@ -179,13 +148,7 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		if reason, ok := strings.CutPrefix(arg, "ignore="); ok {
 			// golife checks the reason itself (empty reason = golife finding),
 			// so record even an empty one.
-			position := p.fset.Position(pos)
-			m := d.golifeIgnores[position.Filename]
-			if m == nil {
-				m = make(map[int]string)
-				d.golifeIgnores[position.Filename] = m
-			}
-			m[position.Line] = strings.TrimSpace(reason)
+			waive(p, d.golifeIgnores, reason, pos)
 			return
 		}
 		d.badf(pos, "//bess:golife: unknown clause %q (want bare or ignore=<reason>)", arg)
@@ -197,27 +160,24 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 		if arg != "" {
 			d.badf(pos, "//bess:prepublish takes no argument (got %q)", arg)
 		}
-	case "lockfree":
+	case "hotpath":
+		reason, isWaiver := strings.CutPrefix(arg, "ignore=")
+		// Anything after an embedded "//" is a trailing comment, not part of
+		// the reason.
+		reason, _, _ = strings.Cut(reason, "//")
 		switch {
 		case arg == "":
 			// Bare form: attaches to the function whose doc comment holds it
 			// (collectFunc); harmless elsewhere.
-		case strings.HasPrefix(arg, "ignore="):
-			d.ignoreAt(p, "lockfree", d.lockfreeIgnores, strings.TrimPrefix(arg, "ignore="), pos)
-		default:
-			d.badf(pos, "//bess:lockfree: unknown clause %q (want bare or ignore=<reason>)", arg)
-		}
-	case "hotpath":
-		switch {
-		case arg == "":
-			// Bare form: attaches via collectFunc.
-		case strings.HasPrefix(arg, "ignore="):
-			d.ignoreAt(p, "hotpath", d.hotpathIgnores, strings.TrimPrefix(arg, "ignore="), pos)
-		default:
+		case !isWaiver:
 			d.badf(pos, "//bess:hotpath: unknown clause %q (want bare or ignore=<reason>)", arg)
+		case strings.TrimSpace(reason) == "":
+			d.badf(pos, "//bess:hotpath ignore waiver needs a reason (ignore=<why this site is safe>)")
+		default:
+			waive(p, d.hotpathIgnores, reason, pos)
 		}
 	default:
-		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, resource, golife, lockfree, hotpath)", verb)
+		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, golife, hotpath)", verb)
 	}
 }
 
@@ -256,9 +216,6 @@ func (d *directives) collectFunc(p *pkg, fn *ast.FuncDecl) {
 		if text == "bess:prepublish" {
 			d.prepublish[obj] = true
 		}
-		if text == "bess:lockfree" {
-			d.lockfreeRoots[obj] = true
-		}
 		if text == "bess:hotpath" {
 			d.hotpath[obj] = true
 		}
@@ -283,84 +240,6 @@ func (d *directives) collectGuarded(p *pkg, st *ast.StructType) {
 			}
 		}
 	}
-}
-
-// parseResource parses a //bess:resource directive. acquire/release accept
-// a package function name ("acquire") or "Type.Method" ("Pool.Acquire"),
-// resolved in the directive's own package.
-func (d *directives) parseResource(p *pkg, spec string, pos token.Pos) error {
-	r := &resourceDecl{pos: pos}
-	pinned := false
-	for _, kv := range strings.Fields(spec) {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" {
-			return fmt.Errorf("//bess:resource: bad clause %q (want key=value)", kv)
-		}
-		switch key {
-		case "acquire", "release":
-			fn, err := resolveFunc(p, val)
-			if err != nil {
-				return fmt.Errorf("//bess:resource %s=%s: %w", key, val, err)
-			}
-			if key == "acquire" {
-				r.acquire = fn
-			} else {
-				r.release = fn
-			}
-		case "mode":
-			if val != "pinned" {
-				return fmt.Errorf("//bess:resource: unknown mode %q (pinned is the only one)", val)
-			}
-			pinned = true
-		default:
-			return fmt.Errorf("//bess:resource: unknown clause %q", key)
-		}
-	}
-	if r.acquire == nil || r.release == nil || !pinned {
-		return fmt.Errorf("//bess:resource: acquire=, release= and mode=pinned are all required")
-	}
-	// The resource identity: normally the acquire's first non-error result.
-	// When the acquire returns nothing trackable, fall back to keying the
-	// release by its first argument expression (mmap-style pairs).
-	if sig, ok := r.acquire.Type().(*types.Signature); ok {
-		trackable := false
-		for i := 0; i < sig.Results().Len(); i++ {
-			if !isErrorType(sig.Results().At(i).Type()) {
-				trackable = true
-				break
-			}
-		}
-		r.argKeyed = !trackable
-	}
-	r.name = r.acquire.Name() + "/" + r.release.Name()
-	d.resources = append(d.resources, r)
-	return nil
-}
-
-// resolveFunc looks up "name" or "Type.Method" in the package scope.
-func resolveFunc(p *pkg, name string) (*types.Func, error) {
-	scope := p.tpkg.Scope()
-	if typ, method, ok := strings.Cut(name, "."); ok {
-		obj := scope.Lookup(typ)
-		tn, _ := obj.(*types.TypeName)
-		if tn == nil {
-			return nil, fmt.Errorf("type %s not found in package %s", typ, p.path)
-		}
-		named, _ := tn.Type().(*types.Named)
-		if named == nil {
-			return nil, fmt.Errorf("%s is not a named type", typ)
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == method {
-				return m, nil
-			}
-		}
-		return nil, fmt.Errorf("method %s not found on %s", method, typ)
-	}
-	if fn, ok := scope.Lookup(name).(*types.Func); ok {
-		return fn, nil
-	}
-	return nil, fmt.Errorf("function %s not found in package %s", name, p.path)
 }
 
 func guardedMu(cg *ast.CommentGroup) string {

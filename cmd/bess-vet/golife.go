@@ -29,8 +29,8 @@ import (
 //     goroutines Done — a drain helper terminates when they do.
 //
 // Spawns are expanded interprocedurally one call level (goleak.Go wrappers,
-// `go p.run()` forwarders, method values), mirroring poollife. Anything
-// with a genuinely external stop path is waived explicitly:
+// `go p.run()` forwarders, method values). Anything with a genuinely
+// external stop path is waived explicitly:
 //
 //	//bess:golife ignore=<reason>   (same line as the spawn, or line above)
 
@@ -50,11 +50,9 @@ type golifeAnalysis struct {
 	dirs *directives
 	r    *reporter
 	pkgs []*pkg
-	fset *token.FileSet
 
 	decls      map[*types.Func]golifeDecl
 	referenced map[*types.Func]bool
-	seen       map[string]bool
 }
 
 func analyzeGoLife(pkgs []*pkg, dirs *directives, r *reporter) {
@@ -72,10 +70,8 @@ func analyzeGoLife(pkgs []*pkg, dirs *directives, r *reporter) {
 		dirs:       dirs,
 		r:          r,
 		pkgs:       pkgs,
-		fset:       pkgs[0].fset,
 		decls:      make(map[*types.Func]golifeDecl),
 		referenced: make(map[*types.Func]bool),
-		seen:       make(map[string]bool),
 	}
 	a.index()
 	for _, p := range pkgs {
@@ -142,16 +138,15 @@ func isGoleakGo(p *pkg, call *ast.CallExpr) bool {
 }
 
 func (a *golifeAnalysis) checkSpawn(p *pkg, encl *ast.FuncDecl, pos token.Pos, fnExpr ast.Expr) {
-	position := a.fset.Position(pos)
-	if reason, ok := a.waiverAt(position); ok {
+	if reason, ok := waiverAt(a.dirs.golifeIgnores, a.r.fset.Position(pos)); ok {
 		if reason == "" {
-			a.reportOnce(pos, "//bess:golife ignore waiver needs a reason (ignore=<why the stop path is external>)")
+			a.r.reportOnce(pos, "golife", "//bess:golife ignore waiver needs a reason (ignore=<why the stop path is external>)")
 		}
 		return
 	}
 	bodies := a.expand(p, fnExpr, 2)
 	if len(bodies) == 0 {
-		a.reportOnce(pos, "cannot resolve the spawned function to a body; waive with //bess:golife ignore=<reason> if its stop path is external")
+		a.r.reportOnce(pos, "golife", "cannot resolve the spawned function to a body; waive with //bess:golife ignore=<reason> if its stop path is external")
 		return
 	}
 	for _, b := range bodies {
@@ -160,23 +155,7 @@ func (a *golifeAnalysis) checkSpawn(p *pkg, encl *ast.FuncDecl, pos token.Pos, f
 			return
 		}
 	}
-	a.reportOnce(pos, "goroutine has no provable stop path: no done-channel close, stop flag, WaitGroup join, or error-break on a closable source is reachable from shutdown; fix the teardown or waive with //bess:golife ignore=<reason>")
-}
-
-// waiverAt looks for an ignore= directive on the spawn's line or the line
-// directly above it.
-func (a *golifeAnalysis) waiverAt(pos token.Position) (string, bool) {
-	m := a.dirs.golifeIgnores[pos.Filename]
-	if m == nil {
-		return "", false
-	}
-	if r, ok := m[pos.Line]; ok {
-		return r, true
-	}
-	if r, ok := m[pos.Line-1]; ok {
-		return r, true
-	}
-	return "", false
+	a.r.reportOnce(pos, "golife", "goroutine has no provable stop path: no done-channel close, stop flag, WaitGroup join, or error-break on a closable source is reachable from shutdown; fix the teardown or waive with //bess:golife ignore=<reason>")
 }
 
 // expand resolves the spawned expression to the bodies it executes: the
@@ -184,30 +163,27 @@ func (a *golifeAnalysis) waiverAt(pos token.Position) (string, bool) {
 // bodies of module functions it calls as plain statements — the forwarder
 // and goleak.Go-wrapper shapes.
 func (a *golifeAnalysis) expand(p *pkg, e ast.Expr, depth int) []golifeBody {
-	e = ast.Unparen(e)
-	var out []golifeBody
-	switch n := e.(type) {
-	case *ast.FuncLit:
-		out = append(out, golifeBody{p: p, body: n.Body})
-		if depth > 0 {
-			out = append(out, a.expandCalls(p, n.Body, depth-1)...)
-		}
-	case *ast.Ident, *ast.SelectorExpr:
-		var obj types.Object
-		switch id := n.(type) {
-		case *ast.Ident:
-			obj = p.info.Uses[id]
-		case *ast.SelectorExpr:
-			obj = p.info.Uses[id.Sel]
-		}
-		if fn, ok := obj.(*types.Func); ok {
-			if d, ok := a.decls[fn]; ok && d.fd.Body != nil {
-				out = append(out, golifeBody{p: d.p, body: d.fd.Body})
-				if depth > 0 {
-					out = append(out, a.expandCalls(d.p, d.fd.Body, depth-1)...)
-				}
-			}
-		}
+	lit, ok := ast.Unparen(e).(*ast.FuncLit)
+	if !ok {
+		return a.declBodies(funcOf(p, e), depth)
+	}
+	out := []golifeBody{{p: p, body: lit.Body}}
+	if depth > 0 {
+		out = append(out, a.expandCalls(p, lit.Body, depth-1)...)
+	}
+	return out
+}
+
+// declBodies is the body of module function fn (nil, or bodiless: none) plus,
+// depth permitting, those of the functions it forwards to.
+func (a *golifeAnalysis) declBodies(fn *types.Func, depth int) []golifeBody {
+	d, ok := a.decls[fn]
+	if !ok || d.fd.Body == nil {
+		return nil
+	}
+	out := []golifeBody{{p: d.p, body: d.fd.Body}}
+	if depth > 0 {
+		out = append(out, a.expandCalls(d.p, d.fd.Body, depth-1)...)
 	}
 	return out
 }
@@ -216,18 +192,7 @@ func (a *golifeAnalysis) expand(p *pkg, e ast.Expr, depth int) []golifeBody {
 // statements (or defers) of body.
 func (a *golifeAnalysis) expandCalls(p *pkg, body *ast.BlockStmt, depth int) []golifeBody {
 	var out []golifeBody
-	add := func(call *ast.CallExpr) {
-		fn := calleeOf(p, call)
-		if fn == nil {
-			return
-		}
-		if d, ok := a.decls[fn]; ok && d.fd.Body != nil {
-			out = append(out, golifeBody{p: d.p, body: d.fd.Body})
-			if depth > 0 {
-				out = append(out, a.expandCalls(d.p, d.fd.Body, depth-1)...)
-			}
-		}
-	}
+	add := func(call *ast.CallExpr) { out = append(out, a.declBodies(calleeOf(p, call), depth)...) }
 	for _, st := range body.List {
 		switch s := st.(type) {
 		case *ast.ExprStmt:
@@ -644,16 +609,6 @@ func (a *golifeAnalysis) anyLiveBody(fn func(p *pkg, fd *ast.FuncDecl) bool) boo
 		}
 	}
 	return false
-}
-
-func (a *golifeAnalysis) reportOnce(pos token.Pos, format string, args ...any) {
-	p := a.fset.Position(pos)
-	key := p.Filename + ":" + itoa(p.Line)
-	if a.seen[key] {
-		return
-	}
-	a.seen[key] = true
-	a.r.report(pos, "golife", format, args...)
 }
 
 // --- shared identity helpers ---

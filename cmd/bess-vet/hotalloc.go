@@ -26,17 +26,14 @@ import (
 type hotallocAnalysis struct {
 	dirs *directives
 	r    *reporter
-	fset *token.FileSet
-	seen map[string]bool
 }
 
 func analyzeHotAlloc(pkgs []*pkg, dirs *directives, r *reporter) {
 	if len(dirs.hotpath) == 0 {
 		return
 	}
-	a := &hotallocAnalysis{dirs: dirs, r: r, seen: make(map[string]bool)}
+	a := &hotallocAnalysis{dirs: dirs, r: r}
 	for _, p := range pkgs {
-		a.fset = p.fset
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -162,20 +159,8 @@ func isByteSlice(t types.Type) bool {
 }
 
 func (a *hotallocAnalysis) flag(pos token.Pos, msg string) {
-	position := a.fset.Position(pos)
-	m := a.dirs.hotpathIgnores[position.Filename]
-	if m != nil {
-		if _, ok := m[position.Line]; ok {
-			return
-		}
-		if _, ok := m[position.Line-1]; ok {
-			return
-		}
-	}
-	key := position.Filename + ":" + itoa(position.Line) + ":" + itoa(position.Column)
-	if a.seen[key] {
+	if _, waived := waiverAt(a.dirs.hotpathIgnores, a.r.fset.Position(pos)); waived {
 		return
 	}
-	a.seen[key] = true
-	a.r.report(pos, "hotalloc", "%s; or waive with //bess:hotpath ignore=<reason>", msg)
+	a.r.reportOnce(pos, "hotalloc", "%s; or waive with //bess:hotpath ignore=<reason>", msg)
 }

@@ -23,7 +23,7 @@ const (
 
 type heldLock struct {
 	name     string // instance identity, e.g. "s.areaMu", "l.mu"
-	class    string // declared class "Server.areaMu", "" if untyped/local
+	class    string // declared class "reader.areaMu", "" if untyped/local
 	shared   bool   // held via RLock
 	deferred bool   // a defer guarantees the release
 	contract bool   // seeded from //bess:holds (caller owns the release)
@@ -59,10 +59,24 @@ type fstate struct {
 	held []heldLock
 }
 
-func (st *fstate) copy() *fstate {
-	c := &fstate{held: make([]heldLock, len(st.held))}
-	copy(c.held, st.held)
-	return c
+func (st *fstate) clone() *fstate {
+	return &fstate{held: append([]heldLock(nil), st.held...)}
+}
+
+// merge keeps the locks held on both paths; a release is deferred only if
+// both deferred it.
+func (st *fstate) merge(o *fstate) *fstate {
+	out := &fstate{}
+	for _, h := range st.held {
+		for _, oh := range o.held {
+			if oh.name == h.name {
+				h.deferred = h.deferred && oh.deferred
+				out.held = append(out.held, h)
+				break
+			}
+		}
+	}
+	return out
 }
 
 func (st *fstate) find(name string) int {
@@ -74,7 +88,9 @@ func (st *fstate) find(name string) int {
 	return -1
 }
 
+// flow is the lock-flow analysis: the pathHooks the shared walker drives.
 type flow struct {
+	walk     pathWalker[*fstate]
 	p        *pkg
 	dirs     *directives
 	res      *flowResult
@@ -104,6 +120,7 @@ func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
 		return res
 	}
 	w := &flow{p: p, dirs: dirs, res: res, exempt: make(map[types.Object]bool), contract: make(map[string]bool)}
+	w.walk.h = w
 	st := &fstate{}
 	// //bess:holds mu seeds the state: the caller acquired recv.mu and will
 	// release it; the body may unlock/relock but must exit with it held.
@@ -120,10 +137,16 @@ func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
 			})
 		}
 	}
-	if !w.walkBlock(decl.Body, st) {
-		w.emitExit(decl.Body.End(), st)
-	}
+	w.body(decl.Body, st)
 	return res
+}
+
+// body walks one function or literal body from st; falling off its end is an
+// exit too.
+func (w *flow) body(b *ast.BlockStmt, st *fstate) {
+	if st, ended := w.walk.block(b, st); !ended {
+		w.exit(b.End(), st)
+	}
 }
 
 // classOfRecvField resolves "TypeName.mu" for a //bess:holds seed.
@@ -143,13 +166,9 @@ func (w *flow) classOfRecvField(decl *ast.FuncDecl, mu string) string {
 	}
 }
 
-func (w *flow) snap(st *fstate) []heldLock {
-	out := make([]heldLock, len(st.held))
-	copy(out, st.held)
-	return out
-}
+func (w *flow) snap(st *fstate) []heldLock { return st.clone().held }
 
-func (w *flow) emitExit(pos token.Pos, st *fstate) {
+func (w *flow) exit(pos token.Pos, st *fstate) {
 	w.res.events = append(w.res.events, event{kind: evExit, pos: pos, held: w.snap(st), inLit: w.litDepth > 0})
 }
 
@@ -257,14 +276,19 @@ func (w *flow) asLockOp(call *ast.CallExpr) *lockOp {
 		return nil
 	}
 	op := &lockOp{recv: sel.X, name: render(sel.X), method: sel.Sel.Name, variant: variant}
-	// Lock class: the receiver is a named field of some struct.
+	// Lock class: the receiver is a named field of some struct — the struct
+	// that declares it, so a field promoted through an embedded struct has
+	// one class however it is reached.
 	if fieldSel, ok := sel.X.(*ast.SelectorExpr); ok {
 		if s, ok := w.p.info.Selections[fieldSel]; ok && s.Kind() == types.FieldVal {
-			rt := s.Recv()
-			if ptr, ok := rt.(*types.Pointer); ok {
-				rt = ptr.Elem()
+			owner := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				if ptr, ok := owner.Underlying().(*types.Pointer); ok {
+					owner = ptr.Elem()
+				}
+				owner = owner.Underlying().(*types.Struct).Field(i).Type()
 			}
-			if n, ok := rt.(*types.Named); ok {
+			if n := namedOf(owner); n != nil {
 				op.class = n.Obj().Name() + "." + fieldSel.Sel.Name
 			}
 		}
@@ -291,8 +315,8 @@ func (w *flow) applyRelease(op *lockOp, st *fstate) {
 
 // --- expression scanning ---
 
-// scanExpr walks an expression tree emitting call, access, and lock events.
-func (w *flow) scanExpr(e ast.Expr, st *fstate, write bool) {
+// expr walks an expression tree emitting call, access, and lock events.
+func (w *flow) expr(e ast.Expr, st *fstate, write bool) {
 	switch n := e.(type) {
 	case nil:
 		return
@@ -312,86 +336,78 @@ func (w *flow) scanExpr(e ast.Expr, st *fstate, write bool) {
 		}
 		// delete(m.field, k) writes through the map field.
 		if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
-			w.scanExpr(n.Args[0], st, true)
-			w.scanExpr(n.Args[1], st, false)
+			w.expr(n.Args[0], st, true)
+			w.expr(n.Args[1], st, false)
 			return
 		}
 		w.emitCall(n, st)
 		for _, a := range n.Args {
-			w.scanExpr(a, st, false)
+			w.expr(a, st, false)
 		}
 		// Calls through selector chains read the chain.
 		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-			w.scanExpr(sel.X, st, false)
+			w.expr(sel.X, st, false)
 		}
 	case *ast.SelectorExpr:
 		w.emitAccess(n, st, write)
-		w.scanExpr(n.X, st, false)
+		w.expr(n.X, st, false)
 	case *ast.IndexExpr:
 		// Indexing an annotated map/slice field reads or writes the field.
-		w.scanExpr(n.X, st, write)
-		w.scanExpr(n.Index, st, false)
+		w.expr(n.X, st, write)
+		w.expr(n.Index, st, false)
 	case *ast.IndexListExpr:
-		w.scanExpr(n.X, st, write)
+		w.expr(n.X, st, write)
 		for _, ix := range n.Indices {
-			w.scanExpr(ix, st, false)
+			w.expr(ix, st, false)
 		}
 	case *ast.SliceExpr:
-		w.scanExpr(n.X, st, write)
-		w.scanExpr(n.Low, st, false)
-		w.scanExpr(n.High, st, false)
-		w.scanExpr(n.Max, st, false)
+		w.expr(n.X, st, write)
+		w.expr(n.Low, st, false)
+		w.expr(n.High, st, false)
+		w.expr(n.Max, st, false)
 	case *ast.UnaryExpr:
 		if n.Op == token.AND {
 			// Taking a field's address escapes it; require the write lock.
-			w.scanExpr(n.X, st, true)
+			w.expr(n.X, st, true)
 			return
 		}
-		w.scanExpr(n.X, st, false)
+		w.expr(n.X, st, false)
 	case *ast.BinaryExpr:
-		w.scanExpr(n.X, st, false)
-		w.scanExpr(n.Y, st, false)
+		w.expr(n.X, st, false)
+		w.expr(n.Y, st, false)
 	case *ast.ParenExpr:
-		w.scanExpr(n.X, st, write)
+		w.expr(n.X, st, write)
 	case *ast.StarExpr:
-		w.scanExpr(n.X, st, write)
+		w.expr(n.X, st, write)
 	case *ast.TypeAssertExpr:
-		w.scanExpr(n.X, st, false)
+		w.expr(n.X, st, false)
 	case *ast.CompositeLit:
 		for _, el := range n.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				w.scanExpr(kv.Value, st, false)
+				w.expr(kv.Value, st, false)
 				continue
 			}
-			w.scanExpr(el, st, false)
+			w.expr(el, st, false)
 		}
 	case *ast.FuncLit:
 		// A function literal runs in its own dynamic context (goroutine,
 		// callback, deferred cleanup): analyze with an empty held set.
 		w.litDepth++
-		sub := &fstate{}
-		if !w.walkBlock(n.Body, sub) {
-			w.emitExit(n.Body.End(), sub)
-		}
+		w.body(n.Body, &fstate{})
 		w.litDepth--
 	case *ast.KeyValueExpr:
-		w.scanExpr(n.Value, st, false)
+		w.expr(n.Value, st, false)
 	}
 }
 
 func (w *flow) emitCall(call *ast.CallExpr, st *fstate) {
-	var obj types.Object
-	var recvExpr string
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = w.p.info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = w.p.info.Uses[fun.Sel]
-		recvExpr = render(fun.X)
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	fn := calleeOf(w.p, call)
+	if fn == nil {
 		return
+	}
+	var recvExpr string
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		recvExpr = render(sel.X)
 	}
 	w.res.events = append(w.res.events, event{
 		kind: evCall, pos: call.Pos(), held: w.snap(st),
@@ -422,16 +438,7 @@ func (w *flow) emitAccess(sel *ast.SelectorExpr, st *fstate, write bool) {
 	})
 }
 
-// --- statement walking ---
-
-func (w *flow) walkBlock(b *ast.BlockStmt, st *fstate) bool {
-	for _, s := range b.List {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
+// --- statements: the hooks the shared walker calls ---
 
 // isConstructorRHS reports whether e builds a brand-new value (composite
 // literal, &literal, or new(T)) that no other goroutine can reference yet.
@@ -452,133 +459,44 @@ func isConstructorRHS(e ast.Expr) bool {
 	return false
 }
 
-// terminates reports whether a call never returns (panic, os.Exit, Fatal*).
-func (w *flow) callTerminates(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		name := fun.Sel.Name
-		if name == "Exit" || name == "Goexit" || strings.HasPrefix(name, "Fatal") {
-			if id, ok := fun.X.(*ast.Ident); ok {
-				switch id.Name {
-				case "os", "runtime", "log", "t", "b", "tb":
-					return true
+func (w *flow) assign(n *ast.AssignStmt, st *fstate) {
+	for _, r := range n.Rhs {
+		w.expr(r, st, false)
+	}
+	for i, l := range n.Lhs {
+		if id, ok := l.(*ast.Ident); ok {
+			if n.Tok == token.DEFINE && i < len(n.Rhs) && isConstructorRHS(n.Rhs[i]) {
+				if obj := w.p.info.Defs[id]; obj != nil {
+					w.exempt[obj] = true
 				}
 			}
+			continue // writes to locals carry no annotation
 		}
+		w.expr(l, st, true)
 	}
-	return false
 }
 
-func (w *flow) walkStmt(s ast.Stmt, st *fstate) bool {
-	switch n := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := n.X.(*ast.CallExpr); ok && w.callTerminates(call) {
-			w.scanExpr(n.X, st, false)
-			return true
-		}
-		w.scanExpr(n.X, st, false)
-	case *ast.AssignStmt:
-		for _, r := range n.Rhs {
-			w.scanExpr(r, st, false)
-		}
-		for i, l := range n.Lhs {
-			if id, ok := l.(*ast.Ident); ok {
-				if n.Tok == token.DEFINE && i < len(n.Rhs) && isConstructorRHS(n.Rhs[i]) {
-					if obj := w.p.info.Defs[id]; obj != nil {
-						w.exempt[obj] = true
-					}
-				}
-				continue // writes to locals carry no annotation
-			}
-			w.scanExpr(l, st, true)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(n.X, st, true)
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, st, false)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		w.walkDefer(n, st)
-	case *ast.GoStmt:
-		// The spawned goroutine starts with an empty held set.
-		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			w.litDepth++
-			sub := &fstate{}
-			if !w.walkBlock(fl.Body, sub) {
-				w.emitExit(fl.Body.End(), sub)
-			}
-			w.litDepth--
-		} else {
-			empty := &fstate{}
-			w.emitCall(n.Call, empty)
-		}
-		for _, a := range n.Call.Args {
-			w.scanExpr(a, st, false)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range n.Results {
-			w.scanExpr(r, st, false)
-		}
-		w.emitExit(n.Pos(), st)
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the enclosing construct, not the
-		// function; the loop/switch walk treats them as path ends.
-		return true
-	case *ast.BlockStmt:
-		return w.walkBlock(n, st)
-	case *ast.IfStmt:
-		return w.walkIf(n, st)
-	case *ast.ForStmt:
-		if n.Init != nil {
-			w.walkStmt(n.Init, st)
-		}
-		w.scanExpr(n.Cond, st, false)
-		body := st.copy()
-		w.walkBlock(n.Body, body)
-		if n.Post != nil {
-			w.walkStmt(n.Post, body)
-		}
-		w.leakCheck(n.Body.End(), st, body)
-	case *ast.RangeStmt:
-		w.scanExpr(n.X, st, false)
-		body := st.copy()
-		w.walkBlock(n.Body, body)
-		w.leakCheck(n.Body.End(), st, body)
-	case *ast.SwitchStmt:
-		if n.Init != nil {
-			w.walkStmt(n.Init, st)
-		}
-		w.scanExpr(n.Tag, st, false)
-		return w.walkCases(n.Body, st, true)
-	case *ast.TypeSwitchStmt:
-		if n.Init != nil {
-			w.walkStmt(n.Init, st)
-		}
-		w.walkStmt(n.Assign, st)
-		return w.walkCases(n.Body, st, true)
-	case *ast.SelectStmt:
-		return w.walkCases(n.Body, st, false)
-	case *ast.LabeledStmt:
-		return w.walkStmt(n.Stmt, st)
-	case *ast.SendStmt:
-		w.scanExpr(n.Chan, st, false)
-		w.scanExpr(n.Value, st, false)
-	}
-	return false
+func (w *flow) send(n *ast.SendStmt, st *fstate) {
+	w.expr(n.Chan, st, false)
+	w.expr(n.Value, st, false)
 }
 
-// walkDefer handles `defer X`: unlock defers satisfy every exit path.
-func (w *flow) walkDefer(n *ast.DeferStmt, st *fstate) {
+// spawn: the new goroutine starts with an empty held set.
+func (w *flow) spawn(n *ast.GoStmt, st *fstate) {
+	if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
+		w.litDepth++
+		w.body(fl.Body, &fstate{})
+		w.litDepth--
+	} else {
+		w.emitCall(n.Call, &fstate{})
+	}
+	for _, a := range n.Call.Args {
+		w.expr(a, st, false)
+	}
+}
+
+// deferred handles `defer X`: unlock defers satisfy every exit path.
+func (w *flow) deferred(n *ast.DeferStmt, st *fstate) {
 	if op := w.asLockOp(n.Call); op != nil {
 		if op.method == "Unlock" || op.method == "RUnlock" {
 			if i := st.find(op.name); i >= 0 {
@@ -603,7 +521,7 @@ func (w *flow) walkDefer(n *ast.DeferStmt, st *fstate) {
 	}
 	w.emitCall(n.Call, st)
 	for _, a := range n.Call.Args {
-		w.scanExpr(a, st, false)
+		w.expr(a, st, false)
 	}
 }
 
@@ -626,109 +544,31 @@ func (w *flow) tryLockCond(cond ast.Expr) (*lockOp, bool) {
 	return op, !neg
 }
 
-func (w *flow) walkIf(n *ast.IfStmt, st *fstate) bool {
-	if n.Init != nil {
-		w.walkStmt(n.Init, st)
+// cond: `if mu.TryLock()` holds the lock on one arm only.
+func (w *flow) cond(e ast.Expr, st *fstate) (*fstate, *fstate) {
+	op, thenHolds := w.tryLockCond(e)
+	if op == nil {
+		return forkAfter[*fstate](w, e, st)
 	}
-	thenSt := st.copy()
-	elseSt := st.copy()
-	if op, thenHolds := w.tryLockCond(n.Cond); op != nil {
-		if thenHolds {
-			w.applyAcquire(op, n.Cond.Pos(), thenSt)
-		} else {
-			w.applyAcquire(op, n.Cond.Pos(), elseSt)
-		}
+	thenSt, elseSt := st, st.clone()
+	if thenHolds {
+		w.applyAcquire(op, e.Pos(), thenSt)
 	} else {
-		w.scanExpr(n.Cond, st, false)
-		thenSt = st.copy()
-		elseSt = st.copy()
+		w.applyAcquire(op, e.Pos(), elseSt)
 	}
-	tTerm := w.walkBlock(n.Body, thenSt)
-	eTerm := false
-	if n.Else != nil {
-		eTerm = w.walkStmt(n.Else, elseSt)
-	}
-	switch {
-	case tTerm && eTerm:
-		return true
-	case tTerm:
-		st.held = elseSt.held
-	case eTerm:
-		st.held = thenSt.held
-	default:
-		w.leakCheck(n.End(), thenSt, elseSt)
-		st.held = intersectHeld(thenSt.held, elseSt.held)
-	}
-	return false
+	return thenSt, elseSt
 }
 
-// walkCases merges switch/select clause bodies. implicitSkip adds the
-// "no case matched" path for switches without a default clause.
-func (w *flow) walkCases(body *ast.BlockStmt, st *fstate, implicitSkip bool) bool {
-	var survivors [][]heldLock
-	hasDefault := false
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.scanExpr(e, st, false)
-			}
-			if c.List == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.walkStmt(c.Comm, st.copy())
-			} else {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		cst := st.copy()
-		term := false
-		for _, s := range stmts {
-			if w.walkStmt(s, cst) {
-				term = true
-				break
-			}
-		}
-		if !term {
-			survivors = append(survivors, cst.held)
-		}
-	}
-	if implicitSkip && !hasDefault {
-		survivors = append(survivors, st.copy().held)
-	}
-	if len(survivors) == 0 {
-		return len(body.List) > 0
-	}
-	merged := survivors[0]
-	for _, s := range survivors[1:] {
-		merged = intersectHeld(merged, s)
-	}
-	st.held = merged
-	return false
-}
-
-// leakCheck flags locks held after one branch but not another — the
+// rejoin flags locks held after one branch but not another — the
 // conditionally-leaked-lock bug class (an un-released TryLock arm, or a
 // Lock with the Unlock only on one path).
-func (w *flow) leakCheck(pos token.Pos, a, b *fstate) {
+func (w *flow) rejoin(pos token.Pos, a, b *fstate) {
 	report := func(only *fstate, other *fstate) {
 		for _, h := range only.held {
 			if h.deferred || h.contract {
 				continue
 			}
-			found := false
-			for _, o := range other.held {
-				if o.name == h.name {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if other.find(h.name) < 0 {
 				w.res.events = append(w.res.events, event{
 					kind: evBranchLeak, pos: pos, name: h.name, held: []heldLock{h},
 				})
@@ -737,19 +577,4 @@ func (w *flow) leakCheck(pos token.Pos, a, b *fstate) {
 	}
 	report(a, b)
 	report(b, a)
-}
-
-func intersectHeld(a, b []heldLock) []heldLock {
-	var out []heldLock
-	for _, h := range a {
-		for _, o := range b {
-			if o.name == h.name {
-				m := h
-				m.deferred = h.deferred && o.deferred
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -8,9 +8,6 @@
 //   - guarded: struct fields annotated `// guarded by <mu>` may only be
 //     touched with that mutex held (writes need the exclusive lock).
 //   - defers: every Lock/RLock is paired with an Unlock on every exit path.
-//   - poollife: acquire/release pairs declared by //bess:resource (page
-//     pins, version pins, mmap mappings) are never released twice and never
-//     used after their release.
 //   - atomicmix: a field accessed through sync/atomic anywhere must be
 //     accessed atomically everywhere, and plain 64-bit fields used with the
 //     64-bit atomics must be 8-aligned under the 32-bit layout.
@@ -22,10 +19,6 @@
 //     no double-close or send-after-close on any path, no unbuffered sends
 //     from goroutines without a select escape, no WaitGroup.Add inside the
 //     spawned goroutine.
-//   - lockfree: interprocedural taint from //bess:lockfree roots (snapshot
-//     fetch, snapshot scans, version-chain readers): any reachable
-//     Lock/RLock or lock-manager Acquire is a finding unless waived with
-//     //bess:lockfree ignore=<reason>.
 //   - hotalloc: per-op heap allocations in //bess:hotpath functions (make,
 //     nil-base append clones, string<->[]byte conversions, closures,
 //     interface boxing) must be pooled, hoisted, or waived with
@@ -67,7 +60,7 @@ func main() {
 	}
 	var (
 		dir     = flag.String("C", ".", "module directory to analyze")
-		only    = flag.String("only", "", "comma-separated analyzer subset (lockorder,durability,guarded,defers,poollife,atomicmix,golife,chanflow,lockfree,hotalloc,directive)")
+		only    = flag.String("only", "", "comma-separated analyzer subset ("+strings.Join(analyzerNames, ",")+")")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	)
 	flag.Parse()
@@ -124,9 +117,26 @@ func main() {
 	}
 }
 
+// analyzerNames are the eight analyzers plus the directive check, in the
+// order run applies them; -only takes any subset.
+var analyzerNames = []string{"directive", "lockorder", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow", "hotalloc"}
+
 // run loads the module rooted at (or above) dir and applies the selected
 // analyzers to the packages matching patterns.
 func run(dir string, patterns []string, only string) ([]finding, error) {
+	enabled := map[string]bool{}
+	for _, a := range analyzerNames {
+		enabled[a] = only == ""
+	}
+	for _, a := range strings.Split(only, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		}
+		if _, known := enabled[a]; !known {
+			return nil, fmt.Errorf("-only: no analyzer %q (have %s)", a, strings.Join(analyzerNames, ", "))
+		}
+		enabled[a] = true
+	}
 	modRoot, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -150,21 +160,6 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 		flows = append(flows, flowsOf(p, dirs)...)
 	}
 
-	enabled := map[string]bool{}
-	if only == "" {
-		enabled = map[string]bool{
-			"lockorder": true, "durability": true, "guarded": true, "defers": true,
-			"poollife": true, "atomicmix": true,
-			"golife": true, "chanflow": true,
-			"lockfree": true, "hotalloc": true,
-			"directive": true,
-		}
-	} else {
-		for _, a := range strings.Split(only, ",") {
-			enabled[strings.TrimSpace(a)] = true
-		}
-	}
-
 	r := &reporter{fset: l.fset}
 	if enabled["directive"] {
 		for _, b := range dirs.bad {
@@ -183,9 +178,6 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	if enabled["durability"] {
 		analyzeDurability(pkgs, r)
 	}
-	if enabled["poollife"] {
-		analyzePoolLife(pkgs, dirs, r)
-	}
 	if enabled["atomicmix"] {
 		analyzeAtomicMix(pkgs, dirs, r)
 	}
@@ -194,9 +186,6 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	}
 	if enabled["chanflow"] {
 		analyzeChanFlow(pkgs, dirs, r)
-	}
-	if enabled["lockfree"] {
-		analyzeLockFree(pkgs, dirs, r)
 	}
 	if enabled["hotalloc"] {
 		analyzeHotAlloc(pkgs, dirs, r)

@@ -55,6 +55,30 @@ func closeMany(chans []chan int) {
 	}
 }
 
+// loneCase is clean: a switch without a default has a path on which no case
+// ran, so the close in its only case is not a close on every path.
+func loneCase(n int) {
+	ch := make(chan int, 1)
+	switch n {
+	case 0:
+		close(ch)
+	}
+	ch <- 1
+	close(ch)
+}
+
+// everyCase closes on every path: the default clause leaves no way around.
+func everyCase(n int) {
+	ch := make(chan int, 1)
+	switch n {
+	case 0:
+		close(ch)
+	default:
+		close(ch)
+	}
+	close(ch) // want chanflow
+}
+
 // --- blocked-forever senders: unbuffered sends without a select escape ---
 
 type relay struct{ done chan struct{} }

@@ -7,18 +7,13 @@ package directive
 //
 //bess:lockorde Reg.mu < Reg.copyMu // want directive
 
-// The resource pair is incomplete (release= missing) and the acquire
-// function does not exist; either way, checking would vanish.
-//
-//bess:resource acquire=get // want directive
-
 // golife's only argument form is ignore=<reason>.
 //
 //bess:golife ignore // want directive
 
 // An ignore waiver without a reason is worthless in review.
 //
-//bess:lockfree ignore= // want directive
+//bess:hotpath ignore= // want directive
 
 // prepublish takes no argument.
 //
@@ -26,7 +21,7 @@ package directive
 
 // Unknown verb outright.
 //
-//bess:lockfrees // want directive
+//bess:hotpaths // want directive
 
 // Reg exists so the (never-registered) lock classes above name something.
 type Reg struct{ mu, copyMu int }

@@ -94,10 +94,17 @@ func TestAnalyzerSubset(t *testing.T) {
 	if len(findings) == 0 {
 		t.Fatal("guarded fixtures produced no findings")
 	}
+	// A name -only does not know selects nothing, silently, unless it is
+	// refused: the two analyzers that became types are gone by name too.
+	for _, gone := range []string{"poollife", "guarded,lockfree"} {
+		if _, err := run(root, []string{"./..."}, gone); err == nil {
+			t.Errorf("-only=%s accepted", gone)
+		}
+	}
 }
 
 // TestRealTreeClean is the acceptance gate: the repository's own packages
-// must be clean under all seven analyzers.
+// must be clean under every analyzer.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")

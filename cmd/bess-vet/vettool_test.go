@@ -56,32 +56,32 @@ func writeUnitConfig(t *testing.T, cfg *vetConfig) string {
 // TestVettoolFindingsUnitScoped: the per-unit analysis must surface the
 // fixture's intended findings and only for files inside the unit.
 func TestVettoolFindingsUnitScoped(t *testing.T) {
-	cfg, abs := fixtureUnitConfig(t, "lockfree")
+	cfg, abs := fixtureUnitConfig(t, "chanflow")
 	findings, err := vettoolFindings(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) == 0 {
-		t.Fatal("vettoolFindings returned no findings for the lockfree fixture")
+		t.Fatal("vettoolFindings returned no findings for the chanflow fixture")
 	}
-	sawLockfree := false
+	sawChanflow := false
 	for _, f := range findings {
 		if !strings.HasPrefix(filepath.Clean(f.pos.Filename), abs) {
 			t.Errorf("finding outside the unit: %s", f.pos.Filename)
 		}
-		if f.analyzer == "lockfree" {
-			sawLockfree = true
+		if f.analyzer == "chanflow" {
+			sawChanflow = true
 		}
 	}
-	if !sawLockfree {
-		t.Error("no lockfree finding in the lockfree unit")
+	if !sawChanflow {
+		t.Error("no chanflow finding in the chanflow unit")
 	}
 }
 
 // TestVettoolUnitExitCodes: a findings unit exits 1 and always writes the
 // facts file; a VetxOnly (dependency) unit exits 0 without analyzing.
 func TestVettoolUnitExitCodes(t *testing.T) {
-	cfg, _ := fixtureUnitConfig(t, "lockfree")
+	cfg, _ := fixtureUnitConfig(t, "chanflow")
 	if code := vettoolUnit(writeUnitConfig(t, cfg)); code != 1 {
 		t.Fatalf("findings unit exited %d, want 1", code)
 	}

@@ -38,9 +38,14 @@ type Slot struct {
 	Dirty   bool
 	Pins    int
 	Counter int // number of processes that can access this slot (§4.2)
+
+	// claimed: a Pin taken on a miss is replacing this slot's page. The slot
+	// is a hit for nobody until the pin Fills it or lets it go.
+	claimed bool
 }
 
-// Evicted describes a replaced slot so the caller can write back dirty data.
+// Evicted describes a page leaving its slot so the caller can write back dirty
+// data.
 type Evicted struct {
 	ID    page.ID
 	Dirty bool
@@ -55,10 +60,9 @@ type Stats struct {
 
 // Pool is the shared cache: a fixed array of page-size slots plus the
 // level-2 clock. Safe for concurrent use.
-//
-//bess:resource acquire=Pool.Acquire release=Pool.Unpin mode=pinned
 type Pool struct {
-	mu sync.Mutex
+	mu      sync.Mutex
+	settled *sync.Cond // on mu: a claimed slot was filled or given back
 	// data is deliberately unguarded: SlotData hands out slices into the
 	// arena and pin counts, not mu, keep concurrent users apart.
 	data   []byte          // nslots * page.Size, one contiguous arena (Figure 3)
@@ -73,11 +77,13 @@ func NewPool(nslots int) *Pool {
 	if nslots < 1 {
 		nslots = 1
 	}
-	return &Pool{
+	p := &Pool{
 		data:   make([]byte, nslots*page.Size),
 		slots:  make([]Slot, nslots),
 		lookup: make(map[page.ID]int, nslots),
 	}
+	p.settled = sync.NewCond(&p.mu)
+	return p
 }
 
 // Cap returns the number of slots.
@@ -93,20 +99,7 @@ func (p *Pool) SlotData(i int) []byte {
 	return p.data[i*page.Size : (i+1)*page.Size]
 }
 
-// Lookup finds the slot caching id, counting a hit or miss.
-func (p *Pool) Lookup(id page.ID) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, ok := p.lookup[id]
-	if ok {
-		p.stats.Hits++
-	} else {
-		p.stats.Misses++
-	}
-	return i, ok
-}
-
-// Peek is Lookup without statistics (internal checks).
+// Peek finds the slot caching id without counting a hit or a miss.
 func (p *Pool) Peek(id page.ID) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -124,80 +117,134 @@ func (p *Pool) Slot(i int) (Slot, error) {
 	return p.slots[i], nil
 }
 
-// Acquire returns a slot for id: the existing one on a hit, or a victim
-// chosen by the level-2 clock on a miss (the caller then fills SlotData and
-// calls Commit). The returned Evicted is non-nil when a dirty slot was
-// replaced. The slot is pinned; Unpin when done.
-func (p *Pool) Acquire(id page.ID) (slot int, hit bool, ev *Evicted, err error) {
+// Acquire pins a slot for id and returns the hold on it. On a hit the slot
+// holds id's bytes. On a miss (Pin.Hit reports false) the level-2 clock has
+// chosen a slot and the pin has claimed it: the caller writes Pin.Victim back
+// if it is dirty, then either Fills the slot with id's bytes or Releases the
+// pin, which puts the slot back as it was — victim, bytes and dirty flag.
+// Until one of the two happens, an Acquire of id or of the victim by anyone
+// else waits, so nobody sees a claimed slot's bytes under either name.
+func (p *Pool) Acquire(id page.ID) (*Pin, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if i, ok := p.lookup[id]; ok {
-		p.stats.Hits++
-		p.slots[i].Pins++
-		return i, true, nil, nil
+	for {
+		i, ok := p.lookup[id]
+		if !ok {
+			break
+		}
+		if !p.slots[i].claimed {
+			p.stats.Hits++
+			p.slots[i].Pins++
+			return &Pin{p: p, slot: i, hit: true}, nil
+		}
+		p.settled.Wait()
 	}
 	p.stats.Misses++
-	i, ev, err := p.victimLocked()
+	i, err := p.victimLocked()
 	if err != nil {
-		return 0, false, nil, err
+		return nil, err
 	}
-	p.slots[i] = Slot{ID: id, Valid: true, Pins: 1}
+	s := &p.slots[i]
+	h := &Pin{p: p, slot: i, id: id, claim: true}
+	if s.Valid {
+		h.victim = &Evicted{ID: s.ID, Dirty: s.Dirty}
+		if s.Dirty {
+			h.victim.Data = append([]byte(nil), p.SlotData(i)...)
+		}
+	}
+	s.claimed, s.Pins = true, 1
 	p.lookup[id] = i
-	return i, false, ev, nil
+	return h, nil
 }
 
-// victimLocked runs the level-2 clock: sweep slots, replace one with
-// counter zero and no pins. Invalid slots are taken immediately.
+// victimLocked runs the level-2 clock: sweep slots, take one with counter
+// zero and no pins — an empty one, or a page to replace. The page stays
+// cached until the claim on its slot is filled.
 //
 //bess:holds mu
-func (p *Pool) victimLocked() (int, *Evicted, error) {
+func (p *Pool) victimLocked() (int, error) {
 	n := len(p.slots)
 	for step := 0; step < 2*n; step++ {
 		i := p.hand
 		p.hand = (p.hand + 1) % n
 		p.stats.SweepSteps++
-		s := &p.slots[i]
-		if !s.Valid {
-			return i, nil, nil
+		if s := &p.slots[i]; s.Pins == 0 && s.Counter == 0 {
+			return i, nil
 		}
-		if s.Pins > 0 || s.Counter > 0 {
-			continue
-		}
-		// Replaceable.
-		var ev *Evicted
-		if s.Dirty {
-			ev = &Evicted{ID: s.ID, Dirty: true, Data: append([]byte(nil), p.SlotData(i)...)}
-		} else {
-			ev = &Evicted{ID: s.ID}
-		}
-		delete(p.lookup, s.ID)
-		p.stats.Evictions++
-		*s = Slot{}
-		return i, ev, nil
 	}
-	return 0, nil, ErrNoVictim
+	return 0, ErrNoVictim
 }
 
-// Pin prevents slot i from being replaced.
-func (p *Pool) Pin(i int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.slots) || !p.slots[i].Valid {
-		return ErrBadSlot
-	}
-	p.slots[i].Pins++
-	return nil
+// Pin is one hold on a pool slot: the slot is not replaced while the pin
+// lives. Release ends it and spends the handle — releasing twice, or asking a
+// released pin for its slot, is a bug in the caller and panics rather than
+// touch a slot that may by then be someone else's. A Pin is used by one
+// goroutine.
+type Pin struct {
+	p      *Pool
+	slot   int
+	hit    bool
+	id     page.ID  // the page the slot is claimed for (miss only)
+	victim *Evicted // the page the claim replaces, if any (miss only)
+	claim  bool     // claimed on a miss and not yet filled
+	spent  bool
 }
 
-// Unpin releases a pin.
-func (p *Pool) Unpin(i int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.slots) || p.slots[i].Pins == 0 {
-		return ErrBadSlot
+func (h *Pin) live(op string) {
+	if h.spent {
+		panic("cache: " + op + " on a released pin")
 	}
-	p.slots[i].Pins--
-	return nil
+}
+
+// Slot returns the index of the pinned slot.
+func (h *Pin) Slot() int {
+	h.live("Slot")
+	return h.slot
+}
+
+// Hit reports whether the slot already held the page when it was acquired;
+// false means the caller owes the pin a Fill or a Release.
+func (h *Pin) Hit() bool { return h.hit }
+
+// Victim returns the page a miss is about to replace, nil when the claimed
+// slot was empty. Data is set when the page is dirty: write it back before
+// Fill lets the page go.
+func (h *Pin) Victim() *Evicted { return h.victim }
+
+// Fill completes a miss: data becomes the slot's bytes, the victim leaves the
+// cache, and the slot is a hit for the page from here on.
+func (h *Pin) Fill(data []byte) {
+	h.live("Fill")
+	if !h.claim {
+		panic("cache: Fill on a pin whose slot is already filled")
+	}
+	// Unlocked: nobody else can reach a claimed slot's bytes.
+	copy(h.p.SlotData(h.slot), data)
+	h.p.mu.Lock()
+	if s := &h.p.slots[h.slot]; s.Valid {
+		delete(h.p.lookup, s.ID)
+		h.p.stats.Evictions++
+	}
+	h.p.slots[h.slot] = Slot{ID: h.id, Valid: true, Pins: 1}
+	h.claim = false
+	h.p.settled.Broadcast()
+	h.p.mu.Unlock()
+}
+
+// Release ends the hold. Before Fill it also gives the claim up: the slot is
+// again what it was — empty, or the victim with its bytes and dirty flag.
+func (h *Pin) Release() {
+	h.live("Release")
+	h.spent = true
+	h.p.mu.Lock()
+	s := &h.p.slots[h.slot]
+	s.Pins--
+	if h.claim {
+		delete(h.p.lookup, h.id)
+		s.claimed = false
+		h.p.settled.Broadcast()
+	}
+	h.p.mu.Unlock()
 }
 
 // MarkDirty flags slot i for write-back on eviction.
@@ -244,45 +291,6 @@ func (p *Pool) DecCounter(i int) error {
 	}
 	p.slots[i].Counter--
 	return nil
-}
-
-// DropIfClean removes a clean, unpinned, unreferenced page from the cache
-// (callback invalidation uses this).
-func (p *Pool) DropIfClean(id page.ID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, ok := p.lookup[id]
-	if !ok {
-		return true
-	}
-	s := &p.slots[i]
-	if s.Dirty || s.Pins > 0 || s.Counter > 0 {
-		return false
-	}
-	delete(p.lookup, id)
-	*s = Slot{}
-	return true
-}
-
-// Drop removes id unconditionally (after forced write-back), returning the
-// dirty bytes if any.
-func (p *Pool) Drop(id page.ID) *Evicted {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, ok := p.lookup[id]
-	if !ok {
-		return nil
-	}
-	s := &p.slots[i]
-	var ev *Evicted
-	if s.Dirty {
-		ev = &Evicted{ID: id, Dirty: true, Data: append([]byte(nil), p.SlotData(i)...)}
-	} else {
-		ev = &Evicted{ID: id}
-	}
-	delete(p.lookup, id)
-	*s = Slot{}
-	return ev
 }
 
 // Snapshot returns cumulative statistics.

@@ -1,29 +1,54 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"bess/internal/page"
 )
 
 func pid(n int) page.ID { return page.ID{Area: 1, Page: page.No(n)} }
 
+// hold acquires page n and returns the pin, a miss filled with nothing new.
+func hold(t *testing.T, p *Pool, n int) *Pin {
+	t.Helper()
+	h, err := p.Acquire(pid(n))
+	if err != nil {
+		t.Fatalf("acquire %d: %v", n, err)
+	}
+	if !h.Hit() {
+		h.Fill(nil)
+	}
+	return h
+}
+
+// touch brings page n in and lets it go again: its slot, and the page it
+// replaced.
+func touch(t *testing.T, p *Pool, n int) (int, *Evicted) {
+	t.Helper()
+	h := hold(t, p, n)
+	defer h.Release()
+	return h.Slot(), h.Victim()
+}
+
 func TestAcquireHitMiss(t *testing.T) {
 	p := NewPool(4)
-	s1, hit, ev, err := p.Acquire(pid(1))
-	if err != nil || hit || ev != nil {
-		t.Fatalf("first acquire: %d %v %v %v", s1, hit, ev, err)
+	h1, err := p.Acquire(pid(1))
+	if err != nil || h1.Hit() || h1.Victim() != nil {
+		t.Fatalf("first acquire: %+v %v", h1, err)
 	}
-	copy(p.SlotData(s1), []byte("page-one"))
-	p.Unpin(s1)
-	s2, hit, _, err := p.Acquire(pid(1))
-	if err != nil || !hit || s2 != s1 {
-		t.Fatalf("second acquire: %d %v %v", s2, hit, err)
+	h1.Fill([]byte("page-one"))
+	s1 := h1.Slot()
+	h1.Release()
+	h2, err := p.Acquire(pid(1))
+	if err != nil || !h2.Hit() || h2.Slot() != s1 {
+		t.Fatalf("second acquire: %+v %v", h2, err)
 	}
-	if string(p.SlotData(s2)[:8]) != "page-one" {
+	if string(p.SlotData(s1)[:8]) != "page-one" {
 		t.Fatal("data lost")
 	}
-	p.Unpin(s2)
+	h2.Release()
 	st := p.Snapshot()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -32,20 +57,15 @@ func TestAcquireHitMiss(t *testing.T) {
 
 func TestEvictionWritesBackDirty(t *testing.T) {
 	p := NewPool(2)
-	a, _, _, _ := p.Acquire(pid(1))
-	copy(p.SlotData(a), []byte("dirty-bytes"))
-	p.MarkDirty(a)
-	p.Unpin(a)
-	b, _, _, _ := p.Acquire(pid(2))
-	p.Unpin(b)
+	a := hold(t, p, 1)
+	copy(p.SlotData(a.Slot()), []byte("dirty-bytes"))
+	p.MarkDirty(a.Slot())
+	a.Release()
+	touch(t, p, 2)
 	// Third page evicts one of the two; continue until pid(1) goes.
 	var ev *Evicted
 	for n := 3; n < 6; n++ {
-		s, _, e, err := p.Acquire(pid(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(s)
+		_, e := touch(t, p, n)
 		if e != nil && e.ID == pid(1) {
 			ev = e
 			break
@@ -61,86 +81,44 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 
 func TestPinPreventsEviction(t *testing.T) {
 	p := NewPool(2)
-	a, _, _, _ := p.Acquire(pid(1)) // stays pinned
-	b, _, _, _ := p.Acquire(pid(2))
-	p.Unpin(b)
-	s, _, ev, err := p.Acquire(pid(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil || ev.ID != pid(2) {
+	hold(t, p, 1) // stays pinned
+	touch(t, p, 2)
+	if _, ev := touch(t, p, 3); ev == nil || ev.ID != pid(2) {
 		t.Fatalf("evicted %+v, want pid(2)", ev)
 	}
-	p.Unpin(s)
-	_ = a
-	// Now both remaining are pinned (slot a) or just acquired (pinned).
-	if _, _, _, err := p.Acquire(pid(4)); err != nil {
-		t.Fatal(err) // s was unpinned, so 4 can replace 3
+	// 3 was let go, so 4 can replace it; 1 is still pinned.
+	if _, ev := touch(t, p, 4); ev == nil || ev.ID != pid(3) {
+		t.Fatalf("evicted %+v, want pid(3)", ev)
 	}
 }
 
 func TestNoVictimWhenAllPinned(t *testing.T) {
 	p := NewPool(2)
-	p.Acquire(pid(1))
-	p.Acquire(pid(2))
-	if _, _, _, err := p.Acquire(pid(3)); err != ErrNoVictim {
+	hold(t, p, 1)
+	hold(t, p, 2)
+	if _, err := p.Acquire(pid(3)); err != ErrNoVictim {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestCounterBlocksReplacement(t *testing.T) {
 	p := NewPool(2)
-	a, _, _, _ := p.Acquire(pid(1))
-	p.Unpin(a)
+	a, _ := touch(t, p, 1)
 	p.IncCounter(a) // some process can access this slot
-	b, _, _, _ := p.Acquire(pid(2))
-	p.Unpin(b)
+	b, _ := touch(t, p, 2)
 	p.IncCounter(b)
-	if _, _, _, err := p.Acquire(pid(3)); err != ErrNoVictim {
+	if _, err := p.Acquire(pid(3)); err != ErrNoVictim {
 		t.Fatalf("counters ignored: %v", err)
 	}
 	p.DecCounter(a)
-	s, _, ev, err := p.Acquire(pid(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil || ev.ID != pid(1) {
+	if _, ev := touch(t, p, 3); ev == nil || ev.ID != pid(1) {
 		t.Fatalf("evicted %+v", ev)
-	}
-	p.Unpin(s)
-}
-
-func TestDropIfClean(t *testing.T) {
-	p := NewPool(2)
-	a, _, _, _ := p.Acquire(pid(1))
-	p.Unpin(a)
-	if !p.DropIfClean(pid(1)) {
-		t.Fatal("clean drop refused")
-	}
-	if _, ok := p.Peek(pid(1)); ok {
-		t.Fatal("page still cached")
-	}
-	b, _, _, _ := p.Acquire(pid(2))
-	p.MarkDirty(b)
-	p.Unpin(b)
-	if p.DropIfClean(pid(2)) {
-		t.Fatal("dirty drop allowed")
-	}
-	ev := p.Drop(pid(2))
-	if ev == nil || !ev.Dirty {
-		t.Fatalf("forced drop: %+v", ev)
-	}
-	if p.Drop(pid(99)) != nil {
-		t.Fatal("drop of absent page returned eviction")
-	}
-	if !p.DropIfClean(pid(99)) {
-		t.Fatal("absent DropIfClean should be true")
 	}
 }
 
 func TestMarkCleanAndDirtyPages(t *testing.T) {
 	p := NewPool(4)
-	a, _, _, _ := p.Acquire(pid(1))
+	a := hold(t, p, 1).Slot()
 	p.MarkDirty(a)
 	if len(p.DirtyPages()) != 1 {
 		t.Fatal("dirty list")
@@ -159,8 +137,7 @@ func TestFrameClockSecondChance(t *testing.T) {
 	var unmapped []int
 	fc := NewFrameClock(p, 3, func(frame, slot int) { unmapped = append(unmapped, frame) })
 
-	s0, _, _, _ := p.Acquire(pid(1))
-	p.Unpin(s0)
+	s0, _ := touch(t, p, 1)
 	if err := fc.MapFrame(0, s0); err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +178,7 @@ func TestFrameClockSecondChance(t *testing.T) {
 func TestFrameClockTouchGivesSecondChance(t *testing.T) {
 	p := NewPool(2)
 	fc := NewFrameClock(p, 1, nil)
-	s0, _, _, _ := p.Acquire(pid(1))
-	p.Unpin(s0)
+	s0, _ := touch(t, p, 1)
 	fc.MapFrame(0, s0)
 	fc.SweepOne() // demote
 	if err := fc.Touch(0); err != nil {
@@ -220,10 +196,8 @@ func TestFrameClockTouchGivesSecondChance(t *testing.T) {
 func TestFrameClockRemap(t *testing.T) {
 	p := NewPool(4)
 	fc := NewFrameClock(p, 2, nil)
-	s0, _, _, _ := p.Acquire(pid(1))
-	p.Unpin(s0)
-	s1, _, _, _ := p.Acquire(pid(2))
-	p.Unpin(s1)
+	s0, _ := touch(t, p, 1)
+	s1, _ := touch(t, p, 2)
 	fc.MapFrame(0, s0)
 	fc.MapFrame(0, s1) // remap frame 0 to another slot
 	a, _ := p.Slot(s0)
@@ -243,8 +217,7 @@ func TestFrameClockRelease(t *testing.T) {
 	p := NewPool(4)
 	fc := NewFrameClock(p, 3, nil)
 	for i := 0; i < 3; i++ {
-		s, _, _, _ := p.Acquire(pid(i + 1))
-		p.Unpin(s)
+		s, _ := touch(t, p, i+1)
 		fc.MapFrame(i, s)
 	}
 	fc.Release()
@@ -255,11 +228,7 @@ func TestFrameClockRelease(t *testing.T) {
 	}
 	// All counters back to zero → everything replaceable.
 	for n := 10; n < 14; n++ {
-		s, _, _, err := p.Acquire(pid(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(s)
+		touch(t, p, n)
 	}
 }
 
@@ -270,14 +239,13 @@ func TestTwoLevelPressure(t *testing.T) {
 	fc1 := NewFrameClock(p, 3, nil)
 	fc2 := NewFrameClock(p, 3, nil)
 	for i := 0; i < 3; i++ {
-		s, _, _, _ := p.Acquire(pid(i + 1))
-		p.Unpin(s)
+		s, _ := touch(t, p, i+1)
 		fc1.MapFrame(i, s)
 		if i < 2 {
 			fc2.MapFrame(i, s) // process 2 shares two of the slots
 		}
 	}
-	if _, _, _, err := p.Acquire(pid(9)); err != ErrNoVictim {
+	if _, err := p.Acquire(pid(9)); err != ErrNoVictim {
 		t.Fatalf("expected no victim, got %v", err)
 	}
 	// Level 1 pressure on both processes until a slot frees.
@@ -286,19 +254,136 @@ func TestTwoLevelPressure(t *testing.T) {
 		t.Fatal("pressure freed nothing")
 	}
 	fc2.Pressure(3)
-	s, _, ev, err := p.Acquire(pid(9))
-	if err != nil {
-		t.Fatalf("after pressure: %v", err)
-	}
-	if ev == nil {
+	if _, ev := touch(t, p, 9); ev == nil {
 		t.Fatal("no eviction")
 	}
-	p.Unpin(s)
 }
 
 func TestStateStrings(t *testing.T) {
 	if FrameInvalid.String() != "invalid" || FrameProtected.String() != "protected" ||
 		FrameAccessible.String() != "accessible" {
 		t.Fatal("frame state strings")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A released pin is spent: it can neither unpin again — the slot may be
+// someone else's by then — nor name its slot.
+func TestPinSpentByRelease(t *testing.T) {
+	p := NewPool(1)
+	h := hold(t, p, 1)
+	slot := h.Slot()
+	h.Release()
+	other := hold(t, p, 2) // same slot, someone else's pin now
+	mustPanic(t, "second Release", h.Release)
+	mustPanic(t, "Slot after Release", func() { h.Slot() })
+	mustPanic(t, "Fill after Release", func() { h.Fill(nil) })
+	if sl, _ := p.Slot(slot); sl.Pins != 1 || sl.ID != pid(2) {
+		t.Fatalf("spent pin touched the slot: %+v", sl)
+	}
+	mustPanic(t, "Fill of a hit", func() { other.Fill(nil) })
+	other.Release()
+}
+
+// A claim given up before Fill puts the slot back as it was: the victim with
+// its bytes and its dirty flag, and nothing cached under the new id.
+func TestUnfilledClaimRestoresVictim(t *testing.T) {
+	p := NewPool(1)
+	h := hold(t, p, 1)
+	copy(p.SlotData(h.Slot()), "modified")
+	p.MarkDirty(h.Slot())
+	h.Release()
+
+	c, err := p.Acquire(pid(2))
+	if err != nil || c.Hit() {
+		t.Fatalf("claim: %+v %v", c, err)
+	}
+	if ev := c.Victim(); ev == nil || ev.ID != pid(1) || !ev.Dirty || string(ev.Data[:8]) != "modified" {
+		t.Fatalf("victim = %+v", ev)
+	}
+	c.Release() // the write-back or the fetch failed
+	if _, ok := p.Peek(pid(2)); ok {
+		t.Fatal("page 2 cached by a claim that was never filled")
+	}
+	again, err := p.Acquire(pid(1))
+	if err != nil || !again.Hit() {
+		t.Fatalf("victim gone after a failed claim: %+v %v", again, err)
+	}
+	if sl, _ := p.Slot(again.Slot()); !sl.Dirty || string(p.SlotData(again.Slot())[:8]) != "modified" {
+		t.Fatalf("victim came back changed: %+v %q", sl, p.SlotData(again.Slot())[:8])
+	}
+	again.Release()
+	if st := p.Snapshot(); st.Evictions != 0 {
+		t.Fatalf("evictions = %d for a page that never left", st.Evictions)
+	}
+}
+
+// A claimed slot is a hit for nobody: an Acquire of the incoming page or of
+// the victim waits for the claim to settle, then sees the page's own bytes.
+func TestClaimedSlotIsNotAHit(t *testing.T) {
+	for _, fill := range []bool{true, false} {
+		p := NewPool(1)
+		h := hold(t, p, 1)
+		copy(p.SlotData(h.Slot()), "one")
+		h.Release()
+		c, err := p.Acquire(pid(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type got struct {
+			hit  bool
+			data string
+		}
+		res := make(chan got, 2)
+		for _, n := range []int{1, 2} {
+			n := n
+			go func() {
+				w, err := p.Acquire(pid(n))
+				for err == ErrNoVictim { // the other waiter's pin, for a moment
+					runtime.Gosched()
+					w, err = p.Acquire(pid(n))
+				}
+				if err != nil {
+					t.Error(err)
+					res <- got{}
+					return
+				}
+				g := got{hit: w.Hit()}
+				if w.Hit() {
+					g.data = string(p.SlotData(w.Slot())[:3])
+				}
+				w.Release()
+				res <- g
+			}()
+		}
+		select {
+		case g := <-res:
+			t.Fatalf("fill=%v: an Acquire got past the claim: %+v", fill, g)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if fill {
+			c.Fill([]byte("two"))
+		}
+		c.Release()
+		// One waiter hits the page that ended up in the slot and reads that
+		// page's bytes; the other finds its page gone and claims the slot.
+		want := "one"
+		if fill {
+			want = "two"
+		}
+		for i := 0; i < 2; i++ {
+			if g := <-res; g.hit && g.data != want {
+				t.Fatalf("fill=%v: a waiter hit foreign bytes %q, want %q", fill, g.data, want)
+			}
+		}
 	}
 }

@@ -19,15 +19,19 @@ import (
 // the pre-update image while any snapshot is open) and publishes the staged
 // set at commit (CommitTx stamps the captured images with their validity
 // window and bumps the segment's commit stamp). A snapshot read at stamp T
-// resolves to exactly one of: a chain entry whose [From, Until) window
+// resolves to exactly one of: a chain entry whose [from, until) window
 // contains T, the current disk image (when the segment's stamp is ≤ T and
 // no update is mid-overwrite), or ErrTrimmed — the caller reconstructs the
 // image from WAL before-images instead.
 //
 // Retention is bounded two ways: a watermark GC goroutine drops every entry
-// whose Until is at or below the oldest open snapshot (all entries, when no
-// snapshot is open), and a per-segment cap evicts the oldest unpinned entry
-// beyond maxVersions (snapshots that still needed it fall back to the WAL).
+// whose window ends at or below the oldest open snapshot (all entries, when no
+// snapshot is open), and a per-segment cap evicts the oldest entries beyond
+// maxVersions (snapshots that still needed one fall back to the WAL). There
+// are no pins: a retained image is immutable after StageUpdate's one copy, so
+// AsOf hands it out by value and dropping an entry drops only the chain's
+// reference — the bytes live as long as the reply that holds them (Larson et
+// al., PAPERS.md, reclaim by the oldest reader's watermark alone).
 // The GC goroutine carries stop evidence for bess-vet's golife analyzer:
 //
 //bess:golife
@@ -65,16 +69,12 @@ func cloneImage(im VImage) VImage {
 	}
 }
 
-// Version is one retained committed image, valid for snapshot stamps in
-// [From, Until). It is handed out pinned by AsOf; the pin excludes it from
-// GC until Release.
-type Version struct {
-	Key   VKey
-	From  page.LSN // commit stamp that produced this image
-	Until page.LSN // commit stamp that superseded it
-	Img   VImage
-
-	pins int // pin count; accessed only under the owning store's mu
+// version is one retained committed image, valid for snapshot stamps in
+// [from, until).
+type version struct {
+	from  page.LSN // commit stamp that produced this image
+	until page.LSN // commit stamp that superseded it
+	img   VImage
 }
 
 // stagedUpdate is one segment an in-flight transaction has begun
@@ -105,14 +105,12 @@ type VStats struct {
 const RankVersionStoreMu lockcheck.Rank = 55
 
 // VersionStore retains superseded segment images for open snapshots.
-//
-//bess:resource acquire=VersionStore.AsOf release=VersionStore.Release mode=pinned
 type VersionStore struct {
 	oldest func() (page.LSN, bool) // oldest open snapshot (the GC watermark)
 
 	mu      lockcheck.Mutex
 	cond    *sync.Cond
-	chains  map[VKey][]*Version       // ascending From; guarded by mu
+	chains  map[VKey][]version        // ascending from; guarded by mu
 	stamp   map[VKey]page.LSN         // last commit stamp per key; guarded by mu
 	staged  map[VKey]int              // in-flight overwrites per key; guarded by mu
 	pending map[uint64][]stagedUpdate // per-tx staged updates; guarded by mu
@@ -130,7 +128,7 @@ type VersionStore struct {
 func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
 	vs := &VersionStore{
 		oldest:      oldest,
-		chains:      make(map[VKey][]*Version),
+		chains:      make(map[VKey][]version),
 		stamp:       make(map[VKey]page.LSN),
 		staged:      make(map[VKey]int),
 		pending:     make(map[uint64][]stagedUpdate),
@@ -156,7 +154,7 @@ func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
 	return vs
 }
 
-// Close stops the GC goroutine and drops every unpinned entry. Idempotent.
+// Close stops the GC goroutine and drops every entry. Idempotent.
 func (vs *VersionStore) Close() {
 	vs.stopOnce.Do(func() { close(vs.stop) })
 	<-vs.done
@@ -199,17 +197,16 @@ func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage, capture b
 }
 
 // CommitTx publishes txID's staged updates at commit stamp: captured old
-// images join their chains with Until=stamp, segment stamps advance, and
+// images join their chains with until=stamp, segment stamps advance, and
 // waiting snapshot reads wake. Runs from the tx commit hook, before lock
 // release.
 func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 	vs.mu.Lock()
 	for _, u := range vs.pending[txID] {
 		if u.old != nil {
-			v := &Version{Key: u.key, From: u.from, Until: stamp, Img: *u.old}
-			vs.chains[u.key] = append(vs.chains[u.key], v)
+			vs.chains[u.key] = append(vs.chains[u.key], version{from: u.from, until: stamp, img: *u.old})
 			vs.stats.Entries++
-			vs.stats.Bytes += int64(v.Img.size())
+			vs.stats.Bytes += int64(u.old.size())
 			vs.capChainLocked(u.key)
 		}
 		vs.stamp[u.key] = stamp
@@ -243,59 +240,41 @@ func (vs *VersionStore) unstageLocked(key VKey) {
 
 // AsOf resolves key as of snapshot stamp t.
 //
-//   - (v, nil): serve v.Img — a pinned chain entry; Release it afterwards.
-//   - (nil, nil): the current disk image is the as-of-t version. The caller
-//     reads it and must confirm with Recheck before trusting it (an update
-//     may stage mid-read); on a false Recheck, call AsOf again.
-//   - (nil, ErrTrimmed): no retained version covers t — reconstruct from
-//     the WAL.
+//   - (img, true, nil): serve img, a retained chain image. It is shared and
+//     immutable: read it, never write it.
+//   - (_, false, nil): the current disk image is the as-of-t version. The
+//     caller reads it and must confirm with Recheck before trusting it (an
+//     update may stage mid-read); on a false Recheck, call AsOf again.
+//   - (_, false, ErrTrimmed): no retained version covers t — reconstruct
+//     from the WAL.
 //
 // AsOf blocks while key is mid-overwrite by an uncommitted update that a
 // disk read would race (snapshot reads never block on locks, only on the
 // short page-copy window of a committing writer).
-func (vs *VersionStore) AsOf(key VKey, t page.LSN) (*Version, error) {
+func (vs *VersionStore) AsOf(key VKey, t page.LSN) (img VImage, hit bool, err error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	for {
-		if st := vs.stamp[key]; st <= t {
-			// Current image is old enough. A zero st means the segment has
-			// not been updated since startup; its image predates every
-			// snapshot this store can have issued.
-			if vs.staged[key] == 0 {
-				vs.stats.DiskReads++
-				return nil, nil
-			}
-			vs.stats.Waits++
-			vs.cond.Wait()
-			continue
+	for vs.stamp[key] <= t {
+		// Current image is old enough. A zero stamp means the segment has
+		// not been updated since startup; its image predates every snapshot
+		// this store can have issued.
+		if vs.staged[key] == 0 {
+			vs.stats.DiskReads++
+			return VImage{}, false, nil
 		}
-		// Superseded after t: serve the chain entry covering t, if retained.
-		var best *Version
-		for _, v := range vs.chains[key] {
-			if v.From <= t && t < v.Until {
-				best = v
-				break
-			}
-		}
-		if best == nil {
-			vs.stats.Trimmed++
-			return nil, ErrTrimmed
-		}
-		best.pins++
-		vs.stats.ChainHits++
-		return best, nil
+		vs.stats.Waits++
+		vs.cond.Wait()
 	}
-}
-
-// Release unpins a version returned by AsOf. Release(nil) is a no-op (the
-// disk-image outcome).
-func (vs *VersionStore) Release(v *Version) {
-	if v == nil {
-		return
+	// Superseded after t: serve the chain entry covering t, if retained.
+	chain := vs.chains[key]
+	for i := range chain {
+		if v := &chain[i]; v.from <= t && t < v.until {
+			vs.stats.ChainHits++
+			return v.img, true, nil
+		}
 	}
-	vs.mu.Lock()
-	v.pins--
-	vs.mu.Unlock()
+	vs.stats.Trimmed++
+	return VImage{}, false, ErrTrimmed
 }
 
 // Recheck reports whether a disk image read after an AsOf disk-read verdict
@@ -308,9 +287,8 @@ func (vs *VersionStore) Recheck(key VKey, t page.LSN) bool {
 }
 
 // Trim drops every entry no open snapshot can reach: all of them when no
-// snapshot is open, otherwise those whose Until is at or below the oldest
-// snapshot's stamp. Pinned entries survive. Called by the GC goroutine and
-// on snapshot close.
+// snapshot is open, otherwise those whose window ends at or below the oldest
+// snapshot's stamp. Called by the GC goroutine and on snapshot close.
 func (vs *VersionStore) Trim() {
 	w, any := vs.oldest()
 	vs.mu.Lock()
@@ -320,49 +298,48 @@ func (vs *VersionStore) Trim() {
 	vs.mu.Unlock()
 }
 
+// trimChainLocked drops key's entries no snapshot at or above w can reach
+// (all of them when none is open). A chain ascends — each commit of a
+// segment supersedes the one before — so they are its oldest.
+//
 //bess:holds mu
 func (vs *VersionStore) trimChainLocked(key VKey, w page.LSN, any bool) {
 	chain := vs.chains[key]
-	kept := chain[:0]
-	for _, v := range chain {
-		if v.pins == 0 && (!any || v.Until <= w) {
-			vs.stats.Entries--
-			vs.stats.Bytes -= int64(v.Img.size())
-			vs.stats.Trims++
-			continue
-		}
-		kept = append(kept, v)
+	n := 0
+	for n < len(chain) && (!any || chain[n].until <= w) {
+		n++
 	}
+	vs.dropOldestLocked(key, n)
+}
+
+// capChainLocked evicts the oldest entries beyond maxVersions.
+//
+//bess:holds mu
+func (vs *VersionStore) capChainLocked(key VKey) {
+	vs.dropOldestLocked(key, len(vs.chains[key])-vs.maxVersions)
+}
+
+// dropOldestLocked drops key's n oldest entries (n <= 0: none): the chain
+// lets go of their images, whoever else holds them keeps them.
+//
+//bess:holds mu
+func (vs *VersionStore) dropOldestLocked(key VKey, n int) {
+	chain := vs.chains[key]
+	if n <= 0 {
+		return
+	}
+	for i := range chain[:n] {
+		vs.stats.Entries--
+		vs.stats.Bytes -= int64(chain[i].img.size())
+		vs.stats.Trims++
+	}
+	kept := append(chain[:0], chain[n:]...)
+	clear(chain[len(kept):]) // the array under the chain keeps no image it dropped
 	if len(kept) == 0 {
 		delete(vs.chains, key)
 		return
 	}
 	vs.chains[key] = kept
-}
-
-// capChainLocked evicts the oldest unpinned entries beyond maxVersions.
-//
-//bess:holds mu
-func (vs *VersionStore) capChainLocked(key VKey) {
-	chain := vs.chains[key]
-	for len(chain) > vs.maxVersions {
-		drop := -1
-		for i, v := range chain {
-			if v.pins == 0 {
-				drop = i
-				break
-			}
-		}
-		if drop < 0 {
-			break
-		}
-		v := chain[drop]
-		vs.stats.Entries--
-		vs.stats.Bytes -= int64(v.Img.size())
-		vs.stats.Trims++
-		chain = append(chain[:drop], chain[drop+1:]...)
-	}
-	vs.chains[key] = chain
 }
 
 // VersionStats returns a copy of the counters.

@@ -27,7 +27,7 @@ type Func func(seg proto.SegKey) (refused bool, err error)
 const pollInterval = 5 * time.Millisecond
 
 // rankTableMu places Table.mu in the //bess:lockorder hierarchy
-// (internal/server/lockorder.go): inside Server.areaMu, outside Server.snapMu.
+// (internal/server/lockorder.go): inside reader.areaMu, outside Server.snapMu.
 const rankTableMu lockcheck.Rank = 20
 
 // Table is a client registry plus, per segment, the set of clients caching it.

@@ -375,8 +375,11 @@ func TestSnapshotWritesRefused(t *testing.T) {
 }
 
 // TestSnapshotZeroLocks pins the perf claim at its root: a snapshot read
-// phase — open, warm read, cold fetch, close — makes zero lock-manager
-// acquisitions, while the 2PL baseline read demonstrably does not.
+// phase — open, warm read, cold fetch, close — and a snapshot StreamScan over
+// an rpc peer make zero lock-manager acquisitions, while the 2PL baseline read
+// demonstrably does not. The server's half of it holds by construction (the
+// reader and runScan have no lock manager, DESIGN.md §4f); this is the
+// end-to-end measurement.
 func TestSnapshotZeroLocks(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -435,6 +438,42 @@ func TestSnapshotZeroLocks(t *testing.T) {
 	if after.Acquires != before.Acquires {
 		t.Fatalf("snapshot read phase acquired %d locks, want 0",
 			after.Acquires-before.Acquires)
+	}
+
+	// The pushed path: SnapScanStart's cursor reads every image as of the
+	// stamp, while a writer commits underneath it.
+	const fileID, nSegs, objsPer, blobLen = 9, 3, 4, 64
+	segs := populateScanFile(t, w, fileID, nSegs, objsPer, blobLen)
+	sc, remote := openRemote(t, srv, "scanner")
+	defer func() { _ = remote.Close() }()
+	if _, err := sc.RegisterType(blobType); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.BeginSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Begin(); err != nil { // supersede one image: a chain hit, not a disk read
+		t.Fatal(err)
+	}
+	if _, err := w.CreateObject(segs[0], td.ID, nodeBytes(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before = srv.LockStats()
+	n := 0
+	if err := sc.StreamScan(fileID, func(vmem.Addr, *swizzle.Object) error { n++; return nil }); err != nil {
+		t.Fatalf("snapshot StreamScan: %v", err)
+	}
+	if n != nSegs*objsPer {
+		t.Fatalf("snapshot scan visited %d objects, want %d", n, nSegs*objsPer)
+	}
+	if err := sc.EndSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if after = srv.LockStats(); after.Acquires != before.Acquires {
+		t.Fatalf("snapshot stream scan acquired %d locks, want 0", after.Acquires-before.Acquires)
 	}
 
 	// Sanity check the meter itself: the strict-2PL baseline read acquires.

@@ -367,8 +367,8 @@ func (f *File) Scan(fn func(*Object) error) error {
 // StreamScan visits every live object like Scan, but through the
 // push-based streaming pipeline when the session is RPC-backed: the server
 // streams segment images ahead of the cursor, so a cold scan costs one
-// round trip instead of two per segment (DESIGN.md §6). On direct
-// connections and pre-streaming servers it falls back to Scan.
+// round trip instead of two per segment (DESIGN.md §6). On a direct
+// connection, which has no stream to push over, it is Scan.
 func (f *File) StreamScan(fn func(*Object) error) error {
 	return f.db.sess.StreamScan(f.id, func(_ vmem.Addr, obj *swizzle.Object) error {
 		return fn(&Object{obj: obj, db: f.db})
@@ -452,14 +452,7 @@ func (f *File) ParallelScan(conn proto.Conn, dbName string, workers int, fn func
 				return
 			}
 			for i := w; i < len(segs); i += workers {
-				id := segs[i]
-				addr0, err := sess.AddrOfSlot(id, 0)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				_ = addr0
-				if err := scanOneSegment(sess, id, fn); err != nil {
+				if err := scanOneSegment(sess, segs[i], fn); err != nil {
 					errCh <- err
 					return
 				}

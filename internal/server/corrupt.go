@@ -54,23 +54,23 @@ func (s *Server) ScrubStatus() ScrubStats {
 }
 
 // quarantine takes seg out of service, recording why.
-func (s *Server) quarantine(seg proto.SegKey, cause error) {
-	s.quarMu.Lock()
-	if s.quarantined == nil {
-		s.quarantined = make(map[proto.SegKey]string)
+func (rd *reader) quarantine(seg proto.SegKey, cause error) {
+	rd.quarMu.Lock()
+	if rd.quarantined == nil {
+		rd.quarantined = make(map[proto.SegKey]string)
 	}
-	if _, dup := s.quarantined[seg]; !dup {
-		s.quarantined[seg] = cause.Error()
-		s.scrubCtr.quarantined.Add(1)
+	if _, dup := rd.quarantined[seg]; !dup {
+		rd.quarantined[seg] = cause.Error()
+		rd.scrubCtr.quarantined.Add(1)
 	}
-	s.quarMu.Unlock()
+	rd.quarMu.Unlock()
 }
 
 // quarCheck fails fast when seg is quarantined.
-func (s *Server) quarCheck(seg proto.SegKey) error {
-	s.quarMu.Lock()
-	cause, bad := s.quarantined[seg]
-	s.quarMu.Unlock()
+func (rd *reader) quarCheck(seg proto.SegKey) error {
+	rd.quarMu.Lock()
+	cause, bad := rd.quarantined[seg]
+	rd.quarMu.Unlock()
 	if bad {
 		return fmt.Errorf("%w: segment %d/%d: %s", ErrQuarantined, seg.Area, seg.Start, cause)
 	}
@@ -107,14 +107,14 @@ func corruptionIn(err error) bool {
 // rewritten on the proof of the last record replayed; a zeroBase page with
 // none gets its unlogged initial image back the way it first got it, by an
 // area write (formatSegment).
-func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool) error {
-	s.repairMu.Lock()
-	defer s.repairMu.Unlock()
-	a := s.lookupArea(areaID)
+func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool) error {
+	rd.repairMu.Lock()
+	defer rd.repairMu.Unlock()
+	a := rd.lookupArea(areaID)
 	if a == nil {
 		return ErrNoArea
 	}
-	if err := s.log.Flush(0); err != nil {
+	if err := rd.log.Flush(0); err != nil {
 		return err
 	}
 	type pageHist struct {
@@ -123,7 +123,7 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 		last wal.Logged // of the last record replayed
 	}
 	hist := make(map[page.No]*pageHist, n)
-	err := s.log.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
+	err := rd.log.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
 		if rec.Type != wal.TUpdate && rec.Type != wal.TCLR {
 			return nil
 		}
@@ -159,13 +159,13 @@ func (s *Server) repairRange(areaID uint32, start page.No, n int, zeroBase bool)
 			if err := a.WritePage(pno, zero); err != nil {
 				return err
 			}
-			s.stats.pagesWritten.Add(1)
+			rd.stats.pagesWritten.Add(1)
 			continue
 		}
 		if !ph.full && !zeroBase {
 			return fmt.Errorf("server: repair: page %d:%d has no full-page image in the log", areaID, pno)
 		}
-		if err := s.WritePage(ph.last, ph.img); err != nil {
+		if err := rd.WritePage(ph.last, ph.img); err != nil {
 			return err
 		}
 	}

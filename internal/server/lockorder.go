@@ -25,7 +25,7 @@
 // hierarchy exists so that any future nesting some PR introduces is forced
 // into one deadlock-free direction and mechanically verified.
 //
-//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Table.mu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
+//bess:lockorder Peer.mu < Peer.wmu < reader.areaMu < Table.mu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
 package server
 
 import "bess/internal/lockcheck"

@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"bess/internal/cache"
+	"bess/internal/callback"
+	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
+	"bess/internal/tx"
 	"bess/internal/wal"
 )
 
@@ -241,5 +245,47 @@ func TestEveryReadPathVerifies(t *testing.T) {
 				t.Fatalf("counters %+v, before the read %+v: the flipped byte went unnoticed or unrepaired", st, before)
 			}
 		})
+	}
+}
+
+// TestReaderCannotReachLocks is what is left of bess-vet's lockfree analyzer:
+// no value a method on *reader can name — its fields, and whatever they point
+// to — is the lock manager, the transaction table, the copy table, or the
+// Server that owns them. A snapshot read therefore takes no lock-manager lock
+// because there is none in its world; adding one to reader fails here.
+func TestReaderCannotReachLocks(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(lock.Manager{}):   true,
+		reflect.TypeOf(tx.Manager{}):     true,
+		reflect.TypeOf(txTable{}):        true,
+		reflect.TypeOf(callback.Table{}): true,
+		reflect.TypeOf(Server{}):         true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		if banned[ty] {
+			t.Errorf("reader reaches %v through %s", ty, path)
+			return
+		}
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]")
+			walk(ty.Elem(), path+"[]")
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path)
+		}
+	}
+	walk(reflect.TypeOf(reader{}), "reader")
+	if !seen[reflect.TypeOf(cache.VersionStore{})] {
+		t.Fatal("walk never reached the version store: it is not looking through reader's fields")
 	}
 }

@@ -10,12 +10,52 @@ package server
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"bess/internal/area"
+	"bess/internal/cache"
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
+	"bess/internal/wal"
 )
+
+// reader is the read pipeline and everything it can touch: the areas, the
+// catalog, the log, the version store, the published snapshot stamps, and
+// the quarantine/repair state. Server embeds it, so s.readImage and the rest
+// read as they always did — but a method whose receiver is *reader cannot name
+// the lock manager, the transaction table, the copy table or snapMu. That a
+// snapshot read consults none of them (DESIGN.md §4f) is therefore not
+// something to check: there is no path to write.
+type reader struct {
+	areaMu lockcheck.RWMutex
+	areas  map[uint32]*area.Area // guarded by areaMu
+
+	cat *catalog
+	log *wal.Log
+	vs  *cache.VersionStore
+
+	// snapView is the stamp of every open snapshot, copy-on-write: the
+	// registry's writers (Server.publishSnapsLocked, under snapMu) store a
+	// fresh map, snapStamp loads it.
+	snapView atomic.Pointer[map[uint64]page.LSN]
+
+	// Silent-corruption state (corrupt.go). These are plain (unranked)
+	// mutexes: none is ever held while taking a ranked server lock.
+	quarMu      sync.Mutex
+	quarantined map[proto.SegKey]string // guarded by quarMu
+	repairMu    sync.Mutex              // serializes WAL-replay repairs
+	scrubCtr    struct {
+		segsChecked, pagesVerified, corruptions, repaired, quarantined atomic.Int64
+	}
+
+	stats struct {
+		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
+		commits, aborts, pagesWritten, snapFetches          atomic.Int64
+	}
+}
 
 // ErrTornRead reports a read that failed verification because a committer
 // was overwriting the run, not because the disk rotted. Snapshot reads retry
@@ -62,11 +102,11 @@ func (s *Server) live() view { return view{t: s.txm.CommitStamp()} }
 // the run was rebuilt, a checksum failure while vs.Recheck reports an update
 // staged, or committed since v.t, underneath the read is a torn read, not
 // rot: it returns ErrTornRead and counts, repairs, and quarantines nothing.
-func (s *Server) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
-	if err := s.quarCheck(seg); err != nil {
+func (rd *reader) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
+	if err := rd.quarCheck(seg); err != nil {
 		return nil, err
 	}
-	a := s.lookupArea(r.Area)
+	a := rd.lookupArea(r.Area)
 	if a == nil {
 		return nil, ErrNoArea
 	}
@@ -79,7 +119,7 @@ func (s *Server) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 			return err
 		}
 		if v.rebuild {
-			befores, err := s.asOfBefores(v.t, page.AreaID(r.Area), r.Start, r.Pages)
+			befores, err := rd.asOfBefores(v.t, page.AreaID(r.Area), r.Start, r.Pages)
 			if err != nil {
 				return err
 			}
@@ -98,15 +138,15 @@ func (s *Server) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 	if errors.As(err, &ce) {
 		ce.Area, ce.Page = page.AreaID(r.Area), r.Start // the verifiers see bytes, not places
 	}
-	if !v.rebuild && !s.vs.Recheck(vkeyOf(seg), v.t) {
+	if !v.rebuild && !rd.vs.Recheck(vkeyOf(seg), v.t) {
 		return nil, ErrTornRead
 	}
-	s.scrubCtr.corruptions.Add(1)
-	if s.repairRange(r.Area, r.Start, r.Pages, r.ZeroBase) == nil && attempt() == nil {
-		s.scrubCtr.repaired.Add(1)
+	rd.scrubCtr.corruptions.Add(1)
+	if rd.repairRange(r.Area, r.Start, r.Pages, r.ZeroBase) == nil && attempt() == nil {
+		rd.scrubCtr.repaired.Add(1)
 		return buf, nil
 	}
-	s.quarantine(seg, err)
+	rd.quarantine(seg, err)
 	return nil, fmt.Errorf("%w: segment %d/%d: %v", ErrQuarantined, seg.Area, seg.Start, err)
 }
 
@@ -123,12 +163,12 @@ const (
 // readImage assembles seg's image for v out of verified runs: the decoded
 // slotted header plus the raw bytes of each section in want. Sections not
 // asked for (or empty) come back nil.
-func (s *Server) readImage(seg proto.SegKey, want sections, v view) (dec *segment.Seg, sl, over, data []byte, err error) {
-	sm, _, ok := s.cat.segMetaOf(seg)
+func (rd *reader) readImage(seg proto.SegKey, want sections, v view) (dec *segment.Seg, sl, over, data []byte, err error) {
+	sm, _, ok := rd.cat.segMetaOf(seg)
 	if !ok {
 		return nil, nil, nil, nil, ErrNoSegment
 	}
-	sl, err = s.readRun(seg, runRead{
+	sl, err = rd.readRun(seg, runRead{
 		Area: seg.Area, Start: page.No(seg.Start), Pages: sm.SlottedPages,
 		// DecodeSlotted checks the header and slot-region CRCs.
 		Verify: func(run []byte) (verr error) { dec, verr = segment.DecodeSlotted(run); return verr },
@@ -137,7 +177,7 @@ func (s *Server) readImage(seg proto.SegKey, want sections, v view) (dec *segmen
 		return nil, nil, nil, nil, err
 	}
 	if want&secOverflow != 0 && dec.Hdr.OverPages > 0 {
-		over, err = s.readRun(seg, runRead{
+		over, err = rd.readRun(seg, runRead{
 			Area: uint32(dec.Hdr.OverArea), Start: dec.Hdr.OverStart, Pages: int(dec.Hdr.OverPages),
 			ZeroBase: true, Verify: dec.VerifyOverflow,
 		}, v)
@@ -147,7 +187,7 @@ func (s *Server) readImage(seg proto.SegKey, want sections, v view) (dec *segmen
 		dec.Overflow = over
 	}
 	if want&secData != 0 && dec.Hdr.DataPages > 0 {
-		data, err = s.readRun(seg, runRead{
+		data, err = rd.readRun(seg, runRead{
 			Area: uint32(dec.Hdr.DataArea), Start: dec.Hdr.DataStart, Pages: int(dec.Hdr.DataPages),
 			ZeroBase: true, Verify: dec.VerifyData,
 		}, v)

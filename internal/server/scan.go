@@ -7,7 +7,6 @@ import (
 
 	"bess/internal/goleak"
 	"bess/internal/lockcheck"
-	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 )
@@ -44,12 +43,9 @@ func putScanBuf(b *[]byte) { scanBatchPool.Put(b) }
 
 // scanCursor is one in-flight streaming scan.
 type scanCursor struct {
-	id     uint64
-	client uint32
-	batch  int
-	plan   []proto.ScanSeg
-	snap   bool     // read as of asOf instead of the live images
-	asOf   page.LSN // snapshot stamp (snap only)
+	id    uint64
+	batch int
+	plan  []proto.ScanSeg
 
 	mu        lockcheck.Mutex
 	cond      *sync.Cond
@@ -58,8 +54,8 @@ type scanCursor struct {
 	cancelled bool  // guarded by mu
 }
 
-func newScanCursor(id uint64, client uint32, batch int, plan []proto.ScanSeg, snap bool, asOf page.LSN) *scanCursor {
-	c := &scanCursor{id: id, client: client, batch: batch, plan: plan, snap: snap, asOf: asOf}
+func newScanCursor(id uint64, batch int, plan []proto.ScanSeg) *scanCursor {
+	c := &scanCursor{id: id, batch: batch, plan: plan}
 	c.mu.Init("scanCursor.mu", 0) // unranked: never held across other locks
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -83,7 +79,6 @@ func (c *scanCursor) grant(cancel bool, n uint64) {
 func (c *scanCursor) cancel() { c.grant(true, 0) }
 
 func (c *scanCursor) isCancelled() bool {
-	//bess:lockfree ignore=cursor latch for the cancel flag; released immediately, never held across fetch or send
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cancelled
@@ -95,7 +90,6 @@ func (c *scanCursor) isCancelled() bool {
 // the client registers its stream and opens the window with one ScanCtl,
 // which also keeps an empty final batch from racing ahead of registration.
 func (c *scanCursor) waitCredit(n int) bool {
-	//bess:lockfree ignore=credit latch: the sender deliberately parks on cond here for flow control, not data-path locking
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -123,17 +117,16 @@ func newScanTable() *scanTable {
 	return t
 }
 
-func (t *scanTable) add(client uint32, batch int, plan []proto.ScanSeg, snap bool, asOf page.LSN) *scanCursor {
+func (t *scanTable) add(batch int, plan []proto.ScanSeg) *scanCursor {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
-	c := newScanCursor(t.next, client, batch, plan, snap, asOf)
+	c := newScanCursor(t.next, batch, plan)
 	t.scans[c.id] = c
 	return c
 }
 
 func (t *scanTable) remove(id uint64) {
-	//bess:lockfree ignore=cursor-table latch, unranked and released before any fetch or send
 	t.mu.Lock()
 	delete(t.scans, id)
 	t.mu.Unlock()
@@ -164,7 +157,9 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 	table := newScanTable()
 	p.SetOnClose(func(error) { table.cancelAll() })
 
-	start := func(a *proto.ScanStartArgs, snap bool, asOf page.LSN) (*proto.ScanStartReply, error) {
+	// start opens a cursor whose images come from fetch, chosen here once
+	// and for the whole scan.
+	start := func(a *proto.ScanStartArgs, fetch segFetch) (*proto.ScanStartReply, error) {
 		b := int(a.BatchBytes)
 		if b <= 0 {
 			b = defaultScanBatch
@@ -187,24 +182,34 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 			}
 			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
 		}
-		c := table.add(a.Client, b, plan, snap, asOf)
-		goleak.Go("server.runScan", func() { s.runScan(p, table, c) })
+		c := table.add(b, plan)
+		goleak.Go("server.runScan", func() { runScan(p, table, c, fetch) })
 		return &proto.ScanStartReply{Scan: c.id, Segs: plan}, nil
 	}
 
+	// A live scan ships what FetchSeg would: the usual short read locks and
+	// a copy-table registration for the scanning client.
 	h["ScanStart"] = rpc.Typed(func(a *proto.ScanStartArgs) (*proto.ScanStartReply, error) {
-		return start(a, false, 0)
+		return start(a, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
+			return s.FetchSeg(a.Client, seg)
+		})
 	})
 
 	// SnapScanStart opens the same push cursor, but every image the cursor
 	// ships is read as of the snapshot's stamp — a stable analytics scan
-	// while updaters commit underneath (DESIGN.md §7).
+	// while updaters commit underneath (DESIGN.md §7). The fetch is the
+	// reader's: no locks, no copy-table registration, so the pushed images
+	// never join the callback protocol.
 	h["SnapScanStart"] = rpc.Typed(func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
 		stamp, err := s.snapStamp(a.Snap)
 		if err != nil {
 			return nil, err
 		}
-		return start(&a.ScanStartArgs, true, stamp)
+		rd := &s.reader
+		return start(&a.ScanStartArgs, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
+			sl, ov, data, _, err := rd.readAsOf(seg, stamp) // shared or not, the encoder only reads
+			return sl, ov, data, err
+		})
 	})
 
 	p.HandleStream("ScanCtl", func(stream uint64, body []byte) {
@@ -218,17 +223,17 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 	})
 }
 
-// runScan drives one cursor: fetch each planned segment under the usual
-// short read locks, coalesce images into batches, and push them as credits
-// allow. Encoded batches are handed to a sender goroutine so fetching the
-// next segment overlaps the credit wait and socket write of the previous
-// batch. It exits on cancel, on a send error (peer gone), or after the
-// final batch. Like SnapFetchSeg, runScan is a lockfree taint root: in snap
-// mode its data path reaches no lock acquisition beyond the waived cursor
-// and peer latches.
-//
-//bess:lockfree
-func (s *Server) runScan(p *rpc.Peer, t *scanTable, c *scanCursor) {
+// segFetch reads one segment's image for a scan.
+type segFetch func(proto.SegKey) (sl, ov, data []byte, err error)
+
+// runScan drives one cursor: fetch each planned segment, coalesce images
+// into batches, and push them as credits allow. Encoded batches are handed
+// to a sender goroutine so fetching the next segment overlaps the credit
+// wait and socket write of the previous batch. It exits on cancel, on a
+// send error (peer gone), or after the final batch. It has no Server: what
+// a scan can reach is what its fetch can, and a snapshot scan's fetch is the
+// reader's (DESIGN.md §4f).
+func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 	defer t.remove(c.id)
 	type push struct {
 		buf  *[]byte // pooled backing array; returned to the pool after the send
@@ -248,7 +253,6 @@ func (s *Server) runScan(p *rpc.Peer, t *scanTable, c *scanCursor) {
 			if !failed.Load() {
 				// Draining continues after a failure so the fetch loop
 				// never blocks; every batch still returns to the pool.
-				//bess:lockfree ignore=SendStream takes only Peer.wmu to coalesce the write; no server-state locks are held at send time
 				if !c.waitCredit(sp.size) || p.SendStream("ScanData", c.id, *sp.buf) != nil {
 					failed.Store(true)
 				}
@@ -272,16 +276,7 @@ func (s *Server) runScan(p *rpc.Peer, t *scanTable, c *scanCursor) {
 		if c.isCancelled() || failed.Load() {
 			break
 		}
-		var sl, ov, data []byte
-		var err error
-		if c.snap {
-			// As-of fetch: no locks, no copy-table registration, so the
-			// pushed images never join the callback protocol.
-			sl, ov, data, _, err = s.readAsOf(e.Seg, c.asOf) // shared or not, the encoder only reads
-		} else {
-			//bess:lockfree ignore=live-scan branch: FetchSeg takes the usual short read locks and copy-table registration by design; the snap branch stays lock-free
-			sl, ov, data, err = s.FetchSeg(c.client, e.Seg)
-		}
+		sl, ov, data, err := fetch(e.Seg)
 		if errors.Is(err, ErrNoSegment) {
 			continue // dropped between plan and read; the client skips it too
 		}

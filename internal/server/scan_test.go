@@ -151,13 +151,13 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 	cli := newScanClient(cEnd)
 
 	table := newScanTable()
-	c := table.add(1, 8<<10, []proto.ScanSeg{
+	c := table.add(8<<10, []proto.ScanSeg{
 		{Seg: real1, SlottedPages: 1},
 		{Seg: phantom, SlottedPages: 1},
 		{Seg: real2, SlottedPages: 1},
-	}, false, 0)
+	})
 	c.grant(false, 1<<20)
-	go s.runScan(sEnd, table, c)
+	go runScan(sEnd, table, c, liveFetch(s, 1))
 
 	batches := cli.wait(t)
 	var segs []proto.SegKey
@@ -182,6 +182,11 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 		t.Fatal("cursor not removed from table")
 	}
 	goleak.Check(t, "server.")
+}
+
+// liveFetch is the fetch ScanStart binds: FetchSeg for one client.
+func liveFetch(s *Server, client uint32) segFetch {
+	return func(seg proto.SegKey) ([]byte, []byte, []byte, error) { return s.FetchSeg(client, seg) }
 }
 
 // TestScanCancelReleasesCursorGoroutines cancels a cursor whose sender is
@@ -213,9 +218,9 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	// One byte of credit: the overdraw escape lets the first batch out,
 	// then the sender parks in waitCredit with the window deep in debt.
 	table := newScanTable()
-	c := table.add(1, 1, plan, false, 0)
+	c := table.add(1, plan)
 	c.grant(false, 1)
-	go s.runScan(sEnd, table, c)
+	go runScan(sEnd, table, c, liveFetch(s, 1))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for batches.Load() == 0 {

@@ -71,10 +71,10 @@ type Stats struct {
 // Server is one BeSS server.
 //
 // Locking is striped per concern so fetches, lock calls, and commits from
-// different clients do not contend on one server-wide mutex: areaMu guards
-// the area table (read-mostly), the client registry and cached-copy table
-// share the copy table's lock (callback.Table), and the active-transaction
-// map is the sharded txs table. None of these locks is ever held while
+// different clients do not contend on one server-wide mutex: the reader's
+// areaMu guards the area table (read-mostly), the client registry and
+// cached-copy table share the copy table's lock (callback.Table), and the
+// active-transaction map is the sharded txs table. None of these locks is ever held while
 // acquiring another; the permitted nesting order, should one ever be
 // introduced, is declared in lockorder.go and enforced by cmd/bess-vet and
 // `-tags invariants` builds.
@@ -82,30 +82,25 @@ type Server struct {
 	host uint16
 	dir  string // "" = in-memory
 
-	areaMu lockcheck.RWMutex
-	areas  map[uint32]*area.Area // guarded by areaMu
+	// reader is the read pipeline with the state it runs on (read.go):
+	// areas, catalog, log, version store, quarantine, counters.
+	reader
 
 	// copies is the callback-locking state (§3): the connected clients and
 	// which of them caches which segment.
 	copies *callback.Table
 
-	// The snapshot registry is copy-on-write: writers (open/close, rare)
-	// mutate the map under snapMu and publish an immutable copy to
-	// snapView; readers (snapStamp, on every SnapFetchSeg) load the view
-	// with no lock at all — the snapshot read path must stay lock-free.
+	// The snapshot registry: writers (open/close, rare) mutate the map
+	// under snapMu and publish the stamps to the reader's snapView.
 	snapMu    lockcheck.Mutex
-	snapshots map[uint64]*snapEntry                 // guarded by snapMu
-	snapView  atomic.Pointer[map[uint64]*snapEntry] // immutable published copy
+	snapshots map[uint64]*snapEntry // guarded by snapMu
 
 	txs txTable
 
 	closed atomic.Bool
 
-	// Silent-corruption state (corrupt.go). These are plain (unranked)
-	// mutexes: none is ever held while taking a ranked server lock.
-	quarMu        sync.Mutex
-	quarantined   map[proto.SegKey]string // guarded by quarMu
-	repairMu      sync.Mutex              // serializes WAL-replay repairs
+	// The background scrubber (corrupt.go); scrubMu is unranked, never held
+	// while taking a ranked server lock.
 	scrubMu       sync.Mutex
 	scrubStarted  bool          // guarded by scrubMu
 	scrubStop     chan struct{} // created at open; closed once by StopScrub
@@ -114,31 +109,20 @@ type Server struct {
 	scrubPaused   atomic.Bool
 	scrubEvery    time.Duration // set before the scrubber starts
 	scrubPace     time.Duration // set before the scrubber starts
-	scrubCtr      struct {
-		segsChecked, pagesVerified, corruptions, repaired, quarantined atomic.Int64
-	}
 
 	// media, when non-nil, supplies the durable devices instead of dir
 	// (OpenMedia: fault-injection harnesses run the full stack over
 	// simulated stores).
 	media *Media
 
-	cat *catalog
 	// imageMu serializes saveCatalog: one catalog image is written at a time
 	// (Checkpoint, Close). Taken with no other server lock held.
 	imageMu sync.Mutex
-	log     *wal.Log
 	locks   *lock.Manager
 	txm     *tx.Manager
-	vs      *cache.VersionStore
 	hk      *hooks.Registry
 
 	nextTx atomic.Uint64
-
-	stats struct {
-		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
-		commits, aborts, pagesWritten, snapFetches          atomic.Int64
-	}
 
 	// CallbackTimeout bounds revocation waits (paper: timeouts detect
 	// distributed deadlock).
@@ -185,12 +169,12 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		host:            host,
 		dir:             dir,
 		media:           media,
-		areas:           make(map[uint32]*area.Area),
+		reader:          reader{areas: make(map[uint32]*area.Area)},
 		locks:           lock.NewManager(),
 		hk:              hooks.NewRegistry(),
 		CallbackTimeout: 2 * time.Second,
 	}
-	s.areaMu.Init("Server.areaMu", rankAreaMu)
+	s.areaMu.Init("reader.areaMu", rankAreaMu)
 	// A client whose callback fails is gone: what else the server keeps for
 	// it goes too.
 	s.copies = callback.New(ErrCallback, s.Disconnect)
@@ -353,16 +337,16 @@ func (s *Server) Snapshot() Stats {
 // --- wal.Pager over the storage areas ---
 
 // lookupArea returns the open area with the given id, or nil.
-func (s *Server) lookupArea(id uint32) *area.Area {
-	s.areaMu.RLock()
-	a := s.areas[id]
-	s.areaMu.RUnlock()
+func (rd *reader) lookupArea(id uint32) *area.Area {
+	rd.areaMu.RLock()
+	a := rd.areas[id]
+	rd.areaMu.RUnlock()
 	return a
 }
 
 // ReadPage implements wal.Pager.
-func (s *Server) ReadPage(id page.ID, buf []byte) error {
-	a := s.lookupArea(uint32(id.Area))
+func (rd *reader) ReadPage(id page.ID, buf []byte) error {
+	a := rd.lookupArea(uint32(id.Area))
 	if a == nil {
 		return ErrNoArea
 	}
@@ -372,16 +356,16 @@ func (s *Server) ReadPage(id page.ID, buf []byte) error {
 // WritePage implements wal.Pager: the page-store choke point for every logged
 // mutation. The page it writes is the one proof's record changed, so there is
 // no calling it for a page nothing was logged for (DESIGN.md §4f).
-func (s *Server) WritePage(proof wal.Logged, data []byte) error {
+func (rd *reader) WritePage(proof wal.Logged, data []byte) error {
 	if proof.LSN() == 0 {
 		return wal.ErrNotLogged
 	}
 	id := proof.Page()
-	a := s.lookupArea(uint32(id.Area))
+	a := rd.lookupArea(uint32(id.Area))
 	if a == nil {
 		return ErrNoArea
 	}
-	s.stats.pagesWritten.Add(1)
+	rd.stats.pagesWritten.Add(1)
 	return a.WritePage(id.Page, data)
 }
 

@@ -13,10 +13,12 @@ import (
 	"bess/internal/wal"
 )
 
-// Snapshot reads (DESIGN.md §7): SnapOpen pins a version stamp, SnapFetchSeg
-// serves segment images as of that stamp, SnapClose unpins it. The read path
-// touches neither the lock manager nor the copy table — snapshot readers
-// hold no locks, receive no callbacks, and cause none.
+// Snapshot reads (DESIGN.md §7): SnapOpen registers a stamp — the watermark
+// below which the version store trims nothing a reader could ask for —
+// SnapFetchSeg serves segment images as of that stamp, SnapClose drops it. The
+// read path runs on the reader (read.go), which has neither the lock manager
+// nor the copy table: snapshot readers hold no locks, receive no callbacks,
+// and cause none.
 
 // snapEntry is one open snapshot: its tx-layer pin and owning client.
 type snapEntry struct {
@@ -28,15 +30,15 @@ func vkeyOf(seg proto.SegKey) cache.VKey {
 	return cache.VKey{Area: seg.Area, Start: seg.Start}
 }
 
-// publishSnapsLocked copies the registry and publishes the copy for
-// lock-free readers. Called with snapMu held; the published map is never
-// mutated again.
+// publishSnapsLocked publishes each open snapshot's stamp for the reader,
+// which has no snapMu to take. Called with snapMu held; the published map is
+// never mutated again.
 //
 //bess:holds snapMu
 func (s *Server) publishSnapsLocked() {
-	view := make(map[uint64]*snapEntry, len(s.snapshots))
+	view := make(map[uint64]page.LSN, len(s.snapshots))
 	for id, e := range s.snapshots {
-		view[id] = e
+		view[id] = e.snap.Stamp()
 	}
 	s.snapView.Store(&view)
 }
@@ -72,19 +74,16 @@ func (s *Server) SnapClose(client uint32, snap uint64) error {
 	return nil
 }
 
-// snapStamp resolves a snapshot id to its stamp. Lock-free: it runs on
-// every snapshot fetch, so it reads the published copy-on-write view
-// instead of taking snapMu (bess-vet's lockfree analyzer holds this path
-// to zero lock acquisitions).
-func (s *Server) snapStamp(snap uint64) (page.LSN, error) {
-	var e *snapEntry
-	if view := s.snapView.Load(); view != nil {
-		e = (*view)[snap]
+// snapStamp resolves a snapshot id to its stamp. It runs on every snapshot
+// fetch, so it reads the published copy-on-write view; the registry and its
+// snapMu are the Server's, out of the reader's reach.
+func (rd *reader) snapStamp(snap uint64) (page.LSN, error) {
+	if view := rd.snapView.Load(); view != nil {
+		if t, ok := (*view)[snap]; ok {
+			return t, nil
+		}
 	}
-	if e == nil {
-		return 0, fmt.Errorf("server: unknown snapshot %d", snap)
-	}
-	return e.snap.Stamp(), nil
+	return 0, fmt.Errorf("server: unknown snapshot %d", snap)
 }
 
 // closeClientSnaps releases every snapshot a disconnecting client left open.
@@ -115,11 +114,7 @@ func (s *Server) closeClientSnaps(client uint32) {
 // acquires no locks. What it returns is the caller's (proto.Conn): a session
 // on a direct handle swizzles the data in place, so an image the version
 // chain still owns is cloned here — and only here; the rpc handler encodes
-// straight from the chain (snapFetch). bess-vet's lockfree analyzer walks
-// the whole call graph from here: any reachable lock acquisition is a
-// finding unless a waiver names the deliberate exception.
-//
-//bess:lockfree
+// straight from the chain (snapFetch).
 func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	sl, ov, data, shared, err := s.snapFetch(snap, seg)
 	if shared {
@@ -130,13 +125,13 @@ func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]b
 
 // snapFetch is SnapFetchSeg for a caller that only reads the image: shared
 // reports that the bytes are the version chain's own.
-func (s *Server) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte, shared bool, err error) {
-	s.stats.messages.Add(1)
-	t, err := s.snapStamp(snap)
+func (rd *reader) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte, shared bool, err error) {
+	rd.stats.messages.Add(1)
+	t, err := rd.snapStamp(snap)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	return s.readAsOf(seg, t)
+	return rd.readAsOf(seg, t)
 }
 
 // readAsOf serves seg's image as of stamp t: a retained chain version, the
@@ -148,37 +143,29 @@ func (s *Server) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte, 
 // path's readImage.
 //
 //bess:hotpath
-func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
-	s.stats.snapFetches.Add(1)
+func (rd *reader) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
+	rd.stats.snapFetches.Add(1)
 	key := vkeyOf(seg)
 	for {
-		//bess:lockfree ignore=version-store latch only: AsOf pins a chain entry under VersionStore.mu, never the lock manager; it blocks only on a committing writer's page-copy window
-		v, trimmed := s.vs.AsOf(key, t)
-		if v != nil {
-			// Chain images are immutable after capture (StageUpdate clones
-			// them once), so the sections are returned as-is: the reply
-			// encoder only reads them, and three per-fetch clones off the
-			// hot snapshot path are pure waste. Release only unpins the
-			// entry; the GC drops the chain reference and the bytes stay
-			// alive for as long as this reply needs them.
-			sl, ov, data = v.Img.Slotted, v.Img.Overflow, v.Img.Data
-			//bess:lockfree ignore=version-store latch only: Release unpins under VersionStore.mu and returns
-			s.vs.Release(v)
-			return sl, ov, data, true, nil
+		// Chain images are immutable after capture (StageUpdate clones them
+		// once) and handed out by value: the reply encoder only reads them,
+		// and if the store trims the entry meanwhile it drops its own
+		// reference, not the bytes this reply holds.
+		img, hit, trimmed := rd.vs.AsOf(key, t)
+		if hit {
+			return img.Slotted, img.Overflow, img.Data, true, nil
 		}
 		// Disk image verdict: read it, then confirm no update staged or
 		// committed underneath the read. A rebuilt image needs no recheck —
 		// its rewind already undid every write that could have raced it.
-		//bess:lockfree ignore=disk read under the area's short page latches (plus the catalog and log latches on the trimmed-chain rebuild, off the hot chain and disk paths); the lock manager is never consulted
-		_, sl, ov, data, err = s.readImage(seg, secAll, view{t: t, rebuild: trimmed != nil})
+		_, sl, ov, data, err = rd.readImage(seg, secAll, view{t: t, rebuild: trimmed != nil})
 		if errors.Is(err, ErrTornRead) {
 			continue
 		}
 		if err != nil {
 			return nil, nil, nil, false, err
 		}
-		//bess:lockfree ignore=version-store latch only: Recheck compares the stamp under VersionStore.mu and returns
-		if trimmed != nil || s.vs.Recheck(key, t) {
+		if trimmed != nil || rd.vs.Recheck(key, t) {
 			return sl, ov, data, false, nil
 		}
 	}
@@ -209,8 +196,8 @@ type undone struct {
 // also keeps a transaction id reissued after a restart apart from its earlier
 // life. The log is flushed first so records for every page write that already
 // reached an area are visible to the scan.
-func (s *Server) asOfBefores(t page.LSN, areaID page.AreaID, start page.No, n int) (map[page.No][]undone, error) {
-	if err := s.log.Flush(s.log.NextLSN()); err != nil {
+func (rd *reader) asOfBefores(t page.LSN, areaID page.AreaID, start page.No, n int) (map[page.No][]undone, error) {
+	if err := rd.log.Flush(rd.log.NextLSN()); err != nil {
 		return nil, err
 	}
 	befores := make(map[page.No][]undone)
@@ -221,7 +208,7 @@ func (s *Server) asOfBefores(t page.LSN, areaID page.AreaID, start page.No, n in
 		}
 		delete(pending, tx)
 	}
-	if err := s.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
+	if err := rd.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
 		switch rec.Type {
 		case wal.TUpdate:
 			if rec.Page.Area != areaID || rec.Page.Page < start || rec.Page.Page >= start+page.No(n) {

@@ -153,10 +153,12 @@ func (sc *SharedCache) releaseFrameLocked(id page.ID) {
 }
 
 // acquireSlot brings id into the cache (fetching on miss), handling
-// eviction write-back and SMT maintenance. Returns the slot index, pinned.
-func (sc *SharedCache) acquireSlot(id page.ID) (int, error) {
+// eviction write-back and SMT maintenance, and returns the pin on its slot.
+// A failed write-back or fetch gives the claimed slot back untouched: the
+// victim keeps its bytes and its dirty flag, and id is cached nowhere.
+func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 	for attempt := 0; attempt < 3; attempt++ {
-		slot, hit, ev, err := sc.pool.Acquire(id)
+		pin, err := sc.pool.Acquire(id)
 		if err == cache.ErrNoVictim {
 			// Two-level clock, level 1: press the resident processes to
 			// demote/invalidate their frames (§4.2).
@@ -171,50 +173,44 @@ func (sc *SharedCache) acquireSlot(id page.ID) (int, error) {
 				freed += p.fclock.Pressure(1)
 			}
 			if freed == 0 {
-				return 0, ErrNoVictim
+				return nil, ErrNoVictim
 			}
 			continue
 		}
-		if err != nil {
-			return 0, err
+		if err != nil || pin.Hit() {
+			return pin, err
 		}
+		ev := pin.Victim()
+		wroteBack := ev != nil && ev.Dirty
+		if wroteBack {
+			err = sc.backing.WriteBack(ev.ID, ev.Data)
+		}
+		var data []byte
+		if err == nil {
+			data, err = sc.backing.Fetch(id)
+		}
+		if err != nil {
+			pin.Release()
+			return nil, err
+		}
+		// Slot bytes change hands under the slot latch (FlushDirty reads
+		// them under it).
+		sc.slotLatch[pin.Slot()].Lock()
+		pin.Fill(data)
+		sc.slotLatch[pin.Slot()].Unlock()
 		if ev != nil {
-			// The page that lost its slot leaves the cache: write back if
-			// dirty and free its SVMA frame.
-			if ev.Dirty {
-				if err := sc.backing.WriteBack(ev.ID, ev.Data); err != nil {
-					sc.pool.Unpin(slot)
-					return 0, err
-				}
-				sc.mu.Lock()
-				sc.writeBacks++
-				sc.mu.Unlock()
-			}
+			// The page that lost its slot has left the cache: free its
+			// SVMA frame.
 			sc.mu.Lock()
+			if wroteBack {
+				sc.writeBacks++
+			}
 			sc.releaseFrameLocked(ev.ID)
 			sc.mu.Unlock()
 		}
-		if !hit {
-			// Fill under the slot latch so a concurrent hit in another
-			// process cannot map the slot before the bytes arrive.
-			sc.slotLatch[slot].Lock()
-			data, err := sc.backing.Fetch(id)
-			if err != nil {
-				sc.slotLatch[slot].Unlock()
-				sc.pool.Unpin(slot)
-				return 0, err
-			}
-			copy(sc.pool.SlotData(slot), data)
-			sc.slotLatch[slot].Unlock()
-		} else {
-			// Barrier: wait out any in-flight fill of this slot.
-			sc.slotLatch[slot].Lock()
-			//lint:ignore SA2001 empty critical section is the barrier
-			sc.slotLatch[slot].Unlock()
-		}
-		return slot, nil
+		return pin, nil
 	}
-	return 0, ErrNoVictim
+	return nil, ErrNoVictim
 }
 
 // FlushDirty writes every dirty slot back to the backing store (shutdown,
@@ -319,8 +315,7 @@ func (p *Process) handleFault(f vmem.Fault) error {
 	switch f.Kind {
 	case vmem.FaultNoBacking:
 		// Not under a slot latch: re-mapping waits on slot latches
-		// (acquireSlot's fill and barrier), which may be the one this process
-		// holds. The level-1 clock took the frame between Access and the
+		// (acquireSlot's fill), which may be the one this process holds. The level-1 clock took the frame between Access and the
 		// latch; the access fails and the caller Accesses again outside it.
 		p.mu.Lock()
 		latched := len(p.heldLatches) > 0
@@ -364,11 +359,12 @@ func (p *Process) ensureMapped(id page.ID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	slot, err := p.sc.acquireSlot(id)
+	pin, err := p.sc.acquireSlot(id)
 	if err != nil {
 		return 0, err
 	}
-	defer p.sc.pool.Unpin(slot)
+	defer pin.Release()
+	slot := pin.Slot()
 
 	p.mu.Lock()
 	cur, have := p.mapped[frame]

@@ -145,8 +145,6 @@ type Stats struct {
 }
 
 // Space is one simulated virtual address space.
-//
-//bess:resource acquire=Space.Map release=Space.Unmap mode=pinned
 type Space struct {
 	mu      sync.RWMutex
 	frames  map[int64]*frame
