@@ -99,12 +99,14 @@ func (p *Pool) SlotData(i int) []byte {
 	return p.data[i*page.Size : (i+1)*page.Size]
 }
 
-// Peek finds the slot caching id without counting a hit or a miss.
+// Peek finds the slot holding id's bytes without counting a hit or a miss. A
+// slot claimed for id does not hold them yet; the page it is replacing does
+// until the Fill.
 func (p *Pool) Peek(id page.ID) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	i, ok := p.lookup[id]
-	return i, ok
+	return i, ok && p.slots[i].Valid && p.slots[i].ID == id
 }
 
 // Slot returns a copy of slot i's metadata.

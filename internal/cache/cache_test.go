@@ -310,6 +310,12 @@ func TestUnfilledClaimRestoresVictim(t *testing.T) {
 	if ev := c.Victim(); ev == nil || ev.ID != pid(1) || !ev.Dirty || string(ev.Data[:8]) != "modified" {
 		t.Fatalf("victim = %+v", ev)
 	}
+	if _, ok := p.Peek(pid(2)); ok {
+		t.Fatal("Peek finds page 2 in a slot that still holds page 1's bytes")
+	}
+	if i, ok := p.Peek(pid(1)); !ok || i != c.Slot() {
+		t.Fatal("Peek lost page 1 while its bytes are still in the slot")
+	}
 	c.Release() // the write-back or the fetch failed
 	if _, ok := p.Peek(pid(2)); ok {
 		t.Fatal("page 2 cached by a claim that was never filled")

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bess/internal/cache"
 	"bess/internal/page"
@@ -79,7 +80,7 @@ type SharedCache struct {
 	// for atomic read/write of cached objects.
 	slotLatch []sync.Mutex
 
-	writeBacks int64
+	writeBacks atomic.Int64
 }
 
 // NewSharedCache builds a cache of nslots pages with an SVMA of nframes
@@ -111,11 +112,7 @@ func NewSharedCache(nslots, nframes int, backing Backing) (*SharedCache, error) 
 func (sc *SharedCache) Pool() *cache.Pool { return sc.pool }
 
 // WriteBacks reports how many dirty pages were written back on eviction.
-func (sc *SharedCache) WriteBacks() int64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.writeBacks
-}
+func (sc *SharedCache) WriteBacks() int64 { return sc.writeBacks.Load() }
 
 // FrameFor returns the SVMA frame assigned to id, if any.
 func (sc *SharedCache) FrameFor(id page.ID) (int, bool) {
@@ -181,8 +178,7 @@ func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 			return pin, err
 		}
 		ev := pin.Victim()
-		wroteBack := ev != nil && ev.Dirty
-		if wroteBack {
+		if ev != nil && ev.Dirty {
 			err = sc.backing.WriteBack(ev.ID, ev.Data)
 		}
 		var data []byte
@@ -193,21 +189,22 @@ func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 			pin.Release()
 			return nil, err
 		}
+		if ev != nil {
+			// The victim leaves the cache: free its SVMA frame while the
+			// processes waiting for it are still parked on the claim, so the
+			// one that brings it back assigns it a frame afresh.
+			if ev.Dirty {
+				sc.writeBacks.Add(1)
+			}
+			sc.mu.Lock()
+			sc.releaseFrameLocked(ev.ID)
+			sc.mu.Unlock()
+		}
 		// Slot bytes change hands under the slot latch (FlushDirty reads
 		// them under it).
 		sc.slotLatch[pin.Slot()].Lock()
 		pin.Fill(data)
 		sc.slotLatch[pin.Slot()].Unlock()
-		if ev != nil {
-			// The page that lost its slot has left the cache: free its
-			// SVMA frame.
-			sc.mu.Lock()
-			if wroteBack {
-				sc.writeBacks++
-			}
-			sc.releaseFrameLocked(ev.ID)
-			sc.mu.Unlock()
-		}
 		return pin, nil
 	}
 	return nil, ErrNoVictim
@@ -217,21 +214,31 @@ func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 // commit boundaries in the node server).
 func (sc *SharedCache) FlushDirty() error {
 	for _, id := range sc.pool.DirtyPages() {
-		slot, ok := sc.pool.Peek(id)
-		if !ok {
-			continue
-		}
-		sc.slotLatch[slot].Lock()
-		err := sc.backing.WriteBack(id, append([]byte(nil), sc.pool.SlotData(slot)...))
-		sc.slotLatch[slot].Unlock()
-		if err != nil {
+		if err := sc.flushPage(id); err != nil {
 			return err
 		}
-		sc.pool.MarkClean(slot)
-		sc.mu.Lock()
-		sc.writeBacks++
-		sc.mu.Unlock()
 	}
+	return nil
+}
+
+// flushPage writes id back if it is still cached. Slot bytes change hands
+// only under the slot latch, so a slot that still holds id once the latch is
+// taken holds it until the latch is let go.
+func (sc *SharedCache) flushPage(id page.ID) error {
+	slot, ok := sc.pool.Peek(id)
+	if !ok {
+		return nil
+	}
+	sc.slotLatch[slot].Lock()
+	defer sc.slotLatch[slot].Unlock()
+	if cur, ok := sc.pool.Peek(id); !ok || cur != slot {
+		return nil // replaced meanwhile: the miss that took the slot wrote it back
+	}
+	if err := sc.backing.WriteBack(id, append([]byte(nil), sc.pool.SlotData(slot)...)); err != nil {
+		return err
+	}
+	sc.pool.MarkClean(slot)
+	sc.writeBacks.Add(1)
 	return nil
 }
 
@@ -314,9 +321,9 @@ func (p *Process) handleFault(f vmem.Fault) error {
 	}
 	switch f.Kind {
 	case vmem.FaultNoBacking:
-		// Not under a slot latch: re-mapping waits on slot latches
-		// (acquireSlot's fill), which may be the one this process holds. The level-1 clock took the frame between Access and the
-		// latch; the access fails and the caller Accesses again outside it.
+		// Not under a slot latch: re-mapping waits on slot latches (the fill
+		// in acquireSlot), maybe the one this process holds. The level-1 clock
+		// took the frame after Access; the caller Accesses again outside it.
 		p.mu.Lock()
 		latched := len(p.heldLatches) > 0
 		p.mu.Unlock()
@@ -353,18 +360,20 @@ func (p *Process) ensureMapped(id page.ID) (int, error) {
 	}
 	p.mu.Unlock()
 
-	p.sc.mu.Lock()
-	frame, err := p.sc.assignFrameLocked(id)
-	p.sc.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
 	pin, err := p.sc.acquireSlot(id)
 	if err != nil {
 		return 0, err
 	}
 	defer pin.Release()
 	slot := pin.Slot()
+	// The SMT entry is taken under the pin: a pinned page is not evicted, so
+	// its frame cannot be released between here and the mapping below.
+	p.sc.mu.Lock()
+	frame, err := p.sc.assignFrameLocked(id)
+	p.sc.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 
 	p.mu.Lock()
 	cur, have := p.mapped[frame]

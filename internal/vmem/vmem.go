@@ -318,8 +318,8 @@ func (s *Space) ProtOf(addr Addr) (prot Prot, mapped, reserved bool) {
 // classify returns the fault for an access, or ok=true if permitted.
 func (s *Space) classify(addr Addr, write bool) (Fault, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	fr, ok := s.frames[addr.Frame()]
-	s.mu.RUnlock()
 	switch {
 	case !ok:
 		return Fault{Addr: addr, Frame: addr.Frame(), Kind: FaultUnreserved, Write: write}, false
