@@ -64,8 +64,9 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 	for c := 0; c < clients; c++ {
 		fid, err := srv.NewFileID(db)
 		must(err)
-		keys[c], err = srv.CreateSegment(db, fid, 1, 2, -1)
+		created, err := srv.CreateSegment(0, 0, db, fid, 1, 2, -1)
 		must(err)
+		keys[c] = created.Seg
 		for v := 0; v < 2; v++ {
 			sl, ov, data, err := srv.FetchSeg(0, keys[c])
 			must(err)

@@ -26,10 +26,11 @@ func TestE18Smoke(t *testing.T) {
 		}
 	}
 	// The pull cursor pays per-segment round trips; the stream pays one
-	// ScanStart plus pushed data. Cold pull needs at least 2 calls per
-	// segment (SegInfo + FetchSeg); streaming must stay well under that.
-	if pull.RPCCalls < int64(2*env.Segs) {
-		t.Fatalf("pull used %d calls, expected >= %d", pull.RPCCalls, 2*env.Segs)
+	// ScanStart plus pushed data. Cold pull needs a FetchSeg per segment (and,
+	// the first time a session sees a segment, a SegInfo: the reported pass may
+	// be the second, which remembers the sizes); streaming must stay under that.
+	if pull.RPCCalls < int64(env.Segs) {
+		t.Fatalf("pull used %d calls, expected >= %d", pull.RPCCalls, env.Segs)
 	}
 	if stream.RPCCalls >= int64(env.Segs) {
 		t.Fatalf("stream used %d calls for %d segments — push path not engaged", stream.RPCCalls, env.Segs)

@@ -225,10 +225,11 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 
 	keys := make([]proto.SegKey, 0, e19Segs)
 	for i := 0; i < e19Segs; i++ {
-		key, err := srv.CreateSegment(w.db, 1, 1, 2, -1)
+		created, err := srv.CreateSegment(0, 0, w.db, 1, 1, 2, -1)
 		if err != nil {
 			return w, fmt.Errorf("create segment %d: %w", i, err)
 		}
+		key := created.Seg
 		keys = append(keys, key)
 		if err := commit(key, e19Body(i, 0)); err != nil {
 			return w, fmt.Errorf("commit segment %d: %w", i, err)
@@ -260,9 +261,11 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 		return w, fmt.Errorf("commit large: %w", err)
 	}
 	// The abandoned segment: slotted image on disk, nothing in the log.
-	if w.bare, err = srv.CreateSegment(w.db, 2, 1, 1, -1); err != nil {
+	bare, err := srv.CreateSegment(0, 0, w.db, 2, 1, 1, -1)
+	if err != nil {
 		return w, fmt.Errorf("create bare segment: %w", err)
 	}
+	w.bare = bare.Seg
 	return w, nil
 }
 

@@ -193,12 +193,13 @@ func (r *Remote) AddArea(db uint32) (uint32, error) {
 }
 
 // CreateSegment implements proto.Conn.
-func (r *Remote) CreateSegment(db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
+func (r *Remote) CreateSegment(client uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
 	var rep proto.CreateSegmentReply
 	err := r.call("CreateSegment", &proto.CreateSegmentArgs{
-		DB: db, FileID: fileID, SlottedPages: slottedPages, DataPages: dataPages, AreaHint: areaHint,
+		Client: client, Tx: tx, DB: db, FileID: fileID,
+		SlottedPages: slottedPages, DataPages: dataPages, AreaHint: areaHint,
 	}, &rep)
-	return rep.Seg, err
+	return rep, err
 }
 
 // SegInfo implements proto.Conn.
@@ -288,8 +289,8 @@ func (r *Remote) SegmentsOf(db, fileID uint32) ([]proto.SegKey, error) {
 }
 
 // Released implements proto.Conn.
-func (r *Remote) Released(client uint32, seg proto.SegKey) error {
-	return r.call("Released", &proto.ClientSegArgs{Client: client, Seg: seg}, &proto.Empty{})
+func (r *Remote) Released(client uint32, segs []proto.SegKey) error {
+	return r.call("Released", &proto.ReleasedArgs{Client: client, Segs: segs}, &proto.Empty{})
 }
 
 // CreateLarge implements proto.Conn.

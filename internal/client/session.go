@@ -112,7 +112,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 			return nil, err
 		}
 	}
-	s.fetch = &fetcher{s: s}
+	s.fetch = &fetcher{s: s, fresh: make(map[swizzle.SegID]freshSeg), slotted: make(map[swizzle.SegID]int)}
 	s.mapper = swizzle.NewMapper(s.space, s.fetch, s.types)
 	s.det = detect.New(s.mapper, true)
 	s.det.SetAccessFunc(s.onAccess)
@@ -170,11 +170,32 @@ func (s *Session) RegisterType(td segment.TypeDesc) (*segment.TypeDesc, error) {
 // in ready, which also takes the images a streaming scan was pushed ahead of
 // demand. A held image is let go whenever the cached segment is dropped
 // (Session.dropSeg), so a refetch never sees stale data.
+//
+// A segment this session created does not travel at all: its initial image is
+// a function of the geometry CreateSegment's reply carried (segment.Format,
+// which the server wrote it with), kept in fresh until the mapper first asks
+// and built then. The creator is in the server's copy table from the moment
+// of creation, so the note is a registered copy like any other: a revocation
+// reaches it through dropSeg, and nothing is built from it afterwards.
 type fetcher struct {
 	s *Session
 
 	mu    sync.Mutex
 	ready map[swizzle.SegID]*proto.SegImage // guarded by mu
+	fresh map[swizzle.SegID]freshSeg        // guarded by mu
+	// slotted remembers every slotted size this session has learned. A
+	// segment's slotted run is fixed at creation and there is no drop-segment,
+	// so an entry is good for the session's life and outlives dropSeg: a
+	// re-touch after a drop reserves without asking.
+	slotted map[swizzle.SegID]int // guarded by mu
+}
+
+// freshSeg is what the initial image of a segment is made of, beyond its
+// slotted size (fetcher.slotted has that).
+type freshSeg struct {
+	fileID    uint32
+	dataStart int64
+	dataPages int
 }
 
 // hold keeps img for the mapper's next step on id. An image held while a
@@ -192,19 +213,43 @@ func (f *fetcher) hold(id swizzle.SegID, img *proto.SegImage) {
 	f.s.markSnapFetched(id)
 }
 
-// drop lets go of whatever is held for id.
+// created notes a segment this session just created.
+func (f *fetcher) created(id swizzle.SegID, slottedPages int, n freshSeg) {
+	f.mu.Lock()
+	f.fresh[id] = n
+	f.slotted[id] = slottedPages
+	f.mu.Unlock()
+}
+
+// unbuilt lists the created segments whose image nobody has asked for yet.
+func (f *fetcher) unbuilt() []swizzle.SegID {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ids := make([]swizzle.SegID, 0, len(f.fresh))
+	for id := range f.fresh {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// drop lets go of whatever is held or noted for id.
 func (f *fetcher) drop(id swizzle.SegID) {
 	f.mu.Lock()
 	delete(f.ready, id)
+	delete(f.fresh, id)
 	f.mu.Unlock()
 }
 
 // image hands over id's image: the held one if there is one, else fetched
-// in one round trip — as of the open snapshot's stamp, or live.
+// in one round trip as of the open snapshot's stamp, else built from the note
+// of its creation, else fetched live.
 func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	f.mu.Lock()
 	img := f.ready[id]
 	delete(f.ready, id)
+	n, created := f.fresh[id]
+	delete(f.fresh, id) // whichever image the mapper gets now, the note is spent
+	slottedPages := f.slotted[id]
 	f.mu.Unlock()
 	if img != nil {
 		return img, nil
@@ -213,6 +258,8 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	var err error
 	if snap, inSnap := f.s.snapState(); inSnap {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.SnapFetchSeg(f.s.client, snap, img.Seg)
+	} else if created {
+		img.Slotted, img.Data = segment.Format(n.fileID, slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
 	} else {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.FetchSeg(f.s.client, img.Seg)
 	}
@@ -222,23 +269,36 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	return img, nil
 }
 
+// SlottedPages answers from what the session remembers; else from the image
+// held for id; else — a reservation fetches nothing — from SegInfo; else, in a
+// snapshot, where the segment may postdate the stamp, from the as-of image,
+// which it holds for the FetchSlotted that follows.
 func (f *fetcher) SlottedPages(id swizzle.SegID) (int, error) {
 	f.mu.Lock()
 	img := f.ready[id]
+	n, known := f.slotted[id]
 	f.mu.Unlock()
+	if known {
+		return n, nil
+	}
+	var err error
 	if img == nil {
 		if _, inSnap := f.s.snapState(); !inSnap {
-			return f.s.conn.SegInfo(segKey(id)) // a reservation fetches nothing
+			n, err = f.s.conn.SegInfo(segKey(id))
+		} else if img, err = f.image(id); err == nil {
+			f.hold(id, img)
 		}
-		// The live geometry may postdate the stamp: answer from the as-of
-		// image and hold it for the FetchSlotted that follows.
-		var err error
-		if img, err = f.image(id); err != nil {
-			return 0, err
-		}
-		f.hold(id, img)
 	}
-	return len(img.Slotted) / page.Size, nil
+	if err != nil {
+		return 0, err
+	}
+	if img != nil {
+		n = len(img.Slotted) / page.Size
+	}
+	f.mu.Lock()
+	f.slotted[id] = n
+	f.mu.Unlock()
+	return n, nil
 }
 
 // FetchSlotted and FetchData are the end-to-end verification at cache
@@ -563,7 +623,7 @@ func (s *Session) FinishCommit(commit bool) error {
 			s.mapper.MarkClean(id)
 		}
 	} else {
-		s.dropDirty()
+		err = errors.Join(err, s.dropDirty())
 	}
 	s.endTx()
 	return err
@@ -584,26 +644,45 @@ func (s *Session) Abort() error {
 	}
 	txid := s.txID
 	s.mu.Unlock()
-	s.dropDirty()
-	err := s.conn.Abort(s.client, txid)
+	err := errors.Join(s.dropDirty(), s.conn.Abort(s.client, txid))
 	s.endTx()
 	return err
 }
 
-func (s *Session) dropDirty() {
-	dirty := make(map[proto.SegKey]bool)
+// dropDirty gives up every copy the transaction being rolled back changed
+// (and, release's share, every segment created and not looked at since): what
+// the session reads next of any of them comes from the server.
+func (s *Session) dropDirty() error {
+	dirty := make(map[swizzle.SegID]bool)
 	for _, id := range s.mapper.DirtySegs() {
-		dirty[segKey(id)] = true
+		dirty[id] = true
 	}
 	s.mu.Lock()
 	for k := range s.dirtySlotted {
-		dirty[k] = true
+		dirty[segID(k)] = true
 	}
 	s.mu.Unlock()
-	for k := range dirty {
-		_ = s.dropSeg(segID(k))
-		_ = s.conn.Released(s.client, k)
+	return s.release(dirty)
+}
+
+// release drops the cached copies of ids, and with them the note of every
+// segment the session created and has not built the image of yet, and tells
+// the server so in one message. A segment is named to the server even if
+// dropping it failed: the session will not serve it again either way.
+func (s *Session) release(ids map[swizzle.SegID]bool) error {
+	for _, id := range s.fetch.unbuilt() {
+		ids[id] = true
 	}
+	if len(ids) == 0 {
+		return nil
+	}
+	var errs []error
+	keys := make([]proto.SegKey, 0, len(ids))
+	for id := range ids {
+		errs = append(errs, s.dropSeg(id))
+		keys = append(keys, segKey(id))
+	}
+	return errors.Join(append(errs, s.conn.Released(s.client, keys))...)
 }
 
 func (s *Session) endTx() {
@@ -651,8 +730,29 @@ func (s *Session) LockObject(ref vmem.Addr, exclusive bool) error {
 }
 
 // CreateSegment allocates a new object segment in the session's database.
+// It is the only message a fresh segment costs: created inside a transaction
+// the segment is born X-locked for it, and either way the reply is all the
+// session needs to build the segment's image itself when it first looks
+// (fetcher.image).
 func (s *Session) CreateSegment(fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
-	return s.conn.CreateSegment(s.db, fileID, slottedPages, dataPages, areaHint)
+	s.mu.Lock()
+	if s.snapMode {
+		s.mu.Unlock()
+		return proto.SegKey{}, ErrSnapshotRead
+	}
+	txid := s.txID // 0 outside a transaction
+	s.mu.Unlock()
+	rep, err := s.conn.CreateSegment(s.client, txid, s.db, fileID, slottedPages, dataPages, areaHint)
+	if err != nil {
+		return proto.SegKey{}, err
+	}
+	s.fetch.created(segID(rep.Seg), slottedPages, freshSeg{fileID: fileID, dataStart: rep.DataStart, dataPages: rep.DataPages})
+	if txid != 0 {
+		s.mu.Lock()
+		s.xLocked[rep.Seg] = true
+		s.mu.Unlock()
+	}
+	return rep.Seg, nil
 }
 
 // Deref resolves a reference (slot virtual address) to an object handle,
@@ -1011,12 +1111,13 @@ func (r *runStore) WriteRun(start page.No, data []byte) error {
 }
 
 // DropAllCached drops every cached segment (benchmarks compare cold/warm
-// behaviour).
-func (s *Session) DropAllCached() {
+// behaviour) and tells the server in one message.
+func (s *Session) DropAllCached() error {
+	ids := make(map[swizzle.SegID]bool)
 	for _, id := range s.mapper.CachedSegs() {
-		_ = s.dropSeg(id)
-		_ = s.conn.Released(s.client, segKey(id))
+		ids[id] = true
 	}
+	return s.release(ids)
 }
 
 func (s *Session) String() string {

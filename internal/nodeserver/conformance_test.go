@@ -96,9 +96,18 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 	segs := make([]proto.SegKey, nSegs)
 	committed := make(map[proto.SegKey]uint64) // the model's disk
 	for i := range segs {
-		if segs[i], err = conns[0].CreateSegment(db, 1, 1, 2, -1); err != nil {
+		// Each segment is created by a different client, through whatever tier
+		// it sits behind. The creator can build the image without fetching it,
+		// so it holds a copy from the start: the model says so, and a tier that
+		// forgot to record it would let the first other writer through below
+		// with the creator never called back.
+		c := clients[i%nClients]
+		created, err := c.conn.CreateSegment(c.id, 0, db, 1, 1, 2, -1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		segs[i] = created.Seg
+		c.cached[created.Seg] = true
 	}
 
 	// fetch is a client reading seg into its cache; whatever tier serves it,
@@ -150,7 +159,7 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 			}
 			mu.Unlock()
 			if idle {
-				if err := c.conn.Released(c.id, seg); err != nil {
+				if err := c.conn.Released(c.id, []proto.SegKey{seg}); err != nil {
 					t.Fatalf("%s: %v", at("release"), err)
 				}
 			}

@@ -51,7 +51,11 @@ func (u *recordingUpstream) Prepare(c uint32, _ uint64, _ []proto.SegImage) erro
 	u.saw["Prepare"] = c
 	return nil
 }
-func (u *recordingUpstream) Released(c uint32, _ proto.SegKey) error {
+func (u *recordingUpstream) CreateSegment(c uint32, _ uint64, _, _ uint32, _, _, _ int) (proto.CreateSegmentReply, error) {
+	u.saw["CreateSegment"] = c
+	return proto.CreateSegmentReply{}, nil
+}
+func (u *recordingUpstream) Released(c uint32, _ []proto.SegKey) error {
 	u.saw["Released"] = c
 	return nil
 }
@@ -84,7 +88,7 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	noClient := map[string]bool{
 		"Hello":  true, // registers a local; the node said its own Hello at New
 		"OpenDB": true, "NewTx": true, "RegisterType": true, "Types": true, "AddArea": true,
-		"NewFileID": true, "CreateSegment": true, "SegInfo": true, "Resolve": true, "Decide": true,
+		"NewFileID": true, "SegInfo": true, "Resolve": true, "Decide": true,
 		"SegmentsOf": true, "AllocRun": true, "FreeRun": true, "ReadRun": true, "WriteRun": true,
 		"NameBind": true, "NameLookup": true, "NameUnbind": true, "NameRemoveOID": true,
 	}
@@ -106,7 +110,8 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	ns.Commit(local, 1, segs)
 	ns.Abort(local, 1)
 	ns.Prepare(local, 1, segs)
-	ns.Released(local, seg)
+	ns.Released(local, []proto.SegKey{seg})
+	ns.CreateSegment(local, 1, 1, 1, 1, 1, -1)
 	ns.CreateLarge(local, 1, seg, 0, nil)
 	ns.SnapOpen(local)
 	ns.SnapClose(local, 1)

@@ -104,10 +104,11 @@ func TestPrepareThroughNodePublishesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := ns.CreateSegment(db, 1, 1, 2, -1)
+	created, err := ns.CreateSegment(0, 0, db, 1, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := created.Seg
 	a, _ := ns.Hello("a")
 	overwrite := func(body []byte) proto.SegImage {
 		t.Helper()
@@ -165,10 +166,11 @@ func TestDeadLocalIsForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := ns.CreateSegment(db, 1, 1, 2, -1)
+	created, err := ns.CreateSegment(0, 0, db, 1, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := created.Seg
 	dead, _ := ns.Hello("dead")
 	calls := 0
 	if err := ns.SetCallback(dead, func(proto.SegKey) (bool, error) {

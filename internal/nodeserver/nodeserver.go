@@ -153,6 +153,19 @@ func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
 	return db, host, err
 }
 
+// CreateSegment creates upstream under the node server's client id — the node
+// is the holder its server calls back — and records the creating local, whose
+// copy is the image it builds from the reply; the node itself keeps none.
+func (ns *NodeServer) CreateSegment(local uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
+	rep, err := ns.Conn.CreateSegment(ns.client, tx, db, fileID, slottedPages, dataPages, areaHint)
+	if err == nil {
+		ns.mu.Lock()
+		ns.locals.Record(rep.Seg, local)
+		ns.mu.Unlock()
+	}
+	return rep, err
+}
+
 // FetchSeg serves from the node cache when it can; otherwise one upstream
 // FetchSeg under the node server's client id fills the cache entry. The
 // cached image is shared by the node's local sessions and a fetched image is
@@ -259,19 +272,22 @@ func (ns *NodeServer) Abort(local uint32, tx uint64) error {
 	return ns.Conn.Abort(ns.client, tx)
 }
 
-// Released drops a local copy; the upstream copy is released only when no
-// local still caches the segment, and the node's image goes with it.
-func (ns *NodeServer) Released(local uint32, seg proto.SegKey) error {
+// Released drops local's copies; upstream hears, in one call, of the segments
+// no local caches any more, and the node's images of those go with them.
+func (ns *NodeServer) Released(local uint32, segs []proto.SegKey) error {
+	var gone []proto.SegKey
 	ns.mu.Lock()
-	last := ns.locals.Drop(seg, local)
-	if last {
-		delete(ns.images, seg)
+	for _, seg := range segs {
+		if ns.locals.Drop(seg, local) {
+			delete(ns.images, seg)
+			gone = append(gone, seg)
+		}
 	}
 	ns.mu.Unlock()
-	if !last {
+	if len(gone) == 0 {
 		return nil
 	}
-	return ns.Conn.Released(ns.client, seg)
+	return ns.Conn.Released(ns.client, gone)
 }
 
 // CreateLarge forwards and invalidates the image.

@@ -340,7 +340,7 @@ func TestReleasedRefCounting(t *testing.T) {
 	s2.Commit()
 
 	// Only one of two locals releases: the node keeps its image.
-	if err := ns.Released(s2.Client(), proto.SegKey(seg)); err != nil {
+	if err := ns.Released(s2.Client(), []proto.SegKey{seg}); err != nil {
 		t.Fatal(err)
 	}
 	ns.mu.Lock()

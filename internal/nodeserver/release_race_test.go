@@ -1,6 +1,7 @@
 package nodeserver
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 type countingUpstream struct {
 	proto.Conn
 	fetches, releases atomic.Int64
+	released          []proto.SegKey // what the last Released named; tests that read it release from one goroutine
 }
 
 func (u *countingUpstream) Hello(string) (uint32, error) { return upstreamID, nil }
@@ -23,8 +25,9 @@ func (u *countingUpstream) FetchSeg(uint32, proto.SegKey) ([]byte, []byte, []byt
 	u.fetches.Add(1)
 	return []byte{1}, nil, []byte{2}, nil
 }
-func (u *countingUpstream) Released(uint32, proto.SegKey) error {
+func (u *countingUpstream) Released(_ uint32, segs []proto.SegKey) error {
 	u.releases.Add(1)
+	u.released = segs
 	return nil
 }
 
@@ -54,7 +57,7 @@ func TestReleaseNeverStrandsAHit(t *testing.T) {
 		fetches, releases := up.fetches.Load(), up.releases.Load()
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); ns.Released(l1, seg) }()
+		go func() { defer wg.Done(); ns.Released(l1, []proto.SegKey{seg}) }()
 		go func() { defer wg.Done(); ns.FetchSeg(l2, seg) }()
 		wg.Wait()
 		hit := up.fetches.Load() == fetches
@@ -67,7 +70,7 @@ func TestReleaseNeverStrandsAHit(t *testing.T) {
 		}
 		// Either way l2 is now the only holder, and its leaving is told upstream.
 		before := up.releases.Load()
-		ns.Released(l2, seg)
+		ns.Released(l2, []proto.SegKey{seg})
 		if up.releases.Load() != before+1 {
 			t.Fatalf("round %d: the last holder left and the upstream was not told", i)
 		}
@@ -109,7 +112,39 @@ func TestUpstreamCallbackNeverStrandsAHit(t *testing.T) {
 		if hit := up.fetches.Load() == fetches; hit && !refused && !called.Load() {
 			t.Fatalf("round %d: the node said it gave the segment up while a local holds its image, never called back", i)
 		}
-		ns.Released(l1, seg)
-		ns.Released(l2, seg)
+		ns.Released(l1, []proto.SegKey{seg})
+		ns.Released(l2, []proto.SegKey{seg})
+	}
+}
+
+// TestBatchedReleaseIsOneUpstreamCall: a local's Released names many segments;
+// upstream hears once, and only of those whose last local just left.
+func TestBatchedReleaseIsOneUpstreamCall(t *testing.T) {
+	up := &countingUpstream{}
+	ns, err := New(up, "node", 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, _ := ns.Hello("a")
+	l2, _ := ns.Hello("b")
+	segs := []proto.SegKey{{Area: 1, Start: 8}, {Area: 1, Start: 16}, {Area: 1, Start: 24}}
+	for _, seg := range segs {
+		ns.FetchSeg(l1, seg)
+	}
+	ns.FetchSeg(l2, segs[1])
+	if err := ns.Released(l1, segs); err != nil {
+		t.Fatal(err)
+	}
+	if n := up.releases.Load(); n != 1 {
+		t.Fatalf("releasing %d segments made %d upstream calls, want 1", len(segs), n)
+	}
+	if want := []proto.SegKey{segs[0], segs[2]}; !reflect.DeepEqual(up.released, want) {
+		t.Fatalf("upstream was told %v were released, want %v: %v is still cached by another local", up.released, want, segs[1])
+	}
+	if err := ns.Released(l2, segs[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	if want := segs[1:2]; up.releases.Load() != 2 || !reflect.DeepEqual(up.released, want) {
+		t.Fatalf("the last local leaving: %d upstream calls naming %v, want 2 naming %v", up.releases.Load(), up.released, want)
 	}
 }

@@ -112,9 +112,12 @@ func (m *TypesReply) Fields(c *Cursor) {
 	}
 }
 
-// CreateSegmentArgs allocates an object segment. AreaHint is -1 for "the
-// first area".
+// CreateSegmentArgs allocates an object segment on behalf of Client. With Tx
+// set, the segment is created X-locked for that transaction; Tx 0 creates it
+// unlocked. AreaHint is -1 for "the first area".
 type CreateSegmentArgs struct {
+	Client       uint32
+	Tx           uint64
 	DB           uint32
 	FileID       uint32
 	SlottedPages int
@@ -123,6 +126,8 @@ type CreateSegmentArgs struct {
 }
 
 func (m *CreateSegmentArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
 	c.U32(&m.DB)
 	c.U32(&m.FileID)
 	c.Count(&m.SlottedPages)
@@ -130,10 +135,21 @@ func (m *CreateSegmentArgs) Fields(c *Cursor) {
 	c.I32(&m.AreaHint)
 }
 
-// CreateSegmentReply names the new segment.
-type CreateSegmentReply struct{ Seg SegKey }
+// CreateSegmentReply names the new segment and the geometry the server
+// settled: where its data run starts (in Seg.Area) and how many pages it was
+// granted. With what the caller asked for, that is everything the segment's
+// initial image is made of (segment.Format), so nobody fetches it.
+type CreateSegmentReply struct {
+	Seg       SegKey
+	DataStart int64
+	DataPages int
+}
 
-func (m *CreateSegmentReply) Fields(c *Cursor) { c.SegKey(&m.Seg) }
+func (m *CreateSegmentReply) Fields(c *Cursor) {
+	c.SegKey(&m.Seg)
+	c.I64(&m.DataStart)
+	c.Count(&m.DataPages)
+}
 
 // SegArgs names a segment: the args of SegInfo (its slotted geometry) and of
 // Callback, the server→client revocation request — drop the cached copy of
@@ -148,7 +164,7 @@ type SegInfoReply struct{ SlottedPages int }
 func (m *SegInfoReply) Fields(c *Cursor) { c.Count(&m.SlottedPages) }
 
 // ClientSegArgs names a client's copy of a segment: the args of FetchSeg (the
-// reply is a SegImage) and Released (the client dropped its cached copy).
+// reply is a SegImage).
 type ClientSegArgs struct {
 	Client uint32
 	Seg    SegKey
@@ -157,6 +173,20 @@ type ClientSegArgs struct {
 func (m *ClientSegArgs) Fields(c *Cursor) {
 	c.U32(&m.Client)
 	c.SegKey(&m.Seg)
+}
+
+// ReleasedArgs lists the segments whose cached copies Client dropped.
+type ReleasedArgs struct {
+	Client uint32
+	Segs   []SegKey
+}
+
+func (m *ReleasedArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	segs := Repeat(c, &m.Segs, 12)
+	for i := range segs {
+		c.SegKey(&segs[i])
+	}
 }
 
 // FetchLargeArgs fetches a transparent large object; the reply is Bytes.

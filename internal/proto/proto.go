@@ -66,7 +66,9 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // fetch registers the caller as a holder of a cached copy, and the copy stays
 // consistent only because the Conn can call it back — so delivering
 // revocations (SetCallback) is part of the contract, not an extra some
-// implementations have.
+// implementations have. The one copy nobody fetches is a new segment's:
+// CreateSegment's reply is all its initial image is made of, so the creator
+// is registered as a holder by the creation itself.
 //
 // A byte slice a method returns is the caller's, to keep and to write to (the
 // mapper swizzles a fetched data image in place): an implementation serving
@@ -91,10 +93,13 @@ type Conn interface {
 	AddArea(db uint32) (uint32, error)
 	// NewFileID allocates a fresh BeSS file id in db.
 	NewFileID(db uint32) (uint32, error)
-	// CreateSegment allocates a fresh object segment in db. areaHint picks
-	// the db area by index (-1 = first), letting multifiles spread their
-	// segments over areas.
-	CreateSegment(db uint32, fileID uint32, slottedPages, dataPages, areaHint int) (SegKey, error)
+	// CreateSegment allocates a fresh object segment in db for client, which
+	// it records as holding a copy: the reply carries the geometry the
+	// segment's initial image is made of, so the creator has that image
+	// without fetching it. With tx set the segment is born X-locked for tx;
+	// tx 0 takes no lock. areaHint picks the db area by index (-1 = first),
+	// letting multifiles spread their segments over areas.
+	CreateSegment(client uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (CreateSegmentReply, error)
 	// SegInfo returns the slotted size of seg in pages.
 	SegInfo(seg SegKey) (slottedPages int, err error)
 	// FetchSeg returns the encoded slotted image (header + slots), the
@@ -118,8 +123,8 @@ type Conn interface {
 	Abort(client uint32, tx uint64) error
 	// SegmentsOf lists the segments of a file in db (scans).
 	SegmentsOf(db uint32, fileID uint32) ([]SegKey, error)
-	// Released tells the server the client dropped its cached copy of seg.
-	Released(client uint32, seg SegKey) error
+	// Released tells the server the client dropped its cached copies of segs.
+	Released(client uint32, segs []SegKey) error
 	// CreateLarge stores a transparent (≤64KB) large object server-side:
 	// content goes to freshly allocated pages and a descriptor slot is
 	// added to seg. Other clients' cached copies of seg are called back.

@@ -49,7 +49,8 @@ var Methods = []Method{
 	{"Types", dbArgs, &proto.TypesReply{Infos: []proto.TypeInfo{info, {ID: 6, Name: "Leaf"}}}},
 	{"NewFileID", dbArgs, &proto.IDReply{ID: 9}},
 	{"AddArea", dbArgs, &proto.IDReply{ID: 7}},
-	{"CreateSegment", &proto.CreateSegmentArgs{DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1}, &proto.CreateSegmentReply{Seg: seg}},
+	{"CreateSegment", &proto.CreateSegmentArgs{Client: 3, Tx: 99, DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1},
+		&proto.CreateSegmentReply{Seg: seg, DataStart: 1<<40 + 2, DataPages: 16}},
 	{"SegInfo", &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}},
 	{"FetchLarge", &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw},
 	{"FetchSeg", fetchArgs, &img},
@@ -61,7 +62,7 @@ var Methods = []Method{
 	{"Prepare", commit, empty},
 	{"Decide", &proto.DecideArgs{Tx: 99, Commit: true}, empty},
 	{"SegmentsOf", &proto.SegmentsOfArgs{DB: 4, FileID: 9}, &proto.SegmentsOfReply{Segs: []proto.SegKey{seg, {Area: 8}}}},
-	{"Released", &proto.ClientSegArgs{Client: 3, Seg: seg}, empty},
+	{"Released", &proto.ReleasedArgs{Client: 3, Segs: []proto.SegKey{seg, {Area: 8}}}, empty},
 	{"CreateLarge", &proto.CreateLargeArgs{Client: 3, Tx: 99, Seg: seg, Type: 5, Content: []byte("large content")}, &proto.CreateLargeReply{Slot: 11}},
 	{"AllocRun", &proto.AllocRunArgs{DB: 4, NPages: 8}, &proto.AllocRunReply{Area: 7, Start: 1 << 20, Granted: 8}},
 	{"FreeRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20}, empty},

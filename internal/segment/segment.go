@@ -220,6 +220,16 @@ func New(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataS
 	return s
 }
 
+// Format returns the initial images of an empty object segment: the encoded
+// slotted segment, section checksums set, and the zeroed data section. These
+// are the bytes a server writes when it creates the segment, and — the
+// geometry being all they depend on — the bytes the creating client builds
+// for itself instead of fetching them back.
+func Format(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) (slotted, data []byte) {
+	s := New(fileID, slottedPages, dataPages, dataArea, dataStart)
+	return s.EncodeSlotted(), s.Data
+}
+
 // AllocSlot takes a slot off the free list and initializes it.
 func (s *Seg) AllocSlot(kind Kind, typ TypeID, size uint32, dataOff uint64) (int, error) {
 	if kind == KindFree {
@@ -565,9 +575,21 @@ func (s *Seg) EncodeSlotted() []byte {
 // when it refreshes its mapped slotted image after every slot change
 // (swizzle.Mapper.TrustedSlotUpdate): nothing verifies a section against
 // that image, and the image that ships at commit comes from EncodeSlotted.
-func (s *Seg) EncodeSlots() []byte {
+func (s *Seg) EncodeSlots() []byte { return s.EncodeSlotsInto(nil) }
+
+// EncodeSlotsInto is EncodeSlots into buf's storage when that is large enough,
+// into a fresh buffer otherwise: the caller that re-encodes after every slot
+// change keeps one buffer and passes the last result back in.
+//
+//bess:hotpath
+func (s *Seg) EncodeSlotsInto(buf []byte) []byte {
 	s.Hdr.CRCFlags |= CRCSlots
-	buf := make([]byte, int(s.Hdr.SlottedPages)*page.Size)
+	if n := int(s.Hdr.SlottedPages) * page.Size; cap(buf) < n {
+		buf = make([]byte, n) //bess:hotpath ignore=grows to the largest slotted size seen, then reused
+	} else {
+		buf = buf[:n]
+		clear(buf)
+	}
 	h := s.Hdr
 	binary.BigEndian.PutUint32(buf[0:4], segMagic)
 	binary.BigEndian.PutUint32(buf[4:8], h.FileID)

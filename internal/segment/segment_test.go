@@ -326,6 +326,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSlotsIntoReusedBuffer: what a buffer held before does not show in
+// an encoding made into it, whatever size of segment it last served, and a
+// buffer large enough is the one that comes back.
+func TestEncodeSlotsIntoReusedBuffer(t *testing.T) {
+	big, small := New(1, 3, 4, 9, 100), New(2, 1, 1, 9, 200)
+	if _, err := small.CreateObject(1, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xAA}, 3*page.Size)
+	for _, s := range []*Seg{big, small, big} {
+		want := s.EncodeSlots()
+		got := s.EncodeSlotsInto(buf)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoding of a %d-page segment into a used buffer differs from a fresh one", s.Hdr.SlottedPages)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatal("a large enough buffer was not reused")
+		}
+	}
+	if got := big.EncodeSlotsInto(make([]byte, page.Size)); !bytes.Equal(got, big.EncodeSlots()) {
+		t.Fatal("encoding into a buffer too small differs from a fresh one")
+	}
+	// Format is New's image: what a server writes and a creator builds.
+	sl, data := Format(1, 2, 4, 9, 100)
+	if want := newTestSeg(); !bytes.Equal(sl, want.EncodeSlotted()) || !bytes.Equal(data, want.Data) {
+		t.Fatal("Format is not the encoding of New")
+	}
+	if dec, err := DecodeSlotted(sl); err != nil || dec.VerifyData(data) != nil {
+		t.Fatalf("a formatted segment does not verify: %v", err)
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	s := newTestSeg()
 	img := s.EncodeSlotted()

@@ -97,7 +97,7 @@ func ddl(t *testing.T, dir string) []byte {
 				t.Fatal(err)
 			}
 			for hint := 0; hint < 2; hint++ {
-				if _, err := s.CreateSegment(db, fid, 1, 2, hint); err != nil {
+				if _, err := createSeg(s, db, fid, 1, 2, hint); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -18,7 +18,7 @@ func altImages(t *testing.T, s *Server, db uint32, tag string) (proto.SegKey, [2
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := s.CreateSegment(db, fid, 1, 2, -1)
+	key, err := createSeg(s, db, fid, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

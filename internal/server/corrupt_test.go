@@ -120,7 +120,7 @@ func TestQuarantineUnrepairableSegment(t *testing.T) {
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	// Never committed: the initial slotted image has no logged history.
-	doomed, err := s.CreateSegment(db, 1, 1, 1, -1)
+	doomed, err := createSeg(s, db, 1, 1, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

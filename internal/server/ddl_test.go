@@ -16,6 +16,7 @@ import (
 
 	"bess/internal/area"
 	"bess/internal/fault"
+	"bess/internal/lock"
 	"bess/internal/oid"
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -54,7 +55,7 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 		before, statErr := os.Stat(image)
 		syncs := s.Log().Stats().Syncs
 		for i := 0; i < n; i++ {
-			key, err := s.CreateSegment(db, fid, 1, 2, -1)
+			key, err := createSeg(s, db, fid, 1, 2, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +147,7 @@ func TestCreateSegmentFailureFreesRuns(t *testing.T) {
 	if err := s.log.Close(); err != nil { // every append fails from here on
 		t.Fatal(err)
 	}
-	if _, err := s.CreateSegment(db, 1, 1, 8, -1); !errors.Is(err, wal.ErrClosed) {
+	if _, err := createSeg(s, db, 1, 1, 8, -1); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("CreateSegment on a closed log: %v", err)
 	}
 	if got := a.FreePages(); got != free {
@@ -154,6 +155,85 @@ func TestCreateSegmentFailureFreesRuns(t *testing.T) {
 	}
 	if segs, _ := s.SegmentsOf(db, 1); len(segs) != 0 {
 		t.Fatalf("failed CreateSegment cataloged %v", segs)
+	}
+}
+
+// TestCreateSegmentLocksAndRecordsCreator: created for a client and a
+// transaction, a segment is X-locked for that transaction and the client is in
+// the copy table before anyone else can find the key; a creation that fails
+// leaves neither behind, so the next segment allocated at the same start does
+// not wait on a lock nobody will release for it.
+func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, err := s.OpenDB("d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creator, _ := s.Hello("creator")
+	revoked := 0
+	if err := s.SetCallback(creator, func(proto.SegKey) (bool, error) { revoked++; return false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	tx1, _ := s.NewTx()
+	rep, err := s.CreateSegment(creator, tx1, db, 1, 1, 3, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.locks.Holds(lock.TxID(tx1), segLockName(rep.Seg)); m != lock.X {
+		t.Fatalf("the creating transaction holds %v on its segment, want X", m)
+	}
+	sl, ov, data, err := s.FetchSeg(0, rep.Seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := decodeSeg(t, sl, ov, data).Hdr; rep.DataStart != int64(h.DataStart) || rep.DataPages != int(h.DataPages) || rep.DataPages != 4 {
+		t.Fatalf("reply geometry %+v, header %+v: want the settled run, 3 pages rounded to 4", rep, h)
+	}
+	if err := s.Commit(creator, tx1, nil); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := s.Hello("other")
+	tx2, _ := s.NewTx()
+	if err := s.Lock(other, tx2, rep.Seg, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if revoked != 1 {
+		t.Fatalf("another client's X lock called the creator back %d times, want 1", revoked)
+	}
+	if err := s.Abort(other, tx2); err != nil {
+		t.Fatal(err)
+	}
+
+	// No transaction: nothing to lock for, the holder record all the same.
+	rep, err = s.CreateSegment(creator, 0, db, 1, 1, 1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs := s.locks.Holders(segLockName(rep.Seg)); len(hs) != 0 {
+		t.Fatalf("a segment created outside a transaction is locked by %v", hs)
+	}
+	tx3, _ := s.NewTx()
+	if err := s.Lock(other, tx3, rep.Seg, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if revoked != 2 {
+		t.Fatalf("the creator of an unlocked segment was called back %d times in all, want 2", revoked)
+	}
+	if err := s.Abort(other, tx3); err != nil {
+		t.Fatal(err)
+	}
+
+	// A creation that fails takes lock and holder record back.
+	tx4, _ := s.NewTx()
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateSegment(creator, tx4, db, 1, 1, 1, -1); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("CreateSegment on a closed log: %v", err)
+	}
+	if owned := s.locks.Owned(lock.TxID(tx4)); len(owned) != 0 {
+		t.Fatalf("the failed creation left its transaction holding %v", owned)
 	}
 }
 
@@ -207,7 +287,7 @@ func TestRedoSegmentNeverClobbers(t *testing.T) {
 			if err != nil || img == nil {
 				t.Fatalf("snapshot: %v (%d bytes)", err, len(img))
 			}
-			key, err := s.CreateSegment(db, 1, 1, 2, -1)
+			key, err := createSeg(s, db, 1, 1, 2, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +344,7 @@ func TestRedoSegmentFormatsWhatTheCrashLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := s.CreateSegment(db, 1, 2, 8, -1)
+	key, err := createSeg(s, db, 1, 2, 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +376,7 @@ func TestRedoSegmentFormatsWhatTheCrashLost(t *testing.T) {
 	if n, live := a.SegmentPages(dec.Hdr.DataStart); !live || n != 8 {
 		t.Fatalf("data run after restart: %d pages, live %v", n, live)
 	}
-	next, err := r.CreateSegment(db, 1, 2, 8, -1)
+	next, err := createSeg(r, db, 1, 2, 8, -1)
 	if err != nil || next == key {
 		t.Fatalf("next segment %v (%v) reuses the recovered one's run", next, err)
 	}
@@ -318,7 +398,7 @@ func TestImageNeverAheadOfLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := s.CreateSegment(db, 1, 1, 2, -1)
+	key, err := createSeg(s, db, 1, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +747,7 @@ func TestDDLCrashProperty(t *testing.T) {
 					t.Fatalf("NewFileID: %d, %v", fid, err)
 				}
 			}
-			key, err := s.CreateSegment(db, fid, 1+rng.Intn(2), 1<<rng.Intn(3), rng.Intn(3))
+			key, err := createSeg(s, db, fid, 1+rng.Intn(2), 1<<rng.Intn(3), rng.Intn(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -782,7 +862,7 @@ func TestRedoSegmentGrowsArea(t *testing.T) {
 	// Fill the first extent and spill into a second.
 	var keys []proto.SegKey
 	for s.lookupArea(1).Extents() < 2 {
-		key, err := s.CreateSegment(db, 1, 1, area.MaxSegmentPages/2, -1)
+		key, err := createSeg(s, db, 1, 1, area.MaxSegmentPages/2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -283,7 +283,7 @@ func TestLoggingRuleProperty(t *testing.T) {
 	model := make(map[proto.SegKey][][]byte)
 	for i := 0; i < nSegs; i++ {
 		fid, _ := s.NewFileID(db)
-		key, err := s.CreateSegment(db, fid, 1, 2, -1)
+		key, err := createSeg(s, db, fid, 1, 2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func TestCheckpointsNeverLoseAckedCommits(t *testing.T) {
 	keys := make([]proto.SegKey, clients)
 	for c := range keys {
 		fid, _ := s.NewFileID(db)
-		key, err := s.CreateSegment(db, fid, 1, 2, -1)
+		key, err := createSeg(s, db, fid, 1, 2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

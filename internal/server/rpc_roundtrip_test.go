@@ -72,9 +72,12 @@ func TestRPCFullSurface(t *testing.T) {
 
 	var cs proto.CreateSegmentReply
 	if err := p.Call("CreateSegment", &proto.CreateSegmentArgs{
-		DB: odb.DB, FileID: fid.ID, SlottedPages: 1, DataPages: 2, AreaHint: 1,
+		Client: hello.ID, DB: odb.DB, FileID: fid.ID, SlottedPages: 1, DataPages: 2, AreaHint: 1,
 	}, &cs); err != nil {
 		t.Fatal(err)
+	}
+	if cs.DataPages != 2 || cs.DataStart == 0 {
+		t.Fatalf("create reply carries geometry %+v, want the granted 2 data pages and their start", cs)
 	}
 	var si proto.SegInfoReply
 	if err := p.Call("SegInfo", &proto.SegArgs{Seg: cs.Seg}, &si); err != nil {
@@ -210,7 +213,7 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	// Released.
-	if err := p.Call("Released", &proto.ClientSegArgs{Client: hello.ID, Seg: cs.Seg}, &proto.Empty{}); err != nil {
+	if err := p.Call("Released", &proto.ReleasedArgs{Client: hello.ID, Segs: []proto.SegKey{cs.Seg}}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -289,8 +292,9 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		{"ReadRun", body(run, 16, 0xFFFFFFFF)}, // int32(-1)
 		{"ReadRun", body(run, 16, 0x80000000)},
 		{"AllocRun", body(&proto.AllocRunArgs{DB: odb.DB}, 4, 0xFFFFFFFF)},
-		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, DataPages: 1}, 8, 0xFFFFFFFF)},
-		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1}, 12, 0x80000000)},
+		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, DataPages: 1}, 20, 0xFFFFFFFF)},
+		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1}, 24, 0x80000000)},
+		{"Released", body(&proto.ReleasedArgs{Client: 1}, 4, 0xFFFFFFFF)},
 	} {
 		before := s.Snapshot().Messages
 		_, err := p.CallRaw(c.method, c.body)

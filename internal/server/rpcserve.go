@@ -60,8 +60,8 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			return &proto.IDReply{ID: id}, err
 		}),
 		"CreateSegment": rpc.Typed(func(a *proto.CreateSegmentArgs) (*proto.CreateSegmentReply, error) {
-			seg, err := s.CreateSegment(a.DB, a.FileID, a.SlottedPages, a.DataPages, a.AreaHint)
-			return &proto.CreateSegmentReply{Seg: seg}, err
+			rep, err := s.CreateSegment(a.Client, a.Tx, a.DB, a.FileID, a.SlottedPages, a.DataPages, a.AreaHint)
+			return &rep, err
 		}),
 		"SegInfo": rpc.Typed(func(a *proto.SegArgs) (*proto.SegInfoReply, error) {
 			n, err := s.SegInfo(a.Seg)
@@ -113,8 +113,8 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			segs, err := s.SegmentsOf(a.DB, a.FileID)
 			return &proto.SegmentsOfReply{Segs: segs}, err
 		}),
-		"Released": rpc.Typed(func(a *proto.ClientSegArgs) (*proto.Empty, error) {
-			return empty, s.Released(a.Client, a.Seg)
+		"Released": rpc.Typed(func(a *proto.ReleasedArgs) (*proto.Empty, error) {
+			return empty, s.Released(a.Client, a.Segs)
 		}),
 		"CreateLarge": rpc.Typed(func(a *proto.CreateLargeArgs) (*proto.CreateLargeReply, error) {
 			slot, err := s.CreateLarge(a.Client, a.Tx, a.Seg, a.Type, a.Content)

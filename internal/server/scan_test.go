@@ -64,7 +64,7 @@ func TestScanCursorProtocol(t *testing.T) {
 	const fileID = 4
 	var want []proto.SegKey
 	for i := 0; i < 5; i++ {
-		k, err := s.CreateSegment(db, fileID, 1, 2, -1)
+		k, err := createSeg(s, db, fileID, 1, 2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +135,11 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real1, err := s.CreateSegment(db, 2, 1, 2, -1)
+	real1, err := createSeg(s, db, 2, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real2, err := s.CreateSegment(db, 2, 1, 2, -1)
+	real2, err := createSeg(s, db, 2, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	}
 	plan := make([]proto.ScanSeg, 0, 3)
 	for i := 0; i < 3; i++ {
-		k, err := s.CreateSegment(db, 3, 1, 2, -1)
+		k, err := createSeg(s, db, 3, 1, 2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

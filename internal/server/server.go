@@ -542,47 +542,67 @@ func (s *Server) areaOf(m *dbMeta, hint int) (*area.Area, uint32, error) {
 // segment, and write its initial images. Nothing is forced: the segment is
 // durable with the next log force, and the log is a prefix, so its record
 // precedes the commit record of any object stored in it.
-func (s *Server) CreateSegment(db uint32, fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
+//
+// The reply's geometry is all the initial images are made of, so the creator
+// has its copy without a fetch, and it is in the copy table from the moment of
+// creation, like anyone who can have a copy. With txid set the segment is also
+// born X-locked for that transaction. Lock and holder record both precede the
+// catalog op that publishes the key: no other transaction can have asked for
+// the lock yet, so taking it never waits, and nobody finds the segment before
+// a write to it would call the creator back.
+func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
 	s.stats.messages.Add(1)
+	var none proto.CreateSegmentReply
 	m, err := s.cat.db(db)
 	if err != nil {
-		return proto.SegKey{}, err
+		return none, err
 	}
 	if fileID == 0 {
-		return proto.SegKey{}, errors.New("server: fileID 0 is reserved")
+		return none, errors.New("server: fileID 0 is reserved")
 	}
 	a, aid, err := s.areaOf(m, areaHint)
 	if err != nil {
-		return proto.SegKey{}, err
+		return none, err
 	}
 	slStart, _, err := a.AllocSegment(slottedPages)
 	if err != nil {
-		return proto.SegKey{}, err
+		return none, err
 	}
 	dtStart, dtGranted, err := a.AllocSegment(dataPages)
 	if err != nil {
-		return proto.SegKey{}, errors.Join(err, a.FreeSegment(slStart))
+		return none, errors.Join(err, a.FreeSegment(slStart))
 	}
 	op := &proto.CatalogOp{
 		Kind: proto.CatAddSegment, DB: m.ID, Seg: proto.SegKey{Area: aid, Start: int64(slStart)},
 		FileID: fileID, SlottedPages: slottedPages, DataStart: int64(dtStart), DataPages: dtGranted,
 	}
-	// The record goes first, the images after it: a crash in between leaks
-	// the two runs, or — the record durable — has restart format them
-	// (redoSegment); it never catalogs a segment nobody formats.
-	s.cat.mu.Lock()
-	lsn, err := s.cat.change(op, func() error { return formatSegment(a, op) })
-	s.cat.mu.Unlock()
+	if txid != 0 {
+		err = s.ensureTx(client, txid).Lock(segLockName(op.Seg), lock.X)
+	}
+	var lsn page.LSN
+	if err == nil {
+		s.copies.Record(op.Seg, client)
+		// The record goes first, the images after it: a crash in between leaks
+		// the two runs, or — the record durable — has restart format them
+		// (redoSegment); it never catalogs a segment nobody formats.
+		s.cat.mu.Lock()
+		lsn, err = s.cat.change(op, func() error { return formatSegment(a, op) })
+		s.cat.mu.Unlock()
+	}
 	if err != nil {
+		// This server never learns of the segment, so nothing of it stays: not
+		// the holder, not the lock (the next segment allocated at this start
+		// must not wait for it).
+		s.copies.Drop(op.Seg, client)
+		s.locks.Release(lock.TxID(txid), segLockName(op.Seg))
 		if lsn == 0 {
 			err = errors.Join(err, a.FreeSegment(slStart), a.FreeSegment(dtStart))
 		}
 		// Else the op is in the log and restart will apply it: the runs stay
-		// allocated, as its redo expects to find or make them, and this
-		// server simply never learns of the segment.
-		return proto.SegKey{}, err
+		// allocated, as its redo expects to find or make them.
+		return none, err
 	}
-	return op.Seg, nil
+	return proto.CreateSegmentReply{Seg: op.Seg, DataStart: op.DataStart, DataPages: op.DataPages}, nil
 }
 
 // formatSegment writes the initial images of the segment op adds: the empty
@@ -590,11 +610,11 @@ func (s *Server) CreateSegment(db uint32, fileID uint32, slottedPages, dataPages
 // section is attached when the header is encoded, so the segment verifies
 // from its very first read.
 func formatSegment(a *area.Area, op *proto.CatalogOp) error {
-	seg := segment.New(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
-	if err := a.WriteRun(page.No(op.Seg.Start), seg.EncodeSlotted()); err != nil {
+	slotted, data := segment.Format(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
+	if err := a.WriteRun(page.No(op.Seg.Start), slotted); err != nil {
 		return err
 	}
-	return a.WriteRun(page.No(op.DataStart), seg.Data)
+	return a.WriteRun(page.No(op.DataStart), data)
 }
 
 // redoSegment re-establishes at restart the storage of a replayed add-segment
@@ -730,10 +750,12 @@ func (s *Server) SegmentsOf(db uint32, fileID uint32) ([]proto.SegKey, error) {
 	return s.cat.segmentsOf(m, fileID), nil
 }
 
-// Released implements proto.Conn: the client dropped its cached copy.
-func (s *Server) Released(client uint32, seg proto.SegKey) error {
+// Released implements proto.Conn: the client dropped its cached copies.
+func (s *Server) Released(client uint32, segs []proto.SegKey) error {
 	s.stats.messages.Add(1)
-	s.copies.Drop(seg, client)
+	for _, seg := range segs {
+		s.copies.Drop(seg, client)
+	}
 	return nil
 }
 

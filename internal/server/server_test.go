@@ -14,10 +14,17 @@ import (
 	"bess/internal/segment"
 )
 
+// createSeg creates a segment on nobody's behalf — no client to record, no
+// transaction to lock it for — and returns its key.
+func createSeg(s *Server, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
+	rep, err := s.CreateSegment(0, 0, db, fileID, slottedPages, dataPages, areaHint)
+	return rep.Seg, err
+}
+
 // mkSegImage builds a commit image for a fresh segment with one object.
 func mkSegImage(t *testing.T, s *Server, db uint32, body []byte) (proto.SegKey, proto.SegImage) {
 	t.Helper()
-	key, err := s.CreateSegment(db, 1, 1, 2, -1)
+	key, err := createSeg(s, db, 1, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +83,7 @@ func TestLockConflictBetweenTxs(t *testing.T) {
 	defer s.Close()
 	s.locks.DefaultTimeout = 50 * time.Millisecond
 	db, _, _ := s.OpenDB("d", true)
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c1, _ := s.Hello("a")
 	c2, _ := s.Hello("b")
 	t1, _ := s.NewTx()
@@ -214,7 +221,7 @@ func TestResolve(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	off := uint64(key.Area)<<32 | uint64(key.Start)*page.Size + segment.SlotByteOffset(3)
 	gotKey, slot, err := s.Resolve(db, off)
 	if err != nil {
@@ -293,7 +300,7 @@ func TestCompressionHooks(t *testing.T) {
 		return nil
 	})
 	db, _, _ := s.OpenDB("d", true)
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c, _ := s.Hello("app")
 	tx, _ := s.NewTx()
 	content := bytes.Repeat([]byte("media"), 1000)
@@ -317,7 +324,7 @@ func TestDisconnectAbortsClientTxs(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c, _ := s.Hello("flaky")
 	tx, _ := s.NewTx()
 	if err := s.Lock(c, tx, key, proto.LockX); err != nil {
@@ -337,10 +344,10 @@ func TestCreateSegmentValidation(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	if _, err := s.CreateSegment(db, 0, 1, 2, -1); err == nil {
+	if _, err := createSeg(s, db, 0, 1, 2, -1); err == nil {
 		t.Fatal("fileID 0 accepted")
 	}
-	if _, err := s.CreateSegment(999, 1, 1, 2, -1); err == nil {
+	if _, err := createSeg(s, 999, 1, 1, 2, -1); err == nil {
 		t.Fatal("bogus db accepted")
 	}
 	if _, err := s.SegInfo(proto.SegKey{Area: 9, Start: 9}); !errors.Is(err, ErrNoSegment) {
@@ -352,7 +359,7 @@ func TestCreateLargeTooBig(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	key, _ := s.CreateSegment(db, 1, 1, 2, -1)
+	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c, _ := s.Hello("app")
 	tx, _ := s.NewTx()
 	if _, err := s.CreateLarge(c, tx, key, 0, make([]byte, segment.MaxTransparentLarge+1)); !errors.Is(err, ErrTooLarge) {

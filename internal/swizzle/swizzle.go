@@ -150,6 +150,10 @@ type Mapper struct {
 	bySeg   map[SegID]*mseg
 	byFrame map[int64]*mseg // frames of slotted + data + large ranges
 
+	// slotBuf is where refreshSlotted encodes: one buffer for every trusted
+	// update of every segment, not one per update.
+	slotBuf []byte
+
 	stats Stats
 }
 
@@ -776,30 +780,41 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 	}
 	ferr := fn(ms.seg)
 	if ferr == nil {
-		// Refresh the mapped image in place so user-visible bytes match. The
-		// section checksums are not this image's business (EncodeSlots): an
-		// object created in a full-size segment must not cost a CRC of the
-		// whole data section.
-		img := ms.seg.EncodeSlots()
-		for i := 0; i < ms.slottedPages && (i+1)*page.Size <= len(img); i++ {
-			if err := m.space.WriteAt(ms.slottedBase+vmem.Addr(i*page.Size), img[i*page.Size:(i+1)*page.Size]); err != nil {
-				return err
-			}
-		}
-		// Re-fix the DPs: the update may have created, moved, or resized
-		// objects (two arithmetic operations per slot, as at load).
-		for i := range ms.seg.Slots {
-			sl := &ms.seg.Slots[i]
-			if sl.Kind == segment.KindSmall || sl.Kind == segment.KindForward {
-				ms.dp[i] = ms.dataBase + vmem.Addr(sl.DataOff)
-				m.stats.DPFixups++
-			}
+		if err := m.refreshSlotted(ms); err != nil {
+			return err
 		}
 	}
 	if err := m.space.Protect(ms.slottedBase, ms.slottedPages, vmem.ProtRead); err != nil {
 		return err
 	}
 	return ferr
+}
+
+// refreshSlotted brings the mapped slotted image and the DPs in line with the
+// decoded segment after a trusted update. It runs once per object created, so
+// it encodes into the mapper's one buffer. The section checksums are not this
+// image's business (EncodeSlots): an object created in a full-size segment
+// must not cost a CRC of the whole data section.
+//
+//bess:hotpath
+func (m *Mapper) refreshSlotted(ms *mseg) error {
+	m.slotBuf = ms.seg.EncodeSlotsInto(m.slotBuf)
+	img := m.slotBuf
+	for i := 0; i < ms.slottedPages && (i+1)*page.Size <= len(img); i++ {
+		if err := m.space.WriteAt(ms.slottedBase+vmem.Addr(i*page.Size), img[i*page.Size:(i+1)*page.Size]); err != nil {
+			return err
+		}
+	}
+	// Re-fix the DPs: the update may have created, moved, or resized
+	// objects (two arithmetic operations per slot, as at load).
+	for i := range ms.seg.Slots {
+		sl := &ms.seg.Slots[i]
+		if sl.Kind == segment.KindSmall || sl.Kind == segment.KindForward {
+			ms.dp[i] = ms.dataBase + vmem.Addr(sl.DataOff)
+			m.stats.DPFixups++
+		}
+	}
+	return nil
 }
 
 // EnsureLoaded forces wave 2 for id (reserve + fetch slotted) without

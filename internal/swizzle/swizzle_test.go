@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"bess/internal/page"
@@ -322,6 +323,46 @@ func TestTrustedSlotUpdate(t *testing.T) {
 	// And user writes are still denied afterwards.
 	if err := m.Space().WriteAt(addr, []byte{1}); !errors.Is(err, vmem.ErrViolation) {
 		t.Fatalf("write after reprotect: %v", err)
+	}
+}
+
+// TestTrustedSlotUpdateKeepsOneBuffer: the refresh after a trusted update
+// encodes the slotted image into the mapper's buffer. It runs once per object
+// created, so it must not allocate (and clear) an image-sized buffer each time,
+// and what it maps must still be the segment's encoding.
+func TestTrustedSlotUpdateKeepsOneBuffer(t *testing.T) {
+	f, reg, idA, _ := buildGraph(t)
+	m := NewMapper(vmem.New(), f, reg)
+	addr, _ := m.AddrOfSlot(idA, 0)
+	if _, err := m.Deref(addr); err != nil {
+		t.Fatal(err)
+	}
+	typ := segment.TypeID(0)
+	update := func() {
+		typ++
+		if err := m.TrustedSlotUpdate(idA, func(s *segment.Seg) error { s.Slots[0].Type = typ; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update() // sizes the buffer
+	var before, after runtime.MemStats
+	const rounds = 100
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		update()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= page.Size {
+		t.Errorf("a trusted update allocates %d bytes: a slotted image (%d) or more, every time", per, page.Size)
+	}
+	seg, _ := m.Seg(idA)
+	base, _ := m.SlottedBase(idA)
+	mapped := make([]byte, page.Size)
+	if err := m.Space().ReadAt(base, mapped); err != nil {
+		t.Fatal(err)
+	}
+	if want := seg.EncodeSlots(); !bytes.Equal(mapped, want[:page.Size]) {
+		t.Error("the mapped slotted image is not the segment's encoding after a refresh into the kept buffer")
 	}
 }
 
