@@ -8,9 +8,9 @@
 //   - guarded: struct fields annotated `// guarded by <mu>` may only be
 //     touched with that mutex held (writes need the exclusive lock).
 //   - defers: every Lock/RLock is paired with an Unlock on every exit path.
-//   - atomicmix: a field accessed through sync/atomic anywhere must be
-//     accessed atomically everywhere, and plain 64-bit fields used with the
-//     64-bit atomics must be 8-aligned under the 32-bit layout.
+//   - atomicmix: atomic access is a property of a variable's type — any call
+//     of sync/atomic's package-level Load/Store/Add/Swap/CompareAndSwap
+//     functions is a finding; use atomic.Int64 and friends.
 //   - golife: every goroutine spawned in a //bess:golife package has a
 //     provable stop path (done-channel close, stop flag, WaitGroup join,
 //     or error-break on a closable source), or an explicit
@@ -179,7 +179,7 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 		analyzeDurability(pkgs, r)
 	}
 	if enabled["atomicmix"] {
-		analyzeAtomicMix(pkgs, dirs, r)
+		analyzeAtomicMix(pkgs, r)
 	}
 	if enabled["golife"] {
 		analyzeGoLife(pkgs, dirs, r)

@@ -1,72 +1,47 @@
-// Package atomicmix reproduces mixed atomic/plain field access and the
-// 32-bit alignment trap for plain 64-bit fields used atomically.
+// Package atomicmix reproduces atomic access by convention: a plain field
+// touched through sync/atomic's functions, next to the typed atomics that make
+// the mixed access and the 32-bit alignment trap unrepresentable.
 package atomicmix
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// Counter's hits field is touched through sync/atomic, so every access must
-// be atomic — and the leading uint32 leaves it 4-aligned on 32-bit layouts.
+// Counter's hits field is atomic only where somebody remembered, and the
+// leading uint32 leaves it 4-aligned on 32-bit layouts.
 type Counter struct {
 	pad  uint32
-	hits int64 // want atomicmix
-}
-
-// Inc is the atomic access that taints the field.
-func (c *Counter) Inc() {
-	atomic.AddInt64(&c.hits, 1)
-}
-
-// Read loads the counter without the atomic package.
-func (c *Counter) Read() int64 {
-	return c.hits // want atomicmix
-}
-
-// Reset stores plainly next to the atomic adds.
-func (c *Counter) Reset() {
-	c.hits = 0 // want atomicmix
-}
-
-// NewCounter touches the field plainly before the value is shared: exempt.
-func NewCounter() *Counter {
-	c := &Counter{}
-	c.hits = 0
-	return c
-}
-
-// resetForTest is declared prepublish: the caller guarantees exclusivity.
-//
-//bess:prepublish
-func resetForTest(c *Counter) {
-	c.hits = 0
-}
-
-// Aligned keeps the 64-bit field first and accesses it atomically
-// everywhere: clean.
-type Aligned struct {
 	hits int64
-	pad  uint32
+	next unsafe.Pointer
 }
 
-func (a *Aligned) Inc() { atomic.AddInt64(&a.hits, 1) }
+func (c *Counter) Inc() {
+	atomic.AddInt64(&c.hits, 1) // want atomicmix
+}
 
-func (a *Aligned) Load() int64 { return atomic.LoadInt64(&a.hits) }
+// Read is the plain load the function-style API cannot rule out.
+func (c *Counter) Read() int64 { return c.hits }
 
-// Typed atomics carry their own atomicity and alignment: ignored.
+func (c *Counter) Load() int64 { return atomic.LoadInt64(&c.hits) } // want atomicmix
+
+func (c *Counter) Reset() {
+	atomic.StoreInt64(&c.hits, 0)                   // want atomicmix
+	atomic.CompareAndSwapPointer(&c.next, nil, nil) // want atomicmix
+	_ = atomic.SwapInt64(&c.hits, 1)                // want atomicmix
+}
+
+// Typed atomics carry their own atomicity and alignment: clean, methods and
+// all.
 type Typed struct {
-	n atomic.Int64
+	n    atomic.Int64
+	done atomic.Bool
+	p    atomic.Pointer[Typed]
 }
 
 func (t *Typed) Bump() int64 {
 	t.n.Add(1)
+	t.done.Store(true)
+	t.p.CompareAndSwap(nil, t)
 	return t.n.Load()
-}
-
-// total is a package-level counter used atomically.
-var total int64
-
-func AddTotal(n int64) { atomic.AddInt64(&total, n) }
-
-// TotalSnapshot reads the package counter plainly.
-func TotalSnapshot() int64 {
-	return total // want atomicmix
 }

@@ -21,7 +21,7 @@ import (
 // power-loss point. The workload runs once fault-free to count events,
 // then replays once per crash point × tear mode. Each replay kills the
 // machine at its scheduled event, extracts the surviving images, reopens
-// them, runs wal.Recover, and checks the recovered database against a
+// them, runs tx.Restart, and checks the recovered database against a
 // shadow model:
 //
 //	(1) every acknowledged commit (Flush returned nil before the crash)
@@ -249,9 +249,8 @@ func (w *e13World) steal(t *tx.Tx, pg page.No) error {
 // back to pages logged before it, so their next records must be anchors
 // again for a torn steal to heal.
 func e13Workload(w *e13World) {
-	inflight := make(map[uint64]*tx.Tx)
 	for id := uint64(1); id <= e13Txs; id++ {
-		t := w.txm.BeginWithID(id)
+		t := w.txm.Ensure(id, 0)
 		pg := w.pages[id]
 		for k := 0; k < e13Updates; k++ {
 			off, n := 0, page.Size
@@ -273,7 +272,7 @@ func e13Workload(w *e13World) {
 		if id == e13Txs/2+1 {
 			// Back to a committed page and to an in-flight one, first touches
 			// of the new epoch both; the second change to each is a delta.
-			old := inflight[2]
+			old := w.txm.Lookup(2) // in flight since the second iteration
 			for k := e13Updates; k < e13Updates+2; k++ {
 				if w.update(t, w.pages[1], k, 100*k, 64) != nil ||
 					w.update(old, w.pages[2], k, 100*k, 64) != nil {
@@ -301,8 +300,6 @@ func e13Workload(w *e13World) {
 				return
 			}
 			delete(w.unsaved, pg)
-		default:
-			inflight[id] = t
 		}
 
 		if id == e13Txs/2 && w.flushAndCheckpoint() != nil {
@@ -374,7 +371,7 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 		}
 	}
 
-	stats, err := wal.Recover(l, e13Pager{a, l})
+	stats, err := restart(l, e13Pager{a, l})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
@@ -408,7 +405,7 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 	}
 
 	// (4) idempotence: a second restart finds no losers and changes nothing.
-	stats2, err := wal.Recover(l, e13Pager{a, l})
+	stats2, err := restart(l, e13Pager{a, l})
 	if err != nil {
 		return nil, fmt.Errorf("second recover: %w", err)
 	}
@@ -445,7 +442,7 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 // area. Restart must leave all of it or none of it.
 func e13LongTx(w *e13World) {
 	const updates = 2560 // whole-page overwrites, before and after both stored: 21 MB of log, 2.5 times the log's buffer set
-	t := w.txm.BeginWithID(1)
+	t := w.txm.Ensure(1, 0)
 	for k := 0; k < updates; k++ {
 		pg := w.pages[uint64(1+k%e13Txs)]
 		if w.update(t, pg, k, 0, page.Size) != nil {
@@ -476,7 +473,7 @@ func e13FreshPages(w *e13World) {
 	fill := func(t *tx.Tx, p page.No) error { return w.update(t, p, 0, 0, page.Size) }
 
 	// Filled, one page stolen, rolled back at run time: back to zeroes.
-	t := w.txm.BeginWithID(2)
+	t := w.txm.Ensure(2, 0)
 	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.update(t, pg(3), 1, 700, 300) != nil ||
 		w.steal(t, pg(2)) != nil || w.rollback(t, map[page.No][]byte{pg(1): nil, pg(2): nil, pg(3): nil}) != nil {
 		return
@@ -484,7 +481,7 @@ func e13FreshPages(w *e13World) {
 
 	// Filled — the second and third the same pages again, zero once more — and
 	// committed: the winner every later rollback must leave byte-exact.
-	t = w.txm.BeginWithID(1)
+	t = w.txm.Ensure(1, 0)
 	if fill(t, pg(2)) != nil || fill(t, pg(3)) != nil || w.update(t, pg(4), 1, 1000, 200) != nil || w.steal(t, pg(3)) != nil {
 		return
 	}
@@ -495,13 +492,13 @@ func e13FreshPages(w *e13World) {
 
 	// Filled, stolen, and rolled back after a checkpoint: the CLR anchors the
 	// page with a whole image of zeroes.
-	late := w.txm.BeginWithID(4)
+	late := w.txm.Ensure(4, 0)
 	if fill(late, pg(5)) != nil || w.steal(late, pg(5)) != nil {
 		return
 	}
 	// The loser: fills fresh pages before and after the checkpoint, one of each
 	// stolen, and is never heard of again.
-	loser := w.txm.BeginWithID(6)
+	loser := w.txm.Ensure(6, 0)
 	if fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.steal(loser, pg(6)) != nil {
 		return
 	}
@@ -516,7 +513,7 @@ func e13FreshPages(w *e13World) {
 	}
 
 	// The committed fill changed in ranges, one zeroed, stolen, rolled back.
-	t = w.txm.BeginWithID(8)
+	t = w.txm.Ensure(8, 0)
 	was := map[page.No][]byte{pg(2): w.buffer[pg(2)], pg(3): w.buffer[pg(3)], pg(4): w.buffer[pg(4)]}
 	if w.update(t, pg(2), 2, 100, 50) != nil || w.clear(t, pg(3), 2000, 500) != nil || w.clear(t, pg(4), 0, page.Size) != nil ||
 		w.update(t, pg(2), 3, 3000, 10) != nil || w.steal(t, pg(3)) != nil || w.steal(t, pg(4)) != nil || w.rollback(t, was) != nil {
@@ -524,7 +521,7 @@ func e13FreshPages(w *e13World) {
 	}
 
 	// And a second winner over a rolled-back page and a fresh one.
-	t = w.txm.BeginWithID(3)
+	t = w.txm.Ensure(3, 0)
 	if fill(t, pg(1)) != nil || fill(t, pg(10)) != nil {
 		return
 	}

@@ -514,7 +514,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 		return c, fmt.Errorf("reopen clean log: %w", err)
 	}
 	pager := &memPager{log: clean, pages: make(map[page.ID][]byte)}
-	st, err := wal.Recover(clean, pager)
+	st, err := restart(clean, pager)
 	_ = clean.Close()
 	if err != nil {
 		return c, fmt.Errorf("clean recover: %w", err)
@@ -553,7 +553,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 			continue
 		}
 		p := &memPager{log: l, pages: make(map[page.ID][]byte)}
-		st, err := wal.Recover(l, p)
+		st, err := restart(l, p)
 		if err != nil {
 			rep.fail(fmt.Sprintf("%s: recover: %v", label, err))
 			c.record("silent")

@@ -371,10 +371,19 @@ func (s *Session) onAccess(k detect.PageKey, write bool) error {
 		return ErrSnapshotRead
 	}
 	s.markTouchedLocked(key)
-	needLock := write && !s.xLocked[key]
-	txid := s.txID
 	s.mu.Unlock()
-	if !needLock {
+	if !write {
+		return nil
+	}
+	return s.writeLock(key)
+}
+
+// writeLock takes X on key at the server unless this transaction has it.
+func (s *Session) writeLock(key proto.SegKey) error {
+	s.mu.Lock()
+	have, txid := s.xLocked[key], s.txID
+	s.mu.Unlock()
+	if have {
 		return nil
 	}
 	if err := s.conn.Lock(s.client, txid, key, proto.LockX); err != nil {
@@ -498,7 +507,12 @@ func (s *Session) TxID() (uint64, bool) {
 	return s.txID, s.inTx
 }
 
-// shipImages builds the commit payload from the dirty segments.
+// shipImages builds the commit payload from the dirty segments: the slotted
+// image as the segment keeps it (the server is authoritative for the section
+// checksums and sets them over the bytes that land on disk) and, when the
+// data part is mapped, the data with every reference in persistent form. A
+// segment whose data cannot be unswizzled fails the commit: shipping its
+// slots without it would be acknowledging an update and dropping it.
 func (s *Session) shipImages() ([]proto.SegImage, error) {
 	dirty := make(map[proto.SegKey]bool)
 	for _, id := range s.mapper.DirtySegs() {
@@ -516,11 +530,11 @@ func (s *Session) shipImages() ([]proto.SegImage, error) {
 		if !ok {
 			continue
 		}
-		img := proto.SegImage{Seg: k, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow}
-		if data, _, err := s.mapper.UnswizzledData(id); err == nil {
-			img.Data = data
+		data, err := s.mapper.UnswizzledData(id)
+		if err != nil {
+			return nil, fmt.Errorf("client: commit image of segment %v: %w", id, err)
 		}
-		images = append(images, img)
+		images = append(images, proto.SegImage{Seg: k, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: data})
 	}
 	return images, nil
 }
@@ -529,19 +543,9 @@ func (s *Session) shipImages() ([]proto.SegImage, error) {
 // through trusted paths (object creation) rather than page faults.
 func (s *Session) ensureWriteLocks(images []proto.SegImage) error {
 	for _, img := range images {
-		s.mu.Lock()
-		have := s.xLocked[img.Seg]
-		txid := s.txID
-		s.mu.Unlock()
-		if have {
-			continue
-		}
-		if err := s.conn.Lock(s.client, txid, img.Seg, proto.LockX); err != nil {
+		if err := s.writeLock(img.Seg); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.xLocked[img.Seg] = true
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -561,10 +565,10 @@ func (s *Session) Commit() error {
 	txid := s.txID
 	s.mu.Unlock()
 	images, err := s.shipImages()
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.ensureWriteLocks(images)
 	}
-	if err := s.ensureWriteLocks(images); err != nil {
+	if err != nil {
 		_ = s.Abort()
 		return err
 	}
@@ -813,16 +817,9 @@ func (s *Session) CreateObject(seg proto.SegKey, typ segment.TypeID, data []byte
 		s.mu.Unlock()
 		return vmem.NilAddr, ErrNoTx
 	}
-	txid := s.txID
-	have := s.xLocked[seg]
 	s.mu.Unlock()
-	if !have {
-		if err := s.conn.Lock(s.client, txid, seg, proto.LockX); err != nil {
-			return vmem.NilAddr, err
-		}
-		s.mu.Lock()
-		s.xLocked[seg] = true
-		s.mu.Unlock()
+	if err := s.writeLock(seg); err != nil {
+		return vmem.NilAddr, err
 	}
 	if err := s.drainDrop(seg); err != nil {
 		return vmem.NilAddr, err
@@ -878,17 +875,8 @@ func (s *Session) DeleteObject(ref vmem.Addr) error {
 	}
 	id, _, _, _ := s.mapper.FrameInfo(ref.Frame())
 	key := segKey(id)
-	s.mu.Lock()
-	txid := s.txID
-	have := s.xLocked[key]
-	s.mu.Unlock()
-	if !have {
-		if err := s.conn.Lock(s.client, txid, key, proto.LockX); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.xLocked[key] = true
-		s.mu.Unlock()
+	if err := s.writeLock(key); err != nil {
+		return err
 	}
 	o := s.OIDOf(ref)
 	if err := s.mapper.TrustedSlotUpdate(id, func(sg *segment.Seg) error {

@@ -159,3 +159,90 @@ func TestPendingDropAppliedOnTouch(t *testing.T) {
 	}
 	reader.Commit()
 }
+
+// TestCommitThroughDanglingReference: cached segment A holds a swizzled
+// reference into segment B, and B's copy is revoked and dropped. An update of
+// A's payload must still commit — the reference unswizzles from the retired
+// range — and must never be acknowledged without its data.
+func TestCommitThroughDanglingReference(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	srv.CallbackTimeout = 300 * time.Millisecond
+
+	writer, _ := openRemote(t, srv, "writer")
+	reader, _ := openRemote(t, srv, "reader")
+	third, _ := openRemote(t, srv, "third")
+	td, _ := writer.RegisterType(nodeType)
+	reader.RegisterType(nodeType)
+	third.RegisterType(nodeType)
+	segA, _ := writer.CreateSegment(1, 1, 2, -1)
+	segB, _ := writer.CreateSegment(1, 1, 2, -1)
+	put := func(obj *swizzle.Object, val uint64) {
+		t.Helper()
+		var buf [8]byte
+		binary.BigEndian.PutUint64(buf[:], val)
+		if err := obj.Write(8, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writer.Begin()
+	b, _ := writer.CreateObject(segB, td.ID, nodeBytes(2))
+	a, _ := writer.CreateObject(segA, td.ID, nodeBytes(1))
+	objA, _ := writer.Deref(a)
+	if err := objA.SetRefField(0, b); err != nil {
+		t.Fatal(err)
+	}
+	writer.SetRoot("a", a)
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reader caches both, A's reference swizzled to B's reserved range.
+	reader.Begin()
+	ra, err := reader.Root("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _ := ra.RefField(0)
+	if rb, err := reader.Deref(next); err != nil || nodeVal(rb) != 2 {
+		t.Fatalf("reader's chase to B: %v", err)
+	}
+	reader.Commit()
+
+	// The writer's update of B revokes the reader's idle copy of B.
+	writer.Begin()
+	wb, _ := writer.Deref(b)
+	put(wb, 22)
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reader updates A's payload, through the copy of A it kept.
+	reader.Begin()
+	ra, err = reader.Root("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(ra, 11)
+	if err := reader.Commit(); err != nil {
+		t.Fatalf("commit of A with a reference into dropped B: %v", err)
+	}
+
+	third.Begin()
+	ta, err := third.Root("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeVal(ta); got != 11 {
+		t.Fatalf("a third session reads %d from A: the acknowledged update was lost", got)
+	}
+	tn, err := ta.RefField(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb, err := third.Deref(tn); err != nil || nodeVal(tb) != 22 {
+		t.Fatalf("A's reference no longer leads to B: %v", err)
+	}
+	third.Commit()
+}

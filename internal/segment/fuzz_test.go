@@ -98,7 +98,7 @@ func FuzzVerifyPage(f *testing.F) {
 			t.Fatal(err)
 		}
 		s.Data = bytes.Repeat([]byte{0xD7}, int(s.Hdr.DataPages)*page.Size)
-		img := s.EncodeSlotted()
+		img := bytes.Clone(s.EncodeSlotted()) // the segment keeps the original
 		pos := int(off) % len(img)
 		img[pos] ^= xor
 		if _, err := DecodeSlotted(img); err == nil {

@@ -13,10 +13,12 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
@@ -139,12 +141,24 @@ type Header struct {
 // to the paper's "segment handle" run-time structure. Seg is not safe for
 // concurrent use; callers latch.
 type Seg struct {
-	Hdr       Header
-	Slots     []Slot
-	Data      []byte // data segment bytes, len == DataPages*page.Size
-	Overflow  []byte // overflow segment bytes, len == OverPages*page.Size
-	Dirty     bool   // slotted/header state changed since load
-	DataDirty bool   // data segment bytes changed since load
+	Hdr      Header
+	Slots    []Slot
+	Data     []byte // data segment bytes, len == DataPages*page.Size
+	Overflow []byte // overflow segment bytes, len == OverPages*page.Size
+
+	// img is the encoded slotted image, kept from the first time it is asked
+	// for (EncodeSlots). Its slot bytes are current at all times — every
+	// method that changes a slot writes the slot through (putSlot); a caller
+	// that assigns into Slots directly is not followed — and its header and
+	// checksums as of the last EncodeSlots.
+	img []byte
+}
+
+// putSlot writes slot i through to the kept image, if there is one.
+func (s *Seg) putSlot(i int) {
+	if s.img != nil {
+		encodeSlot(s.img[SlotByteOffset(i):], &s.Slots[i])
+	}
 }
 
 // SlotCapacity returns the number of slots a slotted segment of n pages holds.
@@ -204,7 +218,6 @@ func New(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataS
 		},
 		Slots: make([]Slot, n),
 		Data:  make([]byte, dataPages*page.Size),
-		Dirty: true,
 	}
 	// Chain the free list through DataOff.
 	for i := 0; i < n; i++ {
@@ -250,7 +263,7 @@ func (s *Seg) AllocSlot(kind Kind, typ TypeID, size uint32, dataOff uint64) (int
 	sl.Size = size
 	sl.DataOff = dataOff
 	s.Hdr.NObjects++
-	s.Dirty = true
+	s.putSlot(i)
 	return i, nil
 }
 
@@ -272,7 +285,7 @@ func (s *Seg) FreeSlot(i int) error {
 	}
 	s.Hdr.FreeSlotHead = int32(i)
 	s.Hdr.NObjects--
-	s.Dirty = true
+	s.putSlot(i)
 	return nil
 }
 
@@ -328,7 +341,6 @@ func (s *Seg) createKind(kind Kind, typ TypeID, data []byte) (int, error) {
 	}
 	copy(s.Data[off:], data)
 	s.Hdr.DataUsed += uint32(need)
-	s.DataDirty = true
 	return i, nil
 }
 
@@ -350,7 +362,6 @@ func (s *Seg) CreateDescriptor(kind Kind, typ TypeID, objectSize uint32, desc []
 	}
 	copy(s.Overflow[off:], desc)
 	s.Hdr.OverUsed += uint32(need)
-	s.Dirty = true
 	return i, nil
 }
 
@@ -381,7 +392,6 @@ func (s *Seg) EnsureOverflow(nPages int) {
 	copy(grown, s.Overflow)
 	s.Overflow = grown
 	s.Hdr.OverPages = uint32(nPages)
-	s.Dirty = true
 }
 
 // ObjectBytes returns the live bytes of small/forward object i. The slice
@@ -409,7 +419,6 @@ func (s *Seg) UpdateObject(i int, data []byte) error {
 		return ErrSizeChange
 	}
 	copy(b, data)
-	s.DataDirty = true
 	return nil
 }
 
@@ -430,7 +439,7 @@ func (s *Seg) ResizeObject(i int, data []byte) error {
 		copy(s.Data[sl.DataOff:], data)
 		sl.Size = uint32(len(data))
 		s.Hdr.DataGarbage += uint32(oldNeed - newNeed)
-		s.Dirty, s.DataDirty = true, true
+		s.putSlot(i)
 		return nil
 	}
 	if s.dataFree() < newNeed {
@@ -445,7 +454,7 @@ func (s *Seg) ResizeObject(i int, data []byte) error {
 	s.Hdr.DataGarbage += uint32(oldNeed)
 	sl.DataOff = off
 	sl.Size = uint32(len(data))
-	s.Dirty, s.DataDirty = true, true
+	s.putSlot(i)
 	return nil
 }
 
@@ -471,7 +480,6 @@ func (s *Seg) Compact() int {
 		return 0
 	}
 	// Collect live small/forward slots ordered by DataOff.
-	type ent struct{ slot int }
 	var order []int
 	for i := range s.Slots {
 		sl := s.Slots[i]
@@ -493,13 +501,13 @@ func (s *Seg) Compact() int {
 		if sl.DataOff != uint64(used) {
 			copy(s.Data[used:used+sl.Size], s.Data[sl.DataOff:sl.DataOff+uint64(sl.Size)])
 			sl.DataOff = uint64(used)
+			s.putSlot(i)
 			moved++
 		}
 		used += need
 	}
 	s.Hdr.DataUsed = used
 	s.Hdr.DataGarbage = 0
-	s.Dirty, s.DataDirty = true, true
 	return moved
 }
 
@@ -517,7 +525,6 @@ func (s *Seg) ResizeData(nPages int) error {
 	copy(grown, s.Data[:min(len(s.Data), newLen)])
 	s.Data = grown
 	s.Hdr.DataPages = uint32(nPages)
-	s.Dirty, s.DataDirty = true, true
 	return nil
 }
 
@@ -527,7 +534,6 @@ func (s *Seg) ResizeData(nPages int) error {
 func (s *Seg) MoveData(area page.AreaID, start page.No) {
 	s.Hdr.DataArea = area
 	s.Hdr.DataStart = start
-	s.Dirty = true
 }
 
 // LiveSlots returns the indices of live slots in ascending order.
@@ -555,7 +561,7 @@ func min(a, b int) int {
 // always recomputed from this image, and the data/overflow CRCs are
 // recomputed when the section bytes are attached at their full on-disk size
 // (carried forward from the last decode otherwise, so a commit that ships no
-// data bytes keeps the data segment verifiable).
+// data bytes keeps the data segment verifiable). The result is EncodeSlots'.
 func (s *Seg) EncodeSlotted() []byte {
 	if len(s.Data) == int(s.Hdr.DataPages)*page.Size {
 		s.Hdr.DataCRC = page.Checksum(s.Data)
@@ -570,27 +576,23 @@ func (s *Seg) EncodeSlotted() []byte {
 
 // EncodeSlots is EncodeSlotted without the walk over the attached sections:
 // the header carries the data and overflow checksums it already had, the
-// header and slot-region checksums are computed as always. It costs O(slotted
-// pages) where EncodeSlotted costs O(segment), which is what a client wants
-// when it refreshes its mapped slotted image after every slot change
-// (swizzle.Mapper.TrustedSlotUpdate): nothing verifies a section against
-// that image, and the image that ships at commit comes from EncodeSlotted.
-func (s *Seg) EncodeSlots() []byte { return s.EncodeSlotsInto(nil) }
-
-// EncodeSlotsInto is EncodeSlots into buf's storage when that is large enough,
-// into a fresh buffer otherwise: the caller that re-encodes after every slot
-// change keeps one buffer and passes the last result back in.
+// header and slot-region checksums are computed as always. It returns the
+// segment's one slotted image, which it keeps: valid until the segment next
+// changes, current again after the next call. The slots in it are current
+// already (putSlot), so a call costs the header and two checksums of the
+// slotted pages — what a client wants that maps this very image and brings it
+// up to date after every slot change (swizzle.Mapper.TrustedSlotUpdate).
 //
 //bess:hotpath
-func (s *Seg) EncodeSlotsInto(buf []byte) []byte {
+func (s *Seg) EncodeSlots() []byte {
 	s.Hdr.CRCFlags |= CRCSlots
-	if n := int(s.Hdr.SlottedPages) * page.Size; cap(buf) < n {
-		buf = make([]byte, n) //bess:hotpath ignore=grows to the largest slotted size seen, then reused
-	} else {
-		buf = buf[:n]
-		clear(buf)
+	if s.img == nil {
+		s.img = make([]byte, int(s.Hdr.SlottedPages)*page.Size) //bess:hotpath ignore=once per segment
+		for i := range s.Slots {
+			s.putSlot(i)
+		}
 	}
-	h := s.Hdr
+	buf, h := s.img, s.Hdr
 	binary.BigEndian.PutUint32(buf[0:4], segMagic)
 	binary.BigEndian.PutUint32(buf[4:8], h.FileID)
 	binary.BigEndian.PutUint32(buf[8:12], h.SlottedPages)
@@ -610,9 +612,15 @@ func (s *Seg) EncodeSlotsInto(buf []byte) []byte {
 	buf[68] = h.CRCFlags
 	binary.BigEndian.PutUint32(buf[76:80], h.DataCRC)
 	binary.BigEndian.PutUint32(buf[80:84], h.OverCRC)
-	for i := range s.Slots {
-		p, off := SlotPos(i)
-		encodeSlot(buf[p*page.Size+off:], &s.Slots[i])
+	if lockcheck.Enabled {
+		// An invariants build checks the kept slots against the Slots array.
+		var want [SlotSize]byte
+		for i := range s.Slots {
+			encodeSlot(want[:], &s.Slots[i])
+			if off := SlotByteOffset(i); !bytes.Equal(buf[off:off+SlotSize], want[:]) {
+				panic(fmt.Sprintf("segment: slot %d changed behind the kept slotted image", i))
+			}
+		}
 	}
 	// The slot-region CRC goes in last: it covers every slotted byte past
 	// the header, so with the header's own checksum below the whole slotted

@@ -326,29 +326,92 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeSlotsIntoReusedBuffer: what a buffer held before does not show in
-// an encoding made into it, whatever size of segment it last served, and a
-// buffer large enough is the one that comes back.
-func TestEncodeSlotsIntoReusedBuffer(t *testing.T) {
-	big, small := New(1, 3, 4, 9, 100), New(2, 1, 1, 9, 200)
-	if _, err := small.CreateObject(1, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	buf := bytes.Repeat([]byte{0xAA}, 3*page.Size)
-	for _, s := range []*Seg{big, small, big} {
-		want := s.EncodeSlots()
-		got := s.EncodeSlotsInto(buf)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encoding of a %d-page segment into a used buffer differs from a fresh one", s.Hdr.SlottedPages)
+// slottedOps is a fixed history that changes slots every way there is: fresh
+// allocation, free, reuse of a freed slot, shrink in place, growth that moves
+// the object, a descriptor slot, and a compaction that moves most objects.
+// after runs following every step.
+func slottedOps(t *testing.T, s *Seg, after func(step string)) {
+	t.Helper()
+	must := func(step string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
-		if &got[0] != &buf[0] {
-			t.Fatal("a large enough buffer was not reused")
+		after(step)
+	}
+	var made []int
+	for k := 0; k < 40; k++ {
+		i, err := s.CreateObject(TypeID(k%3+1), bytes.Repeat([]byte{byte(k)}, 10+k*7))
+		must("create", err)
+		made = append(made, i)
+	}
+	for _, k := range []int{3, 17, 4, 30} {
+		must("delete", s.DeleteObject(made[k]))
+	}
+	_, err := s.CreateObject(9, []byte("reuses the slot freed last"))
+	must("create in a freed slot", err)
+	must("shrink", s.ResizeObject(made[20], []byte("short")))
+	must("grow", s.ResizeObject(made[5], bytes.Repeat([]byte{0xEE}, 900)))
+	s.EnsureOverflow(1)
+	_, err = s.CreateDescriptor(KindVeryLarge, 2, 1<<20, []byte("tree-root"))
+	must("descriptor", err)
+	if s.Compact() == 0 {
+		t.Fatal("compaction moved nothing")
+	}
+	after("compact")
+	must("free", s.FreeSlot(made[0]))
+}
+
+// TestSlottedImageFollowsEveryChange pins the kept image to the Slots array
+// without trusting the code that keeps it: after every change the image a
+// segment has been keeping since before the first one decodes to the array
+// slot for slot, and equals, byte for byte, the encoding of a segment that
+// keeps no image yet and so encodes every slot from scratch.
+func TestSlottedImageFollowsEveryChange(t *testing.T) {
+	s := newTestSeg()
+	kept := s.EncodeSlots()
+	slottedOps(t, s, func(step string) {
+		img := s.EncodeSlots()
+		if &img[0] != &kept[0] {
+			t.Fatalf("%s: the segment encoded into a second image", step)
+		}
+		dec, err := DecodeSlotted(img)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for i := range s.Slots {
+			if dec.Slots[i] != s.Slots[i] {
+				t.Fatalf("%s: slot %d is %+v in the kept image, %+v in the segment", step, i, dec.Slots[i], s.Slots[i])
+			}
+		}
+		scratch := &Seg{Hdr: s.Hdr, Slots: s.Slots}
+		if !bytes.Equal(img, scratch.EncodeSlots()) {
+			t.Fatalf("%s: the kept image differs from an encoding from scratch", step)
+		}
+	})
+}
+
+// TestSlottedImageGolden: the image a commit ships for a given segment is, to
+// the byte, the one the encoder produced before segments kept their image —
+// the checksum is of that encoder's output for this history — whether the
+// image was kept through the history or is built at the end.
+func TestSlottedImageGolden(t *testing.T) {
+	const golden = 0xb6b25dab // page.Checksum of EncodeSlotted() after slottedOps, as PR 25 encoded it
+	for _, keep := range []bool{true, false} {
+		s := newTestSeg()
+		if keep {
+			s.EncodeSlots()
+		}
+		slottedOps(t, s, func(string) {})
+		if got := page.Checksum(s.EncodeSlotted()); got != golden {
+			t.Errorf("kept through the history: %v: image checksum %#x, want %#x", keep, got, golden)
 		}
 	}
-	if got := big.EncodeSlotsInto(make([]byte, page.Size)); !bytes.Equal(got, big.EncodeSlots()) {
-		t.Fatal("encoding into a buffer too small differs from a fresh one")
-	}
-	// Format is New's image: what a server writes and a creator builds.
+}
+
+// TestFormatIsNewEncoded: Format is New's image — what a server writes and a
+// creator builds.
+func TestFormatIsNewEncoded(t *testing.T) {
 	sl, data := Format(1, 2, 4, 9, 100)
 	if want := newTestSeg(); !bytes.Equal(sl, want.EncodeSlotted()) || !bytes.Equal(data, want.Data) {
 		t.Fatal("Format is not the encoding of New")

@@ -163,7 +163,7 @@ func TestCommitErrorForgetsTx(t *testing.T) {
 	if err := s.Commit(c, txid, []proto.SegImage{img}); err == nil {
 		t.Fatal("commit succeeded with a closed log")
 	}
-	if s.txs.get(txid) != nil {
+	if s.txm.Lookup(txid) != nil {
 		t.Fatal("failed commit leaked the transaction in the active table")
 	}
 }

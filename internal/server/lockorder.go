@@ -8,11 +8,10 @@
 // (internal/lockcheck, active under the `invariants` build tag).
 //
 // Names are unqualified Type.field pairs; "a < b" means a goroutine holding
-// a may acquire b, never the reverse. Locks of equal rank (the 32 tx table
-// shards all share txShard.mu) must not nest at all. Locks not named here
-// (area.Area.mu, the lock manager's internals, client-side session locks)
-// are unranked: they carry no ordering constraints but are still checked
-// for recursive acquisition at runtime.
+// a may acquire b, never the reverse. Locks of equal rank must not nest at
+// all. Locks not named here (area.Area.mu, the lock manager's internals,
+// client-side session locks) are unranked: they carry no ordering
+// constraints but are still checked for recursive acquisition at runtime.
 //
 // The rpc.Peer locks rank below (outside) every server lock: a dispatch
 // handler holds Peer.mu briefly before touching server state, and the
@@ -25,7 +24,7 @@
 // hierarchy exists so that any future nesting some PR introduces is forced
 // into one deadlock-free direction and mechanically verified.
 //
-//bess:lockorder Peer.mu < Peer.wmu < reader.areaMu < Table.mu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
+//bess:lockorder Peer.mu < Peer.wmu < reader.areaMu < Table.mu < Server.snapMu < Manager.mu < catalog.mu < VersionStore.mu < Log.mu
 package server
 
 import "bess/internal/lockcheck"
@@ -34,18 +33,18 @@ import "bess/internal/lockcheck"
 // = acquired earlier (outermost). Log.mu's rank lives in the wal package
 // (wal.RankLogMu), VersionStore.mu's in the cache package
 // (cache.RankVersionStoreMu), the Peer ranks in the rpc package (rankPeerMu,
-// rankPeerWmu) and Table.mu's — the copy table's one lock — in the callback
-// package (rankTableMu) because none of those can import server;
+// rankPeerWmu), Table.mu's — the copy table's one lock — in the callback
+// package (rankTableMu) and Manager.mu's — the transaction table's — in the
+// tx package (rankManagerMu) because none of those can import server;
 // bess-vet's self-test keeps the files consistent with the directive.
 //
 // The two multiversion locks rank where their real nesting demands:
-// Server.snapMu sits outside the tx shards (Disconnect closes a client's
-// snapshots before aborting its transactions), and VersionStore.mu sits
+// Server.snapMu sits outside the transaction table (Disconnect closes a
+// client's snapshots before aborting its transactions), and VersionStore.mu sits
 // innermost but for Log.mu — commit hooks publish staged versions while
 // the committing transaction still holds everything else.
 const (
 	rankAreaMu  lockcheck.Rank = 10
 	rankSnapMu  lockcheck.Rank = 35
-	rankTxShard lockcheck.Rank = 40
 	rankCatalog lockcheck.Rank = 50
 )

@@ -257,7 +257,6 @@ func TestReaderCannotReachLocks(t *testing.T) {
 	banned := map[reflect.Type]bool{
 		reflect.TypeOf(lock.Manager{}):   true,
 		reflect.TypeOf(tx.Manager{}):     true,
-		reflect.TypeOf(txTable{}):        true,
 		reflect.TypeOf(callback.Table{}): true,
 		reflect.TypeOf(Server{}):         true,
 	}

@@ -74,10 +74,10 @@ type Stats struct {
 // different clients do not contend on one server-wide mutex: the reader's
 // areaMu guards the area table (read-mostly), the client registry and
 // cached-copy table share the copy table's lock (callback.Table), and the
-// active-transaction map is the sharded txs table. None of these locks is ever held while
-// acquiring another; the permitted nesting order, should one ever be
-// introduced, is declared in lockorder.go and enforced by cmd/bess-vet and
-// `-tags invariants` builds.
+// transaction table is the transaction manager's (tx.Manager: the only one).
+// None of these locks is ever held while acquiring another; the permitted
+// nesting order, should one ever be introduced, is declared in lockorder.go
+// and enforced by cmd/bess-vet and `-tags invariants` builds.
 type Server struct {
 	host uint16
 	dir  string // "" = in-memory
@@ -94,8 +94,6 @@ type Server struct {
 	// under snapMu and publish the stamps to the reader's snapView.
 	snapMu    lockcheck.Mutex
 	snapshots map[uint64]*snapEntry // guarded by snapMu
-
-	txs txTable
 
 	closed atomic.Bool
 
@@ -178,7 +176,6 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	// A client whose callback fails is gone: what else the server keeps for
 	// it goes too.
 	s.copies = callback.New(ErrCallback, s.Disconnect)
-	s.txs.init()
 	s.scrubStop = make(chan struct{})
 	s.scrubDone = make(chan struct{})
 	s.locks.DefaultTimeout = 5 * time.Second
@@ -199,23 +196,14 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		return nil, err
 	}
 	s.cat.log = s.log
-	var st *wal.RecoveryStats
-	if dir != "" {
-		if st, err = s.restart(); err != nil {
-			errs := []error{err, s.log.Close()}
-			for _, a := range s.openAreas() {
-				errs = append(errs, a.Close())
-			}
-			return nil, errors.Join(errs...)
+	if dir == "" {
+		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
+	} else if err = s.restart(); err != nil {
+		errs := []error{err, s.log.Close()}
+		for _, a := range s.openAreas() {
+			errs = append(errs, a.Close())
 		}
-	}
-	s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
-	if st != nil {
-		// In-doubt 2PC branches are adopted so the coordinator's decision
-		// can complete them.
-		for _, id := range st.InDoubt {
-			s.txs.put(id, s.txm.AdoptPrepared(id, st.InDoubtLast[id]), 0)
-		}
+		return nil, errors.Join(errs...)
 	}
 	// Multiversion reads (DESIGN.md §7): the version store retains
 	// superseded segment images while snapshots are open, fed by the tx
@@ -236,13 +224,14 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 // restart brings a file-backed server's storage to what its log describes,
 // outermost structure first: the catalog (the image plus the ops logged since
 // it was taken), then the storage those ops name — an area file created, a
-// segment's runs allocated and formatted — and only then the pages
-// (wal.Recover: repeat history, roll back losers), which need both.
-func (s *Server) restart() (*wal.RecoveryStats, error) {
+// segment's runs allocated and formatted — and only then the pages and the
+// transaction table (tx.Restart: repeat history, roll back losers, keep
+// in-doubt 2PC branches for the coordinator's decision), which need both.
+func (s *Server) restart() error {
 	updated := make(map[page.ID]page.LSN)
 	ops, err := s.cat.replay(updated)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// An area the replayed ops created may have no file yet (the record
 	// outlived the directory entry); an area the image names must have one.
@@ -258,7 +247,7 @@ func (s *Server) restart() (*wal.RecoveryStats, error) {
 			a, err = s.createArea(aid)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("server: open area %d: %w", aid, err)
+			return fmt.Errorf("server: open area %d: %w", aid, err)
 		}
 		s.areaMu.Lock()
 		s.areas[aid] = a
@@ -268,7 +257,7 @@ func (s *Server) restart() (*wal.RecoveryStats, error) {
 	// crashed before its record was durable: nothing refers to it.
 	files, err := filepath.Glob(filepath.Join(s.dir, "area-*.bess"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range files {
 		var aid uint32
@@ -276,21 +265,20 @@ func (s *Server) restart() (*wal.RecoveryStats, error) {
 			continue
 		}
 		if err := os.Remove(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, op := range ops {
 		if op.Kind == proto.CatAddSegment {
 			if err := s.redoSegment(op, updated); err != nil {
-				return nil, fmt.Errorf("server: redo of segment %d/%d (lsn %d): %w", op.Seg.Area, op.Seg.Start, op.lsn, err)
+				return fmt.Errorf("server: redo of segment %d/%d (lsn %d): %w", op.Seg.Area, op.Seg.Start, op.lsn, err)
 			}
 		}
 	}
-	st, err := wal.Recover(s.log, s)
-	if err != nil {
-		return nil, fmt.Errorf("server: recovery: %w", err)
+	if s.txm, _, err = tx.Restart(s.log, s.locks, s, s.hk); err != nil {
+		return fmt.Errorf("server: recovery: %w", err)
 	}
-	return st, nil
+	return nil
 }
 
 func (s *Server) areaPath(id uint32) string {
@@ -385,16 +373,16 @@ func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error))
 	return s.copies.SetCallback(client, cb)
 }
 
-// Disconnect drops a client: its cached copies are forgotten, its live
+// Disconnect drops a client: its cached copies are forgotten, its active
 // transactions aborted, and its open snapshots closed (unpinning the
-// version watermark).
+// version watermark). A branch it prepared is not this server's to abort: it
+// stays in doubt, locks held, until Decide (tx.Manager.AbortOwned).
 func (s *Server) Disconnect(client uint32) {
 	s.closeClientSnaps(client)
-	doomed := s.txs.takeOwned(client)
 	s.copies.Remove(client)
-	for _, t := range doomed {
-		_ = t.Abort()
-	}
+	// A rollback that fails leaves its transaction in the table, as a failed
+	// Abort does; there is no caller to tell.
+	_ = s.txm.AbortOwned(client)
 }
 
 // --- databases, areas, segments ---
@@ -767,7 +755,7 @@ func segLockName(seg proto.SegKey) lock.Name {
 
 // ensureTx returns the live server-side branch for id, creating it lazily.
 func (s *Server) ensureTx(client uint32, id uint64) *tx.Tx {
-	return s.txs.ensure(id, client, func() *tx.Tx { return s.txm.BeginWithID(id) })
+	return s.txm.Ensure(id, client)
 }
 
 // Lock implements proto.Conn. Exclusive locks drive callback revocation of
@@ -1036,18 +1024,11 @@ func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error
 	t := s.ensureTx(client, txid)
 	if err := s.applySegImages(t, segs); err != nil {
 		_ = t.Abort()
-		s.forgetTx(txid)
 		return err
 	}
 	if err := t.Commit(); err != nil {
-		// The branch is dead either way: drop it so the txid does not leak
-		// in the active table, and unstage its version-store entries so
-		// snapshot reads do not wait on a commit that will never publish.
-		s.vs.AbortTx(txid)
-		s.forgetTx(txid)
 		return err
 	}
-	s.forgetTx(txid)
 	s.stats.commits.Add(1)
 	return nil
 }
@@ -1055,12 +1036,11 @@ func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error
 // Abort implements proto.Conn.
 func (s *Server) Abort(client uint32, txid uint64) error {
 	s.stats.messages.Add(1)
-	t := s.txs.get(txid)
+	t := s.txm.Lookup(txid)
 	if t == nil {
 		return nil // nothing ever reached the server: trivial abort
 	}
 	err := t.Abort()
-	s.forgetTx(txid)
 	s.stats.aborts.Add(1)
 	return err
 }
@@ -1077,7 +1057,6 @@ func (s *Server) Prepare(client uint32, txid uint64, segs []proto.SegImage) erro
 	t := s.ensureTx(client, txid)
 	if err := s.applySegImages(t, segs); err != nil {
 		_ = t.Abort()
-		s.forgetTx(txid)
 		return err
 	}
 	return t.Prepare()
@@ -1086,7 +1065,7 @@ func (s *Server) Prepare(client uint32, txid uint64, segs []proto.SegImage) erro
 // Decide implements proto.Conn: 2PC phase-2 decision delivery.
 func (s *Server) Decide(txid uint64, commit bool) error {
 	s.stats.messages.Add(1)
-	t := s.txs.get(txid)
+	t := s.txm.Lookup(txid)
 	if t == nil {
 		return ErrUnknownTx
 	}
@@ -1098,12 +1077,7 @@ func (s *Server) Decide(txid uint64, commit bool) error {
 		err = t.Abort()
 		s.stats.aborts.Add(1)
 	}
-	s.forgetTx(txid)
 	return err
-}
-
-func (s *Server) forgetTx(txid uint64) {
-	s.txs.forget(txid)
 }
 
 // --- large objects ---

@@ -340,6 +340,54 @@ func TestDisconnectAbortsClientTxs(t *testing.T) {
 	s.Abort(c2, tx2)
 }
 
+// TestPreparedSurvivesDisconnect: a branch that voted yes is the
+// coordinator's to decide, not the participant's to abort when the connection
+// that prepared it drops — it stays in doubt, lock held, as restart leaves one.
+func TestPreparedSurvivesDisconnect(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		s := NewMem(1)
+		db, _, _ := s.OpenDB("d", true)
+		key, img := mkSegImage(t, s, db, []byte("voted yes"))
+		c, _ := s.Hello("coordinator's connection")
+		txid, _ := s.NewTx()
+		if err := s.Lock(c, txid, key, proto.LockX); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Prepare(c, txid, []proto.SegImage{img}); err != nil {
+			t.Fatal(err)
+		}
+		s.Disconnect(c)
+		if got := s.locks.Holds(lock.TxID(txid), segLockName(key)); got != lock.X {
+			t.Fatalf("commit=%v: the in-doubt branch holds %v after the disconnect", commit, got)
+		}
+		if err := s.Decide(txid, commit); err != nil {
+			t.Fatalf("commit=%v: decision after the disconnect: %v", commit, err)
+		}
+		sl, _, _, err := s.FetchSeg(0, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := segment.DecodeSlotted(sl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(seg.LiveSlots()); (n == 1) != commit {
+			t.Fatalf("commit=%v: %d objects in the segment", commit, n)
+		}
+		// The lock went with the decision: another client proceeds at once.
+		c2, _ := s.Hello("next")
+		tx2, _ := s.NewTx()
+		if err := s.Lock(c2, tx2, key, proto.LockX); err != nil {
+			t.Fatalf("commit=%v: lock after the decision: %v", commit, err)
+		}
+		s.Abort(c2, tx2)
+		if err := s.Decide(txid, commit); !errors.Is(err, ErrUnknownTx) {
+			t.Fatalf("commit=%v: a second decision: %v", commit, err)
+		}
+		s.Close()
+	}
+}
+
 func TestCreateSegmentValidation(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()

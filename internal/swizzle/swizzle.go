@@ -119,13 +119,13 @@ type mseg struct {
 	seg          *segment.Seg
 	dataBase     vmem.Addr // reserved at wave 2
 	dataPages    int
-	slottedImg   []byte // the write-protected mapped image of the slotted segment
 	// dp[i] is slot i's in-memory DP: the virtual address of the object's
 	// data. It mirrors what the paper stores in the mapped slot itself.
 	dp []vmem.Addr
 	// largeBase[i] is the reserved range for a KindLarge slot's object.
 	largeBase map[int]vmem.Addr
 	dirtyData bool
+	loadedAt  int64 // Stats.Wave3DataLoads as of this segment's data load
 }
 
 // Stats counts wave activity for one Mapper.
@@ -149,12 +149,22 @@ type Mapper struct {
 
 	bySeg   map[SegID]*mseg
 	byFrame map[int64]*mseg // frames of slotted + data + large ranges
-
-	// slotBuf is where refreshSlotted encodes: one buffer for every trusted
-	// update of every segment, not one per update.
-	slotBuf []byte
+	// retired remembers the slotted frames of dropped segments (retire), so
+	// that a reference still swizzled to one — in the data of a segment that
+	// stayed cached — can be unswizzled when that data ships. The space never
+	// reissues an address, so an entry never names the wrong segment.
+	retired map[int64]slottedRange
+	sweepAt int // len(retired) at which retire next sweeps it
 
 	stats Stats
+}
+
+// slottedRange is what UnswizzleAddr needs of a slotted range, live or
+// dropped; at is the count of wave-3 loads when it was dropped.
+type slottedRange struct {
+	id   SegID
+	base vmem.Addr
+	at   int64
 }
 
 // NewMapper wires a mapper to a space, a fetcher, and a type registry, and
@@ -166,6 +176,7 @@ func NewMapper(space *vmem.Space, fetch Fetcher, types *segment.Registry) *Mappe
 		types:   types,
 		bySeg:   make(map[SegID]*mseg),
 		byFrame: make(map[int64]*mseg),
+		retired: make(map[int64]slottedRange),
 	}
 	space.SetHandler(m.handleFault)
 	return m
@@ -222,23 +233,27 @@ func (m *Mapper) SwizzleRef(p PRef) (vmem.Addr, error) {
 }
 
 // UnswizzleAddr converts a slot virtual address back to its persistent form.
+// The address of a slot in a segment since dropped still converts: what it
+// names did not change when the cached copy went.
 func (m *Mapper) UnswizzleAddr(a vmem.Addr) (PRef, error) {
 	if a == vmem.NilAddr {
 		return 0, nil
 	}
-	ms, ok := m.byFrame[a.Frame()]
-	if !ok {
+	ms, live := m.byFrame[a.Frame()]
+	r, dropped := m.retired[a.Frame()]
+	switch {
+	case live && !m.inSlottedRange(ms, a.Frame()):
+		return 0, ErrNotSlotAddr
+	case live:
+		r = slottedRange{id: ms.id, base: ms.slottedBase}
+	case !dropped:
 		return 0, ErrUnknownAddr
 	}
-	if !m.inSlottedRange(ms, a.Frame()) {
-		return 0, ErrNotSlotAddr
-	}
-	rel := uint64(a - ms.slottedBase)
-	slot, err := segment.SlotIndexForOffset(rel)
+	slot, err := segment.SlotIndexForOffset(uint64(a - r.base))
 	if err != nil {
 		return 0, ErrNotSlotAddr
 	}
-	return MakePRef(HeaderOffset(ms.id, slot)), nil
+	return MakePRef(HeaderOffset(r.id, slot)), nil
 }
 
 // AddrOfSlot returns the virtual address of (id, slot), reserving as needed.
@@ -372,9 +387,10 @@ func (m *Mapper) loadSlotted(ms *mseg) error {
 	for i := 0; i < ms.dataPages; i++ {
 		m.byFrame[dataBase.Frame()+int64(i)] = ms
 	}
-	// Map the slotted image write-protected: readable, not writable (§2.2).
+	// Map the segment's slotted image write-protected: readable, not writable
+	// (§2.2). The mapping aliases it, so a trusted update of the segment is
+	// an update of the mapped pages (TrustedSlotUpdate).
 	img := seg.EncodeSlotted()
-	ms.slottedImg = img
 	for i := 0; i < ms.slottedPages && i < int(seg.Hdr.SlottedPages); i++ {
 		fr := img[i*page.Size : (i+1)*page.Size]
 		if err := m.space.Map(ms.slottedBase+vmem.Addr(i*page.Size), fr, vmem.ProtRead); err != nil {
@@ -442,6 +458,7 @@ func (m *Mapper) loadData(ms *mseg) error {
 	}
 	ms.state = stDataMapped
 	m.stats.Wave3DataLoads++
+	ms.loadedAt = m.stats.Wave3DataLoads
 	return nil
 }
 
@@ -635,11 +652,12 @@ func (m *Mapper) DirtySegs() []SegID {
 }
 
 // UnswizzledData returns a copy of the segment's data with every reference
-// field converted back to persistent form, ready to be written to disk.
-func (m *Mapper) UnswizzledData(id SegID) ([]byte, *segment.Seg, error) {
+// field converted back to persistent form, ready to be written to disk — nil
+// when the data part is not mapped: there is none of it here to write.
+func (m *Mapper) UnswizzledData(id SegID) ([]byte, error) {
 	ms, ok := m.bySeg[id]
 	if !ok || ms.state < stDataMapped {
-		return nil, nil, ErrUnknownAddr
+		return nil, nil
 	}
 	out := append([]byte(nil), ms.seg.Data...)
 	for _, i := range ms.seg.LiveSlots() {
@@ -659,12 +677,12 @@ func (m *Mapper) UnswizzledData(id SegID) ([]byte, *segment.Seg, error) {
 			}
 			p, err := m.UnswizzleAddr(vmem.Addr(raw))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			binary.BigEndian.PutUint64(obj[off:], uint64(p))
 		}
 	}
-	return out, ms.seg, nil
+	return out, nil
 }
 
 // MarkClean clears the dirty flag after a successful flush.
@@ -767,9 +785,10 @@ func (m *Mapper) EvictData(id SegID) error {
 }
 
 // TrustedSlotUpdate performs a trusted modification of the write-protected
-// slotted image: it unprotects the affected page, applies fn to the decoded
-// segment, rewrites the image, and reprotects (paper §2.2). The protect /
-// unprotect pair is what E7 counts.
+// slotted image: it unprotects the affected pages, applies fn to the decoded
+// segment — whose slot mutators write each changed slot into the image, which
+// the pages alias — brings the image's header and checksums up to date, and
+// reprotects (paper §2.2). The protect / unprotect pair is what E7 counts.
 func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error {
 	ms, ok := m.bySeg[id]
 	if !ok || ms.state < stSlotted {
@@ -780,9 +799,7 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 	}
 	ferr := fn(ms.seg)
 	if ferr == nil {
-		if err := m.refreshSlotted(ms); err != nil {
-			return err
-		}
+		m.refreshSlotted(ms)
 	}
 	if err := m.space.Protect(ms.slottedBase, ms.slottedPages, vmem.ProtRead); err != nil {
 		return err
@@ -791,20 +808,15 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 }
 
 // refreshSlotted brings the mapped slotted image and the DPs in line with the
-// decoded segment after a trusted update. It runs once per object created, so
-// it encodes into the mapper's one buffer. The section checksums are not this
-// image's business (EncodeSlots): an object created in a full-size segment
-// must not cost a CRC of the whole data section.
+// decoded segment after a trusted update. It runs once per object created: the
+// slots are in the image already, so the image costs its header and the two
+// checksums of the slotted pages — the section checksums are not this image's
+// business (EncodeSlots): an object created in a full-size segment must not
+// cost a CRC of the whole data section.
 //
 //bess:hotpath
-func (m *Mapper) refreshSlotted(ms *mseg) error {
-	m.slotBuf = ms.seg.EncodeSlotsInto(m.slotBuf)
-	img := m.slotBuf
-	for i := 0; i < ms.slottedPages && (i+1)*page.Size <= len(img); i++ {
-		if err := m.space.WriteAt(ms.slottedBase+vmem.Addr(i*page.Size), img[i*page.Size:(i+1)*page.Size]); err != nil {
-			return err
-		}
-	}
+func (m *Mapper) refreshSlotted(ms *mseg) {
+	ms.seg.EncodeSlots()
 	// Re-fix the DPs: the update may have created, moved, or resized
 	// objects (two arithmetic operations per slot, as at load).
 	for i := range ms.seg.Slots {
@@ -814,7 +826,6 @@ func (m *Mapper) refreshSlotted(ms *mseg) error {
 			m.stats.DPFixups++
 		}
 	}
-	return nil
 }
 
 // EnsureLoaded forces wave 2 for id (reserve + fetch slotted) without
@@ -851,13 +862,17 @@ func (m *Mapper) MarkDataDirty(id SegID) {
 }
 
 // DropSeg evicts a segment entirely: its slotted and data reservations are
-// released and the next reference to it restarts at wave 1. Callback
-// revocation uses this to drop a cached copy.
+// released and the next reference to it by name restarts at wave 1. Callback
+// revocation uses this to drop a cached copy. A reference another cached
+// segment holds swizzled to the old range still unswizzles (retired) but no
+// longer dereferences: following it is ErrUnknownAddr until its holder is
+// refetched (DESIGN.md §9).
 func (m *Mapper) DropSeg(id SegID) error {
 	ms, ok := m.bySeg[id]
 	if !ok {
 		return nil
 	}
+	m.retire(ms)
 	for i := 0; i < ms.slottedPages; i++ {
 		delete(m.byFrame, ms.slottedBase.Frame()+int64(i))
 	}
@@ -886,6 +901,31 @@ func (m *Mapper) DropSeg(id SegID) error {
 	}
 	delete(m.bySeg, id)
 	return nil
+}
+
+// retire remembers ms's slotted range for UnswizzleAddr. Only data mapped
+// before now can hold a reference into the range, so an entry is of use while
+// a segment whose data was loaded before the drop stays mapped; those that
+// are not are swept out each time the table has doubled.
+func (m *Mapper) retire(ms *mseg) {
+	now := m.stats.Wave3DataLoads
+	if len(m.retired) >= m.sweepAt {
+		oldest := now + 1
+		for _, c := range m.bySeg {
+			if c != ms && c.state == stDataMapped && c.loadedAt < oldest {
+				oldest = c.loadedAt
+			}
+		}
+		for f, r := range m.retired {
+			if r.at < oldest {
+				delete(m.retired, f)
+			}
+		}
+		m.sweepAt = 2*len(m.retired) + 64
+	}
+	for i := 0; i < ms.slottedPages; i++ {
+		m.retired[ms.slottedBase.Frame()+int64(i)] = slottedRange{ms.id, ms.slottedBase, now}
+	}
 }
 
 // CachedSegs lists every segment this mapper has reserved or loaded.

@@ -108,19 +108,34 @@ func TestEnsureLoadedAndData(t *testing.T) {
 	}
 }
 
-func TestUnswizzledDataErrors(t *testing.T) {
+// TestUnswizzledDataUnmapped: no data mapped is no data to ship, not an error;
+// a reference that cannot be unswizzled is one.
+func TestUnswizzledDataUnmapped(t *testing.T) {
 	f, reg, idA, _ := buildGraph(t)
 	m := NewMapper(vmem.New(), f, reg)
 	// Not loaded at all.
-	if _, _, err := m.UnswizzledData(idA); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("unloaded: %v", err)
+	if data, err := m.UnswizzledData(idA); data != nil || err != nil {
+		t.Fatalf("unloaded: %d bytes, %v", len(data), err)
 	}
 	// Slotted loaded but data not mapped.
 	if err := m.EnsureLoaded(idA); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.UnswizzledData(idA); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("no data: %v", err)
+	if data, err := m.UnswizzledData(idA); data != nil || err != nil {
+		t.Fatalf("no data: %d bytes, %v", len(data), err)
+	}
+	// Mapped, with a reference to an address nothing ever had.
+	addr, _ := m.AddrOfSlot(idA, 0)
+	grantWrites(m)
+	obj, err := m.Deref(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.SetRefField(0, vmem.FrameAddr(1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.UnswizzledData(idA); !errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("reference to nowhere: %v", err)
 	}
 }
 

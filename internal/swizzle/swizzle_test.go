@@ -305,9 +305,10 @@ func TestTrustedSlotUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Space().Snapshot().ProtectCalls
-	err := m.TrustedSlotUpdate(idA, func(s *segment.Seg) error {
-		s.Slots[0].Type = 42
-		return nil
+	var made int
+	err := m.TrustedSlotUpdate(idA, func(s *segment.Seg) (err error) {
+		made, err = s.AllocSlot(segment.KindSmall, 42, 0, 0)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +318,7 @@ func TestTrustedSlotUpdate(t *testing.T) {
 		t.Fatalf("protect calls for trusted update = %d, want 2 (unprotect+reprotect)", after-before)
 	}
 	seg, _ := m.Seg(idA)
-	if seg.Slots[0].Type != 42 {
+	if seg.Slots[made].Type != 42 {
 		t.Fatal("trusted update lost")
 	}
 	// And user writes are still denied afterwards.
@@ -326,43 +327,60 @@ func TestTrustedSlotUpdate(t *testing.T) {
 	}
 }
 
-// TestTrustedSlotUpdateKeepsOneBuffer: the refresh after a trusted update
-// encodes the slotted image into the mapper's buffer. It runs once per object
-// created, so it must not allocate (and clear) an image-sized buffer each time,
-// and what it maps must still be the segment's encoding.
-func TestTrustedSlotUpdateKeepsOneBuffer(t *testing.T) {
+// TestTrustedSlotUpdateWritesTheMappedImage: the mapped slotted pages are the
+// segment's one image. A trusted update — it runs once per object created —
+// writes the slots it changes into them and nothing else: no image-sized
+// buffer allocated or cleared, no page copied, and what is mapped decodes to
+// the segment's slots after creates, a delete, a resize and a compaction.
+func TestTrustedSlotUpdateWritesTheMappedImage(t *testing.T) {
 	f, reg, idA, _ := buildGraph(t)
 	m := NewMapper(vmem.New(), f, reg)
-	addr, _ := m.AddrOfSlot(idA, 0)
-	if _, err := m.Deref(addr); err != nil {
+	if err := m.EnsureData(idA); err != nil {
 		t.Fatal(err)
 	}
-	typ := segment.TypeID(0)
-	update := func() {
-		typ++
-		if err := m.TrustedSlotUpdate(idA, func(s *segment.Seg) error { s.Slots[0].Type = typ; return nil }); err != nil {
+	var made []int
+	steps := []func(s *segment.Seg) error{
+		func(s *segment.Seg) error { return s.ResizeObject(0, make([]byte, 8)) },
+		func(s *segment.Seg) error { return s.DeleteObject(made[1]) },
+		func(s *segment.Seg) error { s.Compact(); return nil },
+	}
+	var before, after runtime.MemStats
+	const creates = 50
+	runtime.ReadMemStats(&before)
+	for i := 0; i < creates+len(steps); i++ {
+		err := m.TrustedSlotUpdate(idA, func(s *segment.Seg) error {
+			if i >= creates {
+				return steps[i-creates](s)
+			}
+			slot, err := s.CreateObject(segment.TypeID(i), []byte{byte(i)})
+			made = append(made, slot)
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	update() // sizes the buffer
-	var before, after runtime.MemStats
-	const rounds = 100
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		update()
-	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= page.Size {
+	if per := (after.TotalAlloc - before.TotalAlloc) / (creates + uint64(len(steps))); per >= page.Size {
 		t.Errorf("a trusted update allocates %d bytes: a slotted image (%d) or more, every time", per, page.Size)
 	}
 	seg, _ := m.Seg(idA)
 	base, _ := m.SlottedBase(idA)
-	mapped := make([]byte, page.Size)
-	if err := m.Space().ReadAt(base, mapped); err != nil {
+	mapped := make([]byte, int(seg.Hdr.SlottedPages)*page.Size)
+	if err := m.Space().ReadRange(base, mapped); err != nil {
 		t.Fatal(err)
 	}
-	if want := seg.EncodeSlots(); !bytes.Equal(mapped, want[:page.Size]) {
-		t.Error("the mapped slotted image is not the segment's encoding after a refresh into the kept buffer")
+	dec, err := segment.DecodeSlotted(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Hdr != seg.Hdr {
+		t.Errorf("mapped header %+v, segment's %+v", dec.Hdr, seg.Hdr)
+	}
+	for i := range seg.Slots {
+		if dec.Slots[i] != seg.Slots[i] {
+			t.Fatalf("slot %d: mapped %+v, segment's %+v", i, dec.Slots[i], seg.Slots[i])
+		}
 	}
 }
 
@@ -413,7 +431,7 @@ func TestUnswizzleRoundTrip(t *testing.T) {
 	if _, err := obj.RefField(0); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := m.UnswizzledData(idA)
+	data, err := m.UnswizzledData(idA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,6 +445,42 @@ func TestUnswizzleRoundTrip(t *testing.T) {
 	want, _ := m.AddrOfSlot(idB, 0)
 	if got != want {
 		t.Fatal("in-memory refs were disturbed by UnswizzledData")
+	}
+	// Dropping B retires its range: A's references into it no longer
+	// dereference, but they name what they named and still unswizzle.
+	if err := m.DropSeg(idB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Deref(got); !errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("deref into a dropped segment: %v", err)
+	}
+	if data, err = m.UnswizzledData(idA); err != nil || !bytes.Equal(data[:len(orig)], orig) {
+		t.Fatalf("unswizzling references into a dropped segment: %v", err)
+	}
+	// Retired ranges are kept for the data that can refer to them, not for
+	// ever: however often B comes and goes, A's references — from before the
+	// first drop — unswizzle while A stays mapped, and with A gone the table
+	// stops growing.
+	churn := func() {
+		for i := 0; i < 1000; i++ {
+			if _, err := m.ReserveSeg(idB); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DropSeg(idB); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	churn()
+	if data, err = m.UnswizzledData(idA); err != nil || !bytes.Equal(data[:len(orig)], orig) {
+		t.Fatalf("unswizzling after %d more drops: %v", 1000, err)
+	}
+	if err := m.DropSeg(idA); err != nil {
+		t.Fatal(err)
+	}
+	churn()
+	if n := len(m.retired); n > 200 {
+		t.Fatalf("%d retired ranges remembered with no data mapped that could refer to one", n)
 	}
 }
 

@@ -26,12 +26,13 @@ import (
 // the first record of a page after Open and after every checkpoint — the
 // anchor — carries the whole page as its redo half (Off 0, page.Size bytes),
 // and Manager.anchors remembers, per checkpoint epoch, which pages have one and
-// at which LSN. CLRs follow the same rule, so every redo-able record this
-// package appends does. The anchor's undo half stays [lo, hi): the two images
-// are equal outside it, so once redo has laid the whole after-image down,
-// copying Before back over [lo, hi) leaves exactly the before-image — undo
-// never needed the rest, and a changed range of k bytes costs an anchor
-// page.Size + k, not two pages.
+// at which LSN. CLRs follow the same rule — all of them: restart's undo is
+// Tx.Abort like any other (Restart), and nothing else appends one — so every
+// redo-able record in the log does. The anchor's undo half stays [lo, hi):
+// the two images are equal outside it, so once redo has laid the whole
+// after-image down, copying Before back over [lo, hi) leaves exactly the
+// before-image — undo never needed the rest, and a changed range of k bytes
+// costs an anchor page.Size + k, not two pages.
 //
 // Zero images. The log stores an image that is all zero as its length
 // (internal/wal): filling a page nothing was ever written to logs its
@@ -41,7 +42,7 @@ import (
 // recLSN. A checkpoint lists, for each page an active transaction changed,
 // the LSN of the anchor the page had when the transaction first changed it —
 // at or before the transaction's first record of the page. Restart redo
-// replays a page from its recLSN (wal.Recover), and a page first seen after
+// replays a page from its recLSN (wal.Redo), and a page first seen after
 // the checkpoint from its first record, which the reset below makes an
 // anchor: either way replay starts from a whole image, and
 // wal.RecoveryStats.UnanchoredPages stays 0. Repair by log replay

@@ -26,6 +26,16 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	return rec
 }
 
+func allCLRs(l *wal.Log) (clrs []*wal.Record) {
+	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TCLR {
+			clrs = append(clrs, r)
+		}
+		return nil
+	})
+	return clrs
+}
+
 // TestLogUpdateRule is the table for the logging rule: which bytes a record's
 // halves carry, and when the redo half is the whole page instead.
 func TestLogUpdateRule(t *testing.T) {
@@ -125,15 +135,6 @@ func TestLogUpdateRule(t *testing.T) {
 // the whole restored page when not (a checkpoint since the update; a branch
 // adopted after restart, whose pages the new manager has never seen).
 func TestCLRFollowsAnchorRule(t *testing.T) {
-	allCLRs := func(l *wal.Log) (clrs []*wal.Record) {
-		l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-			if r.Type == wal.TCLR {
-				clrs = append(clrs, r)
-			}
-			return nil
-		})
-		return clrs
-	}
 	pid := page.ID{Area: 1, Page: 4}
 
 	m, pg, l, _ := newEnv()
@@ -186,12 +187,16 @@ func TestCLRFollowsAnchorRule(t *testing.T) {
 	lsn, _ := logAt(tr, pg, pid, 50, []byte("delta"))
 	pg.set(pid, 50, []byte("delta"))
 	l.Flush(lsn)
-	m2 := NewManager(l, lock.NewManager(), pg, nil)
-	if err := m2.AdoptPrepared(tr.ID(), lsn).Abort(); err != nil {
+	crashed, err := wal.OpenMemFrom(l.DurableBytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if clrs = allCLRs(l); len(clrs) != 2 || !clrs[0].WholePage() || clrs[1].WholePage() {
-		t.Fatalf("an adopted branch's first CLR of a page, and only that one, must anchor it: %+v", clrs)
+	pg.log = crashed
+	if _, _, err := Restart(crashed, lock.NewManager(), pg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if clrs = allCLRs(crashed); len(clrs) != 2 || !clrs[0].WholePage() || clrs[1].WholePage() {
+		t.Fatalf("restart's first CLR of a page, and only that one, must anchor it: %+v", clrs)
 	}
 }
 
@@ -274,6 +279,7 @@ type gatedBacking struct {
 	buf     []byte
 	entered chan struct{} // receives once per gated Sync, on entry
 	gate    chan struct{} // a gated Sync returns once this is closed; nil = open
+	syncErr error         // what Sync returns
 }
 
 func (b *gatedBacking) WriteAt(p []byte, off int64) (int, error) {
@@ -297,13 +303,13 @@ func (b *gatedBacking) ReadAt(p []byte, off int64) (int, error) {
 
 func (b *gatedBacking) Sync() error {
 	b.mu.Lock()
-	gate := b.gate
+	gate, err := b.gate, b.syncErr
 	b.mu.Unlock()
 	if gate != nil {
 		b.entered <- struct{}{}
 		<-gate
 	}
-	return nil
+	return err
 }
 
 func (b *gatedBacking) Close() error { return nil }
@@ -363,7 +369,7 @@ func TestCheckpointDuringCommitKeepsTheCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpointsListOnlyUnfinished(t, crashed)
-	st, err := wal.Recover(crashed, pg)
+	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +535,7 @@ func TestCheckpointInterleaving(t *testing.T) {
 			disk.pages[pid] = junk
 		}
 		disk.log = crashed
-		st, err := wal.Recover(crashed, disk)
+		_, st, err := Restart(crashed, lock.NewManager(), disk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +636,7 @@ func TestAnchorUndoIsRangeSized(t *testing.T) {
 	crashed := pg.clone()
 	crashed.log = l2
 	crashed.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size)
-	st, err := wal.Recover(l2, crashed)
+	_, st, err := Restart(l2, lock.NewManager(), crashed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,422 @@
+package tx
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"bess/internal/hooks"
+	"bess/internal/lock"
+	"bess/internal/page"
+	"bess/internal/wal"
+)
+
+// The tests that build a log by hand write records Tx.LogUpdate never would
+// (no anchors, before-images that are not the page's): restart must make sense
+// of any log the format allows.
+
+func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, before, after string) *wal.Record {
+	return &wal.Record{
+		Type: wal.TUpdate, Tx: tx, PrevLSN: prev, Page: pid,
+		Off: off, After: []byte(after), UndoOff: off, Before: []byte(before),
+	}
+}
+
+// applyUpd is the steal of r's page: its redo half reaches the disk.
+func applyUpd(p *memPager, r *wal.Record) { p.set(r.Page, int(r.Off), r.After) }
+
+// restartOn is Restart over l and p, p checking proofs against l.
+func restartOn(t *testing.T, l *wal.Log, p *memPager) (*Manager, *wal.RecoveryStats) {
+	t.Helper()
+	p.log = l
+	m, st, err := Restart(l, lock.NewManager(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, st
+}
+
+func crash(t *testing.T, l *wal.Log) *wal.Log {
+	t.Helper()
+	crashed, err := wal.OpenMemFrom(l.DurableBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return crashed
+}
+
+// TestRestartWinnerLoserInDoubt: a winner whose page was lost, a loser that
+// crashed in the middle of rolling back, and a prepared branch, with catalog
+// records (the server's, no transaction's) in between. Restart redoes all,
+// undoes what the loser had left to undo — following its CLR chain, not
+// starting over — and keeps the branch in the table for either decision.
+func TestRestartWinnerLoserInDoubt(t *testing.T) {
+	pA, pB, pC := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
+	build := func() (*wal.Log, *memPager) {
+		l := wal.NewMem()
+		disk := newMemPager()
+		cat := &wal.Record{Type: wal.TCatalog, Body: []byte("not restart's business")}
+		l.Append(cat)
+		r1 := upd(1, 0, pA, 0, "\x00\x00\x00", "WIN")
+		lsn1, _ := l.Append(r1)
+		l.Append(&wal.Record{Type: wal.TCommit, Tx: 1, PrevLSN: lsn1})
+		// The loser: three updates, all stolen, and the CLR of the third.
+		u1 := upd(2, 0, pA, 100, "\x00\x00", "XX")
+		lsnU1, _ := l.Append(u1)
+		u2 := upd(2, lsnU1, pB, 0, "\x00\x00\x00\x00", "LOSE")
+		lsnU2, _ := l.Append(u2)
+		l.Append(cat)
+		u3 := upd(2, lsnU2, pB, 50, "\x00", "!")
+		l.Append(u3)
+		l.Append(&wal.Record{Type: wal.TCLR, Tx: 2, Page: pB, Off: 50, After: []byte{0}, UndoNext: lsnU2})
+		for _, r := range []*wal.Record{u1, u2} {
+			applyUpd(disk, r)
+		}
+		// The branch: one update, prepared.
+		b1 := upd(3, 0, pC, 7, "\x00\x00", "2P")
+		lsnB1, _ := l.Append(b1)
+		l.Append(&wal.Record{Type: wal.TPrepare, Tx: 3, PrevLSN: lsnB1})
+		applyUpd(disk, b1)
+		l.Flush(0)
+		return crash(t, l), disk
+	}
+	check := func(t *testing.T, disk *memPager, branch string) {
+		t.Helper()
+		wantA, wantB, wantC := make([]byte, page.Size), make([]byte, page.Size), make([]byte, page.Size)
+		copy(wantA, "WIN")
+		copy(wantC[7:], branch)
+		for pid, want := range map[page.ID][]byte{pA: wantA, pB: wantB, pC: wantC} {
+			if got := disk.get(pid, 0, page.Size); !bytes.Equal(got, want) {
+				t.Fatalf("page %v after restart: %q…, want %q…", pid, got[:10], want[:10])
+			}
+		}
+	}
+
+	l, disk := build()
+	m, st := restartOn(t, l, disk)
+	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[1] [2] [3]" || st.UndoApplied != 2 {
+		t.Fatalf("winners %v losers %v in doubt %v, %d undone (want 2: the third update was compensated before the crash)",
+			st.Winners, st.Losers, st.InDoubt, st.UndoApplied)
+	}
+	check(t, disk, "2P")
+	branch := m.Lookup(3)
+	if m.ActiveCount() != 1 || branch == nil || branch.State() != Prepared || m.Lookup(2) != nil {
+		t.Fatalf("table after restart: %d live, branch %v", m.ActiveCount(), branch)
+	}
+	if tr := m.Begin(); tr.ID() <= 3 {
+		t.Fatalf("a new transaction got id %d, below an adopted one", tr.ID())
+	} else if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := branch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check(t, disk, "2P")
+	if m.ActiveCount() != 0 {
+		t.Fatal("decided branch still in the table")
+	}
+	// A second restart, over the log the first one extended, finds nothing to
+	// do and changes nothing.
+	_, st2 := restartOn(t, crash(t, l), disk)
+	if len(st2.Losers)+len(st2.InDoubt) != 0 || st2.UndoApplied != 0 {
+		t.Fatalf("second restart: %+v", st2)
+	}
+	check(t, disk, "2P")
+
+	// The other decision: the branch is rolled back like any transaction.
+	l, disk = build()
+	m, _ = restartOn(t, l, disk)
+	if err := m.Lookup(3).Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check(t, disk, "\x00\x00")
+	if _, st2 := restartOn(t, crash(t, l), disk); len(st2.Losers)+len(st2.InDoubt) != 0 {
+		t.Fatalf("restart after the abort decision: %+v", st2)
+	}
+}
+
+// TestRestartIdempotent: crashing after recovery and recovering again must
+// converge — the CLRs the first restart wrote prevent a double undo.
+func TestRestartIdempotent(t *testing.T) {
+	l := wal.NewMem()
+	disk := newMemPager()
+	pid := page.ID{Area: 1, Page: 9}
+	disk.set(pid, 10, []byte("ORIG"))
+	r := upd(3, 0, pid, 10, "ORIG", "NEWX")
+	l.Append(r)
+	l.Flush(0)
+	applyUpd(disk, r)
+
+	if _, st := restartOn(t, l, disk); st.UndoApplied != 1 {
+		t.Fatalf("first restart undid %d", st.UndoApplied)
+	}
+	snapshot := disk.clone()
+	_, st2 := restartOn(t, l, disk)
+	if st2.UndoApplied != 0 || len(st2.Losers) != 0 {
+		t.Fatalf("second restart re-undid: %+v", st2)
+	}
+	if !bytes.Equal(snapshot.get(pid, 0, page.Size), disk.get(pid, 0, page.Size)) {
+		t.Fatal("second restart changed the database")
+	}
+	if got := disk.get(pid, 10, 4); string(got) != "ORIG" {
+		t.Fatalf("loser not rolled back: %q", got)
+	}
+}
+
+// TestRestartWithCheckpoint: a loser that straddles the checkpoint is undone
+// on both sides of it.
+func TestRestartWithCheckpoint(t *testing.T) {
+	l := wal.NewMem()
+	disk := newMemPager()
+	pid := page.ID{Area: 1, Page: 1}
+
+	r0 := upd(1, 0, pid, 0, "\x00", "A")
+	lsn0, _ := l.Append(r0)
+	l.Append(&wal.Record{Type: wal.TCommit, Tx: 1, PrevLSN: lsn0})
+	l.Append(&wal.Record{Type: wal.TEnd, Tx: 1})
+	applyUpd(disk, r0)
+
+	r1 := upd(2, 0, pid, 10, "\x00", "B")
+	lsn1, _ := l.Append(r1)
+	applyUpd(disk, r1)
+	if _, err := wal.Checkpoint(l,
+		[]wal.CkptTx{{Tx: 2, LastLSN: lsn1}},
+		[]wal.CkptPage{{Page: pid, RecLSN: lsn1}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	r2 := upd(2, lsn1, pid, 20, "\x00", "C")
+	l.Append(r2)
+	l.Flush(0)
+	applyUpd(disk, r2)
+
+	_, st := restartOn(t, l, disk)
+	if st.CheckpointLSN == 0 {
+		t.Fatal("checkpoint not found")
+	}
+	if got := disk.get(pid, 0, 21); got[0] != 'A' || got[10] != 0 || got[20] != 0 {
+		t.Fatalf("page after restart: %q %q %q", got[0], got[10], got[20])
+	}
+	if len(st.Losers) != 1 || st.Losers[0] != 2 || st.UndoApplied != 2 {
+		t.Fatalf("losers = %v, %d undone", st.Losers, st.UndoApplied)
+	}
+}
+
+// TestRestartCrashPointProperty drives random multi-transaction workloads,
+// each transaction's records contiguous, and checks the fundamental
+// invariant: committed effects survive, uncommitted effects vanish.
+func TestRestartCrashPointProperty(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := wal.NewMem()
+		disk := newMemPager()
+		// (page, offset) → the value restart must leave: a winner's, or what
+		// was there before a loser. A loser's bytes stay locked to the crash
+		// (strict 2PL), so no later transaction writes them.
+		model, locked := map[[2]int]byte{}, map[[2]int]bool{}
+		for id := uint64(1); id <= uint64(3+rng.Intn(4)); id++ {
+			var last page.LSN
+			writes := map[[2]int]byte{}
+			for w := 1 + rng.Intn(4); w > 0; w-- {
+				k := [2]int{rng.Intn(3), rng.Intn(100)}
+				if locked[k] {
+					continue
+				}
+				pid, val := page.ID{Area: 1, Page: page.No(k[0])}, byte(1+rng.Intn(255))
+				rec := upd(id, last, pid, uint32(k[1]), string(disk.get(pid, k[1], 1)), string([]byte{val}))
+				last, _ = l.Append(rec)
+				// WAL rule: flush before the page write reaches disk.
+				l.Flush(last)
+				applyUpd(disk, rec)
+				writes[k] = val
+			}
+			commit := rng.Intn(2) == 0 && last != 0
+			if commit {
+				l.Append(&wal.Record{Type: wal.TCommit, Tx: id, PrevLSN: last})
+				l.Flush(0)
+			}
+			for k, v := range writes {
+				if !commit {
+					v, locked[k] = model[k], true // restart puts back what was there
+				}
+				model[k] = v
+			}
+		}
+		crashDisk := disk.clone()
+		restartOn(t, crash(t, l), crashDisk)
+		for k, v := range model {
+			pid := page.ID{Area: 1, Page: page.No(k[0])}
+			if got := crashDisk.get(pid, k[1], 1)[0]; got != v {
+				t.Fatalf("seed %d: page %d off %d = %d, want %d", seed, k[0], k[1], got, v)
+			}
+		}
+	}
+}
+
+// TestRestartCLRsFollowTheAnchorRule: the CLRs restart writes are the page's
+// anchors for the manager that goes on from it, so what that manager logs
+// next for the page is a byte range on top of them — and a second restart,
+// handed garbage for the page, still rebuilds it from a whole image.
+func TestRestartCLRsFollowTheAnchorRule(t *testing.T) {
+	m, pg, l, _ := newEnv()
+	pid := page.ID{Area: 1, Page: 4}
+	loser := m.Begin()
+	lsn, _ := logAt(loser, pg, pid, 0, []byte("doomed"))
+	pg.set(pid, 0, []byte("doomed"))
+	l.Flush(lsn)
+
+	l2 := crash(t, l)
+	m2, st := restartOn(t, l2, pg)
+	if st.UndoApplied != 1 || st.UnanchoredPages != 0 {
+		t.Fatalf("first restart: %+v", st)
+	}
+	if clrs := allCLRs(l2); len(clrs) != 1 || !clrs[0].WholePage() {
+		t.Fatalf("restart's CLRs: %+v, want one whole-page anchor", clrs)
+	}
+	// In flight across a checkpoint: the page's recLSN is restart's CLR.
+	tr := m2.Begin()
+	at, _ := logAt(tr, pg, pid, 100, []byte("next"))
+	pg.set(pid, 100, []byte("next"))
+	if rec := readRec(t, l2, at); rec.WholePage() {
+		t.Fatal("the first update after restart's CLR anchored the page again")
+	}
+	if _, err := m2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	pg.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size) // the steal tore
+	_, st3 := restartOn(t, crash(t, l2), pg)
+	if st3.UnanchoredPages != 0 || st3.UndoApplied != 0 {
+		t.Fatalf("second restart: %+v", st3)
+	}
+	want := make([]byte, page.Size)
+	copy(want[100:], "next")
+	if !bytes.Equal(pg.get(pid, 0, page.Size), want) {
+		t.Fatal("second restart did not rebuild the page from restart's anchor")
+	}
+}
+
+// TestEnsureBeginsOnce: sixteen callers asking for one id get one transaction.
+func TestEnsureBeginsOnce(t *testing.T) {
+	m, _, _, hk := newEnv()
+	if _, err := hk.Register(hooks.EvTxBegin, func(*hooks.Info) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Tx, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = m.Ensure(77, uint32(i+1))
+		}(i)
+	}
+	wg.Wait()
+	for _, tr := range got {
+		if tr != got[0] {
+			t.Fatal("Ensure began one id twice")
+		}
+	}
+	if m.ActiveCount() != 1 || hk.Fired(hooks.EvTxBegin) != 1 {
+		t.Fatalf("%d live transactions, %d begin events", m.ActiveCount(), hk.Fired(hooks.EvTxBegin))
+	}
+}
+
+// TestAbortOwned: a dropped connection takes its active transactions with it
+// — rolled back, locks released — and nothing else: not another owner's, not
+// its own prepared branch, which stays in doubt, unowned, with its locks.
+func TestAbortOwned(t *testing.T) {
+	m, pg, _, _ := newEnv()
+	write := func(tr *Tx, n page.No) lock.Name {
+		t.Helper()
+		name := lock.PageName(1, int64(n), 0)
+		if err := tr.Lock(name, lock.X); err != nil {
+			t.Fatal(err)
+		}
+		pid := page.ID{Area: 1, Page: n}
+		if _, err := logAt(tr, pg, pid, 0, []byte{byte(n)}); err != nil {
+			t.Fatal(err)
+		}
+		pg.set(pid, 0, []byte{byte(n)})
+		return name
+	}
+	active, prepared, other := m.Ensure(10, 1), m.Ensure(11, 1), m.Ensure(12, 2)
+	nActive, nPrepared, nOther := write(active, 1), write(prepared, 2), write(other, 3)
+	if err := prepared.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AbortOwned(1); err != nil {
+		t.Fatal(err)
+	}
+	if active.State() != Aborted || prepared.State() != Prepared || other.State() != Active {
+		t.Fatalf("states: %v %v %v", active.State(), prepared.State(), other.State())
+	}
+	if m.Lookup(10) != nil || m.Lookup(11) != prepared || m.Lookup(12) != other {
+		t.Fatal("table after AbortOwned")
+	}
+	for i, want := range []lock.Mode{lock.None, lock.X, lock.X} {
+		id, name := []uint64{10, 11, 12}[i], []lock.Name{nActive, nPrepared, nOther}[i]
+		if got := m.locks.Holds(lock.TxID(id), name); got != want {
+			t.Errorf("tx %d holds %v, want %v", id, got, want)
+		}
+	}
+	if pg.get(page.ID{Area: 1, Page: 1}, 0, 1)[0] != 0 || pg.get(page.ID{Area: 1, Page: 2}, 0, 1)[0] != 2 {
+		t.Fatal("pages after AbortOwned")
+	}
+	// The owner is gone for good: a second drop finds nothing of its, and the
+	// branch is still Decide's to finish.
+	if err := m.AbortOwned(1); err != nil || prepared.State() != Prepared {
+		t.Fatalf("second AbortOwned: %v, branch %v", err, prepared.State())
+	}
+	if err := prepared.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if m.locks.Holds(11, nPrepared) != lock.None || m.ActiveCount() != 1 {
+		t.Fatal("abort decision left the branch's lock or table entry")
+	}
+}
+
+// TestFailedCommitForceEndsTheTransaction: when the commit record cannot be
+// forced the transaction is over — error to the caller, nothing published,
+// no table entry and no lock left behind for the next one to wait on.
+func TestFailedCommitForceEndsTheTransaction(t *testing.T) {
+	back := &gatedBacking{}
+	l, err := wal.Open(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := newMemPager()
+	m := NewManager(l, lock.NewManager(), pg, nil)
+	var published, unstaged int
+	m.SetCommitHook(func(uint64, page.LSN) { published++ })
+	m.SetAbortHook(func(uint64) { unstaged++ })
+	name := lock.PageName(1, 1, 0)
+	tr := m.Begin()
+	if err := tr.Lock(name, lock.X); err != nil {
+		t.Fatal(err)
+	}
+	logAt(tr, pg, page.ID{Area: 1, Page: 1}, 0, []byte("x"))
+
+	diskGone := errors.New("disk gone")
+	back.mu.Lock()
+	back.syncErr = diskGone
+	back.mu.Unlock()
+	if err := tr.Commit(); !errors.Is(err, diskGone) {
+		t.Fatalf("commit over a failing force: %v", err)
+	}
+	if m.ActiveCount() != 0 || m.Lookup(tr.ID()) != nil {
+		t.Fatal("the transaction is still in the table")
+	}
+	if got := m.locks.Holds(lock.TxID(tr.ID()), name); got != lock.None {
+		t.Fatalf("the transaction still holds %v", got)
+	}
+	if c, _ := m.Counts(); c != 0 || published != 0 || unstaged != 1 || m.CommitStamp() != 0 {
+		t.Fatalf("commits %d, published %d, unstaged %d, stamp %d", c, published, unstaged, m.CommitStamp())
+	}
+}

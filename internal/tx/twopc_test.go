@@ -25,7 +25,7 @@ func (p *localPart) Prepare(gid uint64) error {
 	if p.failPrep {
 		return errors.New("refused")
 	}
-	p.branch = p.m.BeginWithID(gid)
+	p.branch = p.m.Ensure(gid, 0)
 	logAt(p.branch, p.pg, p.pid, 0, []byte{p.val})
 	p.pg.set(p.pid, 0, []byte{p.val})
 	if err := p.branch.Prepare(); err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"bess/internal/hooks"
 	"bess/internal/lock"
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 	"bess/internal/wal"
 )
@@ -52,8 +53,13 @@ var (
 	ErrNotPrepared = errors.New("tx: transaction not prepared")
 )
 
+// rankManagerMu places Manager.mu in the //bess:lockorder hierarchy
+// (internal/server/lockorder.go); tx cannot import server.
+const rankManagerMu lockcheck.Rank = 40
+
 // Manager creates and tracks transactions against one log + lock manager +
-// page store. Safe for concurrent use.
+// page store: its table is the one place a live transaction's state, owner
+// and last LSN are kept. Safe for concurrent use.
 type Manager struct {
 	log   *wal.Log
 	locks *lock.Manager
@@ -64,16 +70,16 @@ type Manager struct {
 	// epoch, then Tx.mu, then mu; never held across a log force.
 	epoch sync.RWMutex
 
-	mu      sync.Mutex
-	nextID  uint64
-	active  map[uint64]*Tx
+	mu      lockcheck.Mutex
+	nextID  uint64               // guarded by mu
+	active  map[uint64]*Tx       // guarded by mu; active and prepared, by id
 	anchors map[page.ID]page.LSN // guarded by mu; see logging.go
 
 	// LockTimeout is passed to lock acquisitions made through transactions;
 	// the paper uses timeouts for distributed deadlock detection.
 	LockTimeout time.Duration
 
-	commits, aborts int64
+	commits, aborts int64 // guarded by mu
 
 	// Multiversion read support (DESIGN.md §7). commitHook/abortHook are set
 	// once at open time, before any transaction runs, and are read without
@@ -90,7 +96,7 @@ type Manager struct {
 
 // NewManager wires a transaction manager. hooks may be nil.
 func NewManager(log *wal.Log, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) *Manager {
-	return &Manager{
+	m := &Manager{
 		log:     log,
 		locks:   locks,
 		pager:   pager,
@@ -99,12 +105,18 @@ func NewManager(log *wal.Log, locks *lock.Manager, pager wal.Pager, hk *hooks.Re
 		active:  make(map[uint64]*Tx),
 		anchors: make(map[page.ID]page.LSN),
 	}
+	m.mu.Init("Manager.mu", rankManagerMu)
+	return m
 }
 
 // Tx is one transaction.
 type Tx struct {
-	m       *Manager
-	id      uint64
+	m  *Manager
+	id uint64
+	// owner is the client connection the transaction belongs to, 0 for none
+	// (local use, a branch restart adopted, a prepared branch whose
+	// connection dropped). Guarded by m.mu.
+	owner   uint32
 	mu      sync.Mutex
 	state   State
 	lastLSN page.LSN
@@ -113,56 +125,77 @@ type Tx struct {
 	dirty map[page.ID]page.LSN
 }
 
-// Begin starts a transaction.
+// register enters a transaction into the table. The caller holds m.mu.
+//
+//bess:holds mu
+func (m *Manager) register(id uint64, owner uint32, state State, lastLSN page.LSN) *Tx {
+	if id >= m.nextID {
+		m.nextID = id + 1
+	}
+	t := &Tx{m: m, id: id, owner: owner, state: state, lastLSN: lastLSN, dirty: make(map[page.ID]page.LSN)}
+	m.active[id] = t
+	return t
+}
+
+// Begin starts a transaction under the next free id, owned by no connection.
 func (m *Manager) Begin() *Tx {
 	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	t := &Tx{m: m, id: id, state: Active, dirty: make(map[page.ID]page.LSN)}
-	m.active[id] = t
+	t := m.register(m.nextID, 0, Active, 0)
 	m.mu.Unlock()
-	if m.hooks != nil {
-		_ = m.hooks.Fire(hooks.EvTxBegin, id)
-	}
+	m.fire(hooks.EvTxBegin, t.id)
 	return t
 }
 
-// BeginWithID starts a transaction with a caller-chosen id (servers use the
-// global transaction id of a distributed commit). Panics on reuse of a live
-// id.
-func (m *Manager) BeginWithID(id uint64) *Tx {
+// Ensure returns the live transaction id, beginning it for owner if there is
+// none (servers use the global id of the client's transaction). Concurrent
+// calls for one id begin it once.
+func (m *Manager) Ensure(id uint64, owner uint32) *Tx {
 	m.mu.Lock()
-	if _, dup := m.active[id]; dup {
-		m.mu.Unlock()
-		panic(fmt.Sprintf("tx: id %d already active", id))
+	t, live := m.active[id]
+	if !live {
+		t = m.register(id, owner, Active, 0)
 	}
-	if id >= m.nextID {
-		m.nextID = id + 1
-	}
-	t := &Tx{m: m, id: id, state: Active, dirty: make(map[page.ID]page.LSN)}
-	m.active[id] = t
 	m.mu.Unlock()
-	if m.hooks != nil {
-		_ = m.hooks.Fire(hooks.EvTxBegin, id)
+	if !live {
+		m.fire(hooks.EvTxBegin, id)
 	}
 	return t
 }
 
-// AdoptPrepared re-registers an in-doubt 2PC branch found by restart
-// recovery: the transaction resumes in the Prepared state with its log
-// chain intact, ready for Commit or Abort when the decision arrives.
-func (m *Manager) AdoptPrepared(id uint64, lastLSN page.LSN) *Tx {
+// Lookup returns the live — active or prepared — transaction id, or nil.
+func (m *Manager) Lookup(id uint64) *Tx {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t, live := m.active[id]; live {
-		return t
+	return m.active[id]
+}
+
+// AbortOwned ends owner's part in its transactions (its connection is gone):
+// the active ones are rolled back; a prepared one is not the participant's to
+// abort and stays in the table, in doubt and unowned, until Decide — exactly
+// as restart leaves it.
+func (m *Manager) AbortOwned(owner uint32) error {
+	m.mu.Lock()
+	var mine []*Tx
+	for _, t := range m.active {
+		if t.owner == owner {
+			t.owner = 0
+			mine = append(mine, t)
+		}
 	}
-	if id >= m.nextID {
-		m.nextID = id + 1
+	m.mu.Unlock()
+	var errs []error
+	for _, t := range mine {
+		if _, err := t.rollback(false); err != nil && !errors.Is(err, ErrNotActive) {
+			errs = append(errs, err)
+		}
 	}
-	t := &Tx{m: m, id: id, state: Prepared, lastLSN: lastLSN, dirty: make(map[page.ID]page.LSN)}
-	m.active[id] = t
-	return t
+	return errors.Join(errs...)
+}
+
+func (m *Manager) fire(ev hooks.Event, arg any) {
+	if m.hooks != nil {
+		_ = m.hooks.Fire(ev, arg)
+	}
 }
 
 // ID returns the transaction id.
@@ -192,12 +225,10 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 	}
 	t.mu.Unlock()
 	err := t.m.locks.Acquire(lock.TxID(t.id), name, mode, t.m.LockTimeout)
-	if t.m.hooks != nil {
-		if err == nil {
-			_ = t.m.hooks.Fire(hooks.EvLockAcquire, name)
-		} else if errors.Is(err, lock.ErrDeadlock) {
-			_ = t.m.hooks.Fire(hooks.EvDeadlock, t.id)
-		}
+	if err == nil {
+		t.m.fire(hooks.EvLockAcquire, name)
+	} else if errors.Is(err, lock.ErrDeadlock) {
+		t.m.fire(hooks.EvDeadlock, t.id)
 	}
 	return err
 }
@@ -205,25 +236,20 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 // Commit logs and forces a commit record, releases all locks (strict 2PL),
 // and retires the transaction. A transaction that logged nothing commits
 // without a record or a force: nothing of it is in the log to resolve, and
-// the version clock stays where it is.
+// the version clock stays where it is. A commit whose force fails ends the
+// transaction all the same — unpublished, locks released, out of the table:
+// whether it committed is for restart to read off the log.
 func (t *Tx) Commit() error {
 	m := t.m
 	lsn, err := t.logEnd(Committed, wal.TCommit)
 	if err != nil {
 		return err
 	}
-	if lsn == 0 {
-		// Whatever it staged with the version store was left unchanged.
-		if h := m.abortHook; h != nil {
-			h(t.id)
-		}
-	} else {
-		if err := m.log.Flush(lsn); err != nil {
-			return err
-		}
-		if _, err := m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id}); err != nil {
-			return err
-		}
+	if lsn != 0 {
+		err = m.log.Flush(lsn)
+	}
+	if lsn != 0 && err == nil {
+		_, err = m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id})
 		// Version-store publication order: append the committed images to the
 		// version chains (hook) while this writer's X locks still exclude any
 		// concurrent stager of the same segments, then advance the version
@@ -232,27 +258,41 @@ func (t *Tx) Commit() error {
 			h(t.id, lsn)
 		}
 		m.noteCommit(lsn)
+	} else if h := m.abortHook; h != nil {
+		// What it staged with the version store was left unchanged, or is
+		// never to be published.
+		h(t.id)
 	}
 	t.finish()
-	if m.hooks != nil {
-		_ = m.hooks.Fire(hooks.EvTxCommit, t.id)
+	if err != nil {
+		return err
 	}
+	m.fire(hooks.EvTxCommit, t.id)
 	m.mu.Lock()
 	m.commits++
 	m.mu.Unlock()
 	return nil
 }
 
-// Abort rolls the transaction back at runtime: it walks the update chain in
-// reverse, logs a CLR for each update and restores its before-image through
-// the pager, then logs abort+end and releases locks. A transaction that
-// logged nothing has nothing to undo and, like its commit, leaves no record.
+// Abort rolls the transaction back: it walks the update chain in reverse,
+// logs a CLR for each update and restores its before-image through the pager,
+// then logs abort+end and releases locks. It is the one rollback there is —
+// a client's abort, a 2PC abort decision, a dropped connection and restart's
+// undo of a loser all run it. A transaction that logged nothing has nothing
+// to undo and, like its commit, leaves no record.
 func (t *Tx) Abort() error {
+	_, err := t.rollback(true)
+	return err
+}
+
+// rollback is Abort, which a prepared transaction is open to only when its
+// coordinator decided so. It reports how many updates it undid.
+func (t *Tx) rollback(decided bool) (undone int, err error) {
 	m := t.m
 	t.mu.Lock()
-	if t.state != Active && t.state != Prepared {
+	if t.state != Active && (t.state != Prepared || !decided) {
 		t.mu.Unlock()
-		return ErrNotActive
+		return 0, ErrNotActive
 	}
 	next := t.lastLSN
 	t.mu.Unlock()
@@ -262,20 +302,21 @@ func (t *Tx) Abort() error {
 		// transaction's last record so ReadRecord sees the chain — no need to
 		// wait on other transactions' unforced tails beyond it.
 		if err := m.log.Flush(next); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	buf := make([]byte, page.Size)
 	for next != 0 {
 		rec, err := m.log.ReadRecord(next)
 		if err != nil {
-			return fmt.Errorf("tx %d: abort read at %d: %w", t.id, next, err)
+			return undone, fmt.Errorf("tx %d: abort read at %d: %w", t.id, next, err)
 		}
 		switch rec.Type {
 		case wal.TUpdate:
 			if err := t.undo(rec, buf); err != nil {
-				return err
+				return undone, err
 			}
+			undone++
 			next = rec.PrevLSN
 		case wal.TCLR:
 			next = rec.UndoNext
@@ -285,24 +326,22 @@ func (t *Tx) Abort() error {
 	}
 	lsn, err := t.logEnd(Aborted, wal.TAbort, wal.TEnd)
 	if err != nil {
-		return err
+		return undone, err
 	}
 	if lsn != 0 {
 		if err := m.log.Flush(lsn); err != nil {
-			return err
+			return undone, err
 		}
 	}
 	if h := m.abortHook; h != nil {
 		h(t.id)
 	}
 	t.finish()
-	if m.hooks != nil {
-		_ = m.hooks.Fire(hooks.EvTxAbort, t.id)
-	}
+	m.fire(hooks.EvTxAbort, t.id)
 	m.mu.Lock()
 	m.aborts++
 	m.mu.Unlock()
-	return nil
+	return undone, nil
 }
 
 // Prepare logs and forces a prepare record (2PC participant vote). The
@@ -321,9 +360,7 @@ func (t *Tx) finish() {
 	t.m.mu.Lock()
 	delete(t.m.active, t.id)
 	t.m.mu.Unlock()
-	if t.m.hooks != nil {
-		_ = t.m.hooks.Fire(hooks.EvLockRelease, t.id)
-	}
+	t.m.fire(hooks.EvLockRelease, t.id)
 }
 
 // Counts reports cumulative commits and aborts.

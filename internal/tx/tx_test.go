@@ -209,7 +209,7 @@ func TestCrashAfterCommitRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := wal.Recover(crashed, pg)
+	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,8 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := wal.Recover(crashed, pg)
+	pg.log = crashed
+	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestPrepareMakesTxInDoubt(t *testing.T) {
 	// Crash: the prepared tx is in doubt, its effect is neither undone nor
 	// committed.
 	crashed, _ := wal.OpenMemFrom(l.DurableBytes())
-	st, err := wal.Recover(crashed, pg)
+	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,23 +325,18 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	tr.Abort()
 }
 
-func TestBeginWithID(t *testing.T) {
+func TestEnsureAdvancesAutoIDs(t *testing.T) {
 	m, _, _, _ := newEnv()
-	tr := m.BeginWithID(500)
-	if tr.ID() != 500 {
-		t.Fatalf("id = %d", tr.ID())
+	tr := m.Ensure(500, 7)
+	if tr.ID() != 500 || m.Lookup(500) != tr || m.Ensure(500, 8) != tr {
+		t.Fatalf("Ensure(500) = tx %d, looked up %v", tr.ID(), m.Lookup(500))
 	}
-	// Next auto id is above.
-	tr2 := m.Begin()
-	if tr2.ID() <= 500 {
+	if tr2 := m.Begin(); tr2.ID() <= 500 {
 		t.Fatalf("auto id %d not advanced", tr2.ID())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate BeginWithID did not panic")
-		}
-	}()
-	m.BeginWithID(tr2.ID())
+	if m.Lookup(499) != nil {
+		t.Fatal("Lookup of an id nobody began")
+	}
 }
 
 func TestStateString(t *testing.T) {

@@ -81,7 +81,7 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newMemPager()
-	st, err := recoverOn(l, p)
+	st, _, err := redoOn(l, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCheckpointCorruptionFallsBack(t *testing.T) {
 			t.Fatalf("off %d: reopen: %v", off, err)
 		}
 		p := newMemPager()
-		st, err := recoverOn(l, p)
+		st, _, err := redoOn(l, p)
 		if err != nil {
 			t.Fatalf("off %d: recover: %v", off, err)
 		}

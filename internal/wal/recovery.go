@@ -15,7 +15,8 @@ type Pager interface {
 	WritePage(proof Logged, data []byte) error
 }
 
-// RecoveryStats summarizes one restart.
+// RecoveryStats summarizes one restart: Redo fills in what analysis and redo
+// found, tx.Restart what undo wrote.
 type RecoveryStats struct {
 	RecordsAnalyzed int
 	RedoApplied     int
@@ -23,12 +24,8 @@ type RecoveryStats struct {
 	Losers          []uint64
 	Winners         []uint64
 	InDoubt         []uint64 // prepared but undecided 2PC participants
-	// InDoubtLast maps each in-doubt transaction to its last LSN (the
-	// prepare record) so the server can adopt and later commit or roll
-	// back the branch when the coordinator's decision arrives.
-	InDoubtLast   map[uint64]page.LSN
-	CheckpointLSN page.LSN
-	RedoStartLSN  page.LSN
+	CheckpointLSN   page.LSN
+	RedoStartLSN    page.LSN
 	// UnanchoredPages counts pages whose earliest replayed record was a
 	// byte-range delta instead of a whole-page image. The logging rule
 	// (tx.Tx.LogUpdate) keeps it at 0: redo then rebuilds every page it
@@ -36,25 +33,29 @@ type RecoveryStats struct {
 	UnanchoredPages int
 }
 
-// txInfo tracks one transaction during analysis.
-type txInfo struct {
-	lastLSN page.LSN
-	status  byte // 'A' active, 'C' committed, 'E' ended
+// Unfinished is a transaction the log leaves open: a loser to roll back, or,
+// when Prepared, a 2PC branch to keep until its coordinator decides.
+type Unfinished struct {
+	Tx       uint64
+	LastLSN  page.LSN
+	Prepared bool
 }
 
-// Recover performs ARIES-style restart: analysis from the most recent
-// checkpoint, physical redo of history, and undo of loser transactions with
-// CLR logging. New CLR/abort records are appended to l and flushed.
+// Redo performs the first two passes of ARIES-style restart — analysis from
+// the most recent checkpoint, physical redo of history — and returns the
+// transactions still open at the end of the log, latest record first. Undo is
+// not done here: the transaction manager adopts them and rolls the losers
+// back the way it rolls back at runtime (tx.Restart).
 //
 // Redo replays a record only at or after its page's recLSN — the
 // checkpoint's dirty-page entry, or the page's first record after the
 // checkpoint. Update records are byte ranges, so where a page's replay starts
 // matters: the logging rule makes each of those two LSNs a whole-page image.
 //
-// Catalog records (TCatalog) are not Recover's: the server replays them into
-// its catalog, and re-establishes the storage they name, before it calls
-// Recover. All three passes skip them.
-func Recover(l *Log, p Pager) (*RecoveryStats, error) {
+// Catalog records (TCatalog) are not Redo's: the server replays them into its
+// catalog, and re-establishes the storage they name, before it restarts the
+// pages. Both passes skip them.
+func Redo(l *Log, p Pager) (*RecoveryStats, []Unfinished, error) {
 	st := &RecoveryStats{}
 
 	// Pass 0: find the most recent checkpoint.
@@ -67,19 +68,26 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.CheckpointLSN = ckptLSN
 
 	// Pass 1: analysis — rebuild the transaction table and dirty-page table
-	// starting from the checkpoint.
-	txs := make(map[uint64]*txInfo)
+	// starting from the checkpoint. A transaction's status is the type of the
+	// record that last changed it: TUpdate while active, TPrepare in doubt
+	// (neither redone away nor undone until the coordinator's decision
+	// arrives), TCommit a winner, TAbort rolled back before the crash.
+	type txInfo struct {
+		lastLSN page.LSN
+		status  Type
+	}
+	txs := make(map[uint64]txInfo)
 	dpt := make(map[page.ID]page.LSN)
 	scanFrom := firstLSN
 	if ckpt != nil {
 		scanFrom = ckptLSN
 		for _, e := range ckpt.ActiveTxs {
-			txs[e.Tx] = &txInfo{lastLSN: e.LastLSN, status: 'A'}
+			txs[e.Tx] = txInfo{e.LastLSN, TUpdate}
 		}
 		for _, e := range ckpt.DirtyPages {
 			dpt[e.Page] = e.RecLSN
@@ -88,44 +96,22 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 	if err := l.Iterate(scanFrom, func(lsn page.LSN, rec *Record) error {
 		switch rec.Type {
 		case TUpdate, TCLR:
-			ti := txs[rec.Tx]
-			if ti == nil {
-				ti = &txInfo{status: 'A'}
-				txs[rec.Tx] = ti
-			}
-			ti.lastLSN = lsn
-			ti.status = 'A'
+			txs[rec.Tx] = txInfo{lsn, TUpdate}
 			if _, ok := dpt[rec.Page]; !ok {
 				dpt[rec.Page] = lsn
 			}
-		case TCommit:
-			if ti := txs[rec.Tx]; ti != nil {
-				ti.status = 'C'
-				ti.lastLSN = lsn
-			} else {
-				txs[rec.Tx] = &txInfo{status: 'C', lastLSN: lsn}
-			}
-		case TPrepare:
-			// In-doubt: neither redone away nor undone until the
-			// coordinator's decision arrives (presumed-abort handled by
-			// the server layer).
-			if ti := txs[rec.Tx]; ti != nil {
-				ti.status = 'P'
-				ti.lastLSN = lsn
-			} else {
-				txs[rec.Tx] = &txInfo{status: 'P', lastLSN: lsn}
-			}
+		case TCommit, TPrepare:
+			txs[rec.Tx] = txInfo{lsn, rec.Type}
 		case TAbort:
-			// Rollback completed before the crash: nothing left to undo.
-			if ti := txs[rec.Tx]; ti != nil {
-				ti.status = 'E'
+			if ti, ok := txs[rec.Tx]; ok {
+				txs[rec.Tx] = txInfo{ti.lastLSN, TAbort}
 			}
 		case TEnd:
 			delete(txs, rec.Tx)
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Pass 2: redo — repeat history from the earliest recLSN.
@@ -167,94 +153,27 @@ func Recover(l *Log, p Pager) (*RecoveryStats, error) {
 		st.RedoApplied++
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Pass 3: undo losers, deepest LSN first, writing CLRs.
-	type loser struct {
-		tx   uint64
-		next page.LSN
-	}
-	var losers []loser
+	var open []Unfinished
 	for tx, ti := range txs {
 		switch ti.status {
-		case 'A':
-			losers = append(losers, loser{tx: tx, next: ti.lastLSN})
-			st.Losers = append(st.Losers, tx)
-		case 'C':
-			st.Winners = append(st.Winners, tx)
-		case 'P':
-			st.InDoubt = append(st.InDoubt, tx)
-			if st.InDoubtLast == nil {
-				st.InDoubtLast = make(map[uint64]page.LSN)
-			}
-			st.InDoubtLast[tx] = ti.lastLSN
-		}
-	}
-	sort.Slice(st.InDoubt, func(i, j int) bool { return st.InDoubt[i] < st.InDoubt[j] })
-	sort.Slice(losers, func(i, j int) bool { return losers[i].next > losers[j].next })
-	sort.Slice(st.Losers, func(i, j int) bool { return st.Losers[i] < st.Losers[j] })
-	sort.Slice(st.Winners, func(i, j int) bool { return st.Winners[i] < st.Winners[j] })
-
-	for len(losers) > 0 {
-		// Take the loser with the largest next-LSN (reverse chronological).
-		sort.Slice(losers, func(i, j int) bool { return losers[i].next > losers[j].next })
-		cur := &losers[0]
-		if cur.next == 0 {
-			// Rollback complete for this transaction.
-			if _, err := l.Append(&Record{Type: TAbort, Tx: cur.tx}); err != nil {
-				return nil, err
-			}
-			if _, err := l.Append(&Record{Type: TEnd, Tx: cur.tx}); err != nil {
-				return nil, err
-			}
-			losers = losers[1:]
-			continue
-		}
-		rec, err := l.ReadRecord(cur.next)
-		if err != nil {
-			return nil, fmt.Errorf("wal: undo read at %d: %w", cur.next, err)
-		}
-		switch rec.Type {
 		case TUpdate:
-			// Apply the before-image and log a CLR.
-			if len(rec.Before) > 0 {
-				if err := p.ReadPage(rec.Page, buf); err != nil {
-					return nil, err
-				}
-				if int(rec.UndoOff)+len(rec.Before) > len(buf) {
-					return nil, fmt.Errorf("wal: undo record at %d out of page bounds", cur.next)
-				}
-				copy(buf[rec.UndoOff:], rec.Before)
-				// The loser's update record covers its own undo; the CLR
-				// appended below re-describes the restore for redo.
-				if err := p.WritePage(rec.Logged(), buf); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := l.Append(&Record{
-				Type:     TCLR,
-				Tx:       rec.Tx,
-				Page:     rec.Page,
-				Off:      rec.UndoOff,
-				After:    rec.Before, // the CLR's redo is the undo image
-				UndoNext: rec.PrevLSN,
-			}); err != nil {
-				return nil, err
-			}
-			st.UndoApplied++
-			cur.next = rec.PrevLSN
-		case TCLR:
-			// Already-compensated work: skip to UndoNext.
-			cur.next = rec.UndoNext
-		default:
-			cur.next = rec.PrevLSN
+			st.Losers = append(st.Losers, tx)
+			open = append(open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
+		case TPrepare:
+			st.InDoubt = append(st.InDoubt, tx)
+			open = append(open, Unfinished{Tx: tx, LastLSN: ti.lastLSN, Prepared: true})
+		case TCommit:
+			st.Winners = append(st.Winners, tx)
 		}
 	}
-	if err := l.Flush(0); err != nil {
-		return nil, err
+	for _, ids := range [][]uint64{st.Losers, st.Winners, st.InDoubt} {
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
-	return st, nil
+	sort.Slice(open, func(i, j int) bool { return open[i].LastLSN > open[j].LastLSN })
+	return st, open, nil
 }
 
 // Checkpoint writes a fuzzy checkpoint record capturing the live
