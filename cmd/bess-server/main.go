@@ -12,10 +12,9 @@
 // connection takes), write a final checkpoint, and close the areas. A
 // second signal forces immediate exit.
 //
-// Goroutines here carry stop evidence for bess-vet's golife analyzer
-// (DESIGN.md §4e); the two process-lifetime daemons are waived explicitly.
-//
-//bess:golife
+// The accept loop and the checkpoint ticker belong to one group, stopped
+// before the final checkpoint; the second-signal watcher to another, which
+// lasts until the server has closed (DESIGN.md §4e).
 package main
 
 import (
@@ -27,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"bess/internal/goleak"
 	"bess/internal/rpc"
 	"bess/internal/server"
 )
@@ -50,89 +50,77 @@ func main() {
 	}
 	log.Printf("bess-server host=%d dir=%s listening on %s", *host, *dir, l.Addr())
 
+	var serving goleak.Group
 	if *ckptEvery > 0 {
-		//bess:golife ignore=checkpoint ticker runs for the process lifetime
-		go func() {
+		serving.Go("bess-server.checkpoint", func(stop <-chan struct{}) {
 			t := time.NewTicker(*ckptEvery)
 			defer t.Stop()
-			for range t.C {
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
+				}
 				if err := srv.Checkpoint(); err != nil {
 					log.Printf("checkpoint: %v", err)
 				}
 			}
-		}()
+		})
 	}
 
-	// Track live peers so shutdown can disconnect them and wait for their
-	// read loops (and thus their Disconnect-abort hooks) to finish. Each
-	// peer gets its own done channel, closed by its OnClose hook; shutdown
-	// drains the channels of the peers it saw under a deadline. (A shared
-	// WaitGroup would race: Add from this goroutine against main's Wait.)
+	// Track live peers so shutdown can disconnect them; a peer leaves the
+	// set through its OnClose hook.
 	var (
 		peerMu sync.Mutex
-		peers  = make(map[*rpc.Peer]chan struct{})
+		peers  = make(map[*rpc.Peer]bool)
 	)
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
+	serving.Go("bess-server.accept", func(<-chan struct{}) {
 		for {
 			p, err := l.Accept()
 			if err != nil {
 				return
 			}
 			server.ServePeer(srv, p)
-			gone := make(chan struct{})
 			peerMu.Lock()
-			peers[p] = gone
+			peers[p] = true
 			peerMu.Unlock()
 			p.SetOnClose(func(error) {
 				peerMu.Lock()
 				delete(peers, p)
 				peerMu.Unlock()
-				close(gone)
 			})
 		}
-	}()
+	})
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
-	//bess:golife ignore=second-signal watcher runs until the forced exit
-	go func() {
-		<-sig
-		log.Fatalf("second signal: forcing exit")
-	}()
+	var forced goleak.Group
+	defer forced.Stop()
+	forced.Go("bess-server.secondSignal", func(stop <-chan struct{}) {
+		select {
+		case <-sig:
+			log.Fatalf("second signal: forcing exit")
+		case <-stop:
+		}
+	})
 
-	// Stop accepting, then disconnect every peer. Closing a peer runs its
-	// OnClose hook, which aborts the client's in-flight transactions —
-	// exactly what a dropped connection does, so no transaction is left
-	// holding locks.
+	// Stop accepting and checkpointing, then disconnect every peer. Closing
+	// a peer joins its read loop and so its OnClose hooks, which abort the
+	// client's in-flight transactions — exactly what a dropped connection
+	// does, so no transaction is left holding locks.
 	if err := l.Close(); err != nil {
 		log.Printf("close listener: %v", err)
 	}
-	<-acceptDone // no new peers can register past this point
+	serving.Stop() // no new peers can register past this point
+	var closing goleak.Group
 	peerMu.Lock()
-	open := make(map[*rpc.Peer]chan struct{}, len(peers))
-	for p, gone := range peers {
-		open[p] = gone
+	for p := range peers {
+		closing.Go("bess-server.closePeer", func(<-chan struct{}) { p.Close() })
 	}
 	peerMu.Unlock()
-	for p := range open {
-		p.Close()
-	}
-	deadline := time.Now().Add(*drain)
-	stranded := 0
-	for _, gone := range open {
-		t := time.NewTimer(time.Until(deadline))
-		select {
-		case <-gone:
-			t.Stop()
-		case <-t.C:
-			stranded++
-		}
-	}
-	if stranded > 0 {
+	if stranded := closing.StopWithin(*drain); stranded > 0 {
 		log.Printf("drain budget (%v) exhausted with %d peer(s) still live", *drain, stranded)
 	}
 

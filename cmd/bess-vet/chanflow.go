@@ -6,27 +6,22 @@ import (
 	"go/types"
 )
 
-// --- chanflow: channel protocol discipline in //bess:golife packages ---
+// --- chanflow: channel protocol discipline ---
 //
-// Three checks, all scoped to packages that opted into goroutine lifecycle
-// analysis:
+// Two checks:
 //
 //   - double-close and send-after-close: the shared path walker (pathwalk.go)
 //     tracks definitely-closed channels through each function (merging
 //     keeps what both paths closed, a reassignment makes the channel fresh)
 //     and flags a second close or a later send.
-//   - blocked-forever sender: a send inside a goroutine literal on a
-//     channel made unbuffered in this package, with no select escape (a
-//     default or a receive case alongside it), blocks forever once the
-//     receiver is gone — the classic leaked-sender shape.
-//   - Add-inside-goroutine: sync.WaitGroup.Add called inside the spawned
-//     literal races the matching Wait; the Add belongs before the spawn.
+//   - blocked-forever sender: a send inside a function literal handed to
+//     goleak.Group.Go, on a channel made unbuffered in this package, with no
+//     select escape (a default or a receive case alongside it), blocks
+//     forever once the receiver is gone — the classic leaked-sender shape,
+//     and one a Group cannot stop.
 
-func analyzeChanFlow(pkgs []*pkg, dirs *directives, r *reporter) {
+func analyzeChanFlow(pkgs []*pkg, r *reporter) {
 	for _, p := range pkgs {
-		if !dirs.golife[p.path] || p.isTest {
-			continue
-		}
 		c := &chanflow{p: p, r: r, unbuffered: unbufferedChans(p)}
 		c.walk.h = c
 		for _, f := range p.files {
@@ -66,7 +61,7 @@ func unbufferedChans(p *pkg) map[types.Object]bool {
 				return
 			}
 		}
-		if o := golifeTarget(p, target); o != nil {
+		if o := chanTarget(p, target); o != nil {
 			out[o] = true
 		}
 	}
@@ -148,7 +143,7 @@ func (c *chanflow) assign(s *ast.AssignStmt, st closedState) {
 	}
 	// Reassignment makes the channel a fresh value.
 	for _, lhs := range s.Lhs {
-		if o := golifeTarget(c.p, lhs); o != nil {
+		if o := chanTarget(c.p, lhs); o != nil {
 			delete(st, o)
 		}
 	}
@@ -183,7 +178,7 @@ func (c *chanflow) expr(e ast.Expr, st closedState, _ bool) {
 			if !ok || id.Name != "close" || len(x.Args) != 1 {
 				return true
 			}
-			o := golifeTarget(c.p, x.Args[0])
+			o := chanTarget(c.p, x.Args[0])
 			if o == nil {
 				return true
 			}
@@ -201,7 +196,7 @@ func (c *chanflow) expr(e ast.Expr, st closedState, _ bool) {
 }
 
 func (c *chanflow) checkSend(s *ast.SendStmt, st closedState) {
-	o := golifeTarget(c.p, s.Chan)
+	o := chanTarget(c.p, s.Chan)
 	if o == nil {
 		return
 	}
@@ -225,22 +220,14 @@ func (c *chanflow) walkNestedLits(stmt ast.Stmt) {
 
 // --- goroutine-literal checks ---
 
-// checkGoroutineBodies applies the blocked-sender and Add-inside-goroutine
-// checks to every goroutine literal spawned in root (bare go statements and
-// goleak.Go calls).
+// checkGoroutineBodies applies the blocked-sender check to every function
+// literal root hands to Group.Go.
 func (c *chanflow) checkGoroutineBodies(root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		var lit *ast.FuncLit
-		switch s := n.(type) {
-		case *ast.GoStmt:
-			lit, _ = ast.Unparen(s.Call.Fun).(*ast.FuncLit)
-		case *ast.CallExpr:
-			if isGoleakGo(c.p, s) && len(s.Args) == 2 {
-				lit, _ = ast.Unparen(s.Args[1]).(*ast.FuncLit)
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 2 && groupCall(c.p, call, "Go") != nil {
+			if lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit); ok {
+				c.checkSpawnedLit(lit)
 			}
-		}
-		if lit != nil {
-			c.checkSpawnedLit(lit)
 		}
 		return true
 	})
@@ -280,26 +267,31 @@ func (c *chanflow) checkSpawnedLit(lit *ast.FuncLit) {
 	})
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.SendStmt:
-			if escaped[s] {
-				return true
-			}
-			if o := golifeTarget(c.p, s.Chan); o != nil && c.unbuffered[o] {
+		if s, ok := n.(*ast.SendStmt); ok && !escaped[s] {
+			if o := chanTarget(c.p, s.Chan); o != nil && c.unbuffered[o] {
 				c.r.report(s.Pos(), "chanflow",
 					"unbuffered send on %s from a goroutine with no select escape: the sender blocks forever once the receiver is gone",
 					render(s.Chan))
 			}
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Add" {
-				return true
-			}
-			if isNamedType(c.p.info.TypeOf(sel.X), "sync", "WaitGroup") {
-				c.r.report(s.Pos(), "chanflow",
-					"WaitGroup.Add inside the spawned goroutine races the matching Wait; Add before the go statement")
-			}
 		}
 		return true
 	})
+}
+
+// chanTarget resolves x or s.f to a stable object: a struct field var or a
+// local/package object.
+func chanTarget(p *pkg, e ast.Expr) types.Object {
+	switch n := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if o := p.info.Uses[n]; o != nil {
+			return o
+		}
+		return p.info.Defs[n]
+	case *ast.SelectorExpr:
+		if sel := p.info.Selections[n]; sel != nil {
+			return sel.Obj()
+		}
+		return p.info.Uses[n.Sel]
+	}
+	return nil
 }

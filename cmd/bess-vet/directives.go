@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -10,36 +11,35 @@ import (
 
 // directives are the machine-readable annotations bess-vet consumes:
 //
-//	//bess:lockorder A.x < B.y < ...   (package server, lockorder.go)
 //	//bess:holds mu                    (func contract: caller holds recv.mu)
 //	//bess:prepublish                  (func builds a value not yet shared)
 //	// guarded by mu                   (struct field annotation)
-//	//bess:golife                      (package opts into goroutine lifecycle)
-//	//bess:golife ignore=<reason>      (waives the go statement on/under it)
 //	//bess:hotpath                     (func doc: per-op allocations flagged)
 //	//bess:hotpath ignore=<reason>     (waives the allocation on/under it)
 //
 // A //bess: line whose verb is unknown, or whose argument does not parse,
 // is itself a finding (analyzer "directive") — a typo must not silently
 // disable checking.
+//
+// The lock hierarchy is not an annotation: a class's rank is the constant
+// its lockcheck Init call names — mu.Init("Type.field", rank) — which is
+// also what the runtime checker enforces under -tags invariants, so the
+// order is written once. Two classes with one non-zero rank, and a Rank
+// constant no Init uses, are "directive" findings too (collectRanks).
 type directives struct {
-	// rank maps a lock class ("reader.areaMu") to its position in the
-	// declared hierarchy (1-based; outermost lowest). 0 = unranked.
-	rank      map[string]int
-	orderSrc  token.Pos // where the //bess:lockorder directive lives
-	orderSeen []string  // classes in declaration order, for messages
+	// rank maps a lock class ("reader.areaMu") to its rank in the hierarchy
+	// (outermost lowest). 0 = unranked.
+	rank     map[string]int
+	rankUsed map[types.Object]bool // Rank constants some Init names
 
 	holds      map[*types.Func]string // func -> mutex field name
 	prepublish map[*types.Func]bool
 	guarded    map[*types.Var]string // struct field -> mutex field name
 
-	golife map[string]bool // package path -> opted into goroutine lifecycle
-	// golifeIgnores maps file -> line -> waiver reason. A waiver applies to
-	// a spawn on the same line (trailing comment) or on the line below it
-	// (comment-above style). An empty reason is itself a finding.
-	golifeIgnores map[string]map[int]string
-
-	hotpath        map[*types.Func]bool // functions under per-op allocation review
+	hotpath map[*types.Func]bool // functions under per-op allocation review
+	// hotpathIgnores maps file -> line -> waiver reason. A waiver applies to
+	// an allocation on the same line (trailing comment) or on the line
+	// below it (comment-above style).
 	hotpathIgnores map[string]map[int]string
 
 	// bad collects malformed or unknown //bess: directives; run() reports
@@ -56,11 +56,10 @@ type dirDiag struct {
 func newDirectives() *directives {
 	return &directives{
 		rank:           make(map[string]int),
+		rankUsed:       make(map[types.Object]bool),
 		holds:          make(map[*types.Func]string),
 		prepublish:     make(map[*types.Func]bool),
 		guarded:        make(map[*types.Var]string),
-		golife:         make(map[string]bool),
-		golifeIgnores:  make(map[string]map[int]string),
 		hotpath:        make(map[*types.Func]bool),
 		hotpathIgnores: make(map[string]map[int]string),
 	}
@@ -69,9 +68,8 @@ func newDirectives() *directives {
 // collect scans one type-checked package for all directive forms. Malformed
 // or unknown directives are recorded in d.bad, never silently skipped.
 func (d *directives) collect(p *pkg) {
+	d.collectRanks(p)
 	for _, f := range p.files {
-		// File-level comments: the lockorder declaration may sit in any
-		// comment group (bess keeps it in the package doc of lockorder.go).
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -132,26 +130,6 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 	verb, arg, _ := strings.Cut(rest, " ")
 	arg = strings.TrimSpace(arg)
 	switch verb {
-	case "lockorder":
-		if arg == "" {
-			d.badf(pos, "//bess:lockorder needs a hierarchy (A.x < B.y < ...)")
-			return
-		}
-		if err := d.parseOrder(arg, pos); err != nil {
-			d.badf(pos, "%v", err)
-		}
-	case "golife":
-		if arg == "" {
-			d.golife[p.path] = true
-			return
-		}
-		if reason, ok := strings.CutPrefix(arg, "ignore="); ok {
-			// golife checks the reason itself (empty reason = golife finding),
-			// so record even an empty one.
-			waive(p, d.golifeIgnores, reason, pos)
-			return
-		}
-		d.badf(pos, "//bess:golife: unknown clause %q (want bare or ignore=<reason>)", arg)
 	case "holds":
 		if arg == "" {
 			d.badf(pos, "//bess:holds needs a mutex field name")
@@ -177,27 +155,54 @@ func (d *directives) parseDirective(p *pkg, rest string, pos token.Pos) {
 			waive(p, d.hotpathIgnores, reason, pos)
 		}
 	default:
-		d.badf(pos, "unknown //bess:%s directive (known verbs: lockorder, holds, prepublish, golife, hotpath)", verb)
+		d.badf(pos, "unknown //bess:%s directive (known verbs: holds, prepublish, hotpath)", verb)
 	}
 }
 
-func (d *directives) parseOrder(spec string, pos token.Pos) error {
-	if len(d.orderSeen) > 0 {
-		return fmt.Errorf("duplicate //bess:lockorder directive")
+// collectRanks learns the lock hierarchy from p's lockcheck Init calls.
+func (d *directives) collectRanks(p *pkg) {
+	isRank := func(t types.Type) bool { return isNamedIn(t, "internal/lockcheck", "Rank") }
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 2 || !isRank(p.info.TypeOf(call.Args[1])) {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Init" {
+				return true
+			}
+			ast.Inspect(call.Args[1], func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok {
+					d.rankUsed[p.info.Uses[id]] = true
+				}
+				return true
+			})
+			name, rank := p.info.Types[call.Args[0]].Value, p.info.Types[call.Args[1]].Value
+			if name == nil || rank == nil {
+				d.badf(call.Pos(), "lockcheck Init needs a constant class name and rank")
+				return true
+			}
+			class := constant.StringVal(name)
+			r, _ := constant.Int64Val(rank)
+			for other, has := range d.rank {
+				if r != 0 && int(r) == has && other != class {
+					d.badf(call.Pos(), "lock classes %s and %s share rank %d: equal ranks must not nest, so one of them is misplaced", class, other, r)
+				}
+			}
+			d.rank[class] = int(r)
+			return true
+		})
 	}
-	d.orderSrc = pos
-	for i, part := range strings.Split(spec, "<") {
-		name := strings.TrimSpace(part)
-		if name == "" || !strings.Contains(name, ".") {
-			return fmt.Errorf("//bess:lockorder: bad lock class %q (want Type.field)", name)
-		}
-		if _, dup := d.rank[name]; dup {
-			return fmt.Errorf("//bess:lockorder: %s listed twice", name)
-		}
-		d.rank[name] = i + 1
-		d.orderSeen = append(d.orderSeen, name)
+	// A rank nothing is initialised with orders nothing.
+	if strings.HasSuffix(p.path, "internal/lockcheck") {
+		return
 	}
-	return nil
+	for id, obj := range p.info.Defs {
+		c, ok := obj.(*types.Const)
+		if ok && isRank(c.Type()) && constant.Sign(c.Val()) != 0 && !d.rankUsed[c] && c.Parent() == p.tpkg.Scope() {
+			d.badf(id.Pos(), "lock rank %s is used by no Init call in its package: the class it ranks is unranked at runtime and here", c.Name())
+		}
+	}
 }
 
 func (d *directives) collectFunc(p *pkg, fn *ast.FuncDecl) {

@@ -23,7 +23,6 @@ type pkg struct {
 	fset    *token.FileSet
 	tpkg    *types.Package
 	info    *types.Info
-	isTest  bool // _test.go files of some package (analyzed but findings demoted)
 	imports []string
 }
 
@@ -123,6 +122,9 @@ func (l *loader) discover(patterns []string) ([]string, error) {
 			name := fi.Name()
 			if strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor" {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != l.modRoot {
+				return filepath.SkipDir // a nested module (benchmark/) is not part of ./...
 			}
 			hasGo := false
 			ents, err := os.ReadDir(path)

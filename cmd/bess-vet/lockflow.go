@@ -578,3 +578,23 @@ func (w *flow) rejoin(pos token.Pos, a, b *fstate) {
 	report(a, b)
 	report(b, a)
 }
+
+// isNamedIn reports whether t, pointer-stripped, is the type called name of a
+// package whose import path ends in pkgSuffix (fixtures carry stand-ins).
+func isNamedIn(t types.Type, pkgSuffix, name string) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Name() == name && n.Obj().Pkg() != nil &&
+		strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
+}
+
+// namedOf strips pointers and returns the *types.Named beneath, if any.
+func namedOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

@@ -2,7 +2,8 @@
 // the invariants that go vet and the race detector cannot see:
 //
 //   - lockorder: nested lock acquisitions across the call graph must follow
-//     the hierarchy declared by //bess:lockorder (internal/server/lockorder.go).
+//     the hierarchy the lockcheck Init calls declare — mu.Init("Type.field",
+//     rank), the same constants the runtime checker enforces.
 //   - durability: error results of Sync/Close/Write/Append/Flush on files,
 //     the WAL, and storage areas must not be silently dropped or shadowed.
 //   - guarded: struct fields annotated `// guarded by <mu>` may only be
@@ -11,21 +12,20 @@
 //   - atomicmix: atomic access is a property of a variable's type — any call
 //     of sync/atomic's package-level Load/Store/Add/Swap/CompareAndSwap
 //     functions is a finding; use atomic.Int64 and friends.
-//   - golife: every goroutine spawned in a //bess:golife package has a
-//     provable stop path (done-channel close, stop flag, WaitGroup join,
-//     or error-break on a closable source), or an explicit
-//     //bess:golife ignore=<reason> waiver.
-//   - chanflow: channel protocol discipline in //bess:golife packages —
-//     no double-close or send-after-close on any path, no unbuffered sends
-//     from goroutines without a select escape, no WaitGroup.Add inside the
-//     spawned goroutine.
+//   - golife: a goroutine has an owner — a `go` statement outside
+//     internal/goleak is a finding, and so is a goleak.Group held in a
+//     struct none of whose methods stops it.
+//   - chanflow: channel protocol discipline — no double-close or
+//     send-after-close on any path, no unbuffered sends from a Group.Go
+//     literal without a select escape.
 //   - hotalloc: per-op heap allocations in //bess:hotpath functions (make,
 //     nil-base append clones, string<->[]byte conversions, closures,
 //     interface boxing) must be pooled, hoisted, or waived with
 //     //bess:hotpath ignore=<reason>.
 //   - directive: a //bess: comment with an unknown verb or a malformed
 //     argument is itself a finding — typos must not silently disable
-//     checking.
+//     checking — and so is a lock hierarchy that ranks two classes alike or
+//     declares a rank no lock is initialised with.
 //
 // Usage:
 //
@@ -182,10 +182,10 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 		analyzeAtomicMix(pkgs, r)
 	}
 	if enabled["golife"] {
-		analyzeGoLife(pkgs, dirs, r)
+		analyzeGoLife(pkgs, r)
 	}
 	if enabled["chanflow"] {
-		analyzeChanFlow(pkgs, dirs, r)
+		analyzeChanFlow(pkgs, r)
 	}
 	if enabled["hotalloc"] {
 		analyzeHotAlloc(pkgs, dirs, r)

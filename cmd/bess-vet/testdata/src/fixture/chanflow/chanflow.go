@@ -1,15 +1,12 @@
 // Package chanflowfix exercises the channel-protocol analyzer: double
-// close and send-after-close on a path, unbuffered sends from goroutines
-// with no select escape, and WaitGroup.Add inside the spawned goroutine.
-//
-//bess:golife
+// close and send-after-close on a path, and unbuffered sends from a Group.Go
+// literal with no select escape.
 package chanflowfix
 
-import "sync"
+import "fixture/internal/goleak"
 
 var sink int
 
-func work()        { sink++ }
 func compute() int { return sink }
 
 // --- double close and send-after-close, path-sensitively ---
@@ -81,60 +78,44 @@ func everyCase(n int) {
 
 // --- blocked-forever senders: unbuffered sends without a select escape ---
 
-type relay struct{ done chan struct{} }
+type relay struct {
+	g    goleak.Group
+	done chan struct{}
+}
 
-// Close releases every relay goroutine.
-func (r *relay) Close() { close(r.done) }
+// Close releases and joins every relay goroutine.
+func (r *relay) Close() {
+	close(r.done)
+	r.g.Stop()
+}
 
 func (r *relay) leakySend() chan int {
 	ch := make(chan int)
-	go func() {
+	r.g.Go("relay.leaky", func(<-chan struct{}) {
 		ch <- compute() // want chanflow
 		<-r.done
-	}()
+	})
 	return ch
 }
 
 // politeSend is clean: the select's receive case lets the sender escape.
 func (r *relay) politeSend() chan int {
 	ch := make(chan int)
-	go func() {
+	r.g.Go("relay.polite", func(<-chan struct{}) {
 		select {
 		case ch <- compute():
 		case <-r.done:
 		}
-	}()
+	})
 	return ch
 }
 
 // bufferedSend is clean: the buffer absorbs the handoff.
 func (r *relay) bufferedSend() chan int {
 	ch := make(chan int, 1)
-	go func() {
+	r.g.Go("relay.buffered", func(<-chan struct{}) {
 		ch <- compute()
 		<-r.done
-	}()
+	})
 	return ch
-}
-
-// --- WaitGroup.Add inside the spawned goroutine races its Wait ---
-
-func badAdd() { // the race also breaks golife's join proof, hence both
-	var wg sync.WaitGroup
-	go func() { // want golife
-		wg.Add(1) // want chanflow
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
-}
-
-func goodAdd() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
 }

@@ -3,13 +3,17 @@
 // so each one must be a finding in its own right.
 package directive
 
-// The verb is misspelled: the hierarchy below would never be enforced.
-//
-//bess:lockorde Reg.mu < Reg.copyMu // want directive
+import "fixture/internal/lockcheck"
 
-// golife's only argument form is ignore=<reason>.
+// The verb is misspelled: the contract below would never be enforced.
 //
-//bess:golife ignore // want directive
+//bess:hold mu // want directive
+
+// A verb that has been retired is unknown like any other: the hierarchy is
+// the Init calls now, and golife takes no opt-in.
+//
+//bess:lockorder Reg.mu < Reg.copyMu // want directive
+//bess:golife // want directive
 
 // An ignore waiver without a reason is worthless in review.
 //
@@ -23,5 +27,18 @@ package directive
 //
 //bess:hotpaths // want directive
 
-// Reg exists so the (never-registered) lock classes above name something.
-type Reg struct{ mu, copyMu int }
+// Reg's two locks share a rank, and a third rank orders nothing.
+type Reg struct{ mu, copyMu lockcheck.Mutex }
+
+const (
+	rankReg    lockcheck.Rank = 70
+	rankUnused lockcheck.Rank = 80 // want directive
+)
+
+func newReg(name string) *Reg {
+	r := &Reg{}
+	r.mu.Init("Reg.mu", rankReg)
+	r.copyMu.Init("Reg.copyMu", rankReg) // want directive
+	r.mu.Init(name, rankReg)             // want directive
+	return r
+}

@@ -1,221 +1,81 @@
-// Package golifefix exercises the goroutine-lifecycle analyzer: spawns
-// with no provable stop path are flagged; done channels, stop flags,
-// WaitGroup joins, error-break loops, and explicit waivers are accepted.
-//
-//bess:golife
+// Package golifefix exercises the goroutine-ownership analyzer: a `go`
+// statement is a finding wherever it is, and so is a goleak.Group held by a
+// struct that no method of it stops.
 package golifefix
 
 import (
-	"io"
-	"sync"
-	"sync/atomic"
+	"time"
 
-	"fixture/golife/goleak"
+	"fixture/internal/goleak"
 )
 
 var sink int
 
 func work() { sink++ }
 
-// --- dispatch shape: fire-and-forget goroutines with no teardown ---
+// --- a bare go statement has no owner ---
 
-type peer struct{ n int }
-
-func (p *peer) handle(i int) { sink = i + p.n }
-
-func (p *peer) serve() {
-	for i := 0; i < 4; i++ {
-		go p.handle(i) // want golife
-	}
+func fireAndForget() {
+	go work() // want golife
 }
 
-// --- WaitGroup join: Add before, Done inside, Wait on the spawner ---
-
-func fanout(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
+func literal() {
+	done := make(chan struct{})
+	go func() { // want golife
+		work()
+		close(done)
+	}()
+	<-done
 }
 
-// --- done channel closed by an exported Close ---
+// --- a Group in a struct needs a method that stops it ---
 
-type ticker struct{ done chan struct{} }
+// ticker is clean: Close stops the group its start spawns into.
+type ticker struct {
+	g goleak.Group
+}
 
 func (t *ticker) start() {
-	go func() {
+	t.g.Go("ticker.run", func(stop <-chan struct{}) {
 		for {
 			select {
-			case <-t.done:
+			case <-stop:
 				return
 			default:
-			}
-			work()
-		}
-	}()
-}
-
-// Close stops the ticker goroutine.
-func (t *ticker) Close() { close(t.done) }
-
-// --- done channel nobody ever closes ---
-
-type orphan struct{ done chan struct{} }
-
-func (o *orphan) start() {
-	go func() { // want golife
-		<-o.done
-	}()
-}
-
-// --- stop flag: atomic.Bool set by an exported Stop ---
-
-type pump struct{ stop atomic.Bool }
-
-func (p *pump) start() {
-	go func() {
-		for {
-			if p.stop.Load() {
-				return
-			}
-			work()
-		}
-	}()
-}
-
-// Stop halts the pump goroutine.
-func (p *pump) Stop() { p.stop.Store(true) }
-
-// --- stop flag read through a predicate method ---
-
-type cursor struct {
-	mu        sync.Mutex
-	cancelled bool // written under mu
-}
-
-func (c *cursor) isCancelled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cancelled
-}
-
-// Cancel stops the cursor goroutine.
-func (c *cursor) Cancel() {
-	c.mu.Lock()
-	c.cancelled = true
-	c.mu.Unlock()
-}
-
-func (c *cursor) run() {
-	go func() {
-		for {
-			if c.isCancelled() {
-				return
-			}
-			work()
-		}
-	}()
-}
-
-// --- stop flag whose only setter is dead code ---
-
-type stale struct{ quit bool }
-
-func (s *stale) start() {
-	go func() { // want golife
-		for {
-			if s.quit {
-				return
-			}
-			work()
-		}
-	}()
-}
-
-func (s *stale) neverCalled() { s.quit = true }
-
-// --- error-break loop over a closable source (the read-loop shape) ---
-
-type reader struct{ src io.ReadCloser }
-
-func (r *reader) start() {
-	go func() {
-		buf := make([]byte, 16)
-		for {
-			if _, err := r.src.Read(buf); err != nil {
-				return
+				work()
 			}
 		}
-	}()
-}
-
-// Close stops the read loop by killing its source.
-func (r *reader) Close() { _ = r.src.Close() }
-
-// --- goleak.Go spawns: method values and wrappers expand like go stmts ---
-
-type worker struct{ done chan struct{} }
-
-func (w *worker) start() {
-	goleak.Go("w.run", w.run)
-}
-
-func (w *worker) run() { <-w.done }
-
-// Close stops the tracked worker.
-func (w *worker) Close() { close(w.done) }
-
-func (w *worker) spin() {
-	for {
-		work()
-	}
-}
-
-func (w *worker) startLeak() {
-	goleak.Go("w.leak", func() { // want golife
-		w.spin()
 	})
 }
 
-// --- joiner: a drain helper that Waits on a group others Done ---
+// Close stops the ticker.
+func (t *ticker) Close() { t.g.Stop() }
 
-type pool struct{ wg sync.WaitGroup }
-
-func (p *pool) spawn() {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		work()
-	}()
+// bounded is clean: StopWithin counts as stopping.
+type bounded struct {
+	tasks *goleak.Group
 }
 
-// DrainAsync closes done once every spawned worker has finished.
-func (p *pool) DrainAsync(done chan struct{}) {
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
+func (b *bounded) close() int { return b.tasks.StopWithin(time.Second) }
+
+// orphan starts goroutines nothing can stop: no method of it calls Stop.
+type orphan struct {
+	g goleak.Group // want golife
 }
 
-// --- waivers: an explicit reason silences the finding, an empty one is
-// itself flagged ---
+func (o *orphan) start() {
+	o.g.Go("orphan.run", func(stop <-chan struct{}) { <-stop })
+}
 
-func spinForever() {
-	for {
-		work()
+// stopOrphan is a function, not a method: it does not make orphan an owner.
+func stopOrphan(o *orphan) { o.g.Stop() }
+
+// --- a Group in a call frame is joined where the reader can see it ---
+
+func fanout(n int) {
+	var workers goleak.Group
+	for i := 0; i < n; i++ {
+		workers.Go("fanout.worker", func(<-chan struct{}) { work() })
 	}
-}
-
-func daemon() {
-	go spinForever() //bess:golife ignore=fixture daemon runs for the process lifetime
-}
-
-func daemonBad() {
-	//bess:golife ignore=
-	go spinForever() // want golife
+	workers.Stop()
 }

@@ -1,0 +1,15 @@
+// Package lockcheck is a fixture stand-in for bess/internal/lockcheck: the
+// analyzers recognize Mutex and Rank by name and package-path suffix, and
+// learn a lock class's rank from its Init call.
+package lockcheck
+
+import "sync"
+
+// Rank is a lock's position in the hierarchy; 0 is unranked.
+type Rank int
+
+// Mutex is a sync.Mutex with a class name and a rank.
+type Mutex struct{ sync.Mutex }
+
+// Init names the lock and assigns its rank.
+func (m *Mutex) Init(name string, rank Rank) {}

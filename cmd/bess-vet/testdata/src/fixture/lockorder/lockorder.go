@@ -1,14 +1,19 @@
 // Package lockorder reproduces hierarchy violations against a declared
-// lock order, including one only visible through the call graph.
-//
-//bess:lockorder Reg.tableMu < Reg.copyMu < Journal.mu
+// lock order, including one only visible through the call graph. The order
+// is what the Init calls say: Reg.tableMu < Reg.copyMu < Journal.mu.
 package lockorder
 
-import "sync"
+import "fixture/internal/lockcheck"
+
+const (
+	rankTable   lockcheck.Rank = 10
+	rankCopy    lockcheck.Rank = 20
+	rankJournal lockcheck.Rank = rankCopy + 10 // a rank is whatever the constant folds to
+)
 
 // Journal is the innermost lock holder (like wal.Log).
 type Journal struct {
-	mu sync.Mutex
+	mu lockcheck.Mutex
 	n  int
 }
 
@@ -21,9 +26,18 @@ func (j *Journal) Append() {
 
 // Reg mirrors the server's striped registry locks.
 type Reg struct {
-	tableMu sync.Mutex
-	copyMu  sync.Mutex
+	tableMu lockcheck.Mutex
+	copyMu  lockcheck.Mutex
 	j       Journal
+}
+
+// NewReg declares the hierarchy.
+func NewReg() *Reg {
+	r := &Reg{}
+	r.tableMu.Init("Reg.tableMu", rankTable)
+	r.copyMu.Init("Reg.copyMu", rankCopy)
+	r.j.mu.Init("Journal.mu", rankJournal)
+	return r
 }
 
 // InOrder nests along the declared direction: fine.

@@ -10,17 +10,20 @@ import (
 
 	"bess/internal/client"
 	"bess/internal/core"
+	"bess/internal/goleak"
 	"bess/internal/rpc"
 	"bess/internal/server"
 )
 
-func startServer(host uint16) (*server.Server, string) {
+// startServer serves a fresh in-memory server on loopback TCP; its accept
+// loop joins accepting and ends when the listener is closed.
+func startServer(host uint16, accepting *goleak.Group) (*server.Server, *rpc.Listener) {
 	srv := server.NewMem(host)
 	l, err := rpc.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() {
+	accepting.Go("distributed.accept", func(<-chan struct{}) {
 		for {
 			p, err := l.Accept()
 			if err != nil {
@@ -28,15 +31,20 @@ func startServer(host uint16) (*server.Server, string) {
 			}
 			server.ServePeer(srv, p)
 		}
-	}()
-	return srv, l.Addr()
+	})
+	return srv, l
 }
 
 func main() {
-	srv1, addr1 := startServer(1)
-	srv2, addr2 := startServer(2)
+	var accepting goleak.Group
+	srv1, l1 := startServer(1, &accepting)
+	srv2, l2 := startServer(2, &accepting)
 	defer srv1.Close()
 	defer srv2.Close()
+	defer accepting.Stop()
+	defer l1.Close()
+	defer l2.Close()
+	addr1, addr2 := l1.Addr(), l2.Addr()
 	fmt.Printf("server 1 at %s, server 2 at %s\n", addr1, addr2)
 
 	// The application on node 1 of Figure 2: connections to both servers.

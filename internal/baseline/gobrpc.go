@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"bess/internal/goleak"
 )
 
 // GobPeer preserves the pre-E12 wire protocol as a comparison system: every
@@ -16,12 +18,8 @@ import (
 // connection write, and request ids come from a mutex. E12 measures the new
 // binary framed protocol (internal/rpc) against this.
 //
-// The goroutines here carry stop evidence for bess-vet's golife analyzer
-// (DESIGN.md §4e) just like internal/rpc's: the read loop breaks on the
-// closable connection, and dispatch goroutines join a WaitGroup drained by
-// Close.
-//
-//bess:golife
+// Its goroutines have an owner like internal/rpc's: the read loop and the
+// dispatches it starts belong to the peer's group, which Close stops.
 
 // ErrGobClosed reports a call on a torn-down GobPeer.
 var ErrGobClosed = errors.New("baseline: gob rpc connection closed")
@@ -50,7 +48,7 @@ type GobPeer struct {
 	nextID   uint64
 	closed   bool
 
-	dg sync.WaitGroup // in-flight dispatch goroutines; drained by Close
+	g goleak.Group // the read loop and in-flight dispatches; stopped by Close
 }
 
 // NewGobPeer wraps a connection and starts the read loop.
@@ -61,7 +59,7 @@ func NewGobPeer(conn io.ReadWriteCloser) *GobPeer {
 		handlers: make(map[string]GobHandler),
 		pending:  make(map[uint64]chan gobFrame),
 	}
-	go p.readLoop()
+	p.g.Go("baseline.gobReadLoop", p.readLoop)
 	return p
 }
 
@@ -116,7 +114,7 @@ func (p *GobPeer) send(f *gobFrame) error {
 	return p.enc.Encode(f)
 }
 
-func (p *GobPeer) readLoop() {
+func (p *GobPeer) readLoop(<-chan struct{}) {
 	dec := gob.NewDecoder(p.conn)
 	for {
 		var f gobFrame
@@ -135,11 +133,9 @@ func (p *GobPeer) readLoop() {
 			}
 			continue
 		}
-		p.dg.Add(1)
-		go func() {
-			defer p.dg.Done()
-			p.dispatch(f)
-		}()
+		if !p.g.Go("baseline.gobDispatch", func(<-chan struct{}) { p.dispatch(f) }) {
+			break
+		}
 	}
 	p.shutdown()
 }
@@ -179,7 +175,7 @@ func (p *GobPeer) shutdown() {
 func (p *GobPeer) Close() error {
 	err := p.conn.Close()
 	p.shutdown()
-	p.dg.Wait()
+	p.g.Stop()
 	return err
 }
 

@@ -3,12 +3,9 @@
 // reproduces a figure or performance claim of the paper; DESIGN.md §4 maps
 // them to paper sections and EXPERIMENTS.md records representative output.
 //
-// Harness goroutines — acceptors, workers, updaters — are spawned through
-// goleak.Go and joined on every exit path, so a failed run cannot strand
-// senders; bess-vet's golife analyzer enforces the stop evidence
-// (DESIGN.md §4e):
-//
-//bess:golife
+// Harness goroutines — acceptors, workers, updaters — belong to a
+// goleak.Group in the frame (or the environment) that starts them, stopped
+// on every exit path, so a failed run cannot strand senders (DESIGN.md §4e).
 package bench
 
 import (

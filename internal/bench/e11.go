@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"bess/internal/goleak"
@@ -84,11 +83,9 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 	before := srv.Snapshot()
 	var lat Hist
 	start := time.Now()
-	var wg sync.WaitGroup
+	var workers goleak.Group
 	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		goleak.Go("bench.e11Worker", func() {
-			defer wg.Done()
+		workers.Go("bench.e11Worker", func(<-chan struct{}) {
 			for i := 0; i < commitsPerClient; i++ {
 				t0 := time.Now()
 				txid, err := srv.NewTx()
@@ -99,7 +96,7 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 			}
 		})
 	}
-	wg.Wait()
+	workers.Stop()
 	elapsed := time.Since(start)
 	after := srv.Snapshot()
 

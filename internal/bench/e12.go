@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 	"time"
 
 	"bess/internal/baseline"
@@ -77,9 +76,8 @@ var e12Seg = proto.SegKey{Area: 1, Start: 128}
 func e12Binary(payload []byte) *e12Caller {
 	l, err := rpc.Listen("127.0.0.1:0")
 	must(err)
-	done := make(chan struct{})
-	goleak.Go("bench.e12Accept", func() {
-		defer close(done)
+	var accept goleak.Group
+	accept.Go("bench.e12Accept", func(<-chan struct{}) {
 		for {
 			p, err := l.Accept()
 			if err != nil {
@@ -107,7 +105,7 @@ func e12Binary(payload []byte) *e12Caller {
 			return len(img.Data), err
 		},
 		stats: c.WireStats,
-		close: func() { c.Close(); l.Close(); <-done },
+		close: func() { c.Close(); l.Close(); accept.Stop() },
 	}
 }
 
@@ -115,9 +113,8 @@ func e12Binary(payload []byte) *e12Caller {
 func e12Gob(payload []byte) *e12Caller {
 	l, err := baseline.GobListen("127.0.0.1:0")
 	must(err)
-	done := make(chan struct{})
-	goleak.Go("bench.e12GobAccept", func() {
-		defer close(done)
+	var accept goleak.Group
+	accept.Go("bench.e12GobAccept", func(<-chan struct{}) {
 		for {
 			p, err := l.Accept()
 			if err != nil {
@@ -145,7 +142,7 @@ func e12Gob(payload []byte) *e12Caller {
 			return len(img.Data), nil
 		},
 		stats: func() rpc.Stats { return rpc.Stats{} },
-		close: func() { c.Close(); l.Close(); <-done },
+		close: func() { c.Close(); l.Close(); accept.Stop() },
 	}
 }
 
@@ -173,11 +170,9 @@ func RunE12(mode string, concurrency, callsPerWorker int) E12Result {
 	// the join below always completes, and must() fires after it, so a
 	// failed run never strands its siblings mid-call.
 	errs := make([]error, concurrency)
-	var wg sync.WaitGroup
+	var workers goleak.Group
 	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		goleak.Go("bench.e12Worker", func() {
-			defer wg.Done()
+		workers.Go("bench.e12Worker", func(<-chan struct{}) {
 			for i := 0; i < callsPerWorker; i++ {
 				t0 := time.Now()
 				if err := c.lock(); err != nil {
@@ -188,7 +183,7 @@ func RunE12(mode string, concurrency, callsPerWorker int) E12Result {
 			}
 		})
 	}
-	wg.Wait()
+	workers.Stop()
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		must(err)

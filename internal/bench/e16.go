@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,8 +160,7 @@ func runE16(env *E18Env, mode, dist string, fracs []float64, dur time.Duration, 
 	var (
 		readLat, writeLat         Hist
 		readOps, writeOps, aborts atomic.Int64
-		stop                      = make(chan struct{})
-		wg                        sync.WaitGroup
+		workers                   goleak.Group
 	)
 	sessions := make([]*client.Session, len(fracs))
 	remotes := make([]*client.Remote, len(fracs))
@@ -178,9 +176,7 @@ func runE16(env *E18Env, mode, dist string, fracs []float64, dur time.Duration, 
 		i, frac := i, frac
 		s := sessions[i]
 		st := Workload{Keys: nKeys, ReadFrac: frac, Dist: dist, Seed: seed}.Stream(i)
-		wg.Add(1)
-		goleak.Go("bench.e16Worker", func() {
-			defer wg.Done()
+		workers.Go("bench.e16Worker", func(stop <-chan struct{}) {
 			for {
 				select {
 				case <-stop:
@@ -209,8 +205,7 @@ func runE16(env *E18Env, mode, dist string, fracs []float64, dur time.Duration, 
 		})
 	}
 	time.Sleep(dur)
-	close(stop)
-	wg.Wait()
+	workers.Stop()
 	elapsed := time.Since(start)
 
 	row := E16Row{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,22 +34,22 @@ var e18BlobType = segment.TypeDesc{Name: "E18Blob", Size: 0}
 
 // E18Env is one populated server reachable over loopback TCP.
 type E18Env struct {
-	dir        string
-	srv        *server.Server
-	lis        *rpc.Listener
-	acceptDone chan struct{} // closed when the accept loop exits
-	db         uint32        // database id
-	Files      []uint32      // populated file ids
-	Segs       int           // segments per file
-	Objs       int           // objects per segment
-	Blob       int           // payload bytes per object
+	dir    string
+	srv    *server.Server
+	lis    *rpc.Listener
+	accept goleak.Group // the accept loop; Close stops it
+	db     uint32       // database id
+	Files  []uint32     // populated file ids
+	Segs   int          // segments per file
+	Objs   int          // objects per segment
+	Blob   int          // payload bytes per object
 }
 
 // Close shuts the listener, server, and backing directory down, joining the
 // accept loop so no goroutine outlives the environment.
 func (e *E18Env) Close() {
 	e.lis.Close()
-	<-e.acceptDone
+	e.accept.Stop()
 	must(e.srv.Close())
 	os.RemoveAll(e.dir)
 }
@@ -96,9 +95,8 @@ func SetupE18(files, segsPerFile, objsPerSeg, blobLen int) *E18Env {
 	must(err)
 	lis, err := rpc.Listen("127.0.0.1:0")
 	must(err)
-	acceptDone := make(chan struct{})
-	goleak.Go("bench.e18Accept", func() {
-		defer close(acceptDone)
+	env := &E18Env{dir: dir, srv: srv, lis: lis, Segs: segsPerFile, Objs: objsPerSeg, Blob: blobLen}
+	env.accept.Go("bench.e18Accept", func(<-chan struct{}) {
 		for {
 			p, err := lis.Accept()
 			if err != nil {
@@ -108,7 +106,6 @@ func SetupE18(files, segsPerFile, objsPerSeg, blobLen int) *E18Env {
 		}
 	})
 
-	env := &E18Env{dir: dir, srv: srv, lis: lis, acceptDone: acceptDone, Segs: segsPerFile, Objs: objsPerSeg, Blob: blobLen}
 	p, err := rpc.Dial(lis.Addr())
 	must(err)
 	s, err := client.Open(client.NewRemote(p), "e18-setup", "e18", true)
@@ -308,13 +305,13 @@ func RunE18Mixed(env *E18Env, mode string, scanFile, updFile uint32, lan bool) E
 	td, err := u.RegisterType(e18BlobType)
 	must(err)
 
-	stop := make(chan struct{})
 	var lat Hist
 	var commits int
-	var wg sync.WaitGroup
-	wg.Add(1)
-	goleak.Go("bench.e18Updater", func() {
-		defer wg.Done()
+	var updater goleak.Group
+	// Joined on every exit path: a scan that panics mid-run must not strand
+	// the updater against a server the deferred Closes are tearing down.
+	defer updater.Stop()
+	updater.Go("bench.e18Updater", func(stop <-chan struct{}) {
 		payload := make([]byte, 128)
 		for {
 			select {
@@ -336,17 +333,9 @@ func RunE18Mixed(env *E18Env, mode string, scanFile, updFile uint32, lan bool) E
 			commits += 2
 		}
 	})
-	// Join on every exit path: a scan that panics mid-run must not strand
-	// the updater against a server the deferred Closes are tearing down.
-	var stopOnce sync.Once
-	join := func() {
-		stopOnce.Do(func() { close(stop) })
-		wg.Wait()
-	}
-	defer join()
 
 	scan := RunE18Scan(env, mode, scanFile, lan)
-	join()
+	updater.Stop()
 	return E18Mixed{
 		Scan:          scan,
 		UpdateCommits: commits,

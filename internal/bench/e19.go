@@ -9,6 +9,7 @@ import (
 
 	"bess/internal/area"
 	"bess/internal/fault"
+	"bess/internal/goleak"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
@@ -605,11 +606,13 @@ func e19Wire(sample int, rep *E19Report) (E19Category, error) {
 			err error
 		}
 		done := make(chan res, 1)
-		//bess:golife ignore=CallRaw returns once both peers close (the timeout branch closes them), and the send is buffered
-		go func() {
+		// Every path out has received from done, so the join does not wait.
+		var call goleak.Group
+		defer call.Stop()
+		call.Go("bench.e19Echo", func(<-chan struct{}) {
 			b, err := cli.CallRaw("Echo", e19WirePayload)
 			done <- res{b, err}
-		}()
+		})
 		select {
 		case r := <-done:
 			return r.b, r.err

@@ -32,9 +32,6 @@ import (
 // AsOf hands it out by value and dropping an entry drops only the chain's
 // reference — the bytes live as long as the reply that holds them (Larson et
 // al., PAPERS.md, reclaim by the oldest reader's watermark alone).
-// The GC goroutine carries stop evidence for bess-vet's golife analyzer:
-//
-//bess:golife
 
 // ErrTrimmed reports that no retained version covers the requested stamp;
 // the caller must reconstruct the image from the WAL (or treat the segment
@@ -98,10 +95,9 @@ type VStats struct {
 	Trims     int64 // entries dropped by GC or the per-segment cap
 }
 
-// RankVersionStoreMu is VersionStore.mu's position in the server lock
-// hierarchy declared in internal/server/lockorder.go: inside every server
-// registry lock (commit hooks stage under segment X locks), outside only
-// Log.mu. Exported like wal.RankLogMu because cache cannot import server.
+// RankVersionStoreMu is VersionStore.mu's position in the server's lock
+// hierarchy (internal/server/lockorder.go): inside every server registry
+// lock (commit hooks stage under segment X locks), outside only Log.mu.
 const RankVersionStoreMu lockcheck.Rank = 55
 
 // VersionStore retains superseded segment images for open snapshots.
@@ -118,9 +114,7 @@ type VersionStore struct {
 
 	maxVersions int
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	gc goleak.Group // the watermark GC ticker; Close stops it
 }
 
 // NewVersionStore wires a store to its snapshot registry: oldest yields the
@@ -133,18 +127,15 @@ func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
 		staged:      make(map[VKey]int),
 		pending:     make(map[uint64][]stagedUpdate),
 		maxVersions: defaultMaxVersions,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
 	vs.mu.Init("VersionStore.mu", RankVersionStoreMu)
 	vs.cond = sync.NewCond(&vs.mu)
-	goleak.Go("cache.versionGC", func() {
-		defer close(vs.done)
+	vs.gc.Go("cache.versionGC", func(stop <-chan struct{}) {
 		t := time.NewTicker(versionGCPeriod)
 		defer t.Stop()
 		for {
 			select {
-			case <-vs.stop:
+			case <-stop:
 				return
 			case <-t.C:
 				vs.Trim()
@@ -156,8 +147,7 @@ func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
 
 // Close stops the GC goroutine and drops every entry. Idempotent.
 func (vs *VersionStore) Close() {
-	vs.stopOnce.Do(func() { close(vs.stop) })
-	<-vs.done
+	vs.gc.Stop()
 	vs.mu.Lock()
 	for key := range vs.chains {
 		vs.trimChainLocked(key, 0, false)

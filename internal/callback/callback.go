@@ -26,7 +26,7 @@ type Func func(seg proto.SegKey) (refused bool, err error)
 // pollInterval is how long Revoke waits before asking refusers again.
 const pollInterval = 5 * time.Millisecond
 
-// rankTableMu places Table.mu in the //bess:lockorder hierarchy
+// rankTableMu places Table.mu in the server's lock hierarchy
 // (internal/server/lockorder.go): inside reader.areaMu, outside Server.snapMu.
 const rankTableMu lockcheck.Rank = 20
 

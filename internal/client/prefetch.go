@@ -24,10 +24,7 @@ import (
 // larger than the whole window, that one batch) pushed and unconsumed.
 //
 // The prefetcher deliberately spawns nothing: delivery runs on the peer's
-// read loop and the iterator runs on the caller. Any future goroutine here
-// must carry stop evidence for bess-vet's golife analyzer (DESIGN.md §4e):
-//
-//bess:golife
+// read loop and the iterator runs on the caller.
 
 // defaultScanWindow is the push budget granted to the server, in image bytes.
 const defaultScanWindow = 4 << 20

@@ -49,11 +49,10 @@ type Session struct {
 	fetch  *fetcher
 	det    *detect.Detector
 
-	txID         uint64                // guarded by mu
-	inTx         bool                  // guarded by mu
-	xLocked      map[proto.SegKey]bool // guarded by mu
-	touched      map[proto.SegKey]bool // guarded by mu
-	dirtySlotted map[proto.SegKey]bool // guarded by mu
+	txID    uint64                // guarded by mu
+	inTx    bool                  // guarded by mu
+	xLocked map[proto.SegKey]bool // guarded by mu
+	touched map[proto.SegKey]bool // guarded by mu
 
 	// Snapshot mode (snapshot.go): while snapMode is set the session is a
 	// read-only transaction pinned to snapStamp. snapFetched tracks as-of
@@ -89,7 +88,6 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		space:        vmem.New(),
 		xLocked:      make(map[proto.SegKey]bool),
 		touched:      make(map[proto.SegKey]bool),
-		dirtySlotted: make(map[proto.SegKey]bool),
 		pendingDrops: make(map[proto.SegKey]bool),
 		scanWindow:   defaultScanWindow,
 	}
@@ -112,7 +110,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 			return nil, err
 		}
 	}
-	s.fetch = &fetcher{s: s, fresh: make(map[swizzle.SegID]freshSeg), slotted: make(map[swizzle.SegID]int)}
+	s.fetch = &fetcher{s: s, fresh: make(map[swizzle.SegID]freshSeg)}
 	s.mapper = swizzle.NewMapper(s.space, s.fetch, s.types)
 	s.det = detect.New(s.mapper, true)
 	s.det.SetAccessFunc(s.onAccess)
@@ -183,19 +181,14 @@ type fetcher struct {
 	mu    sync.Mutex
 	ready map[swizzle.SegID]*proto.SegImage // guarded by mu
 	fresh map[swizzle.SegID]freshSeg        // guarded by mu
-	// slotted remembers every slotted size this session has learned. A
-	// segment's slotted run is fixed at creation and there is no drop-segment,
-	// so an entry is good for the session's life and outlives dropSeg: a
-	// re-touch after a drop reserves without asking.
-	slotted map[swizzle.SegID]int // guarded by mu
 }
 
-// freshSeg is what the initial image of a segment is made of, beyond its
-// slotted size (fetcher.slotted has that).
+// freshSeg is what the initial image of a segment is made of.
 type freshSeg struct {
-	fileID    uint32
-	dataStart int64
-	dataPages int
+	fileID       uint32
+	slottedPages int
+	dataStart    int64
+	dataPages    int
 }
 
 // hold keeps img for the mapper's next step on id. An image held while a
@@ -214,10 +207,9 @@ func (f *fetcher) hold(id swizzle.SegID, img *proto.SegImage) {
 }
 
 // created notes a segment this session just created.
-func (f *fetcher) created(id swizzle.SegID, slottedPages int, n freshSeg) {
+func (f *fetcher) created(id swizzle.SegID, n freshSeg) {
 	f.mu.Lock()
 	f.fresh[id] = n
-	f.slotted[id] = slottedPages
 	f.mu.Unlock()
 }
 
@@ -249,7 +241,6 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	delete(f.ready, id)
 	n, created := f.fresh[id]
 	delete(f.fresh, id) // whichever image the mapper gets now, the note is spent
-	slottedPages := f.slotted[id]
 	f.mu.Unlock()
 	if img != nil {
 		return img, nil
@@ -259,7 +250,7 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	if snap, inSnap := f.s.snapState(); inSnap {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.SnapFetchSeg(f.s.client, snap, img.Seg)
 	} else if created {
-		img.Slotted, img.Data = segment.Format(n.fileID, slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
+		img.Slotted, img.Data = segment.Format(n.fileID, n.slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
 	} else {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.FetchSeg(f.s.client, img.Seg)
 	}
@@ -269,36 +260,31 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	return img, nil
 }
 
-// SlottedPages answers from what the session remembers; else from the image
-// held for id; else — a reservation fetches nothing — from SegInfo; else, in a
-// snapshot, where the segment may postdate the stamp, from the as-of image,
-// which it holds for the FetchSlotted that follows.
+// SlottedPages is asked once per segment and session — the reservation it
+// sizes outlives every drop (swizzle.Mapper.DropSeg). It answers from the note
+// of the segment's creation; else from the image held for id; else — a
+// reservation fetches nothing — from SegInfo; else, in a snapshot, where the
+// segment may postdate the stamp, from the as-of image, which it holds for
+// the FetchSlotted that follows.
 func (f *fetcher) SlottedPages(id swizzle.SegID) (int, error) {
 	f.mu.Lock()
 	img := f.ready[id]
-	n, known := f.slotted[id]
+	n, created := f.fresh[id]
 	f.mu.Unlock()
-	if known {
-		return n, nil
+	if created {
+		return n.slottedPages, nil
 	}
-	var err error
 	if img == nil {
 		if _, inSnap := f.s.snapState(); !inSnap {
-			n, err = f.s.conn.SegInfo(segKey(id))
-		} else if img, err = f.image(id); err == nil {
-			f.hold(id, img)
+			return f.s.conn.SegInfo(segKey(id))
 		}
+		var err error
+		if img, err = f.image(id); err != nil {
+			return 0, err
+		}
+		f.hold(id, img)
 	}
-	if err != nil {
-		return 0, err
-	}
-	if img != nil {
-		n = len(img.Slotted) / page.Size
-	}
-	f.mu.Lock()
-	f.slotted[id] = n
-	f.mu.Unlock()
-	return n, nil
+	return len(img.Slotted) / page.Size, nil
 }
 
 // FetchSlotted and FetchData are the end-to-end verification at cache
@@ -420,7 +406,7 @@ func (s *Session) onCallback(key proto.SegKey) (refused bool) {
 	// segments the transaction has not touched may be promised away — the
 	// drop is applied by the application thread before any later access
 	// (drainDropLocked).
-	if s.inTx && (s.touched[key] || s.xLocked[key] || s.dirtySlotted[key]) {
+	if s.inTx && (s.touched[key] || s.xLocked[key]) {
 		s.stats.Refusals++
 		return true
 	}
@@ -514,18 +500,8 @@ func (s *Session) TxID() (uint64, bool) {
 // segment whose data cannot be unswizzled fails the commit: shipping its
 // slots without it would be acknowledging an update and dropping it.
 func (s *Session) shipImages() ([]proto.SegImage, error) {
-	dirty := make(map[proto.SegKey]bool)
-	for _, id := range s.mapper.DirtySegs() {
-		dirty[segKey(id)] = true
-	}
-	s.mu.Lock()
-	for k := range s.dirtySlotted {
-		dirty[k] = true
-	}
-	s.mu.Unlock()
 	var images []proto.SegImage
-	for k := range dirty {
-		id := segID(k)
+	for _, id := range s.mapper.DirtySegs() {
 		seg, ok := s.mapper.Seg(id)
 		if !ok {
 			continue
@@ -534,7 +510,7 @@ func (s *Session) shipImages() ([]proto.SegImage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("client: commit image of segment %v: %w", id, err)
 		}
-		images = append(images, proto.SegImage{Seg: k, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: data})
+		images = append(images, proto.SegImage{Seg: segKey(id), Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: data})
 	}
 	return images, nil
 }
@@ -657,32 +633,21 @@ func (s *Session) Abort() error {
 // (and, release's share, every segment created and not looked at since): what
 // the session reads next of any of them comes from the server.
 func (s *Session) dropDirty() error {
-	dirty := make(map[swizzle.SegID]bool)
-	for _, id := range s.mapper.DirtySegs() {
-		dirty[id] = true
-	}
-	s.mu.Lock()
-	for k := range s.dirtySlotted {
-		dirty[segID(k)] = true
-	}
-	s.mu.Unlock()
-	return s.release(dirty)
+	return s.release(s.mapper.DirtySegs())
 }
 
 // release drops the cached copies of ids, and with them the note of every
 // segment the session created and has not built the image of yet, and tells
 // the server so in one message. A segment is named to the server even if
 // dropping it failed: the session will not serve it again either way.
-func (s *Session) release(ids map[swizzle.SegID]bool) error {
-	for _, id := range s.fetch.unbuilt() {
-		ids[id] = true
-	}
+func (s *Session) release(ids []swizzle.SegID) error {
+	ids = append(ids, s.fetch.unbuilt()...) // never loaded, so in neither list twice
 	if len(ids) == 0 {
 		return nil
 	}
 	var errs []error
 	keys := make([]proto.SegKey, 0, len(ids))
-	for id := range ids {
+	for _, id := range ids {
 		errs = append(errs, s.dropSeg(id))
 		keys = append(keys, segKey(id))
 	}
@@ -696,7 +661,6 @@ func (s *Session) endTx() {
 	s.txID = 0
 	s.xLocked = make(map[proto.SegKey]bool)
 	s.touched = make(map[proto.SegKey]bool)
-	s.dirtySlotted = make(map[proto.SegKey]bool)
 	s.mu.Unlock()
 }
 
@@ -750,7 +714,12 @@ func (s *Session) CreateSegment(fileID uint32, slottedPages, dataPages, areaHint
 	if err != nil {
 		return proto.SegKey{}, err
 	}
-	s.fetch.created(segID(rep.Seg), slottedPages, freshSeg{fileID: fileID, dataStart: rep.DataStart, dataPages: rep.DataPages})
+	s.fetch.created(segID(rep.Seg), freshSeg{fileID: fileID, slottedPages: slottedPages, dataStart: rep.DataStart, dataPages: rep.DataPages})
+	// Reserved now, while the size is at hand: the reservation outlives a
+	// drop of the note, so no later touch has to ask the server for it.
+	if _, err := s.mapper.ReserveSeg(segID(rep.Seg)); err != nil {
+		return proto.SegKey{}, err
+	}
 	if txid != 0 {
 		s.mu.Lock()
 		s.xLocked[rep.Seg] = true
@@ -854,7 +823,6 @@ func (s *Session) CreateObject(seg proto.SegKey, typ segment.TypeID, data []byte
 	}
 	s.mapper.MarkDataDirty(id)
 	s.mu.Lock()
-	s.dirtySlotted[seg] = true
 	s.touched[seg] = true
 	s.mu.Unlock()
 	return s.mapper.AddrOfSlot(id, slot)
@@ -885,9 +853,6 @@ func (s *Session) DeleteObject(ref vmem.Addr) error {
 		return err
 	}
 	s.mapper.MarkDataDirty(id)
-	s.mu.Lock()
-	s.dirtySlotted[key] = true
-	s.mu.Unlock()
 	// Referential integrity for root objects (§2.5): removing the object
 	// removes its name.
 	if !o.IsNil() {
@@ -973,10 +938,6 @@ func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []by
 	if !s.inTx {
 		s.mu.Unlock()
 		return vmem.NilAddr, ErrNoTx
-	}
-	if s.dirtySlotted[seg] {
-		s.mu.Unlock()
-		return vmem.NilAddr, ErrDirtySeg
 	}
 	txid := s.txID
 	s.mu.Unlock()
@@ -1101,11 +1062,7 @@ func (r *runStore) WriteRun(start page.No, data []byte) error {
 // DropAllCached drops every cached segment (benchmarks compare cold/warm
 // behaviour) and tells the server in one message.
 func (s *Session) DropAllCached() error {
-	ids := make(map[swizzle.SegID]bool)
-	for _, id := range s.mapper.CachedSegs() {
-		ids[id] = true
-	}
-	return s.release(ids)
+	return s.release(s.mapper.CachedSegs())
 }
 
 func (s *Session) String() string {

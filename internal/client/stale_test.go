@@ -2,7 +2,6 @@ package client
 
 import (
 	"encoding/binary"
-	"errors"
 	"testing"
 	"time"
 
@@ -10,10 +9,12 @@ import (
 	"bess/internal/swizzle"
 )
 
-// TestStaleAddressAfterRevocation pins down reference lifetime semantics:
-// after a callback drops a cached segment, addresses from the old mapping
-// are dead — re-resolution through names/OIDs yields fresh, valid ones.
-func TestStaleAddressAfterRevocation(t *testing.T) {
+// TestAddressSurvivesRevocation pins down reference lifetime semantics: a
+// callback drops a cached copy, not the segment's place in the address space
+// (the paper's wave 1: the reservation stays). An address from before the drop
+// faults the segment back in and sees the revoker's committed state, exactly
+// as re-resolving through names/OIDs does.
+func TestAddressSurvivesRevocation(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
 	srv.CallbackTimeout = 300 * time.Millisecond
@@ -50,25 +51,108 @@ func TestStaleAddressAfterRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The old address no longer resolves (its reservation is queued to
-	// drop and dropped at Begin); re-resolving by name works and sees the
-	// new value.
+	// The copy is dropped at Begin; the old address refetches it.
 	reader.Begin()
-	if _, err := reader.Deref(oldAddr); err == nil {
-		// A same-address reuse is possible only if the drop had not yet
-		// applied; after Begin it must have.
-		t.Fatal("stale address still dereferences after revocation")
-	} else if !errors.Is(err, swizzle.ErrUnknownAddr) && !errors.Is(err, swizzle.ErrNotSlotAddr) {
-		t.Fatalf("unexpected error class: %v", err)
+	if _, cached := reader.Mapper().Seg(segID(seg)); cached {
+		t.Fatal("revoked copy still cached after Begin")
+	}
+	old, err := reader.Deref(oldAddr)
+	if err != nil {
+		t.Fatalf("address from before the revocation: %v", err)
+	}
+	if nodeVal(old) != 2 {
+		t.Fatalf("value through the old address = %d, want the writer's 2", nodeVal(old))
 	}
 	fresh, err := reader.Root("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodeVal(fresh) != 2 {
-		t.Fatalf("fresh value = %d", nodeVal(fresh))
+	if fresh.Addr != oldAddr || nodeVal(fresh) != 2 {
+		t.Fatalf("re-resolved by name: addr %#x value %d, want %#x and 2", uint64(fresh.Addr), nodeVal(fresh), uint64(oldAddr))
 	}
 	reader.Commit()
+}
+
+// TestFollowReferenceAfterRevocation: a reference in cached segment A,
+// swizzled into segment B, can still be followed after B's copy was called
+// back and dropped — the drop returned B to wave 1, so the address in A's data
+// is a reserved address and following it faults B back in with the revoker's
+// committed value. (Before DropSeg kept the reservation this was
+// ErrUnknownAddr until A itself was refetched.)
+func TestFollowReferenceAfterRevocation(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	srv.CallbackTimeout = 300 * time.Millisecond
+
+	writer, _ := openRemote(t, srv, "writer")
+	reader, _ := openRemote(t, srv, "reader")
+	td, _ := writer.RegisterType(nodeType)
+	reader.RegisterType(nodeType)
+	segA, _ := writer.CreateSegment(1, 1, 2, -1)
+	segB, _ := writer.CreateSegment(1, 1, 2, -1)
+	writer.Begin()
+	addrB, _ := writer.CreateObject(segB, td.ID, nodeBytes(1))
+	addrA, _ := writer.CreateObject(segA, td.ID, nodeBytes(100))
+	wa, _ := writer.Deref(addrA)
+	if err := wa.SetRefField(0, addrB); err != nil {
+		t.Fatal(err)
+	}
+	writer.SetRoot("a", addrA)
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reader caches both and ends its transaction.
+	follow := func() uint64 {
+		t.Helper()
+		a, err := reader.Root("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := a.RefField(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := reader.Deref(ref)
+		if err != nil {
+			t.Fatalf("following A's reference into B: %v", err)
+		}
+		return nodeVal(b)
+	}
+	reader.Begin()
+	if got := follow(); got != 1 {
+		t.Fatalf("first read through A = %d, want 1", got)
+	}
+	reader.Commit()
+
+	// The writer updates B: the reader's copy of B is called back.
+	writer.Begin()
+	wb, _ := writer.Deref(addrB)
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], 2)
+	if err := wb.Write(8, buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	reader.Begin()
+	if _, cached := reader.Mapper().Seg(segID(segA)); !cached {
+		t.Fatal("A's copy was dropped too: the test needs it cached")
+	}
+	if got := follow(); got != 2 {
+		t.Fatalf("read through A after B's revocation = %d, want the writer's 2", got)
+	}
+	// A still commits: its reference into B unswizzles.
+	a, _ := reader.Root("a")
+	binary.BigEndian.PutUint64(buf[:], 101)
+	if err := a.Write(8, buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDropAllCachedForcesRefetch verifies the cold-cache control used by

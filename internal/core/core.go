@@ -9,11 +9,6 @@
 // A Database talks to a BeSS server through any proto.Conn: a direct server
 // handle (the open-server configuration), an RPC connection, or a node
 // server.
-//
-// Scan worker goroutines are spawned through goleak.Go and carry stop
-// evidence for bess-vet's golife analyzer (DESIGN.md §4e):
-//
-//bess:golife
 package core
 
 import (
@@ -380,43 +375,47 @@ func (f *File) StreamScan(fn func(*Object) error) error {
 // parallel-scan configuration of §10. open returns a fresh connection for
 // scan i; fn must be safe for concurrent use.
 func StreamScanFiles(open func(i int) (proto.Conn, error), dbName string, files []uint32, fn func(file uint32, typ segment.TypeID, data []byte) error) error {
-	errCh := make(chan error, len(files))
-	var wg sync.WaitGroup
+	errs := make([]error, len(files))
+	var workers goleak.Group
 	for i, fileID := range files {
-		wg.Add(1)
-		goleak.Go("core.streamScan", func() {
-			defer wg.Done()
+		workers.Go("core.streamScan", func(<-chan struct{}) {
 			conn, err := open(i)
 			if err != nil {
-				errCh <- err
+				errs[i] = err
 				return
 			}
-			sess, err := client.Open(conn, fmt.Sprintf("stream-scan-%d", i), dbName, false)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if err := sess.Begin(); err != nil {
-				errCh <- err
-				return
-			}
-			err = sess.StreamScan(fileID, func(_ vmem.Addr, obj *swizzle.Object) error {
-				b, err := obj.Bytes()
-				if err != nil {
-					return err
-				}
-				return fn(fileID, obj.Type, b)
+			errs[i] = scanWorker(conn, fmt.Sprintf("stream-scan-%d", i), dbName, func(sess *client.Session) error {
+				return sess.StreamScan(fileID, func(_ vmem.Addr, obj *swizzle.Object) error {
+					b, err := obj.Bytes()
+					if err != nil {
+						return err
+					}
+					return fn(fileID, obj.Type, b)
+				})
 			})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			errCh <- sess.Commit()
 		})
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	workers.Stop()
+	return firstError(errs)
+}
+
+// scanWorker runs scan in a transaction of a session of its own over conn.
+func scanWorker(conn proto.Conn, name, dbName string, scan func(*client.Session) error) error {
+	sess, err := client.Open(conn, name, dbName, false)
+	if err != nil {
+		return err
+	}
+	if err := sess.Begin(); err != nil {
+		return err
+	}
+	if err := scan(sess); err != nil {
+		return err
+	}
+	return sess.Commit()
+}
+
+func firstError(errs []error) error {
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
@@ -436,38 +435,22 @@ func (f *File) ParallelScan(conn proto.Conn, dbName string, workers int, fn func
 	if workers < 1 {
 		workers = 1
 	}
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	var pool goleak.Group
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		goleak.Go("core.parallelScan", func() {
-			defer wg.Done()
-			sess, err := client.Open(conn, fmt.Sprintf("scan-%d", w), dbName, false)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if err := sess.Begin(); err != nil {
-				errCh <- err
-				return
-			}
-			for i := w; i < len(segs); i += workers {
-				if err := scanOneSegment(sess, segs[i], fn); err != nil {
-					errCh <- err
-					return
+		pool.Go("core.parallelScan", func(<-chan struct{}) {
+			errs[w] = scanWorker(conn, fmt.Sprintf("scan-%d", w), dbName, func(sess *client.Session) error {
+				for i := w; i < len(segs); i += workers {
+					if err := scanOneSegment(sess, segs[i], fn); err != nil {
+						return err
+					}
 				}
-			}
-			errCh <- sess.Commit()
+				return nil
+			})
 		})
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	pool.Stop()
+	return firstError(errs)
 }
 
 func scanOneSegment(sess *client.Session, seg proto.SegKey, fn func(segment.TypeID, []byte) error) error {

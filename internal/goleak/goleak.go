@@ -1,23 +1,120 @@
-// Package goleak is the runtime counterpart of bess-vet's golife analyzer:
-// a build-tagged goroutine-leak tracker in the mold of internal/lockcheck.
+// Package goleak is how this module starts a goroutine and how it stops one.
 //
-// Production code spawns long-lived goroutines through Go(name, fn) instead
-// of a bare `go` statement. Without the `invariants` build tag the wrapper
-// compiles to a plain `go fn()` and the tracker costs nothing. With
-// `-tags invariants` every spawn is registered under its site label until the
-// goroutine returns, and tests assert teardown with
+// A Group is held by whatever its goroutines run against — a peer, a scan
+// table, a server, the call frame of a worker pool, main. g.Go(name, fn) runs
+// fn(stop) on a new goroutine; g.Stop() closes stop and returns when every
+// goroutine the group started has returned. Starting and joining share one
+// lock, so a task is either refused or joined: no owner tears its state down
+// under a goroutine it did not wait for. bess-vet's golife holds the module
+// to it: a `go` statement outside this package is a finding, and so is a
+// Group in a struct none of whose methods stops it.
 //
-//	goleak.Check(t)                    // no tracked goroutine may be live
-//	goleak.Check(t, "server.")         // none matching the prefixes may be
-//
-// Check polls briefly (teardown is often signalled just before the spawned
-// function returns) and then fails the test naming every still-live site,
-// so a leak reads as "rpc.dispatch x3", not as an opaque goroutine dump.
+// With `-tags invariants` every goroutine is also registered under its name
+// until it returns, and goleak.Check(t, prefixes...) fails a test that leaves
+// one running, naming each site with its count ("rpc.dispatch x3"). Without
+// the tag the registry compiles to nothing.
 package goleak
+
+import (
+	"sync"
+	"time"
+)
 
 // TB is the subset of testing.TB that Check needs. Declaring it here keeps
 // the production packages that import goleak free of a testing dependency.
 type TB interface {
 	Helper()
 	Errorf(format string, args ...any)
+}
+
+// Group owns the goroutines started through it. The zero value is ready to
+// use; a Group must not be copied after first use.
+type Group struct {
+	mu      sync.Mutex
+	stop    chan struct{} // made by the first Go, closed by the first Stop
+	stopped bool
+	running int
+	idle    chan struct{} // made by a Stop that must wait; the last task out closes it
+}
+
+// Go runs fn on a new goroutine that belongs to the group, labelled name in
+// the leak registry. fn returns soon after stop is closed, or after whatever
+// else its owner closes before Stop (a connection, a queue). Go reports
+// false, and runs nothing, once the group is stopping.
+func (g *Group) Go(name string, fn func(stop <-chan struct{})) bool {
+	g.mu.Lock()
+	if g.stopped {
+		g.mu.Unlock()
+		return false
+	}
+	if g.stop == nil {
+		g.stop = make(chan struct{})
+	}
+	g.running++
+	g.mu.Unlock()
+	go g.run(track(name), fn)
+	return true
+}
+
+func (g *Group) run(id uint64, fn func(<-chan struct{})) {
+	// Deferred, so a task that ends in runtime.Goexit is still counted out.
+	defer func() {
+		untrack(id)
+		g.mu.Lock()
+		g.running--
+		if g.running == 0 && g.idle != nil {
+			close(g.idle)
+		}
+		g.mu.Unlock()
+	}()
+	fn(g.stop) // set before this goroutine started, and never reassigned
+}
+
+// halt closes stop and returns the channel the last task out closes, nil when
+// none is running. No task is admitted afterwards, so idle is closed once.
+func (g *Group) halt() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.stopped {
+		g.stopped = true
+		if g.stop != nil {
+			close(g.stop)
+		}
+	}
+	if g.running == 0 {
+		return nil
+	}
+	if g.idle == nil {
+		g.idle = make(chan struct{})
+	}
+	return g.idle
+}
+
+// Stop closes the tasks' stop channel and returns once every task has
+// returned. Idempotent, and safe beside Go and other Stops; a task that stops
+// its own group waits for itself.
+func (g *Group) Stop() {
+	if idle := g.halt(); idle != nil {
+		<-idle
+	}
+}
+
+// StopWithin is Stop with a bound, for an owner whose tasks run code it does
+// not control: it reports how many were still running when d ran out. They
+// stay members, and tracked; a later Stop still joins them.
+func (g *Group) StopWithin(d time.Duration) (stranded int) {
+	idle := g.halt()
+	if idle == nil {
+		return 0
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-idle:
+		return 0
+	case <-t.C:
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.running
+	}
 }

@@ -2,28 +2,19 @@
 
 package goleak
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-func TestOffModeStillRuns(t *testing.T) {
+func TestOffModeTracksNothing(t *testing.T) {
 	if Enabled {
 		t.Fatal("Enabled = true without the invariants tag")
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	ran := false
-	Go("test.site", func() {
-		ran = true
-		wg.Done()
-	})
-	wg.Wait()
-	if !ran {
-		t.Fatal("Go did not run fn")
-	}
+	var g Group
+	release := make(chan struct{})
+	g.Go("test.site", func(<-chan struct{}) { <-release })
 	if live := Live(); live != nil {
 		t.Fatalf("Live = %v, want nil", live)
 	}
-	Check(t) // must be a no-op
+	Check(t) // must be a no-op, even with a task running
+	close(release)
+	g.Stop()
 }

@@ -3,7 +3,9 @@
 package goleak
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -13,7 +15,7 @@ import (
 const Enabled = true
 
 // checkBudget bounds how long Check waits for tracked goroutines to drain
-// before reporting them as leaked. Tests (in-package) may shorten it.
+// before reporting them as leaked. Tests in this package shorten it.
 var checkBudget = 2 * time.Second
 
 var reg = struct {
@@ -22,23 +24,20 @@ var reg = struct {
 	live map[uint64]string // spawn id -> site label
 }{live: make(map[uint64]string)}
 
-// Go runs fn on a new goroutine, registered under the site label name until
-// fn returns (or panics — the registration is cleared either way, so a
-// crashed goroutine does not read as a leak on top of the panic).
-func Go(name string, fn func()) {
+// track registers a goroutine about to start under the site label name;
+// untrack clears it however the goroutine ends.
+func track(name string) uint64 {
 	reg.mu.Lock()
+	defer reg.mu.Unlock()
 	reg.next++
-	id := reg.next
-	reg.live[id] = name
+	reg.live[reg.next] = name
+	return reg.next
+}
+
+func untrack(id uint64) {
+	reg.mu.Lock()
+	delete(reg.live, id)
 	reg.mu.Unlock()
-	go func() {
-		defer func() {
-			reg.mu.Lock()
-			delete(reg.live, id)
-			reg.mu.Unlock()
-		}()
-		fn()
-	}()
 }
 
 // Live returns the site labels of the tracked goroutines currently running,
@@ -58,15 +57,8 @@ func Live(prefixes ...string) []string {
 }
 
 func matches(name string, prefixes []string) bool {
-	if len(prefixes) == 0 {
-		return true
-	}
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
+	return len(prefixes) == 0 ||
+		slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) })
 }
 
 // Check fails t if any tracked goroutine (matching the prefixes, when
@@ -98,25 +90,11 @@ func aggregate(sorted []string) []string {
 			j++
 		}
 		if n := j - i; n > 1 {
-			out = append(out, sorted[i]+" x"+itoa(n))
+			out = append(out, sorted[i]+" x"+strconv.Itoa(n))
 		} else {
 			out = append(out, sorted[i])
 		}
 		i = j
 	}
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

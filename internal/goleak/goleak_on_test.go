@@ -27,15 +27,16 @@ func join(args []any) string {
 }
 
 func TestGoTracksAndClears(t *testing.T) {
+	var g Group
 	release := make(chan struct{})
-	Go("test.blocked", func() { <-release })
+	g.Go("test.blocked", func(<-chan struct{}) { <-release })
 	if live := Live("test."); len(live) != 1 || live[0] != "test.blocked" {
 		t.Fatalf("Live = %v, want [test.blocked]", live)
 	}
 	close(release)
-	Check(t, "test.")
+	g.Stop()
 	if live := Live("test."); len(live) != 0 {
-		t.Fatalf("Live after drain = %v, want empty", live)
+		t.Fatalf("Live after Stop = %v, want empty", live)
 	}
 }
 
@@ -44,9 +45,10 @@ func TestCheckReportsLeakBySite(t *testing.T) {
 	checkBudget = 50 * time.Millisecond
 	defer func() { checkBudget = old }()
 
+	var g Group
 	release := make(chan struct{})
-	Go("test.leak", func() { <-release })
-	Go("test.leak", func() { <-release })
+	g.Go("test.leak", func(<-chan struct{}) { <-release })
+	g.Go("test.leak", func(<-chan struct{}) { <-release })
 
 	var f fakeTB
 	Check(&f, "test.leak")
@@ -55,25 +57,13 @@ func TestCheckReportsLeakBySite(t *testing.T) {
 	}
 
 	// A prefix that matches nothing passes even while the leak is live.
-	var g fakeTB
-	Check(&g, "other.")
-	if len(g.msgs) != 0 {
-		t.Fatalf("prefix-filtered Check reported %q, want none", g.msgs)
+	var h fakeTB
+	Check(&h, "other.")
+	if len(h.msgs) != 0 {
+		t.Fatalf("prefix-filtered Check reported %q, want none", h.msgs)
 	}
 
 	close(release)
+	g.Stop()
 	Check(t, "test.leak")
-}
-
-func TestGoClearsOnPanic(t *testing.T) {
-	done := make(chan struct{})
-	Go("test.panics", func() {
-		defer func() {
-			recover()
-			close(done)
-		}()
-		panic("boom")
-	})
-	<-done
-	Check(t, "test.panics")
 }

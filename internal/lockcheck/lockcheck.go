@@ -11,8 +11,9 @@
 // primitive is embedded, Init is an empty function, and no per-goroutine
 // state exists.
 //
-// Ranks mirror the static declaration parsed by cmd/bess-vet (see
-// internal/server/lockorder.go): lower rank = acquired earlier (outermost).
+// The rank an Init call names is the hierarchy's one declaration: cmd/bess-vet
+// reads the same call (see internal/server/lockorder.go). Lower rank =
+// acquired earlier (outermost).
 // Rank 0 means unranked — the lock participates in recursion detection but
 // not in ordering checks.
 package lockcheck

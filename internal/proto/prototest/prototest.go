@@ -9,9 +9,9 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
+	"bess/internal/goleak"
 	"bess/internal/oid"
 	"bess/internal/proto"
 )
@@ -163,15 +163,11 @@ func Check(t *testing.T, sample proto.Message, fresh func() proto.Message, golde
 	// Encoding only reads the message: senders share one (a scan plan goes
 	// to the reply encoder and the cursor goroutine). Under -race, a layout
 	// that stores while encoding fails here.
-	var wg sync.WaitGroup
+	var encoders goleak.Group
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = proto.Encode(sample)
-		}()
+		encoders.Go("prototest.encode", func(<-chan struct{}) { _, _ = proto.Encode(sample) })
 	}
-	wg.Wait()
+	encoders.Stop()
 	if !bytes.Equal(enc, golden) {
 		t.Errorf("%s: wire bytes differ from the golden vector — this breaks every peer and file in the old format:\n got: %x\nwant: %x", Name(sample), enc, golden)
 	}

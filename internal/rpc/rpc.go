@@ -24,10 +24,8 @@
 // HandleStream): server-pushed scan batches and their credit/cancel flow
 // control, matched by stream id instead of request id (DESIGN.md §6).
 //
-// Every goroutine here is spawned through goleak.Go and must carry stop
-// evidence for bess-vet's golife analyzer (DESIGN.md §4e):
-//
-//bess:golife
+// The read loop and every request dispatch it starts belong to the peer's
+// goleak.Group, which Close stops (DESIGN.md §4e).
 package rpc
 
 import (
@@ -51,10 +49,10 @@ var (
 	ErrNoHandler = errors.New("rpc: no handler for method")
 )
 
-// Runtime ranks of the peer's locks, mirroring the //bess:lockorder
-// directive in internal/server/lockorder.go. They rank below every server
-// lock: sending or matching RPC traffic while holding server state locks is
-// the latency/deadlock hazard the hierarchy exists to forbid.
+// Ranks of the peer's locks in the server's lock hierarchy
+// (internal/server/lockorder.go). They rank below every server lock: sending
+// or matching RPC traffic while holding server state locks is the
+// latency/deadlock hazard the hierarchy exists to forbid.
 const (
 	rankPeerMu  lockcheck.Rank = 2
 	rankPeerWmu lockcheck.Rank = 5
@@ -99,10 +97,12 @@ type Peer struct {
 	// loopback benches pay nothing.
 	crcOut atomic.Bool
 
-	// dg counts in-flight request dispatch goroutines so Close can drain
-	// them: a peer closed mid-burst must not strand handlers running
-	// against state the caller is about to tear down.
-	dg sync.WaitGroup
+	// g owns the read loop and the request dispatches it starts; Close
+	// stops it, so a peer closed mid-burst does not strand handlers running
+	// against state the caller is about to tear down. The read loop being a
+	// member is what makes that hold: a dispatch it starts while Close is
+	// waiting is either refused or waited for.
+	g goleak.Group
 
 	// Write side: senders encode their frames into pending; the first to
 	// arrive becomes the leader, swaps pending for the spare, and writes the
@@ -175,7 +175,7 @@ func newPeer(conn io.ReadWriteCloser) *Peer {
 	p.mu.Init("Peer.mu", rankPeerMu)
 	p.wmu.Init("Peer.wmu", rankPeerWmu)
 	p.wcond = sync.NewCond(&p.wmu)
-	goleak.Go("rpc.readLoop", p.readLoop)
+	p.g.Go("rpc.readLoop", p.readLoop)
 	return p
 }
 
@@ -409,7 +409,8 @@ func (p *Peer) WireStats() Stats {
 	return Stats{FramesSent: p.frames, Flushes: p.flushes, Coalesced: p.grouped}
 }
 
-func (p *Peer) readLoop() {
+// readLoop ends when the connection does: closing it is what stops it.
+func (p *Peer) readLoop(<-chan struct{}) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	var err error
 	for {
@@ -446,13 +447,12 @@ func (p *Peer) readLoop() {
 			continue
 		}
 		// Request: dispatch in its own goroutine so a handler that calls
-		// back over the same peer cannot deadlock the loop. Each dispatch
-		// joins p.dg so Close can drain the in-flight ones.
-		p.dg.Add(1)
-		goleak.Go("rpc.dispatch", func() {
-			defer p.dg.Done()
-			p.dispatch(f)
-		})
+		// back over the same peer cannot deadlock the loop. Refused means
+		// Close is under way: the request is never dispatched.
+		if !p.g.Go("rpc.dispatch", func(<-chan struct{}) { p.dispatch(f) }) {
+			err = ErrClosed
+			break
+		}
 	}
 	p.shutdown(err)
 }
@@ -515,26 +515,19 @@ func (p *Peer) shutdown(err error) {
 	}
 }
 
-// dispatchDrain bounds how long Close waits for in-flight request
-// dispatches. Handlers hand off promptly by contract, and after shutdown
-// their reply sends fail immediately, so the bound only guards against a
-// handler stuck in user code.
-const dispatchDrain = 2 * time.Second
+// closeDrain bounds how long Close waits for the read loop and the in-flight
+// request dispatches. Handlers hand off promptly by contract, and after
+// shutdown their reply sends fail immediately, so the bound only guards
+// against a handler stuck in user code.
+const closeDrain = 2 * time.Second
 
 // Close tears the connection down; pending calls fail with ErrClosed. It
-// then drains the in-flight dispatch goroutines, bounded by dispatchDrain.
+// then joins the read loop — so the close hooks have run — and the in-flight
+// dispatches, bounded by closeDrain.
 func (p *Peer) Close() error {
 	err := p.conn.Close()
 	p.shutdown(ErrClosed)
-	drained := make(chan struct{})
-	goleak.Go("rpc.dispatchDrain", func() {
-		p.dg.Wait()
-		close(drained)
-	})
-	select {
-	case <-drained:
-	case <-time.After(dispatchDrain):
-	}
+	p.g.StopWithin(closeDrain)
 	return err
 }
 

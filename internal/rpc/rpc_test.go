@@ -224,8 +224,8 @@ func TestCloseMidBurstDrainsDispatch(t *testing.T) {
 	if got := exited.Load(); got != burst {
 		t.Fatalf("Close returned with %d/%d dispatch handlers still running", burst-got, burst)
 	}
-	if drainTime >= dispatchDrain {
-		t.Fatalf("Close took %v, exhausted the %v dispatch drain budget", drainTime, dispatchDrain)
+	if drainTime >= closeDrain {
+		t.Fatalf("Close took %v, exhausted the %v dispatch drain budget", drainTime, closeDrain)
 	}
 	a.Close()
 	for i := 0; i < burst; i++ {

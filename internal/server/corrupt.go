@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"bess/internal/goleak"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
@@ -213,42 +212,29 @@ func (s *Server) PauseScrub(paused bool) { s.scrubPaused.Store(paused) }
 
 // StartScrub launches the background scrubber: one full pass every
 // interval, sleeping pace between segments so a pass never monopolizes the
-// disk. One-shot per server: a second call while running is a no-op, and
-// StopScrub (or Close) retires the scrubber for good.
+// disk. One-shot per server: a second call is a no-op, and StopScrub (or
+// Close) retires the scrubber for good.
 func (s *Server) StartScrub(interval, pace time.Duration) {
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
-	if s.scrubStarted || s.closed.Load() {
-		return
-	}
-	s.scrubStarted = true
-	s.scrubEvery, s.scrubPace = interval, pace
-	goleak.Go("server.scrubber", func() {
-		defer close(s.scrubDone)
-		t := time.NewTicker(s.scrubEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.scrubStop:
-				return
-			case <-t.C:
+	s.scrubOnce.Do(func() {
+		s.scrubPace = pace
+		s.scrub.Go("server.scrubber", func(stop <-chan struct{}) {
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
+				}
+				if s.scrubPaused.Load() || s.closed.Load() {
+					continue
+				}
+				_, _ = s.ScrubOnce()
 			}
-			if s.scrubPaused.Load() || s.closed.Load() {
-				continue
-			}
-			_, _ = s.ScrubOnce()
-		}
+		})
 	})
 }
 
 // StopScrub stops the background scrubber and waits for it to exit.
 // Idempotent; called by Close.
-func (s *Server) StopScrub() {
-	s.scrubMu.Lock()
-	started := s.scrubStarted
-	s.scrubMu.Unlock()
-	s.scrubStopOnce.Do(func() { close(s.scrubStop) })
-	if started {
-		<-s.scrubDone
-	}
-}
+func (s *Server) StopScrub() { s.scrub.Stop() }

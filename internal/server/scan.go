@@ -20,10 +20,9 @@ import (
 // window is available (the overdraw escape), so one giant segment cannot
 // stall the pipeline forever.
 //
-// The cursor and sender goroutines are spawned through goleak.Go and carry
-// stop evidence for bess-vet's golife analyzer (DESIGN.md §4e):
-//
-//bess:golife
+// A cursor's goroutine belongs to its peer's scan table, which the peer's
+// close hook stops; the sender beside it belongs to the cursor's call frame
+// (DESIGN.md §4e).
 
 // Scan batch sizing: bytes of segment images coalesced into one ScanData
 // frame. The client can ask for a different granularity in ScanStart.
@@ -104,11 +103,13 @@ func (c *scanCursor) waitCredit(n int) bool {
 	}
 }
 
-// scanTable tracks one peer's live cursors.
+// scanTable tracks one peer's live cursors and owns their goroutines.
 type scanTable struct {
-	mu    lockcheck.Mutex
-	next  uint64                 // guarded by mu
-	scans map[uint64]*scanCursor // guarded by mu
+	g      goleak.Group
+	mu     lockcheck.Mutex
+	next   uint64                 // guarded by mu
+	scans  map[uint64]*scanCursor // guarded by mu
+	closed bool                   // guarded by mu; the peer went away: no new cursors
 }
 
 func newScanTable() *scanTable {
@@ -117,9 +118,13 @@ func newScanTable() *scanTable {
 	return t
 }
 
+// add registers a new cursor; nil once the table is closed.
 func (t *scanTable) add(batch int, plan []proto.ScanSeg) *scanCursor {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return nil
+	}
 	t.next++
 	c := newScanCursor(t.next, batch, plan)
 	t.scans[c.id] = c
@@ -138,9 +143,14 @@ func (t *scanTable) lookup(id uint64) *scanCursor {
 	return t.scans[id]
 }
 
-// cancelAll cancels every live cursor (the peer went away).
-func (t *scanTable) cancelAll() {
+// close cancels every live cursor and joins their goroutines (the peer went
+// away). A ScanStart still in dispatch finds the table closed and fails, so
+// every cursor there will ever be is one cancelled here: the join cannot wait
+// on a cursor nobody cancels. It is short — the peer's sends fail by now, so
+// a cursor is at most inside one fetch.
+func (t *scanTable) close() {
 	t.mu.Lock()
+	t.closed = true
 	cs := make([]*scanCursor, 0, len(t.scans))
 	for _, c := range t.scans {
 		cs = append(cs, c)
@@ -149,13 +159,14 @@ func (t *scanTable) cancelAll() {
 	for _, c := range cs {
 		c.cancel()
 	}
+	t.g.Stop()
 }
 
 // serveScan adds the streaming-scan handlers of one peer to its handler
 // table h and registers the ScanCtl stream.
 func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 	table := newScanTable()
-	p.SetOnClose(func(error) { table.cancelAll() })
+	p.SetOnClose(func(error) { table.close() })
 
 	// start opens a cursor whose images come from fetch, chosen here once
 	// and for the whole scan.
@@ -183,7 +194,9 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
 			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
 		}
 		c := table.add(b, plan)
-		goleak.Go("server.runScan", func() { runScan(p, table, c, fetch) })
+		if c == nil || !table.g.Go("server.runScan", func(<-chan struct{}) { runScan(p, table, c, fetch) }) {
+			return nil, rpc.ErrClosed
+		}
 		return &proto.ScanStartReply{Scan: c.id, Segs: plan}, nil
 	}
 
@@ -245,10 +258,11 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 		size   int
 		failed atomic.Bool
 		sendCh = make(chan push, 2)
-		done   = make(chan struct{})
+		sender goleak.Group // joined before the cursor leaves the table
 	)
-	goleak.Go("server.scanSender", func() {
-		defer close(done)
+	defer sender.Stop()
+	defer close(sendCh)
+	sender.Go("server.scanSender", func(<-chan struct{}) {
 		for sp := range sendCh {
 			if !failed.Load() {
 				// Draining continues after a failure so the fetch loop
@@ -286,8 +300,6 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 				flush(false, "")
 			}
 			flush(true, err.Error())
-			close(sendCh)
-			<-done
 			return
 		}
 		images = append(images, proto.SegImage{Seg: e.Seg, Slotted: sl, Overflow: ov, Data: data})
@@ -299,6 +311,4 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 	if !c.isCancelled() && !failed.Load() {
 		flush(true, "")
 	}
-	close(sendCh)
-	<-done
 }

@@ -238,3 +238,44 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	}
 	goleak.Check(t, "server.")
 }
+
+// TestScanTableCloseJoinsCursors: the peer's close hook cancels every cursor,
+// joins its goroutines, and leaves a table no ScanStart can add to — a cursor
+// added after the cancel would wait for credit from a peer that is gone, and
+// the join would wait for it.
+func TestScanTableCloseJoinsCursors(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, err := s.OpenDB("closedb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := createSeg(s, db, 3, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cEnd, sEnd := rpc.Pipe()
+	defer cEnd.Close()
+	defer sEnd.Close()
+
+	table := newScanTable()
+	c := table.add(1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}})
+	// No credit is ever granted: the sender parks in waitCredit.
+	if !table.g.Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) }) {
+		t.Fatal("a fresh table refused a cursor")
+	}
+	closed := make(chan struct{})
+	go func() { table.close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close did not join a cursor parked on credit")
+	}
+	if table.lookup(c.id) != nil {
+		t.Fatal("close returned with the cursor still in the table")
+	}
+	if table.add(1, nil) != nil {
+		t.Fatal("a closed table took a new cursor")
+	}
+	goleak.Check(t, "server.")
+}

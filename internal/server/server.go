@@ -23,6 +23,7 @@ import (
 	"bess/internal/area"
 	"bess/internal/cache"
 	"bess/internal/callback"
+	"bess/internal/goleak"
 	"bess/internal/hooks"
 	"bess/internal/lock"
 	"bess/internal/lockcheck"
@@ -76,8 +77,8 @@ type Stats struct {
 // cached-copy table share the copy table's lock (callback.Table), and the
 // transaction table is the transaction manager's (tx.Manager: the only one).
 // None of these locks is ever held while acquiring another; the permitted
-// nesting order, should one ever be introduced, is declared in lockorder.go
-// and enforced by cmd/bess-vet and `-tags invariants` builds.
+// nesting order, should one ever be introduced, is the ranks their Init calls
+// name (lockorder.go), enforced by cmd/bess-vet and `-tags invariants` builds.
 type Server struct {
 	host uint16
 	dir  string // "" = in-memory
@@ -97,16 +98,12 @@ type Server struct {
 
 	closed atomic.Bool
 
-	// The background scrubber (corrupt.go); scrubMu is unranked, never held
-	// while taking a ranked server lock.
-	scrubMu       sync.Mutex
-	scrubStarted  bool          // guarded by scrubMu
-	scrubStop     chan struct{} // created at open; closed once by StopScrub
-	scrubDone     chan struct{} // closed by the scrubber goroutine on exit
-	scrubStopOnce sync.Once
-	scrubPaused   atomic.Bool
-	scrubEvery    time.Duration // set before the scrubber starts
-	scrubPace     time.Duration // set before the scrubber starts
+	// The background scrubber (corrupt.go): StartScrub starts it once, in a
+	// group StopScrub and Close stop.
+	scrub       goleak.Group
+	scrubOnce   sync.Once
+	scrubPaused atomic.Bool
+	scrubPace   time.Duration // set before the scrubber starts
 
 	// media, when non-nil, supplies the durable devices instead of dir
 	// (OpenMedia: fault-injection harnesses run the full stack over
@@ -176,8 +173,6 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	// A client whose callback fails is gone: what else the server keeps for
 	// it goes too.
 	s.copies = callback.New(ErrCallback, s.Disconnect)
-	s.scrubStop = make(chan struct{})
-	s.scrubDone = make(chan struct{})
 	s.locks.DefaultTimeout = 5 * time.Second
 	var err error
 	switch {

@@ -125,7 +125,6 @@ type mseg struct {
 	// largeBase[i] is the reserved range for a KindLarge slot's object.
 	largeBase map[int]vmem.Addr
 	dirtyData bool
-	loadedAt  int64 // Stats.Wave3DataLoads as of this segment's data load
 }
 
 // Stats counts wave activity for one Mapper.
@@ -147,24 +146,18 @@ type Mapper struct {
 	fetch Fetcher
 	types *segment.Registry
 
+	// bySeg holds every segment a reference has been seen into. An entry and
+	// its slotted reservation last as long as the mapper: a dropped segment
+	// goes back to wave 1 (DropSeg), so an address swizzled into it stays a
+	// reserved address that faults the segment back in.
 	bySeg   map[SegID]*mseg
 	byFrame map[int64]*mseg // frames of slotted + data + large ranges
-	// retired remembers the slotted frames of dropped segments (retire), so
-	// that a reference still swizzled to one — in the data of a segment that
-	// stayed cached — can be unswizzled when that data ships. The space never
-	// reissues an address, so an entry never names the wrong segment.
-	retired map[int64]slottedRange
-	sweepAt int // len(retired) at which retire next sweeps it
+	// loaded is the part of bySeg past wave 1 — the copies the mapper holds.
+	// What runs per transaction (DirtySegs, MappedDataRanges, CachedSegs)
+	// walks this, not every reservation the session ever made.
+	loaded map[SegID]*mseg
 
 	stats Stats
-}
-
-// slottedRange is what UnswizzleAddr needs of a slotted range, live or
-// dropped; at is the count of wave-3 loads when it was dropped.
-type slottedRange struct {
-	id   SegID
-	base vmem.Addr
-	at   int64
 }
 
 // NewMapper wires a mapper to a space, a fetcher, and a type registry, and
@@ -176,7 +169,7 @@ func NewMapper(space *vmem.Space, fetch Fetcher, types *segment.Registry) *Mappe
 		types:   types,
 		bySeg:   make(map[SegID]*mseg),
 		byFrame: make(map[int64]*mseg),
-		retired: make(map[int64]slottedRange),
+		loaded:  make(map[SegID]*mseg),
 	}
 	space.SetHandler(m.handleFault)
 	return m
@@ -233,27 +226,24 @@ func (m *Mapper) SwizzleRef(p PRef) (vmem.Addr, error) {
 }
 
 // UnswizzleAddr converts a slot virtual address back to its persistent form.
-// The address of a slot in a segment since dropped still converts: what it
-// names did not change when the cached copy went.
+// The address of a slot in a segment since dropped converts like any other:
+// the reservation it points into outlives the cached copy.
 func (m *Mapper) UnswizzleAddr(a vmem.Addr) (PRef, error) {
 	if a == vmem.NilAddr {
 		return 0, nil
 	}
-	ms, live := m.byFrame[a.Frame()]
-	r, dropped := m.retired[a.Frame()]
-	switch {
-	case live && !m.inSlottedRange(ms, a.Frame()):
-		return 0, ErrNotSlotAddr
-	case live:
-		r = slottedRange{id: ms.id, base: ms.slottedBase}
-	case !dropped:
+	ms, ok := m.byFrame[a.Frame()]
+	if !ok {
 		return 0, ErrUnknownAddr
 	}
-	slot, err := segment.SlotIndexForOffset(uint64(a - r.base))
+	if !m.inSlottedRange(ms, a.Frame()) {
+		return 0, ErrNotSlotAddr
+	}
+	slot, err := segment.SlotIndexForOffset(uint64(a - ms.slottedBase))
 	if err != nil {
 		return 0, ErrNotSlotAddr
 	}
-	return MakePRef(HeaderOffset(r.id, slot)), nil
+	return MakePRef(HeaderOffset(ms.id, slot)), nil
 }
 
 // AddrOfSlot returns the virtual address of (id, slot), reserving as needed.
@@ -426,6 +416,7 @@ func (m *Mapper) loadSlotted(ms *mseg) error {
 		}
 	}
 	ms.state = stSlotted
+	m.loaded[ms.id] = ms
 	m.stats.Wave2SlottedLoads++
 	return nil
 }
@@ -458,7 +449,6 @@ func (m *Mapper) loadData(ms *mseg) error {
 	}
 	ms.state = stDataMapped
 	m.stats.Wave3DataLoads++
-	ms.loadedAt = m.stats.Wave3DataLoads
 	return nil
 }
 
@@ -643,7 +633,7 @@ func (o *Object) SetRefField(off int, target vmem.Addr) error {
 // this mapper.
 func (m *Mapper) DirtySegs() []SegID {
 	var out []SegID
-	for id, ms := range m.bySeg {
+	for id, ms := range m.loaded {
 		if ms.dirtyData {
 			out = append(out, id)
 		}
@@ -861,77 +851,47 @@ func (m *Mapper) MarkDataDirty(id SegID) {
 	}
 }
 
-// DropSeg evicts a segment entirely: its slotted and data reservations are
-// released and the next reference to it by name restarts at wave 1. Callback
-// revocation uses this to drop a cached copy. A reference another cached
-// segment holds swizzled to the old range still unswizzles (retired) but no
-// longer dereferences: following it is ErrUnknownAddr until its holder is
-// refetched (DESIGN.md §9).
+// DropSeg gives up the cached copy of a segment and returns it to wave 1, as
+// the paper has it: the slotted pages are unmapped and the data and
+// large-object ranges released, but the slotted reservation stays (a slotted
+// run is never resized, and a reserved frame costs one map entry). An address
+// another cached segment holds swizzled into it is therefore still a reserved
+// address: it unswizzles, and following it faults the segment back in.
+// Callback revocation uses this to drop a cached copy.
 func (m *Mapper) DropSeg(id SegID) error {
 	ms, ok := m.bySeg[id]
-	if !ok {
+	if !ok || ms.state < stSlotted {
 		return nil
 	}
-	m.retire(ms)
 	for i := 0; i < ms.slottedPages; i++ {
-		delete(m.byFrame, ms.slottedBase.Frame()+int64(i))
-	}
-	if err := m.space.Release(ms.slottedBase, ms.slottedPages); err != nil {
-		return err
-	}
-	if ms.state >= stSlotted {
-		for i := 0; i < ms.dataPages; i++ {
-			delete(m.byFrame, ms.dataBase.Frame()+int64(i))
-		}
-		if err := m.space.Release(ms.dataBase, ms.dataPages); err != nil {
+		if err := m.space.Unmap(ms.slottedBase + vmem.Addr(i*page.Size)); err != nil {
 			return err
 		}
-		for slot, base := range ms.largeBase {
-			n := framesFor(int(ms.seg.Slots[slot].Size))
-			if n == 0 {
-				n = 1
-			}
-			for i := 0; i < n; i++ {
-				delete(m.byFrame, base.Frame()+int64(i))
-			}
-			if err := m.space.Release(base, n); err != nil {
-				return err
-			}
+	}
+	release := func(base vmem.Addr, n int) error {
+		for i := 0; i < n; i++ {
+			delete(m.byFrame, base.Frame()+int64(i))
+		}
+		return m.space.Release(base, n)
+	}
+	if err := release(ms.dataBase, ms.dataPages); err != nil {
+		return err
+	}
+	for slot, base := range ms.largeBase {
+		if err := release(base, max(framesFor(int(ms.seg.Slots[slot].Size)), 1)); err != nil {
+			return err
 		}
 	}
-	delete(m.bySeg, id)
+	*ms = mseg{id: id, state: stReserved, slottedBase: ms.slottedBase, slottedPages: ms.slottedPages}
+	delete(m.loaded, id)
 	return nil
 }
 
-// retire remembers ms's slotted range for UnswizzleAddr. Only data mapped
-// before now can hold a reference into the range, so an entry is of use while
-// a segment whose data was loaded before the drop stays mapped; those that
-// are not are swept out each time the table has doubled.
-func (m *Mapper) retire(ms *mseg) {
-	now := m.stats.Wave3DataLoads
-	if len(m.retired) >= m.sweepAt {
-		oldest := now + 1
-		for _, c := range m.bySeg {
-			if c != ms && c.state == stDataMapped && c.loadedAt < oldest {
-				oldest = c.loadedAt
-			}
-		}
-		for f, r := range m.retired {
-			if r.at < oldest {
-				delete(m.retired, f)
-			}
-		}
-		m.sweepAt = 2*len(m.retired) + 64
-	}
-	for i := 0; i < ms.slottedPages; i++ {
-		m.retired[ms.slottedBase.Frame()+int64(i)] = slottedRange{ms.id, ms.slottedBase, now}
-	}
-}
-
-// CachedSegs lists every segment this mapper has reserved or loaded.
+// CachedSegs lists the segments this mapper holds a copy of: slotted part
+// loaded, at least. A bare reservation is not a copy.
 func (m *Mapper) CachedSegs() []SegID {
-	out := make([]SegID, 0, len(m.bySeg))
-	for id := range m.bySeg {
+	out := make([]SegID, 0, len(m.loaded))
+	for id := range m.loaded {
 		out = append(out, id)
 	}
 	return out
@@ -948,7 +908,7 @@ type DataRange struct {
 // the detect layer walks them to re-protect pages between transactions.
 func (m *Mapper) MappedDataRanges() []DataRange {
 	var out []DataRange
-	for id, ms := range m.bySeg {
+	for id, ms := range m.loaded {
 		if ms.state == stDataMapped {
 			out = append(out, DataRange{ID: id, Base: ms.dataBase, Pages: ms.dataPages})
 		}

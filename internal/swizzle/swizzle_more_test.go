@@ -14,7 +14,7 @@ func TestSegIDString(t *testing.T) {
 	}
 }
 
-func TestDropSegReleasesEverything(t *testing.T) {
+func TestDropSegKeepsOnlyTheReservation(t *testing.T) {
 	f, reg, idA, _ := buildGraph(t)
 	m := NewMapper(vmem.New(), f, reg)
 	addr, _ := m.AddrOfSlot(idA, 0)
@@ -29,21 +29,28 @@ func TestDropSegReleasesEverything(t *testing.T) {
 	if err := m.DropSeg(idA); err != nil {
 		t.Fatal(err)
 	}
-	// The segment's frames are gone; deref of the old address fails.
-	if _, err := m.Deref(addr); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("deref after drop: %v", err)
+	// Nothing of the copy is left mapped, and it is not a cached copy.
+	if after := m.Space().Snapshot(); after.MappedFrames != 0 {
+		t.Fatalf("%d frames still mapped after drop", after.MappedFrames)
+	}
+	if len(m.CachedSegs()) != 0 || len(m.MappedDataRanges()) != 0 {
+		t.Fatalf("dropped segment still listed: %v %v", m.CachedSegs(), m.MappedDataRanges())
 	}
 	// Dropping again is a no-op.
 	if err := m.DropSeg(idA); err != nil {
 		t.Fatal(err)
 	}
-	// Re-reserving works and reloads fresh state.
+	// The old address is the segment's address still, and reloads fresh state.
 	addr2, err := m.AddrOfSlot(idA, 0)
-	if err != nil {
+	if err != nil || addr2 != addr {
+		t.Fatalf("address of the slot after drop = %#x, %v; want %#x", uint64(addr2), err, uint64(addr))
+	}
+	fetches := f.slottedFetches
+	if _, err := m.Deref(addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Deref(addr2); err != nil {
-		t.Fatal(err)
+	if f.slottedFetches != fetches+1 {
+		t.Fatal("deref after drop did not refetch the slotted part")
 	}
 }
 
@@ -67,8 +74,8 @@ func TestDropSegWithLargeObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Space().Snapshot()
-	if snap.ReservedFrames != 0 {
-		t.Fatalf("frames leaked after drop: %d", snap.ReservedFrames)
+	if snap.ReservedFrames != 1 || snap.MappedFrames != 0 {
+		t.Fatalf("after drop: %d frames reserved, %d mapped; only the slotted reservation (1 page) remains", snap.ReservedFrames, snap.MappedFrames)
 	}
 }
 
@@ -78,10 +85,17 @@ func TestCachedSegs(t *testing.T) {
 	if len(m.CachedSegs()) != 0 {
 		t.Fatal("fresh mapper has cached segs")
 	}
+	// A reservation is not a copy; a loaded slotted part is.
 	m.ReserveSeg(idA)
 	m.ReserveSeg(idB)
-	if len(m.CachedSegs()) != 2 {
-		t.Fatalf("cached = %v", m.CachedSegs())
+	if len(m.CachedSegs()) != 0 {
+		t.Fatalf("cached = %v with nothing loaded", m.CachedSegs())
+	}
+	if err := m.EnsureLoaded(idA); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CachedSegs(); len(got) != 1 || got[0] != idA {
+		t.Fatalf("cached = %v, want [%v]", got, idA)
 	}
 }
 

@@ -446,41 +446,37 @@ func TestUnswizzleRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatal("in-memory refs were disturbed by UnswizzledData")
 	}
-	// Dropping B retires its range: A's references into it no longer
-	// dereference, but they name what they named and still unswizzle.
+	// Dropping B returns it to wave 1: A's references into it still name
+	// what they named — they unswizzle — and following one faults B back in.
 	if err := m.DropSeg(idB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Deref(got); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("deref into a dropped segment: %v", err)
+	if _, ok := m.Seg(idB); ok {
+		t.Fatal("B still loaded after DropSeg")
 	}
 	if data, err = m.UnswizzledData(idA); err != nil || !bytes.Equal(data[:len(orig)], orig) {
 		t.Fatalf("unswizzling references into a dropped segment: %v", err)
 	}
-	// Retired ranges are kept for the data that can refer to them, not for
-	// ever: however often B comes and goes, A's references — from before the
-	// first drop — unswizzle while A stays mapped, and with A gone the table
-	// stops growing.
-	churn := func() {
-		for i := 0; i < 1000; i++ {
-			if _, err := m.ReserveSeg(idB); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.DropSeg(idB); err != nil {
-				t.Fatal(err)
-			}
+	fetches := f.slottedFetches
+	if b, err := m.Deref(got); err != nil || b.Slot != 0 {
+		t.Fatalf("deref into a dropped segment: %v", err)
+	}
+	if f.slottedFetches != fetches+1 {
+		t.Fatalf("following a reference into a dropped segment fetched its slotted part %d times, want 1", f.slottedFetches-fetches)
+	}
+	// However often B comes and goes, it costs the mapper nothing more than
+	// its one reservation.
+	reserved := m.Space().Snapshot().ReservedFrames
+	for i := 0; i < 100; i++ {
+		if err := m.DropSeg(idB); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.EnsureData(idB); err != nil {
+			t.Fatal(err)
 		}
 	}
-	churn()
-	if data, err = m.UnswizzledData(idA); err != nil || !bytes.Equal(data[:len(orig)], orig) {
-		t.Fatalf("unswizzling after %d more drops: %v", 1000, err)
-	}
-	if err := m.DropSeg(idA); err != nil {
-		t.Fatal(err)
-	}
-	churn()
-	if n := len(m.retired); n > 200 {
-		t.Fatalf("%d retired ranges remembered with no data mapped that could refer to one", n)
+	if now := m.Space().Snapshot().ReservedFrames; now != reserved {
+		t.Fatalf("reserved frames %d -> %d over 100 drop/load cycles", reserved, now)
 	}
 }
 

@@ -53,8 +53,8 @@ var (
 	ErrNotPrepared = errors.New("tx: transaction not prepared")
 )
 
-// rankManagerMu places Manager.mu in the //bess:lockorder hierarchy
-// (internal/server/lockorder.go); tx cannot import server.
+// rankManagerMu places Manager.mu in the server's lock hierarchy
+// (internal/server/lockorder.go).
 const rankManagerMu lockcheck.Rank = 40
 
 // Manager creates and tracks transactions against one log + lock manager +

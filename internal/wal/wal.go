@@ -453,10 +453,9 @@ func (b *memBacking) Size() int64 {
 	return int64(len(b.buf))
 }
 
-// RankLogMu is Log.mu's position in the server lock hierarchy declared in
-// internal/server/lockorder.go (the innermost rank: commit paths may reach
-// the log while holding a tx shard, never the reverse). The constant lives
-// here because wal cannot import server.
+// RankLogMu is Log.mu's position in the server's lock hierarchy
+// (internal/server/lockorder.go): the innermost rank — commit paths may reach
+// the log while holding the transaction table, never the reverse.
 const RankLogMu lockcheck.Rank = 60
 
 // The log buffer: a fixed set of fixed-size buffers the Log owns and recycles.
