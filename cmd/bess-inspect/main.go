@@ -140,8 +140,7 @@ func main() {
 					fmt.Printf("  %8d %-10s %v\n", lsn, rec.Type, &op)
 				}
 			case wal.TCheckpoint:
-				fmt.Printf("  %8d %-10s active=%d dirty=%d\n",
-					lsn, rec.Type, len(rec.ActiveTxs), len(rec.DirtyPages))
+				fmt.Printf("  %8d %-10s dirty=%d\n", lsn, rec.Type, len(rec.DirtyPages))
 				for _, e := range rec.DirtyPages {
 					fmt.Printf("  %8s   page=%v recLSN=%d\n", "", e.Page, e.RecLSN)
 				}

@@ -614,7 +614,6 @@ type E8Result struct {
 // optionally checkpointed midway, then restarts.
 func RunE8(txns, updates int, checkpoint bool) E8Result {
 	l := wal.NewMem()
-	var at []wal.CkptTx
 	for t := 0; t < txns; t++ {
 		id := uint64(t + 1)
 		var last page.LSN
@@ -633,18 +632,16 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 			must(err)
 			_, err = l.Append(&wal.Record{Type: wal.TEnd, Tx: id})
 			must(err)
-		} else {
-			at = append(at, wal.CkptTx{Tx: id, LastLSN: last})
 		}
 		if checkpoint && t == txns/2 {
-			_, err := wal.Checkpoint(l, at, nil)
+			_, err := wal.Checkpoint(l, nil)
 			must(err)
 		}
 	}
 	must(l.Flush(0))
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	must(err)
-	st, err := restart(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
+	_, st, err := restart(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
 	must(err)
 	return E8Result{
 		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint,
@@ -653,11 +650,13 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	}
 }
 
-// restart is the product's restart (tx.Restart) over l and p, for a harness
-// that wants the stats and not the manager.
-func restart(l *wal.Log, p wal.Pager) (*wal.RecoveryStats, error) {
-	_, st, err := tx.Restart(l, lock.NewManager(), p, nil)
-	return st, err
+// restart is the product's restart (wal.Analyze, tx.Restart) over l and p.
+func restart(l *wal.Log, p wal.Pager) (*tx.Manager, *wal.RecoveryStats, error) {
+	an, err := wal.Analyze(l, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tx.Restart(an, lock.NewManager(), p, nil)
 }
 
 // memPager is the in-memory database image E8 and E19's checkpoint trials

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"bess/internal/area"
@@ -34,7 +35,11 @@ import (
 //	    changes nothing and finds no losers;
 //	(5) the restart invariant of the logging rule: the earliest record redo
 //	    replays for any page is a whole-page image
-//	    (wal.RecoveryStats.UnanchoredPages == 0).
+//	    (wal.RecoveryStats.UnanchoredPages == 0);
+//	(6) a 2PC branch whose TPrepare survived is in doubt after both
+//	    restarts, its images on its pages; then its coordinator's commit
+//	    (in the clean and garbage modes) keeps them, its abort (torn mode)
+//	    restores those before it, and a third restart keeps either.
 //
 // Tear modes per crash point: clean (the fatal write vanishes), torn
 // (one 512B sector of it survives), and torn+garbage (the lost extent is
@@ -101,7 +106,7 @@ type e13World struct {
 	txm    *tx.Manager
 
 	pages   map[uint64]page.No     // tx -> its private page
-	acked   map[uint64]bool        // commits acknowledged before any crash
+	acked   map[uint64]wal.Type    // commits (TCommit) and 2PC yes votes (TPrepare) acknowledged before any crash
 	history map[page.No][]e13Write // page -> its logged changes, in log order
 	buffer  map[page.No][]byte     // the buffer pool: current content of every touched page
 	unsaved map[page.No]bool       // buffered content not yet written to the area
@@ -117,7 +122,7 @@ func e13Setup(seed int64) (*e13World, error) {
 	w := &e13World{
 		inj:     fault.NewInjector(seed),
 		pages:   make(map[uint64]page.No),
-		acked:   make(map[uint64]bool),
+		acked:   make(map[uint64]wal.Type),
 		history: make(map[page.No][]e13Write),
 		buffer:  make(map[page.No][]byte),
 		unsaved: make(map[page.No]bool),
@@ -293,7 +298,7 @@ func e13Workload(w *e13World) {
 			if t.Commit() != nil {
 				return
 			}
-			w.acked[id] = true // the commit is acknowledged from here on
+			w.acked[id] = wal.TCommit // the commit is acknowledged from here on
 		case id == e13Txs-2:
 			// Run-time rollback: the pager restores the page on the area.
 			if t.Abort() != nil {
@@ -334,8 +339,9 @@ func (p e13Pager) WritePage(proof wal.Logged, data []byte) error {
 }
 
 // e13Verify reboots onto the surviving images, recovers, and checks the
-// shadow-model invariants. Returns the recovery stats of the first restart.
-func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
+// shadow-model invariants; a branch in doubt is then committed, or with commit
+// unset aborted. Returns the recovery stats of the first restart.
+func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 	walImg := w.walSt.CrashImage()
 	areaImg := w.areaSt.CrashImage()
 
@@ -353,25 +359,30 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 	}
 	defer func() { _ = a.Close() }()
 
-	// Winners by the durable log: transactions whose TCommit survived.
-	winners := make(map[uint64]bool)
+	// What the durable log decided of each transaction: TCommit for a winner,
+	// TPrepare for a branch in doubt (no decision reaches one before a crash).
+	decided := make(map[uint64]wal.Type)
+	var inDoubt []uint64
 	if err := l.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
-		if rec.Type == wal.TCommit {
-			winners[rec.Tx] = true
+		if rec.Type == wal.TCommit || rec.Type == wal.TPrepare {
+			decided[rec.Tx] = rec.Type
+		}
+		if rec.Type == wal.TPrepare {
+			inDoubt = append(inDoubt, rec.Tx)
 		}
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("scan surviving log: %w", err)
 	}
 
-	// (1) acked commits are durable.
-	for tx := range w.acked {
-		if !winners[tx] {
-			return nil, fmt.Errorf("acked commit of tx %d not durable", tx)
+	// (1) acked commits and yes votes are durable.
+	for tx, typ := range w.acked {
+		if decided[tx] != typ {
+			return nil, fmt.Errorf("acked %v of tx %d not durable", typ, tx)
 		}
 	}
 
-	stats, err := restart(l, e13Pager{a, l})
+	_, stats, err := restart(l, e13Pager{a, l})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
@@ -380,14 +391,19 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 		return nil, fmt.Errorf("redo started %d page(s) from a byte-range record", stats.UnanchoredPages)
 	}
 
-	// (2) each page holds what its last winner left.
-	check := func(when string) error {
+	// (2) each page holds what its last winner — or branch in doubt — left;
+	// (6) the branches in doubt are those whose TPrepare survived.
+	slices.Sort(inDoubt)
+	check := func(when string, st *wal.RecoveryStats) error {
+		if !slices.Equal(inDoubt, st.InDoubt) {
+			return fmt.Errorf("in doubt %s: %v, want %v", when, st.InDoubt, inDoubt)
+		}
 		buf := make([]byte, page.Size)
 		for t := uint64(1); t <= e13Txs; t++ {
 			pg := w.pages[t]
 			want := make([]byte, page.Size)
 			for _, wr := range w.history[pg] {
-				if winners[wr.tx] {
+				if decided[wr.tx] == wal.TCommit || decided[wr.tx] == wal.TPrepare {
 					want = wr.img
 				}
 			}
@@ -395,27 +411,41 @@ func e13Verify(w *e13World) (*wal.RecoveryStats, error) {
 				return fmt.Errorf("read page of tx %d: %w", t, err)
 			}
 			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("page of tx %d (winner=%v) diverges from shadow %s", t, winners[t], when)
+				return fmt.Errorf("page of tx %d (winner=%v) diverges from shadow %s", t, decided[t] == wal.TCommit, when)
 			}
 		}
 		return nil
 	}
-	if err := check("after recovery"); err != nil {
+	if err := check("after recovery", stats); err != nil {
 		return nil, err
 	}
 
-	// (4) idempotence: a second restart finds no losers and changes nothing.
-	stats2, err := restart(l, e13Pager{a, l})
-	if err != nil {
-		return nil, fmt.Errorf("second recover: %w", err)
+	// (4) idempotence: a second restart finds no losers and changes nothing;
+	// (6) with a branch in doubt, so does a third after its decision.
+	for round := 2; ; round++ {
+		m, st, err := restart(l, e13Pager{a, l})
+		if err != nil {
+			return nil, fmt.Errorf("recover again (%d): %w", round, err)
+		}
+		if len(st.Losers) != 0 {
+			return nil, fmt.Errorf("recovery %d found losers %v", round, st.Losers)
+		}
+		if err := check(fmt.Sprintf("after recovery %d", round), st); err != nil || len(inDoubt) == 0 {
+			return stats, err
+		}
+		for _, tx := range inDoubt {
+			b, typ := m.Lookup(tx), wal.TAbort
+			end := b.Abort
+			if commit {
+				end, typ = b.Commit, wal.TCommit
+			}
+			if err := end(); err != nil {
+				return nil, fmt.Errorf("%v of branch %d: %w", typ, tx, err)
+			}
+			decided[tx] = typ
+		}
+		inDoubt = nil
 	}
-	if len(stats2.Losers) != 0 {
-		return nil, fmt.Errorf("second recovery found losers %v", stats2.Losers)
-	}
-	if err := check("after a second recovery"); err != nil {
-		return nil, err
-	}
-	return stats, nil
 }
 
 // e13TearModes are the three ways the fatal write can tear.
@@ -457,7 +487,7 @@ func e13LongTx(w *e13World) {
 	if t.Commit() != nil {
 		return
 	}
-	w.acked[1] = true
+	w.acked[1] = wal.TCommit
 }
 
 // e13FreshPages is a third workload: pages nothing was ever logged for, all
@@ -488,7 +518,7 @@ func e13FreshPages(w *e13World) {
 	if t.Commit() != nil {
 		return
 	}
-	w.acked[1] = true
+	w.acked[1] = wal.TCommit
 
 	// Filled, stolen, and rolled back after a checkpoint: the CLR anchors the
 	// page with a whole image of zeroes.
@@ -528,7 +558,7 @@ func e13FreshPages(w *e13World) {
 	if t.Commit() != nil {
 		return
 	}
-	w.acked[3] = true
+	w.acked[3] = wal.TCommit
 }
 
 // e13Enumerate enumerates workload's crash points. sample <= 0 runs the full
@@ -571,7 +601,7 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 
 	var totalRecoverNs, maxRecoverNs int64
 	var totalRedo, totalUndo int
-	for _, mode := range e13TearModes {
+	for mi, mode := range e13TearModes {
 		m := E13Mode{Mode: mode.name}
 		for _, n := range points {
 			m.Trials++
@@ -585,7 +615,7 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 				return rep, fmt.Errorf("e13: crash at event %d never fired (%s)", n, w.inj)
 			}
 			start := time.Now()
-			stats, err := e13Verify(w)
+			stats, err := e13Verify(w, mi != 1) // every crash point sees both decisions
 			el := time.Since(start).Nanoseconds()
 			if err != nil {
 				m.Inconsistent++

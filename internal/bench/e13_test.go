@@ -59,7 +59,7 @@ func TestE13LongTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	e13LongTx(base)
-	if rounds := base.log.Stats().Syncs; !base.acked[1] || rounds < 4 {
+	if rounds := base.log.Stats().Syncs; base.acked[1] != wal.TCommit || rounds < 4 {
 		t.Fatalf("the transaction (committed=%v) reached the log in %d rounds, want its records in 3 or more and the commit after", base.acked[1], rounds)
 	}
 	sample := 0
@@ -76,6 +76,65 @@ func TestE13LongTransaction(t *testing.T) {
 	}
 	t.Logf("%d crash points x %d modes over %d bytes of log in %d sync rounds, %d consistent",
 		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, base.log.Stats().Syncs, rep.Consistent)
+}
+
+// e13PreparedBranch is a fourth workload: a 2PC branch changes a range of a
+// committed page, a range of a second one, which it steals, and a fresh page
+// whole, and votes yes; a checkpoint is taken while it is in doubt, and other
+// transactions keep running — one commits, one is left in flight with its
+// page stolen. No decision reaches the branch before the crash.
+func e13PreparedBranch(w *e13World) {
+	pg := func(i uint64) page.No { return w.pages[i] }
+	t := w.txm.Ensure(1, 0)
+	if w.update(t, pg(1), 0, 0, page.Size) != nil || w.update(t, pg(2), 0, 0, page.Size) != nil || t.Commit() != nil {
+		return
+	}
+	w.acked[1] = wal.TCommit
+	b := w.txm.Ensure(2, 0)
+	if w.update(b, pg(1), 1, 300, 200) != nil || w.update(b, pg(2), 1, 1000, 100) != nil ||
+		w.update(b, pg(3), 0, 0, page.Size) != nil || w.steal(b, pg(2)) != nil || b.Prepare() != nil {
+		return
+	}
+	w.acked[2] = wal.TPrepare
+	if w.flushAndCheckpoint() != nil {
+		return
+	}
+	t, loser := w.txm.Ensure(3, 0), w.txm.Ensure(4, 0)
+	if w.update(t, pg(4), 0, 0, page.Size) != nil || w.update(loser, pg(5), 0, 0, page.Size) != nil ||
+		w.update(t, pg(4), 1, 700, 50) != nil || w.steal(loser, pg(5)) != nil || t.Commit() != nil {
+		return
+	}
+	w.acked[3] = wal.TCommit
+}
+
+// TestE13PreparedBranch enumerates every crash point of a workload in which a
+// 2PC branch votes yes and a checkpoint follows while it is in doubt: in all
+// three tear modes a branch whose prepare survived comes back in doubt — not
+// a loser — with its images on its pages, stays so through a second restart,
+// and then both decisions hold across a third (e13Verify, invariant 6).
+func TestE13PreparedBranch(t *testing.T) {
+	base, err := e13Setup(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e13PreparedBranch(base)
+	if base.acked[1] != wal.TCommit || base.acked[2] != wal.TPrepare || base.acked[3] != wal.TCommit {
+		t.Fatalf("fault-free run: acked %v", base.acked)
+	}
+	sample := 0
+	if testing.Short() {
+		sample = 12
+	}
+	rep, err := e13Enumerate(42, sample, e13PreparedBranch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CrashPoints == 0 || rep.Inconsistent != 0 {
+		t.Fatalf("%d crash points, %d/%d trials inconsistent; first failures: %v",
+			rep.CrashPoints, rep.Inconsistent, rep.Trials, rep.Failures)
+	}
+	t.Logf("%d crash points x %d modes, %d consistent, mean redo %.1f, mean undo %.1f",
+		rep.CrashPoints, len(rep.Modes), rep.Consistent, rep.MeanRedo, rep.MeanUndo)
 }
 
 // TestE13FreshPages enumerates every crash point of a workload that fills
@@ -109,7 +168,7 @@ func TestE13FreshPages(t *testing.T) {
 		}
 		return nil
 	})
-	if !base.acked[1] || !base.acked[3] || zeroBefore < 8 || rangeAnchors == 0 || zeroAfterCLR == 0 || zeroAnchorCLR == 0 {
+	if len(base.acked) != 2 || zeroBefore < 8 || rangeAnchors == 0 || zeroAfterCLR == 0 || zeroAnchorCLR == 0 {
 		t.Fatalf("fault-free run: acked %v, %d zero-before updates (%d of them anchors of a sub-page fill), %d range and %d anchor zero-after CLRs",
 			base.acked, zeroBefore, rangeAnchors, zeroAfterCLR, zeroAnchorCLR)
 	}

@@ -469,7 +469,7 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		return
 	}
 	want[pg(1)] = a1
-	if ckpt1, err = wal.Checkpoint(l, nil, []wal.CkptPage{{Page: pg(1), RecLSN: lsn1}}); err != nil {
+	if ckpt1, err = wal.Checkpoint(l, []wal.CkptPage{{Page: pg(1), RecLSN: lsn1}}); err != nil {
 		return
 	}
 	a2 := fill(0x22)
@@ -481,8 +481,7 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		return
 	}
 	want[pg(2)] = a2
-	if ckpt2, err = wal.Checkpoint(l, nil,
-		[]wal.CkptPage{{Page: pg(1), RecLSN: lsn1}, {Page: pg(2), RecLSN: lsn2}}); err != nil {
+	if ckpt2, err = wal.Checkpoint(l, []wal.CkptPage{{Page: pg(1), RecLSN: lsn1}, {Page: pg(2), RecLSN: lsn2}}); err != nil {
 		return
 	}
 	ckpt2End = l.NextLSN()
@@ -515,7 +514,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 		return c, fmt.Errorf("reopen clean log: %w", err)
 	}
 	pager := &memPager{log: clean, pages: make(map[page.ID][]byte)}
-	st, err := restart(clean, pager)
+	_, st, err := restart(clean, pager)
 	_ = clean.Close()
 	if err != nil {
 		return c, fmt.Errorf("clean recover: %w", err)
@@ -554,7 +553,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 			continue
 		}
 		p := &memPager{log: l, pages: make(map[page.ID][]byte)}
-		st, err := restart(l, p)
+		_, st, err := restart(l, p)
 		if err != nil {
 			rep.fail(fmt.Sprintf("%s: recover: %v", label, err))
 			c.record("silent")

@@ -487,11 +487,13 @@ func (p *Peer) dispatch(f frame) {
 	}
 }
 
-func (p *Peer) shutdown(err error) {
+// shutdown closes the peer for err, unless it is closed already, and returns
+// what closing the connection returned.
+func (p *Peer) shutdown(err error) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return
+		return nil
 	}
 	p.closed = true
 	p.closeErr = err
@@ -509,10 +511,11 @@ func (p *Peer) shutdown(err error) {
 	}
 	p.wcond.Broadcast()
 	p.wmu.Unlock()
-	p.conn.Close()
+	cerr := p.conn.Close()
 	if onClose != nil {
 		onClose(err)
 	}
+	return cerr
 }
 
 // closeDrain bounds how long Close waits for the read loop and the in-flight
@@ -521,12 +524,12 @@ func (p *Peer) shutdown(err error) {
 // against a handler stuck in user code.
 const closeDrain = 2 * time.Second
 
-// Close tears the connection down; pending calls fail with ErrClosed. It
-// then joins the read loop — so the close hooks have run — and the in-flight
-// dispatches, bounded by closeDrain.
+// Close tears the connection down; pending and later calls fail with
+// ErrClosed, recorded before the read loop the close wakes can record its own
+// error. It then joins the read loop — so the close hooks have run — and the
+// in-flight dispatches, bounded by closeDrain.
 func (p *Peer) Close() error {
-	err := p.conn.Close()
-	p.shutdown(ErrClosed)
+	err := p.shutdown(ErrClosed)
 	p.g.StopWithin(closeDrain)
 	return err
 }

@@ -185,6 +185,42 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 	}
 }
 
+// closeAfterPeer is a connection whose first Close returns only once the peer
+// over it has shut down: the read loop, woken by the close, always gets to
+// the peer's shutdown before Close goes on.
+type closeAfterPeer struct {
+	net.Conn
+	peer    *Peer
+	closing atomic.Bool
+}
+
+func (c *closeAfterPeer) Close() error {
+	err := c.Conn.Close()
+	if c.closing.CompareAndSwap(false, true) {
+		shut := make(chan struct{})
+		c.peer.SetOnClose(func(error) { close(shut) })
+		<-shut
+	}
+	return err
+}
+
+// TestCloseRecordsErrClosedFirst: the read loop that closing the connection
+// wakes must not record its read error as the reason the peer is closed —
+// every call after Close fails with ErrClosed, however the two race.
+func TestCloseRecordsErrClosedFirst(t *testing.T) {
+	c1, c2 := net.Pipe()
+	conn := &closeAfterPeer{Conn: c1}
+	a, b := NewPeer(conn), NewPeer(c2)
+	conn.peer = a
+	defer b.Close()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Call("echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after close err = %v, want ErrClosed", err)
+	}
+}
+
 // TestCloseMidBurstDrainsDispatch closes a peer while a burst of requests
 // is still executing in its per-frame dispatch goroutines. Close must wait
 // for every in-flight handler (the WaitGroup drain), so no dispatch

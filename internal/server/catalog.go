@@ -213,20 +213,25 @@ func loadCatalog(dir string) (*catalog, error) {
 
 // replay applies, in log order, every catalog record at or above the image's
 // stamp and returns the ops with their LSNs, for open to re-establish the
-// storage they name. updated collects the last update or CLR record of every
-// page the same stretch of log touches: redo of an add-segment op must not
+// storage they name. It finds them in restart's one pass over the log
+// (wal.Analyze), whose analysis it returns for the pages and the transactions
+// (tx.Restart). updated collects the last update or CLR record of every page
+// the same stretch of log touches: redo of an add-segment op must not
 // re-format a page the log has changed since (Server.redoSegment).
-func (c *catalog) replay(updated map[page.ID]page.LSN) ([]loggedOp, error) {
+func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	end := c.log.NextLSN()
-	if c.LSN > end {
-		return nil, fmt.Errorf("%w: the image is stamped %d but the log ends at %d", ErrCatalogCorrupt, c.LSN, end)
+	stamp, end := c.LSN, c.log.NextLSN()
+	if stamp > end {
+		return nil, nil, fmt.Errorf("%w: the image is stamped %d but the log ends at %d", ErrCatalogCorrupt, stamp, end)
 	}
 	var ops []loggedOp
-	records := 0
-	err := c.log.Iterate(c.LSN, func(lsn page.LSN, rec *wal.Record) error {
-		records++
+	atStamp := false
+	an, err := wal.Analyze(c.log, func(lsn page.LSN, rec *wal.Record) error {
+		if lsn < stamp {
+			return nil
+		}
+		atStamp = atStamp || lsn == stamp
 		switch rec.Type {
 		case wal.TUpdate, wal.TCLR:
 			updated[rec.Page] = lsn
@@ -240,18 +245,18 @@ func (c *catalog) replay(updated map[page.ID]page.LSN) ([]loggedOp, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if records == 0 && c.LSN > 0 && c.LSN < end {
-		return nil, fmt.Errorf("%w: no log record starts at the image's stamp %d", ErrCatalogCorrupt, c.LSN)
+	if !atStamp && stamp > 0 && stamp < end {
+		return nil, nil, fmt.Errorf("%w: no log record starts at the image's stamp %d", ErrCatalogCorrupt, stamp)
 	}
 	for _, op := range ops {
 		if err := c.apply(op.CatalogOp, op.lsn); err != nil {
-			return nil, fmt.Errorf("%w: catalog record at lsn %d: %v", ErrCatalogCorrupt, op.lsn, err)
+			return nil, nil, fmt.Errorf("%w: catalog record at lsn %d: %v", ErrCatalogCorrupt, op.lsn, err)
 		}
 	}
 	c.replayed = len(ops)
-	return ops, nil
+	return an, ops, nil
 }
 
 // loggedOp is a catalog op with the LSN of its record.

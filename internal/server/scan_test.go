@@ -157,7 +157,7 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 		{Seg: real2, SlottedPages: 1},
 	})
 	c.grant(false, 1<<20)
-	go runScan(sEnd, table, c, liveFetch(s, 1))
+	testGroup(t).Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) })
 
 	batches := cli.wait(t)
 	var segs []proto.SegKey
@@ -182,6 +182,14 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 		t.Fatal("cursor not removed from table")
 	}
 	goleak.Check(t, "server.")
+}
+
+// testGroup is a goroutine group the test owns: stopped, and so joined, when
+// the test ends.
+func testGroup(t *testing.T) *goleak.Group {
+	g := new(goleak.Group)
+	t.Cleanup(g.Stop)
+	return g
 }
 
 // liveFetch is the fetch ScanStart binds: FetchSeg for one client.
@@ -220,7 +228,7 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	table := newScanTable()
 	c := table.add(1, plan)
 	c.grant(false, 1)
-	go runScan(sEnd, table, c, liveFetch(s, 1))
+	testGroup(t).Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) })
 
 	deadline := time.Now().Add(5 * time.Second)
 	for batches.Load() == 0 {
@@ -265,7 +273,7 @@ func TestScanTableCloseJoinsCursors(t *testing.T) {
 		t.Fatal("a fresh table refused a cursor")
 	}
 	closed := make(chan struct{})
-	go func() { table.close(); close(closed) }()
+	testGroup(t).Go("server.scanTable.close", func(<-chan struct{}) { table.close(); close(closed) })
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):

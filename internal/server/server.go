@@ -218,13 +218,14 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 
 // restart brings a file-backed server's storage to what its log describes,
 // outermost structure first: the catalog (the image plus the ops logged since
-// it was taken), then the storage those ops name — an area file created, a
-// segment's runs allocated and formatted — and only then the pages and the
-// transaction table (tx.Restart: repeat history, roll back losers, keep
-// in-doubt 2PC branches for the coordinator's decision), which need both.
+// it was taken, found in the one analysis pass over the log), then the storage
+// those ops name — an area file created, a segment's runs allocated and
+// formatted — and only then the pages and the transaction table (tx.Restart:
+// repeat history, roll back losers, keep in-doubt 2PC branches for the
+// coordinator's decision), which need both.
 func (s *Server) restart() error {
 	updated := make(map[page.ID]page.LSN)
-	ops, err := s.cat.replay(updated)
+	an, ops, err := s.cat.replay(updated)
 	if err != nil {
 		return err
 	}
@@ -270,7 +271,7 @@ func (s *Server) restart() error {
 			}
 		}
 	}
-	if s.txm, _, err = tx.Restart(s.log, s.locks, s, s.hk); err != nil {
+	if s.txm, _, err = tx.Restart(an, s.locks, s, s.hk); err != nil {
 		return fmt.Errorf("server: recovery: %w", err)
 	}
 	return nil

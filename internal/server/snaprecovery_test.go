@@ -168,3 +168,56 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	s2 = nil
 	goleak.Check(t, "cache.")
 }
+
+// TestPreparedBranchSurvivesCheckpoint: a branch that voted yes before a
+// checkpoint is still in doubt after the server reopens, and its
+// coordinator's commit decision publishes its image.
+func TestPreparedBranchSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := s1.OpenDB("d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := s1.Hello("w")
+	key, img := mkSegImage(t, s1, db, []byte("v1......"))
+	tx1, _ := s1.NewTx()
+	if err := s1.Lock(cl, tx1, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Commit(cl, tx1, []proto.SegImage{img}); err != nil {
+		t.Fatal(err)
+	}
+	tx2, _ := s1.NewTx()
+	if err := s1.Lock(cl, tx2, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Prepare(cl, tx2, []proto.SegImage{overwriteImage(t, s1, key, []byte("v2......"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Decide(tx2, true); err != nil {
+		t.Fatalf("commit of the branch prepared before the checkpoint: %v", err)
+	}
+	snap, _, err := s2.SnapOpen(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapObject(t, s2, cl, snap, key); !bytes.Equal(got, []byte("v2......")) {
+		t.Fatalf("snapshot after the commit decision reads %q, want v2", got)
+	}
+}

@@ -42,19 +42,20 @@ import (
 // recLSN. A checkpoint lists, for each page an active transaction changed,
 // the LSN of the anchor the page had when the transaction first changed it —
 // at or before the transaction's first record of the page. Restart redo
-// replays a page from its recLSN (wal.Redo), and a page first seen after
+// replays a page from its recLSN (wal.Analysis.Redo), and a page first seen after
 // the checkpoint from its first record, which the reset below makes an
 // anchor: either way replay starts from a whole image, and
 // wal.RecoveryStats.UnanchoredPages stays 0. Repair by log replay
 // (server.repairRange) gets the same guarantee from the log's very first
 // record of the page.
 //
-// Atomicity. "Is an anchor due", the append, and the table update must not
-// straddle a checkpoint's reset, and a transaction's commit or abort record
-// must not slip in between a checkpoint's look at the transaction table and
-// its record. Manager.epoch provides both: appenders hold it shared,
-// Checkpoint holds it exclusively around snapshot + reset + append. Nobody
-// holds it across a log force.
+// Atomicity. Manager.epoch guards the two things a checkpoint changes or
+// records: the anchor reset — "is an anchor due", the append, and the anchors
+// update must not straddle it — and the dirty-page table, which lists a
+// transaction's pages exactly when the transaction's prepare, commit or abort
+// record follows the checkpoint's. Appenders hold it shared, Checkpoint holds
+// it exclusively around snapshot + reset + append. Nobody holds it across a
+// log force.
 //
 // The rule assumes what the server guarantees: a page that has been logged
 // is never again written without a record (unlogged initial images and raw
@@ -162,9 +163,8 @@ func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
 
 // logEnd moves t to state to — Prepared, Committed or Aborted — and appends
 // the records that say so, the first chained to t's last record, as one step
-// with respect to Checkpoint: a checkpoint then lists t as active exactly when
-// those records follow its own, never after them (restart would take a
-// committed transaction for a loser, or roll a rolled-back one back again).
+// with respect to Checkpoint (the epoch lock): a checkpoint's dirty-page table
+// then holds t's pages exactly when those records follow the checkpoint's.
 // It returns the first record's LSN for the caller to force, outside every
 // lock. A transaction that logged nothing ends without a record: LSN 0.
 func (t *Tx) logEnd(to State, types ...wal.Type) (page.LSN, error) {
@@ -216,9 +216,10 @@ func diffRange(a, b []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// Checkpoint writes a fuzzy checkpoint — the transactions still active or
-// prepared with their last LSNs, the pages they changed with their recLSNs —
-// starts a new anchor epoch, and forces the log.
+// Checkpoint writes a fuzzy checkpoint — the pages the transactions still
+// active or prepared changed, with their recLSNs — starts a new anchor epoch,
+// and forces the log. Which transactions are open restart reads off their own
+// records (wal.Analyze), not off the checkpoint.
 func (m *Manager) Checkpoint() (page.LSN, error) {
 	m.epoch.Lock()
 	m.mu.Lock()
@@ -228,16 +229,12 @@ func (m *Manager) Checkpoint() (page.LSN, error) {
 	}
 	m.anchors = make(map[page.ID]page.LSN)
 	m.mu.Unlock()
-	var at []wal.CkptTx
 	recLSN := make(map[page.ID]page.LSN)
 	for _, t := range txs {
 		t.mu.Lock()
 		// A transaction past Active/Prepared has its commit or abort record
-		// in the log already, ahead of this checkpoint's: restart must not
-		// take it for a loser. One that logged nothing is not restart's
-		// business at all.
-		if (t.state == Active || t.state == Prepared) && t.lastLSN != 0 {
-			at = append(at, wal.CkptTx{Tx: t.id, LastLSN: t.lastLSN})
+		// in the log already, ahead of this checkpoint's.
+		if t.state == Active || t.state == Prepared {
 			for pid, lsn := range t.dirty {
 				if have, ok := recLSN[pid]; !ok || lsn < have {
 					recLSN[pid] = lsn
@@ -251,14 +248,13 @@ func (m *Manager) Checkpoint() (page.LSN, error) {
 		dp = append(dp, wal.CkptPage{Page: pid, RecLSN: lsn})
 	}
 	// Sorted, so that the same history writes the same log bytes.
-	sort.Slice(at, func(i, j int) bool { return at[i].Tx < at[j].Tx })
 	sort.Slice(dp, func(i, j int) bool {
 		if dp[i].Page.Area != dp[j].Page.Area {
 			return dp[i].Page.Area < dp[j].Page.Area
 		}
 		return dp[i].Page.Page < dp[j].Page.Page
 	})
-	lsn, err := m.log.Append(&wal.Record{Type: wal.TCheckpoint, ActiveTxs: at, DirtyPages: dp})
+	lsn, err := m.log.Append(&wal.Record{Type: wal.TCheckpoint, DirtyPages: dp})
 	m.epoch.Unlock()
 	if err != nil {
 		return 0, err

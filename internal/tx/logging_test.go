@@ -192,7 +192,7 @@ func TestCLRFollowsAnchorRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.log = crashed
-	if _, _, err := Restart(crashed, lock.NewManager(), pg, nil); err != nil {
+	if _, _, err := restart(crashed, pg); err != nil {
 		t.Fatal(err)
 	}
 	if clrs = allCLRs(crashed); len(clrs) != 2 || !clrs[0].WholePage() || clrs[1].WholePage() {
@@ -244,32 +244,10 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := readRec(t, l, lsn); len(rec.ActiveTxs) != 0 {
-		t.Fatalf("checkpoint lists %+v", rec.ActiveTxs)
+	if rec := readRec(t, l, lsn); len(rec.DirtyPages) != 0 {
+		t.Fatalf("checkpoint lists %+v", rec.DirtyPages)
 	}
 	idle.Commit()
-}
-
-// checkpointsListOnlyUnfinished checks every checkpoint in l against the
-// records ahead of it: a transaction whose commit or abort record precedes the
-// checkpoint's must not be listed as active — restart would take it for a
-// loser unless its end record also happened to survive.
-func checkpointsListOnlyUnfinished(t *testing.T, l *wal.Log) {
-	t.Helper()
-	finished := make(map[uint64]page.LSN)
-	l.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
-		switch r.Type {
-		case wal.TCommit, wal.TAbort:
-			finished[r.Tx] = lsn
-		case wal.TCheckpoint:
-			for _, e := range r.ActiveTxs {
-				if fin, ok := finished[e.Tx]; ok {
-					t.Errorf("checkpoint at %d lists tx %d as active; its commit/abort record is at %d", lsn, e.Tx, fin)
-				}
-			}
-		}
-		return nil
-	})
 }
 
 // gatedBacking is a memory wal.Backing whose Sync can be held up: the test
@@ -368,8 +346,7 @@ func TestCheckpointDuringCommitKeepsTheCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkpointsListOnlyUnfinished(t, crashed)
-	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
+	_, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +485,6 @@ func TestCheckpointInterleaving(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkpointsListOnlyUnfinished(t, crashed)
 		var ckptLSN page.LSN
 		var ckpt *wal.Record
 		crashed.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
@@ -535,7 +511,7 @@ func TestCheckpointInterleaving(t *testing.T) {
 			disk.pages[pid] = junk
 		}
 		disk.log = crashed
-		_, st, err := Restart(crashed, lock.NewManager(), disk, nil)
+		_, st, err := restart(crashed, disk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -636,7 +612,7 @@ func TestAnchorUndoIsRangeSized(t *testing.T) {
 	crashed := pg.clone()
 	crashed.log = l2
 	crashed.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size)
-	_, st, err := Restart(l2, lock.NewManager(), crashed, nil)
+	_, st, err := restart(l2, crashed)
 	if err != nil {
 		t.Fatal(err)
 	}

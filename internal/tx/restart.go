@@ -9,20 +9,20 @@ import (
 )
 
 // Restart brings the pages and the transaction table to what the log
-// describes, ARIES-style, and returns the manager to go on with. Package wal
-// analyses the log and repeats history (wal.Redo); the transactions it finds
-// open are adopted into the new manager's table with their log chains; the
-// losers among them are rolled back, latest first, by the loop every runtime
-// abort runs (Tx.Abort), so restart's CLRs follow the anchor rule like any
-// others; an in-doubt 2PC branch is simply still in the table, Prepared, for
-// its coordinator's decision to Commit or Abort.
-func Restart(log *wal.Log, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) (*Manager, *wal.RecoveryStats, error) {
-	st, open, err := wal.Redo(log, pager)
-	if err != nil {
+// describes, ARIES-style, and returns the manager to go on with. an is the
+// log's analysis (wal.Analyze); Restart repeats history from it (Redo), adopts
+// the transactions it found open into the new manager's table with their log
+// chains, and rolls the losers among them back, latest first, by the loop
+// every runtime abort runs (Tx.Abort), so restart's CLRs follow the anchor
+// rule like any others; an in-doubt 2PC branch is simply still in the table,
+// Prepared, for its coordinator's decision to Commit or Abort.
+func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) (*Manager, *wal.RecoveryStats, error) {
+	if err := an.Redo(pager); err != nil {
 		return nil, nil, err
 	}
-	m := NewManager(log, locks, pager, hk)
-	for _, u := range open {
+	st := &an.Stats
+	m := NewManager(an.Log(), locks, pager, hk)
+	for _, u := range an.Open {
 		state := Active
 		if u.Prepared {
 			state = Prepared

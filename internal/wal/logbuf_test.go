@@ -133,7 +133,7 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 		case k == 0:
 			add(&Record{Type: TCommit, Tx: uint64(rng.Intn(9)), PrevLSN: page.LSN(rng.Intn(1 << 20))})
 		case k == 1:
-			add(&Record{Type: TCheckpoint, ActiveTxs: make([]CkptTx, rng.Intn(40)), DirtyPages: make([]CkptPage, rng.Intn(3000))})
+			add(&Record{Type: TCheckpoint, DirtyPages: make([]CkptPage, rng.Intn(3000))})
 		case k == 2:
 			add(&Record{Type: TCatalog, Body: blob[:rng.Intn(logBufSize/3)]})
 		case k < 6:
@@ -284,7 +284,7 @@ func TestLogBufferStress(t *testing.T) {
 	every(3<<20, flush)
 	every(5<<20, flush)
 	every(1<<20, func() {
-		if _, err := Checkpoint(l, []CkptTx{{Tx: 1, LastLSN: 8}}, make([]CkptPage, 500)); err != nil && !errors.Is(err, errFlaky) {
+		if _, err := Checkpoint(l, make([]CkptPage, 500)); err != nil && !errors.Is(err, errFlaky) {
 			t.Errorf("checkpoint: %v", err)
 		}
 		l.mu.Lock()

@@ -15,8 +15,8 @@ type Pager interface {
 	WritePage(proof Logged, data []byte) error
 }
 
-// RecoveryStats summarizes one restart: Redo fills in what analysis and redo
-// found, tx.Restart what undo wrote.
+// RecoveryStats summarizes one restart: Analyze fills in what analysis found,
+// Redo what it replayed, tx.Restart what undo wrote.
 type RecoveryStats struct {
 	RecordsAnalyzed int
 	RedoApplied     int
@@ -41,97 +41,101 @@ type Unfinished struct {
 	Prepared bool
 }
 
-// Redo performs the first two passes of ARIES-style restart — analysis from
-// the most recent checkpoint, physical redo of history — and returns the
-// transactions still open at the end of the log, latest record first. Undo is
-// not done here: the transaction manager adopts them and rolls the losers
-// back the way it rolls back at runtime (tx.Restart).
-//
-// Redo replays a record only at or after its page's recLSN — the
-// checkpoint's dirty-page entry, or the page's first record after the
-// checkpoint. Update records are byte ranges, so where a page's replay starts
-// matters: the logging rule makes each of those two LSNs a whole-page image.
-//
-// Catalog records (TCatalog) are not Redo's: the server replays them into its
-// catalog, and re-establishes the storage they name, before it restarts the
-// pages. Both passes skip them.
-func Redo(l *Log, p Pager) (*RecoveryStats, []Unfinished, error) {
-	st := &RecoveryStats{}
+// Analysis is what restart learns of the log in one forward pass: the
+// transactions it leaves open, which the transaction manager adopts and
+// rolls back or keeps in doubt (tx.Restart), and the pages redo must replay.
+type Analysis struct {
+	Stats RecoveryStats
+	Open  []Unfinished // latest record first
+	log   *Log
+	dirty map[page.ID]page.LSN // page → recLSN
+}
 
-	// Pass 0: find the most recent checkpoint.
-	var ckptLSN page.LSN
-	var ckpt *Record
-	if err := l.Iterate(firstLSN, func(lsn page.LSN, rec *Record) error {
-		st.RecordsAnalyzed++
-		if rec.Type == TCheckpoint {
-			ckptLSN, ckpt = lsn, rec
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	st.CheckpointLSN = ckptLSN
-
-	// Pass 1: analysis — rebuild the transaction table and dirty-page table
-	// starting from the checkpoint. A transaction's status is the type of the
-	// record that last changed it: TUpdate while active, TPrepare in doubt
-	// (neither redone away nor undone until the coordinator's decision
-	// arrives), TCommit a winner, TAbort rolled back before the crash.
+// Analyze reads the log once, from its first record, and calls visit (if not
+// nil) on every record, so that restart's other readers of the log — the
+// server's catalog replay — ride this pass instead of walking it themselves.
+//
+// A transaction's status is the type of its own last record: TUpdate or TCLR
+// while active, TPrepare in doubt (kept until its coordinator decides),
+// TCommit a winner, TAbort or TEnd finished, and forgotten. A checkpoint's
+// dirty-page table replaces the one analysis built: a page's recLSN is the
+// last checkpoint's entry, or else the page's first record after it (or in the
+// log). The logging rule makes each of those a whole-page image. Catalog
+// records belong to no transaction and no page.
+func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, error) {
+	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN)}
+	st := &a.Stats
 	type txInfo struct {
 		lastLSN page.LSN
 		status  Type
 	}
 	txs := make(map[uint64]txInfo)
-	dpt := make(map[page.ID]page.LSN)
-	scanFrom := firstLSN
-	if ckpt != nil {
-		scanFrom = ckptLSN
-		for _, e := range ckpt.ActiveTxs {
-			txs[e.Tx] = txInfo{e.LastLSN, TUpdate}
-		}
-		for _, e := range ckpt.DirtyPages {
-			dpt[e.Page] = e.RecLSN
-		}
-	}
-	if err := l.Iterate(scanFrom, func(lsn page.LSN, rec *Record) error {
+	if err := l.Iterate(firstLSN, func(lsn page.LSN, rec *Record) error {
+		st.RecordsAnalyzed++
 		switch rec.Type {
 		case TUpdate, TCLR:
 			txs[rec.Tx] = txInfo{lsn, TUpdate}
-			if _, ok := dpt[rec.Page]; !ok {
-				dpt[rec.Page] = lsn
+			if _, ok := a.dirty[rec.Page]; !ok {
+				a.dirty[rec.Page] = lsn
 			}
 		case TCommit, TPrepare:
 			txs[rec.Tx] = txInfo{lsn, rec.Type}
-		case TAbort:
-			if ti, ok := txs[rec.Tx]; ok {
-				txs[rec.Tx] = txInfo{ti.lastLSN, TAbort}
-			}
-		case TEnd:
+		case TAbort, TEnd:
 			delete(txs, rec.Tx)
+		case TCheckpoint:
+			st.CheckpointLSN = lsn
+			clear(a.dirty)
+			for _, e := range rec.DirtyPages {
+				a.dirty[e.Page] = e.RecLSN
+			}
 		}
-		return nil
+		if visit == nil {
+			return nil
+		}
+		return visit(lsn, rec)
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Pass 2: redo — repeat history from the earliest recLSN.
-	redoStart := firstLSN
-	if ckpt != nil {
-		redoStart = ckptLSN
-		for _, rl := range dpt {
-			if rl < redoStart {
-				redoStart = rl
-			}
+	st.RedoStartLSN = max(st.CheckpointLSN, firstLSN)
+	for _, rl := range a.dirty {
+		st.RedoStartLSN = min(st.RedoStartLSN, rl)
+	}
+	for tx, ti := range txs {
+		switch ti.status {
+		case TUpdate:
+			st.Losers = append(st.Losers, tx)
+			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
+		case TPrepare:
+			st.InDoubt = append(st.InDoubt, tx)
+			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN, Prepared: true})
+		case TCommit:
+			st.Winners = append(st.Winners, tx)
 		}
 	}
-	st.RedoStartLSN = redoStart
+	for _, ids := range [][]uint64{st.Losers, st.Winners, st.InDoubt} {
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
+	sort.Slice(a.Open, func(i, j int) bool { return a.Open[i].LastLSN > a.Open[j].LastLSN })
+	return a, nil
+}
+
+// Log is the log a was made from.
+func (a *Analysis) Log() *Log { return a.log }
+
+// Redo repeats history onto p: every update and CLR from the redo start on,
+// each only at or after its page's recLSN. Update records are byte ranges, so
+// where a page's replay starts matters; the logging rule makes each recLSN a
+// whole-page image, and Stats.UnanchoredPages counts the pages it did not.
+func (a *Analysis) Redo(p Pager) error {
+	st := &a.Stats
 	buf := make([]byte, page.Size)
 	replayed := make(map[page.ID]bool)
-	if err := l.Iterate(redoStart, func(lsn page.LSN, rec *Record) error {
+	return a.log.Iterate(st.RedoStartLSN, func(lsn page.LSN, rec *Record) error {
 		if rec.Type != TUpdate && rec.Type != TCLR {
 			return nil
 		}
-		if rl, dirty := dpt[rec.Page]; !dirty || lsn < rl || len(rec.After) == 0 {
+		if rl, dirty := a.dirty[rec.Page]; !dirty || lsn < rl || len(rec.After) == 0 {
 			return nil
 		}
 		if !replayed[rec.Page] {
@@ -152,34 +156,13 @@ func Redo(l *Log, p Pager) (*RecoveryStats, []Unfinished, error) {
 		}
 		st.RedoApplied++
 		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	var open []Unfinished
-	for tx, ti := range txs {
-		switch ti.status {
-		case TUpdate:
-			st.Losers = append(st.Losers, tx)
-			open = append(open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
-		case TPrepare:
-			st.InDoubt = append(st.InDoubt, tx)
-			open = append(open, Unfinished{Tx: tx, LastLSN: ti.lastLSN, Prepared: true})
-		case TCommit:
-			st.Winners = append(st.Winners, tx)
-		}
-	}
-	for _, ids := range [][]uint64{st.Losers, st.Winners, st.InDoubt} {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i].LastLSN > open[j].LastLSN })
-	return st, open, nil
+	})
 }
 
-// Checkpoint writes a fuzzy checkpoint record capturing the live
-// transaction table and dirty-page table, and flushes the log.
-func Checkpoint(l *Log, active []CkptTx, dirty []CkptPage) (page.LSN, error) {
-	lsn, err := l.Append(&Record{Type: TCheckpoint, ActiveTxs: active, DirtyPages: dirty})
+// Checkpoint writes a fuzzy checkpoint record carrying the dirty-page table
+// and flushes the log.
+func Checkpoint(l *Log, dirty []CkptPage) (page.LSN, error) {
+	lsn, err := l.Append(&Record{Type: TCheckpoint, DirtyPages: dirty})
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"bess/internal/page"
@@ -40,11 +43,16 @@ func (p *memPager) WritePage(proof Logged, data []byte) error {
 	return nil
 }
 
-// redoOn is Redo with p checking proofs against l. What restart does with the
-// transactions it reports — undo — is tested where it lives (internal/tx).
+// redoOn is Analyze and Redo, p checking proofs against l. What restart does
+// with the transactions analysis reports — undo — is tested where it lives
+// (internal/tx).
 func redoOn(l *Log, p *memPager) (*RecoveryStats, []Unfinished, error) {
 	p.log = l
-	return Redo(l, p)
+	a, err := Analyze(l, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &a.Stats, a.Open, a.Redo(p)
 }
 
 // put is the raw device write a buffer manager would do.
@@ -166,7 +174,7 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	q1, _ := l.Append(upd(3, 0, pQ, 10, "qq", "ZZ"))
 	l.Append(&Record{Type: TCommit, Tx: 3, PrevLSN: q1})
 	l.Append(&Record{Type: TEnd, Tx: 3})
-	if _, err := Checkpoint(l, []CkptTx{{Tx: 2, LastLSN: pAnchor}}, []CkptPage{{Page: pP, RecLSN: pAnchor}}); err != nil {
+	if _, err := Checkpoint(l, []CkptPage{{Page: pP, RecLSN: pAnchor}}); err != nil {
 		t.Fatal(err)
 	}
 	// After the checkpoint: a delta of P (anchored by its recLSN), and R's
@@ -201,6 +209,75 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	}
 	if st.RedoApplied != 3 || st.UnanchoredPages != 1 {
 		t.Fatalf("redo applied %d records, %d unanchored pages; want 3 and 1 (R)", st.RedoApplied, st.UnanchoredPages)
+	}
+}
+
+// TestAnalyzePreparedAcrossCheckpoints: a transaction's status is its own last
+// record, wherever the last checkpoint falls. The log is one the builds before
+// this one wrote — the checkpoint lists the branch and the loser as active,
+// which those builds took for two losers — and a second, current checkpoint
+// follows: the branch prepared before both is in doubt with its last LSN, the
+// loser is a loser, and the transaction committed before both, its end record
+// lost, is a winner.
+func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
+	l := NewMem()
+	pA, pB := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}
+	w, _ := l.Append(upd(1, 0, pA, 0, "\x00", "W"))
+	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: w})
+	b, _ := l.Append(upd(2, 0, pB, 0, "\x00", "B"))
+	prep, _ := l.Append(&Record{Type: TPrepare, Tx: 2, PrevLSN: b})
+	u, _ := l.Append(upd(3, 0, pA, 8, "\x00", "L"))
+	l.Flush(0)
+	body := listingCheckpoint([][2]uint64{{2, uint64(prep)}, {3, uint64(u)}}, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
+	img := binary.BigEndian.AppendUint32(l.DurableBytes(), uint32(len(body)))
+	img = append(binary.BigEndian.AppendUint32(img, page.Checksum(body)), body...)
+	old, err := OpenMemFrom(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, _ := old.Append(upd(3, u, pA, 9, "\x00", "M"))
+	ckpt, _ := Checkpoint(old, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
+
+	disk := newMemPager()
+	st, open, err := redoOn(old, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Unfinished{{Tx: 3, LastLSN: last}, {Tx: 2, LastLSN: prep, Prepared: true}}
+	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[1] [3] [2]" || !reflect.DeepEqual(open, want) {
+		t.Fatalf("winners %v losers %v in doubt %v, open %+v; want open %+v", st.Winners, st.Losers, st.InDoubt, open, want)
+	}
+	if st.CheckpointLSN != ckpt || st.RedoStartLSN != w || st.RecordsAnalyzed != 8 || st.RedoApplied != 4 {
+		t.Fatalf("%+v", st)
+	}
+	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 8) != 'L' || disk.byteAt(pA, 9) != 'M' || disk.byteAt(pB, 0) != 'B' {
+		t.Fatal("redo did not repeat history from the checkpoint's recLSNs")
+	}
+}
+
+// TestAnalyzeVisitsEveryRecord: the visitor sees each record once, in log
+// order, from the first — catalog records included — and its error ends the
+// pass.
+func TestAnalyzeVisitsEveryRecord(t *testing.T) {
+	l := NewMem()
+	var want []page.LSN
+	for _, r := range []*Record{{Type: TCatalog, Body: catalogBody(t)}, upd(1, 0, page.ID{Area: 1, Page: 1}, 0, "\x00", "x"),
+		{Type: TCheckpoint}, {Type: TCommit, Tx: 1}, {Type: TCatalog, Body: catalogBody(t)}} {
+		lsn, _ := l.Append(r)
+		want = append(want, lsn)
+	}
+	l.Flush(0)
+	var got []page.LSN
+	if _, err := Analyze(l, func(lsn page.LSN, _ *Record) error { got = append(got, lsn); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("visited %v, want %v", got, want)
+	}
+	stop := errors.New("stop")
+	n := 0
+	if _, err := Analyze(l, func(page.LSN, *Record) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("a failing visitor: %v after %d records", err, n)
 	}
 }
 

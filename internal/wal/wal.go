@@ -1,7 +1,7 @@
 // Package wal implements the BeSS write-ahead log: an ARIES-like protocol
 // (paper §3, reference [21]) with physical byte-range update records,
-// compensation log records (CLRs), fuzzy checkpoints, and a three-pass
-// restart (analysis, redo, undo).
+// compensation log records (CLRs), fuzzy checkpoints, and restart's analysis
+// and redo passes (recovery.go; undo is package tx's).
 //
 // Redo is physical (copy the after-image to the page at the recorded
 // offset) and therefore idempotent, so pages need not carry a pageLSN:
@@ -65,12 +65,6 @@ func (t Type) String() string {
 	}
 }
 
-// CkptTx is an active-transaction-table entry in a checkpoint record.
-type CkptTx struct {
-	Tx      uint64
-	LastLSN page.LSN
-}
-
 // CkptPage is a dirty-page-table entry in a checkpoint record.
 type CkptPage struct {
 	Page   page.ID
@@ -94,8 +88,7 @@ type Record struct {
 	Before   []byte   // undo image (empty for CLRs)
 	UndoNext page.LSN // CLR: next record to undo
 
-	// Checkpoint fields.
-	ActiveTxs  []CkptTx
+	// Checkpoint: the dirty-page table.
 	DirtyPages []CkptPage
 
 	// Catalog record: the rest of the record, as the server wrote it.
@@ -196,7 +189,7 @@ func (r *Record) sizeOf(zeroBefore, zeroAfter bool) int {
 			n += len(r.After)
 		}
 	case TCheckpoint:
-		n += 4 + 16*len(r.ActiveTxs) + 4 + 20*len(r.DirtyPages)
+		n += 4 + 4 + 20*len(r.DirtyPages)
 	case TCatalog:
 		n += len(r.Body)
 	}
@@ -250,11 +243,9 @@ func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
 		b = appendImage(b, r.Before, zeroBefore)
 		b = appendImage(b, r.After, zeroAfter)
 	case TCheckpoint:
-		b = be.AppendUint32(b, uint32(len(r.ActiveTxs)))
-		for _, e := range r.ActiveTxs {
-			b = be.AppendUint64(b, e.Tx)
-			b = be.AppendUint64(b, uint64(e.LastLSN))
-		}
+		// The first word counts a list of (tx, last LSN) pairs that earlier
+		// builds wrote and restart no longer reads (decodeRecord skips it).
+		b = be.AppendUint32(b, 0)
 		b = be.AppendUint32(b, uint32(len(r.DirtyPages)))
 		for _, e := range r.DirtyPages {
 			b = be.AppendUint32(b, uint32(e.Page.Area))
@@ -345,17 +336,10 @@ func decodeRecord(b []byte) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := uint32(0); i < n; i++ {
-			tx, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			l, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			r.ActiveTxs = append(r.ActiveTxs, CkptTx{Tx: tx, LastLSN: page.LSN(l)})
+		if uint64(n)*16 > uint64(len(p)) {
+			return nil, ErrCorrupt
 		}
+		p = p[n*16:]
 		n, err = u32()
 		if err != nil {
 			return nil, err

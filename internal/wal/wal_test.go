@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bess/internal/page"
@@ -61,12 +62,14 @@ func TestAppendFlushIterate(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTrip: a checkpoint carries its dirty-page table. The
+// word before it counts a list of transactions that earlier builds wrote in
+// the same format version: written as 0, skipped when it is not, and a count
+// that runs past the record is ErrCorrupt, at once.
 func TestCheckpointRoundTrip(t *testing.T) {
 	l := NewMem()
-	lsn, err := Checkpoint(l,
-		[]CkptTx{{Tx: 5, LastLSN: 99}, {Tx: 6, LastLSN: 120}},
-		[]CkptPage{{Page: page.ID{Area: 1, Page: 3}, RecLSN: 42}},
-	)
+	dirty := []CkptPage{{Page: page.ID{Area: 1, Page: 3}, RecLSN: 42}}
+	lsn, err := Checkpoint(l, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +77,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.ActiveTxs) != 2 || rec.ActiveTxs[1].Tx != 6 || rec.ActiveTxs[1].LastLSN != 120 {
-		t.Fatalf("active txs: %+v", rec.ActiveTxs)
-	}
-	if len(rec.DirtyPages) != 1 || rec.DirtyPages[0].RecLSN != 42 {
+	if !reflect.DeepEqual(rec.DirtyPages, dirty) {
 		t.Fatalf("dirty pages: %+v", rec.DirtyPages)
 	}
+	body := rec.appendTo(nil)
+	if n := binary.BigEndian.Uint32(body[17:]); n != 0 {
+		t.Fatalf("transaction list count %d, want 0", n)
+	}
+
+	old := listingCheckpoint([][2]uint64{{5, 99}, {6, 120}}, dirty)
+	if rec, err := decodeRecord(old); err != nil || rec.Type != TCheckpoint || !reflect.DeepEqual(rec.DirtyPages, dirty) {
+		t.Fatalf("checkpoint listing transactions: %+v, %v", rec, err)
+	}
+	for _, n := range []uint32{uint32(len(old)-21)/16 + 1, 1 << 28, 1<<32 - 1} {
+		binary.BigEndian.PutUint32(old[17:], n)
+		if _, err := decodeRecord(old); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("list count %d past the record: %v", n, err)
+		}
+	}
+}
+
+// listingCheckpoint is the body of a checkpoint record as the builds before
+// this one wrote it: a list of (tx, last LSN) pairs ahead of the dirty pages.
+func listingCheckpoint(txs [][2]uint64, dirty []CkptPage) []byte {
+	b := (&Record{Type: TCheckpoint, DirtyPages: dirty}).appendTo(nil)
+	list := binary.BigEndian.AppendUint32(nil, uint32(len(txs)))
+	for _, e := range txs {
+		list = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(list, e[0]), e[1])
+	}
+	return append(append(b[:17:17], list...), b[21:]...)
 }
 
 func TestDurableBytesExcludesTail(t *testing.T) {
