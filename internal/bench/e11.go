@@ -113,9 +113,3 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 	res.SyncsPerCommit = float64(res.WALSyncs) / float64(commits)
 	return res
 }
-
-// FormatE11 renders an E11 row.
-func FormatE11(r E11Result) string {
-	return fmt.Sprintf("clients=%-3d commits=%-5d %8.0f commits/s  syncs=%-5d syncs/commit=%.3f grouped=%d  %s",
-		r.Clients, r.Commits, r.CommitsPerSec, r.WALSyncs, r.SyncsPerCommit, r.GroupedCommits, FormatLatency(r.Latency))
-}

@@ -19,7 +19,7 @@ import (
 // ways — readers queue behind in-flight writers and writers queue behind
 // in-flight readers. In snap mode the read runs as a snapshot transaction:
 // a pinned version stamp, zero lock-manager traffic, reads served from the
-// cached copy, the version chain, or a WAL reconstruction. The experiment
+// cached copy, the version chain, or the disk. The experiment
 // sweeps writer count at a fixed reader population and the read/write mix
 // at a fixed worker count, on uniform and zipfian (hot-set) key streams,
 // and reports throughput and latency per operation class plus the server's
@@ -71,7 +71,6 @@ type E16Row struct {
 	Drops          int64 `json:"drops"`           // cached copies revoked
 	SnapFetches    int64 `json:"snap_fetches,omitempty"`
 	ChainHits      int64 `json:"chain_hits,omitempty"`
-	WALRebuilds    int64 `json:"wal_rebuilds,omitempty"`
 }
 
 // e16ReadOp is one read transaction over (seg, slot). Base mode pins the
@@ -248,7 +247,6 @@ func runE16(env *E18Env, mode, dist string, fracs []float64, dur time.Duration, 
 	row.LockBlocks = lockAfter.Blocks - lockBefore.Blocks
 	row.SnapFetches = env.srv.Snapshot().SnapFetches - snapBefore
 	row.ChainHits = vsAfter.ChainHits - vsBefore.ChainHits
-	row.WALRebuilds = vsAfter.Trimmed - vsBefore.Trimmed
 	return row
 }
 

@@ -86,13 +86,6 @@ func NewPool(nslots int) *Pool {
 	return p
 }
 
-// Cap returns the number of slots.
-func (p *Pool) Cap() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.slots)
-}
-
 // SlotData returns the backing bytes of slot i. The slice aliases the cache
 // arena; processes map it into their address spaces.
 func (p *Pool) SlotData(i int) []byte {

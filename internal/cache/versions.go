@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -14,35 +14,30 @@ import (
 //
 // The newest committed image of a segment always lives on disk (and in the
 // regular page cache); the VersionStore retains only superseded images —
-// and only those a currently open snapshot might still need. An updater
-// stages each segment before overwriting its pages (StageUpdate captures
-// the pre-update image while any snapshot is open) and publishes the staged
-// set at commit (CommitTx stamps the captured images with their validity
-// window and bumps the segment's commit stamp). A snapshot read at stamp T
-// resolves to exactly one of: a chain entry whose [from, until) window
-// contains T, the current disk image (when the segment's stamp is ≤ T and
-// no update is mid-overwrite), or ErrTrimmed — the caller reconstructs the
-// image from WAL before-images instead.
+// and only those a snapshot might still need. An updater stages each segment
+// before overwriting its pages, handing StageUpdate the pre-update image it
+// read (the store owns those bytes from then on), and publishes the staged
+// set at commit (CommitTx stamps each image with its validity window and
+// bumps the segment's commit stamp). A snapshot read at stamp T resolves to
+// exactly one of: a chain entry whose [from, until) window contains T, or the
+// current disk image (when the segment's stamp is ≤ T and no update is
+// mid-overwrite). Nothing else: the store keeps every image a snapshot can
+// reach, so a miss is an invariant violation (VersionMiss).
 //
-// Retention is bounded two ways: a watermark GC goroutine drops every entry
-// whose window ends at or below the oldest open snapshot (all entries, when no
-// snapshot is open), and a per-segment cap evicts the oldest entries beyond
-// maxVersions (snapshots that still needed one fall back to the WAL). There
-// are no pins: a retained image is immutable after StageUpdate's one copy, so
-// AsOf hands it out by value and dropping an entry drops only the chain's
-// reference — the bytes live as long as the reply that holds them (Larson et
-// al., PAPERS.md, reclaim by the oldest reader's watermark alone).
+// Retention is by watermark alone (Larson et al., PAPERS.md: reclaim by the
+// oldest reader): the watermark is the smallest stamp an open snapshot has,
+// or the commit stamp when none is smaller, and an image superseded at or
+// below it is one no snapshot, open or still to come, can read. CommitTx
+// drops such an image at its commit — every image when no snapshot is open —
+// and Trim drops the rest as snapshots close. There is no per-segment cap: a
+// cap would evict images an open snapshot reads. There are no pins either: a
+// retained image is immutable, so AsOf hands it out by value and dropping an
+// entry drops only the chain's reference — the bytes live as long as the
+// reply that holds them.
 
-// ErrTrimmed reports that no retained version covers the requested stamp;
-// the caller must reconstruct the image from the WAL (or treat the segment
-// as not yet visible at that stamp).
-var ErrTrimmed = errors.New("cache: version trimmed")
-
-// Version-store tuning.
-const (
-	defaultMaxVersions = 8
-	versionGCPeriod    = 50 * time.Millisecond
-)
+// versionGCPeriod paces the background Trim, which catches what a commit
+// published beside a closing snapshot's own Trim.
+const versionGCPeriod = 50 * time.Millisecond
 
 // VKey identifies one segment (area id + start page) without importing the
 // wire-protocol package.
@@ -58,14 +53,6 @@ type VImage struct {
 
 func (im *VImage) size() int { return len(im.Slotted) + len(im.Overflow) + len(im.Data) }
 
-func cloneImage(im VImage) VImage {
-	return VImage{
-		Slotted:  append([]byte(nil), im.Slotted...),
-		Overflow: append([]byte(nil), im.Overflow...),
-		Data:     append([]byte(nil), im.Data...),
-	}
-}
-
 // version is one retained committed image, valid for snapshot stamps in
 // [from, until).
 type version struct {
@@ -75,24 +62,43 @@ type version struct {
 }
 
 // stagedUpdate is one segment an in-flight transaction has begun
-// overwriting: the pre-update image (captured only while a snapshot is
-// open) and the stamp that produced it.
+// overwriting: the pre-update image and the stamp that produced it.
 type stagedUpdate struct {
 	key  VKey
 	from page.LSN
-	old  *VImage // nil: not captured, WAL fallback covers it
+	old  VImage
 }
 
 // VStats counts version-store activity.
 type VStats struct {
 	Entries   int   // retained versions
 	Bytes     int64 // retained image bytes
-	Captures  int64 // pre-update images copied by StageUpdate
+	Captures  int64 // pre-update images a commit added to a chain
 	ChainHits int64 // AsOf served from a chain entry
 	DiskReads int64 // AsOf resolved to the current disk image
 	Waits     int64 // AsOf blocked on a mid-overwrite segment
-	Trimmed   int64 // AsOf fell through to WAL reconstruction
-	Trims     int64 // entries dropped by GC or the per-segment cap
+	Trimmed   int64 // AsOf found no image: a VersionMiss
+	Trims     int64 // entries dropped by Trim
+}
+
+// A VersionMiss is AsOf finding no image for a stamp its segment has moved
+// past. Below Floor — the highest watermark the store has reclaimed at, which
+// no open snapshot's stamp is below — the snapshot that asked has closed and
+// the read raced its close. At or above Floor an image an open snapshot can
+// reach is gone: an invariant violation, which panics under the invariants
+// build tag.
+type VersionMiss struct {
+	Key   VKey
+	At    page.LSN
+	Floor page.LSN
+}
+
+func (e *VersionMiss) Error() string {
+	what := "snapshot closed"
+	if e.At >= e.Floor {
+		what = "retained version missing"
+	}
+	return fmt.Sprintf("cache: segment %d/%d as of %d: %s (watermark %d)", e.Key.Area, e.Key.Start, e.At, what, e.Floor)
 }
 
 // RankVersionStoreMu is VersionStore.mu's position in the server's lock
@@ -102,7 +108,7 @@ const RankVersionStoreMu lockcheck.Rank = 55
 
 // VersionStore retains superseded segment images for open snapshots.
 type VersionStore struct {
-	oldest func() (page.LSN, bool) // oldest open snapshot (the GC watermark)
+	watermark func() page.LSN // the reclaim horizon (tx.Manager.Watermark)
 
 	mu      lockcheck.Mutex
 	cond    *sync.Cond
@@ -110,23 +116,22 @@ type VersionStore struct {
 	stamp   map[VKey]page.LSN         // last commit stamp per key; guarded by mu
 	staged  map[VKey]int              // in-flight overwrites per key; guarded by mu
 	pending map[uint64][]stagedUpdate // per-tx staged updates; guarded by mu
+	floor   page.LSN                  // highest watermark reclaimed at; guarded by mu
 	stats   VStats                    // guarded by mu
-
-	maxVersions int
 
 	gc goleak.Group // the watermark GC ticker; Close stops it
 }
 
-// NewVersionStore wires a store to its snapshot registry: oldest yields the
-// GC watermark. Starts the GC goroutine; Close stops it.
-func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
+// NewVersionStore wires a store to its snapshot registry: watermark yields
+// the reclaim horizon, and must be computed in one step over the commit stamp
+// and every open snapshot's stamp. Starts the GC goroutine; Close stops it.
+func NewVersionStore(watermark func() page.LSN) *VersionStore {
 	vs := &VersionStore{
-		oldest:      oldest,
-		chains:      make(map[VKey][]version),
-		stamp:       make(map[VKey]page.LSN),
-		staged:      make(map[VKey]int),
-		pending:     make(map[uint64][]stagedUpdate),
-		maxVersions: defaultMaxVersions,
+		watermark: watermark,
+		chains:    make(map[VKey][]version),
+		stamp:     make(map[VKey]page.LSN),
+		staged:    make(map[VKey]int),
+		pending:   make(map[uint64][]stagedUpdate),
 	}
 	vs.mu.Init("VersionStore.mu", RankVersionStoreMu)
 	vs.cond = sync.NewCond(&vs.mu)
@@ -149,8 +154,8 @@ func NewVersionStore(oldest func() (page.LSN, bool)) *VersionStore {
 func (vs *VersionStore) Close() {
 	vs.gc.Stop()
 	vs.mu.Lock()
-	for key := range vs.chains {
-		vs.trimChainLocked(key, 0, false)
+	for key, chain := range vs.chains {
+		vs.dropOldestLocked(key, len(chain))
 	}
 	vs.mu.Unlock()
 }
@@ -169,35 +174,35 @@ type Staged struct {
 func (s Staged) By(txID uint64) bool { return s.ok && s.tx == txID }
 
 // StageUpdate records that txID is about to overwrite key's pages, under the
-// updater's X lock, and returns the proof of it. With capture set (the caller
-// saw an open snapshot), old — the current committed image — is copied for
-// the version chain; without it, WAL before-images cover reconstruction.
-func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage, capture bool) Staged {
+// updater's X lock, and returns the proof of it. old is the current committed
+// image as the updater read it; the store takes ownership of its bytes, which
+// nobody may write from here on.
+func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage) Staged {
 	vs.mu.Lock()
-	u := stagedUpdate{key: key, from: vs.stamp[key]}
-	if capture {
-		img := cloneImage(old)
-		u.old = &img
-		vs.stats.Captures++
-	}
-	vs.pending[txID] = append(vs.pending[txID], u)
+	vs.pending[txID] = append(vs.pending[txID], stagedUpdate{key: key, from: vs.stamp[key], old: old})
 	vs.staged[key]++
 	vs.mu.Unlock()
 	return Staged{tx: txID, ok: true}
 }
 
-// CommitTx publishes txID's staged updates at commit stamp: captured old
-// images join their chains with until=stamp, segment stamps advance, and
-// waiting snapshot reads wake. Runs from the tx commit hook, before lock
-// release.
+// CommitTx publishes txID's staged updates at commit stamp: each old image
+// joins its chain with until=stamp unless no snapshot can reach it, segment
+// stamps advance, and waiting snapshot reads wake. Runs from the tx commit
+// hook, after the version clock has passed stamp and before lock release.
 func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
+	w := vs.watermark() // Manager.mu ranks outside mu
 	vs.mu.Lock()
+	vs.floor = max(vs.floor, w)
 	for _, u := range vs.pending[txID] {
-		if u.old != nil {
-			vs.chains[u.key] = append(vs.chains[u.key], version{from: u.from, until: stamp, img: *u.old})
+		// A segment the transaction staged twice ends its chain with this
+		// commit's image already: the second stage read the transaction's own
+		// write, not a committed image.
+		chain := vs.chains[u.key]
+		if stamp > w && (len(chain) == 0 || chain[len(chain)-1].until != stamp) {
+			vs.chains[u.key] = append(chain, version{from: u.from, until: stamp, img: u.old})
 			vs.stats.Entries++
 			vs.stats.Bytes += int64(u.old.size())
-			vs.capChainLocked(u.key)
+			vs.stats.Captures++
 		}
 		vs.stamp[u.key] = stamp
 		vs.unstageLocked(u.key)
@@ -235,8 +240,7 @@ func (vs *VersionStore) unstageLocked(key VKey) {
 //   - (_, false, nil): the current disk image is the as-of-t version. The
 //     caller reads it and must confirm with Recheck before trusting it (an
 //     update may stage mid-read); on a false Recheck, call AsOf again.
-//   - (_, false, ErrTrimmed): no retained version covers t — reconstruct
-//     from the WAL.
+//   - (_, false, *VersionMiss): no image covers t.
 //
 // AsOf blocks while key is mid-overwrite by an uncommitted update that a
 // disk read would race (snapshot reads never block on locks, only on the
@@ -255,16 +259,21 @@ func (vs *VersionStore) AsOf(key VKey, t page.LSN) (img VImage, hit bool, err er
 		vs.stats.Waits++
 		vs.cond.Wait()
 	}
-	// Superseded after t: serve the chain entry covering t, if retained.
+	// Superseded after t: serve the chain entry covering t. Snapshots read
+	// recent stamps, so the search starts at the newest.
 	chain := vs.chains[key]
-	for i := range chain {
+	for i := len(chain) - 1; i >= 0; i-- {
 		if v := &chain[i]; v.from <= t && t < v.until {
 			vs.stats.ChainHits++
 			return v.img, true, nil
 		}
 	}
 	vs.stats.Trimmed++
-	return VImage{}, false, ErrTrimmed
+	miss := &VersionMiss{Key: key, At: t, Floor: vs.floor}
+	if lockcheck.Enabled && t >= vs.floor {
+		panic(miss.Error())
+	}
+	return VImage{}, false, miss
 }
 
 // Recheck reports whether a disk image read after an AsOf disk-read verdict
@@ -276,37 +285,22 @@ func (vs *VersionStore) Recheck(key VKey, t page.LSN) bool {
 	return vs.stamp[key] <= t && vs.staged[key] == 0
 }
 
-// Trim drops every entry no open snapshot can reach: all of them when no
-// snapshot is open, otherwise those whose window ends at or below the oldest
-// snapshot's stamp. Called by the GC goroutine and on snapshot close.
+// Trim drops every entry superseded at or below the watermark: all of them
+// once no snapshot is open. Called by the GC goroutine and on snapshot close.
 func (vs *VersionStore) Trim() {
-	w, any := vs.oldest()
+	w := vs.watermark()
 	vs.mu.Lock()
-	for key := range vs.chains {
-		vs.trimChainLocked(key, w, any)
+	vs.floor = max(vs.floor, w)
+	for key, chain := range vs.chains {
+		// A chain ascends — each commit of a segment supersedes the one
+		// before — so what goes is its oldest.
+		n := 0
+		for n < len(chain) && chain[n].until <= w {
+			n++
+		}
+		vs.dropOldestLocked(key, n)
 	}
 	vs.mu.Unlock()
-}
-
-// trimChainLocked drops key's entries no snapshot at or above w can reach
-// (all of them when none is open). A chain ascends — each commit of a
-// segment supersedes the one before — so they are its oldest.
-//
-//bess:holds mu
-func (vs *VersionStore) trimChainLocked(key VKey, w page.LSN, any bool) {
-	chain := vs.chains[key]
-	n := 0
-	for n < len(chain) && (!any || chain[n].until <= w) {
-		n++
-	}
-	vs.dropOldestLocked(key, n)
-}
-
-// capChainLocked evicts the oldest entries beyond maxVersions.
-//
-//bess:holds mu
-func (vs *VersionStore) capChainLocked(key VKey) {
-	vs.dropOldestLocked(key, len(vs.chains[key])-vs.maxVersions)
 }
 
 // dropOldestLocked drops key's n oldest entries (n <= 0: none): the chain

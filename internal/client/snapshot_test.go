@@ -142,7 +142,7 @@ func TestSnapshotReadConsistency(t *testing.T) {
 
 // TestSnapshotColdFetchAsOf pins the server half: a cold fetch issued after
 // a writer commits must still return the image as of the snapshot's stamp,
-// from the version chain or a WAL reconstruction.
+// from the version chain.
 func TestSnapshotColdFetchAsOf(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()

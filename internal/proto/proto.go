@@ -146,8 +146,8 @@ type Conn interface {
 	// SnapClose releases a snapshot, unpinning its stamp from version GC.
 	SnapClose(client uint32, snap uint64) error
 	// SnapFetchSeg returns the segment's image as of the snapshot's stamp:
-	// a retained version, the current image if unchanged, or a WAL
-	// reconstruction. No callback registration, no locks.
+	// a retained version, or the current image if unchanged. No callback
+	// registration, no locks.
 	SnapFetchSeg(client uint32, snap uint64, seg SegKey) (slotted, overflow, data []byte, err error)
 	// Name directory operations (root objects).
 	NameBind(db uint32, name string, o oid.OID) error

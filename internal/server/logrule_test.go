@@ -17,8 +17,8 @@ import (
 )
 
 // Tests for the byte-range logging rule (internal/tx/logging.go) as the
-// server uses it: what a commit costs in log bytes, and that repair, as-of
-// reconstruction and restart still rebuild exact images from ranges.
+// server uses it: what a commit costs in log bytes, and that repair and
+// restart still rebuild exact images from ranges.
 
 // decodeSeg fetches nothing: it decodes a fetched image into a segment with
 // its sections attached.
@@ -97,87 +97,6 @@ func TestLogVolumeBudget(t *testing.T) {
 	}
 }
 
-// TestAsOfAcrossRangeAnchor: an as-of image rebuilt from the disk image and the
-// log's undo halves alone is byte-exact at every stamp of a history that holds
-// every shape of undo half — the zero before-images of a first commit into
-// fresh data pages, the range-sized undo of an anchor, plain byte ranges, and
-// a rolled-back overwrite's — back to the stamp before the segment's first
-// commit, where its data pages are all zero again.
-func TestAsOfAcrossRangeAnchor(t *testing.T) {
-	s := NewMem(1)
-	defer s.Close()
-	db, _, _ := s.OpenDB("d", true)
-	type past struct {
-		stamp        page.LSN
-		sl, ov, data []byte
-	}
-	var key proto.SegKey
-	var history []past
-	record := func() {
-		t.Helper()
-		sl, ov, data, err := s.FetchSeg(0, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		history = append(history, past{s.txm.CommitStamp(), bytes.Clone(sl), bytes.Clone(ov), bytes.Clone(data)})
-	}
-	body := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 300) }
-
-	var img proto.SegImage
-	key, img = mkSegImage(t, s, db, body(1))
-	record() // created, nothing committed: the data pages are fresh
-	if !bytes.Equal(history[0].data, make([]byte, len(history[0].data))) {
-		t.Fatal("a created segment's data pages are not all zero")
-	}
-	commitImage(t, s, img) // fresh-page records: zero before-images
-	record()
-	commitImage(t, s, overwriteImage(t, s, key, body(2))) // byte ranges
-	record()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	commitImage(t, s, overwriteImage(t, s, key, body(3))) // anchors: whole-page redo, range undo
-	record()
-	cl, _ := s.Hello("c")
-	txid, _ := s.NewTx()
-	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prepare(cl, txid, []proto.SegImage{overwriteImage(t, s, key, body(4))}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Decide(txid, false); err != nil { // rolled back: CLRs over the ranges
-		t.Fatal(err)
-	}
-	commitImage(t, s, overwriteImage(t, s, key, body(5)))
-	record()
-
-	var shapes struct{ zeroBefore, rangeAnchor int }
-	s.log.Flush(0)
-	s.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		if r.Type == wal.TUpdate && r.Footprint().ZeroBefore > 0 {
-			shapes.zeroBefore++
-		}
-		if r.Type == wal.TUpdate && r.WholePage() && len(r.Before) < page.Size/2 {
-			shapes.rangeAnchor++
-		}
-		return nil
-	})
-	if shapes.zeroBefore == 0 || shapes.rangeAnchor == 0 {
-		t.Fatalf("history lacks a shape: %+v", shapes)
-	}
-	for i, h := range history {
-		_, sl, ov, data, err := s.readImage(key, secAll, view{t: h.stamp, rebuild: true})
-		if err != nil {
-			t.Fatalf("as of stamp %d: %v", h.stamp, err)
-		}
-		if !bytes.Equal(sl, h.sl) || !bytes.Equal(ov, h.ov) || !bytes.Equal(data, h.data) {
-			t.Fatalf("as of stamp %d (history %d of %d): rebuilt image differs from the one read then (slotted %v, overflow %v, data %v)",
-				h.stamp, i, len(history), bytes.Equal(sl, h.sl), bytes.Equal(ov, h.ov), bytes.Equal(data, h.data))
-		}
-	}
-}
-
 // TestLogAndApplyShortTail: data that ends inside a page changes only its own
 // bytes — the record's range stays inside them and the page's tail survives.
 func TestLogAndApplyShortTail(t *testing.T) {
@@ -193,14 +112,14 @@ func TestLogAndApplyShortTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := s.txm.Begin()
-	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{}, false)
+	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{})
 	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	if err := s.overwriteRun(staged, tr, aid, page.No(start), data, new([]byte)); err != nil { // anchors both pages
+	if err := s.overwriteRun(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil { // anchors both pages
 		t.Fatal(err)
 	}
 	copy(data[page.Size+10:], "short")
 	from := s.log.NextLSN()
-	if err := s.overwriteRun(staged, tr, aid, page.No(start), data, new([]byte)); err != nil {
+	if err := s.overwriteRun(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := func() (*wal.Record, error) {
@@ -256,9 +175,9 @@ func copyDir(t *testing.T, src string) string {
 //
 //	(i)   repair: a deliberately rotted slotted or data page is rebuilt from
 //	      the log and every object reads back as the model has it;
-//	(ii)  as-of: the image at earlier commit stamps, rebuilt from the disk
-//	      image and the log's undo ranges alone (the trimmed-version-chain
-//	      path), equals the model as it was at that stamp;
+//	(ii)  as-of: a snapshot opened at each earlier commit (snapshots die
+//	      with the server, so a reopen starts the history over) reads the
+//	      model as it was then, from the version chains or the disk;
 //	(iii) restart: a server opened on a copy of the durable files recovers to
 //	      the model.
 func TestLoggingRuleProperty(t *testing.T) {
@@ -313,10 +232,19 @@ func TestLoggingRuleProperty(t *testing.T) {
 		return c
 	}
 	type past struct {
-		stamp page.LSN
+		snap  uint64
 		state map[proto.SegKey][][]byte
 	}
-	history := []past{{s.txm.CommitStamp(), snapshotModel()}}
+	reader, _ := s.Hello("snapshots")
+	opened := func() past {
+		t.Helper()
+		snap, _, err := s.SnapOpen(reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return past{snap, snapshotModel()}
+	}
+	history := []past{opened()}
 
 	// overwrite returns an image of key with 1–2 objects partly overwritten,
 	// and what the model becomes if it commits.
@@ -361,7 +289,7 @@ func TestLoggingRuleProperty(t *testing.T) {
 			img, next := overwrite(key)
 			commitImage(t, s, img)
 			model[key] = next
-			history = append(history, past{s.txm.CommitStamp(), snapshotModel()})
+			history = append(history, opened())
 		case r < 7:
 			what = "abort"
 			img, _ := overwrite(key)
@@ -390,6 +318,8 @@ func TestLoggingRuleProperty(t *testing.T) {
 			if s, err = Open(dir, 1); err != nil {
 				t.Fatal(err)
 			}
+			reader, _ = s.Hello("snapshots")
+			history = []past{opened()}
 		}
 		at := fmt.Sprintf("step %d (%s)", step, what)
 
@@ -417,20 +347,22 @@ func TestLoggingRuleProperty(t *testing.T) {
 			t.Fatalf("%s: rot not repaired from the log: %+v", at, st)
 		}
 
-		// (ii) as-of images rebuilt from the log: the latest stamps and a
+		// (ii) as-of images through the open snapshots: the latest and a
 		// sample of older ones.
 		for i, h := range history {
 			if i < len(history)-3 && rng.Intn(4) != 0 {
 				continue
 			}
 			for _, k := range keys {
-				dec, _, ov, data, err := s.readImage(k, secAll, view{t: h.stamp, rebuild: true})
+				sl, ov, data, err := s.SnapFetchSeg(reader, h.snap, k)
 				if err != nil {
-					t.Fatalf("%s: as-of %d of %v: %v", at, h.stamp, k, err)
+					t.Fatalf("%s: snapshot %d of %v: %v", at, h.snap, k, err)
 				}
-				dec.Overflow, dec.Data = ov, data
-				same(fmt.Sprintf("%s: as of stamp %d (history %d of %d)", at, h.stamp, i, len(history)), objects(t, dec), h.state[k])
+				same(fmt.Sprintf("%s: snapshot %d (history %d of %d)", at, h.snap, i, len(history)), objects(t, decodeSeg(t, sl, ov, data)), h.state[k])
 			}
+		}
+		if st := s.VersionStats(); st.Trimmed != 0 {
+			t.Fatalf("%s: an as-of read missed: %+v", at, st)
 		}
 
 		// (iii) restart from the durable files.

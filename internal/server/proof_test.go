@@ -102,14 +102,14 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 	}
 	end := s.log.NextLSN()
 	for name, staged := range map[string]cache.Staged{"zero": {}, "another transaction's": foreign} {
-		if err := s.overwriteRun(staged, tr, key.Area, page.No(key.Start), data, new([]byte)); !errors.Is(err, ErrNotStaged) {
+		if err := s.overwriteRun(staged, tr, key.Area, page.No(key.Start), nil, data, new([]byte)); !errors.Is(err, ErrNotStaged) {
 			t.Fatalf("logAndApply on %s Staged: %v, want ErrNotStaged", name, err)
 		}
 	}
 	if s.log.NextLSN() != end || !bytes.Equal(readPage(t, s, pid), was) {
 		t.Fatal("an unstaged overwrite was logged or written")
 	}
-	if err := s.overwriteRun(foreign, other, key.Area, page.No(key.Start), data, new([]byte)); err != nil {
+	if err := s.overwriteRun(foreign, other, key.Area, page.No(key.Start), nil, data, new([]byte)); err != nil {
 		t.Fatalf("logAndApply on the transaction's own Staged: %v", err)
 	}
 	if !bytes.Equal(readPage(t, s, pid), data) {

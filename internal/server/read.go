@@ -76,33 +76,18 @@ type runRead struct {
 	Verify func(run []byte) error
 }
 
-// view says which version of a segment a read is for.
-type view struct {
-	// t is the snapshot's stamp; for a live read, the commit stamp when the
-	// read began (Server.live), which makes it a one-shot snapshot of "now".
-	t page.LSN
-	// rebuild: the version chain no longer covers t, so each run is rewound
-	// with the WAL's before-images (asOfBefores) between read and verify. The
-	// run is read before the log is scanned — any write that could have raced
-	// the read appended its record first (WAL rule) — so the rewind also
-	// heals torn reads.
-	//
-	// Known limitation: CreateSegment initializes pages without logging, so
-	// an as-of image whose pages were since freed and handed to a new segment
-	// rebuilds to that segment's initial state.
-	rebuild bool
-}
+// live is the stamp of a read of the current image: the commit stamp when the
+// read began, which makes it a one-shot snapshot of "now".
+func (s *Server) live() page.LSN { return s.txm.CommitStamp() }
 
-// live is the view of a read of the current image.
-func (s *Server) live() view { return view{t: s.txm.CommitStamp()} }
-
-// readRun reads r and verifies it: detect → repair → re-read → quarantine.
-// Damage is repaired in place by replaying the run's WAL history and the
-// read retried once; a run that still fails takes seg out of service. Unless
-// the run was rebuilt, a checksum failure while vs.Recheck reports an update
-// staged, or committed since v.t, underneath the read is a torn read, not
-// rot: it returns ErrTornRead and counts, repairs, and quarantines nothing.
-func (rd *reader) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
+// readRun reads r for a read at stamp t (a snapshot's, or live) and verifies
+// it: detect → repair → re-read → quarantine. Damage is repaired in place by
+// replaying the run's WAL history and the read retried once; a run that still
+// fails takes seg out of service. A checksum failure while vs.Recheck reports
+// an update staged, or committed since t, underneath the read is a torn read,
+// not rot: it returns ErrTornRead and counts, repairs, and quarantines
+// nothing.
+func (rd *reader) readRun(seg proto.SegKey, r runRead, t page.LSN) ([]byte, error) {
 	if err := rd.quarCheck(seg); err != nil {
 		return nil, err
 	}
@@ -118,13 +103,6 @@ func (rd *reader) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 		if err := a.ReadRun(r.Start, buf); err != nil {
 			return err
 		}
-		if v.rebuild {
-			befores, err := rd.asOfBefores(v.t, page.AreaID(r.Area), r.Start, r.Pages)
-			if err != nil {
-				return err
-			}
-			overlayAsOf(befores, r.Start, buf)
-		}
 		return r.Verify(buf)
 	}
 	err := attempt()
@@ -138,7 +116,7 @@ func (rd *reader) readRun(seg proto.SegKey, r runRead, v view) ([]byte, error) {
 	if errors.As(err, &ce) {
 		ce.Area, ce.Page = page.AreaID(r.Area), r.Start // the verifiers see bytes, not places
 	}
-	if !v.rebuild && !rd.vs.Recheck(vkeyOf(seg), v.t) {
+	if !rd.vs.Recheck(vkeyOf(seg), t) {
 		return nil, ErrTornRead
 	}
 	rd.scrubCtr.corruptions.Add(1)
@@ -160,10 +138,10 @@ const (
 	secAll = secOverflow | secData
 )
 
-// readImage assembles seg's image for v out of verified runs: the decoded
-// slotted header plus the raw bytes of each section in want. Sections not
-// asked for (or empty) come back nil.
-func (rd *reader) readImage(seg proto.SegKey, want sections, v view) (dec *segment.Seg, sl, over, data []byte, err error) {
+// readImage assembles seg's image for a read at stamp t out of verified runs:
+// the decoded slotted header plus the raw bytes of each section in want, each
+// in a buffer of its own. Sections not asked for (or empty) come back nil.
+func (rd *reader) readImage(seg proto.SegKey, want sections, t page.LSN) (dec *segment.Seg, sl, over, data []byte, err error) {
 	sm, _, ok := rd.cat.segMetaOf(seg)
 	if !ok {
 		return nil, nil, nil, nil, ErrNoSegment
@@ -172,7 +150,7 @@ func (rd *reader) readImage(seg proto.SegKey, want sections, v view) (dec *segme
 		Area: seg.Area, Start: page.No(seg.Start), Pages: sm.SlottedPages,
 		// DecodeSlotted checks the header and slot-region CRCs.
 		Verify: func(run []byte) (verr error) { dec, verr = segment.DecodeSlotted(run); return verr },
-	}, v)
+	}, t)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -180,7 +158,7 @@ func (rd *reader) readImage(seg proto.SegKey, want sections, v view) (dec *segme
 		over, err = rd.readRun(seg, runRead{
 			Area: uint32(dec.Hdr.OverArea), Start: dec.Hdr.OverStart, Pages: int(dec.Hdr.OverPages),
 			ZeroBase: true, Verify: dec.VerifyOverflow,
-		}, v)
+		}, t)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -190,7 +168,7 @@ func (rd *reader) readImage(seg proto.SegKey, want sections, v view) (dec *segme
 		data, err = rd.readRun(seg, runRead{
 			Area: uint32(dec.Hdr.DataArea), Start: dec.Hdr.DataStart, Pages: int(dec.Hdr.DataPages),
 			ZeroBase: true, Verify: dec.VerifyData,
-		}, v)
+		}, t)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}

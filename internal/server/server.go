@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -202,11 +203,11 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	}
 	// Multiversion reads (DESIGN.md §7): the version store retains
 	// superseded segment images while snapshots are open, fed by the tx
-	// commit/abort hooks and trimmed at the oldest-snapshot watermark. The
-	// version clock restarts above every pre-crash commit.
+	// commit/abort hooks and trimmed at the watermark. The version clock
+	// restarts above every pre-crash commit.
 	s.snapMu.Init("Server.snapMu", rankSnapMu)
 	s.snapshots = make(map[uint64]*snapEntry)
-	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
+	s.vs = cache.NewVersionStore(s.txm.Watermark)
 	s.txm.SetCommitHook(s.vs.CommitTx)
 	s.txm.SetAbortHook(s.vs.AbortTx)
 	if nl := s.log.NextLSN(); nl > 0 {
@@ -816,6 +817,8 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	if err != nil {
 		return err
 	}
+	// updateBase's image is each run's before-image, unless the run moves.
+	dataBefore, overBefore := old.Data, old.Overflow
 	// Grown data segment? Allocate a fresh run and point the header at it
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
@@ -832,6 +835,7 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 		newSeg.Hdr.DataArea = page.AreaID(aid)
 		newSeg.Hdr.DataStart = start
 		newSeg.Hdr.DataPages = uint32(granted)
+		dataBefore = nil
 		if len(si.Data) < granted*page.Size {
 			grown := make([]byte, granted*page.Size)
 			copy(grown, si.Data)
@@ -854,6 +858,7 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 		newSeg.Hdr.OverArea = page.AreaID(aid)
 		newSeg.Hdr.OverStart = start
 		newSeg.Hdr.OverPages = uint32(granted)
+		overBefore = nil
 		if len(si.Overflow) < granted*page.Size {
 			grown := make([]byte, granted*page.Size)
 			copy(grown, si.Overflow)
@@ -903,13 +908,13 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	}
 	if len(si.Data) > 0 {
 		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
-		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, si.Data[:n], scratch); err != nil {
+		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:n], scratch); err != nil {
 			return err
 		}
 	}
 	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
 		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
-		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, si.Overflow[:n], scratch); err != nil {
+		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:n], scratch); err != nil {
 			return err
 		}
 	}
@@ -919,22 +924,19 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 // updateBase starts t's overwrite of seg: it reads the decoded current header
 // (overflow attached) and the current image, and stages the image with the
 // version store, whose proof of that is what logAndApply takes to write a
-// page. From here until t ends, snapshot reads of the segment wait out the
-// overwrite window, and with a snapshot open the pre-update image joins its
-// chain — the data section is read only when that copy will actually happen.
-// Without the staging an open snapshot's Recheck passes (the stamp never
-// advanced) while pages change underneath it: a torn as-of read.
+// page. The image is read once and serves twice: it is the before-image of
+// every run the overwrite does not move, and it is the version chain's
+// pre-update image, which the store owns from here on — so neither the
+// caller nor anyone else writes its bytes. From here until t ends, snapshot
+// reads of the segment wait out the overwrite window. Without the staging an
+// open snapshot's Recheck passes (the stamp never advanced) while pages
+// change underneath it: a torn as-of read.
 func (s *Server) updateBase(t *tx.Tx, seg proto.SegKey) (cur *segment.Seg, old cache.VImage, staged cache.Staged, err error) {
-	capture := s.txm.SnapshotCount() > 0
-	want := secOverflow
-	if capture {
-		want = secAll
-	}
-	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, want, s.live())
+	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, secAll, s.live())
 	if err != nil {
 		return nil, old, staged, err
 	}
-	return cur, old, s.vs.StageUpdate(t.ID(), vkeyOf(seg), old, capture), nil
+	return cur, old, s.vs.StageUpdate(t.ID(), vkeyOf(seg), old), nil
 }
 
 // areaForAlloc picks the area for a relocation allocation (same area as the
@@ -979,21 +981,24 @@ func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start
 	return nil
 }
 
-// overwriteRun is logAndApply for a caller that has not read the run: its
-// current content is read here, into *scratch, which grows geometrically to the
-// largest run it has served and is the caller's to hand to the next call.
-func (s *Server) overwriteRun(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, data []byte, scratch *[]byte) error {
-	a := s.lookupArea(areaID)
-	if a == nil {
-		return ErrNoArea
-	}
-	n := (len(data) + page.Size - 1) / page.Size * page.Size
-	if cap(*scratch) < n {
-		*scratch = make([]byte, max(n, 2*cap(*scratch)))
-	}
-	before := (*scratch)[:n]
-	if err := a.ReadRun(start, before); err != nil {
-		return err
+// overwriteRun is logAndApply for a run updateBase's image may not cover. A
+// nil before — a run the transaction allocated, which nobody has read — is
+// read here, into *scratch, which grows geometrically to the largest run it
+// has served and is the caller's to hand to the next call.
+func (s *Server) overwriteRun(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
+	if before == nil {
+		a := s.lookupArea(areaID)
+		if a == nil {
+			return ErrNoArea
+		}
+		n := (len(data) + page.Size - 1) / page.Size * page.Size
+		if cap(*scratch) < n {
+			*scratch = make([]byte, max(n, 2*cap(*scratch)))
+		}
+		before = (*scratch)[:n]
+		if err := a.ReadRun(start, before); err != nil {
+			return err
+		}
 	}
 	return s.logAndApply(staged, t, areaID, start, before, data)
 }
@@ -1166,10 +1171,12 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
 	var scratch []byte
-	if err := s.overwriteRun(staged, t, aid, start, padded, &scratch); err != nil {
+	if err := s.overwriteRun(staged, t, aid, start, nil, padded, &scratch); err != nil {
 		return 0, err
 	}
-	// Grow overflow if needed and add the descriptor slot.
+	// Grow overflow if needed and add the descriptor slot — into a copy:
+	// dec.Overflow is old.Overflow, the version store's.
+	dec.Overflow = bytes.Clone(dec.Overflow)
 	if dec.Hdr.OverPages == 0 {
 		oStart, oGranted, err2 := a.AllocSegment(1)
 		if err2 != nil {
@@ -1189,9 +1196,8 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	if err := s.logAndApply(staged, t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
 		return 0, err
 	}
-	// dec.Overflow aliases the overflow run updateBase read and now holds
-	// the new descriptor, so its before-image is read back from disk.
-	if err := s.overwriteRun(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, dec.Overflow, &scratch); err != nil {
+	// old.Overflow is nil when the run was allocated above.
+	if err := s.overwriteRun(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, old.Overflow, dec.Overflow, &scratch); err != nil {
 		return 0, err
 	}
 	// Force only this transaction's records (WAL rule for the page writes

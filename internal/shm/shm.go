@@ -304,14 +304,6 @@ func (p *Process) AddrOf(r Ref) vmem.Addr {
 	return p.base + vmem.Addr(r)
 }
 
-// RefOf translates one of this process' addresses back to the shared form.
-func (p *Process) RefOf(a vmem.Addr) Ref {
-	if a == vmem.NilAddr || a < p.base {
-		return NilRef
-	}
-	return Ref(a - p.base)
-}
-
 // handleFault resolves PVMA faults: an unmapped-but-assigned frame is
 // re-acquired through the SMT; a protected frame gets its second chance.
 func (p *Process) handleFault(f vmem.Fault) error {

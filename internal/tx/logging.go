@@ -13,8 +13,8 @@ import (
 //
 // Two halves. An update record has a redo half (Off, After: what restart and
 // repair copy onto the page) and an undo half (UndoOff, Before: what rollback
-// and an as-of rebuild copy back), and each holds only the bytes its reader
-// needs.
+// and restart's undo copy back — they are its only readers; a snapshot read
+// never reads the log), and each holds only the bytes its reader needs.
 //
 // Which bytes. Both halves of an ordinary record cover [lo, hi), the first
 // through the last byte that differ between the page's images, not the page:

@@ -8,12 +8,13 @@ import "bess/internal/page"
 // produced, and a snapshot opened at stamp T observes exactly the
 // transactions whose commit LSN is ≤ T. Snapshots acquire zero locks and
 // therefore can neither block writers nor deadlock; the cost is version
-// retention, bounded by the watermark GC that OldestSnapshot drives.
+// retention, bounded by the watermark (Watermark) alone.
 
 // SetCommitHook installs fn to run on every commit, after the commit record
-// is durable and before the transaction's locks release, with the
-// transaction id and its commit LSN (the version stamp). Must be called
-// before any transaction begins; the hook is read unsynchronized.
+// is durable and the version clock has reached it, and before the
+// transaction's locks release, with the transaction id and its commit LSN
+// (the version stamp). Must be called before any transaction begins; the
+// hook is read unsynchronized.
 func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.commitHook = fn }
 
 // SetAbortHook installs fn to run on every runtime abort, after undo
@@ -81,28 +82,17 @@ func (s *Snap) Close() {
 	s.m.mu.Unlock()
 }
 
-// OldestSnapshot returns the smallest stamp of any open snapshot and true,
-// or (0, false) when none are open. This is the version-GC watermark: any
-// image superseded at or before the returned stamp is still reachable.
-func (m *Manager) OldestSnapshot() (page.LSN, bool) {
+// Watermark is the version store's reclaim horizon: the smallest stamp an
+// open snapshot has, or the commit stamp when none is open. A snapshot opened
+// later takes a stamp at or above it, so an image superseded at or below the
+// watermark is one no snapshot, open or to come, can read. One m.mu section
+// reads both terms, so a snapshot that registers meanwhile is never undercut.
+func (m *Manager) Watermark() page.LSN {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.snaps) == 0 {
-		return 0, false
-	}
-	min := page.LSN(0)
-	first := true
+	w := m.commitStamp
 	for _, st := range m.snaps {
-		if first || st < min {
-			min, first = st, false
-		}
+		w = min(w, st)
 	}
-	return min, true
-}
-
-// SnapshotCount returns the number of open snapshots.
-func (m *Manager) SnapshotCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.snaps)
+	return w
 }

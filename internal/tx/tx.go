@@ -84,8 +84,9 @@ type Manager struct {
 	// Multiversion read support (DESIGN.md §7). commitHook/abortHook are set
 	// once at open time, before any transaction runs, and are read without
 	// m.mu thereafter. The commit hook runs after the commit record is
-	// durable but before locks release, so a version store can publish the
-	// committed images while the writer still excludes concurrent stagers.
+	// durable and the version clock has passed it, but before locks release,
+	// so a version store can publish the committed images while the writer
+	// still excludes concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
 
@@ -250,14 +251,16 @@ func (t *Tx) Commit() error {
 	}
 	if lsn != 0 && err == nil {
 		_, err = m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id})
-		// Version-store publication order: append the committed images to the
-		// version chains (hook) while this writer's X locks still exclude any
-		// concurrent stager of the same segments, then advance the version
-		// clock so new snapshots can observe them, then release locks.
+		// Version-store publication order: advance the version clock, then
+		// publish the committed images (hook) while this writer's X locks still
+		// exclude any concurrent stager of the same segments, then release
+		// locks. The hook's watermark so counts this commit, and a snapshot
+		// that opens in between reads these segments only once the hook has
+		// unstaged them: until then its reads wait.
+		m.noteCommit(lsn)
 		if h := m.commitHook; h != nil {
 			h(t.id, lsn)
 		}
-		m.noteCommit(lsn)
 	} else if h := m.abortHook; h != nil {
 		// What it staged with the version store was left unchanged, or is
 		// never to be published.

@@ -426,22 +426,6 @@ func (s *Space) Touch(addr Addr, write bool) error {
 	return s.access(addr, 0, write, func([]byte) {})
 }
 
-// FrameBytes returns the backing slice of the frame containing addr for
-// *trusted* code (BeSS internals), bypassing protection. Ordinary user
-// access must use ReadAt/WriteAt.
-func (s *Space) FrameBytes(addr Addr) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fr, ok := s.frames[addr.Frame()]
-	if !ok {
-		return nil, ErrUnreserved
-	}
-	if fr.data == nil {
-		return nil, ErrViolation
-	}
-	return fr.data, nil
-}
-
 // Snapshot returns the current statistics.
 func (s *Space) Snapshot() Stats {
 	var st Stats
