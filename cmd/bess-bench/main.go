@@ -380,7 +380,7 @@ func e13(quick bool, jsonOut bool) {
 	if rep.Sampled {
 		scope = "sampled"
 	}
-	fmt.Printf("crash points %d (%s, events %s), tear modes %d, trials %d\n",
+	fmt.Printf("crash points %d (%s, events %s), crash modes %d, trials %d\n",
 		rep.CrashPoints, scope, rep.WorkloadEvents, len(rep.Modes), rep.Trials)
 	for _, m := range rep.Modes {
 		fmt.Printf("  %-8s %4d trials   %4d consistent   %d inconsistent\n",

@@ -115,11 +115,12 @@ func main() {
 			fp := rec.Footprint()
 			totals[rec.Type].add(1, fp)
 			switch rec.Type {
-			case wal.TUpdate, wal.TCLR:
-				// The two halves, each offset+length. A whole-page redo image
-				// anchors replay of its page: restart redo and repair start
-				// from one, byte-range records build on it. An all-zero image
-				// is in the log as its length only.
+			case wal.TUpdate, wal.TCLR, wal.TRedo:
+				// The two halves, each offset+length; a CLR and a redo-only
+				// record have no undo half. A whole-page redo image anchors
+				// replay of its page: restart redo and repair start from one,
+				// byte-range records build on it. An all-zero image is in the
+				// log as its length only.
 				mark := ""
 				if rec.WholePage() {
 					mark += "  anchor"
@@ -130,8 +131,12 @@ func main() {
 				if fp.ZeroAfter > 0 {
 					mark += "  zero-after"
 				}
-				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d undo=%d+%d%s\n",
-					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), rec.UndoOff, len(rec.Before), mark)
+				undo := fmt.Sprintf("%d+%d", rec.UndoOff, len(rec.Before))
+				if rec.Type != wal.TUpdate {
+					undo = "-"
+				}
+				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d undo=%s%s\n",
+					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), undo, mark)
 			case wal.TCatalog:
 				var op proto.CatalogOp
 				if err := proto.Decode(rec.Body, &op); err != nil {
@@ -160,8 +165,8 @@ func main() {
 // logTotals answers "where do the log's bytes go": per record type, how many
 // records, and their bytes split into header (everything that is not an
 // image), before- and after-images stored, and image bytes elided (all-zero
-// images the log keeps as a length).
-type logTotals [wal.TCatalog + 1]logTotal
+// images the log keeps as a length). A row per record type there is.
+type logTotals [wal.NumTypes]logTotal
 
 type logTotal struct {
 	records int

@@ -19,10 +19,10 @@ import (
 // The experiment runs a deterministic multi-transaction workload over
 // fault-injected media (internal/fault): WAL and area share one event
 // clock, so every write/sync boundary in either medium is a candidate
-// power-loss point. The workload runs once fault-free to count events,
-// then replays once per crash point × tear mode. Each replay kills the
-// machine at its scheduled event, extracts the surviving images, reopens
-// them, runs tx.Restart, and checks the recovered database against a
+// crash point. The workload runs once fault-free to count events, then
+// replays once per crash point × mode. Each replay kills the machine — or
+// only the process — at its scheduled event, extracts the surviving images,
+// reopens them, runs tx.Restart, and checks the recovered database against a
 // shadow model:
 //
 //	(1) every acknowledged commit (Flush returned nil before the crash)
@@ -37,31 +37,38 @@ import (
 //	    replays for any page is a whole-page image
 //	    (wal.RecoveryStats.UnanchoredPages == 0);
 //	(6) a 2PC branch whose TPrepare survived is in doubt after both
-//	    restarts, its images on its pages; then its coordinator's commit
-//	    (in the clean and garbage modes) keeps them, its abort (torn mode)
-//	    restores those before it, and a third restart keeps either.
+//	    restarts, and its shipped images are *not* on its pages (only what
+//	    it stole is); then its coordinator's commit (in every mode but torn)
+//	    writes them from its log chain, its abort (torn mode) leaves those
+//	    before it, and a third restart keeps either.
 //
-// Tear modes per crash point: clean (the fatal write vanishes), torn
-// (one 512B sector of it survives), and torn+garbage (the lost extent is
-// overwritten with seeded noise — a drive scribbling as power died).
+// Modes per crash point: clean (the fatal write vanishes), torn (one 512B
+// sector of it survives), torn+garbage (the lost extent is overwritten with
+// seeded noise — a drive scribbling as power died), and process (the process
+// dies, the machine does not: every write it issued survives, synced or not,
+// and only the log tail it never wrote out is lost).
 
-// Workload shape. Transactions log through the product's own rule
-// (tx.Tx.LogUpdate, the function server.logAndApply calls) and commit, abort
-// and checkpoint through tx.Manager, so the log under torture has the
-// product's layout: a whole-page anchor for a page's first update after open
-// and after the checkpoint, byte-range records for the sub-page overwrites in
-// between. Each transaction works on a private page (matching the
-// segment-granular strict 2PL the server enforces); two of them come back to
-// a page after the checkpoint.
+// Workload shape. Transactions log through the product's own rule and
+// commit, abort and checkpoint through tx.Manager, so the log under torture
+// has the product's layout: a whole-page anchor for a page's first update
+// after open and after the checkpoint, byte-range records for the sub-page
+// overwrites in between. Steal transactions log through tx.Tx.LogUpdate (the
+// server's CreateLarge path) and write their pages whenever the buffer pool
+// steals them; shipped ones through tx.Tx.LogRedo (the server's commit path,
+// logAndApply), whose pages their commit writes after its force. Each
+// transaction works on a private page (matching the segment-granular strict
+// 2PL the server enforces); some of them come back to a page after the
+// checkpoint.
 const (
-	e13Txs     = 12 // transactions; odd commit, even are left in flight (one aborts)
+	e13Txs     = 12 // steal transactions; odd commit, even are left in flight (one aborts)
+	e13Shipped = 4  // shipped transactions after them, on pages of their own
 	e13Updates = 3  // updates per transaction: the whole page, then two sub-page overwrites
 	e13AreaID  = 7
 )
 
-// E13Mode aggregates trials for one tear mode.
+// E13Mode aggregates trials for one crash mode.
 type E13Mode struct {
-	Mode         string `json:"mode"` // "clean", "torn", "garbage"
+	Mode         string `json:"mode"` // "clean", "torn", "garbage", "process"
 	Trials       int    `json:"trials"`
 	Consistent   int    `json:"consistent"`
 	Inconsistent int    `json:"inconsistent"`
@@ -88,11 +95,13 @@ type E13Report struct {
 	WorkloadEvents string    `json:"workload_event_window"`
 }
 
-// e13Write is one logged page change in the shadow model: who made it and
-// what the page held afterwards.
+// e13Write is one logged page change in the shadow model: who made it, what
+// the page held afterwards, and whether it was shipped — written only by its
+// transaction's commit.
 type e13Write struct {
-	tx  uint64
-	img []byte
+	tx      uint64
+	img     []byte
+	shipped bool
 }
 
 // e13World is one simulated machine: WAL and area on a shared event clock,
@@ -105,11 +114,13 @@ type e13World struct {
 	area   *area.Area
 	txm    *tx.Manager
 
-	pages   map[uint64]page.No     // tx -> its private page
-	acked   map[uint64]wal.Type    // commits (TCommit) and 2PC yes votes (TPrepare) acknowledged before any crash
-	history map[page.No][]e13Write // page -> its logged changes, in log order
-	buffer  map[page.No][]byte     // the buffer pool: current content of every touched page
-	unsaved map[page.No]bool       // buffered content not yet written to the area
+	pages   map[uint64]page.No            // tx -> its private page
+	acked   map[uint64]wal.Type           // commits (TCommit) and 2PC yes votes (TPrepare) acknowledged before any crash
+	history map[page.No][]e13Write        // page -> its logged changes, in log order
+	buffer  map[page.No][]byte            // the buffer pool: current content of every touched page
+	unsaved map[page.No]bool              // buffered content not yet written to the area
+	shipped map[uint64]map[page.No][]byte // tx -> the pages its commit is to write
+	midWB   func() error                  // runs once, ahead of the next store through the pager
 
 	setupEvents int64
 }
@@ -126,6 +137,7 @@ func e13Setup(seed int64) (*e13World, error) {
 		history: make(map[page.No][]e13Write),
 		buffer:  make(map[page.No][]byte),
 		unsaved: make(map[page.No]bool),
+		shipped: make(map[uint64]map[page.No][]byte),
 	}
 	w.walSt = fault.NewStore(w.inj)
 	w.areaSt = fault.NewStore(w.inj)
@@ -140,8 +152,8 @@ func e13Setup(seed int64) (*e13World, error) {
 		return nil, fmt.Errorf("create area: %w", err)
 	}
 	w.area = a
-	w.txm = tx.NewManager(l, lock.NewManager(), e13Pager{a, l}, nil)
-	for t := uint64(1); t <= e13Txs; t++ {
+	w.txm = tx.NewManager(l, lock.NewManager(), e13Pager{a, l, &w.midWB}, nil)
+	for t := uint64(1); t <= e13Txs+e13Shipped; t++ {
 		first, _, err := a.AllocSegment(1)
 		if err != nil {
 			return nil, fmt.Errorf("alloc page for tx %d: %w", t, err)
@@ -159,15 +171,62 @@ func e13Setup(seed int64) (*e13World, error) {
 // change is logged through the product's rule, lands in the buffer pool, and
 // joins the shadow model.
 func (w *e13World) update(t *tx.Tx, pg page.No, k, off, n int) error {
-	before := w.buffer[pg]
-	if before == nil {
-		before = make([]byte, page.Size) // freshly allocated zeros
+	before := w.stored(pg)
+	return w.change(t, pg, before, e13Pattern(t, before, k, off, n))
+}
+
+// stored is pg as the buffer pool holds it: zeros if never touched.
+func (w *e13World) stored(pg page.No) []byte {
+	if b := w.buffer[pg]; b != nil {
+		return b
 	}
+	return make([]byte, page.Size) // freshly allocated zeros
+}
+
+// e13Pattern is before with n bytes at off overwritten by a pattern of (t, k).
+func e13Pattern(t *tx.Tx, before []byte, k, off, n int) []byte {
 	after := append([]byte(nil), before...)
 	for j := off; j < off+n; j++ {
 		after[j] = byte(uint64(j)*31 + t.ID()*131 + uint64(k)*17 + 1)
 	}
-	return w.change(t, pg, before, after)
+	return after
+}
+
+// ship has t overwrite n bytes of pg at off as a shipped commit does
+// (tx.Tx.LogRedo): the change is logged without an undo half, stays off the
+// buffer pool and the area, and is written by t's commit, after its force
+// (commitShipped).
+func (w *e13World) ship(t *tx.Tx, pg page.No, k, off, n int) error {
+	mine := w.shipped[t.ID()]
+	if mine == nil {
+		mine = make(map[page.No][]byte)
+		w.shipped[t.ID()] = mine
+	}
+	view := mine[pg] // t sees its own shipped change
+	if view == nil {
+		view = w.stored(pg)
+	}
+	after := e13Pattern(t, view, k, off, n)
+	if err := t.LogRedo(page.ID{Area: e13AreaID, Page: pg}, w.stored(pg), after); err != nil {
+		return err
+	}
+	mine[pg] = after
+	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after, true})
+	return nil
+}
+
+// commitShipped commits t, whose commit writes the pages it shipped: from
+// its acknowledgement on, the buffer pool holds them as written.
+func (w *e13World) commitShipped(t *tx.Tx) error {
+	if err := t.Commit(); err != nil {
+		return err
+	}
+	w.acked[t.ID()] = wal.TCommit
+	for pg, img := range w.shipped[t.ID()] {
+		w.buffer[pg] = img
+	}
+	delete(w.shipped, t.ID())
+	return nil
 }
 
 // clear has t zero n bytes of pg at off.
@@ -185,7 +244,7 @@ func (w *e13World) change(t *tx.Tx, pg page.No, before, after []byte) error {
 		return err
 	}
 	w.buffer[pg], w.unsaved[pg] = after, true
-	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after})
+	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after, false})
 	return nil
 }
 
@@ -210,7 +269,7 @@ func (w *e13World) rollback(t *tx.Tx, was map[page.No][]byte) error {
 // what active transactions changed, so everything else must be durable first.
 // In page order, so that a crash point names the same write in every replay.
 func (w *e13World) flushAndCheckpoint() error {
-	for id := uint64(1); id <= e13Txs; id++ {
+	for id := uint64(1); id <= e13Txs+e13Shipped; id++ {
 		if pno := w.pages[id]; w.unsaved[pno] {
 			if err := w.area.WritePage(pno, w.buffer[pno]); err != nil {
 				return err
@@ -250,9 +309,17 @@ func (w *e13World) steal(t *tx.Tx, pg page.No) error {
 // redo of lost winner writes and undo of stolen loser writes are exercised.
 // Mid-run the buffer pool is flushed and the product's checkpoint taken: it
 // lists the in-flight transactions' pages at their anchors' LSNs — one of them
-// a page another transaction anchored — and starts a new anchor epoch. After it, an in-flight transaction and a new one come
-// back to pages logged before it, so their next records must be anchors
-// again for a torn steal to heal.
+// a page another transaction anchored — and starts a new anchor epoch. After
+// it, an in-flight transaction and a new one come back to pages logged before
+// it, so their next records must be anchors again for a torn steal to heal.
+//
+// Beside them run shipped transactions (e13Shipped), whose pages only their
+// commit writes, after its force. Before the checkpoint one commits and one
+// is left in flight; after it one anchors a fresh page and is rolled back at
+// run time — no CLR, its anchor forgotten — and the last ships onto that page
+// (anchoring it again) and onto the first one's, and commits with a second
+// checkpoint taken between its force and its page writes, which must list
+// its pages for redo to reach them.
 func e13Workload(w *e13World) {
 	for id := uint64(1); id <= e13Txs; id++ {
 		t := w.txm.Ensure(id, 0)
@@ -310,14 +377,63 @@ func e13Workload(w *e13World) {
 		if id == e13Txs/2 && w.flushAndCheckpoint() != nil {
 			return
 		}
+		if id == 2 && e13ShipBefore(w) != nil || id == e13Txs/2+2 && e13ShipAfter(w) != nil {
+			return
+		}
 	}
 }
 
+// e13ShipBefore runs the shipped transactions before the checkpoint: one
+// commits a page whole and then a range of it, one is left in flight.
+func e13ShipBefore(w *e13World) error {
+	done, open := w.txm.Ensure(e13Txs+1, 0), w.txm.Ensure(e13Txs+2, 0)
+	pg := w.pages[done.ID()]
+	if err := w.ship(done, pg, 0, 0, page.Size); err != nil {
+		return err
+	}
+	if err := w.ship(done, pg, 1, 700, 90); err != nil {
+		return err
+	}
+	if err := w.ship(open, w.pages[open.ID()], 0, 0, page.Size); err != nil {
+		return err
+	}
+	return w.commitShipped(done)
+}
+
+// e13ShipAfter runs the shipped transactions after the checkpoint.
+func e13ShipAfter(w *e13World) error {
+	back, last := w.txm.Ensure(e13Txs+3, 0), w.txm.Ensure(e13Txs+4, 0)
+	fresh := w.pages[back.ID()]
+	if err := w.ship(back, fresh, 1, 300, 200); err != nil {
+		return err
+	}
+	if err := back.Abort(); err != nil {
+		return err
+	}
+	delete(w.shipped, back.ID())
+	for _, s := range []struct {
+		pg            page.No
+		k, off, bytes int
+	}{
+		{w.pages[last.ID()], 0, 0, page.Size},
+		{fresh, 2, 1000, 150},
+		{w.pages[e13Txs+1], 2, 2000, 64},
+	} {
+		if err := w.ship(last, s.pg, s.k, s.off, s.bytes); err != nil {
+			return err
+		}
+	}
+	w.midWB = w.flushAndCheckpoint
+	return w.commitShipped(last)
+}
+
 // e13Pager adapts an area to wal.Pager, and checks every store's proof
-// against the log it came from.
+// against the log it came from. before, if it points to a hook, runs that
+// hook once, ahead of the next store.
 type e13Pager struct {
-	a *area.Area
-	l *wal.Log
+	a      *area.Area
+	l      *wal.Log
+	before *func() error
 }
 
 func (p e13Pager) ReadPage(id page.ID, buf []byte) error {
@@ -334,6 +450,13 @@ func (p e13Pager) WritePage(proof wal.Logged, data []byte) error {
 	id := proof.Page()
 	if id.Area != e13AreaID {
 		return fmt.Errorf("e13: write of foreign area %d", id.Area)
+	}
+	if p.before != nil && *p.before != nil {
+		hook := *p.before
+		*p.before = nil
+		if err := hook(); err != nil {
+			return err
+		}
 	}
 	return p.a.WritePage(id.Page, data)
 }
@@ -382,7 +505,7 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 		}
 	}
 
-	_, stats, err := restart(l, e13Pager{a, l})
+	_, stats, err := restart(l, e13Pager{a, l, nil})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
@@ -391,19 +514,19 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 		return nil, fmt.Errorf("redo started %d page(s) from a byte-range record", stats.UnanchoredPages)
 	}
 
-	// (2) each page holds what its last winner — or branch in doubt — left;
-	// (6) the branches in doubt are those whose TPrepare survived.
+	// (2) each page holds what its last winner left — or a branch in doubt
+	// stole; (6) the branches in doubt are those whose TPrepare survived.
 	slices.Sort(inDoubt)
 	check := func(when string, st *wal.RecoveryStats) error {
 		if !slices.Equal(inDoubt, st.InDoubt) {
 			return fmt.Errorf("in doubt %s: %v, want %v", when, st.InDoubt, inDoubt)
 		}
 		buf := make([]byte, page.Size)
-		for t := uint64(1); t <= e13Txs; t++ {
+		for t := uint64(1); t <= e13Txs+e13Shipped; t++ {
 			pg := w.pages[t]
 			want := make([]byte, page.Size)
 			for _, wr := range w.history[pg] {
-				if decided[wr.tx] == wal.TCommit || decided[wr.tx] == wal.TPrepare {
+				if decided[wr.tx] == wal.TCommit || decided[wr.tx] == wal.TPrepare && !wr.shipped {
 					want = wr.img
 				}
 			}
@@ -423,7 +546,7 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 	// (4) idempotence: a second restart finds no losers and changes nothing;
 	// (6) with a branch in doubt, so does a third after its decision.
 	for round := 2; ; round++ {
-		m, st, err := restart(l, e13Pager{a, l})
+		m, st, err := restart(l, e13Pager{a, l, nil})
 		if err != nil {
 			return nil, fmt.Errorf("recover again (%d): %w", round, err)
 		}
@@ -445,18 +568,25 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 			decided[tx] = typ
 		}
 		inDoubt = nil
+		// The decision itself leaves the pages right, not the next restart.
+		if err := check("after the decision", &wal.RecoveryStats{}); err != nil {
+			return nil, err
+		}
 	}
 }
 
-// e13TearModes are the three ways the fatal write can tear.
-var e13TearModes = []struct {
+// e13Modes are the three ways a power loss can tear the fatal write, and the
+// process's death, which tears nothing and loses only what was never written.
+var e13Modes = []struct {
 	name        string
 	tearSectors int
 	garbage     bool
+	process     bool
 }{
-	{"clean", 0, false},
-	{"torn", 1, false},
-	{"garbage", 1, true},
+	{"clean", 0, false, false},
+	{"torn", 1, false, false},
+	{"garbage", 1, true, false},
+	{"process", 0, false, true},
 }
 
 // RunE13 enumerates the crash points of e13Workload.
@@ -601,7 +731,7 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 
 	var totalRecoverNs, maxRecoverNs int64
 	var totalRedo, totalUndo int
-	for mi, mode := range e13TearModes {
+	for mi, mode := range e13Modes {
 		m := E13Mode{Mode: mode.name}
 		for _, n := range points {
 			m.Trials++
@@ -609,7 +739,11 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 			if err != nil {
 				return rep, fmt.Errorf("e13 setup (crash at %d): %w", n, err)
 			}
-			w.inj.SetCrashPoint(n, mode.tearSectors, mode.garbage)
+			if mode.process {
+				w.inj.KillAt(n)
+			} else {
+				w.inj.SetCrashPoint(n, mode.tearSectors, mode.garbage)
+			}
 			workload(w)
 			if !w.inj.Crashed() {
 				return rep, fmt.Errorf("e13: crash at event %d never fired (%s)", n, w.inj)

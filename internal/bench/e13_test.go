@@ -8,7 +8,7 @@ import (
 )
 
 // TestE13CrashTorture enumerates every crash point of the E13 workload in
-// all three tear modes and requires 100% consistent recovery. Under -short
+// every crash mode and requires 100% consistent recovery. Under -short
 // a bounded evenly-spaced sample runs instead (the CI crash-torture job).
 func TestE13CrashTorture(t *testing.T) {
 	sample := 0
@@ -52,7 +52,7 @@ func TestE13SeedStability(t *testing.T) {
 
 // TestE13LongTransaction enumerates every crash point of one transaction that
 // reaches the log in several sync rounds before it commits: at each of them,
-// in all three tear modes, restart finds all of the transaction or none.
+// in every crash mode, restart finds all of the transaction or none.
 func TestE13LongTransaction(t *testing.T) {
 	base, err := e13Setup(42)
 	if err != nil {
@@ -78,11 +78,13 @@ func TestE13LongTransaction(t *testing.T) {
 		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, base.log.Stats().Syncs, rep.Consistent)
 }
 
-// e13PreparedBranch is a fourth workload: a 2PC branch changes a range of a
-// committed page, a range of a second one, which it steals, and a fresh page
-// whole, and votes yes; a checkpoint is taken while it is in doubt, and other
-// transactions keep running — one commits, one is left in flight with its
-// page stolen. No decision reaches the branch before the crash.
+// e13PreparedBranch is a fourth workload: a 2PC branch ships a range of a
+// committed page and a fresh page whole — as the server logs a prepare's
+// images, redo-only, for its commit to write — and changes a range of a
+// second committed page, which it steals, and votes yes; a checkpoint is taken
+// while it is in doubt, and other transactions keep running — one commits,
+// one is left in flight with its page stolen. No decision reaches the branch
+// before the crash.
 func e13PreparedBranch(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	t := w.txm.Ensure(1, 0)
@@ -91,8 +93,8 @@ func e13PreparedBranch(w *e13World) {
 	}
 	w.acked[1] = wal.TCommit
 	b := w.txm.Ensure(2, 0)
-	if w.update(b, pg(1), 1, 300, 200) != nil || w.update(b, pg(2), 1, 1000, 100) != nil ||
-		w.update(b, pg(3), 0, 0, page.Size) != nil || w.steal(b, pg(2)) != nil || b.Prepare() != nil {
+	if w.ship(b, pg(1), 1, 300, 200) != nil || w.update(b, pg(2), 1, 1000, 100) != nil ||
+		w.ship(b, pg(3), 0, 0, page.Size) != nil || w.steal(b, pg(2)) != nil || b.Prepare() != nil {
 		return
 	}
 	w.acked[2] = wal.TPrepare
@@ -108,10 +110,11 @@ func e13PreparedBranch(w *e13World) {
 }
 
 // TestE13PreparedBranch enumerates every crash point of a workload in which a
-// 2PC branch votes yes and a checkpoint follows while it is in doubt: in all
-// three tear modes a branch whose prepare survived comes back in doubt — not
-// a loser — with its images on its pages, stays so through a second restart,
-// and then both decisions hold across a third (e13Verify, invariant 6).
+// 2PC branch votes yes and a checkpoint follows while it is in doubt: in every
+// mode a branch whose prepare survived comes back in doubt — not a loser —
+// with what it stole on its pages and what it shipped not, stays so through a
+// second restart, and then both decisions hold across a third (e13Verify,
+// invariant 6).
 func TestE13PreparedBranch(t *testing.T) {
 	base, err := e13Setup(42)
 	if err != nil {
@@ -140,7 +143,7 @@ func TestE13PreparedBranch(t *testing.T) {
 // TestE13FreshPages enumerates every crash point of a workload that fills
 // never-logged, all-zero pages and takes the fills back — at run time before
 // and after a checkpoint, and at restart — and rolls back range updates of a
-// committed fill: in all three tear modes every page comes back all zero or
+// committed fill: in every crash mode every page comes back all zero or
 // byte-exact as its last winner left it. The fault-free run must really hold
 // the record shapes the enumeration is for.
 func TestE13FreshPages(t *testing.T) {

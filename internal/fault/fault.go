@@ -4,6 +4,9 @@
 //
 //   - power loss at any chosen write/sync boundary: every byte not yet
 //     covered by a successful Sync is discarded;
+//   - process death at any chosen write/sync boundary: every write issued
+//     before it survives, synced or not (the OS still holds it), and what
+//     the process never wrote out — a log tail in its buffer — is gone;
 //   - torn writes: the write in flight at the crash keeps a sector-aligned
 //     prefix, loses the suffix, and the lost extent may be garbage-filled
 //     (a drive scribbling mid-write);
@@ -57,6 +60,7 @@ type Injector struct {
 	events  int64 // write/sync events observed so far
 	crashAt int64 // crash when the event counter reaches this value; 0 = never
 	crashed bool
+	killed  bool // the crash is the process's death, not the power's (KillAt)
 
 	tearSectors int  // sectors of the in-flight write that survive the crash
 	garbage     bool // garbage-fill the lost extent of the torn write
@@ -83,6 +87,27 @@ func (i *Injector) SetCrashPoint(n int64, tearSectors int, garbage bool) {
 	i.crashAt = n
 	i.tearSectors = tearSectors
 	i.garbage = garbage
+	i.killed = false
+}
+
+// KillAt schedules a process crash at event index n (1-based): the n-th
+// write/sync event, and every one after it, never happens, but each write
+// issued before it survives whole — the OS holds it, synced or not — so a
+// medium's CrashImage is its volatile view. What dies with the process is
+// what it had not written yet.
+func (i *Injector) KillAt(n int64) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.crashAt = n
+	i.killed = true
+}
+
+// killedProcess reports whether the crash that fired was a process crash
+// (KillAt).
+func (i *Injector) killedProcess() bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.crashed && i.killed
 }
 
 // FailAt schedules a transient error at event index n (1-based). The event
@@ -131,12 +156,14 @@ func (i *Injector) Crashed() bool {
 }
 
 // fate is one event's decided outcome. Exactly one of crashNow / err /
-// rotBytes is meaningful: crashNow means this event is the power loss (a
-// write applies its torn prefix, then everything returns ErrCrashed); err is
-// a transient injected error; rotBytes>0 means the event succeeds and then
-// rots silently. tear/garbage describe how the fatal write tears.
+// rotBytes is meaningful: crashNow means this event is the crash (after a
+// power loss a write applies its torn prefix, after a process crash nothing;
+// then everything returns ErrCrashed); err is a transient injected error;
+// rotBytes>0 means the event succeeds and then rots silently. tear/garbage
+// describe how the fatal write tears.
 type fate struct {
 	crashNow    bool
+	killed      bool
 	tearSectors int
 	garbage     bool
 	gseed       uint64
@@ -161,7 +188,7 @@ func (i *Injector) step() fate {
 		// Mix the event index into the garbage seed so distinct crash
 		// points scribble distinct bytes.
 		return fate{
-			crashNow: true, tearSectors: i.tearSectors, garbage: i.garbage,
+			crashNow: true, killed: i.killed, tearSectors: i.tearSectors, garbage: i.garbage,
 			gseed: i.seed ^ uint64(i.events)*0x9E3779B97F4A7C15,
 		}
 	}
@@ -191,6 +218,6 @@ func garbageFill(p []byte, seed uint64) {
 func (i *Injector) String() string {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return fmt.Sprintf("fault.Injector{events=%d crashAt=%d crashed=%v tear=%d garbage=%v}",
-		i.events, i.crashAt, i.crashed, i.tearSectors, i.garbage)
+	return fmt.Sprintf("fault.Injector{events=%d crashAt=%d crashed=%v killed=%v tear=%d garbage=%v}",
+		i.events, i.crashAt, i.crashed, i.killed, i.tearSectors, i.garbage)
 }

@@ -163,6 +163,53 @@ func TestCrashOnSyncLosesEverythingUnsynced(t *testing.T) {
 	}
 }
 
+// TestProcessCrashKeepsIssuedWrites is the process-crash class: every write
+// issued before the crash point survives whole, synced or not, in every
+// medium on the clock; the fatal write and everything after it never happen.
+func TestProcessCrashKeepsIssuedWrites(t *testing.T) {
+	inj := fault.NewInjector(7)
+	log, data := fault.NewStore(inj), fault.NewStore(inj)
+	w, a := log.WAL(), data.Area()
+	if _, err := w.WriteAt([]byte("synced"), 0); err != nil { // event 1
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil { // event 2
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt([]byte("+unsynced"), 6); err != nil { // event 3
+		t.Fatal(err)
+	}
+	if _, err := a.WriteAt([]byte("page"), 0); err != nil { // event 4
+		t.Fatal(err)
+	}
+	inj.KillAt(5)
+	if _, err := w.WriteAt([]byte("+never"), 15); err != fault.ErrCrashed { // event 5: dies here
+		t.Fatalf("fatal write err = %v, want ErrCrashed", err)
+	}
+	if err := a.Sync(); err != fault.ErrCrashed {
+		t.Fatalf("post-crash sync err = %v, want ErrCrashed", err)
+	}
+	if got := string(log.CrashImage()); got != "synced+unsynced" {
+		t.Fatalf("log after a process crash = %q, want every write issued before it", got)
+	}
+	if got := string(data.CrashImage()); got != "page" {
+		t.Fatalf("area after a process crash = %q, want its unsynced write", got)
+	}
+
+	// The same schedule as a power loss keeps only what was synced.
+	inj = fault.NewInjector(7)
+	log = fault.NewStore(inj)
+	w = log.WAL()
+	w.WriteAt([]byte("synced"), 0)
+	w.Sync()
+	w.WriteAt([]byte("+unsynced"), 6)
+	inj.SetCrashPoint(4, 1, false)
+	w.Sync()
+	if got := string(log.CrashImage()); got != "synced" {
+		t.Fatalf("log after a power loss = %q, want the synced bytes", got)
+	}
+}
+
 func TestTornWritePrefixSurvives(t *testing.T) {
 	inj := fault.NewInjector(3)
 	st := fault.NewStore(inj)

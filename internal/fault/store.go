@@ -58,7 +58,9 @@ func (s *Store) writeAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("fault: store closed")
 	}
 	if f.crashNow {
-		s.tearLocked(p, off, f.tearSectors, f.garbage, f.gseed)
+		if !f.killed {
+			s.tearLocked(p, off, f.tearSectors, f.garbage, f.gseed)
+		}
 		return 0, ErrCrashed
 	}
 	end := off + int64(len(p))
@@ -203,10 +205,14 @@ func (s *Store) close() error {
 	return nil
 }
 
-// CrashImage returns the bytes that survived the power loss: everything
-// synced, plus the torn prefix (and any garbage) of the in-flight write.
-// Valid any time, but meaningful after the crash fired.
+// CrashImage returns the bytes that survived the crash: after a power loss
+// everything synced, plus the torn prefix (and any garbage) of the in-flight
+// write; after a process crash (KillAt) every write issued before it, as
+// Image. Valid any time, but meaningful after the crash fired.
 func (s *Store) CrashImage() []byte {
+	if s.inj.killedProcess() {
+		return s.Image()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]byte(nil), s.synced...)

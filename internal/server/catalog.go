@@ -215,9 +215,10 @@ func loadCatalog(dir string) (*catalog, error) {
 // stamp and returns the ops with their LSNs, for open to re-establish the
 // storage they name. It finds them in restart's one pass over the log
 // (wal.Analyze), whose analysis it returns for the pages and the transactions
-// (tx.Restart). updated collects the last update or CLR record of every page
-// the same stretch of log touches: redo of an add-segment op must not
-// re-format a page the log has changed since (Server.redoSegment).
+// (tx.Restart). updated collects the last record of every page the same
+// stretch of log changed — a redo-only one only once its transaction commits
+// (wal.Replayer): redo of an add-segment op must not re-format a page the log
+// has changed since (Server.redoSegment).
 func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -227,23 +228,28 @@ func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedO
 	}
 	var ops []loggedOp
 	atStamp := false
+	changed := wal.NewReplayer(func(lsn page.LSN, rec *wal.Record, _ wal.Logged) error {
+		updated[rec.Page] = max(updated[rec.Page], lsn)
+		return nil
+	})
 	an, err := wal.Analyze(c.log, func(lsn page.LSN, rec *wal.Record) error {
 		if lsn < stamp {
 			return nil
 		}
 		atStamp = atStamp || lsn == stamp
-		switch rec.Type {
-		case wal.TUpdate, wal.TCLR:
-			updated[rec.Page] = lsn
-		case wal.TCatalog:
-			op := new(proto.CatalogOp)
-			if err := proto.Decode(rec.Body, op); err != nil {
-				return fmt.Errorf("%w: catalog record at lsn %d: %v", ErrCatalogCorrupt, lsn, err)
-			}
-			ops = append(ops, loggedOp{op, lsn})
+		if rec.Type != wal.TCatalog {
+			return changed.Add(lsn, rec)
 		}
+		op := new(proto.CatalogOp)
+		if err := proto.Decode(rec.Body, op); err != nil {
+			return fmt.Errorf("%w: catalog record at lsn %d: %v", ErrCatalogCorrupt, lsn, err)
+		}
+		ops = append(ops, loggedOp{op, lsn})
 		return nil
 	})
+	if err == nil {
+		err = changed.End()
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,9 +4,11 @@
 // in place by replaying the page's WAL history — the log is never truncated,
 // and a page's first record after every Open and checkpoint, hence its first
 // record ever, is a whole-page image (the anchor rule, internal/tx/logging.go),
-// so replaying every record of the page in LSN order — the anchors whole, the
-// byte-range updates and CLRs over them, exactly as ARIES redo does — ends at
-// its current content. Pages with no logged history (initial images written
+// so replaying every record of the page in the order it took effect
+// (wal.Replayer) — the anchors whole, the byte-range records over them,
+// exactly as ARIES redo does — ends at its current content. The same replay
+// rebuilds a page whose write after a commit's force failed (repairWrites).
+// Pages with no logged history (initial images written
 // by CreateSegment, raw WriteRun traffic) cannot be reconstructed; their
 // segment is quarantined with a typed error while the rest of the server
 // keeps serving.
@@ -96,9 +98,11 @@ func corruptionIn(err error) bool {
 }
 
 // repairRange reconstructs pages [start, start+n) of area from the durable
-// log: every update and CLR of a page is replayed in LSN order — its anchors
-// whole, its byte-range records over them — which leaves the page as redo
-// would. zeroBase marks ranges whose initial on-disk state was all zeroes
+// log: every change of a page is replayed in the order it took effect
+// (wal.Replayer: a committed transaction's redo-only records at its commit,
+// an aborted one's never) — its anchors whole, its byte-range records over
+// them — which leaves the page as redo would. zeroBase marks ranges whose
+// initial on-disk state was all zeroes
 // (data and overflow runs, which CreateSegment and the allocator zero without
 // logging) — those replay correctly from an empty history, while a slotted
 // page is only repairable from a whole-page image, which the anchor rule
@@ -122,10 +126,7 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 		last wal.Logged // of the last record replayed
 	}
 	hist := make(map[page.No]*pageHist, n)
-	err := rd.log.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
-		if rec.Type != wal.TUpdate && rec.Type != wal.TCLR {
-			return nil
-		}
+	rp := wal.NewReplayer(func(_ page.LSN, rec *wal.Record, proof wal.Logged) error {
 		if uint32(rec.Page.Area) != areaID ||
 			rec.Page.Page < start || rec.Page.Page >= start+page.No(n) {
 			return nil
@@ -141,9 +142,13 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 		if int(rec.Off)+len(rec.After) <= page.Size {
 			copy(ph.img[rec.Off:], rec.After)
 		}
-		ph.last = rec.Logged()
+		ph.last = proof
 		return nil
 	})
+	err := rd.log.Iterate(wal.FirstLSN(), rp.Add)
+	if err == nil {
+		err = rp.End()
+	}
 	if err != nil {
 		return fmt.Errorf("server: repair: log history unreadable: %w", err)
 	}
@@ -169,6 +174,61 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 		}
 	}
 	return nil
+}
+
+// repairWrites is the transaction manager's answer to page writes a commit
+// failed after its force (tx.Manager.SetRepair). The commit stands, so each
+// page is rebuilt from the log (repairRange); the segment of a page that
+// cannot be is quarantined with the write's error as the cause — left as it
+// was, the page could read back as the segment's last image, silently.
+func (rd *reader) repairWrites(pages []page.ID, cause error) error {
+	var lost []page.ID
+	for _, pid := range pages {
+		if err := rd.repairRange(uint32(pid.Area), pid.Page, 1, false); err != nil {
+			lost = append(lost, pid)
+			continue
+		}
+		rd.scrubCtr.repaired.Add(1)
+	}
+	if lost == nil {
+		return nil
+	}
+	for _, seg := range rd.segmentsHolding(lost) {
+		rd.quarantine(seg, cause)
+	}
+	return fmt.Errorf("%w: %d page(s) of a committed transaction were neither written nor rebuilt: %v",
+		ErrQuarantined, len(lost), cause)
+}
+
+// segmentsHolding names the segments pages belong to: a slotted page by the
+// catalog, a data or overflow page by its segment's header on disk.
+func (rd *reader) segmentsHolding(pages []page.ID) []proto.SegKey {
+	within := func(a page.AreaID, start page.No, n int) bool {
+		for _, pid := range pages {
+			if pid.Area == a && pid.Page >= start && pid.Page < start+page.No(n) {
+				return true
+			}
+		}
+		return false
+	}
+	var segs []proto.SegKey
+	for _, sm := range rd.cat.allSegMetas() {
+		start := page.No(sm.Seg.Start)
+		holds := within(page.AreaID(sm.Seg.Area), start, sm.SlottedPages)
+		if a := rd.lookupArea(sm.Seg.Area); !holds && a != nil {
+			sl := make([]byte, sm.SlottedPages*page.Size)
+			if a.ReadRun(start, sl) == nil {
+				if dec, err := segment.DecodeSlotted(sl); err == nil {
+					h := dec.Hdr
+					holds = within(h.DataArea, h.DataStart, int(h.DataPages)) || within(h.OverArea, h.OverStart, int(h.OverPages))
+				}
+			}
+		}
+		if holds {
+			segs = append(segs, sm.Seg)
+		}
+	}
+	return segs
 }
 
 // --- background scrubber ---

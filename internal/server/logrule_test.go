@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"bess/internal/cache"
+	"bess/internal/fault"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
@@ -114,12 +116,15 @@ func TestLogAndApplyShortTail(t *testing.T) {
 	tr := s.txm.Begin()
 	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{})
 	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	if err := s.overwriteRun(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil { // anchors both pages
+	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil { // anchors both pages
 		t.Fatal(err)
 	}
+	// A second shipment of the same run changes it from what the first left,
+	// not from the disk, which holds neither before the commit.
+	data = bytes.Clone(data)
 	copy(data[page.Size+10:], "short")
 	from := s.log.NextLSN()
-	if err := s.overwriteRun(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
+	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := func() (*wal.Record, error) {
@@ -169,28 +174,31 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestLoggingRuleProperty drives a random sequence of in-page overwrites,
-// rolled-back overwrites, checkpoints and reopens against a shadow model, and
-// after every step checks the three consumers of update records:
+// TestLoggingRuleProperty drives a random sequence of in-page overwrites —
+// committed; prepared and rolled back; shipped and rolled back because the
+// commit's force failed; committed with a checkpoint taken between the force
+// and the page writes — plain checkpoints and reopens against a shadow model,
+// on fault devices, and after every step checks the three consumers of page
+// history:
 //
 //	(i)   repair: a deliberately rotted slotted or data page is rebuilt from
 //	      the log and every object reads back as the model has it;
 //	(ii)  as-of: a snapshot opened at each earlier commit (snapshots die
 //	      with the server, so a reopen starts the history over) reads the
 //	      model as it was then, from the version chains or the disk;
-//	(iii) restart: a server opened on a copy of the durable files recovers to
-//	      the model.
+//	(iii) restart: a server opened on a copy of the devices as a process
+//	      crash would leave them recovers to the model — and, after the
+//	      mid-commit checkpoint, so does one opened on the copy taken right
+//	      after the checkpoint, before the commit wrote a page.
 func TestLoggingRuleProperty(t *testing.T) {
 	steps := 60
 	if testing.Short() {
 		steps = 20
 	}
 	rng := rand.New(rand.NewSource(13))
-	dir := t.TempDir()
-	s, err := Open(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := fault.NewInjector(13)
+	d := newDevices(inj, inj)
+	s := d.open(t)
 	defer func() { s.Close() }()
 	db, _, err := s.OpenDB("d", true)
 	if err != nil {
@@ -280,8 +288,36 @@ func TestLoggingRuleProperty(t *testing.T) {
 		}
 	}
 
+	// restarted opens a server on devices c and checks it holds the model.
+	restarted := func(what string, c *devices) {
+		t.Helper()
+		r := c.open(t)
+		for _, k := range keys {
+			sl, ov, data, err := r.FetchSeg(0, k)
+			if err != nil {
+				t.Fatalf("%s: fetch of %v after restart: %v", what, k, err)
+			}
+			same(what+": after restart", objects(t, decodeSeg(t, sl, ov, data)), model[k])
+		}
+		if st := r.ScrubStatus(); st.CorruptionsFound != 0 {
+			t.Fatalf("%s: restart image fails its checksums: %+v", what, st)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var key proto.SegKey // the step's segment
+	lock := func() (uint32, uint64) {
+		cl, _ := s.Hello("c")
+		txid, _ := s.NewTx()
+		if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+			t.Fatal(err)
+		}
+		return cl, txid
+	}
+
 	for step := 0; step < steps; step++ {
-		key := keys[rng.Intn(nSegs)]
+		key = keys[rng.Intn(nSegs)]
 		what := ""
 		switch r := rng.Intn(10); {
 		case r < 5:
@@ -290,21 +326,42 @@ func TestLoggingRuleProperty(t *testing.T) {
 			commitImage(t, s, img)
 			model[key] = next
 			history = append(history, opened())
-		case r < 7:
+		case r < 6:
 			what = "abort"
 			img, _ := overwrite(key)
-			cl, _ := s.Hello("c")
-			txid, _ := s.NewTx()
-			if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
-				t.Fatal(err)
-			}
-			// Phase 1 logs and applies the image; the decision rolls it back.
+			cl, txid := lock()
+			// Phase 1 logs the image; the decision rolls it back.
 			if err := s.Prepare(cl, txid, []proto.SegImage{img}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Decide(txid, false); err != nil {
 				t.Fatal(err)
 			}
+		case r < 7:
+			what = "failed force"
+			img, _ := overwrite(key)
+			cl, txid := lock()
+			// The commit's round writes the log, then fails its sync: the
+			// records reach the log with the rollback's force, the commit
+			// record among them, and the abort record after it.
+			inj.FailAt(inj.Events()+2, nil)
+			if err := s.Commit(cl, txid, []proto.SegImage{img}); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("step %d: commit over a failing force: %v", step, err)
+			}
+		case r < 8:
+			what = "checkpoint between the force and the page writes"
+			img, next := overwrite(key)
+			var mid *devices
+			d.beforeWrite = func() {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				mid = d.copy()
+			}
+			commitImage(t, s, img)
+			model[key] = next
+			history = append(history, opened())
+			restarted(fmt.Sprintf("step %d, crashed after the mid-commit checkpoint", step), mid)
 		case r < 9:
 			what = "checkpoint"
 			if err := s.Checkpoint(); err != nil {
@@ -315,9 +372,9 @@ func TestLoggingRuleProperty(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if s, err = Open(dir, 1); err != nil {
-				t.Fatal(err)
-			}
+			d = d.copy()
+			inj = d.logInj
+			s = d.open(t)
 			reader, _ = s.Hello("snapshots")
 			history = []past{opened()}
 		}
@@ -365,24 +422,8 @@ func TestLoggingRuleProperty(t *testing.T) {
 			t.Fatalf("%s: an as-of read missed: %+v", at, st)
 		}
 
-		// (iii) restart from the durable files.
-		r, err := Open(copyDir(t, dir), 1)
-		if err != nil {
-			t.Fatalf("%s: restart: %v", at, err)
-		}
-		for _, k := range keys {
-			sl, ov, data, err := r.FetchSeg(0, k)
-			if err != nil {
-				t.Fatalf("%s: fetch of %v after restart: %v", at, k, err)
-			}
-			same(at+": after restart", objects(t, decodeSeg(t, sl, ov, data)), model[k])
-		}
-		if st := r.ScrubStatus(); st.CorruptionsFound != 0 {
-			t.Fatalf("%s: restart image fails its checksums: %+v", at, st)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
+		// (iii) restart from what a process crash would leave.
+		restarted(at, d.copy())
 	}
 }
 

@@ -84,7 +84,8 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 }
 
 // TestLogAndApplyRequiresStaging: no page of a segment is logged or written
-// for a transaction that did not stage the overwrite with the version store.
+// for a transaction that did not stage the overwrite with the version store;
+// the staged one is written by its commit, and not before.
 func TestLogAndApplyRequiresStaging(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -102,18 +103,24 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 	}
 	end := s.log.NextLSN()
 	for name, staged := range map[string]cache.Staged{"zero": {}, "another transaction's": foreign} {
-		if err := s.overwriteRun(staged, tr, key.Area, page.No(key.Start), nil, data, new([]byte)); !errors.Is(err, ErrNotStaged) {
+		if err := s.logAndApply(staged, tr, key.Area, page.No(key.Start), nil, data, new([]byte)); !errors.Is(err, ErrNotStaged) {
 			t.Fatalf("logAndApply on %s Staged: %v, want ErrNotStaged", name, err)
 		}
 	}
 	if s.log.NextLSN() != end || !bytes.Equal(readPage(t, s, pid), was) {
 		t.Fatal("an unstaged overwrite was logged or written")
 	}
-	if err := s.overwriteRun(foreign, other, key.Area, page.No(key.Start), nil, data, new([]byte)); err != nil {
+	if err := s.logAndApply(foreign, other, key.Area, page.No(key.Start), nil, data, new([]byte)); err != nil {
 		t.Fatalf("logAndApply on the transaction's own Staged: %v", err)
 	}
+	if !bytes.Equal(readPage(t, s, pid), was) {
+		t.Fatal("a shipped overwrite reached the area before its commit")
+	}
+	if err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(readPage(t, s, pid), data) {
-		t.Fatal("a staged overwrite did not reach the area")
+		t.Fatal("a staged overwrite did not reach the area at its commit")
 	}
 }
 

@@ -144,18 +144,19 @@ func Open(dir string, host uint16) (*Server, error) {
 }
 
 // Media supplies the durable devices for OpenMedia: a WAL backing plus a
-// factory invoked for each storage area the server attaches. It lets fault
-// harnesses (experiment E19) run the full server stack — commit, WAL,
-// checksums, repair — over simulated media with injected corruption. The
-// catalog is memory-only: its changes are logged like any server's, but no
-// image is written and nothing replays them, so a Media server's metadata
-// does not survive it.
+// factory invoked for each storage area the server attaches — and, over a
+// log that is not empty, for each area restart finds cataloged, which must
+// hand back that area's device. It lets fault harnesses (experiments E13 and
+// E19) run the full server stack — commit, WAL, checksums, repair, restart —
+// over simulated media with injected faults. No catalog image is ever
+// written: restart rebuilds the catalog from the log's records alone.
 type Media struct {
 	Log     wal.Backing
 	NewArea func(id uint32) (area.Store, error)
 }
 
-// OpenMedia creates a server over the given devices (see Media).
+// OpenMedia creates or reopens a server over the given devices (see Media),
+// running restart over the log as Open does.
 func OpenMedia(m Media, host uint16) (*Server, error) {
 	return open("", host, &m)
 }
@@ -192,7 +193,7 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		return nil, err
 	}
 	s.cat.log = s.log
-	if dir == "" {
+	if dir == "" && media == nil {
 		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
 	} else if err = s.restart(); err != nil {
 		errs := []error{err, s.log.Close()}
@@ -210,6 +211,7 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	s.vs = cache.NewVersionStore(s.txm.Watermark)
 	s.txm.SetCommitHook(s.vs.CommitTx)
 	s.txm.SetAbortHook(s.vs.AbortTx)
+	s.txm.SetRepair(s.repairWrites)
 	if nl := s.log.NextLSN(); nl > 0 {
 		s.txm.SeedCommitStamp(nl - 1)
 	}
@@ -217,13 +219,13 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	return s, nil
 }
 
-// restart brings a file-backed server's storage to what its log describes,
-// outermost structure first: the catalog (the image plus the ops logged since
-// it was taken, found in the one analysis pass over the log), then the storage
-// those ops name — an area file created, a segment's runs allocated and
-// formatted — and only then the pages and the transaction table (tx.Restart:
-// repeat history, roll back losers, keep in-doubt 2PC branches for the
-// coordinator's decision), which need both.
+// restart brings a file-backed or Media server's storage to what its log
+// describes, outermost structure first: the catalog (the image plus the ops
+// logged since it was taken, found in the one analysis pass over the log),
+// then the storage those ops name — an area file created, a segment's runs
+// allocated and formatted — and only then the pages and the transaction table
+// (tx.Restart: repeat history, roll back losers, keep in-doubt 2PC branches
+// for the coordinator's decision), which need both.
 func (s *Server) restart() error {
 	updated := make(map[page.ID]page.LSN)
 	an, ops, err := s.cat.replay(updated)
@@ -239,10 +241,7 @@ func (s *Server) restart() error {
 		}
 	}
 	for _, aid := range s.cat.areaIDs() {
-		a, err := area.OpenFile(s.areaPath(aid))
-		if created[aid] && errors.Is(err, os.ErrNotExist) {
-			a, err = s.createArea(aid)
-		}
+		a, err := s.reopenArea(aid, created[aid])
 		if err != nil {
 			return fmt.Errorf("server: open area %d: %w", aid, err)
 		}
@@ -250,18 +249,8 @@ func (s *Server) restart() error {
 		s.areas[aid] = a
 		s.areaMu.Unlock()
 	}
-	// An area file the catalog does not name is what AddArea left when it
-	// crashed before its record was durable: nothing refers to it.
-	files, err := filepath.Glob(filepath.Join(s.dir, "area-*.bess"))
-	if err != nil {
-		return err
-	}
-	for _, f := range files {
-		var aid uint32
-		if _, err := fmt.Sscanf(filepath.Base(f), "area-%d.bess", &aid); err != nil || s.lookupArea(aid) != nil {
-			continue
-		}
-		if err := os.Remove(f); err != nil {
+	if s.media == nil {
+		if err := s.removeOrphanAreas(); err != nil {
 			return err
 		}
 	}
@@ -274,6 +263,46 @@ func (s *Server) restart() error {
 	}
 	if s.txm, _, err = tx.Restart(an, s.locks, s, s.hk); err != nil {
 		return fmt.Errorf("server: recovery: %w", err)
+	}
+	return nil
+}
+
+// reopenArea opens area aid as restart finds it — creating it afresh when a
+// replayed add-area op (created) names a file or device the crash lost.
+func (s *Server) reopenArea(aid uint32, created bool) (*area.Area, error) {
+	if s.media == nil {
+		a, err := area.OpenFile(s.areaPath(aid))
+		if created && errors.Is(err, os.ErrNotExist) {
+			return s.createArea(aid)
+		}
+		return a, err
+	}
+	st, err := s.media.NewArea(aid)
+	if err != nil {
+		return nil, err
+	}
+	if size, err := st.Size(); err == nil && size == 0 && created {
+		return area.Create(st, page.AreaID(aid), 1, true)
+	}
+	return area.Load(st, true)
+}
+
+// removeOrphanAreas removes every area file of the directory the catalog does
+// not name: what AddArea left when it crashed before its record was durable.
+// Nothing refers to one.
+func (s *Server) removeOrphanAreas() error {
+	files, err := filepath.Glob(filepath.Join(s.dir, "area-*.bess"))
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		var aid uint32
+		if _, err := fmt.Sscanf(filepath.Base(f), "area-%d.bess", &aid); err != nil || s.lookupArea(aid) != nil {
+			continue
+		}
+		if err := os.Remove(f); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -791,11 +820,14 @@ func (s *Server) LockObject(client uint32, txid uint64, seg proto.SegKey, slot i
 
 // --- commit / abort / 2PC ---
 
-// applySegImages logs and applies the shipped images under t, allocating
-// new runs when a segment's data or overflow grew (server-side relocation).
+// applySegImages logs the shipped images under t, allocating new runs when a
+// segment's data or overflow grew (server-side relocation). It writes no
+// page: the records are redo-only, and t's commit writes their pages once its
+// commit record is durable (tx.Tx.Commit).
 func (s *Server) applySegImages(t *tx.Tx, segs []proto.SegImage) error {
 	// One buffer for the current content of every data and overflow run the
-	// commit overwrites, grown to the largest and reused from segment to segment.
+	// commit overwrites, grown to the largest and reused from segment to
+	// segment: t keeps the new images until it commits, never the old.
 	var scratch []byte
 	for _, si := range segs {
 		if err := s.applyOne(t, si, &scratch); err != nil {
@@ -901,20 +933,20 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	} else {
 		newSeg.Hdr.CRCFlags &^= segment.CRCOver
 	}
-	// Re-encode with the final geometry and write everything with logging.
+	// Re-encode with the final geometry and log everything.
 	img := newSeg.EncodeSlotted()
-	if err := s.logAndApply(staged, t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
+	if err := s.logAndApply(staged, t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)], scratch); err != nil {
 		return err
 	}
 	if len(si.Data) > 0 {
 		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
-		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:n], scratch); err != nil {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:n], scratch); err != nil {
 			return err
 		}
 	}
 	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
 		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
-		if err := s.overwriteRun(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:n], scratch); err != nil {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:n], scratch); err != nil {
 			return err
 		}
 	}
@@ -923,14 +955,14 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 
 // updateBase starts t's overwrite of seg: it reads the decoded current header
 // (overflow attached) and the current image, and stages the image with the
-// version store, whose proof of that is what logAndApply takes to write a
-// page. The image is read once and serves twice: it is the before-image of
-// every run the overwrite does not move, and it is the version chain's
-// pre-update image, which the store owns from here on — so neither the
-// caller nor anyone else writes its bytes. From here until t ends, snapshot
-// reads of the segment wait out the overwrite window. Without the staging an
-// open snapshot's Recheck passes (the stamp never advanced) while pages
-// change underneath it: a torn as-of read.
+// version store, whose proof of that is what logAndApply and logAndSteal
+// take to log a page. The image is read once and serves twice: it is the
+// before-image of every run the overwrite does not move, and it is the
+// version chain's pre-update image, which the store owns from here on — so
+// neither the caller nor anyone else writes its bytes. From here until t
+// ends, snapshot reads of the segment wait out the overwrite window. Without
+// the staging an open snapshot's Recheck passes (the stamp never advanced)
+// while pages change underneath it: a torn as-of read.
 func (s *Server) updateBase(t *tx.Tx, seg proto.SegKey) (cur *segment.Seg, old cache.VImage, staged cache.Staged, err error) {
 	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, secAll, s.live())
 	if err != nil {
@@ -949,43 +981,41 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 	return a, areaID, nil
 }
 
-// logAndApply writes data over the run at start, page by page: each page that
-// changes is logged through tx.Tx.LogUpdate — a byte-range record, or the
-// page's whole-image anchor when one is due (internal/tx/logging.go) — and
-// then written whole on the record's proof; WritePage is the crash-point unit.
-// Unchanged pages are neither logged nor written. staged is updateBase's proof
-// that t staged the segment these pages belong to. before is the run's current
-// content in whole pages, as the caller read it.
-func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
+// logAndApply logs data over the run at start for a shipped commit, page by
+// page: each page that changes is a redo-only record (tx.Tx.LogRedo) — a byte
+// range, or the page's whole-image anchor when one is due
+// (internal/tx/logging.go) — whose page t's commit writes, whole, after its
+// force. Nothing here can write one: LogRedo hands back no proof. Unchanged
+// pages are neither logged nor written.
+func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
+	return s.eachPage(staged, t, areaID, start, before, data, scratch, t.LogRedo)
+}
+
+// logAndSteal is logAndApply for a change in the middle of a transaction
+// (CreateLarge): each page is logged with its undo half (tx.Tx.LogUpdate) and
+// written at once on the record's proof — steal, which a rollback or restart's
+// undo takes back. WritePage is the crash-point unit.
+func (s *Server) logAndSteal(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
+	return s.eachPage(staged, t, areaID, start, before, data, scratch, func(pid page.ID, was, after []byte) error {
+		proof, err := t.LogUpdate(pid, was, after)
+		if err != nil || proof.LSN() == 0 {
+			return err // or unchanged
+		}
+		return s.WritePage(proof, after)
+	})
+}
+
+// eachPage hands change each page of the run at start with its current and
+// its new content. staged is updateBase's proof that t staged the segment
+// these pages belong to. before is the run's current content in whole pages,
+// as the caller read it; a nil before — a run the transaction allocated, or
+// that updateBase's image does not cover — is read here, into *scratch, which
+// grows geometrically to the largest run it has served and is the caller's to
+// hand to the next call.
+func (s *Server) eachPage(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte, change func(pid page.ID, was, after []byte) error) error {
 	if !staged.By(t.ID()) {
 		return ErrNotStaged
 	}
-	for lo := 0; lo < len(data); lo += page.Size {
-		was, after := before[lo:lo+page.Size], data[lo:min(lo+page.Size, len(data))]
-		if len(after) < page.Size {
-			// Short tail: the rest of the page keeps its current bytes.
-			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
-		}
-		pid := page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}
-		proof, err := t.LogUpdate(pid, was, after)
-		if err != nil {
-			return err
-		}
-		if proof.LSN() == 0 {
-			continue // unchanged
-		}
-		if err := s.WritePage(proof, after); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// overwriteRun is logAndApply for a run updateBase's image may not cover. A
-// nil before — a run the transaction allocated, which nobody has read — is
-// read here, into *scratch, which grows geometrically to the largest run it
-// has served and is the caller's to hand to the next call.
-func (s *Server) overwriteRun(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
 	if before == nil {
 		a := s.lookupArea(areaID)
 		if a == nil {
@@ -1000,7 +1030,17 @@ func (s *Server) overwriteRun(staged cache.Staged, t *tx.Tx, areaID uint32, star
 			return err
 		}
 	}
-	return s.logAndApply(staged, t, areaID, start, before, data)
+	for lo := 0; lo < len(data); lo += page.Size {
+		was, after := before[lo:lo+page.Size], data[lo:min(lo+page.Size, len(data))]
+		if len(after) < page.Size {
+			// Short tail: the rest of the page keeps its current bytes.
+			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
+		}
+		if err := change(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, was, after); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // requireLocks verifies the tx holds X (or SIX) on each shipped segment.
@@ -1015,6 +1055,8 @@ func (s *Server) requireLocks(txid uint64, segs []proto.SegImage) error {
 }
 
 // Commit implements proto.Conn: single-server commit of the shipped images.
+// Their records are redo-only, and their pages are written after the commit
+// record is durable (tx.Tx.Commit).
 func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error {
 	s.stats.messages.Add(1)
 	if len(segs) > 0 {
@@ -1047,7 +1089,8 @@ func (s *Server) Abort(client uint32, txid uint64) error {
 }
 
 // Prepare implements proto.Conn: 2PC phase-1 vote. Images are logged and
-// applied; the branch stays prepared (locks held) until Decide.
+// nothing is written; the branch stays prepared (locks held) until Decide,
+// whose commit writes the pages from the branch's log chain.
 func (s *Server) Prepare(client uint32, txid uint64, segs []proto.SegImage) error {
 	s.stats.messages.Add(1)
 	if len(segs) > 0 {
@@ -1170,8 +1213,10 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	}
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
+	// The pages are written now, in the middle of the transaction: their
+	// records keep an undo half.
 	var scratch []byte
-	if err := s.overwriteRun(staged, t, aid, start, nil, padded, &scratch); err != nil {
+	if err := s.logAndSteal(staged, t, aid, start, nil, padded, &scratch); err != nil {
 		return 0, err
 	}
 	// Grow overflow if needed and add the descriptor slot — into a copy:
@@ -1193,11 +1238,11 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 		return 0, err
 	}
 	img := dec.EncodeSlotted()
-	if err := s.logAndApply(staged, t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)]); err != nil {
+	if err := s.logAndSteal(staged, t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)], &scratch); err != nil {
 		return 0, err
 	}
 	// old.Overflow is nil when the run was allocated above.
-	if err := s.overwriteRun(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, old.Overflow, dec.Overflow, &scratch); err != nil {
+	if err := s.logAndSteal(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, old.Overflow, dec.Overflow, &scratch); err != nil {
 		return 0, err
 	}
 	// Force only this transaction's records (WAL rule for the page writes

@@ -11,37 +11,53 @@ import (
 
 // What the log holds for a page change — the one place that decides it.
 //
-// Two halves. An update record has a redo half (Off, After: what restart and
-// repair copy onto the page) and an undo half (UndoOff, Before: what rollback
-// and restart's undo copy back — they are its only readers; a snapshot read
-// never reads the log), and each holds only the bytes its reader needs.
+// A redo half always, an undo half only for a page written before its
+// transaction ends. Every page change has a redo half (Off, After: what
+// restart and repair copy onto the page). An undo half (UndoOff, Before: what
+// rollback and restart's undo copy back — its only readers; a snapshot read
+// never reads the log) is there only for what can need undoing:
+//
+//   - A shipped image (LogRedo) — a client's commit or prepare, the server's
+//     whole write set at the moment the transaction ends — is a TRedo record,
+//     redo half only. Its page is written after the transaction's commit
+//     record is durable (Commit, writeBack) and never before: the write takes
+//     a proof only a wal.Durable can make, and the log mints one only once its
+//     flushed frontier covers the commit record. Until then there is nothing
+//     on the page to undo, so a rollback writes no CLR for it.
+//   - A change written in the middle of a transaction (LogUpdate: the
+//     server's CreateLarge, which steals) is a TUpdate with both halves.
+//   - A CLR is redo-only too: it re-describes a restore that is itself never
+//     undone.
 //
 // Which bytes. Both halves of an ordinary record cover [lo, hi), the first
 // through the last byte that differ between the page's images, not the page:
-// a 128-byte overwrite logs about 130 bytes of before-image and as many of
-// after-image.
+// a 128-byte overwrite logs about 130 bytes of after-image, and a TUpdate as
+// many of before-image.
 //
 // Anchors. A byte-range redo image only means something on top of the page it
 // was cut from, and a torn or rotted page write can leave anything on disk. So
 // the first record of a page after Open and after every checkpoint — the
 // anchor — carries the whole page as its redo half (Off 0, page.Size bytes),
 // and Manager.anchors remembers, per checkpoint epoch, which pages have one and
-// at which LSN. CLRs follow the same rule — all of them: restart's undo is
-// Tx.Abort like any other (Restart), and nothing else appends one — so every
-// redo-able record in the log does. The anchor's undo half stays [lo, hi):
-// the two images are equal outside it, so once redo has laid the whole
-// after-image down, copying Before back over [lo, hi) leaves exactly the
-// before-image — undo never needed the rest, and a changed range of k bytes
-// costs an anchor page.Size + k, not two pages.
+// at which LSN. CLRs and TRedo records follow the same rule — all of them:
+// restart's undo is Tx.Abort like any other (Restart), and nothing else
+// appends a CLR — so every redo-able record in the log does. A TRedo anchor
+// that is rolled back anchors nothing (its page was never written): rollback
+// forgets it, and the page's next writer lays one down again. The anchor's undo
+// half stays [lo, hi): the two images are equal outside it, so once redo has
+// laid the whole after-image down, copying Before back over [lo, hi) leaves
+// exactly the before-image — undo never needed the rest, and a changed range
+// of k bytes costs an anchor page.Size + k, not two pages.
 //
 // Zero images. The log stores an image that is all zero as its length
 // (internal/wal): filling a page nothing was ever written to logs its
 // after-image only, and the CLR that empties it again logs a length. That is
 // the codec's rule, not this file's — nothing here knows a page is fresh.
 //
-// recLSN. A checkpoint lists, for each page an active transaction changed,
-// the LSN of the anchor the page had when the transaction first changed it —
-// at or before the transaction's first record of the page. Restart redo
+// recLSN. A checkpoint lists, for each page an active or prepared transaction
+// changed — or a committed one whose page writes are not done — the LSN of
+// the anchor the page had when the transaction first changed it: at or before
+// the transaction's first record of the page. Restart redo
 // replays a page from its recLSN (wal.Analysis.Redo), and a page first seen after
 // the checkpoint from its first record, which the reset below makes an
 // anchor: either way replay starts from a whole image, and
@@ -53,9 +69,9 @@ import (
 // records: the anchor reset — "is an anchor due", the append, and the anchors
 // update must not straddle it — and the dirty-page table, which lists a
 // transaction's pages exactly when the transaction's prepare, commit or abort
-// record follows the checkpoint's. Appenders hold it shared, Checkpoint holds
-// it exclusively around snapshot + reset + append. Nobody holds it across a
-// log force.
+// record follows the checkpoint's, or its page writes are still to come.
+// Appenders hold it shared, Checkpoint holds it exclusively around snapshot +
+// reset + append. Nobody holds it across a log force.
 //
 // The rule assumes what the server guarantees: a page that has been logged
 // is never again written without a record (unlogged initial images and raw
@@ -64,12 +80,12 @@ import (
 // LogUpdate appends the update record for pid changing from before to after,
 // both whole-page images, and returns the record's proof, which is what the
 // page store takes to write the page (wal.Pager) — the zero proof, with no
-// record, when the images are equal. The log is forced no later than the
-// transaction's commit or prepare.
+// record, when the images are equal. The record has an undo half: the caller
+// may write the page at once, before the transaction ends (steal). The log is
+// forced no later than the transaction's commit or prepare.
 func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (wal.Logged, error) {
-	if len(before) != page.Size || len(after) != page.Size {
-		return wal.Logged{}, fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
-			t.id, pid, len(before), len(after))
+	if err := t.wholePages(pid, before, after); err != nil {
+		return wal.Logged{}, err
 	}
 	lo, hi := diffRange(before, after)
 	m := t.m
@@ -83,7 +99,60 @@ func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (wal.Logged, error) {
 	if lo == hi {
 		return wal.Logged{}, nil
 	}
-	return t.appendRedo(&wal.Record{Type: wal.TUpdate, Tx: t.id, Page: pid}, before, after, lo, hi)
+	rec := &wal.Record{Type: wal.TUpdate, Tx: t.id, Page: pid}
+	if err := t.appendRedo(rec, before, after, lo, hi); err != nil {
+		return wal.Logged{}, err
+	}
+	return rec.Logged(), nil
+}
+
+// LogRedo appends the redo-only record (wal.TRedo) for pid changing from
+// before to after, both whole-page images, and queues the page's write for
+// t's commit: nothing is written now, and nothing the caller gets could write
+// it — the write waits for the commit record to be durable (writeBack). A page
+// t already queued a write for changes from that write's image, not from
+// before. Equal images log and queue nothing. after must stay unchanged until
+// t commits or aborts, or until its Prepare returns.
+func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
+	if err := t.wholePages(pid, before, after); err != nil {
+		return err
+	}
+	m := t.m
+	m.epoch.RLock()
+	defer m.epoch.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != Active {
+		return ErrNotActive
+	}
+	if _, seen := t.dirty[pid]; seen {
+		for i := len(t.writes) - 1; i >= 0; i-- {
+			if t.writes[i].rec.Page() == pid {
+				before = t.writes[i].img
+				break
+			}
+		}
+	}
+	lo, hi := diffRange(before, after)
+	if lo == hi {
+		return nil
+	}
+	rec := &wal.Record{Type: wal.TRedo, Tx: t.id, Page: pid}
+	if err := t.appendRedo(rec, nil, after, lo, hi); err != nil {
+		return err
+	}
+	t.writes = append(t.writes, shipped{rec: rec.Pending(), img: after})
+	t.deferred = true
+	return nil
+}
+
+// wholePages checks that a page change comes as two whole-page images.
+func (t *Tx) wholePages(pid page.ID, before, after []byte) error {
+	if len(before) != page.Size || len(after) != page.Size {
+		return fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
+			t.id, pid, len(before), len(after))
+	}
+	return nil
 }
 
 // undo rolls back one update record of t: it logs the CLR, then restores the
@@ -98,24 +167,35 @@ func (t *Tx) undo(rec *wal.Record, buf []byte) error {
 		return fmt.Errorf("tx %d: undo of %v: image [%d, %d) runs past the page", t.id, rec.Page, lo, hi)
 	}
 	copy(buf[lo:], rec.Before)
+	clr := &wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN}
 	m.epoch.RLock()
 	t.mu.Lock()
-	clr, err := t.appendRedo(&wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN}, nil, buf, lo, hi)
+	err := t.appendRedo(clr, nil, buf, lo, hi)
 	t.mu.Unlock()
 	m.epoch.RUnlock()
 	if err != nil {
 		return err
 	}
-	return m.pager.WritePage(clr, buf)
+	return m.pager.WritePage(clr.Logged(), buf)
 }
 
-// appendRedo appends rec, an update or CLR of rec.Page that leaves the page
-// holding img and changes img[lo:hi] (from before[lo:hi]; nil for a CLR,
-// which has no undo image). The undo half is that range. Under the anchor
-// rule the redo half is the same range if the page has an anchor in this
-// checkpoint epoch, and the whole page — becoming the anchor — if not. The
-// caller holds m.epoch shared and t.mu.
-func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (wal.Logged, error) {
+// forget drops the anchor a rolled-back TRedo record at lsn set: its page was
+// never written, so the page's next writer must anchor it again.
+func (m *Manager) forget(pid page.ID, lsn page.LSN) {
+	m.mu.Lock()
+	if m.anchors[pid] == lsn {
+		delete(m.anchors, pid)
+	}
+	m.mu.Unlock()
+}
+
+// appendRedo appends rec, an update, TRedo or CLR of rec.Page that leaves the
+// page holding img and changes img[lo:hi] (from before[lo:hi]; nil for a
+// TRedo or a CLR, which have no undo image). The undo half is that range.
+// Under the anchor rule the redo half is the same range if the page has an
+// anchor in this checkpoint epoch, and the whole page — becoming the anchor —
+// if not. The caller holds m.epoch shared and t.mu.
+func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) error {
 	m := t.m
 	m.mu.Lock()
 	anchor, anchored := m.anchors[rec.Page]
@@ -129,7 +209,7 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (wal.Lo
 	rec.Off, rec.After = uint32(lo), img[lo:hi]
 	lsn, err := t.chain(rec)
 	if err != nil {
-		return wal.Logged{}, err
+		return err
 	}
 	if !anchored {
 		// Segment locks keep two transactions off one page, so nobody else
@@ -142,7 +222,7 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) (wal.Lo
 	if _, ok := t.dirty[rec.Page]; !ok {
 		t.dirty[rec.Page] = anchor
 	}
-	return rec.Logged(), nil
+	return nil
 }
 
 // chain appends rec as the next record of t's chain: it is the one place a
@@ -217,8 +297,9 @@ func diffRange(a, b []byte) (lo, hi int) {
 }
 
 // Checkpoint writes a fuzzy checkpoint — the pages the transactions still
-// active or prepared changed, with their recLSNs — starts a new anchor epoch,
-// and forces the log. Which transactions are open restart reads off their own
+// active or prepared changed, and those of a committed one whose page writes
+// are still to come, with their recLSNs — starts a new anchor epoch, and
+// forces the log. Which transactions are open restart reads off their own
 // records (wal.Analyze), not off the checkpoint.
 func (m *Manager) Checkpoint() (page.LSN, error) {
 	m.epoch.Lock()
@@ -233,8 +314,10 @@ func (m *Manager) Checkpoint() (page.LSN, error) {
 	for _, t := range txs {
 		t.mu.Lock()
 		// A transaction past Active/Prepared has its commit or abort record
-		// in the log already, ahead of this checkpoint's.
-		if t.state == Active || t.state == Prepared {
+		// in the log already, ahead of this checkpoint's; a committed one
+		// whose TRedo pages are not written yet needs redo to reach them from
+		// here all the same.
+		if t.state == Active || t.state == Prepared || t.deferred {
 			for pid, lsn := range t.dirty {
 				if have, ok := recLSN[pid]; !ok || lsn < have {
 					recLSN[pid] = lsn

@@ -15,7 +15,8 @@ import (
 // chains, and rolls the losers among them back, latest first, by the loop
 // every runtime abort runs (Tx.Abort), so restart's CLRs follow the anchor
 // rule like any others; an in-doubt 2PC branch is simply still in the table,
-// Prepared, for its coordinator's decision to Commit or Abort.
+// Prepared, for its coordinator's decision to Commit or Abort — with its
+// redo-only records' pages unwritten, for a commit to write from its chain.
 func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) (*Manager, *wal.RecoveryStats, error) {
 	if err := an.Redo(pager); err != nil {
 		return nil, nil, err
@@ -31,6 +32,9 @@ func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.R
 		t := m.register(u.Tx, 0, state, u.LastLSN)
 		m.mu.Unlock()
 		if u.Prepared {
+			if err := t.adopt(an); err != nil {
+				return nil, nil, fmt.Errorf("tx: restart: adopting branch %d: %w", u.Tx, err)
+			}
 			continue
 		}
 		undone, err := t.rollback(false)
@@ -40,4 +44,27 @@ func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.R
 		st.UndoApplied += undone
 	}
 	return m, st, nil
+}
+
+// adopt gives a prepared branch restart found what its own run kept in memory:
+// for each page it changed, the recLSN a checkpoint must list while it is in
+// doubt — where this restart's redo started the page — and whether redo-only
+// records in its chain wait for its commit.
+func (t *Tx) adopt(an *wal.Analysis) error {
+	for next := t.lastLSN; next != 0; {
+		rec, err := t.m.log.ReadRecord(next)
+		if err != nil {
+			return err
+		}
+		if rec.Type == wal.TUpdate || rec.Type == wal.TRedo {
+			rl, ok := an.RecLSN(rec.Page)
+			if !ok || rl > next {
+				rl = next
+			}
+			t.dirty[rec.Page] = rl
+			t.deferred = t.deferred || rec.Type == wal.TRedo
+		}
+		next = rec.PrevLSN
+	}
+	return nil
 }

@@ -3,8 +3,10 @@
 // protection and two-phase commit for distributed transactions.
 //
 // The package also owns what goes into the log for a page change (logging.go):
-// byte-range records, a whole-page anchor per page and checkpoint epoch, and
-// the dirty-page table a checkpoint lists.
+// byte-range records, an undo half only for a page written before its
+// transaction ends, a whole-page anchor per page and checkpoint epoch, and the
+// dirty-page table a checkpoint lists; and it writes the pages a commit's
+// redo-only records describe, after the commit's force.
 package tx
 
 import (
@@ -89,6 +91,8 @@ type Manager struct {
 	// still excludes concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
+	// repair is given the pages a durable commit failed to write (SetRepair).
+	repair func(pages []page.ID, cause error) error
 
 	commitStamp page.LSN            // guarded by mu; latest published commit LSN (the version clock)
 	snaps       map[uint64]page.LSN // guarded by mu; open snapshot id → stamp
@@ -124,6 +128,18 @@ type Tx struct {
 	// dirty maps each page this tx changed to the recLSN a checkpoint lists
 	// for it: the LSN of the page's anchor at the tx's first change.
 	dirty map[page.ID]page.LSN
+	// writes are the page writes t's TRedo records defer to its commit, in log
+	// order (LogRedo). A prepared transaction lets them go: its commit reads
+	// them back from its log chain. deferred says there are such writes to do,
+	// in writes or in the chain, until writeBack has done them.
+	writes   []shipped
+	deferred bool
+}
+
+// shipped is one page write a TRedo record defers to its transaction's commit.
+type shipped struct {
+	rec wal.Pending
+	img []byte // the whole page as the commit leaves it
 }
 
 // register enters a transaction into the table. The caller holds m.mu.
@@ -234,22 +250,36 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 	return err
 }
 
-// Commit logs and forces a commit record, releases all locks (strict 2PL),
-// and retires the transaction. A transaction that logged nothing commits
-// without a record or a force: nothing of it is in the log to resolve, and
-// the version clock stays where it is. A commit whose force fails ends the
-// transaction all the same — unpublished, locks released, out of the table:
-// whether it committed is for restart to read off the log.
+// Commit logs and forces a commit record, writes the pages its redo-only
+// records deferred to it (writeBack), releases all locks (strict 2PL), and
+// retires the transaction, in this order: commit record → force → page writes
+// → TEnd → version publication → lock release. A transaction that logged
+// nothing commits without a record or a force: nothing of it is in the log to
+// resolve, and the version clock stays where it is.
+//
+// A commit whose force fails did not happen. An active transaction is rolled
+// back — its abort record follows the commit record, which makes every reader
+// of page history drop the commit (wal.Replayer) — and ended whatever the
+// rollback manages: unpublished, locks released, out of the table. A prepared
+// one stays prepared, for its coordinator to deliver the decision again. A
+// page write that fails after the force does not undo the commit: the page
+// goes to the manager's repair (SetRepair) before the locks release, and
+// Commit returns what the repair answers.
 func (t *Tx) Commit() error {
 	m := t.m
+	prepared := t.State() == Prepared
 	lsn, err := t.logEnd(Committed, wal.TCommit)
 	if err != nil {
 		return err
 	}
 	if lsn != 0 {
-		err = m.log.Flush(lsn)
+		if err := m.log.Flush(lsn); err != nil {
+			return t.unforced(prepared, err)
+		}
 	}
-	if lsn != 0 && err == nil {
+	var werr error
+	if lsn != 0 {
+		werr = t.writeBack(lsn)
 		_, err = m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id})
 		// Version-store publication order: advance the version clock, then
 		// publish the committed images (hook) while this writer's X locks still
@@ -262,8 +292,7 @@ func (t *Tx) Commit() error {
 			h(t.id, lsn)
 		}
 	} else if h := m.abortHook; h != nil {
-		// What it staged with the version store was left unchanged, or is
-		// never to be published.
+		// What it staged with the version store was left unchanged.
 		h(t.id)
 	}
 	t.finish()
@@ -274,12 +303,124 @@ func (t *Tx) Commit() error {
 	m.mu.Lock()
 	m.commits++
 	m.mu.Unlock()
-	return nil
+	return werr
+}
+
+// unforced ends a commit whose force failed (Commit): t goes back to what it
+// was, and an active transaction is rolled back.
+func (t *Tx) unforced(prepared bool, cause error) error {
+	t.mu.Lock()
+	t.state = Active
+	if prepared {
+		t.state = Prepared
+	}
+	t.mu.Unlock()
+	if prepared {
+		return cause
+	}
+	if _, err := t.rollback(false); err != nil {
+		// The log refuses the rollback too: end t unpublished all the same.
+		if h := t.m.abortHook; h != nil {
+			h(t.id)
+		}
+		t.finish()
+	}
+	return cause
+}
+
+// writeBack writes the pages t's redo-only records deferred to its commit,
+// whose record, at commit, is durable: from the images t shipped, or — t
+// prepared before, or restart adopted it — rebuilt from its log chain. Each
+// write's proof comes from the log's wal.Durable for that commit, and from
+// nowhere else. The pages whose write fails go to the manager's repair;
+// without one, writeBack reports them.
+func (t *Tx) writeBack(commit page.LSN) error {
+	m := t.m
+	t.mu.Lock()
+	writes, deferred := t.writes, t.deferred
+	t.mu.Unlock()
+	if !deferred {
+		return nil
+	}
+	defer func() {
+		t.mu.Lock()
+		t.writes, t.deferred = nil, false
+		t.mu.Unlock()
+	}()
+	d, err := m.log.Durable(t.id, commit)
+	if err == nil && writes == nil {
+		writes, err = t.chainWrites(commit)
+	}
+	if err != nil {
+		return err
+	}
+	var failed []page.ID
+	var cause error
+	for _, w := range writes {
+		proof, err := d.Proof(w.rec)
+		if err == nil {
+			err = m.pager.WritePage(proof, w.img)
+		}
+		if err != nil {
+			failed = append(failed, w.rec.Page())
+			if cause == nil {
+				cause = err
+			}
+		}
+	}
+	if failed == nil {
+		return nil
+	}
+	if m.repair == nil {
+		return fmt.Errorf("tx %d: %d page(s) of a durable commit not written: %w", t.id, len(failed), cause)
+	}
+	return m.repair(failed, cause)
+}
+
+// chainWrites rebuilds from t's log chain, which ends at its commit record,
+// the page writes its redo-only records defer to that commit: each page as
+// the store holds it, the records laid on in log order, on the proof of the
+// last of them.
+func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
+	m := t.m
+	var recs []*wal.Record
+	for next := commit; next != 0; {
+		rec, err := m.log.ReadRecord(next)
+		if err != nil {
+			return nil, fmt.Errorf("tx %d: commit read at %d: %w", t.id, next, err)
+		}
+		if rec.Type == wal.TRedo {
+			recs = append(recs, rec)
+		}
+		next = rec.PrevLSN
+	}
+	var writes []shipped
+	at := make(map[page.ID]int)
+	for i := len(recs) - 1; i >= 0; i-- {
+		rec := recs[i]
+		k, ok := at[rec.Page]
+		if !ok {
+			img := make([]byte, page.Size)
+			if err := m.pager.ReadPage(rec.Page, img); err != nil {
+				return nil, err
+			}
+			k, at[rec.Page] = len(writes), len(writes)
+			writes = append(writes, shipped{img: img})
+		}
+		if int(rec.Off)+len(rec.After) > page.Size {
+			return nil, fmt.Errorf("tx %d: redo record of %v runs past the page", t.id, rec.Page)
+		}
+		copy(writes[k].img[rec.Off:], rec.After)
+		writes[k].rec = rec.Pending()
+	}
+	return writes, nil
 }
 
 // Abort rolls the transaction back: it walks the update chain in reverse,
-// logs a CLR for each update and restores its before-image through the pager,
-// then logs abort+end and releases locks. It is the one rollback there is —
+// logs a CLR for each update and restores its before-image through the pager
+// — a redo-only record's page was never written, so it only forgets the
+// anchor that record set — then logs abort+end and releases locks. It is the
+// one rollback there is —
 // a client's abort, a 2PC abort decision, a dropped connection and restart's
 // undo of a loser all run it. A transaction that logged nothing has nothing
 // to undo and, like its commit, leaves no record.
@@ -321,12 +462,18 @@ func (t *Tx) rollback(decided bool) (undone int, err error) {
 			}
 			undone++
 			next = rec.PrevLSN
+		case wal.TRedo:
+			m.forget(rec.Page, next)
+			next = rec.PrevLSN
 		case wal.TCLR:
 			next = rec.UndoNext
 		default:
 			next = rec.PrevLSN
 		}
 	}
+	t.mu.Lock()
+	t.writes, t.deferred = nil, false
+	t.mu.Unlock()
 	lsn, err := t.logEnd(Aborted, wal.TAbort, wal.TEnd)
 	if err != nil {
 		return undone, err
@@ -347,15 +494,28 @@ func (t *Tx) rollback(decided bool) (undone int, err error) {
 	return undone, nil
 }
 
-// Prepare logs and forces a prepare record (2PC participant vote). The
-// transaction holds its locks until the decision.
+// Prepare logs and forces a prepare record (2PC participant vote) and writes
+// nothing: the pages its redo-only records describe wait for a commit
+// decision, which reads them back from its log chain — Prepare lets go of the
+// images the caller shipped. The transaction holds its locks until the
+// decision.
 func (t *Tx) Prepare() error {
 	lsn, err := t.logEnd(Prepared, wal.TPrepare)
 	if err != nil {
 		return err
 	}
+	t.mu.Lock()
+	t.writes = nil
+	t.mu.Unlock()
 	return t.m.log.Flush(lsn)
 }
+
+// SetRepair installs fn to be given the pages a commit failed to write after
+// its force, and the first write's error, before the commit's locks release:
+// the commit stands, so fn must rebuild them from the log or take them out of
+// service, and what it returns is what Commit returns. Same registration
+// contract as SetCommitHook.
+func (m *Manager) SetRepair(fn func(pages []page.ID, cause error) error) { m.repair = fn }
 
 // finish releases locks and removes the tx from the active table.
 func (t *Tx) finish() {

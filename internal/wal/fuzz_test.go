@@ -52,6 +52,19 @@ func FuzzWALDecodeRecord(f *testing.F) {
 	enc := seed[2].appendTo(nil)
 	f.Add(enc[:20])                       // truncated mid-record
 	f.Add(bytes.Repeat([]byte{0xA5}, 32)) // garbage that passes the length gate
+	// Redo-only records: an anchor, a byte range, an all-zero after-image;
+	// then the range cut inside its offset word and inside its image.
+	shipped := []*Record{
+		{Type: TRedo, Tx: 5, PrevLSN: 40, Page: page.ID{Area: 2, Page: 11}, After: bytes.Repeat([]byte{0x7E}, page.Size)},
+		{Type: TRedo, Tx: 5, PrevLSN: 96, Page: page.ID{Area: 2, Page: 11}, Off: 900, After: []byte("shipped range")},
+		{Type: TRedo, Tx: 6, Page: page.ID{Area: 2, Page: 12}, Off: 64, After: make([]byte, 512)},
+	}
+	for _, r := range shipped {
+		f.Add(r.appendTo(nil))
+	}
+	enc = shipped[1].appendTo(nil)
+	f.Add(enc[:31])
+	f.Add(enc[:len(enc)-3])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := decodeRecord(b)

@@ -51,17 +51,105 @@ type Analysis struct {
 	dirty map[page.ID]page.LSN // page → recLSN
 }
 
+// Replayer hands the page changes of a forward walk of the log — one record
+// at a time (Add), then End — to apply in the order they take effect. That
+// order is the one rule every reader of page history follows (restart redo,
+// the server's catalog replay and repair): an update or CLR takes effect
+// where it stands; a transaction's redo-only records (TRedo) take effect at
+// its commit, in their own order, and are held until then — until the
+// transaction's TEnd, or the end of the walk, finds its TCommit its last word.
+// A TRedo whose transaction aborted — also after a TCommit whose force failed,
+// which tx.Tx.Commit rolls back — or is still open or in doubt when the walk
+// ends is never handed on. apply gets each record with the proof a store of
+// its page takes.
+type Replayer struct {
+	apply func(lsn page.LSN, rec *Record, proof Logged) error
+	held  map[uint64]*shipment // by transaction: its redo-only records so far
+}
+
+// shipment is what a Replayer holds of one transaction.
+type shipment struct {
+	recs   []*Record // its TRedo records, each stamped with its LSN (Record.Pending)
+	commit page.LSN  // of its TCommit, while that is its last word
+}
+
+// NewReplayer returns a Replayer that hands page changes to apply.
+func NewReplayer(apply func(lsn page.LSN, rec *Record, proof Logged) error) *Replayer {
+	return &Replayer{apply: apply, held: make(map[uint64]*shipment)}
+}
+
+// Add takes the record at lsn, the next one of the walk.
+func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
+	s := r.held[rec.Tx]
+	switch rec.Type {
+	case TUpdate, TCLR:
+		if s != nil {
+			s.commit = 0 // a CLR after a TCommit: the commit is being rolled back
+		}
+		return r.apply(lsn, rec, rec.logged)
+	case TRedo:
+		if s == nil {
+			s = new(shipment)
+			r.held[rec.Tx] = s
+		}
+		rec.stamp(lsn)
+		s.recs = append(s.recs, rec)
+	case TCommit:
+		if s != nil {
+			s.commit = lsn
+		}
+	case TAbort:
+		delete(r.held, rec.Tx)
+	case TEnd:
+		delete(r.held, rec.Tx)
+		return r.release(s)
+	}
+	return nil
+}
+
+// End hands on the transactions the walk leaves committed without an end
+// record — a commit durable, its page writes perhaps not — in commit order.
+func (r *Replayer) End() error {
+	var done []*shipment
+	for tx, s := range r.held {
+		if s.commit != 0 {
+			done = append(done, s)
+		}
+		delete(r.held, tx)
+	}
+	sort.Slice(done, func(i, j int) bool { return done[i].commit < done[j].commit })
+	for _, s := range done {
+		if err := r.release(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release applies s's records if its transaction committed.
+func (r *Replayer) release(s *shipment) error {
+	if s == nil || s.commit == 0 {
+		return nil
+	}
+	for _, rec := range s.recs {
+		if err := r.apply(rec.pending.lsn, rec, Logged{page: rec.Page, lsn: rec.pending.lsn}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Analyze reads the log once, from its first record, and calls visit (if not
 // nil) on every record, so that restart's other readers of the log — the
 // server's catalog replay — ride this pass instead of walking it themselves.
 //
-// A transaction's status is the type of its own last record: TUpdate or TCLR
-// while active, TPrepare in doubt (kept until its coordinator decides),
-// TCommit a winner, TAbort or TEnd finished, and forgotten. A checkpoint's
-// dirty-page table replaces the one analysis built: a page's recLSN is the
-// last checkpoint's entry, or else the page's first record after it (or in the
-// log). The logging rule makes each of those a whole-page image. Catalog
-// records belong to no transaction and no page.
+// A transaction's status is the type of its own last record: TUpdate, TRedo
+// or TCLR while active, TPrepare in doubt (kept until its coordinator
+// decides), TCommit a winner, TAbort or TEnd finished, and forgotten. A
+// checkpoint's dirty-page table replaces the one analysis built: a page's
+// recLSN is the last checkpoint's entry, or else the page's first record after
+// it (or in the log). The logging rule makes each of those a whole-page image.
+// Catalog records belong to no transaction and no page.
 func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, error) {
 	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN)}
 	st := &a.Stats
@@ -73,7 +161,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	if err := l.Iterate(firstLSN, func(lsn page.LSN, rec *Record) error {
 		st.RecordsAnalyzed++
 		switch rec.Type {
-		case TUpdate, TCLR:
+		case TUpdate, TRedo, TCLR:
 			txs[rec.Tx] = txInfo{lsn, TUpdate}
 			if _, ok := a.dirty[rec.Page]; !ok {
 				a.dirty[rec.Page] = lsn
@@ -123,18 +211,22 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 // Log is the log a was made from.
 func (a *Analysis) Log() *Log { return a.log }
 
-// Redo repeats history onto p: every update and CLR from the redo start on,
-// each only at or after its page's recLSN. Update records are byte ranges, so
-// where a page's replay starts matters; the logging rule makes each recLSN a
-// whole-page image, and Stats.UnanchoredPages counts the pages it did not.
+// RecLSN is where redo starts page p, if it replays p at all.
+func (a *Analysis) RecLSN(p page.ID) (page.LSN, bool) {
+	rl, ok := a.dirty[p]
+	return rl, ok
+}
+
+// Redo repeats history onto p: every page change from the redo start on, in
+// the order it takes effect (Replayer), each only at or after its page's
+// recLSN. Records are byte ranges, so where a page's replay starts matters;
+// the logging rule makes each recLSN a whole-page image, and
+// Stats.UnanchoredPages counts the pages it did not.
 func (a *Analysis) Redo(p Pager) error {
 	st := &a.Stats
 	buf := make([]byte, page.Size)
 	replayed := make(map[page.ID]bool)
-	return a.log.Iterate(st.RedoStartLSN, func(lsn page.LSN, rec *Record) error {
-		if rec.Type != TUpdate && rec.Type != TCLR {
-			return nil
-		}
+	rp := NewReplayer(func(lsn page.LSN, rec *Record, proof Logged) error {
 		if rl, dirty := a.dirty[rec.Page]; !dirty || lsn < rl || len(rec.After) == 0 {
 			return nil
 		}
@@ -151,12 +243,16 @@ func (a *Analysis) Redo(p Pager) error {
 			return fmt.Errorf("wal: redo record at %d out of page bounds", lsn)
 		}
 		copy(buf[rec.Off:], rec.After)
-		if err := p.WritePage(rec.Logged(), buf); err != nil {
+		if err := p.WritePage(proof, buf); err != nil {
 			return fmt.Errorf("wal: redo write %v: %w", rec.Page, err)
 		}
 		st.RedoApplied++
 		return nil
 	})
+	if err := a.log.Iterate(st.RedoStartLSN, rp.Add); err != nil {
+		return err
+	}
+	return rp.End()
 }
 
 // Checkpoint writes a fuzzy checkpoint record carrying the dirty-page table

@@ -1,7 +1,8 @@
 // Package wal implements the BeSS write-ahead log: an ARIES-like protocol
 // (paper §3, reference [21]) with physical byte-range update records,
-// compensation log records (CLRs), fuzzy checkpoints, and restart's analysis
-// and redo passes (recovery.go; undo is package tx's).
+// redo-only records for pages written after their commit, compensation log
+// records (CLRs), fuzzy checkpoints, and restart's analysis and redo passes
+// (recovery.go; undo is package tx's).
 //
 // Redo is physical (copy the after-image to the page at the recorded
 // offset) and therefore idempotent, so pages need not carry a pageLSN:
@@ -39,6 +40,14 @@ const (
 	// server encodes, decodes and replays it (server/catalog.go); it belongs to
 	// no transaction, and every walker of page history passes over it.
 	TCatalog
+	// TRedo is a page change with a redo half and no undo half: its page is
+	// written only once its transaction's commit record is durable (Durable),
+	// so there is never anything on the page to take back. It takes effect at
+	// that commit, not where it stands (Replayer).
+	TRedo
+
+	// NumTypes sizes a table indexed by Type: one more than the last type.
+	NumTypes = iota + 1
 )
 
 // String names the record type.
@@ -60,6 +69,8 @@ func (t Type) String() string {
 		return "prepare"
 	case TCatalog:
 		return "catalog"
+	case TRedo:
+		return "redo"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -77,15 +88,16 @@ type Record struct {
 	Tx      uint64
 	PrevLSN page.LSN // previous record of the same transaction
 
-	// Update / CLR fields. The redo half (Off, After) and the undo half
-	// (UndoOff, Before) are independent ranges of the page: an anchor's redo
-	// image is the whole page while its undo image is only what changed
-	// (internal/tx/logging.go). An image read back from the log is read-only.
+	// Update / CLR / redo-only fields. The redo half (Off, After) and the undo
+	// half (UndoOff, Before) are independent ranges of the page: an anchor's
+	// redo image is the whole page while its undo image is only what changed
+	// (internal/tx/logging.go). A CLR and a TRedo have no undo half. An image
+	// read back from the log is read-only.
 	Page     page.ID
 	Off      uint32   // byte offset of After within the page
 	After    []byte   // redo image
 	UndoOff  uint32   // byte offset of Before within the page
-	Before   []byte   // undo image (empty for CLRs)
+	Before   []byte   // undo image (empty for CLRs and TRedo)
 	UndoNext page.LSN // CLR: next record to undo
 
 	// Checkpoint: the dirty-page table.
@@ -94,16 +106,18 @@ type Record struct {
 	// Catalog record: the rest of the record, as the server wrote it.
 	Body []byte
 
-	logged Logged // see Record.Logged
+	logged  Logged  // see Record.Logged
+	pending Pending // see Record.Pending
 }
 
-// Logged is proof that an update or CLR record of Page is in the log, at LSN:
-// what a page store demands in place of a page id before it overwrites the
-// page (log before data, DESIGN.md §4f). Only this package makes a non-zero
-// one — Append stamps it into the record it has taken, and records read back
-// from the log carry theirs — so a store cannot be asked to write a page
-// nothing was logged for. It says a record of the page precedes the store,
-// not that the bytes stored are that record's.
+// Logged is proof that a record of Page is in the log, at LSN: what a page
+// store demands in place of a page id before it overwrites the page (log
+// before data, DESIGN.md §4f). Only this package makes a non-zero one —
+// Append stamps it into the update or CLR it has taken, records read back
+// from the log carry theirs, and a redo-only record gets one only once its
+// transaction's commit is durable (Durable.Proof, Replayer) — so a store
+// cannot be asked to write a page nothing was logged for. It says a record of
+// the page precedes the store, not that the bytes stored are that record's.
 type Logged struct {
 	page page.ID
 	lsn  page.LSN
@@ -119,10 +133,51 @@ func (p Logged) LSN() page.LSN { return p.lsn }
 // read from the log, and for every record that is not an update or a CLR.
 func (r *Record) Logged() Logged { return r.logged }
 
-// stamp makes r, the record at lsn, carry its proof.
+// Pending is a redo-only record of a page in the log (TRedo), whose page
+// write is pending its transaction's commit: Append stamps it into the record
+// it has taken, and records read back from the log carry theirs
+// (Record.Pending). It is not a Logged, and no page store takes it: the
+// page's write waits for the transaction's commit record, not for this one.
+// Durable.Proof makes it a Logged once that record is durable.
+type Pending struct {
+	page page.ID
+	tx   uint64
+	lsn  page.LSN
+}
+
+// Page is the page the record changes.
+func (r Pending) Page() page.ID { return r.page }
+
+// Pending returns r's redo-only token: zero until Append has taken r or
+// unless r was read from the log, and for every record that is not a TRedo.
+func (r *Record) Pending() Pending { return r.pending }
+
+// Durable is proof that a transaction's commit record is durable. Only the
+// log makes one (Log.Durable), once its flushed frontier covers the record,
+// and it is the only way to turn the transaction's redo-only records into
+// proofs a page store takes (Proof): no page a TRedo describes is written
+// before its commit is durable (DESIGN.md §4f).
+type Durable struct {
+	tx     uint64
+	commit page.LSN
+}
+
+// Proof returns what a store of r's page takes, if r is a record of d's
+// transaction that precedes its commit record; ErrNotDurable if not.
+func (d Durable) Proof(r Pending) (Logged, error) {
+	if d.commit == 0 || r.lsn == 0 || r.tx != d.tx || r.lsn >= d.commit {
+		return Logged{}, ErrNotDurable
+	}
+	return Logged{page: r.page, lsn: r.lsn}, nil
+}
+
+// stamp makes r, the record at lsn, carry its proof or its redo-only token.
 func (r *Record) stamp(lsn page.LSN) {
-	if r.Type == TUpdate || r.Type == TCLR {
+	switch r.Type {
+	case TUpdate, TCLR:
 		r.logged = Logged{page: r.Page, lsn: lsn}
+	case TRedo:
+		r.pending = Pending{page: r.Page, tx: r.Tx, lsn: lsn}
 	}
 }
 
@@ -142,6 +197,9 @@ var (
 	// ErrOldFormat is Open's answer to a log whose records an older build
 	// encoded differently.
 	ErrOldFormat = errors.New("wal: the log was written by an older build; this build cannot read it")
+	// ErrNotDurable is Log.Durable's answer before the log is forced through
+	// the commit record, and Durable.Proof's to a record it does not cover.
+	ErrNotDurable = errors.New("wal: commit record not durable")
 )
 
 const recHeaderSize = 4 + 4 // length + crc
@@ -151,7 +209,9 @@ const recHeaderSize = 4 + 4 // length + crc
 // that is all zero — the before-image of a page nothing was ever written to,
 // the after-image of the CLR that takes it back there — as its length alone,
 // with zeroImage set in the length word. Decoding hands such an image back as
-// a slice of zeroes, so readers of a Record see neither.
+// a slice of zeroes, so readers of a Record see neither. A TRedo record is an
+// update without its undo half: the offset word holds Off alone, and there is
+// no UndoNext and no before-image length.
 const (
 	offBits   = 16
 	maxOff    = 1<<offBits - 1
@@ -169,10 +229,13 @@ func isZero(img []byte) bool {
 // zeroImages reports which of r's images are stored as their length alone.
 // Append asks once and sizes and encodes the record by the same answer.
 func (r *Record) zeroImages() (before, after bool) {
-	if r.Type != TUpdate && r.Type != TCLR {
-		return false, false
+	switch r.Type {
+	case TUpdate, TCLR:
+		return isZero(r.Before), isZero(r.After)
+	case TRedo:
+		return false, isZero(r.After)
 	}
-	return isZero(r.Before), isZero(r.After)
+	return false, false
 }
 
 // sizeOf is the exact size of r's body as encode writes it: what Append
@@ -185,6 +248,11 @@ func (r *Record) sizeOf(zeroBefore, zeroAfter bool) int {
 		if !zeroBefore {
 			n += len(r.Before)
 		}
+		if !zeroAfter {
+			n += len(r.After)
+		}
+	case TRedo:
+		n += 4 + 8 + 4 + 4
 		if !zeroAfter {
 			n += len(r.After)
 		}
@@ -209,6 +277,9 @@ type Footprint struct {
 func (r *Record) Footprint() Footprint {
 	zb, za := r.zeroImages()
 	f := Footprint{Before: len(r.Before), After: len(r.After)}
+	if r.Type == TRedo {
+		f.Before = 0 // the codec writes no undo half
+	}
 	if zb {
 		f.Before, f.ZeroBefore = 0, len(r.Before)
 	}
@@ -241,6 +312,11 @@ func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
 		b = be.AppendUint32(b, r.Off|r.UndoOff<<offBits)
 		b = be.AppendUint64(b, uint64(r.UndoNext))
 		b = appendImage(b, r.Before, zeroBefore)
+		b = appendImage(b, r.After, zeroAfter)
+	case TRedo:
+		b = be.AppendUint32(b, uint32(r.Page.Area))
+		b = be.AppendUint64(b, uint64(r.Page.Page))
+		b = be.AppendUint32(b, r.Off)
 		b = appendImage(b, r.After, zeroAfter)
 	case TCheckpoint:
 		// The first word counts a list of (tx, last LSN) pairs that earlier
@@ -286,7 +362,7 @@ func decodeRecord(b []byte) (*Record, error) {
 		return v, nil
 	}
 	switch r.Type {
-	case TUpdate, TCLR:
+	case TUpdate, TCLR, TRedo:
 		area, err := u32()
 		if err != nil {
 			return nil, err
@@ -300,12 +376,6 @@ func decodeRecord(b []byte) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.Off, r.UndoOff = off&maxOff, off>>offBits
-		un, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		r.UndoNext = page.LSN(un)
 		image := func() ([]byte, error) {
 			n, err := u32()
 			switch {
@@ -325,8 +395,18 @@ func decodeRecord(b []byte) (*Record, error) {
 			p = p[n:]
 			return img, nil
 		}
-		if r.Before, err = image(); err != nil {
-			return nil, err
+		if r.Type == TRedo {
+			r.Off = off
+		} else {
+			r.Off, r.UndoOff = off&maxOff, off>>offBits
+			un, err := u64()
+			if err != nil {
+				return nil, err
+			}
+			r.UndoNext = page.LSN(un)
+			if r.Before, err = image(); err != nil {
+				return nil, err
+			}
 		}
 		if r.After, err = image(); err != nil {
 			return nil, err
@@ -503,8 +583,10 @@ const firstLSN = page.LSN(8)
 
 // logMagic opens the file: four bytes of magic and the format version.
 // Version 2 split an update record's offset word in two and gave all-zero
-// images their flagged length; version 1 logs are refused, not misread.
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 2}
+// images their flagged length; version 3 added the redo-only TRedo record,
+// which an older build would take for a corrupt one. Older logs are refused,
+// not misread.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 3}
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.
@@ -806,6 +888,17 @@ func (l *Log) syncRound() error {
 	}
 	l.syncDone.Broadcast()
 	return err
+}
+
+// Durable returns the proof that tx's commit record, at commit, is durable —
+// ErrNotDurable until the log is forced through it.
+func (l *Log) Durable(tx uint64, commit page.LSN) (Durable, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if commit < firstLSN || commit >= l.flushed {
+		return Durable{}, ErrNotDurable
+	}
+	return Durable{tx: tx, commit: commit}, nil
 }
 
 // FlushedLSN returns the first non-durable LSN.

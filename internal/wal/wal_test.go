@@ -322,9 +322,10 @@ func TestZeroImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOldLogVersionRefused: a log whose header carries the version before the
-// offset word was split is refused by name, whatever its records look like,
-// and one from a later build is refused too.
+// TestOldLogVersionRefused: a log whose header carries a version from before
+// the offset word was split, or from before the redo-only record, is refused
+// by name, whatever its records look like, and one from a later build is
+// refused too.
 func TestOldLogVersionRefused(t *testing.T) {
 	l := NewMem()
 	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "old", "new"))
@@ -338,9 +339,11 @@ func TestOldLogVersionRefused(t *testing.T) {
 	if _, err := OpenMemFrom(img); err != nil {
 		t.Fatalf("reopening this build's own log: %v", err)
 	}
-	img[7] = 1
-	if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("version 1 log: %v, want ErrOldFormat", err)
+	for _, v := range []byte{1, 2} { // before the split offset word; before TRedo
+		img[7] = v
+		if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("version %d log: %v, want ErrOldFormat", v, err)
+		}
 	}
 	img[7] = logMagic[7] + 1
 	if _, err := OpenMemFrom(img); err == nil || errors.Is(err, ErrOldFormat) {
