@@ -164,7 +164,6 @@ func BenchmarkE8Recovery(b *testing.B) {
 				r = bench.RunE8(cfg.txns, 10, cfg.ckpt)
 			}
 			b.ReportMetric(float64(r.RedoApplied), "redo")
-			b.ReportMetric(float64(r.UndoApplied), "undo")
 			b.ReportMetric(float64(r.RecordsAnalyzed), "analyzed")
 		})
 	}

@@ -215,12 +215,11 @@ func e8(quick bool) {
 	if quick {
 		sets = []int{50}
 	}
-	fmt.Printf("%-8s %-6s %10s %8s %8s %8s\n", "txns", "ckpt", "analyzed", "redo", "undo", "losers")
+	fmt.Printf("%-8s %-6s %10s %8s %8s\n", "txns", "ckpt", "analyzed", "redo", "losers")
 	for _, txns := range sets {
 		for _, ck := range []bool{false, true} {
 			r := bench.RunE8(txns, 10, ck)
-			fmt.Printf("%-8d %-6v %10d %8d %8d %8d\n",
-				txns, ck, r.RecordsAnalyzed, r.RedoApplied, r.UndoApplied, r.Losers)
+			fmt.Printf("%-8d %-6v %10d %8d %8d\n", txns, ck, r.RecordsAnalyzed, r.RedoApplied, r.Losers)
 		}
 	}
 }
@@ -386,8 +385,8 @@ func e13(quick bool, jsonOut bool) {
 		fmt.Printf("  %-8s %4d trials   %4d consistent   %d inconsistent\n",
 			m.Mode, m.Trials, m.Consistent, m.Inconsistent)
 	}
-	fmt.Printf("recovery: mean %.0f us, max %.0f us; mean redo %.1f, mean undo %.1f per restart\n",
-		rep.MeanRecoverUs, rep.MaxRecoverUs, rep.MeanRedo, rep.MeanUndo)
+	fmt.Printf("recovery: mean %.0f us, max %.0f us; mean redo %.1f per restart\n",
+		rep.MeanRecoverUs, rep.MaxRecoverUs, rep.MeanRedo)
 	if rep.Inconsistent > 0 {
 		fmt.Printf("FAILURES:\n")
 		for _, f := range rep.Failures {

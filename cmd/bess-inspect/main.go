@@ -115,9 +115,8 @@ func main() {
 			fp := rec.Footprint()
 			totals[rec.Type].add(1, fp)
 			switch rec.Type {
-			case wal.TUpdate, wal.TCLR, wal.TRedo:
-				// The two halves, each offset+length; a CLR and a redo-only
-				// record have no undo half. A whole-page redo image anchors
+			case wal.TRedo:
+				// The redo image, offset+length. A whole-page image anchors
 				// replay of its page: restart redo and repair start from one,
 				// byte-range records build on it. An all-zero image is in the
 				// log as its length only.
@@ -125,18 +124,11 @@ func main() {
 				if rec.WholePage() {
 					mark += "  anchor"
 				}
-				if fp.ZeroBefore > 0 {
-					mark += "  zero-before"
-				}
 				if fp.ZeroAfter > 0 {
-					mark += "  zero-after"
+					mark += "  zero"
 				}
-				undo := fmt.Sprintf("%d+%d", rec.UndoOff, len(rec.Before))
-				if rec.Type != wal.TUpdate {
-					undo = "-"
-				}
-				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d undo=%s%s\n",
-					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), undo, mark)
+				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d%s\n",
+					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), mark)
 			case wal.TCatalog:
 				var op proto.CatalogOp
 				if err := proto.Decode(rec.Body, &op); err != nil {
@@ -164,8 +156,8 @@ func main() {
 
 // logTotals answers "where do the log's bytes go": per record type, how many
 // records, and their bytes split into header (everything that is not an
-// image), before- and after-images stored, and image bytes elided (all-zero
-// images the log keeps as a length). A row per record type there is.
+// image), images stored, and image bytes elided (all-zero images the log
+// keeps as a length). A row per record type there is.
 type logTotals [wal.NumTypes]logTotal
 
 type logTotal struct {
@@ -176,16 +168,14 @@ type logTotal struct {
 func (tt *logTotal) add(records int, fp wal.Footprint) {
 	tt.records += records
 	tt.Header += fp.Header
-	tt.Before += fp.Before
 	tt.After += fp.After
-	tt.ZeroBefore += fp.ZeroBefore
 	tt.ZeroAfter += fp.ZeroAfter
 }
 
 func (t *logTotals) print() {
-	fmt.Printf("\n  %-10s %9s %12s %12s %12s %12s\n", "type", "records", "header B", "before B", "after B", "elided B")
+	fmt.Printf("\n  %-10s %9s %12s %12s %12s\n", "type", "records", "header B", "image B", "elided B")
 	row := func(name string, tt logTotal) {
-		fmt.Printf("  %-10s %9d %12d %12d %12d %12d\n", name, tt.records, tt.Header, tt.Before, tt.After, tt.ZeroBefore+tt.ZeroAfter)
+		fmt.Printf("  %-10s %9d %12d %12d %12d\n", name, tt.records, tt.Header, tt.After, tt.ZeroAfter)
 	}
 	var sum logTotal
 	for typ, tt := range t {

@@ -606,7 +606,6 @@ type E8Result struct {
 	Checkpoint         bool
 	RecordsAnalyzed    int
 	RedoApplied        int
-	UndoApplied        int
 	Losers             int
 }
 
@@ -619,10 +618,7 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 		var last page.LSN
 		for u := 0; u < updates; u++ {
 			pid := page.ID{Area: 1, Page: page.No(u % 32)}
-			rec := &wal.Record{
-				Type: wal.TUpdate, Tx: id, PrevLSN: last, Page: pid,
-				Off: uint32(u % 100), After: []byte{byte(t)}, UndoOff: uint32(u % 100), Before: []byte{0},
-			}
+			rec := &wal.Record{Type: wal.TRedo, Tx: id, PrevLSN: last, Page: pid, Off: uint32(u % 100), After: []byte{byte(t)}}
 			lsn, err := l.Append(rec)
 			must(err)
 			last = lsn
@@ -645,8 +641,7 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	must(err)
 	return E8Result{
 		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint,
-		RecordsAnalyzed: st.RecordsAnalyzed, RedoApplied: st.RedoApplied,
-		UndoApplied: st.UndoApplied, Losers: len(st.Losers),
+		RecordsAnalyzed: st.RecordsAnalyzed, RedoApplied: st.RedoApplied, Losers: len(st.Losers),
 	}
 }
 

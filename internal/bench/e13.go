@@ -14,7 +14,7 @@ import (
 	"bess/internal/wal"
 )
 
-// --- E13: crash-point enumeration — torn-write torture of ARIES restart ---
+// --- E13: crash-point enumeration — torn-write torture of restart ---
 //
 // The experiment runs a deterministic multi-transaction workload over
 // fault-injected media (internal/fault): WAL and area share one event
@@ -37,10 +37,10 @@ import (
 //	    replays for any page is a whole-page image
 //	    (wal.RecoveryStats.UnanchoredPages == 0);
 //	(6) a 2PC branch whose TPrepare survived is in doubt after both
-//	    restarts, and its shipped images are *not* on its pages (only what
-//	    it stole is); then its coordinator's commit (in every mode but torn)
-//	    writes them from its log chain, its abort (torn mode) leaves those
-//	    before it, and a third restart keeps either.
+//	    restarts, and its images are not on its pages; then its
+//	    coordinator's commit (in every mode but torn) writes them from its
+//	    log chain, its abort (torn mode) leaves the pages as they were, and a
+//	    third restart keeps either.
 //
 // Modes per crash point: clean (the fatal write vanishes), torn (one 512B
 // sector of it survives), torn+garbage (the lost extent is overwritten with
@@ -50,18 +50,16 @@ import (
 
 // Workload shape. Transactions log through the product's own rule and
 // commit, abort and checkpoint through tx.Manager, so the log under torture
-// has the product's layout: a whole-page anchor for a page's first update
+// has the product's layout: a whole-page anchor for a page's first change
 // after open and after the checkpoint, byte-range records for the sub-page
-// overwrites in between. Steal transactions log through tx.Tx.LogUpdate (the
-// server's CreateLarge path) and write their pages whenever the buffer pool
-// steals them; shipped ones through tx.Tx.LogRedo (the server's commit path,
-// logAndApply), whose pages their commit writes after its force. Each
-// transaction works on a private page (matching the segment-granular strict
-// 2PL the server enforces); some of them come back to a page after the
-// checkpoint.
+// overwrites in between. Every change is shipped as the server's commit path
+// ships one (tx.Tx.LogRedo): no page is written before its transaction's
+// commit, which writes them after its force. Each transaction works on a
+// private page (matching the segment-granular strict 2PL the server
+// enforces); some of them come back to a page after the checkpoint.
 const (
-	e13Txs     = 12 // steal transactions; odd commit, even are left in flight (one aborts)
-	e13Shipped = 4  // shipped transactions after them, on pages of their own
+	e13Txs     = 12 // transactions of the main loop; odd commit, even are left in flight (one aborts)
+	e13Shipped = 4  // transactions after them, on pages of their own
 	e13Updates = 3  // updates per transaction: the whole page, then two sub-page overwrites
 	e13AreaID  = 7
 )
@@ -88,20 +86,17 @@ type E13Report struct {
 	MeanRecoverUs  float64   `json:"mean_recover_us"`
 	MaxRecoverUs   float64   `json:"max_recover_us"`
 	MeanRedo       float64   `json:"mean_redo_applied"`
-	MeanUndo       float64   `json:"mean_undo_applied"`
 	WorkloadLog    int64     `json:"workload_log_bytes"`     // log written by the fault-free run
 	Failures       []string  `json:"failures,omitempty"`     // first few inconsistency descriptions
 	WorkloadAcked  int       `json:"workload_acked_commits"` // in the fault-free run
 	WorkloadEvents string    `json:"workload_event_window"`
 }
 
-// e13Write is one logged page change in the shadow model: who made it, what
-// the page held afterwards, and whether it was shipped — written only by its
-// transaction's commit.
+// e13Write is one transaction's change of a page in the shadow model: what
+// the page holds if the transaction commits.
 type e13Write struct {
-	tx      uint64
-	img     []byte
-	shipped bool
+	tx  uint64
+	img []byte
 }
 
 // e13World is one simulated machine: WAL and area on a shared event clock,
@@ -114,13 +109,12 @@ type e13World struct {
 	area   *area.Area
 	txm    *tx.Manager
 
-	pages   map[uint64]page.No            // tx -> its private page
-	acked   map[uint64]wal.Type           // commits (TCommit) and 2PC yes votes (TPrepare) acknowledged before any crash
-	history map[page.No][]e13Write        // page -> its logged changes, in log order
-	buffer  map[page.No][]byte            // the buffer pool: current content of every touched page
-	unsaved map[page.No]bool              // buffered content not yet written to the area
-	shipped map[uint64]map[page.No][]byte // tx -> the pages its commit is to write
-	midWB   func() error                  // runs once, ahead of the next store through the pager
+	pages     map[uint64]page.No            // tx -> its private page
+	acked     map[uint64]wal.Type           // commits (TCommit) and 2PC yes votes (TPrepare) acknowledged before any crash
+	history   map[page.No][]e13Write        // page -> its transactions' changes, in log order
+	committed map[page.No][]byte            // page -> what the last acknowledged commit left on it
+	shipped   map[uint64]map[page.No][]byte // tx -> the pages its commit is to write
+	midWB     func() error                  // runs once, ahead of the next store through the pager
 
 	setupEvents int64
 }
@@ -131,13 +125,12 @@ type e13World struct {
 // scenario.
 func e13Setup(seed int64) (*e13World, error) {
 	w := &e13World{
-		inj:     fault.NewInjector(seed),
-		pages:   make(map[uint64]page.No),
-		acked:   make(map[uint64]wal.Type),
-		history: make(map[page.No][]e13Write),
-		buffer:  make(map[page.No][]byte),
-		unsaved: make(map[page.No]bool),
-		shipped: make(map[uint64]map[page.No][]byte),
+		inj:       fault.NewInjector(seed),
+		pages:     make(map[uint64]page.No),
+		acked:     make(map[uint64]wal.Type),
+		history:   make(map[page.No][]e13Write),
+		committed: make(map[page.No][]byte),
+		shipped:   make(map[uint64]map[page.No][]byte),
 	}
 	w.walSt = fault.NewStore(w.inj)
 	w.areaSt = fault.NewStore(w.inj)
@@ -167,134 +160,81 @@ func e13Setup(seed int64) (*e13World, error) {
 	return w, nil
 }
 
-// update has t overwrite n bytes of pg at off with a pattern of (t, k): the
-// change is logged through the product's rule, lands in the buffer pool, and
-// joins the shadow model.
-func (w *e13World) update(t *tx.Tx, pg page.No, k, off, n int) error {
-	before := w.stored(pg)
-	return w.change(t, pg, before, e13Pattern(t, before, k, off, n))
-}
-
-// stored is pg as the buffer pool holds it: zeros if never touched.
-func (w *e13World) stored(pg page.No) []byte {
-	if b := w.buffer[pg]; b != nil {
-		return b
-	}
-	return make([]byte, page.Size) // freshly allocated zeros
-}
-
-// e13Pattern is before with n bytes at off overwritten by a pattern of (t, k).
-func e13Pattern(t *tx.Tx, before []byte, k, off, n int) []byte {
-	after := append([]byte(nil), before...)
-	for j := off; j < off+n; j++ {
-		after[j] = byte(uint64(j)*31 + t.ID()*131 + uint64(k)*17 + 1)
-	}
-	return after
-}
-
-// ship has t overwrite n bytes of pg at off as a shipped commit does
-// (tx.Tx.LogRedo): the change is logged without an undo half, stays off the
-// buffer pool and the area, and is written by t's commit, after its force
-// (commitShipped).
+// ship has t overwrite n bytes of pg at off with a pattern of (t, k).
 func (w *e13World) ship(t *tx.Tx, pg page.No, k, off, n int) error {
+	return w.change(t, pg, func(img []byte) {
+		for j := off; j < off+n; j++ {
+			img[j] = byte(uint64(j)*31 + t.ID()*131 + uint64(k)*17 + 1)
+		}
+	})
+}
+
+// zero has t zero n bytes of pg at off.
+func (w *e13World) zero(t *tx.Tx, pg page.No, off, n int) error {
+	return w.change(t, pg, func(img []byte) { clear(img[off : off+n]) })
+}
+
+// change has t apply edit to pg as a shipped commit does (tx.Tx.LogRedo): the
+// change is logged without an undo half, stays off the area, and is written
+// by t's commit, after its force (commit). t sees its own earlier changes.
+func (w *e13World) change(t *tx.Tx, pg page.No, edit func(img []byte)) error {
 	mine := w.shipped[t.ID()]
 	if mine == nil {
 		mine = make(map[page.No][]byte)
 		w.shipped[t.ID()] = mine
 	}
-	view := mine[pg] // t sees its own shipped change
-	if view == nil {
-		view = w.stored(pg)
+	stored := w.committed[pg]
+	if stored == nil {
+		stored = make([]byte, page.Size) // freshly allocated zeros
 	}
-	after := e13Pattern(t, view, k, off, n)
-	if err := t.LogRedo(page.ID{Area: e13AreaID, Page: pg}, w.stored(pg), after); err != nil {
+	view := mine[pg]
+	if view == nil {
+		view = stored
+	}
+	after := bytes.Clone(view)
+	edit(after)
+	if err := t.LogRedo(page.ID{Area: e13AreaID, Page: pg}, stored, after); err != nil {
 		return err
 	}
 	mine[pg] = after
-	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after, true})
+	h := w.history[pg]
+	if n := len(h); n > 0 && h[n-1].tx == t.ID() {
+		h[n-1].img = after // only a transaction's last image of a page can be a winner's
+	} else {
+		w.history[pg] = append(h, e13Write{t.ID(), after})
+	}
 	return nil
 }
 
-// commitShipped commits t, whose commit writes the pages it shipped: from
-// its acknowledgement on, the buffer pool holds them as written.
-func (w *e13World) commitShipped(t *tx.Tx) error {
+// commit commits t, whose commit writes the pages it shipped: from its
+// acknowledgement on, they hold them.
+func (w *e13World) commit(t *tx.Tx) error {
 	if err := t.Commit(); err != nil {
 		return err
 	}
 	w.acked[t.ID()] = wal.TCommit
 	for pg, img := range w.shipped[t.ID()] {
-		w.buffer[pg] = img
+		w.committed[pg] = img
 	}
 	delete(w.shipped, t.ID())
 	return nil
 }
 
-// clear has t zero n bytes of pg at off.
-func (w *e13World) clear(t *tx.Tx, pg page.No, off, n int) error {
-	before := w.buffer[pg]
-	after := append([]byte(nil), before...)
-	clear(after[off : off+n])
-	return w.change(t, pg, before, after)
+// abort rolls t back at run time: nothing of it was written, and nothing is.
+func (w *e13World) abort(t *tx.Tx) error {
+	delete(w.shipped, t.ID())
+	return t.Abort()
 }
 
-// change logs t's change of pg from before to after through the product's
-// rule, puts it in the buffer pool and adds it to the shadow model.
-func (w *e13World) change(t *tx.Tx, pg page.No, before, after []byte) error {
-	if _, err := t.LogUpdate(page.ID{Area: e13AreaID, Page: pg}, before, after); err != nil {
-		return err
-	}
-	w.buffer[pg], w.unsaved[pg] = after, true
-	w.history[pg] = append(w.history[pg], e13Write{t.ID(), after, false})
-	return nil
-}
-
-// rollback aborts t at run time: the pager restores its pages on the area, to
-// what the buffer pool then holds again — was, per page (nil: never written,
-// all zero).
-func (w *e13World) rollback(t *tx.Tx, was map[page.No][]byte) error {
-	if err := t.Abort(); err != nil {
-		return err
-	}
-	for pg, img := range was {
-		delete(w.unsaved, pg)
-		if w.buffer[pg] = img; img == nil {
-			delete(w.buffer, pg)
-		}
-	}
-	return nil
-}
-
-// flushAndCheckpoint writes back what is only buffered, syncs the area and
-// takes the product's checkpoint. A checkpoint's dirty-page table holds only
-// what active transactions changed, so everything else must be durable first.
-// In page order, so that a crash point names the same write in every replay.
-func (w *e13World) flushAndCheckpoint() error {
-	for id := uint64(1); id <= e13Txs+e13Shipped; id++ {
-		if pno := w.pages[id]; w.unsaved[pno] {
-			if err := w.area.WritePage(pno, w.buffer[pno]); err != nil {
-				return err
-			}
-			delete(w.unsaved, pno)
-		}
-	}
+// checkpoint syncs the area and takes the product's checkpoint. A checkpoint's
+// dirty-page table holds only the pages of transactions whose writes are still
+// to come, so every write a commit made must be durable first.
+func (w *e13World) checkpoint() error {
 	if err := w.area.Sync(); err != nil {
 		return err
 	}
 	_, err := w.txm.Checkpoint()
 	return err
-}
-
-// steal writes pg's buffered content to the area, forcing the log through
-// t's last record first (the WAL rule: log before data).
-func (w *e13World) steal(t *tx.Tx, pg page.No) error {
-	if err := w.log.Flush(t.LastLSN()); err != nil {
-		return err
-	}
-	if err := w.area.WritePage(pg, w.buffer[pg]); err != nil {
-		return err
-	}
-	delete(w.unsaved, pg)
-	return nil
 }
 
 // e13Workload runs the transaction mix. Any error is the scheduled crash
@@ -303,23 +243,19 @@ func (w *e13World) steal(t *tx.Tx, pg page.No) error {
 //
 // Every transaction rewrites its whole private page, then overwrites two
 // sub-page ranges of it. Odd transactions commit; even ones are left in
-// flight, except one that rolls back at run time (CLRs under the same rule).
-// Dirty pages are stolen to the area — after forcing the log up to their
-// last update — for all even transactions and every fourth odd one, so both
-// redo of lost winner writes and undo of stolen loser writes are exercised.
-// Mid-run the buffer pool is flushed and the product's checkpoint taken: it
-// lists the in-flight transactions' pages at their anchors' LSNs — one of them
-// a page another transaction anchored — and starts a new anchor epoch. After
-// it, an in-flight transaction and a new one come back to pages logged before
-// it, so their next records must be anchors again for a torn steal to heal.
+// flight, except one that rolls back at run time. Mid-run the product's
+// checkpoint is taken: it lists the in-flight transactions' pages at their
+// anchors' LSNs — one of them a page another transaction anchored — and starts
+// a new anchor epoch. After it, an in-flight transaction and a new one come
+// back to pages logged before it, so their next records must be anchors again
+// for redo to start from.
 //
-// Beside them run shipped transactions (e13Shipped), whose pages only their
-// commit writes, after its force. Before the checkpoint one commits and one
-// is left in flight; after it one anchors a fresh page and is rolled back at
-// run time — no CLR, its anchor forgotten — and the last ships onto that page
+// Beside them run four more transactions. Before the checkpoint one commits
+// and one is left in flight; after it one anchors a fresh page and is rolled
+// back at run time — its anchor forgotten — and the last ships onto that page
 // (anchoring it again) and onto the first one's, and commits with a second
-// checkpoint taken between its force and its page writes, which must list
-// its pages for redo to reach them.
+// checkpoint taken between its force and its page writes, which must list its
+// pages for redo to reach them.
 func e13Workload(w *e13World) {
 	for id := uint64(1); id <= e13Txs; id++ {
 		t := w.txm.Ensure(id, 0)
@@ -329,7 +265,7 @@ func e13Workload(w *e13World) {
 			if k > 0 {
 				off, n = 512*k+int(id)*40, 96+int(id)
 			}
-			if w.update(t, pg, k, off, n) != nil {
+			if w.ship(t, pg, k, off, n) != nil {
 				return
 			}
 		}
@@ -337,7 +273,7 @@ func e13Workload(w *e13World) {
 			// The last transaction in flight at the checkpoint also changes a
 			// committed neighbour's page, anchored by that neighbour: the
 			// checkpoint must list it at the anchor, not at this delta.
-			if w.update(t, w.pages[id-1], e13Updates, 2048, 64) != nil || w.steal(t, w.pages[id-1]) != nil {
+			if w.ship(t, w.pages[id-1], e13Updates, 2048, 64) != nil {
 				return
 			}
 		}
@@ -346,35 +282,24 @@ func e13Workload(w *e13World) {
 			// of the new epoch both; the second change to each is a delta.
 			old := w.txm.Lookup(2) // in flight since the second iteration
 			for k := e13Updates; k < e13Updates+2; k++ {
-				if w.update(t, w.pages[1], k, 100*k, 64) != nil ||
-					w.update(old, w.pages[2], k, 100*k, 64) != nil {
+				if w.ship(t, w.pages[1], k, 100*k, 64) != nil ||
+					w.ship(old, w.pages[2], k, 100*k, 64) != nil {
 					return
 				}
-			}
-			if w.steal(t, w.pages[1]) != nil || w.steal(old, w.pages[2]) != nil {
-				return
-			}
-		}
-		if id%2 == 0 || id%4 == 1 {
-			if w.steal(t, pg) != nil {
-				return
 			}
 		}
 		switch {
 		case id%2 == 1:
-			if t.Commit() != nil {
+			if w.commit(t) != nil {
 				return
 			}
-			w.acked[id] = wal.TCommit // the commit is acknowledged from here on
 		case id == e13Txs-2:
-			// Run-time rollback: the pager restores the page on the area.
-			if t.Abort() != nil {
+			if w.abort(t) != nil {
 				return
 			}
-			delete(w.unsaved, pg)
 		}
 
-		if id == e13Txs/2 && w.flushAndCheckpoint() != nil {
+		if id == e13Txs/2 && w.checkpoint() != nil {
 			return
 		}
 		if id == 2 && e13ShipBefore(w) != nil || id == e13Txs/2+2 && e13ShipAfter(w) != nil {
@@ -383,8 +308,8 @@ func e13Workload(w *e13World) {
 	}
 }
 
-// e13ShipBefore runs the shipped transactions before the checkpoint: one
-// commits a page whole and then a range of it, one is left in flight.
+// e13ShipBefore runs the transactions before the checkpoint: one commits a
+// page whole and then a range of it, one is left in flight.
 func e13ShipBefore(w *e13World) error {
 	done, open := w.txm.Ensure(e13Txs+1, 0), w.txm.Ensure(e13Txs+2, 0)
 	pg := w.pages[done.ID()]
@@ -397,20 +322,19 @@ func e13ShipBefore(w *e13World) error {
 	if err := w.ship(open, w.pages[open.ID()], 0, 0, page.Size); err != nil {
 		return err
 	}
-	return w.commitShipped(done)
+	return w.commit(done)
 }
 
-// e13ShipAfter runs the shipped transactions after the checkpoint.
+// e13ShipAfter runs the transactions after the checkpoint.
 func e13ShipAfter(w *e13World) error {
 	back, last := w.txm.Ensure(e13Txs+3, 0), w.txm.Ensure(e13Txs+4, 0)
 	fresh := w.pages[back.ID()]
 	if err := w.ship(back, fresh, 1, 300, 200); err != nil {
 		return err
 	}
-	if err := back.Abort(); err != nil {
+	if err := w.abort(back); err != nil {
 		return err
 	}
-	delete(w.shipped, back.ID())
 	for _, s := range []struct {
 		pg            page.No
 		k, off, bytes int
@@ -423,8 +347,8 @@ func e13ShipAfter(w *e13World) error {
 			return err
 		}
 	}
-	w.midWB = w.flushAndCheckpoint
-	return w.commitShipped(last)
+	w.midWB = w.checkpoint
+	return w.commit(last)
 }
 
 // e13Pager adapts an area to wal.Pager, and checks every store's proof
@@ -514,8 +438,8 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 		return nil, fmt.Errorf("redo started %d page(s) from a byte-range record", stats.UnanchoredPages)
 	}
 
-	// (2) each page holds what its last winner left — or a branch in doubt
-	// stole; (6) the branches in doubt are those whose TPrepare survived.
+	// (2) each page holds what its last winner left; (6) the branches in
+	// doubt are those whose TPrepare survived.
 	slices.Sort(inDoubt)
 	check := func(when string, st *wal.RecoveryStats) error {
 		if !slices.Equal(inDoubt, st.InDoubt) {
@@ -526,7 +450,7 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 			pg := w.pages[t]
 			want := make([]byte, page.Size)
 			for _, wr := range w.history[pg] {
-				if decided[wr.tx] == wal.TCommit || decided[wr.tx] == wal.TPrepare && !wr.shipped {
+				if decided[wr.tx] == wal.TCommit {
 					want = wr.img
 				}
 			}
@@ -596,99 +520,83 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 
 // e13LongTx is a second workload for the same enumeration: one transaction
 // whose log is longer than the log buffer several times over, then its commit.
-// Its records reach the file in rounds the appender leads itself each time the
-// buffer set is full (wal.Log), so a crash can fall between any two of them,
-// or inside one; two pages are stolen on the way, so undo has work on the
-// area. Restart must leave all of it or none of it.
+// Its records reach the file in the forces of two checkpoints it straddles and
+// in between in a round the appender leads itself when the buffer set is full
+// (wal.Log), so a crash can fall between any two of them, or inside one.
+// Restart must leave all of it or none of it.
 func e13LongTx(w *e13World) {
-	const updates = 2560 // whole-page overwrites, before and after both stored: 21 MB of log, 2.5 times the log's buffer set
+	const updates = 3072 // whole-page overwrites: 12.7 MB of log, 1.5 times the log's buffer set
 	t := w.txm.Ensure(1, 0)
 	for k := 0; k < updates; k++ {
-		pg := w.pages[uint64(1+k%e13Txs)]
-		if w.update(t, pg, k, 0, page.Size) != nil {
+		if w.ship(t, w.pages[uint64(1+k%e13Txs)], k, 0, page.Size) != nil {
 			return
 		}
-		if k == updates/3 || k == updates/2 {
-			if w.steal(t, pg) != nil {
-				return
-			}
+		if (k == updates/8 || k == updates*7/8) && w.checkpoint() != nil {
+			return
 		}
 	}
-	if t.Commit() != nil {
-		return
-	}
-	w.acked[1] = wal.TCommit
+	_ = w.commit(t)
 }
 
 // e13FreshPages is a third workload: pages nothing was ever logged for, all
-// zero, are filled — update records whose before-image the log keeps as a
-// length — and the fill is taken back every way it can be: rolled back at run
-// time with the anchor still in the epoch (range CLRs with a zero after-image)
-// and after a checkpoint (the CLR is the anchor, a whole page of zeroes), and
-// left to restart undo as a loser, part of it stolen. A committed fill is then
-// changed in ranges — one of them zeroed — and that is rolled back too. Every
-// page ends all zero or byte-exact as its last winner left it.
+// zero, are filled — anchors whose image is the fill — and the fill is taken
+// back every way it can be: rolled back at run time, its anchors forgotten so
+// that the next writer anchors the pages again, before and after a
+// checkpoint, and left in flight as a loser across the checkpoint. Committed
+// fills are then zeroed — a range of an anchored page, which the log keeps as
+// a length, and a whole page after the checkpoint, an anchor of zeroes — once
+// rolled back and once committed. Every page ends all zero or byte-exact as
+// its last winner left it.
 func e13FreshPages(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
-	fill := func(t *tx.Tx, p page.No) error { return w.update(t, p, 0, 0, page.Size) }
+	fill := func(t *tx.Tx, p page.No) error { return w.ship(t, p, 0, 0, page.Size) }
 
-	// Filled, one page stolen, rolled back at run time: back to zeroes.
+	// Filled and rolled back at run time: still zeroes, anchors forgotten.
 	t := w.txm.Ensure(2, 0)
-	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.update(t, pg(3), 1, 700, 300) != nil ||
-		w.steal(t, pg(2)) != nil || w.rollback(t, map[page.No][]byte{pg(1): nil, pg(2): nil, pg(3): nil}) != nil {
+	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 700, 300) != nil || w.abort(t) != nil {
 		return
 	}
 
-	// Filled — the second and third the same pages again, zero once more — and
-	// committed: the winner every later rollback must leave byte-exact.
+	// The second page filled again and a range of the third — anchored afresh,
+	// both — and committed: the winner every later change starts from.
 	t = w.txm.Ensure(1, 0)
-	if fill(t, pg(2)) != nil || fill(t, pg(3)) != nil || w.update(t, pg(4), 1, 1000, 200) != nil || w.steal(t, pg(3)) != nil {
-		return
-	}
-	if t.Commit() != nil {
-		return
-	}
-	w.acked[1] = wal.TCommit
-
-	// Filled, stolen, and rolled back after a checkpoint: the CLR anchors the
-	// page with a whole image of zeroes.
-	late := w.txm.Ensure(4, 0)
-	if fill(late, pg(5)) != nil || w.steal(late, pg(5)) != nil {
-		return
-	}
-	// The loser: fills fresh pages before and after the checkpoint, one of each
-	// stolen, and is never heard of again.
-	loser := w.txm.Ensure(6, 0)
-	if fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.steal(loser, pg(6)) != nil {
-		return
-	}
-	if w.flushAndCheckpoint() != nil {
-		return
-	}
-	if w.rollback(late, map[page.No][]byte{pg(5): nil}) != nil {
-		return
-	}
-	if fill(loser, pg(8)) != nil || w.update(loser, pg(9), 1, 64, 3000) != nil || w.steal(loser, pg(8)) != nil {
+	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || w.ship(t, pg(4), 1, 1000, 200) != nil || w.commit(t) != nil {
 		return
 	}
 
-	// The committed fill changed in ranges, one zeroed, stolen, rolled back.
-	t = w.txm.Ensure(8, 0)
-	was := map[page.No][]byte{pg(2): w.buffer[pg(2)], pg(3): w.buffer[pg(3)], pg(4): w.buffer[pg(4)]}
-	if w.update(t, pg(2), 2, 100, 50) != nil || w.clear(t, pg(3), 2000, 500) != nil || w.clear(t, pg(4), 0, page.Size) != nil ||
-		w.update(t, pg(2), 3, 3000, 10) != nil || w.steal(t, pg(3)) != nil || w.steal(t, pg(4)) != nil || w.rollback(t, was) != nil {
+	// Filled and rolled back after a checkpoint; and the loser, which fills
+	// fresh pages before and after the checkpoint and is never heard of again.
+	late, loser := w.txm.Ensure(4, 0), w.txm.Ensure(6, 0)
+	if fill(late, pg(5)) != nil || fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.checkpoint() != nil {
+		return
+	}
+	if w.abort(late) != nil || fill(loser, pg(8)) != nil || w.ship(loser, pg(9), 1, 64, 3000) != nil {
 		return
 	}
 
-	// And a second winner over a rolled-back page and a fresh one.
+	// The committed fill changed in ranges, one zeroed, and a page zeroed
+	// whole: rolled back, then committed.
+	for _, id := range []uint64{8, 5} {
+		t = w.txm.Ensure(id, 0)
+		if w.ship(t, pg(2), 2, 100, 50) != nil || w.ship(t, pg(3), 2, 1000, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
+			w.zero(t, pg(4), 0, page.Size) != nil || w.ship(t, pg(2), 3, 3000, 10) != nil {
+			return
+		}
+		end := w.abort
+		if id == 5 {
+			end = w.commit
+		}
+		if end(t) != nil {
+			return
+		}
+	}
+
+	// And a last winner over a rolled-back page and a fresh one.
 	t = w.txm.Ensure(3, 0)
 	if fill(t, pg(1)) != nil || fill(t, pg(10)) != nil {
 		return
 	}
-	if t.Commit() != nil {
-		return
-	}
-	w.acked[3] = wal.TCommit
+	_ = w.commit(t)
 }
 
 // e13Enumerate enumerates workload's crash points. sample <= 0 runs the full
@@ -730,7 +638,7 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 	rep.CrashPoints = len(points)
 
 	var totalRecoverNs, maxRecoverNs int64
-	var totalRedo, totalUndo int
+	var totalRedo int
 	for mi, mode := range e13Modes {
 		m := E13Mode{Mode: mode.name}
 		for _, n := range points {
@@ -765,7 +673,6 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 				maxRecoverNs = el
 			}
 			totalRedo += stats.RedoApplied
-			totalUndo += stats.UndoApplied
 		}
 		rep.Trials += m.Trials
 		rep.Consistent += m.Consistent
@@ -776,7 +683,6 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 		rep.MeanRecoverUs = float64(totalRecoverNs) / float64(rep.Consistent) / 1e3
 		rep.MaxRecoverUs = float64(maxRecoverNs) / 1e3
 		rep.MeanRedo = float64(totalRedo) / float64(rep.Consistent)
-		rep.MeanUndo = float64(totalUndo) / float64(rep.Consistent)
 	}
 	return rep, nil
 }

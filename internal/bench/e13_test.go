@@ -79,41 +79,38 @@ func TestE13LongTransaction(t *testing.T) {
 }
 
 // e13PreparedBranch is a fourth workload: a 2PC branch ships a range of a
-// committed page and a fresh page whole — as the server logs a prepare's
-// images, redo-only, for its commit to write — and changes a range of a
-// second committed page, which it steals, and votes yes; a checkpoint is taken
-// while it is in doubt, and other transactions keep running — one commits,
-// one is left in flight with its page stolen. No decision reaches the branch
-// before the crash.
+// committed page, a range of a second one and a fresh page whole — as the
+// server logs a prepare's images, for its commit to write — and votes yes; a
+// checkpoint is taken while it is in doubt, and other transactions keep
+// running — one commits, one is left in flight. No decision reaches the
+// branch before the crash.
 func e13PreparedBranch(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	t := w.txm.Ensure(1, 0)
-	if w.update(t, pg(1), 0, 0, page.Size) != nil || w.update(t, pg(2), 0, 0, page.Size) != nil || t.Commit() != nil {
+	if w.ship(t, pg(1), 0, 0, page.Size) != nil || w.ship(t, pg(2), 0, 0, page.Size) != nil || w.commit(t) != nil {
 		return
 	}
-	w.acked[1] = wal.TCommit
 	b := w.txm.Ensure(2, 0)
-	if w.ship(b, pg(1), 1, 300, 200) != nil || w.update(b, pg(2), 1, 1000, 100) != nil ||
-		w.ship(b, pg(3), 0, 0, page.Size) != nil || w.steal(b, pg(2)) != nil || b.Prepare() != nil {
+	if w.ship(b, pg(1), 1, 300, 200) != nil || w.ship(b, pg(2), 1, 1000, 100) != nil ||
+		w.ship(b, pg(3), 0, 0, page.Size) != nil || b.Prepare() != nil {
 		return
 	}
 	w.acked[2] = wal.TPrepare
-	if w.flushAndCheckpoint() != nil {
+	if w.checkpoint() != nil {
 		return
 	}
 	t, loser := w.txm.Ensure(3, 0), w.txm.Ensure(4, 0)
-	if w.update(t, pg(4), 0, 0, page.Size) != nil || w.update(loser, pg(5), 0, 0, page.Size) != nil ||
-		w.update(t, pg(4), 1, 700, 50) != nil || w.steal(loser, pg(5)) != nil || t.Commit() != nil {
+	if w.ship(t, pg(4), 0, 0, page.Size) != nil || w.ship(loser, pg(5), 0, 0, page.Size) != nil ||
+		w.ship(t, pg(4), 1, 700, 50) != nil {
 		return
 	}
-	w.acked[3] = wal.TCommit
+	_ = w.commit(t)
 }
 
 // TestE13PreparedBranch enumerates every crash point of a workload in which a
 // 2PC branch votes yes and a checkpoint follows while it is in doubt: in every
 // mode a branch whose prepare survived comes back in doubt — not a loser —
-// with what it stole on its pages and what it shipped not, stays so through a
-// second restart, and then both decisions hold across a third (e13Verify,
+// with none of its images on its pages, stays so through a second restart, and then both decisions hold across a third (e13Verify,
 // invariant 6).
 func TestE13PreparedBranch(t *testing.T) {
 	base, err := e13Setup(42)
@@ -136,16 +133,16 @@ func TestE13PreparedBranch(t *testing.T) {
 		t.Fatalf("%d crash points, %d/%d trials inconsistent; first failures: %v",
 			rep.CrashPoints, rep.Inconsistent, rep.Trials, rep.Failures)
 	}
-	t.Logf("%d crash points x %d modes, %d consistent, mean redo %.1f, mean undo %.1f",
-		rep.CrashPoints, len(rep.Modes), rep.Consistent, rep.MeanRedo, rep.MeanUndo)
+	t.Logf("%d crash points x %d modes, %d consistent, mean redo %.1f",
+		rep.CrashPoints, len(rep.Modes), rep.Consistent, rep.MeanRedo)
 }
 
 // TestE13FreshPages enumerates every crash point of a workload that fills
 // never-logged, all-zero pages and takes the fills back — at run time before
-// and after a checkpoint, and at restart — and rolls back range updates of a
-// committed fill: in every crash mode every page comes back all zero or
-// byte-exact as its last winner left it. The fault-free run must really hold
-// the record shapes the enumeration is for.
+// and after a checkpoint, and as a loser at restart — and zeroes committed
+// fills, rolled back and committed: in every crash mode every page comes back
+// all zero or byte-exact as its last winner left it. The fault-free run must
+// really hold the record shapes the enumeration is for.
 func TestE13FreshPages(t *testing.T) {
 	base, err := e13Setup(42)
 	if err != nil {
@@ -155,25 +152,25 @@ func TestE13FreshPages(t *testing.T) {
 	if err := base.log.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	var zeroBefore, zeroAfterCLR, zeroAnchorCLR, rangeAnchors int
+	// The winner's range of a page the first transaction anchored and rolled
+	// back must be an anchor again: the rollback forgot the page's.
+	var zeroRanges, zeroAnchors, reanchored int
 	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
 		fp := r.Footprint()
 		switch {
-		case r.Type == wal.TUpdate && fp.ZeroBefore > 0:
-			zeroBefore++
-			if r.WholePage() && fp.ZeroBefore < page.Size {
-				rangeAnchors++
-			}
-		case r.Type == wal.TCLR && fp.ZeroAfter > 0 && r.WholePage():
-			zeroAnchorCLR++
-		case r.Type == wal.TCLR && fp.ZeroAfter > 0:
-			zeroAfterCLR++
+		case r.Type != wal.TRedo:
+		case r.WholePage() && fp.ZeroAfter == page.Size:
+			zeroAnchors++
+		case fp.ZeroAfter > 0:
+			zeroRanges++
+		case r.Tx == 1 && r.Page.Page == base.pages[3] && r.WholePage():
+			reanchored++
 		}
 		return nil
 	})
-	if len(base.acked) != 2 || zeroBefore < 8 || rangeAnchors == 0 || zeroAfterCLR == 0 || zeroAnchorCLR == 0 {
-		t.Fatalf("fault-free run: acked %v, %d zero-before updates (%d of them anchors of a sub-page fill), %d range and %d anchor zero-after CLRs",
-			base.acked, zeroBefore, rangeAnchors, zeroAfterCLR, zeroAnchorCLR)
+	if len(base.acked) != 3 || zeroRanges < 2 || zeroAnchors < 2 || reanchored != 1 {
+		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback forgot",
+			base.acked, zeroRanges, zeroAnchors, reanchored)
 	}
 	sample := 0
 	if testing.Short() {
@@ -187,6 +184,6 @@ func TestE13FreshPages(t *testing.T) {
 		t.Fatalf("%d crash points, %d/%d trials inconsistent; first failures: %v",
 			rep.CrashPoints, rep.Inconsistent, rep.Trials, rep.Failures)
 	}
-	t.Logf("%d crash points x %d modes over %d bytes of log, %d consistent, mean undo %.1f",
-		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, rep.Consistent, rep.MeanUndo)
+	t.Logf("%d crash points x %d modes over %d bytes of log, %d consistent",
+		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, rep.Consistent)
 }

@@ -192,7 +192,8 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 		return w, err
 	}
 
-	commit := func(key proto.SegKey, body []byte) error {
+	// commit has one transaction change key's image and ship it.
+	commit := func(key proto.SegKey, change func(txid uint64, seg *segment.Seg) error) error {
 		sl, ov, data, err := srv.FetchSeg(0, key)
 		if err != nil {
 			return err
@@ -202,14 +203,6 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 			return err
 		}
 		seg.Overflow, seg.Data = ov, data
-		if seg.Live(0) {
-			if err := seg.ResizeObject(0, body); err != nil {
-				return err
-			}
-		} else if _, err := seg.CreateObject(0, body); err != nil {
-			return err
-		}
-		img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
 		txid, err := srv.NewTx()
 		if err != nil {
 			return err
@@ -217,7 +210,20 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 		if err := srv.Lock(w.cl, txid, key, proto.LockX); err != nil {
 			return err
 		}
-		if err := srv.Commit(w.cl, txid, []proto.SegImage{img}); err != nil {
+		if err := change(txid, seg); err != nil {
+			return err
+		}
+		img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
+		return srv.Commit(w.cl, txid, []proto.SegImage{img})
+	}
+	put := func(key proto.SegKey, body []byte) error {
+		if err := commit(key, func(_ uint64, seg *segment.Seg) error {
+			if seg.Live(0) {
+				return seg.ResizeObject(0, body)
+			}
+			_, err := seg.CreateObject(0, body)
+			return err
+		}); err != nil {
 			return err
 		}
 		w.model[key] = body
@@ -232,7 +238,7 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 		}
 		key := created.Seg
 		keys = append(keys, key)
-		if err := commit(key, e19Body(i, 0)); err != nil {
+		if err := put(key, e19Body(i, 0)); err != nil {
 			return w, fmt.Errorf("commit segment %d: %w", i, err)
 		}
 	}
@@ -240,26 +246,25 @@ func e19Run(seed int64, schedule func(*e19World)) (*e19World, error) {
 	// not the first, and every commit extends the repairable event space.
 	for round := 1; round <= 3; round++ {
 		for i, key := range keys {
-			if err := commit(key, e19Body(i, round)); err != nil {
+			if err := put(key, e19Body(i, round)); err != nil {
 				return w, fmt.Errorf("update %d of segment %d: %w", round, i, err)
 			}
 		}
 	}
-	// One multi-page large object.
+	// One multi-page large object, stored as a client stores one: the content
+	// by StoreLarge, the descriptor in the segment's shipped image.
 	w.large = keys[0]
 	w.big = bytes.Repeat([]byte("E19-large-object-payload."), 400) // ~10 KB, 3 pages
-	txid, err := srv.NewTx()
-	if err != nil {
-		return w, err
-	}
-	if err := srv.Lock(w.cl, txid, w.large, proto.LockX); err != nil {
-		return w, err
-	}
-	if w.slot, err = srv.CreateLarge(w.cl, txid, w.large, 7, w.big); err != nil {
+	if err := commit(w.large, func(txid uint64, seg *segment.Seg) error {
+		desc, err := srv.StoreLarge(w.cl, txid, w.large, w.big)
+		if err != nil {
+			return err
+		}
+		seg.EnsureOverflow(1)
+		w.slot, err = seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(w.big)), desc)
+		return err
+	}); err != nil {
 		return w, fmt.Errorf("create large: %w", err)
-	}
-	if err := srv.Commit(w.cl, txid, nil); err != nil {
-		return w, fmt.Errorf("commit large: %w", err)
 	}
 	// The abandoned segment: slotted image on disk, nothing in the log.
 	bare, err := srv.CreateSegment(0, 0, w.db, 2, 1, 1, -1)
@@ -426,14 +431,13 @@ func e19WALBody(seed int64, sample int, rep *E19Report) (E19Category, error) {
 
 // e19CkptLog writes the checkpoint-trial log: tx1 commits an update to page
 // 1, checkpoint #1, tx2 commits an update to page 2, checkpoint #2, then a
-// loser transaction touches page 3 (undone on clean recovery, lost with a
-// broken checkpoint #2 — either way page 3 ends zero, so the recovered
-// state is identical and the fallback is observable only in CheckpointLSN).
+// loser transaction logs an update of page 3, which no recovery writes —
+// page 3 ends zero whichever checkpoint restart starts from, so the recovered
+// state is identical and the fallback is observable only in CheckpointLSN.
 func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID][]byte, err error) {
 	l := wal.NewMem()
 	defer func() { _ = l.Close() }()
 	want = make(map[page.ID][]byte)
-	zero := make([]byte, page.Size)
 	pg := func(n page.No) page.ID { return page.ID{Area: 9, Page: n} }
 	fill := func(b byte) []byte {
 		img := make([]byte, page.Size)
@@ -442,11 +446,8 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		}
 		return img
 	}
-	update := func(tx uint64, id page.ID, before, after []byte, prev page.LSN) (page.LSN, error) {
-		return l.Append(&wal.Record{
-			Type: wal.TUpdate, Tx: tx, PrevLSN: prev, Page: id, Off: 0,
-			Before: append([]byte(nil), before...), After: append([]byte(nil), after...),
-		})
+	update := func(tx uint64, id page.ID, after []byte) (page.LSN, error) {
+		return l.Append(&wal.Record{Type: wal.TRedo, Tx: tx, Page: id, After: after})
 	}
 	commit := func(tx uint64, prev page.LSN) error {
 		clsn, err := l.Append(&wal.Record{Type: wal.TCommit, Tx: tx, PrevLSN: prev})
@@ -461,7 +462,7 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 	}
 
 	a1 := fill(0x11)
-	lsn1, err := update(1, pg(1), zero, a1, 0)
+	lsn1, err := update(1, pg(1), a1)
 	if err != nil {
 		return
 	}
@@ -473,7 +474,7 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		return
 	}
 	a2 := fill(0x22)
-	lsn2, err := update(2, pg(2), zero, a2, 0)
+	lsn2, err := update(2, pg(2), a2)
 	if err != nil {
 		return
 	}
@@ -486,14 +487,14 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 	}
 	ckpt2End = l.NextLSN()
 	// The loser after checkpoint #2.
-	lsn3, err := update(3, pg(3), zero, fill(0x33), 0)
+	lsn3, err := update(3, pg(3), fill(0x33))
 	if err != nil {
 		return
 	}
 	if err = l.Flush(lsn3); err != nil {
 		return
 	}
-	want[pg(3)] = zero
+	want[pg(3)] = make([]byte, page.Size)
 	img = l.DurableBytes()
 	return
 }

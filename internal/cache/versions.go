@@ -212,8 +212,8 @@ func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 	vs.mu.Unlock()
 }
 
-// AbortTx drops txID's staged updates (undo restored the old pages) and
-// wakes waiting snapshot reads.
+// AbortTx drops txID's staged updates (the old pages were never overwritten)
+// and wakes waiting snapshot reads.
 func (vs *VersionStore) AbortTx(txID uint64) {
 	vs.mu.Lock()
 	for _, u := range vs.pending[txID] {

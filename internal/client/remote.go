@@ -293,13 +293,11 @@ func (r *Remote) Released(client uint32, segs []proto.SegKey) error {
 	return r.call("Released", &proto.ReleasedArgs{Client: client, Segs: segs}, &proto.Empty{})
 }
 
-// CreateLarge implements proto.Conn.
-func (r *Remote) CreateLarge(client uint32, tx uint64, seg proto.SegKey, typ uint32, content []byte) (int, error) {
-	var rep proto.CreateLargeReply
-	err := r.call("CreateLarge", &proto.CreateLargeArgs{
-		Client: client, Tx: tx, Seg: seg, Type: typ, Content: content,
-	}, &rep)
-	return rep.Slot, err
+// StoreLarge implements proto.Conn.
+func (r *Remote) StoreLarge(client uint32, tx uint64, seg proto.SegKey, content []byte) ([]byte, error) {
+	var rep proto.Bytes
+	err := r.call("StoreLarge", &proto.StoreLargeArgs{Client: client, Tx: tx, Seg: seg, Content: content}, &rep)
+	return rep.Data, err
 }
 
 // AllocRun implements proto.Conn.

@@ -19,7 +19,6 @@ import (
 var (
 	ErrNoTx      = errors.New("client: no active transaction")
 	ErrTxActive  = errors.New("client: transaction already active")
-	ErrDirtySeg  = errors.New("client: operation invalid on a segment dirty in this transaction")
 	ErrStaleRoot = errors.New("client: root object OID is stale")
 )
 
@@ -927,8 +926,11 @@ func (s *Session) UnsetRoot(name string) error {
 	return s.conn.NameUnbind(s.db, name)
 }
 
-// CreateLarge stores a transparent large object in seg server-side; the
-// local cached copy is refreshed. Fails if the segment is dirty locally.
+// CreateLarge stores a transparent large object in seg, returning its slot
+// address. The server stores the content (StoreLarge) and the session adds
+// the descriptor to its copy of seg, as CreateObject adds a small object: the
+// segment is X-locked, ships at commit, and until then no other client can
+// find the object. The creator reads it from its own copy, with no fetch.
 func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []byte) (vmem.Addr, error) {
 	s.mu.Lock()
 	if s.snapMode {
@@ -941,24 +943,37 @@ func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []by
 	}
 	txid := s.txID
 	s.mu.Unlock()
-	for _, id := range s.mapper.DirtySegs() {
-		if segKey(id) == seg {
-			return vmem.NilAddr, ErrDirtySeg
-		}
+	if err := s.writeLock(seg); err != nil {
+		return vmem.NilAddr, err
 	}
-	slot, err := s.conn.CreateLarge(s.client, txid, seg, uint32(typ), content)
+	if err := s.drainDrop(seg); err != nil {
+		return vmem.NilAddr, err
+	}
+	id := segID(seg)
+	if err := s.mapper.EnsureLoaded(id); err != nil {
+		return vmem.NilAddr, err
+	}
+	desc, err := s.conn.StoreLarge(s.client, txid, seg, content)
 	if err != nil {
 		return vmem.NilAddr, err
 	}
-	s.mu.Lock()
-	s.xLocked[seg] = true // the server took X under our tx
-	s.touched[seg] = true
-	s.mu.Unlock()
-	// Refresh the cached copy so the new slot is visible.
-	if err := s.dropSeg(segID(seg)); err != nil {
+	var slot int
+	err = s.mapper.TrustedSlotUpdate(id, func(sg *segment.Seg) error {
+		if sg.Hdr.OverPages == 0 {
+			sg.EnsureOverflow(1) // the server allocates the run at commit
+		}
+		var err error
+		slot, err = sg.CreateDescriptor(segment.KindLarge, typ, uint32(len(content)), desc)
+		return err
+	})
+	if err == nil {
+		err = s.mapper.MapLarge(id, slot, content)
+	}
+	if err != nil {
 		return vmem.NilAddr, err
 	}
-	return s.mapper.AddrOfSlot(segID(seg), slot)
+	s.mapper.MarkDataDirty(id)
+	return s.mapper.AddrOfSlot(id, slot)
 }
 
 // Conn exposes the underlying connection (the core layer issues catalog

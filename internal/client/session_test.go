@@ -1,12 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
 
 	"bess/internal/largeobj"
+	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
 	"bess/internal/server"
@@ -456,6 +458,97 @@ func TestLargeObjectTransparent(t *testing.T) {
 		}
 	}
 	s.Commit()
+}
+
+// largeCounter is a proto.Conn that counts the FetchLarge calls it passes on.
+type largeCounter struct {
+	proto.Conn
+	fetches int
+}
+
+func (c *largeCounter) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
+	c.fetches++
+	return c.Conn.FetchLarge(client, seg, slot)
+}
+
+// TestLargeObjectReadInItsTransaction: two large objects and a small one go
+// into one segment in one transaction, and each reads back before the commit
+// from the creator's own copy — no FetchLarge — and after it from another
+// session's, whichever way the sessions reach the server.
+func TestLargeObjectReadInItsTransaction(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	for name, conn := range conns(t, srv) {
+		t.Run(name, func(t *testing.T) {
+			counted := &largeCounter{Conn: conn}
+			w, err := Open(counted, "creator-"+name, "testdb", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := w.CreateSegment(1, 1, 2, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := [][]byte{
+				bytes.Repeat([]byte("first large "), 1000),
+				[]byte("a small object beside them"),
+				bytes.Repeat([]byte{0xA7}, 3*4096+5),
+			}
+			addrs := make([]vmem.Addr, len(want))
+			for i, content := range want {
+				if i == 1 {
+					addrs[i], err = w.CreateObject(seg, 0, content)
+				} else {
+					addrs[i], err = w.CreateLarge(seg, 0, content)
+				}
+				if err != nil {
+					t.Fatalf("object %d: %v", i, err)
+				}
+			}
+			check := func(s *Session, who string) []int {
+				t.Helper()
+				slots := make([]int, len(want))
+				for i, addr := range addrs {
+					obj, err := s.Deref(addr)
+					if err != nil {
+						t.Fatalf("%s: object %d: %v", who, i, err)
+					}
+					got, err := obj.Bytes()
+					if err != nil || !bytes.Equal(got, want[i]) {
+						t.Fatalf("%s: object %d reads %d bytes (%v), want %d", who, i, len(got), err, len(want[i]))
+					}
+					slots[i] = obj.Slot
+				}
+				return slots
+			}
+			slots := check(w, "creator before its commit")
+			if counted.fetches != 0 {
+				t.Fatalf("the creator fetched %d large objects it holds", counted.fetches)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(conn, "reader-"+name, "testdb", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			for i, slot := range slots {
+				if addrs[i], err = r.AddrOfSlot(seg, slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(r, "another session after the commit")
+			if err := r.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestVeryLargeObjectOverConnection(t *testing.T) {

@@ -343,7 +343,7 @@ func TestWALOverFaultStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1 := &wal.Record{Type: wal.TUpdate, Tx: 1, Page: page.ID{Area: 1, Page: 1}}
+	r1 := &wal.Record{Type: wal.TRedo, Tx: 1, Page: page.ID{Area: 1, Page: 1}}
 	lsn1, err := l.Append(r1)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestWALOverFaultStore(t *testing.T) {
 	}
 
 	// Appended but never flushed: must vanish at the crash.
-	if _, err := l.Append(&wal.Record{Type: wal.TUpdate, Tx: 2, Page: page.ID{Area: 1, Page: 2}}); err != nil {
+	if _, err := l.Append(&wal.Record{Type: wal.TRedo, Tx: 2, Page: page.ID{Area: 1, Page: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	inj.SetCrashPoint(inj.Events()+1, 0, false)

@@ -59,9 +59,9 @@ func (u *recordingUpstream) Released(c uint32, _ []proto.SegKey) error {
 	u.saw["Released"] = c
 	return nil
 }
-func (u *recordingUpstream) CreateLarge(c uint32, _ uint64, _ proto.SegKey, _ uint32, _ []byte) (int, error) {
-	u.saw["CreateLarge"] = c
-	return 0, nil
+func (u *recordingUpstream) StoreLarge(c uint32, _ uint64, _ proto.SegKey, _ []byte) ([]byte, error) {
+	u.saw["StoreLarge"] = c
+	return nil, nil
 }
 func (u *recordingUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
 	u.saw["SnapOpen"] = c
@@ -112,7 +112,7 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	ns.Prepare(local, 1, segs)
 	ns.Released(local, []proto.SegKey{seg})
 	ns.CreateSegment(local, 1, 1, 1, 1, 1, -1)
-	ns.CreateLarge(local, 1, seg, 0, nil)
+	ns.StoreLarge(local, 1, seg, nil)
 	ns.SnapOpen(local)
 	ns.SnapClose(local, 1)
 	ns.SnapFetchSeg(local, 1, seg)

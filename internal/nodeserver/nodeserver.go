@@ -290,13 +290,10 @@ func (ns *NodeServer) Released(local uint32, segs []proto.SegKey) error {
 	return ns.Conn.Released(ns.client, gone)
 }
 
-// CreateLarge forwards and invalidates the image.
-func (ns *NodeServer) CreateLarge(local uint32, tx uint64, seg proto.SegKey, typ uint32, content []byte) (int, error) {
-	slot, err := ns.Conn.CreateLarge(ns.client, tx, seg, typ, content)
-	if err == nil {
-		ns.dropImage(seg)
-	}
-	return slot, err
+// StoreLarge forwards. The image stays: the segment changes only when the
+// transaction ships it at commit.
+func (ns *NodeServer) StoreLarge(local uint32, tx uint64, seg proto.SegKey, content []byte) ([]byte, error) {
+	return ns.Conn.StoreLarge(ns.client, tx, seg, content)
 }
 
 var _ proto.Conn = (*NodeServer)(nil)

@@ -135,7 +135,6 @@ func TestDecodeRejects(t *testing.T) {
 		{"create reply: negative data pages", &proto.CreateSegmentReply{}, with(enc(&proto.CreateSegmentReply{}), 20, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"released: hostile segment count", &proto.ReleasedArgs{}, with(enc(&proto.ReleasedArgs{Client: 1}), 4, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"negative page count", &proto.AllocRunArgs{}, with(enc(&proto.AllocRunArgs{}), 4, 0xFF, 0xFF, 0xFF, 0xFF)},
-		{"negative reply slot", &proto.CreateLargeReply{}, []byte{0xFF, 0xFF, 0xFF, 0xFF}},
 	}
 	for _, tc := range cases {
 		if err := proto.Decode(tc.b, tc.into); !errors.Is(err, proto.ErrBadMessage) {
@@ -239,7 +238,7 @@ func TestDecodedSectionsAliasInput(t *testing.T) {
 	img := proto.SegImage{Slotted: []byte("slotted"), Overflow: []byte("overflow"), Data: []byte("data")}
 	var (
 		gotImg   proto.SegImage
-		gotLarge proto.CreateLargeArgs
+		gotLarge proto.StoreLargeArgs
 		gotRun   proto.RunArgs
 		gotBytes proto.Bytes
 	)
@@ -250,7 +249,7 @@ func TestDecodedSectionsAliasInput(t *testing.T) {
 		fields func() [][]byte
 	}{
 		{"SegImage", enc(&img), &gotImg, func() [][]byte { return [][]byte{gotImg.Slotted, gotImg.Overflow, gotImg.Data} }},
-		{"CreateLargeArgs", enc(&proto.CreateLargeArgs{Content: []byte("content")}), &gotLarge,
+		{"StoreLargeArgs", enc(&proto.StoreLargeArgs{Content: []byte("content")}), &gotLarge,
 			func() [][]byte { return [][]byte{gotLarge.Content} }},
 		{"RunArgs", enc(&proto.RunArgs{Data: []byte("run")}), &gotRun, func() [][]byte { return [][]byte{gotRun.Data} }},
 		{"Bytes", []byte("rest"), &gotBytes, func() [][]byte { return [][]byte{gotBytes.Data} }},
@@ -331,6 +330,7 @@ func carve(t *testing.T, wire []byte) {
 		&proto.ScanBatch{Seq: client, Last: p[29]&1 == 1, Err: string(wire[:n/2]), Images: segs},
 		&proto.LockObjectArgs{Client: client, Tx: tx, Seg: seg, Slot: slot, Mode: proto.LockMode(p[28])},
 		&proto.FetchLargeArgs{Client: client, Seg: seg, Slot: slot},
+		&proto.StoreLargeArgs{Client: client, Tx: tx, Seg: seg, Content: section(wire[n/2:])},
 		&proto.SnapFetchArgs{Client: client, Snap: tx, Seg: seg},
 		&proto.SnapScanStartArgs{ScanStartArgs: proto.ScanStartArgs{Client: client, DB: seg.Area, FileID: uint32(slot), BatchBytes: uint32(tx)}, Snap: tx},
 		&proto.ScanCtl{Cancel: p[29]&1 == 1, Credit: tx},
@@ -352,7 +352,7 @@ func carve(t *testing.T, wire []byte) {
 // drive the one registry now.
 
 func FuzzMsgCodecRoundTrip(f *testing.F) {
-	seed(f, "ClientSegArgs", "FetchLargeArgs", "LockArgs", "LockObjectArgs", "CommitArgs", "SegArgs", "CallbackReply")
+	seed(f, "ClientSegArgs", "FetchLargeArgs", "StoreLargeArgs", "LockArgs", "LockObjectArgs", "CommitArgs", "SegArgs", "CallbackReply")
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		prototest.Fuzz(t, wire)
 		carve(t, wire)
@@ -373,7 +373,7 @@ func FuzzScanFrameDecode(f *testing.F) {
 }
 
 func FuzzProtoDecode(f *testing.F) {
-	seed(f, "SegImage", "TypesReply", "RegisterTypeArgs", "CreateLargeArgs", "RunArgs", "SegmentsOfReply", "NameBindArgs",
+	seed(f, "SegImage", "TypesReply", "RegisterTypeArgs", "StoreLargeArgs", "RunArgs", "SegmentsOfReply", "NameBindArgs",
 		"CreateSegmentArgs", "CreateSegmentReply", "ReleasedArgs")
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		prototest.Fuzz(t, wire)

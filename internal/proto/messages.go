@@ -17,7 +17,7 @@ type Empty struct{}
 
 func (*Empty) Fields(*Cursor) {}
 
-// Bytes is a reply that is one byte string (FetchLarge, ReadRun):
+// Bytes is a reply that is one byte string (FetchLarge, StoreLarge, ReadRun):
 // it travels as the raw frame body with no wrapper at all.
 type Bytes struct{ Data []byte }
 
@@ -356,27 +356,21 @@ func (m *SegmentsOfReply) Fields(c *Cursor) {
 	}
 }
 
-// CreateLargeArgs stores a transparent large object.
-type CreateLargeArgs struct {
+// StoreLargeArgs stores a transparent large object's content; the reply is
+// Bytes, its descriptor.
+type StoreLargeArgs struct {
 	Client  uint32
 	Tx      uint64
 	Seg     SegKey
-	Type    uint32
 	Content []byte
 }
 
-func (m *CreateLargeArgs) Fields(c *Cursor) {
+func (m *StoreLargeArgs) Fields(c *Cursor) {
 	c.U32(&m.Client)
 	c.U64(&m.Tx)
 	c.SegKey(&m.Seg)
-	c.U32(&m.Type)
 	c.Section(&m.Content)
 }
-
-// CreateLargeReply names the new slot.
-type CreateLargeReply struct{ Slot int }
-
-func (m *CreateLargeReply) Fields(c *Cursor) { c.Count(&m.Slot) }
 
 // AllocRunArgs allocates a raw page run.
 type AllocRunArgs struct {

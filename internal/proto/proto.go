@@ -125,10 +125,12 @@ type Conn interface {
 	SegmentsOf(db uint32, fileID uint32) ([]SegKey, error)
 	// Released tells the server the client dropped its cached copies of segs.
 	Released(client uint32, segs []SegKey) error
-	// CreateLarge stores a transparent (≤64KB) large object server-side:
-	// content goes to freshly allocated pages and a descriptor slot is
-	// added to seg. Other clients' cached copies of seg are called back.
-	CreateLarge(client uint32, tx uint64, seg SegKey, typ uint32, content []byte) (slot int, err error)
+	// StoreLarge stores the content of a transparent (≤64KB) large object for
+	// tx, which holds X on seg: it goes to freshly allocated pages, written at
+	// tx's commit, and the reply is the object's descriptor
+	// (segment.LargeDesc), which the client adds to its copy of seg and ships
+	// with it. seg itself does not change.
+	StoreLarge(client uint32, tx uint64, seg SegKey, content []byte) (desc []byte, err error)
 	// Raw run operations back the very-large-object tree (largeobj.Store)
 	// over the connection.
 	AllocRun(db uint32, nPages int) (area uint32, start int64, granted int, err error)

@@ -63,7 +63,6 @@ var Methods = []Method{
 	{"Decide", &proto.DecideArgs{Tx: 99, Commit: true}, empty},
 	{"SegmentsOf", &proto.SegmentsOfArgs{DB: 4, FileID: 9}, &proto.SegmentsOfReply{Segs: []proto.SegKey{seg, {Area: 8}}}},
 	{"Released", &proto.ReleasedArgs{Client: 3, Segs: []proto.SegKey{seg, {Area: 8}}}, empty},
-	{"CreateLarge", &proto.CreateLargeArgs{Client: 3, Tx: 99, Seg: seg, Type: 5, Content: []byte("large content")}, &proto.CreateLargeReply{Slot: 11}},
 	{"AllocRun", &proto.AllocRunArgs{DB: 4, NPages: 8}, &proto.AllocRunReply{Area: 7, Start: 1 << 20, Granted: 8}},
 	{"FreeRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20}, empty},
 	{"ReadRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, NPages: 2}, raw},
@@ -80,6 +79,7 @@ var Methods = []Method{
 	{"SnapClose", &proto.SnapCloseArgs{Client: 3, Snap: 11}, empty},
 	{"SnapFetchSeg", &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img},
 	{"SnapScanStart", &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanPlan},
+	{"StoreLarge", &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw},
 }
 
 // CatalogOps holds a populated proto.CatalogOp — the body of the catalog's

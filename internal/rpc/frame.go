@@ -98,7 +98,7 @@ var methodNames = [...]string{
 	20: "Decide",
 	21: "SegmentsOf",
 	22: "Released",
-	23: "CreateLarge",
+	23: "", // retired: the server-side large-object create (StoreLarge stores the content only)
 	24: "AllocRun",
 	25: "FreeRun",
 	26: "ReadRun",
@@ -115,6 +115,7 @@ var methodNames = [...]string{
 	37: "SnapClose",
 	38: "SnapFetchSeg",
 	39: "SnapScanStart",
+	40: "StoreLarge",
 }
 
 var methodIDs = func() map[string]uint16 {

@@ -124,11 +124,11 @@ func TestMethodIDTablePinned(t *testing.T) {
 		"FetchLarge": 12, "FetchSeg": 13, // 10 and 11 are retired
 		"Resolve": 14, "Lock": 15, "LockObject": 16, "Commit": 17, "Abort": 18,
 		"Prepare": 19, "Decide": 20, "SegmentsOf": 21, "Released": 22,
-		"CreateLarge": 23, "AllocRun": 24, "FreeRun": 25, "ReadRun": 26,
+		"AllocRun": 24, "FreeRun": 25, "ReadRun": 26, // 23 is retired
 		"WriteRun": 27, "NameBind": 28, "NameLookup": 29, "NameUnbind": 30,
 		"NameRemoveOID": 31, "Callback": 32, "ScanStart": 33, "ScanData": 34,
 		"ScanCtl": 35, "SnapOpen": 36, "SnapClose": 37, "SnapFetchSeg": 38,
-		"SnapScanStart": 39,
+		"SnapScanStart": 39, "StoreLarge": 40,
 	}
 	if len(methodIDs) != len(want) {
 		t.Fatalf("method table has %d entries, want %d", len(methodIDs), len(want))

@@ -73,7 +73,7 @@ func TestRetiredAndUnknownIDsAnswered(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(c)
-	for i, method := range []uint16{10, 11, uint16(len(methodNames)), 0xFFFF} {
+	for i, method := range []uint16{10, 11, 23, uint16(len(methodNames)), 0xFFFF} {
 		if int(method) < len(methodNames) && methodNames[method] != "" {
 			t.Fatalf("id %d is assigned to %q", method, methodNames[method])
 		}

@@ -394,6 +394,53 @@ func (s *Seg) EnsureOverflow(nPages int) {
 	s.Hdr.OverPages = uint32(nPages)
 }
 
+// LargeDescSize is the encoded size of a LargeDesc.
+const LargeDescSize = 24
+
+// LargeDesc is a transparent large object's descriptor, the overflow blob of
+// its KindLarge slot: the run holding the object's stored bytes and their
+// CRC-32C. Stored may differ from the slot's logical object size when a
+// flush-side hook (compression) transformed the content; the checksum covers
+// exactly the stored bytes, so a fetch verifies the run end to end before any
+// fetch-side hook runs.
+type LargeDesc struct {
+	Area   page.AreaID
+	Start  page.No
+	Pages  uint32
+	Stored uint32
+	CRC    uint32
+}
+
+// Encode returns d's LargeDescSize bytes.
+func (d LargeDesc) Encode() []byte {
+	be := binary.BigEndian
+	b := be.AppendUint32(make([]byte, 0, LargeDescSize), uint32(d.Area))
+	b = be.AppendUint64(b, uint64(d.Start))
+	b = be.AppendUint32(b, d.Pages)
+	b = be.AppendUint32(b, d.Stored)
+	return be.AppendUint32(b, d.CRC)
+}
+
+// DecodeLargeDesc parses the LargeDescSize bytes at the head of b, and
+// refuses a descriptor whose stored bytes overrun its run.
+func DecodeLargeDesc(b []byte) (LargeDesc, error) {
+	if len(b) < LargeDescSize {
+		return LargeDesc{}, ErrOverflowOff
+	}
+	be := binary.BigEndian
+	d := LargeDesc{
+		Area:   page.AreaID(be.Uint32(b)),
+		Start:  page.No(be.Uint64(b[4:])),
+		Pages:  be.Uint32(b[12:]),
+		Stored: be.Uint32(b[16:]),
+		CRC:    be.Uint32(b[20:]),
+	}
+	if uint64(d.Stored) > uint64(d.Pages)*page.Size {
+		return LargeDesc{}, ErrOverflowOff
+	}
+	return d, nil
+}
+
 // ObjectBytes returns the live bytes of small/forward object i. The slice
 // aliases the data segment — this is the paper's "manipulated directly on
 // the segment on which they reside, without in-memory copying".

@@ -531,3 +531,24 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeDescRoundTrip: a descriptor encodes to its fixed size and back, and
+// one whose stored bytes overrun its run — it arrives in a client's shipped
+// overflow section — or that is cut short is refused.
+func TestLargeDescRoundTrip(t *testing.T) {
+	d := LargeDesc{Area: 3, Start: 1 << 40, Pages: 2, Stored: 2*page.Size - 1, CRC: 0xDEADBEEF}
+	b := d.Encode()
+	if len(b) != LargeDescSize {
+		t.Fatalf("encoded %d bytes, want %d", len(b), LargeDescSize)
+	}
+	if got, err := DecodeLargeDesc(b); err != nil || got != d {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	d.Stored = 2*page.Size + 1
+	if _, err := DecodeLargeDesc(d.Encode()); !errors.Is(err, ErrOverflowOff) {
+		t.Fatalf("stored bytes past the run: %v", err)
+	}
+	if _, err := DecodeLargeDesc(b[:LargeDescSize-1]); !errors.Is(err, ErrOverflowOff) {
+		t.Fatalf("a short descriptor: %v", err)
+	}
+}

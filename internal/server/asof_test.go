@@ -161,24 +161,16 @@ func TestAsOfCommitReadsDataOnce(t *testing.T) {
 }
 
 // TestAsOfChainImagesAreNeverWritten: the image a chain keeps is the buffer
-// updateBase read, so nothing may write it afterwards — CreateLarge adds its
-// descriptor to a copy of the overflow run, and the snapshot's image still
-// verifies against its own header.
+// updateBase read, so nothing may write it afterwards — a commit that adds a
+// large object's descriptor to the overflow run logs a new image of the run,
+// and the snapshot's image still verifies against its own header.
 func TestAsOfChainImagesAreNeverWritten(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, body(0))
 	cl, _ := s.Hello("c")
-	large := func() {
-		txid, _ := s.NewTx()
-		if _, err := s.CreateLarge(cl, txid, key, 7, bytes.Repeat([]byte("L"), 5000)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(cl, txid, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	large := func() { storeLarge(t, s, cl, key, bytes.Repeat([]byte("L"), 5000)) }
 	large() // allocates the overflow run
 	snap, _, err := s.SnapOpen(cl)
 	if err != nil {

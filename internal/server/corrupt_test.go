@@ -46,6 +46,24 @@ func commitOne(t *testing.T, s *Server, db uint32, body []byte) proto.SegKey {
 	return key
 }
 
+// largeDesc is the descriptor of the large object in slot of key.
+func largeDesc(t *testing.T, s *Server, key proto.SegKey, slot int) segment.LargeDesc {
+	t.Helper()
+	sl, ov, _, err := s.FetchSeg(0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decodeSeg(t, sl, ov, nil).Descriptor(slot, segment.LargeDescSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := segment.DecodeLargeDesc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func fetchObject(t *testing.T, s *Server, key proto.SegKey) ([]byte, error) {
 	t.Helper()
 	sl, ov, data, err := s.FetchSeg(0, key)
@@ -203,30 +221,10 @@ func TestLargeObjectChecksumRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := bytes.Repeat([]byte("large-object-content."), 300) // > 1 page
-	tx2, _ := s.NewTx()
-	slot, err := s.CreateLarge(cl, tx2, key, 7, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(cl, tx2, nil); err != nil {
-		t.Fatal(err)
-	}
+	slot := storeLarge(t, s, cl, key, big)
 	// Find the run and rot one of its pages.
-	sl, ov, _, err := s.FetchSeg(0, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := segment.DecodeSlotted(sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.Overflow = ov
-	d, err := dec.Descriptor(slot, largeDescSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	areaID, start, _, _, _ := decodeLargeDesc(d)
-	flipPageByte(t, s, areaID, page.No(start)+1, 9)
+	d := largeDesc(t, s, key, slot)
+	flipPageByte(t, s, uint32(d.Area), d.Start+1, 9)
 	got, err := s.FetchLarge(0, key, slot)
 	if err != nil {
 		t.Fatalf("fetch large after rot: %v", err)

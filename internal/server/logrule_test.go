@@ -65,13 +65,12 @@ func commitImage(t *testing.T, s *Server, img proto.SegImage) {
 // whole-page logging: a committed 128-byte overwrite of pages that already
 // have their anchors logs a few hundred bytes (two byte-range records — the
 // object's bytes and the header's checksums — plus commit and end), and a
-// first touch logs two anchors: a page each plus the same few hundred bytes of
-// undo ranges, not the two pages each that an anchor used to cost.
+// first touch logs two anchors, a page each.
 func TestLogVolumeBudget(t *testing.T) {
 	const (
 		commitEnd  = 50
 		deltaBound = 600
-		anchors    = 2*page.Size + deltaBound // two whole-page redo halves, range-sized undo halves
+		anchors    = 2*page.Size + deltaBound // two whole-page records, with room to spare
 	)
 	s := NewMem(1)
 	defer s.Close()
@@ -90,7 +89,7 @@ func TestLogVolumeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := logged(3); n > anchors+commitEnd {
-		t.Fatalf("first touch after a checkpoint logged %d bytes, more than two anchors with range-sized undo (%d)", n, anchors+commitEnd)
+		t.Fatalf("first touch after a checkpoint logged %d bytes, more than two anchors (%d)", n, anchors+commitEnd)
 	} else if n <= deltaBound {
 		t.Fatalf("first touch after a checkpoint logged %d bytes: no anchor", n)
 	}

@@ -32,9 +32,9 @@ func readPage(t *testing.T, s *Server, id page.ID) []byte {
 }
 
 // TestWritePageRejectsZeroProof: the page store writes nothing on the zero
-// wal.Logged — which is also what LogUpdate returns when it logged nothing —
-// and, as the transaction manager's pager, takes a rollback's stores on the
-// proofs of its CLRs.
+// wal.Logged, and as the transaction manager's pager it takes a commit's
+// stores, after the force, on the proofs the commit's wal.Durable makes — a
+// logged change has no other way to the area.
 func TestWritePageRejectsZeroProof(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -48,38 +48,25 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 	junk := bytes.Repeat([]byte{0xC3}, page.Size)
 	written := s.Snapshot().PagesWritten
 
-	tr := s.txm.Begin()
-	none, err := tr.LogUpdate(pid, was, was)
-	if err != nil || none != (wal.Logged{}) {
-		t.Fatalf("LogUpdate of an unchanged page: proof %+v, err %v; want the zero proof", none, err)
-	}
-	for _, proof := range []wal.Logged{{}, none} {
-		if err := s.WritePage(proof, junk); !errors.Is(err, wal.ErrNotLogged) {
-			t.Fatalf("WritePage on the zero proof: %v, want wal.ErrNotLogged", err)
-		}
+	if err := s.WritePage(wal.Logged{}, junk); !errors.Is(err, wal.ErrNotLogged) {
+		t.Fatalf("WritePage on the zero proof: %v, want wal.ErrNotLogged", err)
 	}
 	if !bytes.Equal(readPage(t, s, pid), was) || s.Snapshot().PagesWritten != written {
 		t.Fatal("a store without a log record reached the area")
 	}
 
-	proof, err := tr.LogUpdate(pid, was, junk)
-	if err != nil {
+	tr := s.txm.Begin()
+	if err := tr.LogRedo(pid, was, junk); err != nil {
 		t.Fatal(err)
 	}
-	if proof.Page() != pid || proof.LSN() < wal.FirstLSN() || proof.LSN() >= s.log.NextLSN() {
-		t.Fatalf("proof names %v at lsn %d; logged %v, log ends at %d", proof.Page(), proof.LSN(), pid, s.log.NextLSN())
+	if !bytes.Equal(readPage(t, s, pid), was) {
+		t.Fatal("a logged change reached the area before its commit")
 	}
-	if err := s.WritePage(proof, junk); err != nil {
+	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(readPage(t, s, pid), junk) {
-		t.Fatal("a proven store did not reach the area")
-	}
-	if err := tr.Abort(); err != nil {
-		t.Fatalf("abort, whose undo stores through Server.WritePage: %v", err)
-	}
-	if !bytes.Equal(readPage(t, s, pid), was) || s.Snapshot().PagesWritten != written+2 {
-		t.Fatal("rollback did not restore the page through the page store")
+	if !bytes.Equal(readPage(t, s, pid), junk) || s.Snapshot().PagesWritten != written+1 {
+		t.Fatal("the commit did not store the page through the page store")
 	}
 }
 
@@ -216,14 +203,7 @@ func TestEveryReadPathVerifies(t *testing.T) {
 			db, _, _ := s.OpenDB("d", true)
 			key := commitOne(t, s, db, body)
 			cl, _ := s.Hello("reader")
-			txid, _ := s.NewTx()
-			slot, err := s.CreateLarge(cl, txid, key, 7, big)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Commit(cl, txid, nil); err != nil {
-				t.Fatal(err)
-			}
+			slot := storeLarge(t, s, cl, key, big)
 			snap, _, err := s.SnapOpen(cl)
 			if err != nil {
 				t.Fatal(err)
@@ -239,12 +219,8 @@ func TestEveryReadPathVerifies(t *testing.T) {
 			case data:
 				flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 5)
 			case largeRun:
-				d, err := dec.Descriptor(slot, largeDescSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				areaID, start, _, _, _ := decodeLargeDesc(d)
-				flipPageByte(t, s, areaID, page.No(start)+1, 9)
+				d := largeDesc(t, s, key, slot)
+				flipPageByte(t, s, uint32(d.Area), d.Start+1, 9)
 			}
 			before := s.ScrubStatus()
 			c.read(t, s, cl, snap, key, slot)

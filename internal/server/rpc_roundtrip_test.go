@@ -13,6 +13,7 @@ import (
 	"bess/internal/oid"
 	"bess/internal/proto"
 	"bess/internal/rpc"
+	"bess/internal/segment"
 )
 
 // callPeer builds a served pipe and a typed call helper, exercising the
@@ -121,19 +122,25 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Transparent large object over the wire.
-	var cl proto.CreateLargeReply
+	// Transparent large object over the wire: the content stored, the
+	// descriptor shipped in the segment's image.
+	var desc proto.Bytes
 	content := bytes.Repeat([]byte("x"), 5000)
-	if err := p.Call("CreateLarge", &proto.CreateLargeArgs{
-		Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Content: content,
-	}, &cl); err != nil {
+	if err := p.Call("StoreLarge", &proto.StoreLargeArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Content: content}, &desc); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("Commit", &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx}, &proto.Empty{}); err != nil {
+	seg := decodeSeg(t, img.Slotted, img.Overflow, img.Data)
+	seg.EnsureOverflow(1)
+	slot, err := seg.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), desc.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := proto.SegImage{Seg: cs.Seg, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow}
+	if err := p.Call("Commit", &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx, Segs: []proto.SegImage{shipped}}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	var fl proto.Bytes
-	if err := p.Call("FetchLarge", &proto.FetchLargeArgs{Client: hello.ID, Seg: cs.Seg, Slot: cl.Slot}, &fl); err != nil {
+	if err := p.Call("FetchLarge", &proto.FetchLargeArgs{Client: hello.ID, Seg: cs.Seg, Slot: slot}, &fl); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fl.Data, content) {

@@ -116,9 +116,9 @@ func ServePeer(s *Server, p *rpc.Peer) {
 		"Released": rpc.Typed(func(a *proto.ReleasedArgs) (*proto.Empty, error) {
 			return empty, s.Released(a.Client, a.Segs)
 		}),
-		"CreateLarge": rpc.Typed(func(a *proto.CreateLargeArgs) (*proto.CreateLargeReply, error) {
-			slot, err := s.CreateLarge(a.Client, a.Tx, a.Seg, a.Type, a.Content)
-			return &proto.CreateLargeReply{Slot: slot}, err
+		"StoreLarge": rpc.Typed(func(a *proto.StoreLargeArgs) (*proto.Bytes, error) {
+			d, err := s.StoreLarge(a.Client, a.Tx, a.Seg, a.Content)
+			return &proto.Bytes{Data: d}, err
 		}),
 		"AllocRun": rpc.Typed(func(a *proto.AllocRunArgs) (*proto.AllocRunReply, error) {
 			areaID, start, granted, err := s.AllocRun(a.DB, a.NPages)

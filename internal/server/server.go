@@ -12,7 +12,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -707,21 +706,24 @@ func (s *Server) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, 
 	if !dec.Live(slot) || dec.Slots[slot].Kind != segment.KindLarge {
 		return nil, segment.ErrBadSlot
 	}
-	d, err := dec.Descriptor(slot, largeDescSize)
+	b, err := dec.Descriptor(slot, segment.LargeDescSize)
 	if err != nil {
 		return nil, err
 	}
-	areaID, start, pages, stored, crc := decodeLargeDesc(d)
+	d, err := segment.DecodeLargeDesc(b)
+	if err != nil {
+		return nil, err
+	}
 	buf, err := s.readRun(seg, runRead{
-		Area: areaID, Start: page.No(start), Pages: pages, ZeroBase: true,
+		Area: uint32(d.Area), Start: d.Start, Pages: int(d.Pages), ZeroBase: true,
 		Verify: func(run []byte) error {
-			return page.Verify(run[:stored], crc, "large", segment.ErrChecksum)
+			return page.Verify(run[:d.Stored], d.CRC, "large", segment.ErrChecksum)
 		},
 	}, v)
 	if err != nil {
 		return nil, err
 	}
-	content := buf[:stored]
+	content := buf[:d.Stored]
 	// Decompression and similar user transforms run here (§2.4); they must
 	// restore the object's logical size.
 	if err := s.hk.FireData(hooks.EvObjectFetch, seg, &content); err != nil {
@@ -955,9 +957,9 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 
 // updateBase starts t's overwrite of seg: it reads the decoded current header
 // (overflow attached) and the current image, and stages the image with the
-// version store, whose proof of that is what logAndApply and logAndSteal
-// take to log a page. The image is read once and serves twice: it is the
-// before-image of every run the overwrite does not move, and it is the
+// version store, whose proof of that is what logAndApply takes to log a page.
+// The image is read once and serves twice: it is the before-image of every
+// run the overwrite does not move, and it is the
 // version chain's pre-update image, which the store owns from here on — so
 // neither the caller nor anyone else writes its bytes. From here until t
 // ends, snapshot reads of the segment wait out the overwrite window. Without
@@ -982,40 +984,25 @@ func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
 }
 
 // logAndApply logs data over the run at start for a shipped commit, page by
-// page: each page that changes is a redo-only record (tx.Tx.LogRedo) — a byte
-// range, or the page's whole-image anchor when one is due
-// (internal/tx/logging.go) — whose page t's commit writes, whole, after its
-// force. Nothing here can write one: LogRedo hands back no proof. Unchanged
-// pages are neither logged nor written.
+// page (eachPage). staged is updateBase's proof that t staged the segment
+// these pages belong to.
 func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
-	return s.eachPage(staged, t, areaID, start, before, data, scratch, t.LogRedo)
-}
-
-// logAndSteal is logAndApply for a change in the middle of a transaction
-// (CreateLarge): each page is logged with its undo half (tx.Tx.LogUpdate) and
-// written at once on the record's proof — steal, which a rollback or restart's
-// undo takes back. WritePage is the crash-point unit.
-func (s *Server) logAndSteal(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
-	return s.eachPage(staged, t, areaID, start, before, data, scratch, func(pid page.ID, was, after []byte) error {
-		proof, err := t.LogUpdate(pid, was, after)
-		if err != nil || proof.LSN() == 0 {
-			return err // or unchanged
-		}
-		return s.WritePage(proof, after)
-	})
-}
-
-// eachPage hands change each page of the run at start with its current and
-// its new content. staged is updateBase's proof that t staged the segment
-// these pages belong to. before is the run's current content in whole pages,
-// as the caller read it; a nil before — a run the transaction allocated, or
-// that updateBase's image does not cover — is read here, into *scratch, which
-// grows geometrically to the largest run it has served and is the caller's to
-// hand to the next call.
-func (s *Server) eachPage(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte, change func(pid page.ID, was, after []byte) error) error {
 	if !staged.By(t.ID()) {
 		return ErrNotStaged
 	}
+	return s.eachPage(t, areaID, start, before, data, scratch)
+}
+
+// eachPage logs each page of the run at start that data changes as a
+// redo-only record (tx.Tx.LogRedo) — a byte range, or the page's whole-image
+// anchor when one is due (internal/tx/logging.go) — whose page t's commit
+// writes, whole, after its force. Nothing here can write one: LogRedo hands
+// back no proof. Unchanged pages are neither logged nor written. before is the
+// run's current content in whole pages, as the caller read it; a nil before —
+// a run the transaction allocated, or that updateBase's image does not cover —
+// is read here, into *scratch, which grows geometrically to the largest run it
+// has served and is the caller's to hand to the next call.
+func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
 	if before == nil {
 		a := s.lookupArea(areaID)
 		if a == nil {
@@ -1036,7 +1023,7 @@ func (s *Server) eachPage(staged cache.Staged, t *tx.Tx, areaID uint32, start pa
 			// Short tail: the rest of the page keeps its current bytes.
 			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
 		}
-		if err := change(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, was, after); err != nil {
+		if err := t.LogRedo(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, was, after); err != nil {
 			return err
 		}
 	}
@@ -1046,10 +1033,17 @@ func (s *Server) eachPage(staged cache.Staged, t *tx.Tx, areaID uint32, start pa
 // requireLocks verifies the tx holds X (or SIX) on each shipped segment.
 func (s *Server) requireLocks(txid uint64, segs []proto.SegImage) error {
 	for _, si := range segs {
-		m := s.locks.Holds(lock.TxID(txid), segLockName(si.Seg))
-		if m != lock.X && m != lock.SIX {
-			return fmt.Errorf("%w: %v holds %v on %v", ErrNotLocked, txid, m, si.Seg)
+		if err := s.requireX(txid, si.Seg); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// requireX verifies the tx holds X (or SIX) on seg.
+func (s *Server) requireX(txid uint64, seg proto.SegKey) error {
+	if m := s.locks.Holds(lock.TxID(txid), segLockName(seg)); m != lock.X && m != lock.SIX {
+		return fmt.Errorf("%w: %v holds %v on %v", ErrNotLocked, txid, m, seg)
 	}
 	return nil
 }
@@ -1126,131 +1120,43 @@ func (s *Server) Decide(txid uint64, commit bool) error {
 
 // --- large objects ---
 
-// largeDescSize is the byte size of a transparent large object descriptor:
-// (area, start, pages, stored bytes, content CRC-32C). The stored byte
-// count may differ from the slot's logical object size when flush-side
-// hooks (compression) transformed the content; the checksum covers exactly
-// the stored bytes, so FetchLarge verifies the run end to end before any
-// fetch-side hook runs.
-const largeDescSize = 24
-
-func encodeLargeDesc(areaID uint32, start page.No, pages, stored int, crc uint32) []byte {
-	d := make([]byte, largeDescSize)
-	d[0] = byte(areaID >> 24)
-	d[1] = byte(areaID >> 16)
-	d[2] = byte(areaID >> 8)
-	d[3] = byte(areaID)
-	v := uint64(start)
-	for i := 0; i < 8; i++ {
-		d[4+i] = byte(v >> (56 - 8*i))
-	}
-	p := uint32(pages)
-	d[12] = byte(p >> 24)
-	d[13] = byte(p >> 16)
-	d[14] = byte(p >> 8)
-	d[15] = byte(p)
-	s := uint32(stored)
-	d[16] = byte(s >> 24)
-	d[17] = byte(s >> 16)
-	d[18] = byte(s >> 8)
-	d[19] = byte(s)
-	d[20] = byte(crc >> 24)
-	d[21] = byte(crc >> 16)
-	d[22] = byte(crc >> 8)
-	d[23] = byte(crc)
-	return d
-}
-
-func decodeLargeDesc(d []byte) (areaID uint32, start int64, pages, stored int, crc uint32) {
-	areaID = uint32(d[0])<<24 | uint32(d[1])<<16 | uint32(d[2])<<8 | uint32(d[3])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(d[4+i])
-	}
-	start = int64(v)
-	pages = int(uint32(d[12])<<24 | uint32(d[13])<<16 | uint32(d[14])<<8 | uint32(d[15]))
-	stored = int(uint32(d[16])<<24 | uint32(d[17])<<16 | uint32(d[18])<<8 | uint32(d[19]))
-	crc = uint32(d[20])<<24 | uint32(d[21])<<16 | uint32(d[22])<<8 | uint32(d[23])
-	return
-}
-
-// CreateLarge implements proto.Conn: store a transparent large object
-// (≤64KB) and add its descriptor slot to seg, transactionally.
-func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ uint32, content []byte) (int, error) {
+// StoreLarge implements proto.Conn: it stores the content of a transparent
+// large object (≤64KB) for t, which holds X on seg, and returns the object's
+// descriptor (segment.LargeDesc) for the client to add to its copy of seg.
+// The content goes to a freshly allocated run as t's redo-only records, which
+// t's commit writes after its force, like every page it ships: nothing is
+// written or forced here, and no page of seg changes — until t commits, no
+// reader of seg can find the object.
+func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, content []byte) ([]byte, error) {
 	s.stats.messages.Add(1)
 	if len(content) > segment.MaxTransparentLarge {
-		return 0, ErrTooLarge
+		return nil, ErrTooLarge
 	}
-	logicalSize := len(content)
+	if err := s.requireX(txid, seg); err != nil {
+		return nil, err
+	}
 	// Flush-side user transforms (compression, §2.4) may change the stored
 	// byte count; the slot keeps the logical size.
 	if err := s.hk.FireData(hooks.EvObjectFlush, seg, &content); err != nil {
-		return 0, err
+		return nil, err
 	}
-	t := s.ensureTx(client, txid)
-	if err := t.Lock(segLockName(seg), lock.X); err != nil {
-		return 0, err
-	}
-	if err := s.copies.Revoke(seg, client, s.CallbackTimeout); err != nil {
-		return 0, err
-	}
-	dec, old, staged, err := s.updateBase(t, seg)
-	if err != nil {
-		return 0, err
-	}
-	// Store the content in its own run.
 	a, aid, err := s.areaForAlloc(seg.Area)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	pages := (len(content) + page.Size - 1) / page.Size
-	if pages == 0 {
-		pages = 1
-	}
-	start, granted, err := a.AllocSegment(pages)
+	start, granted, err := a.AllocSegment(max((len(content)+page.Size-1)/page.Size, 1))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
-	// The pages are written now, in the middle of the transaction: their
-	// records keep an undo half.
-	var scratch []byte
-	if err := s.logAndSteal(staged, t, aid, start, nil, padded, &scratch); err != nil {
-		return 0, err
+	// A fresh run no segment names yet: there is nothing to stage.
+	if err := s.eachPage(s.ensureTx(client, txid), aid, start, nil, padded, new([]byte)); err != nil {
+		return nil, err
 	}
-	// Grow overflow if needed and add the descriptor slot — into a copy:
-	// dec.Overflow is old.Overflow, the version store's.
-	dec.Overflow = bytes.Clone(dec.Overflow)
-	if dec.Hdr.OverPages == 0 {
-		oStart, oGranted, err2 := a.AllocSegment(1)
-		if err2 != nil {
-			return 0, err2
-		}
-		dec.EnsureOverflow(oGranted)
-		dec.Hdr.OverArea = page.AreaID(aid)
-		dec.Hdr.OverStart = oStart
-		dec.Hdr.OverPages = uint32(oGranted)
-	}
-	slot, err := dec.CreateDescriptor(segment.KindLarge, segment.TypeID(typ), uint32(logicalSize),
-		encodeLargeDesc(aid, start, granted, len(content), page.Checksum(content)))
-	if err != nil {
-		return 0, err
-	}
-	img := dec.EncodeSlotted()
-	if err := s.logAndSteal(staged, t, seg.Area, page.No(seg.Start), old.Slotted, img[:len(old.Slotted)], &scratch); err != nil {
-		return 0, err
-	}
-	// old.Overflow is nil when the run was allocated above.
-	if err := s.logAndSteal(staged, t, uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, old.Overflow, dec.Overflow, &scratch); err != nil {
-		return 0, err
-	}
-	// Force only this transaction's records (WAL rule for the page writes
-	// above), not every other committer's unforced tail.
-	if err := s.log.Flush(t.LastLSN()); err != nil {
-		return 0, err
-	}
-	return slot, nil
+	d := segment.LargeDesc{Area: page.AreaID(aid), Start: start, Pages: uint32(granted),
+		Stored: uint32(len(content)), CRC: page.Checksum(content)}
+	return d.Encode(), nil
 }
 
 // --- raw runs (very-large-object substrate) ---

@@ -44,6 +44,36 @@ func mkSegImage(t *testing.T, s *Server, db uint32, body []byte) (proto.SegKey, 
 	return key, proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
 }
 
+// storeLarge creates a large object in key as a client does: a transaction of
+// cl stores the content (StoreLarge), adds the descriptor to its copy of the
+// segment and ships it. It returns the object's slot.
+func storeLarge(t *testing.T, s *Server, cl uint32, key proto.SegKey, content []byte) int {
+	t.Helper()
+	txid, _ := s.NewTx()
+	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	desc, err := s.StoreLarge(cl, txid, key, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, ov, data, err := s.FetchSeg(cl, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := decodeSeg(t, sl, ov, data)
+	seg.EnsureOverflow(1)
+	slot, err := seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(content)), desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
+	if err := s.Commit(cl, txid, []proto.SegImage{img}); err != nil {
+		t.Fatal(err)
+	}
+	return slot
+}
+
 func TestCommitRequiresLock(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -302,15 +332,8 @@ func TestCompressionHooks(t *testing.T) {
 	db, _, _ := s.OpenDB("d", true)
 	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c, _ := s.Hello("app")
-	tx, _ := s.NewTx()
 	content := bytes.Repeat([]byte("media"), 1000)
-	slot, err := s.CreateLarge(c, tx, key, 0, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(c, tx, nil); err != nil {
-		t.Fatal(err)
-	}
+	slot := storeLarge(t, s, c, key, content)
 	got, err := s.FetchLarge(0, key, slot)
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +426,8 @@ func TestCreateSegmentValidation(t *testing.T) {
 	}
 }
 
+// TestCreateLargeTooBig: StoreLarge refuses content past the transparent
+// limit, and content for a segment the transaction has not X-locked.
 func TestCreateLargeTooBig(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -410,7 +435,13 @@ func TestCreateLargeTooBig(t *testing.T) {
 	key, _ := createSeg(s, db, 1, 1, 2, -1)
 	c, _ := s.Hello("app")
 	tx, _ := s.NewTx()
-	if _, err := s.CreateLarge(c, tx, key, 0, make([]byte, segment.MaxTransparentLarge+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := s.StoreLarge(c, tx, key, []byte("unlocked")); !errors.Is(err, ErrNotLocked) {
+		t.Fatalf("large object in a segment not X-locked: %v", err)
+	}
+	if err := s.Lock(c, tx, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StoreLarge(c, tx, key, make([]byte, segment.MaxTransparentLarge+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized large object: %v", err)
 	}
 	s.Abort(c, tx)

@@ -10,6 +10,7 @@ import (
 	"bess/internal/fault"
 	"bess/internal/page"
 	"bess/internal/proto"
+	"bess/internal/segment"
 	"bess/internal/wal"
 )
 
@@ -101,8 +102,8 @@ func rawSegment(t *testing.T, s *Server, seg proto.SegKey) []byte {
 }
 
 // TestCommitLogFootprint pins the gain of redo-only records in tier-1: a
-// committed k-byte overwrite logs no undo byte at all, and each of its
-// records costs a header smaller than an update record's.
+// committed k-byte overwrite logs about k bytes per page it changes, and no
+// undo byte at all.
 func TestCommitLogFootprint(t *testing.T) {
 	const k = 128
 	s := NewMem(1)
@@ -114,16 +115,11 @@ func TestCommitLogFootprint(t *testing.T) {
 	commitImage(t, s, img)
 	redo, total := 0, int(s.log.NextLSN()-from)
 	if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
-		fp := r.Footprint()
-		if r.Type == wal.TUpdate || fp.Before+fp.ZeroBefore != 0 {
+		if fp := r.Footprint(); fp.Before+fp.ZeroBefore != 0 {
 			t.Fatalf("a shipped commit logged a %v record with %d undo bytes", r.Type, fp.Before+fp.ZeroBefore)
 		}
 		if r.Type == wal.TRedo {
 			redo++
-			update := &wal.Record{Type: wal.TUpdate, Tx: r.Tx, Page: r.Page, Off: r.Off, After: r.After, Before: r.After}
-			if fp.Header >= update.Footprint().Header {
-				t.Fatalf("a redo-only record's header is %d bytes, an update's %d", fp.Header, update.Footprint().Header)
-			}
 		}
 		return nil
 	}); err != nil {
@@ -271,5 +267,88 @@ func TestProcessCrashDuringCommit(t *testing.T) {
 			t.Fatalf("crash at event %d: restart left pages that fail their checksums: %+v", kill, st)
 		}
 		r.Close()
+	}
+}
+
+// TestLargeObjectInvisibleUntilCommit: a large object's content is stored for
+// its transaction and its descriptor ships with the segment at commit, so
+// until then no other client finds it — a live FetchSeg takes no lock and
+// reads the disk — and an abort leaves the segment's slotted and overflow runs
+// and the content's run as they were, with nothing of the transaction in the
+// log but its records, its abort and its end.
+func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("small"))
+	a, _ := s.Hello("a")
+	b, _ := s.Hello("b")
+	storeLarge(t, s, a, key, []byte("committed: the overflow run exists"))
+	run := func(areaID uint32, start page.No, pages int) []byte {
+		t.Helper()
+		buf := make([]byte, pages*page.Size)
+		if err := s.lookupArea(areaID).ReadRun(start, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	sl, ov, _, err := s.FetchSeg(b, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := decodeSeg(t, sl, ov, nil)
+	runs := func() []byte {
+		return append(run(key.Area, page.No(key.Start), int(dec.Hdr.SlottedPages)),
+			run(uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, int(dec.Hdr.OverPages))...)
+	}
+	before := runs()
+
+	content := bytes.Repeat([]byte("uncommitted large object."), 400)
+	txid, _ := s.NewTx()
+	if err := s.Lock(a, txid, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	desc, err := s.StoreLarge(a, txid, key, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := segment.DecodeLargeDesc(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := run(uint32(d.Area), d.Start, int(d.Pages))
+	if bytes.Contains(stored, content[:page.Size]) {
+		t.Fatal("the content reached its run before its commit")
+	}
+	sl, ov, _, err = s.FetchSeg(b, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(decodeSeg(t, sl, ov, nil).LiveSlots()), len(dec.LiveSlots()); got != want {
+		t.Fatalf("another client sees %d live slots before the creator commits, want %d", got, want)
+	}
+	if err := s.Abort(a, txid); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(runs(), before) || !bytes.Equal(run(uint32(d.Area), d.Start, int(d.Pages)), stored) {
+		t.Fatal("the aborted large object changed a run on the area")
+	}
+	if err := s.log.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	var types []wal.Type
+	s.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Tx == txid {
+			types = append(types, r.Type)
+		}
+		return nil
+	})
+	if n := len(types); n < 3 || types[n-2] != wal.TAbort || types[n-1] != wal.TEnd {
+		t.Fatalf("the aborted transaction's records: %v", types)
+	}
+	for _, typ := range types[:len(types)-2] {
+		if typ != wal.TRedo {
+			t.Fatalf("the aborted transaction's records: %v, want its redo records, abort and end", types)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func snapObject(t *testing.T, s *Server, client uint32, snap uint64, key proto.S
 
 // TestRecoveryWithOpenSnapshots is the crash regression for the snapshot
 // stack: the server goes down with a snapshot open and a commit caught
-// mid-flight (phase 1 done — images logged and stolen to disk — decision
+// mid-flight (phase 1 done — images logged, none of them written — decision
 // pending), restart recovery must come up clean, the in-doubt branch must
 // resolve, and fresh snapshots — including the watermark GC behind them —
 // must work as if the crash never happened.
@@ -96,8 +96,8 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 		t.Fatal("pre-crash snapshot read bypassed the version chain")
 	}
 
-	// The mid-flight commit: phase 1 logs and steals the v3 image, then the
-	// server dies before any decision — with the snapshot still open.
+	// The mid-flight commit: phase 1 logs the v3 image, then the server dies
+	// before any decision — with the snapshot still open.
 	tx3, _ := s1.NewTx()
 	if err := s1.Lock(cl, tx3, key, proto.LockX); err != nil {
 		t.Fatal(err)

@@ -399,18 +399,8 @@ func (m *Mapper) loadSlotted(ms *mseg) error {
 			ms.dp[i] = ms.dataBase + vmem.Addr(sl.DataOff)
 			m.stats.DPFixups++
 		case segment.KindLarge:
-			n := framesFor(int(sl.Size))
-			if n == 0 {
-				n = 1
-			}
-			base, err := m.space.Reserve(n)
-			if err != nil {
+			if err := m.reserveLarge(ms, i); err != nil {
 				return err
-			}
-			ms.largeBase[i] = base
-			ms.dp[i] = base
-			for f := 0; f < n; f++ {
-				m.byFrame[base.Frame()+int64(f)] = ms
 			}
 			m.stats.DPFixups++
 		}
@@ -484,27 +474,63 @@ func (m *Mapper) swizzleDataRefs(ms *mseg) error {
 	return nil
 }
 
+// reserveLarge reserves the access-protected range of slot, a large object of
+// the loaded segment ms, and points its DP there.
+func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
+	n := max(framesFor(int(ms.seg.Slots[slot].Size)), 1)
+	base, err := m.space.Reserve(n)
+	if err != nil {
+		return err
+	}
+	ms.largeBase[slot], ms.dp[slot] = base, base
+	for f := 0; f < n; f++ {
+		m.byFrame[base.Frame()+int64(f)] = ms
+	}
+	return nil
+}
+
 // loadLarge populates a transparent large object's reserved range: "the
 // actual object data may be fetched from the network in one step" (§2.1).
 func (m *Mapper) loadLarge(ms *mseg, slot int) error {
-	base := ms.largeBase[slot]
-	if _, mapped, _ := m.space.ProtOf(base); mapped {
+	if _, mapped, _ := m.space.ProtOf(ms.largeBase[slot]); mapped {
 		return nil
 	}
 	content, err := m.fetch.FetchLarge(ms.id, ms.seg, slot)
 	if err != nil {
 		return err
 	}
+	if err := m.mapLarge(ms, slot, content); err != nil {
+		return err
+	}
+	m.stats.LargeFetches++
+	return nil
+}
+
+// MapLarge reserves the range of slot, a large object just created in the
+// loaded segment id, and maps content into it: the creator reads the object
+// from its own copy, with no fetch.
+func (m *Mapper) MapLarge(id SegID, slot int, content []byte) error {
+	ms, ok := m.bySeg[id]
+	if !ok || ms.state < stSlotted {
+		return ErrUnknownAddr
+	}
+	if err := m.reserveLarge(ms, slot); err != nil {
+		return err
+	}
+	return m.mapLarge(ms, slot, content)
+}
+
+// mapLarge maps content, read-only, into slot's reserved range.
+func (m *Mapper) mapLarge(ms *mseg, slot int, content []byte) error {
+	base := ms.largeBase[slot]
 	n := framesFor(int(ms.seg.Slots[slot].Size))
 	padded := make([]byte, n*page.Size)
 	copy(padded, content)
 	for i := 0; i < n; i++ {
-		fr := padded[i*page.Size : (i+1)*page.Size]
-		if err := m.space.Map(base+vmem.Addr(i*page.Size), fr, vmem.ProtRead); err != nil {
+		if err := m.space.Map(base+vmem.Addr(i*page.Size), padded[i*page.Size:(i+1)*page.Size], vmem.ProtRead); err != nil {
 			return err
 		}
 	}
-	m.stats.LargeFetches++
 	return nil
 }
 

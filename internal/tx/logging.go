@@ -11,48 +11,34 @@ import (
 
 // What the log holds for a page change — the one place that decides it.
 //
-// A redo half always, an undo half only for a page written before its
-// transaction ends. Every page change has a redo half (Off, After: what
-// restart and repair copy onto the page). An undo half (UndoOff, Before: what
-// rollback and restart's undo copy back — its only readers; a snapshot read
-// never reads the log) is there only for what can need undoing:
+// A redo half, and nothing else. Every page change is a TRedo record (LogRedo):
+// a client's commit or prepare, the server's whole write set at the moment
+// the transaction ends, and a large object's content, logged in the middle of
+// its transaction (server.StoreLarge). Its page is written after the
+// transaction's commit record is durable (Commit, writeBack) and never
+// before: the write takes a proof only a wal.Durable can make, and the log
+// mints one only once its flushed frontier covers the commit record. So
+// nothing on a page ever needs taking back — there is no undo half, no
+// compensation record, no undo pass — and a rollback only forgets what it
+// logged (Tx.rollback).
 //
-//   - A shipped image (LogRedo) — a client's commit or prepare, the server's
-//     whole write set at the moment the transaction ends — is a TRedo record,
-//     redo half only. Its page is written after the transaction's commit
-//     record is durable (Commit, writeBack) and never before: the write takes
-//     a proof only a wal.Durable can make, and the log mints one only once its
-//     flushed frontier covers the commit record. Until then there is nothing
-//     on the page to undo, so a rollback writes no CLR for it.
-//   - A change written in the middle of a transaction (LogUpdate: the
-//     server's CreateLarge, which steals) is a TUpdate with both halves.
-//   - A CLR is redo-only too: it re-describes a restore that is itself never
-//     undone.
-//
-// Which bytes. Both halves of an ordinary record cover [lo, hi), the first
-// through the last byte that differ between the page's images, not the page:
-// a 128-byte overwrite logs about 130 bytes of after-image, and a TUpdate as
-// many of before-image.
+// Which bytes. The redo half covers [lo, hi), the first through the last byte
+// that differ between the page's images, not the page: a 128-byte overwrite
+// logs about 130 bytes.
 //
 // Anchors. A byte-range redo image only means something on top of the page it
 // was cut from, and a torn or rotted page write can leave anything on disk. So
 // the first record of a page after Open and after every checkpoint — the
 // anchor — carries the whole page as its redo half (Off 0, page.Size bytes),
 // and Manager.anchors remembers, per checkpoint epoch, which pages have one and
-// at which LSN. CLRs and TRedo records follow the same rule — all of them:
-// restart's undo is Tx.Abort like any other (Restart), and nothing else
-// appends a CLR — so every redo-able record in the log does. A TRedo anchor
-// that is rolled back anchors nothing (its page was never written): rollback
-// forgets it, and the page's next writer lays one down again. The anchor's undo
-// half stays [lo, hi): the two images are equal outside it, so once redo has
-// laid the whole after-image down, copying Before back over [lo, hi) leaves
-// exactly the before-image — undo never needed the rest, and a changed range
-// of k bytes costs an anchor page.Size + k, not two pages.
+// at which LSN. An anchor that is rolled back anchors nothing (its page was
+// never written): rollback forgets the anchors its transaction laid, and the
+// page's next writer lays one down again.
 //
 // Zero images. The log stores an image that is all zero as its length
 // (internal/wal): filling a page nothing was ever written to logs its
-// after-image only, and the CLR that empties it again logs a length. That is
-// the codec's rule, not this file's — nothing here knows a page is fresh.
+// after-image, zeroing one logs a length. That is the codec's rule, not this
+// file's — nothing here knows a page is fresh.
 //
 // recLSN. A checkpoint lists, for each page an active or prepared transaction
 // changed — or a committed one whose page writes are not done — the LSN of
@@ -77,45 +63,18 @@ import (
 // is never again written without a record (unlogged initial images and raw
 // runs only ever precede a page's first record).
 
-// LogUpdate appends the update record for pid changing from before to after,
-// both whole-page images, and returns the record's proof, which is what the
-// page store takes to write the page (wal.Pager) — the zero proof, with no
-// record, when the images are equal. The record has an undo half: the caller
-// may write the page at once, before the transaction ends (steal). The log is
-// forced no later than the transaction's commit or prepare.
-func (t *Tx) LogUpdate(pid page.ID, before, after []byte) (wal.Logged, error) {
-	if err := t.wholePages(pid, before, after); err != nil {
-		return wal.Logged{}, err
-	}
-	lo, hi := diffRange(before, after)
-	m := t.m
-	m.epoch.RLock()
-	defer m.epoch.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != Active {
-		return wal.Logged{}, ErrNotActive
-	}
-	if lo == hi {
-		return wal.Logged{}, nil
-	}
-	rec := &wal.Record{Type: wal.TUpdate, Tx: t.id, Page: pid}
-	if err := t.appendRedo(rec, before, after, lo, hi); err != nil {
-		return wal.Logged{}, err
-	}
-	return rec.Logged(), nil
-}
-
 // LogRedo appends the redo-only record (wal.TRedo) for pid changing from
 // before to after, both whole-page images, and queues the page's write for
 // t's commit: nothing is written now, and nothing the caller gets could write
 // it — the write waits for the commit record to be durable (writeBack). A page
 // t already queued a write for changes from that write's image, not from
-// before. Equal images log and queue nothing. after must stay unchanged until
-// t commits or aborts, or until its Prepare returns.
+// before, and the queued write becomes this one: a commit writes each page
+// once. Equal images log and queue nothing. after must stay unchanged until t
+// commits or aborts, or until its Prepare returns.
 func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
-	if err := t.wholePages(pid, before, after); err != nil {
-		return err
+	if len(before) != page.Size || len(after) != page.Size {
+		return fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
+			t.id, pid, len(before), len(after))
 	}
 	m := t.m
 	m.epoch.RLock()
@@ -125,10 +84,11 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 	if t.state != Active {
 		return ErrNotActive
 	}
+	queued := -1
 	if _, seen := t.dirty[pid]; seen {
 		for i := len(t.writes) - 1; i >= 0; i-- {
 			if t.writes[i].rec.Page() == pid {
-				before = t.writes[i].img
+				queued, before = i, t.writes[i].img
 				break
 			}
 		}
@@ -138,71 +98,28 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 		return nil
 	}
 	rec := &wal.Record{Type: wal.TRedo, Tx: t.id, Page: pid}
-	if err := t.appendRedo(rec, nil, after, lo, hi); err != nil {
+	if err := t.appendRedo(rec, after, lo, hi); err != nil {
 		return err
 	}
-	t.writes = append(t.writes, shipped{rec: rec.Pending(), img: after})
+	if w := (shipped{rec: rec.Pending(), img: after}); queued >= 0 {
+		t.writes[queued] = w
+	} else {
+		t.writes = append(t.writes, w)
+	}
 	t.deferred = true
 	return nil
 }
 
-// wholePages checks that a page change comes as two whole-page images.
-func (t *Tx) wholePages(pid page.ID, before, after []byte) error {
-	if len(before) != page.Size || len(after) != page.Size {
-		return fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
-			t.id, pid, len(before), len(after))
-	}
-	return nil
-}
-
-// undo rolls back one update record of t: it logs the CLR, then restores the
-// before-image through the pager on the CLR's proof. buf is page-sized scratch.
-func (t *Tx) undo(rec *wal.Record, buf []byte) error {
-	m := t.m
-	if err := m.pager.ReadPage(rec.Page, buf); err != nil {
-		return err
-	}
-	lo, hi := int(rec.UndoOff), int(rec.UndoOff)+len(rec.Before)
-	if hi > len(buf) {
-		return fmt.Errorf("tx %d: undo of %v: image [%d, %d) runs past the page", t.id, rec.Page, lo, hi)
-	}
-	copy(buf[lo:], rec.Before)
-	clr := &wal.Record{Type: wal.TCLR, Tx: t.id, Page: rec.Page, UndoNext: rec.PrevLSN}
-	m.epoch.RLock()
-	t.mu.Lock()
-	err := t.appendRedo(clr, nil, buf, lo, hi)
-	t.mu.Unlock()
-	m.epoch.RUnlock()
-	if err != nil {
-		return err
-	}
-	return m.pager.WritePage(clr.Logged(), buf)
-}
-
-// forget drops the anchor a rolled-back TRedo record at lsn set: its page was
-// never written, so the page's next writer must anchor it again.
-func (m *Manager) forget(pid page.ID, lsn page.LSN) {
-	m.mu.Lock()
-	if m.anchors[pid] == lsn {
-		delete(m.anchors, pid)
-	}
-	m.mu.Unlock()
-}
-
-// appendRedo appends rec, an update, TRedo or CLR of rec.Page that leaves the
-// page holding img and changes img[lo:hi] (from before[lo:hi]; nil for a
-// TRedo or a CLR, which have no undo image). The undo half is that range.
-// Under the anchor rule the redo half is the same range if the page has an
-// anchor in this checkpoint epoch, and the whole page — becoming the anchor —
-// if not. The caller holds m.epoch shared and t.mu.
-func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) error {
+// appendRedo appends rec, a TRedo of rec.Page that leaves the page holding
+// img and changes img[lo:hi]. Under the anchor rule the redo half is that range
+// if the page has an anchor in this checkpoint epoch, and the whole page —
+// becoming the anchor, which t records as laid — if not. The caller holds
+// m.epoch shared and t.mu.
+func (t *Tx) appendRedo(rec *wal.Record, img []byte, lo, hi int) error {
 	m := t.m
 	m.mu.Lock()
 	anchor, anchored := m.anchors[rec.Page]
 	m.mu.Unlock()
-	if before != nil {
-		rec.UndoOff, rec.Before = uint32(lo), before[lo:hi]
-	}
 	if !anchored {
 		lo, hi = 0, page.Size
 	}
@@ -218,6 +135,7 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) error {
 		m.mu.Lock()
 		m.anchors[rec.Page] = lsn
 		m.mu.Unlock()
+		t.laid = append(t.laid, laidAnchor{rec.Page, lsn})
 	}
 	if _, ok := t.dirty[rec.Page]; !ok {
 		t.dirty[rec.Page] = anchor
@@ -225,14 +143,31 @@ func (t *Tx) appendRedo(rec *wal.Record, before, img []byte, lo, hi int) error {
 	return nil
 }
 
+// laidAnchor is an anchor a transaction logged: page pid's, at lsn.
+type laidAnchor struct {
+	pid page.ID
+	lsn page.LSN
+}
+
+// forget drops the anchors a rolled-back transaction laid: their pages were
+// never written, so each page's next writer must anchor it again. An anchor a
+// checkpoint has since reset is not the transaction's to drop.
+func (m *Manager) forget(anchors []laidAnchor) {
+	m.mu.Lock()
+	for _, a := range anchors {
+		if m.anchors[a.pid] == a.lsn {
+			delete(m.anchors, a.pid)
+		}
+	}
+	m.mu.Unlock()
+}
+
 // chain appends rec as the next record of t's chain: it is the one place a
 // record is linked to the transaction's last and the last moved on, both under
 // t.mu (which the caller holds), so nobody else holds an LSN that an append
-// could leave stale. A CLR is linked by its UndoNext alone.
+// could leave stale.
 func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
-	if rec.Type != wal.TCLR {
-		rec.PrevLSN = t.lastLSN
-	}
+	rec.PrevLSN = t.lastLSN
 	lsn, err := t.m.log.Append(rec)
 	if err != nil {
 		return 0, err

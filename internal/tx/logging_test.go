@@ -26,63 +26,46 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	return rec
 }
 
-func allCLRs(l *wal.Log) (clrs []*wal.Record) {
-	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		if r.Type == wal.TCLR {
-			clrs = append(clrs, r)
-		}
-		return nil
-	})
-	return clrs
-}
-
-// TestLogUpdateRule is the table for the logging rule: which bytes a record's
-// halves carry, and when the redo half is the whole page instead.
-func TestLogUpdateRule(t *testing.T) {
+// TestLogRedoRule is the table for the logging rule: which bytes a record's
+// redo half carries, and when it is the whole page instead.
+func TestLogRedoRule(t *testing.T) {
 	m, _, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 9}
-	cur := make([]byte, page.Size) // the page as the "disk" holds it
+	cur := make([]byte, page.Size) // the page as the transaction sees it
 	for i := range cur {
 		cur[i] = byte(i * 7)
 	}
 	tr := m.Begin()
 
-	// step logs cur → cur with edit applied and checks the record: its undo
-	// half is [wantOff, wantOff+wantLen) and so is its redo half, unless the
-	// record is the page's anchor.
+	// step logs cur → cur with edit applied and checks the record: its redo
+	// half is [wantOff, wantOff+wantLen), unless the record is the page's
+	// anchor.
 	step := func(name string, edit func(img []byte), wantOff, wantLen int, anchor bool) {
 		t.Helper()
 		after := append([]byte(nil), cur...)
 		edit(after)
 		next := l.NextLSN()
-		proof, err := tr.LogUpdate(pid, cur, after)
-		if err != nil {
+		if err := tr.LogRedo(pid, cur, after); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lsn := proof.LSN()
-		if lsn != 0 && proof.Page() != pid {
-			t.Fatalf("%s: proof names %v, logged %v", name, proof.Page(), pid)
-		}
 		if wantLen == 0 {
-			if lsn != 0 || l.NextLSN() != next {
-				t.Fatalf("%s: logged a record (lsn %d) for an unchanged page", name, lsn)
+			if l.NextLSN() != next {
+				t.Fatalf("%s: logged a record for an unchanged page", name)
 			}
 			return
 		}
-		rec := readRec(t, l, lsn)
-		redoOff, redoLen := wantOff, wantLen
+		rec := readRec(t, l, next)
 		if anchor {
-			redoOff, redoLen = 0, page.Size
+			wantOff, wantLen = 0, page.Size
 		}
-		if rec.Type != wal.TUpdate || rec.Page != pid || int(rec.UndoOff) != wantOff || len(rec.Before) != wantLen ||
-			int(rec.Off) != redoOff || len(rec.After) != redoLen {
-			t.Fatalf("%s: record undo off %d, %d bytes, redo off %d, %d bytes; want %d, %d and %d, %d",
-				name, rec.UndoOff, len(rec.Before), rec.Off, len(rec.After), wantOff, wantLen, redoOff, redoLen)
+		if rec.Type != wal.TRedo || rec.Page != pid || int(rec.Off) != wantOff || len(rec.After) != wantLen || rec.Before != nil {
+			t.Fatalf("%s: record redo off %d, %d bytes, %d undo bytes; want %d, %d and none",
+				name, rec.Off, len(rec.After), len(rec.Before), wantOff, wantLen)
 		}
-		if !bytes.Equal(rec.Before, cur[wantOff:wantOff+wantLen]) || !bytes.Equal(rec.After, after[redoOff:redoOff+redoLen]) {
-			t.Fatalf("%s: images are not the pages' bytes at the record's ranges", name)
+		if !bytes.Equal(rec.After, after[wantOff:wantOff+wantLen]) {
+			t.Fatalf("%s: the image is not the page's bytes at the record's range", name)
 		}
-		if rec.WholePage() != (redoOff == 0 && redoLen == page.Size) {
+		if rec.WholePage() != (wantOff == 0 && wantLen == page.Size) {
 			t.Fatalf("%s: WholePage() = %v", name, rec.WholePage())
 		}
 		cur = after
@@ -96,7 +79,7 @@ func TestLogUpdateRule(t *testing.T) {
 	}
 
 	step("identical pages, never logged", flip(), 0, 0, false)
-	step("first touch after open: anchor, undo of what changed", flip(1000), 1000, 1, true)
+	step("first touch after open: anchor", flip(1000), 1000, 1, true)
 	step("identical pages", flip(), 0, 0, false)
 	step("one byte", flip(77), 77, 1, false)
 	step("first byte", flip(0), 0, 1, false)
@@ -125,78 +108,8 @@ func TestLogUpdateRule(t *testing.T) {
 	step("first touch after reopen: anchor", flip(5), 5, 1, true)
 	step("second touch after reopen: delta", flip(5), 5, 1, false)
 
-	if _, err := tr.LogUpdate(pid, cur[:100], cur[:100]); err == nil {
-		t.Fatal("LogUpdate accepted images shorter than a page")
-	}
-}
-
-// TestCLRFollowsAnchorRule: a CLR is a redo-only record and obeys the same
-// rule as an update — a byte range when its page has an anchor in the epoch,
-// the whole restored page when not (a checkpoint since the update; a branch
-// adopted after restart, whose pages the new manager has never seen).
-func TestCLRFollowsAnchorRule(t *testing.T) {
-	pid := page.ID{Area: 1, Page: 4}
-
-	m, pg, l, _ := newEnv()
-	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte("anchor"))
-	pg.set(pid, 0, []byte("anchor"))
-	logAt(tr, pg, pid, 50, []byte("delta"))
-	pg.set(pid, 50, []byte("delta"))
-	if err := tr.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	// Undo runs backwards: the last CLR compensates the anchor, by which time
-	// the page is anchored, and so it carries the anchor's undo range — the six
-	// bytes that changed, not the page. The one before it compensates the delta.
-	clrs := allCLRs(l)
-	if len(clrs) != 2 || clrs[0].Off != 50 || len(clrs[0].After) != 5 || clrs[1].Off != 0 || len(clrs[1].After) != 6 {
-		t.Fatalf("CLRs of an anchored page: %+v", clrs)
-	}
-	if got := pg.get(pid, 0, 60); !bytes.Equal(got, make([]byte, 60)) {
-		t.Fatalf("abort left %q", got)
-	}
-
-	m, pg, l, _ = newEnv()
-	tr = m.Begin()
-	logAt(tr, pg, pid, 0, []byte("anchor"))
-	pg.set(pid, 0, []byte("anchor"))
-	logAt(tr, pg, pid, 50, []byte("delta"))
-	pg.set(pid, 50, []byte("delta"))
-	if _, err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	clrs = allCLRs(l)
-	if len(clrs) != 2 {
-		t.Fatalf("abort logged %d CLRs, want 2", len(clrs))
-	}
-	if r := clrs[0]; !r.WholePage() || string(r.After[:6]) != "anchor" || !bytes.Equal(r.After[50:55], make([]byte, 5)) {
-		t.Errorf("first CLR after a checkpoint is not the whole restored page: off %d, %d bytes", r.Off, len(r.After))
-	}
-	if r := clrs[1]; r.Off != 0 || len(r.After) != 6 {
-		t.Errorf("second CLR after a checkpoint: off %d, %d bytes, want the anchor's undo range", r.Off, len(r.After))
-	}
-
-	m, pg, l, _ = newEnv()
-	tr = m.Begin()
-	logAt(tr, pg, pid, 0, []byte("anchor"))
-	pg.set(pid, 0, []byte("anchor"))
-	lsn, _ := logAt(tr, pg, pid, 50, []byte("delta"))
-	pg.set(pid, 50, []byte("delta"))
-	l.Flush(lsn)
-	crashed, err := wal.OpenMemFrom(l.DurableBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.log = crashed
-	if _, _, err := restart(crashed, pg); err != nil {
-		t.Fatal(err)
-	}
-	if clrs = allCLRs(crashed); len(clrs) != 2 || !clrs[0].WholePage() || clrs[1].WholePage() {
-		t.Fatalf("restart's first CLR of a page, and only that one, must anchor it: %+v", clrs)
+	if err := tr.LogRedo(pid, cur[:100], cur[:100]); err == nil {
+		t.Fatal("LogRedo accepted images shorter than a page")
 	}
 }
 
@@ -209,7 +122,7 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	m.SetCommitHook(func(id uint64, _ page.LSN) { committed = append(committed, id) })
 	m.SetAbortHook(func(id uint64) { unstaged = append(unstaged, id) })
 	w := m.Begin()
-	logAt(w, newMemPager(), page.ID{Area: 1, Page: 1}, 0, []byte("x"))
+	ship(t, w, newMemPager(), page.ID{Area: 1, Page: 1}, 0, []byte("x"))
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +225,7 @@ func TestCheckpointDuringCommitKeepsTheCommit(t *testing.T) {
 	m := NewManager(l, lock.NewManager(), pg, nil)
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte("ACKED"))
-	pg.set(pid, 0, []byte("ACKED"))
+	ship(t, tr, pg, pid, 0, []byte("ACKED"))
 
 	back.mu.Lock()
 	back.gate = make(chan struct{})
@@ -350,9 +262,8 @@ func TestCheckpointDuringCommitKeepsTheCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CheckpointLSN == 0 || len(st.Losers) != 0 || st.UndoApplied != 0 {
-		t.Fatalf("restart from checkpoint %d undid an acknowledged commit: losers %v, %d undone",
-			st.CheckpointLSN, st.Losers, st.UndoApplied)
+	if st.CheckpointLSN == 0 || len(st.Losers) != 0 {
+		t.Fatalf("restart from checkpoint %d lost an acknowledged commit: losers %v", st.CheckpointLSN, st.Losers)
 	}
 	if got := pg.get(pid, 0, 5); string(got) != "ACKED" {
 		t.Fatalf("acknowledged commit lost: page holds %q", got)
@@ -377,8 +288,8 @@ func (p *lockedPager) WritePage(proof wal.Logged, data []byte) error {
 	return p.p.WritePage(proof, data)
 }
 
-// TestCheckpointInterleaving runs updaters (overwrite, commit, abort, or stay
-// in flight) against a checkpointer that never pauses, then crashes. Restart
+// TestCheckpointInterleaving runs updaters (ship, commit, abort, or stay in
+// flight) against a checkpointer that never pauses, then crashes. Restart
 // must (i) start every page it replays from a whole-page image — checked both
 // by the counter and by handing it garbage in place of every page it is
 // entitled to rebuild — and (ii) find every acknowledged commit a winner.
@@ -429,15 +340,7 @@ func TestCheckpointInterleaving(t *testing.T) {
 						for i := off; i < off+ln && i < page.Size; i++ {
 							after[i] = byte(rng.Intn(256))
 						}
-						proof, err := tr.LogUpdate(pid, before, after)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if proof.LSN() == 0 {
-							continue // the random bytes changed nothing
-						}
-						if err := pg.WritePage(proof, after); err != nil {
+						if err := tr.LogRedo(pid, before, after); err != nil {
 							t.Error(err)
 							return
 						}
@@ -478,9 +381,10 @@ func TestCheckpointInterleaving(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Crash. Find what restart is entitled to rebuild — the last
-		// checkpoint's dirty pages and every page logged after it — and
-		// replace exactly those with garbage.
+		// Crash. Find what restart is entitled to rebuild — every page a
+		// winner logged after the checkpoint, or at or after the page's recLSN
+		// in it — and replace exactly those with garbage. A page only losers
+		// logged since was never written since: restart leaves it be.
 		crashed, err := wal.OpenMemFrom(l.DurableBytes())
 		if err != nil {
 			t.Fatal(err)
@@ -493,12 +397,23 @@ func TestCheckpointInterleaving(t *testing.T) {
 			}
 			return nil
 		})
-		rebuilt := make(map[page.ID]bool)
+		winners := make(map[uint64]bool)
+		crashed.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+			switch r.Type {
+			case wal.TCommit:
+				winners[r.Tx] = true
+			case wal.TAbort:
+				delete(winners, r.Tx)
+			}
+			return nil
+		})
+		from := make(map[page.ID]page.LSN)
 		for _, e := range ckpt.DirtyPages {
-			rebuilt[e.Page] = true
+			from[e.Page] = e.RecLSN
 		}
-		crashed.Iterate(ckptLSN, func(_ page.LSN, r *wal.Record) error {
-			if r.Type == wal.TUpdate || r.Type == wal.TCLR {
+		rebuilt := make(map[page.ID]bool)
+		crashed.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+			if start, listed := from[r.Page]; r.Type == wal.TRedo && winners[r.Tx] && (listed && lsn >= start || lsn > ckptLSN) {
 				rebuilt[r.Page] = true
 			}
 			return nil
@@ -534,92 +449,5 @@ func TestCheckpointInterleaving(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAnchorUndoIsRangeSized: the first update of a page after a checkpoint
-// changes k bytes and costs the log a page plus k, not two pages — its redo
-// half is the whole page, its undo half the k bytes — and both undos restore
-// the page byte-exactly from it: rollback at run time, whose CLR covers the
-// undo range only, and restart undo on top of whatever a torn write left.
-func TestAnchorUndoIsRangeSized(t *testing.T) {
-	const off, k = 1234, 400
-	pid := page.ID{Area: 1, Page: 6}
-	was := make([]byte, page.Size)
-	for i := range was {
-		was[i] = byte(i*13 + 5)
-	}
-	change := bytes.Repeat([]byte{0xEE}, k)
-
-	// setup commits was, checkpoints, and has a second transaction log the
-	// change — the anchor of the new epoch — and steal it to the pager.
-	setup := func() (*Manager, *memPager, *wal.Log, *Tx, page.LSN) {
-		m, pg, l, _ := newEnv()
-		w := m.Begin()
-		logAt(w, pg, pid, 0, was)
-		pg.set(pid, 0, was)
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		tr := m.Begin()
-		start := l.NextLSN()
-		lsn, err := logAt(tr, pg, pid, off, change)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int(l.NextLSN() - start); got > page.Size+k+64 {
-			t.Fatalf("anchor of a %d-byte change appended %d bytes, want at most %d", k, got, page.Size+k+64)
-		}
-		pg.set(pid, off, change)
-		rec := readRec(t, l, lsn)
-		if !rec.WholePage() || int(rec.UndoOff) != off || len(rec.Before) != k || !bytes.Equal(rec.Before, was[off:off+k]) {
-			t.Fatalf("anchor: WholePage %v, undo half %d+%d", rec.WholePage(), rec.UndoOff, len(rec.Before))
-		}
-		return m, pg, l, tr, lsn
-	}
-
-	_, pg, l, tr, lsn := setup()
-	if err := tr.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if got := pg.get(pid, 0, page.Size); !bytes.Equal(got, was) {
-		t.Fatal("rollback of the anchor did not restore the page")
-	}
-	var clr *wal.Record
-	l.Iterate(lsn, func(_ page.LSN, r *wal.Record) error {
-		if r.Type == wal.TCLR {
-			clr = r
-		}
-		return nil
-	})
-	if clr == nil || int(clr.Off) != off || !bytes.Equal(clr.After, was[off:off+k]) {
-		t.Fatalf("CLR of the anchor: %+v, want the undo range %d+%d", clr, off, k)
-	}
-
-	// Restart: the steal tore, the page holds garbage. Redo lays the anchor's
-	// whole image down and undo copies the range back over it.
-	_, pg, l, _, lsn = setup()
-	if err := l.Flush(lsn); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := wal.OpenMemFrom(l.DurableBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := pg.clone()
-	crashed.log = l2
-	crashed.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size)
-	_, st, err := restart(l2, crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.UnanchoredPages != 0 || st.UndoApplied != 1 {
-		t.Fatalf("restart: %+v", st)
-	}
-	if got := crashed.get(pid, 0, page.Size); !bytes.Equal(got, was) {
-		t.Fatal("restart undo of the anchor did not restore the page")
 	}
 }

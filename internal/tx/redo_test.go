@@ -3,6 +3,7 @@ package tx
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"bess/internal/fault"
@@ -22,18 +23,6 @@ func (p *watchPager) WritePage(proof wal.Logged, data []byte) error {
 		p.before(proof)
 	}
 	return p.memPager.WritePage(proof, data)
-}
-
-// ship logs the change of pid's bytes at off to b as a shipped commit logs it.
-func ship(t *testing.T, tr *Tx, p *memPager, pid page.ID, off int, b []byte) {
-	t.Helper()
-	before := make([]byte, page.Size)
-	p.ReadPage(pid, before)
-	after := bytes.Clone(before)
-	copy(after[off:], b)
-	if err := tr.LogRedo(pid, before, after); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestLogRedoWritesAfterTheForce: a shipped change is a record with no undo
@@ -67,9 +56,10 @@ func TestLogRedoWritesAfterTheForce(t *testing.T) {
 	}
 }
 
-// TestRolledBackRedoWritesNoCLR: rolling back a shipped change writes no CLR
-// and stores nothing — the page was never written — and forgets the anchor
-// the change set, so the page's next writer anchors it again.
+// TestRolledBackRedoWritesNoCLR: rolling back a shipped change logs abort and
+// end and nothing else, and stores nothing — the page was never written — and
+// forgets the anchor the change set, so the page's next writer anchors it
+// again.
 func TestRolledBackRedoWritesNoCLR(t *testing.T) {
 	m, mp, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 6}
@@ -78,8 +68,8 @@ func TestRolledBackRedoWritesNoCLR(t *testing.T) {
 	if err := tr.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if clrs := allCLRs(l); len(clrs) != 0 || len(mp.pages) != 0 {
-		t.Fatalf("rollback of a shipped change: %d CLRs, %d pages stored", len(clrs), len(mp.pages))
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo abort end]" || len(mp.pages) != 0 {
+		t.Fatalf("rollback of a shipped change: records %s, %d pages stored", got, len(mp.pages))
 	}
 	next := m.Begin()
 	from := l.NextLSN()

@@ -17,8 +17,8 @@ import "bess/internal/page"
 // hook is read unsynchronized.
 func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.commitHook = fn }
 
-// SetAbortHook installs fn to run on every runtime abort, after undo
-// completes and before locks release. Same registration contract as
+// SetAbortHook installs fn to run on every runtime abort, after its abort
+// record is durable and before locks release. Same registration contract as
 // SetCommitHook.
 func (m *Manager) SetAbortHook(fn func(txID uint64)) { m.abortHook = fn }
 

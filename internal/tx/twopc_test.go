@@ -26,8 +26,9 @@ func (p *localPart) Prepare(gid uint64) error {
 		return errors.New("refused")
 	}
 	p.branch = p.m.Ensure(gid, 0)
-	logAt(p.branch, p.pg, p.pid, 0, []byte{p.val})
-	p.pg.set(p.pid, 0, []byte{p.val})
+	if err := shipAt(p.branch, p.pg, p.pid, 0, []byte{p.val}); err != nil {
+		return err
+	}
 	if err := p.branch.Prepare(); err != nil {
 		return err
 	}

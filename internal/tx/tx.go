@@ -1,12 +1,13 @@
 // Package tx implements BeSS transaction management: ACID transactions over
-// the WAL and lock manager (paper §3), with runtime rollback under CLR
-// protection and two-phase commit for distributed transactions.
+// the WAL and lock manager (paper §3), and two-phase commit for distributed
+// transactions. No page is written before its transaction commits, so a
+// rollback — at run time or of a loser at restart — writes nothing but its
+// abort record.
 //
 // The package also owns what goes into the log for a page change (logging.go):
-// byte-range records, an undo half only for a page written before its
-// transaction ends, a whole-page anchor per page and checkpoint epoch, and the
-// dirty-page table a checkpoint lists; and it writes the pages a commit's
-// redo-only records describe, after the commit's force.
+// redo-only byte-range records, a whole-page anchor per page and checkpoint
+// epoch, and the dirty-page table a checkpoint lists; and it writes the pages
+// a commit's records describe, after the commit's force.
 package tx
 
 import (
@@ -128,12 +129,15 @@ type Tx struct {
 	// dirty maps each page this tx changed to the recLSN a checkpoint lists
 	// for it: the LSN of the page's anchor at the tx's first change.
 	dirty map[page.ID]page.LSN
-	// writes are the page writes t's TRedo records defer to its commit, in log
-	// order (LogRedo). A prepared transaction lets them go: its commit reads
-	// them back from its log chain. deferred says there are such writes to do,
-	// in writes or in the chain, until writeBack has done them.
+	// writes are the page writes t's TRedo records defer to its commit, one
+	// per page, each on its page's last record (LogRedo). A prepared
+	// transaction lets them go: its commit reads them back from its log
+	// chain. deferred says there are such writes to do, in writes or in the
+	// chain, until writeBack has done them.
 	writes   []shipped
 	deferred bool
+	// laid are the anchors t logged (appendRedo), for a rollback to forget.
+	laid []laidAnchor
 }
 
 // shipped is one page write a TRedo record defers to its transaction's commit.
@@ -202,7 +206,7 @@ func (m *Manager) AbortOwned(owner uint32) error {
 	m.mu.Unlock()
 	var errs []error
 	for _, t := range mine {
-		if _, err := t.rollback(false); err != nil && !errors.Is(err, ErrNotActive) {
+		if err := t.rollback(false); err != nil && !errors.Is(err, ErrNotActive) {
 			errs = append(errs, err)
 		}
 	}
@@ -318,7 +322,7 @@ func (t *Tx) unforced(prepared bool, cause error) error {
 	if prepared {
 		return cause
 	}
-	if _, err := t.rollback(false); err != nil {
+	if err := t.rollback(false); err != nil {
 		// The log refuses the rollback too: end t unpublished all the same.
 		if h := t.m.abortHook; h != nil {
 			h(t.id)
@@ -416,71 +420,34 @@ func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
 	return writes, nil
 }
 
-// Abort rolls the transaction back: it walks the update chain in reverse,
-// logs a CLR for each update and restores its before-image through the pager
-// — a redo-only record's page was never written, so it only forgets the
-// anchor that record set — then logs abort+end and releases locks. It is the
-// one rollback there is —
-// a client's abort, a 2PC abort decision, a dropped connection and restart's
-// undo of a loser all run it. A transaction that logged nothing has nothing
-// to undo and, like its commit, leaves no record.
-func (t *Tx) Abort() error {
-	_, err := t.rollback(true)
-	return err
-}
+// Abort rolls the transaction back: it forgets what t logged — its page writes
+// were never done, and the anchors it laid anchor nothing — logs abort+end,
+// forces them, and releases locks. It is the one rollback there is — a
+// client's abort, a 2PC abort decision, a dropped connection and restart's
+// end of a loser all run it. A transaction that logged nothing, like its
+// commit, leaves no record.
+func (t *Tx) Abort() error { return t.rollback(true) }
 
 // rollback is Abort, which a prepared transaction is open to only when its
-// coordinator decided so. It reports how many updates it undid.
-func (t *Tx) rollback(decided bool) (undone int, err error) {
+// coordinator decided so.
+func (t *Tx) rollback(decided bool) error {
 	m := t.m
 	t.mu.Lock()
 	if t.state != Active && (t.state != Prepared || !decided) {
 		t.mu.Unlock()
-		return 0, ErrNotActive
+		return ErrNotActive
 	}
-	next := t.lastLSN
+	anchors := t.laid
+	t.writes, t.deferred, t.laid = nil, false, nil
 	t.mu.Unlock()
-
-	if next != 0 {
-		// The records to undo may still be buffered; force through this
-		// transaction's last record so ReadRecord sees the chain — no need to
-		// wait on other transactions' unforced tails beyond it.
-		if err := m.log.Flush(next); err != nil {
-			return 0, err
-		}
-	}
-	buf := make([]byte, page.Size)
-	for next != 0 {
-		rec, err := m.log.ReadRecord(next)
-		if err != nil {
-			return undone, fmt.Errorf("tx %d: abort read at %d: %w", t.id, next, err)
-		}
-		switch rec.Type {
-		case wal.TUpdate:
-			if err := t.undo(rec, buf); err != nil {
-				return undone, err
-			}
-			undone++
-			next = rec.PrevLSN
-		case wal.TRedo:
-			m.forget(rec.Page, next)
-			next = rec.PrevLSN
-		case wal.TCLR:
-			next = rec.UndoNext
-		default:
-			next = rec.PrevLSN
-		}
-	}
-	t.mu.Lock()
-	t.writes, t.deferred = nil, false
-	t.mu.Unlock()
+	m.forget(anchors)
 	lsn, err := t.logEnd(Aborted, wal.TAbort, wal.TEnd)
 	if err != nil {
-		return undone, err
+		return err
 	}
 	if lsn != 0 {
 		if err := m.log.Flush(lsn); err != nil {
-			return undone, err
+			return err
 		}
 	}
 	if h := m.abortHook; h != nil {
@@ -491,7 +458,7 @@ func (t *Tx) rollback(decided bool) (undone int, err error) {
 	m.mu.Lock()
 	m.aborts++
 	m.mu.Unlock()
-	return undone, nil
+	return nil
 }
 
 // Prepare logs and forces a prepare record (2PC participant vote) and writes

@@ -63,15 +63,29 @@ func (p *memPager) get(id page.ID, off, n int) []byte {
 	return buf[off : off+n]
 }
 
-// logAt logs the change of pid's bytes at off to b, as LogUpdate wants it:
-// whole-page images, before from the pager.
-func logAt(tr *Tx, p *memPager, id page.ID, off int, b []byte) (page.LSN, error) {
+// ship logs the change of pid's bytes at off to b as a shipped commit logs it
+// (LogRedo): whole-page images, before from the pager, after the page as tr
+// sees it — with its own earlier changes — and b.
+func ship(t *testing.T, tr *Tx, p *memPager, pid page.ID, off int, b []byte) {
+	t.Helper()
+	if err := shipAt(tr, p, pid, off, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func shipAt(tr *Tx, p *memPager, pid page.ID, off int, b []byte) error {
 	before := make([]byte, page.Size)
-	p.ReadPage(id, before)
+	p.ReadPage(pid, before)
 	after := append([]byte(nil), before...)
+	tr.mu.Lock()
+	for _, w := range tr.writes {
+		if w.rec.Page() == pid {
+			copy(after, w.img)
+		}
+	}
+	tr.mu.Unlock()
 	copy(after[off:], b)
-	proof, err := tr.LogUpdate(id, before, after)
-	return proof.LSN(), err
+	return tr.LogRedo(pid, before, after)
 }
 
 func newEnv() (*Manager, *memPager, *wal.Log, *hooks.Registry) {
@@ -90,10 +104,7 @@ func TestCommitForcesLog(t *testing.T) {
 	if tr.State() != Active {
 		t.Fatal("not active")
 	}
-	if _, err := logAt(tr, pg, pid, 0, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	pg.set(pid, 0, []byte("abc"))
+	ship(t, tr, pg, pid, 0, []byte("abc"))
 	if l.FlushedLSN() != wal.FirstLSN() {
 		t.Fatal("log flushed before commit")
 	}
@@ -102,6 +113,9 @@ func TestCommitForcesLog(t *testing.T) {
 	}
 	if l.FlushedLSN() <= wal.FirstLSN() {
 		t.Fatal("commit did not force the log")
+	}
+	if string(pg.get(pid, 0, 3)) != "abc" {
+		t.Fatal("commit did not write the page")
 	}
 	if tr.State() != Committed {
 		t.Fatalf("state = %v", tr.State())
@@ -113,7 +127,7 @@ func TestCommitForcesLog(t *testing.T) {
 		t.Fatal("tx still active")
 	}
 	// Further operations fail.
-	if _, err := logAt(tr, pg, pid, 0, []byte("x")); err != ErrNotActive {
+	if err := shipAt(tr, pg, pid, 0, []byte("x")); err != ErrNotActive {
 		t.Fatalf("update after commit: %v", err)
 	}
 	if err := tr.Commit(); err != ErrNotActive {
@@ -121,25 +135,24 @@ func TestCommitForcesLog(t *testing.T) {
 	}
 }
 
+// TestAbortRollsBack: a rolled-back transaction's changes never reach its
+// pages, and its rollback logs abort and end and nothing else.
 func TestAbortRollsBack(t *testing.T) {
-	m, pg, _, _ := newEnv()
+	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 3}
 	pg.set(pid, 0, []byte("old-value"))
 
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte("new-value"))
-	pg.set(pid, 0, []byte("new-value"))
-	logAt(tr, pg, pid, 20, []byte("zz"))
-	pg.set(pid, 20, []byte("zz"))
-
+	ship(t, tr, pg, pid, 0, []byte("new-value"))
+	ship(t, tr, pg, pid, 20, []byte("zz"))
 	if err := tr.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if string(pg.get(pid, 0, 9)) != "old-value" {
-		t.Fatalf("first update not undone: %q", pg.get(pid, 0, 9))
+	if string(pg.get(pid, 0, 9)) != "old-value" || pg.get(pid, 20, 1)[0] != 0 {
+		t.Fatalf("rolled-back changes reached the page: %q", pg.get(pid, 0, 22))
 	}
-	if got := pg.get(pid, 20, 2); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("second update not undone: %v", got)
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo redo abort end]" {
+		t.Fatalf("the transaction's records: %s", got)
 	}
 	if tr.State() != Aborted {
 		t.Fatalf("state = %v", tr.State())
@@ -147,6 +160,17 @@ func TestAbortRollsBack(t *testing.T) {
 	if _, a := m.Counts(); a != 1 {
 		t.Fatalf("aborts = %d", a)
 	}
+}
+
+// txRecords lists the types of tx's durable records, in log order.
+func txRecords(l *wal.Log, tx uint64) (types []wal.Type) {
+	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Tx == tx {
+			types = append(types, r.Type)
+		}
+		return nil
+	})
+	return types
 }
 
 func TestLocksReleasedAtEnd(t *testing.T) {
@@ -199,16 +223,16 @@ func TestCrashAfterCommitRecovers(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte("DATA"))
-	// Page write is lost (never reached "disk"): no-force.
+	ship(t, tr, pg, pid, 0, []byte("DATA"))
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash and restart.
+	delete(pg.pages, pid) // the commit's page write is lost in the crash
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pg.log = crashed
 	_, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +249,8 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte("BAD"))
-	pg.set(pid, 0, []byte("BAD"))
-	l.Flush(0) // stolen page forced the WAL
+	ship(t, tr, pg, pid, 0, []byte("BAD"))
+	l.Flush(0)
 	// Crash before commit.
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	if err != nil {
@@ -241,8 +264,11 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	if len(st.Losers) != 1 || st.Losers[0] != tr.ID() {
 		t.Fatalf("losers = %v", st.Losers)
 	}
-	if got := pg.get(pid, 0, 3); got[0] != 0 {
-		t.Fatalf("loser survived: %q", got)
+	if got := pg.get(pid, 0, 3); got[0] != 0 || len(pg.pages) != 0 {
+		t.Fatalf("loser reached the page: %q", got)
+	}
+	if got := fmt.Sprint(txRecords(crashed, tr.ID())); got != "[redo abort end]" {
+		t.Fatalf("the loser's records after restart: %s", got)
 	}
 }
 
@@ -250,18 +276,17 @@ func TestPrepareMakesTxInDoubt(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 2}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte{9})
-	pg.set(pid, 0, []byte{9})
+	ship(t, tr, pg, pid, 0, []byte{9})
 	if err := tr.Prepare(); err != nil {
 		t.Fatal(err)
 	}
 	if tr.State() != Prepared {
 		t.Fatalf("state = %v", tr.State())
 	}
-	// Crash: the prepared tx is in doubt, its effect is neither undone nor
-	// committed.
+	// Crash: the prepared tx is in doubt, its effect is neither on its page
+	// nor given up.
 	crashed, _ := wal.OpenMemFrom(l.DurableBytes())
-	_, st, err := restart(crashed, pg)
+	m2, st, err := restart(crashed, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +296,12 @@ func TestPrepareMakesTxInDoubt(t *testing.T) {
 	if len(st.Losers) != 0 {
 		t.Fatalf("prepared tx treated as loser: %v", st.Losers)
 	}
-	if pg.get(pid, 0, 1)[0] != 9 {
-		t.Fatal("prepared effect undone before decision")
+	if pg.get(pid, 0, 1)[0] != 0 {
+		t.Fatal("prepared effect written before decision")
+	}
+	pg.log = crashed
+	if err := m2.Lookup(tr.ID()).Commit(); err != nil || pg.get(pid, 0, 1)[0] != 9 {
+		t.Fatalf("commit decision after restart: %v, page holds %d", err, pg.get(pid, 0, 1)[0])
 	}
 }
 
@@ -280,16 +309,14 @@ func TestPreparedTxCanCommitOrAbort(t *testing.T) {
 	m, pg, _, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 2}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte{7})
-	pg.set(pid, 0, []byte{7})
+	ship(t, tr, pg, pid, 0, []byte{7})
 	tr.Prepare()
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
 	tr2 := m.Begin()
-	logAt(tr2, pg, pid, 1, []byte{8})
-	pg.set(pid, 1, []byte{8})
+	ship(t, tr2, pg, pid, 1, []byte{8})
 	tr2.Prepare()
 	if err := tr2.Abort(); err != nil {
 		t.Fatal(err)
@@ -306,8 +333,7 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 4}
 	tr := m.Begin()
-	logAt(tr, pg, pid, 0, []byte{1})
-	pg.set(pid, 0, []byte{1})
+	ship(t, tr, pg, pid, 0, []byte{1})
 	lsn, err := m.Checkpoint()
 	if err != nil {
 		t.Fatal(err)

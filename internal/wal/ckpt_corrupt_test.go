@@ -18,10 +18,9 @@ func ckptCorruptImage(t *testing.T) (img []byte, ckpt1, ckpt2, end page.LSN, wan
 	want = make(map[page.ID][]byte)
 	pg := func(n page.No) page.ID { return page.ID{Area: 3, Page: n} }
 	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
-	zero := make([]byte, page.Size)
 
 	commitUpdate := func(tx uint64, id page.ID, after []byte) {
-		lsn, err := l.Append(&Record{Type: TUpdate, Tx: tx, Page: id, Off: 0, Before: zero, After: after})
+		lsn, err := l.Append(&Record{Type: TRedo, Tx: tx, Page: id, After: after})
 		if err != nil {
 			t.Fatal(err)
 		}

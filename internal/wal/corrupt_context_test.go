@@ -18,10 +18,7 @@ func TestCorruptRecordErrorContext(t *testing.T) {
 	l := NewMem()
 	defer l.Close()
 	fill := bytes.Repeat([]byte{0x5A}, page.Size)
-	zero := make([]byte, page.Size)
-	lsn1, err := l.Append(&Record{
-		Type: TUpdate, Tx: 1, Page: page.ID{Area: 3, Page: 1}, Before: zero, After: fill,
-	})
+	lsn1, err := l.Append(&Record{Type: TRedo, Tx: 1, Page: page.ID{Area: 3, Page: 1}, After: fill})
 	if err != nil {
 		t.Fatal(err)
 	}

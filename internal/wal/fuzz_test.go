@@ -31,20 +31,19 @@ func FuzzWALDecodeRecord(f *testing.F) {
 		{Type: TPrepare, Tx: 9, PrevLSN: 88},
 		{Type: TUpdate, Tx: 1, PrevLSN: 8, Page: page.ID{Area: 3, Page: 42}, Off: 128,
 			Before: []byte("before-img"), After: []byte("after-img")},
-		{Type: TCLR, Tx: 2, Page: page.ID{Area: 1, Page: 7}, After: []byte("undo"), UndoNext: 16},
+		{Type: TAbort, Tx: 2, PrevLSN: 16},
 		// testdata's seed-checkpoint is one as earlier builds wrote it, with a
 		// list of two transactions the decoder skips.
 		{Type: TCheckpoint, DirtyPages: []CkptPage{{Page: page.ID{Area: 1, Page: 2}, RecLSN: 64}}},
 		{Type: TCatalog, Body: catalogBody(f)},
 		{Type: TCatalog}, // an empty body is the server's to reject, not the log's
-		// An anchor (whole-page redo half, range undo half at its own offset),
-		// the fill of a fresh page (zero before-image) and the CLR that takes
-		// a range back to zero: the flagged-length encodings.
+		// An update with its undo half at its own offset, and one with a zero
+		// before-image: the flagged-length encoding.
 		{Type: TUpdate, Tx: 3, Page: page.ID{Area: 1, Page: 9}, After: bytes.Repeat([]byte{0x5C}, page.Size),
 			UndoOff: 1200, Before: []byte("what-changed")},
 		{Type: TUpdate, Tx: 3, Page: page.ID{Area: 1, Page: 9}, After: bytes.Repeat([]byte{0x5C}, page.Size),
 			Before: make([]byte, page.Size)},
-		{Type: TCLR, Tx: 3, Page: page.ID{Area: 1, Page: 9}, Off: 512, After: make([]byte, 96), UndoNext: 24},
+		{Type: TEnd, Tx: 3},
 	}
 	for _, r := range seed {
 		f.Add(r.appendTo(nil))

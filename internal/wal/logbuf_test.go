@@ -15,9 +15,10 @@ import (
 	"bess/internal/page"
 )
 
-// appendShapes are the update-record shapes the logging rule produces: a byte
-// range, a whole-page overwrite of live bytes, an anchor (whole-page redo
-// half, range undo half) and the fill of a fresh page (zero before-image).
+// appendShapes are the page-record shapes the logging rule produces — a byte
+// range, an anchor (the whole page) and the anchor of a zeroed page, which the
+// log keeps as a length — and the update record with both halves that the
+// benchmark module's log probe appends.
 type appendShape struct {
 	name string
 	rec  *Record
@@ -27,10 +28,10 @@ func appendShapes() []appendShape {
 	pid := page.ID{Area: 1, Page: 7}
 	img := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	return []appendShape{
-		{"128B", &Record{Type: TUpdate, Tx: 1, Page: pid, Off: 640, After: img(128, 0xAB), UndoOff: 640, Before: img(128, 0xCD)}},
-		{"8KB", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: img(page.Size, 0xCD)}},
-		{"anchor", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), UndoOff: 640, Before: img(128, 0xCD)}},
-		{"fresh", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: make([]byte, page.Size)}},
+		{"128B", &Record{Type: TRedo, Tx: 1, Page: pid, Off: 640, After: img(128, 0xAB)}},
+		{"anchor", &Record{Type: TRedo, Tx: 1, Page: pid, After: img(page.Size, 0xAB)}},
+		{"zeroed", &Record{Type: TRedo, Tx: 1, Page: pid, After: make([]byte, page.Size)}},
+		{"8KB update", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: img(page.Size, 0xCD)}},
 	}
 }
 
@@ -60,7 +61,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); got != 0 {
-			t.Errorf("%s update record: %v allocations per append, want 0", sh.name, got)
+			t.Errorf("%s record: %v allocations per append, want 0", sh.name, got)
 		}
 	}
 	after := []byte("after-image")
@@ -138,7 +139,7 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 			add(&Record{Type: TCatalog, Body: blob[:rng.Intn(logBufSize/3)]})
 		case k < 6:
 			off := rng.Intn(page.Size - 128)
-			add(&Record{Type: TUpdate, Tx: 3, Page: pid, Off: uint32(off), Before: blob[off : off+128], After: blob[off+1 : off+129]})
+			add(&Record{Type: TRedo, Tx: 3, Page: pid, Off: uint32(off), After: blob[off+1 : off+129]})
 		default:
 			add(&Record{Type: TUpdate, Tx: 4, Page: pid, Before: blob[:page.Size], After: blob[page.Size : 2*page.Size]})
 		}
@@ -231,7 +232,7 @@ func TestLogBufferStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perAppender; i++ {
 				size := 64 << rng.Intn(15) // 64 B .. 1 MB
-				rec := &Record{Type: TUpdate, Tx: uint64(g + 1), UndoNext: page.LSN(i), After: payload(g, i, size)}
+				rec := &Record{Type: TRedo, Tx: uint64(g + 1), PrevLSN: page.LSN(i), After: payload(g, i, size)}
 				lsn, err := l.Append(rec)
 				for err != nil { // a full log buffer led a round, and the round failed
 					if !errors.Is(err, errFlaky) {
@@ -315,7 +316,7 @@ func TestLogBufferStress(t *testing.T) {
 		}
 	}
 	if err := l.Iterate(0, func(lsn page.LSN, rec *Record) error {
-		if rec.Type != TUpdate {
+		if rec.Type != TRedo {
 			return nil
 		}
 		a, ok := want[lsn]
@@ -323,7 +324,7 @@ func TestLogBufferStress(t *testing.T) {
 			t.Fatalf("record at %d was never acknowledged to an appender", lsn)
 		}
 		delete(want, lsn)
-		if rec.Tx != uint64(a.g+1) || rec.UndoNext != page.LSN(a.i) || !bytes.Equal(rec.After, payload(a.g, a.i, a.size)) {
+		if rec.Tx != uint64(a.g+1) || rec.PrevLSN != page.LSN(a.i) || !bytes.Equal(rec.After, payload(a.g, a.i, a.size)) {
 			t.Fatalf("record at %d is not appender %d's record %d", lsn, a.g, a.i)
 		}
 		return nil
@@ -348,7 +349,7 @@ func TestReopenCutsDeadTail(t *testing.T) {
 	l := NewMem()
 	var lsns []page.LSN
 	for tx := uint64(1); tx <= 4; tx++ {
-		lsn, err := l.Append(upd(tx, 0, page.ID{Area: 1, Page: page.No(tx)}, 0, "before", "after!"))
+		lsn, err := l.Append(upd(tx, 0, page.ID{Area: 1, Page: page.No(tx)}, 0, "after!"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +382,7 @@ func TestReopenCutsDeadTail(t *testing.T) {
 	if got := txs(l2); len(got) != 2 {
 		t.Fatalf("reopened log holds %v, want r1 r2", got)
 	}
-	n3, err := l2.Append(upd(9, 0, page.ID{Area: 1, Page: 3}, 0, "before", "after!"))
+	n3, err := l2.Append(upd(9, 0, page.ID{Area: 1, Page: 3}, 0, "after!"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,10 @@ type Pager interface {
 }
 
 // RecoveryStats summarizes one restart: Analyze fills in what analysis found,
-// Redo what it replayed, tx.Restart what undo wrote.
+// Redo what it replayed.
 type RecoveryStats struct {
 	RecordsAnalyzed int
 	RedoApplied     int
-	UndoApplied     int // CLRs written during undo
 	Losers          []uint64
 	Winners         []uint64
 	InDoubt         []uint64 // prepared but undecided 2PC participants
@@ -28,13 +27,13 @@ type RecoveryStats struct {
 	RedoStartLSN    page.LSN
 	// UnanchoredPages counts pages whose earliest replayed record was a
 	// byte-range delta instead of a whole-page image. The logging rule
-	// (tx.Tx.LogUpdate) keeps it at 0: redo then rebuilds every page it
+	// (tx.Tx.LogRedo) keeps it at 0: redo then rebuilds every page it
 	// touches from a full image, whatever a torn write left on disk.
 	UnanchoredPages int
 }
 
-// Unfinished is a transaction the log leaves open: a loser to roll back, or,
-// when Prepared, a 2PC branch to keep until its coordinator decides.
+// Unfinished is a transaction the log leaves open: a loser to end, or, when
+// Prepared, a 2PC branch to keep until its coordinator decides.
 type Unfinished struct {
 	Tx       uint64
 	LastLSN  page.LSN
@@ -43,7 +42,7 @@ type Unfinished struct {
 
 // Analysis is what restart learns of the log in one forward pass: the
 // transactions it leaves open, which the transaction manager adopts and
-// rolls back or keeps in doubt (tx.Restart), and the pages redo must replay.
+// ends or keeps in doubt (tx.Restart), and the pages redo must replay.
 type Analysis struct {
 	Stats RecoveryStats
 	Open  []Unfinished // latest record first
@@ -54,14 +53,14 @@ type Analysis struct {
 // Replayer hands the page changes of a forward walk of the log — one record
 // at a time (Add), then End — to apply in the order they take effect. That
 // order is the one rule every reader of page history follows (restart redo,
-// the server's catalog replay and repair): an update or CLR takes effect
-// where it stands; a transaction's redo-only records (TRedo) take effect at
-// its commit, in their own order, and are held until then — until the
-// transaction's TEnd, or the end of the walk, finds its TCommit its last word.
-// A TRedo whose transaction aborted — also after a TCommit whose force failed,
-// which tx.Tx.Commit rolls back — or is still open or in doubt when the walk
-// ends is never handed on. apply gets each record with the proof a store of
-// its page takes.
+// the server's catalog replay and repair): a page change is a transaction's
+// redo-only record (TRedo), which takes effect at its commit, in its
+// transaction's own order, and is held until then — until the transaction's
+// TEnd, or the end of the walk, finds its TCommit its last word. A TRedo whose
+// transaction aborted — also after a TCommit whose force failed, which
+// tx.Tx.Commit rolls back — or is still open or in doubt when the walk ends is
+// never handed on; nor is any other record. apply gets each record with the
+// proof a store of its page takes.
 type Replayer struct {
 	apply func(lsn page.LSN, rec *Record, proof Logged) error
 	held  map[uint64]*shipment // by transaction: its redo-only records so far
@@ -82,11 +81,6 @@ func NewReplayer(apply func(lsn page.LSN, rec *Record, proof Logged) error) *Rep
 func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
 	s := r.held[rec.Tx]
 	switch rec.Type {
-	case TUpdate, TCLR:
-		if s != nil {
-			s.commit = 0 // a CLR after a TCommit: the commit is being rolled back
-		}
-		return r.apply(lsn, rec, rec.logged)
 	case TRedo:
 		if s == nil {
 			s = new(shipment)
@@ -143,8 +137,8 @@ func (r *Replayer) release(s *shipment) error {
 // nil) on every record, so that restart's other readers of the log — the
 // server's catalog replay — ride this pass instead of walking it themselves.
 //
-// A transaction's status is the type of its own last record: TUpdate, TRedo
-// or TCLR while active, TPrepare in doubt (kept until its coordinator
+// A transaction's status is the type of its own last record: TRedo while
+// active, TPrepare in doubt (kept until its coordinator
 // decides), TCommit a winner, TAbort or TEnd finished, and forgotten. A
 // checkpoint's dirty-page table replaces the one analysis built: a page's
 // recLSN is the last checkpoint's entry, or else the page's first record after
@@ -161,8 +155,8 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	if err := l.Iterate(firstLSN, func(lsn page.LSN, rec *Record) error {
 		st.RecordsAnalyzed++
 		switch rec.Type {
-		case TUpdate, TRedo, TCLR:
-			txs[rec.Tx] = txInfo{lsn, TUpdate}
+		case TRedo:
+			txs[rec.Tx] = txInfo{lsn, TRedo}
 			if _, ok := a.dirty[rec.Page]; !ok {
 				a.dirty[rec.Page] = lsn
 			}
@@ -191,7 +185,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	}
 	for tx, ti := range txs {
 		switch ti.status {
-		case TUpdate:
+		case TRedo:
 			st.Losers = append(st.Losers, tx)
 			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
 		case TPrepare:

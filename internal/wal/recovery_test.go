@@ -44,7 +44,7 @@ func (p *memPager) WritePage(proof Logged, data []byte) error {
 }
 
 // redoOn is Analyze and Redo, p checking proofs against l. What restart does
-// with the transactions analysis reports — undo — is tested where it lives
+// with the transactions analysis reports is tested where it lives
 // (internal/tx).
 func redoOn(l *Log, p *memPager) (*RecoveryStats, []Unfinished, error) {
 	p.log = l
@@ -67,18 +67,9 @@ func (p *memPager) byteAt(id page.ID, off int) byte {
 	return 0
 }
 
-// applyUpd applies an update record to the pager (what the buffer manager
-// does at steal/flush time).
-func applyUpd(p *memPager, r *Record) {
-	buf := make([]byte, page.Size)
-	p.ReadPage(r.Page, buf)
-	copy(buf[r.Off:], r.After)
-	p.put(r.Page, buf)
-}
-
 // TestRedoReportsTheUnfinished: analysis sorts the log's transactions into
-// winners, losers and in-doubt branches, redo repeats all of their history —
-// a loser's too — and the open ones come back latest record first.
+// winners, losers and in-doubt branches, redo repeats the winners' history and
+// nobody else's, and the open ones come back latest record first.
 func TestRedoReportsTheUnfinished(t *testing.T) {
 	l := NewMem()
 	disk := newMemPager()
@@ -86,17 +77,16 @@ func TestRedoReportsTheUnfinished(t *testing.T) {
 	pB := page.ID{Area: 1, Page: 2}
 
 	// Tx 1 (winner): writes "WIN" at pA:0, commits; the page is lost.
-	r1 := upd(1, 0, pA, 0, "\x00\x00\x00", "WIN")
+	r1 := upd(1, 0, pA, 0, "WIN")
 	lsn1, _ := l.Append(r1)
 	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: lsn1})
 	// Tx 2 (loser): two updates, no commit. Tx 3: prepared, undecided.
 	// Tx 4: rolled back before the crash, its end record lost.
-	lsn2, _ := l.Append(upd(2, 0, pA, 100, "\x00\x00", "XX"))
-	lsn3, _ := l.Append(upd(3, 0, pB, 8, "\x00", "P"))
+	lsn2, _ := l.Append(upd(2, 0, pA, 100, "XX"))
+	lsn3, _ := l.Append(upd(3, 0, pB, 8, "P"))
 	prep, _ := l.Append(&Record{Type: TPrepare, Tx: 3, PrevLSN: lsn3})
-	last2, _ := l.Append(upd(2, lsn2, pB, 0, "\x00\x00\x00\x00", "LOSE"))
-	lsn4, _ := l.Append(upd(4, 0, pB, 20, "\x00", "a"))
-	l.Append(&Record{Type: TCLR, Tx: 4, Page: pB, Off: 20, After: []byte{0}})
+	last2, _ := l.Append(upd(2, lsn2, pB, 0, "LOSE"))
+	lsn4, _ := l.Append(upd(4, 0, pB, 20, "a"))
 	l.Append(&Record{Type: TAbort, Tx: 4, PrevLSN: lsn4})
 	l.Flush(0)
 
@@ -117,15 +107,15 @@ func TestRedoReportsTheUnfinished(t *testing.T) {
 	}
 	buf := make([]byte, page.Size)
 	disk.ReadPage(pA, buf)
-	if string(buf[0:3]) != "WIN" || string(buf[100:102]) != "XX" {
+	if string(buf[0:3]) != "WIN" || buf[100] != 0 {
 		t.Fatalf("pA after redo: %q %q", buf[0:3], buf[100:102])
 	}
 	disk.ReadPage(pB, buf)
-	if string(buf[0:4]) != "LOSE" || buf[8] != 'P' || buf[20] != 0 {
+	if !bytes.Equal(buf, make([]byte, page.Size)) {
 		t.Fatalf("pB after redo: %q %q %q", buf[0:4], buf[8], buf[20])
 	}
-	if st.RedoApplied != 6 || st.UndoApplied != 0 || crashedLog.NextLSN() != l.NextLSN() {
-		t.Fatalf("redo applied %d, undo %d, log grew by %d", st.RedoApplied, st.UndoApplied, crashedLog.NextLSN()-l.NextLSN())
+	if st.RedoApplied != 1 || crashedLog.NextLSN() != l.NextLSN() {
+		t.Fatalf("redo applied %d, log grew by %d", st.RedoApplied, crashedLog.NextLSN()-l.NextLSN())
 	}
 }
 
@@ -135,7 +125,7 @@ func TestRedoReappliesLostCommittedWrites(t *testing.T) {
 	l := NewMem()
 	disk := newMemPager()
 	pid := page.ID{Area: 1, Page: 5}
-	r := upd(7, 0, pid, 50, "\x00\x00\x00\x00\x00", "HELLO")
+	r := upd(7, 0, pid, 50, "HELLO")
 	lsn, _ := l.Append(r)
 	l.Append(&Record{Type: TCommit, Tx: 7, PrevLSN: lsn})
 	l.Flush(0)
@@ -162,16 +152,15 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	l := NewMem()
 	pP, pQ, pR := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
 	whole := func(b byte) string { return string(bytes.Repeat([]byte{b}, page.Size)) }
-	zeros := whole(0)
 
 	// Tx 1 anchors Q and commits. Tx 2 anchors P and stays active. Tx 3 then
 	// cuts a delta out of Q — after P's anchor, i.e. past the redo start the
 	// checkpoint implies, but Q is not in its dirty-page table.
-	q0, _ := l.Append(upd(1, 0, pQ, 0, zeros, whole('q')))
+	q0, _ := l.Append(upd(1, 0, pQ, 0, whole('q')))
 	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: q0})
 	l.Append(&Record{Type: TEnd, Tx: 1})
-	pAnchor, _ := l.Append(upd(2, 0, pP, 0, zeros, whole('p')))
-	q1, _ := l.Append(upd(3, 0, pQ, 10, "qq", "ZZ"))
+	pAnchor, _ := l.Append(upd(2, 0, pP, 0, whole('p')))
+	q1, _ := l.Append(upd(3, 0, pQ, 10, "ZZ"))
 	l.Append(&Record{Type: TCommit, Tx: 3, PrevLSN: q1})
 	l.Append(&Record{Type: TEnd, Tx: 3})
 	if _, err := Checkpoint(l, []CkptPage{{Page: pP, RecLSN: pAnchor}}); err != nil {
@@ -179,9 +168,9 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	}
 	// After the checkpoint: a delta of P (anchored by its recLSN), and R's
 	// first record ever, a delta — the layout the logging rule never writes.
-	p1, _ := l.Append(upd(2, pAnchor, pP, 5, "ppp", "abc"))
+	p1, _ := l.Append(upd(2, pAnchor, pP, 5, "abc"))
 	l.Append(&Record{Type: TCommit, Tx: 2, PrevLSN: p1})
-	r0, _ := l.Append(upd(4, 0, pR, 0, "\x00", "r"))
+	r0, _ := l.Append(upd(4, 0, pR, 0, "r"))
 	l.Append(&Record{Type: TCommit, Tx: 4, PrevLSN: r0})
 	l.Flush(0)
 
@@ -222,11 +211,11 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	l := NewMem()
 	pA, pB := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}
-	w, _ := l.Append(upd(1, 0, pA, 0, "\x00", "W"))
+	w, _ := l.Append(upd(1, 0, pA, 0, "W"))
 	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: w})
-	b, _ := l.Append(upd(2, 0, pB, 0, "\x00", "B"))
+	b, _ := l.Append(upd(2, 0, pB, 0, "B"))
 	prep, _ := l.Append(&Record{Type: TPrepare, Tx: 2, PrevLSN: b})
-	u, _ := l.Append(upd(3, 0, pA, 8, "\x00", "L"))
+	u, _ := l.Append(upd(3, 0, pA, 8, "L"))
 	l.Flush(0)
 	body := listingCheckpoint([][2]uint64{{2, uint64(prep)}, {3, uint64(u)}}, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
 	img := binary.BigEndian.AppendUint32(l.DurableBytes(), uint32(len(body)))
@@ -235,7 +224,7 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, _ := old.Append(upd(3, u, pA, 9, "\x00", "M"))
+	last, _ := old.Append(upd(3, u, pA, 9, "M"))
 	ckpt, _ := Checkpoint(old, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
 
 	disk := newMemPager()
@@ -247,11 +236,11 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[1] [3] [2]" || !reflect.DeepEqual(open, want) {
 		t.Fatalf("winners %v losers %v in doubt %v, open %+v; want open %+v", st.Winners, st.Losers, st.InDoubt, open, want)
 	}
-	if st.CheckpointLSN != ckpt || st.RedoStartLSN != w || st.RecordsAnalyzed != 8 || st.RedoApplied != 4 {
+	if st.CheckpointLSN != ckpt || st.RedoStartLSN != w || st.RecordsAnalyzed != 8 || st.RedoApplied != 1 {
 		t.Fatalf("%+v", st)
 	}
-	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 8) != 'L' || disk.byteAt(pA, 9) != 'M' || disk.byteAt(pB, 0) != 'B' {
-		t.Fatal("redo did not repeat history from the checkpoint's recLSNs")
+	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 8) != 0 || disk.byteAt(pA, 9) != 0 || disk.byteAt(pB, 0) != 0 {
+		t.Fatal("redo did not repeat the winner's history, and only that, from the checkpoint's recLSNs")
 	}
 }
 
@@ -261,7 +250,7 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 func TestAnalyzeVisitsEveryRecord(t *testing.T) {
 	l := NewMem()
 	var want []page.LSN
-	for _, r := range []*Record{{Type: TCatalog, Body: catalogBody(t)}, upd(1, 0, page.ID{Area: 1, Page: 1}, 0, "\x00", "x"),
+	for _, r := range []*Record{{Type: TCatalog, Body: catalogBody(t)}, upd(1, 0, page.ID{Area: 1, Page: 1}, 0, "x"),
 		{Type: TCheckpoint}, {Type: TCommit, Tx: 1}, {Type: TCatalog, Body: catalogBody(t)}} {
 		lsn, _ := l.Append(r)
 		want = append(want, lsn)
@@ -299,17 +288,16 @@ func TestRedoPassesOverCatalogRecords(t *testing.T) {
 	}
 
 	first := cat()
-	r1 := upd(1, 0, pA, 0, "\x00\x00\x00", "WIN")
+	r1 := upd(1, 0, pA, 0, "WIN")
 	lsn1, _ := l.Append(r1)
 	cat()
 	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: lsn1})
-	r2 := upd(2, 0, pA, 100, "\x00\x00", "XX")
+	r2 := upd(2, 0, pA, 100, "XX")
 	l.Append(r2)
 	last := cat()
 	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	applyUpd(disk, r2) // the loser's page was stolen; the winner's was not
 
 	st, _, err := redoOn(l, disk)
 	if err != nil {
@@ -318,7 +306,7 @@ func TestRedoPassesOverCatalogRecords(t *testing.T) {
 	if len(st.Winners) != 1 || len(st.Losers) != 1 || st.RecordsAnalyzed != 6 {
 		t.Fatalf("winners %v losers %v over %d records", st.Winners, st.Losers, st.RecordsAnalyzed)
 	}
-	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 100) != 'X' {
+	if disk.byteAt(pA, 0) != 'W' || disk.byteAt(pA, 100) != 0 {
 		t.Fatal("catalog records in the log changed what restart rebuilt")
 	}
 	for _, lsn := range []page.LSN{first, last} {

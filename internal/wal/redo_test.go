@@ -16,8 +16,8 @@ func redo(tx uint64, prev page.LSN, pid page.ID, off uint32, after []byte) *Reco
 
 // TestRedoRecordHasNoUndoHalf: a TRedo record round-trips its redo half —
 // an anchor, a byte range, an all-zero image kept as its length — stores no
-// before-image and no undo word, and costs a header 12 bytes smaller than an
-// update's. It carries a pending token, never a page store's proof.
+// before-image, and costs a header 4 bytes smaller than an update's. It
+// carries a pending token, not a page store's proof.
 func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 4, Page: 77}
@@ -34,8 +34,8 @@ func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 			t.Fatal(err)
 		}
 		lsns = append(lsns, lsn)
-		if r.Logged() != (Logged{}) || r.Pending().Page() != pid || r.Pending().lsn != lsn {
-			t.Fatalf("appended TRedo: proof %+v, pending token %+v", r.Logged(), r.Pending())
+		if r.Pending().Page() != pid || r.Pending().lsn != lsn {
+			t.Fatalf("appended TRedo: pending token %+v", r.Pending())
 		}
 	}
 	if err := l.Flush(0); err != nil {
@@ -47,19 +47,19 @@ func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Type != TRedo || got.Tx != 1 || got.PrevLSN != want.PrevLSN || got.Page != pid ||
-			got.Off != want.Off || !bytes.Equal(got.After, want.After) || got.Before != nil || got.UndoOff != 0 || got.UndoNext != 0 {
+			got.Off != want.Off || !bytes.Equal(got.After, want.After) || got.Before != nil || got.UndoOff != 0 {
 			t.Fatalf("record %d came back as %+v", i, got)
 		}
-		if got.Logged() != (Logged{}) || got.Pending() != want.Pending() {
-			t.Fatalf("record %d read back: proof %+v, pending token %+v", i, got.Logged(), got.Pending())
+		if got.Pending() != want.Pending() {
+			t.Fatalf("record %d read back: pending token %+v", i, got.Pending())
 		}
 		fp := got.Footprint()
 		if fp.Before != 0 || fp.ZeroBefore != 0 {
 			t.Fatalf("record %d stores an undo half: %+v", i, fp)
 		}
 		update := &Record{Type: TUpdate, Tx: 1, Page: pid, Off: want.Off, After: want.After, Before: bytes.Repeat([]byte{1}, 10)}
-		if d := update.Footprint().Header - fp.Header; d != 12 {
-			t.Fatalf("a TRedo header is %d bytes smaller than an update's, want 12", d)
+		if d := update.Footprint().Header - fp.Header; d != 4 {
+			t.Fatalf("a TRedo header is %d bytes smaller than an update's, want 4", d)
 		}
 	}
 	if got := TRedo.String(); got != "redo" {
@@ -107,12 +107,12 @@ func TestDurableOnlyAfterTheForce(t *testing.T) {
 	}
 }
 
-// TestReplayerAppliesRedoAtCommit is the one rule of page history: updates
-// and CLRs take effect where they stand, a transaction's redo-only records at
-// its commit — also when the log ends before the transaction's end record —
-// and never when it aborted (also after a commit record whose force failed),
-// was rolling back, or is open or in doubt when the log ends. Restart redo
-// follows it (Analysis.Redo).
+// TestReplayerAppliesRedoAtCommit is the one rule of page history: a
+// transaction's redo-only records take effect at its commit — also when the
+// log ends before the transaction's end record — and never when it aborted
+// (also after a commit record whose force failed), or is open or in doubt
+// when the log ends. An update record is no page change at all. Restart redo
+// follows the rule (Analysis.Redo).
 func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 	l := NewMem()
 	pg := func(n page.No) page.ID { return page.ID{Area: 2, Page: n} }
@@ -131,8 +131,8 @@ func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 	ship(4, 4, "four")  // open
 	ship(5, 5, "five")  // in doubt
 	ship(6, 6, "six")   // its commit's force failed: rolled back after it
-	ship(7, 7, "seven") // a commit record, then its rollback's CLRs, then the crash
-	stolen, _ := l.Append(upd(7, 0, pg(8), 0, "\x00", "s"))
+	// An update record, then a commit: the codec's record, no page's history.
+	l.Append(&Record{Type: TUpdate, Tx: 7, Page: pg(7), After: []byte("seven"), Before: []byte{0}})
 	ship(1, 9, "nine") // a second record of tx 1, after others in the log
 	mark(1, TCommit)
 	mark(3, TAbort)
@@ -142,7 +142,6 @@ func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 	mark(6, TAbort)
 	mark(6, TEnd)
 	mark(7, TCommit)
-	l.Append(&Record{Type: TCLR, Tx: 7, Page: pg(8), After: []byte{0}, UndoNext: stolen})
 	mark(2, TCommit)
 	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
@@ -162,7 +161,7 @@ func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 	if err := rp.End(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(order), "[update:s redo:one redo:nine clr:\x00 redo:two]"; got != want {
+	if got, want := fmt.Sprint(order), "[redo:one redo:nine redo:two]"; got != want {
 		t.Fatalf("replayed %q, want %q", got, want)
 	}
 
@@ -178,7 +177,7 @@ func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 			t.Fatalf("page %d after restart redo holds %q, want %q", n, got, want)
 		}
 	}
-	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[2] [4 7] [5]" {
+	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[2 7] [4] [5]" {
 		t.Fatalf("winners %v losers %v in doubt %v", st.Winners, st.Losers, st.InDoubt)
 	}
 }

@@ -16,10 +16,7 @@ func tornTestImage(t *testing.T) ([]byte, page.LSN) {
 	t.Helper()
 	l := NewMem()
 	defer l.Close()
-	if _, err := l.Append(&Record{
-		Type: TUpdate, Tx: 1, Page: page.ID{Area: 1, Page: 2},
-		Before: []byte("old-value"), After: []byte("new-value"),
-	}); err != nil {
+	if _, err := l.Append(&Record{Type: TRedo, Tx: 1, Page: page.ID{Area: 1, Page: 2}, After: []byte("new-value")}); err != nil {
 		t.Fatal(err)
 	}
 	clsn, err := l.Append(&Record{Type: TCommit, Tx: 1})
@@ -29,10 +26,7 @@ func tornTestImage(t *testing.T) ([]byte, page.LSN) {
 	if err := l.Flush(clsn); err != nil {
 		t.Fatal(err)
 	}
-	last, err := l.Append(&Record{
-		Type: TUpdate, Tx: 2, Page: page.ID{Area: 1, Page: 3},
-		Before: bytes.Repeat([]byte{0x11}, 64), After: bytes.Repeat([]byte{0x22}, 64),
-	})
+	last, err := l.Append(&Record{Type: TRedo, Tx: 2, Page: page.ID{Area: 1, Page: 3}, After: bytes.Repeat([]byte{0x22}, 64)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
-// Package wal implements the BeSS write-ahead log: an ARIES-like protocol
-// (paper §3, reference [21]) with physical byte-range update records,
-// redo-only records for pages written after their commit, compensation log
-// records (CLRs), fuzzy checkpoints, and restart's analysis and redo passes
-// (recovery.go; undo is package tx's).
+// Package wal implements the BeSS write-ahead log (paper §3, reference [21]):
+// redo-only byte-range page records whose pages are written after their
+// transaction's commit record is durable, fuzzy checkpoints, and restart's
+// analysis and redo passes (recovery.go).
 //
 // Redo is physical (copy the after-image to the page at the recorded
 // offset) and therefore idempotent, so pages need not carry a pageLSN:
-// restart always repeats history from the checkpoint's redo point and then
-// rolls back losers under CLR protection, exactly in ARIES style.
+// restart repeats history from the checkpoint's redo point. Nothing on a page
+// ever belongs to a transaction that did not commit — no page is written
+// before its commit is durable (Durable) — so there is no undo: a loser is
+// ended by its abort record, and restart writes nothing for it.
 package wal
 
 import (
@@ -29,8 +30,11 @@ type Type uint8
 
 // Log record types.
 const (
+	// TUpdate is a page change with an undo half (UndoOff, Before). No product
+	// code writes one, and no reader of page history takes one for a page
+	// change: the codec keeps it for the benchmark module's log probe.
 	TUpdate Type = iota + 1
-	TCLR
+	_            // 2: retired (the compensation record); a v4 log holds none
 	TCommit
 	TAbort // transaction rollback complete
 	TEnd   // transaction removed from the table (after commit or abort)
@@ -55,8 +59,6 @@ func (t Type) String() string {
 	switch t {
 	case TUpdate:
 		return "update"
-	case TCLR:
-		return "clr"
 	case TCommit:
 		return "commit"
 	case TAbort:
@@ -88,17 +90,15 @@ type Record struct {
 	Tx      uint64
 	PrevLSN page.LSN // previous record of the same transaction
 
-	// Update / CLR / redo-only fields. The redo half (Off, After) and the undo
-	// half (UndoOff, Before) are independent ranges of the page: an anchor's
-	// redo image is the whole page while its undo image is only what changed
-	// (internal/tx/logging.go). A CLR and a TRedo have no undo half. An image
-	// read back from the log is read-only.
-	Page     page.ID
-	Off      uint32   // byte offset of After within the page
-	After    []byte   // redo image
-	UndoOff  uint32   // byte offset of Before within the page
-	Before   []byte   // undo image (empty for CLRs and TRedo)
-	UndoNext page.LSN // CLR: next record to undo
+	// Page record fields. A TRedo has a redo half (Off, After): what replay
+	// copies onto the page. A TUpdate also has an undo half (UndoOff, Before),
+	// an independent range of the page. An image read back from the log is
+	// read-only.
+	Page    page.ID
+	Off     uint32 // byte offset of After within the page
+	After   []byte // redo image
+	UndoOff uint32 // TUpdate: byte offset of Before within the page
+	Before  []byte // TUpdate: undo image
 
 	// Checkpoint: the dirty-page table.
 	DirtyPages []CkptPage
@@ -106,18 +106,18 @@ type Record struct {
 	// Catalog record: the rest of the record, as the server wrote it.
 	Body []byte
 
-	logged  Logged  // see Record.Logged
 	pending Pending // see Record.Pending
 }
 
-// Logged is proof that a record of Page is in the log, at LSN: what a page
-// store demands in place of a page id before it overwrites the page (log
-// before data, DESIGN.md §4f). Only this package makes a non-zero one —
-// Append stamps it into the update or CLR it has taken, records read back
-// from the log carry theirs, and a redo-only record gets one only once its
-// transaction's commit is durable (Durable.Proof, Replayer) — so a store
-// cannot be asked to write a page nothing was logged for. It says a record of
-// the page precedes the store, not that the bytes stored are that record's.
+// Logged is proof that a record of Page is in the log, at LSN, and takes
+// effect: what a page store demands in place of a page id before it
+// overwrites the page (log before data, DESIGN.md §4f). Only this package
+// makes a non-zero one, and only for a redo-only record whose transaction's
+// commit is durable (Durable.Proof) or that a walk of the log hands on at
+// that commit (Replayer) — so a store cannot be asked to write a page nothing
+// was logged for, nor one for a transaction that has not committed. It says a
+// record of the page precedes the store, not that the bytes stored are that
+// record's.
 type Logged struct {
 	page page.ID
 	lsn  page.LSN
@@ -128,10 +128,6 @@ func (p Logged) Page() page.ID { return p.page }
 
 // LSN is the record's LSN; 0 in the zero Logged, which proves nothing.
 func (p Logged) LSN() page.LSN { return p.lsn }
-
-// Logged returns r's proof: zero until Append has taken r or unless r was
-// read from the log, and for every record that is not an update or a CLR.
-func (r *Record) Logged() Logged { return r.logged }
 
 // Pending is a redo-only record of a page in the log (TRedo), whose page
 // write is pending its transaction's commit: Append stamps it into the record
@@ -171,12 +167,9 @@ func (d Durable) Proof(r Pending) (Logged, error) {
 	return Logged{page: r.page, lsn: r.lsn}, nil
 }
 
-// stamp makes r, the record at lsn, carry its proof or its redo-only token.
+// stamp makes r, the record at lsn, carry its redo-only token.
 func (r *Record) stamp(lsn page.LSN) {
-	switch r.Type {
-	case TUpdate, TCLR:
-		r.logged = Logged{page: r.Page, lsn: lsn}
-	case TRedo:
+	if r.Type == TRedo {
 		r.pending = Pending{page: r.Page, tx: r.Tx, lsn: lsn}
 	}
 }
@@ -204,14 +197,13 @@ var (
 
 const recHeaderSize = 4 + 4 // length + crc
 
-// An update or CLR record stores its two offsets in one word, Off in the low
-// half and UndoOff in the high half, so offsets stop at maxOff; and an image
-// that is all zero — the before-image of a page nothing was ever written to,
-// the after-image of the CLR that takes it back there — as its length alone,
-// with zeroImage set in the length word. Decoding hands such an image back as
-// a slice of zeroes, so readers of a Record see neither. A TRedo record is an
-// update without its undo half: the offset word holds Off alone, and there is
-// no UndoNext and no before-image length.
+// A page record stores an image that is all zero — what a page nothing was
+// ever written to holds, what a zeroed range becomes — as its length alone,
+// with zeroImage set in the length word; decoding hands such an image back as
+// a slice of zeroes, so readers of a Record never see it. A TUpdate stores its
+// two offsets in one word, Off in the low half and UndoOff in the high half,
+// so offsets stop at maxOff; a TRedo's offset word holds Off alone, and it has
+// no before-image length.
 const (
 	offBits   = 16
 	maxOff    = 1<<offBits - 1
@@ -230,7 +222,7 @@ func isZero(img []byte) bool {
 // Append asks once and sizes and encodes the record by the same answer.
 func (r *Record) zeroImages() (before, after bool) {
 	switch r.Type {
-	case TUpdate, TCLR:
+	case TUpdate:
 		return isZero(r.Before), isZero(r.After)
 	case TRedo:
 		return false, isZero(r.After)
@@ -243,8 +235,8 @@ func (r *Record) zeroImages() (before, after bool) {
 func (r *Record) sizeOf(zeroBefore, zeroAfter bool) int {
 	n := 1 + 8 + 8 // type, tx, prevLSN
 	switch r.Type {
-	case TUpdate, TCLR:
-		n += 4 + 8 + 4 + 8 + 4 + 4
+	case TUpdate:
+		n += 4 + 8 + 4 + 4 + 4
 		if !zeroBefore {
 			n += len(r.Before)
 		}
@@ -306,11 +298,10 @@ func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
 	b = be.AppendUint64(b, r.Tx)
 	b = be.AppendUint64(b, uint64(r.PrevLSN))
 	switch r.Type {
-	case TUpdate, TCLR:
+	case TUpdate:
 		b = be.AppendUint32(b, uint32(r.Page.Area))
 		b = be.AppendUint64(b, uint64(r.Page.Page))
 		b = be.AppendUint32(b, r.Off|r.UndoOff<<offBits)
-		b = be.AppendUint64(b, uint64(r.UndoNext))
 		b = appendImage(b, r.Before, zeroBefore)
 		b = appendImage(b, r.After, zeroAfter)
 	case TRedo:
@@ -362,7 +353,7 @@ func decodeRecord(b []byte) (*Record, error) {
 		return v, nil
 	}
 	switch r.Type {
-	case TUpdate, TCLR, TRedo:
+	case TUpdate, TRedo:
 		area, err := u32()
 		if err != nil {
 			return nil, err
@@ -399,11 +390,6 @@ func decodeRecord(b []byte) (*Record, error) {
 			r.Off = off
 		} else {
 			r.Off, r.UndoOff = off&maxOff, off>>offBits
-			un, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			r.UndoNext = page.LSN(un)
 			if r.Before, err = image(); err != nil {
 				return nil, err
 			}
@@ -583,10 +569,11 @@ const firstLSN = page.LSN(8)
 
 // logMagic opens the file: four bytes of magic and the format version.
 // Version 2 split an update record's offset word in two and gave all-zero
-// images their flagged length; version 3 added the redo-only TRedo record,
-// which an older build would take for a corrupt one. Older logs are refused,
-// not misread.
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 3}
+// images their flagged length; version 3 added the redo-only TRedo record;
+// version 4 dropped the compensation record and the undo-chain word of the
+// update record, so a version-3 log's records would misread. Older logs are
+// refused, not misread.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 4}
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.

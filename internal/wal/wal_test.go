@@ -12,17 +12,15 @@ import (
 	"bess/internal/page"
 )
 
-func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, before, after string) *Record {
-	return &Record{
-		Type: TUpdate, Tx: tx, PrevLSN: prev, Page: pid,
-		Off: off, After: []byte(after), UndoOff: off, Before: []byte(before),
-	}
+// upd is a page change: a redo-only record of pid's bytes at off.
+func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, after string) *Record {
+	return &Record{Type: TRedo, Tx: tx, PrevLSN: prev, Page: pid, Off: off, After: []byte(after)}
 }
 
 func TestAppendFlushIterate(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 1, Page: 10}
-	l1, err := l.Append(upd(1, 0, pid, 100, "aaa", "bbb"))
+	l1, err := l.Append(upd(1, 0, pid, 100, "bbb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +51,7 @@ func TestAppendFlushIterate(t *testing.T) {
 		t.Fatalf("lsns = %v", lsns)
 	}
 	r := recs[0]
-	if r.Type != TUpdate || r.Tx != 1 || r.Page != pid || r.Off != 100 ||
-		string(r.Before) != "aaa" || string(r.After) != "bbb" {
+	if r.Type != TRedo || r.Tx != 1 || r.Page != pid || r.Off != 100 || string(r.After) != "bbb" {
 		t.Fatalf("record round trip: %+v", r)
 	}
 	if recs[1].PrevLSN != l1 {
@@ -111,9 +108,9 @@ func listingCheckpoint(txs [][2]uint64, dirty []CkptPage) []byte {
 func TestDurableBytesExcludesTail(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 1, Page: 1}
-	l.Append(upd(1, 0, pid, 0, "x", "y"))
+	l.Append(upd(1, 0, pid, 0, "y"))
 	l.Flush(0)
-	l.Append(upd(1, 0, pid, 0, "y", "z")) // not flushed: lost in the crash
+	l.Append(upd(1, 0, pid, 0, "z")) // not flushed: lost in the crash
 	img := l.DurableBytes()
 
 	l2, err := OpenMemFrom(img)
@@ -134,7 +131,7 @@ func TestDurableBytesExcludesTail(t *testing.T) {
 
 func TestTornTailDetected(t *testing.T) {
 	l := NewMem()
-	l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 0, "a", "b"))
+	l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 0, "b"))
 	l.Flush(0)
 	img := l.DurableBytes()
 	// Corrupt the final byte (torn write).
@@ -157,7 +154,7 @@ func TestFilePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := page.ID{Area: 2, Page: 7}
-	lsn, _ := l.Append(upd(3, 0, pid, 8, "old", "new"))
+	lsn, _ := l.Append(upd(3, 0, pid, 8, "new"))
 	l.Append(&Record{Type: TCommit, Tx: 3, PrevLSN: lsn})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -172,7 +169,7 @@ func TestFilePersistence(t *testing.T) {
 		types = append(types, r.Type)
 		return nil
 	})
-	if len(types) != 2 || types[0] != TUpdate || types[1] != TCommit {
+	if len(types) != 2 || types[0] != TRedo || types[1] != TCommit {
 		t.Fatalf("types = %v", types)
 	}
 }
@@ -191,7 +188,7 @@ func TestFlushUpToAlreadyFlushed(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	if TUpdate.String() != "update" || TCLR.String() != "clr" || TCheckpoint.String() != "checkpoint" {
+	if TUpdate.String() != "update" || TRedo.String() != "redo" || TCheckpoint.String() != "checkpoint" || Type(2).String() != "type(2)" {
 		t.Fatal("type strings")
 	}
 }
@@ -215,16 +212,17 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 	pid := page.ID{Area: 9, Page: 1234}
 	whole := bytes.Repeat([]byte{0xC3}, page.Size)
 	records := []*Record{
-		upd(1, 0, pid, 77, "before-bytes", "after-bytes"),
-		{Type: TCLR, Tx: 1, PrevLSN: 5, Page: pid, Off: 3, After: []byte("undoimg"), UndoNext: 17},
+		upd(1, 0, pid, 77, "after-bytes"),
 		{Type: TCommit, Tx: 2, PrevLSN: 9},
 		{Type: TAbort, Tx: 3},
 		{Type: TEnd, Tx: 3},
-		// An anchor: whole-page redo half, undo half a range with its own offset.
-		{Type: TUpdate, Tx: 4, Page: pid, After: whole, UndoOff: 4000, Before: []byte("range")},
-		// The fill of a fresh page and the CLR that takes it back: all-zero images.
-		{Type: TUpdate, Tx: 4, Page: pid, After: whole, Before: make([]byte, page.Size)},
-		{Type: TCLR, Tx: 4, Page: pid, Off: 100, After: make([]byte, 300), UndoNext: 9},
+		// An anchor, and a range zeroed: an all-zero image.
+		{Type: TRedo, Tx: 4, Page: pid, After: whole},
+		{Type: TRedo, Tx: 4, PrevLSN: 5, Page: pid, Off: 100, After: make([]byte, 300)},
+		// Updates with both halves: the undo half a range with its own offset,
+		// and a zero before-image.
+		{Type: TUpdate, Tx: 5, Page: pid, After: whole, UndoOff: 4000, Before: []byte("range")},
+		{Type: TUpdate, Tx: 5, Page: pid, After: whole, Before: make([]byte, page.Size)},
 	}
 	for _, r := range records {
 		if _, err := l.Append(r); err != nil {
@@ -237,19 +235,15 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 	if len(got) != len(records) {
 		t.Fatalf("got %d records", len(got))
 	}
-	clr := got[1]
-	if clr.Type != TCLR || clr.UndoNext != 17 || !bytes.Equal(clr.After, []byte("undoimg")) {
-		t.Fatalf("clr = %+v", clr)
-	}
 	for i, r := range got {
 		want := records[i]
-		if r.Tx != want.Tx || r.Type != want.Type || r.Off != want.Off || r.UndoOff != want.UndoOff ||
+		if r.Tx != want.Tx || r.Type != want.Type || r.PrevLSN != want.PrevLSN || r.Off != want.Off || r.UndoOff != want.UndoOff ||
 			!bytes.Equal(r.Before, want.Before) || !bytes.Equal(r.After, want.After) {
 			t.Fatalf("record %d: %+v", i, r)
 		}
 	}
-	if a := got[5]; !a.WholePage() || a.UndoOff != 4000 || string(a.Before) != "range" {
-		t.Fatalf("anchor = off %d, %d bytes; undo %d+%d", a.Off, len(a.After), a.UndoOff, len(a.Before))
+	if a := got[4]; !a.WholePage() || got[5].WholePage() {
+		t.Fatalf("anchor = off %d, %d bytes", a.Off, len(a.After))
 	}
 }
 
@@ -266,21 +260,25 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		rec    Record
 		stored int // image bytes in the encoding
 	}{
-		{"fresh-page fill", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, page.Size},
-		{"range of a fresh page", Record{Type: TUpdate, Page: pid, Off: 64, After: some, UndoOff: 64, Before: make([]byte, 200)}, 200},
-		{"range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 200},
-		{"CLR back to zero", Record{Type: TCLR, Page: pid, Off: 64, After: make([]byte, 200), UndoNext: 8}, 0},
-		{"anchor CLR of an empty page", Record{Type: TCLR, Page: pid, After: make([]byte, page.Size), UndoNext: 8}, 0},
-		{"one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 1},
-		{"nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 400},
-		{"zeroes longer than a page are stored", Record{Type: TUpdate, Page: pid, After: make([]byte, page.Size+1)}, page.Size + 1},
+		{"range zeroed", Record{Type: TRedo, Page: pid, Off: 64, After: make([]byte, 200)}, 0},
+		{"anchor of a zeroed page", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size)}, 0},
+		{"nothing zero", Record{Type: TRedo, Page: pid, Off: 9, After: some}, 200},
+		{"zeroes longer than a page are stored", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size+1)}, page.Size + 1},
+		{"update of a fresh page", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, page.Size},
+		{"update, range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 200},
+		{"update, one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 1},
+		{"update, nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 400},
 	} {
 		rec := tc.rec
 		enc := rec.appendTo(nil)
 		if len(enc) != rec.encodedLen() {
 			t.Fatalf("%s: encodedLen %d, encoded %d bytes", tc.name, rec.encodedLen(), len(enc))
 		}
-		if fixed := 17 + 4 + 8 + 4 + 8 + 4 + 4; len(enc) != fixed+tc.stored {
+		fixed := 17 + 4 + 8 + 4 + 4 // header, page, offset word, after length
+		if rec.Type == TUpdate {
+			fixed += 4 // before length
+		}
+		if len(enc) != fixed+tc.stored {
 			t.Fatalf("%s: %d bytes encoded, want %d of fields and %d of images", tc.name, len(enc), fixed, tc.stored)
 		}
 		if fp := rec.Footprint(); fp.Header+fp.Before+fp.After != recHeaderSize+len(enc) ||
@@ -291,8 +289,7 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Off != rec.Off || got.UndoOff != rec.UndoOff || got.UndoNext != rec.UndoNext ||
-			!bytes.Equal(got.Before, rec.Before) || !bytes.Equal(got.After, rec.After) {
+		if got.Off != rec.Off || got.UndoOff != rec.UndoOff || !bytes.Equal(got.Before, rec.Before) || !bytes.Equal(got.After, rec.After) {
 			t.Fatalf("%s: decoded %+v", tc.name, got)
 		}
 		for cut := 0; cut < len(enc); cut += max(1, len(enc)/64) {
@@ -302,7 +299,7 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		}
 	}
 	// Flagged lengths encode never writes: none, and more than a page.
-	enc := (&Record{Type: TCLR, Page: pid, After: make([]byte, 8)}).appendTo(nil)
+	enc := (&Record{Type: TRedo, Page: pid, After: make([]byte, 8)}).appendTo(nil)
 	for _, n := range []uint32{0, page.Size + 1, 1<<31 - 1} {
 		binary.BigEndian.PutUint32(enc[len(enc)-4:], n|zeroImage)
 		if _, err := decodeRecord(enc); !errors.Is(err, ErrCorrupt) {
@@ -323,12 +320,12 @@ func TestZeroImageRoundTrip(t *testing.T) {
 }
 
 // TestOldLogVersionRefused: a log whose header carries a version from before
-// the offset word was split, or from before the redo-only record, is refused
-// by name, whatever its records look like, and one from a later build is
-// refused too.
+// the offset word was split, from before the redo-only record, or from before
+// the compensation record went, is refused by name, whatever its records look
+// like, and one from a later build is refused too.
 func TestOldLogVersionRefused(t *testing.T) {
 	l := NewMem()
-	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "old", "new"))
+	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "new"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +336,7 @@ func TestOldLogVersionRefused(t *testing.T) {
 	if _, err := OpenMemFrom(img); err != nil {
 		t.Fatalf("reopening this build's own log: %v", err)
 	}
-	for _, v := range []byte{1, 2} { // before the split offset word; before TRedo
+	for _, v := range []byte{1, 2, 3} { // before the split offset word; before TRedo; with CLRs
 		img[7] = v
 		if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
 			t.Fatalf("version %d log: %v, want ErrOldFormat", v, err)
