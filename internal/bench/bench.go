@@ -604,6 +604,7 @@ func sessWriteSegs(s *client.Session) []proto.SegKey {
 type E8Result struct {
 	Txns, UpdatesPerTx int
 	Checkpoint         bool
+	LogBytes           int64 // the log restart reads
 	RecordsAnalyzed    int
 	RedoApplied        int
 	Losers             int
@@ -640,7 +641,7 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	_, st, err := restart(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
 	must(err)
 	return E8Result{
-		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint,
+		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint, LogBytes: int64(crashed.NextLSN()),
 		RecordsAnalyzed: st.RecordsAnalyzed, RedoApplied: st.RedoApplied, Losers: len(st.Losers),
 	}
 }

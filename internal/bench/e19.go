@@ -55,8 +55,9 @@ import (
 //	silent       a read returned wrong bytes without an error — the
 //	             failure mode the whole pipeline exists to rule out
 //
-// Acceptance (EXPERIMENTS.md): ≥100 points, zero silent, and ≥90% of the
-// non-benign points repaired with the rest quarantined.
+// Acceptance (EXPERIMENTS.md): ≥100 points, zero silent, every checkpoint
+// and wire point repaired, and ≥85% of the non-benign points repaired with
+// the rest quarantined.
 
 const (
 	e19Segs     = 6 // committed segments (each created, populated, updated)

@@ -101,11 +101,16 @@ func rawSegment(t *testing.T, s *Server, seg proto.SegKey) []byte {
 	return append(sl, data...)
 }
 
-// TestCommitLogFootprint pins the gain of redo-only records in tier-1: a
-// committed k-byte overwrite logs about k bytes per page it changes, and no
-// undo byte at all.
+// TestCommitLogFootprint pins the gain of redo-only records and of the
+// varint record codec in tier-1: a committed k-byte overwrite logs about k
+// bytes per page it changes, no undo byte at all, and headers of at most 24
+// bytes per page record and 12 per commit or end record.
 func TestCommitLogFootprint(t *testing.T) {
-	const k = 128
+	const (
+		k          = 128
+		pageHeader = 24
+		endHeader  = 12
+	)
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
@@ -113,13 +118,23 @@ func TestCommitLogFootprint(t *testing.T) {
 	img := overwriteImage(t, s, key, bytes.Repeat([]byte{2}, k))
 	from := s.log.NextLSN()
 	commitImage(t, s, img)
-	redo, total := 0, int(s.log.NextLSN()-from)
+	var redo, ends, redoHeader, endsHeader int
+	total := int(s.log.NextLSN() - from)
+	if err := s.log.Flush(0); err != nil { // the end record is not forced
+		t.Fatal(err)
+	}
 	if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
-		if fp := r.Footprint(); fp.Before+fp.ZeroBefore != 0 {
+		fp := r.Footprint()
+		if fp.Before+fp.ZeroBefore != 0 {
 			t.Fatalf("a shipped commit logged a %v record with %d undo bytes", r.Type, fp.Before+fp.ZeroBefore)
 		}
-		if r.Type == wal.TRedo {
-			redo++
+		switch r.Type {
+		case wal.TRedo:
+			redo, redoHeader = redo+1, redoHeader+fp.Header
+		case wal.TCommit, wal.TEnd:
+			ends, endsHeader = ends+1, endsHeader+fp.Header
+		default:
+			t.Fatalf("a shipped commit logged a %v record", r.Type)
 		}
 		return nil
 	}); err != nil {
@@ -127,6 +142,10 @@ func TestCommitLogFootprint(t *testing.T) {
 	}
 	if redo == 0 || total > 2*k+200 {
 		t.Fatalf("a %d-byte overwrite logged %d bytes in %d redo-only records", k, total, redo)
+	}
+	if ends != 2 || redoHeader > pageHeader*redo || endsHeader > endHeader*ends {
+		t.Fatalf("headers: %d B over %d page records (budget %d each), %d B over %d commit and end records (budget %d each)",
+			redoHeader, redo, pageHeader, endsHeader, ends, endHeader)
 	}
 }
 

@@ -355,7 +355,9 @@ func (m *Mapper) largeSlotForFrame(ms *mseg, frame int64) (int, bool) {
 func framesFor(n int) int { return (n + page.Size - 1) / page.Size }
 
 // loadSlotted is wave 2: fetch the slotted segment, map it write-protected,
-// reserve the data range, and fix every DP.
+// reserve the data range, and fix every DP. A failure after the fetch takes
+// back all of it (unload), so the segment is in wave 1 again and a retry
+// starts from the fetch.
 func (m *Mapper) loadSlotted(ms *mseg) error {
 	if ms.state >= stSlotted {
 		return nil
@@ -364,6 +366,18 @@ func (m *Mapper) loadSlotted(ms *mseg) error {
 	if err != nil {
 		return err
 	}
+	if err := m.mapSlotted(ms, seg); err != nil {
+		return errors.Join(err, m.unload(ms))
+	}
+	ms.state = stSlotted
+	m.loaded[ms.id] = ms
+	m.stats.Wave2SlottedLoads++
+	return nil
+}
+
+// mapSlotted does wave 2's work on seg, the fetched slotted segment, keeping
+// in ms everything it reserves and maps, so that unload can take it back.
+func (m *Mapper) mapSlotted(ms *mseg, seg *segment.Seg) error {
 	ms.seg = seg
 	ms.dataPages = int(seg.Hdr.DataPages)
 	if ms.dataPages == 0 {
@@ -405,9 +419,6 @@ func (m *Mapper) loadSlotted(ms *mseg) error {
 			m.stats.DPFixups++
 		}
 	}
-	ms.state = stSlotted
-	m.loaded[ms.id] = ms
-	m.stats.Wave2SlottedLoads++
 	return nil
 }
 
@@ -475,8 +486,13 @@ func (m *Mapper) swizzleDataRefs(ms *mseg) error {
 }
 
 // reserveLarge reserves the access-protected range of slot, a large object of
-// the loaded segment ms, and points its DP there.
+// the loaded segment ms, and points its DP there. A slot whose descriptor is
+// not inside the segment's overflow section is refused: nothing could fetch
+// the object.
 func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
+	if _, err := ms.seg.Descriptor(slot, segment.LargeDescSize); err != nil {
+		return err
+	}
 	n := max(framesFor(int(ms.seg.Slots[slot].Size)), 1)
 	base, err := m.space.Reserve(n)
 	if err != nil {
@@ -889,6 +905,13 @@ func (m *Mapper) DropSeg(id SegID) error {
 	if !ok || ms.state < stSlotted {
 		return nil
 	}
+	return m.unload(ms)
+}
+
+// unload returns ms to wave 1 from wave 2 or 3, or from whatever part of
+// wave 2 a failed load got through: the slotted pages unmapped, the data and
+// large-object ranges released, the slotted reservation kept.
+func (m *Mapper) unload(ms *mseg) error {
 	for i := 0; i < ms.slottedPages; i++ {
 		if err := m.space.Unmap(ms.slottedBase + vmem.Addr(i*page.Size)); err != nil {
 			return err
@@ -900,16 +923,18 @@ func (m *Mapper) DropSeg(id SegID) error {
 		}
 		return m.space.Release(base, n)
 	}
-	if err := release(ms.dataBase, ms.dataPages); err != nil {
-		return err
+	if ms.dataBase != vmem.NilAddr {
+		if err := release(ms.dataBase, ms.dataPages); err != nil {
+			return err
+		}
 	}
 	for slot, base := range ms.largeBase {
 		if err := release(base, max(framesFor(int(ms.seg.Slots[slot].Size)), 1)); err != nil {
 			return err
 		}
 	}
-	*ms = mseg{id: id, state: stReserved, slottedBase: ms.slottedBase, slottedPages: ms.slottedPages}
-	delete(m.loaded, id)
+	*ms = mseg{id: ms.id, state: stReserved, slottedBase: ms.slottedBase, slottedPages: ms.slottedPages}
+	delete(m.loaded, ms.id)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"bess/internal/page"
 	"bess/internal/segment"
 	"bess/internal/vmem"
 )
@@ -76,6 +77,42 @@ func TestDropSegWithLargeObjects(t *testing.T) {
 	snap := m.Space().Snapshot()
 	if snap.ReservedFrames != 1 || snap.MappedFrames != 0 {
 		t.Fatalf("after drop: %d frames reserved, %d mapped; only the slotted reservation (1 page) remains", snap.ReservedFrames, snap.MappedFrames)
+	}
+}
+
+// TestFailedSlottedLoadUnwinds: a wave-2 load that fails after its fetch — a
+// large object whose descriptor lies past the overflow section, refused once
+// the slotted pages are mapped and the data range reserved — leaves the
+// segment in wave 1. The space holds what it held before, so a retry fetches
+// again and fails the same way, not on a frame the first attempt mapped.
+func TestFailedSlottedLoadUnwinds(t *testing.T) {
+	id := SegID{Area: 1, Start: 10}
+	s := segment.New(1, 1, 2, 1, 100)
+	s.EnsureOverflow(1)
+	if _, err := s.AllocSlot(segment.KindLarge, 0, 10000, page.Size); err != nil {
+		t.Fatal(err)
+	}
+	f := newMemFetcher()
+	f.add(id, s)
+	m := NewMapper(vmem.New(), f, segment.NewRegistry())
+	if _, err := m.ReserveSeg(id); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Space().Snapshot()
+	for try := 1; try <= 2; try++ {
+		if err := m.EnsureLoaded(id); !errors.Is(err, segment.ErrOverflowOff) {
+			t.Fatalf("load %d: %v, want the descriptor's %v", try, err, segment.ErrOverflowOff)
+		}
+		if st := m.Space().Snapshot(); st.ReservedFrames != before.ReservedFrames || st.MappedFrames != before.MappedFrames {
+			t.Fatalf("after failed load %d: %d frames reserved and %d mapped, %d and %d before it",
+				try, st.ReservedFrames, st.MappedFrames, before.ReservedFrames, before.MappedFrames)
+		}
+		if _, ok := m.Seg(id); ok || len(m.CachedSegs()) != 0 || len(m.byFrame) != int(s.Hdr.SlottedPages) {
+			t.Fatalf("after failed load %d: a copy is left (%v), %d frames known", try, m.CachedSegs(), len(m.byFrame))
+		}
+	}
+	if f.slottedFetches != 2 {
+		t.Fatalf("%d slotted fetches for two loads", f.slottedFetches)
 	}
 }
 

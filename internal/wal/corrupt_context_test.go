@@ -30,9 +30,10 @@ func TestCorruptRecordErrorContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rot a byte in the middle of the first record's body, under the live log.
+	// Rot the last byte of the first record's page image, under the live log:
+	// its CRC and length stay intact.
 	img := l.back.(*memBacking).buf
-	img[int(lsn1)+recHeaderSize+6] ^= 0x80
+	img[int(lsn2)-1] ^= 0x80
 	check := func(l *Log) {
 		t.Helper()
 		_, rerr := l.ReadRecord(lsn1)

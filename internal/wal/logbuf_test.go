@@ -82,29 +82,35 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
-// encodedLen and appendTo are the codec the plain way, one record at a time:
-// Append does the same with one look at the images for both.
-func (r *Record) encodedLen() int { return r.sizeOf(r.zeroImages()) }
-
-func (r *Record) appendTo(b []byte) []byte {
+// encodedLen and appendTo are the codec the plain way, one record body at a
+// time, as the record at lsn: Append does the same with one look at the images
+// for both.
+func (r *Record) encodedLen(lsn page.LSN) int {
 	zb, za := r.zeroImages()
-	return r.encode(b, zb, za)
+	return r.sizeAt(lsn, zb, za)
+}
+
+func (r *Record) appendTo(b []byte, lsn page.LSN) []byte {
+	zb, za := r.zeroImages()
+	return r.encode(b, lsn, zb, za)
 }
 
 // serialEncoding is the log format written the plain way: one record after
-// another, each behind its length and CRC.
+// another, each encoded at the offset it lands at, behind its CRC and length.
 func serialEncoding(img []byte, rec *Record) []byte {
-	body := rec.appendTo(nil)
-	img = binary.BigEndian.AppendUint32(img, uint32(len(body)))
-	img = binary.BigEndian.AppendUint32(img, page.Checksum(body))
-	return append(img, body...)
+	body := rec.appendTo(nil, page.LSN(len(img)))
+	framed := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	img = binary.BigEndian.AppendUint32(img, page.Checksum(framed))
+	return append(img, framed...)
 }
 
 // TestLogBytesIdenticalToSerialEncoding: the log buffer decides where bytes
 // wait, never what they are. A seeded history of mixed record sizes — enough
 // of it that records meet the end of a buffer at many fills, and one record
 // larger than a buffer — flushed at random points, leaves a file byte-identical
-// to the concatenation of the records' encodings, each at the LSN that gives.
+// to the concatenation of the records' encodings, each at the LSN that gives:
+// the references to earlier records each stores as a distance back from there
+// included.
 func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	l := NewMem()
@@ -124,6 +130,10 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 		}
 		want = serialEncoding(want, rec)
 	}
+	// An earlier LSN, or none: any number below the end of the log is one a
+	// record can refer to.
+	earlier := func() page.LSN { return page.LSN(rng.Intn(len(want))) }
+	tx := func() uint64 { return rng.Uint64() >> rng.Intn(64) }
 	total := 5 * logBufs * logBufSize
 	oversizeAt := total / 2
 	for len(want) < total {
@@ -132,14 +142,18 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 			oversizeAt = 0
 			add(&Record{Type: TCatalog, Body: blob})
 		case k == 0:
-			add(&Record{Type: TCommit, Tx: uint64(rng.Intn(9)), PrevLSN: page.LSN(rng.Intn(1 << 20))})
+			add(&Record{Type: TCommit, Tx: tx(), PrevLSN: earlier()})
 		case k == 1:
-			add(&Record{Type: TCheckpoint, DirtyPages: make([]CkptPage, rng.Intn(3000))})
+			dirty := make([]CkptPage, rng.Intn(3000))
+			for i := range dirty {
+				dirty[i] = CkptPage{Page: page.ID{Area: page.AreaID(rng.Intn(4)), Page: page.No(rng.Intn(1 << 20))}, RecLSN: earlier()}
+			}
+			add(&Record{Type: TCheckpoint, DirtyPages: dirty})
 		case k == 2:
 			add(&Record{Type: TCatalog, Body: blob[:rng.Intn(logBufSize/3)]})
 		case k < 6:
 			off := rng.Intn(page.Size - 128)
-			add(&Record{Type: TRedo, Tx: 3, Page: pid, Off: uint32(off), After: blob[off+1 : off+129]})
+			add(&Record{Type: TRedo, Tx: tx(), PrevLSN: earlier(), Page: pid, Off: uint32(off), After: blob[off+1 : off+129]})
 		default:
 			add(&Record{Type: TUpdate, Tx: 4, Page: pid, Before: blob[:page.Size], After: blob[page.Size : 2*page.Size]})
 		}
@@ -246,7 +260,7 @@ func TestLogBufferStress(t *testing.T) {
 					continue
 				}
 				if err := l.Flush(lsn); err == nil {
-					if end := int64(lsn) + int64(recHeaderSize+rec.encodedLen()); back.synced.Load() < end {
+					if end := int64(lsn) + int64(frameSize(rec.encodedLen(lsn))); back.synced.Load() < end {
 						t.Errorf("force of lsn %d acknowledged with %d bytes synced, record ends at %d", lsn, back.synced.Load(), end)
 					}
 				} else if !errors.Is(err, errFlaky) {
@@ -360,8 +374,8 @@ func TestReopenCutsDeadTail(t *testing.T) {
 	}
 	img := l.DurableBytes()
 	l.Close()
-	// The sector holding r3's header never made it.
-	for i := 0; i < recHeaderSize; i++ {
+	// The sector holding r3's CRC and length never made it.
+	for i := 0; i < crcSize+1; i++ {
 		img[int(lsns[2])+i] = 0xA5
 	}
 
@@ -425,7 +439,7 @@ func BenchmarkAppend(b *testing.B) {
 			}
 			defer l.Close()
 			rec := bc.rec
-			b.SetBytes(int64(recHeaderSize + rec.encodedLen()))
+			b.SetBytes(int64(frameSize(rec.encodedLen(firstLSN))))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

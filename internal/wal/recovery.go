@@ -86,7 +86,7 @@ func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
 			s = new(shipment)
 			r.held[rec.Tx] = s
 		}
-		rec.stamp(lsn)
+		rec.lsn = lsn
 		s.recs = append(s.recs, rec)
 	case TCommit:
 		if s != nil {
@@ -126,7 +126,7 @@ func (r *Replayer) release(s *shipment) error {
 		return nil
 	}
 	for _, rec := range s.recs {
-		if err := r.apply(rec.pending.lsn, rec, Logged{page: rec.Page, lsn: rec.pending.lsn}); err != nil {
+		if err := r.apply(rec.lsn, rec, Logged{page: rec.Page, lsn: rec.lsn}); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -202,12 +201,11 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 }
 
 // TestAnalyzePreparedAcrossCheckpoints: a transaction's status is its own last
-// record, wherever the last checkpoint falls. The log is one the builds before
-// this one wrote — the checkpoint lists the branch and the loser as active,
-// which those builds took for two losers — and a second, current checkpoint
-// follows: the branch prepared before both is in doubt with its last LSN, the
-// loser is a loser, and the transaction committed before both, its end record
-// lost, is a winner.
+// record, wherever the last checkpoint falls. Two checkpoints follow a
+// prepared branch, and one falls between a loser's records: after a crash the
+// branch prepared before both is in doubt with its last LSN, the loser is a
+// loser, and the transaction committed before both, its end record lost, is a
+// winner.
 func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	l := NewMem()
 	pA, pB := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}
@@ -216,16 +214,13 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	b, _ := l.Append(upd(2, 0, pB, 0, "B"))
 	prep, _ := l.Append(&Record{Type: TPrepare, Tx: 2, PrevLSN: b})
 	u, _ := l.Append(upd(3, 0, pA, 8, "L"))
-	l.Flush(0)
-	body := listingCheckpoint([][2]uint64{{2, uint64(prep)}, {3, uint64(u)}}, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
-	img := binary.BigEndian.AppendUint32(l.DurableBytes(), uint32(len(body)))
-	img = append(binary.BigEndian.AppendUint32(img, page.Checksum(body)), body...)
-	old, err := OpenMemFrom(img)
+	Checkpoint(l, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
+	last, _ := l.Append(upd(3, u, pA, 9, "M"))
+	ckpt, _ := Checkpoint(l, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
+	old, err := OpenMemFrom(l.DurableBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, _ := old.Append(upd(3, u, pA, 9, "M"))
-	ckpt, _ := Checkpoint(old, []CkptPage{{Page: pA, RecLSN: w}, {Page: pB, RecLSN: b}})
 
 	disk := newMemPager()
 	st, open, err := redoOn(old, disk)

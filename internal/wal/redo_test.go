@@ -16,8 +16,9 @@ func redo(tx uint64, prev page.LSN, pid page.ID, off uint32, after []byte) *Reco
 
 // TestRedoRecordHasNoUndoHalf: a TRedo record round-trips its redo half —
 // an anchor, a byte range, an all-zero image kept as its length — stores no
-// before-image, and costs a header 4 bytes smaller than an update's. It
-// carries a pending token, not a page store's proof.
+// before-image, and costs a header 2 bytes smaller than an update's at the same
+// LSN (no undo offset, no before-image length). It carries a pending token,
+// not a page store's proof.
 func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 4, Page: 77}
@@ -57,9 +58,10 @@ func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 		if fp.Before != 0 || fp.ZeroBefore != 0 {
 			t.Fatalf("record %d stores an undo half: %+v", i, fp)
 		}
-		update := &Record{Type: TUpdate, Tx: 1, Page: pid, Off: want.Off, After: want.After, Before: bytes.Repeat([]byte{1}, 10)}
-		if d := update.Footprint().Header - fp.Header; d != 4 {
-			t.Fatalf("a TRedo header is %d bytes smaller than an update's, want 4", d)
+		update := &Record{Type: TUpdate, Tx: 1, PrevLSN: want.PrevLSN, Page: pid, Off: want.Off, After: want.After, Before: bytes.Repeat([]byte{1}, 10)}
+		update.lsn = lsns[i]
+		if d := update.Footprint().Header - fp.Header; d != 2 {
+			t.Fatalf("a TRedo header is %d bytes smaller than an update's, want 2", d)
 		}
 	}
 	if got := TRedo.String(); got != "redo" {

@@ -9,6 +9,13 @@
 // ever belongs to a transaction that did not commit — no page is written
 // before its commit is durable (Durable) — so there is no undo: a loser is
 // ended by its abort record, and restart writes nothing for it.
+//
+// The log file is format version 5: every record is a CRC-32C, a varint body
+// length the CRC covers, and a body of varint fields (encode). A record names
+// the earlier LSNs it refers to — its transaction's previous record, a
+// checkpoint's recLSNs — by their distance back from its own LSN, so a record's
+// bytes depend on where it stands and Append sizes and encodes it under the
+// log mutex.
 package wal
 
 import (
@@ -17,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
@@ -34,7 +43,7 @@ const (
 	// code writes one, and no reader of page history takes one for a page
 	// change: the codec keeps it for the benchmark module's log probe.
 	TUpdate Type = iota + 1
-	_            // 2: retired (the compensation record); a v4 log holds none
+	_            // 2: retired (the compensation record); no log this build reads holds one
 	TCommit
 	TAbort // transaction rollback complete
 	TEnd   // transaction removed from the table (after commit or abort)
@@ -106,7 +115,7 @@ type Record struct {
 	// Catalog record: the rest of the record, as the server wrote it.
 	Body []byte
 
-	pending Pending // see Record.Pending
+	lsn page.LSN // where Append put the record, or the log it was read from holds it; 0 if neither
 }
 
 // Logged is proof that a record of Page is in the log, at LSN, and takes
@@ -130,11 +139,11 @@ func (p Logged) Page() page.ID { return p.page }
 func (p Logged) LSN() page.LSN { return p.lsn }
 
 // Pending is a redo-only record of a page in the log (TRedo), whose page
-// write is pending its transaction's commit: Append stamps it into the record
-// it has taken, and records read back from the log carry theirs
-// (Record.Pending). It is not a Logged, and no page store takes it: the
-// page's write waits for the transaction's commit record, not for this one.
-// Durable.Proof makes it a Logged once that record is durable.
+// write is pending its transaction's commit: a record Append has taken, or one
+// read back from the log, hands out its own (Record.Pending). It is not a
+// Logged, and no page store takes it: the page's write waits for the
+// transaction's commit record, not for this one. Durable.Proof makes it a
+// Logged once that record is durable.
 type Pending struct {
 	page page.ID
 	tx   uint64
@@ -146,7 +155,12 @@ func (r Pending) Page() page.ID { return r.page }
 
 // Pending returns r's redo-only token: zero until Append has taken r or
 // unless r was read from the log, and for every record that is not a TRedo.
-func (r *Record) Pending() Pending { return r.pending }
+func (r *Record) Pending() Pending {
+	if r.Type != TRedo || r.lsn == 0 {
+		return Pending{}
+	}
+	return Pending{page: r.Page, tx: r.Tx, lsn: r.lsn}
+}
 
 // Durable is proof that a transaction's commit record is durable. Only the
 // log makes one (Log.Durable), once its flushed frontier covers the record,
@@ -167,13 +181,6 @@ func (d Durable) Proof(r Pending) (Logged, error) {
 	return Logged{page: r.page, lsn: r.lsn}, nil
 }
 
-// stamp makes r, the record at lsn, carry its redo-only token.
-func (r *Record) stamp(lsn page.LSN) {
-	if r.Type == TRedo {
-		r.pending = Pending{page: r.Page, tx: r.Tx, lsn: lsn}
-	}
-}
-
 // WholePage reports whether r's redo image covers its entire page: such a
 // record anchors replay (restart redo, repair) whatever the page held before.
 func (r *Record) WholePage() bool { return r.Off == 0 && len(r.After) == page.Size }
@@ -184,9 +191,10 @@ var (
 	ErrClosed  = errors.New("wal: closed")
 	// ErrNotLogged is a page store's answer to the zero Logged.
 	ErrNotLogged = errors.New("wal: page store without a log record")
-	// ErrOffset is Append's answer to an Off or UndoOff the record's offset
-	// word cannot hold.
-	ErrOffset = errors.New("wal: record offset out of range")
+	// ErrUnencodable is Append's answer to a record the log could not read
+	// back: one whose PrevLSN or a recLSN is not behind it, or whose body is
+	// longer than maxBody.
+	ErrUnencodable = errors.New("wal: record cannot be encoded at the end of the log")
 	// ErrOldFormat is Open's answer to a log whose records an older build
 	// encoded differently.
 	ErrOldFormat = errors.New("wal: the log was written by an older build; this build cannot read it")
@@ -195,22 +203,54 @@ var (
 	ErrNotDurable = errors.New("wal: commit record not durable")
 )
 
-const recHeaderSize = 4 + 4 // length + crc
+// A record's frame: a CRC-32C of everything after it, then the body's length
+// as a uvarint. A body holds its type and three varints at least, and maxBody
+// bytes at most: a length outside that is no record's.
+const (
+	crcSize = 4
+	minBody = 4
+	maxBody = 1 << 26
+)
+
+// frameSize is the bytes a record with an n-byte body occupies in the log.
+func frameSize(n int) int { return crcSize + uvarintLen(uint64(n)) + n }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// A transaction id is its server's host number above bit txHostShift and a
+// counter below it (server.Server.NewTx). The codec stores the two as two
+// uvarints, the counter first: four bytes for any id among a server's first
+// two million, where the id as one uvarint takes seven for any host but 0.
+const txHostShift = 48
+
+func txSize(tx uint64) int {
+	return uvarintLen(tx&(1<<txHostShift-1)) + uvarintLen(tx>>txHostShift)
+}
+
+func appendTx(b []byte, tx uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, tx&(1<<txHostShift-1)), tx>>txHostShift)
+}
+
+// back is how the record at lsn stores a reference to the earlier LSN to: the
+// distance back to it, 0 for none. A record with no LSN yet (lsn 0) gets the
+// widest distance there is: what Append reserves before it knows where the
+// record goes.
+func back(lsn, to page.LSN) uint64 {
+	switch {
+	case to == 0:
+		return 0
+	case lsn == 0:
+		return math.MaxUint64
+	}
+	return uint64(lsn - to)
+}
 
 // A page record stores an image that is all zero — what a page nothing was
 // ever written to holds, what a zeroed range becomes — as its length alone,
-// with zeroImage set in the length word; decoding hands such an image back as
-// a slice of zeroes, so readers of a Record never see it. A TUpdate stores its
-// two offsets in one word, Off in the low half and UndoOff in the high half,
-// so offsets stop at maxOff; a TRedo's offset word holds Off alone, and it has
-// no before-image length.
-const (
-	offBits   = 16
-	maxOff    = 1<<offBits - 1
-	zeroImage = 1 << 31
-)
-
-// zeroes backs every image decoded from a length alone. Nothing writes to it.
+// with the low bit of the length field set; decoding hands such an image back
+// as a slice of zeroes, so readers of a Record never see it. zeroes backs
+// every image decoded from a length alone. Nothing writes to it.
 var zeroes [page.Size]byte
 
 // isZero reports whether img is stored as its length alone.
@@ -230,47 +270,70 @@ func (r *Record) zeroImages() (before, after bool) {
 	return false, false
 }
 
-// sizeOf is the exact size of r's body as encode writes it: what Append
-// reserves in the log buffer before it encodes.
-func (r *Record) sizeOf(zeroBefore, zeroAfter bool) int {
-	n := 1 + 8 + 8 // type, tx, prevLSN
+// imageSize is the bytes appendImage writes for img.
+func imageSize(img []byte, zero bool) int {
+	n := uvarintLen(uint64(len(img)) << 1)
+	if !zero {
+		n += len(img)
+	}
+	return n
+}
+
+// sizeAt is the exact size of r's body as encode writes it at lsn; at lsn 0,
+// the most it can be wherever it goes.
+func (r *Record) sizeAt(lsn page.LSN, zeroBefore, zeroAfter bool) int {
+	n := 1 + txSize(r.Tx) + uvarintLen(back(lsn, r.PrevLSN))
 	switch r.Type {
-	case TUpdate:
-		n += 4 + 8 + 4 + 4 + 4
-		if !zeroBefore {
-			n += len(r.Before)
+	case TUpdate, TRedo:
+		n += uvarintLen(uint64(r.Page.Area)) + uvarintLen(uint64(r.Page.Page)) + uvarintLen(uint64(r.Off))
+		if r.Type == TUpdate {
+			n += uvarintLen(uint64(r.UndoOff)) + imageSize(r.Before, zeroBefore)
 		}
-		if !zeroAfter {
-			n += len(r.After)
-		}
-	case TRedo:
-		n += 4 + 8 + 4 + 4
-		if !zeroAfter {
-			n += len(r.After)
-		}
+		n += imageSize(r.After, zeroAfter)
 	case TCheckpoint:
-		n += 4 + 4 + 20*len(r.DirtyPages)
+		n += uvarintLen(uint64(len(r.DirtyPages)))
+		for _, e := range r.DirtyPages {
+			n += uvarintLen(uint64(e.Page.Area)) + uvarintLen(uint64(e.Page.Page)) + uvarintLen(back(lsn, e.RecLSN))
+		}
 	case TCatalog:
 		n += len(r.Body)
 	}
 	return n
 }
 
+// latestRef is the latest LSN r refers to: r can stand only past it.
+func (r *Record) latestRef() page.LSN {
+	ref := r.PrevLSN
+	if r.Type == TCheckpoint {
+		for _, e := range r.DirtyPages {
+			ref = max(ref, e.RecLSN)
+		}
+	}
+	return ref
+}
+
 // Footprint says where the log's bytes for one record go.
 type Footprint struct {
-	Header int // length, CRC and every field that is not an image
+	Header int // CRC, length and every field that is not an image
 	Before int // undo image bytes stored
 	After  int // redo image bytes stored
 	// Image bytes not stored, the image being all zero and kept as its length.
 	ZeroBefore, ZeroAfter int
 }
 
-// Footprint measures r as Append encodes it.
+// Footprint measures r as the log holds it, at the LSN Append put it at or the
+// log was read from. A record the log has not taken has no LSN, and is measured
+// as Append reserves for it: every reference to an earlier record at its
+// widest.
 func (r *Record) Footprint() Footprint {
 	zb, za := r.zeroImages()
-	f := Footprint{Before: len(r.Before), After: len(r.After)}
-	if r.Type == TRedo {
-		f.Before = 0 // the codec writes no undo half
+	var f Footprint
+	switch r.Type {
+	case TUpdate:
+		f.Before = len(r.Before)
+		fallthrough
+	case TRedo:
+		f.After = len(r.After)
 	}
 	if zb {
 		f.Before, f.ZeroBefore = 0, len(r.Before)
@@ -278,46 +341,48 @@ func (r *Record) Footprint() Footprint {
 	if za {
 		f.After, f.ZeroAfter = 0, len(r.After)
 	}
-	f.Header = recHeaderSize + r.sizeOf(zb, za) - f.Before - f.After
+	f.Header = frameSize(r.sizeAt(r.lsn, zb, za)) - f.Before - f.After
 	return f
 }
 
-// appendImage writes one image: its length and bytes, or for an all-zero one
-// its flagged length.
+// appendImage writes one image: its length shifted left one and its bytes,
+// or for an all-zero one its length with the low bit set.
 func appendImage(b, img []byte, zero bool) []byte {
 	if zero {
-		return binary.BigEndian.AppendUint32(b, uint32(len(img))|zeroImage)
+		return binary.AppendUvarint(b, uint64(len(img))<<1|1)
 	}
-	return append(binary.BigEndian.AppendUint32(b, uint32(len(img))), img...)
+	return append(binary.AppendUvarint(b, uint64(len(img))<<1), img...)
 }
 
-// encode serializes r (excluding the length/crc header) onto b.
-func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
-	be := binary.BigEndian
+// encode appends the body of r, the record at lsn, to b: the type byte, then
+// uvarints and images.
+//
+//	tx           the counter, then the host (txHostShift)
+//	prev         back(lsn, PrevLSN)
+//	TRedo        area, page, off, the after-image (appendImage)
+//	TUpdate      area, page, off, undo off, the before-image, the after-image
+//	TCheckpoint  the number of dirty pages; for each, area, page, back(lsn, RecLSN)
+//	TCatalog     Body, to the end of the record
+func (r *Record) encode(b []byte, lsn page.LSN, zeroBefore, zeroAfter bool) []byte {
 	b = append(b, byte(r.Type))
-	b = be.AppendUint64(b, r.Tx)
-	b = be.AppendUint64(b, uint64(r.PrevLSN))
+	b = appendTx(b, r.Tx)
+	b = binary.AppendUvarint(b, back(lsn, r.PrevLSN))
 	switch r.Type {
-	case TUpdate:
-		b = be.AppendUint32(b, uint32(r.Page.Area))
-		b = be.AppendUint64(b, uint64(r.Page.Page))
-		b = be.AppendUint32(b, r.Off|r.UndoOff<<offBits)
-		b = appendImage(b, r.Before, zeroBefore)
-		b = appendImage(b, r.After, zeroAfter)
-	case TRedo:
-		b = be.AppendUint32(b, uint32(r.Page.Area))
-		b = be.AppendUint64(b, uint64(r.Page.Page))
-		b = be.AppendUint32(b, r.Off)
+	case TUpdate, TRedo:
+		b = binary.AppendUvarint(b, uint64(r.Page.Area))
+		b = binary.AppendUvarint(b, uint64(r.Page.Page))
+		b = binary.AppendUvarint(b, uint64(r.Off))
+		if r.Type == TUpdate {
+			b = binary.AppendUvarint(b, uint64(r.UndoOff))
+			b = appendImage(b, r.Before, zeroBefore)
+		}
 		b = appendImage(b, r.After, zeroAfter)
 	case TCheckpoint:
-		// The first word counts a list of (tx, last LSN) pairs that earlier
-		// builds wrote and restart no longer reads (decodeRecord skips it).
-		b = be.AppendUint32(b, 0)
-		b = be.AppendUint32(b, uint32(len(r.DirtyPages)))
+		b = binary.AppendUvarint(b, uint64(len(r.DirtyPages)))
 		for _, e := range r.DirtyPages {
-			b = be.AppendUint32(b, uint32(e.Page.Area))
-			b = be.AppendUint64(b, uint64(e.Page.Page))
-			b = be.AppendUint64(b, uint64(e.RecLSN))
+			b = binary.AppendUvarint(b, uint64(e.Page.Area))
+			b = binary.AppendUvarint(b, uint64(e.Page.Page))
+			b = binary.AppendUvarint(b, back(lsn, e.RecLSN))
 		}
 	case TCatalog:
 		b = append(b, r.Body...)
@@ -325,119 +390,122 @@ func (r *Record) encode(b []byte, zeroBefore, zeroAfter bool) []byte {
 	return b
 }
 
-// decodeRecord parses a record body. The record's Before, After and Body alias
-// b: logReader.next hands every record that leaves the package a buffer of its
-// own.
-func decodeRecord(b []byte) (*Record, error) {
-	if len(b) < 17 {
-		return nil, ErrCorrupt
-	}
-	r := &Record{Type: Type(b[0])}
-	r.Tx = binary.BigEndian.Uint64(b[1:9])
-	r.PrevLSN = page.LSN(binary.BigEndian.Uint64(b[9:17]))
-	p := b[17:]
-	u32 := func() (uint32, error) {
-		if len(p) < 4 {
-			return 0, ErrCorrupt
-		}
-		v := binary.BigEndian.Uint32(p[:4])
-		p = p[4:]
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(p) < 8 {
-			return 0, ErrCorrupt
-		}
-		v := binary.BigEndian.Uint64(p[:8])
-		p = p[8:]
-		return v, nil
-	}
+// decodeRecord parses the body of the record at lsn (> 0). The record's
+// Before, After and Body alias b: logReader.next hands every record that
+// leaves the package a buffer of its own. It takes nothing encode does not
+// write: a field that runs past the body, a number its field cannot hold, a
+// reference not behind lsn, or bytes left over are ErrCorrupt.
+func decodeRecord(b []byte, lsn page.LSN) (*Record, error) {
+	d := decoder{p: b}
+	r := &Record{Type: Type(d.byte())}
+	r.Tx = d.tx()
+	r.PrevLSN = d.ref(lsn)
 	switch r.Type {
 	case TUpdate, TRedo:
-		area, err := u32()
-		if err != nil {
-			return nil, err
+		r.Page = d.page()
+		r.Off = uint32(d.uvarint(math.MaxUint32))
+		if r.Type == TUpdate {
+			r.UndoOff = uint32(d.uvarint(math.MaxUint32))
+			r.Before = d.image()
 		}
-		pg, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		r.Page = page.ID{Area: page.AreaID(area), Page: page.No(pg)}
-		off, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		image := func() ([]byte, error) {
-			n, err := u32()
-			switch {
-			case err != nil:
-				return nil, err
-			case n&zeroImage != 0:
-				if n &^= zeroImage; n == 0 || int(n) > len(zeroes) {
-					return nil, ErrCorrupt
-				}
-				return zeroes[:n:n], nil
-			case int(n) > len(p):
-				return nil, ErrCorrupt
-			case n == 0:
-				return nil, nil
-			}
-			img := p[:n:n]
-			p = p[n:]
-			return img, nil
-		}
-		if r.Type == TRedo {
-			r.Off = off
-		} else {
-			r.Off, r.UndoOff = off&maxOff, off>>offBits
-			if r.Before, err = image(); err != nil {
-				return nil, err
-			}
-		}
-		if r.After, err = image(); err != nil {
-			return nil, err
-		}
+		r.After = d.image()
 	case TCheckpoint:
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n)*16 > uint64(len(p)) {
-			return nil, ErrCorrupt
-		}
-		p = p[n*16:]
-		n, err = u32()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint32(0); i < n; i++ {
-			area, err := u32()
-			if err != nil {
-				return nil, err
+		// An entry is three bytes at least, so the table is sized by a count
+		// the body can hold, never by whatever the count field says.
+		if n := d.uvarint(uint64(len(d.p)) / 3); n > 0 {
+			r.DirtyPages = make([]CkptPage, n)
+			for i := range r.DirtyPages {
+				pid := d.page()
+				r.DirtyPages[i] = CkptPage{Page: pid, RecLSN: d.ref(lsn)}
 			}
-			pg, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			l, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			r.DirtyPages = append(r.DirtyPages, CkptPage{
-				Page:   page.ID{Area: page.AreaID(area), Page: page.No(pg)},
-				RecLSN: page.LSN(l),
-			})
 		}
 	case TCatalog:
-		if len(p) > 0 {
-			r.Body = p[:len(p):len(p)]
+		if len(d.p) > 0 {
+			r.Body = d.p[:len(d.p):len(d.p)]
 		}
+		d.p = nil
 	case TCommit, TAbort, TEnd, TPrepare:
 		// header only
 	default:
+		d.bad = true
+	}
+	if d.bad || len(d.p) > 0 {
 		return nil, ErrCorrupt
 	}
 	return r, nil
+}
+
+// decoder reads a record body front to back. A read that does not fit marks it
+// bad and returns zero, as does every read after it; decodeRecord checks once,
+// at the end.
+type decoder struct {
+	p   []byte
+	bad bool
+}
+
+func (d *decoder) byte() byte {
+	if d.bad || len(d.p) == 0 {
+		d.bad = true
+		return 0
+	}
+	c := d.p[0]
+	d.p = d.p[1:]
+	return c
+}
+
+// uvarint reads a number of at most limit.
+func (d *decoder) uvarint(limit uint64) uint64 {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(d.p)
+	if n <= 0 || v > limit {
+		d.bad = true
+		return 0
+	}
+	d.p = d.p[n:]
+	return v
+}
+
+func (d *decoder) tx() uint64 {
+	counter := d.uvarint(1<<txHostShift - 1)
+	return counter | d.uvarint(math.MaxUint64>>txHostShift)<<txHostShift
+}
+
+// ref reads a reference from the record at lsn to an earlier LSN (back).
+func (d *decoder) ref(lsn page.LSN) page.LSN {
+	if b := d.uvarint(uint64(lsn) - 1); b != 0 {
+		return lsn - page.LSN(b)
+	}
+	return 0
+}
+
+func (d *decoder) page() page.ID {
+	area := page.AreaID(d.uvarint(math.MaxUint32))
+	return page.ID{Area: area, Page: page.No(d.uvarint(math.MaxUint64))}
+}
+
+// image reads an image: its stored bytes, aliasing the body, or for a length
+// alone that many zeroes.
+func (d *decoder) image() []byte {
+	v := d.uvarint(math.MaxUint64)
+	n := v >> 1
+	switch {
+	case v&1 != 0:
+		if n == 0 || n > page.Size {
+			d.bad = true
+			return nil
+		}
+		return zeroes[:n:n]
+	case n > uint64(len(d.p)):
+		d.bad = true
+		return nil
+	case n == 0:
+		return nil
+	}
+	img := d.p[:n:n]
+	d.p = d.p[n:]
+	return img
 }
 
 // Backing abstracts the durable medium behind the log buffer. Production
@@ -571,9 +639,11 @@ const firstLSN = page.LSN(8)
 // Version 2 split an update record's offset word in two and gave all-zero
 // images their flagged length; version 3 added the redo-only TRedo record;
 // version 4 dropped the compensation record and the undo-chain word of the
-// update record, so a version-3 log's records would misread. Older logs are
-// refused, not misread.
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 4}
+// update record; version 5 is the varint codec (encode), whose frame puts the
+// CRC first and the length under it. A version-4 record read as version 5
+// would fail its CRC, and the log would open as if it ended at its first
+// record: older logs are refused by name (ErrOldFormat), not misread.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 5}
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.
@@ -676,7 +746,7 @@ func (l *Log) init() error {
 // Before the evidence goes, the one thing it can show is recorded for Verify: a
 // broken record whose stored length leads to a record that checks out is rot in
 // the middle of history, not a tail lost to a crash. (A rotted record whose
-// length prefix was destroyed too cannot be told from a torn tail in a
+// length was destroyed too cannot be told from a torn tail in a
 // length-prefixed log.)
 //
 //bess:prepublish
@@ -685,9 +755,9 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 	if end >= size {
 		return nil
 	}
-	if n := r.bodyLen(page.LSN(end)); n > 0 {
-		if rec, _, _ := r.next(page.LSN(end+recHeaderSize+int64(n)), false); rec != nil {
-			l.lost = &page.CorruptError{Section: "wal", Off: end, Len: recHeaderSize + n, Err: ErrCorrupt}
+	if hdr, n := r.frame(page.LSN(end)); n > 0 {
+		if rec, _, _ := r.next(page.LSN(end+int64(hdr+n)), false); rec != nil {
+			l.lost = &page.CorruptError{Section: "wal", Off: end, Len: hdr + n, Err: ErrCorrupt}
 		}
 	}
 	zero := make([]byte, min(size-end, 1<<20))
@@ -702,34 +772,42 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 // Append buffers rec and returns its LSN. The record is durable only after
 // a Flush covering the LSN. rec is encoded before Append returns, so the
 // caller keeps ownership of every slice it points to. The record is encoded
-// in place, into the log buffer and under the lock: one copy of each image, no
-// allocation. The CRC runs under the lock as well: at the 21 GB/s the
-// benchmark's floor.crc32c_GBps row measures, a whole-page record's is 0.2 us
-// of hold time, not worth a reserve-then-fill protocol to move outside.
+// in place, into the log buffer and under the lock — where it has to be: its
+// references to earlier records are distances back from its own LSN. One copy
+// of each image, no allocation. The room reserved is the record's widest
+// encoding, since a reservation that waits for a sync round can see other
+// appends take the LSN that was next when it began. The CRC runs under the
+// lock as well: at the 21 GB/s the benchmark's floor.crc32c_GBps row measures,
+// a whole-page record's is 0.2 us of hold time, not worth a reserve-then-fill
+// protocol to move outside.
 //
 //bess:hotpath
 func (l *Log) Append(rec *Record) (page.LSN, error) {
-	if rec.Off > maxOff || rec.UndoOff > maxOff {
-		return 0, ErrOffset
-	}
 	zb, za := rec.zeroImages()
-	n := rec.sizeOf(zb, za)
+	widest := rec.sizeAt(0, zb, za)
+	if widest > maxBody {
+		return 0, ErrUnencodable
+	}
+	ref := rec.latestRef()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	slot, err := l.reserve(recHeaderSize + n)
+	if ref >= l.nextLSN {
+		return 0, ErrUnencodable
+	}
+	slot, err := l.reserve(frameSize(widest))
 	if err != nil {
 		return 0, err
 	}
+	lsn := l.nextLSN
 	b := l.bufs[slot]
 	at := len(b)
-	b = rec.encode(b[:at+recHeaderSize], zb, za)
-	binary.BigEndian.PutUint32(b[at:], uint32(n))
-	binary.BigEndian.PutUint32(b[at+4:], page.Checksum(b[at+recHeaderSize:]))
+	b = binary.AppendUvarint(b[:at+crcSize], uint64(rec.sizeAt(lsn, zb, za)))
+	b = rec.encode(b, lsn, zb, za)
+	binary.BigEndian.PutUint32(b[at:], page.Checksum(b[at+crcSize:]))
 	l.bufs[slot] = b
-	lsn := l.nextLSN
-	l.nextLSN += page.LSN(recHeaderSize + n)
+	l.nextLSN += page.LSN(len(b) - at)
 	l.appends++
-	rec.stamp(lsn)
+	rec.lsn = lsn
 	return lsn, nil
 }
 
@@ -945,17 +1023,22 @@ func (r *logReader) bytes(off int64, n int) []byte {
 	return r.win[i : i+n]
 }
 
-// bodyLen returns the body length the record header at lsn stores, 0 if no
-// header is there or the length is not one Append writes.
-func (r *logReader) bodyLen(lsn page.LSN) int {
-	hdr := r.bytes(int64(lsn), recHeaderSize)
-	if hdr == nil {
-		return 0
+// frame returns the size of the frame at lsn (CRC and length) and the body
+// length it stores; 0, 0 if no frame is there or the length is not one Append
+// writes. Nothing is checked against the CRC yet.
+func (r *logReader) frame(lsn page.LSN) (hdr, n int) {
+	if int64(lsn) >= r.limit {
+		return 0, 0
 	}
-	if n := binary.BigEndian.Uint32(hdr); n <= 1<<26 {
-		return int(n)
+	b := r.bytes(int64(lsn), int(min(crcSize+binary.MaxVarintLen32, r.limit-int64(lsn))))
+	if len(b) <= crcSize {
+		return 0, 0
 	}
-	return 0
+	v, k := binary.Uvarint(b[crcSize:])
+	if k <= 0 || v < minBody || v > maxBody {
+		return 0, 0
+	}
+	return crcSize + k, int(v)
 }
 
 // next decodes the record at lsn and returns the LSN after it. A nil record
@@ -964,23 +1047,23 @@ func (r *logReader) bodyLen(lsn page.LSN) int {
 // decodeRecord promises its callers; without, its images alias the window and
 // are gone with the next call.
 func (r *logReader) next(lsn page.LSN, own bool) (*Record, page.LSN, error) {
-	n := r.bodyLen(lsn)
+	hdr, n := r.frame(lsn)
 	if n == 0 {
 		return nil, lsn, nil
 	}
-	b := r.bytes(int64(lsn), recHeaderSize+n)
-	if b == nil || page.Checksum(b[recHeaderSize:]) != binary.BigEndian.Uint32(b[4:8]) {
+	b := r.bytes(int64(lsn), hdr+n)
+	if b == nil || page.Checksum(b[crcSize:]) != binary.BigEndian.Uint32(b) {
 		return nil, lsn, nil
 	}
-	body := b[recHeaderSize:]
+	body := b[hdr:]
 	if own {
 		body = bytes.Clone(body)
 	}
-	rec, err := decodeRecord(body)
+	rec, err := decodeRecord(body, lsn)
 	if err != nil {
 		return nil, lsn, fmt.Errorf("wal: record at lsn %d: %w", lsn, err)
 	}
-	rec.stamp(lsn)
+	rec.lsn = lsn
 	return rec, lsn + page.LSN(len(b)), nil
 }
 
@@ -1014,7 +1097,7 @@ func (l *Log) Verify() (VerifyStats, error) {
 		}
 		if rec == nil {
 			return st, &page.CorruptError{
-				Section: "wal", Off: int64(lsn), Len: recHeaderSize, Err: ErrCorrupt,
+				Section: "wal", Off: int64(lsn), Len: crcSize, Err: ErrCorrupt,
 			}
 		}
 		st.Records++

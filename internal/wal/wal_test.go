@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bess/internal/page"
@@ -59,13 +61,19 @@ func TestAppendFlushIterate(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: a checkpoint carries its dirty-page table. The
-// word before it counts a list of transactions that earlier builds wrote in
-// the same format version: written as 0, skipped when it is not, and a count
-// that runs past the record is ErrCorrupt, at once.
+// TestCheckpointRoundTrip: a checkpoint carries its dirty-page table and
+// nothing else — the count of its entries follows the record header, with no
+// transaction list ahead of it — each recLSN a distance back from the
+// checkpoint's own LSN. A count that runs past the record is ErrCorrupt, at
+// once, and a recLSN not behind the checkpoint is refused at Append.
 func TestCheckpointRoundTrip(t *testing.T) {
 	l := NewMem()
-	dirty := []CkptPage{{Page: page.ID{Area: 1, Page: 3}, RecLSN: 42}}
+	first, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 3}, 0, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := l.Append(upd(1, first, page.ID{Area: 7, Page: 1 << 40}, 0, "y"))
+	dirty := []CkptPage{{Page: page.ID{Area: 1, Page: 3}, RecLSN: first}, {Page: page.ID{Area: 7, Page: 1 << 40}, RecLSN: second}}
 	lsn, err := Checkpoint(l, dirty)
 	if err != nil {
 		t.Fatal(err)
@@ -77,32 +85,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec.DirtyPages, dirty) {
 		t.Fatalf("dirty pages: %+v", rec.DirtyPages)
 	}
-	body := rec.appendTo(nil)
-	if n := binary.BigEndian.Uint32(body[17:]); n != 0 {
-		t.Fatalf("transaction list count %d, want 0", n)
+	body := rec.appendTo(nil, lsn)
+	if !bytes.Equal(body[:5], []byte{byte(TCheckpoint), 0, 0, 0, 2}) {
+		t.Fatalf("checkpoint body starts %x: want the type, tx 0 (counter and host), no prev, and the count 2", body[:5])
+	}
+	entry := body[5:]
+	for _, want := range []uint64{1, 3, uint64(lsn - first)} { // area, page, recLSN's distance back
+		v, n := binary.Uvarint(entry)
+		if n <= 0 || v != want {
+			t.Fatalf("first entry's fields start %x: want %d", entry, want)
+		}
+		entry = entry[n:]
 	}
 
-	old := listingCheckpoint([][2]uint64{{5, 99}, {6, 120}}, dirty)
-	if rec, err := decodeRecord(old); err != nil || rec.Type != TCheckpoint || !reflect.DeepEqual(rec.DirtyPages, dirty) {
-		t.Fatalf("checkpoint listing transactions: %+v, %v", rec, err)
-	}
-	for _, n := range []uint32{uint32(len(old)-21)/16 + 1, 1 << 28, 1<<32 - 1} {
-		binary.BigEndian.PutUint32(old[17:], n)
-		if _, err := decodeRecord(old); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("list count %d past the record: %v", n, err)
+	for _, n := range []uint64{uint64(len(body)-5)/3 + 1, 1 << 28, math.MaxUint64} {
+		bad := append(binary.AppendUvarint(append([]byte(nil), body[:4]...), n), body[5:]...)
+		if _, err := decodeRecord(bad, lsn); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %d past the record: %v", n, err)
 		}
 	}
-}
-
-// listingCheckpoint is the body of a checkpoint record as the builds before
-// this one wrote it: a list of (tx, last LSN) pairs ahead of the dirty pages.
-func listingCheckpoint(txs [][2]uint64, dirty []CkptPage) []byte {
-	b := (&Record{Type: TCheckpoint, DirtyPages: dirty}).appendTo(nil)
-	list := binary.BigEndian.AppendUint32(nil, uint32(len(txs)))
-	for _, e := range txs {
-		list = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(list, e[0]), e[1])
+	if _, err := Checkpoint(l, []CkptPage{{Page: page.ID{Area: 1, Page: 3}, RecLSN: l.NextLSN()}}); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("checkpoint with a recLSN not behind it: %v, want ErrUnencodable", err)
 	}
-	return append(append(b[:17:17], list...), b[21:]...)
 }
 
 func TestDurableBytesExcludesTail(t *testing.T) {
@@ -249,43 +253,45 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 
 // TestZeroImageRoundTrip: an all-zero image is in the log as its length —
 // before-image, after-image, both, whole page or range — and comes back as
-// that many zeroes; the size Append reserves is the size encode writes; and a
-// record cut short, or whose flagged length is not one encode writes, is
-// corrupt, never a panic.
+// that many zeroes; the size Append reserves is the size encode writes, field
+// by field as format 5 lays it out; and a record cut short, or whose flagged
+// length is not one encode writes, is corrupt, never a panic.
 func TestZeroImageRoundTrip(t *testing.T) {
 	pid := page.ID{Area: 2, Page: 5}
 	some := bytes.Repeat([]byte{7}, 200)
 	for _, tc := range []struct {
 		name   string
 		rec    Record
+		fields int // bytes of the body that are not images
 		stored int // image bytes in the encoding
 	}{
-		{"range zeroed", Record{Type: TRedo, Page: pid, Off: 64, After: make([]byte, 200)}, 0},
-		{"anchor of a zeroed page", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size)}, 0},
-		{"nothing zero", Record{Type: TRedo, Page: pid, Off: 9, After: some}, 200},
-		{"zeroes longer than a page are stored", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size+1)}, page.Size + 1},
-		{"update of a fresh page", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, page.Size},
-		{"update, range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 200},
-		{"update, one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 1},
-		{"update, nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 400},
+		// The type, the tx (counter and host), prev, area, page and a one-byte
+		// offset are 7 bytes; an image length of 64 or more bytes, 2 (it is
+		// shifted left one, for the flag).
+		{"range zeroed", Record{Type: TRedo, Page: pid, Off: 64, After: make([]byte, 200)}, 7 + 2, 0},
+		{"anchor of a zeroed page", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size)}, 7 + 2, 0},
+		{"nothing zero", Record{Type: TRedo, Page: pid, Off: 9, After: some}, 7 + 2, 200},
+		{"a two-byte offset", Record{Type: TRedo, Page: pid, Off: page.Size - 1, After: []byte{5}}, 7 + 1 + 1, 1},
+		{"zeroes longer than a page are stored", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size+1)}, 7 + 2, page.Size + 1},
+		// An update adds its undo offset, and the before-image's length.
+		{"update of a fresh page", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, 8 + 2 + 2, page.Size},
+		{"update, range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 8 + 2 + 2, 200},
+		{"update, one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 8 + 1 + 1, 1},
+		{"update, nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 8 + 2 + 2, 400},
 	} {
 		rec := tc.rec
-		enc := rec.appendTo(nil)
-		if len(enc) != rec.encodedLen() {
-			t.Fatalf("%s: encodedLen %d, encoded %d bytes", tc.name, rec.encodedLen(), len(enc))
+		enc := rec.appendTo(nil, firstLSN)
+		if len(enc) != rec.encodedLen(firstLSN) {
+			t.Fatalf("%s: encodedLen %d, encoded %d bytes", tc.name, rec.encodedLen(firstLSN), len(enc))
 		}
-		fixed := 17 + 4 + 8 + 4 + 4 // header, page, offset word, after length
-		if rec.Type == TUpdate {
-			fixed += 4 // before length
+		if len(enc) != tc.fields+tc.stored {
+			t.Fatalf("%s: %d bytes encoded, want %d of fields and %d of images", tc.name, len(enc), tc.fields, tc.stored)
 		}
-		if len(enc) != fixed+tc.stored {
-			t.Fatalf("%s: %d bytes encoded, want %d of fields and %d of images", tc.name, len(enc), fixed, tc.stored)
-		}
-		if fp := rec.Footprint(); fp.Header+fp.Before+fp.After != recHeaderSize+len(enc) ||
+		if fp := rec.Footprint(); fp.Header+fp.Before+fp.After != frameSize(len(enc)) ||
 			fp.Before+fp.After != tc.stored || fp.ZeroBefore+fp.ZeroAfter != len(rec.Before)+len(rec.After)-tc.stored {
 			t.Fatalf("%s: footprint %+v of %d encoded bytes", tc.name, fp, len(enc))
 		}
-		got, err := decodeRecord(enc)
+		got, err := decodeRecord(enc, firstLSN)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -293,36 +299,29 @@ func TestZeroImageRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decoded %+v", tc.name, got)
 		}
 		for cut := 0; cut < len(enc); cut += max(1, len(enc)/64) {
-			if _, err := decodeRecord(enc[:cut]); !errors.Is(err, ErrCorrupt) {
+			if _, err := decodeRecord(enc[:cut], firstLSN); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s cut at %d of %d: %v, want ErrCorrupt", tc.name, cut, len(enc), err)
 			}
 		}
 	}
 	// Flagged lengths encode never writes: none, and more than a page.
-	enc := (&Record{Type: TRedo, Page: pid, After: make([]byte, 8)}).appendTo(nil)
-	for _, n := range []uint32{0, page.Size + 1, 1<<31 - 1} {
-		binary.BigEndian.PutUint32(enc[len(enc)-4:], n|zeroImage)
-		if _, err := decodeRecord(enc); !errors.Is(err, ErrCorrupt) {
+	enc := (&Record{Type: TRedo, Page: pid, After: make([]byte, 8)}).appendTo(nil, firstLSN)
+	for _, n := range []uint64{0, page.Size + 1, 1<<31 - 1} {
+		bad := binary.AppendUvarint(enc[:len(enc)-1:len(enc)-1], n<<1|1)
+		if _, err := decodeRecord(bad, firstLSN); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flagged length %d: %v, want ErrCorrupt", n, err)
 		}
 	}
 	if !bytes.Equal(zeroes[:], make([]byte, page.Size)) {
 		t.Fatal("something wrote to the shared zero page")
 	}
-	// An offset the record's offset word cannot hold is refused, not truncated.
-	l := NewMem()
-	defer l.Close()
-	for _, rec := range []*Record{{Type: TUpdate, Page: pid, Off: maxOff + 1, After: some}, {Type: TUpdate, Page: pid, UndoOff: 1 << 20, Before: some}} {
-		if _, err := l.Append(rec); !errors.Is(err, ErrOffset) {
-			t.Fatalf("Append with off %d, undo off %d: %v, want ErrOffset", rec.Off, rec.UndoOff, err)
-		}
-	}
 }
 
 // TestOldLogVersionRefused: a log whose header carries a version from before
-// the offset word was split, from before the redo-only record, or from before
-// the compensation record went, is refused by name, whatever its records look
-// like, and one from a later build is refused too.
+// the offset word was split, from before the redo-only record, from before
+// the compensation record went, or from before the varint codec, is refused
+// by name, whatever its records look like, and one from a later build is
+// refused too.
 func TestOldLogVersionRefused(t *testing.T) {
 	l := NewMem()
 	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "new"))
@@ -336,7 +335,7 @@ func TestOldLogVersionRefused(t *testing.T) {
 	if _, err := OpenMemFrom(img); err != nil {
 		t.Fatalf("reopening this build's own log: %v", err)
 	}
-	for _, v := range []byte{1, 2, 3} { // before the split offset word; before TRedo; with CLRs
+	for _, v := range []byte{1, 2, 3, 4} { // before the split offset word; before TRedo; with CLRs; fixed-width fields
 		img[7] = v
 		if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
 			t.Fatalf("version %d log: %v, want ErrOldFormat", v, err)
@@ -353,5 +352,150 @@ func TestOldLogVersionRefused(t *testing.T) {
 	}
 	if _, err := OpenFile(path); !errors.Is(err, ErrOldFormat) {
 		t.Fatalf("version 1 log file: %v, want ErrOldFormat", err)
+	}
+}
+
+// format4Log is a log as format 4 wrote it: version 4 in the header, then a
+// redo-only record of a 128-byte range and its commit, each behind a fixed
+// length word and the CRC of its body, every field fixed-width.
+func format4Log() []byte {
+	be := binary.BigEndian
+	img := []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 4}
+	frame := func(body []byte) {
+		img = be.AppendUint32(img, uint32(len(body)))
+		img = be.AppendUint32(img, page.Checksum(body))
+		img = append(img, body...)
+	}
+	redo := be.AppendUint64(be.AppendUint64([]byte{byte(TRedo)}, 1), 0) // type, tx, PrevLSN
+	redo = be.AppendUint64(be.AppendUint32(redo, 1), 7)                 // area, page
+	redo = be.AppendUint32(be.AppendUint32(redo, 640), 128)             // offset, image length
+	first := len(img)
+	frame(append(redo, bytes.Repeat([]byte{0xAB}, 128)...))
+	frame(be.AppendUint64(be.AppendUint64([]byte{byte(TCommit)}, 1), uint64(first)))
+	return img
+}
+
+// TestFormat4LogRefused: a log format 4 wrote is refused by name, before
+// anything is read past its header or written to it. Read as format 5 its
+// first record fails its CRC, so the log would open empty and the next append
+// would overwrite a committed transaction.
+func TestFormat4LogRefused(t *testing.T) {
+	img := format4Log()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenFile(path)
+	if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("opening a format-4 log: %v, want ErrOldFormat naming version 4", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("the refused log changed on disk (%v)", err)
+	}
+	if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("a format-4 log image: %v, want ErrOldFormat", err)
+	}
+
+	misread := append(append([]byte(nil), logMagic...), img[len(logMagic):]...)
+	l, err := OpenMemFrom(misread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.NextLSN() != firstLSN {
+		t.Fatalf("a format-4 body under a format-5 header opened with its end at %d", l.NextLSN())
+	}
+}
+
+// TestRecordCodecEdges is the format-5 round trip at the edges of every field:
+// tx 0 and the largest; no PrevLSN, one byte back and at FirstLSN; offsets 0
+// and page.Size-1; images of 0, 1 and page.Size bytes, stored and all-zero;
+// checkpoints of 0 and 3,000 pages; a catalog record larger than a log buffer.
+// Each is appended to a log — its references encoded as distances back from
+// where it lands — and read back field for field, its footprint the same both
+// ways; the footprints add up to the log; and each body cut short is
+// ErrCorrupt.
+func TestRecordCodecEdges(t *testing.T) {
+	l := NewMem()
+	defer l.Close()
+	pid := page.ID{Area: math.MaxUint32, Page: math.MaxInt64}
+	var want []*Record
+	var lsns []page.LSN
+	add := func(rec *Record) {
+		t.Helper()
+		lsn, err := l.Append(rec)
+		if err != nil {
+			t.Fatalf("append %+v: %v", rec.Type, err)
+		}
+		want, lsns = append(want, rec), append(lsns, lsn)
+	}
+	images := [][]byte{nil, {0x5A}, bytes.Repeat([]byte{0xC3}, page.Size), {0}, make([]byte, page.Size)}
+	for _, tx := range []uint64{0, math.MaxUint64} {
+		for _, prev := range []string{"none", "one byte back", "first"} {
+			for _, off := range []uint32{0, page.Size - 1} {
+				for i, img := range images {
+					var p page.LSN
+					switch prev {
+					case "one byte back":
+						p = l.NextLSN() - 1
+					case "first":
+						p = firstLSN
+					}
+					add(&Record{Type: TRedo, Tx: tx, PrevLSN: p, Page: pid, Off: off, After: img})
+					add(&Record{Type: TUpdate, Tx: tx, PrevLSN: p, Page: pid, Off: off, After: img,
+						UndoOff: page.Size - 1 - off, Before: images[len(images)-1-i]})
+				}
+			}
+		}
+		add(&Record{Type: TCommit, Tx: tx, PrevLSN: l.NextLSN() - 1})
+		add(&Record{Type: TEnd, Tx: tx})
+	}
+	add(&Record{Type: TCheckpoint})
+	dirty := make([]CkptPage, 3000)
+	for i := range dirty {
+		dirty[i] = CkptPage{Page: page.ID{Area: page.AreaID(i % 3), Page: page.No(i) << 30}, RecLSN: firstLSN + page.LSN(i)}
+	}
+	dirty[0].RecLSN, dirty[1].RecLSN = l.NextLSN()-1, 0
+	add(&Record{Type: TCheckpoint, DirtyPages: dirty})
+	add(&Record{Type: TCatalog, Body: bytes.Repeat([]byte("catalog!"), logBufSize/8+1)})
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+
+	i, total := 0, 0
+	if err := l.Iterate(0, func(lsn page.LSN, got *Record) error {
+		w := want[i]
+		if lsn != lsns[i] || got.Type != w.Type || got.Tx != w.Tx || got.PrevLSN != w.PrevLSN ||
+			got.Page != w.Page || got.Off != w.Off || got.UndoOff != w.UndoOff ||
+			!bytes.Equal(got.After, w.After) || !bytes.Equal(got.Before, w.Before) ||
+			!reflect.DeepEqual(got.DirtyPages, w.DirtyPages) || !bytes.Equal(got.Body, w.Body) {
+			t.Fatalf("record %d (%v at %d) came back as %+v", i, w.Type, lsn, got)
+		}
+		fp := got.Footprint()
+		if fp != w.Footprint() {
+			t.Fatalf("record %d: footprint %+v read back, %+v appended", i, fp, w.Footprint())
+		}
+		total += fp.Header + fp.Before + fp.After
+		if body := w.appendTo(nil, lsn); w.Type != TCatalog { // a catalog body cut short is a shorter body
+			for cut := 0; cut < len(body); cut += max(1, min(len(body)-1-cut, len(body)/128)) {
+				if _, err := decodeRecord(body[:cut], lsn); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("record %d cut at %d of %d: %v, want ErrCorrupt", i, cut, len(body), err)
+				}
+			}
+		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) || total != int(l.NextLSN()-firstLSN) {
+		t.Fatalf("%d of %d records read back; footprints add up to %d of %d bytes", i, len(want), total, l.NextLSN()-firstLSN)
+	}
+
+	// A reference the record cannot stand behind is refused, not wrapped.
+	for _, rec := range []*Record{{Type: TCommit, PrevLSN: l.NextLSN()}, {Type: TCheckpoint, DirtyPages: []CkptPage{{RecLSN: 1 << 62}}}} {
+		if _, err := l.Append(rec); !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("append of %v referring ahead: %v, want ErrUnencodable", rec.Type, err)
+		}
 	}
 }
