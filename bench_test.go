@@ -104,22 +104,6 @@ func BenchmarkE5LargeObject(b *testing.B) {
 	}
 }
 
-// E5 ablation: the user-provided size hint trades index size against edit
-// cost (paper §2.1: "hints about the potential size of the object").
-func BenchmarkE5AblationSegmentHint(b *testing.B) {
-	for _, hint := range []int64{1 << 20, 16 << 20, 256 << 20} {
-		b.Run(fmt.Sprintf("hint=%dMB", hint>>20), func(b *testing.B) {
-			var segs int
-			var writes int64
-			for i := 0; i < b.N; i++ {
-				segs, writes = bench.RunE5Ablation(8<<20, hint, 4096)
-			}
-			b.ReportMetric(float64(segs), "segments")
-			b.ReportMetric(float64(writes), "edit-seg-writes")
-		})
-	}
-}
-
 // --- E6: inter-transaction caching + callbacks (paper §3) ---
 
 func BenchmarkE6Callback(b *testing.B) {

@@ -70,3 +70,14 @@ func groupCall(p *pkg, call *ast.CallExpr, methods ...string) ast.Expr {
 	}
 	return sel.X
 }
+
+// isNamedIn reports whether t, pointer-stripped, is the type called name of a
+// package whose import path ends in pkgSuffix (fixtures carry stand-ins).
+func isNamedIn(t types.Type, pkgSuffix, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil &&
+		strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
+}

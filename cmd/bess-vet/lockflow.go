@@ -4,55 +4,45 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"slices"
 )
 
 // Event kinds produced by the lock-flow walk of one function. Each event
 // carries a snapshot of the locks the executing goroutine holds at that
-// point, so the analyzers (lockorder, guarded, defers) are straight-line
-// consumers with no flow logic of their own.
+// point, so the analyzers (guarded, defers) are straight-line consumers with
+// no flow logic of their own. Lock order is not among them: internal/lockcheck
+// checks it at run time under -tags invariants.
 type eventKind int
 
 const (
-	evAcquire    eventKind = iota // a Lock/RLock/successful TryLock
-	evCall                        // a call to a resolved module function
-	evAccess                      // a read or write of an annotated struct field
+	evAccess     eventKind = iota // a read or write of an annotated struct field
 	evExit                        // a return statement or fall-off-the-end
 	evBranchLeak                  // a lock held on some but not all branch paths
 )
 
 type heldLock struct {
 	name     string // instance identity, e.g. "s.areaMu", "l.mu"
-	class    string // declared class "reader.areaMu", "" if untyped/local
 	shared   bool   // held via RLock
 	deferred bool   // a defer guarantees the release
-	contract bool   // seeded from //bess:holds (caller owns the release)
+	contract bool   // seeded by an AssertHeld call (caller owns the release)
 	pos      token.Pos
 }
 
 type event struct {
-	kind   eventKind
-	pos    token.Pos
-	held   []heldLock // snapshot before the event takes effect
-	name   string     // acquire: instance; access: owner expr; branchLeak: instance
-	class  string     // acquire: lock class
-	shared bool       // acquire: RLock
-
-	callee   *types.Func // evCall
-	recvExpr string      // evCall: rendered receiver ("s.cat"), "" if none
-
+	kind  eventKind
+	pos   token.Pos
+	held  []heldLock // snapshot before the event takes effect
+	name  string     // access: owner expr; branchLeak: instance
 	field *types.Var // evAccess
 	write bool       // evAccess
-
-	inLit bool // evExit: exit of a function literal, not the function itself
+	inLit bool       // evExit: exit of a function literal, not the function itself
 }
 
 // flowResult is the per-function output of the walk.
 type flowResult struct {
-	fn     *types.Func
-	decl   *ast.FuncDecl
-	pkg    *pkg
-	events []event
+	fn        *types.Func
+	events    []event
+	contracts []string // locks the function asserts its caller holds
 }
 
 type fstate struct {
@@ -95,7 +85,6 @@ type flow struct {
 	dirs     *directives
 	res      *flowResult
 	exempt   map[types.Object]bool // locals still private to this function
-	contract map[string]bool       // lock names seeded by //bess:holds
 	litDepth int                   // >0 while walking a function literal body
 }
 
@@ -115,29 +104,13 @@ func flowsOf(p *pkg, dirs *directives) []*flowResult {
 // walkFunc runs the lock-flow analysis over one function declaration.
 func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
 	obj, _ := p.info.Defs[decl.Name].(*types.Func)
-	res := &flowResult{fn: obj, decl: decl, pkg: p}
+	res := &flowResult{fn: obj}
 	if decl.Body == nil {
 		return res
 	}
-	w := &flow{p: p, dirs: dirs, res: res, exempt: make(map[types.Object]bool), contract: make(map[string]bool)}
+	w := &flow{p: p, dirs: dirs, res: res, exempt: make(map[types.Object]bool)}
 	w.walk.h = w
-	st := &fstate{}
-	// //bess:holds mu seeds the state: the caller acquired recv.mu and will
-	// release it; the body may unlock/relock but must exit with it held.
-	if obj != nil {
-		if mu, ok := dirs.holds[obj]; ok && decl.Recv != nil && len(decl.Recv.List) > 0 && len(decl.Recv.List[0].Names) > 0 {
-			recv := decl.Recv.List[0].Names[0].Name
-			name := recv + "." + mu
-			w.contract[name] = true
-			st.held = append(st.held, heldLock{
-				name:     name,
-				class:    w.classOfRecvField(decl, mu),
-				contract: true,
-				pos:      decl.Pos(),
-			})
-		}
-	}
-	w.body(decl.Body, st)
+	w.body(decl.Body, &fstate{})
 	return res
 }
 
@@ -146,23 +119,6 @@ func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
 func (w *flow) body(b *ast.BlockStmt, st *fstate) {
 	if st, ended := w.walk.block(b, st); !ended {
 		w.exit(b.End(), st)
-	}
-}
-
-// classOfRecvField resolves "TypeName.mu" for a //bess:holds seed.
-func (w *flow) classOfRecvField(decl *ast.FuncDecl, mu string) string {
-	t := decl.Recv.List[0].Type
-	for {
-		switch n := t.(type) {
-		case *ast.StarExpr:
-			t = n.X
-		case *ast.IndexExpr: // generic receiver, not used here
-			t = n.X
-		case *ast.Ident:
-			return n.Name + "." + mu
-		default:
-			return ""
-		}
 	}
 }
 
@@ -232,16 +188,13 @@ func (w *flow) baseObject(e ast.Expr) types.Object {
 }
 
 type lockOp struct {
-	recv    ast.Expr
-	name    string // rendered instance
-	class   string // "Type.field" when the receiver is a struct field
-	method  string // Lock, RLock, Unlock, RUnlock, TryLock, TryRLock
-	variant string // "sync" or "lockcheck"
+	name   string // rendered instance
+	method string // Lock, RLock, Unlock, RUnlock, TryLock, TryRLock, AssertHeld
 }
 
 var lockMethods = map[string]bool{
 	"Lock": true, "RLock": true, "Unlock": true,
-	"RUnlock": true, "TryLock": true, "TryRLock": true,
+	"RUnlock": true, "TryLock": true, "TryRLock": true, "AssertHeld": true,
 }
 
 // asLockOp classifies call as an operation on a sync or lockcheck mutex.
@@ -250,59 +203,32 @@ func (w *flow) asLockOp(call *ast.CallExpr) *lockOp {
 	if !ok || !lockMethods[sel.Sel.Name] {
 		return nil
 	}
-	tv, ok := w.p.info.Types[sel.X]
-	if !ok {
-		return nil
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	obj := named.Obj()
-	variant := ""
-	if obj.Pkg() != nil {
-		switch {
-		case obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex"):
-			variant = "sync"
-		case strings.HasSuffix(obj.Pkg().Path(), "internal/lockcheck") && (obj.Name() == "Mutex" || obj.Name() == "RWMutex"):
-			variant = "lockcheck"
+	t := w.p.info.TypeOf(sel.X)
+	for _, path := range []string{"sync", "internal/lockcheck"} {
+		if isNamedIn(t, path, "Mutex") || isNamedIn(t, path, "RWMutex") {
+			return &lockOp{name: render(sel.X), method: sel.Sel.Name}
 		}
 	}
-	if variant == "" {
-		return nil
-	}
-	op := &lockOp{recv: sel.X, name: render(sel.X), method: sel.Sel.Name, variant: variant}
-	// Lock class: the receiver is a named field of some struct — the struct
-	// that declares it, so a field promoted through an embedded struct has
-	// one class however it is reached.
-	if fieldSel, ok := sel.X.(*ast.SelectorExpr); ok {
-		if s, ok := w.p.info.Selections[fieldSel]; ok && s.Kind() == types.FieldVal {
-			owner := s.Recv()
-			for _, i := range s.Index()[:len(s.Index())-1] {
-				if ptr, ok := owner.Underlying().(*types.Pointer); ok {
-					owner = ptr.Elem()
-				}
-				owner = owner.Underlying().(*types.Struct).Field(i).Type()
-			}
-			if n := namedOf(owner); n != nil {
-				op.class = n.Obj().Name() + "." + fieldSel.Sel.Name
-			}
-		}
-	}
-	return op
+	return nil
 }
 
 func (w *flow) applyAcquire(op *lockOp, pos token.Pos, st *fstate) {
 	shared := op.method == "RLock" || op.method == "TryRLock"
-	w.res.events = append(w.res.events, event{
-		kind: evAcquire, pos: pos, held: w.snap(st),
-		name: op.name, class: op.class, shared: shared,
-	})
-	st.held = append(st.held, heldLock{name: op.name, class: op.class, shared: shared, contract: w.contract[op.name], pos: pos})
+	st.held = append(st.held, heldLock{name: op.name, shared: shared, contract: slices.Contains(w.res.contracts, op.name), pos: pos})
+}
+
+// applyAssert seeds the state from x.mu.AssertHeld(): the caller acquired
+// x.mu and will release it; the body may unlock and relock it but must exit
+// with it held. An assertion of a lock the function took itself adds nothing,
+// and one in a function literal binds only the literal's body.
+func (w *flow) applyAssert(op *lockOp, pos token.Pos, st *fstate) {
+	if st.find(op.name) >= 0 {
+		return
+	}
+	if w.litDepth == 0 && !slices.Contains(w.res.contracts, op.name) {
+		w.res.contracts = append(w.res.contracts, op.name)
+	}
+	st.held = append(st.held, heldLock{name: op.name, contract: true, pos: pos})
 }
 
 func (w *flow) applyRelease(op *lockOp, st *fstate) {
@@ -331,6 +257,8 @@ func (w *flow) expr(e ast.Expr, st *fstate, write bool) {
 				w.applyAcquire(op, n.Pos(), st)
 			case "Unlock", "RUnlock":
 				w.applyRelease(op, st)
+			case "AssertHeld":
+				w.applyAssert(op, n.Pos(), st)
 			}
 			return
 		}
@@ -340,7 +268,6 @@ func (w *flow) expr(e ast.Expr, st *fstate, write bool) {
 			w.expr(n.Args[1], st, false)
 			return
 		}
-		w.emitCall(n, st)
 		for _, a := range n.Args {
 			w.expr(a, st, false)
 		}
@@ -398,21 +325,6 @@ func (w *flow) expr(e ast.Expr, st *fstate, write bool) {
 	case *ast.KeyValueExpr:
 		w.expr(n.Value, st, false)
 	}
-}
-
-func (w *flow) emitCall(call *ast.CallExpr, st *fstate) {
-	fn := calleeOf(w.p, call)
-	if fn == nil {
-		return
-	}
-	var recvExpr string
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recvExpr = render(sel.X)
-	}
-	w.res.events = append(w.res.events, event{
-		kind: evCall, pos: call.Pos(), held: w.snap(st),
-		callee: fn, recvExpr: recvExpr,
-	})
 }
 
 // emitAccess reports a field read/write when the field carries a
@@ -487,8 +399,6 @@ func (w *flow) spawn(n *ast.GoStmt, st *fstate) {
 		w.litDepth++
 		w.body(fl.Body, &fstate{})
 		w.litDepth--
-	} else {
-		w.emitCall(n.Call, &fstate{})
 	}
 	for _, a := range n.Call.Args {
 		w.expr(a, st, false)
@@ -519,7 +429,6 @@ func (w *flow) deferred(n *ast.DeferStmt, st *fstate) {
 		})
 		return
 	}
-	w.emitCall(n.Call, st)
 	for _, a := range n.Call.Args {
 		w.expr(a, st, false)
 	}
@@ -577,24 +486,4 @@ func (w *flow) rejoin(pos token.Pos, a, b *fstate) {
 	}
 	report(a, b)
 	report(b, a)
-}
-
-// isNamedIn reports whether t, pointer-stripped, is the type called name of a
-// package whose import path ends in pkgSuffix (fixtures carry stand-ins).
-func isNamedIn(t types.Type, pkgSuffix, name string) bool {
-	n := namedOf(t)
-	return n != nil && n.Obj().Name() == name && n.Obj().Pkg() != nil &&
-		strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
-}
-
-// namedOf strips pointers and returns the *types.Named beneath, if any.
-func namedOf(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

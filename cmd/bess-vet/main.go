@@ -1,14 +1,15 @@
 // Command bess-vet is BeSS's project-specific static analyzer. It enforces
-// the invariants that go vet and the race detector cannot see:
+// the invariants that go vet, the race detector and the invariants build
+// cannot see. Each property has one checker: lock order, and a function's
+// "caller holds mu" contract (mu.AssertHeld), are internal/lockcheck's at run
+// time under -tags invariants, and allocation budgets are AllocsPerRun tests.
 //
-//   - lockorder: nested lock acquisitions across the call graph must follow
-//     the hierarchy the lockcheck Init calls declare — mu.Init("Type.field",
-//     rank), the same constants the runtime checker enforces.
 //   - durability: error results of Sync/Close/Write/Append/Flush on files,
 //     the WAL, and storage areas must not be silently dropped or shadowed.
 //   - guarded: struct fields annotated `// guarded by <mu>` may only be
 //     touched with that mutex held (writes need the exclusive lock).
-//   - defers: every Lock/RLock is paired with an Unlock on every exit path.
+//   - defers: every Lock/RLock is paired with an Unlock on every exit path,
+//     and a function that calls mu.AssertHeld() returns with mu held.
 //   - atomicmix: atomic access is a property of a variable's type — any call
 //     of sync/atomic's package-level Load/Store/Add/Swap/CompareAndSwap
 //     functions is a finding; use atomic.Int64 and friends.
@@ -18,29 +19,19 @@
 //   - chanflow: channel protocol discipline — no double-close or
 //     send-after-close on any path, no unbuffered sends from a Group.Go
 //     literal without a select escape.
-//   - hotalloc: per-op heap allocations in //bess:hotpath functions (make,
-//     nil-base append clones, string<->[]byte conversions, closures,
-//     interface boxing) must be pooled, hoisted, or waived with
-//     //bess:hotpath ignore=<reason>.
 //   - directive: a //bess: comment with an unknown verb or a malformed
 //     argument is itself a finding — typos must not silently disable
-//     checking — and so is a lock hierarchy that ranks two classes alike or
-//     declares a rank no lock is initialised with.
+//     checking.
 //
 // Usage:
 //
 //	go run ./cmd/bess-vet ./...
 //	go run ./cmd/bess-vet -json ./internal/... ./cmd/...
-//	go vet -vettool=$(which bess-vet) ./...
 //
 // Exits 1 when any finding is reported, 2 on loader errors. With -json the
 // findings are printed as a JSON array (empty array when clean) instead of
-// the line-oriented report. The third form is the go vet tool protocol:
-// when invoked by the go command (with -V=full, or with a single *.cfg
-// argument) bess-vet answers the unit-checker handshake, analyzes the
-// package the config describes, and reports findings for its files only —
-// see vettool.go. The tool is stdlib-only (go/parser, go/types with the
-// source importer): it needs no build cache and no external binaries.
+// the line-oriented report. The tool is stdlib-only (go/parser, go/types with
+// the source importer): it needs no build cache and no external binaries.
 package main
 
 import (
@@ -53,11 +44,6 @@ import (
 )
 
 func main() {
-	// go vet tool protocol: `go vet -vettool=bess-vet` invokes the tool with
-	// -V=full (version handshake) or a single <unit>.cfg argument.
-	if runVettool(os.Args[1:]) {
-		return
-	}
 	var (
 		dir     = flag.String("C", ".", "module directory to analyze")
 		only    = flag.String("only", "", "comma-separated analyzer subset ("+strings.Join(analyzerNames, ",")+")")
@@ -117,9 +103,9 @@ func main() {
 	}
 }
 
-// analyzerNames are the eight analyzers plus the directive check, in the
-// order run applies them; -only takes any subset.
-var analyzerNames = []string{"directive", "lockorder", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow", "hotalloc"}
+// analyzerNames are the six analyzers plus the directive check, in the order
+// run applies them; -only takes any subset.
+var analyzerNames = []string{"directive", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow"}
 
 // run loads the module rooted at (or above) dir and applies the selected
 // analyzers to the packages matching patterns.
@@ -166,14 +152,11 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 			r.report(b.pos, "directive", "%s", b.msg)
 		}
 	}
-	if enabled["lockorder"] {
-		analyzeLockOrder(flows, dirs, r)
-	}
 	if enabled["guarded"] {
 		analyzeGuarded(flows, dirs, r)
 	}
 	if enabled["defers"] {
-		analyzeDefers(flows, dirs, r)
+		analyzeDefers(flows, r)
 	}
 	if enabled["durability"] {
 		analyzeDurability(pkgs, r)
@@ -186,9 +169,6 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	}
 	if enabled["chanflow"] {
 		analyzeChanFlow(pkgs, r)
-	}
-	if enabled["hotalloc"] {
-		analyzeHotAlloc(pkgs, dirs, r)
 	}
 	return r.sorted(), nil
 }

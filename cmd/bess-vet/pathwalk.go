@@ -3,7 +3,6 @@ package main
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -205,20 +204,3 @@ func callTerminates(call *ast.CallExpr) bool {
 	}
 	return false
 }
-
-// funcOf resolves a function expression — f, pkg.F, x.Method — to its
-// *types.Func, nil when it is not a static reference to one.
-func funcOf(p *pkg, e ast.Expr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj = p.info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-// calleeOf resolves a call expression to its *types.Func, if static.
-func calleeOf(p *pkg, call *ast.CallExpr) *types.Func { return funcOf(p, call.Fun) }

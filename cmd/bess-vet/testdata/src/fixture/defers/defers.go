@@ -5,6 +5,8 @@ package defers
 import (
 	"errors"
 	"sync"
+
+	"fixture/internal/lockcheck"
 )
 
 // T carries one plain and one reader/writer lock.
@@ -68,3 +70,47 @@ func (t *T) TryOK() bool {
 	t.v++
 	return true
 }
+
+// Reg keeps a count under a rank-checked lock whose helpers run under their
+// callers' hold: AssertHeld is the contract, and an exit that gives the lock
+// up breaks it.
+type Reg struct {
+	mu lockcheck.Mutex
+	n  int // guarded by mu
+}
+
+// Bump holds r.mu across the helper.
+func (r *Reg) Bump() {
+	r.mu.Lock()
+	r.bumpLocked()
+	r.mu.Unlock()
+}
+
+// bumpLocked touches the guarded count under its caller's hold.
+func (r *Reg) bumpLocked() {
+	r.mu.AssertHeld()
+	r.n++
+}
+
+// waitLocked drops r.mu around a wait and takes it back before it returns.
+func (r *Reg) waitLocked(ch chan struct{}) {
+	r.mu.AssertHeld()
+	r.mu.Unlock()
+	<-ch
+	r.mu.Lock()
+	r.n++
+}
+
+// resetLocked returns without the lock its caller holds.
+func (r *Reg) resetLocked() {
+	r.mu.AssertHeld()
+	r.n = 0
+	r.mu.Unlock()
+} // want defers
+
+// LeakAfterAssert is the plain leak: the helper's own Lock is not covered
+// by a contract it does not state.
+func (r *Reg) LeakAfterAssert(ch chan struct{}) {
+	r.mu.Lock()
+	r.waitLocked(ch)
+} // want defers

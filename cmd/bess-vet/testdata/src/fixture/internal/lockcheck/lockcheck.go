@@ -1,6 +1,6 @@
 // Package lockcheck is a fixture stand-in for bess/internal/lockcheck: the
-// analyzers recognize Mutex and Rank by name and package-path suffix, and
-// learn a lock class's rank from its Init call.
+// analyzers recognize Mutex by name and package-path suffix, and read a
+// mu.AssertHeld() call as the function's "caller holds mu" contract.
 package lockcheck
 
 import "sync"
@@ -13,3 +13,6 @@ type Mutex struct{ sync.Mutex }
 
 // Init names the lock and assigns its rank.
 func (m *Mutex) Init(name string, rank Rank) {}
+
+// AssertHeld states that the caller holds m.
+func (m *Mutex) AssertHeld() {}

@@ -95,8 +95,10 @@ func TestAnalyzerSubset(t *testing.T) {
 		t.Fatal("guarded fixtures produced no findings")
 	}
 	// A name -only does not know selects nothing, silently, unless it is
-	// refused: the two analyzers that became types are gone by name too.
-	for _, gone := range []string{"poollife", "guarded,lockfree"} {
+	// refused: the analyzers that became types (poollife, lockfree), the
+	// lock order lockcheck checks at run time and the allocation budgets
+	// AllocsPerRun tests pin are gone by name too.
+	for _, gone := range []string{"poollife", "guarded,lockfree", "lockorder", "hotalloc"} {
 		if _, err := run(root, []string{"./..."}, gone); err == nil {
 			t.Errorf("-only=%s accepted", gone)
 		}

@@ -392,9 +392,6 @@ func (a *Area) Pages() page.No {
 	return extentStart(len(a.extents))
 }
 
-// Growable reports whether the area may expand by adding extents.
-func (a *Area) Growable() bool { return a.growable }
-
 // ReadPage reads page p into buf, which must be page.Size bytes.
 func (a *Area) ReadPage(p page.No, buf []byte) error {
 	if len(buf) != page.Size {
@@ -566,18 +563,6 @@ func (a *Area) EnsureSegment(start page.No, nPages int) error {
 		return fmt.Errorf("area: ensure segment at page %d order %d: %w", start, k, err)
 	}
 	return a.persistExtent(e)
-}
-
-// SegmentPages returns the granted size of the live segment at start.
-func (a *Area) SegmentPages(start page.No) (int, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e, off, err := a.locate(start)
-	if err != nil {
-		return 0, false
-	}
-	sz, ok := a.extents[e].BlockSize(off)
-	return int(sz), ok
 }
 
 func (a *Area) locate(p page.No) (extent int, offset int64, err error) {

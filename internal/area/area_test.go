@@ -23,8 +23,8 @@ func TestMemCreateGeometry(t *testing.T) {
 	if a.Pages() != page.No(1+2*page.PerExtent) {
 		t.Fatalf("Pages = %d", a.Pages())
 	}
-	if a.Growable() {
-		t.Fatal("non-growable area reports growable")
+	if a.growable {
+		t.Fatal("non-growable area is growable")
 	}
 }
 
@@ -133,13 +133,13 @@ func TestFreeSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := a.SegmentPages(s); !ok || n != granted {
-		t.Fatalf("SegmentPages = (%d,%v)", n, ok)
+	if n, ok := segmentPages(a, s); !ok || n != granted {
+		t.Fatalf("segmentPages = (%d,%v)", n, ok)
 	}
 	if err := a.FreeSegment(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.SegmentPages(s); ok {
+	if _, ok := segmentPages(a, s); ok {
 		t.Fatal("freed segment still live")
 	}
 	if err := a.FreeSegment(s); err != ErrNotSegment {
@@ -194,7 +194,7 @@ func TestFilePersistence(t *testing.T) {
 		t.Fatalf("reopened ID = %d", b.ID())
 	}
 	for i, sg := range segs {
-		n, ok := b.SegmentPages(sg.start)
+		n, ok := segmentPages(b, sg.start)
 		if i == 3 || i == 7 {
 			if ok {
 				t.Fatalf("segment %d should be free after reopen", i)
@@ -494,7 +494,7 @@ func TestEnsureSegment(t *testing.T) {
 		for k < r.pages {
 			k *= 2
 		}
-		if n, live := b.SegmentPages(r.start); !live || n != k {
+		if n, live := segmentPages(b, r.start); !live || n != k {
 			t.Fatalf("block at %d: %d pages, live %v; want %d", r.start, n, live, k)
 		}
 	}
@@ -539,4 +539,16 @@ func TestEnsureSegment(t *testing.T) {
 	if err := fixed.EnsureSegment(extentStart(1)+1, 1); err != ErrOutOfRange {
 		t.Fatalf("a block beyond a fixed-size area: %v", err)
 	}
+}
+
+// segmentPages is the granted size of the live segment at start.
+func segmentPages(a *Area, start page.No) (int, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	e, off, err := a.locate(start)
+	if err != nil {
+		return 0, false
+	}
+	sz, ok := a.extents[e].BlockSize(off)
+	return int(sz), ok
 }

@@ -43,7 +43,6 @@ type OIDObject struct {
 type OIDTable struct {
 	mu      sync.RWMutex
 	objects map[oid.OID]*OIDObject
-	lookups int64
 }
 
 // NewOIDTable returns an empty table.
@@ -62,16 +61,8 @@ func (t *OIDTable) Put(id oid.OID, o *OIDObject) {
 func (t *OIDTable) Deref(id oid.OID) (*OIDObject, bool) {
 	t.mu.RLock()
 	o, ok := t.objects[id]
-	t.lookups++
 	t.mu.RUnlock()
 	return o, ok
-}
-
-// Lookups reports the number of dereferences performed.
-func (t *OIDTable) Lookups() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookups
 }
 
 // Chase follows ref field `field` from id for n hops, returning the final
@@ -139,10 +130,6 @@ type SoftwareDetect struct {
 	// Locks tallies exclusive lock requests; conservative passes request X
 	// even for read-only uses.
 	Locks int64
-	// MissedUpdates counts writes performed without a MarkDirty call — the
-	// "forgetting to invoke the function" failure mode (§2.3). The test
-	// harness injects these.
-	MissedUpdates int64
 }
 
 // NewSoftwareDetect returns an empty tracker.
@@ -172,28 +159,9 @@ func (d *SoftwareDetect) PassPointer(seg swizzle.SegID, pageIdx int) {
 	d.mu.Unlock()
 }
 
-// UnmarkedWrite records a write the programmer forgot to flag; its effects
-// would be lost or corrupted in the software scheme.
-func (d *SoftwareDetect) UnmarkedWrite() {
-	d.mu.Lock()
-	d.MissedUpdates++
-	d.mu.Unlock()
-}
-
 // Dirty reports whether (seg, pageIdx) was marked.
 func (d *SoftwareDetect) Dirty(seg swizzle.SegID, pageIdx int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dirty[seg][pageIdx]
-}
-
-// WriteSetSize returns the number of marked pages.
-func (d *SoftwareDetect) WriteSetSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, set := range d.dirty {
-		n += len(set)
-	}
-	return n
 }

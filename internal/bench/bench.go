@@ -404,28 +404,6 @@ func RunE5(size int64, editBytes int) E5Result {
 	}
 }
 
-// RunE5Ablation repeats the E5 edit with an explicit segment-size hint —
-// the design choice §2.1 exposes to users ("hints about the potential size
-// of the object can be provided"). Smaller segments mean cheaper edits but
-// more index entries.
-func RunE5Ablation(size int64, hintBytes int64, editBytes int) (segments int, treeWrites int64) {
-	st := newMemAreaStore()
-	o, err := largeobj.Create(st, hintBytes)
-	must(err)
-	chunk := make([]byte, 1<<16)
-	for written := int64(0); written < size; written += int64(len(chunk)) {
-		n := size - written
-		if n > int64(len(chunk)) {
-			n = int64(len(chunk))
-		}
-		must(o.Append(chunk[:n]))
-	}
-	_, w0, _, _ := o.Stats()
-	must(o.Insert(size/2+1, make([]byte, editBytes))) // off-boundary: forces a split
-	_, w1, _, _ := o.Stats()
-	return o.Segments(), w1 - w0
-}
-
 type memAreaStore struct {
 	next page.No
 	segs map[page.No][]byte
@@ -792,10 +770,4 @@ func RunE10(ops, order int, seed int64) E10Result {
 		Coalesces:   a.Coalesces(),
 		Failures:    fail,
 	}
-}
-
-// FormatE3 renders an E3 row.
-func FormatE3(r E3Result) string {
-	return fmt.Sprintf("segs=%-5d touched=%-5d lazy-reserved=%-6d lazy-mapped=%-6d eager-reserved=%-6d fetches=%d",
-		r.Segments, r.TouchedSegs, r.LazyReserved, r.LazyMapped, r.EagerReserved, r.SlottedFetches)
 }

@@ -111,9 +111,3 @@ func TestE10HighUtilization(t *testing.T) {
 		t.Fatalf("utilization %.2f", r.Utilization)
 	}
 }
-
-func TestFormatE3(t *testing.T) {
-	if FormatE3(RunE3(10, 0.5)) == "" {
-		t.Fatal("empty format")
-	}
-}

@@ -36,14 +36,6 @@ func RunE11(clients, commitsPerClient int) E11Result {
 	return runE11(clients, commitsPerClient, 0)
 }
 
-// RunE11Scrubbed is RunE11 with the background scrubber passing over the
-// catalog at the given interval for the whole run. Comparing it against
-// RunE11 measures the scrubber's overhead on the commit path (the E19
-// acceptance wants it inside noise).
-func RunE11Scrubbed(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
-	return runE11(clients, commitsPerClient, scrubEvery)
-}
-
 func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 	dir, err := os.MkdirTemp("", "bess-e11-")
 	must(err)

@@ -25,12 +25,7 @@ func TestScrubOverhead(t *testing.T) {
 	}
 
 	e11 := func(scrub time.Duration) func() float64 {
-		return func() float64 {
-			if scrub > 0 {
-				return RunE11Scrubbed(4, 150, scrub).Seconds
-			}
-			return RunE11(4, 150).Seconds
-		}
+		return func() float64 { return runE11(4, 150, scrub).Seconds }
 	}
 	base := median5(e11(0))
 	scrubbed := median5(e11(25 * time.Millisecond))

@@ -62,14 +62,3 @@ func (o *OpStream) Next() (key int, read bool) {
 	}
 	return key, o.rng.Float64() < o.read
 }
-
-// KeyCounts draws n keys and tallies them — the shape histogram the unit
-// tests pin.
-func (o *OpStream) KeyCounts(n int) []int {
-	counts := make([]int, o.keys)
-	for i := 0; i < n; i++ {
-		k, _ := o.Next()
-		counts[k]++
-	}
-	return counts
-}

@@ -10,7 +10,7 @@ import (
 // distribution), but no single key may be the whole workload.
 func TestZipfShape(t *testing.T) {
 	w := Workload{Keys: 1000, Dist: "zipf", Seed: 1}
-	counts := w.Stream(0).KeyCounts(100000)
+	counts := keyCounts(w.Stream(0), 100000)
 
 	sorted := append([]int(nil), counts...)
 	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
@@ -35,7 +35,7 @@ func TestZipfShape(t *testing.T) {
 // TestUniformShape pins the flatness of the uniform stream.
 func TestUniformShape(t *testing.T) {
 	w := Workload{Keys: 100, Dist: "uniform", Seed: 2}
-	counts := w.Stream(0).KeyCounts(100000)
+	counts := keyCounts(w.Stream(0), 100000)
 	for k, c := range counts {
 		// Expected 1000 per key; 5 sigma is ~±160.
 		if c < 700 || c > 1300 {
@@ -86,4 +86,15 @@ func TestReadFraction(t *testing.T) {
 			t.Fatalf("ReadFrac %.2f: observed %.3f", frac, got)
 		}
 	}
+}
+
+// keyCounts draws n keys from o and tallies them: the shape histogram the
+// tests above pin.
+func keyCounts(o *OpStream, n int) []int {
+	counts := make([]int, o.keys)
+	for i := 0; i < n; i++ {
+		k, _ := o.Next()
+		counts[k]++
+	}
+	return counts
 }

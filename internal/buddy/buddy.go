@@ -60,9 +60,6 @@ func New(maxOrder int) (*Allocator, error) {
 // Size returns the total number of units managed.
 func (a *Allocator) Size() int64 { return int64(1) << uint(a.maxOrder) }
 
-// Allocated returns the number of units currently allocated.
-func (a *Allocator) Allocated() int64 { return a.allocated }
-
 // Splits returns the cumulative number of block splits performed.
 func (a *Allocator) Splits() int64 { return a.splits }
 
@@ -155,17 +152,6 @@ func (a *Allocator) BlockSize(off int64) (int64, bool) {
 
 // FreeUnits returns the number of units currently free.
 func (a *Allocator) FreeUnits() int64 { return a.Size() - a.allocated }
-
-// LargestFree returns the size of the largest currently free block
-// (0 when the allocator is completely full).
-func (a *Allocator) LargestFree() int64 {
-	for k := a.maxOrder; k >= 0; k-- {
-		if len(a.free[k]) > 0 {
-			return int64(1) << uint(k)
-		}
-	}
-	return 0
-}
 
 // Utilization returns allocated/total as a fraction in [0,1].
 func (a *Allocator) Utilization() float64 {

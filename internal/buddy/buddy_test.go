@@ -65,8 +65,8 @@ func TestAllocExactFit(t *testing.T) {
 	if err := a.Free(0); err != nil {
 		t.Fatal(err)
 	}
-	if a.Allocated() != 0 {
-		t.Fatalf("Allocated() = %d after free", a.Allocated())
+	if a.FreeUnits() != a.Size() {
+		t.Fatalf("FreeUnits() = %d after free, want %d", a.FreeUnits(), a.Size())
 	}
 }
 
@@ -97,8 +97,8 @@ func TestSplitAndCoalesce(t *testing.T) {
 	if err := a.Free(off2); err != nil {
 		t.Fatal(err)
 	}
-	if a.LargestFree() != 8 {
-		t.Fatalf("LargestFree = %d after freeing everything, want 8", a.LargestFree())
+	if len(a.free[a.maxOrder]) != 1 {
+		t.Fatal("freeing everything did not coalesce back to one 8-unit block")
 	}
 	if a.Coalesces() == 0 {
 		t.Fatal("expected coalesces")
@@ -186,8 +186,8 @@ func TestNoOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.LargestFree() != a.Size() {
-		t.Fatalf("after freeing all, LargestFree = %d want %d", a.LargestFree(), a.Size())
+	if len(a.free[a.maxOrder]) != 1 {
+		t.Fatal("after freeing all, the space is not one free block")
 	}
 }
 
@@ -253,7 +253,7 @@ func TestQuickAllocFreeRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return a.Allocated() == 0 && a.LargestFree() == a.Size() && a.CheckInvariants() == nil
+		return a.FreeUnits() == a.Size() && len(a.free[a.maxOrder]) == 1 && a.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

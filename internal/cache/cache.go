@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
@@ -58,10 +59,15 @@ type Stats struct {
 	SweepSteps              int64 // level-2 clock hand movements
 }
 
+// RankPoolMu places Pool.mu in the lock hierarchy (internal/server/lockorder.go):
+// a leaf, taken under a shared-memory slot latch when a fill or a flush
+// hands a slot's bytes over, and holding nothing else itself.
+const RankPoolMu lockcheck.Rank = 75
+
 // Pool is the shared cache: a fixed array of page-size slots plus the
 // level-2 clock. Safe for concurrent use.
 type Pool struct {
-	mu      sync.Mutex
+	mu      lockcheck.Mutex
 	settled *sync.Cond // on mu: a claimed slot was filled or given back
 	// data is deliberately unguarded: SlotData hands out slices into the
 	// arena and pin counts, not mu, keep concurrent users apart.
@@ -82,6 +88,7 @@ func NewPool(nslots int) *Pool {
 		slots:  make([]Slot, nslots),
 		lookup: make(map[page.ID]int, nslots),
 	}
+	p.mu.Init("Pool.mu", RankPoolMu)
 	p.settled = sync.NewCond(&p.mu)
 	return p
 }
@@ -155,9 +162,8 @@ func (p *Pool) Acquire(id page.ID) (*Pin, error) {
 // victimLocked runs the level-2 clock: sweep slots, take one with counter
 // zero and no pins — an empty one, or a page to replace. The page stays
 // cached until the claim on its slot is filled.
-//
-//bess:holds mu
 func (p *Pool) victimLocked() (int, error) {
+	p.mu.AssertHeld()
 	n := len(p.slots)
 	for step := 0; step < 2*n; step++ {
 		i := p.hand

@@ -169,9 +169,8 @@ func TestFrameClockSecondChance(t *testing.T) {
 	if len(unmapped) != 1 || unmapped[0] != 0 {
 		t.Fatalf("unmapped = %v", unmapped)
 	}
-	d, inv := fc.Counters()
-	if d != 1 || inv != 1 {
-		t.Fatalf("counters = %d/%d", d, inv)
+	if st := fc.State(0); st != FrameInvalid {
+		t.Fatalf("frame 0 is %v after its invalidation", st)
 	}
 }
 

@@ -44,8 +44,6 @@ type FrameClock struct {
 	slot   []int // frame → pool slot (valid when state != FrameInvalid)
 	hand   int
 	onInv  OnInvalidate
-
-	demotions, invalidations int64
 }
 
 // NewFrameClock creates a clock over nframes process frames tied to pool.
@@ -61,9 +59,6 @@ func NewFrameClock(pool *Pool, nframes int, onInv OnInvalidate) *FrameClock {
 	}
 	return fc
 }
-
-// Frames returns the number of frames.
-func (fc *FrameClock) Frames() int { return len(fc.states) }
 
 // State returns frame f's state.
 func (fc *FrameClock) State(f int) FrameState {
@@ -138,13 +133,11 @@ func (fc *FrameClock) SweepOne() (frame, slot int) {
 		return -1, -1
 	case FrameAccessible:
 		fc.states[f] = FrameProtected
-		fc.demotions++
 		return -1, -1
 	case FrameProtected:
 		s := fc.slot[f]
 		fc.states[f] = FrameInvalid
 		fc.slot[f] = -1
-		fc.invalidations++
 		// Revoke the process' access BEFORE the counter drops: once the
 		// counter hits zero the slot is replaceable, so no mapping may
 		// remain.
@@ -188,11 +181,4 @@ func (fc *FrameClock) Pressure(want int) int {
 		}
 	}
 	return done
-}
-
-// Counters reports cumulative demotions and invalidations.
-func (fc *FrameClock) Counters() (demotions, invalidations int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.demotions, fc.invalidations
 }

@@ -224,8 +224,8 @@ func (vs *VersionStore) AbortTx(txID uint64) {
 	vs.mu.Unlock()
 }
 
-//bess:holds mu
 func (vs *VersionStore) unstageLocked(key VKey) {
+	vs.mu.AssertHeld()
 	if n := vs.staged[key]; n > 1 {
 		vs.staged[key] = n - 1
 	} else {
@@ -305,9 +305,8 @@ func (vs *VersionStore) Trim() {
 
 // dropOldestLocked drops key's n oldest entries (n <= 0: none): the chain
 // lets go of their images, whoever else holds them keeps them.
-//
-//bess:holds mu
 func (vs *VersionStore) dropOldestLocked(key VKey, n int) {
+	vs.mu.AssertHeld()
 	chain := vs.chains[key]
 	if n <= 0 {
 		return

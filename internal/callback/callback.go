@@ -106,8 +106,8 @@ func (t *Table) Drop(seg proto.SegKey, client uint32) (last bool) {
 	return len(t.copies[seg]) == 0
 }
 
-//bess:holds mu
 func (t *Table) dropLocked(seg proto.SegKey, client uint32) {
+	t.mu.AssertHeld()
 	if set := t.copies[seg]; set != nil {
 		delete(set, client)
 		if len(set) == 0 {

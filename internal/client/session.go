@@ -7,6 +7,7 @@ import (
 
 	"bess/internal/detect"
 	"bess/internal/largeobj"
+	"bess/internal/lockcheck"
 	"bess/internal/oid"
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -36,7 +37,7 @@ type Stats struct {
 // a private address space and buffer pool, segments cached across
 // transactions, callback-maintained consistency, and commit shipping.
 type Session struct {
-	mu     sync.Mutex
+	mu     lockcheck.Mutex
 	conn   proto.Conn
 	remote *Remote // non-nil when conn is RPC-backed
 	client uint32
@@ -90,6 +91,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		pendingDrops: make(map[proto.SegKey]bool),
 		scanWindow:   defaultScanWindow,
 	}
+	s.mu.Init("Session.mu", 0)
 	id, err := conn.Hello(name)
 	if err != nil {
 		return nil, err
@@ -111,7 +113,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 	}
 	s.fetch = &fetcher{s: s, fresh: make(map[swizzle.SegID]freshSeg)}
 	s.mapper = swizzle.NewMapper(s.space, s.fetch, s.types)
-	s.det = detect.New(s.mapper, true)
+	s.det = detect.New(s.mapper)
 	s.det.SetAccessFunc(s.onAccess)
 	s.remote, _ = conn.(*Remote)
 	err = conn.SetCallback(id, func(k proto.SegKey) (bool, error) { return s.onCallback(k), nil })
@@ -756,9 +758,8 @@ func (s *Session) Deref(ref vmem.Addr) (*swizzle.Object, error) {
 // markTouchedLocked records the first use of a segment in this transaction;
 // a use served entirely from the inter-transaction cache is a "local grant"
 // (no server interaction), the quantity E6 reports. Callers hold s.mu.
-//
-//bess:holds mu
 func (s *Session) markTouchedLocked(key proto.SegKey) {
+	s.mu.AssertHeld()
 	if !s.touched[key] {
 		s.touched[key] = true
 		s.stats.LocalGrants++

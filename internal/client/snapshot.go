@@ -98,20 +98,6 @@ func (s *Session) EndSnapshot() error {
 	return err
 }
 
-// InSnapshot reports whether a snapshot transaction is open.
-func (s *Session) InSnapshot() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapMode
-}
-
-// SnapStamp returns the open snapshot's version stamp (0 when none).
-func (s *Session) SnapStamp() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapStamp
-}
-
 // snapState returns the snapshot id and whether snapshot mode is active —
 // the fetcher's routing switch.
 func (s *Session) snapState() (uint64, bool) {

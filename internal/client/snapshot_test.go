@@ -105,8 +105,8 @@ func TestSnapshotReadConsistency(t *testing.T) {
 	if err := r.BeginSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.InSnapshot() {
-		t.Fatal("InSnapshot = false inside a snapshot")
+	if _, on := r.snapState(); !on {
+		t.Fatal("snapshot mode is off inside a snapshot")
 	}
 	if v := getNodeVal(t, r, seg, 0); v != 1 {
 		t.Fatalf("snapshot read = %d, want 1", v)
@@ -245,7 +245,7 @@ func TestDirectHandleSnapshotLeavesChainImageIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s0, s1 := readers[0].SnapStamp(), readers[1].SnapStamp(); s0 != s1 {
+	if s0, s1 := readers[0].snapStamp, readers[1].snapStamp; s0 != s1 {
 		t.Fatalf("snapshots pinned stamps %d and %d, want one stamp", s0, s1)
 	}
 	// Overwriting A after the pin moves its as-of image into the version chain.

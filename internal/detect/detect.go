@@ -4,25 +4,26 @@
 // virtual memory protection mechanisms provided by the underlying hardware":
 // when an application gains access to a database page the page is protected;
 // the protection violation raised by the first real access invokes the BeSS
-// interrupt handler, which records the access in the transaction's read or
-// write set, performs locking, and grants access before the offending
-// instruction is resumed.
+// interrupt handler, which performs locking and grants access before the
+// offending instruction is resumed.
 //
-// A Detector wraps a swizzle.Mapper's fault handler with this policy. It is
-// the hardware-based alternative to the software approach (explicit dirty
-// calls) that the paper criticizes; package baseline implements that software
-// approach for comparison (experiment E7).
+// A Detector wraps a swizzle.Mapper's fault handler with this policy and
+// reports each page's first read and first write of a transaction to its
+// AccessFunc, which keeps whatever sets the transaction needs (the client
+// session's touched segments and X locks). It is the hardware-based
+// alternative to the software approach (explicit dirty calls) that the paper
+// criticizes; package baseline implements that software approach for
+// comparison (experiment E7).
 package detect
 
 import (
-	"sort"
 	"sync"
 
 	"bess/internal/swizzle"
 	"bess/internal/vmem"
 )
 
-// PageKey names one database page in a transaction's read/write set.
+// PageKey names one database page a transaction accesses.
 type PageKey struct {
 	Seg  swizzle.SegID
 	Page int // page index within the segment's data range
@@ -33,37 +34,22 @@ type PageKey struct {
 // the access — e.g. a lock conflict surfaces as a failed write.
 type AccessFunc func(k PageKey, write bool) error
 
-// Detector tracks per-transaction read and write sets by manipulating page
-// protections. Safe for the single-process access model of the mapper it
-// wraps (one goroutine faulting at a time); the sets themselves are guarded
-// for concurrent observers.
+// Detector observes a transaction's page accesses by manipulating page
+// protections: fresh data pages are mapped ProtNone, so a page's first read
+// faults, and its first write faults again to lift it to read-write. Safe for
+// the single-process access model of the mapper it wraps (one goroutine
+// faulting at a time).
 type Detector struct {
 	m     *swizzle.Mapper
 	space *vmem.Space
 
 	mu       sync.Mutex
-	readSet  map[PageKey]struct{}
-	writeSet map[PageKey]struct{}
 	onAccess AccessFunc
-
-	// trackReads maps fresh data pages ProtNone so the first read faults
-	// and lands in the read set; when false pages arrive readable and only
-	// writes are tracked.
-	trackReads bool
-
-	faultsHandled int64
 }
 
-// New wraps the mapper with update detection. trackReads selects per-page
-// read-set maintenance (an extra fault per page read).
-func New(m *swizzle.Mapper, trackReads bool) *Detector {
-	d := &Detector{
-		m:          m,
-		space:      m.Space(),
-		readSet:    make(map[PageKey]struct{}),
-		writeSet:   make(map[PageKey]struct{}),
-		trackReads: trackReads,
-	}
+// New wraps the mapper with update detection.
+func New(m *swizzle.Mapper) *Detector {
+	d := &Detector{m: m, space: m.Space()}
 	d.space.SetHandler(d.handle)
 	return d
 }
@@ -87,10 +73,8 @@ func (d *Detector) handle(f vmem.Fault) error {
 		if err := d.m.HandleFault(f); err != nil {
 			return err
 		}
-		if d.trackReads {
-			if _, k2, _, ok2 := d.m.FrameInfo(f.Frame); ok2 && (k2 == swizzle.FrameData || k2 == swizzle.FrameLarge) {
-				d.demoteSegment(f.Frame)
-			}
+		if _, k2, _, ok2 := d.m.FrameInfo(f.Frame); ok2 && (k2 == swizzle.FrameData || k2 == swizzle.FrameLarge) {
+			d.demoteSegment(f.Frame)
 		}
 		return nil
 	case vmem.FaultProtRead:
@@ -101,7 +85,6 @@ func (d *Detector) handle(f vmem.Fault) error {
 		if err := d.access(k, false); err != nil {
 			return err
 		}
-		d.faultsHandled++
 		return d.space.Protect(vmem.FrameAddr(f.Frame), 1, vmem.ProtRead)
 	case vmem.FaultProtWrite:
 		if kind != swizzle.FrameData && kind != swizzle.FrameLarge {
@@ -112,7 +95,6 @@ func (d *Detector) handle(f vmem.Fault) error {
 		if err := d.access(k, true); err != nil {
 			return err
 		}
-		d.faultsHandled++
 		return d.space.Protect(vmem.FrameAddr(f.Frame), 1, vmem.ProtReadWrite)
 	default:
 		return d.m.HandleFault(f)
@@ -134,73 +116,17 @@ func (d *Detector) access(k PageKey, write bool) error {
 	d.mu.Lock()
 	cb := d.onAccess
 	d.mu.Unlock()
-	if cb != nil {
-		if err := cb(k, write); err != nil {
-			return err
-		}
+	if cb == nil {
+		return nil
 	}
-	d.mu.Lock()
-	if write {
-		d.writeSet[k] = struct{}{}
-		// A write implies read access too.
-		d.readSet[k] = struct{}{}
-	} else {
-		d.readSet[k] = struct{}{}
-	}
-	d.mu.Unlock()
-	return nil
+	return cb(k, write)
 }
 
-// ReadSet returns the transaction's read set, sorted for determinism.
-func (d *Detector) ReadSet() []PageKey { return d.sorted(true) }
-
-// WriteSet returns the transaction's write set, sorted for determinism.
-func (d *Detector) WriteSet() []PageKey { return d.sorted(false) }
-
-func (d *Detector) sorted(read bool) []PageKey {
-	d.mu.Lock()
-	src := d.writeSet
-	if read {
-		src = d.readSet
-	}
-	out := make([]PageKey, 0, len(src))
-	for k := range src {
-		out = append(out, k)
-	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Seg != b.Seg {
-			if a.Seg.Area != b.Seg.Area {
-				return a.Seg.Area < b.Seg.Area
-			}
-			return a.Seg.Start < b.Seg.Start
-		}
-		return a.Page < b.Page
-	})
-	return out
-}
-
-// FaultsHandled reports how many access faults the detector resolved.
-func (d *Detector) FaultsHandled() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.faultsHandled
-}
-
-// EndTransaction clears the read/write sets and re-protects every mapped
-// data page so the next transaction's accesses are detected afresh (the
-// per-transaction protection cycle of §2.3).
+// EndTransaction re-protects every mapped data page so the next
+// transaction's accesses are detected afresh (the per-transaction protection
+// cycle of §2.3).
 func (d *Detector) EndTransaction() {
-	d.mu.Lock()
-	d.readSet = make(map[PageKey]struct{})
-	d.writeSet = make(map[PageKey]struct{})
-	d.mu.Unlock()
-	prot := vmem.ProtRead
-	if d.trackReads {
-		prot = vmem.ProtNone
-	}
 	for _, r := range d.m.MappedDataRanges() {
-		_ = d.space.Protect(r.Base, r.Pages, prot)
+		_ = d.space.Protect(r.Base, r.Pages, vmem.ProtNone)
 	}
 }

@@ -67,38 +67,53 @@ func build(t *testing.T) *fixture {
 	return &fixture{fetch: f, reg: reg, id: id, slots: slots}
 }
 
+// recorder is an AccessFunc that keeps the accesses the detector reports,
+// in order.
+type recorder struct{ reads, writes []PageKey }
+
+func record(d *Detector) *recorder {
+	r := &recorder{}
+	d.SetAccessFunc(func(k PageKey, write bool) error {
+		if write {
+			r.writes = append(r.writes, k)
+		} else {
+			r.reads = append(r.reads, k)
+		}
+		return nil
+	})
+	return r
+}
+
 func TestWriteSetViaFaults(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	d := New(m, false)
+	rec := record(New(m))
 
 	addr, _ := m.AddrOfSlot(fx.id, fx.slots[0])
 	obj, err := m.Deref(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reads don't enter the write set.
+	// Reads are no writes.
 	if err := obj.Read(0, make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.WriteSet()) != 0 {
-		t.Fatalf("write set after read: %v", d.WriteSet())
+	if len(rec.writes) != 0 {
+		t.Fatalf("writes after a read: %v", rec.writes)
 	}
-	// First write faults once, is recorded, and proceeds.
+	// First write faults once, is reported, and proceeds.
 	if err := obj.Write(0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	ws := d.WriteSet()
-	if len(ws) != 1 || ws[0] != (PageKey{Seg: fx.id, Page: 0}) {
-		t.Fatalf("write set = %v", ws)
+	if len(rec.writes) != 1 || rec.writes[0] != (PageKey{Seg: fx.id, Page: 0}) {
+		t.Fatalf("writes = %v", rec.writes)
 	}
 	// Second write to the same page: no new fault.
-	before := d.FaultsHandled()
 	if err := obj.Write(4, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	if d.FaultsHandled() != before {
-		t.Fatal("second write faulted again")
+	if len(rec.writes) != 1 {
+		t.Fatalf("second write faulted again: %v", rec.writes)
 	}
 	// A write through object 1 (data bytes 3000..6000) crossing the page
 	// boundary adds page 1.
@@ -110,15 +125,15 @@ func TestWriteSetViaFaults(t *testing.T) {
 	if err := obj1.Write(1000, make([]byte, 1400)); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.WriteSet()) != 2 {
-		t.Fatalf("write set = %v", d.WriteSet())
+	if len(rec.writes) != 2 || rec.writes[1] != (PageKey{Seg: fx.id, Page: 1}) {
+		t.Fatalf("writes = %v", rec.writes)
 	}
 }
 
 func TestReadTracking(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	d := New(m, true)
+	rec := record(New(m))
 
 	addr, _ := m.AddrOfSlot(fx.id, fx.slots[0]) // object on page 0
 	obj, err := m.Deref(addr)
@@ -128,9 +143,12 @@ func TestReadTracking(t *testing.T) {
 	if err := obj.Read(0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
-	rs := d.ReadSet()
-	if len(rs) != 1 || rs[0].Page != 0 {
-		t.Fatalf("read set = %v", rs)
+	if len(rec.reads) != 1 || rec.reads[0].Page != 0 {
+		t.Fatalf("reads = %v", rec.reads)
+	}
+	// A second read of the page does not fault.
+	if err := obj.Read(4, make([]byte, 4)); err != nil {
+		t.Fatal(err)
 	}
 	// Reading the third object (page 2 of data, offset 6000) adds that page
 	// but not page 1.
@@ -139,15 +157,15 @@ func TestReadTracking(t *testing.T) {
 	if err := obj2.Read(2000, make([]byte, 8)); err != nil { // at data offset ~8096: page 1
 		t.Fatal(err)
 	}
-	if len(d.ReadSet()) != 2 {
-		t.Fatalf("read set = %v", d.ReadSet())
+	if len(rec.reads) != 2 {
+		t.Fatalf("reads = %v", rec.reads)
 	}
 }
 
 func TestAccessFuncDenies(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	d := New(m, false)
+	d := New(m)
 	conflict := errors.New("lock conflict")
 	d.SetAccessFunc(func(k PageKey, write bool) error {
 		if write {
@@ -164,41 +182,40 @@ func TestAccessFuncDenies(t *testing.T) {
 	if !errors.Is(err, vmem.ErrViolation) {
 		t.Fatalf("denied write: %v", err)
 	}
-	if len(d.WriteSet()) != 0 {
-		t.Fatal("denied write entered write set")
+	// The page stays read-only: the write never landed.
+	got := make([]byte, 1)
+	if err := obj.Read(0, got); err != nil || got[0] != 0 {
+		t.Fatalf("after a denied write the object reads %v (err %v), want 0", got, err)
 	}
 }
 
 func TestEndTransactionReprotects(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	d := New(m, false)
+	d := New(m)
+	rec := record(d)
 	addr, _ := m.AddrOfSlot(fx.id, fx.slots[0])
 	obj, _ := m.Deref(addr)
 	if err := obj.Write(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	faults1 := d.FaultsHandled()
 	d.EndTransaction()
-	if len(d.WriteSet()) != 0 || len(d.ReadSet()) != 0 {
-		t.Fatal("sets survive EndTransaction")
+	// The next transaction's read and write fault afresh and are reported.
+	if err := obj.Read(0, make([]byte, 1)); err != nil {
+		t.Fatal(err)
 	}
-	// The next transaction's write faults afresh and is re-recorded.
 	if err := obj.Write(0, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if d.FaultsHandled() <= faults1 {
-		t.Fatal("no fresh fault after EndTransaction")
-	}
-	if len(d.WriteSet()) != 1 {
-		t.Fatalf("write set = %v", d.WriteSet())
+	if len(rec.writes) != 2 || len(rec.reads) != 1 {
+		t.Fatalf("after EndTransaction: reads %v, writes %v, want one read and a second write", rec.reads, rec.writes)
 	}
 }
 
 func TestSlottedStaysProtected(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	New(m, false)
+	New(m)
 	addr, _ := m.AddrOfSlot(fx.id, fx.slots[0])
 	if _, err := m.Deref(addr); err != nil {
 		t.Fatal(err)
@@ -212,13 +229,17 @@ func TestSlottedStaysProtected(t *testing.T) {
 func TestWriteImpliesRead(t *testing.T) {
 	fx := build(t)
 	m := swizzle.NewMapper(vmem.New(), fx.fetch, fx.reg)
-	d := New(m, true)
+	rec := record(New(m))
 	addr, _ := m.AddrOfSlot(fx.id, fx.slots[0])
 	obj, _ := m.Deref(addr)
 	if err := obj.Write(0, []byte{5}); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.ReadSet()) != 1 || len(d.WriteSet()) != 1 {
-		t.Fatalf("sets: r=%v w=%v", d.ReadSet(), d.WriteSet())
+	// The write's grant covers reads: reading the page back does not fault.
+	if err := obj.Read(0, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.reads) != 0 || len(rec.writes) != 1 {
+		t.Fatalf("reads %v, writes %v, want the one write", rec.reads, rec.writes)
 	}
 }

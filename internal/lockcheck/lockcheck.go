@@ -7,12 +7,15 @@
 // recursive-RLock case, which deadlocks against a queued writer — also
 // panics.
 //
-// Without the tag the wrappers are zero-cost passthroughs: the sync
-// primitive is embedded, Init is an empty function, and no per-goroutine
-// state exists.
+// Mutex.AssertHeld states a function's "caller holds m" contract; it panics
+// when the calling goroutine does not hold that instance.
 //
-// The rank an Init call names is the hierarchy's one declaration: cmd/bess-vet
-// reads the same call (see internal/server/lockorder.go). Lower rank =
+// Without the tag the wrappers are zero-cost passthroughs: the sync
+// primitive is embedded, Init and AssertHeld are empty functions, and no
+// per-goroutine state exists.
+//
+// The rank an Init call names is the hierarchy's one declaration, and this
+// package is its one checker (see internal/server/lockorder.go). Lower rank =
 // acquired earlier (outermost).
 // Rank 0 means unranked — the lock participates in recursion detection but
 // not in ordering checks.

@@ -17,6 +17,10 @@ type Mutex struct {
 // Init names the lock and assigns its hierarchy rank. No-op in this build.
 func (m *Mutex) Init(name string, rank Rank) {}
 
+// AssertHeld states that the caller holds m. No-op in this build; under the
+// invariants tag it panics when the calling goroutine does not hold m.
+func (m *Mutex) AssertHeld() {}
+
 // RWMutex is sync.RWMutex when the invariants tag is absent.
 type RWMutex struct {
 	sync.RWMutex

@@ -20,6 +20,7 @@ func TestPassthrough(t *testing.T) {
 	a.Lock() // out of rank order: permitted, nothing is checked
 	a.Unlock()
 	b.Unlock()
+	a.AssertHeld() // not held: permitted, nothing is checked
 
 	var rw RWMutex
 	rw.Init("rw", 0)

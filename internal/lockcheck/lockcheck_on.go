@@ -102,19 +102,6 @@ func lockName(name string) string {
 	return name
 }
 
-// HeldByCurrent returns the names of locks the calling goroutine holds, in
-// acquisition order (tests and diagnostics).
-func HeldByCurrent() []string {
-	g := gid()
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	var out []string
-	for _, h := range registry.g[g] {
-		out = append(out, lockName(h.name))
-	}
-	return out
-}
-
 // Mutex is a rank-checked mutual exclusion lock.
 type Mutex struct {
 	mu   sync.Mutex
@@ -146,6 +133,21 @@ func (m *Mutex) TryLock() bool {
 func (m *Mutex) Unlock() {
 	m.mu.Unlock()
 	release(uintptr(unsafe.Pointer(m)), false)
+}
+
+// AssertHeld panics unless the calling goroutine holds m: a function that
+// runs under its caller's lock states so with this call where it begins.
+func (m *Mutex) AssertHeld() {
+	key, g := uintptr(unsafe.Pointer(m)), gid()
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	for _, h := range registry.g[g] {
+		if h.key == key {
+			return
+		}
+	}
+	panic(fmt.Sprintf("lockcheck: goroutine %d does not hold %s at %s, which requires it held",
+		g, lockName(m.name), callsite()))
 }
 
 // RWMutex is a rank-checked reader/writer lock.

@@ -43,6 +43,22 @@ func TestHierarchyViolationPanics(t *testing.T) {
 	mustPanic(t, "declared order requires", func() { outer.Lock() })
 }
 
+// TestInversionThroughCalleePanics: the inversion a static walk sees only
+// across the call graph — holding the inner lock, call a helper that takes
+// the outer one — panics where the helper locks.
+func TestInversionThroughCalleePanics(t *testing.T) {
+	var table, journal Mutex
+	table.Init("table", 10)
+	journal.Init("journal", 30)
+	lockTable := func() {
+		table.Lock()
+		table.Unlock()
+	}
+	journal.Lock()
+	defer journal.Unlock()
+	mustPanic(t, "declared order requires table before journal", lockTable)
+}
+
 func TestEqualRankPanics(t *testing.T) {
 	var a, b Mutex
 	a.Init("shardA", 40)
@@ -66,6 +82,27 @@ func TestRecursiveRLockPanics(t *testing.T) {
 	m.RLock()
 	defer m.RUnlock()
 	mustPanic(t, "recursive RLock", func() { m.RLock() })
+}
+
+// TestAssertHeld: the "caller holds m" contract is silent for a caller that
+// holds m and panics for one that does not — never having locked it, having
+// released it, or holding it on another goroutine.
+func TestAssertHeld(t *testing.T) {
+	var m Mutex
+	m.Init("Table.mu", 20)
+	mustPanic(t, "does not hold Table.mu", func() { m.AssertHeld() })
+	m.Lock()
+	m.AssertHeld()
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		m.AssertHeld()
+	}()
+	if r := <-done; r == nil {
+		t.Fatal("AssertHeld on a goroutine that does not hold the lock did not panic")
+	}
+	m.Unlock()
+	mustPanic(t, "does not hold Table.mu", func() { m.AssertHeld() })
 }
 
 func TestUnrankedLocksIgnoreOrdering(t *testing.T) {
@@ -97,9 +134,8 @@ func TestHeldSetsArePerGoroutine(t *testing.T) {
 		lo.Unlock()
 	}()
 	<-done
-	if got := HeldByCurrent(); len(got) != 1 || got[0] != "hi" {
-		t.Fatalf("HeldByCurrent = %v, want [hi]", got)
-	}
+	hi.AssertHeld()
+	mustPanic(t, "does not hold lo", func() { lo.AssertHeld() })
 }
 
 func TestCondInteropTracksWaitHandoff(t *testing.T) {
@@ -119,11 +155,7 @@ func TestCondInteropTracksWaitHandoff(t *testing.T) {
 	for !ready {
 		c.Wait()
 	}
-	if got := HeldByCurrent(); len(got) != 1 {
-		t.Fatalf("after Wait: held = %v, want the guard only", got)
-	}
+	m.AssertHeld()
 	m.Unlock()
-	if got := HeldByCurrent(); len(got) != 0 {
-		t.Fatalf("after Unlock: held = %v, want empty", got)
-	}
+	mustPanic(t, "does not hold cond-guard", func() { m.AssertHeld() })
 }

@@ -93,23 +93,3 @@ func Verify(b []byte, want uint32, section string, sentinel error) error {
 // LSN is a log sequence number: a byte offset into the write-ahead log.
 // LSN 0 means "never logged".
 type LSN uint64
-
-// PutLSN stores an LSN big-endian into the first 8 bytes of b.
-func PutLSN(b []byte, l LSN) {
-	_ = b[7]
-	b[0] = byte(l >> 56)
-	b[1] = byte(l >> 48)
-	b[2] = byte(l >> 40)
-	b[3] = byte(l >> 32)
-	b[4] = byte(l >> 24)
-	b[5] = byte(l >> 16)
-	b[6] = byte(l >> 8)
-	b[7] = byte(l)
-}
-
-// GetLSN reads an LSN stored by PutLSN.
-func GetLSN(b []byte) LSN {
-	_ = b[7]
-	return LSN(b[0])<<56 | LSN(b[1])<<48 | LSN(b[2])<<40 | LSN(b[3])<<32 |
-		LSN(b[4])<<24 | LSN(b[5])<<16 | LSN(b[6])<<8 | LSN(b[7])
-}

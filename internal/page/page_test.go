@@ -1,9 +1,6 @@
 package page
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestIDString(t *testing.T) {
 	id := ID{Area: 3, Page: 17}
@@ -29,17 +26,6 @@ func TestChecksumDiffers(t *testing.T) {
 	}
 	if Checksum(a) != Checksum([]byte("hello world")) {
 		t.Fatal("checksum not deterministic")
-	}
-}
-
-func TestLSNRoundTrip(t *testing.T) {
-	f := func(l uint64) bool {
-		var buf [8]byte
-		PutLSN(buf[:], LSN(l))
-		return GetLSN(buf[:]) == LSN(l)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

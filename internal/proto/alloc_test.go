@@ -2,10 +2,10 @@ package proto
 
 import "testing"
 
-// Allocation budgets for the hot codecs (//bess:hotpath, DESIGN.md §4f).
-// These pin what the hotalloc fixes established: the append-style encoders
-// allocate nothing when the destination has capacity, and the decoders
-// allocate the message and nothing else — byte fields are views of the input.
+// Allocation budgets for the hot codecs (DESIGN.md §4f): the append-style
+// encoders allocate nothing when the destination has capacity, and the
+// decoders allocate the message and nothing else — byte fields are views of
+// the input.
 
 func testImage() SegImage {
 	return SegImage{
@@ -75,4 +75,20 @@ func TestAppendScanBatchAllocs(t *testing.T) {
 	if len(dec.Images) != len(imgs) || dec.Seq != sb.Seq {
 		t.Fatalf("round trip mismatch: got %d images seq %d", len(dec.Images), dec.Seq)
 	}
+}
+
+func TestDecodeScanBatchAllocs(t *testing.T) {
+	sb := ScanBatch{Seq: 9, Images: []SegImage{testImage(), testImage(), testImage()}}
+	enc := AppendScanBatch(nil, &sb)
+	var sink *ScanBatch
+	if n := testing.AllocsPerRun(200, func() {
+		dec, err := DecodeScanBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = dec
+	}); n != 2 {
+		t.Fatalf("DecodeScanBatch: %v allocs/op, budget is 2 (the batch and its image slice; sections are views)", n)
+	}
+	_ = sink
 }

@@ -113,7 +113,7 @@ func Decode(b []byte, m Message) error {
 
 // take returns the next n input bytes, or fails the decode if fewer remain.
 //
-//bess:hotpath
+// TestDecodeSegImageAllocs pins its allocation budget.
 func (c *Cursor) take(n int) []byte {
 	if c.err != nil {
 		return nil
@@ -133,7 +133,7 @@ func (c *Cursor) truncated(n int) {
 // run carries a run of raw bytes: src is appended when encoding; the next n
 // input bytes are returned when decoding.
 //
-//bess:hotpath
+// TestAppendSegImageAllocs and TestDecodeSegImageAllocs pin its allocation budget.
 func run[S string | []byte](c *Cursor, src S, n int) []byte {
 	switch {
 	case c.mode == decoding:
@@ -149,7 +149,7 @@ func run[S string | []byte](c *Cursor, src S, n int) []byte {
 
 // word carries an unsigned integer as n big-endian bytes.
 //
-//bess:hotpath
+// TestAppendSegImageAllocs and TestDecodeSegImageAllocs pin its allocation budget.
 func word[T uint8 | uint16 | uint32 | uint64](c *Cursor, v *T, n int) {
 	var w [8]byte
 	switch {
@@ -265,7 +265,7 @@ func (c *Cursor) Section(v *[]byte) { c.bytes(v, c.length(len(*v))) }
 // bytes carries n bytes with no prefix of its own: the body of Section and
 // Rest, and the one place a decoded byte field is produced.
 //
-//bess:hotpath
+// TestAppendSegImageAllocs and TestDecodeSegImageAllocs pin its allocation budget.
 func (c *Cursor) bytes(v *[]byte, n int) {
 	b := run(c, *v, n)
 	if c.mode == decoding {

@@ -268,7 +268,7 @@ const (
 // and version (these bytes outlive a process pair — shipped logs, archived
 // images, cross-version peers), the key, three sections.
 //
-//bess:hotpath
+// TestAppendSegImageAllocs and TestDecodeSegImageAllocs pin its allocation budget.
 func (s *SegImage) Fields(c *Cursor) {
 	magic, version := segImageMagic, segImageVersion
 	c.U16(&magic)
@@ -289,7 +289,7 @@ func (c *Cursor) notImage(magic uint16, version uint8) {
 // images carries a list of segment images, each in its own length-prefixed
 // frame.
 //
-//bess:hotpath
+// TestAppendScanBatchAllocs and TestDecodeScanBatchAllocs pin its allocation budget.
 func (c *Cursor) images(s *[]SegImage) {
 	imgs := Repeat(c, s, segImageMin)
 	for i := range imgs {
@@ -561,7 +561,7 @@ type ScanBatch struct {
 	Images []SegImage
 }
 
-//bess:hotpath
+// TestAppendScanBatchAllocs and TestDecodeScanBatchAllocs pin its allocation budget.
 func (m *ScanBatch) Fields(c *Cursor) {
 	c.U32(&m.Seq)
 	c.Bool(&m.Last)
@@ -684,7 +684,7 @@ func (m *CatalogOp) String() string {
 // AppendSegImage appends the encoding of s to b. It allocates nothing when
 // b has room: the scan push path encodes straight into a pooled batch.
 //
-//bess:hotpath
+// TestAppendSegImageAllocs pins its allocation budget.
 func AppendSegImage(b []byte, s *SegImage) []byte {
 	c := Cursor{buf: b}
 	s.Fields(&c)
@@ -693,7 +693,7 @@ func AppendSegImage(b []byte, s *SegImage) []byte {
 
 // DecodeSegImage parses exactly one image.
 //
-//bess:hotpath
+// TestDecodeSegImageAllocs pins its allocation budget.
 func DecodeSegImage(b []byte) (*SegImage, error) {
 	s := &SegImage{}
 	c := decoder(b)
@@ -721,7 +721,7 @@ func DecodeCommitArgs(b []byte) (client uint32, tx uint64, segs []SegImage, err 
 // directly in b (the pooled batch buffer), so a steady-state scan allocates
 // nothing per batch.
 //
-//bess:hotpath
+// TestAppendScanBatchAllocs pins its allocation budget.
 func AppendScanBatch(b []byte, sb *ScanBatch) []byte {
 	c := Cursor{buf: b}
 	sb.Fields(&c)

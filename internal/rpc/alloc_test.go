@@ -2,7 +2,7 @@ package rpc
 
 import "testing"
 
-// Allocation budgets for the frame header codec (//bess:hotpath): encode
+// Allocation budgets for the frame header codec (DESIGN.md §4f): encode
 // appends onto the caller's buffer and parse fills a stack frame — neither
 // may allocate on the valid-input path.
 

@@ -133,7 +133,7 @@ func crcPipe(t *testing.T, plan fault.ConnPlan) (cli, srv *rpc.Peer) {
 func TestChecksumMirroring(t *testing.T) {
 	cli, srv := crcPipe(t, fault.ConnPlan{})
 	cli.EnableChecksums()
-	if srv.ChecksumsEnabled() {
+	if rpc.CRCOut(srv) {
 		t.Fatal("server opted in before seeing a checksummed frame")
 	}
 	body := []byte("mirror me")
@@ -141,7 +141,7 @@ func TestChecksumMirroring(t *testing.T) {
 	if err != nil || string(got) != string(body) {
 		t.Fatalf("checksummed call: %q, %v", got, err)
 	}
-	if !srv.ChecksumsEnabled() {
+	if !rpc.CRCOut(srv) {
 		t.Fatal("server did not mirror the checksum setting")
 	}
 }

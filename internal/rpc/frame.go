@@ -157,7 +157,7 @@ func (f *frame) wireLen() int {
 // once per frame on the send path, straight into the peer's pending batch,
 // and must not allocate beyond dst.
 //
-//bess:hotpath
+// TestAppendFrameAllocs pins its allocation budget.
 func appendFrame(dst []byte, f *frame) []byte {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint64(dst, f.id)
@@ -179,7 +179,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 // the payload length still to read. It runs once per received frame and
 // allocates only on the (cold) malformed-header paths.
 //
-//bess:hotpath
+// TestParseHeaderAllocs pins its allocation budget.
 func parseHeader(hdr *[frameHdrLen]byte) (frame, int, error) {
 	f := frame{
 		id:     binary.BigEndian.Uint64(hdr[0:8]),
@@ -264,36 +264,4 @@ func readFrame(br *bufio.Reader) (frame, error) {
 		return frame{}, err
 	}
 	return f, nil
-}
-
-// decodeFrame parses one frame from the head of b, returning the number of
-// bytes consumed. The frame aliases b. This is the slice-based twin of
-// readFrame shared with FuzzFrameDecode.
-func decodeFrame(b []byte) (frame, int, error) {
-	if len(b) < frameHdrLen {
-		return frame{}, 0, fmt.Errorf("%w: %d bytes is shorter than a header", ErrBadFrame, len(b))
-	}
-	var hdr [frameHdrLen]byte
-	copy(hdr[:], b)
-	f, plen, err := parseHeader(&hdr)
-	if err != nil {
-		return frame{}, 0, err
-	}
-	total := frameHdrLen + plen
-	if f.flags&flagCRC != 0 {
-		total += 4
-	}
-	if len(b) < total {
-		return frame{}, 0, fmt.Errorf("%w: payload length %d exceeds %d remaining bytes", ErrBadFrame, plen, len(b)-frameHdrLen)
-	}
-	if f.flags&flagCRC != 0 {
-		crc := page.Checksum(b[:frameHdrLen+plen])
-		if got := binary.BigEndian.Uint32(b[frameHdrLen+plen : total]); got != crc {
-			return frame{}, 0, fmt.Errorf("%w: frame id %d: crc %08x want %08x", ErrFrameChecksum, f.id, crc, got)
-		}
-	}
-	if err := f.setPayload(b[frameHdrLen : frameHdrLen+plen]); err != nil {
-		return frame{}, 0, err
-	}
-	return f, total, nil
 }

@@ -1,8 +1,10 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -101,9 +103,10 @@ func TestGoldenWireFormat(t *testing.T) {
 			if !bytes.Equal(got, tc.want) {
 				t.Fatalf("encoding changed:\n got %#v\nwant %#v", got, tc.want)
 			}
-			dec, n, err := decodeFrame(got)
-			if err != nil || n != len(got) {
-				t.Fatalf("decode: n=%d err=%v", n, err)
+			br := bufio.NewReader(bytes.NewReader(got))
+			dec, err := readFrame(br)
+			if err != nil || br.Buffered() != 0 {
+				t.Fatalf("decode: %d bytes left, err=%v", br.Buffered(), err)
 			}
 			if dec.id != tc.f.id || dec.flags != tc.f.flags || dec.method != tc.f.method {
 				t.Fatalf("decoded header = %+v", dec)
@@ -145,46 +148,47 @@ func TestFrameDecodeRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		b    []byte
+		want error
 	}{
-		{"empty", nil},
-		{"short header", valid[:frameHdrLen-1]},
-		{"unknown flags", append(append([]byte(nil), valid[:8]...), append([]byte{0x80}, valid[9:]...)...)},
+		{"empty", nil, io.EOF},
+		{"short header", valid[:frameHdrLen-1], io.ErrUnexpectedEOF},
+		{"unknown flags", append(append([]byte(nil), valid[:8]...), append([]byte{0x80}, valid[9:]...)...), ErrBadFrame},
 		{"named with method id", func() []byte {
 			b := append([]byte(nil), valid...)
 			b[8] = flagNamed
 			return b
-		}()},
+		}(), ErrBadFrame},
 		{"stream with reply flag", func() []byte {
 			b := append([]byte(nil), valid...)
 			b[8] = flagStream | flagReply
 			return b
-		}()},
+		}(), ErrBadFrame},
 		{"stream with error flag", func() []byte {
 			b := append([]byte(nil), valid...)
 			b[8] = flagStream | flagError
 			return b
-		}()},
+		}(), ErrBadFrame},
 		{"truncated payload", func() []byte {
 			b := append([]byte(nil), valid...)
 			b[14] = 4 // claims 4 payload bytes, none follow
 			return b
-		}()},
+		}(), io.ErrUnexpectedEOF},
 		{"oversized payload", func() []byte {
 			b := append([]byte(nil), valid...)
 			b[11], b[12], b[13], b[14] = 0xFF, 0xFF, 0xFF, 0xFF
 			return b
-		}()},
+		}(), ErrBadFrame},
 		{"truncated inline name", func() []byte {
 			f := frame{id: 1, flags: flagNamed, name: "echo"}
 			b := appendFrame(nil, &f)
 			b[16] = 0xFF // name length exceeds payload
 			return b
-		}()},
+		}(), ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := decodeFrame(tc.b); !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("err = %v, want ErrBadFrame", err)
+			if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.b))); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}

@@ -312,9 +312,6 @@ func (p *Peer) dropCall(id uint64) {
 // so calling this on one end at handshake time protects both directions.
 func (p *Peer) EnableChecksums() { p.crcOut.Store(true) }
 
-// ChecksumsEnabled reports whether outbound frames carry CRC trailers.
-func (p *Peer) ChecksumsEnabled() bool { return p.crcOut.Load() }
-
 // send encodes f straight into the pending batch and returns once those
 // bytes are on the socket — written either by this sender as leader or by
 // another sender's write that covered them.
@@ -347,9 +344,8 @@ const maxSpare = 1 << 20
 // p.wmu held; returns with it held (the lock is dropped around each socket
 // write so other senders keep queueing — the leader carries them out on its
 // next pass while they wait parked on wcond).
-//
-//bess:holds wmu
 func (p *Peer) flushPending(seq uint64) error {
+	p.wmu.AssertHeld()
 	waited := false
 	for {
 		if p.werr != nil {

@@ -630,11 +630,11 @@ func (s *Seg) EncodeSlotted() []byte {
 // slotted pages — what a client wants that maps this very image and brings it
 // up to date after every slot change (swizzle.Mapper.TrustedSlotUpdate).
 //
-//bess:hotpath
+// TestEncodeSlotsAllocs pins its allocation budget.
 func (s *Seg) EncodeSlots() []byte {
 	s.Hdr.CRCFlags |= CRCSlots
 	if s.img == nil {
-		s.img = make([]byte, int(s.Hdr.SlottedPages)*page.Size) //bess:hotpath ignore=once per segment
+		s.img = make([]byte, int(s.Hdr.SlottedPages)*page.Size) // once per segment
 		for i := range s.Slots {
 			s.putSlot(i)
 		}

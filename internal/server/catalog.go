@@ -105,9 +105,8 @@ var (
 )
 
 // Fields is the image file's layout.
-//
-//bess:holds mu
 func (c *catalog) Fields(w *proto.Cursor) {
+	c.mu.AssertHeld()
 	magic, version := catalogMagic, catalogVersion
 	w.U32(&magic)
 	w.U16(&version)
@@ -156,9 +155,8 @@ func (m *dbMeta) Fields(w *proto.Cursor) {
 
 // index enters m, whose Created list is complete, into the catalog's maps
 // and builds its own.
-//
-//bess:holds mu
 func (c *catalog) index(m *dbMeta) {
+	c.mu.AssertHeld()
 	c.DBs[m.Name], c.ByID[m.ID] = m, m
 	m.Segments = make(map[proto.SegKey]*segMeta, len(m.Created))
 	m.Files = make(map[uint32][]proto.SegKey)
@@ -176,8 +174,8 @@ func (m *dbMeta) add(sm *segMeta) {
 // loadCatalog reads the catalog image of a server directory; a directory
 // without one gets an empty catalog, which replay then fills from the start
 // of the log. A leftover catalog.bess.tmp — an image whose write a crash cut
-// short — is removed. The returned value is not yet shared, so fields are
-// touched without c.mu.
+// short — is removed. The returned value is not yet shared; c.mu is taken
+// around the decode only because the codec and index assert it.
 //
 //bess:prepublish
 func loadCatalog(dir string) (*catalog, error) {
@@ -202,6 +200,8 @@ func loadCatalog(dir string) (*catalog, error) {
 	if body >= 6 && binary.BigEndian.Uint32(b) == catalogMagic && binary.BigEndian.Uint16(b[4:]) == 1 {
 		return nil, fmt.Errorf("%w: %s is a version 1 file", ErrCatalogOldFormat, c.path)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := proto.Decode(b[:body], c); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCatalogCorrupt, c.path, err)
 	}
@@ -283,9 +283,8 @@ type loggedOp struct {
 // The LSN is returned with an error too, once the record is in the log: a
 // failed effect leaves the op logged but not applied, restart will apply it,
 // and the caller must leave behind what the op's redo expects.
-//
-//bess:holds mu
 func (c *catalog) change(op *proto.CatalogOp, effect func() error) (page.LSN, error) {
+	c.mu.AssertHeld()
 	body, err := proto.Encode(op)
 	if err != nil {
 		return 0, err
@@ -305,9 +304,8 @@ func (c *catalog) change(op *proto.CatalogOp, effect func() error) (page.LSN, er
 // apply makes the change op describes, logged at lsn, to the in-memory
 // catalog. An error means op does not fit this catalog — at restart, that the
 // image and the log disagree — and leaves the catalog as it was.
-//
-//bess:holds mu
 func (c *catalog) apply(op *proto.CatalogOp, lsn page.LSN) error {
+	c.mu.AssertHeld()
 	m := c.ByID[op.DB]
 	if m == nil && op.Kind != proto.CatCreateDB {
 		return fmt.Errorf("%s names database %d, which the catalog does not have", op.Kind, op.DB)
@@ -554,8 +552,8 @@ func (c *catalog) namesDir(db *dbMeta) (*names.Directory, error) {
 	return c.namesDirLocked(db)
 }
 
-//bess:holds mu
 func (c *catalog) namesDirLocked(db *dbMeta) (*names.Directory, error) {
+	c.mu.AssertHeld()
 	if d, ok := c.dirs[db.ID]; ok {
 		return d, nil
 	}

@@ -36,6 +36,16 @@ func sampleCatalog() *catalog {
 	return c
 }
 
+// lockedCatalog runs the catalog's codec as the server does, under c.mu:
+// catalog.Fields asserts it.
+type lockedCatalog struct{ *catalog }
+
+func (l *lockedCatalog) Fields(w *proto.Cursor) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.catalog.Fields(w)
+}
+
 // TestCatalogLayout holds the catalog file's field list to the same codec
 // contract as every wire message, against its own golden vector.
 func TestCatalogLayout(t *testing.T) {
@@ -47,12 +57,14 @@ func TestCatalogLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prototest.Check(t, sampleCatalog(), func() proto.Message { return newCatalog("") }, golden)
+	prototest.Check(t, &lockedCatalog{sampleCatalog()}, func() proto.Message { return &lockedCatalog{newCatalog("")} }, golden)
 
 	c := sampleCatalog()
+	c.mu.Lock()
 	for _, m := range c.Created {
 		c.index(m) // as loadCatalog does
 	}
+	c.mu.Unlock()
 	main := c.DBs["main"]
 	if c.ByID[1] != main || c.ByID[2] != c.DBs["aux"] || len(main.Segments) != 3 ||
 		!reflect.DeepEqual(main.Files[1], []proto.SegKey{{Area: 1, Start: 0}, {Area: 1, Start: 64}}) {
@@ -63,11 +75,11 @@ func TestCatalogLayout(t *testing.T) {
 	// lower bound the decoder holds a database count to: it must load.
 	tiny := newCatalog("")
 	tiny.Created = []*dbMeta{{}}
-	b, err := proto.Encode(tiny)
+	b, err := proto.Encode(&lockedCatalog{tiny})
 	if err != nil || len(b) != 4+2+8+4+4+4+dbMetaMin {
 		t.Fatalf("smallest database encodes to %d bytes (err %v), dbMetaMin says %d", len(b)-26, err, dbMetaMin)
 	}
-	if err := proto.Decode(b, newCatalog("")); err != nil {
+	if err := proto.Decode(b, &lockedCatalog{newCatalog("")}); err != nil {
 		t.Fatalf("catalog with one empty database: %v", err)
 	}
 }

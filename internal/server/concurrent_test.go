@@ -70,6 +70,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 	}
 
 	errs := make(chan error, clients)
+	txids := make([][]uint64, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -81,6 +82,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 					errs <- err
 					return
 				}
+				txids[c] = append(txids[c], txid)
 				if err := s.Lock(conns[c], txid, keys[c], proto.LockX); err != nil {
 					errs <- fmt.Errorf("client %d lock: %w", c, err)
 					return
@@ -105,8 +107,12 @@ func TestConcurrentCommitStress(t *testing.T) {
 	if st.WALSyncs == 0 || st.WALSyncs > st.WALFlushes {
 		t.Fatalf("wal accounting off: syncs=%d flushes=%d", st.WALSyncs, st.WALFlushes)
 	}
-	if n := s.txm.ActiveCount(); n != 0 {
-		t.Fatalf("%d transactions left active", n)
+	for _, ids := range txids {
+		for _, id := range ids {
+			if s.txm.Lookup(id) != nil {
+				t.Fatalf("transaction %d left in the table", id)
+			}
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

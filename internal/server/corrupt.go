@@ -243,7 +243,7 @@ func (rd *reader) segmentsHolding(pages []page.ID) []proto.SegKey {
 // (StartScrub), `bess-inspect -verify`, and tests.
 func (s *Server) ScrubOnce() (ScrubStats, error) {
 	for _, sm := range s.cat.allSegMetas() {
-		if s.closed.Load() || s.scrubPaused.Load() {
+		if s.closed.Load() {
 			break
 		}
 		seg := sm.Seg
@@ -266,10 +266,6 @@ func (s *Server) ScrubOnce() (ScrubStats, error) {
 	return s.ScrubStatus(), nil
 }
 
-// PauseScrub pauses (true) or resumes (false) scrub passes — foreground
-// load spikes can shed the scrubber's read traffic without stopping it.
-func (s *Server) PauseScrub(paused bool) { s.scrubPaused.Store(paused) }
-
 // StartScrub launches the background scrubber: one full pass every
 // interval, sleeping pace between segments so a pass never monopolizes the
 // disk. One-shot per server: a second call is a no-op, and StopScrub (or
@@ -286,7 +282,7 @@ func (s *Server) StartScrub(interval, pace time.Duration) {
 					return
 				case <-t.C:
 				}
-				if s.scrubPaused.Load() || s.closed.Load() {
+				if s.closed.Load() {
 					continue
 				}
 				_, _ = s.ScrubOnce()

@@ -199,8 +199,6 @@ func TestBackgroundScrubberRepairs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.PauseScrub(true)
-	s.PauseScrub(false)
 	s.StopScrub()
 	if err := s.Close(); err != nil { // Close after StopScrub is clean
 		t.Fatal(err)

@@ -369,12 +369,17 @@ func TestRedoSegmentFormatsWhatTheCrashLost(t *testing.T) {
 	if dec.Hdr.FileID != 1 || dec.Hdr.NObjects != 0 || len(sl) != 2*page.Size || len(data) != 8*page.Size {
 		t.Fatalf("restart formatted %+v (%d slotted, %d data bytes)", dec.Hdr, len(sl), len(data))
 	}
+	// Both runs are live at their sizes: ensuring them again allocates
+	// nothing.
 	a := r.lookupArea(key.Area)
-	if n, live := a.SegmentPages(page.No(key.Start)); !live || n != 2 {
-		t.Fatalf("slotted run after restart: %d pages, live %v", n, live)
-	}
-	if n, live := a.SegmentPages(dec.Hdr.DataStart); !live || n != 8 {
-		t.Fatalf("data run after restart: %d pages, live %v", n, live)
+	free := a.FreePages()
+	for _, run := range []struct {
+		start page.No
+		pages int
+	}{{page.No(key.Start), 2}, {dec.Hdr.DataStart, 8}} {
+		if err := a.EnsureSegment(run.start, run.pages); err != nil || a.FreePages() != free {
+			t.Fatalf("run at page %d after restart is not a live %d-page segment (err %v)", run.start, run.pages, err)
+		}
 	}
 	next, err := createSeg(r, db, 1, 2, 8, -1)
 	if err != nil || next == key {
@@ -402,7 +407,7 @@ func TestImageNeverAheadOfLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Log().FlushedLSN() == s.Log().NextLSN() {
+	if durableLSN(s.Log()) == s.Log().NextLSN() {
 		t.Fatal("CreateSegment forced the log: the test needs its record buffered")
 	}
 	if err := s.saveCatalog(false); err != nil { // a checkpoint up to, not including, its record
@@ -800,7 +805,7 @@ func TestDDLCrashProperty(t *testing.T) {
 		// As is: the log file ends at the durable frontier — the end of a
 		// step, or of a commit step's commit record (its end record follows
 		// the force).
-		durable := s.Log().FlushedLSN()
+		durable := durableLSN(s.Log())
 		asIs := 0
 		for history[asIs].end < durable {
 			asIs++
@@ -889,3 +894,6 @@ func TestRedoSegmentGrowsArea(t *testing.T) {
 		}
 	}
 }
+
+// durableLSN is l's durable frontier: the log bytes a crash would keep.
+func durableLSN(l *wal.Log) page.LSN { return page.LSN(len(l.DurableBytes())) }

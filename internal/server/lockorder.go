@@ -1,17 +1,16 @@
 // Lock hierarchy of the BeSS server.
 //
 // A lock's place in the hierarchy is the rank its Init call names —
-// mu.Init("Type.field", rank) — and that is the only place it is written:
-// cmd/bess-vet reads the constant-folded arguments and statically rejects any
-// function whose call graph acquires ranked locks in a violating nested
-// order, and internal/lockcheck enforces the same constants at runtime under
-// the `invariants` build tag. Lower rank = acquired earlier (outermost): a
-// goroutine holding a may acquire b only if rank(a) < rank(b), and locks of
-// equal rank must not nest at all. Rank 0 (area.Area.mu, the lock manager's
-// internals, client-side session locks, the scan table) is unranked: no
+// mu.Init("Type.field", rank) — and that is the only place it is written.
+// internal/lockcheck is its one checker: under the `invariants` build tag
+// every acquisition is checked against the locks its goroutine holds. Lower
+// rank = acquired earlier (outermost): a goroutine holding a may acquire b
+// only if rank(a) < rank(b), and locks of equal rank must not nest at all.
+// Rank 0 (area.Area.mu, the lock manager's internals, client-side session
+// locks, the scan table, the shared cache's SMT lock) is unranked: no
 // ordering constraint, still checked for recursive acquisition at runtime.
 //
-// The constants live beside the locks they rank, in six packages (none of
+// The constants live beside the locks they rank, in eight packages (none of
 // which can import server): `grep -rn 'lockcheck.Rank = ' internal` prints
 // the whole order. What the numbers cannot say is why:
 //
@@ -25,6 +24,13 @@
 // its transactions), and VersionStore.mu sits innermost but for Log.mu —
 // commit hooks publish staged versions while the committing transaction
 // still holds everything else.
+//
+// The shared-memory cache (internal/shm) is outside the server but in the
+// same order. A slot latch ranks outermost of all (1, below the rpc.Peer
+// locks): a flush writes the slot back through the node server's upstream
+// connection while it holds the latch. Process.mu, cache.Pool.mu and
+// vmem.Space.mu rank innermost (70, 75, 80): leaves a latch holder's reads
+// and writes take, which never nest with one another.
 //
 // The hot paths rely on these locks never actually nesting (each is
 // released before the next is taken — see Server's doc comment); the

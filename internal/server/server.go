@@ -78,7 +78,8 @@ type Stats struct {
 // transaction table is the transaction manager's (tx.Manager: the only one).
 // None of these locks is ever held while acquiring another; the permitted
 // nesting order, should one ever be introduced, is the ranks their Init calls
-// name (lockorder.go), enforced by cmd/bess-vet and `-tags invariants` builds.
+// name (lockorder.go), enforced by internal/lockcheck in `-tags invariants`
+// builds.
 type Server struct {
 	host uint16
 	dir  string // "" = in-memory
@@ -100,10 +101,9 @@ type Server struct {
 
 	// The background scrubber (corrupt.go): StartScrub starts it once, in a
 	// group StopScrub and Close stop.
-	scrub       goleak.Group
-	scrubOnce   sync.Once
-	scrubPaused atomic.Bool
-	scrubPace   time.Duration // set before the scrubber starts
+	scrub     goleak.Group
+	scrubOnce sync.Once
+	scrubPace time.Duration // set before the scrubber starts
 
 	// media, when non-nil, supplies the durable devices instead of dir
 	// (OpenMedia: fault-injection harnesses run the full stack over

@@ -32,9 +32,8 @@ func vkeyOf(seg proto.SegKey) cache.VKey {
 // publishSnapsLocked publishes each open snapshot's stamp for the reader,
 // which has no snapMu to take. Called with snapMu held; the published map is
 // never mutated again.
-//
-//bess:holds snapMu
 func (s *Server) publishSnapsLocked() {
+	s.snapMu.AssertHeld()
 	view := make(map[uint64]page.LSN, len(s.snapshots))
 	for id, e := range s.snapshots {
 		view[id] = e.snap.Stamp()
@@ -141,7 +140,7 @@ func (rd *reader) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte,
 // own: chain images are served as-is (shared: read them, do not write them)
 // and the disk read is the fetch path's readImage.
 //
-//bess:hotpath
+// TestReadAsOfAllocs pins its allocation budget.
 func (rd *reader) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
 	rd.stats.snapFetches.Add(1)
 	key := vkeyOf(seg)

@@ -110,10 +110,10 @@ func TestFailedWriteBackKeepsVictim(t *testing.T) {
 		t.Fatalf("page 2 reads %d", got)
 	}
 	back.mu.Lock()
-	stored := back.pages[pid(1)][0]
+	stored, writes := back.pages[pid(1)][0], back.writes
 	back.mu.Unlock()
-	if stored != 0xEE || sc.WriteBacks() != 1 {
-		t.Fatalf("backing holds %#x after %d write-backs", stored, sc.WriteBacks())
+	if stored != 0xEE || writes != 1 {
+		t.Fatalf("backing holds %#x after %d write-backs", stored, writes)
 	}
 }
 
@@ -202,7 +202,10 @@ func TestVictimWaiterKeepsItsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := <-waiter
-	if f, ok := sc.FrameFor(victim); !ok || f != r.FrameOf() {
+	sc.mu.Lock()
+	f, ok := sc.frameOf[victim]
+	sc.mu.Unlock()
+	if !ok || f != r.FrameOf() {
 		t.Fatalf("waiter holds frame %d, the SMT says %d (assigned %v)", r.FrameOf(), f, ok)
 	}
 	r7, err := p1.Access(pid(7))

@@ -12,17 +12,16 @@
 // shm_ref<T> translation between process addresses and shared offsets.
 //
 // Concurrent access is synchronized with latches (atomic test-and-set in
-// the paper, sync.Mutex here), and cleanup of shared structures after a
+// the paper, lockcheck.Mutex here), and cleanup of shared structures after a
 // process failure follows the action-tracking approach of Rdb/VMS [20].
 package shm
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"bess/internal/cache"
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 	"bess/internal/vmem"
 )
@@ -62,9 +61,20 @@ func MakeRef(frame, off int) Ref {
 	return Ref(uint64(frame)*vmem.FrameSize + uint64(off))
 }
 
+// The shared cache's place in the lock hierarchy
+// (internal/server/lockorder.go). A slot latch is outermost of all: a flush
+// writes the slot back through the node server's upstream connection while it
+// holds the latch (rpc.Peer's locks, rank 2 and 5, nest inside it), and
+// WithLatch runs the caller's reads and writes under it, which take
+// Process.mu, vmem.Space.mu and cache.Pool.mu. Process.mu is a leaf.
+const (
+	rankSlotLatch lockcheck.Rank = 1
+	rankProcessMu lockcheck.Rank = 70
+)
+
 // SharedCache is the node-wide cache plus SMT. Safe for concurrent use.
 type SharedCache struct {
-	mu      sync.Mutex
+	mu      lockcheck.Mutex
 	pool    *cache.Pool
 	backing Backing
 	nframes int
@@ -78,9 +88,7 @@ type SharedCache struct {
 
 	// slotLatch[i] serializes access to pool slot i — the paper's latches
 	// for atomic read/write of cached objects.
-	slotLatch []sync.Mutex
-
-	writeBacks atomic.Int64
+	slotLatch []lockcheck.Mutex
 }
 
 // NewSharedCache builds a cache of nslots pages with an SVMA of nframes
@@ -98,7 +106,11 @@ func NewSharedCache(nslots, nframes int, backing Backing) (*SharedCache, error) 
 		assigned:  make([]bool, nframes),
 		frameOf:   make(map[page.ID]int),
 		procs:     make(map[int]*Process),
-		slotLatch: make([]sync.Mutex, nslots),
+		slotLatch: make([]lockcheck.Mutex, nslots),
+	}
+	sc.mu.Init("SharedCache.mu", 0) // unranked: a leaf, held only over the SMT and the process table
+	for i := range sc.slotLatch {
+		sc.slotLatch[i].Init("SharedCache.slotLatch", rankSlotLatch)
 	}
 	// Frame 0 is reserved so Ref 0 can be nil.
 	sc.assigned[0] = true
@@ -110,17 +122,6 @@ func NewSharedCache(nslots, nframes int, backing Backing) (*SharedCache, error) 
 
 // Pool exposes the underlying slot pool (stats, tests).
 func (sc *SharedCache) Pool() *cache.Pool { return sc.pool }
-
-// WriteBacks reports how many dirty pages were written back on eviction.
-func (sc *SharedCache) WriteBacks() int64 { return sc.writeBacks.Load() }
-
-// FrameFor returns the SVMA frame assigned to id, if any.
-func (sc *SharedCache) FrameFor(id page.ID) (int, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	f, ok := sc.frameOf[id]
-	return f, ok
-}
 
 // assignFrameLocked gives id an SVMA frame, reusing an existing assignment.
 func (sc *SharedCache) assignFrameLocked(id page.ID) (int, error) {
@@ -193,9 +194,6 @@ func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 			// The victim leaves the cache: free its SVMA frame while the
 			// processes waiting for it are still parked on the claim, so the
 			// one that brings it back assigns it a frame afresh.
-			if ev.Dirty {
-				sc.writeBacks.Add(1)
-			}
 			sc.mu.Lock()
 			sc.releaseFrameLocked(ev.ID)
 			sc.mu.Unlock()
@@ -238,7 +236,6 @@ func (sc *SharedCache) flushPage(id page.ID) error {
 		return err
 	}
 	sc.pool.MarkClean(slot)
-	sc.writeBacks.Add(1)
 	return nil
 }
 
@@ -251,7 +248,7 @@ type Process struct {
 	base   vmem.Addr
 	fclock *cache.FrameClock
 
-	mu       sync.Mutex
+	mu       lockcheck.Mutex
 	detached bool
 	// Action tracking for failure cleanup [20]: latches currently held.
 	heldLatches map[int]struct{}
@@ -273,6 +270,7 @@ func (sc *SharedCache) Attach() (*Process, error) {
 		heldLatches: make(map[int]struct{}),
 		mapped:      make(map[int]int),
 	}
+	p.mu.Init("Process.mu", rankProcessMu)
 	p.fclock = cache.NewFrameClock(sc.pool, sc.nframes, func(frame, slot int) {
 		// Level-1 invalidation revokes this process' access.
 		_ = space.Unmap(base + vmem.Addr(frame*vmem.FrameSize))

@@ -733,15 +733,6 @@ func (m *Mapper) Seg(id SegID) (*segment.Seg, bool) {
 	return ms.seg, true
 }
 
-// DataBase returns the reserved data-segment base address for id.
-func (m *Mapper) DataBase(id SegID) (vmem.Addr, bool) {
-	ms, ok := m.bySeg[id]
-	if !ok || ms.state < stSlotted {
-		return vmem.NilAddr, false
-	}
-	return ms.dataBase, true
-}
-
 // RelocateData re-homes a loaded segment's data (compaction, resizing, or
 // movement between storage areas — §2.1's on-the-fly reorganization). The
 // caller has already rewritten seg.Hdr geometry and seg.Data; the mapper
@@ -798,24 +789,6 @@ func (m *Mapper) RelocateData(id SegID) error {
 	return nil
 }
 
-// EvictData unmaps a segment's data pages (cache replacement took the
-// slots); the reservation stays so DPs remain valid and the next access
-// re-faults.
-func (m *Mapper) EvictData(id SegID) error {
-	ms, ok := m.bySeg[id]
-	if !ok || ms.state < stDataMapped {
-		return ErrUnknownAddr
-	}
-	for i := 0; i < ms.dataPages; i++ {
-		if err := m.space.Unmap(ms.dataBase + vmem.Addr(i*page.Size)); err != nil {
-			return err
-		}
-	}
-	ms.state = stSlotted
-	ms.seg.Data = nil
-	return nil
-}
-
 // TrustedSlotUpdate performs a trusted modification of the write-protected
 // slotted image: it unprotects the affected pages, applies fn to the decoded
 // segment — whose slot mutators write each changed slot into the image, which
@@ -846,7 +819,7 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 // business (EncodeSlots): an object created in a full-size segment must not
 // cost a CRC of the whole data section.
 //
-//bess:hotpath
+// TestRefreshSlottedAllocs pins its allocation budget.
 func (m *Mapper) refreshSlotted(ms *mseg) {
 	ms.seg.EncodeSlots()
 	// Re-fix the DPs: the update may have created, moved, or resized
@@ -965,14 +938,4 @@ func (m *Mapper) MappedDataRanges() []DataRange {
 		}
 	}
 	return out
-}
-
-// SlottedBase exposes the reserved base address of a segment's slotted
-// range (tests and the shm layer use it).
-func (m *Mapper) SlottedBase(id SegID) (vmem.Addr, bool) {
-	ms, ok := m.bySeg[id]
-	if !ok {
-		return vmem.NilAddr, false
-	}
-	return ms.slottedBase, true
 }

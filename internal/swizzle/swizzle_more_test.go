@@ -215,20 +215,14 @@ func TestRelocateAndEvictErrors(t *testing.T) {
 	if err := m.RelocateData(idA); !errors.Is(err, ErrUnknownAddr) {
 		t.Fatalf("relocate unloaded: %v", err)
 	}
-	if err := m.EvictData(idA); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("evict unloaded: %v", err)
-	}
 	m.EnsureLoaded(idA)
-	if err := m.EvictData(idA); !errors.Is(err, ErrUnknownAddr) {
-		t.Fatalf("evict without data: %v", err)
-	}
 	// Relocate without data mapped (state stays slotted).
 	seg, _ := m.Seg(idA)
 	seg.MoveData(2, 500)
 	if err := m.RelocateData(idA); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.DataBase(idA); !ok {
+	if m.bySeg[idA].dataBase == vmem.NilAddr {
 		t.Fatal("data base missing after relocate")
 	}
 }

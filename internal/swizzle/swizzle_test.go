@@ -365,7 +365,7 @@ func TestTrustedSlotUpdateWritesTheMappedImage(t *testing.T) {
 		t.Errorf("a trusted update allocates %d bytes: a slotted image (%d) or more, every time", per, page.Size)
 	}
 	seg, _ := m.Seg(idA)
-	base, _ := m.SlottedBase(idA)
+	base := m.bySeg[idA].slottedBase
 	mapped := make([]byte, int(seg.Hdr.SlottedPages)*page.Size)
 	if err := m.Space().ReadRange(base, mapped); err != nil {
 		t.Fatal(err)
@@ -527,33 +527,6 @@ func TestRelocateDataPreservesReferences(t *testing.T) {
 	}
 	if ref0b != ref0 {
 		t.Fatalf("reference changed by relocation: %#x vs %#x", ref0b, ref0)
-	}
-}
-
-func TestEvictDataRefaults(t *testing.T) {
-	f, reg, idA, _ := buildGraph(t)
-	m := NewMapper(vmem.New(), f, reg)
-	addr, _ := m.AddrOfSlot(idA, 0)
-	obj, _ := m.Deref(addr)
-	if _, err := obj.RefField(0); err != nil {
-		t.Fatal(err)
-	}
-	if f.dataFetches != 1 {
-		t.Fatalf("data fetches = %d", f.dataFetches)
-	}
-	if err := m.EvictData(idA); err != nil {
-		t.Fatal(err)
-	}
-	// Next access faults the data back in.
-	obj2, _ := m.Deref(addr)
-	if _, err := obj2.RefField(0); err != nil {
-		t.Fatal(err)
-	}
-	if f.dataFetches != 2 {
-		t.Fatalf("data fetches after evict = %d", f.dataFetches)
-	}
-	if m.Stats().Wave3DataLoads != 2 {
-		t.Fatalf("wave3 = %d", m.Stats().Wave3DataLoads)
 	}
 }
 

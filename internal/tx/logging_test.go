@@ -144,8 +144,8 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	if m.CommitStamp() != stamp {
 		t.Fatalf("version clock moved: %d -> %d", stamp, m.CommitStamp())
 	}
-	if c, a := m.Counts(); c != 2 || a != 1 || m.ActiveCount() != 0 {
-		t.Fatalf("commits %d, aborts %d, active %d", c, a, m.ActiveCount())
+	if c, a := m.Counts(); c != 2 || a != 1 || live(m) != 0 {
+		t.Fatalf("commits %d, aborts %d, active %d", c, a, live(m))
 	}
 	// Both endings drop what the transaction staged; neither publishes.
 	if len(committed) != 1 || len(unstaged) != 2 {

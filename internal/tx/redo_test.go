@@ -44,7 +44,7 @@ func TestLogRedoWritesAfterTheForce(t *testing.T) {
 		t.Fatalf("first shipped change of a page: %v, whole page %v, %d undo bytes", rec.Type, rec.WholePage(), len(rec.Before))
 	}
 	var flushedAtWrite page.LSN
-	pg.before = func(wal.Logged) { flushedAtWrite = l.FlushedLSN() }
+	pg.before = func(wal.Logged) { flushedAtWrite = durableLSN(l) }
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}

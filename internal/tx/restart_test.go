@@ -97,8 +97,8 @@ func TestRestartWinnerLoserInDoubt(t *testing.T) {
 	}
 	check(t, disk, "\x00\x00")
 	branch := m.Lookup(3)
-	if m.ActiveCount() != 1 || branch == nil || branch.State() != Prepared || m.Lookup(2) != nil {
-		t.Fatalf("table after restart: %d live, branch %v", m.ActiveCount(), branch)
+	if live(m) != 1 || branch == nil || branch.State() != Prepared || m.Lookup(2) != nil {
+		t.Fatalf("table after restart: %d live, branch %v", live(m), branch)
 	}
 	if tr := m.Begin(); tr.ID() <= 3 {
 		t.Fatalf("a new transaction got id %d, below an adopted one", tr.ID())
@@ -109,7 +109,7 @@ func TestRestartWinnerLoserInDoubt(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, disk, "2P")
-	if m.ActiveCount() != 0 {
+	if live(m) != 0 {
 		t.Fatal("decided branch still in the table")
 	}
 	// A second restart, over the log the first one extended, finds nothing to
@@ -357,8 +357,8 @@ func TestEnsureBeginsOnce(t *testing.T) {
 			t.Fatal("Ensure began one id twice")
 		}
 	}
-	if m.ActiveCount() != 1 || hk.Fired(hooks.EvTxBegin) != 1 {
-		t.Fatalf("%d live transactions, %d begin events", m.ActiveCount(), hk.Fired(hooks.EvTxBegin))
+	if live(m) != 1 || hk.Fired(hooks.EvTxBegin) != 1 {
+		t.Fatalf("%d live transactions, %d begin events", live(m), hk.Fired(hooks.EvTxBegin))
 	}
 }
 
@@ -407,7 +407,7 @@ func TestAbortOwned(t *testing.T) {
 	if err := prepared.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if m.locks.Holds(11, nPrepared) != lock.None || m.ActiveCount() != 1 {
+	if m.locks.Holds(11, nPrepared) != lock.None || live(m) != 1 {
 		t.Fatal("abort decision left the branch's lock or table entry")
 	}
 }
@@ -440,7 +440,7 @@ func TestFailedCommitForceEndsTheTransaction(t *testing.T) {
 	if err := tr.Commit(); !errors.Is(err, diskGone) {
 		t.Fatalf("commit over a failing force: %v", err)
 	}
-	if m.ActiveCount() != 0 || m.Lookup(tr.ID()) != nil {
+	if live(m) != 0 || m.Lookup(tr.ID()) != nil {
 		t.Fatal("the transaction is still in the table")
 	}
 	if got := m.locks.Holds(lock.TxID(tr.ID()), name); got != lock.None {

@@ -147,9 +147,8 @@ type shipped struct {
 }
 
 // register enters a transaction into the table. The caller holds m.mu.
-//
-//bess:holds mu
 func (m *Manager) register(id uint64, owner uint32, state State, lastLSN page.LSN) *Tx {
+	m.mu.AssertHeld()
 	if id >= m.nextID {
 		m.nextID = id + 1
 	}
@@ -498,11 +497,4 @@ func (m *Manager) Counts() (commits, aborts int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.commits, m.aborts
-}
-
-// ActiveCount returns the number of live transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
 }

@@ -23,9 +23,9 @@ package vmem
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
@@ -144,9 +144,15 @@ type Stats struct {
 	MappedFrames   int64 // current
 }
 
+// rankSpaceMu places Space.mu in the lock hierarchy
+// (internal/server/lockorder.go): a leaf — a fault handler runs with it
+// released — taken under a shared-memory slot latch by an access inside
+// shm.Process.WithLatch.
+const rankSpaceMu lockcheck.Rank = 80
+
 // Space is one simulated virtual address space.
 type Space struct {
-	mu      sync.RWMutex
+	mu      lockcheck.RWMutex
 	frames  map[int64]*frame
 	next    int64 // next unreserved frame index (bump reservation)
 	handler atomic.Pointer[Handler]
@@ -165,7 +171,9 @@ type Space struct {
 // New returns an empty Space. Frame 0 is pre-burned so that address 0 is
 // never valid (the null reference).
 func New() *Space {
-	return &Space{frames: make(map[int64]*frame), next: 1}
+	s := &Space{frames: make(map[int64]*frame), next: 1}
+	s.mu.Init("Space.mu", rankSpaceMu)
+	return s
 }
 
 // SetHandler installs the fault handler (nil uninstalls).

@@ -64,8 +64,8 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	if st.Syncs+st.GroupedCommits > st.Flushes {
 		t.Fatalf("syncs %d + grouped %d > flushes %d: a force that led its own round was counted as grouped", st.Syncs, st.GroupedCommits, st.Flushes)
 	}
-	if l.FlushedLSN() != l.NextLSN() {
-		t.Fatalf("tail left unflushed: flushed=%d next=%d", l.FlushedLSN(), l.NextLSN())
+	if flushedLSN(l) != l.NextLSN() {
+		t.Fatalf("tail left unflushed: flushed=%d next=%d", flushedLSN(l), l.NextLSN())
 	}
 	// Every record survived the concurrent flushing intact.
 	var n int64
@@ -90,7 +90,7 @@ func TestFlushAlreadyDurableNoResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncs := l.Stats().Syncs
-	durable := l.FlushedLSN()
+	durable := flushedLSN(l)
 	if _, err := l.Append(&Record{Type: TCommit, Tx: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +100,15 @@ func TestFlushAlreadyDurableNoResync(t *testing.T) {
 	if got := l.Stats().Syncs; got != syncs {
 		t.Fatalf("re-synced an already-durable LSN: syncs %d -> %d", syncs, got)
 	}
-	if l.FlushedLSN() != durable {
-		t.Fatalf("durable frontier moved: %d -> %d", durable, l.FlushedLSN())
+	if flushedLSN(l) != durable {
+		t.Fatalf("durable frontier moved: %d -> %d", durable, flushedLSN(l))
 	}
 	// The record appended after the force is still only buffered; a real
 	// force picks it up.
 	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if l.FlushedLSN() == durable {
+	if flushedLSN(l) == durable {
 		t.Fatal("tail never flushed")
 	}
 }
@@ -124,17 +124,24 @@ func TestFlushFirstUnflushedRecordForces(t *testing.T) {
 	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Append(&Record{Type: TCommit, Tx: 2}) // lsn == FlushedLSN()
+	lsn, err := l.Append(&Record{Type: TCommit, Tx: 2}) // lsn == flushedLSN(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != l.FlushedLSN() {
-		t.Fatalf("test setup: lsn=%d flushed=%d", lsn, l.FlushedLSN())
+	if lsn != flushedLSN(l) {
+		t.Fatalf("test setup: lsn=%d flushed=%d", lsn, flushedLSN(l))
 	}
 	if err := l.Flush(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if l.FlushedLSN() <= lsn {
-		t.Fatalf("commit record at the durable frontier not forced: flushed=%d", l.FlushedLSN())
+	if flushedLSN(l) <= lsn {
+		t.Fatalf("commit record at the durable frontier not forced: flushed=%d", flushedLSN(l))
 	}
+}
+
+// flushedLSN is l's durable frontier: the first LSN a crash would lose.
+func flushedLSN(l *Log) page.LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.flushed
 }

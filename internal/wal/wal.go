@@ -781,7 +781,7 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 // a whole-page record's is 0.2 us of hold time, not worth a reserve-then-fill
 // protocol to move outside.
 //
-//bess:hotpath
+// TestAppendAllocatesNothing pins its allocation budget.
 func (l *Log) Append(rec *Record) (page.LSN, error) {
 	zb, za := rec.zeroImages()
 	widest := rec.sizeAt(0, zb, za)
@@ -815,9 +815,8 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 // the current one if it has not. With every slot sealed it leads a sync round,
 // or waits for the one in flight: the appender is held back, the log never
 // grows past its set.
-//
-//bess:holds mu
 func (l *Log) reserve(need int) (int, error) {
+	l.mu.AssertHeld()
 	for {
 		if l.closed {
 			return 0, ErrClosed
@@ -846,9 +845,8 @@ func (l *Log) reserve(need int) (int, error) {
 }
 
 // release returns a slot whose bytes are durable to the free set.
-//
-//bess:holds mu
 func (l *Log) release(slot int) {
+	l.mu.AssertHeld()
 	if cap(l.bufs[slot]) > logBufSize {
 		l.bufs[slot] = nil
 	} else {
@@ -873,9 +871,8 @@ func (l *Log) Flush(upTo page.LSN) error {
 // target converts Flush's inclusive record LSN into the exclusive byte
 // offset the log must be durable through. The durable frontier only moves
 // in whole records, so upTo+1 covers the record starting at upTo.
-//
-//bess:holds mu
 func (l *Log) target(upTo page.LSN) page.LSN {
+	l.mu.AssertHeld()
 	if upTo == 0 || upTo >= l.nextLSN {
 		return l.nextLSN
 	}
@@ -885,9 +882,8 @@ func (l *Log) target(upTo page.LSN) page.LSN {
 // flushTo blocks until the log is durable through target, which the caller
 // read under this hold of l.mu: a round it leads takes everything appended so
 // far, so one round covers it.
-//
-//bess:holds mu
 func (l *Log) flushTo(target page.LSN) error {
+	l.mu.AssertHeld()
 	waited := false
 	for {
 		if l.closed {
@@ -916,9 +912,8 @@ func (l *Log) flushTo(target page.LSN) error {
 // flight; returns with it held. On error nothing is released: the bytes stay
 // sealed for the next round, and woken followers retry leadership and surface
 // their own error.
-//
-//bess:holds mu
 func (l *Log) syncRound() error {
+	l.mu.AssertHeld()
 	if l.sealed < logBufs && len(l.bufs[(l.first+l.sealed)%logBufs]) > 0 {
 		l.sealed++
 	}
@@ -964,13 +959,6 @@ func (l *Log) Durable(tx uint64, commit page.LSN) (Durable, error) {
 		return Durable{}, ErrNotDurable
 	}
 	return Durable{tx: tx, commit: commit}, nil
-}
-
-// FlushedLSN returns the first non-durable LSN.
-func (l *Log) FlushedLSN() page.LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushed
 }
 
 // NextLSN returns the LSN the next Append will get.

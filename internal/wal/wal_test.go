@@ -128,7 +128,7 @@ func TestDurableBytesExcludesTail(t *testing.T) {
 	}
 	// The reopened log appends after the surviving prefix.
 	lsn, _ := l2.Append(&Record{Type: TCommit, Tx: 9})
-	if lsn < l2.FlushedLSN() {
+	if lsn < flushedLSN(l2) {
 		t.Fatal("append into durable region")
 	}
 }
