@@ -110,10 +110,11 @@ func main() {
 		}()
 		n := 0
 		var totals logTotals
-		err = l.Iterate(0, func(lsn page.LSN, rec *wal.Record) error {
+		// Restart's analysis pass walks the log and finds the anchor horizon.
+		an, err := wal.Analyze(l, func(lsn page.LSN, rec *wal.Record) error {
 			n++
 			fp := rec.Footprint()
-			totals[rec.Type].add(1, fp)
+			totals.add(rec, fp)
 			switch rec.Type {
 			case wal.TRedo:
 				// The redo image, offset+length. A whole-page image anchors
@@ -151,14 +152,25 @@ func main() {
 		}
 		fmt.Printf("  %d records\n", n)
 		totals.print()
+		// The oldest record a replay of some page's history still starts from:
+		// what a truncation of the log could not pass.
+		if h := an.Stats.AnchorHorizon; h != 0 {
+			fmt.Printf("\n  anchor horizon: lsn %d (the lowest latest committed anchor of any page)\n", h)
+		} else {
+			fmt.Printf("\n  anchor horizon: none (no committed anchor)\n")
+		}
 	}
 }
 
 // logTotals answers "where do the log's bytes go": per record type, how many
 // records, and their bytes split into header (everything that is not an
 // image), images stored, and image bytes elided (all-zero images the log
-// keeps as a length). A row per record type there is.
-type logTotals [wal.NumTypes]logTotal
+// keeps as a length). A row per record type there is, and whole-page redo
+// records (anchors) have a row of their own beside the byte ranges (redo).
+type logTotals struct {
+	byType [wal.NumTypes]logTotal
+	anchor logTotal
+}
 
 type logTotal struct {
 	records int
@@ -172,19 +184,31 @@ func (tt *logTotal) add(records int, fp wal.Footprint) {
 	tt.ZeroAfter += fp.ZeroAfter
 }
 
+// add counts rec, whose footprint is fp.
+func (t *logTotals) add(rec *wal.Record, fp wal.Footprint) {
+	if rec.Type == wal.TRedo && rec.WholePage() {
+		t.anchor.add(1, fp)
+		return
+	}
+	t.byType[rec.Type].add(1, fp)
+}
+
 func (t *logTotals) print() {
 	fmt.Printf("\n  %-10s %9s %12s %12s %12s\n", "type", "records", "header B", "image B", "elided B")
-	row := func(name string, tt logTotal) {
-		fmt.Printf("  %-10s %9d %12d %12d %12d\n", name, tt.records, tt.Header, tt.After, tt.ZeroAfter)
-	}
 	var sum logTotal
-	for typ, tt := range t {
+	row := func(name string, tt logTotal) {
 		if tt.records > 0 {
-			row(wal.Type(typ).String(), tt)
+			fmt.Printf("  %-10s %9d %12d %12d %12d\n", name, tt.records, tt.Header, tt.After, tt.ZeroAfter)
 			sum.add(tt.records, tt.Footprint)
 		}
 	}
-	row("total", sum)
+	for typ, tt := range t.byType {
+		row(wal.Type(typ).String(), tt)
+		if wal.Type(typ) == wal.TRedo {
+			row("anchor", t.anchor)
+		}
+	}
+	fmt.Printf("  %-10s %9d %12d %12d %12d\n", "total", sum.records, sum.Header, sum.After, sum.ZeroAfter)
 }
 
 // runVerify is the offline scrub: one pass of the server's own checksum

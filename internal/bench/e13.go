@@ -51,15 +51,16 @@ import (
 // Workload shape. Transactions log through the product's own rule and
 // commit, abort and checkpoint through tx.Manager, so the log under torture
 // has the product's layout: a whole-page anchor for a page's first change
-// after open and after the checkpoint, byte-range records for the sub-page
-// overwrites in between. Every change is shipped as the server's commit path
-// ships one (tx.Tx.LogRedo): no page is written before its transaction's
-// commit, which writes them after its force. Each transaction works on a
-// private page (matching the segment-granular strict 2PL the server
-// enforces); some of them come back to a page after the checkpoint.
+// after open, byte-range records for the sub-page overwrites after it —
+// before the checkpoint and after it alike. Every change is shipped as the
+// server's commit path ships one (tx.Tx.LogRedo): no page is written before
+// its transaction's commit, which writes them after its force. Each
+// transaction works on a private page (matching the segment-granular strict
+// 2PL the server enforces); some of them come back to a page after the
+// checkpoint.
 const (
 	e13Txs     = 12 // transactions of the main loop; odd commit, even are left in flight (one aborts)
-	e13Shipped = 4  // transactions after them, on pages of their own
+	e13Shipped = 6  // transactions beside them, on pages of their own
 	e13Updates = 3  // updates per transaction: the whole page, then two sub-page overwrites
 	e13AreaID  = 7
 )
@@ -245,17 +246,22 @@ func (w *e13World) checkpoint() error {
 // sub-page ranges of it. Odd transactions commit; even ones are left in
 // flight, except one that rolls back at run time. Mid-run the product's
 // checkpoint is taken: it lists the in-flight transactions' pages at their
-// anchors' LSNs — one of them a page another transaction anchored — and starts
-// a new anchor epoch. After it, an in-flight transaction and a new one come
-// back to pages logged before it, so their next records must be anchors again
-// for redo to start from.
+// anchors' LSNs — one of them a page another transaction anchored — and
+// leaves every anchor as it is. After it, an in-flight transaction and a new
+// one come back to pages logged before it with byte ranges, which redo must
+// lay over the anchors logged before the checkpoint.
 //
-// Beside them run four more transactions. Before the checkpoint one commits
-// and one is left in flight; after it one anchors a fresh page and is rolled
-// back at run time — its anchor forgotten — and the last ships onto that page
-// (anchoring it again) and onto the first one's, and commits with a second
-// checkpoint taken between its force and its page writes, which must list its
-// pages for redo to reach them.
+// Beside them run six more transactions. Before the checkpoint one commits,
+// one is left in flight, and one anchors a fresh page and stays in flight
+// across it. After it one anchors a fresh page and is rolled back at run time
+// — its anchor forgotten — and the next ships onto that page (anchoring it
+// again) and onto the first one's, and commits with a second checkpoint taken
+// between its force and its page writes, which must list its pages for redo
+// to reach them. Then (e13Reanchor) the one in flight across the checkpoint
+// rewrites a page committed before the checkpoint whole and rolls back, and
+// the last changes that page with byte ranges only — its post-force write
+// torn, garbage-filled or lost at a crash point — and anchors the page the
+// rolled-back one anchored again.
 func e13Workload(w *e13World) {
 	for id := uint64(1); id <= e13Txs; id++ {
 		t := w.txm.Ensure(id, 0)
@@ -278,8 +284,8 @@ func e13Workload(w *e13World) {
 			}
 		}
 		if id == e13Txs/2+1 {
-			// Back to a committed page and to an in-flight one, first touches
-			// of the new epoch both; the second change to each is a delta.
+			// Back to a committed page and to an in-flight one, both anchored
+			// before the checkpoint: every change after it is a delta.
 			old := w.txm.Lookup(2) // in flight since the second iteration
 			for k := e13Updates; k < e13Updates+2; k++ {
 				if w.ship(t, w.pages[1], k, 100*k, 64) != nil ||
@@ -302,16 +308,17 @@ func e13Workload(w *e13World) {
 		if id == e13Txs/2 && w.checkpoint() != nil {
 			return
 		}
-		if id == 2 && e13ShipBefore(w) != nil || id == e13Txs/2+2 && e13ShipAfter(w) != nil {
+		if id == 2 && e13ShipBefore(w) != nil || id == e13Txs/2+2 && e13ShipAfter(w) != nil ||
+			id == e13Txs/2+3 && e13Reanchor(w) != nil {
 			return
 		}
 	}
 }
 
 // e13ShipBefore runs the transactions before the checkpoint: one commits a
-// page whole and then a range of it, one is left in flight.
+// page whole and then a range of it, two are left in flight.
 func e13ShipBefore(w *e13World) error {
-	done, open := w.txm.Ensure(e13Txs+1, 0), w.txm.Ensure(e13Txs+2, 0)
+	done, open, gone := w.txm.Ensure(e13Txs+1, 0), w.txm.Ensure(e13Txs+2, 0), w.txm.Ensure(e13Txs+5, 0)
 	pg := w.pages[done.ID()]
 	if err := w.ship(done, pg, 0, 0, page.Size); err != nil {
 		return err
@@ -322,7 +329,38 @@ func e13ShipBefore(w *e13World) error {
 	if err := w.ship(open, w.pages[open.ID()], 0, 0, page.Size); err != nil {
 		return err
 	}
+	if err := w.ship(gone, w.pages[gone.ID()], 1, 1200, 300); err != nil { // a fresh page's anchor
+		return err
+	}
 	return w.commit(done)
+}
+
+// e13Reanchor runs after both checkpoints. The transaction that anchored a
+// page before them rewrites a committed page whole and rolls back, so the
+// page it anchored is anchored again by its next writer, and the whole image
+// it logged of the other must never start that page's replay. That writer
+// also changes the committed page, anchored before the first checkpoint, by
+// two byte ranges and nothing else, so redo of that page starts at an anchor
+// behind both checkpoints.
+func e13Reanchor(w *e13World) error {
+	gone, next := w.txm.Lookup(e13Txs+5), w.txm.Ensure(e13Txs+6, 0)
+	old := w.pages[3] // committed before the checkpoint, and nobody's since
+	if err := w.ship(gone, old, 4, 0, page.Size); err != nil {
+		return err
+	}
+	if err := w.abort(gone); err != nil {
+		return err
+	}
+	if err := w.ship(next, old, 5, 300, 40); err != nil {
+		return err
+	}
+	if err := w.ship(next, old, 6, 3500, 200); err != nil {
+		return err
+	}
+	if err := w.ship(next, w.pages[gone.ID()], 2, 2500, 100); err != nil {
+		return err
+	}
+	return w.commit(next)
 }
 
 // e13ShipAfter runs the transactions after the checkpoint.
@@ -544,9 +582,9 @@ func e13LongTx(w *e13World) {
 // that the next writer anchors the pages again, before and after a
 // checkpoint, and left in flight as a loser across the checkpoint. Committed
 // fills are then zeroed — a range of an anchored page, which the log keeps as
-// a length, and a whole page after the checkpoint, an anchor of zeroes — once
-// rolled back and once committed. Every page ends all zero or byte-exact as
-// its last winner left it.
+// a length, and a page filled whole zeroed whole, a whole-page image of
+// zeroes — once rolled back and once committed. Every page ends all zero or
+// byte-exact as its last winner left it.
 func e13FreshPages(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	fill := func(t *tx.Tx, p page.No) error { return w.ship(t, p, 0, 0, page.Size) }
@@ -557,10 +595,11 @@ func e13FreshPages(w *e13World) {
 		return
 	}
 
-	// The second page filled again and a range of the third — anchored afresh,
-	// both — and committed: the winner every later change starts from.
+	// The second page filled again, the fourth filled and a range of the
+	// third — anchored afresh, all three — and committed: the winner every
+	// later change starts from.
 	t = w.txm.Ensure(1, 0)
-	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || w.ship(t, pg(4), 1, 1000, 200) != nil || w.commit(t) != nil {
+	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || fill(t, pg(4)) != nil || w.commit(t) != nil {
 		return
 	}
 

@@ -153,7 +153,10 @@ func TestE13FreshPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The winner's range of a page the first transaction anchored and rolled
-	// back must be an anchor again: the rollback forgot the page's.
+	// back must be an anchor again: the rollback forgot the page's. A checkpoint
+	// starts no anchor epoch, so the zeroed pages were anchored once, by their
+	// fills; a whole-page image of zeroes is the whole fill zeroed, and at least
+	// one must be in the log.
 	var zeroRanges, zeroAnchors, reanchored int
 	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
 		fp := r.Footprint()
@@ -168,7 +171,7 @@ func TestE13FreshPages(t *testing.T) {
 		}
 		return nil
 	})
-	if len(base.acked) != 3 || zeroRanges < 2 || zeroAnchors < 2 || reanchored != 1 {
+	if len(base.acked) != 3 || zeroRanges < 2 || zeroAnchors < 1 || reanchored != 1 {
 		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback forgot",
 			base.acked, zeroRanges, zeroAnchors, reanchored)
 	}

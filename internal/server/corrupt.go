@@ -2,12 +2,12 @@
 // (read.go) verifies the section checksums carried by slotted images, data
 // and overflow runs, and large-object descriptors. Detected damage is repaired
 // in place by replaying the page's WAL history — the log is never truncated,
-// and a page's first record after every Open and checkpoint, hence its first
-// record ever, is a whole-page image (the anchor rule, internal/tx/logging.go),
-// so replaying every record of the page in the order it took effect
-// (wal.Replayer) — the anchors whole, the byte-range records over them,
-// exactly as ARIES redo does — ends at its current content. The same replay
-// rebuilds a page whose write after a commit's force failed (repairWrites).
+// and a page's first record after every Open, hence its first record ever, is
+// a whole-page image (the anchor rule, internal/tx/logging.go), so replaying
+// every record of the page in the order it took effect (wal.ReplayPages, the
+// replay restart redo runs) — the anchors whole, the byte-range records over
+// them — ends at its current content. The same replay rebuilds a page whose
+// write after a commit's force failed (repairWrites).
 // Pages with no logged history (initial images written
 // by CreateSegment, raw WriteRun traffic) cannot be reconstructed; their
 // segment is quarantined with a typed error while the rest of the server
@@ -98,10 +98,10 @@ func corruptionIn(err error) bool {
 }
 
 // repairRange reconstructs pages [start, start+n) of area from the durable
-// log: every change of a page is replayed in the order it took effect
-// (wal.Replayer: a committed transaction's redo-only records at its commit,
-// an aborted one's never) — its anchors whole, its byte-range records over
-// them — which leaves the page as redo would. zeroBase marks ranges whose
+// log: every change of a page is replayed in memory in the order it took
+// effect (wal.ReplayPages: a committed transaction's redo-only records at its
+// commit, an aborted one's never) — its anchors whole, its byte-range records
+// over them — which leaves the page as redo would. zeroBase marks ranges whose
 // initial on-disk state was all zeroes
 // (data and overflow runs, which CreateSegment and the allocator zero without
 // logging) — those replay correctly from an empty history, while a slotted
@@ -120,42 +120,16 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 	if err := rd.log.Flush(0); err != nil {
 		return err
 	}
-	type pageHist struct {
-		img  []byte
-		full bool       // a whole-page image anchors the replay
-		last wal.Logged // of the last record replayed
-	}
-	hist := make(map[page.No]*pageHist, n)
-	rp := wal.NewReplayer(func(_ page.LSN, rec *wal.Record, proof wal.Logged) error {
-		if uint32(rec.Page.Area) != areaID ||
-			rec.Page.Page < start || rec.Page.Page >= start+page.No(n) {
-			return nil
-		}
-		ph := hist[rec.Page.Page]
-		if ph == nil {
-			ph = &pageHist{img: make([]byte, page.Size)}
-			hist[rec.Page.Page] = ph
-		}
-		if rec.WholePage() {
-			ph.full = true
-		}
-		if int(rec.Off)+len(rec.After) <= page.Size {
-			copy(ph.img[rec.Off:], rec.After)
-		}
-		ph.last = proof
-		return nil
-	})
-	err := rd.log.Iterate(wal.FirstLSN(), rp.Add)
-	if err == nil {
-		err = rp.End()
-	}
+	hist, err := wal.ReplayPages(rd.log, wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) bool {
+		return uint32(rec.Page.Area) == areaID && rec.Page.Page >= start && rec.Page.Page < start+page.No(n)
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("server: repair: log history unreadable: %w", err)
 	}
 	zero := make([]byte, page.Size)
 	for i := 0; i < n; i++ {
 		pno := start + page.No(i)
-		ph := hist[pno]
+		ph := hist[page.ID{Area: page.AreaID(areaID), Page: pno}]
 		if ph == nil {
 			if !zeroBase {
 				return fmt.Errorf("server: repair: page %d:%d has no logged history", areaID, pno)
@@ -166,10 +140,10 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 			rd.stats.pagesWritten.Add(1)
 			continue
 		}
-		if !ph.full && !zeroBase {
+		if !ph.Whole && !zeroBase {
 			return fmt.Errorf("server: repair: page %d:%d has no full-page image in the log", areaID, pno)
 		}
-		if err := rd.WritePage(ph.last, ph.img); err != nil {
+		if err := rd.WritePage(ph.Last, ph.Data); err != nil {
 			return err
 		}
 	}

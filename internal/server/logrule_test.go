@@ -64,16 +64,21 @@ func commitImage(t *testing.T, s *Server, img proto.SegImage) {
 // TestLogVolumeBudget is the tier-1 tripwire against a slide back to
 // whole-page logging: a committed 128-byte overwrite of pages that already
 // have their anchors logs a few hundred bytes (two byte-range records — the
-// object's bytes and the header's checksums — plus commit and end), and a
-// first touch logs two anchors, a page each.
+// object's bytes and the header's checksums — plus commit and end), also as
+// the first touch after a checkpoint, and a first touch after a reopen logs
+// two anchors, a page each.
 func TestLogVolumeBudget(t *testing.T) {
 	const (
 		commitEnd  = 50
 		deltaBound = 600
 		anchors    = 2*page.Size + deltaBound // two whole-page records, with room to spare
 	)
-	s := NewMem(1)
-	defer s.Close()
+	dir := t.TempDir()
+	s, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, bytes.Repeat([]byte{1}, 128)) // anchors the slotted and the data page
 	logged := func(fill byte) int {
@@ -88,13 +93,22 @@ func TestLogVolumeBudget(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := logged(3); n > anchors+commitEnd {
-		t.Fatalf("first touch after a checkpoint logged %d bytes, more than two anchors (%d)", n, anchors+commitEnd)
-	} else if n <= deltaBound {
-		t.Fatalf("first touch after a checkpoint logged %d bytes: no anchor", n)
+	if n := logged(3); n > deltaBound {
+		t.Fatalf("first touch after a checkpoint logged %d bytes, budget %d", n, deltaBound)
 	}
-	if n := logged(4); n > deltaBound {
-		t.Fatalf("second touch after a checkpoint logged %d bytes, budget %d", n, deltaBound)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := logged(4); n > anchors+commitEnd {
+		t.Fatalf("first touch after a reopen logged %d bytes, more than two anchors (%d)", n, anchors+commitEnd)
+	} else if n <= deltaBound {
+		t.Fatalf("first touch after a reopen logged %d bytes: no anchor", n)
+	}
+	if n := logged(5); n > deltaBound {
+		t.Fatalf("second touch after a reopen logged %d bytes, budget %d", n, deltaBound)
 	}
 }
 

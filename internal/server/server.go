@@ -1317,10 +1317,11 @@ func (s *Server) Inspect() InspectInfo {
 // Checkpoint makes what the log's earlier part describes durable outside it
 // and writes a fuzzy checkpoint record, in this order: snapshot the catalog
 // (if it changed since its image was written) → sync every area → write the
-// catalog image → append and force the checkpoint record. Restart redoes
-// pages only from the checkpoint record on, so every page write of a
-// transaction that ended before the sync is on the device by then; the image
-// likewise only names segments whose initial images the sync covered.
+// catalog image → append and force the checkpoint record. Restart redoes only
+// the pages the record lists and those the log changes after it, so every
+// page write of a transaction that ended before the sync is on the device by
+// then; the image likewise only names segments whose initial images the sync
+// covered.
 func (s *Server) Checkpoint() error {
 	if err := s.saveCatalog(false); err != nil {
 		return err

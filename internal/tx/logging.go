@@ -28,12 +28,13 @@ import (
 //
 // Anchors. A byte-range redo image only means something on top of the page it
 // was cut from, and a torn or rotted page write can leave anything on disk. So
-// the first record of a page after Open and after every checkpoint — the
-// anchor — carries the whole page as its redo half (Off 0, page.Size bytes),
-// and Manager.anchors remembers, per checkpoint epoch, which pages have one and
-// at which LSN. An anchor that is rolled back anchors nothing (its page was
-// never written): rollback forgets the anchors its transaction laid, and the
-// page's next writer lays one down again.
+// a page's first record after Open — the anchor — carries the whole page as
+// its redo half (Off 0, page.Size bytes), and Manager.anchors remembers which
+// pages have one and at which LSN: one entry per page written since Open. A
+// checkpoint does not touch it; the anchor is part of the page's history. An
+// anchor that is rolled back anchors nothing (its page was never written):
+// rollback forgets the anchors its transaction laid, and the page's next
+// writer lays one down again.
 //
 // Zero images. The log stores an image that is all zero as its length
 // (internal/wal): filling a page nothing was ever written to logs its
@@ -42,22 +43,19 @@ import (
 //
 // recLSN. A checkpoint lists, for each page an active or prepared transaction
 // changed — or a committed one whose page writes are not done — the LSN of
-// the anchor the page had when the transaction first changed it: at or before
-// the transaction's first record of the page. Restart redo
-// replays a page from its recLSN (wal.Analysis.Redo), and a page first seen after
-// the checkpoint from its first record, which the reset below makes an
-// anchor: either way replay starts from a whole image, and
-// wal.RecoveryStats.UnanchoredPages stays 0. Repair by log replay
-// (server.repairRange) gets the same guarantee from the log's very first
-// record of the page.
+// the anchor the page had when the transaction first changed it. Restart
+// rebuilds the pages the checkpoint lists and those the log changes after it,
+// each from its latest committed anchor, which analysis finds in the log
+// (wal.Analyze) wherever it lies, before the checkpoint or after it: replay
+// starts from a whole image, and wal.RecoveryStats.UnanchoredPages stays 0.
+// Repair by log replay (server.repairRange) gets the same guarantee from the
+// log's very first record of the page.
 //
-// Atomicity. Manager.epoch guards the two things a checkpoint changes or
-// records: the anchor reset — "is an anchor due", the append, and the anchors
-// update must not straddle it — and the dirty-page table, which lists a
+// Atomicity. Manager.epoch guards the dirty-page table, which lists a
 // transaction's pages exactly when the transaction's prepare, commit or abort
 // record follows the checkpoint's, or its page writes are still to come.
 // Appenders hold it shared, Checkpoint holds it exclusively around snapshot +
-// reset + append. Nobody holds it across a log force.
+// append. Nobody holds it across a log force.
 //
 // The rule assumes what the server guarantees: a page that has been logged
 // is never again written without a record (unlogged initial images and raw
@@ -112,9 +110,8 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 
 // appendRedo appends rec, a TRedo of rec.Page that leaves the page holding
 // img and changes img[lo:hi]. Under the anchor rule the redo half is that range
-// if the page has an anchor in this checkpoint epoch, and the whole page —
-// becoming the anchor, which t records as laid — if not. The caller holds
-// m.epoch shared and t.mu.
+// if the page has an anchor, and the whole page — becoming the anchor, which t
+// records as laid — if not. The caller holds m.epoch shared and t.mu.
 func (t *Tx) appendRedo(rec *wal.Record, img []byte, lo, hi int) error {
 	m := t.m
 	m.mu.Lock()
@@ -135,7 +132,7 @@ func (t *Tx) appendRedo(rec *wal.Record, img []byte, lo, hi int) error {
 		m.mu.Lock()
 		m.anchors[rec.Page] = lsn
 		m.mu.Unlock()
-		t.laid = append(t.laid, laidAnchor{rec.Page, lsn})
+		t.laid = append(t.laid, rec.Page)
 	}
 	if _, ok := t.dirty[rec.Page]; !ok {
 		t.dirty[rec.Page] = anchor
@@ -143,21 +140,14 @@ func (t *Tx) appendRedo(rec *wal.Record, img []byte, lo, hi int) error {
 	return nil
 }
 
-// laidAnchor is an anchor a transaction logged: page pid's, at lsn.
-type laidAnchor struct {
-	pid page.ID
-	lsn page.LSN
-}
-
-// forget drops the anchors a rolled-back transaction laid: their pages were
-// never written, so each page's next writer must anchor it again. An anchor a
-// checkpoint has since reset is not the transaction's to drop.
-func (m *Manager) forget(anchors []laidAnchor) {
+// forget drops the anchors a rolled-back transaction laid on pages: their
+// pages were never written, so each page's next writer must anchor it again.
+// The anchors are still the transaction's: nothing else anchors a page that
+// has one, and its locks kept every other writer off the pages.
+func (m *Manager) forget(pages []page.ID) {
 	m.mu.Lock()
-	for _, a := range anchors {
-		if m.anchors[a.pid] == a.lsn {
-			delete(m.anchors, a.pid)
-		}
+	for _, pid := range pages {
+		delete(m.anchors, pid)
 	}
 	m.mu.Unlock()
 }
@@ -233,9 +223,9 @@ func diffRange(a, b []byte) (lo, hi int) {
 
 // Checkpoint writes a fuzzy checkpoint — the pages the transactions still
 // active or prepared changed, and those of a committed one whose page writes
-// are still to come, with their recLSNs — starts a new anchor epoch, and
-// forces the log. Which transactions are open restart reads off their own
-// records (wal.Analyze), not off the checkpoint.
+// are still to come, with their recLSNs — and forces the log. It leaves the
+// anchors as they are. Which transactions are open restart reads off their
+// own records (wal.Analyze), not off the checkpoint.
 func (m *Manager) Checkpoint() (page.LSN, error) {
 	m.epoch.Lock()
 	m.mu.Lock()
@@ -243,7 +233,6 @@ func (m *Manager) Checkpoint() (page.LSN, error) {
 	for _, t := range m.active {
 		txs = append(txs, t)
 	}
-	m.anchors = make(map[page.ID]page.LSN)
 	m.mu.Unlock()
 	recLSN := make(map[page.ID]page.LSN)
 	for _, t := range txs {

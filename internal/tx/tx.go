@@ -5,8 +5,8 @@
 // abort record.
 //
 // The package also owns what goes into the log for a page change (logging.go):
-// redo-only byte-range records, a whole-page anchor per page and checkpoint
-// epoch, and the dirty-page table a checkpoint lists; and it writes the pages
+// redo-only byte-range records, a whole-page anchor per page from Open on,
+// and the dirty-page table a checkpoint lists; and it writes the pages
 // a commit's records describe, after the commit's force.
 package tx
 
@@ -69,8 +69,9 @@ type Manager struct {
 	pager wal.Pager
 	hooks *hooks.Registry
 
-	// epoch orders appends against Checkpoint (logging.go). Lock order:
-	// epoch, then Tx.mu, then mu; never held across a log force.
+	// epoch orders appends against Checkpoint's dirty-page table
+	// (logging.go). Lock order: epoch, then Tx.mu, then mu; never held across
+	// a log force.
 	epoch sync.RWMutex
 
 	mu      lockcheck.Mutex
@@ -136,8 +137,9 @@ type Tx struct {
 	// chain, until writeBack has done them.
 	writes   []shipped
 	deferred bool
-	// laid are the anchors t logged (appendRedo), for a rollback to forget.
-	laid []laidAnchor
+	// laid are the pages t logged an anchor of (appendRedo), for a rollback
+	// to forget.
+	laid []page.ID
 }
 
 // shipped is one page write a TRedo record defers to its transaction's commit.

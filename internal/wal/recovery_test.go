@@ -145,8 +145,10 @@ func TestRedoReappliesLostCommittedWrites(t *testing.T) {
 
 // TestRedoStartsEachPageAtItsRecLSN: with byte-range records, where a page's
 // replay starts matters. Redo skips records of a page ahead of its recLSN —
-// the checkpoint's entry, or the page's first record after the checkpoint —
-// and counts a page whose first replayed record is not a whole-page image.
+// its latest committed anchor, or for a page with none the checkpoint's entry
+// or its first record after the checkpoint — replays only the pages the
+// checkpoint lists or the log changes after it, and counts a page whose first
+// replayed record is not a whole-page image.
 func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	l := NewMem()
 	pP, pQ, pR := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
@@ -197,6 +199,108 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	}
 	if st.RedoApplied != 3 || st.UnanchoredPages != 1 {
 		t.Fatalf("redo applied %d records, %d unanchored pages; want 3 and 1 (R)", st.RedoApplied, st.UnanchoredPages)
+	}
+}
+
+// countingPager is a memPager that counts the reads and writes redo makes.
+type countingPager struct {
+	*memPager
+	reads, writes int
+}
+
+func (p *countingPager) ReadPage(id page.ID, buf []byte) error {
+	p.reads++
+	return p.memPager.ReadPage(id, buf)
+}
+
+func (p *countingPager) WritePage(proof Logged, data []byte) error {
+	p.writes++
+	return p.memPager.WritePage(proof, data)
+}
+
+// TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor: a page's replay starts
+// at the last whole-page record of a transaction whose commit stands — behind
+// the checkpoint if that is where it lies — and never at one whose transaction
+// aborted, whose commit's force failed (a TCommit, then its TAbort), that is
+// still in doubt, or that is open. A commit whose TEnd the log lost counts at
+// the end of the walk. Redo then reads no page and writes each once.
+func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
+	l := NewMem()
+	pP, pQ, pR := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
+	whole := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
+	mark := func(tx uint64, types ...Type) {
+		for _, typ := range types {
+			if _, err := l.Append(&Record{Type: typ, Tx: tx}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ship := func(tx uint64, pid page.ID, off uint32, after []byte) page.LSN {
+		lsn, err := l.Append(redo(tx, 0, pid, off, after))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+
+	// P: anchored by tx 1, which commits, before the checkpoint.
+	pAnchor := ship(1, pP, 0, whole('a'))
+	mark(1, TCommit, TEnd)
+	rAnchor := ship(9, pR, 0, whole('r'))
+	mark(9, TCommit, TEnd)
+	if _, err := Checkpoint(l, nil); err != nil {
+		t.Fatal(err)
+	}
+	// After it, P is anchored again by an aborted transaction, by one whose
+	// commit's force failed, and — after a committed range — by a branch in
+	// doubt. R is anchored by a loser. Q is anchored by a winner whose end
+	// record the log lost.
+	ship(2, pP, 0, whole('b'))
+	mark(2, TAbort, TEnd)
+	ship(3, pP, 0, whole('c'))
+	mark(3, TCommit, TAbort, TEnd)
+	ship(6, pP, 100, []byte("range"))
+	mark(6, TCommit, TEnd)
+	ship(4, pP, 0, whole('d'))
+	mark(4, TPrepare)
+	ship(5, pR, 0, whole('e'))
+	qAnchor := ship(7, pQ, 0, whole('q'))
+	mark(7, TCommit)
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := Analyze(l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, want := range map[page.ID]page.LSN{pP: pAnchor, pQ: qAnchor, pR: rAnchor} {
+		if got, ok := a.RecLSN(pid); !ok || got != want {
+			t.Fatalf("page %v: replay starts at %d (in the redo set: %v), want its latest committed anchor %d", pid, got, ok, want)
+		}
+	}
+	if a.Stats.RedoStartLSN != pAnchor || a.Stats.AnchorHorizon != pAnchor {
+		t.Fatalf("redo start %d, anchor horizon %d; want both at P's anchor %d", a.Stats.RedoStartLSN, a.Stats.AnchorHorizon, pAnchor)
+	}
+
+	disk := &countingPager{memPager: newMemPager()}
+	disk.log = l
+	for _, pid := range []page.ID{pP, pQ, pR} {
+		disk.put(pid, whole('?')) // what torn writes left
+	}
+	if err := a.Redo(disk); err != nil {
+		t.Fatal(err)
+	}
+	wantP := whole('a')
+	copy(wantP[100:], "range")
+	for pid, want := range map[page.ID][]byte{pP: wantP, pQ: whole('q'), pR: whole('r')} {
+		if !bytes.Equal(disk.pages[pid], want) {
+			t.Fatalf("page %v after redo holds %q…", pid, disk.pages[pid][:8])
+		}
+	}
+	if disk.reads != 0 || disk.writes != 3 || a.Stats.UnanchoredPages != 0 || a.Stats.RedoApplied != 4 {
+		t.Fatalf("redo read %d pages, wrote %d, applied %d records, %d unanchored; want 0, 3, 4, 0",
+			disk.reads, disk.writes, a.Stats.RedoApplied, a.Stats.UnanchoredPages)
 	}
 }
 

@@ -396,8 +396,17 @@ func (r *Record) encode(b []byte, lsn page.LSN, zeroBefore, zeroAfter bool) []by
 // write: a field that runs past the body, a number its field cannot hold, a
 // reference not behind lsn, or bytes left over are ErrCorrupt.
 func decodeRecord(b []byte, lsn page.LSN) (*Record, error) {
+	r := new(Record)
+	if err := r.decode(b, lsn); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decode is decodeRecord into r, whatever r held before.
+func (r *Record) decode(b []byte, lsn page.LSN) error {
 	d := decoder{p: b}
-	r := &Record{Type: Type(d.byte())}
+	*r = Record{Type: Type(d.byte())}
 	r.Tx = d.tx()
 	r.PrevLSN = d.ref(lsn)
 	switch r.Type {
@@ -430,9 +439,9 @@ func decodeRecord(b []byte, lsn page.LSN) (*Record, error) {
 		d.bad = true
 	}
 	if d.bad || len(d.p) > 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return r, nil
+	return nil
 }
 
 // decoder reads a record body front to back. A read that does not fit marks it
@@ -988,6 +997,7 @@ type logReader struct {
 	ahead int    // bytes to read beyond what a call asks for
 	win   []byte // the file's bytes [at, at+len(win))
 	at    int64
+	rec   Record // what next decodes into without own
 }
 
 // bytes returns the n bytes of the file at off, nil if it does not hold them
@@ -1031,9 +1041,9 @@ func (r *logReader) frame(lsn page.LSN) (hdr, n int) {
 
 // next decodes the record at lsn and returns the LSN after it. A nil record
 // with a nil error means no valid record starts at lsn: the clean end of the
-// log, a torn tail, or rot. With own the record gets bytes of its own, as
-// decodeRecord promises its callers; without, its images alias the window and
-// are gone with the next call.
+// log, a torn tail, or rot. With own the record and its bytes are its own, as
+// decodeRecord promises its callers; without, the record is the reader's and
+// its images alias the window, both gone with the next call.
 func (r *logReader) next(lsn page.LSN, own bool) (*Record, page.LSN, error) {
 	hdr, n := r.frame(lsn)
 	if n == 0 {
@@ -1043,12 +1053,11 @@ func (r *logReader) next(lsn page.LSN, own bool) (*Record, page.LSN, error) {
 	if b == nil || page.Checksum(b[crcSize:]) != binary.BigEndian.Uint32(b) {
 		return nil, lsn, nil
 	}
-	body := b[hdr:]
+	body, rec := b[hdr:], &r.rec
 	if own {
-		body = bytes.Clone(body)
+		body, rec = bytes.Clone(body), new(Record)
 	}
-	rec, err := decodeRecord(body, lsn)
-	if err != nil {
+	if err := rec.decode(body, lsn); err != nil {
 		return nil, lsn, fmt.Errorf("wal: record at lsn %d: %w", lsn, err)
 	}
 	rec.lsn = lsn
@@ -1101,9 +1110,15 @@ func (l *Log) Verify() (VerifyStats, error) {
 // Iterate calls fn for every durable record with LSN >= from (use firstLSN
 // or a checkpoint LSN). Stops at the first error.
 func (l *Log) Iterate(from page.LSN, fn func(lsn page.LSN, rec *Record) error) error {
+	return l.walk(from, true, fn)
+}
+
+// walk is Iterate; without own, the record fn gets, with its images and body,
+// is the reader's and is gone once fn returns (logReader.next).
+func (l *Log) walk(from page.LSN, own bool, fn func(lsn page.LSN, rec *Record) error) error {
 	end, r := l.durable(readAhead)
 	for lsn := max(from, firstLSN); lsn < end; {
-		rec, next, err := r.next(lsn, true)
+		rec, next, err := r.next(lsn, own)
 		if err != nil {
 			return err
 		}
