@@ -116,20 +116,23 @@ func main() {
 			fp := rec.Footprint()
 			totals.add(rec, fp)
 			switch rec.Type {
-			case wal.TRedo:
-				// The redo image, offset+length. A whole-page image anchors
-				// replay of its page: restart redo and repair start from one,
-				// byte-range records build on it. An all-zero image is in the
-				// log as its length only.
-				mark := ""
-				if rec.WholePage() {
-					mark += "  anchor"
+			case wal.TRedo, wal.TCommit, wal.TPrepare, wal.TAbort:
+				// The record, then each page change it carries: a whole-page
+				// image anchors replay of its page — restart redo and repair
+				// start from one, byte ranges (redo=offset+length) build on
+				// it. An all-zero image is in the log as its length only.
+				fmt.Printf("  %8d %-10s tx=%-6d pages=%d\n", lsn, rec.Type, rec.Tx, len(rec.Changes))
+				for i := range rec.Changes {
+					c := &rec.Changes[i]
+					what := fmt.Sprintf("redo=%d+%d", c.Off, len(c.After))
+					if c.WholePage() {
+						what = "anchor"
+					}
+					if c.Zero() {
+						what += "  zero"
+					}
+					fmt.Printf("  %8s   page=%v %s\n", "", c.Page, what)
 				}
-				if fp.ZeroAfter > 0 {
-					mark += "  zero"
-				}
-				fmt.Printf("  %8d %-10s tx=%-6d page=%v redo=%d+%d%s\n",
-					lsn, rec.Type, rec.Tx, rec.Page, rec.Off, len(rec.After), mark)
 			case wal.TCatalog:
 				var op proto.CatalogOp
 				if err := proto.Decode(rec.Body, &op); err != nil {
@@ -155,60 +158,57 @@ func main() {
 		// The oldest record a replay of some page's history still starts from:
 		// what a truncation of the log could not pass.
 		if h := an.Stats.AnchorHorizon; h != 0 {
-			fmt.Printf("\n  anchor horizon: lsn %d (the lowest latest committed anchor of any page)\n", h)
+			fmt.Printf("\n  anchor horizon: lsn %d (the lowest latest anchor of any page)\n", h)
 		} else {
-			fmt.Printf("\n  anchor horizon: none (no committed anchor)\n")
+			fmt.Printf("\n  anchor horizon: none (no anchor took effect)\n")
 		}
 	}
 }
 
 // logTotals answers "where do the log's bytes go": per record type, how many
-// records, and their bytes split into header (everything that is not an
-// image), images stored, and image bytes elided (all-zero images the log
-// keeps as a length). A row per record type there is, and whole-page redo
-// records (anchors) have a row of their own beside the byte ranges (redo).
-type logTotals struct {
-	byType [wal.NumTypes]logTotal
-	anchor logTotal
-}
+// records and page changes (of them, whole-page anchors), and their bytes
+// split into header (everything that is not an image), images stored, and
+// image bytes elided (all-zero images the log keeps as a length).
+type logTotals [wal.NumTypes]logTotal
 
 type logTotal struct {
-	records int
+	records, pages, anchors int
 	wal.Footprint
 }
 
-func (tt *logTotal) add(records int, fp wal.Footprint) {
-	tt.records += records
-	tt.Header += fp.Header
-	tt.After += fp.After
-	tt.ZeroAfter += fp.ZeroAfter
+func (tt *logTotal) add(o logTotal) {
+	tt.records += o.records
+	tt.pages += o.pages
+	tt.anchors += o.anchors
+	tt.Header += o.Header
+	tt.After += o.After
+	tt.ZeroAfter += o.ZeroAfter
 }
 
 // add counts rec, whose footprint is fp.
 func (t *logTotals) add(rec *wal.Record, fp wal.Footprint) {
-	if rec.Type == wal.TRedo && rec.WholePage() {
-		t.anchor.add(1, fp)
-		return
+	o := logTotal{records: 1, pages: len(rec.Changes), Footprint: fp}
+	for i := range rec.Changes {
+		if rec.Changes[i].WholePage() {
+			o.anchors++
+		}
 	}
-	t.byType[rec.Type].add(1, fp)
+	t[rec.Type].add(o)
 }
 
 func (t *logTotals) print() {
-	fmt.Printf("\n  %-10s %9s %12s %12s %12s\n", "type", "records", "header B", "image B", "elided B")
+	fmt.Printf("\n  %-10s %9s %9s %9s %12s %12s %12s\n", "type", "records", "pages", "anchors", "header B", "image B", "elided B")
 	var sum logTotal
 	row := func(name string, tt logTotal) {
+		fmt.Printf("  %-10s %9d %9d %9d %12d %12d %12d\n", name, tt.records, tt.pages, tt.anchors, tt.Header, tt.After, tt.ZeroAfter)
+	}
+	for typ, tt := range t {
 		if tt.records > 0 {
-			fmt.Printf("  %-10s %9d %12d %12d %12d\n", name, tt.records, tt.Header, tt.After, tt.ZeroAfter)
-			sum.add(tt.records, tt.Footprint)
+			row(wal.Type(typ).String(), tt)
+			sum.add(tt)
 		}
 	}
-	for typ, tt := range t.byType {
-		row(wal.Type(typ).String(), tt)
-		if wal.Type(typ) == wal.TRedo {
-			row("anchor", t.anchor)
-		}
-	}
-	fmt.Printf("  %-10s %9d %12d %12d %12d\n", "total", sum.records, sum.Header, sum.After, sum.ZeroAfter)
+	row("total", sum)
 }
 
 // runVerify is the offline scrub: one pass of the server's own checksum

@@ -589,25 +589,23 @@ type E8Result struct {
 }
 
 // RunE8 builds a log of txns transactions (half commit, half crash live),
-// optionally checkpointed midway, then restarts.
+// optionally checkpointed midway, then restarts. A committed transaction is
+// one commit record carrying its updates; one live at the crash has logged
+// them in a spill (wal.TRedo), as a transaction larger than a log buffer does,
+// and has no other record.
 func RunE8(txns, updates int, checkpoint bool) E8Result {
 	l := wal.NewMem()
 	for t := 0; t < txns; t++ {
-		id := uint64(t + 1)
-		var last page.LSN
-		for u := 0; u < updates; u++ {
-			pid := page.ID{Area: 1, Page: page.No(u % 32)}
-			rec := &wal.Record{Type: wal.TRedo, Tx: id, PrevLSN: last, Page: pid, Off: uint32(u % 100), After: []byte{byte(t)}}
-			lsn, err := l.Append(rec)
-			must(err)
-			last = lsn
+		changes := make([]wal.Change, updates)
+		for u := range changes {
+			changes[u] = wal.Change{Page: page.ID{Area: 1, Page: page.No(u % 32)}, Off: uint32(u % 100), After: []byte{byte(t)}}
 		}
+		typ := wal.TRedo
 		if t%2 == 0 {
-			_, err := l.Append(&wal.Record{Type: wal.TCommit, Tx: id, PrevLSN: last})
-			must(err)
-			_, err = l.Append(&wal.Record{Type: wal.TEnd, Tx: id})
-			must(err)
+			typ = wal.TCommit
 		}
+		_, err := l.Append(&wal.Record{Type: typ, Tx: uint64(t + 1), Changes: changes})
+		must(err)
 		if checkpoint && t == txns/2 {
 			_, err := wal.Checkpoint(l, nil)
 			must(err)
@@ -616,10 +614,11 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	must(l.Flush(0))
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	must(err)
+	logBytes := int64(crashed.NextLSN()) // what restart reads, before its rollbacks append
 	_, st, err := restart(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
 	must(err)
 	return E8Result{
-		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint, LogBytes: int64(crashed.NextLSN()),
+		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint, LogBytes: logBytes,
 		RecordsAnalyzed: st.RecordsAnalyzed, RedoApplied: st.RedoApplied, Losers: len(st.Losers),
 	}
 }

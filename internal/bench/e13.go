@@ -49,15 +49,17 @@ import (
 // and only the log tail it never wrote out is lost).
 
 // Workload shape. Transactions log through the product's own rule and
-// commit, abort and checkpoint through tx.Manager, so the log under torture
-// has the product's layout: a whole-page anchor for a page's first change
-// after open, byte-range records for the sub-page overwrites after it —
-// before the checkpoint and after it alike. Every change is shipped as the
-// server's commit path ships one (tx.Tx.LogRedo): no page is written before
-// its transaction's commit, which writes them after its force. Each
-// transaction works on a private page (matching the segment-granular strict
-// 2PL the server enforces); some of them come back to a page after the
-// checkpoint.
+// commit, prepare, abort and checkpoint through tx.Manager, so the log under
+// torture has the product's layout: one record per commit, carrying a
+// whole-page anchor for a page's first change after open and byte ranges for
+// the sub-page overwrites after it — before the checkpoint and after it
+// alike — a spill ahead of the commit of a transaction larger than a log
+// buffer, and an abort record re-anchoring the pages of a rollback whose
+// changes reached the log. Every change is shipped as the server's commit
+// path ships one (tx.Tx.LogRedo): queued for the commit record, and no page
+// written before the commit's force. Each transaction works on a private page
+// (matching the segment-granular strict 2PL the server enforces); some of
+// them come back to a page after the checkpoint.
 const (
 	e13Txs     = 12 // transactions of the main loop; odd commit, even are left in flight (one aborts)
 	e13Shipped = 6  // transactions beside them, on pages of their own
@@ -118,6 +120,7 @@ type e13World struct {
 	midWB     func() error                  // runs once, ahead of the next store through the pager
 
 	setupEvents int64
+	writesFrom  int64 // if set, the event after which a commit's page writes begin
 }
 
 // e13Setup builds the database: log, area, and one private page per
@@ -176,8 +179,9 @@ func (w *e13World) zero(t *tx.Tx, pg page.No, off, n int) error {
 }
 
 // change has t apply edit to pg as a shipped commit does (tx.Tx.LogRedo): the
-// change is logged without an undo half, stays off the area, and is written
-// by t's commit, after its force (commit). t sees its own earlier changes.
+// change is queued for t's commit record, without an undo half, stays off the
+// area, and is written by t's commit, after its force (commit). t sees its own
+// earlier changes.
 func (w *e13World) change(t *tx.Tx, pg page.No, edit func(img []byte)) error {
 	mine := w.shipped[t.ID()]
 	if mine == nil {
@@ -221,10 +225,26 @@ func (w *e13World) commit(t *tx.Tx) error {
 	return nil
 }
 
+// prepare has t vote yes: its prepare record, carrying its changes, is forced.
+func (w *e13World) prepare(t *tx.Tx) error {
+	if err := t.Prepare(); err != nil {
+		return err
+	}
+	w.acked[t.ID()] = wal.TPrepare
+	return nil
+}
+
 // abort rolls t back at run time: nothing of it was written, and nothing is.
+// A prepared t's abort record, which re-anchors its pages, is forced.
 func (w *e13World) abort(t *tx.Tx) error {
 	delete(w.shipped, t.ID())
-	return t.Abort()
+	if err := t.Abort(); err != nil {
+		return err
+	}
+	if w.acked[t.ID()] == wal.TPrepare {
+		w.acked[t.ID()] = wal.TAbort
+	}
+	return nil
 }
 
 // checkpoint syncs the area and takes the product's checkpoint. A checkpoint's
@@ -243,25 +263,25 @@ func (w *e13World) checkpoint() error {
 // before that moment is in w.acked, and that is what recovery must honor.
 //
 // Every transaction rewrites its whole private page, then overwrites two
-// sub-page ranges of it. Odd transactions commit; even ones are left in
-// flight, except one that rolls back at run time. Mid-run the product's
-// checkpoint is taken: it lists the in-flight transactions' pages at their
-// anchors' LSNs — one of them a page another transaction anchored — and
-// leaves every anchor as it is. After it, an in-flight transaction and a new
-// one come back to pages logged before it with byte ranges, which redo must
-// lay over the anchors logged before the checkpoint.
+// sub-page ranges of it, which its commit record carries as one change.
+// Odd transactions commit; even ones are left in flight — their changes
+// queued, never in the log — except one that rolls back at run time.
+// Mid-run the product's checkpoint is taken, which leaves every anchor as it
+// is. After it, an in-flight transaction and a new one come back to pages
+// committed before it with byte ranges, which redo must lay over the anchors
+// logged before the checkpoint.
 //
 // Beside them run six more transactions. Before the checkpoint one commits,
-// one is left in flight, and one anchors a fresh page and stays in flight
-// across it. After it one anchors a fresh page and is rolled back at run time
-// — its anchor forgotten — and the next ships onto that page (anchoring it
-// again) and onto the first one's, and commits with a second checkpoint taken
+// one is left in flight, and one changes a fresh page and stays in flight
+// across it. After it one changes a fresh page and is rolled back at run time
+// — nothing of it logged — and the next ships onto that page (anchoring it)
+// and onto the first one's, and commits with a second checkpoint taken
 // between its force and its page writes, which must list its pages for redo
 // to reach them. Then (e13Reanchor) the one in flight across the checkpoint
-// rewrites a page committed before the checkpoint whole and rolls back, and
-// the last changes that page with byte ranges only — its post-force write
-// torn, garbage-filled or lost at a crash point — and anchors the page the
-// rolled-back one anchored again.
+// rewrites a page committed before the checkpoint whole, votes yes and rolls
+// back, its abort record re-anchoring both its pages, and the last changes
+// that page and the rolled-back one's with byte ranges only — its post-force
+// write torn, garbage-filled or lost at a crash point — over those anchors.
 func e13Workload(w *e13World) {
 	for id := uint64(1); id <= e13Txs; id++ {
 		t := w.txm.Ensure(id, 0)
@@ -335,17 +355,20 @@ func e13ShipBefore(w *e13World) error {
 	return w.commit(done)
 }
 
-// e13Reanchor runs after both checkpoints. The transaction that anchored a
-// page before them rewrites a committed page whole and rolls back, so the
-// page it anchored is anchored again by its next writer, and the whole image
-// it logged of the other must never start that page's replay. That writer
-// also changes the committed page, anchored before the first checkpoint, by
-// two byte ranges and nothing else, so redo of that page starts at an anchor
-// behind both checkpoints.
+// e13Reanchor runs after both checkpoints. The transaction in flight across
+// them rewrites a committed page whole, votes yes — its prepare record
+// anchoring that page and its own fresh one — and rolls back: its abort
+// record anchors both again, as the area holds them, and the whole image its
+// prepare logged must never start either page's replay. The next writer
+// changes both pages by byte ranges and nothing else, so redo of each starts
+// at the abort's anchor.
 func e13Reanchor(w *e13World) error {
 	gone, next := w.txm.Lookup(e13Txs+5), w.txm.Ensure(e13Txs+6, 0)
 	old := w.pages[3] // committed before the checkpoint, and nobody's since
 	if err := w.ship(gone, old, 4, 0, page.Size); err != nil {
+		return err
+	}
+	if err := w.prepare(gone); err != nil {
 		return err
 	}
 	if err := w.abort(gone); err != nil {
@@ -445,24 +468,29 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 	defer func() { _ = a.Close() }()
 
 	// What the durable log decided of each transaction: TCommit for a winner,
-	// TPrepare for a branch in doubt (no decision reaches one before a crash).
+	// TPrepare for a branch in doubt, TAbort for one rolled back (no commit
+	// decision reaches a branch before a crash).
 	decided := make(map[uint64]wal.Type)
 	var inDoubt []uint64
 	if err := l.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
-		if rec.Type == wal.TCommit || rec.Type == wal.TPrepare {
+		switch rec.Type {
+		case wal.TCommit, wal.TPrepare, wal.TAbort:
 			decided[rec.Tx] = rec.Type
-		}
-		if rec.Type == wal.TPrepare {
-			inDoubt = append(inDoubt, rec.Tx)
 		}
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("scan surviving log: %w", err)
 	}
+	for tx, typ := range decided {
+		if typ == wal.TPrepare {
+			inDoubt = append(inDoubt, tx)
+		}
+	}
 
-	// (1) acked commits and yes votes are durable.
+	// (1) acked commits, yes votes and rollbacks are durable; a yes vote's
+	// rollback may be too, before its acknowledgement.
 	for tx, typ := range w.acked {
-		if decided[tx] != typ {
+		if decided[tx] != typ && (typ != wal.TPrepare || decided[tx] != wal.TAbort) {
 			return nil, fmt.Errorf("acked %v of tx %d not durable", typ, tx)
 		}
 	}
@@ -476,16 +504,25 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 		return nil, fmt.Errorf("redo started %d page(s) from a byte-range record", stats.UnanchoredPages)
 	}
 
-	// (2) each page holds what its last winner left; (6) the branches in
-	// doubt are those whose TPrepare survived.
+	// (2) each page — every transaction's private one, every one a change
+	// touched — holds what its last winner left; (6) the branches in doubt are
+	// those whose TPrepare survived with no decision after it.
 	slices.Sort(inDoubt)
+	var pages []page.No
+	for _, pg := range w.pages {
+		pages = append(pages, pg)
+	}
+	for pg := range w.history {
+		if !slices.Contains(pages, pg) {
+			pages = append(pages, pg)
+		}
+	}
 	check := func(when string, st *wal.RecoveryStats) error {
 		if !slices.Equal(inDoubt, st.InDoubt) {
 			return fmt.Errorf("in doubt %s: %v, want %v", when, st.InDoubt, inDoubt)
 		}
 		buf := make([]byte, page.Size)
-		for t := uint64(1); t <= e13Txs+e13Shipped; t++ {
-			pg := w.pages[t]
+		for _, pg := range pages {
 			want := make([]byte, page.Size)
 			for _, wr := range w.history[pg] {
 				if decided[wr.tx] == wal.TCommit {
@@ -493,10 +530,10 @@ func e13Verify(w *e13World, commit bool) (*wal.RecoveryStats, error) {
 				}
 			}
 			if err := a.ReadPage(pg, buf); err != nil {
-				return fmt.Errorf("read page of tx %d: %w", t, err)
+				return fmt.Errorf("read page %d: %w", pg, err)
 			}
 			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("page of tx %d (winner=%v) diverges from shadow %s", t, decided[t] == wal.TCommit, when)
+				return fmt.Errorf("page %d (%d changes in the shadow) diverges from shadow %s", pg, len(w.history[pg]), when)
 			}
 		}
 		return nil
@@ -556,31 +593,65 @@ func RunE13(seed int64, sample int) (E13Report, error) {
 	return e13Enumerate(seed, sample, e13Workload)
 }
 
+// e13LongPages is how many pages e13LongTx rewrites: a log buffer's worth of
+// whole pages and some.
+const e13LongPages = wal.BufSize/page.Size + 64
+
+// e13WriteBackPoints is how many of a commit's page writes e13Enumerate keeps
+// as crash points when a workload marks where they start (writesFrom): they
+// are crash points of one kind, and a long transaction has a thousand.
+const e13WriteBackPoints = 8
+
 // e13LongTx is a second workload for the same enumeration: one transaction
-// whose log is longer than the log buffer several times over, then its commit.
-// Its records reach the file in the forces of two checkpoints it straddles and
-// in between in a round the appender leads itself when the buffer set is full
-// (wal.Log), so a crash can fall between any two of them, or inside one.
-// Restart must leave all of it or none of it.
+// whose changes pass the log buffer several times over — each of its pages
+// rewritten whole three times, 13.4 MB of log, 1.6 times the log's buffer
+// set — then its commit. Its spills reach the file in the forces of two
+// checkpoints it straddles and in between in a round the appender leads
+// itself when the buffer set is full (wal.Log), so a crash can fall between
+// any two of them, or inside one. Restart must leave all of it or none of
+// it. Its pages are allocated, and made durable, before the crash window
+// opens.
 func e13LongTx(w *e13World) {
-	const updates = 3072 // whole-page overwrites: 12.7 MB of log, 1.5 times the log's buffer set
+	var pages []page.No
+	for len(pages) < e13LongPages {
+		start, got, err := w.area.AllocSegment(min(area.MaxSegmentPages, e13LongPages-len(pages)))
+		if err != nil {
+			return
+		}
+		for i := 0; i < got; i++ {
+			pages = append(pages, start+page.No(i))
+		}
+	}
+	if w.areaSt.Area().Sync() != nil {
+		return
+	}
+	w.setupEvents = w.inj.Events()
 	t := w.txm.Ensure(1, 0)
+	const updates = 3 * e13LongPages
 	for k := 0; k < updates; k++ {
-		if w.ship(t, w.pages[uint64(1+k%e13Txs)], k, 0, page.Size) != nil {
+		if w.ship(t, pages[k%e13LongPages], k, 0, page.Size) != nil {
 			return
 		}
-		if (k == updates/8 || k == updates*7/8) && w.checkpoint() != nil {
+		// A checkpoint before the first spill, and one after the third: the
+		// first two spills fill the buffer set, and the third one's append
+		// leads the round that writes them.
+		if (k == updates/8 || k == updates-64) && w.checkpoint() != nil {
 			return
 		}
+	}
+	w.midWB = func() error {
+		w.writesFrom = w.inj.Events()
+		return nil
 	}
 	_ = w.commit(t)
 }
 
 // e13FreshPages is a third workload: pages nothing was ever logged for, all
 // zero, are filled — anchors whose image is the fill — and the fill is taken
-// back every way it can be: rolled back at run time, its anchors forgotten so
-// that the next writer anchors the pages again, before and after a
-// checkpoint, and left in flight as a loser across the checkpoint. Committed
+// back every way it can be: rolled back at run time with nothing logged, so
+// that the next writer anchors the pages, before a checkpoint; prepared
+// before it and rolled back after it, the abort record anchoring the page's
+// zeroes again; and left in flight across the checkpoint. Committed
 // fills are then zeroed — a range of an anchored page, which the log keeps as
 // a length, and a page filled whole zeroed whole, a whole-page image of
 // zeroes — once rolled back and once committed. Every page ends all zero or
@@ -589,7 +660,7 @@ func e13FreshPages(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	fill := func(t *tx.Tx, p page.No) error { return w.ship(t, p, 0, 0, page.Size) }
 
-	// Filled and rolled back at run time: still zeroes, anchors forgotten.
+	// Filled and rolled back at run time: still zeroes, nothing logged.
 	t := w.txm.Ensure(2, 0)
 	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 700, 300) != nil || w.abort(t) != nil {
 		return
@@ -603,21 +674,22 @@ func e13FreshPages(w *e13World) {
 		return
 	}
 
-	// Filled and rolled back after a checkpoint; and the loser, which fills
-	// fresh pages before and after the checkpoint and is never heard of again.
+	// Filled and prepared before a checkpoint, rolled back after it; and one
+	// that fills fresh pages before and after the checkpoint and is never
+	// heard of again.
 	late, loser := w.txm.Ensure(4, 0), w.txm.Ensure(6, 0)
-	if fill(late, pg(5)) != nil || fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.checkpoint() != nil {
+	if fill(late, pg(5)) != nil || w.prepare(late) != nil || fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.checkpoint() != nil {
 		return
 	}
 	if w.abort(late) != nil || fill(loser, pg(8)) != nil || w.ship(loser, pg(9), 1, 64, 3000) != nil {
 		return
 	}
 
-	// The committed fill changed in ranges, one zeroed, and a page zeroed
-	// whole: rolled back, then committed.
+	// The committed fill changed in ranges, a range of another zeroed, and a
+	// page zeroed whole: rolled back, then committed.
 	for _, id := range []uint64{8, 5} {
 		t = w.txm.Ensure(id, 0)
-		if w.ship(t, pg(2), 2, 100, 50) != nil || w.ship(t, pg(3), 2, 1000, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
+		if w.ship(t, pg(2), 2, 100, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
 			w.zero(t, pg(4), 0, page.Size) != nil || w.ship(t, pg(2), 3, 3000, 10) != nil {
 			return
 		}
@@ -665,14 +737,15 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 	for n := rep.SetupEvents + 1; n <= rep.TotalEvents; n++ {
 		points = append(points, n)
 	}
+	if from := base.writesFrom; from > rep.SetupEvents {
+		// Every point before the page writes, and a few of them.
+		rep.Sampled = true
+		k := int(from - rep.SetupEvents)
+		points = append(points[:k:k], e13Spread(points[k:], e13WriteBackPoints)...)
+	}
 	if sample > 0 && sample < len(points) {
 		rep.Sampled = true
-		stride := float64(len(points)) / float64(sample)
-		picked := make([]int64, 0, sample)
-		for i := 0; i < sample; i++ {
-			picked = append(picked, points[int(float64(i)*stride)])
-		}
-		points = picked
+		points = e13Spread(points, sample)
 	}
 	rep.CrashPoints = len(points)
 
@@ -724,4 +797,18 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 		rep.MeanRedo = float64(totalRedo) / float64(rep.Consistent)
 	}
 	return rep, nil
+}
+
+// e13Spread returns k of points, evenly spaced, the first among them; all of
+// them if there are no more than k.
+func e13Spread(points []int64, k int) []int64 {
+	if len(points) <= k {
+		return points
+	}
+	stride := float64(len(points)) / float64(k)
+	picked := make([]int64, 0, k)
+	for i := 0; i < k; i++ {
+		picked = append(picked, points[int(float64(i)*stride)])
+	}
+	return picked
 }

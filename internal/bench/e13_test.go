@@ -51,16 +51,25 @@ func TestE13SeedStability(t *testing.T) {
 }
 
 // TestE13LongTransaction enumerates every crash point of one transaction that
-// reaches the log in several sync rounds before it commits: at each of them,
-// in every crash mode, restart finds all of the transaction or none.
+// reaches the log in several spills and sync rounds before it commits — and
+// a sample of its commit's page writes: at each of them, in every crash
+// mode, restart finds all of the transaction or none.
 func TestE13LongTransaction(t *testing.T) {
 	base, err := e13Setup(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e13LongTx(base)
-	if rounds := base.log.Stats().Syncs; base.acked[1] != wal.TCommit || rounds < 4 {
-		t.Fatalf("the transaction (committed=%v) reached the log in %d rounds, want its records in 3 or more and the commit after", base.acked[1], rounds)
+	spills := 0
+	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TRedo {
+			spills++
+		}
+		return nil
+	})
+	if rounds := base.log.Stats().Syncs; base.acked[1] != wal.TCommit || spills < 3 || rounds < 4 {
+		t.Fatalf("the transaction (committed=%v) spilled %d times and reached the log in %d rounds, want 3 spills in 3 or more and the commit after",
+			base.acked[1], spills, rounds)
 	}
 	sample := 0
 	if testing.Short() {
@@ -152,28 +161,32 @@ func TestE13FreshPages(t *testing.T) {
 	if err := base.log.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	// The winner's range of a page the first transaction anchored and rolled
-	// back must be an anchor again: the rollback forgot the page's. A checkpoint
+	// The winner's range of a page the first transaction changed and rolled
+	// back is the page's anchor: that rollback logged nothing. The prepared
+	// fill's rollback re-anchors its page with an abort record. A checkpoint
 	// starts no anchor epoch, so the zeroed pages were anchored once, by their
-	// fills; a whole-page image of zeroes is the whole fill zeroed, and at least
-	// one must be in the log.
-	var zeroRanges, zeroAnchors, reanchored int
+	// fills; a whole-page image of zeroes is the whole fill zeroed, or the
+	// rolled-back fill's page, and both must be in the log.
+	var zeroRanges, zeroAnchors, anchored, reanchors int
 	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		fp := r.Footprint()
-		switch {
-		case r.Type != wal.TRedo:
-		case r.WholePage() && fp.ZeroAfter == page.Size:
-			zeroAnchors++
-		case fp.ZeroAfter > 0:
-			zeroRanges++
-		case r.Tx == 1 && r.Page.Page == base.pages[3] && r.WholePage():
-			reanchored++
+		if r.Type == wal.TAbort && len(r.Changes) > 0 {
+			reanchors++
+		}
+		for _, c := range r.Changes {
+			switch {
+			case c.WholePage() && c.Zero():
+				zeroAnchors++
+			case c.Zero():
+				zeroRanges++
+			case r.Tx == 1 && c.Page.Page == base.pages[3] && c.WholePage():
+				anchored++
+			}
 		}
 		return nil
 	})
-	if len(base.acked) != 3 || zeroRanges < 2 || zeroAnchors < 1 || reanchored != 1 {
-		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback forgot",
-			base.acked, zeroRanges, zeroAnchors, reanchored)
+	if len(base.acked) != 4 || zeroRanges < 1 || zeroAnchors < 2 || anchored != 1 || reanchors != 1 {
+		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback left unlogged, %d re-anchoring aborts",
+			base.acked, zeroRanges, zeroAnchors, anchored, reanchors)
 	}
 	sample := 0
 	if testing.Short() {

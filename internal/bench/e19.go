@@ -447,27 +447,18 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		}
 		return img
 	}
-	update := func(tx uint64, id page.ID, after []byte) (page.LSN, error) {
-		return l.Append(&wal.Record{Type: wal.TRedo, Tx: tx, Page: id, After: after})
-	}
-	commit := func(tx uint64, prev page.LSN) error {
-		clsn, err := l.Append(&wal.Record{Type: wal.TCommit, Tx: tx, PrevLSN: prev})
+	// A commit is one record, its page change inside it, forced.
+	commit := func(tx uint64, id page.ID, after []byte) (page.LSN, error) {
+		clsn, err := l.Append(&wal.Record{Type: wal.TCommit, Tx: tx, Changes: []wal.Change{{Page: id, After: after}}})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := l.Flush(clsn); err != nil {
-			return err
-		}
-		_, err = l.Append(&wal.Record{Type: wal.TEnd, Tx: tx})
-		return err
+		return clsn, l.Flush(clsn)
 	}
 
 	a1 := fill(0x11)
-	lsn1, err := update(1, pg(1), a1)
+	lsn1, err := commit(1, pg(1), a1)
 	if err != nil {
-		return
-	}
-	if err = commit(1, lsn1); err != nil {
 		return
 	}
 	want[pg(1)] = a1
@@ -475,11 +466,8 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		return
 	}
 	a2 := fill(0x22)
-	lsn2, err := update(2, pg(2), a2)
+	lsn2, err := commit(2, pg(2), a2)
 	if err != nil {
-		return
-	}
-	if err = commit(2, lsn2); err != nil {
 		return
 	}
 	want[pg(2)] = a2
@@ -487,8 +475,8 @@ func e19CkptLog() (img []byte, ckpt1, ckpt2, ckpt2End page.LSN, want map[page.ID
 		return
 	}
 	ckpt2End = l.NextLSN()
-	// The loser after checkpoint #2.
-	lsn3, err := update(3, pg(3), fill(0x33))
+	// The loser after checkpoint #2: a spill, and no commit.
+	lsn3, err := l.Append(&wal.Record{Type: wal.TRedo, Tx: 3, Changes: []wal.Change{{Page: pg(3), After: fill(0x33)}}})
 	if err != nil {
 		return
 	}

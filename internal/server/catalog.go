@@ -216,7 +216,7 @@ func loadCatalog(dir string) (*catalog, error) {
 // storage they name. It finds them in restart's one pass over the log
 // (wal.Analyze), whose analysis it returns for the pages and the transactions
 // (tx.Restart). updated collects the last record of every page the same
-// stretch of log changed — a redo-only one only once its transaction commits
+// stretch of log changed — a page change only where it takes effect
 // (wal.Replayer): redo of an add-segment op must not re-format a page the log
 // has changed since (Server.redoSegment).
 func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedOp, error) {
@@ -228,8 +228,8 @@ func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedO
 	}
 	var ops []loggedOp
 	atStamp := false
-	changed := wal.NewReplayer(func(lsn page.LSN, rec *wal.Record, _ wal.Logged) error {
-		updated[rec.Page] = max(updated[rec.Page], lsn)
+	changed := wal.NewReplayer(func(lsn page.LSN, c *wal.Change, _ wal.Logged) error {
+		updated[c.Page] = max(updated[c.Page], lsn)
 		return nil
 	})
 	an, err := wal.Analyze(c.log, func(lsn page.LSN, rec *wal.Record) error {
@@ -247,9 +247,6 @@ func (c *catalog) replay(updated map[page.ID]page.LSN) (*wal.Analysis, []loggedO
 		ops = append(ops, loggedOp{op, lsn})
 		return nil
 	})
-	if err == nil {
-		err = changed.End()
-	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -99,9 +99,9 @@ func corruptionIn(err error) bool {
 
 // repairRange reconstructs pages [start, start+n) of area from the durable
 // log: every change of a page is replayed in memory in the order it took
-// effect (wal.ReplayPages: a committed transaction's redo-only records at its
-// commit, an aborted one's never) — its anchors whole, its byte-range records
-// over them — which leaves the page as redo would. zeroBase marks ranges whose
+// effect (wal.ReplayPages: a committed transaction's changes at its commit, an
+// aborted one's never, a rollback's anchors at its abort) — its anchors
+// whole, its byte ranges over them — which leaves the page as redo would. zeroBase marks ranges whose
 // initial on-disk state was all zeroes
 // (data and overflow runs, which CreateSegment and the allocator zero without
 // logging) — those replay correctly from an empty history, while a slotted
@@ -120,8 +120,8 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 	if err := rd.log.Flush(0); err != nil {
 		return err
 	}
-	hist, err := wal.ReplayPages(rd.log, wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) bool {
-		return uint32(rec.Page.Area) == areaID && rec.Page.Page >= start && rec.Page.Page < start+page.No(n)
+	hist, err := wal.ReplayPages(rd.log, wal.FirstLSN(), func(_ page.LSN, c *wal.Change) bool {
+		return uint32(c.Page.Area) == areaID && c.Page.Page >= start && c.Page.Page < start+page.No(n)
 	}, nil)
 	if err != nil {
 		return fmt.Errorf("server: repair: log history unreadable: %w", err)

@@ -15,7 +15,7 @@ import (
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
-	"bess/internal/wal"
+	"bess/internal/tx"
 )
 
 // Tests for the byte-range logging rule (internal/tx/logging.go) as the
@@ -63,8 +63,8 @@ func commitImage(t *testing.T, s *Server, img proto.SegImage) {
 
 // TestLogVolumeBudget is the tier-1 tripwire against a slide back to
 // whole-page logging: a committed 128-byte overwrite of pages that already
-// have their anchors logs a few hundred bytes (two byte-range records — the
-// object's bytes and the header's checksums — plus commit and end), also as
+// have their anchors logs a few hundred bytes (one commit record carrying two
+// byte ranges — the object's bytes and the header's checksums), also as
 // the first touch after a checkpoint, and a first touch after a reopen logs
 // two anchors, a page each.
 func TestLogVolumeBudget(t *testing.T) {
@@ -113,7 +113,7 @@ func TestLogVolumeBudget(t *testing.T) {
 }
 
 // TestLogAndApplyShortTail: data that ends inside a page changes only its own
-// bytes — the record's range stays inside them and the page's tail survives.
+// bytes — the change's range stays inside them and the page's tail survives.
 func TestLogAndApplyShortTail(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -126,34 +126,36 @@ func TestLogAndApplyShortTail(t *testing.T) {
 	if err := s.WriteRun(db, aid, start, fill); err != nil {
 		t.Fatal(err)
 	}
-	tr := s.txm.Begin()
-	staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{})
-	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil { // anchors both pages
-		t.Fatal(err)
+	ship := func(data []byte) *tx.Tx {
+		t.Helper()
+		tr := s.txm.Begin()
+		staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{})
+		if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	// A second shipment of the same run changes it from what the first left,
-	// not from the disk, which holds neither before the commit.
+	data := bytes.Repeat([]byte{0x11}, page.Size+100)
+	ship(data) // anchors both pages
+	// A second shipment of the same run changes it from what the first left.
 	data = bytes.Clone(data)
 	copy(data[page.Size+10:], "short")
-	from := s.log.NextLSN()
-	if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
+	tr := ship(data)
+	if err := s.log.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := func() (*wal.Record, error) {
-		if err := s.log.Flush(0); err != nil {
-			return nil, err
-		}
-		return s.log.ReadRecord(from)
-	}()
+	rec, err := s.log.ReadRecord(tr.LastLSN())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Page.Page != page.No(start)+1 || rec.Off != 10 || string(rec.After) != "short" {
-		t.Fatalf("short-tail record: page %v off %d after %q", rec.Page, rec.Off, rec.After)
+	if len(rec.Changes) != 1 {
+		t.Fatalf("short-tail commit carries %d changes, want 1", len(rec.Changes))
 	}
-	if err := tr.Commit(); err != nil {
-		t.Fatal(err)
+	if c := rec.Changes[0]; c.Page.Page != page.No(start)+1 || c.Off != 10 || string(c.After) != "short" {
+		t.Fatalf("short-tail change: page %v off %d after %q", c.Page, c.Off, c.After)
 	}
 	got, err := s.ReadRun(db, aid, start, 2)
 	if err != nil {

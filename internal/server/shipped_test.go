@@ -14,8 +14,9 @@ import (
 	"bess/internal/wal"
 )
 
-// Tests of the shipped commit: its records are redo-only (wal.TRedo) and its
-// pages are written after its commit record is durable (tx.Tx.Commit).
+// Tests of the shipped commit: its changes are redo-only, carried by its commit
+// record, and its pages are written after that record is durable
+// (tx.Tx.Commit).
 
 // devices are a server's media as fault stores: a log on one injector's clock,
 // an area per id on another's — or the same one's. beforeWrite, when set, runs
@@ -101,51 +102,46 @@ func rawSegment(t *testing.T, s *Server, seg proto.SegKey) []byte {
 	return append(sl, data...)
 }
 
-// TestCommitLogFootprint pins the gain of redo-only records and of the
-// varint record codec in tier-1: a committed k-byte overwrite logs about k
-// bytes per page it changes, no undo byte at all, and headers of at most 24
-// bytes per page record and 12 per commit or end record.
+// TestCommitLogFootprint pins the gain of redo-only changes, of the varint
+// record codec and of the one-record commit in tier-1: a committed k-byte
+// overwrite appends exactly one record — its commit, carrying the changes —
+// which logs about k bytes per page it changes, no undo byte at all, and a
+// header of at most 20 bytes; and the log takes one append per shipped commit
+// (Snapshot().WALAppends).
 func TestCommitLogFootprint(t *testing.T) {
 	const (
-		k          = 128
-		pageHeader = 24
-		endHeader  = 12
+		k      = 128
+		header = 20
+		rounds = 3
 	)
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, bytes.Repeat([]byte{1}, k)) // anchors the pages
-	img := overwriteImage(t, s, key, bytes.Repeat([]byte{2}, k))
-	from := s.log.NextLSN()
-	commitImage(t, s, img)
-	var redo, ends, redoHeader, endsHeader int
-	total := int(s.log.NextLSN() - from)
-	if err := s.log.Flush(0); err != nil { // the end record is not forced
-		t.Fatal(err)
-	}
-	if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
-		fp := r.Footprint()
-		if fp.Before+fp.ZeroBefore != 0 {
-			t.Fatalf("a shipped commit logged a %v record with %d undo bytes", r.Type, fp.Before+fp.ZeroBefore)
+	for i := 0; i < rounds; i++ {
+		img := overwriteImage(t, s, key, bytes.Repeat([]byte{byte(2 + i)}, k))
+		from, appends := s.log.NextLSN(), s.Snapshot().WALAppends
+		commitImage(t, s, img)
+		if got := s.Snapshot().WALAppends - appends; got != 1 {
+			t.Fatalf("a shipped commit took %d log appends, want 1", got)
 		}
-		switch r.Type {
-		case wal.TRedo:
-			redo, redoHeader = redo+1, redoHeader+fp.Header
-		case wal.TCommit, wal.TEnd:
-			ends, endsHeader = ends+1, endsHeader+fp.Header
-		default:
-			t.Fatalf("a shipped commit logged a %v record", r.Type)
+		var recs, images int
+		total := int(s.log.NextLSN() - from)
+		if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
+			recs++
+			fp := r.Footprint()
+			if r.Type != wal.TCommit || fp.Before+fp.ZeroBefore != 0 || fp.Header > header {
+				t.Fatalf("a shipped commit logged a %v record with %d undo bytes and a %d-byte header (budget %d): %d changes",
+					r.Type, fp.Before+fp.ZeroBefore, fp.Header, header, len(r.Changes))
+			}
+			images += fp.After + fp.ZeroAfter
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if redo == 0 || total > 2*k+200 {
-		t.Fatalf("a %d-byte overwrite logged %d bytes in %d redo-only records", k, total, redo)
-	}
-	if ends != 2 || redoHeader > pageHeader*redo || endsHeader > endHeader*ends {
-		t.Fatalf("headers: %d B over %d page records (budget %d each), %d B over %d commit and end records (budget %d each)",
-			redoHeader, redo, pageHeader, endsHeader, ends, endHeader)
+		if recs != 1 || images > 2*k || total > images+header {
+			t.Fatalf("a %d-byte overwrite logged %d bytes in %d records, %d of them images", k, total, recs, images)
+		}
 	}
 }
 
@@ -294,7 +290,7 @@ func TestProcessCrashDuringCommit(t *testing.T) {
 // until then no other client finds it — a live FetchSeg takes no lock and
 // reads the disk — and an abort leaves the segment's slotted and overflow runs
 // and the content's run as they were, with nothing of the transaction in the
-// log but its records, its abort and its end.
+// log: its content was queued for a commit record that never came.
 func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -362,12 +358,7 @@ func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 		}
 		return nil
 	})
-	if n := len(types); n < 3 || types[n-2] != wal.TAbort || types[n-1] != wal.TEnd {
-		t.Fatalf("the aborted transaction's records: %v", types)
-	}
-	for _, typ := range types[:len(types)-2] {
-		if typ != wal.TRedo {
-			t.Fatalf("the aborted transaction's records: %v, want its redo records, abort and end", types)
-		}
+	if len(types) != 0 {
+		t.Fatalf("the aborted transaction's records: %v, want none", types)
 	}
 }

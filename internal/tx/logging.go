@@ -11,45 +11,57 @@ import (
 
 // What the log holds for a page change — the one place that decides it.
 //
-// A redo half, and nothing else. Every page change is a TRedo record (LogRedo):
-// a client's commit or prepare, the server's whole write set at the moment
-// the transaction ends, and a large object's content, logged in the middle of
-// its transaction (server.StoreLarge). Its page is written after the
+// A redo half, and nothing else, carried by the transaction's commit record.
+// Every page change — a client's commit or prepare, the server's whole write
+// set at the moment the transaction ends, and a large object's content,
+// stored in the middle of its transaction (server.StoreLarge) — is queued by
+// LogRedo beside the page's image in Tx.writes, and logged when the
+// transaction ends, in its TCommit or TPrepare (logEnd): one record, one CRC,
+// one transaction id per commit, however many pages it changes. A transaction
+// whose queued changes would pass a log buffer (wal.BufSize) logs them ahead,
+// in a spill: a multi-page TRedo. Its pages are written after the
 // transaction's commit record is durable (Commit, writeBack) and never
 // before: the write takes a proof only a wal.Durable can make, and the log
 // mints one only once its flushed frontier covers the commit record. So
 // nothing on a page ever needs taking back — there is no undo half, no
-// compensation record, no undo pass — and a rollback only forgets what it
-// logged (Tx.rollback).
+// compensation record, no undo pass.
 //
-// Which bytes. The redo half covers [lo, hi), the first through the last byte
-// that differ between the page's images, not the page: a 128-byte overwrite
-// logs about 130 bytes.
+// Which bytes. A page's change covers [lo, hi), the first through the last
+// byte that differ between the page's images, not the page: a 128-byte
+// overwrite logs about 130 bytes. A page the transaction changes again before
+// its change is logged keeps one entry, whose range grows to cover both.
 //
 // Anchors. A byte-range redo image only means something on top of the page it
 // was cut from, and a torn or rotted page write can leave anything on disk. So
-// a page's first record after Open — the anchor — carries the whole page as
-// its redo half (Off 0, page.Size bytes), and Manager.anchors remembers which
-// pages have one and at which LSN: one entry per page written since Open. A
-// checkpoint does not touch it; the anchor is part of the page's history. An
-// anchor that is rolled back anchors nothing (its page was never written):
-// rollback forgets the anchors its transaction laid, and the page's next
-// writer lays one down again.
+// a page's first change after Open — the anchor — is logged whole (Off 0,
+// page.Size bytes), and Manager.anchors remembers which pages have one and at
+// which LSN: one entry per page written since Open, the LSN of the record that
+// carried it. LogRedo decides it as it queues a change (the spill bound needs
+// the size), by whether the page has an anchor then — which nothing but this
+// transaction's own records can change before it ends: segment locks keep
+// every other writer off the page. A checkpoint does not touch the anchors;
+// the anchor is part of the page's history. A rollback of changes that
+// reached the log re-anchors instead (rollback): its TAbort carries the
+// page as the store holds it — what the rolled-back changes never replaced —
+// whole, for every page they named, and becomes each one's anchor. Replay
+// then starts from there, whatever the rolled-back records laid down: also
+// those of a commit record whose force failed, which may yet reach the disk.
 //
 // Zero images. The log stores an image that is all zero as its length
 // (internal/wal): filling a page nothing was ever written to logs its
 // after-image, zeroing one logs a length. That is the codec's rule, not this
 // file's — nothing here knows a page is fresh.
 //
-// recLSN. A checkpoint lists, for each page an active or prepared transaction
-// changed — or a committed one whose page writes are not done — the LSN of
-// the anchor the page had when the transaction first changed it. Restart
-// rebuilds the pages the checkpoint lists and those the log changes after it,
-// each from its latest committed anchor, which analysis finds in the log
-// (wal.Analyze) wherever it lies, before the checkpoint or after it: replay
-// starts from a whole image, and wal.RecoveryStats.UnanchoredPages stays 0.
-// Repair by log replay (server.repairRange) gets the same guarantee from the
-// log's very first record of the page.
+// recLSN. A checkpoint lists, for each page whose change an active or
+// prepared transaction logged — or a committed one whose page writes are not
+// done — the LSN of the anchor the page had when that change was logged.
+// Changes still queued need no entry: the record that will carry them follows
+// the checkpoint's. Restart rebuilds the pages the checkpoint lists and those
+// the log changes after it, each from its latest anchor, which analysis finds
+// in the log (wal.Analyze) wherever it lies, before the checkpoint or after
+// it: replay starts from a whole image, and wal.RecoveryStats.UnanchoredPages
+// stays 0. Repair by log replay (server.repairRange) gets the same guarantee
+// from the log's very first record of the page.
 //
 // Atomicity. Manager.epoch guards the dirty-page table, which lists a
 // transaction's pages exactly when the transaction's prepare, commit or abort
@@ -61,14 +73,19 @@ import (
 // is never again written without a record (unlogged initial images and raw
 // runs only ever precede a page's first record).
 
-// LogRedo appends the redo-only record (wal.TRedo) for pid changing from
-// before to after, both whole-page images, and queues the page's write for
+// changeOverhead bounds the bytes a page change takes in a record beside its
+// image: page id, offset and image length.
+const changeOverhead = 24
+
+// LogRedo queues pid's change from before to after, both whole-page images,
+// for t's commit (or prepare) record to carry, and queues the page's write for
 // t's commit: nothing is written now, and nothing the caller gets could write
 // it — the write waits for the commit record to be durable (writeBack). A page
 // t already queued a write for changes from that write's image, not from
 // before, and the queued write becomes this one: a commit writes each page
-// once. Equal images log and queue nothing. after must stay unchanged until t
-// commits or aborts, or until its Prepare returns.
+// once. Equal images queue nothing. If the change would take t's queued
+// changes past a log buffer, those are logged first, in a spill. after must
+// stay unchanged until t commits or aborts, or until its Prepare returns.
 func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 	if len(before) != page.Size || len(after) != page.Size {
 		return fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
@@ -82,74 +99,99 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 	if t.state != Active {
 		return ErrNotActive
 	}
-	queued := -1
-	if _, seen := t.dirty[pid]; seen {
-		for i := len(t.writes) - 1; i >= 0; i-- {
-			if t.writes[i].rec.Page() == pid {
-				queued, before = i, t.writes[i].img
-				break
-			}
-		}
+	i, seen := t.at[pid]
+	if seen {
+		before = t.writes[i].img
 	}
-	lo, hi := diffRange(before, after)
-	if lo == hi {
+	dlo, dhi := diffRange(before, after)
+	if dlo == dhi {
 		return nil
 	}
-	rec := &wal.Record{Type: wal.TRedo, Tx: t.id, Page: pid}
-	if err := t.appendRedo(rec, after, lo, hi); err != nil {
-		return err
+	if !seen {
+		if t.at == nil {
+			t.at = make(map[page.ID]int)
+		}
+		i, t.at[pid] = len(t.writes), len(t.writes)
+		t.writes = append(t.writes, shipped{pid: pid})
 	}
-	if w := (shipped{rec: rec.Pending(), img: after}); queued >= 0 {
-		t.writes[queued] = w
-	} else {
-		t.writes = append(t.writes, w)
+	w := &t.writes[i]
+	lo, hi, cost := t.widen(w, dlo, dhi)
+	if t.queued+cost > wal.BufSize && t.queued > 0 {
+		if _, err := t.logQueued(&wal.Record{Type: wal.TRedo, Tx: t.id}); err != nil {
+			return err
+		}
+		// The spill logged every change queued so far, w's with them: what is
+		// queued now is the change from there.
+		lo, hi, cost = t.widen(w, dlo, dhi)
 	}
+	w.img, w.lo, w.hi = after, lo, hi
+	t.queued += cost
 	t.deferred = true
 	return nil
 }
 
-// appendRedo appends rec, a TRedo of rec.Page that leaves the page holding
-// img and changes img[lo:hi]. Under the anchor rule the redo half is that range
-// if the page has an anchor, and the whole page — becoming the anchor, which t
-// records as laid — if not. The caller holds m.epoch shared and t.mu.
-func (t *Tx) appendRedo(rec *wal.Record, img []byte, lo, hi int) error {
+// widen returns the range w queues once its page changes at [lo, hi) — with
+// the range it queues already, or under the anchor rule the whole page if it
+// queues none and the page has no anchor — and the bytes that adds to t's
+// queue. The caller holds t.mu.
+func (t *Tx) widen(w *shipped, lo, hi int) (int, int, int) {
+	if w.lo < w.hi {
+		nlo, nhi := min(lo, w.lo), max(hi, w.hi)
+		return nlo, nhi, nhi - nlo - (w.hi - w.lo)
+	}
 	m := t.m
 	m.mu.Lock()
-	anchor, anchored := m.anchors[rec.Page]
+	_, anchored := m.anchors[w.pid]
 	m.mu.Unlock()
 	if !anchored {
 		lo, hi = 0, page.Size
 	}
-	rec.Off, rec.After = uint32(lo), img[lo:hi]
-	lsn, err := t.chain(rec)
-	if err != nil {
-		return err
-	}
-	if !anchored {
-		// Segment locks keep two transactions off one page, so nobody else
-		// decided about this page between the lookup and here.
-		anchor = lsn
-		m.mu.Lock()
-		m.anchors[rec.Page] = lsn
-		m.mu.Unlock()
-		t.laid = append(t.laid, rec.Page)
-	}
-	if _, ok := t.dirty[rec.Page]; !ok {
-		t.dirty[rec.Page] = anchor
-	}
-	return nil
+	return lo, hi, hi - lo + changeOverhead
 }
 
-// forget drops the anchors a rolled-back transaction laid on pages: their
-// pages were never written, so each page's next writer must anchor it again.
-// The anchors are still the transaction's: nothing else anchors a page that
-// has one, and its locks kept every other writer off the pages.
-func (m *Manager) forget(pages []page.ID) {
-	m.mu.Lock()
-	for _, pid := range pages {
-		delete(m.anchors, pid)
+// logQueued appends rec, a TRedo, TPrepare or TCommit of t, carrying t's
+// queued changes: each page's queued range of its image, in the order t first
+// changed the pages. Then it settles what the record carries (carried) and
+// empties the queue. The caller holds m.epoch shared and t.mu.
+func (t *Tx) logQueued(rec *wal.Record) (page.LSN, error) {
+	for _, w := range t.writes {
+		if w.lo < w.hi {
+			rec.Changes = append(rec.Changes, wal.Change{Page: w.pid, Off: uint32(w.lo), After: w.img[w.lo:w.hi]})
+		}
 	}
-	m.mu.Unlock()
+	lsn, err := t.chain(rec)
+	if err != nil {
+		return 0, err
+	}
+	t.carried(rec, lsn)
+	k := 0
+	for i := range t.writes {
+		if w := &t.writes[i]; w.lo < w.hi {
+			w.rec, w.lo, w.hi = rec.Pending(k), 0, 0
+			k++
+		}
+	}
+	t.queued = 0
+	return lsn, nil
+}
+
+// carried settles the changes rec, t's record at lsn, carries: a whole-page
+// one becomes its page's anchor, and each page gets its recLSN — the page's
+// anchor as this change found it, or laid — at its first logged change. The
+// caller holds m.epoch shared and t.mu.
+func (t *Tx) carried(rec *wal.Record, lsn page.LSN) {
+	m := t.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range rec.Changes {
+		c := &rec.Changes[i]
+		if c.WholePage() {
+			m.anchors[c.Page] = lsn
+		}
+		if _, ok := t.dirty[c.Page]; !ok {
+			t.dirty[c.Page] = m.anchors[c.Page]
+		}
+	}
 }
 
 // chain appends rec as the next record of t's chain: it is the one place a
@@ -167,12 +209,15 @@ func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
 }
 
 // logEnd moves t to state to — Prepared, Committed or Aborted — and appends
-// the records that say so, the first chained to t's last record, as one step
-// with respect to Checkpoint (the epoch lock): a checkpoint's dirty-page table
-// then holds t's pages exactly when those records follow the checkpoint's.
-// It returns the first record's LSN for the caller to force, outside every
-// lock. A transaction that logged nothing ends without a record: LSN 0.
-func (t *Tx) logEnd(to State, types ...wal.Type) (page.LSN, error) {
+// the record that says so, typ, chained to t's last record, as one step with
+// respect to Checkpoint (the epoch lock): a checkpoint's dirty-page table then
+// holds t's pages exactly when that record follows the checkpoint's. A TCommit
+// or TPrepare carries t's queued changes; a TAbort carries anchors, the
+// rollback's re-anchoring of the pages whose changes reached the log. It
+// returns the record's LSN for the caller to force, outside every lock. A
+// transaction with nothing in the log and nothing queued ends without a
+// record: LSN 0.
+func (t *Tx) logEnd(to State, typ wal.Type, anchors []wal.Change) (page.LSN, error) {
 	m := t.m
 	m.epoch.RLock()
 	defer m.epoch.RUnlock()
@@ -181,20 +226,24 @@ func (t *Tx) logEnd(to State, types ...wal.Type) (page.LSN, error) {
 	if t.state != Active && (t.state != Prepared || to == Prepared) {
 		return 0, ErrNotActive
 	}
-	var first page.LSN
-	if t.lastLSN != 0 || to == Prepared {
+	var lsn page.LSN
+	if t.lastLSN != 0 || t.queued > 0 || to == Prepared {
+		rec := &wal.Record{Type: typ, Tx: t.id}
 		var err error
-		if first, err = t.chain(&wal.Record{Type: types[0], Tx: t.id}); err != nil {
-			return 0, err
-		}
-		for _, typ := range types[1:] {
-			if _, err := m.log.Append(&wal.Record{Type: typ, Tx: t.id}); err != nil {
-				return 0, err
+		if typ == wal.TAbort {
+			rec.Changes = anchors
+			if lsn, err = t.chain(rec); err == nil {
+				t.carried(rec, lsn)
 			}
+		} else {
+			lsn, err = t.logQueued(rec)
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
 	t.state = to
-	return first, nil
+	return lsn, nil
 }
 
 // diffRange returns the smallest [lo, hi) holding every byte at which the
@@ -221,11 +270,11 @@ func diffRange(a, b []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// Checkpoint writes a fuzzy checkpoint — the pages the transactions still
-// active or prepared changed, and those of a committed one whose page writes
-// are still to come, with their recLSNs — and forces the log. It leaves the
-// anchors as they are. Which transactions are open restart reads off their
-// own records (wal.Analyze), not off the checkpoint.
+// Checkpoint writes a fuzzy checkpoint — the pages whose changes the
+// transactions still active or prepared logged, and those of a committed one
+// whose page writes are still to come, with their recLSNs — and forces the
+// log. It leaves the anchors as they are. Which transactions are open restart
+// reads off their own records (wal.Analyze), not off the checkpoint.
 func (m *Manager) Checkpoint() (page.LSN, error) {
 	m.epoch.Lock()
 	m.mu.Lock()
@@ -255,16 +304,24 @@ func (m *Manager) Checkpoint() (page.LSN, error) {
 		dp = append(dp, wal.CkptPage{Page: pid, RecLSN: lsn})
 	}
 	// Sorted, so that the same history writes the same log bytes.
-	sort.Slice(dp, func(i, j int) bool {
-		if dp[i].Page.Area != dp[j].Page.Area {
-			return dp[i].Page.Area < dp[j].Page.Area
-		}
-		return dp[i].Page.Page < dp[j].Page.Page
-	})
+	sort.Slice(dp, func(i, j int) bool { return pageLess(dp[i].Page, dp[j].Page) })
 	lsn, err := m.log.Append(&wal.Record{Type: wal.TCheckpoint, DirtyPages: dp})
 	m.epoch.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	return lsn, m.log.Flush(lsn)
+}
+
+// pageLess orders page ids by area, then page number.
+func pageLess(a, b page.ID) bool {
+	if a.Area != b.Area {
+		return a.Area < b.Area
+	}
+	return a.Page < b.Page
+}
+
+// sortPages sorts ids by pageLess.
+func sortPages(ids []page.ID) {
+	sort.Slice(ids, func(i, j int) bool { return pageLess(ids[i], ids[j]) })
 }

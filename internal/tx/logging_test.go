@@ -26,27 +26,37 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	return rec
 }
 
-// TestLogRedoRule is the table for the logging rule: which bytes a record's
-// redo half carries, and when it is the whole page instead — a page's first
-// touch after Open, and not after a checkpoint.
+// TestLogRedoRule is the table for the logging rule: which bytes the change a
+// commit record carries for a page holds, and when it is the whole page
+// instead — a page's first commit after Open, and not after a checkpoint.
+// Every step is a transaction of its own, whose one record is its commit.
 func TestLogRedoRule(t *testing.T) {
 	m, _, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 9}
-	cur := make([]byte, page.Size) // the page as the transaction sees it
+	cur := make([]byte, page.Size) // the page as the transactions see it
 	for i := range cur {
 		cur[i] = byte(i * 7)
 	}
-	tr := m.Begin()
 
-	// step logs cur → cur with edit applied and checks the record: its redo
-	// half is [wantOff, wantOff+wantLen), unless the record is the page's
-	// anchor.
-	step := func(name string, edit func(img []byte), wantOff, wantLen int, anchor bool) {
+	// step commits cur → cur with each edit applied in turn, one LogRedo
+	// each, and checks the record: its one change is [wantOff,
+	// wantOff+wantLen), unless it is the page's anchor.
+	step := func(name string, wantOff, wantLen int, anchor bool, edits ...func(img []byte)) {
 		t.Helper()
-		after := append([]byte(nil), cur...)
-		edit(after)
+		tr := m.Begin()
 		next := l.NextLSN()
-		if err := tr.LogRedo(pid, cur, after); err != nil {
+		for _, edit := range edits {
+			after := append([]byte(nil), cur...)
+			edit(after)
+			if err := tr.LogRedo(pid, cur, after); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if l.NextLSN() != next {
+				t.Fatalf("%s: LogRedo logged a record before the commit", name)
+			}
+			cur = after
+		}
+		if err := tr.Commit(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if wantLen == 0 {
@@ -59,17 +69,19 @@ func TestLogRedoRule(t *testing.T) {
 		if anchor {
 			wantOff, wantLen = 0, page.Size
 		}
-		if rec.Type != wal.TRedo || rec.Page != pid || int(rec.Off) != wantOff || len(rec.After) != wantLen || rec.Before != nil {
-			t.Fatalf("%s: record redo off %d, %d bytes, %d undo bytes; want %d, %d and none",
-				name, rec.Off, len(rec.After), len(rec.Before), wantOff, wantLen)
+		if rec.Type != wal.TCommit || len(rec.Changes) != 1 || rec.Before != nil || tr.LastLSN() != next {
+			t.Fatalf("%s: the commit logged a %v of %d changes, %d undo bytes", name, rec.Type, len(rec.Changes), len(rec.Before))
 		}
-		if !bytes.Equal(rec.After, after[wantOff:wantOff+wantLen]) {
-			t.Fatalf("%s: the image is not the page's bytes at the record's range", name)
+		c := &rec.Changes[0]
+		if c.Page != pid || int(c.Off) != wantOff || len(c.After) != wantLen {
+			t.Fatalf("%s: change redo off %d, %d bytes; want %d, %d", name, c.Off, len(c.After), wantOff, wantLen)
 		}
-		if rec.WholePage() != (wantOff == 0 && wantLen == page.Size) {
-			t.Fatalf("%s: WholePage() = %v", name, rec.WholePage())
+		if !bytes.Equal(c.After, cur[wantOff:wantOff+wantLen]) {
+			t.Fatalf("%s: the image is not the page's bytes at the change's range", name)
 		}
-		cur = after
+		if c.WholePage() != (wantOff == 0 && wantLen == page.Size) {
+			t.Fatalf("%s: WholePage() = %v", name, c.WholePage())
+		}
 	}
 	flip := func(at ...int) func([]byte) {
 		return func(img []byte) {
@@ -79,45 +91,46 @@ func TestLogRedoRule(t *testing.T) {
 		}
 	}
 
-	step("identical pages, never logged", flip(), 0, 0, false)
-	step("first touch after open: anchor", flip(1000), 1000, 1, true)
-	step("identical pages", flip(), 0, 0, false)
-	step("one byte", flip(77), 77, 1, false)
-	step("first byte", flip(0), 0, 1, false)
-	step("last byte", flip(page.Size-1), page.Size-1, 1, false)
-	step("two distant ranges: one covering range", flip(100, 101, 3000), 100, 2901, false)
-	step("range not aligned to the compare stride", flip(13, 14, 15, 16, 17), 13, 5, false)
-	step("whole page", func(img []byte) {
+	step("identical pages, never logged", 0, 0, false, flip())
+	step("first touch after open: anchor", 1000, 1, true, flip(1000))
+	step("identical pages", 0, 0, false, flip())
+	step("one byte", 77, 1, false, flip(77))
+	step("first byte", 0, 1, false, flip(0))
+	step("last byte", page.Size-1, 1, false, flip(page.Size-1))
+	step("two distant ranges: one covering range", 100, 2901, false, flip(100, 101, 3000))
+	step("range not aligned to the compare stride", 13, 5, false, flip(13, 14, 15, 16, 17))
+	step("two changes of one page in one transaction: one covering change", 300, 1701, false, flip(2000), flip(300))
+	step("a change undone within the transaction still logs its range", 40, 1, false, flip(40), flip(40))
+	step("whole page", 0, page.Size, false, func(img []byte) {
 		for i := range img {
 			img[i]++
 		}
-	}, 0, page.Size, false)
-	step("short tail: a change confined to the page's head", func(img []byte) {
+	})
+	step("short tail: a change confined to the page's head", 0, 300, false, func(img []byte) {
 		copy(img, bytes.Repeat([]byte{0x5A}, 300))
-	}, 0, 300, false)
+	})
 
 	// A checkpoint leaves the anchors be: the page's is part of its history.
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	step("first touch after a checkpoint: delta", flip(2000), 2000, 1, false)
-	step("second touch after a checkpoint: delta", flip(2000, 2001), 2000, 2, false)
+	step("first touch after a checkpoint: delta", 2000, 1, false, flip(2000))
+	step("second touch after a checkpoint: delta", 2000, 2, false, flip(2000, 2001))
 
 	// A new manager over the same log is what a reopened server starts with.
-	m2 := NewManager(l, lock.NewManager(), newMemPager(), nil)
-	tr.Commit()
-	tr = m2.Begin()
-	step("first touch after reopen: anchor", flip(5), 5, 1, true)
-	step("second touch after reopen: delta", flip(5), 5, 1, false)
+	m = NewManager(l, lock.NewManager(), newMemPager(), nil)
+	step("first touch after reopen: anchor", 5, 1, true, flip(5))
+	step("second touch after reopen: delta", 5, 1, false, flip(5))
 
-	if err := tr.LogRedo(pid, cur[:100], cur[:100]); err == nil {
+	if err := m.Begin().LogRedo(pid, cur[:100], cur[:100]); err == nil {
 		t.Fatal("LogRedo accepted images shorter than a page")
 	}
 }
 
-// TestNothingLoggedNothingForced: a transaction that logged nothing commits
-// and aborts without a record or a log force; locks release, hooks fire and
-// the version clock stays put.
+// TestNothingLoggedNothingForced: a transaction with nothing in the log
+// commits and aborts without a record or a log force — also one whose changes
+// were only queued, which its abort drops; locks release, hooks fire and the
+// version clock stays put.
 func TestNothingLoggedNothingForced(t *testing.T) {
 	m, _, l, _ := newEnv()
 	var committed, unstaged []uint64
@@ -131,7 +144,11 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	next, syncs, stamp := l.NextLSN(), l.Stats().Syncs, m.CommitStamp()
 
 	name := lock.PageName(1, 10, 0)
-	for _, end := range []func(*Tx) error{(*Tx).Commit, (*Tx).Abort} {
+	queuedThenAbort := func(tr *Tx) error {
+		ship(t, tr, newMemPager(), page.ID{Area: 1, Page: 2}, 0, []byte("queued"))
+		return tr.Abort()
+	}
+	for _, end := range []func(*Tx) error{(*Tx).Commit, (*Tx).Abort, queuedThenAbort} {
 		tr := m.Begin()
 		if err := tr.Lock(name, lock.X); err != nil {
 			t.Fatal(err)
@@ -146,15 +163,17 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	if m.CommitStamp() != stamp {
 		t.Fatalf("version clock moved: %d -> %d", stamp, m.CommitStamp())
 	}
-	if c, a := m.Counts(); c != 2 || a != 1 || live(m) != 0 {
+	if c, a := m.Counts(); c != 2 || a != 2 || live(m) != 0 {
 		t.Fatalf("commits %d, aborts %d, active %d", c, a, live(m))
 	}
-	// Both endings drop what the transaction staged; neither publishes.
-	if len(committed) != 1 || len(unstaged) != 2 {
+	// Every ending drops what the transaction staged; none publishes.
+	if len(committed) != 1 || len(unstaged) != 3 {
 		t.Fatalf("commit hook ran for %v, abort hook for %v", committed, unstaged)
 	}
-	// A checkpoint has nothing to say about a transaction the log never saw.
+	// A checkpoint has nothing to say about a transaction the log never saw,
+	// nor about changes still queued.
 	idle := m.Begin()
+	ship(t, idle, newMemPager(), page.ID{Area: 1, Page: 3}, 0, []byte("queued"))
 	lsn, err := m.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -415,8 +434,13 @@ func TestCheckpointInterleaving(t *testing.T) {
 		}
 		rebuilt := make(map[page.ID]bool)
 		crashed.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
-			if start, listed := from[r.Page]; r.Type == wal.TRedo && winners[r.Tx] && (listed && lsn >= start || lsn > ckptLSN) {
-				rebuilt[r.Page] = true
+			if !winners[r.Tx] && r.Type != wal.TAbort {
+				return nil
+			}
+			for _, c := range r.Changes {
+				if start, listed := from[c.Page]; listed && lsn >= start || lsn > ckptLSN {
+					rebuilt[c.Page] = true
+				}
 			}
 			return nil
 		})

@@ -25,9 +25,10 @@ func (p *watchPager) WritePage(proof wal.Logged, data []byte) error {
 	return p.memPager.WritePage(proof, data)
 }
 
-// TestLogRedoWritesAfterTheForce: a shipped change is a record with no undo
-// half, nothing reaches the page store before the commit, and the store the
-// commit makes comes after its record is durable.
+// TestLogRedoWritesAfterTheForce: a shipped change is queued, not logged;
+// the commit record carries it, with no undo half; nothing reaches the page
+// store before the commit, and the store the commit makes comes after its
+// record is durable.
 func TestLogRedoWritesAfterTheForce(t *testing.T) {
 	m, mp, l, _ := newEnv()
 	pg := &watchPager{memPager: mp}
@@ -36,52 +37,76 @@ func TestLogRedoWritesAfterTheForce(t *testing.T) {
 	tr := m.Begin()
 	from := l.NextLSN()
 	ship(t, tr, mp, pid, 100, []byte("shipped"))
-	if len(mp.pages) != 0 {
-		t.Fatal("a shipped change reached the page store before its commit")
-	}
-	rec := readRec(t, l, from)
-	if rec.Type != wal.TRedo || !rec.WholePage() || rec.Before != nil || rec.Footprint().Before != 0 {
-		t.Fatalf("first shipped change of a page: %v, whole page %v, %d undo bytes", rec.Type, rec.WholePage(), len(rec.Before))
+	if len(mp.pages) != 0 || l.NextLSN() != from {
+		t.Fatal("a shipped change reached the page store or the log before its commit")
 	}
 	var flushedAtWrite page.LSN
 	pg.before = func(wal.Logged) { flushedAtWrite = durableLSN(l) }
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	rec := readRec(t, l, from)
+	if rec.Type != wal.TCommit || len(rec.Changes) != 1 || !rec.Changes[0].WholePage() || rec.Before != nil || rec.Footprint().Before != 0 {
+		t.Fatalf("commit of a page's first shipped change: %v of %d changes, %d undo bytes", rec.Type, len(rec.Changes), len(rec.Before))
+	}
 	if got := mp.get(pid, 100, 7); string(got) != "shipped" {
 		t.Fatalf("commit left %q on the page", got)
 	}
-	if commit := tr.LastLSN(); flushedAtWrite <= commit {
+	if commit := tr.LastLSN(); commit != from || flushedAtWrite <= commit {
 		t.Fatalf("page written with the log durable to %d, commit record at %d", flushedAtWrite, commit)
 	}
 }
 
-// TestRolledBackRedoWritesNoCLR: rolling back a shipped change logs abort and
-// end and nothing else, and stores nothing — the page was never written — and
-// forgets the anchor the change set, so the page's next writer anchors it
-// again.
+// TestRolledBackRedoWritesNoCLR: rolling back a change only queued logs
+// nothing; rolling back one that reached the log — a prepared branch's — logs
+// an abort record and nothing else, which carries no undo image and no
+// compensation but the page as the store holds it, whole: the page's new
+// anchor. Neither stores anything, and the page's next writer logs a range
+// on top of that anchor, which restart replays from.
 func TestRolledBackRedoWritesNoCLR(t *testing.T) {
 	m, mp, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 6}
+	mp.set(pid, 0, []byte("old"))
+	stored := mp.clone()
 	tr := m.Begin()
 	ship(t, tr, mp, pid, 0, []byte("never"))
 	if err := tr.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo abort end]" || len(mp.pages) != 0 {
-		t.Fatalf("rollback of a shipped change: records %s, %d pages stored", got, len(mp.pages))
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[]" {
+		t.Fatalf("rollback of a queued change: records %s", got)
 	}
+
+	b := m.Begin()
+	ship(t, b, mp, pid, 0, []byte("never"))
+	if err := b.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(txRecords(l, b.ID())); got != "[prepare abort]" {
+		t.Fatalf("rollback of a prepared change: records %s", got)
+	}
+	abort := readRec(t, l, b.LastLSN())
+	if len(abort.Changes) != 1 || !abort.Changes[0].WholePage() || !bytes.Equal(abort.Changes[0].After, stored.get(pid, 0, page.Size)) {
+		t.Fatalf("the abort record carries %d changes, want the page as stored, whole", len(abort.Changes))
+	}
+	if !bytes.Equal(mp.get(pid, 0, page.Size), stored.get(pid, 0, page.Size)) {
+		t.Fatal("a rollback stored a page")
+	}
+
 	next := m.Begin()
-	from := l.NextLSN()
 	ship(t, next, mp, pid, 40, []byte("again"))
-	if rec := readRec(t, l, from); !rec.WholePage() {
-		t.Fatalf("the next writer of a rolled-back anchor's page logged %d bytes at %d, want an anchor", len(rec.After), rec.Off)
-	}
 	if err := next.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mp.get(pid, 0, 45); !bytes.Equal(got[:5], make([]byte, 5)) || string(got[40:]) != "again" {
-		t.Fatalf("page after the second commit: %q", got)
+	if c := readRec(t, l, next.LastLSN()).Changes[0]; c.WholePage() || c.Off != 40 || len(c.After) != 5 {
+		t.Fatalf("the next writer of a re-anchored page logged %d bytes at %d, want a range", len(c.After), c.Off)
+	}
+	mp.pages[pid] = bytes.Repeat([]byte{0xEE}, page.Size) // a torn write
+	if _, st := restartOn(t, crash(t, l), mp); st.UnanchoredPages != 0 || string(mp.get(pid, 0, 45)[:3]) != "old" || string(mp.get(pid, 40, 5)) != "again" {
+		t.Fatalf("restart over a torn page: %d unanchored, page %q", st.UnanchoredPages, mp.get(pid, 0, 45))
 	}
 }
 
@@ -173,10 +198,14 @@ func TestPreparedRedoWritesAtDecision(t *testing.T) {
 }
 
 // TestFailedForceRollsBackTheShippedCommit: a commit whose force fails did
-// not happen. Its records reach the log with the next force all the same —
-// commit record included — and its rollback's abort record after them, so
-// neither the run nor a restart ever writes its pages. A prepared branch's
-// is not rolled back: it stays in doubt for the decision to come again.
+// not happen. Its commit record reaches the log with the next force all the
+// same, and its rollback's abort record after it, carrying one anchor per page
+// the commit named — the page as the store holds it, which the commit never
+// replaced. So neither the run nor a restart ever writes its pages: a later
+// commit that changes another range of one of them logs that range alone, and
+// a restart rebuilding the page over garbage replays it on the abort's
+// anchor, not on the failed commit's bytes. A prepared branch's is not rolled
+// back: it stays in doubt for the decision to come again.
 func TestFailedForceRollsBackTheShippedCommit(t *testing.T) {
 	inj := fault.NewInjector(1)
 	l, err := wal.Open(fault.NewStore(inj).WAL())
@@ -186,37 +215,61 @@ func TestFailedForceRollsBackTheShippedCommit(t *testing.T) {
 	mp := newMemPager()
 	mp.log = l
 	m := NewManager(l, lock.NewManager(), mp, nil)
-	pid := page.ID{Area: 1, Page: 10}
+	pid, fresh := page.ID{Area: 1, Page: 10}, page.ID{Area: 1, Page: 11}
+	first := m.Begin()
+	ship(t, first, mp, pid, 0, bytes.Repeat([]byte{'o'}, 128))
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	stored := mp.clone()
+
 	tr := m.Begin()
-	ship(t, tr, mp, pid, 0, []byte("lost"))
+	ship(t, tr, mp, pid, 0, bytes.Repeat([]byte{'X'}, 64))
+	ship(t, tr, mp, fresh, 0, []byte("lost"))
 	inj.FailAt(inj.Events()+2, nil) // the force's sync, after its write
 	if err := tr.Commit(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("commit over a failing force: %v", err)
 	}
-	if m.Lookup(tr.ID()) != nil || len(mp.pages) != 0 {
+	if m.Lookup(tr.ID()) != nil || len(mp.pages) != 1 || !bytes.Equal(mp.get(pid, 0, page.Size), stored.get(pid, 0, page.Size)) {
 		t.Fatal("the failed commit is still in the table, or wrote its page")
 	}
-	var types []wal.Type
-	l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-		if r.Tx == tr.ID() {
-			types = append(types, r.Type)
-		}
-		return nil
-	})
-	if len(types) != 4 || types[1] != wal.TCommit || types[2] != wal.TAbort {
-		t.Fatalf("the transaction's records: %v", types)
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[commit abort]" {
+		t.Fatalf("the transaction's records: %s", got)
 	}
-	if _, _, err := restart(crash(t, l), mp); err != nil {
+	abort := readRec(t, l, tr.LastLSN())
+	if len(abort.Changes) != 2 {
+		t.Fatalf("the abort record carries %d changes, want an anchor of each of 2 pages", len(abort.Changes))
+	}
+	for _, c := range abort.Changes {
+		if !c.WholePage() || !bytes.Equal(c.After, stored.get(c.Page, 0, page.Size)) {
+			t.Fatalf("the abort's change of %v is not the page as stored, whole", c.Page)
+		}
+	}
+
+	// The next commit changes only [100, 110) of the page.
+	next := m.Begin()
+	ship(t, next, mp, pid, 100, []byte("0123456789"))
+	if err := next.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if len(mp.pages) != 0 {
-		t.Fatal("restart wrote the pages of a commit that was rolled back")
+	if c := readRec(t, l, next.LastLSN()).Changes[0]; c.WholePage() || c.Off != 100 || len(c.After) != 10 {
+		t.Fatalf("the next commit logged %d bytes at %d, want the range [100, 110)", len(c.After), c.Off)
 	}
+	want := mp.get(pid, 0, page.Size)
+	disk := mp.clone()
+	disk.pages[pid] = bytes.Repeat([]byte{0xEE}, page.Size) // a torn write
+	if _, st := restartOn(t, crash(t, l), disk); st.UnanchoredPages != 0 || !bytes.Equal(disk.get(pid, 0, page.Size), want) {
+		t.Fatalf("restart over a torn page: %d unanchored, [0, 64) holds %q", st.UnanchoredPages, disk.get(pid, 0, 64))
+	}
+	if got := disk.get(fresh, 0, 4); !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("restart wrote the rolled-back commit's page: %q", got)
+	}
+	mp.log = l
 
 	// A prepared branch is the coordinator's: a commit decision whose force
 	// fails leaves it in doubt, and the decision delivered again writes it.
 	b := m.Begin()
-	ship(t, b, mp, pid, 0, []byte("decided"))
+	ship(t, b, mp, fresh, 0, []byte("decided"))
 	if err := b.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +277,78 @@ func TestFailedForceRollsBackTheShippedCommit(t *testing.T) {
 	if err := b.Commit(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("commit decision over a failing force: %v", err)
 	}
-	if m.Lookup(b.ID()) != b || b.State() != Prepared || len(mp.pages) != 0 {
-		t.Fatalf("after a failed commit decision: in the table %v, state %v, %d pages written", m.Lookup(b.ID()) == b, b.State(), len(mp.pages))
+	if m.Lookup(b.ID()) != b || b.State() != Prepared || mp.get(fresh, 0, 1)[0] != 0 {
+		t.Fatalf("after a failed commit decision: in the table %v, state %v", m.Lookup(b.ID()) == b, b.State())
 	}
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mp.get(pid, 0, 7); string(got) != "decided" {
+	if got := mp.get(fresh, 0, 7); string(got) != "decided" {
 		t.Fatalf("the redelivered decision left %q", got)
+	}
+}
+
+// TestLargeTransactionSpills: a transaction whose queued changes pass a log
+// buffer logs them ahead of its commit, in one multi-page TRedo, and its
+// commit record carries the rest. Nothing is written before the commit: a
+// crash before it writes no page, and a crash after it — every page write
+// lost — restarts to every page.
+func TestLargeTransactionSpills(t *testing.T) {
+	m, mp, l, _ := newEnv()
+	n := wal.BufSize/page.Size + 16
+	img := func(i int) []byte { return bytes.Repeat([]byte{byte(i%250 + 1)}, page.Size) }
+	tr := m.Begin()
+	for i := 0; i < n; i++ {
+		if err := tr.LogRedo(page.ID{Area: 1, Page: page.No(i)}, make([]byte, page.Size), img(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[]" {
+		t.Fatalf("before the commit, durable records %s: the spill is not forced", got)
+	}
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo]" {
+		t.Fatalf("before the commit: records %s, want one spill", got)
+	}
+	spill := readRec(t, l, tr.LastLSN())
+	if k := len(spill.Changes); k < n/2 || k >= n || spill.Footprint().Header+spill.Footprint().After > wal.BufSize {
+		t.Fatalf("the spill carries %d of %d pages in %d bytes", k, n, spill.Footprint().Header+spill.Footprint().After)
+	}
+	if len(mp.pages) != 0 {
+		t.Fatal("a spill wrote a page")
+	}
+	// A checkpoint now lists the pages the spill logged.
+	lsn, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(readRec(t, l, lsn).DirtyPages); got != len(spill.Changes) {
+		t.Fatalf("the checkpoint lists %d pages, the spill logged %d", got, len(spill.Changes))
+	}
+
+	before := newMemPager()
+	if _, st := restartOn(t, crash(t, l), before); len(st.Losers) != 1 || len(before.pages) != 0 {
+		t.Fatalf("a crash before the commit: losers %v, %d pages written", st.Losers, len(before.pages))
+	}
+
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo commit]" {
+		t.Fatalf("the transaction's records: %s", got)
+	}
+	if c := readRec(t, l, tr.LastLSN()); len(c.Changes)+len(spill.Changes) != n {
+		t.Fatalf("spill and commit carry %d + %d changes of %d pages", len(spill.Changes), len(c.Changes), n)
+	}
+	after := newMemPager()
+	if _, st := restartOn(t, crash(t, l), after); st.UnanchoredPages != 0 || len(after.pages) != n {
+		t.Fatalf("a crash after the commit: %d pages written of %d, %d unanchored", len(after.pages), n, st.UnanchoredPages)
+	}
+	for i := 0; i < n; i++ {
+		if pid := (page.ID{Area: 1, Page: page.No(i)}); !bytes.Equal(after.get(pid, 0, page.Size), img(i)) || !bytes.Equal(mp.get(pid, 0, page.Size), img(i)) {
+			t.Fatalf("page %d after the commit differs from its image", i)
+		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 // (wal.Analyze); Restart repeats history from it (Redo), adopts the
 // transactions it found open into the new manager's table with their log
 // chains, and ends the losers among them, latest first, by the rollback every
-// runtime abort runs (Tx.Abort): an abort record each, and nothing on a page —
-// redo never wrote what they logged. An in-doubt 2PC branch is simply still in
-// the table, Prepared, for its coordinator's decision to Commit or Abort —
-// with its pages unwritten, for a commit to write from its chain.
+// runtime abort runs (Tx.Abort): an abort record each, re-anchoring the pages
+// their spills named, and nothing else on a page — redo never wrote what they
+// logged. An in-doubt 2PC branch is simply still in the table, Prepared, for
+// its coordinator's decision to Commit or Abort — with its pages unwritten,
+// for a commit to write from its chain.
 func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.Registry) (*Manager, *wal.RecoveryStats, error) {
 	if err := an.Redo(pager); err != nil {
 		return nil, nil, err
@@ -31,10 +32,10 @@ func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.R
 		m.mu.Lock()
 		t := m.register(u.Tx, 0, state, u.LastLSN)
 		m.mu.Unlock()
+		if err := t.adopt(an); err != nil {
+			return nil, nil, fmt.Errorf("tx: restart: adopting transaction %d: %w", u.Tx, err)
+		}
 		if u.Prepared {
-			if err := t.adopt(an); err != nil {
-				return nil, nil, fmt.Errorf("tx: restart: adopting branch %d: %w", u.Tx, err)
-			}
 			continue
 		}
 		if err := t.rollback(false); err != nil {
@@ -44,22 +45,22 @@ func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.R
 	return m, st, nil
 }
 
-// adopt gives a prepared branch restart found what its own run kept in memory:
-// for each page it changed, the recLSN a checkpoint must list while it is in
-// doubt — where this restart's redo started the page — and whether records in
-// its chain wait for its commit.
+// adopt gives a transaction restart found open what its own run kept in
+// memory: for each page whose change it logged, the recLSN a checkpoint must
+// list while it is open — where this restart's redo started the page — and
+// whether changes in its chain wait for its commit.
 func (t *Tx) adopt(an *wal.Analysis) error {
 	for next := t.lastLSN; next != 0; {
 		rec, err := t.m.log.ReadRecord(next)
 		if err != nil {
 			return err
 		}
-		if rec.Type == wal.TRedo {
-			rl, ok := an.RecLSN(rec.Page)
+		for _, c := range rec.Changes {
+			rl, ok := an.RecLSN(c.Page)
 			if !ok || rl > next {
 				rl = next
 			}
-			t.dirty[rec.Page] = rl
+			t.dirty[c.Page] = rl
 			t.deferred = true
 		}
 		next = rec.PrevLSN

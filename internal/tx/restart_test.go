@@ -18,13 +18,18 @@ import (
 // The tests that build a log by hand write records Tx.LogRedo never would
 // (no anchors): restart must make sense of any log the format allows.
 
-// upd is a shipped change of tx: a redo-only record of pid's bytes at off.
+// upd is a shipped change of tx logged ahead of its commit: a spill of pid's
+// bytes at off.
 func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, after string) *wal.Record {
-	return &wal.Record{Type: wal.TRedo, Tx: tx, PrevLSN: prev, Page: pid, Off: off, After: []byte(after)}
+	return &wal.Record{Type: wal.TRedo, Tx: tx, PrevLSN: prev, Changes: []wal.Change{{Page: pid, Off: off, After: []byte(after)}}}
 }
 
 // written is r's page write, which its transaction's commit makes.
-func written(p *memPager, r *wal.Record) { p.set(r.Page, int(r.Off), r.After) }
+func written(p *memPager, r *wal.Record) {
+	for _, c := range r.Changes {
+		p.set(c.Page, int(c.Off), c.After)
+	}
+}
 
 // restart is Restart over l's analysis.
 func restart(l *wal.Log, p wal.Pager) (*Manager, *wal.RecoveryStats, error) {
@@ -169,7 +174,6 @@ func TestRestartWithCheckpoint(t *testing.T) {
 	r0 := upd(1, 0, pid, 0, "A")
 	lsn0, _ := l.Append(r0)
 	l.Append(&wal.Record{Type: wal.TCommit, Tx: 1, PrevLSN: lsn0})
-	l.Append(&wal.Record{Type: wal.TEnd, Tx: 1})
 	written(disk, r0)
 
 	lsn1, _ := l.Append(upd(2, 0, pid, 10, "B"))
@@ -259,12 +263,13 @@ func TestRestartCrashPointProperty(t *testing.T) {
 				l.Flush(0)
 			}
 			for _, rec := range recs {
-				k := [2]int{int(rec.Page.Page), int(rec.Off)}
+				c := rec.Changes[0]
+				k := [2]int{int(c.Page.Page), int(c.Off)}
 				if !commit {
 					locked[k] = true
 					continue
 				}
-				model[k] = rec.After[0]
+				model[k] = c.After[0]
 				if rng.Intn(2) == 0 {
 					written(disk, rec) // the commit's write reached the disk before the crash
 				}
@@ -286,17 +291,18 @@ func TestRestartCrashPointProperty(t *testing.T) {
 // TestRestartAnchorsEveryPageAfresh: the manager restart returns has seen no
 // page, so what it logs next for a page is an anchor, whatever the log before
 // the crash held — and a second restart, handed garbage for the page, rebuilds
-// it from that whole image.
+// it from that whole image. A loser's page is anchored by its rollback.
 func TestRestartAnchorsEveryPageAfresh(t *testing.T) {
 	m, pg, l, _ := newEnv()
-	pid := page.ID{Area: 1, Page: 4}
+	pid, lost := page.ID{Area: 1, Page: 4}, page.ID{Area: 1, Page: 5}
 	done := m.Begin()
 	ship(t, done, pg, pid, 0, []byte("committed"))
+	ship(t, done, pg, lost, 0, []byte("before the loser"))
 	if err := done.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	loser := m.Begin()
-	ship(t, loser, pg, pid, 0, []byte("doomed"))
+	// A loser: a spill of a page, never committed.
+	l.Append(&wal.Record{Type: wal.TRedo, Tx: 99, Changes: []wal.Change{{Page: lost, Off: 7, After: []byte("doomed")}}})
 	l.Flush(0)
 
 	l2 := crash(t, l)
@@ -304,23 +310,35 @@ func TestRestartAnchorsEveryPageAfresh(t *testing.T) {
 	if len(st.Losers) != 1 || st.UnanchoredPages != 0 || string(pg.get(pid, 0, 9)) != "committed" {
 		t.Fatalf("first restart: %+v, page %q", st, pg.get(pid, 0, 9))
 	}
-	// In flight across a checkpoint: the page's recLSN is its new anchor.
+	var rollback *wal.Record
+	l2.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		rollback = r
+		return nil
+	})
+	if rollback.Type != wal.TAbort || rollback.Tx != 99 || len(rollback.Changes) != 1 || !rollback.Changes[0].WholePage() ||
+		rollback.Changes[0].Page != lost || string(rollback.Changes[0].After[:16]) != "before the loser" {
+		t.Fatalf("the loser's rollback logged %v of tx %d carrying %d changes", rollback.Type, rollback.Tx, len(rollback.Changes))
+	}
+	// In flight across a checkpoint, the first commit after restart anchors
+	// the page; the next one logs a range.
 	tr := m2.Begin()
-	from := l2.NextLSN()
 	ship(t, tr, pg, pid, 100, []byte("next"))
-	if rec := readRec(t, l2, from); !rec.WholePage() {
-		t.Fatal("the first change after restart did not anchor its page")
-	}
-	from = l2.NextLSN()
-	ship(t, tr, pg, pid, 200, []byte("more"))
-	if rec := readRec(t, l2, from); rec.WholePage() {
-		t.Fatal("the second change after restart anchored its page again")
-	}
 	if _, err := m2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if rec := readRec(t, l2, tr.LastLSN()); !rec.Changes[0].WholePage() {
+		t.Fatal("the first change after restart did not anchor its page")
+	}
+	tr = m2.Begin()
+	ship(t, tr, pg, pid, 200, []byte("more"))
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := readRec(t, l2, tr.LastLSN()); rec.Changes[0].WholePage() {
+		t.Fatal("the second change after restart anchored its page again")
 	}
 
 	pg.pages[pid] = bytes.Repeat([]byte{0x99}, page.Size) // the commit's write tore

@@ -93,9 +93,6 @@ func (c *Coordinator) CommitDistributed(gid uint64, parts []Participant) error {
 			firstErr = fmt.Errorf("tx: participant %d commit delivery: %w", i, err)
 		}
 	}
-	if _, err := c.log.Append(&wal.Record{Type: wal.TEnd, Tx: gid}); err != nil {
-		return err
-	}
 	return firstErr
 }
 

@@ -5,9 +5,10 @@
 // abort record.
 //
 // The package also owns what goes into the log for a page change (logging.go):
-// redo-only byte-range records, a whole-page anchor per page from Open on,
-// and the dirty-page table a checkpoint lists; and it writes the pages
-// a commit's records describe, after the commit's force.
+// redo-only byte ranges carried by the transaction's commit record, a
+// whole-page anchor per page from Open on, and the dirty-page table a
+// checkpoint lists; and it writes the pages a commit's records describe,
+// after the commit's force.
 package tx
 
 import (
@@ -127,25 +128,29 @@ type Tx struct {
 	mu      sync.Mutex
 	state   State
 	lastLSN page.LSN
-	// dirty maps each page this tx changed to the recLSN a checkpoint lists
-	// for it: the LSN of the page's anchor at the tx's first change.
+	// dirty maps each page whose change t logged to the recLSN a checkpoint
+	// lists for it: the LSN of the page's anchor when t first logged it.
 	dirty map[page.ID]page.LSN
-	// writes are the page writes t's TRedo records defer to its commit, one
-	// per page, each on its page's last record (LogRedo). A prepared
-	// transaction lets them go: its commit reads them back from its log
-	// chain. deferred says there are such writes to do, in writes or in the
-	// chain, until writeBack has done them.
+	// writes are the page writes t's changes defer to its commit, one per
+	// page, in the order t first changed the pages (LogRedo); at finds a
+	// page's. A prepared transaction lets them go: its commit reads them back
+	// from its log chain. deferred says there are such writes to do, in
+	// writes or in the chain, until writeBack has done them.
 	writes   []shipped
+	at       map[page.ID]int
 	deferred bool
-	// laid are the pages t logged an anchor of (appendRedo), for a rollback
-	// to forget.
-	laid []page.ID
+	// queued is what the changes queued in writes would take in a record, as
+	// LogRedo bounds it: the spill's measure.
+	queued int
 }
 
-// shipped is one page write a TRedo record defers to its transaction's commit.
+// shipped is one page write t's changes defer to its commit, and the change
+// of it still queued for t's next record.
 type shipped struct {
-	rec wal.Pending
-	img []byte // the whole page as the commit leaves it
+	pid    page.ID
+	img    []byte      // the whole page as the commit leaves it
+	lo, hi int         // img[lo:hi] is the change queued; lo == hi: none
+	rec    wal.Pending // the last logged change of the page
 }
 
 // register enters a transaction into the table. The caller holds m.mu.
@@ -255,27 +260,32 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 	return err
 }
 
-// Commit logs and forces a commit record, writes the pages its redo-only
-// records deferred to it (writeBack), releases all locks (strict 2PL), and
-// retires the transaction, in this order: commit record → force → page writes
-// → TEnd → version publication → lock release. A transaction that logged
-// nothing commits without a record or a force: nothing of it is in the log to
-// resolve, and the version clock stays where it is.
+// Commit logs and forces a commit record, which carries the changes t queued,
+// writes the pages its changes deferred to it (writeBack), releases all locks
+// (strict 2PL), and retires the transaction, in this order: commit record →
+// force → page writes → version publication → lock release. A transaction
+// that logged and queued nothing commits without a record or a force: nothing
+// of it is in the log to resolve, and the version clock stays where it is.
 //
-// A commit whose force fails did not happen. An active transaction is rolled
-// back — its abort record follows the commit record, which makes every reader
-// of page history drop the commit (wal.Replayer) — and ended whatever the
-// rollback manages: unpublished, locks released, out of the table. A prepared
-// one stays prepared, for its coordinator to deliver the decision again. A
-// page write that fails after the force does not undo the commit: the page
-// goes to the manager's repair (SetRepair) before the locks release, and
-// Commit returns what the repair answers.
+// A commit whose record the log refuses, or whose force fails, did not
+// happen. An active transaction is rolled back — after a failed force its
+// abort record follows the commit record and re-anchors every page the commit
+// named, which undoes the commit for every reader of page history
+// (wal.Replayer) — and ended whatever the rollback manages: unpublished,
+// locks released, out of the table. A prepared one stays prepared, for its
+// coordinator to deliver the decision again. A page write that fails after
+// the force does not undo the commit: the page goes to the manager's repair
+// (SetRepair) before the locks release, and Commit returns what the repair
+// answers.
 func (t *Tx) Commit() error {
 	m := t.m
 	prepared := t.State() == Prepared
-	lsn, err := t.logEnd(Committed, wal.TCommit)
-	if err != nil {
+	lsn, err := t.logEnd(Committed, wal.TCommit, nil)
+	if errors.Is(err, ErrNotActive) {
 		return err
+	}
+	if err != nil {
+		return t.unforced(prepared, err)
 	}
 	if lsn != 0 {
 		if err := m.log.Flush(lsn); err != nil {
@@ -285,7 +295,6 @@ func (t *Tx) Commit() error {
 	var werr error
 	if lsn != 0 {
 		werr = t.writeBack(lsn)
-		_, err = m.log.Append(&wal.Record{Type: wal.TEnd, Tx: t.id})
 		// Version-store publication order: advance the version clock, then
 		// publish the committed images (hook) while this writer's X locks still
 		// exclude any concurrent stager of the same segments, then release
@@ -301,9 +310,6 @@ func (t *Tx) Commit() error {
 		h(t.id)
 	}
 	t.finish()
-	if err != nil {
-		return err
-	}
 	m.fire(hooks.EvTxCommit, t.id)
 	m.mu.Lock()
 	m.commits++
@@ -311,8 +317,9 @@ func (t *Tx) Commit() error {
 	return werr
 }
 
-// unforced ends a commit whose force failed (Commit): t goes back to what it
-// was, and an active transaction is rolled back.
+// unforced ends a commit whose record was not appended or not forced
+// (Commit): t goes back to what it was, and an active transaction is rolled
+// back.
 func (t *Tx) unforced(prepared bool, cause error) error {
 	t.mu.Lock()
 	t.state = Active
@@ -333,8 +340,8 @@ func (t *Tx) unforced(prepared bool, cause error) error {
 	return cause
 }
 
-// writeBack writes the pages t's redo-only records deferred to its commit,
-// whose record, at commit, is durable: from the images t shipped, or — t
+// writeBack writes the pages t's changes deferred to its commit, whose
+// record, at commit, is durable: from the images t shipped, or — t
 // prepared before, or restart adopted it — rebuilt from its log chain. Each
 // write's proof comes from the log's wal.Durable for that commit, and from
 // nowhere else. The pages whose write fails go to the manager's repair;
@@ -349,7 +356,7 @@ func (t *Tx) writeBack(commit page.LSN) error {
 	}
 	defer func() {
 		t.mu.Lock()
-		t.writes, t.deferred = nil, false
+		t.writes, t.at, t.deferred = nil, nil, false
 		t.mu.Unlock()
 	}()
 	d, err := m.log.Durable(t.id, commit)
@@ -367,7 +374,7 @@ func (t *Tx) writeBack(commit page.LSN) error {
 			err = m.pager.WritePage(proof, w.img)
 		}
 		if err != nil {
-			failed = append(failed, w.rec.Page())
+			failed = append(failed, w.pid)
 			if cause == nil {
 				cause = err
 			}
@@ -383,9 +390,9 @@ func (t *Tx) writeBack(commit page.LSN) error {
 }
 
 // chainWrites rebuilds from t's log chain, which ends at its commit record,
-// the page writes its redo-only records defer to that commit: each page as
-// the store holds it, the records laid on in log order, on the proof of the
-// last of them.
+// the page writes its changes defer to that commit: each page as the store
+// holds it, the changes laid on in log order, on the proof of the last of
+// them.
 func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
 	m := t.m
 	var recs []*wal.Record
@@ -394,39 +401,42 @@ func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tx %d: commit read at %d: %w", t.id, next, err)
 		}
-		if rec.Type == wal.TRedo {
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		next = rec.PrevLSN
 	}
 	var writes []shipped
 	at := make(map[page.ID]int)
 	for i := len(recs) - 1; i >= 0; i-- {
 		rec := recs[i]
-		k, ok := at[rec.Page]
-		if !ok {
-			img := make([]byte, page.Size)
-			if err := m.pager.ReadPage(rec.Page, img); err != nil {
-				return nil, err
+		for j := range rec.Changes {
+			c := &rec.Changes[j]
+			k, ok := at[c.Page]
+			if !ok {
+				img := make([]byte, page.Size)
+				if err := m.pager.ReadPage(c.Page, img); err != nil {
+					return nil, err
+				}
+				k, at[c.Page] = len(writes), len(writes)
+				writes = append(writes, shipped{pid: c.Page, img: img})
 			}
-			k, at[rec.Page] = len(writes), len(writes)
-			writes = append(writes, shipped{img: img})
+			if int(c.Off)+len(c.After) > page.Size {
+				return nil, fmt.Errorf("tx %d: page change of %v runs past the page", t.id, c.Page)
+			}
+			copy(writes[k].img[c.Off:], c.After)
+			writes[k].rec = rec.Pending(j)
 		}
-		if int(rec.Off)+len(rec.After) > page.Size {
-			return nil, fmt.Errorf("tx %d: redo record of %v runs past the page", t.id, rec.Page)
-		}
-		copy(writes[k].img[rec.Off:], rec.After)
-		writes[k].rec = rec.Pending()
 	}
 	return writes, nil
 }
 
-// Abort rolls the transaction back: it forgets what t logged — its page writes
-// were never done, and the anchors it laid anchor nothing — logs abort+end,
-// forces them, and releases locks. It is the one rollback there is — a
-// client's abort, a 2PC abort decision, a dropped connection and restart's
-// end of a loser all run it. A transaction that logged nothing, like its
-// commit, leaves no record.
+// Abort rolls the transaction back: it drops what t queued — its page writes
+// were never done — logs an abort record, forces it, and releases locks. If
+// t's changes reached the log (a spill, a prepare, a commit whose force
+// failed), the abort record re-anchors every page they named: it carries the
+// page, whole, as the store holds it, which its X locks keep as it is. It is
+// the one rollback there is — a client's abort, a 2PC abort decision, a
+// dropped connection and restart's end of a loser all run it. A transaction
+// that logged nothing, like its commit, leaves no record.
 func (t *Tx) Abort() error { return t.rollback(true) }
 
 // rollback is Abort, which a prepared transaction is open to only when its
@@ -438,11 +448,23 @@ func (t *Tx) rollback(decided bool) error {
 		t.mu.Unlock()
 		return ErrNotActive
 	}
-	anchors := t.laid
-	t.writes, t.deferred, t.laid = nil, false, nil
+	pages := make([]page.ID, 0, len(t.dirty))
+	for pid := range t.dirty {
+		pages = append(pages, pid)
+	}
+	t.writes, t.at, t.queued, t.deferred = nil, nil, 0, false
 	t.mu.Unlock()
-	m.forget(anchors)
-	lsn, err := t.logEnd(Aborted, wal.TAbort, wal.TEnd)
+	// Sorted, so that the same history writes the same log bytes.
+	sortPages(pages)
+	anchors := make([]wal.Change, len(pages))
+	for i, pid := range pages {
+		img := make([]byte, page.Size)
+		if err := m.pager.ReadPage(pid, img); err != nil {
+			return fmt.Errorf("tx %d: rollback: re-anchoring %v: %w", t.id, pid, err)
+		}
+		anchors[i] = wal.Change{Page: pid, After: img}
+	}
+	lsn, err := t.logEnd(Aborted, wal.TAbort, anchors)
 	if err != nil {
 		return err
 	}
@@ -462,18 +484,18 @@ func (t *Tx) rollback(decided bool) error {
 	return nil
 }
 
-// Prepare logs and forces a prepare record (2PC participant vote) and writes
-// nothing: the pages its redo-only records describe wait for a commit
-// decision, which reads them back from its log chain — Prepare lets go of the
-// images the caller shipped. The transaction holds its locks until the
-// decision.
+// Prepare logs and forces a prepare record (2PC participant vote), which
+// carries the changes t queued, and writes nothing: the pages its changes
+// describe wait for a commit decision, which reads them back from its log
+// chain — Prepare lets go of the images the caller shipped. The transaction
+// holds its locks until the decision.
 func (t *Tx) Prepare() error {
-	lsn, err := t.logEnd(Prepared, wal.TPrepare)
+	lsn, err := t.logEnd(Prepared, wal.TPrepare, nil)
 	if err != nil {
 		return err
 	}
 	t.mu.Lock()
-	t.writes = nil
+	t.writes, t.at = nil, nil
 	t.mu.Unlock()
 	return t.m.log.Flush(lsn)
 }

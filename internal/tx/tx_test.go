@@ -79,7 +79,7 @@ func shipAt(tr *Tx, p *memPager, pid page.ID, off int, b []byte) error {
 	after := append([]byte(nil), before...)
 	tr.mu.Lock()
 	for _, w := range tr.writes {
-		if w.rec.Page() == pid {
+		if w.pid == pid {
 			copy(after, w.img)
 		}
 	}
@@ -136,7 +136,7 @@ func TestCommitForcesLog(t *testing.T) {
 }
 
 // TestAbortRollsBack: a rolled-back transaction's changes never reach its
-// pages, and its rollback logs abort and end and nothing else.
+// pages, and a rollback of changes only queued logs nothing at all.
 func TestAbortRollsBack(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 3}
@@ -151,7 +151,7 @@ func TestAbortRollsBack(t *testing.T) {
 	if string(pg.get(pid, 0, 9)) != "old-value" || pg.get(pid, 20, 1)[0] != 0 {
 		t.Fatalf("rolled-back changes reached the page: %q", pg.get(pid, 0, 22))
 	}
-	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo redo abort end]" {
+	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[]" {
 		t.Fatalf("the transaction's records: %s", got)
 	}
 	if tr.State() != Aborted {
@@ -250,8 +250,11 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	pid := page.ID{Area: 1, Page: 1}
 	tr := m.Begin()
 	ship(t, tr, pg, pid, 0, []byte("BAD"))
-	l.Flush(0)
-	// Crash before commit.
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	// Crash before commit: the change was queued for the commit record, and
+	// nothing of the transaction is in the log.
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	if err != nil {
 		t.Fatal(err)
@@ -261,14 +264,14 @@ func TestCrashMidTransactionRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Losers) != 1 || st.Losers[0] != tr.ID() {
-		t.Fatalf("losers = %v", st.Losers)
+	if len(st.Losers)+len(st.Winners) != 0 {
+		t.Fatalf("losers %v, winners %v", st.Losers, st.Winners)
 	}
 	if got := pg.get(pid, 0, 3); got[0] != 0 || len(pg.pages) != 0 {
-		t.Fatalf("loser reached the page: %q", got)
+		t.Fatalf("the uncommitted change reached the page: %q", got)
 	}
-	if got := fmt.Sprint(txRecords(crashed, tr.ID())); got != "[redo abort end]" {
-		t.Fatalf("the loser's records after restart: %s", got)
+	if got := fmt.Sprint(txRecords(crashed, tr.ID())); got != "[]" {
+		t.Fatalf("the transaction's records after restart: %s", got)
 	}
 }
 
@@ -329,11 +332,20 @@ func TestPreparedTxCanCommitOrAbort(t *testing.T) {
 	}
 }
 
+// TestCheckpointCapturesActiveState: a checkpoint lists the pages whose
+// changes a transaction still open logged — a prepared branch's, at the
+// prepare record that anchored them — and not those an active one only
+// queued, whose commit record will follow the checkpoint's.
 func TestCheckpointCapturesActiveState(t *testing.T) {
 	m, pg, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 4}
 	tr := m.Begin()
 	ship(t, tr, pg, pid, 0, []byte{1})
+	if err := tr.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	queued := m.Begin()
+	ship(t, queued, pg, page.ID{Area: 1, Page: 5}, 0, []byte{2})
 	lsn, err := m.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -342,10 +354,11 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.DirtyPages) != 1 || rec.DirtyPages[0].Page != pid {
-		t.Fatalf("checkpoint dirty pages = %+v", rec.DirtyPages)
+	if len(rec.DirtyPages) != 1 || rec.DirtyPages[0] != (wal.CkptPage{Page: pid, RecLSN: tr.LastLSN()}) {
+		t.Fatalf("checkpoint dirty pages = %+v, want %v at the prepare, %d", rec.DirtyPages, pid, tr.LastLSN())
 	}
 	tr.Abort()
+	queued.Abort()
 }
 
 func TestEnsureAdvancesAutoIDs(t *testing.T) {

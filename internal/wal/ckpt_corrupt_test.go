@@ -20,18 +20,11 @@ func ckptCorruptImage(t *testing.T) (img []byte, ckpt1, ckpt2, end page.LSN, wan
 	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
 
 	commitUpdate := func(tx uint64, id page.ID, after []byte) {
-		lsn, err := l.Append(&Record{Type: TRedo, Tx: tx, Page: id, After: after})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clsn, err := l.Append(&Record{Type: TCommit, Tx: tx, PrevLSN: lsn})
+		clsn, err := l.Append(&Record{Type: TCommit, Tx: tx, Changes: []Change{{Page: id, After: after}}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Flush(clsn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Append(&Record{Type: TEnd, Tx: tx}); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = after

@@ -27,11 +27,12 @@ func catalogBody(t testing.TB) []byte {
 const fuzzLSN page.LSN = 1 << 20
 
 // decodeSeeds are record bodies as the decoder meets them at fuzzLSN: every
-// record type, the shapes of page record, and cuts of them.
+// record type, the shapes of page list, and cuts of them.
 func decodeSeeds(t testing.TB) [][]byte {
+	pid := page.ID{Area: 2, Page: 11}
 	seed := []*Record{
-		{Type: TCommit, Tx: 7, PrevLSN: 1234},
-		{Type: TPrepare, Tx: 9, PrevLSN: 88},
+		{Type: TCommit, Tx: 7, PrevLSN: 1234}, // a decided commit: no page changes
+		{Type: TPrepare, Tx: 9, PrevLSN: 88, Changes: []Change{{Page: pid, Off: 900, After: []byte("prepared range")}}},
 		{Type: TUpdate, Tx: 1, PrevLSN: 8, Page: page.ID{Area: 3, Page: 42}, Off: 128,
 			Before: []byte("before-img"), After: []byte("after-img")},
 		{Type: TAbort, Tx: 2, PrevLSN: 16},
@@ -46,7 +47,6 @@ func decodeSeeds(t testing.TB) [][]byte {
 			UndoOff: 1200, Before: []byte("what-changed")},
 		{Type: TUpdate, Tx: 3, Page: page.ID{Area: 1, Page: 9}, After: bytes.Repeat([]byte{0x5C}, page.Size),
 			Before: make([]byte, page.Size)},
-		{Type: TEnd, Tx: 3},
 	}
 	var out [][]byte
 	for _, r := range seed {
@@ -56,19 +56,31 @@ func decodeSeeds(t testing.TB) [][]byte {
 	out = append(out,
 		enc[:len(enc)/2],               // truncated mid-record
 		bytes.Repeat([]byte{0xA5}, 32)) // garbage that passes the length gate
-	// Redo-only records: an anchor, a byte range, an all-zero after-image;
-	// then the range cut inside its two-byte offset and inside its image.
+	// Page lists: a commit of three changes — an anchor, a byte range, an
+	// all-zero range; a spill; an abort re-anchoring two pages. Then the
+	// commit cut inside its second change's offset and inside its image, and
+	// with a count larger than its body can hold.
 	shipped := []*Record{
-		{Type: TRedo, Tx: 5, PrevLSN: 40, Page: page.ID{Area: 2, Page: 11}, After: bytes.Repeat([]byte{0x7E}, page.Size)},
-		{Type: TRedo, Tx: 5, PrevLSN: 96, Page: page.ID{Area: 2, Page: 11}, Off: 900, After: []byte("shipped range")},
-		{Type: TRedo, Tx: 6, Page: page.ID{Area: 2, Page: 12}, Off: 64, After: make([]byte, 512)},
+		{Type: TCommit, Tx: 5, PrevLSN: 40, Changes: []Change{
+			{Page: pid, After: bytes.Repeat([]byte{0x7E}, page.Size)},
+			{Page: page.ID{Area: 2, Page: 12}, Off: 900, After: []byte("shipped range")},
+			{Page: page.ID{Area: 2, Page: 13}, Off: 64, After: make([]byte, 512)},
+		}},
+		{Type: TRedo, Tx: 6, Changes: []Change{{Page: pid, Off: 64, After: []byte("spilled")}, {Page: page.ID{Area: 4, Page: 1}, After: []byte{1}}}},
+		{Type: TAbort, Tx: 6, PrevLSN: 96, Changes: []Change{
+			{Page: pid, After: bytes.Repeat([]byte{0x11}, page.Size)},
+			{Page: page.ID{Area: 4, Page: 1}, After: make([]byte, page.Size)},
+		}},
 	}
 	for _, r := range shipped {
 		out = append(out, r.appendTo(nil, fuzzLSN))
 	}
-	enc = shipped[1].appendTo(nil, fuzzLSN)
-	n := len(shipped[1].After)
-	return append(out, enc[:len(enc)-n-2], enc[:len(enc)-3])
+	enc = shipped[0].appendTo(nil, fuzzLSN)
+	rangeEnd := len(enc) - 2 - 3 // the zero range's image length, page, offset and area
+	n := len(shipped[0].Changes[1].After)
+	hdr := 1 + txSize(5) + uvarintLen(back(fuzzLSN, 40)) // the count follows
+	overcount := binary.AppendUvarint(append([]byte(nil), enc[:hdr]...), uint64(len(enc)))
+	return append(out, enc[:rangeEnd-n-2], enc[:rangeEnd-3], append(overcount, enc[hdr+1:]...))
 }
 
 // FuzzWALDecodeRecord drives the record decoder with arbitrary bytes — the
@@ -127,13 +139,13 @@ func FuzzWALOpen(f *testing.F) {
 	// what it finds stays quick.
 	l := NewMem()
 	pid := page.ID{Area: 1, Page: 7}
-	a, _ := l.Append(&Record{Type: TRedo, Tx: 1, Page: pid, After: make([]byte, page.Size)})
-	r, _ := l.Append(&Record{Type: TRedo, Tx: 1, PrevLSN: a, Page: pid, Off: 640, After: bytes.Repeat([]byte{0xAB}, 64)})
-	c, _ := l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: r})
-	l.Append(&Record{Type: TEnd, Tx: 1})
+	a, _ := l.Append(&Record{Type: TRedo, Tx: 1, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}})
+	c, _ := l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: a, Changes: []Change{{Page: pid, Off: 640, After: bytes.Repeat([]byte{0xAB}, 64)}}})
 	l.Append(&Record{Type: TCatalog, Body: catalogBody(f)})
 	l.Append(&Record{Type: TCheckpoint, DirtyPages: []CkptPage{{Page: pid, RecLSN: a}, {Page: page.ID{Area: 2, Page: 9}, RecLSN: c}}})
-	last, _ := l.Append(&Record{Type: TRedo, Tx: 2, Page: pid, Off: 100, After: []byte("the last record of the log")})
+	l.Append(&Record{Type: TCommit, Tx: 3})
+	l.Append(&Record{Type: TAbort, Tx: 2, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}})
+	last, _ := l.Append(&Record{Type: TCommit, Tx: 4, Changes: []Change{{Page: pid, Off: 100, After: []byte("the last record of the log")}, {Page: pid, Off: 9, After: []byte{0}}}})
 	if err := l.Flush(0); err != nil {
 		f.Fatal(err)
 	}

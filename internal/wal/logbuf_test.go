@@ -15,10 +15,11 @@ import (
 	"bess/internal/page"
 )
 
-// appendShapes are the page-record shapes the logging rule produces — a byte
-// range, an anchor (the whole page) and the anchor of a zeroed page, which the
-// log keeps as a length — and the update record with both halves that the
-// benchmark module's log probe appends.
+// appendShapes are the record shapes the logging rule produces — a commit of a
+// byte range, of an anchor (the whole page) and of the anchor of a zeroed
+// page, which the log keeps as a length, and a spill of many pages — and the
+// update record with both halves that the benchmark module's log probe
+// appends.
 type appendShape struct {
 	name string
 	rec  *Record
@@ -27,10 +28,15 @@ type appendShape struct {
 func appendShapes() []appendShape {
 	pid := page.ID{Area: 1, Page: 7}
 	img := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	spill := make([]Change, 64)
+	for i := range spill {
+		spill[i] = Change{Page: page.ID{Area: 1, Page: page.No(i)}, After: img(page.Size, 0xAB)}
+	}
 	return []appendShape{
-		{"128B", &Record{Type: TRedo, Tx: 1, Page: pid, Off: 640, After: img(128, 0xAB)}},
-		{"anchor", &Record{Type: TRedo, Tx: 1, Page: pid, After: img(page.Size, 0xAB)}},
-		{"zeroed", &Record{Type: TRedo, Tx: 1, Page: pid, After: make([]byte, page.Size)}},
+		{"128B", &Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: pid, Off: 640, After: img(128, 0xAB)}}}},
+		{"anchor", &Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: pid, After: img(page.Size, 0xAB)}}}},
+		{"zeroed", &Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}}},
+		{"spill of 64 pages", &Record{Type: TRedo, Tx: 1, Changes: spill}},
 		{"8KB update", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: img(page.Size, 0xCD)}},
 	}
 }
@@ -85,15 +91,9 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // encodedLen and appendTo are the codec the plain way, one record body at a
 // time, as the record at lsn: Append does the same with one look at the images
 // for both.
-func (r *Record) encodedLen(lsn page.LSN) int {
-	zb, za := r.zeroImages()
-	return r.sizeAt(lsn, zb, za)
-}
+func (r *Record) encodedLen(lsn page.LSN) int { return r.sizeAt(lsn, r.tailSize()) }
 
-func (r *Record) appendTo(b []byte, lsn page.LSN) []byte {
-	zb, za := r.zeroImages()
-	return r.encode(b, lsn, zb, za)
-}
+func (r *Record) appendTo(b []byte, lsn page.LSN) []byte { return r.encode(b, lsn) }
 
 // serialEncoding is the log format written the plain way: one record after
 // another, each encoded at the offset it lands at, behind its CRC and length.
@@ -153,7 +153,7 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 			add(&Record{Type: TCatalog, Body: blob[:rng.Intn(logBufSize/3)]})
 		case k < 6:
 			off := rng.Intn(page.Size - 128)
-			add(&Record{Type: TRedo, Tx: tx(), PrevLSN: earlier(), Page: pid, Off: uint32(off), After: blob[off+1 : off+129]})
+			add(&Record{Type: TCommit, Tx: tx(), PrevLSN: earlier(), Changes: []Change{{Page: pid, Off: uint32(off), After: blob[off+1 : off+129]}}})
 		default:
 			add(&Record{Type: TUpdate, Tx: 4, Page: pid, Before: blob[:page.Size], After: blob[page.Size : 2*page.Size]})
 		}
@@ -246,7 +246,7 @@ func TestLogBufferStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perAppender; i++ {
 				size := 64 << rng.Intn(15) // 64 B .. 1 MB
-				rec := &Record{Type: TRedo, Tx: uint64(g + 1), PrevLSN: page.LSN(i), After: payload(g, i, size)}
+				rec := &Record{Type: TRedo, Tx: uint64(g + 1), PrevLSN: page.LSN(i), Changes: []Change{{After: payload(g, i, size)}}}
 				lsn, err := l.Append(rec)
 				for err != nil { // a full log buffer led a round, and the round failed
 					if !errors.Is(err, errFlaky) {
@@ -338,7 +338,7 @@ func TestLogBufferStress(t *testing.T) {
 			t.Fatalf("record at %d was never acknowledged to an appender", lsn)
 		}
 		delete(want, lsn)
-		if rec.Tx != uint64(a.g+1) || rec.PrevLSN != page.LSN(a.i) || !bytes.Equal(rec.After, payload(a.g, a.i, a.size)) {
+		if rec.Tx != uint64(a.g+1) || rec.PrevLSN != page.LSN(a.i) || !bytes.Equal(rec.Changes[0].After, payload(a.g, a.i, a.size)) {
 			t.Fatalf("record at %d is not appender %d's record %d", lsn, a.g, a.i)
 		}
 		return nil

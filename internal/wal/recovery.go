@@ -10,13 +10,15 @@ import (
 
 // Restart's side of the log. Analyze reads the whole log once: the
 // transactions it leaves open, the pages redo must rebuild, and for each of
-// those the latest whole-page record (anchor) of a committed transaction,
-// where its replay starts. Page anchors belong to a page's history, not to a
-// checkpoint: a page is anchored once per server lifetime (tx/logging.go), so
-// a page's replay may start before the last checkpoint. Redo replays each page
-// of the redo set in memory from its anchor and writes it once; the server's
-// repair runs the same replay (ReplayPages) over a page's whole history. All
-// of them take page changes in the order the Replayer hands them on.
+// those the latest whole-page change (anchor) that took effect — a committed
+// transaction's, or a rollback's re-anchoring — where its replay starts. Page
+// anchors belong to a page's history, not to a checkpoint: a page is anchored
+// once per server lifetime, and again by each rollback of changes to it that
+// reached the log (tx/logging.go), so a page's replay may start before the
+// last checkpoint. Redo replays each page of the redo set in memory from its
+// anchor and writes it once; the server's repair runs the same replay
+// (ReplayPages) over a page's whole history. All of them take page changes in
+// the order the Replayer hands them on.
 
 // Pager is the page store recovery replays against. WritePage stores data as
 // the whole of page proof.Page() and rejects the zero proof with ErrNotLogged:
@@ -30,18 +32,21 @@ type Pager interface {
 // Redo what it replayed.
 type RecoveryStats struct {
 	RecordsAnalyzed int
-	RedoApplied     int
+	RedoApplied     int // page changes replayed
 	Losers          []uint64
-	Winners         []uint64
-	InDoubt         []uint64 // prepared but undecided 2PC participants
-	CheckpointLSN   page.LSN
-	RedoStartLSN    page.LSN
-	// AnchorHorizon is the lowest of the pages' latest committed anchors: the
-	// oldest record a replay of any page's whole history still starts from.
-	// 0 when no committed transaction logged a whole page.
+	// Winners are the transactions whose commit stands and whose TCommit
+	// follows the last checkpoint: those whose pages only the log past it
+	// vouches for.
+	Winners       []uint64
+	InDoubt       []uint64 // prepared but undecided 2PC participants
+	CheckpointLSN page.LSN
+	RedoStartLSN  page.LSN
+	// AnchorHorizon is the lowest of the pages' latest anchors: the oldest
+	// record a replay of any page's whole history still starts from. 0 when
+	// no anchor took effect.
 	AnchorHorizon page.LSN
-	// UnanchoredPages counts pages whose earliest replayed record was a
-	// byte-range delta instead of a whole-page image. The logging rule
+	// UnanchoredPages counts pages whose earliest replayed change was a
+	// byte range instead of a whole-page image. The logging rule
 	// (tx.Tx.LogRedo) keeps it at 0: redo then rebuilds every page it
 	// touches from a full image, whatever a torn write left on disk.
 	UnanchoredPages int
@@ -66,87 +71,77 @@ type Analysis struct {
 }
 
 // Replayer hands the page changes of a forward walk of the log — one record
-// at a time (Add), then End — to apply in the order they take effect. That
-// order is the one rule every reader of page history follows (restart redo,
-// the server's catalog replay and repair): a page change is a transaction's
-// redo-only record (TRedo), which takes effect at its commit, in its
-// transaction's own order, and is held until then — until the transaction's
-// TEnd, or the end of the walk, finds its TCommit its last word. A TRedo whose
-// transaction aborted — also after a TCommit whose force failed, which
-// tx.Tx.Commit rolls back — or is still open or in doubt when the walk ends is
-// never handed on; nor is any other record. apply gets each record with the
-// proof a store of its page takes.
+// at a time (Add) — on to apply in the order they take effect. That order is
+// the one rule every reader of page history follows (restart redo, the
+// server's catalog replay and repair):
+//   - a transaction's page changes take effect at its TCommit, in its own
+//     order: first those of its spills (TRedo) and its TPrepare, which the
+//     Replayer holds until then, then those the TCommit carries;
+//   - a TAbort drops what the Replayer holds of its transaction, and its
+//     anchors take effect where it stands — also after a TCommit whose force
+//     failed, which tx.Tx.Commit rolls back: the anchors put back what the
+//     commit's changes had replaced;
+//   - changes of a transaction still open or in doubt when the walk ends are
+//     never handed on; nor is any other record.
+//
+// apply gets each change with the proof a store of its page takes: that of
+// the record that carries it.
 type Replayer struct {
-	apply func(lsn page.LSN, rec *Record, proof Logged) error
-	held  map[uint64]shipment // by transaction: its redo-only records so far
+	apply func(lsn page.LSN, c *Change, proof Logged) error
+	held  map[uint64][]heldChange // by transaction: its spilled and prepared changes so far
 }
 
-// shipment is what a Replayer holds of one transaction.
-type shipment struct {
-	recs   []Record // its TRedo records, each stamped with its LSN (Record.Pending)
-	commit page.LSN // of its TCommit, while that is its last word
+// heldChange is a change a Replayer holds, with the LSN of its record.
+type heldChange struct {
+	Change
+	lsn page.LSN
 }
 
 // NewReplayer returns a Replayer that hands page changes to apply.
-func NewReplayer(apply func(lsn page.LSN, rec *Record, proof Logged) error) *Replayer {
-	return &Replayer{apply: apply, held: make(map[uint64]shipment)}
+func NewReplayer(apply func(lsn page.LSN, c *Change, proof Logged) error) *Replayer {
+	return &Replayer{apply: apply, held: make(map[uint64][]heldChange)}
 }
 
-// Add takes the record at lsn, the next one of the walk. It keeps a copy of a
-// TRedo, whose images must stay as they are until the Replayer hands the
-// record on or drops it; rec itself is free again once Add returns.
+// Add takes the record at lsn, the next one of the walk. It holds a copy of
+// each change of a TRedo or TPrepare, whose images must stay as they are until
+// the Replayer hands the change on or drops it; rec itself is free again once
+// Add returns.
 func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
-	s, ok := r.held[rec.Tx]
 	switch rec.Type {
-	case TRedo:
-		s.recs = append(s.recs, *rec)
-		s.recs[len(s.recs)-1].lsn = lsn
-		r.held[rec.Tx] = s
+	case TRedo, TPrepare:
+		if len(rec.Changes) == 0 {
+			return nil
+		}
+		h := r.held[rec.Tx]
+		for _, c := range rec.Changes {
+			h = append(h, heldChange{c, lsn})
+		}
+		r.held[rec.Tx] = h
+		return nil
 	case TCommit:
-		if ok {
-			s.commit = lsn
-			r.held[rec.Tx] = s
+		h := r.held[rec.Tx]
+		delete(r.held, rec.Tx)
+		for i := range h {
+			if err := r.hand(h[i].lsn, &h[i].Change); err != nil {
+				return err
+			}
 		}
 	case TAbort:
 		delete(r.held, rec.Tx)
-	case TEnd:
-		delete(r.held, rec.Tx)
-		return r.release(s)
-	}
-	return nil
-}
-
-// End hands on the transactions the walk leaves committed without an end
-// record — a commit durable, its page writes perhaps not — in commit order.
-func (r *Replayer) End() error {
-	var done []shipment
-	for tx, s := range r.held {
-		if s.commit != 0 {
-			done = append(done, s)
-		}
-		delete(r.held, tx)
-	}
-	sort.Slice(done, func(i, j int) bool { return done[i].commit < done[j].commit })
-	for _, s := range done {
-		if err := r.release(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// release applies s's records if its transaction committed.
-func (r *Replayer) release(s shipment) error {
-	if s.commit == 0 {
+	default:
 		return nil
 	}
-	for i := range s.recs {
-		rec := &s.recs[i]
-		if err := r.apply(rec.lsn, rec, Logged{page: rec.Page, lsn: rec.lsn}); err != nil {
+	for i := range rec.Changes {
+		if err := r.hand(lsn, &rec.Changes[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// hand applies c, carried by the record at lsn.
+func (r *Replayer) hand(lsn page.LSN, c *Change) error {
+	return r.apply(lsn, c, Logged{page: c.Page, lsn: lsn})
 }
 
 // Analyze reads the log once, from its first record, and calls visit (if not
@@ -154,61 +149,70 @@ func (r *Replayer) release(s shipment) error {
 // server's catalog replay — ride this pass instead of walking it themselves.
 //
 // A transaction's status is the type of its own last record: TRedo while
-// active, TPrepare in doubt (kept until its coordinator
-// decides), TCommit a winner, TAbort or TEnd finished, and forgotten.
+// active, TPrepare in doubt (kept until its coordinator decides); TCommit and
+// TAbort end it, and it is forgotten.
 //
 // The redo set is the pages the last checkpoint's dirty-page table names and
-// those the log changes after it. A page's recLSN is its latest committed
-// anchor: the last whole-page TRedo of a transaction whose commit stands,
-// counted when the Replayer would apply it — at the transaction's TEnd after
-// its TCommit, or at the end of the walk if TCommit is its last word — and
-// never if a TAbort follows (a commit whose force failed) or the transaction
-// is open or in doubt. A page with none keeps the checkpoint's entry, or its
-// first record after the checkpoint: the logging rule makes every page's first
-// committed record an anchor, so that happens only to pages no committed
-// record of changes. Catalog records belong to no transaction and no page.
+// those the log changes after it. A page's recLSN is its latest anchor — the
+// last whole-page change that took effect where the Replayer hands it on: at
+// a TCommit, its own or one of a spill or TPrepare its transaction held, and
+// at a TAbort, whose anchors re-anchor the pages of a rollback; never one of
+// a transaction open or in doubt when the log ends. A page with none keeps the
+// checkpoint's entry, or its first change after the checkpoint: the logging
+// rule makes every page's first committed change an anchor, so that happens
+// only to pages no committed record changes. Catalog records belong to no
+// transaction and no page.
 func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, error) {
 	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN)}
 	st := &a.Stats
 	type txInfo struct {
 		lastLSN page.LSN
 		status  Type
-		anchors []CkptPage // its whole-page TRedo records
+		anchors []CkptPage // whole-page changes of its spills and TPrepare
 	}
 	txs := make(map[uint64]txInfo)
-	anchor := make(map[page.ID]page.LSN) // page → its latest committed anchor
-	settle := func(ti txInfo) {
-		for _, e := range ti.anchors {
-			anchor[e.Page] = e.RecLSN
+	winners := make(map[uint64]bool)
+	anchor := make(map[page.ID]page.LSN) // page → its latest anchor
+	settle := func(lsn page.LSN, rec *Record) {
+		for i := range rec.Changes {
+			if rec.Changes[i].WholePage() {
+				anchor[rec.Changes[i].Page] = lsn
+			}
 		}
 	}
 	// The walk lends each record to this pass; visit gets one of its own.
 	if err := l.walk(firstLSN, visit != nil, func(lsn page.LSN, rec *Record) error {
 		st.RecordsAnalyzed++
-		switch rec.Type {
-		case TRedo, TCommit, TPrepare:
-			ti := txs[rec.Tx]
-			ti.lastLSN, ti.status = lsn, rec.Type
-			if rec.Type == TRedo && rec.WholePage() {
-				ti.anchors = append(ti.anchors, CkptPage{Page: rec.Page, RecLSN: lsn})
+		for i := range rec.Changes {
+			if _, ok := a.dirty[rec.Changes[i].Page]; !ok {
+				a.dirty[rec.Changes[i].Page] = lsn
 			}
-			txs[rec.Tx] = ti
 		}
 		switch rec.Type {
-		case TRedo:
-			if _, ok := a.dirty[rec.Page]; !ok {
-				a.dirty[rec.Page] = lsn
+		case TRedo, TPrepare:
+			ti := txs[rec.Tx]
+			ti.lastLSN, ti.status = lsn, rec.Type
+			for i := range rec.Changes {
+				if rec.Changes[i].WholePage() {
+					ti.anchors = append(ti.anchors, CkptPage{Page: rec.Changes[i].Page, RecLSN: lsn})
+				}
 			}
-		case TEnd:
-			if ti, ok := txs[rec.Tx]; ok && ti.status == TCommit {
-				settle(ti)
+			txs[rec.Tx] = ti
+		case TCommit:
+			for _, e := range txs[rec.Tx].anchors {
+				anchor[e.Page] = e.RecLSN
 			}
+			settle(lsn, rec)
 			delete(txs, rec.Tx)
+			winners[rec.Tx] = true
 		case TAbort:
+			settle(lsn, rec)
 			delete(txs, rec.Tx)
+			delete(winners, rec.Tx)
 		case TCheckpoint:
 			st.CheckpointLSN = lsn
 			clear(a.dirty)
+			clear(winners)
 			for _, e := range rec.DirtyPages {
 				a.dirty[e.Page] = e.RecLSN
 			}
@@ -221,7 +225,6 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 		return nil, err
 	}
 
-	var committed []txInfo
 	for tx, ti := range txs {
 		switch ti.status {
 		case TRedo:
@@ -230,15 +233,10 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 		case TPrepare:
 			st.InDoubt = append(st.InDoubt, tx)
 			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN, Prepared: true})
-		case TCommit:
-			st.Winners = append(st.Winners, tx)
-			committed = append(committed, ti)
 		}
 	}
-	// In commit order, as Replayer.End applies them.
-	sort.Slice(committed, func(i, j int) bool { return committed[i].lastLSN < committed[j].lastLSN })
-	for _, ti := range committed {
-		settle(ti)
+	for tx := range winners {
+		st.Winners = append(st.Winners, tx)
 	}
 	for p, al := range anchor {
 		if _, dirty := a.dirty[p]; dirty {
@@ -269,16 +267,16 @@ func (a *Analysis) RecLSN(p page.ID) (page.LSN, bool) {
 }
 
 // Redo repeats history onto p: every page change of the redo set from the
-// redo start on, in the order it takes effect (Replayer), each only at or
-// after its page's recLSN. It replays each page in memory (ReplayPages) and
-// writes it once, on its last record's proof. Records are byte ranges, so
-// where a page's replay starts matters: the logging rule makes each recLSN a
-// whole-page image, and only a page whose replay does not start whole is read
-// from p first — Stats.UnanchoredPages counts those.
+// redo start on, in the order it takes effect (Replayer), each only if its
+// record is at or after its page's recLSN. It replays each page in memory
+// (ReplayPages) and writes it once, on its last change's proof. Changes are
+// byte ranges, so where a page's replay starts matters: the logging rule
+// makes each recLSN a whole-page image, and only a page whose replay does not
+// start whole is read from p first — Stats.UnanchoredPages counts those.
 func (a *Analysis) Redo(p Pager) error {
 	st := &a.Stats
-	pages, err := ReplayPages(a.log, st.RedoStartLSN, func(lsn page.LSN, rec *Record) bool {
-		rl, dirty := a.dirty[rec.Page]
+	pages, err := ReplayPages(a.log, st.RedoStartLSN, func(lsn page.LSN, c *Change) bool {
+		rl, dirty := a.dirty[c.Page]
 		return dirty && lsn >= rl
 	}, func(id page.ID, buf []byte) error {
 		st.UnanchoredPages++
@@ -305,7 +303,7 @@ func (a *Analysis) Redo(p Pager) error {
 		if err := p.WritePage(img.Last, img.Data); err != nil {
 			return fmt.Errorf("wal: redo write %v: %w", id, err)
 		}
-		st.RedoApplied += img.Records
+		st.RedoApplied += img.Changes
 	}
 	return nil
 }
@@ -313,9 +311,9 @@ func (a *Analysis) Redo(p Pager) error {
 // Image is a page as a replay of its history leaves it (ReplayPages).
 type Image struct {
 	Data    []byte
-	Whole   bool   // a whole-page record was replayed: Data owes nothing to what the page held before
-	Last    Logged // of the last record replayed: what a store of Data takes
-	Records int    // records replayed
+	Whole   bool   // a whole-page change was replayed: Data owes nothing to what the page held before
+	Last    Logged // of the last change replayed: what a store of Data takes
+	Changes int    // changes replayed
 }
 
 // ReplayPages rebuilds pages in memory from the log: it walks the log from
@@ -324,45 +322,49 @@ type Image struct {
 // image of its page, one image per page. A page's image starts as what base
 // reads for it (zeroes if base is nil) unless its first change replayed is a
 // whole page, which needs nothing under it. keep runs before the Replayer
-// holds a record, so the walk holds the bytes of the pages it rebuilds and of
+// holds a change, so the walk holds the bytes of the pages it rebuilds and of
 // no other. This is the one page replay of restart redo (Analysis.Redo) and
 // of the server's repair.
-func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, rec *Record) bool, base func(id page.ID, buf []byte) error) (map[page.ID]*Image, error) {
+func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, c *Change) bool, base func(id page.ID, buf []byte) error) (map[page.ID]*Image, error) {
 	pages := make(map[page.ID]*Image)
-	rp := NewReplayer(func(lsn page.LSN, rec *Record, proof Logged) error {
-		if int(rec.Off)+len(rec.After) > page.Size {
-			return fmt.Errorf("wal: redo record at %d out of page bounds", lsn)
+	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
+		if int(c.Off)+len(c.After) > page.Size {
+			return fmt.Errorf("wal: page change at %d out of page bounds", lsn)
 		}
-		img := pages[rec.Page]
+		img := pages[c.Page]
 		if img == nil {
 			img = &Image{Data: make([]byte, page.Size)}
-			pages[rec.Page] = img
-			if !rec.WholePage() && base != nil {
-				if err := base(rec.Page, img.Data); err != nil {
+			pages[c.Page] = img
+			if !c.WholePage() && base != nil {
+				if err := base(c.Page, img.Data); err != nil {
 					return err
 				}
 			}
 		}
-		img.Whole = img.Whole || rec.WholePage()
-		copy(img.Data[rec.Off:], rec.After)
+		img.Whole = img.Whole || c.WholePage()
+		copy(img.Data[c.Off:], c.After)
 		img.Last = proof
-		img.Records++
+		img.Changes++
 		return nil
 	})
-	// The walk lends each record: only a kept TRedo, whose images the Replayer
-	// holds until its commit, gets bytes of its own.
+	// The walk lends each record, which is the walk's to trim to the changes
+	// kept: only those the Replayer holds until a later commit — a spill's, a
+	// TPrepare's — get bytes of their own.
 	if err := l.walk(from, false, func(lsn page.LSN, rec *Record) error {
-		if rec.Type == TRedo {
-			if len(rec.After) == 0 || !keep(lsn, rec) {
-				return nil
+		held := rec.Type == TRedo || rec.Type == TPrepare
+		kept := rec.Changes[:0]
+		for _, c := range rec.Changes {
+			if len(c.After) == 0 || !keep(lsn, &c) {
+				continue
 			}
-			rec.After = bytes.Clone(rec.After)
+			if held {
+				c.After = bytes.Clone(c.After)
+			}
+			kept = append(kept, c)
 		}
+		rec.Changes = kept
 		return rp.Add(lsn, rec)
 	}); err != nil {
-		return nil, err
-	}
-	if err := rp.End(); err != nil {
 		return nil, err
 	}
 	return pages, nil

@@ -159,11 +159,9 @@ func TestRedoStartsEachPageAtItsRecLSN(t *testing.T) {
 	// checkpoint implies, but Q is not in its dirty-page table.
 	q0, _ := l.Append(upd(1, 0, pQ, 0, whole('q')))
 	l.Append(&Record{Type: TCommit, Tx: 1, PrevLSN: q0})
-	l.Append(&Record{Type: TEnd, Tx: 1})
 	pAnchor, _ := l.Append(upd(2, 0, pP, 0, whole('p')))
 	q1, _ := l.Append(upd(3, 0, pQ, 10, "ZZ"))
 	l.Append(&Record{Type: TCommit, Tx: 3, PrevLSN: q1})
-	l.Append(&Record{Type: TEnd, Tx: 3})
 	if _, err := Checkpoint(l, []CkptPage{{Page: pP, RecLSN: pAnchor}}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,53 +217,41 @@ func (p *countingPager) WritePage(proof Logged, data []byte) error {
 }
 
 // TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor: a page's replay starts
-// at the last whole-page record of a transaction whose commit stands — behind
-// the checkpoint if that is where it lies — and never at one whose transaction
-// aborted, whose commit's force failed (a TCommit, then its TAbort), that is
-// still in doubt, or that is open. A commit whose TEnd the log lost counts at
-// the end of the walk. Redo then reads no page and writes each once.
+// at its latest anchor — the last whole-page change that took effect: at a
+// TCommit, the commit's own or one of a spill its transaction held, and at a
+// TAbort that re-anchors a rolled-back page, also after a commit whose force
+// failed — behind the checkpoint if that is where it lies; never at one of a
+// branch in doubt or of a spill still open. Redo then reads no page and writes
+// each once.
 func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 	l := NewMem()
-	pP, pQ, pR := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}
+	pP, pQ, pR, pS := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}, page.ID{Area: 1, Page: 4}
 	whole := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
-	mark := func(tx uint64, types ...Type) {
-		for _, typ := range types {
-			if _, err := l.Append(&Record{Type: typ, Tx: tx}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ship := func(tx uint64, pid page.ID, off uint32, after []byte) page.LSN {
-		lsn, err := l.Append(redo(tx, 0, pid, off, after))
+	add := func(typ Type, tx uint64, changes ...Change) page.LSN {
+		lsn, err := l.Append(&Record{Type: typ, Tx: tx, Changes: changes})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return lsn
 	}
 
-	// P: anchored by tx 1, which commits, before the checkpoint.
-	pAnchor := ship(1, pP, 0, whole('a'))
-	mark(1, TCommit, TEnd)
-	rAnchor := ship(9, pR, 0, whole('r'))
-	mark(9, TCommit, TEnd)
+	// P and R: anchored by commits before the checkpoint.
+	pAnchor := add(TCommit, 1, Change{Page: pP, After: whole('a')})
+	rAnchor := add(TCommit, 9, Change{Page: pR, After: whole('r')})
 	if _, err := Checkpoint(l, nil); err != nil {
 		t.Fatal(err)
 	}
-	// After it, P is anchored again by an aborted transaction, by one whose
-	// commit's force failed, and — after a committed range — by a branch in
-	// doubt. R is anchored by a loser. Q is anchored by a winner whose end
-	// record the log lost.
-	ship(2, pP, 0, whole('b'))
-	mark(2, TAbort, TEnd)
-	ship(3, pP, 0, whole('c'))
-	mark(3, TCommit, TAbort, TEnd)
-	ship(6, pP, 100, []byte("range"))
-	mark(6, TCommit, TEnd)
-	ship(4, pP, 0, whole('d'))
-	mark(4, TPrepare)
-	ship(5, pR, 0, whole('e'))
-	qAnchor := ship(7, pQ, 0, whole('q'))
-	mark(7, TCommit)
+	// After it: a committed range of P, then a branch in doubt anchoring P.
+	// Q anchored by a commit whose force failed, re-anchored by its abort. An
+	// open spill anchoring R. S anchored by a spill whose transaction then
+	// commits with nothing left to carry.
+	add(TCommit, 6, Change{Page: pP, Off: 100, After: []byte("range")})
+	add(TPrepare, 4, Change{Page: pP, After: whole('d')})
+	add(TCommit, 3, Change{Page: pQ, After: whole('c')})
+	qAnchor := add(TAbort, 3, Change{Page: pQ, After: whole('q')})
+	add(TRedo, 5, Change{Page: pR, After: whole('e')})
+	sAnchor := add(TRedo, 7, Change{Page: pS, After: whole('s')})
+	add(TCommit, 7)
 	if err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +260,9 @@ func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid, want := range map[page.ID]page.LSN{pP: pAnchor, pQ: qAnchor, pR: rAnchor} {
+	for pid, want := range map[page.ID]page.LSN{pP: pAnchor, pQ: qAnchor, pR: rAnchor, pS: sAnchor} {
 		if got, ok := a.RecLSN(pid); !ok || got != want {
-			t.Fatalf("page %v: replay starts at %d (in the redo set: %v), want its latest committed anchor %d", pid, got, ok, want)
+			t.Fatalf("page %v: replay starts at %d (in the redo set: %v), want its latest anchor %d", pid, got, ok, want)
 		}
 	}
 	if a.Stats.RedoStartLSN != pAnchor || a.Stats.AnchorHorizon != pAnchor {
@@ -285,7 +271,7 @@ func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 
 	disk := &countingPager{memPager: newMemPager()}
 	disk.log = l
-	for _, pid := range []page.ID{pP, pQ, pR} {
+	for _, pid := range []page.ID{pP, pQ, pR, pS} {
 		disk.put(pid, whole('?')) // what torn writes left
 	}
 	if err := a.Redo(disk); err != nil {
@@ -293,13 +279,13 @@ func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 	}
 	wantP := whole('a')
 	copy(wantP[100:], "range")
-	for pid, want := range map[page.ID][]byte{pP: wantP, pQ: whole('q'), pR: whole('r')} {
+	for pid, want := range map[page.ID][]byte{pP: wantP, pQ: whole('q'), pR: whole('r'), pS: whole('s')} {
 		if !bytes.Equal(disk.pages[pid], want) {
 			t.Fatalf("page %v after redo holds %q…", pid, disk.pages[pid][:8])
 		}
 	}
-	if disk.reads != 0 || disk.writes != 3 || a.Stats.UnanchoredPages != 0 || a.Stats.RedoApplied != 4 {
-		t.Fatalf("redo read %d pages, wrote %d, applied %d records, %d unanchored; want 0, 3, 4, 0",
+	if disk.reads != 0 || disk.writes != 4 || a.Stats.UnanchoredPages != 0 || a.Stats.RedoApplied != 5 {
+		t.Fatalf("redo read %d pages, wrote %d, applied %d changes, %d unanchored; want 0, 4, 5, 0",
 			disk.reads, disk.writes, a.Stats.RedoApplied, a.Stats.UnanchoredPages)
 	}
 }
@@ -308,8 +294,9 @@ func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 // record, wherever the last checkpoint falls. Two checkpoints follow a
 // prepared branch, and one falls between a loser's records: after a crash the
 // branch prepared before both is in doubt with its last LSN, the loser is a
-// loser, and the transaction committed before both, its end record lost, is a
-// winner.
+// loser, and the transaction committed before both is no winner — the
+// checkpoint vouches for its pages — though redo repeats its history from the
+// recLSN the checkpoint lists.
 func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	l := NewMem()
 	pA, pB := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}
@@ -332,7 +319,7 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Unfinished{{Tx: 3, LastLSN: last}, {Tx: 2, LastLSN: prep, Prepared: true}}
-	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[1] [3] [2]" || !reflect.DeepEqual(open, want) {
+	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[] [3] [2]" || !reflect.DeepEqual(open, want) {
 		t.Fatalf("winners %v losers %v in doubt %v, open %+v; want open %+v", st.Winners, st.Losers, st.InDoubt, open, want)
 	}
 	if st.CheckpointLSN != ckpt || st.RedoStartLSN != w || st.RecordsAnalyzed != 8 || st.RedoApplied != 1 {

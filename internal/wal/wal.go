@@ -1,16 +1,21 @@
 // Package wal implements the BeSS write-ahead log (paper §3, reference [21]):
-// redo-only byte-range page records whose pages are written after their
+// redo-only byte-range page changes whose pages are written after their
 // transaction's commit record is durable, fuzzy checkpoints, and restart's
 // analysis and redo passes (recovery.go).
 //
-// Redo is physical (copy the after-image to the page at the recorded
-// offset) and therefore idempotent, so pages need not carry a pageLSN:
-// restart repeats history from the checkpoint's redo point. Nothing on a page
-// ever belongs to a transaction that did not commit — no page is written
-// before its commit is durable (Durable) — so there is no undo: a loser is
-// ended by its abort record, and restart writes nothing for it.
+// A transaction's page changes ride its commit record: a TCommit (or a
+// 2PC participant's TPrepare) carries the list of them, so a commit is one
+// record — one CRC, one length, one transaction id — however many pages it
+// changes. Only a transaction larger than a log buffer logs some of them
+// earlier, in a TRedo of their own (a spill). Redo is physical (copy the
+// after-image to the page at the recorded offset) and therefore idempotent,
+// so pages need not carry a pageLSN: restart repeats history from the
+// checkpoint's redo point. Nothing on a page ever belongs to a transaction
+// that did not commit — no page is written before its commit is durable
+// (Durable) — so there is no undo: a loser is ended by its abort record, and
+// restart writes nothing for it.
 //
-// The log file is format version 5: every record is a CRC-32C, a varint body
+// The log file is format version 6: every record is a CRC-32C, a varint body
 // length the CRC covers, and a body of varint fields (encode). A record names
 // the earlier LSNs it refers to — its transaction's previous record, a
 // checkpoint's recLSNs — by their distance back from its own LSN, so a record's
@@ -44,19 +49,31 @@ const (
 	// change: the codec keeps it for the benchmark module's log probe.
 	TUpdate Type = iota + 1
 	_            // 2: retired (the compensation record); no log this build reads holds one
+	// TCommit ends a transaction that committed, carrying the page changes it
+	// had not logged yet (Changes), which take effect here — with those of its
+	// earlier TRedo and TPrepare records (Replayer). A decided TCommit after a
+	// TPrepare carries none.
 	TCommit
-	TAbort // transaction rollback complete
-	TEnd   // transaction removed from the table (after commit or abort)
+	// TAbort ends a transaction that rolled back. If its page changes reached
+	// the log, it carries a whole-page anchor of every page they named, as the
+	// store holds it: the page's replay starts again from there.
+	TAbort
+	_ // 5: retired (the end record); no log this build reads holds one
 	TCheckpoint
-	TPrepare // 2PC: participant vote logged and forced; tx is in-doubt until decision
+	// TPrepare is a 2PC participant's vote, logged and forced: the transaction
+	// is in doubt until its decision. It carries the page changes the
+	// transaction had not logged yet, which wait for a decided TCommit.
+	TPrepare
 	// TCatalog is a redo-only catalog change. Its Body is opaque here — the
 	// server encodes, decodes and replays it (server/catalog.go); it belongs to
 	// no transaction, and every walker of page history passes over it.
 	TCatalog
-	// TRedo is a page change with a redo half and no undo half: its page is
-	// written only once its transaction's commit record is durable (Durable),
-	// so there is never anything on the page to take back. It takes effect at
-	// that commit, not where it stands (Replayer).
+	// TRedo is a spill: page changes of a transaction larger than a log buffer,
+	// logged ahead of its commit record. Like every page change it has a redo
+	// half and no undo half: its pages are written only once its transaction's
+	// commit record is durable (Durable), so there is never anything on a page
+	// to take back. It takes effect at that commit, not where it stands
+	// (Replayer).
 	TRedo
 
 	// NumTypes sizes a table indexed by Type: one more than the last type.
@@ -72,8 +89,6 @@ func (t Type) String() string {
 		return "commit"
 	case TAbort:
 		return "abort"
-	case TEnd:
-		return "end"
 	case TCheckpoint:
 		return "checkpoint"
 	case TPrepare:
@@ -93,21 +108,41 @@ type CkptPage struct {
 	RecLSN page.LSN
 }
 
+// Change is one page change a record carries: the redo half of a page's
+// change, which replay copies onto the page. An image read back from the log
+// is read-only.
+type Change struct {
+	Page  page.ID
+	Off   uint32 // byte offset of After within the page
+	After []byte // redo image
+}
+
+// WholePage reports whether c's image covers its entire page: such a change
+// anchors replay (restart redo, repair) whatever the page held before.
+func (c *Change) WholePage() bool { return c.Off == 0 && len(c.After) == page.Size }
+
+// Zero reports whether the log keeps c's image as its length alone: it is all
+// zero, and no longer than a page.
+func (c *Change) Zero() bool { return isZero(c.After) }
+
 // Record is one log record. LSNs are byte offsets of the record in the log.
 type Record struct {
 	Type    Type
 	Tx      uint64
 	PrevLSN page.LSN // previous record of the same transaction
 
-	// Page record fields. A TRedo has a redo half (Off, After): what replay
-	// copies onto the page. A TUpdate also has an undo half (UndoOff, Before),
-	// an independent range of the page. An image read back from the log is
-	// read-only.
+	// TRedo, TCommit, TPrepare, TAbort: the page changes the record carries,
+	// in the order they take effect.
+	Changes []Change
+
+	// TUpdate: a page change with a redo half (Off, After) and an undo half
+	// (UndoOff, Before), an independent range of the page. An image read back
+	// from the log is read-only.
 	Page    page.ID
 	Off     uint32 // byte offset of After within the page
 	After   []byte // redo image
-	UndoOff uint32 // TUpdate: byte offset of Before within the page
-	Before  []byte // TUpdate: undo image
+	UndoOff uint32 // byte offset of Before within the page
+	Before  []byte // undo image
 
 	// Checkpoint: the dirty-page table.
 	DirtyPages []CkptPage
@@ -118,15 +153,24 @@ type Record struct {
 	lsn page.LSN // where Append put the record, or the log it was read from holds it; 0 if neither
 }
 
+// carries reports whether records of type t hold a list of page changes.
+func (t Type) carries() bool {
+	switch t {
+	case TRedo, TCommit, TPrepare, TAbort:
+		return true
+	}
+	return false
+}
+
 // Logged is proof that a record of Page is in the log, at LSN, and takes
 // effect: what a page store demands in place of a page id before it
 // overwrites the page (log before data, DESIGN.md §4f). Only this package
-// makes a non-zero one, and only for a redo-only record whose transaction's
-// commit is durable (Durable.Proof) or that a walk of the log hands on at
-// that commit (Replayer) — so a store cannot be asked to write a page nothing
-// was logged for, nor one for a transaction that has not committed. It says a
-// record of the page precedes the store, not that the bytes stored are that
-// record's.
+// makes a non-zero one, and only for a page change whose transaction's
+// commit is durable (Durable.Proof) or that a walk of the log hands on where
+// it takes effect (Replayer) — so a store cannot be asked to write a page
+// nothing was logged for, nor one for a transaction that has not committed.
+// It says a record of the page precedes the store, not that the bytes stored
+// are that record's.
 type Logged struct {
 	page page.ID
 	lsn  page.LSN
@@ -138,52 +182,50 @@ func (p Logged) Page() page.ID { return p.page }
 // LSN is the record's LSN; 0 in the zero Logged, which proves nothing.
 func (p Logged) LSN() page.LSN { return p.lsn }
 
-// Pending is a redo-only record of a page in the log (TRedo), whose page
-// write is pending its transaction's commit: a record Append has taken, or one
-// read back from the log, hands out its own (Record.Pending). It is not a
-// Logged, and no page store takes it: the page's write waits for the
-// transaction's commit record, not for this one. Durable.Proof makes it a
-// Logged once that record is durable.
+// Pending is a page change in the log, carried by a transaction's TRedo,
+// TPrepare or TCommit, whose page write is pending the transaction's commit:
+// a record Append has taken, or one read back from the log, hands out one per
+// change (Record.Pending). It is not a Logged, and no page store takes it: the
+// page's write waits for the transaction's commit record to be durable.
+// Durable.Proof makes it a Logged once it is.
 type Pending struct {
 	page page.ID
 	tx   uint64
 	lsn  page.LSN
 }
 
-// Page is the page the record changes.
+// Page is the page the change is of.
 func (r Pending) Page() page.ID { return r.page }
 
-// Pending returns r's redo-only token: zero until Append has taken r or
-// unless r was read from the log, and for every record that is not a TRedo.
-func (r *Record) Pending() Pending {
-	if r.Type != TRedo || r.lsn == 0 {
+// Pending returns the token of r's i-th page change: zero until Append has
+// taken r or unless r was read from the log, and for a record that does not
+// take effect at its transaction's commit (a TAbort's anchors).
+func (r *Record) Pending(i int) Pending {
+	if r.lsn == 0 || i < 0 || i >= len(r.Changes) || (r.Type != TRedo && r.Type != TPrepare && r.Type != TCommit) {
 		return Pending{}
 	}
-	return Pending{page: r.Page, tx: r.Tx, lsn: r.lsn}
+	return Pending{page: r.Changes[i].Page, tx: r.Tx, lsn: r.lsn}
 }
 
 // Durable is proof that a transaction's commit record is durable. Only the
 // log makes one (Log.Durable), once its flushed frontier covers the record,
-// and it is the only way to turn the transaction's redo-only records into
-// proofs a page store takes (Proof): no page a TRedo describes is written
-// before its commit is durable (DESIGN.md §4f).
+// and it is the only way to turn the transaction's page changes into proofs
+// a page store takes (Proof): no page a change describes is written before
+// its commit is durable (DESIGN.md §4f).
 type Durable struct {
 	tx     uint64
 	commit page.LSN
 }
 
-// Proof returns what a store of r's page takes, if r is a record of d's
-// transaction that precedes its commit record; ErrNotDurable if not.
+// Proof returns what a store of r's page takes, if r is a change of d's
+// transaction carried by its commit record or one before it; ErrNotDurable if
+// not.
 func (d Durable) Proof(r Pending) (Logged, error) {
-	if d.commit == 0 || r.lsn == 0 || r.tx != d.tx || r.lsn >= d.commit {
+	if d.commit == 0 || r.lsn == 0 || r.tx != d.tx || r.lsn > d.commit {
 		return Logged{}, ErrNotDurable
 	}
 	return Logged{page: r.page, lsn: r.lsn}, nil
 }
-
-// WholePage reports whether r's redo image covers its entire page: such a
-// record anchors replay (restart redo, repair) whatever the page held before.
-func (r *Record) WholePage() bool { return r.Off == 0 && len(r.After) == page.Size }
 
 // Errors returned by the log.
 var (
@@ -192,8 +234,9 @@ var (
 	// ErrNotLogged is a page store's answer to the zero Logged.
 	ErrNotLogged = errors.New("wal: page store without a log record")
 	// ErrUnencodable is Append's answer to a record the log could not read
-	// back: one whose PrevLSN or a recLSN is not behind it, or whose body is
-	// longer than maxBody.
+	// back: one whose PrevLSN or a recLSN is not behind it, whose body is
+	// longer than maxBody, or one of whose images the caller changed while
+	// Append encoded it.
 	ErrUnencodable = errors.New("wal: record cannot be encoded at the end of the log")
 	// ErrOldFormat is Open's answer to a log whose records an older build
 	// encoded differently.
@@ -258,45 +301,49 @@ func isZero(img []byte) bool {
 	return len(img) > 0 && len(img) <= len(zeroes) && bytes.Equal(img, zeroes[:len(img)])
 }
 
-// zeroImages reports which of r's images are stored as their length alone.
-// Append asks once and sizes and encodes the record by the same answer.
-func (r *Record) zeroImages() (before, after bool) {
-	switch r.Type {
-	case TUpdate:
-		return isZero(r.Before), isZero(r.After)
-	case TRedo:
-		return false, isZero(r.After)
-	}
-	return false, false
-}
-
 // imageSize is the bytes appendImage writes for img.
-func imageSize(img []byte, zero bool) int {
+func imageSize(img []byte) int {
 	n := uvarintLen(uint64(len(img)) << 1)
-	if !zero {
+	if !isZero(img) {
 		n += len(img)
 	}
 	return n
 }
 
-// sizeAt is the exact size of r's body as encode writes it at lsn; at lsn 0,
-// the most it can be wherever it goes.
-func (r *Record) sizeAt(lsn page.LSN, zeroBefore, zeroAfter bool) int {
-	n := 1 + txSize(r.Tx) + uvarintLen(back(lsn, r.PrevLSN))
-	switch r.Type {
-	case TUpdate, TRedo:
-		n += uvarintLen(uint64(r.Page.Area)) + uvarintLen(uint64(r.Page.Page)) + uvarintLen(uint64(r.Off))
-		if r.Type == TUpdate {
-			n += uvarintLen(uint64(r.UndoOff)) + imageSize(r.Before, zeroBefore)
+// pageSize is the bytes of a page id and an offset.
+func pageSize(pid page.ID, off uint32) int {
+	return uvarintLen(uint64(pid.Area)) + uvarintLen(uint64(pid.Page)) + uvarintLen(uint64(off))
+}
+
+// tailSize is the size of the fields of r's body that do not refer to an
+// earlier record — its images and page changes, a catalog body — which is
+// the same wherever r stands: Append sizes it once, outside the log mutex.
+func (r *Record) tailSize() int {
+	n := 0
+	switch {
+	case r.Type == TUpdate:
+		n += pageSize(r.Page, r.Off) + uvarintLen(uint64(r.UndoOff)) + imageSize(r.Before) + imageSize(r.After)
+	case r.Type.carries():
+		n += uvarintLen(uint64(len(r.Changes)))
+		for i := range r.Changes {
+			c := &r.Changes[i]
+			n += pageSize(c.Page, c.Off) + imageSize(c.After)
 		}
-		n += imageSize(r.After, zeroAfter)
-	case TCheckpoint:
+	case r.Type == TCatalog:
+		n += len(r.Body)
+	}
+	return n
+}
+
+// sizeAt is the exact size of r's body as encode writes it at lsn, given its
+// tailSize; at lsn 0, the most it can be wherever it goes.
+func (r *Record) sizeAt(lsn page.LSN, tail int) int {
+	n := 1 + txSize(r.Tx) + uvarintLen(back(lsn, r.PrevLSN)) + tail
+	if r.Type == TCheckpoint {
 		n += uvarintLen(uint64(len(r.DirtyPages)))
 		for _, e := range r.DirtyPages {
 			n += uvarintLen(uint64(e.Page.Area)) + uvarintLen(uint64(e.Page.Page)) + uvarintLen(back(lsn, e.RecLSN))
 		}
-	case TCatalog:
-		n += len(r.Body)
 	}
 	return n
 }
@@ -326,32 +373,41 @@ type Footprint struct {
 // as Append reserves for it: every reference to an earlier record at its
 // widest.
 func (r *Record) Footprint() Footprint {
-	zb, za := r.zeroImages()
 	var f Footprint
-	switch r.Type {
-	case TUpdate:
-		f.Before = len(r.Before)
-		fallthrough
-	case TRedo:
-		f.After = len(r.After)
+	count := func(img []byte, stored, zero *int) {
+		if isZero(img) {
+			*zero += len(img)
+		} else {
+			*stored += len(img)
+		}
 	}
-	if zb {
-		f.Before, f.ZeroBefore = 0, len(r.Before)
+	switch {
+	case r.Type == TUpdate:
+		count(r.Before, &f.Before, &f.ZeroBefore)
+		count(r.After, &f.After, &f.ZeroAfter)
+	case r.Type.carries():
+		for i := range r.Changes {
+			count(r.Changes[i].After, &f.After, &f.ZeroAfter)
+		}
 	}
-	if za {
-		f.After, f.ZeroAfter = 0, len(r.After)
-	}
-	f.Header = frameSize(r.sizeAt(r.lsn, zb, za)) - f.Before - f.After
+	f.Header = frameSize(r.sizeAt(r.lsn, r.tailSize())) - f.Before - f.After
 	return f
 }
 
 // appendImage writes one image: its length shifted left one and its bytes,
 // or for an all-zero one its length with the low bit set.
-func appendImage(b, img []byte, zero bool) []byte {
-	if zero {
+func appendImage(b, img []byte) []byte {
+	if isZero(img) {
 		return binary.AppendUvarint(b, uint64(len(img))<<1|1)
 	}
 	return append(binary.AppendUvarint(b, uint64(len(img))<<1), img...)
+}
+
+// appendPage writes a page id and an offset.
+func appendPage(b []byte, pid page.ID, off uint32) []byte {
+	b = binary.AppendUvarint(b, uint64(pid.Area))
+	b = binary.AppendUvarint(b, uint64(pid.Page))
+	return binary.AppendUvarint(b, uint64(off))
 }
 
 // encode appends the body of r, the record at lsn, to b: the type byte, then
@@ -359,24 +415,28 @@ func appendImage(b, img []byte, zero bool) []byte {
 //
 //	tx           the counter, then the host (txHostShift)
 //	prev         back(lsn, PrevLSN)
-//	TRedo        area, page, off, the after-image (appendImage)
+//	TRedo, TCommit, TPrepare, TAbort
+//	             the number of page changes; for each, area, page, off, the
+//	             after-image (appendImage)
 //	TUpdate      area, page, off, undo off, the before-image, the after-image
 //	TCheckpoint  the number of dirty pages; for each, area, page, back(lsn, RecLSN)
 //	TCatalog     Body, to the end of the record
-func (r *Record) encode(b []byte, lsn page.LSN, zeroBefore, zeroAfter bool) []byte {
+func (r *Record) encode(b []byte, lsn page.LSN) []byte {
 	b = append(b, byte(r.Type))
 	b = appendTx(b, r.Tx)
 	b = binary.AppendUvarint(b, back(lsn, r.PrevLSN))
 	switch r.Type {
-	case TUpdate, TRedo:
-		b = binary.AppendUvarint(b, uint64(r.Page.Area))
-		b = binary.AppendUvarint(b, uint64(r.Page.Page))
-		b = binary.AppendUvarint(b, uint64(r.Off))
-		if r.Type == TUpdate {
-			b = binary.AppendUvarint(b, uint64(r.UndoOff))
-			b = appendImage(b, r.Before, zeroBefore)
+	case TRedo, TCommit, TPrepare, TAbort:
+		b = binary.AppendUvarint(b, uint64(len(r.Changes)))
+		for i := range r.Changes {
+			c := &r.Changes[i]
+			b = appendImage(appendPage(b, c.Page, c.Off), c.After)
 		}
-		b = appendImage(b, r.After, zeroAfter)
+	case TUpdate:
+		b = appendPage(b, r.Page, r.Off)
+		b = binary.AppendUvarint(b, uint64(r.UndoOff))
+		b = appendImage(b, r.Before)
+		b = appendImage(b, r.After)
 	case TCheckpoint:
 		b = binary.AppendUvarint(b, uint64(len(r.DirtyPages)))
 		for _, e := range r.DirtyPages {
@@ -406,17 +466,28 @@ func decodeRecord(b []byte, lsn page.LSN) (*Record, error) {
 // decode is decodeRecord into r, whatever r held before.
 func (r *Record) decode(b []byte, lsn page.LSN) error {
 	d := decoder{p: b}
+	changes := r.Changes[:0] // a walk's reader decodes every record into one Record: keep its list's room
 	*r = Record{Type: Type(d.byte())}
 	r.Tx = d.tx()
 	r.PrevLSN = d.ref(lsn)
 	switch r.Type {
-	case TUpdate, TRedo:
+	case TRedo, TCommit, TPrepare, TAbort:
+		// A change is four bytes at least: the list is sized by a count the
+		// body can hold, never by whatever the count field says.
+		if n := int(d.uvarint(uint64(len(d.p)) / 4)); n > 0 {
+			r.Changes = slices.Grow(changes, n)[:n]
+			for i := range r.Changes {
+				c := &r.Changes[i]
+				c.Page = d.page()
+				c.Off = uint32(d.uvarint(math.MaxUint32))
+				c.After = d.image()
+			}
+		}
+	case TUpdate:
 		r.Page = d.page()
 		r.Off = uint32(d.uvarint(math.MaxUint32))
-		if r.Type == TUpdate {
-			r.UndoOff = uint32(d.uvarint(math.MaxUint32))
-			r.Before = d.image()
-		}
+		r.UndoOff = uint32(d.uvarint(math.MaxUint32))
+		r.Before = d.image()
 		r.After = d.image()
 	case TCheckpoint:
 		// An entry is three bytes at least, so the table is sized by a count
@@ -433,8 +504,6 @@ func (r *Record) decode(b []byte, lsn page.LSN) error {
 			r.Body = d.p[:len(d.p):len(d.p)]
 		}
 		d.p = nil
-	case TCommit, TAbort, TEnd, TPrepare:
-		// header only
 	default:
 		d.bad = true
 	}
@@ -649,10 +718,18 @@ const firstLSN = page.LSN(8)
 // images their flagged length; version 3 added the redo-only TRedo record;
 // version 4 dropped the compensation record and the undo-chain word of the
 // update record; version 5 is the varint codec (encode), whose frame puts the
-// CRC first and the length under it. A version-4 record read as version 5
-// would fail its CRC, and the log would open as if it ended at its first
-// record: older logs are refused by name (ErrOldFormat), not misread.
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 5}
+// CRC first and the length under it; version 6 carries a transaction's page
+// changes in its commit, prepare and abort records and drops the end record.
+// A version-4 record read as version 5 would fail its CRC, and a version-5
+// commit read as version 6 would lack its page count; either way the log would
+// open as if it ended at that record, and the records past it would be cut:
+// older logs are refused by name (ErrOldFormat), not misread.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 6}
+
+// BufSize is the size of one log buffer: a transaction whose queued page
+// changes would pass it logs them ahead of its commit record, in a spill
+// (TRedo), so that no record outgrows a buffer.
+const BufSize = logBufSize
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.
@@ -792,8 +869,8 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 //
 // TestAppendAllocatesNothing pins its allocation budget.
 func (l *Log) Append(rec *Record) (page.LSN, error) {
-	zb, za := rec.zeroImages()
-	widest := rec.sizeAt(0, zb, za)
+	tail := rec.tailSize()
+	widest := rec.sizeAt(0, tail)
 	if widest > maxBody {
 		return 0, ErrUnencodable
 	}
@@ -810,8 +887,14 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 	lsn := l.nextLSN
 	b := l.bufs[slot]
 	at := len(b)
-	b = binary.AppendUvarint(b[:at+crcSize], uint64(rec.sizeAt(lsn, zb, za)))
-	b = rec.encode(b, lsn, zb, za)
+	size := rec.sizeAt(lsn, tail)
+	b = binary.AppendUvarint(b[:at+crcSize], uint64(size))
+	body := len(b)
+	if b = rec.encode(b, lsn); len(b)-body != size {
+		// An image changed while the record was appended: its length field
+		// would not frame it. The slot keeps its old length.
+		return 0, ErrUnencodable
+	}
 	binary.BigEndian.PutUint32(b[at:], page.Checksum(b[at+crcSize:]))
 	l.bufs[slot] = b
 	l.nextLSN += page.LSN(len(b) - at)

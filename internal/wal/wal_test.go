@@ -14,9 +14,9 @@ import (
 	"bess/internal/page"
 )
 
-// upd is a page change: a redo-only record of pid's bytes at off.
+// upd is a page change: a spill (TRedo) of pid's bytes at off.
 func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, after string) *Record {
-	return &Record{Type: TRedo, Tx: tx, PrevLSN: prev, Page: pid, Off: off, After: []byte(after)}
+	return redo(tx, prev, pid, off, []byte(after))
 }
 
 func TestAppendFlushIterate(t *testing.T) {
@@ -53,7 +53,7 @@ func TestAppendFlushIterate(t *testing.T) {
 		t.Fatalf("lsns = %v", lsns)
 	}
 	r := recs[0]
-	if r.Type != TRedo || r.Tx != 1 || r.Page != pid || r.Off != 100 || string(r.After) != "bbb" {
+	if r.Type != TRedo || r.Tx != 1 || len(r.Changes) != 1 || r.Changes[0].Page != pid || r.Changes[0].Off != 100 || string(r.Changes[0].After) != "bbb" {
 		t.Fatalf("record round trip: %+v", r)
 	}
 	if recs[1].PrevLSN != l1 {
@@ -192,7 +192,8 @@ func TestFlushUpToAlreadyFlushed(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	if TUpdate.String() != "update" || TRedo.String() != "redo" || TCheckpoint.String() != "checkpoint" || Type(2).String() != "type(2)" {
+	if TUpdate.String() != "update" || TRedo.String() != "redo" || TCheckpoint.String() != "checkpoint" ||
+		Type(2).String() != "type(2)" || Type(5).String() != "type(5)" {
 		t.Fatal("type strings")
 	}
 }
@@ -219,10 +220,13 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 		upd(1, 0, pid, 77, "after-bytes"),
 		{Type: TCommit, Tx: 2, PrevLSN: 9},
 		{Type: TAbort, Tx: 3},
-		{Type: TEnd, Tx: 3},
 		// An anchor, and a range zeroed: an all-zero image.
-		{Type: TRedo, Tx: 4, Page: pid, After: whole},
-		{Type: TRedo, Tx: 4, PrevLSN: 5, Page: pid, Off: 100, After: make([]byte, 300)},
+		redo(4, 0, pid, 0, whole),
+		redo(4, 5, pid, 100, make([]byte, 300)),
+		// A commit carrying both, a prepare and a re-anchoring abort.
+		{Type: TCommit, Tx: 6, Changes: []Change{{Page: pid, After: whole}, {Page: page.ID{Area: 1, Page: 2}, Off: 9, After: []byte("range")}}},
+		{Type: TPrepare, Tx: 7, Changes: []Change{{Page: pid, Off: 4000, After: []byte("prepared")}}},
+		{Type: TAbort, Tx: 7, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}},
 		// Updates with both halves: the undo half a range with its own offset,
 		// and a zero before-image.
 		{Type: TUpdate, Tx: 5, Page: pid, After: whole, UndoOff: 4000, Before: []byte("range")},
@@ -242,19 +246,33 @@ func TestRecordEncodingAllTypes(t *testing.T) {
 	for i, r := range got {
 		want := records[i]
 		if r.Tx != want.Tx || r.Type != want.Type || r.PrevLSN != want.PrevLSN || r.Off != want.Off || r.UndoOff != want.UndoOff ||
-			!bytes.Equal(r.Before, want.Before) || !bytes.Equal(r.After, want.After) {
+			!bytes.Equal(r.Before, want.Before) || !bytes.Equal(r.After, want.After) || !sameChanges(r.Changes, want.Changes) {
 			t.Fatalf("record %d: %+v", i, r)
 		}
 	}
-	if a := got[4]; !a.WholePage() || got[5].WholePage() {
+	if a := &got[3].Changes[0]; !a.WholePage() || got[4].Changes[0].WholePage() {
 		t.Fatalf("anchor = off %d, %d bytes", a.Off, len(a.After))
 	}
+}
+
+// sameChanges reports whether two page lists hold the same changes, an empty
+// image and a nil one alike.
+func sameChanges(a, b []Change) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Page != b[i].Page || a[i].Off != b[i].Off || !bytes.Equal(a[i].After, b[i].After) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestZeroImageRoundTrip: an all-zero image is in the log as its length —
 // before-image, after-image, both, whole page or range — and comes back as
 // that many zeroes; the size Append reserves is the size encode writes, field
-// by field as format 5 lays it out; and a record cut short, or whose flagged
+// by field as format 6 lays it out; and a record cut short, or whose flagged
 // length is not one encode writes, is corrupt, never a panic.
 func TestZeroImageRoundTrip(t *testing.T) {
 	pid := page.ID{Area: 2, Page: 5}
@@ -265,14 +283,17 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		fields int // bytes of the body that are not images
 		stored int // image bytes in the encoding
 	}{
-		// The type, the tx (counter and host), prev, area, page and a one-byte
-		// offset are 7 bytes; an image length of 64 or more bytes, 2 (it is
-		// shifted left one, for the flag).
-		{"range zeroed", Record{Type: TRedo, Page: pid, Off: 64, After: make([]byte, 200)}, 7 + 2, 0},
-		{"anchor of a zeroed page", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size)}, 7 + 2, 0},
-		{"nothing zero", Record{Type: TRedo, Page: pid, Off: 9, After: some}, 7 + 2, 200},
-		{"a two-byte offset", Record{Type: TRedo, Page: pid, Off: page.Size - 1, After: []byte{5}}, 7 + 1 + 1, 1},
-		{"zeroes longer than a page are stored", Record{Type: TRedo, Page: pid, After: make([]byte, page.Size+1)}, 7 + 2, page.Size + 1},
+		// The type, the tx (counter and host), prev, the page count, area, page
+		// and a one-byte offset are 8 bytes; an image length of 64 or more
+		// bytes, 2 (it is shifted left one, for the flag).
+		{"range zeroed", *redo(0, 0, pid, 64, make([]byte, 200)), 8 + 2, 0},
+		{"anchor of a zeroed page", *redo(0, 0, pid, 0, make([]byte, page.Size)), 8 + 2, 0},
+		{"nothing zero", *redo(0, 0, pid, 9, some), 8 + 2, 200},
+		{"a two-byte offset", *redo(0, 0, pid, page.Size-1, []byte{5}), 8 + 1 + 1, 1},
+		{"zeroes longer than a page are stored", *redo(0, 0, pid, 0, make([]byte, page.Size+1)), 8 + 2, page.Size + 1},
+		// A commit's list: the count, then each change's page, offset and image.
+		{"a commit of a range and a zeroed page", Record{Type: TCommit, Changes: []Change{{Page: pid, Off: 9, After: some}, {Page: pid, After: make([]byte, page.Size)}}},
+			8 + 2 + 3 + 2, 200},
 		// An update adds its undo offset, and the before-image's length.
 		{"update of a fresh page", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, 8 + 2 + 2, page.Size},
 		{"update, range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 8 + 2 + 2, 200},
@@ -287,15 +308,20 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		if len(enc) != tc.fields+tc.stored {
 			t.Fatalf("%s: %d bytes encoded, want %d of fields and %d of images", tc.name, len(enc), tc.fields, tc.stored)
 		}
+		images := len(rec.Before) + len(rec.After)
+		for _, c := range rec.Changes {
+			images += len(c.After)
+		}
 		if fp := rec.Footprint(); fp.Header+fp.Before+fp.After != frameSize(len(enc)) ||
-			fp.Before+fp.After != tc.stored || fp.ZeroBefore+fp.ZeroAfter != len(rec.Before)+len(rec.After)-tc.stored {
+			fp.Before+fp.After != tc.stored || fp.ZeroBefore+fp.ZeroAfter != images-tc.stored {
 			t.Fatalf("%s: footprint %+v of %d encoded bytes", tc.name, fp, len(enc))
 		}
 		got, err := decodeRecord(enc, firstLSN)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Off != rec.Off || got.UndoOff != rec.UndoOff || !bytes.Equal(got.Before, rec.Before) || !bytes.Equal(got.After, rec.After) {
+		if got.Off != rec.Off || got.UndoOff != rec.UndoOff || !bytes.Equal(got.Before, rec.Before) || !bytes.Equal(got.After, rec.After) ||
+			!sameChanges(got.Changes, rec.Changes) {
 			t.Fatalf("%s: decoded %+v", tc.name, got)
 		}
 		for cut := 0; cut < len(enc); cut += max(1, len(enc)/64) {
@@ -305,7 +331,7 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		}
 	}
 	// Flagged lengths encode never writes: none, and more than a page.
-	enc := (&Record{Type: TRedo, Page: pid, After: make([]byte, 8)}).appendTo(nil, firstLSN)
+	enc := redo(0, 0, pid, 0, make([]byte, 8)).appendTo(nil, firstLSN)
 	for _, n := range []uint64{0, page.Size + 1, 1<<31 - 1} {
 		bad := binary.AppendUvarint(enc[:len(enc)-1:len(enc)-1], n<<1|1)
 		if _, err := decodeRecord(bad, firstLSN); !errors.Is(err, ErrCorrupt) {
@@ -319,9 +345,9 @@ func TestZeroImageRoundTrip(t *testing.T) {
 
 // TestOldLogVersionRefused: a log whose header carries a version from before
 // the offset word was split, from before the redo-only record, from before
-// the compensation record went, or from before the varint codec, is refused
-// by name, whatever its records look like, and one from a later build is
-// refused too.
+// the compensation record went, from before the varint codec, or from before
+// commit records carried their page changes, is refused by name, whatever its
+// records look like, and one from a later build is refused too.
 func TestOldLogVersionRefused(t *testing.T) {
 	l := NewMem()
 	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "new"))
@@ -335,7 +361,7 @@ func TestOldLogVersionRefused(t *testing.T) {
 	if _, err := OpenMemFrom(img); err != nil {
 		t.Fatalf("reopening this build's own log: %v", err)
 	}
-	for _, v := range []byte{1, 2, 3, 4} { // before the split offset word; before TRedo; with CLRs; fixed-width fields
+	for _, v := range []byte{1, 2, 3, 4, 5} { // before the split offset word; before TRedo; with CLRs; fixed-width fields; one record per page change
 		img[7] = v
 		if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
 			t.Fatalf("version %d log: %v, want ErrOldFormat", v, err)
@@ -376,9 +402,9 @@ func format4Log() []byte {
 }
 
 // TestFormat4LogRefused: a log format 4 wrote is refused by name, before
-// anything is read past its header or written to it. Read as format 5 its
-// first record fails its CRC, so the log would open empty and the next append
-// would overwrite a committed transaction.
+// anything is read past its header or written to it. Read as this build's
+// format its first record fails its CRC, so the log would open empty and the
+// next append would overwrite a committed transaction.
 func TestFormat4LogRefused(t *testing.T) {
 	img := format4Log()
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -403,18 +429,73 @@ func TestFormat4LogRefused(t *testing.T) {
 	}
 	defer l.Close()
 	if l.NextLSN() != firstLSN {
-		t.Fatalf("a format-4 body under a format-5 header opened with its end at %d", l.NextLSN())
+		t.Fatalf("a format-4 body under a format-6 header opened with its end at %d", l.NextLSN())
 	}
 }
 
-// TestRecordCodecEdges is the format-5 round trip at the edges of every field:
+// format5Log is a log as format 5 wrote it: version 5 in the header, then a
+// redo-only record of a 128-byte range, its commit and its end, each a CRC, a
+// varint body length and a body of varints, one record per page change.
+func format5Log() []byte {
+	img := []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 5}
+	frame := func(body []byte) {
+		framed := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+		img = append(binary.BigEndian.AppendUint32(img, page.Checksum(framed)), framed...)
+	}
+	uv := binary.AppendUvarint
+	redo := []byte{byte(TRedo), 1, 0, 0}                    // type, tx (counter, host), no prev
+	redo = uv(uv(uv(uv(redo, 1), 7), 640), 128<<1)          // area, page, offset, image length
+	redo = append(redo, bytes.Repeat([]byte{0xAB}, 128)...) // the image
+	first := len(img)
+	frame(redo)
+	frame(uv([]byte{byte(TCommit), 1, 0}, uint64(len(img)-first))) // type, tx, prev: the redo record
+	frame([]byte{5, 1, 0, 0})                                      // the end record, type 5
+	return img
+}
+
+// TestFormat5LogRefused: a log format 5 wrote is refused by name, before
+// anything is read past its header or written to it. Read as format 6 its
+// first record — a page change with no count before it — does not decode, so
+// the log would open empty and the next append would overwrite a committed
+// transaction.
+func TestFormat5LogRefused(t *testing.T) {
+	img := format5Log()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenFile(path)
+	if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), "format version 5") {
+		t.Fatalf("opening a format-5 log: %v, want ErrOldFormat naming version 5", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("the refused log changed on disk (%v)", err)
+	}
+	if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("a format-5 log image: %v, want ErrOldFormat", err)
+	}
+
+	misread := append(append([]byte(nil), logMagic...), img[len(logMagic):]...)
+	l, err := OpenMemFrom(misread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.NextLSN() != firstLSN {
+		t.Fatalf("a format-5 body under a format-6 header opened with its end at %d", l.NextLSN())
+	}
+}
+
+// TestRecordCodecEdges is the format-6 round trip at the edges of every field:
 // tx 0 and the largest; no PrevLSN, one byte back and at FirstLSN; offsets 0
 // and page.Size-1; images of 0, 1 and page.Size bytes, stored and all-zero;
-// checkpoints of 0 and 3,000 pages; a catalog record larger than a log buffer.
+// page lists of 0, 1 and 1,000 changes; checkpoints of 0 and 3,000 pages; a
+// catalog record larger than a log buffer.
 // Each is appended to a log — its references encoded as distances back from
 // where it lands — and read back field for field, its footprint the same both
-// ways; the footprints add up to the log; and each body cut short is
-// ErrCorrupt.
+// ways; the footprints add up to the log; each body cut short is
+// ErrCorrupt; and so is a page list's count the body cannot hold, before
+// anything is allocated.
 func TestRecordCodecEdges(t *testing.T) {
 	l := NewMem()
 	defer l.Close()
@@ -441,14 +522,19 @@ func TestRecordCodecEdges(t *testing.T) {
 					case "first":
 						p = firstLSN
 					}
-					add(&Record{Type: TRedo, Tx: tx, PrevLSN: p, Page: pid, Off: off, After: img})
+					add(redo(tx, p, pid, off, img))
 					add(&Record{Type: TUpdate, Tx: tx, PrevLSN: p, Page: pid, Off: off, After: img,
 						UndoOff: page.Size - 1 - off, Before: images[len(images)-1-i]})
 				}
 			}
 		}
 		add(&Record{Type: TCommit, Tx: tx, PrevLSN: l.NextLSN() - 1})
-		add(&Record{Type: TEnd, Tx: tx})
+		many := make([]Change, 1000)
+		for i := range many {
+			many[i] = Change{Page: page.ID{Area: page.AreaID(i % 3), Page: page.No(i) << 20}, Off: uint32(i), After: images[i%len(images)]}
+		}
+		add(&Record{Type: TPrepare, Tx: tx, PrevLSN: l.NextLSN() - 1, Changes: many})
+		add(&Record{Type: TAbort, Tx: tx, Changes: many[:1]})
 	}
 	add(&Record{Type: TCheckpoint})
 	dirty := make([]CkptPage, 3000)
@@ -466,7 +552,7 @@ func TestRecordCodecEdges(t *testing.T) {
 	if err := l.Iterate(0, func(lsn page.LSN, got *Record) error {
 		w := want[i]
 		if lsn != lsns[i] || got.Type != w.Type || got.Tx != w.Tx || got.PrevLSN != w.PrevLSN ||
-			got.Page != w.Page || got.Off != w.Off || got.UndoOff != w.UndoOff ||
+			got.Page != w.Page || got.Off != w.Off || got.UndoOff != w.UndoOff || !sameChanges(got.Changes, w.Changes) ||
 			!bytes.Equal(got.After, w.After) || !bytes.Equal(got.Before, w.Before) ||
 			!reflect.DeepEqual(got.DirtyPages, w.DirtyPages) || !bytes.Equal(got.Body, w.Body) {
 			t.Fatalf("record %d (%v at %d) came back as %+v", i, w.Type, lsn, got)
@@ -496,6 +582,22 @@ func TestRecordCodecEdges(t *testing.T) {
 	for _, rec := range []*Record{{Type: TCommit, PrevLSN: l.NextLSN()}, {Type: TCheckpoint, DirtyPages: []CkptPage{{RecLSN: 1 << 62}}}} {
 		if _, err := l.Append(rec); !errors.Is(err, ErrUnencodable) {
 			t.Fatalf("append of %v referring ahead: %v, want ErrUnencodable", rec.Type, err)
+		}
+	}
+
+	// A page list's count larger than its body can hold is ErrCorrupt before
+	// anything is allocated.
+	body := (&Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: page.ID{Area: 1, Page: 2}, After: []byte{1}}}}).appendTo(nil, firstLSN)
+	hdr := 1 + txSize(1) + 1 // type, tx, no prev: the count follows
+	for _, n := range []uint64{uint64(len(body)-hdr)/4 + 1, 1 << 20, 1 << 40, math.MaxUint64} {
+		bad := append(binary.AppendUvarint(append([]byte(nil), body[:hdr]...), n), body[hdr+1:]...)
+		if allocs := testing.AllocsPerRun(10, func() {
+			var r Record
+			if err := r.decode(bad, firstLSN); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("page count %d past the record: %v", n, err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("page count %d past the record: %v allocations before ErrCorrupt", n, allocs)
 		}
 	}
 }
