@@ -116,7 +116,7 @@ func main() {
 			fp := rec.Footprint()
 			totals.add(rec, fp)
 			switch rec.Type {
-			case wal.TRedo, wal.TCommit, wal.TPrepare, wal.TAbort:
+			case wal.TRedo, wal.TCommit, wal.TPrepare, wal.TAbort, wal.TRollback:
 				// The record, then each page change it carries: a whole-page
 				// image anchors replay of its page — restart redo and repair
 				// start from one, byte ranges (redo=offset+length) build on

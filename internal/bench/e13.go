@@ -358,8 +358,8 @@ func e13ShipBefore(w *e13World) error {
 // e13Reanchor runs after both checkpoints. The transaction in flight across
 // them rewrites a committed page whole, votes yes — its prepare record
 // anchoring that page and its own fresh one — and rolls back: its abort
-// record anchors both again, as the area holds them, and the whole image its
-// prepare logged must never start either page's replay. The next writer
+// record anchors both again, as their history left them, and the whole image
+// its prepare logged must never start either page's replay. The next writer
 // changes both pages by byte ranges and nothing else, so redo of each starts
 // at the abort's anchor.
 func e13Reanchor(w *e13World) error {
@@ -653,9 +653,10 @@ func e13LongTx(w *e13World) {
 // before it and rolled back after it, the abort record anchoring the page's
 // zeroes again; and left in flight across the checkpoint. Committed
 // fills are then zeroed — a range of an anchored page, which the log keeps as
-// a length, and a page filled whole zeroed whole, a whole-page image of
-// zeroes — once rolled back and once committed. Every page ends all zero or
-// byte-exact as its last winner left it.
+// a length; a range beside a changed one of the same page, which one change
+// covers with them; and a page filled whole zeroed whole, a whole-page image
+// of zeroes — once rolled back and once committed. Every page ends all zero
+// or byte-exact as its last winner left it.
 func e13FreshPages(w *e13World) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	fill := func(t *tx.Tx, p page.No) error { return w.ship(t, p, 0, 0, page.Size) }
@@ -666,11 +667,12 @@ func e13FreshPages(w *e13World) {
 		return
 	}
 
-	// The second page filled again, the fourth filled and a range of the
-	// third — anchored afresh, all three — and committed: the winner every
-	// later change starts from.
+	// The second page filled again, the fourth and the eleventh filled and a
+	// range of the third — anchored afresh, all four — and committed: the
+	// winner every later change starts from.
 	t = w.txm.Ensure(1, 0)
-	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || fill(t, pg(4)) != nil || w.commit(t) != nil {
+	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || fill(t, pg(4)) != nil || fill(t, pg(11)) != nil ||
+		w.commit(t) != nil {
 		return
 	}
 
@@ -685,12 +687,14 @@ func e13FreshPages(w *e13World) {
 		return
 	}
 
-	// The committed fill changed in ranges, a range of another zeroed, and a
-	// page zeroed whole: rolled back, then committed.
+	// The committed fill changed in ranges; the third page changed in a range
+	// and zeroed in another, which its one change covers both of; a range of
+	// the eleventh zeroed, and nothing else of it changed; and a page zeroed
+	// whole: rolled back, then committed.
 	for _, id := range []uint64{8, 5} {
 		t = w.txm.Ensure(id, 0)
-		if w.ship(t, pg(2), 2, 100, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
-			w.zero(t, pg(4), 0, page.Size) != nil || w.ship(t, pg(2), 3, 3000, 10) != nil {
+		if w.ship(t, pg(2), 2, 100, 50) != nil || w.ship(t, pg(3), 2, 1000, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
+			w.zero(t, pg(11), 2000, 500) != nil || w.zero(t, pg(4), 0, page.Size) != nil || w.ship(t, pg(2), 3, 3000, 10) != nil {
 			return
 		}
 		end := w.abort

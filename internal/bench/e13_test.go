@@ -166,8 +166,10 @@ func TestE13FreshPages(t *testing.T) {
 	// fill's rollback re-anchors its page with an abort record. A checkpoint
 	// starts no anchor epoch, so the zeroed pages were anchored once, by their
 	// fills; a whole-page image of zeroes is the whole fill zeroed, or the
-	// rolled-back fill's page, and both must be in the log.
-	var zeroRanges, zeroAnchors, anchored, reanchors int
+	// rolled-back fill's page, and both must be in the log. The winner's
+	// change of the third page is one range over its written and its zeroed
+	// bytes; the eleventh's is the zeroed range alone.
+	var zeroRanges, zeroAnchors, anchored, reanchors, merged int
 	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
 		if r.Type == wal.TAbort && len(r.Changes) > 0 {
 			reanchors++
@@ -176,17 +178,19 @@ func TestE13FreshPages(t *testing.T) {
 			switch {
 			case c.WholePage() && c.Zero():
 				zeroAnchors++
-			case c.Zero():
+			case c.Zero() && c.Page.Page == base.pages[11]:
 				zeroRanges++
 			case r.Tx == 1 && c.Page.Page == base.pages[3] && c.WholePage():
 				anchored++
+			case r.Tx == 5 && c.Page.Page == base.pages[3] && c.Off == 1000 && len(c.After) == 1500:
+				merged++
 			}
 		}
 		return nil
 	})
-	if len(base.acked) != 4 || zeroRanges < 1 || zeroAnchors < 2 || anchored != 1 || reanchors != 1 {
-		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback left unlogged, %d re-anchoring aborts",
-			base.acked, zeroRanges, zeroAnchors, anchored, reanchors)
+	if len(base.acked) != 4 || zeroRanges != 1 || zeroAnchors < 2 || anchored != 1 || reanchors != 1 || merged != 1 {
+		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback left unlogged, %d re-anchoring aborts, %d merged ranges",
+			base.acked, zeroRanges, zeroAnchors, anchored, reanchors, merged)
 	}
 	sample := 0
 	if testing.Short() {

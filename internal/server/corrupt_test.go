@@ -355,3 +355,46 @@ func TestTornReadsAreNotCorruption(t *testing.T) {
 		t.Fatalf("torn reads were treated as corruption: %+v", st)
 	}
 }
+
+// TestAbortedBranchOverRotRepairs: a rollback re-anchors its pages from the
+// log's history of them, not from the disk, so rot on a page under a
+// prepared branch that then aborts stays repairable from the log, as it was
+// before the branch.
+func TestAbortedBranchOverRotRepairs(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("survives rot"))
+	sl, ov, data, err := s.FetchSeg(0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := segment.DecodeSlotted(sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg.Overflow, seg.Data = ov, data
+	if _, err := seg.CreateObject(0, []byte("the branch's")); err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := s.Hello("c")
+	txid, _ := s.NewTx()
+	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
+	if err := s.Prepare(cl, txid, []proto.SegImage{img}); err != nil {
+		t.Fatal(err)
+	}
+	flipPageByte(t, s, key.Area, page.No(key.Start), segment.HeaderSize+3)
+	if err := s.Decide(txid, false); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fetchObject(t, s, key)
+	if err != nil || !bytes.Equal(b, []byte("survives rot")) {
+		t.Fatalf("fetch after the rolled-back branch: %q, %v", b, err)
+	}
+	if st := s.ScrubStatus(); st.Repaired == 0 || st.Quarantined != 0 {
+		t.Fatalf("counters = %+v", st)
+	}
+}

@@ -3,6 +3,7 @@ package tx
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bess/internal/page"
@@ -41,9 +42,11 @@ import (
 // transaction's own records can change before it ends: segment locks keep
 // every other writer off the page. A checkpoint does not touch the anchors;
 // the anchor is part of the page's history. A rollback of changes that
-// reached the log re-anchors instead (rollback): its TAbort carries the
-// page as the store holds it — what the rolled-back changes never replaced —
-// whole, for every page they named, and becomes each one's anchor. Replay
+// reached the log re-anchors instead (rollback): its TAbort carries the page,
+// whole, for every page they named — as the log's history of it leaves it
+// without the rolled-back records (preImages), so rot on the disk never
+// becomes history — and becomes each one's anchor; anchors past a log buffer
+// go ahead of it in TRollback records, which take effect with it. Replay
 // then starts from there, whatever the rolled-back records laid down: also
 // those of a commit record whose force failed, which may yet reach the disk.
 //
@@ -205,6 +208,7 @@ func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
 		return 0, err
 	}
 	t.lastLSN = lsn
+	t.logged = append(t.logged, lsn)
 	return lsn, nil
 }
 
@@ -213,10 +217,11 @@ func (t *Tx) chain(rec *wal.Record) (page.LSN, error) {
 // respect to Checkpoint (the epoch lock): a checkpoint's dirty-page table then
 // holds t's pages exactly when that record follows the checkpoint's. A TCommit
 // or TPrepare carries t's queued changes; a TAbort carries anchors, the
-// rollback's re-anchoring of the pages whose changes reached the log. It
-// returns the record's LSN for the caller to force, outside every lock. A
-// transaction with nothing in the log and nothing queued ends without a
-// record: LSN 0.
+// rollback's re-anchoring of the pages whose changes reached the log — those
+// that would take it past a log buffer go ahead of it, in TRollback records
+// of at most a buffer each, which take effect with it. It returns the
+// record's LSN for the caller to force, outside every lock. A transaction with
+// nothing in the log and nothing queued ends without a record: LSN 0.
 func (t *Tx) logEnd(to State, typ wal.Type, anchors []wal.Change) (page.LSN, error) {
 	m := t.m
 	m.epoch.RLock()
@@ -228,15 +233,11 @@ func (t *Tx) logEnd(to State, typ wal.Type, anchors []wal.Change) (page.LSN, err
 	}
 	var lsn page.LSN
 	if t.lastLSN != 0 || t.queued > 0 || to == Prepared {
-		rec := &wal.Record{Type: typ, Tx: t.id}
 		var err error
 		if typ == wal.TAbort {
-			rec.Changes = anchors
-			if lsn, err = t.chain(rec); err == nil {
-				t.carried(rec, lsn)
-			}
+			lsn, err = t.logAnchors(anchors)
 		} else {
-			lsn, err = t.logQueued(rec)
+			lsn, err = t.logQueued(&wal.Record{Type: typ, Tx: t.id})
 		}
 		if err != nil {
 			return 0, err
@@ -244,6 +245,73 @@ func (t *Tx) logEnd(to State, typ wal.Type, anchors []wal.Change) (page.LSN, err
 	}
 	t.state = to
 	return lsn, nil
+}
+
+// logAnchors appends a rollback's anchors: a TRollback of as many as a log
+// buffer holds while the rest would not fit one, then the TAbort with the
+// rest. It returns the TAbort's LSN. The caller holds m.epoch shared and t.mu.
+func (t *Tx) logAnchors(anchors []wal.Change) (page.LSN, error) {
+	for {
+		n, size := 0, 0
+		for ; n < len(anchors); n++ {
+			cost := len(anchors[n].After) + changeOverhead
+			if n > 0 && size+cost > wal.BufSize {
+				break
+			}
+			size += cost
+		}
+		rec := &wal.Record{Type: wal.TRollback, Tx: t.id, Changes: anchors[:n]}
+		if n == len(anchors) {
+			rec.Type = wal.TAbort
+		}
+		lsn, err := t.chain(rec)
+		if err != nil {
+			return 0, err
+		}
+		t.carried(rec, lsn)
+		if rec.Type == wal.TAbort {
+			return lsn, nil
+		}
+		anchors = anchors[n:]
+	}
+}
+
+// preImages returns each of pages, whole, as the log's history of it leaves
+// it without t's records (mine, in log order): the anchors of t's rollback.
+// The history is read from from on, which is at or before each page's latest
+// anchor before t. A page the log holds no change of but t's is read from the
+// store: all it ever held is the image it was given unlogged, which t's X
+// locks kept as it was.
+func (m *Manager) preImages(pages []page.ID, from page.LSN, mine []page.LSN) ([]wal.Change, error) {
+	if len(pages) == 0 {
+		return nil, nil
+	}
+	// Sorted, so that the same history writes the same log bytes.
+	sortPages(pages)
+	want := make(map[page.ID]bool, len(pages))
+	for _, pid := range pages {
+		want[pid] = true
+	}
+	hist, err := wal.ReplayPages(m.log, from, func(lsn page.LSN, c *wal.Change) bool {
+		_, own := slices.BinarySearch(mine, lsn)
+		return want[c.Page] && !own
+	}, m.pager.ReadPage)
+	if err != nil {
+		return nil, err
+	}
+	anchors := make([]wal.Change, len(pages))
+	for i, pid := range pages {
+		anchors[i].Page = pid
+		if img := hist[pid]; img != nil {
+			anchors[i].After = img.Data
+			continue
+		}
+		anchors[i].After = make([]byte, page.Size)
+		if err := m.pager.ReadPage(pid, anchors[i].After); err != nil {
+			return nil, fmt.Errorf("re-anchoring %v: %w", pid, err)
+		}
+	}
+	return anchors, nil
 }
 
 // diffRange returns the smallest [lo, hi) holding every byte at which the

@@ -60,9 +60,9 @@ func TestLogRedoWritesAfterTheForce(t *testing.T) {
 // TestRolledBackRedoWritesNoCLR: rolling back a change only queued logs
 // nothing; rolling back one that reached the log — a prepared branch's — logs
 // an abort record and nothing else, which carries no undo image and no
-// compensation but the page as the store holds it, whole: the page's new
-// anchor. Neither stores anything, and the page's next writer logs a range
-// on top of that anchor, which restart replays from.
+// compensation but the page as it was before the branch, whole: the page's
+// new anchor. Neither stores anything, and the page's next writer logs a
+// range on top of that anchor, which restart replays from.
 func TestRolledBackRedoWritesNoCLR(t *testing.T) {
 	m, mp, l, _ := newEnv()
 	pid := page.ID{Area: 1, Page: 6}
@@ -200,8 +200,8 @@ func TestPreparedRedoWritesAtDecision(t *testing.T) {
 // TestFailedForceRollsBackTheShippedCommit: a commit whose force fails did
 // not happen. Its commit record reaches the log with the next force all the
 // same, and its rollback's abort record after it, carrying one anchor per page
-// the commit named — the page as the store holds it, which the commit never
-// replaced. So neither the run nor a restart ever writes its pages: a later
+// the commit named: the page as it was before the commit. So neither the run
+// nor a restart ever writes its pages: a later
 // commit that changes another range of one of them logs that range alone, and
 // a restart rebuilding the page over garbage replays it on the abort's
 // anchor, not on the failed commit's bytes. A prepared branch's is not rolled
@@ -351,4 +351,138 @@ func TestLargeTransactionSpills(t *testing.T) {
 			t.Fatalf("page %d after the commit differs from its image", i)
 		}
 	}
+}
+
+// TestRollbackAnchorsComeFromTheLog: a rollback's anchor of a page is the page
+// as the log's history of it leaves it without the rolled-back records, not
+// what the disk holds: rot on a page under a prepared branch that aborts never
+// becomes the page's history, and a restart over the rotted page rebuilds it
+// from the abort's anchor.
+func TestRollbackAnchorsComeFromTheLog(t *testing.T) {
+	m, mp, l, _ := newEnv()
+	pid := page.ID{Area: 1, Page: 12}
+	first := m.Begin()
+	ship(t, first, mp, pid, 0, []byte("committed"))
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), mp.get(pid, 0, page.Size)...)
+
+	b := m.Begin()
+	ship(t, b, mp, pid, 100, []byte("branch"))
+	if err := b.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	mp.pages[pid][5] ^= 0x5A // rot under the branch's X lock
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	abort := readRec(t, l, b.LastLSN())
+	if abort.Type != wal.TAbort || len(abort.Changes) != 1 || !bytes.Equal(abort.Changes[0].After, want) {
+		t.Fatalf("the abort record's anchor is not the page as the log left it: %q…", abort.Changes[0].After[:12])
+	}
+	if _, st := restartOn(t, crash(t, l), mp); st.UnanchoredPages != 0 || !bytes.Equal(mp.get(pid, 0, page.Size), want) {
+		t.Fatalf("restart over the rotted page: %d unanchored, page %q…", st.UnanchoredPages, mp.get(pid, 0, 12))
+	}
+}
+
+// TestLargeRollbackSplitsItsAnchors: a rollback whose anchors would pass a log
+// buffer logs them ahead of its abort record in rollback records, so that no
+// record passes a buffer, and they take effect with the abort: at run time,
+// for a loser at restart, and at a restart after a crash cut that rollback
+// between its records — which leaves the transaction a loser to roll back
+// again, not a half-anchored one.
+func TestLargeRollbackSplitsItsAnchors(t *testing.T) {
+	n := 2*wal.BufSize/page.Size + 16 // two spills' worth of pages
+	pid := func(i int) page.ID { return page.ID{Area: 1, Page: page.No(i)} }
+	img := func(i int, b byte) []byte {
+		p := bytes.Repeat([]byte{b}, page.Size)
+		p[0], p[1] = byte(i), byte(i>>8)
+		return p
+	}
+	m, mp, l, _ := newEnv()
+	setup := m.Begin()
+	for i := 0; i < n; i++ {
+		if err := setup.LogRedo(pid(i), make([]byte, page.Size), img(i, 'a')); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// doomed rewrites every page, and spills all of them but the last few.
+	doomed := func(m *Manager) uint64 {
+		tr := m.Begin()
+		for i := 0; i < n; i++ {
+			if err := tr.LogRedo(pid(i), img(i, 'a'), img(i, 'z')); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.ID()
+	}
+	// check: tx's records are typs, none past a log buffer, and a restart
+	// over pages a torn write left garbage rebuilds every page as set up.
+	check := func(when string, l *wal.Log, tx uint64, typs string) {
+		t.Helper()
+		if err := l.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(txRecords(l, tx)); got != typs {
+			t.Fatalf("%s: records %s, want %s", when, got, typs)
+		}
+		l.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+			if fp := r.Footprint(); fp.Header+fp.After > wal.BufSize {
+				t.Fatalf("%s: the %v at %d takes %d bytes, past a log buffer", when, r.Type, lsn, fp.Header+fp.After)
+			}
+			return nil
+		})
+		disk := newMemPager()
+		for i := 0; i < n; i++ {
+			disk.pages[pid(i)] = bytes.Repeat([]byte{0xEE}, page.Size)
+		}
+		if _, st := restartOn(t, crash(t, l), disk); st.UnanchoredPages != 0 || len(st.Losers) != 0 {
+			t.Fatalf("%s: restart with %d unanchored pages, losers %v", when, st.UnanchoredPages, st.Losers)
+		}
+		for i := 0; i < n; i++ {
+			if !bytes.Equal(disk.get(pid(i), 0, page.Size), img(i, 'a')) {
+				t.Fatalf("%s: page %d after restart is not as set up", when, i)
+			}
+		}
+	}
+
+	// At run time.
+	tr := m.Lookup(doomed(m))
+	if err := tr.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("run time", l, tr.ID(), "[redo redo rollback abort]")
+	if !bytes.Equal(mp.get(pid(0), 0, page.Size), img(0, 'a')) {
+		t.Fatal("the rollback stored a page")
+	}
+
+	// A loser at restart.
+	id := doomed(m)
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	restarted, _ := restartOn(t, crash(t, l), mp.clone())
+	check("restart", restarted.log, id, "[redo redo rollback abort]")
+
+	// A crash between that rollback's records: its abort record lost.
+	var abortAt page.LSN
+	restarted.log.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+		if r.Tx == id && r.Type == wal.TAbort {
+			abortAt = lsn
+		}
+		return nil
+	})
+	cut, err := wal.OpenMemFrom(restarted.log.DurableBytes()[:abortAt])
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, st := restartOn(t, cut, mp.clone())
+	if fmt.Sprint(st.Losers) != fmt.Sprint([]uint64{id}) {
+		t.Fatalf("a rollback cut short: losers %v, want [%d]", st.Losers, id)
+	}
+	check("restart after a cut rollback", again.log, id, "[redo redo rollback rollback abort]")
 }

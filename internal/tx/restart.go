@@ -2,6 +2,7 @@ package tx
 
 import (
 	"fmt"
+	"slices"
 
 	"bess/internal/hooks"
 	"bess/internal/lock"
@@ -46,15 +47,16 @@ func Restart(an *wal.Analysis, locks *lock.Manager, pager wal.Pager, hk *hooks.R
 }
 
 // adopt gives a transaction restart found open what its own run kept in
-// memory: for each page whose change it logged, the recLSN a checkpoint must
-// list while it is open — where this restart's redo started the page — and
-// whether changes in its chain wait for its commit.
+// memory: its records' LSNs; for each page whose change it logged, the recLSN
+// a checkpoint must list while it is open — where this restart's redo started
+// the page; and whether changes in its chain wait for its commit.
 func (t *Tx) adopt(an *wal.Analysis) error {
 	for next := t.lastLSN; next != 0; {
 		rec, err := t.m.log.ReadRecord(next)
 		if err != nil {
 			return err
 		}
+		t.logged = append(t.logged, next)
 		for _, c := range rec.Changes {
 			rl, ok := an.RecLSN(c.Page)
 			if !ok || rl > next {
@@ -65,5 +67,6 @@ func (t *Tx) adopt(an *wal.Analysis) error {
 		}
 		next = rec.PrevLSN
 	}
+	slices.Reverse(t.logged)
 	return nil
 }

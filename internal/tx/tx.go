@@ -14,6 +14,7 @@ package tx
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -128,6 +129,9 @@ type Tx struct {
 	mu      sync.Mutex
 	state   State
 	lastLSN page.LSN
+	// logged are the LSNs of t's records, in log order: what its rollback
+	// re-anchors its pages to is their history without them (preImages).
+	logged []page.LSN
 	// dirty maps each page whose change t logged to the recLSN a checkpoint
 	// lists for it: the LSN of the page's anchor when t first logged it.
 	dirty map[page.ID]page.LSN
@@ -433,10 +437,12 @@ func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
 // were never done — logs an abort record, forces it, and releases locks. If
 // t's changes reached the log (a spill, a prepare, a commit whose force
 // failed), the abort record re-anchors every page they named: it carries the
-// page, whole, as the store holds it, which its X locks keep as it is. It is
-// the one rollback there is — a client's abort, a 2PC abort decision, a
-// dropped connection and restart's end of a loser all run it. A transaction
-// that logged nothing, like its commit, leaves no record.
+// page, whole, as the log's history of it left it before t's first record
+// (preImages) — what t's X locks kept every other writer from changing since.
+// Anchors that would pass a log buffer go ahead of it in rollback records
+// (logEnd). It is the one rollback there is — a client's abort, a 2PC abort
+// decision, a dropped connection and restart's end of a loser all run it. A
+// transaction that logged nothing, like its commit, leaves no record.
 func (t *Tx) Abort() error { return t.rollback(true) }
 
 // rollback is Abort, which a prepared transaction is open to only when its
@@ -448,21 +454,29 @@ func (t *Tx) rollback(decided bool) error {
 		t.mu.Unlock()
 		return ErrNotActive
 	}
+	// Each page's history before t starts at the anchor t's first change of
+	// it found — unless t laid that anchor, and its history before t may lie
+	// anywhere in the log.
+	var from page.LSN
+	laid := false
 	pages := make([]page.ID, 0, len(t.dirty))
-	for pid := range t.dirty {
+	for pid, rl := range t.dirty {
 		pages = append(pages, pid)
+		if len(pages) == 1 || rl < from {
+			from = rl
+		}
+		_, own := slices.BinarySearch(t.logged, rl)
+		laid = laid || own
 	}
+	if laid {
+		from = wal.FirstLSN()
+	}
+	mine := t.logged
 	t.writes, t.at, t.queued, t.deferred = nil, nil, 0, false
 	t.mu.Unlock()
-	// Sorted, so that the same history writes the same log bytes.
-	sortPages(pages)
-	anchors := make([]wal.Change, len(pages))
-	for i, pid := range pages {
-		img := make([]byte, page.Size)
-		if err := m.pager.ReadPage(pid, img); err != nil {
-			return fmt.Errorf("tx %d: rollback: re-anchoring %v: %w", t.id, pid, err)
-		}
-		anchors[i] = wal.Change{Page: pid, After: img}
+	anchors, err := m.preImages(pages, from, mine)
+	if err != nil {
+		return fmt.Errorf("tx %d: rollback: %w", t.id, err)
 	}
 	lsn, err := t.logEnd(Aborted, wal.TAbort, anchors)
 	if err != nil {

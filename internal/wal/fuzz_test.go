@@ -57,9 +57,10 @@ func decodeSeeds(t testing.TB) [][]byte {
 		enc[:len(enc)/2],               // truncated mid-record
 		bytes.Repeat([]byte{0xA5}, 32)) // garbage that passes the length gate
 	// Page lists: a commit of three changes — an anchor, a byte range, an
-	// all-zero range; a spill; an abort re-anchoring two pages. Then the
-	// commit cut inside its second change's offset and inside its image, and
-	// with a count larger than its body can hold.
+	// all-zero range; a spill; a rollback record and an abort re-anchoring two
+	// pages. Then the
+	// commit cut inside its second change's offset and inside its image,
+	// and with a count larger than its body can hold.
 	shipped := []*Record{
 		{Type: TCommit, Tx: 5, PrevLSN: 40, Changes: []Change{
 			{Page: pid, After: bytes.Repeat([]byte{0x7E}, page.Size)},
@@ -67,6 +68,7 @@ func decodeSeeds(t testing.TB) [][]byte {
 			{Page: page.ID{Area: 2, Page: 13}, Off: 64, After: make([]byte, 512)},
 		}},
 		{Type: TRedo, Tx: 6, Changes: []Change{{Page: pid, Off: 64, After: []byte("spilled")}, {Page: page.ID{Area: 4, Page: 1}, After: []byte{1}}}},
+		{Type: TRollback, Tx: 6, PrevLSN: 80, Changes: []Change{{Page: page.ID{Area: 4, Page: 2}, After: bytes.Repeat([]byte{0x22}, page.Size)}}},
 		{Type: TAbort, Tx: 6, PrevLSN: 96, Changes: []Change{
 			{Page: pid, After: bytes.Repeat([]byte{0x11}, page.Size)},
 			{Page: page.ID{Area: 4, Page: 1}, After: make([]byte, page.Size)},
@@ -144,7 +146,8 @@ func FuzzWALOpen(f *testing.F) {
 	l.Append(&Record{Type: TCatalog, Body: catalogBody(f)})
 	l.Append(&Record{Type: TCheckpoint, DirtyPages: []CkptPage{{Page: pid, RecLSN: a}, {Page: page.ID{Area: 2, Page: 9}, RecLSN: c}}})
 	l.Append(&Record{Type: TCommit, Tx: 3})
-	l.Append(&Record{Type: TAbort, Tx: 2, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}})
+	r, _ := l.Append(&Record{Type: TRollback, Tx: 2, Changes: []Change{{Page: page.ID{Area: 1, Page: 8}, After: make([]byte, page.Size)}}})
+	l.Append(&Record{Type: TAbort, Tx: 2, PrevLSN: r, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}})
 	last, _ := l.Append(&Record{Type: TCommit, Tx: 4, Changes: []Change{{Page: pid, Off: 100, After: []byte("the last record of the log")}, {Page: pid, Off: 9, After: []byte{0}}}})
 	if err := l.Flush(0); err != nil {
 		f.Fatal(err)

@@ -11,11 +11,13 @@ import (
 // Restart's side of the log. Analyze reads the whole log once: the
 // transactions it leaves open, the pages redo must rebuild, and for each of
 // those the latest whole-page change (anchor) that took effect — a committed
-// transaction's, or a rollback's re-anchoring — where its replay starts. Page
-// anchors belong to a page's history, not to a checkpoint: a page is anchored
-// once per server lifetime, and again by each rollback of changes to it that
-// reached the log (tx/logging.go), so a page's replay may start before the
-// last checkpoint. Redo replays each page of the redo set in memory from its
+// transaction's, or a completed rollback's re-anchoring — where its replay
+// starts. Page anchors belong to a page's history, not to a checkpoint: a page
+// is anchored once per server lifetime, and again by each rollback of changes
+// to it that reached the log (tx/logging.go), so a page's replay may start
+// before the last checkpoint. A rollback's anchors are the page as its history
+// left it before the rolled-back transaction's first record, rebuilt by the
+// same replay. Redo replays each page of the redo set in memory from its
 // anchor and writes it once; the server's repair runs the same replay
 // (ReplayPages) over a page's whole history. All of them take page changes in
 // the order the Replayer hands them on.
@@ -77,18 +79,21 @@ type Analysis struct {
 //   - a transaction's page changes take effect at its TCommit, in its own
 //     order: first those of its spills (TRedo) and its TPrepare, which the
 //     Replayer holds until then, then those the TCommit carries;
-//   - a TAbort drops what the Replayer holds of its transaction, and its
-//     anchors take effect where it stands — also after a TCommit whose force
-//     failed, which tx.Tx.Commit rolls back: the anchors put back what the
-//     commit's changes had replaced;
-//   - changes of a transaction still open or in doubt when the walk ends are
-//     never handed on; nor is any other record.
+//   - a TAbort drops what the Replayer holds of its transaction's spills and
+//     TPrepare, and its anchors take effect where it stands, after those of
+//     the rollback's TRollback records, which the Replayer holds until then —
+//     also after a TCommit whose force failed, which tx.Tx.Commit rolls back:
+//     the anchors put back what the commit's changes had replaced;
+//   - changes of a transaction still open or in doubt when the walk ends, and
+//     anchors of a rollback no TAbort completed, are never handed on; nor is
+//     any other record.
 //
 // apply gets each change with the proof a store of its page takes: that of
 // the record that carries it.
 type Replayer struct {
-	apply func(lsn page.LSN, c *Change, proof Logged) error
-	held  map[uint64][]heldChange // by transaction: its spilled and prepared changes so far
+	apply   func(lsn page.LSN, c *Change, proof Logged) error
+	held    map[uint64][]heldChange // by transaction: its spilled and prepared changes so far
+	rolling map[uint64][]heldChange // by transaction: its rollback's TRollback anchors so far
 }
 
 // heldChange is a change a Replayer holds, with the LSN of its record.
@@ -99,40 +104,61 @@ type heldChange struct {
 
 // NewReplayer returns a Replayer that hands page changes to apply.
 func NewReplayer(apply func(lsn page.LSN, c *Change, proof Logged) error) *Replayer {
-	return &Replayer{apply: apply, held: make(map[uint64][]heldChange)}
+	return &Replayer{apply: apply, held: make(map[uint64][]heldChange), rolling: make(map[uint64][]heldChange)}
 }
 
 // Add takes the record at lsn, the next one of the walk. It holds a copy of
-// each change of a TRedo or TPrepare, whose images must stay as they are until
-// the Replayer hands the change on or drops it; rec itself is free again once
-// Add returns.
+// each change of a TRedo, TPrepare or TRollback, whose images must stay as
+// they are until the Replayer hands the change on or drops it; rec itself is
+// free again once Add returns.
 func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
 	switch rec.Type {
 	case TRedo, TPrepare:
-		if len(rec.Changes) == 0 {
-			return nil
-		}
-		h := r.held[rec.Tx]
-		for _, c := range rec.Changes {
-			h = append(h, heldChange{c, lsn})
-		}
-		r.held[rec.Tx] = h
+		r.hold(r.held, lsn, rec)
+		return nil
+	case TRollback:
+		delete(r.held, rec.Tx)
+		r.hold(r.rolling, lsn, rec)
 		return nil
 	case TCommit:
-		h := r.held[rec.Tx]
-		delete(r.held, rec.Tx)
-		for i := range h {
-			if err := r.hand(h[i].lsn, &h[i].Change); err != nil {
-				return err
-			}
+		if err := r.handHeld(r.held, rec.Tx); err != nil {
+			return err
 		}
 	case TAbort:
 		delete(r.held, rec.Tx)
+		if err := r.handHeld(r.rolling, rec.Tx); err != nil {
+			return err
+		}
 	default:
 		return nil
 	}
 	for i := range rec.Changes {
 		if err := r.hand(lsn, &rec.Changes[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hold adds rec's changes, carried by the record at lsn, to what in holds of
+// its transaction.
+func (r *Replayer) hold(in map[uint64][]heldChange, lsn page.LSN, rec *Record) {
+	if len(rec.Changes) == 0 {
+		return
+	}
+	h := in[rec.Tx]
+	for _, c := range rec.Changes {
+		h = append(h, heldChange{c, lsn})
+	}
+	in[rec.Tx] = h
+}
+
+// handHeld applies, in order, and forgets what in holds of transaction tx.
+func (r *Replayer) handHeld(in map[uint64][]heldChange, tx uint64) error {
+	h := in[tx]
+	delete(in, tx)
+	for i := range h {
+		if err := r.hand(h[i].lsn, &h[i].Change); err != nil {
 			return err
 		}
 	}
@@ -149,19 +175,23 @@ func (r *Replayer) hand(lsn page.LSN, c *Change) error {
 // server's catalog replay — ride this pass instead of walking it themselves.
 //
 // A transaction's status is the type of its own last record: TRedo while
-// active, TPrepare in doubt (kept until its coordinator decides); TCommit and
-// TAbort end it, and it is forgotten.
+// active, TPrepare in doubt (kept until its coordinator decides), TRollback
+// while a rollback is under way; TCommit and TAbort end it, and it is
+// forgotten. A TRollback after its transaction's TCommit — the rollback of a
+// commit whose force failed — does not open it again: if no TAbort completes
+// that rollback, the commit stands.
 //
 // The redo set is the pages the last checkpoint's dirty-page table names and
 // those the log changes after it. A page's recLSN is its latest anchor — the
 // last whole-page change that took effect where the Replayer hands it on: at
 // a TCommit, its own or one of a spill or TPrepare its transaction held, and
-// at a TAbort, whose anchors re-anchor the pages of a rollback; never one of
-// a transaction open or in doubt when the log ends. A page with none keeps the
-// checkpoint's entry, or its first change after the checkpoint: the logging
-// rule makes every page's first committed change an anchor, so that happens
-// only to pages no committed record changes. Catalog records belong to no
-// transaction and no page.
+// at a TAbort, whose anchors and those of the TRollback records before it
+// re-anchor the pages of a rollback; never one of a transaction open or in
+// doubt when the log ends, nor one of a rollback no TAbort completed. A page
+// with none keeps the checkpoint's entry, or its first change after the
+// checkpoint: the logging rule makes every page's first committed change an
+// anchor, so that happens only to pages no committed record changes. Catalog
+// records belong to no transaction and no page.
 func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, error) {
 	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN)}
 	st := &a.Stats
@@ -172,7 +202,8 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	}
 	txs := make(map[uint64]txInfo)
 	winners := make(map[uint64]bool)
-	anchor := make(map[page.ID]page.LSN) // page → its latest anchor
+	anchor := make(map[page.ID]page.LSN)   // page → its latest anchor
+	rolling := make(map[uint64][]CkptPage) // by transaction: its TRollback anchors
 	settle := func(lsn page.LSN, rec *Record) {
 		for i := range rec.Changes {
 			if rec.Changes[i].WholePage() {
@@ -205,7 +236,21 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 			settle(lsn, rec)
 			delete(txs, rec.Tx)
 			winners[rec.Tx] = true
+		case TRollback:
+			if _, open := txs[rec.Tx]; open {
+				// Its spills and TPrepare will never take effect.
+				txs[rec.Tx] = txInfo{lastLSN: lsn, status: TRollback}
+			}
+			for i := range rec.Changes {
+				if rec.Changes[i].WholePage() {
+					rolling[rec.Tx] = append(rolling[rec.Tx], CkptPage{Page: rec.Changes[i].Page, RecLSN: lsn})
+				}
+			}
 		case TAbort:
+			for _, e := range rolling[rec.Tx] {
+				anchor[e.Page] = e.RecLSN
+			}
+			delete(rolling, rec.Tx)
 			settle(lsn, rec)
 			delete(txs, rec.Tx)
 			delete(winners, rec.Tx)
@@ -227,7 +272,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 
 	for tx, ti := range txs {
 		switch ti.status {
-		case TRedo:
+		case TRedo, TRollback:
 			st.Losers = append(st.Losers, tx)
 			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
 		case TPrepare:
@@ -348,10 +393,10 @@ func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, c *Change) bool,
 		return nil
 	})
 	// The walk lends each record, which is the walk's to trim to the changes
-	// kept: only those the Replayer holds until a later commit — a spill's, a
-	// TPrepare's — get bytes of their own.
+	// kept: only those the Replayer holds until a later record — a spill's, a
+	// TPrepare's, a TRollback's — get bytes of their own.
 	if err := l.walk(from, false, func(lsn page.LSN, rec *Record) error {
-		held := rec.Type == TRedo || rec.Type == TPrepare
+		held := rec.Type == TRedo || rec.Type == TPrepare || rec.Type == TRollback
 		kept := rec.Changes[:0]
 		for _, c := range rec.Changes {
 			if len(c.After) == 0 || !keep(lsn, &c) {

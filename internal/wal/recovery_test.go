@@ -408,3 +408,63 @@ func TestRedoPassesOverCatalogRecords(t *testing.T) {
 		t.Fatalf("TCatalog prints as %q", got)
 	}
 }
+
+// TestRollbackRecordsTakeEffectAtTheAbort: a rollback's TRollback records are
+// held, like a spill, and their anchors take effect at its TAbort, before the
+// abort's own; a rollback no TAbort completes re-anchors nothing. It leaves
+// an open transaction a loser — a prepared one too — and does not reopen one
+// whose TCommit precedes it (a commit whose force failed): that commit stands.
+func TestRollbackRecordsTakeEffectAtTheAbort(t *testing.T) {
+	l := NewMem()
+	pg := func(n page.No) page.ID { return page.ID{Area: 3, Page: n} }
+	whole := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
+	add := func(typ Type, tx uint64, changes ...Change) page.LSN {
+		lsn, err := l.Append(&Record{Type: typ, Tx: tx, Changes: changes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	// Tx 1 spills P, then rolls back: P and Q in rollback records, R in the
+	// abort. Tx 2's commit failed its force; its rollback is cut short. Tx 3
+	// (a spill) and tx 4 (a prepare) are cut short in theirs.
+	add(TRedo, 1, Change{Page: pg(1), After: whole('x')})
+	pAnchor := add(TRollback, 1, Change{Page: pg(1), After: whole('p')})
+	qAnchor := add(TRollback, 1, Change{Page: pg(2), After: whole('q')})
+	sAnchor := add(TCommit, 2, Change{Page: pg(4), After: whole('s')})
+	add(TRedo, 3, Change{Page: pg(5), After: whole('t')})
+	add(TPrepare, 4, Change{Page: pg(6), After: whole('v')})
+	add(TRollback, 2, Change{Page: pg(4), After: whole('o')})
+	add(TRollback, 3, Change{Page: pg(5), After: whole('u')})
+	add(TRollback, 4, Change{Page: pg(6), After: whole('w')})
+	rAnchor := add(TAbort, 1, Change{Page: pg(3), After: whole('r')})
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+
+	var order []string
+	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
+		order = append(order, fmt.Sprintf("%d:%c", c.Page.Page, c.After[0]))
+		return nil
+	})
+	if err := l.Iterate(FirstLSN(), rp.Add); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[4:s 1:p 2:q 3:r]"; got != want {
+		t.Fatalf("replayed %s, want %s", got, want)
+	}
+
+	a, err := Analyze(l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &a.Stats
+	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[2] [3 4] []" {
+		t.Fatalf("winners %v losers %v in doubt %v", st.Winners, st.Losers, st.InDoubt)
+	}
+	for pid, want := range map[page.ID]page.LSN{pg(1): pAnchor, pg(2): qAnchor, pg(3): rAnchor, pg(4): sAnchor} {
+		if got, ok := a.RecLSN(pid); !ok || got != want {
+			t.Fatalf("page %v: replay starts at %d (in the redo set: %v), want %d", pid, got, ok, want)
+		}
+	}
+}

@@ -55,8 +55,9 @@ const (
 	// TPrepare carries none.
 	TCommit
 	// TAbort ends a transaction that rolled back. If its page changes reached
-	// the log, it carries a whole-page anchor of every page they named, as the
-	// store holds it: the page's replay starts again from there.
+	// the log, it carries a whole-page anchor of every page they named — the
+	// page as its history before them left it — or those TRollback records
+	// before it do not: the page's replay starts again from there.
 	TAbort
 	_ // 5: retired (the end record); no log this build reads holds one
 	TCheckpoint
@@ -75,6 +76,11 @@ const (
 	// to take back. It takes effect at that commit, not where it stands
 	// (Replayer).
 	TRedo
+	// TRollback is a rollback's spill: whole-page anchors of a rollback larger
+	// than a log buffer, logged ahead of its TAbort. They take effect at the
+	// TAbort, with its own (Replayer): a rollback cut short by a crash re-anchors
+	// nothing.
+	TRollback
 
 	// NumTypes sizes a table indexed by Type: one more than the last type.
 	NumTypes = iota + 1
@@ -97,6 +103,8 @@ func (t Type) String() string {
 		return "catalog"
 	case TRedo:
 		return "redo"
+	case TRollback:
+		return "rollback"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -131,8 +139,8 @@ type Record struct {
 	Tx      uint64
 	PrevLSN page.LSN // previous record of the same transaction
 
-	// TRedo, TCommit, TPrepare, TAbort: the page changes the record carries,
-	// in the order they take effect.
+	// TRedo, TCommit, TPrepare, TAbort, TRollback: the page changes the
+	// record carries, in the order they take effect.
 	Changes []Change
 
 	// TUpdate: a page change with a redo half (Off, After) and an undo half
@@ -156,7 +164,7 @@ type Record struct {
 // carries reports whether records of type t hold a list of page changes.
 func (t Type) carries() bool {
 	switch t {
-	case TRedo, TCommit, TPrepare, TAbort:
+	case TRedo, TCommit, TPrepare, TAbort, TRollback:
 		return true
 	}
 	return false
@@ -199,7 +207,7 @@ func (r Pending) Page() page.ID { return r.page }
 
 // Pending returns the token of r's i-th page change: zero until Append has
 // taken r or unless r was read from the log, and for a record that does not
-// take effect at its transaction's commit (a TAbort's anchors).
+// take effect at its transaction's commit (a TAbort's or TRollback's anchors).
 func (r *Record) Pending(i int) Pending {
 	if r.lsn == 0 || i < 0 || i >= len(r.Changes) || (r.Type != TRedo && r.Type != TPrepare && r.Type != TCommit) {
 		return Pending{}
@@ -415,7 +423,7 @@ func appendPage(b []byte, pid page.ID, off uint32) []byte {
 //
 //	tx           the counter, then the host (txHostShift)
 //	prev         back(lsn, PrevLSN)
-//	TRedo, TCommit, TPrepare, TAbort
+//	TRedo, TCommit, TPrepare, TAbort, TRollback
 //	             the number of page changes; for each, area, page, off, the
 //	             after-image (appendImage)
 //	TUpdate      area, page, off, undo off, the before-image, the after-image
@@ -426,7 +434,7 @@ func (r *Record) encode(b []byte, lsn page.LSN) []byte {
 	b = appendTx(b, r.Tx)
 	b = binary.AppendUvarint(b, back(lsn, r.PrevLSN))
 	switch r.Type {
-	case TRedo, TCommit, TPrepare, TAbort:
+	case TRedo, TCommit, TPrepare, TAbort, TRollback:
 		b = binary.AppendUvarint(b, uint64(len(r.Changes)))
 		for i := range r.Changes {
 			c := &r.Changes[i]
@@ -471,7 +479,7 @@ func (r *Record) decode(b []byte, lsn page.LSN) error {
 	r.Tx = d.tx()
 	r.PrevLSN = d.ref(lsn)
 	switch r.Type {
-	case TRedo, TCommit, TPrepare, TAbort:
+	case TRedo, TCommit, TPrepare, TAbort, TRollback:
 		// A change is four bytes at least: the list is sized by a count the
 		// body can hold, never by whatever the count field says.
 		if n := int(d.uvarint(uint64(len(d.p)) / 4)); n > 0 {
@@ -719,7 +727,8 @@ const firstLSN = page.LSN(8)
 // version 4 dropped the compensation record and the undo-chain word of the
 // update record; version 5 is the varint codec (encode), whose frame puts the
 // CRC first and the length under it; version 6 carries a transaction's page
-// changes in its commit, prepare and abort records and drops the end record.
+// changes in its commit, prepare and abort records, splits a large rollback's
+// anchors over rollback records, and drops the end record.
 // A version-4 record read as version 5 would fail its CRC, and a version-5
 // commit read as version 6 would lack its page count; either way the log would
 // open as if it ended at that record, and the records past it would be cut:
@@ -728,7 +737,8 @@ var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 6}
 
 // BufSize is the size of one log buffer: a transaction whose queued page
 // changes would pass it logs them ahead of its commit record, in a spill
-// (TRedo), so that no record outgrows a buffer.
+// (TRedo), and a rollback whose anchors would pass it logs them ahead of its
+// abort record (TRollback), so that no record outgrows a buffer.
 const BufSize = logBufSize
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
