@@ -117,21 +117,30 @@ func main() {
 			totals.add(rec, fp)
 			switch rec.Type {
 			case wal.TRedo, wal.TCommit, wal.TPrepare, wal.TAbort, wal.TRollback:
-				// The record, then each page change it carries: a whole-page
-				// image anchors replay of its page — restart redo and repair
-				// start from one, byte ranges (redo=offset+length) build on
-				// it. An all-zero image is in the log as its length only.
-				fmt.Printf("  %8d %-10s tx=%-6d pages=%d\n", lsn, rec.Type, rec.Tx, len(rec.Changes))
+				// The record, then each page it changes, on a line of its own:
+				// a whole-page image anchors replay of its page — restart redo
+				// and repair start from one — and runs of bytes build on it,
+				// the first as redo=offset+length, each after it as
+				// +gap+length from the run before. A run that is all zero is
+				// in the log as its length only (zero).
+				fmt.Printf("  %8d %-10s tx=%-6d pages=%d\n", lsn, rec.Type, rec.Tx, rec.Pages())
 				for i := range rec.Changes {
 					c := &rec.Changes[i]
-					what := fmt.Sprintf("redo=%d+%d", c.Off, len(c.After))
-					if c.WholePage() {
-						what = "anchor"
+					switch {
+					case i > 0 && c.Page == rec.Changes[i-1].Page:
+						prev := &rec.Changes[i-1]
+						fmt.Printf(",+%d+%d", int(c.Off)-int(prev.Off)-len(prev.After), len(c.After))
+					case c.WholePage():
+						fmt.Printf("  %8s   page=%v anchor", "", c.Page)
+					default:
+						fmt.Printf("  %8s   page=%v redo=%d+%d", "", c.Page, c.Off, len(c.After))
 					}
 					if c.Zero() {
-						what += "  zero"
+						fmt.Print("(zero)")
 					}
-					fmt.Printf("  %8s   page=%v %s\n", "", c.Page, what)
+					if i == len(rec.Changes)-1 || rec.Changes[i+1].Page != c.Page {
+						fmt.Println()
+					}
 				}
 			case wal.TCatalog:
 				var op proto.CatalogOp
@@ -166,19 +175,20 @@ func main() {
 }
 
 // logTotals answers "where do the log's bytes go": per record type, how many
-// records and page changes (of them, whole-page anchors), and their bytes
-// split into header (everything that is not an image), images stored, and
-// image bytes elided (all-zero images the log keeps as a length).
+// records, page changes and their runs (of them, whole-page anchors), and
+// their bytes split into header (everything that is not an image), images
+// stored, and image bytes elided (all-zero images the log keeps as a length).
 type logTotals [wal.NumTypes]logTotal
 
 type logTotal struct {
-	records, pages, anchors int
+	records, pages, runs, anchors int
 	wal.Footprint
 }
 
 func (tt *logTotal) add(o logTotal) {
 	tt.records += o.records
 	tt.pages += o.pages
+	tt.runs += o.runs
 	tt.anchors += o.anchors
 	tt.Header += o.Header
 	tt.After += o.After
@@ -187,7 +197,7 @@ func (tt *logTotal) add(o logTotal) {
 
 // add counts rec, whose footprint is fp.
 func (t *logTotals) add(rec *wal.Record, fp wal.Footprint) {
-	o := logTotal{records: 1, pages: len(rec.Changes), Footprint: fp}
+	o := logTotal{records: 1, pages: rec.Pages(), runs: len(rec.Changes), Footprint: fp}
 	for i := range rec.Changes {
 		if rec.Changes[i].WholePage() {
 			o.anchors++
@@ -197,10 +207,10 @@ func (t *logTotals) add(rec *wal.Record, fp wal.Footprint) {
 }
 
 func (t *logTotals) print() {
-	fmt.Printf("\n  %-10s %9s %9s %9s %12s %12s %12s\n", "type", "records", "pages", "anchors", "header B", "image B", "elided B")
+	fmt.Printf("\n  %-10s %9s %9s %9s %9s %12s %12s %12s\n", "type", "records", "pages", "runs", "anchors", "header B", "image B", "elided B")
 	var sum logTotal
 	row := func(name string, tt logTotal) {
-		fmt.Printf("  %-10s %9d %9d %9d %12d %12d %12d\n", name, tt.records, tt.pages, tt.anchors, tt.Header, tt.After, tt.ZeroAfter)
+		fmt.Printf("  %-10s %9d %9d %9d %9d %12d %12d %12d\n", name, tt.records, tt.pages, tt.runs, tt.anchors, tt.Header, tt.After, tt.ZeroAfter)
 	}
 	for typ, tt := range t {
 		if tt.records > 0 {

@@ -282,6 +282,7 @@ func (w *e13World) checkpoint() error {
 // back, its abort record re-anchoring both its pages, and the last changes
 // that page and the rolled-back one's with byte ranges only — its post-force
 // write torn, garbage-filled or lost at a crash point — over those anchors.
+// Last (e13Runs), a commit carries a page in 128 runs.
 func e13Workload(w *e13World) {
 	for id := uint64(1); id <= e13Txs; id++ {
 		t := w.txm.Ensure(id, 0)
@@ -329,7 +330,7 @@ func e13Workload(w *e13World) {
 			return
 		}
 		if id == 2 && e13ShipBefore(w) != nil || id == e13Txs/2+2 && e13ShipAfter(w) != nil ||
-			id == e13Txs/2+3 && e13Reanchor(w) != nil {
+			id == e13Txs/2+3 && (e13Reanchor(w) != nil || e13Runs(w) != nil) {
 			return
 		}
 	}
@@ -384,6 +385,24 @@ func e13Reanchor(w *e13World) error {
 		return err
 	}
 	return w.commit(next)
+}
+
+// e13Runs changes every other 8-byte word of the first half of a page
+// committed before the checkpoint, and commits: its record carries the page
+// in 128 runs, 1.3 KB, so that a crash point that tears the record's write
+// cuts it inside a continuation entry.
+func e13Runs(w *e13World) error {
+	t := w.txm.Ensure(e13Txs+7, 0)
+	if err := w.change(t, w.pages[e13Txs+1], func(img []byte) {
+		for j := 0; j < page.Size/2; j += 16 {
+			for k := j; k < j+8; k++ {
+				img[k] ^= 0xA5
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	return w.commit(t)
 }
 
 // e13ShipAfter runs the transactions after the checkpoint.

@@ -9,8 +9,24 @@ import (
 
 // TestE13CrashTorture enumerates every crash point of the E13 workload in
 // every crash mode and requires 100% consistent recovery. Under -short
-// a bounded evenly-spaced sample runs instead (the CI crash-torture job).
+// a bounded evenly-spaced sample runs instead (the CI crash-torture job). The
+// fault-free run must hold the commit of a page in runs the workload is for.
 func TestE13CrashTorture(t *testing.T) {
+	base, err := e13Setup(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e13Workload(base)
+	runs := 0
+	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
+		if r.Type == wal.TCommit && r.Tx == e13Txs+7 {
+			runs = len(r.Changes)
+		}
+		return nil
+	})
+	if runs != 128 {
+		t.Fatalf("the fault-free run's last commit carries %d runs, want a page in 128", runs)
+	}
 	sample := 0
 	if testing.Short() {
 		sample = 12
@@ -167,9 +183,10 @@ func TestE13FreshPages(t *testing.T) {
 	// starts no anchor epoch, so the zeroed pages were anchored once, by their
 	// fills; a whole-page image of zeroes is the whole fill zeroed, or the
 	// rolled-back fill's page, and both must be in the log. The winner's
-	// change of the third page is one range over its written and its zeroed
-	// bytes; the eleventh's is the zeroed range alone.
-	var zeroRanges, zeroAnchors, anchored, reanchors, merged int
+	// change of the third page is two runs, one of its written bytes and one
+	// of its zeroed ones; the eleventh's is the zeroed range alone.
+	var zeroRanges, zeroAnchors, anchored, reanchors int
+	var third []wal.Change
 	base.log.Iterate(0, func(_ page.LSN, r *wal.Record) error {
 		if r.Type == wal.TAbort && len(r.Changes) > 0 {
 			reanchors++
@@ -182,15 +199,17 @@ func TestE13FreshPages(t *testing.T) {
 				zeroRanges++
 			case r.Tx == 1 && c.Page.Page == base.pages[3] && c.WholePage():
 				anchored++
-			case r.Tx == 5 && c.Page.Page == base.pages[3] && c.Off == 1000 && len(c.After) == 1500:
-				merged++
+			case r.Tx == 5 && c.Page.Page == base.pages[3]:
+				third = append(third, c)
 			}
 		}
 		return nil
 	})
-	if len(base.acked) != 4 || zeroRanges != 1 || zeroAnchors < 2 || anchored != 1 || reanchors != 1 || merged != 1 {
-		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback left unlogged, %d re-anchoring aborts, %d merged ranges",
-			base.acked, zeroRanges, zeroAnchors, anchored, reanchors, merged)
+	split := len(third) == 2 && third[0].Off >= 1000 && int(third[0].Off)+len(third[0].After) <= 1050 &&
+		third[1].Zero() && third[1].Off >= 2000 && int(third[1].Off)+len(third[1].After) <= 2500
+	if len(base.acked) != 4 || zeroRanges != 1 || zeroAnchors < 2 || anchored != 1 || reanchors != 1 || !split {
+		t.Fatalf("fault-free run: acked %v, %d zeroed ranges, %d zero anchors, %d anchors of a page a rollback left unlogged, %d re-anchoring aborts, the third page in %d runs",
+			base.acked, zeroRanges, zeroAnchors, anchored, reanchors, len(third))
 	}
 	sample := 0
 	if testing.Short() {

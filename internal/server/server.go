@@ -994,8 +994,8 @@ func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start
 }
 
 // eachPage logs each page of the run at start that data changes as a
-// redo-only record (tx.Tx.LogRedo) — a byte range, or the page's whole-image
-// anchor when one is due (internal/tx/logging.go) — whose page t's commit
+// redo-only record (tx.Tx.LogRedo) — the runs of bytes that differ, or the
+// page's whole-image anchor when one is due (internal/tx/logging.go) — whose page t's commit
 // writes, whole, after its force. Nothing here can write one: LogRedo hands
 // back no proof. Unchanged pages are neither logged nor written. before is the
 // run's current content in whole pages, as the caller read it; a nil before —

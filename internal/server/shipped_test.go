@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,17 +104,32 @@ func rawSegment(t *testing.T, s *Server, seg proto.SegKey) []byte {
 	return append(sl, data...)
 }
 
+// crcPayload is n bytes of fill that end in the CRC-32C of the bytes before
+// them, little-endian: an object that carries its own checksum, as the
+// benchmark's payloads do. A CRC-32C over a block that ends in its own
+// CRC-32C does not move when the block changes, so overwriting such an object
+// leaves its segment's data CRC where it was.
+func crcPayload(n int, fill byte) []byte {
+	b := bytes.Repeat([]byte{fill}, n)
+	binary.LittleEndian.PutUint32(b[n-4:], page.Checksum(b[:n-4]))
+	return b
+}
+
 // TestCommitLogFootprint pins the gain of redo-only changes, of the varint
-// record codec and of the one-record commit in tier-1: a committed k-byte
-// overwrite appends exactly one record — its commit, carrying the changes —
-// which logs about k bytes per page it changes, no undo byte at all, and a
-// header of at most 20 bytes; and the log takes one append per shipped commit
-// (Snapshot().WALAppends).
+// record codec, of the one-record commit and of runs in tier-1: a committed
+// k-byte overwrite appends exactly one record — its commit, carrying the
+// changes — which logs about k bytes per page it changes, no undo byte at
+// all, and a header of at most 20 bytes; and the log takes one append per
+// shipped commit (Snapshot().WALAppends). A payload with no checksum of its
+// own moves the data CRC, and the slotted page logs the header's two changed
+// words, [76,80) and [124,128), not the span between them. Two objects at the
+// two ends of sixteen log their own bytes, not the objects between them.
 func TestCommitLogFootprint(t *testing.T) {
 	const (
-		k      = 128
-		header = 20
-		rounds = 3
+		k         = 128
+		header    = 20
+		runHeader = 4 // a continuation's gap and length
+		rounds    = 3
 	)
 	s := NewMem(1)
 	defer s.Close()
@@ -126,22 +143,71 @@ func TestCommitLogFootprint(t *testing.T) {
 			t.Fatalf("a shipped commit took %d log appends, want 1", got)
 		}
 		var recs, images int
+		var slotted []string
 		total := int(s.log.NextLSN() - from)
 		if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
 			recs++
 			fp := r.Footprint()
-			if r.Type != wal.TCommit || fp.Before+fp.ZeroBefore != 0 || fp.Header > header {
-				t.Fatalf("a shipped commit logged a %v record with %d undo bytes and a %d-byte header (budget %d): %d changes",
-					r.Type, fp.Before+fp.ZeroBefore, fp.Header, header, len(r.Changes))
+			if budget := header + runHeader*(len(r.Changes)-r.Pages()); r.Type != wal.TCommit || fp.Before+fp.ZeroBefore != 0 || fp.Header > budget {
+				t.Fatalf("a shipped commit logged a %v record with %d undo bytes and a %d-byte header (budget %d): %d runs",
+					r.Type, fp.Before+fp.ZeroBefore, fp.Header, budget, len(r.Changes))
 			}
 			images += fp.After + fp.ZeroAfter
+			for _, c := range r.Changes {
+				if c.Page == (page.ID{Area: page.AreaID(key.Area), Page: page.No(key.Start)}) {
+					slotted = append(slotted, fmt.Sprintf("[%d,%d)", c.Off, int(c.Off)+len(c.After)))
+				}
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if recs != 1 || images > 2*k || total > images+header {
+		if recs != 1 || images > 2*k || total > images+header+runHeader {
 			t.Fatalf("a %d-byte overwrite logged %d bytes in %d records, %d of them images", k, total, recs, images)
 		}
+		if got := fmt.Sprint(slotted); got != "[[76,80) [124,128)]" {
+			t.Fatalf("an overwrite that moves the data CRC logged the slotted page as %s, want the CRC's and the header checksum's words", got)
+		}
+	}
+
+	// Sixteen k-byte objects that carry their own checksums; the first and
+	// the last overwritten in one commit.
+	seg16, err := createSeg(s, db, 1, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, ov, data, err := s.FetchSeg(0, seg16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := decodeSeg(t, sl, ov, data)
+	for i := 0; i < 16; i++ {
+		if _, err := dec.CreateObject(0, crcPayload(k, byte(1+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitImage(t, s, proto.SegImage{Seg: seg16, Slotted: dec.EncodeSlotted(), Overflow: dec.Overflow, Data: dec.Data}) // anchors the pages
+	sl, ov, data, err = s.FetchSeg(0, seg16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec = decodeSeg(t, sl, ov, data)
+	if dec.UpdateObject(0, crcPayload(k, 0xA0)) != nil || dec.UpdateObject(15, crcPayload(k, 0xAF)) != nil {
+		t.Fatal("overwriting the first and the last object")
+	}
+	from := s.log.NextLSN()
+	commitImage(t, s, proto.SegImage{Seg: seg16, Slotted: dec.EncodeSlotted(), Overflow: dec.Overflow, Data: dec.Data})
+	var runs []string
+	if err := s.log.Iterate(from, func(_ page.LSN, r *wal.Record) error {
+		for _, c := range r.Changes {
+			runs = append(runs, fmt.Sprintf("%v[%d,%d)", c.Page, c.Off, int(c.Off)+len(c.After)))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if total := int(s.log.NextLSN() - from); len(runs) != 2 || total > 2*k+header+runHeader {
+		t.Fatalf("two objects at the ends of sixteen logged %d bytes as %v, want their own two runs of the data page", total, runs)
 	}
 }
 

@@ -1,8 +1,10 @@
 package tx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -27,10 +29,14 @@ import (
 // nothing on a page ever needs taking back — there is no undo half, no
 // compensation record, no undo pass.
 //
-// Which bytes. A page's change covers [lo, hi), the first through the last
-// byte that differ between the page's images, not the page: a 128-byte
-// overwrite logs about 130 bytes. A page the transaction changes again before
-// its change is logged keeps one entry, whose range grows to cover both.
+// Which bytes. A page's change is the runs of bytes that differ between the
+// page's images (diffRuns), not the page and not the span from the first of
+// them to the last: a run ends where an equal stretch of splitGap bytes or
+// more begins, which costs more to log than the next run's own header. A
+// 128-byte overwrite logs about 130 bytes, and two objects at the ends of a
+// page log their own bytes, not the page between them. A page the transaction
+// changes again before its change is logged keeps one entry, whose runs are
+// the union of both changes' (union).
 //
 // Anchors. A byte-range redo image only means something on top of the page it
 // was cut from, and a torn or rotted page write can leave anything on disk. So
@@ -77,8 +83,39 @@ import (
 // runs only ever precede a page's first record).
 
 // changeOverhead bounds the bytes a page change takes in a record beside its
-// image: page id, offset and image length.
-const changeOverhead = 24
+// images, as its first run: page id, offset and image length; runOverhead
+// bounds what each run after it adds: the gap before it and its length, at
+// most two bytes each within a page.
+const (
+	changeOverhead = 24
+	runOverhead    = 4
+)
+
+// splitGap is the shortest equal stretch that splits a page change's runs: a
+// stretch of 4 bytes or more is longer than the header of the run after it —
+// 3 bytes at most for a gap under 64 (a one-byte gap, a two-byte length), 4
+// for any other — so a split never costs more than the span it replaces.
+const splitGap = 4
+
+// run is the bytes [lo, hi) of a page.
+type run struct{ lo, hi int }
+
+// whole is the run of a page's every byte: the change of a page with no
+// anchor.
+var whole = []run{{0, page.Size}}
+
+// runsCost bounds the bytes a page change of runs takes in a record: its
+// images and headers; 0 for none.
+func runsCost(runs []run) int {
+	if len(runs) == 0 {
+		return 0
+	}
+	n := changeOverhead + (len(runs)-1)*runOverhead
+	for _, r := range runs {
+		n += r.hi - r.lo
+	}
+	return n
+}
 
 // LogRedo queues pid's change from before to after, both whole-page images,
 // for t's commit (or prepare) record to carry, and queues the page's write for
@@ -103,11 +140,12 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 		return ErrNotActive
 	}
 	i, seen := t.at[pid]
+	var queued []run
 	if seen {
-		before = t.writes[i].img
+		before, queued = t.writes[i].img, t.writes[i].runs
 	}
-	dlo, dhi := diffRange(before, after)
-	if dlo == dhi {
+	runs, cost := t.widen(pid, queued, before, after)
+	if runs == nil {
 		return nil
 	}
 	if !seen {
@@ -118,48 +156,58 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 		t.writes = append(t.writes, shipped{pid: pid})
 	}
 	w := &t.writes[i]
-	lo, hi, cost := t.widen(w, dlo, dhi)
 	if t.queued+cost > wal.BufSize && t.queued > 0 {
 		if _, err := t.logQueued(&wal.Record{Type: wal.TRedo, Tx: t.id}); err != nil {
 			return err
 		}
 		// The spill logged every change queued so far, w's with them: what is
 		// queued now is the change from there.
-		lo, hi, cost = t.widen(w, dlo, dhi)
+		runs, cost = t.widen(pid, nil, before, after)
 	}
-	w.img, w.lo, w.hi = after, lo, hi
+	w.img, w.runs = after, runs
 	t.queued += cost
 	t.deferred = true
 	return nil
 }
 
-// widen returns the range w queues once its page changes at [lo, hi) — with
-// the range it queues already, or under the anchor rule the whole page if it
-// queues none and the page has no anchor — and the bytes that adds to t's
-// queue. The caller holds t.mu.
-func (t *Tx) widen(w *shipped, lo, hi int) (int, int, int) {
-	if w.lo < w.hi {
-		nlo, nhi := min(lo, w.lo), max(hi, w.hi)
-		return nlo, nhi, nhi - nlo - (w.hi - w.lo)
+// widen returns the runs pid's entry queues once the page changes from before
+// to after — the union of the runs it queues already and those that differ,
+// or under the anchor rule the whole page if it queues none and the page has
+// no anchor, which takes no diff — and the bytes that adds to t's queue; no
+// runs if the change is none. The caller holds t.mu.
+func (t *Tx) widen(pid page.ID, queued []run, before, after []byte) ([]run, int) {
+	wholly := len(queued) == 1 && queued[0] == whole[0]
+	if len(queued) == 0 {
+		m := t.m
+		m.mu.Lock()
+		_, anchored := m.anchors[pid]
+		m.mu.Unlock()
+		wholly = !anchored
 	}
-	m := t.m
-	m.mu.Lock()
-	_, anchored := m.anchors[w.pid]
-	m.mu.Unlock()
-	if !anchored {
-		lo, hi = 0, page.Size
+	var runs []run
+	switch {
+	case wholly:
+		if bytes.Equal(before, after) {
+			return nil, 0
+		}
+		runs = whole
+	default:
+		if runs = diffRuns(before, after); runs == nil {
+			return nil, 0
+		}
+		runs = union(queued, runs)
 	}
-	return lo, hi, hi - lo + changeOverhead
+	return runs, runsCost(runs) - runsCost(queued)
 }
 
 // logQueued appends rec, a TRedo, TPrepare or TCommit of t, carrying t's
-// queued changes: each page's queued range of its image, in the order t first
+// queued changes: each page's queued runs of its image, in the order t first
 // changed the pages. Then it settles what the record carries (carried) and
 // empties the queue. The caller holds m.epoch shared and t.mu.
 func (t *Tx) logQueued(rec *wal.Record) (page.LSN, error) {
 	for _, w := range t.writes {
-		if w.lo < w.hi {
-			rec.Changes = append(rec.Changes, wal.Change{Page: w.pid, Off: uint32(w.lo), After: w.img[w.lo:w.hi]})
+		for _, r := range w.runs {
+			rec.Changes = append(rec.Changes, wal.Change{Page: w.pid, Off: uint32(r.lo), After: w.img[r.lo:r.hi]})
 		}
 	}
 	lsn, err := t.chain(rec)
@@ -169,9 +217,9 @@ func (t *Tx) logQueued(rec *wal.Record) (page.LSN, error) {
 	t.carried(rec, lsn)
 	k := 0
 	for i := range t.writes {
-		if w := &t.writes[i]; w.lo < w.hi {
-			w.rec, w.lo, w.hi = rec.Pending(k), 0, 0
-			k++
+		if w := &t.writes[i]; w.runs != nil {
+			k += len(w.runs)
+			w.rec, w.runs = rec.Pending(k-1), nil
 		}
 	}
 	t.queued = 0
@@ -314,28 +362,62 @@ func (m *Manager) preImages(pages []page.ID, from page.LSN, mine []page.LSN) ([]
 	return anchors, nil
 }
 
-// diffRange returns the smallest [lo, hi) holding every byte at which the
-// equally long a and b differ; lo == hi when they are equal.
-func diffRange(a, b []byte) (lo, hi int) {
-	n := len(a)
+// diffRuns returns the runs of bytes at which the equally long a and b
+// differ, in order: each from a differing byte to a differing byte, holding no
+// equal stretch of splitGap bytes or more. It returns nil when a and b are
+// equal.
+func diffRuns(a, b []byte) []run {
+	var runs []run
+	for i := nextDiff(a, b, 0); i < len(a); i = nextDiff(a, b, i+1) {
+		if k := len(runs) - 1; k >= 0 && i-runs[k].hi < splitGap {
+			runs[k].hi = i + 1
+		} else {
+			if runs == nil {
+				runs = make([]run, 0, 4)
+			}
+			runs = append(runs, run{i, i + 1})
+		}
+	}
+	return runs
+}
+
+// nextDiff returns the first offset at or past i at which the equally long a
+// and b differ; len(a) if none does. It compares a word at a time.
+func nextDiff(a, b []byte, i int) int {
 	le := binary.LittleEndian
-	for lo+8 <= n && le.Uint64(a[lo:]) == le.Uint64(b[lo:]) {
-		lo += 8
+	for ; i+8 <= len(a); i += 8 {
+		if x := le.Uint64(a[i:]) ^ le.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
 	}
-	for lo < n && a[lo] == b[lo] {
-		lo++
+	for i < len(a) && a[i] == b[i] {
+		i++
 	}
-	if lo == n {
-		return 0, 0
+	return i
+}
+
+// union returns the runs covering every byte of the runs a and of the runs b,
+// in order, merged where less than splitGap bytes lie between them. Those
+// bytes belong to neither change, so they are the same before and after both.
+func union(a, b []run) []run {
+	if len(a) == 0 {
+		return b
 	}
-	hi = n
-	for hi-8 > lo && le.Uint64(a[hi-8:]) == le.Uint64(b[hi-8:]) {
-		hi -= 8
+	out := make([]run, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var r run
+		if len(b) == 0 || len(a) > 0 && a[0].lo <= b[0].lo {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		if k := len(out) - 1; k >= 0 && r.lo-out[k].hi < splitGap {
+			out[k].hi = max(out[k].hi, r.hi)
+		} else {
+			out = append(out, r)
+		}
 	}
-	for a[hi-1] == b[hi-1] { // stops at lo at the latest
-		hi--
-	}
-	return lo, hi
+	return out
 }
 
 // Checkpoint writes a fuzzy checkpoint — the pages whose changes the

@@ -26,9 +26,9 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	return rec
 }
 
-// TestLogRedoRule is the table for the logging rule: which bytes the change a
-// commit record carries for a page holds, and when it is the whole page
-// instead — a page's first commit after Open, and not after a checkpoint.
+// TestLogRedoRule is the table for the logging rule: which runs of bytes the
+// change a commit record carries for a page holds, and when it is the whole
+// page instead — a page's first commit after Open, and not after a checkpoint.
 // Every step is a transaction of its own, whose one record is its commit.
 func TestLogRedoRule(t *testing.T) {
 	m, _, l, _ := newEnv()
@@ -39,9 +39,9 @@ func TestLogRedoRule(t *testing.T) {
 	}
 
 	// step commits cur → cur with each edit applied in turn, one LogRedo
-	// each, and checks the record: its one change is [wantOff,
-	// wantOff+wantLen), unless it is the page's anchor.
-	step := func(name string, wantOff, wantLen int, anchor bool, edits ...func(img []byte)) {
+	// each, and checks the record: its changes are the page's runs want,
+	// unless it is the page's anchor; none is a record of none.
+	step := func(name string, want []run, anchor bool, edits ...func(img []byte)) {
 		t.Helper()
 		tr := m.Begin()
 		next := l.NextLSN()
@@ -59,7 +59,7 @@ func TestLogRedoRule(t *testing.T) {
 		if err := tr.Commit(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if wantLen == 0 {
+		if want == nil {
 			if l.NextLSN() != next {
 				t.Fatalf("%s: logged a record for an unchanged page", name)
 			}
@@ -67,21 +67,30 @@ func TestLogRedoRule(t *testing.T) {
 		}
 		rec := readRec(t, l, next)
 		if anchor {
-			wantOff, wantLen = 0, page.Size
+			want = whole
 		}
-		if rec.Type != wal.TCommit || len(rec.Changes) != 1 || rec.Before != nil || tr.LastLSN() != next {
-			t.Fatalf("%s: the commit logged a %v of %d changes, %d undo bytes", name, rec.Type, len(rec.Changes), len(rec.Before))
+		if rec.Type != wal.TCommit || len(rec.Changes) != len(want) || rec.Before != nil || tr.LastLSN() != next {
+			t.Fatalf("%s: the commit logged a %v of %d changes, %d undo bytes; want %d runs", name, rec.Type, len(rec.Changes), len(rec.Before), len(want))
 		}
-		c := &rec.Changes[0]
-		if c.Page != pid || int(c.Off) != wantOff || len(c.After) != wantLen {
-			t.Fatalf("%s: change redo off %d, %d bytes; want %d, %d", name, c.Off, len(c.After), wantOff, wantLen)
+		for i, r := range want {
+			c := &rec.Changes[i]
+			if c.Page != pid || int(c.Off) != r.lo || len(c.After) != r.hi-r.lo {
+				t.Fatalf("%s: run %d redo off %d, %d bytes; want [%d, %d)", name, i, c.Off, len(c.After), r.lo, r.hi)
+			}
+			if !bytes.Equal(c.After, cur[r.lo:r.hi]) {
+				t.Fatalf("%s: run %d's image is not the page's bytes at its range", name, i)
+			}
 		}
-		if !bytes.Equal(c.After, cur[wantOff:wantOff+wantLen]) {
-			t.Fatalf("%s: the image is not the page's bytes at the change's range", name)
-		}
-		if c.WholePage() != (wantOff == 0 && wantLen == page.Size) {
+		if c := &rec.Changes[0]; c.WholePage() != (want[0] == whole[0]) {
 			t.Fatalf("%s: WholePage() = %v", name, c.WholePage())
 		}
+	}
+	runs := func(bounds ...int) []run {
+		var rs []run
+		for i := 0; i < len(bounds); i += 2 {
+			rs = append(rs, run{bounds[i], bounds[i+1]})
+		}
+		return rs
 	}
 	flip := func(at ...int) func([]byte) {
 		return func(img []byte) {
@@ -91,22 +100,25 @@ func TestLogRedoRule(t *testing.T) {
 		}
 	}
 
-	step("identical pages, never logged", 0, 0, false, flip())
-	step("first touch after open: anchor", 1000, 1, true, flip(1000))
-	step("identical pages", 0, 0, false, flip())
-	step("one byte", 77, 1, false, flip(77))
-	step("first byte", 0, 1, false, flip(0))
-	step("last byte", page.Size-1, 1, false, flip(page.Size-1))
-	step("two distant ranges: one covering range", 100, 2901, false, flip(100, 101, 3000))
-	step("range not aligned to the compare stride", 13, 5, false, flip(13, 14, 15, 16, 17))
-	step("two changes of one page in one transaction: one covering change", 300, 1701, false, flip(2000), flip(300))
-	step("a change undone within the transaction still logs its range", 40, 1, false, flip(40), flip(40))
-	step("whole page", 0, page.Size, false, func(img []byte) {
+	step("identical pages, never logged", nil, false, flip())
+	step("first touch after open: anchor", runs(1000, 1001), true, flip(1000))
+	step("identical pages", nil, false, flip())
+	step("one byte", runs(77, 78), false, flip(77))
+	step("first byte", runs(0, 1), false, flip(0))
+	step("last byte", runs(page.Size-1, page.Size), false, flip(page.Size-1))
+	step("two distant ranges: two runs", runs(100, 102, 3000, 3001), false, flip(100, 101, 3000))
+	step("an equal stretch shorter than splitGap stays in its run", runs(200, 201+splitGap), false, flip(200, 200+splitGap))
+	step("an equal stretch of splitGap bytes splits the run", runs(200, 201, 201+splitGap, 202+splitGap), false, flip(200, 201+splitGap))
+	step("range not aligned to the compare stride", runs(13, 18), false, flip(13, 14, 15, 16, 17))
+	step("two changes of one page in one transaction: the union of their runs", runs(300, 301, 2000, 2001), false, flip(2000), flip(300))
+	step("two changes' runs closer than splitGap: one run", runs(500, 503), false, flip(500), flip(502))
+	step("a change undone within the transaction still logs its range", runs(40, 41), false, flip(40), flip(40))
+	step("whole page", runs(0, page.Size), false, func(img []byte) {
 		for i := range img {
 			img[i]++
 		}
 	})
-	step("short tail: a change confined to the page's head", 0, 300, false, func(img []byte) {
+	step("short tail: a change confined to the page's head", runs(0, 300), false, func(img []byte) {
 		copy(img, bytes.Repeat([]byte{0x5A}, 300))
 	})
 
@@ -114,16 +126,77 @@ func TestLogRedoRule(t *testing.T) {
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	step("first touch after a checkpoint: delta", 2000, 1, false, flip(2000))
-	step("second touch after a checkpoint: delta", 2000, 2, false, flip(2000, 2001))
+	step("first touch after a checkpoint: delta", runs(2000, 2001), false, flip(2000))
+	step("second touch after a checkpoint: delta", runs(2000, 2002), false, flip(2000, 2001))
 
 	// A new manager over the same log is what a reopened server starts with.
 	m = NewManager(l, lock.NewManager(), newMemPager(), nil)
-	step("first touch after reopen: anchor", 5, 1, true, flip(5))
-	step("second touch after reopen: delta", 5, 1, false, flip(5))
+	step("first touch after reopen: anchor", runs(5, 6), true, flip(5))
+	step("second touch after reopen: delta", runs(5, 6), false, flip(5))
 
 	if err := m.Begin().LogRedo(pid, cur[:100], cur[:100]); err == nil {
 		t.Fatal("LogRedo accepted images shorter than a page")
+	}
+}
+
+// TestLoggedRunsProperty: for random pages and random changes of them — runs
+// of random length at random places, some an equal stretch apart shorter than
+// a run's header — the runs a commit logs, laid over the page before, give the
+// page after, and they never take more log bytes than the one span from the
+// first differing byte to the last would.
+func TestLoggedRunsProperty(t *testing.T) {
+	m, _, l, _ := newEnv()
+	rng := rand.New(rand.NewSource(39))
+	pid := page.ID{Area: 1, Page: 1}
+	before := make([]byte, page.Size)
+	rng.Read(before)
+	anchor := m.Begin() // the page's anchor: its changes after it are runs
+	if err := anchor.LogRedo(pid, make([]byte, page.Size), before); err != nil {
+		t.Fatal(err)
+	}
+	if err := anchor.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	trials := 400
+	if testing.Short() {
+		trials = 100
+	}
+	for i := 0; i < trials; i++ {
+		after := bytes.Clone(before)
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			off := rng.Intn(page.Size)
+			for j := off; j < min(page.Size, off+1+rng.Intn(64)); j += 1 + rng.Intn(2*splitGap)*rng.Intn(2) {
+				after[j] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		tr, next := m.Begin(), l.NextLSN()
+		if err := tr.LogRedo(pid, before, after); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		rec := readRec(t, l, next)
+		got := bytes.Clone(before)
+		for _, c := range rec.Changes {
+			copy(got[c.Off:], c.After)
+		}
+		if !bytes.Equal(got, after) {
+			t.Fatalf("trial %d: the %d runs logged over the page before do not give the page after", i, len(rec.Changes))
+		}
+		lo, hi := 0, page.Size
+		for before[lo] == after[lo] {
+			lo++
+		}
+		for before[hi-1] == after[hi-1] {
+			hi--
+		}
+		runs := wal.Record{Type: wal.TCommit, Tx: rec.Tx, Changes: rec.Changes}
+		span := wal.Record{Type: wal.TCommit, Tx: rec.Tx, Changes: []wal.Change{{Page: pid, Off: uint32(lo), After: after[lo:hi]}}}
+		if r, s := runs.Footprint(), span.Footprint(); r.Header+r.After > s.Header+s.After {
+			t.Fatalf("trial %d: %d runs take %d log bytes, the span [%d, %d) %d", i, len(rec.Changes), r.Header+r.After, lo, hi, s.Header+s.After)
+		}
+		before = after
 	}
 }
 

@@ -290,66 +290,113 @@ func TestFailedForceRollsBackTheShippedCommit(t *testing.T) {
 
 // TestLargeTransactionSpills: a transaction whose queued changes pass a log
 // buffer logs them ahead of its commit, in one multi-page TRedo, and its
-// commit record carries the rest. Nothing is written before the commit: a
-// crash before it writes no page, and a crash after it — every page write
-// lost — restarts to every page.
+// commit record carries the rest — of pages written whole, and of anchored
+// pages whose every other 8-byte word changes: 256 runs a page, each with a
+// header the spill's bound must count. No record passes a buffer. Nothing is
+// written before the commit: a crash before it leaves every page as it was,
+// and a crash after it — every page write lost — restarts to every page.
 func TestLargeTransactionSpills(t *testing.T) {
-	m, mp, l, _ := newEnv()
-	n := wal.BufSize/page.Size + 16
-	img := func(i int) []byte { return bytes.Repeat([]byte{byte(i%250 + 1)}, page.Size) }
-	tr := m.Begin()
-	for i := 0; i < n; i++ {
-		if err := tr.LogRedo(page.ID{Area: 1, Page: page.No(i)}, make([]byte, page.Size), img(i)); err != nil {
-			t.Fatal(err)
+	fill := func(i int) []byte { return bytes.Repeat([]byte{byte(i%250 + 1)}, page.Size) }
+	striped := func(i int) []byte {
+		p := fill(i)
+		for w := 0; w < page.Size; w += 16 {
+			for j := w; j < w+8; j++ {
+				p[j] = ^p[j]
+			}
 		}
+		return p
 	}
-	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[]" {
-		t.Fatalf("before the commit, durable records %s: the spill is not forced", got)
-	}
-	if err := l.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo]" {
-		t.Fatalf("before the commit: records %s, want one spill", got)
-	}
-	spill := readRec(t, l, tr.LastLSN())
-	if k := len(spill.Changes); k < n/2 || k >= n || spill.Footprint().Header+spill.Footprint().After > wal.BufSize {
-		t.Fatalf("the spill carries %d of %d pages in %d bytes", k, n, spill.Footprint().Header+spill.Footprint().After)
-	}
-	if len(mp.pages) != 0 {
-		t.Fatal("a spill wrote a page")
-	}
-	// A checkpoint now lists the pages the spill logged.
-	lsn, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(readRec(t, l, lsn).DirtyPages); got != len(spill.Changes) {
-		t.Fatalf("the checkpoint lists %d pages, the spill logged %d", got, len(spill.Changes))
-	}
+	pid := func(i int) page.ID { return page.ID{Area: 1, Page: page.No(i)} }
+	for _, tc := range []struct {
+		name          string
+		n             int
+		before, after func(i int) []byte
+		runs          int // the runs of a page's change
+	}{
+		{"whole pages", wal.BufSize/page.Size + 16, func(int) []byte { return make([]byte, page.Size) }, fill, 1},
+		{"every other word", wal.BufSize/(page.Size/2) + 16, fill, striped, page.Size / 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, mp, l, _ := newEnv()
+			if tc.runs > 1 {
+				setup := m.Begin() // anchors the pages: their next changes are runs
+				for i := 0; i < tc.n; i++ {
+					if err := setup.LogRedo(pid(i), make([]byte, page.Size), tc.before(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := setup.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// wrote is whether every page holds what img gives it.
+			wrote := func(p *memPager, img func(int) []byte) bool {
+				for i := 0; i < tc.n; i++ {
+					if !bytes.Equal(p.get(pid(i), 0, page.Size), img(i)) {
+						return false
+					}
+				}
+				return true
+			}
+			tr := m.Begin()
+			for i := 0; i < tc.n; i++ {
+				if err := tr.LogRedo(pid(i), tc.before(i), tc.after(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[]" {
+				t.Fatalf("before the commit, durable records %s: the spill is not forced", got)
+			}
+			if err := l.Flush(0); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo]" {
+				t.Fatalf("before the commit: records %s, want one spill", got)
+			}
+			spill := readRec(t, l, tr.LastLSN())
+			if k := spill.Pages(); k < tc.n/2 || k >= tc.n || len(spill.Changes) != k*tc.runs {
+				t.Fatalf("the spill carries %d of %d pages in %d runs", k, tc.n, len(spill.Changes))
+			}
+			if !wrote(mp, tc.before) {
+				t.Fatal("a spill wrote a page")
+			}
+			// A checkpoint now lists the pages the spill logged.
+			lsn, err := m.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(readRec(t, l, lsn).DirtyPages); got != spill.Pages() {
+				t.Fatalf("the checkpoint lists %d pages, the spill logged %d", got, spill.Pages())
+			}
 
-	before := newMemPager()
-	if _, st := restartOn(t, crash(t, l), before); len(st.Losers) != 1 || len(before.pages) != 0 {
-		t.Fatalf("a crash before the commit: losers %v, %d pages written", st.Losers, len(before.pages))
-	}
+			before := mp.clone() // the pages as the set-up left them
+			if _, st := restartOn(t, crash(t, l), before); len(st.Losers) != 1 || !wrote(before, tc.before) {
+				t.Fatalf("a crash before the commit: losers %v, or a page not as it was", st.Losers)
+			}
 
-	if err := tr.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo commit]" {
-		t.Fatalf("the transaction's records: %s", got)
-	}
-	if c := readRec(t, l, tr.LastLSN()); len(c.Changes)+len(spill.Changes) != n {
-		t.Fatalf("spill and commit carry %d + %d changes of %d pages", len(spill.Changes), len(c.Changes), n)
-	}
-	after := newMemPager()
-	if _, st := restartOn(t, crash(t, l), after); st.UnanchoredPages != 0 || len(after.pages) != n {
-		t.Fatalf("a crash after the commit: %d pages written of %d, %d unanchored", len(after.pages), n, st.UnanchoredPages)
-	}
-	for i := 0; i < n; i++ {
-		if pid := (page.ID{Area: 1, Page: page.No(i)}); !bytes.Equal(after.get(pid, 0, page.Size), img(i)) || !bytes.Equal(mp.get(pid, 0, page.Size), img(i)) {
-			t.Fatalf("page %d after the commit differs from its image", i)
-		}
+			if err := tr.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(txRecords(l, tr.ID())); got != "[redo commit]" {
+				t.Fatalf("the transaction's records: %s", got)
+			}
+			if c := readRec(t, l, tr.LastLSN()); c.Pages()+spill.Pages() != tc.n {
+				t.Fatalf("spill and commit carry %d + %d of %d pages", spill.Pages(), c.Pages(), tc.n)
+			}
+			l.Iterate(0, func(lsn page.LSN, r *wal.Record) error {
+				if fp := r.Footprint(); fp.Header+fp.After > wal.BufSize {
+					t.Fatalf("the %v at %d takes %d bytes, past a log buffer", r.Type, lsn, fp.Header+fp.After)
+				}
+				return nil
+			})
+			after := newMemPager()
+			if _, st := restartOn(t, crash(t, l), after); st.UnanchoredPages != 0 || len(after.pages) != tc.n {
+				t.Fatalf("a crash after the commit: %d pages written of %d, %d unanchored", len(after.pages), tc.n, st.UnanchoredPages)
+			}
+			if !wrote(after, tc.after) || !wrote(mp, tc.after) {
+				t.Fatal("a page after the commit differs from its image")
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@
 // abort record.
 //
 // The package also owns what goes into the log for a page change (logging.go):
-// redo-only byte ranges carried by the transaction's commit record, a
+// redo-only runs of changed bytes carried by the transaction's commit record, a
 // whole-page anchor per page from Open on, and the dirty-page table a
 // checkpoint lists; and it writes the pages a commit's records describe,
 // after the commit's force.
@@ -151,10 +151,10 @@ type Tx struct {
 // shipped is one page write t's changes defer to its commit, and the change
 // of it still queued for t's next record.
 type shipped struct {
-	pid    page.ID
-	img    []byte      // the whole page as the commit leaves it
-	lo, hi int         // img[lo:hi] is the change queued; lo == hi: none
-	rec    wal.Pending // the last logged change of the page
+	pid  page.ID
+	img  []byte      // the whole page as the commit leaves it
+	runs []run       // the runs of img queued as the page's change, in page order; none: nothing queued
+	rec  wal.Pending // the last logged change of the page
 }
 
 // register enters a transaction into the table. The caller holds m.mu.
@@ -422,9 +422,6 @@ func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
 				}
 				k, at[c.Page] = len(writes), len(writes)
 				writes = append(writes, shipped{pid: c.Page, img: img})
-			}
-			if int(c.Off)+len(c.After) > page.Size {
-				return nil, fmt.Errorf("tx %d: page change of %v runs past the page", t.id, c.Page)
 			}
 			copy(writes[k].img[c.Off:], c.After)
 			writes[k].rec = rec.Pending(j)

@@ -27,7 +27,8 @@ func catalogBody(t testing.TB) []byte {
 const fuzzLSN page.LSN = 1 << 20
 
 // decodeSeeds are record bodies as the decoder meets them at fuzzLSN: every
-// record type, the shapes of page list, and cuts of them.
+// record type, the shapes of page list — a page in runs among them — cuts of
+// them, and lists encode never writes.
 func decodeSeeds(t testing.TB) [][]byte {
 	pid := page.ID{Area: 2, Page: 11}
 	seed := []*Record{
@@ -73,6 +74,13 @@ func decodeSeeds(t testing.TB) [][]byte {
 			{Page: pid, After: bytes.Repeat([]byte{0x11}, page.Size)},
 			{Page: page.ID{Area: 4, Page: 1}, After: make([]byte, page.Size)},
 		}},
+		// A page in runs — a continuation, an all-zero run kept as its length
+		// and an empty one after the first — then a page of one empty run.
+		{Type: TCommit, Tx: 8, PrevLSN: 24, Changes: []Change{
+			{Page: pid, After: []byte{1}}, {Page: pid, Off: 16, After: []byte("the object's bytes")},
+			{Page: pid, Off: 2048, After: make([]byte, 128)}, {Page: pid, Off: 3000},
+			{Page: page.ID{Area: 2, Page: 12}, Off: 64},
+		}},
 	}
 	for _, r := range shipped {
 		out = append(out, r.appendTo(nil, fuzzLSN))
@@ -82,7 +90,10 @@ func decodeSeeds(t testing.TB) [][]byte {
 	n := len(shipped[0].Changes[1].After)
 	hdr := 1 + txSize(5) + uvarintLen(back(fuzzLSN, 40)) // the count follows
 	overcount := binary.AppendUvarint(append([]byte(nil), enc[:hdr]...), uint64(len(enc)))
-	return append(out, enc[:rangeEnd-n-2], enc[:rangeEnd-3], append(overcount, enc[hdr+1:]...))
+	out = append(out, enc[:rangeEnd-n-2], enc[:rangeEnd-3], append(overcount, enc[hdr+1:]...))
+	// A continuation first in its list, and a page named twice in a row.
+	return append(out, []byte{byte(TCommit), 1, 0, 0, 1, 1, 2, 0x5A},
+		[]byte{byte(TCommit), 1, 0, 0, 2, 4, 11, 0, 2, 0x5A, 4, 11, 5, 2, 0x5A})
 }
 
 // FuzzWALDecodeRecord drives the record decoder with arbitrary bytes — the
@@ -148,7 +159,7 @@ func FuzzWALOpen(f *testing.F) {
 	l.Append(&Record{Type: TCommit, Tx: 3})
 	r, _ := l.Append(&Record{Type: TRollback, Tx: 2, Changes: []Change{{Page: page.ID{Area: 1, Page: 8}, After: make([]byte, page.Size)}}})
 	l.Append(&Record{Type: TAbort, Tx: 2, PrevLSN: r, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}})
-	last, _ := l.Append(&Record{Type: TCommit, Tx: 4, Changes: []Change{{Page: pid, Off: 100, After: []byte("the last record of the log")}, {Page: pid, Off: 9, After: []byte{0}}}})
+	last, _ := l.Append(&Record{Type: TCommit, Tx: 4, Changes: []Change{{Page: pid, Off: 9, After: []byte{0}}, {Page: pid, Off: 100, After: []byte("the last record of the log")}}})
 	if err := l.Flush(0); err != nil {
 		f.Fatal(err)
 	}

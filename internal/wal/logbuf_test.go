@@ -17,9 +17,9 @@ import (
 
 // appendShapes are the record shapes the logging rule produces — a commit of a
 // byte range, of an anchor (the whole page) and of the anchor of a zeroed
-// page, which the log keeps as a length, and a spill of many pages — and the
-// update record with both halves that the benchmark module's log probe
-// appends.
+// page, which the log keeps as a length, a spill of many pages and a page
+// change in several runs — and the update record with both halves that the
+// benchmark module's log probe appends.
 type appendShape struct {
 	name string
 	rec  *Record
@@ -37,6 +37,9 @@ func appendShapes() []appendShape {
 		{"anchor", &Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: pid, After: img(page.Size, 0xAB)}}}},
 		{"zeroed", &Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: pid, After: make([]byte, page.Size)}}}},
 		{"spill of 64 pages", &Record{Type: TRedo, Tx: 1, Changes: spill}},
+		{"a page in three runs", &Record{Type: TCommit, Tx: 1, Changes: []Change{
+			{Page: pid, Off: 0, After: img(1, 0xAB)}, {Page: pid, Off: 16, After: img(112, 0xAB)}, {Page: pid, Off: 2048, After: make([]byte, 128)},
+		}}},
 		{"8KB update", &Record{Type: TUpdate, Tx: 1, Page: pid, After: img(page.Size, 0xAB), Before: img(page.Size, 0xCD)}},
 	}
 }
@@ -91,7 +94,10 @@ func TestAppendAllocatesNothing(t *testing.T) {
 // encodedLen and appendTo are the codec the plain way, one record body at a
 // time, as the record at lsn: Append does the same with one look at the images
 // for both.
-func (r *Record) encodedLen(lsn page.LSN) int { return r.sizeAt(lsn, r.tailSize()) }
+func (r *Record) encodedLen(lsn page.LSN) int {
+	tail, _ := r.tailSize()
+	return r.sizeAt(lsn, tail)
+}
 
 func (r *Record) appendTo(b []byte, lsn page.LSN) []byte { return r.encode(b, lsn) }
 
@@ -246,7 +252,7 @@ func TestLogBufferStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perAppender; i++ {
 				size := 64 << rng.Intn(15) // 64 B .. 1 MB
-				rec := &Record{Type: TRedo, Tx: uint64(g + 1), PrevLSN: page.LSN(i), Changes: []Change{{After: payload(g, i, size)}}}
+				rec := &Record{Type: TCatalog, Tx: uint64(g + 1), PrevLSN: page.LSN(i), Body: payload(g, i, size)}
 				lsn, err := l.Append(rec)
 				for err != nil { // a full log buffer led a round, and the round failed
 					if !errors.Is(err, errFlaky) {
@@ -330,7 +336,7 @@ func TestLogBufferStress(t *testing.T) {
 		}
 	}
 	if err := l.Iterate(0, func(lsn page.LSN, rec *Record) error {
-		if rec.Type != TRedo {
+		if rec.Type != TCatalog {
 			return nil
 		}
 		a, ok := want[lsn]
@@ -338,7 +344,7 @@ func TestLogBufferStress(t *testing.T) {
 			t.Fatalf("record at %d was never acknowledged to an appender", lsn)
 		}
 		delete(want, lsn)
-		if rec.Tx != uint64(a.g+1) || rec.PrevLSN != page.LSN(a.i) || !bytes.Equal(rec.Changes[0].After, payload(a.g, a.i, a.size)) {
+		if rec.Tx != uint64(a.g+1) || rec.PrevLSN != page.LSN(a.i) || !bytes.Equal(rec.Body, payload(a.g, a.i, a.size)) {
 			t.Fatalf("record at %d is not appender %d's record %d", lsn, a.g, a.i)
 		}
 		return nil

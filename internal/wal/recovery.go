@@ -372,10 +372,8 @@ type Image struct {
 // of the server's repair.
 func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, c *Change) bool, base func(id page.ID, buf []byte) error) (map[page.ID]*Image, error) {
 	pages := make(map[page.ID]*Image)
+	// Every change lies within its page: the decoder takes no other.
 	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
-		if int(c.Off)+len(c.After) > page.Size {
-			return fmt.Errorf("wal: page change at %d out of page bounds", lsn)
-		}
 		img := pages[c.Page]
 		if img == nil {
 			img = &Image{Data: make([]byte, page.Size)}

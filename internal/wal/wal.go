@@ -15,8 +15,10 @@
 // (Durable) — so there is no undo: a loser is ended by its abort record, and
 // restart writes nothing for it.
 //
-// The log file is format version 6: every record is a CRC-32C, a varint body
-// length the CRC covers, and a body of varint fields (encode). A record names
+// The log file is format version 7: every record is a CRC-32C, a varint body
+// length the CRC covers, and a body of varint fields (encode). A page change is
+// a list of runs, the bytes that differ: a list entry names a page or continues
+// the page of the entry before it, from a gap past that entry's end. A record names
 // the earlier LSNs it refers to — its transaction's previous record, a
 // checkpoint's recLSNs — by their distance back from its own LSN, so a record's
 // bytes depend on where it stands and Append sizes and encodes it under the
@@ -116,9 +118,12 @@ type CkptPage struct {
 	RecLSN page.LSN
 }
 
-// Change is one page change a record carries: the redo half of a page's
-// change, which replay copies onto the page. An image read back from the log
-// is read-only.
+// Change is one run of a page change a record carries: the redo half of the
+// change of a page's bytes [Off, Off+len(After)), which replay copies onto the
+// page. A page change of several runs is several Changes of its page, next to
+// each other in the list and in page order, none overlapping the one before
+// it: the codec writes each after the first as a continuation of its page. An
+// image read back from the log is read-only, and lies within its page.
 type Change struct {
 	Page  page.ID
 	Off   uint32 // byte offset of After within the page
@@ -132,6 +137,21 @@ func (c *Change) WholePage() bool { return c.Off == 0 && len(c.After) == page.Si
 // Zero reports whether the log keeps c's image as its length alone: it is all
 // zero, and no longer than a page.
 func (c *Change) Zero() bool { return isZero(c.After) }
+
+// end is the offset just past c's image.
+func (c *Change) end() int { return int(c.Off) + len(c.After) }
+
+// Pages is the number of pages r's changes are of: a page's runs stand next
+// to each other in the list.
+func (r *Record) Pages() int {
+	n := 0
+	for i := range r.Changes {
+		if i == 0 || r.Changes[i].Page != r.Changes[i-1].Page {
+			n++
+		}
+	}
+	return n
+}
 
 // Record is one log record. LSNs are byte offsets of the record in the log.
 type Record struct {
@@ -243,8 +263,9 @@ var (
 	ErrNotLogged = errors.New("wal: page store without a log record")
 	// ErrUnencodable is Append's answer to a record the log could not read
 	// back: one whose PrevLSN or a recLSN is not behind it, whose body is
-	// longer than maxBody, or one of whose images the caller changed while
-	// Append encoded it.
+	// longer than maxBody, one of whose page changes runs past its page's end
+	// or overlaps or precedes the run of its page before it, or one of whose
+	// images the caller changed while Append encoded it.
 	ErrUnencodable = errors.New("wal: record cannot be encoded at the end of the log")
 	// ErrOldFormat is Open's answer to a log whose records an older build
 	// encoded differently.
@@ -323,24 +344,55 @@ func pageSize(pid page.ID, off uint32) int {
 	return uvarintLen(uint64(pid.Area)) + uvarintLen(uint64(pid.Page)) + uvarintLen(uint64(off))
 }
 
+// An entry of a page list opens with a uvarint whose low bit says which kind
+// it is: clear, the entry names its page — the area above the bit, then the
+// page and the offset; set, it continues the page of the entry before it —
+// the gap from that entry's end above the bit. Its image follows either way.
+func entryHead(prev, c *Change) uint64 {
+	if prev != nil && prev.Page == c.Page {
+		return uint64(int(c.Off)-prev.end())<<1 | 1
+	}
+	return uint64(c.Page.Area) << 1
+}
+
+// entrySize is the bytes of the entry c, which follows prev (nil for the
+// first), without its image; ok is false if the decoder would refuse it: its
+// image runs past its page's end, or it overlaps or precedes prev of its page.
+func entrySize(prev, c *Change) (n int, ok bool) {
+	if c.end() > page.Size || prev != nil && prev.Page == c.Page && int(c.Off) < prev.end() {
+		return 0, false
+	}
+	n = uvarintLen(entryHead(prev, c))
+	if prev == nil || prev.Page != c.Page {
+		n += uvarintLen(uint64(c.Page.Page)) + uvarintLen(uint64(c.Off))
+	}
+	return n, true
+}
+
 // tailSize is the size of the fields of r's body that do not refer to an
 // earlier record — its images and page changes, a catalog body — which is
 // the same wherever r stands: Append sizes it once, outside the log mutex.
-func (r *Record) tailSize() int {
-	n := 0
+// ok is false if r carries a page change the decoder would refuse (entrySize).
+func (r *Record) tailSize() (n int, ok bool) {
 	switch {
 	case r.Type == TUpdate:
 		n += pageSize(r.Page, r.Off) + uvarintLen(uint64(r.UndoOff)) + imageSize(r.Before) + imageSize(r.After)
 	case r.Type.carries():
 		n += uvarintLen(uint64(len(r.Changes)))
+		var prev *Change
 		for i := range r.Changes {
 			c := &r.Changes[i]
-			n += pageSize(c.Page, c.Off) + imageSize(c.After)
+			k, ok := entrySize(prev, c)
+			if !ok {
+				return 0, false
+			}
+			n += k + imageSize(c.After)
+			prev = c
 		}
 	case r.Type == TCatalog:
 		n += len(r.Body)
 	}
-	return n
+	return n, true
 }
 
 // sizeAt is the exact size of r's body as encode writes it at lsn, given its
@@ -398,7 +450,8 @@ func (r *Record) Footprint() Footprint {
 			count(r.Changes[i].After, &f.After, &f.ZeroAfter)
 		}
 	}
-	f.Header = frameSize(r.sizeAt(r.lsn, r.tailSize())) - f.Before - f.After
+	tail, _ := r.tailSize()
+	f.Header = frameSize(r.sizeAt(r.lsn, tail)) - f.Before - f.After
 	return f
 }
 
@@ -418,14 +471,26 @@ func appendPage(b []byte, pid page.ID, off uint32) []byte {
 	return binary.AppendUvarint(b, uint64(off))
 }
 
+// appendEntry writes the entry c of a page list, which follows prev (nil for
+// the first): its head (entryHead), the page and offset if it names its page,
+// and its image.
+func appendEntry(b []byte, prev, c *Change) []byte {
+	b = binary.AppendUvarint(b, entryHead(prev, c))
+	if prev == nil || prev.Page != c.Page {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(c.Page.Page)), uint64(c.Off))
+	}
+	return appendImage(b, c.After)
+}
+
 // encode appends the body of r, the record at lsn, to b: the type byte, then
 // uvarints and images.
 //
 //	tx           the counter, then the host (txHostShift)
 //	prev         back(lsn, PrevLSN)
 //	TRedo, TCommit, TPrepare, TAbort, TRollback
-//	             the number of page changes; for each, area, page, off, the
-//	             after-image (appendImage)
+//	             the number of entries; for each, either area<<1, page, off
+//	             or, continuing the page of the entry before it, the gap from
+//	             that entry's end <<1|1; then the after-image (appendImage)
 //	TUpdate      area, page, off, undo off, the before-image, the after-image
 //	TCheckpoint  the number of dirty pages; for each, area, page, back(lsn, RecLSN)
 //	TCatalog     Body, to the end of the record
@@ -436,9 +501,10 @@ func (r *Record) encode(b []byte, lsn page.LSN) []byte {
 	switch r.Type {
 	case TRedo, TCommit, TPrepare, TAbort, TRollback:
 		b = binary.AppendUvarint(b, uint64(len(r.Changes)))
+		var prev *Change
 		for i := range r.Changes {
-			c := &r.Changes[i]
-			b = appendImage(appendPage(b, c.Page, c.Off), c.After)
+			b = appendEntry(b, prev, &r.Changes[i])
+			prev = &r.Changes[i]
 		}
 	case TUpdate:
 		b = appendPage(b, r.Page, r.Off)
@@ -462,7 +528,9 @@ func (r *Record) encode(b []byte, lsn page.LSN) []byte {
 // Before, After and Body alias b: logReader.next hands every record that
 // leaves the package a buffer of its own. It takes nothing encode does not
 // write: a field that runs past the body, a number its field cannot hold, a
-// reference not behind lsn, or bytes left over are ErrCorrupt.
+// reference not behind lsn, a run past its page's end, a continuation with no
+// entry before it, an entry naming the page of the one before it, or bytes
+// left over are ErrCorrupt.
 func decodeRecord(b []byte, lsn page.LSN) (*Record, error) {
 	r := new(Record)
 	if err := r.decode(b, lsn); err != nil {
@@ -480,15 +548,24 @@ func (r *Record) decode(b []byte, lsn page.LSN) error {
 	r.PrevLSN = d.ref(lsn)
 	switch r.Type {
 	case TRedo, TCommit, TPrepare, TAbort, TRollback:
-		// A change is four bytes at least: the list is sized by a count the
-		// body can hold, never by whatever the count field says.
-		if n := int(d.uvarint(uint64(len(d.p)) / 4)); n > 0 {
-			r.Changes = slices.Grow(changes, n)[:n]
+		// An entry is two bytes at least, and the list is decoded once into
+		// nothing before it is allocated: it is sized by a count the body
+		// can hold, and a list that does not decode costs no allocation.
+		if n := int(d.uvarint(uint64(len(d.p)) / 2)); n > 0 {
+			probe, prev := d, (*Change)(nil)
+			var two [2]Change
+			for i := 0; i < n && !probe.bad; i++ {
+				probe.entry(prev, &two[i&1])
+				prev = &two[i&1]
+			}
+			if probe.bad {
+				d.bad = true
+				break
+			}
+			r.Changes, prev = slices.Grow(changes, n)[:n], nil
 			for i := range r.Changes {
-				c := &r.Changes[i]
-				c.Page = d.page()
-				c.Off = uint32(d.uvarint(math.MaxUint32))
-				c.After = d.image()
+				d.entry(prev, &r.Changes[i])
+				prev = &r.Changes[i]
 			}
 		}
 	case TUpdate:
@@ -569,6 +646,30 @@ func (d *decoder) ref(lsn page.LSN) page.LSN {
 func (d *decoder) page() page.ID {
 	area := page.AreaID(d.uvarint(math.MaxUint32))
 	return page.ID{Area: area, Page: page.No(d.uvarint(math.MaxUint64))}
+}
+
+// entry reads the entry of a page list into c, which follows prev (nil for
+// the first): it names its page, or continues prev's (entryHead).
+func (d *decoder) entry(prev, c *Change) {
+	head := d.uvarint(math.MaxUint32<<1 | 1)
+	if head&1 == 0 {
+		c.Page = page.ID{Area: page.AreaID(head >> 1), Page: page.No(d.uvarint(math.MaxUint64))}
+		c.Off = uint32(d.uvarint(page.Size))
+		// Its page's runs after the first are continuations.
+		d.bad = d.bad || prev != nil && c.Page == prev.Page
+	} else {
+		if prev == nil {
+			d.bad = true
+			return
+		}
+		off := uint64(prev.end()) + head>>1
+		d.bad = d.bad || off > page.Size
+		c.Page, c.Off = prev.Page, uint32(off)
+	}
+	c.After = d.image()
+	if c.end() > page.Size {
+		d.bad = true
+	}
 }
 
 // image reads an image: its stored bytes, aliasing the body, or for a length
@@ -732,8 +833,10 @@ const firstLSN = page.LSN(8)
 // A version-4 record read as version 5 would fail its CRC, and a version-5
 // commit read as version 6 would lack its page count; either way the log would
 // open as if it ended at that record, and the records past it would be cut:
-// older logs are refused by name (ErrOldFormat), not misread.
-var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 6}
+// older logs are refused by name (ErrOldFormat), not misread. Version 7 splits
+// a page change into runs, and flags an entry's kind below its area: read as
+// version 7, a version-6 entry of area 1 would be a continuation.
+var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 7}
 
 // BufSize is the size of one log buffer: a transaction whose queued page
 // changes would pass it logs them ahead of its commit record, in a spill
@@ -879,9 +982,9 @@ func (l *Log) cutTail(r *logReader, size int64) error {
 //
 // TestAppendAllocatesNothing pins its allocation budget.
 func (l *Log) Append(rec *Record) (page.LSN, error) {
-	tail := rec.tailSize()
+	tail, ok := rec.tailSize()
 	widest := rec.sizeAt(0, tail)
-	if widest > maxBody {
+	if !ok || widest > maxBody {
 		return 0, ErrUnencodable
 	}
 	ref := rec.latestRef()

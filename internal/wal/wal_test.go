@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -270,9 +271,9 @@ func sameChanges(a, b []Change) bool {
 }
 
 // TestZeroImageRoundTrip: an all-zero image is in the log as its length —
-// before-image, after-image, both, whole page or range — and comes back as
+// before-image, after-image, both, whole page, range or run — and comes back as
 // that many zeroes; the size Append reserves is the size encode writes, field
-// by field as format 6 lays it out; and a record cut short, or whose flagged
+// by field as format 7 lays it out; and a record cut short, or whose flagged
 // length is not one encode writes, is corrupt, never a panic.
 func TestZeroImageRoundTrip(t *testing.T) {
 	pid := page.ID{Area: 2, Page: 5}
@@ -290,15 +291,21 @@ func TestZeroImageRoundTrip(t *testing.T) {
 		{"anchor of a zeroed page", *redo(0, 0, pid, 0, make([]byte, page.Size)), 8 + 2, 0},
 		{"nothing zero", *redo(0, 0, pid, 9, some), 8 + 2, 200},
 		{"a two-byte offset", *redo(0, 0, pid, page.Size-1, []byte{5}), 8 + 1 + 1, 1},
-		{"zeroes longer than a page are stored", *redo(0, 0, pid, 0, make([]byte, page.Size+1)), 8 + 2, page.Size + 1},
 		// A commit's list: the count, then each change's page, offset and image.
-		{"a commit of a range and a zeroed page", Record{Type: TCommit, Changes: []Change{{Page: pid, Off: 9, After: some}, {Page: pid, After: make([]byte, page.Size)}}},
+		{"a commit of a range and a zeroed page", Record{Type: TCommit, Changes: []Change{{Page: pid, Off: 9, After: some}, {Page: page.ID{Area: 2, Page: 6}, After: make([]byte, page.Size)}}},
 			8 + 2 + 3 + 2, 200},
+		// A page's runs after its first: the gap from the run before, then the
+		// image — a gap of 91 takes two bytes, one of none one.
+		{"a page in two runs", Record{Type: TCommit, Changes: []Change{{Page: pid, Off: 9, After: some}, {Page: pid, Off: 300, After: some[:20]}}},
+			8 + 2 + 2 + 1, 220},
+		{"a run, then a zeroed run right after it", Record{Type: TCommit, Changes: []Change{{Page: pid, Off: 9, After: some}, {Page: pid, Off: 209, After: make([]byte, 100)}}},
+			8 + 2 + 1 + 2, 200},
 		// An update adds its undo offset, and the before-image's length.
 		{"update of a fresh page", Record{Type: TUpdate, Page: pid, After: bytes.Repeat([]byte{1}, page.Size), Before: make([]byte, page.Size)}, 8 + 2 + 2, page.Size},
 		{"update, range zeroed", Record{Type: TUpdate, Page: pid, Off: 9, After: make([]byte, 200), UndoOff: 9, Before: some}, 8 + 2 + 2, 200},
 		{"update, one zero byte", Record{Type: TUpdate, Page: pid, Off: 1, After: []byte{1}, UndoOff: 1, Before: []byte{0}}, 8 + 1 + 1, 1},
 		{"update, nothing zero", Record{Type: TUpdate, Page: pid, After: some, Before: some}, 8 + 2 + 2, 400},
+		{"zeroes longer than a page are stored", Record{Type: TUpdate, Page: pid, After: make([]byte, page.Size+1)}, 8 + 1 + 2, page.Size + 1},
 	} {
 		rec := tc.rec
 		enc := rec.appendTo(nil, firstLSN)
@@ -345,9 +352,10 @@ func TestZeroImageRoundTrip(t *testing.T) {
 
 // TestOldLogVersionRefused: a log whose header carries a version from before
 // the offset word was split, from before the redo-only record, from before
-// the compensation record went, from before the varint codec, or from before
-// commit records carried their page changes, is refused by name, whatever its
-// records look like, and one from a later build is refused too.
+// the compensation record went, from before the varint codec, from before
+// commit records carried their page changes, or from before a page change was
+// split into runs, is refused by name, whatever its records look like, and
+// one from a later build is refused too.
 func TestOldLogVersionRefused(t *testing.T) {
 	l := NewMem()
 	lsn, err := l.Append(upd(1, 0, page.ID{Area: 1, Page: 1}, 10, "new"))
@@ -361,7 +369,7 @@ func TestOldLogVersionRefused(t *testing.T) {
 	if _, err := OpenMemFrom(img); err != nil {
 		t.Fatalf("reopening this build's own log: %v", err)
 	}
-	for _, v := range []byte{1, 2, 3, 4, 5} { // before the split offset word; before TRedo; with CLRs; fixed-width fields; one record per page change
+	for _, v := range []byte{1, 2, 3, 4, 5, 6} { // before the split offset word; before TRedo; with CLRs; fixed-width fields; one record per page change; one span per page
 		img[7] = v
 		if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
 			t.Fatalf("version %d log: %v, want ErrOldFormat", v, err)
@@ -429,7 +437,7 @@ func TestFormat4LogRefused(t *testing.T) {
 	}
 	defer l.Close()
 	if l.NextLSN() != firstLSN {
-		t.Fatalf("a format-4 body under a format-6 header opened with its end at %d", l.NextLSN())
+		t.Fatalf("a format-4 body under a format-7 header opened with its end at %d", l.NextLSN())
 	}
 }
 
@@ -454,7 +462,7 @@ func format5Log() []byte {
 }
 
 // TestFormat5LogRefused: a log format 5 wrote is refused by name, before
-// anything is read past its header or written to it. Read as format 6 its
+// anything is read past its header or written to it. Read as format 7 its
 // first record — a page change with no count before it — does not decode, so
 // the log would open empty and the next append would overwrite a committed
 // transaction.
@@ -482,20 +490,69 @@ func TestFormat5LogRefused(t *testing.T) {
 	}
 	defer l.Close()
 	if l.NextLSN() != firstLSN {
-		t.Fatalf("a format-5 body under a format-6 header opened with its end at %d", l.NextLSN())
+		t.Fatalf("a format-5 body under a format-7 header opened with its end at %d", l.NextLSN())
 	}
 }
 
-// TestRecordCodecEdges is the format-6 round trip at the edges of every field:
+// format6Log is a log as format 6 wrote it: version 6 in the header, then a
+// commit record carrying one 128-byte range of page 1/7: its page list a
+// count, then area, page, offset and image, the area with no flag below it.
+func format6Log() []byte {
+	img := []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 6}
+	uv := binary.AppendUvarint
+	commit := []byte{byte(TCommit), 1, 0, 0, 1}                 // type, tx (counter, host), no prev, one change
+	commit = uv(uv(uv(uv(commit, 1), 7), 640), 128<<1)          // area, page, offset, image length
+	commit = append(commit, bytes.Repeat([]byte{0xAB}, 128)...) // the image
+	framed := append(uv(nil, uint64(len(commit))), commit...)
+	return append(binary.BigEndian.AppendUint32(img, page.Checksum(framed)), framed...)
+}
+
+// TestFormat6LogRefused: a log format 6 wrote is refused by name, before
+// anything is read past its header or written to it. Read as format 7 its
+// commit's area 1 is a continuation with no run before it, which does not
+// decode, so the log would open empty and the next append would overwrite a
+// committed transaction.
+func TestFormat6LogRefused(t *testing.T) {
+	img := format6Log()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenFile(path)
+	if !errors.Is(err, ErrOldFormat) || !strings.Contains(err.Error(), "format version 6") {
+		t.Fatalf("opening a format-6 log: %v, want ErrOldFormat naming version 6", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("the refused log changed on disk (%v)", err)
+	}
+	if _, err := OpenMemFrom(img); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("a format-6 log image: %v, want ErrOldFormat", err)
+	}
+
+	misread := append(append([]byte(nil), logMagic...), img[len(logMagic):]...)
+	l, err := OpenMemFrom(misread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.NextLSN() != firstLSN {
+		t.Fatalf("a format-6 body under a format-7 header opened with its end at %d", l.NextLSN())
+	}
+}
+
+// TestRecordCodecEdges is the format-7 round trip at the edges of every field:
 // tx 0 and the largest; no PrevLSN, one byte back and at FirstLSN; offsets 0
 // and page.Size-1; images of 0, 1 and page.Size bytes, stored and all-zero;
-// page lists of 0, 1 and 1,000 changes; checkpoints of 0 and 3,000 pages; a
-// catalog record larger than a log buffer.
+// page lists of 0, 1 and 1,000 changes; a page in 1,024 runs, and runs with
+// no gap, the widest gap, an all-zero image and none; checkpoints of 0 and
+// 3,000 pages; a catalog record larger than a log buffer.
 // Each is appended to a log — its references encoded as distances back from
 // where it lands — and read back field for field, its footprint the same both
 // ways; the footprints add up to the log; each body cut short is
-// ErrCorrupt; and so is a page list's count the body cannot hold, before
-// anything is allocated.
+// ErrCorrupt; and so are a page list's count the body cannot hold, a
+// continuation first in its list, a gap or a run past its page's end, and a
+// run overlapping or preceding the one of its page before it, each before
+// anything is allocated. Append refuses to write those runs.
 func TestRecordCodecEdges(t *testing.T) {
 	l := NewMem()
 	defer l.Close()
@@ -522,7 +579,8 @@ func TestRecordCodecEdges(t *testing.T) {
 					case "first":
 						p = firstLSN
 					}
-					add(redo(tx, p, pid, off, img))
+					roff := min(off, uint32(page.Size-len(img))) // a run ends within its page
+					add(redo(tx, p, pid, roff, img))
 					add(&Record{Type: TUpdate, Tx: tx, PrevLSN: p, Page: pid, Off: off, After: img,
 						UndoOff: page.Size - 1 - off, Before: images[len(images)-1-i]})
 				}
@@ -531,10 +589,23 @@ func TestRecordCodecEdges(t *testing.T) {
 		add(&Record{Type: TCommit, Tx: tx, PrevLSN: l.NextLSN() - 1})
 		many := make([]Change, 1000)
 		for i := range many {
-			many[i] = Change{Page: page.ID{Area: page.AreaID(i % 3), Page: page.No(i) << 20}, Off: uint32(i), After: images[i%len(images)]}
+			img := images[i%len(images)]
+			many[i] = Change{Page: page.ID{Area: page.AreaID(i % 3), Page: page.No(i) << 20}, Off: uint32(i % (page.Size - len(img) + 1)), After: img}
 		}
 		add(&Record{Type: TPrepare, Tx: tx, PrevLSN: l.NextLSN() - 1, Changes: many})
 		add(&Record{Type: TAbort, Tx: tx, Changes: many[:1]})
+		// A page in 1,024 one-byte runs, three bytes apart; then runs of one
+		// page with no gap, an all-zero image, none, the widest gap and the
+		// page's last byte, and an empty run at the end of the next page.
+		runs := make([]Change, page.Size/4)
+		for i := range runs {
+			runs[i] = Change{Page: pid, Off: uint32(4 * i), After: images[1]}
+		}
+		add(&Record{Type: TRedo, Tx: tx, Changes: runs})
+		add(&Record{Type: TCommit, Tx: tx, PrevLSN: l.NextLSN() - 1, Changes: []Change{
+			{Page: pid, Off: 0, After: images[1]}, {Page: pid, Off: 1, After: make([]byte, 3)}, {Page: pid, Off: 4},
+			{Page: pid, Off: page.Size - 1, After: images[1]}, {Page: page.ID{Area: pid.Area, Page: pid.Page - 1}, Off: page.Size},
+		}})
 	}
 	add(&Record{Type: TCheckpoint})
 	dirty := make([]CkptPage, 3000)
@@ -585,19 +656,73 @@ func TestRecordCodecEdges(t *testing.T) {
 		}
 	}
 
+	// Runs the decoder would refuse are refused at Append.
+	other := page.ID{Area: 1, Page: 8}
+	for _, changes := range [][]Change{
+		{{Page: other, Off: page.Size - 1, After: []byte{1, 2}}},
+		{{Page: other, Off: 100, After: []byte{1, 2}}, {Page: other, Off: 101, After: []byte{3}}},
+		{{Page: other, Off: 100, After: []byte{1, 2}}, {Page: other, Off: 0, After: []byte{3}}},
+	} {
+		if _, err := l.Append(&Record{Type: TCommit, Tx: 1, Changes: changes}); !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("append of runs %+v: %v, want ErrUnencodable", changes, err)
+		}
+	}
+
 	// A page list's count larger than its body can hold is ErrCorrupt before
 	// anything is allocated.
 	body := (&Record{Type: TCommit, Tx: 1, Changes: []Change{{Page: page.ID{Area: 1, Page: 2}, After: []byte{1}}}}).appendTo(nil, firstLSN)
 	hdr := 1 + txSize(1) + 1 // type, tx, no prev: the count follows
-	for _, n := range []uint64{uint64(len(body)-hdr)/4 + 1, 1 << 20, 1 << 40, math.MaxUint64} {
+	for _, n := range []uint64{uint64(len(body)-hdr)/2 + 1, 1 << 20, 1 << 40, math.MaxUint64} {
 		bad := append(binary.AppendUvarint(append([]byte(nil), body[:hdr]...), n), body[hdr+1:]...)
-		if allocs := testing.AllocsPerRun(10, func() {
-			var r Record
-			if err := r.decode(bad, firstLSN); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("page count %d past the record: %v", n, err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("page count %d past the record: %v allocations before ErrCorrupt", n, allocs)
+		corruptNoAlloc(t, fmt.Sprintf("page count %d past the record", n), bad)
+	}
+	// So is a page list whose runs encode never writes, whatever its count.
+	uv := binary.AppendUvarint
+	list := func(n uint64, entries ...[]byte) []byte {
+		b := uv([]byte{byte(TCommit), 1, 0, 0}, n) // type, tx (counter, host), no prev, the count
+		for _, e := range entries {
+			b = append(b, e...)
 		}
+		return b
+	}
+	named := func(off, n uint64) []byte { // area 1, page 7
+		return append(uv(uv(uv(uv(nil, 1<<1), 7), off), n<<1), bytes.Repeat([]byte{0x5A}, int(n))...)
+	}
+	cont := func(gap, n uint64) []byte {
+		return append(uv(uv(nil, gap<<1|1), n<<1), bytes.Repeat([]byte{0x5A}, int(n))...)
+	}
+	for _, bad := range []struct {
+		name string
+		body []byte
+	}{
+		{"a continuation first in its list", list(1, cont(0, 1))},
+		{"a continuation first, a page after it", list(2, cont(0, 1), named(0, 1))},
+		{"an offset past the page's end", list(1, named(page.Size+1, 0))},
+		{"a run past the page's end", list(1, named(page.Size-1, 2))},
+		{"a gap past the page's end", list(2, named(0, 1), cont(page.Size, 0))},
+		{"a gap as wide as a number holds", list(2, named(0, 1), cont(math.MaxUint32, 0))},
+		{"a continued run past the page's end", list(2, named(4000, 1), cont(90, 10))},
+		{"a run overlapping the one before it", list(2, named(0, 10), named(5, 10))},
+		{"a run before the one before it", list(2, named(100, 10), named(0, 10))},
+		{"a page named again after its run", list(2, named(0, 10), named(20, 10))},
+	} {
+		corruptNoAlloc(t, bad.name, bad.body)
+	}
+	if _, err := decodeRecord(list(2, named(0, 10), cont(10, 10)), firstLSN); err != nil {
+		t.Fatalf("the well-formed list the refused ones are cut from: %v", err)
+	}
+}
+
+// corruptNoAlloc fails t unless body decodes as ErrCorrupt, with no
+// allocation on the way.
+func corruptNoAlloc(t *testing.T, what string, body []byte) {
+	t.Helper()
+	if allocs := testing.AllocsPerRun(10, func() {
+		var r Record
+		if err := r.decode(body, firstLSN); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", what, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%s: %v allocations before ErrCorrupt", what, allocs)
 	}
 }
