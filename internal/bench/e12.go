@@ -83,7 +83,7 @@ func e12Binary(payload []byte) *e12Caller {
 			if err != nil {
 				return
 			}
-			p.Serve(map[string]rpc.Handler{
+			p.Serve(map[string]rpc.Method{
 				"Lock": rpc.Typed(func(*proto.LockArgs) (*proto.Empty, error) {
 					return &proto.Empty{}, nil
 				}),

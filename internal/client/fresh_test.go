@@ -10,6 +10,7 @@ import (
 	"bess/internal/nodeserver"
 	"bess/internal/proto"
 	"bess/internal/rpc"
+	"bess/internal/segment"
 	"bess/internal/server"
 	"bess/internal/swizzle"
 	"bess/internal/vmem"
@@ -76,6 +77,17 @@ func TestCreatedImageIsTheServers(t *testing.T) {
 				}
 				if len(built.Overflow) != 0 || len(ov) != 0 {
 					t.Errorf("a fresh segment has no overflow: built %d bytes, server %d", len(built.Overflow), len(ov))
+				}
+				// Both verify from their first read: the header's data
+				// checksum is the zero-page table's.
+				for who, img := range map[string]*proto.SegImage{"built": built, "server": {Slotted: sl, Data: data}} {
+					dec, err := segment.DecodeSlotted(img.Slotted)
+					if err == nil {
+						err = dec.VerifyData(img.Data)
+					}
+					if err != nil {
+						t.Errorf("%s image does not verify: %v", who, err)
+					}
 				}
 			})
 		}

@@ -31,7 +31,7 @@ type Remote struct {
 // refused until a session installs its policy.
 func NewRemote(p *rpc.Peer) *Remote {
 	r := &Remote{p: p}
-	p.Handle("Callback", rpc.Typed(func(a *proto.SegArgs) (*proto.CallbackReply, error) {
+	p.Serve(map[string]rpc.Method{"Callback": rpc.Typed(func(a *proto.SegArgs) (*proto.CallbackReply, error) {
 		r.mu.Lock()
 		cb := r.onCallback
 		r.mu.Unlock()
@@ -40,7 +40,7 @@ func NewRemote(p *rpc.Peer) *Remote {
 		}
 		refused, err := cb(a.Seg)
 		return &proto.CallbackReply{Refused: refused}, err
-	}))
+	})})
 	// Pushed scan batches. Frames for an unregistered scan id (in flight
 	// after a cancel, or racing the ScanStart reply of a scan the client
 	// abandoned) are dropped here.

@@ -251,7 +251,8 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 	if snap, inSnap := f.s.snapState(); inSnap {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.SnapFetchSeg(f.s.client, snap, img.Seg)
 	} else if created {
-		img.Slotted, img.Data = segment.Format(n.fileID, n.slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
+		img.Slotted = segment.Format(n.fileID, n.slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
+		img.Data = make([]byte, n.dataPages*page.Size)
 	} else {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.FetchSeg(f.s.client, img.Seg)
 	}

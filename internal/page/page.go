@@ -10,6 +10,7 @@ package page
 import (
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Size is the BeSS page size in bytes. All caches, virtual frames, and
@@ -53,6 +54,33 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // ChecksumUpdate extends crc with b (incremental Checksum over
 // discontiguous regions).
 func ChecksumUpdate(crc uint32, b []byte) uint32 { return crc32.Update(crc, castagnoli, b) }
+
+// ZeroChecksum returns the CRC-32C of k zero pages: the checksum of a data
+// section just formatted, which nobody builds to sum. k ≤ PerExtent — every
+// segment — is a lookup in a table filled once; a longer run extends its
+// last entry.
+func ZeroChecksum(k int) uint32 {
+	t := zeroChecksums()
+	if k <= PerExtent {
+		return t[k]
+	}
+	crc := t[PerExtent]
+	for ; k > PerExtent; k-- {
+		crc = ChecksumUpdate(crc, zeroPage[:])
+	}
+	return crc
+}
+
+var zeroPage [Size]byte
+
+// zeroChecksums is ZeroChecksum's table: entry k sums k zero pages.
+var zeroChecksums = sync.OnceValue(func() *[PerExtent + 1]uint32 {
+	var t [PerExtent + 1]uint32
+	for k := 1; k <= PerExtent; k++ {
+		t[k] = ChecksumUpdate(t[k-1], zeroPage[:])
+	}
+	return &t
+})
 
 // CorruptError reports a checksum mismatch with enough identity to locate
 // the bad bytes on media: which section of which object failed, the byte

@@ -37,3 +37,14 @@ func TestGeometry(t *testing.T) {
 		t.Fatal("pages per extent must be a power of two")
 	}
 }
+
+// TestZeroChecksum: the table of zero-page checksums is, entry for entry, the
+// checksum of that many real zero pages — and past the table too.
+func TestZeroChecksum(t *testing.T) {
+	zeros := make([]byte, (PerExtent+2)*Size)
+	for k := 0; k <= PerExtent+2; k++ {
+		if got, want := ZeroChecksum(k), ChecksumUpdate(0, zeros[:k*Size]); got != want {
+			t.Fatalf("ZeroChecksum(%d) = %08x, want %08x", k, got, want)
+		}
+	}
+}

@@ -101,7 +101,22 @@ func Encode(m Message) ([]byte, error) {
 		return raw.Data, nil
 	}
 	size := walk(Cursor{mode: sizing}, m).n
-	c := walk(Cursor{buf: make([]byte, 0, size)}, m)
+	return Append(make([]byte, 0, size), m)
+}
+
+// Size returns the length of m's encoding, or the error encoding m fails
+// with: sizing checks every value encoding checks, so a message that sizes
+// encodes, to exactly that many bytes, as long as nobody changes it between.
+func Size(m Message) (int, error) {
+	c := walk(Cursor{mode: sizing}, m)
+	return c.n, c.err
+}
+
+// Append appends the encoding of m to b. It allocates nothing when b has the
+// room: rpc encodes a frame's message straight into the peer's send batch.
+// On an error the returned slice holds a partial encoding past len(b).
+func Append(b []byte, m Message) ([]byte, error) {
+	c := walk(Cursor{buf: b}, m)
 	return c.buf, c.err
 }
 

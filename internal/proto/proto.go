@@ -73,6 +73,14 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // A byte slice a method returns is the caller's, to keep and to write to (the
 // mapper swizzles a fetched data image in place): an implementation serving
 // from something it retains — a version chain, a node cache — returns a copy.
+//
+// The other way round, a segment image handed to Commit or Prepare is only
+// lent: no implementation keeps a shipped byte past the call. A server's
+// commit writes its pages back before Commit returns, and a prepare drops
+// them once its record is logged (Decide rebuilds them from the log); a node
+// server forwards them and keeps none. So a client ships its live sections,
+// not copies of them (swizzle.Mapper.UnswizzledData), and may write to them
+// again the moment the call returns.
 type Conn interface {
 	// Hello registers the caller and returns its client id.
 	Hello(name string) (uint32, error)

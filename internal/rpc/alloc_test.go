@@ -1,6 +1,10 @@
 package rpc
 
-import "testing"
+import (
+	"testing"
+
+	"bess/internal/proto"
+)
 
 // Allocation budgets for the frame header codec (DESIGN.md §4f): encode
 // appends onto the caller's buffer and parse fills a stack frame — neither
@@ -9,10 +13,17 @@ import "testing"
 func TestAppendFrameAllocs(t *testing.T) {
 	f := frame{id: 42, method: 13, body: make([]byte, 300)}
 	named := frame{id: 43, flags: flagNamed, name: "SomeTestMethod", body: make([]byte, 64)}
-	buf := make([]byte, 0, 1024)
+	// A message is encoded in place, as a Call's args or a Typed reply are.
+	img := &proto.SegImage{Slotted: make([]byte, 128), Data: make([]byte, 512)}
+	msg := frame{id: 44, flags: flagReply | flagCRC}
+	if err := msg.setMsg(img); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2048)
 	if n := testing.AllocsPerRun(200, func() {
 		buf = appendFrame(buf[:0], &f)
 		buf = appendFrame(buf, &named)
+		buf = appendFrame(buf, &msg)
 	}); n != 0 {
 		t.Fatalf("appendFrame: %v allocs/op into a sized buffer, want 0", n)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"bess/internal/page"
+	"bess/internal/proto"
 )
 
 // Binary frame format.
@@ -128,21 +129,40 @@ var methodIDs = func() map[string]uint16 {
 	return m
 }()
 
-// frame is the parsed wire unit.
+// frame is the wire unit. A frame read off the wire has its body; a frame
+// being sent has either a message (msg), which appendFrame encodes straight
+// into the send batch, or — the bytes already encoded — a body.
 type frame struct {
 	id     uint64
 	flags  uint8
 	method uint16 // 0 when the name travels inline (flagNamed)
 	name   string // resolved method name ("" on replies)
 	body   []byte
+	msg    proto.Message
+	size   int // msg's encoded length (setMsg)
+}
+
+// setMsg makes m the body of f, sizing it: a message that cannot be encoded
+// fails here, before its sender queues anything.
+func (f *frame) setMsg(m proto.Message) error {
+	n, err := proto.Size(m)
+	if err != nil {
+		return err
+	}
+	f.msg, f.size = m, n
+	return nil
 }
 
 // payloadLen is the header's N: the body, after a named frame's inline name.
 func (f *frame) payloadLen() int {
-	if f.flags&flagNamed != 0 {
-		return 2 + len(f.name) + len(f.body)
+	n := len(f.body)
+	if f.msg != nil {
+		n = f.size
 	}
-	return len(f.body)
+	if f.flags&flagNamed != 0 {
+		return 2 + len(f.name) + n
+	}
+	return n
 }
 
 // wireLen is the number of bytes appendFrame adds for f.
@@ -155,7 +175,9 @@ func (f *frame) wireLen() int {
 
 // appendFrame serializes f onto dst, returning the extended slice. It runs
 // once per frame on the send path, straight into the peer's pending batch,
-// and must not allocate beyond dst.
+// and must not allocate beyond dst: a message is encoded in place, its
+// length put in the header after it. A message that fails to encode leaves
+// dst as it was.
 //
 // TestAppendFrameAllocs pins its allocation budget.
 func appendFrame(dst []byte, f *frame) []byte {
@@ -163,12 +185,20 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, f.id)
 	dst = append(dst, f.flags)
 	dst = binary.BigEndian.AppendUint16(dst, f.method)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.payloadLen()))
+	dst = binary.BigEndian.AppendUint32(dst, 0) // payload length, below
 	if f.flags&flagNamed != 0 {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.name)))
 		dst = append(dst, f.name...)
 	}
-	dst = append(dst, f.body...)
+	if f.msg == nil {
+		dst = append(dst, f.body...)
+	} else {
+		var err error
+		if dst, err = proto.Append(dst, f.msg); err != nil {
+			return dst[:start]
+		}
+	}
+	binary.BigEndian.PutUint32(dst[start+11:], uint32(len(dst)-start-frameHdrLen))
 	if f.flags&flagCRC != 0 {
 		dst = binary.BigEndian.AppendUint32(dst, page.Checksum(dst[start:]))
 	}

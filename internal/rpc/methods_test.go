@@ -50,7 +50,7 @@ func TestColdCallAllocBudget(t *testing.T) {
 	a, b := NewPeer(c1), NewPeer(c2)
 	defer a.Close()
 	defer b.Close()
-	b.Handle("NewTx", Typed(func(*proto.ClientArgs) (*proto.NewTxReply, error) {
+	serve1(b, "NewTx", Typed(func(*proto.ClientArgs) (*proto.NewTxReply, error) {
 		return &proto.NewTxReply{Tx: 42}, nil
 	}))
 	var rep proto.NewTxReply

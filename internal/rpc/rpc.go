@@ -9,12 +9,17 @@
 // message in the internal/proto codec: Call and Typed encode and decode it,
 // CallRaw and a bare Handler move bytes that are already encoded.
 //
-// One hop, one buffer. Outbound, a sender encodes its frame once, into the
-// peer's pending batch, and the first sender to reach the socket writes the
-// batch for everyone queued behind it — the same leader/follower pattern the
-// WAL uses for group commit, applied to writes instead of fsyncs. The batch
-// goes to the connection as it is; while it is on the socket senders fill
-// the one spare, and the two swap (an idle peer keeps at most 2 x maxSpare).
+// One hop, one buffer. Outbound, a sender sizes its frame's message before it
+// takes the batch lock — an unencodable message fails there, with nothing
+// queued — and then encodes it once, straight into the peer's pending batch:
+// a Call's args and a Typed reply (a FetchSeg image, say) are never encoded
+// anywhere else, and bytes already encoded (CallRaw, a bare Handler's reply,
+// a stream frame) are copied into the batch once. The first sender to reach
+// the socket writes the batch for everyone queued behind it — the same
+// leader/follower pattern the WAL uses for group commit, applied to writes
+// instead of fsyncs. The batch goes to the connection as it is; while it is
+// on the socket senders fill the one spare, and the two swap (an idle peer
+// keeps at most 2 x maxSpare).
 // Inbound, a frame's body is allocated for that frame and belongs to whoever
 // receives it — handler, stream handler or caller — to keep, view into and
 // write to; nothing on the read side is recycled. Transports: TCP
@@ -67,6 +72,11 @@ func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
 // reply body (nil for an empty reply). The body is the frame's own
 // allocation and now the handler's: it may be retained and written to.
 type Handler func(body []byte) ([]byte, error)
+
+// Method serves one method as Handler does, but returns its reply as a
+// message, which the peer encodes straight into its send batch: the message
+// must not change once returned. Typed builds one over decoded messages.
+type Method func(body []byte) (proto.Message, error)
 
 // StreamHandler consumes one one-way stream frame. Stream handlers run
 // synchronously on the read loop so frames of one stream arrive in order;
@@ -122,7 +132,7 @@ type Peer struct {
 	grouped  int64  // guarded by wmu
 
 	mu       lockcheck.Mutex
-	handlers map[string]Handler       // guarded by mu
+	handlers map[string]Method        // guarded by mu
 	streams  map[string]StreamHandler // guarded by mu
 	calls    map[uint64]chan frame    // guarded by mu
 	closed   bool                     // guarded by mu
@@ -168,7 +178,7 @@ func NewPeer(conn io.ReadWriteCloser) *Peer {
 func newPeer(conn io.ReadWriteCloser) *Peer {
 	p := &Peer{
 		conn:     conn,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]Method),
 		calls:    make(map[uint64]chan frame),
 		served:   make(chan struct{}),
 	}
@@ -183,7 +193,7 @@ func newPeer(conn io.ReadWriteCloser) *Peer {
 // Listener.Accept it also releases the requests that arrived before it: an
 // accepted peer answers nothing until its first Serve, so a client that
 // calls the moment it connects can never find half a handler table.
-func (p *Peer) Serve(handlers map[string]Handler) {
+func (p *Peer) Serve(handlers map[string]Method) {
 	p.mu.Lock()
 	for method, h := range handlers {
 		p.handlers[method] = h
@@ -192,8 +202,13 @@ func (p *Peer) Serve(handlers map[string]Handler) {
 	p.release()
 }
 
-// Handle is Serve for a single method.
-func (p *Peer) Handle(method string, h Handler) { p.Serve(map[string]Handler{method: h}) }
+// Handle is Serve for a single method served over raw bytes.
+func (p *Peer) Handle(method string, h Handler) {
+	p.Serve(map[string]Method{method: func(body []byte) (proto.Message, error) {
+		r, err := h(body)
+		return &proto.Bytes{Data: r}, err
+	}})
+}
 
 func (p *Peer) release() { p.servedOnce.Do(func() { close(p.served) }) }
 
@@ -214,26 +229,32 @@ func (p *Peer) HandleStream(method string, h StreamHandler) {
 // stream data interleaves with — and never starves — regular traffic.
 func (p *Peer) SendStream(method string, stream uint64, body []byte) error {
 	f := frame{id: stream, flags: flagStream, body: body}
+	f.setMethod(method)
+	return p.send(&f)
+}
+
+// setMethod names the method f calls: by its id, or inline if it has none.
+func (f *frame) setMethod(method string) {
 	if mid, ok := methodIDs[method]; ok {
 		f.method = mid
 	} else {
 		f.flags |= flagNamed
 		f.name = method
 	}
-	return p.send(&f)
 }
 
-// Typed adapts a function over decoded messages to a Handler: the request
+// Typed adapts a function over decoded messages to a Method: the request
 // body is decoded into a fresh A (a malformed or out-of-range body is
-// refused before fn runs) and fn's reply is encoded as the reply body.
+// refused before fn runs) and fn's reply is the reply body, encoded into the
+// send batch (a reply that cannot be encoded goes back as an error).
 func Typed[A, R any, PA interface {
 	*A
 	proto.Message
 }, PR interface {
 	*R
 	proto.Message
-}](fn func(*A) (*R, error)) Handler {
-	return func(body []byte) ([]byte, error) {
+}](fn func(*A) (*R, error)) Method {
+	return func(body []byte) (proto.Message, error) {
 		a := new(A)
 		if err := proto.Decode(body, PA(a)); err != nil {
 			return nil, err
@@ -242,13 +263,18 @@ func Typed[A, R any, PA interface {
 		if err != nil {
 			return nil, err
 		}
-		return proto.Encode(PR(r))
+		return PR(r), nil
 	}
 }
 
 // CallRaw sends a request whose body is already encoded and returns the
 // reply body, which is the reply frame's own allocation and now the caller's.
 func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
+	return p.call(method, frame{body: body})
+}
+
+// call sends f as a request for method and waits for the reply body.
+func (p *Peer) call(method string, f frame) ([]byte, error) {
 	id := p.nextID.Add(1)
 	ch := make(chan frame, 1)
 	p.mu.Lock()
@@ -263,13 +289,8 @@ func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
 	p.calls[id] = ch
 	p.mu.Unlock()
 
-	f := frame{id: id, body: body}
-	if mid, ok := methodIDs[method]; ok {
-		f.method = mid
-	} else {
-		f.flags |= flagNamed
-		f.name = method
-	}
+	f.id = id
+	f.setMethod(method)
 	if err := p.send(&f); err != nil {
 		p.dropCall(id)
 		return nil, err
@@ -284,14 +305,15 @@ func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
 	return rf.body, nil
 }
 
-// Call encodes args as the request body and decodes the reply body into
-// reply; a nil reply ignores the body.
+// Call sends args as the request body — encoded once, into the send batch —
+// and decodes the reply body into reply; a nil reply ignores the body. args
+// is not kept past the call.
 func (p *Peer) Call(method string, args, reply proto.Message) error {
-	body, err := proto.Encode(args)
-	if err != nil {
+	var f frame
+	if err := f.setMsg(args); err != nil {
 		return fmt.Errorf("rpc: encode %s args: %w", method, err)
 	}
-	rb, err := p.CallRaw(method, body)
+	rb, err := p.call(method, f)
 	if err != nil || reply == nil {
 		return err
 	}
@@ -314,11 +336,14 @@ func (p *Peer) EnableChecksums() { p.crcOut.Store(true) }
 
 // send encodes f straight into the pending batch and returns once those
 // bytes are on the socket — written either by this sender as leader or by
-// another sender's write that covered them.
+// another sender's write that covered them. A message is sized already
+// (setMsg); one that changed since, and no longer encodes to that size, is
+// taken back out of the batch and fails the send.
 func (p *Peer) send(f *frame) error {
 	if p.crcOut.Load() {
 		f.flags |= flagCRC
 	}
+	n := f.wireLen()
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.werr != nil {
@@ -326,10 +351,14 @@ func (p *Peer) send(f *frame) error {
 	}
 	// Grow at most once per frame, by its whole size: a large frame must not
 	// double its way up from a small batch.
-	if need := len(p.pending) + f.wireLen(); need > cap(p.pending) {
+	start := len(p.pending)
+	if need := start + n; need > cap(p.pending) {
 		p.pending = append(make([]byte, 0, max(need, 2*cap(p.pending))), p.pending...)
 	}
-	p.pending = appendFrame(p.pending, f)
+	if p.pending = appendFrame(p.pending, f); len(p.pending) != start+n {
+		p.pending = p.pending[:start]
+		return fmt.Errorf("%w: message changed while being sent", proto.ErrBadMessage)
+	}
 	p.wseq++
 	p.frames++
 	return p.flushPending(p.wseq)
@@ -467,12 +496,13 @@ func (p *Peer) dispatch(f frame) {
 		reply.flags |= flagError
 		reply.body = []byte(ErrNoHandler.Error() + ": " + name)
 	} else {
-		body, err := h(f.body)
+		msg, err := h(f.body)
+		if err == nil {
+			err = reply.setMsg(msg)
+		}
 		if err != nil {
 			reply.flags |= flagError
 			reply.body = []byte(err.Error())
-		} else {
-			reply.body = body
 		}
 	}
 	if err := p.send(&reply); err != nil {

@@ -24,7 +24,7 @@ func TestCallOverPipe(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	b.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "re: " + in.Msg}, nil
 	}))
 	var rep echoReply
@@ -40,7 +40,7 @@ func TestRemoteError(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	b.Handle("boom", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "boom", Typed(func(in *echoArgs) (*echoReply, error) {
 		return nil, errors.New("kapow")
 	}))
 	err := a.Call("boom", &echoArgs{}, &echoReply{})
@@ -96,12 +96,12 @@ func TestBidirectionalCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.Handle("client-side", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(a, "client-side", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "from-a"}, nil
 	}))
 	// b's handler calls back into a over the same connection — the callback
 	// locking pattern.
-	b.Handle("server-side", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "server-side", Typed(func(in *echoArgs) (*echoReply, error) {
 		var rep echoReply
 		if err := b.Call("client-side", &echoArgs{}, &rep); err != nil {
 			return nil, err
@@ -121,7 +121,7 @@ func TestConcurrentCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	b.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: in.Msg}, nil
 	}))
 	var wg sync.WaitGroup
@@ -158,7 +158,7 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 	t.Cleanup(func() { goleak.Check(t, "rpc.") })
 	a, b := Pipe()
 	release := make(chan struct{})
-	b.Handle("slow", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "slow", Typed(func(in *echoArgs) (*echoReply, error) {
 		<-release
 		return &echoReply{}, nil
 	}))
@@ -230,7 +230,7 @@ func TestCloseMidBurstDrainsDispatch(t *testing.T) {
 	a, b := Pipe()
 	var entered, exited atomic.Int32
 	release := make(chan struct{})
-	b.Handle("slow", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(b, "slow", Typed(func(in *echoArgs) (*echoReply, error) {
 		entered.Add(1)
 		<-release
 		exited.Add(1)
@@ -385,7 +385,7 @@ func TestTCPTransport(t *testing.T) {
 		if err != nil {
 			return
 		}
-		p.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
+		serve1(p, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
 			return &echoReply{Msg: "tcp " + in.Msg}, nil
 		}))
 	}()
@@ -438,7 +438,7 @@ func TestAcceptHoldsRequestsUntilServe(t *testing.T) {
 		t.Fatalf("call finished before any handler was installed: %v", err)
 	default:
 	}
-	p.Handle("echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	serve1(p, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "re: " + in.Msg}, nil
 	}))
 	if err := <-done; err != nil || rep.Msg != "re: early" {

@@ -205,6 +205,13 @@ func SlotIndexForOffset(off uint64) (int, error) {
 // data segment geometry. Overflow starts absent (OverPages 0) and is added
 // on demand by the file layer.
 func New(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) *Seg {
+	s := empty(fileID, slottedPages, dataPages, dataArea, dataStart)
+	s.Data = make([]byte, dataPages*page.Size)
+	return s
+}
+
+// empty is New without the data section.
+func empty(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) *Seg {
 	n := SlotCapacity(slottedPages)
 	s := &Seg{
 		Hdr: Header{
@@ -217,7 +224,6 @@ func New(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataS
 			FreeSlotHead: 0,
 		},
 		Slots: make([]Slot, n),
-		Data:  make([]byte, dataPages*page.Size),
 	}
 	// Chain the free list through DataOff.
 	for i := 0; i < n; i++ {
@@ -233,14 +239,18 @@ func New(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataS
 	return s
 }
 
-// Format returns the initial images of an empty object segment: the encoded
-// slotted segment, section checksums set, and the zeroed data section. These
-// are the bytes a server writes when it creates the segment, and — the
-// geometry being all they depend on — the bytes the creating client builds
-// for itself instead of fetching them back.
-func Format(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) (slotted, data []byte) {
-	s := New(fileID, slottedPages, dataPages, dataArea, dataStart)
-	return s.EncodeSlotted(), s.Data
+// Format returns the initial slotted image of an empty object segment, New's
+// encoded, section checksums set. Its data section is dataPages zero pages:
+// their checksum comes from page.ZeroChecksum, and no data is built. The
+// image and the zero pages are what a server writes when it creates the
+// segment, and — the geometry being all they depend on — what the creating
+// client builds for itself instead of fetching them back.
+func Format(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) []byte {
+	s := empty(fileID, slottedPages, dataPages, dataArea, dataStart)
+	// As EncodeSlotted sets them over New's zeroed data and absent overflow.
+	s.Hdr.DataCRC = page.ZeroChecksum(dataPages)
+	s.Hdr.CRCFlags = CRCData | CRCOver
+	return s.EncodeSlots()
 }
 
 // AllocSlot takes a slot off the free list and initializes it.

@@ -410,14 +410,17 @@ func TestSlottedImageGolden(t *testing.T) {
 }
 
 // TestFormatIsNewEncoded: Format is New's image — what a server writes and a
-// creator builds.
+// creator builds — and it verifies against the zero data section it never
+// builds, for every data size a segment can have.
 func TestFormatIsNewEncoded(t *testing.T) {
-	sl, data := Format(1, 2, 4, 9, 100)
-	if want := newTestSeg(); !bytes.Equal(sl, want.EncodeSlotted()) || !bytes.Equal(data, want.Data) {
-		t.Fatal("Format is not the encoding of New")
-	}
-	if dec, err := DecodeSlotted(sl); err != nil || dec.VerifyData(data) != nil {
-		t.Fatalf("a formatted segment does not verify: %v", err)
+	for _, n := range []int{0, 1, 4, 126, page.PerExtent} {
+		sl := Format(1, 2, n, 9, 100)
+		if want := New(1, 2, n, 9, 100); !bytes.Equal(sl, want.EncodeSlotted()) {
+			t.Fatalf("%d data pages: Format is not the encoding of New", n)
+		}
+		if dec, err := DecodeSlotted(sl); err != nil || dec.VerifyData(make([]byte, n*page.Size)) != nil {
+			t.Fatalf("%d data pages: a formatted segment does not verify: %v", n, err)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"bess/internal/lockcheck"
+	"bess/internal/page"
 )
 
 // Allocation budgets for the snapshot read (DESIGN.md §4f). readAsOf
@@ -52,5 +54,44 @@ func TestReadAsOfAllocs(t *testing.T) {
 	})
 	if disk != read || disk != 4 {
 		t.Errorf("readAsOf disk verdict: %v allocs/op, readImage alone %v; want both 4 (three runs and the header)", disk, read)
+	}
+}
+
+// TestFormatSegmentAllocs: creating a segment builds its slotted image and
+// slot array, and nothing the size of its data section — the header's data
+// checksum is page.ZeroChecksum's, and the zeros written are one shared run.
+// The constant is the two extent-map writes and the catalog's bookkeeping.
+// Building the data section cost a 126-page segment 516 KB more.
+func TestFormatSegmentAllocs(t *testing.T) {
+	const slotted, dataPages = 1, 126
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	cl, _ := s.Hello("c")
+	if _, err := s.CreateSegment(cl, 0, db, 1, slotted, dataPages, -1); err != nil {
+		t.Fatal(err)
+	}
+	// Room for the measured segment's data run, so that it grows no extent.
+	area, start, _, err := s.AllocRun(db, dataPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FreeRun(db, area, start); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := s.CreateSegment(cl, 0, db, 1, slotted, dataPages, -1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DataStart != start {
+		t.Fatalf("the data run went to %d, not to the freed run at %d: the measure includes an extent", rep.DataStart, start)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*slotted*page.Size+16<<10)
+	t.Logf("CreateSegment of %d+%d pages: %d bytes allocated", slotted, dataPages, got)
+	if got > limit {
+		t.Fatalf("CreateSegment of %d+%d pages allocated %d bytes, want <= %d: its slotted image, its slots and a constant", slotted, dataPages, got, limit)
 	}
 }

@@ -270,11 +270,16 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 			t.Errorf("%s: ReadRun = %v, want %v", c.name, err, c.want)
 		}
 		var rr proto.Bytes
+		sent := p.WireStats().FramesSent
 		err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
 		if c.nPages < 0 || c.nPages > math.MaxInt32 {
-			// Not representable in the field's 31 bits: the call never leaves.
+			// Not representable in the field's 31 bits: the call never leaves,
+			// and nothing of it is queued.
 			if !errors.Is(err, proto.ErrBadMessage) {
 				t.Errorf("%s: ReadRun over RPC = %v, want ErrBadMessage from the encoder", c.name, err)
+			}
+			if n := p.WireStats().FramesSent - sent; n != 0 {
+				t.Errorf("%s: a call the encoder refused queued %d frames", c.name, n)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
 			t.Errorf("%s: ReadRun over RPC = %v, want %v", c.name, err, c.want)

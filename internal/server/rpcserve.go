@@ -20,7 +20,7 @@ func ServePeer(s *Server, p *rpc.Peer) {
 	})
 	empty := &proto.Empty{}
 
-	h := map[string]rpc.Handler{
+	h := map[string]rpc.Method{
 		"Hello": rpc.Typed(func(a *proto.HelloArgs) (*proto.IDReply, error) {
 			id, err := s.Hello(a.Name)
 			if err != nil {

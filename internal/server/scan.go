@@ -164,7 +164,7 @@ func (t *scanTable) close() {
 
 // serveScan adds the streaming-scan handlers of one peer to its handler
 // table h and registers the ScanCtl stream.
-func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Handler) {
+func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Method) {
 	table := newScanTable()
 	p.SetOnClose(func(error) { table.close() })
 

@@ -619,16 +619,22 @@ func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, sl
 }
 
 // formatSegment writes the initial images of the segment op adds: the empty
-// slotted segment and the zeroed data section, one write per run. The data
-// section is attached when the header is encoded, so the segment verifies
-// from its very first read.
+// slotted segment and the zeroed data section, one write per run. The header
+// carries the zero section's checksum, so the segment verifies from its very
+// first read. The zeros are written, not left to the area: a data run's first
+// write-back would pay for the fresh blocks instead.
 func formatSegment(a *area.Area, op *proto.CatalogOp) error {
-	slotted, data := segment.Format(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
+	slotted := segment.Format(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
 	if err := a.WriteRun(page.No(op.Seg.Start), slotted); err != nil {
 		return err
 	}
-	return a.WriteRun(page.No(op.DataStart), data)
+	return a.WriteRun(page.No(op.DataStart), zeroRun[:op.DataPages*page.Size])
 }
+
+// zeroRun is the data section formatSegment writes, shared by every segment
+// it formats and written by nobody. Both its callers bound DataPages by
+// area.MaxSegmentPages (AllocSegment, EnsureSegment).
+var zeroRun [area.MaxSegmentPages * page.Size]byte
 
 // redoSegment re-establishes at restart the storage of a replayed add-segment
 // op: both runs are made live in the extent map (the map write may not have

@@ -683,16 +683,24 @@ func (m *Mapper) DirtySegs() []SegID {
 	return out
 }
 
-// UnswizzledData returns a copy of the segment's data with every reference
-// field converted back to persistent form, ready to be written to disk — nil
-// when the data part is not mapped: there is none of it here to write.
+// UnswizzledData returns the segment's data with every reference field in
+// persistent form, ready to be written to disk — nil when the data part is
+// not mapped: there is none of it here to write. When no live object's type
+// has a reference field there is nothing to convert, and it is the live data
+// section itself, lent: the caller reads it and lets go of it before the
+// segment next changes (a commit ships it, and proto.Conn's Commit and
+// Prepare keep no byte past the call). Otherwise it is a copy, converted.
 func (m *Mapper) UnswizzledData(id SegID) ([]byte, error) {
 	ms, ok := m.bySeg[id]
 	if !ok || ms.state < stDataMapped {
 		return nil, nil
 	}
+	live := ms.seg.LiveSlots()
+	if !m.anyRefs(ms.seg, live) {
+		return ms.seg.Data, nil
+	}
 	out := append([]byte(nil), ms.seg.Data...)
-	for _, i := range ms.seg.LiveSlots() {
+	for _, i := range live {
 		sl := ms.seg.Slots[i]
 		if sl.Kind != segment.KindSmall {
 			continue
@@ -715,6 +723,18 @@ func (m *Mapper) UnswizzledData(id SegID) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// anyRefs reports whether the type of any small object among live slots of
+// seg has a reference field.
+func (m *Mapper) anyRefs(seg *segment.Seg, live []int) bool {
+	for _, i := range live {
+		sl := seg.Slots[i]
+		if td := m.types.Lookup(sl.Type); sl.Kind == segment.KindSmall && td != nil && len(td.RefOffsets) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // MarkClean clears the dirty flag after a successful flush.

@@ -190,6 +190,40 @@ func TestUnswizzledDataUnmapped(t *testing.T) {
 	}
 }
 
+// TestUnswizzledDataLendsRefFree: with no live object of a type that has a
+// reference field there is nothing to convert, and the live section itself
+// is what a commit ships.
+func TestUnswizzledDataLendsRefFree(t *testing.T) {
+	reg := segment.NewRegistry()
+	td, err := reg.Register(segment.TypeDesc{Name: "Blob", Size: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SegID{Area: 1, Start: 10}
+	seg := segment.New(1, 1, 2, id.Area, 100)
+	if _, err := seg.CreateObject(td.ID, []byte("no references here")); err != nil {
+		t.Fatal(err)
+	}
+	f := newMemFetcher()
+	f.add(id, seg)
+	m := NewMapper(vmem.New(), f, reg)
+	addr, _ := m.AddrOfSlot(id, 0)
+	obj, err := m.Deref(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Read(0, make([]byte, 4)); err != nil { // maps the data
+		t.Fatal(err)
+	}
+	data, err := m.UnswizzledData(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := m.Seg(id); &data[0] != &live.Data[0] {
+		t.Fatal("UnswizzledData copied a section with nothing to unswizzle")
+	}
+}
+
 func TestTrustedSlotUpdateErrors(t *testing.T) {
 	f, reg, idA, _ := buildGraph(t)
 	m := NewMapper(vmem.New(), f, reg)

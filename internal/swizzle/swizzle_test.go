@@ -435,10 +435,14 @@ func TestUnswizzleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The unswizzled copy must equal the original persistent bytes.
+	// The unswizzled copy must equal the original persistent bytes, and be a
+	// copy: the type has references, so the live section is not lent.
 	orig := f.segs[idA].Data
 	if !bytes.Equal(data[:len(orig)], orig) {
 		t.Fatal("unswizzled data differs from original persistent form")
+	}
+	if live, _ := m.Seg(idA); &data[0] == &live.Data[0] {
+		t.Fatal("UnswizzledData lent the live section of a segment whose objects have references")
 	}
 	// And the in-memory copy is still swizzled (the copy did not mutate it).
 	got, _ := obj.RefField(0)
