@@ -1,43 +1,51 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"bess/internal/goleak"
 	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
 // Version chains for multiversion snapshot reads (DESIGN.md §7).
 //
+// The store is the snapshot registry as well as the chains: it keeps the
+// version clock (the highest published commit stamp), the open snapshots and
+// their owners, and computes the watermark from them under the same mu that
+// guards the chains it reclaims.
+//
 // The newest committed image of a segment always lives on disk (and in the
 // regular page cache); the VersionStore retains only superseded images —
 // and only those a snapshot might still need. An updater stages each segment
 // before overwriting its pages, handing StageUpdate the pre-update image it
 // read (the store owns those bytes from then on), and publishes the staged
-// set at commit (CommitTx stamps each image with its validity window and
-// bumps the segment's commit stamp). A snapshot read at stamp T resolves to
-// exactly one of: a chain entry whose [from, until) window contains T, or the
-// current disk image (when the segment's stamp is ≤ T and no update is
-// mid-overwrite). Nothing else: the store keeps every image a snapshot can
-// reach, so a miss is an invariant violation (VersionMiss).
+// set at commit (CommitTx advances the clock, stamps each image with its
+// validity window and bumps the segment's commit stamp). A snapshot read at
+// stamp T resolves to exactly one of: a chain entry whose [from, until)
+// window contains T, or the current disk image (when the segment's stamp is
+// ≤ T and no update is mid-overwrite). Nothing else: the store keeps every
+// image a snapshot can reach, so a miss is an invariant violation
+// (VersionMiss).
 //
 // Retention is by watermark alone (Larson et al., PAPERS.md: reclaim by the
 // oldest reader): the watermark is the smallest stamp an open snapshot has,
-// or the commit stamp when none is smaller, and an image superseded at or
-// below it is one no snapshot, open or still to come, can read. CommitTx
-// drops such an image at its commit — every image when no snapshot is open —
-// and Trim drops the rest as snapshots close. There is no per-segment cap: a
-// cap would evict images an open snapshot reads. There are no pins either: a
-// retained image is immutable, so AsOf hands it out by value and dropping an
-// entry drops only the chain's reference — the bytes live as long as the
-// reply that holds them.
+// or the clock when none is smaller, and an image superseded at or below it
+// is one no snapshot, open or still to come, can read. While a snapshot is
+// open the watermark is the oldest one's stamp, which only a close moves;
+// with none open it is the clock, and a commit retains nothing. So CommitTx
+// drops such an image at its commit and a close drops the rest in its own mu
+// section: no retained image is ever at or below the watermark. There is no
+// per-segment cap: a cap would evict images an open snapshot reads. There
+// are no pins either: a retained image is immutable, so AsOf hands it out by
+// value and dropping an entry drops only the chain's reference — the bytes
+// live as long as the reply that holds them.
 
-// versionGCPeriod paces the background Trim, which catches what a commit
-// published beside a closing snapshot's own Trim.
-const versionGCPeriod = 50 * time.Millisecond
+// ErrNotOwner is the refusal to close a snapshot another client opened.
+var ErrNotOwner = errors.New("cache: snapshot belongs to another client")
 
 // VKey identifies one segment (area id + start page) without importing the
 // wire-protocol package.
@@ -78,7 +86,7 @@ type VStats struct {
 	DiskReads int64 // AsOf resolved to the current disk image
 	Waits     int64 // AsOf blocked on a mid-overwrite segment
 	Trimmed   int64 // AsOf found no image: a VersionMiss
-	Trims     int64 // entries dropped by Trim
+	Trims     int64 // entries dropped as snapshots closed
 }
 
 // A VersionMiss is AsOf finding no image for a stamp its segment has moved
@@ -106,58 +114,116 @@ func (e *VersionMiss) Error() string {
 // lock (commit hooks stage under segment X locks), outside only Log.mu.
 const RankVersionStoreMu lockcheck.Rank = 55
 
-// VersionStore retains superseded segment images for open snapshots.
+// VersionStore retains superseded segment images for open snapshots, and
+// registers the snapshots.
 type VersionStore struct {
-	watermark func() page.LSN // the reclaim horizon (tx.Manager.Watermark)
-
 	mu      lockcheck.Mutex
 	cond    *sync.Cond
+	clock   atomic.Uint64             // highest published commit stamp; written under mu
+	snaps   map[uint64]openSnap       // open snapshots by id; guarded by mu
+	lastID  uint64                    // last snapshot id issued; guarded by mu
 	chains  map[VKey][]version        // ascending from; guarded by mu
 	stamp   map[VKey]page.LSN         // last commit stamp per key; guarded by mu
 	staged  map[VKey]int              // in-flight overwrites per key; guarded by mu
 	pending map[uint64][]stagedUpdate // per-tx staged updates; guarded by mu
 	floor   page.LSN                  // highest watermark reclaimed at; guarded by mu
 	stats   VStats                    // guarded by mu
-
-	gc goleak.Group // the watermark GC ticker; Close stops it
 }
 
-// NewVersionStore wires a store to its snapshot registry: watermark yields
-// the reclaim horizon, and must be computed in one step over the commit stamp
-// and every open snapshot's stamp. Starts the GC goroutine; Close stops it.
-func NewVersionStore(watermark func() page.LSN) *VersionStore {
+// openSnap is one open snapshot: the client that opened it and its stamp.
+type openSnap struct {
+	owner uint32
+	stamp page.LSN
+}
+
+// NewVersionStore returns a store whose version clock starts at clock: the
+// last stamp a commit before it can have had (the log's last LSN), so that
+// every snapshot it opens sits at or above every earlier commit.
+func NewVersionStore(clock page.LSN) *VersionStore {
 	vs := &VersionStore{
-		watermark: watermark,
-		chains:    make(map[VKey][]version),
-		stamp:     make(map[VKey]page.LSN),
-		staged:    make(map[VKey]int),
-		pending:   make(map[uint64][]stagedUpdate),
+		snaps:   make(map[uint64]openSnap),
+		chains:  make(map[VKey][]version),
+		stamp:   make(map[VKey]page.LSN),
+		staged:  make(map[VKey]int),
+		pending: make(map[uint64][]stagedUpdate),
 	}
+	vs.clock.Store(uint64(clock))
 	vs.mu.Init("VersionStore.mu", RankVersionStoreMu)
 	vs.cond = sync.NewCond(&vs.mu)
-	vs.gc.Go("cache.versionGC", func(stop <-chan struct{}) {
-		t := time.NewTicker(versionGCPeriod)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				vs.Trim()
-			}
-		}
-	})
 	return vs
 }
 
-// Close stops the GC goroutine and drops every entry. Idempotent.
-func (vs *VersionStore) Close() {
-	vs.gc.Stop()
+// Clock returns the version clock: the stamp of a read of the current image.
+// It takes no lock: a live read's stamp waits for no commit and no close.
+func (vs *VersionStore) Clock() page.LSN { return page.LSN(vs.clock.Load()) }
+
+// Open opens a snapshot for owner at the clock's current stamp and returns
+// its id (unique per store) and stamp. The stamp is at or above the
+// watermark, so nothing it can read has been reclaimed.
+func (vs *VersionStore) Open(owner uint32) (uint64, page.LSN) {
 	vs.mu.Lock()
-	for key, chain := range vs.chains {
-		vs.dropOldestLocked(key, len(chain))
+	defer vs.mu.Unlock()
+	vs.lastID++
+	t := vs.Clock()
+	vs.snaps[vs.lastID] = openSnap{owner: owner, stamp: t}
+	return vs.lastID, t
+}
+
+// Stamp returns open snapshot id's stamp.
+func (vs *VersionStore) Stamp(id uint64) (page.LSN, error) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return vs.stampLocked(id)
+}
+
+func (vs *VersionStore) stampLocked(id uint64) (page.LSN, error) {
+	vs.mu.AssertHeld()
+	sn, ok := vs.snaps[id]
+	if !ok {
+		return 0, fmt.Errorf("cache: unknown snapshot %d", id)
 	}
-	vs.mu.Unlock()
+	return sn.stamp, nil
+}
+
+// Close closes owner's snapshot id and drops what only it was retaining. An
+// id that is not open is a no-op; another client's is refused with
+// ErrNotOwner and stays open.
+func (vs *VersionStore) Close(owner uint32, id uint64) error {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	sn, ok := vs.snaps[id]
+	if !ok {
+		return nil
+	}
+	if sn.owner != owner {
+		return ErrNotOwner
+	}
+	delete(vs.snaps, id)
+	vs.trimLocked()
+	return nil
+}
+
+// CloseOwner closes every snapshot owner has open (a departing client) and
+// drops what only they were retaining.
+func (vs *VersionStore) CloseOwner(owner uint32) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	n := len(vs.snaps)
+	maps.DeleteFunc(vs.snaps, func(_ uint64, sn openSnap) bool { return sn.owner == owner })
+	if len(vs.snaps) < n {
+		vs.trimLocked()
+	}
+}
+
+// watermarkLocked is the reclaim horizon: the smallest open snapshot's
+// stamp, or the clock when none is open.
+func (vs *VersionStore) watermarkLocked() page.LSN {
+	vs.mu.AssertHeld()
+	w := vs.Clock()
+	for _, sn := range vs.snaps {
+		w = min(w, sn.stamp)
+	}
+	return w
 }
 
 // Staged is proof that a transaction has staged a segment with the version
@@ -185,13 +251,15 @@ func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage) Staged {
 	return Staged{tx: txID, ok: true}
 }
 
-// CommitTx publishes txID's staged updates at commit stamp: each old image
-// joins its chain with until=stamp unless no snapshot can reach it, segment
-// stamps advance, and waiting snapshot reads wake. Runs from the tx commit
-// hook, after the version clock has passed stamp and before lock release.
+// CommitTx publishes txID's staged updates at commit stamp: the clock
+// advances to stamp (it only moves forward: commit hooks can race), each old
+// image joins its chain with until=stamp unless no snapshot can reach it,
+// segment stamps advance, and waiting snapshot reads wake. Runs from the tx
+// commit hook, after the commit record is durable and before lock release.
 func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
-	w := vs.watermark() // Manager.mu ranks outside mu
 	vs.mu.Lock()
+	vs.clock.Store(uint64(max(vs.Clock(), stamp)))
+	w := vs.watermarkLocked()
 	vs.floor = max(vs.floor, w)
 	for _, u := range vs.pending[txID] {
 		// A segment the transaction staged twice ends its chain with this
@@ -248,6 +316,24 @@ func (vs *VersionStore) unstageLocked(key VKey) {
 func (vs *VersionStore) AsOf(key VKey, t page.LSN) (img VImage, hit bool, err error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
+	return vs.asOfLocked(key, t)
+}
+
+// SnapAsOf is AsOf at open snapshot id's stamp, which it returns for the
+// caller's Recheck and retries: the lookup and the first resolution are one
+// mu section.
+func (vs *VersionStore) SnapAsOf(id uint64, key VKey) (t page.LSN, img VImage, hit bool, err error) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if t, err = vs.stampLocked(id); err != nil {
+		return 0, VImage{}, false, err
+	}
+	img, hit, err = vs.asOfLocked(key, t)
+	return t, img, hit, err
+}
+
+func (vs *VersionStore) asOfLocked(key VKey, t page.LSN) (img VImage, hit bool, err error) {
+	vs.mu.AssertHeld()
 	for vs.stamp[key] <= t {
 		// Current image is old enough. A zero stamp means the segment has
 		// not been updated since startup; its image predates every snapshot
@@ -285,11 +371,11 @@ func (vs *VersionStore) Recheck(key VKey, t page.LSN) bool {
 	return vs.stamp[key] <= t && vs.staged[key] == 0
 }
 
-// Trim drops every entry superseded at or below the watermark: all of them
-// once no snapshot is open. Called by the GC goroutine and on snapshot close.
-func (vs *VersionStore) Trim() {
-	w := vs.watermark()
-	vs.mu.Lock()
+// trimLocked drops every entry superseded at or below the watermark: all of
+// them once no snapshot is open. Runs as a snapshot closes.
+func (vs *VersionStore) trimLocked() {
+	vs.mu.AssertHeld()
+	w := vs.watermarkLocked()
 	vs.floor = max(vs.floor, w)
 	for key, chain := range vs.chains {
 		// A chain ascends — each commit of a segment supersedes the one
@@ -300,7 +386,6 @@ func (vs *VersionStore) Trim() {
 		}
 		vs.dropOldestLocked(key, n)
 	}
-	vs.mu.Unlock()
 }
 
 // dropOldestLocked drops key's n oldest entries (n <= 0: none): the chain

@@ -3,30 +3,30 @@ package cache
 import (
 	"bytes"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"bess/internal/page"
 )
 
-// watermark is the horizon a test store reclaims at: an open snapshot's stamp
-// while one is open, past every commit (none) once the test stores none.
-type watermark struct{ stamp atomic.Uint64 }
+// owner is the client the test stores' snapshots belong to.
+const owner = 1
 
-// none is a watermark past every stamp a test commits at: no snapshot open.
-const none = 1 << 40
-
-func (w *watermark) get() page.LSN { return page.LSN(w.stamp.Load()) }
-
-// newStore returns a store whose watermark starts at an open snapshot at
-// stamp 0, so nothing is trimmed until the test says so.
-func newStore(t *testing.T) (*VersionStore, *watermark) {
+// newStore returns a store with a snapshot open at stamp 0, pin, so nothing
+// is trimmed until the test closes it.
+func newStore(t *testing.T) (vs *VersionStore, pin uint64) {
 	t.Helper()
-	w := &watermark{}
-	vs := NewVersionStore(w.get)
-	t.Cleanup(vs.Close)
-	return vs, w
+	vs = NewVersionStore(0)
+	pin, _ = vs.Open(owner)
+	return vs, pin
+}
+
+// closeSnap closes owner's snapshot id.
+func closeSnap(t *testing.T, vs *VersionStore, id uint64) {
+	t.Helper()
+	if err := vs.Close(owner, id); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sameImage(a, b VImage) bool {
@@ -47,7 +47,7 @@ func TestAsOfOutcomes(t *testing.T) {
 	key := VKey{Area: 1, Start: 7}
 	for _, tc := range []struct {
 		name    string
-		prepare func(vs *VersionStore, w *watermark)
+		prepare func(vs *VersionStore, pin uint64)
 		at      page.LSN
 		hit     byte // tag of the chain image served; 0 = none
 		miss    bool
@@ -55,7 +55,7 @@ func TestAsOfOutcomes(t *testing.T) {
 	}{
 		{
 			name: "chain hit",
-			prepare: func(vs *VersionStore, _ *watermark) {
+			prepare: func(vs *VersionStore, _ uint64) {
 				update(vs, 1, key, 'a', 10) // 'a' valid in [0, 10)
 				update(vs, 2, key, 'b', 20) // 'b' valid in [10, 20)
 			},
@@ -64,27 +64,26 @@ func TestAsOfOutcomes(t *testing.T) {
 		},
 		{
 			name:    "current disk image",
-			prepare: func(vs *VersionStore, _ *watermark) { update(vs, 1, key, 'a', 10) },
+			prepare: func(vs *VersionStore, _ uint64) { update(vs, 1, key, 'a', 10) },
 			at:      10,
 			count:   func(s VStats) int64 { return s.DiskReads },
 		},
 		{
-			// The snapshot at 5 closed and the watermark passed it: a read
-			// that raced the close misses — typed, counted, and below the
-			// floor, so not an invariant violation (no panic).
+			// The snapshot at 0 closed and the watermark passed it: a read
+			// at 5 that raced the close misses — typed, counted, and below
+			// the floor, so not an invariant violation (no panic).
 			name: "trimmed",
-			prepare: func(vs *VersionStore, w *watermark) {
+			prepare: func(vs *VersionStore, pin uint64) {
 				update(vs, 1, key, 'a', 10)
-				w.stamp.Store(none)
-				vs.Trim()
+				closeSnap(t, vs, pin)
 			},
 			at: 5, miss: true,
 			count: func(s VStats) int64 { return s.Trimmed },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vs, w := newStore(t)
-			tc.prepare(vs, w)
+			vs, pin := newStore(t)
+			tc.prepare(vs, pin)
 			img, hit, err := vs.AsOf(key, tc.at)
 			var miss *VersionMiss
 			if errors.As(err, &miss) != tc.miss || (err != nil && !tc.miss) {
@@ -151,20 +150,24 @@ func TestAsOfWaitsWhileStaged(t *testing.T) {
 
 func TestTrimAtWatermark(t *testing.T) {
 	key, other := VKey{Area: 1, Start: 7}, VKey{Area: 1, Start: 9}
-	vs, w := newStore(t)
+	vs, pin := newStore(t)
 	update(vs, 1, key, 'a', 10)
-	update(vs, 2, key, 'b', 20)
-	update(vs, 3, other, 'c', 30)
+	vs.CommitTx(2, 15) // a commit that staged nothing moves the clock alone
+	at15, stamp := vs.Open(owner)
+	if stamp != 15 {
+		t.Fatalf("snapshot opened at %d, want the clock's 15", stamp)
+	}
+	update(vs, 3, key, 'b', 20)
+	update(vs, 4, other, 'c', 30)
 	one := image('a')
 	size := int64(3 * one.size())
-	if st := vs.VersionStats(); st.Entries != 3 || st.Bytes != size {
-		t.Fatalf("before trim: %+v", st)
+	if st := vs.VersionStats(); st.Entries != 3 || st.Bytes != size || st.Trims != 0 {
+		t.Fatalf("before any close: %+v", st)
 	}
 
-	// A snapshot at 15 still reads 'b' [10,20) and 'c' [0,30); 'a' [0,10) is
-	// below every open snapshot.
-	w.stamp.Store(15)
-	vs.Trim()
+	// The snapshot at 15 still reads 'b' [10,20) and 'c' [0,30); once the
+	// one at 0 closes, 'a' [0,10) is below every open snapshot.
+	closeSnap(t, vs, pin)
 	if st := vs.VersionStats(); st.Entries != 2 || st.Trims != 1 || st.Bytes != size*2/3 {
 		t.Fatalf("trim at 15: %+v", st)
 	}
@@ -177,10 +180,52 @@ func TestTrimAtWatermark(t *testing.T) {
 	}
 
 	// No snapshot open: nothing can be asked for, everything goes.
-	w.stamp.Store(none)
-	vs.Trim()
+	closeSnap(t, vs, at15)
 	if st := vs.VersionStats(); st.Entries != 0 || st.Bytes != 0 || st.Trims != 3 {
 		t.Fatalf("trim with no snapshot: %+v", st)
+	}
+}
+
+// TestCloseIsTheOwners: a snapshot closes only for the client that opened
+// it; another client's close is refused and leaves it open, an id that is
+// not open closes as a no-op, and a departing client's CloseOwner closes
+// every snapshot it had and no other.
+func TestCloseIsTheOwners(t *testing.T) {
+	key := VKey{Area: 1, Start: 7}
+	vs, pin := newStore(t)
+	update(vs, 1, key, 'a', 10)
+	if err := vs.Close(owner+1, pin); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("another client's close: %v, want ErrNotOwner", err)
+	}
+	if _, err := vs.Stamp(pin); err != nil {
+		t.Fatalf("a refused close closed the snapshot: %v", err)
+	}
+	if st := vs.VersionStats(); st.Entries != 1 {
+		t.Fatalf("a refused close trimmed: %+v", st)
+	}
+	if err := vs.Close(owner, 99); err != nil {
+		t.Fatalf("closing an id that is not open: %v", err)
+	}
+
+	second, _ := vs.Open(owner)
+	theirs, _ := vs.Open(owner + 1)
+	update(vs, 2, key, 'b', 20)
+	vs.CloseOwner(owner)
+	for _, id := range []uint64{pin, second} {
+		if _, err := vs.Stamp(id); err == nil {
+			t.Fatalf("snapshot %d outlived its owner", id)
+		}
+	}
+	if _, err := vs.Stamp(theirs); err != nil {
+		t.Fatalf("another client's snapshot closed with the owner's: %v", err)
+	}
+	// theirs, at 10, still reads 'b' [10,20); 'a' [0,10) is gone.
+	if st := vs.VersionStats(); st.Entries != 1 || st.Trims != 1 {
+		t.Fatalf("after the owner left: %+v", st)
+	}
+	vs.CloseOwner(owner + 1)
+	if st := vs.VersionStats(); st.Entries != 0 {
+		t.Fatalf("after every owner left: %+v", st)
 	}
 }
 
@@ -238,7 +283,7 @@ func TestRecheckAfterRacingStage(t *testing.T) {
 // eviction lets go of a reference, not of the bytes.
 func TestAsOfImageOutlivesEviction(t *testing.T) {
 	key := VKey{Area: 1, Start: 7}
-	vs, w := newStore(t)
+	vs, pin := newStore(t)
 	update(vs, 1, key, 1, 10)
 	img, hit, err := vs.AsOf(key, 5)
 	if !hit || err != nil {
@@ -249,8 +294,7 @@ func TestAsOfImageOutlivesEviction(t *testing.T) {
 	for i := 2; i <= 16; i++ {
 		update(vs, uint64(i), key, byte(i), page.LSN(10*i))
 	}
-	w.stamp.Store(200) // the snapshot at 5 closes: everything before 200 goes
-	vs.Trim()
+	closeSnap(t, vs, pin) // the snapshot at 0 closes: everything goes
 	if st := vs.VersionStats(); st.Entries != 0 {
 		t.Fatalf("entries left: %+v", st)
 	}
@@ -258,7 +302,7 @@ func TestAsOfImageOutlivesEviction(t *testing.T) {
 	if _, _, err := vs.AsOf(key, 5); !errors.As(err, &miss) {
 		t.Fatalf("evicted version still served: %v", err)
 	}
-	w.stamp.Store(300)
+	vs.Open(owner)                  // a snapshot at 160 keeps what commits after it
 	update(vs, 99, key, 0xEE, 1000) // new captures reuse the chain's slots
 	if !sameImage(img, want) {
 		t.Fatal("an image handed out by AsOf changed when its chain entry was evicted")

@@ -27,7 +27,7 @@ type Func func(seg proto.SegKey) (refused bool, err error)
 const pollInterval = 5 * time.Millisecond
 
 // rankTableMu places Table.mu in the server's lock hierarchy
-// (internal/server/lockorder.go): inside reader.areaMu, outside Server.snapMu.
+// (internal/server/lockorder.go): inside reader.areaMu, outside Manager.mu.
 const rankTableMu lockcheck.Rank = 20
 
 // Table is a client registry plus, per segment, the set of clients caching it.
@@ -79,6 +79,15 @@ func (t *Table) SetCallback(client uint32, cb Func) error {
 	}
 	t.clients[client] = cb
 	return nil
+}
+
+// Registered reports whether client is registered: Register gave it out and
+// Remove has not taken it back.
+func (t *Table) Registered(client uint32) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.clients[client]
+	return ok
 }
 
 // Record notes that client caches seg. Client 0 is nobody (a fetch made on no

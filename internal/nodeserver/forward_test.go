@@ -65,7 +65,7 @@ func (u *recordingUpstream) StoreLarge(c uint32, _ uint64, _ proto.SegKey, _ []b
 }
 func (u *recordingUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
 	u.saw["SnapOpen"] = c
-	return 0, 0, nil
+	return 1, 0, nil
 }
 func (u *recordingUpstream) SnapClose(c uint32, _ uint64) error {
 	u.saw["SnapClose"] = c

@@ -18,16 +18,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bess/internal/cache"
 	"bess/internal/callback"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/shm"
 )
 
-// Errors returned by the node server.
-var (
-	ErrRevocation = errors.New("nodeserver: local copy revocation timed out")
-)
+// ErrRevocation is returned when a local copy revocation times out.
+var ErrRevocation = errors.New("nodeserver: local copy revocation timed out")
 
 // Stats are node-server counters: upstream traffic vs locally served
 // requests (E2 and E6 read them).
@@ -56,6 +55,7 @@ type NodeServer struct {
 	// it nests outside Table.mu; never across an upstream call or a Revoke.
 	mu     sync.Mutex
 	images map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
+	snaps  map[uint64]uint32                // guarded by mu; the local that opened each open snapshot
 
 	defaultDB atomic.Uint32 // the database the shared cache's pages belong to
 
@@ -80,6 +80,7 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		client:        id,
 		locals:        callback.New(ErrRevocation, nil),
 		images:        make(map[proto.SegKey]*proto.SegImage),
+		snaps:         make(map[uint64]uint32),
 		RevokeTimeout: time.Second,
 	}
 	sc, err := shm.NewSharedCache(cacheSlots, frames, &pageBacking{ns: ns})
@@ -118,14 +119,10 @@ func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach
 // copy must drop.
 func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
 	ns.stats.callbacks.Add(1)
-	ns.dropImage(seg)
-	return ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil, nil
-}
-
-func (ns *NodeServer) dropImage(seg proto.SegKey) {
 	ns.mu.Lock()
 	delete(ns.images, seg)
 	ns.mu.Unlock()
+	return ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil, nil
 }
 
 // --- the proto.Conn methods the node answers differently from its upstream ---
@@ -140,8 +137,23 @@ func (ns *NodeServer) SetCallback(local uint32, cb func(proto.SegKey) (bool, err
 }
 
 // Disconnect forgets a local application that went away: its copies no
-// longer stand in the way of the node's other writers.
-func (ns *NodeServer) Disconnect(local uint32) { ns.locals.Remove(local) }
+// longer stand in the way of the node's other writers, and the snapshots it
+// left open close upstream, where they would pin the server's versions.
+func (ns *NodeServer) Disconnect(local uint32) {
+	ns.locals.Remove(local)
+	var open []uint64
+	ns.mu.Lock()
+	for snap, owner := range ns.snaps {
+		if owner == local {
+			open = append(open, snap)
+			delete(ns.snaps, snap)
+		}
+	}
+	ns.mu.Unlock()
+	for _, snap := range open {
+		_ = ns.Conn.SnapClose(ns.client, snap) // there is no caller to tell
+	}
+}
 
 // OpenDB delegates upstream, remembering the database the shared cache's
 // pages belong to.
@@ -205,13 +217,40 @@ func (ns *NodeServer) FetchLarge(local uint32, seg proto.SegKey, slot int) ([]by
 
 // SnapOpen forwards: snapshots live on the owning server, whose commit
 // stamps define the version clock. Node-cached images are never served to a
-// snapshot — they track the live state, not the as-of one.
+// snapshot — they track the live state, not the as-of one. Upstream every
+// snapshot is the node's, so the node records which local opened it, and
+// closes one again whose local left while it was opening.
 func (ns *NodeServer) SnapOpen(local uint32) (uint64, uint64, error) {
-	return ns.Conn.SnapOpen(ns.client)
+	snap, stamp, err := ns.Conn.SnapOpen(ns.client)
+	if err != nil {
+		return 0, 0, err
+	}
+	ns.mu.Lock()
+	ns.snaps[snap] = local
+	ns.mu.Unlock()
+	if !ns.locals.Registered(local) { // recorded after Disconnect looked
+		ns.Disconnect(local)
+		return 0, 0, callback.ErrUnknownClient
+	}
+	return snap, stamp, nil
 }
 
-// SnapClose forwards.
+// SnapClose forwards a close of local's own snapshot. Another local's is
+// refused with cache.ErrNotOwner, as a server refuses another client's, and
+// an id the node has no record of is not open: closing it is a no-op.
 func (ns *NodeServer) SnapClose(local uint32, snap uint64) error {
+	ns.mu.Lock()
+	owner, open := ns.snaps[snap]
+	if open && owner == local {
+		delete(ns.snaps, snap)
+	}
+	ns.mu.Unlock()
+	switch {
+	case !open:
+		return nil
+	case owner != local:
+		return cache.ErrNotOwner
+	}
 	return ns.Conn.SnapClose(ns.client, snap)
 }
 

@@ -3,9 +3,11 @@ package nodeserver
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
+	"bess/internal/cache"
 	"bess/internal/client"
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -348,5 +350,126 @@ func TestReleasedRefCounting(t *testing.T) {
 	ns.mu.Unlock()
 	if !still {
 		t.Fatal("image dropped while a local still holds a copy")
+	}
+}
+
+// TestDepartedLocalUnpinsVersions: a local application that leaves the node
+// inside a snapshot stops pinning the server's versions. Upstream every
+// snapshot is the node's, so only the node can close it, and Disconnect
+// does: commits after the departure retain nothing. A local cannot close
+// another local's snapshot either.
+func TestDepartedLocalUnpinsVersions(t *testing.T) {
+	srv, ns := env(t)
+	w, _ := client.Open(ns, "writer", "db", true)
+	td, _ := w.RegisterType(nodeType)
+	seg, _ := w.CreateSegment(1, 1, 2, -1)
+	w.Begin()
+	addr, _ := w.CreateObject(seg, td.ID, val(0))
+	w.SetRoot("x", addr)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	write := func(v uint64) {
+		t.Helper()
+		w.Begin()
+		obj, err := w.Deref(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf [8]byte
+		binary.BigEndian.PutUint64(buf[:], v)
+		if err := obj.Write(8, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	leaving, _ := ns.Hello("leaving")
+	other, _ := ns.Hello("other")
+	snap, _, err := ns.SnapOpen(leaving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= 4; v++ {
+		write(v)
+	}
+	if n := srv.VersionStats().Entries; n == 0 {
+		t.Fatal("commits under an open snapshot retained no version")
+	}
+	if err := ns.SnapClose(other, snap); !errors.Is(err, cache.ErrNotOwner) {
+		t.Fatalf("another local's close: %v, want cache.ErrNotOwner", err)
+	}
+	ns.Disconnect(leaving)
+	for v := uint64(5); v <= 8; v++ {
+		write(v)
+	}
+	if st := srv.VersionStats(); st.Entries != 0 {
+		t.Fatalf("after the local left: %+v", st)
+	}
+}
+
+// midOpenUpstream runs leave once the upstream SnapOpen has answered, before
+// the node has recorded the snapshot it opened.
+type midOpenUpstream struct {
+	proto.Conn
+	leave func()
+}
+
+func (u *midOpenUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
+	snap, stamp, err := u.Conn.SnapOpen(c)
+	if u.leave != nil {
+		u.leave()
+	}
+	return snap, stamp, err
+}
+
+// TestLocalLeavingMidOpenUnpinsVersions: a local that leaves while its
+// SnapOpen is upstream gets no snapshot, and the one the server opened for
+// it is closed — commits after the departure retain nothing.
+func TestLocalLeavingMidOpenUnpinsVersions(t *testing.T) {
+	srv := server.NewMem(1)
+	t.Cleanup(func() { srv.Close() })
+	up := &midOpenUpstream{Conn: srv}
+	ns, err := New(up, "node-1", 32, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := client.Open(ns, "writer", "db", true)
+	td, _ := w.RegisterType(nodeType)
+	seg, _ := w.CreateSegment(1, 1, 2, -1)
+	w.Begin()
+	addr, _ := w.CreateObject(seg, td.ID, val(0))
+	w.SetRoot("x", addr)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	leaving, _ := ns.Hello("leaving")
+	up.leave = func() { ns.Disconnect(leaving) }
+	if _, _, err := ns.SnapOpen(leaving); err == nil {
+		t.Fatal("a local that left mid-open got a snapshot")
+	}
+	up.leave = nil
+	w.Begin()
+	obj, err := w.Deref(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Write(8, val(1)[8:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.VersionStats(); st.Entries != 0 {
+		t.Fatalf("after the local left mid-open: %+v", st)
+	}
+	ns.mu.Lock()
+	left := len(ns.snaps)
+	ns.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("the node still records %d snapshots", left)
 	}
 }

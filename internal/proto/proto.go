@@ -153,7 +153,10 @@ type Conn interface {
 	// and version stamp (the commit LSN it observes). Snapshot reads take no
 	// locks and never block writers (DESIGN.md §7).
 	SnapOpen(client uint32) (snap uint64, stamp uint64, err error)
-	// SnapClose releases a snapshot, unpinning its stamp from version GC.
+	// SnapClose releases the client's own snapshot, unpinning its stamp from
+	// version retention. Another client's snapshot is refused and stays
+	// open — with cache.ErrNotOwner in process, and over rpc with the
+	// *rpc.RemoteError every error becomes; an id that is not open is a no-op.
 	SnapClose(client uint32, snap uint64) error
 	// SnapFetchSeg returns the segment's image as of the snapshot's stamp:
 	// a retained version, or the current image if unchanged. No callback

@@ -22,28 +22,33 @@ func TestReadAsOfAllocs(t *testing.T) {
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, body(0))
 	cl, _ := s.Hello("c")
-	snap, _, err := s.SnapOpen(cl)
+	snap, stamp, err := s.SnapOpen(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := s.snapStamp(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := page.LSN(stamp)
 	update(t, s, cl, key, 1)
 	now := s.live()
 
 	chain := testing.AllocsPerRun(100, func() {
-		if _, _, _, shared, err := s.readAsOf(key, old); err != nil || !shared {
+		if _, _, _, shared, err := s.readAsOf(key, 0, old); err != nil || !shared {
 			t.Fatalf("as of the snapshot: shared=%v err=%v, want a chain hit", shared, err)
 		}
 	})
 	if chain != 0 {
 		t.Errorf("readAsOf chain hit: %v allocs/op, want 0", chain)
 	}
+	bySnap := testing.AllocsPerRun(100, func() {
+		if _, _, _, shared, err := s.readAsOf(key, snap, 0); err != nil || !shared {
+			t.Fatalf("as of snapshot %d: shared=%v err=%v, want a chain hit", snap, shared, err)
+		}
+	})
+	if bySnap != 0 {
+		t.Errorf("readAsOf chain hit by snapshot id: %v allocs/op, want 0", bySnap)
+	}
 
 	disk := testing.AllocsPerRun(100, func() {
-		if _, _, _, shared, err := s.readAsOf(key, now); err != nil || shared {
+		if _, _, _, shared, err := s.readAsOf(key, 0, now); err != nil || shared {
 			t.Fatalf("as of now: shared=%v err=%v, want the disk image", shared, err)
 		}
 	})

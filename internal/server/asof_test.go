@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"bess/internal/cache"
 	"bess/internal/proto"
+	"bess/internal/rpc"
 	"bess/internal/segment"
 )
 
@@ -191,4 +196,135 @@ func TestAsOfChainImagesAreNeverWritten(t *testing.T) {
 	if n := len(dec.LiveSlots()); n != 2 {
 		t.Fatalf("snapshot sees %d live slots, want the object and one large object", n)
 	}
+}
+
+// TestSnapCloseIsTheCallers: a client closes only its own snapshot. Another
+// client's close is refused with cache.ErrNotOwner and the owner keeps
+// reading through it; an id that is not open closes as a no-op.
+func TestSnapCloseIsTheCallers(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, body(0))
+	owner, _ := s.Hello("owner")
+	other, _ := s.Hello("other")
+	snap, _, err := s.SnapOpen(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update(t, s, other, key, 1)
+	if err := s.SnapClose(other, snap); !errors.Is(err, cache.ErrNotOwner) {
+		t.Fatalf("another client's close: %v, want cache.ErrNotOwner", err)
+	}
+	// Over rpc the refusal is the remote error every refusal becomes, and
+	// the snapshot stays open all the same.
+	cEnd, sEnd := rpc.Pipe()
+	defer cEnd.Close()
+	ServePeer(s, sEnd)
+	var re *rpc.RemoteError
+	err = cEnd.Call("SnapClose", &proto.SnapCloseArgs{Client: other, Snap: snap}, &proto.Empty{})
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, cache.ErrNotOwner.Error()) {
+		t.Fatalf("another client's close over rpc: %v, want a remote %q", err, cache.ErrNotOwner)
+	}
+	if got := snapObject(t, s, owner, snap, key); !bytes.Equal(got, body(0)) {
+		t.Fatalf("owner reads %q after the refused close, want %q", got, body(0))
+	}
+	if err := s.SnapClose(other, snap+1); err != nil {
+		t.Fatalf("closing an id that is not open: %v", err)
+	}
+	if err := s.SnapClose(owner, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SnapClose(owner, snap); err != nil {
+		t.Fatalf("closing twice: %v", err)
+	}
+	if st := s.VersionStats(); st.Entries != 0 {
+		t.Fatalf("the owner's close left %+v", st)
+	}
+}
+
+// TestSnapshotChurnRetainsNothing: writers commit to a few segments while
+// readers open snapshots, read through them and close them — one reader
+// leaving by Disconnect with its snapshots open. Every read finds its image
+// (a miss panics under -tags invariants), and once the writers stop and the
+// last snapshot closes the store holds nothing, at once: a close trims in
+// the same section in which commits publish, so no image outlives the
+// watermark.
+func TestSnapshotChurnRetainsNothing(t *testing.T) {
+	const writers, readers, rounds = 3, 3, 100
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	keys := make([]proto.SegKey, writers)
+	for i := range keys {
+		keys[i] = commitOne(t, s, db, body(0))
+	}
+	errs := make(chan error, writers+readers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, _ := s.Hello("writer")
+			for n := 1; n <= rounds; n++ {
+				if err := commitBody(s, cl, keys[w], body(n)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, _ := s.Hello("reader")
+			for n := range rounds {
+				snap, _, err := s.SnapOpen(cl)
+				if err == nil {
+					_, _, _, err = s.SnapFetchSeg(cl, snap, keys[(r+n)%writers])
+				}
+				if err == nil && (r > 0 || n < rounds/2) {
+					err = s.SnapClose(cl, snap)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			if r == 0 {
+				s.Disconnect(cl) // leaves with half its snapshots open
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := s.VersionStats(); st.Entries != 0 || st.Bytes != 0 || st.Trimmed != 0 {
+		t.Fatalf("after the last snapshot closed: %+v", st)
+	}
+}
+
+// commitBody commits body over object 0 of key as client cl, reporting what
+// fails rather than failing the test, for callers off the test goroutine.
+func commitBody(s *Server, cl uint32, key proto.SegKey, body []byte) error {
+	sl, ov, data, err := s.FetchSeg(cl, key)
+	if err != nil {
+		return err
+	}
+	seg, err := segment.DecodeSlotted(sl)
+	if err != nil {
+		return err
+	}
+	seg.Overflow, seg.Data = ov, data
+	if err := seg.UpdateObject(0, body); err != nil {
+		return err
+	}
+	txid, _ := s.NewTx()
+	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+		return err
+	}
+	return s.Commit(cl, txid, []proto.SegImage{{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}})
 }

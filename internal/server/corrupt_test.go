@@ -398,3 +398,58 @@ func TestAbortedBranchOverRotRepairs(t *testing.T) {
 		t.Fatalf("counters = %+v", st)
 	}
 }
+
+// TestShortSectionRefused: a commit that ships a data or overflow section
+// shorter than the run it overwrites is refused before anything is logged,
+// and the section stays as verifiable as it was. Clearing its checksum flag
+// instead would let any rot in the run pass until a whole section shipped.
+func TestShortSectionRefused(t *testing.T) {
+	for _, section := range []string{"data", "overflow"} {
+		t.Run(section, func(t *testing.T) {
+			s := NewMem(1)
+			defer s.Close()
+			db, _, _ := s.OpenDB("d", true)
+			key := commitOne(t, s, db, []byte("whole"))
+			cl, _ := s.Hello("w")
+			commit := func(img proto.SegImage) error {
+				txid, _ := s.NewTx()
+				if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
+					t.Fatal(err)
+				}
+				return s.Commit(cl, txid, []proto.SegImage{img})
+			}
+			grown := overwriteImage(t, s, key, []byte("whole"))
+			dec := decodeSeg(t, grown.Slotted, grown.Overflow, grown.Data)
+			dec.EnsureOverflow(2)
+			grown.Slotted, grown.Overflow = dec.EncodeSlotted(), dec.Overflow
+			if err := commit(grown); err != nil {
+				t.Fatal(err)
+			}
+
+			short := overwriteImage(t, s, key, []byte("torn!"))
+			flag := segment.CRCData
+			if section == "data" {
+				short.Data = short.Data[:len(short.Data)-page.Size]
+			} else {
+				short.Overflow, flag = short.Overflow[:page.Size], segment.CRCOver
+			}
+			next := s.Log().NextLSN()
+			if err := commit(short); !errors.Is(err, ErrShortSection) {
+				t.Fatalf("commit of a short %s section: %v, want ErrShortSection", section, err)
+			}
+			if s.Log().NextLSN() != next {
+				t.Fatal("the refused commit reached the log")
+			}
+			sl, ov, data, err := s.FetchSeg(cl, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if decodeSeg(t, sl, ov, data).Hdr.CRCFlags&flag == 0 {
+				t.Fatalf("the %s section lost its checksum", section)
+			}
+			if got, err := fetchObject(t, s, key); err != nil || string(got) != "whole" {
+				t.Fatalf("object after the refusal: %q, %v", got, err)
+			}
+		})
+	}
+}

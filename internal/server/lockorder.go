@@ -18,12 +18,11 @@
 // handler holds Peer.mu briefly before touching server state, and the
 // coalescing writer takes Peer.wmu when a reply goes out — but no code path
 // may send or match RPC traffic while holding server state locks, which is
-// exactly the nesting the low ranks forbid. The two multiversion locks rank
-// where their real nesting demands: Server.snapMu sits outside the
-// transaction table (Disconnect closes a client's snapshots before aborting
-// its transactions), and VersionStore.mu sits innermost but for Log.mu —
-// commit hooks publish staged versions while the committing transaction
-// still holds everything else.
+// exactly the nesting the low ranks forbid. The multiversion lock ranks
+// where its real nesting demands: VersionStore.mu, which also guards the
+// snapshot registry, sits innermost but for Log.mu — commit hooks publish
+// staged versions while the committing transaction still holds everything
+// else.
 //
 // The shared-memory cache (internal/shm) is outside the server but in the
 // same order. A slot latch ranks outermost of all (1, below the rpc.Peer
@@ -42,6 +41,5 @@ import "bess/internal/lockcheck"
 
 const (
 	rankAreaMu  lockcheck.Rank = 10
-	rankSnapMu  lockcheck.Rank = 35
 	rankCatalog lockcheck.Rank = 50
 )

@@ -23,10 +23,10 @@ import (
 )
 
 // reader is the read pipeline and everything it can touch: the areas, the
-// catalog, the log, the version store, the published snapshot stamps, and
+// catalog, the log, the version store (which holds the open snapshots), and
 // the quarantine/repair state. Server embeds it, so s.readImage and the rest
 // read as they always did — but a method whose receiver is *reader cannot name
-// the lock manager, the transaction table, the copy table or snapMu. That a
+// the lock manager, the transaction table or the copy table. That a
 // snapshot read consults none of them (DESIGN.md §4f) is therefore not
 // something to check: there is no path to write.
 type reader struct {
@@ -35,12 +35,7 @@ type reader struct {
 
 	cat *catalog
 	log *wal.Log
-	vs  *cache.VersionStore
-
-	// snapView is the stamp of every open snapshot, copy-on-write: the
-	// registry's writers (Server.publishSnapsLocked, under snapMu) store a
-	// fresh map, snapStamp loads it.
-	snapView atomic.Pointer[map[uint64]page.LSN]
+	vs  *cache.VersionStore // the version chains, clock and snapshot registry
 
 	// Silent-corruption state (corrupt.go). These are plain (unranked)
 	// mutexes: none is ever held while taking a ranked server lock.
@@ -76,9 +71,9 @@ type runRead struct {
 	Verify func(run []byte) error
 }
 
-// live is the stamp of a read of the current image: the commit stamp when the
-// read began, which makes it a one-shot snapshot of "now".
-func (s *Server) live() page.LSN { return s.txm.CommitStamp() }
+// live is the stamp of a read of the current image: the version clock when
+// the read began, which makes it a one-shot snapshot of "now".
+func (s *Server) live() page.LSN { return s.vs.Clock() }
 
 // readRun reads r for a read at stamp t (a snapshot's, or live) and verifies
 // it: detect → repair → re-read → quarantine. Damage is repaired in place by

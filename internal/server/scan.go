@@ -214,13 +214,13 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Method) {
 	// reader's: no locks, no copy-table registration, so the pushed images
 	// never join the callback protocol.
 	h["SnapScanStart"] = rpc.Typed(func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
-		stamp, err := s.snapStamp(a.Snap)
+		stamp, err := s.vs.Stamp(a.Snap)
 		if err != nil {
 			return nil, err
 		}
 		rd := &s.reader
 		return start(&a.ScanStartArgs, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
-			sl, ov, data, _, err := rd.readAsOf(seg, stamp) // shared or not, the encoder only reads
+			sl, ov, data, _, err := rd.readAsOf(seg, 0, stamp) // shared or not, the encoder only reads
 			return sl, ov, data, err
 		})
 	})

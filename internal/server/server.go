@@ -26,7 +26,6 @@ import (
 	"bess/internal/goleak"
 	"bess/internal/hooks"
 	"bess/internal/lock"
-	"bess/internal/lockcheck"
 	"bess/internal/oid"
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -46,6 +45,9 @@ var (
 	ErrShutdown  = errors.New("server: shut down")
 	ErrBadRun    = errors.New("server: bad raw run")
 	ErrNotStaged = errors.New("server: segment overwrite not staged with the version store by this transaction")
+	// ErrShortSection refuses a commit that ships a data or overflow section
+	// shorter than the run it overwrites.
+	ErrShortSection = errors.New("server: commit ships a section shorter than its run")
 )
 
 // Stats are cumulative server counters (experiment E6 reads them).
@@ -91,11 +93,6 @@ type Server struct {
 	// copies is the callback-locking state (§3): the connected clients and
 	// which of them caches which segment.
 	copies *callback.Table
-
-	// The snapshot registry: writers (open/close, rare) mutate the map
-	// under snapMu and publish the stamps to the reader's snapView.
-	snapMu    lockcheck.Mutex
-	snapshots map[uint64]*snapEntry // guarded by snapMu
 
 	closed atomic.Bool
 
@@ -201,19 +198,18 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		}
 		return nil, errors.Join(errs...)
 	}
-	// Multiversion reads (DESIGN.md §7): the version store retains
-	// superseded segment images while snapshots are open, fed by the tx
-	// commit/abort hooks and trimmed at the watermark. The version clock
-	// restarts above every pre-crash commit.
-	s.snapMu.Init("Server.snapMu", rankSnapMu)
-	s.snapshots = make(map[uint64]*snapEntry)
-	s.vs = cache.NewVersionStore(s.txm.Watermark)
+	// Multiversion reads (DESIGN.md §7): the version store registers the
+	// snapshots and retains superseded segment images while they are open,
+	// fed by the tx commit/abort hooks and trimmed at the watermark. Its
+	// version clock restarts above every pre-crash commit.
+	var clock page.LSN
+	if nl := s.log.NextLSN(); nl > 0 {
+		clock = nl - 1
+	}
+	s.vs = cache.NewVersionStore(clock)
 	s.txm.SetCommitHook(s.vs.CommitTx)
 	s.txm.SetAbortHook(s.vs.AbortTx)
 	s.txm.SetRepair(s.repairWrites)
-	if nl := s.log.NextLSN(); nl > 0 {
-		s.txm.SeedCommitStamp(nl - 1)
-	}
 	s.nextTx.Store(uint64(host)<<48 | 1)
 	return s, nil
 }
@@ -403,7 +399,7 @@ func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error))
 // version watermark). A branch it prepared is not this server's to abort: it
 // stays in doubt, locks held, until Decide (tx.Manager.AbortOwned).
 func (s *Server) Disconnect(client uint32) {
-	s.closeClientSnaps(client)
+	s.vs.CloseOwner(client)
 	s.copies.Remove(client)
 	// A rollback that fails leaves its transaction in the table, as a failed
 	// Abort does; there is no caller to tell.
@@ -859,11 +855,20 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	}
 	// updateBase's image is each run's before-image, unless the run moves.
 	dataBefore, overBefore := old.Data, old.Overflow
+	dataMoves := int(newSeg.Hdr.DataPages) > int(cur.Hdr.DataPages) ||
+		newSeg.Hdr.DataStart != cur.Hdr.DataStart
+	overGrows := int(newSeg.Hdr.OverPages) > int(cur.Hdr.OverPages)
+	// A section that ships covers its whole run (a moved run is padded out
+	// below): the server checksums what lands on disk, and could not vouch
+	// for a run it received only part of.
+	if len(si.Data) > 0 && !dataMoves && len(si.Data) < int(newSeg.Hdr.DataPages)*page.Size ||
+		len(si.Overflow) > 0 && !overGrows && len(si.Overflow) < int(cur.Hdr.OverPages)*page.Size {
+		return ErrShortSection
+	}
 	// Grown data segment? Allocate a fresh run and point the header at it
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
-	if int(newSeg.Hdr.DataPages) > int(cur.Hdr.DataPages) ||
-		newSeg.Hdr.DataStart != cur.Hdr.DataStart {
+	if dataMoves {
 		a, aid, err2 := s.areaForAlloc(si.Seg.Area)
 		if err2 != nil {
 			return err2
@@ -886,7 +891,7 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 		newSeg.Hdr.DataStart = cur.Hdr.DataStart
 	}
 	// Overflow growth likewise.
-	if int(newSeg.Hdr.OverPages) > int(cur.Hdr.OverPages) {
+	if overGrows {
 		a, aid, err2 := s.areaForAlloc(si.Seg.Area)
 		if err2 != nil {
 			return err2
@@ -914,26 +919,19 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	// cover a cached data section this commit does not ship. Recompute over
 	// the bytes that will actually land on disk; carry the current
 	// (verified) CRC forward when the section is untouched.
+	dataLen, overLen := int(newSeg.Hdr.DataPages)*page.Size, int(newSeg.Hdr.OverPages)*page.Size
 	if len(si.Data) > 0 {
-		if n := int(newSeg.Hdr.DataPages) * page.Size; len(si.Data) >= n {
-			newSeg.Hdr.DataCRC = page.Checksum(si.Data[:n])
-			newSeg.Hdr.CRCFlags |= segment.CRCData
-		} else {
-			newSeg.Hdr.CRCFlags &^= segment.CRCData // partial ship: unverifiable
-		}
+		newSeg.Hdr.DataCRC = page.Checksum(si.Data[:dataLen])
+		newSeg.Hdr.CRCFlags |= segment.CRCData
 	} else if cur.Hdr.CRCFlags&segment.CRCData != 0 {
 		newSeg.Hdr.DataCRC = cur.Hdr.DataCRC
 		newSeg.Hdr.CRCFlags |= segment.CRCData
 	} else {
 		newSeg.Hdr.CRCFlags &^= segment.CRCData
 	}
-	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
-		if n := int(newSeg.Hdr.OverPages) * page.Size; len(si.Overflow) >= n {
-			newSeg.Hdr.OverCRC = page.Checksum(si.Overflow[:n])
-			newSeg.Hdr.CRCFlags |= segment.CRCOver
-		} else {
-			newSeg.Hdr.CRCFlags &^= segment.CRCOver
-		}
+	if len(si.Overflow) > 0 && overLen > 0 {
+		newSeg.Hdr.OverCRC = page.Checksum(si.Overflow[:overLen])
+		newSeg.Hdr.CRCFlags |= segment.CRCOver
 	} else if cur.Hdr.OverPages > 0 && newSeg.Hdr.OverStart == cur.Hdr.OverStart &&
 		cur.Hdr.CRCFlags&segment.CRCOver != 0 {
 		newSeg.Hdr.OverCRC = cur.Hdr.OverCRC
@@ -947,14 +945,12 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 		return err
 	}
 	if len(si.Data) > 0 {
-		n := min(int(newSeg.Hdr.DataPages)*page.Size, len(si.Data))
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:n], scratch); err != nil {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:dataLen], scratch); err != nil {
 			return err
 		}
 	}
-	if len(si.Overflow) > 0 && newSeg.Hdr.OverPages > 0 {
-		n := min(int(newSeg.Hdr.OverPages)*page.Size, len(si.Overflow))
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:n], scratch); err != nil {
+	if len(si.Overflow) > 0 && overLen > 0 {
+		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:overLen], scratch); err != nil {
 			return err
 		}
 	}
@@ -1377,7 +1373,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.StopScrub()
-	s.vs.Close()
 	errs := []error{s.saveCatalog(true), s.log.Close()}
 	for _, a := range s.openAreas() {
 		errs = append(errs, a.Close())

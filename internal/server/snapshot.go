@@ -3,107 +3,42 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
 
 	"bess/internal/cache"
 	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
-	"bess/internal/tx"
 )
 
-// Snapshot reads (DESIGN.md §7): SnapOpen registers a stamp — the watermark
-// below which the version store trims nothing a reader could ask for —
-// SnapFetchSeg serves segment images as of that stamp, SnapClose drops it. The
-// read path runs on the reader (read.go), which has neither the lock manager
-// nor the copy table: snapshot readers hold no locks, receive no callbacks,
-// and cause none.
-
-// snapEntry is one open snapshot: its tx-layer pin and owning client.
-type snapEntry struct {
-	snap   *tx.Snap
-	client uint32
-}
+// Snapshot reads (DESIGN.md §7): SnapOpen registers a stamp with the version
+// store — which trims nothing below the oldest open one — SnapFetchSeg serves
+// segment images as of that stamp, SnapClose drops it. The read path runs on
+// the reader (read.go), which has neither the lock manager nor the copy
+// table: snapshot readers hold no locks, receive no callbacks, and cause
+// none.
 
 func vkeyOf(seg proto.SegKey) cache.VKey {
 	return cache.VKey{Area: seg.Area, Start: seg.Start}
 }
 
-// publishSnapsLocked publishes each open snapshot's stamp for the reader,
-// which has no snapMu to take. Called with snapMu held; the published map is
-// never mutated again.
-func (s *Server) publishSnapsLocked() {
-	s.snapMu.AssertHeld()
-	view := make(map[uint64]page.LSN, len(s.snapshots))
-	for id, e := range s.snapshots {
-		view[id] = e.snap.Stamp()
-	}
-	s.snapView.Store(&view)
-}
-
-// SnapOpen implements proto.Conn: open a read-only snapshot at the current
-// commit stamp.
+// SnapOpen implements proto.Conn: open a read-only snapshot for client at the
+// current commit stamp.
 func (s *Server) SnapOpen(client uint32) (uint64, uint64, error) {
 	s.stats.messages.Add(1)
 	if s.closed.Load() {
 		return 0, 0, ErrShutdown
 	}
-	sn := s.txm.BeginSnapshot()
-	s.snapMu.Lock()
-	s.snapshots[sn.ID()] = &snapEntry{snap: sn, client: client}
-	s.publishSnapsLocked()
-	s.snapMu.Unlock()
-	return sn.ID(), uint64(sn.Stamp()), nil
+	snap, stamp := s.vs.Open(client)
+	return snap, uint64(stamp), nil
 }
 
-// SnapClose implements proto.Conn: release a snapshot and trim versions it
-// alone was retaining.
+// SnapClose implements proto.Conn: release client's snapshot and trim the
+// versions it alone was retaining. Another client's snapshot is refused
+// (cache.ErrNotOwner; over rpc, an *rpc.RemoteError carrying its text, as
+// every error does) and stays open; an id that is not open is a no-op.
 func (s *Server) SnapClose(client uint32, snap uint64) error {
 	s.stats.messages.Add(1)
-	s.snapMu.Lock()
-	e := s.snapshots[snap]
-	delete(s.snapshots, snap)
-	s.publishSnapsLocked()
-	s.snapMu.Unlock()
-	if e != nil {
-		e.snap.Close()
-		s.vs.Trim()
-	}
-	return nil
-}
-
-// snapStamp resolves a snapshot id to its stamp. It runs on every snapshot
-// fetch, so it reads the published copy-on-write view; the registry and its
-// snapMu are the Server's, out of the reader's reach.
-func (rd *reader) snapStamp(snap uint64) (page.LSN, error) {
-	if view := rd.snapView.Load(); view != nil {
-		if t, ok := (*view)[snap]; ok {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown snapshot %d", snap)
-}
-
-// closeClientSnaps releases every snapshot a disconnecting client left open.
-func (s *Server) closeClientSnaps(client uint32) {
-	s.snapMu.Lock()
-	var doomed []*snapEntry
-	for id, e := range s.snapshots {
-		if e.client == client {
-			doomed = append(doomed, e)
-			delete(s.snapshots, id)
-		}
-	}
-	if len(doomed) > 0 {
-		s.publishSnapsLocked()
-	}
-	s.snapMu.Unlock()
-	for _, e := range doomed {
-		e.snap.Close()
-	}
-	if len(doomed) > 0 && s.vs != nil {
-		s.vs.Trim()
-	}
+	return s.vs.Close(client, snap)
 }
 
 // SnapFetchSeg implements proto.Conn: the segment's image as of the
@@ -125,23 +60,21 @@ func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]b
 // reports that the bytes are the version chain's own.
 func (rd *reader) snapFetch(snap uint64, seg proto.SegKey) (sl, ov, data []byte, shared bool, err error) {
 	rd.stats.messages.Add(1)
-	t, err := rd.snapStamp(snap)
-	if err != nil {
-		return nil, nil, nil, false, err
-	}
-	return rd.readAsOf(seg, t)
+	return rd.readAsOf(seg, snap, 0)
 }
 
-// readAsOf serves seg's image as of stamp t: a retained chain version, or
-// the current disk image when the segment is unchanged since t (verified
-// against concurrent overwrites). The log is never read: the version store
+// readAsOf serves seg's image as of stamp t — or, when snap is not 0, as of
+// open snapshot snap's stamp, which the store looks up in the same mu section
+// as it first resolves seg: a retained chain version, or the current disk
+// image when the segment is unchanged since t (verified against concurrent
+// overwrites). The log is never read: the version store
 // keeps every image an open snapshot can reach, so anything else is the
 // store's *cache.VersionMiss. On the hot outcomes it allocates nothing of its
 // own: chain images are served as-is (shared: read them, do not write them)
 // and the disk read is the fetch path's readImage.
 //
 // TestReadAsOfAllocs pins its allocation budget.
-func (rd *reader) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
+func (rd *reader) readAsOf(seg proto.SegKey, snap uint64, t page.LSN) (sl, ov, data []byte, shared bool, err error) {
 	rd.stats.snapFetches.Add(1)
 	key := vkeyOf(seg)
 	for {
@@ -149,7 +82,14 @@ func (rd *reader) readAsOf(seg proto.SegKey, t page.LSN) (sl, ov, data []byte, s
 		// value: the reply encoder only reads them, and if the store trims
 		// the entry meanwhile it drops its own reference, not the bytes this
 		// reply holds.
-		img, hit, err := rd.vs.AsOf(key, t)
+		var img cache.VImage
+		var hit bool
+		if snap != 0 {
+			t, img, hit, err = rd.vs.SnapAsOf(snap, key)
+			snap = 0
+		} else {
+			img, hit, err = rd.vs.AsOf(key, t)
+		}
 		if err != nil {
 			return nil, nil, nil, false, err
 		}

@@ -202,19 +202,26 @@ func TestLoggedRunsProperty(t *testing.T) {
 
 // TestNothingLoggedNothingForced: a transaction with nothing in the log
 // commits and aborts without a record or a log force — also one whose changes
-// were only queued, which its abort drops; locks release, hooks fire and the
-// version clock stays put.
+// were only queued, which its abort drops; locks release, and only the abort
+// hook fires: nothing is published at a stamp.
 func TestNothingLoggedNothingForced(t *testing.T) {
 	m, _, l, _ := newEnv()
 	var committed, unstaged []uint64
-	m.SetCommitHook(func(id uint64, _ page.LSN) { committed = append(committed, id) })
+	var stamps []page.LSN
+	m.SetCommitHook(func(id uint64, lsn page.LSN) {
+		committed = append(committed, id)
+		stamps = append(stamps, lsn)
+	})
 	m.SetAbortHook(func(id uint64) { unstaged = append(unstaged, id) })
 	w := m.Begin()
 	ship(t, w, newMemPager(), page.ID{Area: 1, Page: 1}, 0, []byte("x"))
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	next, syncs, stamp := l.NextLSN(), l.Stats().Syncs, m.CommitStamp()
+	next, syncs := l.NextLSN(), l.Stats().Syncs
+	if len(stamps) != 1 || stamps[0] == 0 || stamps[0] >= next {
+		t.Fatalf("the logged commit published at %v, want one stamp below %d", stamps, next)
+	}
 
 	name := lock.PageName(1, 10, 0)
 	queuedThenAbort := func(tr *Tx) error {
@@ -233,15 +240,12 @@ func TestNothingLoggedNothingForced(t *testing.T) {
 	if l.NextLSN() != next || l.Stats().Syncs != syncs {
 		t.Fatalf("log moved: next LSN %d -> %d, syncs %d -> %d", next, l.NextLSN(), syncs, l.Stats().Syncs)
 	}
-	if m.CommitStamp() != stamp {
-		t.Fatalf("version clock moved: %d -> %d", stamp, m.CommitStamp())
-	}
 	if c, a := m.Counts(); c != 2 || a != 2 || live(m) != 0 {
 		t.Fatalf("commits %d, aborts %d, active %d", c, a, live(m))
 	}
 	// Every ending drops what the transaction staged; none publishes.
 	if len(committed) != 1 || len(unstaged) != 3 {
-		t.Fatalf("commit hook ran for %v, abort hook for %v", committed, unstaged)
+		t.Fatalf("commit hook ran for %v at %v, abort hook for %v", committed, stamps, unstaged)
 	}
 	// A checkpoint has nothing to say about a transaction the log never saw,
 	// nor about changes still queued.

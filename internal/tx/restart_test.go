@@ -540,7 +540,7 @@ func TestFailedCommitForceEndsTheTransaction(t *testing.T) {
 	if got := m.locks.Holds(lock.TxID(tr.ID()), name); got != lock.None {
 		t.Fatalf("the transaction still holds %v", got)
 	}
-	if c, _ := m.Counts(); c != 0 || published != 0 || unstaged != 1 || m.CommitStamp() != 0 {
-		t.Fatalf("commits %d, published %d, unstaged %d, stamp %d", c, published, unstaged, m.CommitStamp())
+	if c, _ := m.Counts(); c != 0 || published != 0 || unstaged != 1 {
+		t.Fatalf("commits %d, published %d, unstaged %d", c, published, unstaged)
 	}
 }

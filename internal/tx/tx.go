@@ -90,17 +90,13 @@ type Manager struct {
 	// Multiversion read support (DESIGN.md §7). commitHook/abortHook are set
 	// once at open time, before any transaction runs, and are read without
 	// m.mu thereafter. The commit hook runs after the commit record is
-	// durable and the version clock has passed it, but before locks release,
-	// so a version store can publish the committed images while the writer
-	// still excludes concurrent stagers.
+	// durable but before locks release, so a version store can advance its
+	// clock and publish the committed images while the writer still excludes
+	// concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
 	// repair is given the pages a durable commit failed to write (SetRepair).
 	repair func(pages []page.ID, cause error) error
-
-	commitStamp page.LSN            // guarded by mu; latest published commit LSN (the version clock)
-	snaps       map[uint64]page.LSN // guarded by mu; open snapshot id → stamp
-	nextSnap    uint64              // guarded by mu
 }
 
 // NewManager wires a transaction manager. hooks may be nil.
@@ -269,7 +265,8 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 // (strict 2PL), and retires the transaction, in this order: commit record →
 // force → page writes → version publication → lock release. A transaction
 // that logged and queued nothing commits without a record or a force: nothing
-// of it is in the log to resolve, and the version clock stays where it is.
+// of it is in the log to resolve, and it runs the abort hook, not the commit
+// hook: it published nothing.
 //
 // A commit whose record the log refuses, or whose force fails, did not
 // happen. An active transaction is rolled back — after a failed force its
@@ -299,13 +296,10 @@ func (t *Tx) Commit() error {
 	var werr error
 	if lsn != 0 {
 		werr = t.writeBack(lsn)
-		// Version-store publication order: advance the version clock, then
-		// publish the committed images (hook) while this writer's X locks still
-		// exclude any concurrent stager of the same segments, then release
-		// locks. The hook's watermark so counts this commit, and a snapshot
-		// that opens in between reads these segments only once the hook has
-		// unstaged them: until then its reads wait.
-		m.noteCommit(lsn)
+		// Version-store publication order: the hook advances the version
+		// clock and publishes the committed images in one step, while this
+		// writer's X locks still exclude any concurrent stager of the same
+		// segments; then the locks release.
 		if h := m.commitHook; h != nil {
 			h(t.id, lsn)
 		}
@@ -510,6 +504,17 @@ func (t *Tx) Prepare() error {
 	t.mu.Unlock()
 	return t.m.log.Flush(lsn)
 }
+
+// SetCommitHook installs fn to run on every commit, after the commit record
+// is durable and before the transaction's locks release, with the
+// transaction id and its commit LSN (the version stamp). Must be called
+// before any transaction begins; the hook is read unsynchronized.
+func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.commitHook = fn }
+
+// SetAbortHook installs fn to run on every runtime abort, after its abort
+// record is durable and before locks release. Same registration contract as
+// SetCommitHook.
+func (m *Manager) SetAbortHook(fn func(txID uint64)) { m.abortHook = fn }
 
 // SetRepair installs fn to be given the pages a commit failed to write after
 // its force, and the first write's error, before the commit's locks release:
