@@ -1,7 +1,7 @@
 // bess-inspect dumps the on-disk structures of a BeSS server directory:
-// the catalog (what restart built it from; databases, areas, files, types,
-// root names), each storage area's geometry and segments, and the
-// write-ahead log record stream, catalog records decoded.
+// the catalog (how many log records restart rebuilt it from; databases,
+// areas, files, types, root names), each storage area's geometry and
+// segments, and the write-ahead log record stream, catalog records decoded.
 //
 // Usage:
 //
@@ -62,13 +62,8 @@ func main() {
 	}
 
 	fmt.Printf("BeSS server directory %s\n", *dir)
-	// What restart built the catalog from: the checkpoint image and the
-	// catalog records the log holds at or above its stamp.
-	if info.ImageLSN == 0 {
-		fmt.Printf("catalog: no image; %d log records replayed\n", info.Replayed)
-	} else {
-		fmt.Printf("catalog: image stamped lsn %d + %d log records replayed\n", info.ImageLSN, info.Replayed)
-	}
+	// Restart rebuilds the catalog from the catalog records of the log.
+	fmt.Printf("catalog: %d catalog records replayed\n", info.Replayed)
 	for _, db := range info.Databases {
 		fmt.Printf("\ndatabase %q (id %d)\n", db.Name, db.ID)
 		fmt.Printf("  areas:    %v\n", db.Areas)

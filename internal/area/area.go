@@ -595,6 +595,19 @@ func (a *Area) FreePages() int64 {
 	return n
 }
 
+// Empty reports whether nothing is allocated in the area: every page of
+// every extent but its map page is free.
+func (a *Area) Empty() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, alloc := range a.extents {
+		if alloc.FreeUnits() != page.PerExtent-1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Sync flushes the backing store.
 func (a *Area) Sync() error { return a.st.Sync() }
 

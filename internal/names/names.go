@@ -6,7 +6,6 @@
 package names
 
 import (
-	"encoding/binary"
 	"errors"
 	"sort"
 	"sync"
@@ -20,10 +19,9 @@ var (
 	ErrNotFound = errors.New("names: no such name")
 	ErrNilOID   = errors.New("names: cannot bind the nil OID")
 	ErrBadName  = errors.New("names: empty or oversized name")
-	ErrCorrupt  = errors.New("names: corrupt directory encoding")
 )
 
-// MaxNameLen bounds name length in the persistent encoding.
+// MaxNameLen bounds the length of a name.
 const MaxNameLen = 1 << 16
 
 // Directory is the pair of hash tables. Safe for concurrent use.
@@ -31,7 +29,6 @@ type Directory struct {
 	mu     sync.RWMutex
 	byName map[string]oid.OID
 	byOID  map[oid.OID]string
-	dirty  bool
 }
 
 // New returns an empty directory.
@@ -52,7 +49,6 @@ func (d *Directory) Bind(name string, o oid.OID) error {
 	}
 	d.byName[name] = o
 	d.byOID[o] = name
-	d.dirty = true
 	return nil
 }
 
@@ -109,7 +105,6 @@ func (d *Directory) Unbind(name string) error {
 	}
 	delete(d.byName, name)
 	delete(d.byOID, o)
-	d.dirty = true
 	return nil
 }
 
@@ -125,7 +120,6 @@ func (d *Directory) ObjectRemoved(o oid.OID) bool {
 	}
 	delete(d.byOID, o)
 	delete(d.byName, name)
-	d.dirty = true
 	return true
 }
 
@@ -146,67 +140,4 @@ func (d *Directory) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Dirty reports whether the directory changed since the last Encode.
-func (d *Directory) Dirty() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dirty
-}
-
-// Encode serializes the directory (sorted for determinism) and clears the
-// dirty flag.
-func (d *Directory) Encode() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.byName))
-	for n := range d.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var buf []byte
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(names)))
-	buf = append(buf, tmp[:]...)
-	for _, n := range names {
-		binary.BigEndian.PutUint32(tmp[:], uint32(len(n)))
-		buf = append(buf, tmp[:]...)
-		buf = append(buf, n...)
-		buf = d.byName[n].Encode(buf)
-	}
-	d.dirty = false
-	return buf
-}
-
-// Decode rebuilds a directory from Encode output.
-func Decode(b []byte) (*Directory, error) {
-	if len(b) < 4 {
-		return nil, ErrCorrupt
-	}
-	n := int(binary.BigEndian.Uint32(b[:4]))
-	b = b[4:]
-	d := New()
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, ErrCorrupt
-		}
-		nl := int(binary.BigEndian.Uint32(b[:4]))
-		b = b[4:]
-		if nl == 0 || nl >= MaxNameLen || len(b) < nl+oid.Size {
-			return nil, ErrCorrupt
-		}
-		name := string(b[:nl])
-		b = b[nl:]
-		o, err := oid.Decode(b)
-		if err != nil {
-			return nil, ErrCorrupt
-		}
-		b = b[oid.Size:]
-		if err := d.Bind(name, o); err != nil {
-			return nil, ErrCorrupt
-		}
-	}
-	d.dirty = false
-	return d, nil
 }

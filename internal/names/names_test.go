@@ -88,46 +88,3 @@ func TestNamesSorted(t *testing.T) {
 		t.Fatalf("len = %d", d.Len())
 	}
 }
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	d := New()
-	d.Bind("alpha", o(10))
-	d.Bind("beta", oid.OID{Host: 2, DB: 3, Offset: 4, Unique: 5})
-	if !d.Dirty() {
-		t.Fatal("not dirty after bind")
-	}
-	enc := d.Encode()
-	if d.Dirty() {
-		t.Fatal("dirty after encode")
-	}
-	d2, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != 2 {
-		t.Fatalf("len = %d", d2.Len())
-	}
-	got, _ := d2.Lookup("beta")
-	if got != (oid.OID{Host: 2, DB: 3, Offset: 4, Unique: 5}) {
-		t.Fatalf("beta = %v", got)
-	}
-	// Deterministic encoding.
-	if string(enc) != string(d2.Encode()) {
-		t.Fatal("encoding not canonical")
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(nil); err != ErrCorrupt {
-		t.Fatal("nil accepted")
-	}
-	if _, err := Decode([]byte{0, 0, 0, 5}); err != ErrCorrupt {
-		t.Fatal("truncated accepted")
-	}
-	d := New()
-	d.Bind("x", o(1))
-	enc := d.Encode()
-	if _, err := Decode(enc[:len(enc)-2]); err != ErrCorrupt {
-		t.Fatal("truncated tail accepted")
-	}
-}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,15 +23,15 @@ import (
 )
 
 // Tests for the catalog riding the write-ahead log (catalog.go): what a DDL
-// call touches, what restart rebuilds from an image plus a log suffix at
-// every crash point, and that redo of an add-segment record never clobbers.
+// call touches, what restart rebuilds from the log at every crash point, and
+// that redo of an add-segment record never clobbers.
 
 // TestCreateSegmentTouchesNoFile is the tier-1 tripwire against a slide back
-// to a catalog file rewrite per DDL call: CreateSegment is a buffered log
-// append. A hundred of them leave catalog.bess alone — absent before the
-// first image, the same inode, size and mtime after it — and force the log
-// not once; the image a checkpoint then writes, and equally the log alone,
-// give a reopened server all of them.
+// to a catalog file of its own: CreateSegment is a buffered log append. A
+// hundred of them add no file to the directory and force the log not once;
+// the log alone gives a reopened server all of them, before a checkpoint and
+// after one, and neither a checkpoint nor Close leaves any file in the
+// directory but the log and the areas.
 func TestCreateSegmentTouchesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1)
@@ -48,11 +47,23 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	image := filepath.Join(dir, "catalog.bess")
+	files := func(what string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		if want := []string{"area-1.bess", "wal.log"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the directory holds %v, want %v", what, got, want)
+		}
+	}
 	var want []proto.SegKey
 	create := func(n int) {
 		t.Helper()
-		before, statErr := os.Stat(image)
 		syncs := s.Log().Stats().Syncs
 		for i := 0; i < n; i++ {
 			key, err := createSeg(s, db, fid, 1, 2, -1)
@@ -64,14 +75,7 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 		if got := s.Log().Stats().Syncs; got != syncs {
 			t.Fatalf("%d CreateSegment calls forced the log %d times", n, got-syncs)
 		}
-		after, err := os.Stat(image)
-		switch {
-		case statErr != nil && !os.IsNotExist(err):
-			t.Fatalf("CreateSegment created the catalog image (stat: %v)", err)
-		case statErr == nil && (err != nil || !os.SameFile(before, after) ||
-			!before.ModTime().Equal(after.ModTime()) || before.Size() != after.Size()):
-			t.Fatalf("CreateSegment touched the catalog image: %v → %v (%v)", before, after, err)
-		}
+		files(fmt.Sprintf("after %d CreateSegment calls", n))
 	}
 	reopened := func(what string) {
 		t.Helper()
@@ -85,52 +89,25 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 		}
 	}
 
-	if _, err := os.Stat(image); !os.IsNotExist(err) {
-		t.Fatalf("OpenDB wrote a catalog image (stat: %v)", err)
-	}
-	create(50) // no image yet
+	files("after OpenDB")
+	create(50)
 	if err := s.Log().Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	reopened("from the log alone")
+	reopened("before a checkpoint")
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(image); err != nil {
-		t.Fatalf("Checkpoint wrote no catalog image: %v", err)
-	}
-	create(50) // an image in place
+	files("after a checkpoint")
+	create(50)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if in := s.Inspect(); in.ImageLSN != s.Log().NextLSN()-checkpointRecordLen(t, s) {
-		t.Fatalf("image stamped %d, the checkpoint record that followed it ends the log at %d", in.ImageLSN, s.Log().NextLSN())
 	}
 	reopened("after a checkpoint")
-	// A checkpoint with the catalog unchanged rewrites nothing.
-	before, _ := os.Stat(image)
-	if err := s.Checkpoint(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if after, err := os.Stat(image); err != nil || !os.SameFile(before, after) {
-		t.Fatalf("a checkpoint with the catalog unchanged replaced the image (%v)", err)
-	}
-}
-
-// checkpointRecordLen is the length of the log's last record, an empty
-// checkpoint's.
-func checkpointRecordLen(t *testing.T, s *Server) page.LSN {
-	t.Helper()
-	var last page.LSN
-	if err := s.Log().Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
-		if rec.Type == wal.TCheckpoint {
-			last = lsn
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return s.Log().NextLSN() - last
+	files("after Close")
 }
 
 // TestCreateSegmentFailureFreesRuns: a CreateSegment that fails before its
@@ -259,15 +236,14 @@ func growImage(t *testing.T, s *Server, key proto.SegKey, body []byte, grow bool
 }
 
 // TestRedoSegmentNeverClobbers is the hazard of DESIGN.md §5 made
-// deterministic. A checkpoint snapshots the catalog (stamp L), syncs the
-// areas, writes the image, and only then appends its record; a segment
-// created, updated and committed in between has its add-segment record at or
-// above L — restart replays it — while its update records lie below the
-// checkpoint record, where page redo never looks. Redo of the add-segment
-// that formatted blindly would reset the page and lose the committed object.
-// With the data run re-homed by that commit the header no longer even looks
-// like the op's segment; the log's later record of the page is what says
-// hands off.
+// deterministic. Restart replays every add-segment record, and page redo
+// starts at the last checkpoint: a segment created, updated and committed
+// before a checkpoint whose area sync made the commit's pages durable has its
+// add-segment replayed while its update records lie where page redo never
+// looks. Redo of the add-segment that formatted blindly would reset the page
+// and lose the committed object. With the data run re-homed by that commit
+// the header no longer even looks like the op's segment; the page's anchor
+// in the log, past the op, is what says hands off.
 func TestRedoSegmentNeverClobbers(t *testing.T) {
 	for _, grow := range []bool{false, true} {
 		t.Run(fmt.Sprintf("grow=%v", grow), func(t *testing.T) {
@@ -281,26 +257,14 @@ func TestRedoSegmentNeverClobbers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The checkpoint, taken apart: saveCatalog's steps with a client
-			// busy between the first and the second.
-			img, stamp, err := s.cat.snapshot(false)
-			if err != nil || img == nil {
-				t.Fatalf("snapshot: %v (%d bytes)", err, len(img))
-			}
+			op := s.Log().NextLSN()
 			key, err := createSeg(s, db, 1, 1, 2, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			body := bytes.Repeat([]byte("committed "), 20)
 			commitImage(t, s, growImage(t, s, key, body, grow))
-			if err := s.lookupArea(key.Area).Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.cat.writeImage(img, stamp); err != nil {
-				t.Fatal(err)
-			}
-			ckpt, err := s.txm.Checkpoint()
-			if err != nil {
+			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -309,9 +273,14 @@ func TestRedoSegmentNeverClobbers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if in := r.Inspect(); in.ImageLSN != stamp || in.Replayed != 1 || stamp >= ckpt {
-				t.Fatalf("restart loaded image %d and replayed %d ops; the test wants the add-segment op replayed on image %d below checkpoint %d",
-					in.ImageLSN, in.Replayed, stamp, ckpt)
+			an, err := wal.Analyze(r.Log(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slotted := page.ID{Area: page.AreaID(key.Area), Page: page.No(key.Start)}
+			if _, redone := an.RecLSN(slotted); redone || an.Stats.CheckpointLSN < op {
+				t.Fatalf("the test wants the add-segment op (lsn ≥ %d) below checkpoint %d and its slotted page out of the redo set (in it: %v)",
+					op, an.Stats.CheckpointLSN, redone)
 			}
 			got, err := fetchObject(t, r, key)
 			if err != nil || !bytes.Equal(got, body) {
@@ -384,70 +353,6 @@ func TestRedoSegmentFormatsWhatTheCrashLost(t *testing.T) {
 	next, err := createSeg(r, db, 1, 2, 8, -1)
 	if err != nil || next == key {
 		t.Fatalf("next segment %v (%v) reuses the recovered one's run", next, err)
-	}
-}
-
-// TestImageNeverAheadOfLog: CreateSegment's record is only buffered when a
-// catalog image containing the segment is written. The image write forces the
-// log first; an image stamped above the durable log would, after a crash, sit
-// over LSNs that records yet to be written will take, and restart would skip
-// them.
-func TestImageNeverAheadOfLog(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	db, _, err := s.OpenDB("d", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := createSeg(s, db, 1, 1, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if durableLSN(s.Log()) == s.Log().NextLSN() {
-		t.Fatal("CreateSegment forced the log: the test needs its record buffered")
-	}
-	if err := s.saveCatalog(false); err != nil { // a checkpoint up to, not including, its record
-		t.Fatal(err)
-	}
-	r, err := Open(copyDir(t, dir), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if in := r.Inspect(); in.Replayed != 0 || in.ImageLSN != r.Log().NextLSN() {
-		t.Fatalf("restart loaded image %d on a log ending at %d and replayed %d ops", in.ImageLSN, r.Log().NextLSN(), in.Replayed)
-	}
-	if segs, err := r.SegmentsOf(db, 1); err != nil || len(segs) != 1 || segs[0] != key {
-		t.Fatalf("segments after restart: %v, %v", segs, err)
-	}
-	// And an image that is ahead of its log — a log that lost its tail — is
-	// refused, not trusted.
-	crashed := copyDir(t, dir)
-	if err := os.Truncate(filepath.Join(crashed, "wal.log"), int64(wal.FirstLSN())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(crashed, 1); !errors.Is(err, ErrCatalogCorrupt) {
-		t.Fatalf("Open with the image ahead of the log: %v, want ErrCatalogCorrupt", err)
-	}
-	// So is a stamp inside the log at which no record starts (it would read
-	// as the end of the log, and every later catalog record would be skipped).
-	crashed = copyDir(t, dir)
-	img, err := os.ReadFile(filepath.Join(crashed, "catalog.bess"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img = img[:len(img)-4]
-	binary.BigEndian.PutUint64(img[6:], uint64(wal.FirstLSN())+3) // magic, version, stamp
-	img = binary.BigEndian.AppendUint32(img, page.Checksum(img))
-	if err := os.WriteFile(filepath.Join(crashed, "catalog.bess"), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(crashed, 1); !errors.Is(err, ErrCatalogCorrupt) {
-		t.Fatalf("Open with a stamp off every record boundary: %v, want ErrCatalogCorrupt", err)
 	}
 }
 
@@ -614,17 +519,19 @@ func dirDigest(t *testing.T, dir string) string {
 // server three ways and restarts a copy of the directory:
 //
 //	as is      the files as they are: the log holds what was forced;
-//	cut        the log cut back to the end of an earlier step (no earlier
-//	           than the image's stamp: the log is forced before an image is
-//	           written) while the area files keep everything written since —
-//	           the power loss that takes the log's tail but not the areas';
-//	littered   as is, plus a stale catalog.bess.tmp and an area file no
-//	           catalog names.
+//	cut        the log cut back to the end of any earlier step while the
+//	           area files keep everything written since — the power loss
+//	           that takes the log's tail but not the areas';
+//	littered   as is, plus an area file no catalog names that does not load
+//	           as an area, and an older build's catalog.bess.
 //
 // Restart must rebuild exactly the model as of the cut — no more, no less —
-// serve every object committed below it, remove the litter and the area
-// files of add-area ops above it, and leave a directory that a second restart
-// does not change by a byte.
+// serve every object committed below it, remove the stray area file and the
+// empty area files of add-area ops above the cut, ignore catalog.bess, and
+// leave a directory that a second restart does not change by a byte. A cut
+// below the add-area op of an area that holds a segment by now leaves an
+// area the log does not name but that holds data: restart must refuse it
+// with ErrUnnamedArea and change nothing.
 func TestDDLCrashProperty(t *testing.T) {
 	steps := 50
 	if testing.Short() {
@@ -672,8 +579,47 @@ func TestDDLCrashProperty(t *testing.T) {
 	createDB()
 	remember("create-db")
 
+	// named lists the area files of h's model.
+	named := func(h past) map[string]bool {
+		out := make(map[string]bool)
+		for _, d := range h.model.DBs {
+			for _, a := range d.Areas {
+				out[fmt.Sprintf("area-%d.bess", a)] = true
+			}
+		}
+		return out
+	}
+	// unnamedData reports whether a segment created by now lies in an area
+	// h's model does not name.
+	unnamedData := func(h past) bool {
+		n := named(h)
+		for _, d := range model.DBs {
+			for _, segs := range d.Files {
+				for _, key := range segs {
+					if !n[fmt.Sprintf("area-%d.bess", key.Area)] {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	refused := func(at string, crashed string) {
+		t.Helper()
+		before := dirDigest(t, crashed)
+		if r, err := Open(crashed, 1); !errors.Is(err, ErrUnnamedArea) {
+			if err == nil {
+				r.Close()
+			}
+			t.Fatalf("%s: restart over an unnamed area holding a segment: %v, want ErrUnnamedArea", at, err)
+		}
+		if dirDigest(t, crashed) != before {
+			t.Fatalf("%s: a refused restart changed the directory", at)
+		}
+	}
 	check := func(at string, crashed string, h past) {
 		t.Helper()
+		named := named(h)
 		r, err := Open(crashed, 1)
 		if err != nil {
 			t.Fatalf("%s: restart: %v", at, err)
@@ -684,12 +630,6 @@ func TestDDLCrashProperty(t *testing.T) {
 		for key, want := range h.committed {
 			if got, err := fetchObject(t, r, key); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: committed object of %v after restart: %q, %v", at, key, got, err)
-			}
-		}
-		named := make(map[string]bool)
-		for _, d := range h.model.DBs {
-			for _, a := range d.Areas {
-				named[fmt.Sprintf("area-%d.bess", a)] = true
 			}
 		}
 		ents, _ := os.ReadDir(crashed)
@@ -705,9 +645,6 @@ func TestDDLCrashProperty(t *testing.T) {
 		r, err = Open(crashed, 1)
 		if err != nil {
 			t.Fatalf("%s: second restart: %v", at, err)
-		}
-		if in := r.Inspect(); in.Replayed != 0 {
-			t.Fatalf("%s: second restart replayed %d catalog records", at, in.Replayed)
 		}
 		if got := catalogOf(t, r, maxFiles); !reflect.DeepEqual(got, h.model) {
 			t.Fatalf("%s: second restart recovered a different catalog", at)
@@ -815,28 +752,42 @@ func TestDDLCrashProperty(t *testing.T) {
 		}
 		check(at+", as is", copyDir(t, dir), history[asIs])
 
-		// Cut: back to the end of a random earlier step the image allows.
-		stamp := s.Inspect().ImageLSN
-		var cuts []int
-		for i, h := range history[:asIs] {
-			if h.end >= stamp && h.end >= wal.FirstLSN() {
-				cuts = append(cuts, i)
-			}
-		}
-		if len(cuts) > 0 {
-			h := history[cuts[rng.Intn(len(cuts))]]
+		// Cut: back to the end of a random earlier step, any of them. One
+		// whose model misses an area that holds a segment by now must be
+		// refused; then a random one that does not is cut as well.
+		cut := func(h past) {
 			crashed := copyDir(t, dir)
 			if err := os.Truncate(filepath.Join(crashed, "wal.log"), int64(h.end)); err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("%s, log cut from %d back to %d", at, durable, h.end), crashed, h)
+			at := fmt.Sprintf("%s, log cut from %d back to %d", at, durable, h.end)
+			if unnamedData(h) {
+				refused(at, crashed)
+			} else {
+				check(at, crashed, h)
+			}
+		}
+		if asIs > 0 {
+			h := history[rng.Intn(asIs)]
+			cut(h)
+			if unnamedData(h) {
+				var ok []past
+				for _, h := range history[:asIs] {
+					if !unnamedData(h) {
+						ok = append(ok, h)
+					}
+				}
+				if len(ok) > 0 {
+					cut(ok[rng.Intn(len(ok))])
+				}
+			}
 		}
 
 		// Littered.
 		if step%5 == 0 {
 			crashed := copyDir(t, dir)
 			junk := bytes.Repeat([]byte("torn image "), 50)
-			for _, name := range []string{"catalog.bess.tmp", "area-77.bess"} {
+			for _, name := range []string{"catalog.bess", "area-77.bess"} {
 				if err := os.WriteFile(filepath.Join(crashed, name), junk, 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -107,12 +107,9 @@ type Server struct {
 	// simulated stores).
 	media *Media
 
-	// imageMu serializes saveCatalog: one catalog image is written at a time
-	// (Checkpoint, Close). Taken with no other server lock held.
-	imageMu sync.Mutex
-	locks   *lock.Manager
-	txm     *tx.Manager
-	hk      *hooks.Registry
+	locks *lock.Manager
+	txm   *tx.Manager
+	hk    *hooks.Registry
 
 	nextTx atomic.Uint64
 
@@ -144,8 +141,7 @@ func Open(dir string, host uint16) (*Server, error) {
 // log that is not empty, for each area restart finds cataloged, which must
 // hand back that area's device. It lets fault harnesses (experiments E13 and
 // E19) run the full server stack — commit, WAL, checksums, repair, restart —
-// over simulated media with injected faults. No catalog image is ever
-// written: restart rebuilds the catalog from the log's records alone.
+// over simulated media with injected faults.
 type Media struct {
 	Log     wal.Backing
 	NewArea func(id uint32) (area.Store, error)
@@ -175,20 +171,16 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	var err error
 	switch {
 	case media != nil:
-		s.cat = newCatalog("")
 		s.log, err = wal.Open(media.Log)
 	case dir == "":
-		s.cat = newCatalog("")
 		s.log = wal.NewMem()
 	default:
-		if s.cat, err = loadCatalog(dir); err == nil {
-			s.log, err = wal.OpenFile(filepath.Join(dir, "wal.log"))
-		}
+		s.log, err = wal.OpenFile(filepath.Join(dir, "wal.log"))
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.cat.log = s.log
+	s.cat = newCatalog(s.log)
 	if dir == "" && media == nil {
 		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
 	} else if err = s.restart(); err != nil {
@@ -215,28 +207,24 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 }
 
 // restart brings a file-backed or Media server's storage to what its log
-// describes, outermost structure first: the catalog (the image plus the ops
-// logged since it was taken, found in the one analysis pass over the log),
-// then the storage those ops name — an area file created, a segment's runs
-// allocated and formatted — and only then the pages and the transaction table
-// (tx.Restart: repeat history, roll back losers, keep in-doubt 2PC branches
-// for the coordinator's decision), which need both.
+// describes, outermost structure first: the catalog (rebuilt from the ops the
+// log holds, found in the one analysis pass over it), then the storage those
+// ops name — an area file created, a segment's runs allocated and formatted —
+// and only then the pages and the transaction table (tx.Restart: repeat
+// history, roll back losers, keep in-doubt 2PC branches for the
+// coordinator's decision), which need both.
 func (s *Server) restart() error {
-	updated := make(map[page.ID]page.LSN)
-	an, ops, err := s.cat.replay(updated)
+	an, segs, err := s.cat.replay()
 	if err != nil {
 		return err
 	}
-	// An area the replayed ops created may have no file yet (the record
-	// outlived the directory entry); an area the image names must have one.
-	created := make(map[uint32]bool)
-	for _, op := range ops {
-		if op.Kind == proto.CatAddArea {
-			created[op.ID] = true
+	if s.media == nil {
+		if err := s.removeOrphanAreas(); err != nil {
+			return err
 		}
 	}
 	for _, aid := range s.cat.areaIDs() {
-		a, err := s.reopenArea(aid, created[aid])
+		a, err := s.reopenArea(aid)
 		if err != nil {
 			return fmt.Errorf("server: open area %d: %w", aid, err)
 		}
@@ -244,16 +232,9 @@ func (s *Server) restart() error {
 		s.areas[aid] = a
 		s.areaMu.Unlock()
 	}
-	if s.media == nil {
-		if err := s.removeOrphanAreas(); err != nil {
-			return err
-		}
-	}
-	for _, op := range ops {
-		if op.Kind == proto.CatAddSegment {
-			if err := s.redoSegment(op, updated); err != nil {
-				return fmt.Errorf("server: redo of segment %d/%d (lsn %d): %w", op.Seg.Area, op.Seg.Start, op.lsn, err)
-			}
+	for _, op := range segs {
+		if err := s.redoSegment(op, an); err != nil {
+			return fmt.Errorf("server: redo of segment %d/%d (lsn %d): %w", op.Seg.Area, op.Seg.Start, op.lsn, err)
 		}
 	}
 	if s.txm, _, err = tx.Restart(an, s.locks, s, s.hk); err != nil {
@@ -262,12 +243,13 @@ func (s *Server) restart() error {
 	return nil
 }
 
-// reopenArea opens area aid as restart finds it — creating it afresh when a
-// replayed add-area op (created) names a file or device the crash lost.
-func (s *Server) reopenArea(aid uint32, created bool) (*area.Area, error) {
+// reopenArea opens area aid, which a replayed add-area op names, as restart
+// finds it — creating it afresh when the crash lost its file or device (the
+// record outlived the directory entry).
+func (s *Server) reopenArea(aid uint32) (*area.Area, error) {
 	if s.media == nil {
 		a, err := area.OpenFile(s.areaPath(aid))
-		if created && errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, os.ErrNotExist) {
 			return s.createArea(aid)
 		}
 		return a, err
@@ -276,25 +258,49 @@ func (s *Server) reopenArea(aid uint32, created bool) (*area.Area, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size, err := st.Size(); err == nil && size == 0 && created {
+	if size, err := st.Size(); err == nil && size == 0 {
 		return area.Create(st, page.AreaID(aid), 1, true)
 	}
 	return area.Load(st, true)
 }
 
-// removeOrphanAreas removes every area file of the directory the catalog does
-// not name: what AddArea left when it crashed before its record was durable.
-// Nothing refers to one.
+// ErrUnnamedArea reports an area file the log does not name that holds an
+// allocation: the log that named it is lost, or is another directory's.
+// Open refuses to start over it rather than remove its data.
+var ErrUnnamedArea = errors.New("server: an area file the log does not name holds data")
+
+// removeOrphanAreas removes the area files of the directory the catalog does
+// not name, if each is what AddArea leaves when it crashes before its record
+// is durable — a file that does not load as an area, or an area with nothing
+// allocated in it — and fails with ErrUnnamedArea, removing none, if one is
+// not.
 func (s *Server) removeOrphanAreas() error {
 	files, err := filepath.Glob(filepath.Join(s.dir, "area-*.bess"))
 	if err != nil {
 		return err
 	}
+	named := make(map[uint32]bool)
+	for _, aid := range s.cat.areaIDs() {
+		named[aid] = true
+	}
+	var orphans []string
 	for _, f := range files {
 		var aid uint32
-		if _, err := fmt.Sscanf(filepath.Base(f), "area-%d.bess", &aid); err != nil || s.lookupArea(aid) != nil {
+		if _, err := fmt.Sscanf(filepath.Base(f), "area-%d.bess", &aid); err != nil || named[aid] {
 			continue
 		}
+		if a, err := area.OpenFile(f); err == nil {
+			empty := a.Empty()
+			if err := a.Close(); err != nil {
+				return err
+			}
+			if !empty {
+				return fmt.Errorf("%w: %s", ErrUnnamedArea, f)
+			}
+		}
+		orphans = append(orphans, f)
+	}
+	for _, f := range orphans {
 		if err := os.Remove(f); err != nil {
 			return err
 		}
@@ -437,7 +443,7 @@ func (s *Server) AddArea(db uint32) (uint32, error) {
 		return 0, err
 	}
 	// The area exists, whole, before the record that names it: a crash in
-	// between leaves a file no catalog refers to, which restart discards.
+	// between leaves an empty area file no catalog names, which restart removes.
 	s.cat.mu.Lock()
 	aid := s.cat.NextArea
 	var lsn page.LSN
@@ -635,13 +641,12 @@ var zeroRun [area.MaxSegmentPages * page.Size]byte
 // redoSegment re-establishes at restart the storage of a replayed add-segment
 // op: both runs are made live in the extent map (the map write may not have
 // survived the crash), and the initial images are written again unless the
-// segment is already there. It must never clobber: the op can be replayed
-// although the segment was updated and committed after it and page redo starts
-// later still (the catalog snapshot a checkpoint's image holds is older than
-// the checkpoint record, DESIGN.md §5), so a page the log changed after the op
-// is left to redo and repair, and a slotted page that verifies as this
-// segment is left alone.
-func (s *Server) redoSegment(op loggedOp, updated map[page.ID]page.LSN) error {
+// segment is already there. It must never clobber: every add-segment op is
+// replayed, though the segment may have been updated and committed after it
+// with page redo starting later still (at a checkpoint past the commit,
+// DESIGN.md §5), so a page the log changed after the op is left to redo and
+// repair, and a slotted page that verifies as this segment is left alone.
+func (s *Server) redoSegment(op loggedOp, an *wal.Analysis) error {
 	a := s.lookupArea(op.Seg.Area)
 	if a == nil {
 		return ErrNoArea
@@ -653,8 +658,11 @@ func (s *Server) redoSegment(op loggedOp, updated map[page.ID]page.LSN) error {
 	if err := a.EnsureSegment(page.No(op.DataStart), op.DataPages); err != nil {
 		return err
 	}
-	// Every commit to a segment rewrites checksums in its first slotted page.
-	if updated[page.ID{Area: a.ID(), Page: slStart}] > op.lsn {
+	// Every commit to a segment rewrites checksums in its first slotted page,
+	// and no page is changed before the op that allocates it (segments are
+	// never dropped), so the page's first committed change after the op is
+	// an anchor (the logging rule), and its latest anchor is past the op.
+	if al, _ := an.Anchor(page.ID{Area: a.ID(), Page: slStart}); al > op.lsn {
 		return nil
 	}
 	sl := make([]byte, op.SlottedPages*page.Size)
@@ -1246,11 +1254,7 @@ func (s *Server) NameLookup(db uint32, name string) (oid.OID, error) {
 	if err != nil {
 		return oid.Nil, err
 	}
-	d, err := s.cat.namesDir(m)
-	if err != nil {
-		return oid.Nil, err
-	}
-	return d.Lookup(name)
+	return m.Names.Lookup(name)
 }
 
 // NameUnbind implements proto.Conn.
@@ -1287,9 +1291,7 @@ type DBInfo struct {
 
 // InspectInfo is the server summary bess-inspect prints.
 type InspectInfo struct {
-	// ImageLSN is the stamp of the catalog image restart loaded (0 = none),
-	// Replayed the number of catalog records of the log it applied on top.
-	ImageLSN  page.LSN
+	// Replayed is the number of catalog records restart applied.
 	Replayed  int
 	Databases []DBInfo
 }
@@ -1298,7 +1300,7 @@ type InspectInfo struct {
 func (s *Server) Inspect() InspectInfo {
 	var out InspectInfo
 	s.cat.mu.Lock()
-	out.ImageLSN, out.Replayed = s.cat.LSN, s.cat.replayed
+	out.Replayed = s.cat.replayed
 	metas := append([]*dbMeta(nil), s.cat.Created...)
 	s.cat.mu.Unlock()
 	for _, m := range metas {
@@ -1308,50 +1310,25 @@ func (s *Server) Inspect() InspectInfo {
 		di.Segments = len(m.Segments)
 		di.Files = len(m.Files)
 		s.cat.mu.Unlock()
-		if d, err := s.cat.namesDir(m); err == nil {
-			di.Roots = d.Names()
-		}
+		di.Roots = m.Names.Names()
 		out.Databases = append(out.Databases, di)
 	}
 	return out
 }
 
 // Checkpoint makes what the log's earlier part describes durable outside it
-// and writes a fuzzy checkpoint record, in this order: snapshot the catalog
-// (if it changed since its image was written) → sync every area → write the
-// catalog image → append and force the checkpoint record. Restart redoes only
-// the pages the record lists and those the log changes after it, so every
-// page write of a transaction that ended before the sync is on the device by
-// then; the image likewise only names segments whose initial images the sync
-// covered.
+// and writes a fuzzy checkpoint record, in this order: sync every area →
+// append and force the checkpoint record. Restart redoes only the pages the
+// record lists and those the log changes after it, so every page write of a
+// transaction that ended before the sync is on the device by then.
 func (s *Server) Checkpoint() error {
-	if err := s.saveCatalog(false); err != nil {
-		return err
-	}
-	_, err := s.txm.Checkpoint()
-	return err
-}
-
-// saveCatalog syncs the areas and — after the snapshot, before the write, so
-// that the image never describes storage less durable than itself — writes
-// the catalog image. A memory-only catalog, or with always unset an unchanged
-// one, writes none.
-func (s *Server) saveCatalog(always bool) error {
-	s.imageMu.Lock()
-	defer s.imageMu.Unlock()
-	img, stamp, err := s.cat.snapshot(always)
-	if err != nil {
-		return err
-	}
 	for _, a := range s.openAreas() {
 		if err := a.Sync(); err != nil {
 			return err
 		}
 	}
-	if img == nil {
-		return nil
-	}
-	return s.cat.writeImage(img, stamp)
+	_, err := s.txm.Checkpoint()
+	return err
 }
 
 // openAreas lists the attached areas.
@@ -1365,15 +1342,14 @@ func (s *Server) openAreas() []*area.Area {
 	return areas
 }
 
-// Close flushes and shuts down. A file-backed server leaves a catalog image
-// stamped with the end of its log: the next Open replays nothing. Everything
+// Close flushes the log and shuts down; closing an area syncs it. Everything
 // is closed whatever fails on the way; the errors come back joined.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	s.StopScrub()
-	errs := []error{s.saveCatalog(true), s.log.Close()}
+	errs := []error{s.log.Close()}
 	for _, a := range s.openAreas() {
 		errs = append(errs, a.Close())
 	}

@@ -66,16 +66,17 @@ type Unfinished struct {
 // transactions it leaves open, which the transaction manager adopts and
 // ends or keeps in doubt (tx.Restart), and the pages redo must replay.
 type Analysis struct {
-	Stats RecoveryStats
-	Open  []Unfinished // latest record first
-	log   *Log
-	dirty map[page.ID]page.LSN // the redo set: page → recLSN
+	Stats   RecoveryStats
+	Open    []Unfinished // latest record first
+	log     *Log
+	dirty   map[page.ID]page.LSN // the redo set: page → recLSN
+	anchors map[page.ID]page.LSN // every page's latest anchor that took effect
 }
 
 // Replayer hands the page changes of a forward walk of the log — one record
 // at a time (Add) — on to apply in the order they take effect. That order is
-// the one rule every reader of page history follows (restart redo, the
-// server's catalog replay and repair):
+// the one rule every reader of page history follows (restart redo and the
+// server's repair, both through ReplayPages):
 //   - a transaction's page changes take effect at its TCommit, in its own
 //     order: first those of its spills (TRedo) and its TPrepare, which the
 //     Replayer holds until then, then those the TCommit carries;
@@ -173,6 +174,8 @@ func (r *Replayer) hand(lsn page.LSN, c *Change) error {
 // Analyze reads the log once, from its first record, and calls visit (if not
 // nil) on every record, so that restart's other readers of the log — the
 // server's catalog replay — ride this pass instead of walking it themselves.
+// The record is lent to visit: it must not keep rec, or anything rec points
+// to, past its return.
 //
 // A transaction's status is the type of its own last record: TRedo while
 // active, TPrepare in doubt (kept until its coordinator decides), TRollback
@@ -193,7 +196,7 @@ func (r *Replayer) hand(lsn page.LSN, c *Change) error {
 // anchor, so that happens only to pages no committed record changes. Catalog
 // records belong to no transaction and no page.
 func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, error) {
-	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN)}
+	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN), anchors: make(map[page.ID]page.LSN)}
 	st := &a.Stats
 	type txInfo struct {
 		lastLSN page.LSN
@@ -202,17 +205,16 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	}
 	txs := make(map[uint64]txInfo)
 	winners := make(map[uint64]bool)
-	anchor := make(map[page.ID]page.LSN)   // page → its latest anchor
 	rolling := make(map[uint64][]CkptPage) // by transaction: its TRollback anchors
 	settle := func(lsn page.LSN, rec *Record) {
 		for i := range rec.Changes {
 			if rec.Changes[i].WholePage() {
-				anchor[rec.Changes[i].Page] = lsn
+				a.anchors[rec.Changes[i].Page] = lsn
 			}
 		}
 	}
-	// The walk lends each record to this pass; visit gets one of its own.
-	if err := l.walk(firstLSN, visit != nil, func(lsn page.LSN, rec *Record) error {
+	// The walk lends each record to this pass, and the pass to visit.
+	if err := l.walk(firstLSN, false, func(lsn page.LSN, rec *Record) error {
 		st.RecordsAnalyzed++
 		for i := range rec.Changes {
 			if _, ok := a.dirty[rec.Changes[i].Page]; !ok {
@@ -231,7 +233,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 			txs[rec.Tx] = ti
 		case TCommit:
 			for _, e := range txs[rec.Tx].anchors {
-				anchor[e.Page] = e.RecLSN
+				a.anchors[e.Page] = e.RecLSN
 			}
 			settle(lsn, rec)
 			delete(txs, rec.Tx)
@@ -248,7 +250,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 			}
 		case TAbort:
 			for _, e := range rolling[rec.Tx] {
-				anchor[e.Page] = e.RecLSN
+				a.anchors[e.Page] = e.RecLSN
 			}
 			delete(rolling, rec.Tx)
 			settle(lsn, rec)
@@ -283,7 +285,7 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	for tx := range winners {
 		st.Winners = append(st.Winners, tx)
 	}
-	for p, al := range anchor {
+	for p, al := range a.anchors {
 		if _, dirty := a.dirty[p]; dirty {
 			a.dirty[p] = al
 		}
@@ -309,6 +311,13 @@ func (a *Analysis) Log() *Log { return a.log }
 func (a *Analysis) RecLSN(p page.ID) (page.LSN, bool) {
 	rl, ok := a.dirty[p]
 	return rl, ok
+}
+
+// Anchor is p's latest anchor that took effect (see Analyze), if there is
+// one: by the logging rule, every page a committed record changes has one.
+func (a *Analysis) Anchor(p page.ID) (page.LSN, bool) {
+	al, ok := a.anchors[p]
+	return al, ok
 }
 
 // Redo repeats history onto p: every page change of the redo set from the

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 )
 
@@ -353,6 +354,48 @@ func TestAnalyzeVisitsEveryRecord(t *testing.T) {
 	n := 0
 	if _, err := Analyze(l, func(page.LSN, *Record) error { n++; return stop }); err != stop || n != 1 {
 		t.Fatalf("a failing visitor: %v after %d records", err, n)
+	}
+}
+
+// TestAnalyzeLendsRecordsToItsVisitor: the visitor gets the record the pass
+// reads, not a copy of it — Analyze with a visitor allocates no more than
+// without one.
+func TestAnalyzeLendsRecordsToItsVisitor(t *testing.T) {
+	if lockcheck.Enabled {
+		t.Skip("the instrumented Log.mu allocates on every Lock")
+	}
+	l := NewMem()
+	for i := 0; i < 64; i++ {
+		pid := page.ID{Area: 1, Page: page.No(1 + i%8)}
+		l.Append(&Record{Type: TCommit, Tx: uint64(1 + i), Changes: []Change{{Page: pid, After: bytes.Repeat([]byte{byte(i)}, page.Size)}}})
+		l.Append(&Record{Type: TCommit, Tx: uint64(100 + i), Changes: []Change{{Page: pid, Off: 10, After: []byte("range")}}})
+		l.Append(&Record{Type: TCatalog, Body: catalogBody(t)})
+	}
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	bytesSeen := 0
+	visit := func(_ page.LSN, rec *Record) error {
+		bytesSeen += len(rec.Body)
+		for i := range rec.Changes {
+			bytesSeen += len(rec.Changes[i].After)
+		}
+		return nil
+	}
+	analyze := func(visit func(page.LSN, *Record) error) func() {
+		return func() {
+			if _, err := Analyze(l, visit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	without := testing.AllocsPerRun(20, analyze(nil))
+	with := testing.AllocsPerRun(20, analyze(visit))
+	if with > without {
+		t.Fatalf("Analyze allocates %v times with a visitor, %v without", with, without)
+	}
+	if bytesSeen == 0 {
+		t.Fatal("the visitor saw no record bytes")
 	}
 }
 
