@@ -45,9 +45,6 @@ func (r *reporter) sorted() []finding {
 
 func analyzeGuarded(flows []*flowResult, dirs *directives, r *reporter) {
 	for _, fr := range flows {
-		if fr.fn != nil && dirs.prepublish[fr.fn] {
-			continue
-		}
 		for _, ev := range fr.events {
 			if ev.kind != evAccess {
 				continue

@@ -8,44 +8,40 @@ import (
 	"strings"
 )
 
-// directives are the machine-readable annotations bess-vet consumes:
+// directives are the machine-readable annotations bess-vet consumes: one,
 //
-//	//bess:prepublish                  (func builds a value not yet shared)
 //	// guarded by mu                   (struct field annotation)
 //
-// A //bess: line whose verb is unknown, or whose argument does not parse,
-// is itself a finding (analyzer "directive") — a typo must not silently
-// disable checking.
+// and no //bess: verb. A //bess: line is itself a finding (analyzer
+// "directive") — a typo or a retired verb must not look as if it checked
+// something.
 //
-// The rest of what was once written as a directive is code that runs: the
-// lock hierarchy is the rank each lockcheck Init call names, a "caller holds
-// mu" contract is a call to mu.AssertHeld() (both checked at run time under
-// -tags invariants, and AssertHeld seeds the lock-flow walk below), and an
-// allocation budget is an AllocsPerRun test.
+// What was once written as a directive is code that runs: the lock hierarchy
+// is the rank each lockcheck Init call names, a "caller holds mu" contract is
+// a call to mu.AssertHeld() (both checked at run time under -tags invariants,
+// and AssertHeld seeds the lock-flow walk below), an allocation budget is an
+// AllocsPerRun test, and a value being built before anyone shares it takes
+// its lock like any other.
 type directives struct {
-	prepublish map[*types.Func]bool
-	guarded    map[*types.Var]string // struct field -> mutex field name
+	guarded map[*types.Var]string // struct field -> mutex field name
 
-	// bad collects malformed or unknown //bess: directives; run() reports
-	// them under the "directive" analyzer.
+	// bad collects the //bess: lines; run() reports them under the
+	// "directive" analyzer.
 	bad []dirDiag
 }
 
-// dirDiag is one malformed/unknown directive, reported as a finding.
+// dirDiag is one //bess: line, reported as a finding.
 type dirDiag struct {
 	pos token.Pos
 	msg string
 }
 
 func newDirectives() *directives {
-	return &directives{
-		prepublish: make(map[*types.Func]bool),
-		guarded:    make(map[*types.Var]string),
-	}
+	return &directives{guarded: make(map[*types.Var]string)}
 }
 
-// collect scans one type-checked package for all directive forms. Malformed
-// or unknown directives are recorded in d.bad, never silently skipped.
+// collect scans one type-checked package for all directive forms. A //bess:
+// line is recorded in d.bad, never silently skipped.
 func (d *directives) collect(p *pkg) {
 	for _, f := range p.files {
 		for _, cg := range f.Comments {
@@ -53,61 +49,25 @@ func (d *directives) collect(p *pkg) {
 				text := strings.TrimPrefix(c.Text, "//")
 				text = strings.TrimSpace(text)
 				if rest, ok := strings.CutPrefix(text, "bess:"); ok {
-					d.parseDirective(rest, c.Pos())
+					verb, _, _ := strings.Cut(rest, " ")
+					d.bad = append(d.bad, dirDiag{pos: c.Pos(), msg: fmt.Sprintf("unknown //bess:%s directive (there is no //bess: verb)", verb)})
 				}
 			}
 		}
 		for _, decl := range f.Decls {
-			switch n := decl.(type) {
-			case *ast.FuncDecl:
-				d.collectFunc(p, n)
-			case *ast.GenDecl:
-				for _, spec := range n.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
+			n, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range n.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
 					d.collectGuarded(p, st)
 				}
 			}
-		}
-	}
-}
-
-func (d *directives) badf(pos token.Pos, format string, args ...any) {
-	d.bad = append(d.bad, dirDiag{pos: pos, msg: fmt.Sprintf(format, args...)})
-}
-
-// parseDirective checks one "//bess:<verb> [arg]" line. rest is the text
-// after "bess:".
-func (d *directives) parseDirective(rest string, pos token.Pos) {
-	verb, arg, _ := strings.Cut(rest, " ")
-	arg = strings.TrimSpace(arg)
-	switch verb {
-	case "prepublish":
-		if arg != "" {
-			d.badf(pos, "//bess:prepublish takes no argument (got %q)", arg)
-		}
-	default:
-		d.badf(pos, "unknown //bess:%s directive (prepublish is the one verb)", verb)
-	}
-}
-
-func (d *directives) collectFunc(p *pkg, fn *ast.FuncDecl) {
-	if fn.Doc == nil {
-		return
-	}
-	obj, _ := p.info.Defs[fn.Name].(*types.Func)
-	if obj == nil {
-		return
-	}
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "bess:prepublish" {
-			d.prepublish[obj] = true
 		}
 	}
 }

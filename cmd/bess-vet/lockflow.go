@@ -40,7 +40,6 @@ type event struct {
 
 // flowResult is the per-function output of the walk.
 type flowResult struct {
-	fn        *types.Func
 	events    []event
 	contracts []string // locks the function asserts its caller holds
 }
@@ -103,8 +102,7 @@ func flowsOf(p *pkg, dirs *directives) []*flowResult {
 
 // walkFunc runs the lock-flow analysis over one function declaration.
 func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
-	obj, _ := p.info.Defs[decl.Name].(*types.Func)
-	res := &flowResult{fn: obj}
+	res := &flowResult{}
 	if decl.Body == nil {
 		return res
 	}

@@ -10,12 +10,10 @@ import (
 	"sync"
 	"testing"
 
-	"bess/internal/cache"
 	"bess/internal/fault"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/segment"
-	"bess/internal/tx"
 )
 
 // Tests for the byte-range logging rule (internal/tx/logging.go) as the
@@ -109,61 +107,6 @@ func TestLogVolumeBudget(t *testing.T) {
 	}
 	if n := logged(5); n > deltaBound {
 		t.Fatalf("second touch after a reopen logged %d bytes, budget %d", n, deltaBound)
-	}
-}
-
-// TestLogAndApplyShortTail: data that ends inside a page changes only its own
-// bytes — the change's range stays inside them and the page's tail survives.
-func TestLogAndApplyShortTail(t *testing.T) {
-	s := NewMem(1)
-	defer s.Close()
-	db, _, _ := s.OpenDB("d", true)
-	aid, start, _, err := s.AllocRun(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := bytes.Repeat([]byte{0xEE}, 2*page.Size)
-	if err := s.WriteRun(db, aid, start, fill); err != nil {
-		t.Fatal(err)
-	}
-	ship := func(data []byte) *tx.Tx {
-		t.Helper()
-		tr := s.txm.Begin()
-		staged := s.vs.StageUpdate(tr.ID(), cache.VKey{Area: aid, Start: start}, cache.VImage{})
-		if err := s.logAndApply(staged, tr, aid, page.No(start), nil, data, new([]byte)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	data := bytes.Repeat([]byte{0x11}, page.Size+100)
-	ship(data) // anchors both pages
-	// A second shipment of the same run changes it from what the first left.
-	data = bytes.Clone(data)
-	copy(data[page.Size+10:], "short")
-	tr := ship(data)
-	if err := s.log.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.log.ReadRecord(tr.LastLSN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Changes) != 1 {
-		t.Fatalf("short-tail commit carries %d changes, want 1", len(rec.Changes))
-	}
-	if c := rec.Changes[0]; c.Page.Page != page.No(start)+1 || c.Off != 10 || string(c.After) != "short" {
-		t.Fatalf("short-tail change: page %v off %d after %q", c.Page, c.Off, c.After)
-	}
-	got, err := s.ReadRun(db, aid, start, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]byte(nil), data...), fill[len(data):]...)
-	if !bytes.Equal(got, want) {
-		t.Fatal("short-tail write disturbed bytes outside the data")
 	}
 }
 

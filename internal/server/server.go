@@ -877,15 +877,15 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
 	if dataMoves {
-		a, aid, err2 := s.areaForAlloc(si.Seg.Area)
-		if err2 != nil {
-			return err2
+		a := s.lookupArea(si.Seg.Area)
+		if a == nil {
+			return ErrNoArea
 		}
 		start, granted, err2 := a.AllocSegment(int(newSeg.Hdr.DataPages))
 		if err2 != nil {
 			return err2
 		}
-		newSeg.Hdr.DataArea = page.AreaID(aid)
+		newSeg.Hdr.DataArea = page.AreaID(si.Seg.Area)
 		newSeg.Hdr.DataStart = start
 		newSeg.Hdr.DataPages = uint32(granted)
 		dataBefore = nil
@@ -900,15 +900,15 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
 	}
 	// Overflow growth likewise.
 	if overGrows {
-		a, aid, err2 := s.areaForAlloc(si.Seg.Area)
-		if err2 != nil {
-			return err2
+		a := s.lookupArea(si.Seg.Area)
+		if a == nil {
+			return ErrNoArea
 		}
 		start, granted, err2 := a.AllocSegment(int(newSeg.Hdr.OverPages))
 		if err2 != nil {
 			return err2
 		}
-		newSeg.Hdr.OverArea = page.AreaID(aid)
+		newSeg.Hdr.OverArea = page.AreaID(si.Seg.Area)
 		newSeg.Hdr.OverStart = start
 		newSeg.Hdr.OverPages = uint32(granted)
 		overBefore = nil
@@ -983,16 +983,6 @@ func (s *Server) updateBase(t *tx.Tx, seg proto.SegKey) (cur *segment.Seg, old c
 	return cur, old, s.vs.StageUpdate(t.ID(), vkeyOf(seg), old), nil
 }
 
-// areaForAlloc picks the area for a relocation allocation (same area as the
-// slotted segment).
-func (s *Server) areaForAlloc(areaID uint32) (*area.Area, uint32, error) {
-	a := s.lookupArea(areaID)
-	if a == nil {
-		return nil, 0, ErrNoArea
-	}
-	return a, areaID, nil
-}
-
 // logAndApply logs data over the run at start for a shipped commit, page by
 // page (eachPage). staged is updateBase's proof that t staged the segment
 // these pages belong to.
@@ -1011,29 +1001,26 @@ func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start
 // run's current content in whole pages, as the caller read it; a nil before —
 // a run the transaction allocated, or that updateBase's image does not cover —
 // is read here, into *scratch, which grows geometrically to the largest run it
-// has served and is the caller's to hand to the next call.
+// has served and is the caller's to hand to the next call. data is whole
+// pages: every caller cuts or pads it to its run, and LogRedo refuses a page
+// it would end inside.
 func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
 	if before == nil {
 		a := s.lookupArea(areaID)
 		if a == nil {
 			return ErrNoArea
 		}
-		n := (len(data) + page.Size - 1) / page.Size * page.Size
-		if cap(*scratch) < n {
-			*scratch = make([]byte, max(n, 2*cap(*scratch)))
+		if cap(*scratch) < len(data) {
+			*scratch = make([]byte, max(len(data), 2*cap(*scratch)))
 		}
-		before = (*scratch)[:n]
+		before = (*scratch)[:len(data)]
 		if err := a.ReadRun(start, before); err != nil {
 			return err
 		}
 	}
 	for lo := 0; lo < len(data); lo += page.Size {
-		was, after := before[lo:lo+page.Size], data[lo:min(lo+page.Size, len(data))]
-		if len(after) < page.Size {
-			// Short tail: the rest of the page keeps its current bytes.
-			after = append(append(make([]byte, 0, page.Size), after...), was[len(after):]...)
-		}
-		if err := t.LogRedo(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, was, after); err != nil {
+		hi := min(lo+page.Size, len(data))
+		if err := t.LogRedo(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, before[lo:hi], data[lo:hi]); err != nil {
 			return err
 		}
 	}
@@ -1150,9 +1137,9 @@ func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, conten
 	if err := s.hk.FireData(hooks.EvObjectFlush, seg, &content); err != nil {
 		return nil, err
 	}
-	a, aid, err := s.areaForAlloc(seg.Area)
-	if err != nil {
-		return nil, err
+	a := s.lookupArea(seg.Area)
+	if a == nil {
+		return nil, ErrNoArea
 	}
 	start, granted, err := a.AllocSegment(max((len(content)+page.Size-1)/page.Size, 1))
 	if err != nil {
@@ -1161,10 +1148,10 @@ func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, conten
 	padded := make([]byte, granted*page.Size)
 	copy(padded, content)
 	// A fresh run no segment names yet: there is nothing to stage.
-	if err := s.eachPage(s.ensureTx(client, txid), aid, start, nil, padded, new([]byte)); err != nil {
+	if err := s.eachPage(s.ensureTx(client, txid), seg.Area, start, nil, padded, new([]byte)); err != nil {
 		return nil, err
 	}
-	d := segment.LargeDesc{Area: page.AreaID(aid), Start: start, Pages: uint32(granted),
+	d := segment.LargeDesc{Area: page.AreaID(seg.Area), Start: start, Pages: uint32(granted),
 		Stored: uint32(len(content)), CRC: page.Checksum(content)}
 	return d.Encode(), nil
 }

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,9 +20,13 @@ func readRec(t *testing.T, l *wal.Log, lsn page.LSN) *wal.Record {
 	if err := l.Flush(lsn); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := l.ReadRecord(lsn)
-	if err != nil {
-		t.Fatal(err)
+	var rec *wal.Record
+	stop := errors.New("read")
+	if err := l.Iterate(lsn, func(_ page.LSN, r *wal.Record) error {
+		rec = r
+		return stop
+	}); err != stop {
+		t.Fatalf("no record at lsn %d (%v)", lsn, err)
 	}
 	return rec
 }

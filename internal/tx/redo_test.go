@@ -150,7 +150,8 @@ func TestCheckpointBetweenForceAndWrites(t *testing.T) {
 
 // TestPreparedRedoWritesAtDecision: a prepared branch's shipped changes stay
 // off its pages — through a restart too — until its coordinator commits, and
-// the commit writes them from the branch's log chain; an abort writes nothing.
+// the commit writes them as the replay of the branch's records leaves them;
+// an abort writes nothing.
 func TestPreparedRedoWritesAtDecision(t *testing.T) {
 	pid, other := page.ID{Area: 1, Page: 8}, page.ID{Area: 1, Page: 9}
 	for _, commit := range []bool{true, false} {
@@ -194,6 +195,108 @@ func TestPreparedRedoWritesAtDecision(t *testing.T) {
 				t.Fatalf("abort (restarted %v) wrote a page", restarted)
 			}
 		}
+	}
+}
+
+// TestDecidedBranchReplaysItsOwnRecords: a branch prepares a change of a page
+// it anchors and one of a page an earlier commit anchored, which it logs as
+// runs; k other transactions then commit changes of other pages, and the
+// branch is decided commit — live, and after a restart that adopts it. The
+// decision writes the branch's two pages, each holding exactly what the
+// branch left on what the store held, and no other page: the replay keeps
+// the branch's records and no one else's.
+func TestDecidedBranchReplaysItsOwnRecords(t *testing.T) {
+	const k = 8
+	anchored, ranged := page.ID{Area: 1, Page: 20}, page.ID{Area: 1, Page: 21}
+	for _, restarted := range []bool{false, true} {
+		m, mp, l, _ := newEnv()
+		t0 := m.Begin()
+		ship(t, t0, mp, ranged, 0, bytes.Repeat([]byte{'o'}, 64))
+		if err := t0.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		b := m.Begin()
+		ship(t, b, mp, anchored, 100, []byte("anchored"))
+		ship(t, b, mp, ranged, 3000, []byte("runs"))
+		if err := b.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		prep := readRec(t, l, b.LastLSN())
+		if len(prep.Changes) != 2 || !prep.Changes[0].WholePage() || prep.Changes[1].WholePage() {
+			t.Fatalf("prepare carries %d changes, want an anchor of %v and a range of %v", len(prep.Changes), anchored, ranged)
+		}
+		for i := 0; i < k; i++ {
+			o := m.Begin()
+			ship(t, o, mp, page.ID{Area: 1, Page: page.No(30 + i)}, 8*i, []byte(fmt.Sprintf("other %d", i)))
+			if err := o.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := map[page.ID][]byte{anchored: make([]byte, page.Size), ranged: mp.get(ranged, 0, page.Size)}
+		copy(want[anchored][100:], "anchored")
+		copy(want[ranged][3000:], "runs")
+
+		wp := &watchPager{memPager: mp}
+		if restarted {
+			crashed := crash(t, l)
+			mp.log = crashed
+			var err error
+			if m, _, err = restart(crashed, wp); err != nil {
+				t.Fatal(err)
+			}
+			if b = m.Lookup(b.ID()); b == nil || b.State() != Prepared {
+				t.Fatal("the branch is not in doubt after restart")
+			}
+		} else {
+			m.pager = wp
+		}
+		wrote := make(map[page.ID]int)
+		wp.before = func(proof wal.Logged) { wrote[proof.Page()]++ }
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if len(wrote) != 2 || wrote[anchored] != 1 || wrote[ranged] != 1 {
+			t.Fatalf("restarted %v: the decision wrote %v, want %v and %v once each", restarted, wrote, anchored, ranged)
+		}
+		for pid, w := range want {
+			if got := mp.get(pid, 0, page.Size); !bytes.Equal(got, w) {
+				t.Fatalf("restarted %v: page %v holds %q…, want %q…", restarted, pid, got[:8], w[:8])
+			}
+		}
+	}
+}
+
+// BenchmarkDecide times a prepared branch's commit decision, the branch
+// prepared before n other transactions commit. Two commits go first, so that
+// each log buffer the decision's record can go to is allocated already.
+func BenchmarkDecide(b *testing.B) {
+	commit := func(m *Manager, mp *memPager, j int) {
+		o := m.Begin()
+		if shipAt(o, mp, page.ID{Area: 1, Page: page.No(3 + j%64)}, 8*(j%500), []byte("other")) != nil || o.Commit() != nil {
+			b.Fatal("a commit failed")
+		}
+	}
+	for _, n := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("commits=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m, mp, _, _ := newEnv()
+				commit(m, mp, 0)
+				commit(m, mp, 1)
+				br := m.Begin()
+				if shipAt(br, mp, page.ID{Area: 1, Page: 1}, 100, []byte("branch")) != nil ||
+					shipAt(br, mp, page.ID{Area: 1, Page: 2}, 200, []byte("branch")) != nil || br.Prepare() != nil {
+					b.Fatal("preparing the branch failed")
+				}
+				for j := 0; j < n; j++ {
+					commit(m, mp, j)
+				}
+				b.StartTimer()
+				if err := br.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -229,6 +230,74 @@ func TestRestartKeepsABranchPreparedBeforeACheckpoint(t *testing.T) {
 	}
 	if _, st := restartOn(t, crash(t, l2), pg); len(st.InDoubt)+len(st.Losers) != 0 || string(pg.get(pid, 0, 5)) != "VOTED" {
 		t.Fatalf("restart after the commit decision: %+v", st)
+	}
+}
+
+// TestAdoptTakesWhatAnalysisRead: a loser with two spills and a rollback
+// record, cut short before its abort record, with a checkpoint and other
+// transactions' commits between its records. Adopted, it gets the LSNs and
+// recLSNs a walk of its PrevLSN chain back from its last record gives: each
+// record of the chain, and each page at where redo starts it, or at the
+// loser's first change of it if that is earlier or redo does not replay it.
+func TestAdoptTakesWhatAnalysisRead(t *testing.T) {
+	pA, pB, pC, pD := page.ID{Area: 1, Page: 1}, page.ID{Area: 1, Page: 2}, page.ID{Area: 1, Page: 3}, page.ID{Area: 1, Page: 4}
+	whole := func(b byte) []byte { return bytes.Repeat([]byte{b}, page.Size) }
+	l := wal.NewMem()
+	add := func(r *wal.Record) page.LSN {
+		lsn, err := l.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	anchorA := add(&wal.Record{Type: wal.TCommit, Tx: 1, Changes: []wal.Change{{Page: pA, After: whole('a')}}})
+	spill1 := add(&wal.Record{Type: wal.TRedo, Tx: 2, Changes: []wal.Change{{Page: pA, Off: 10, After: []byte("x")}, {Page: pB, After: whole('b')}}})
+	if _, err := wal.Checkpoint(l, []wal.CkptPage{{Page: pA, RecLSN: anchorA}, {Page: pB, RecLSN: spill1}}); err != nil {
+		t.Fatal(err)
+	}
+	add(&wal.Record{Type: wal.TCommit, Tx: 3, Changes: []wal.Change{{Page: pC, After: whole('c')}}})
+	spill2 := add(&wal.Record{Type: wal.TRedo, Tx: 2, PrevLSN: spill1, Changes: []wal.Change{{Page: pD, Off: 7, After: []byte("d")}}})
+	add(&wal.Record{Type: wal.TCommit, Tx: 4, Changes: []wal.Change{{Page: pC, Off: 5, After: []byte("c")}}})
+	last := add(&wal.Record{Type: wal.TRollback, Tx: 2, PrevLSN: spill2, Changes: []wal.Change{{Page: pA, After: whole('a')}, {Page: pB, After: whole(0)}}})
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	an, err := wal.Analyze(crash(t, l), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Open) != 1 || an.Open[0].Tx != 2 || an.Open[0].Prepared {
+		t.Fatalf("analysis left open %+v, want the loser 2", an.Open)
+	}
+
+	// The backward walk: the chain from the last record, in log order, and
+	// for each page the recLSN at the loser's earliest record of it.
+	var logged []page.LSN
+	dirty := make(map[page.ID]page.LSN)
+	for next := last; next != 0; {
+		rec := readRec(t, l, next)
+		logged = append([]page.LSN{next}, logged...)
+		for _, c := range rec.Changes {
+			rl, ok := an.RecLSN(c.Page)
+			if !ok || rl > next {
+				rl = next
+			}
+			dirty[c.Page] = rl
+		}
+		next = rec.PrevLSN
+	}
+	if len(logged) != 3 || dirty[pA] != anchorA || dirty[pB] != spill1 || dirty[pD] != spill2 {
+		t.Fatalf("the backward walk found %v and %v", logged, dirty)
+	}
+
+	m := NewManager(an.Log(), lock.NewManager(), newMemPager(), nil)
+	m.mu.Lock()
+	tr := m.register(2, 0, Active, 0)
+	m.mu.Unlock()
+	tr.adopt(an.Open[0])
+	if !reflect.DeepEqual(tr.logged, logged) || !reflect.DeepEqual(tr.dirty, dirty) || tr.lastLSN != last || !tr.deferred {
+		t.Fatalf("adopted logged %v dirty %v last %d deferred %v; want %v, %v, %d, true",
+			tr.logged, tr.dirty, tr.lastLSN, tr.deferred, logged, dirty, last)
 	}
 }
 

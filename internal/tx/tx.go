@@ -133,9 +133,9 @@ type Tx struct {
 	dirty map[page.ID]page.LSN
 	// writes are the page writes t's changes defer to its commit, one per
 	// page, in the order t first changed the pages (LogRedo); at finds a
-	// page's. A prepared transaction lets them go: its commit reads them back
-	// from its log chain. deferred says there are such writes to do, in
-	// writes or in the chain, until writeBack has done them.
+	// page's. A prepared transaction lets them go: its commit rebuilds them by
+	// replaying its records (writeBack). deferred says there are such writes
+	// to do, in writes or in the log, until writeBack has done them.
 	writes   []shipped
 	at       map[page.ID]int
 	deferred bool
@@ -272,7 +272,7 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 // happen. An active transaction is rolled back — after a failed force its
 // abort record follows the commit record and re-anchors every page the commit
 // named, which undoes the commit for every reader of page history
-// (wal.Replayer) — and ended whatever the rollback manages: unpublished,
+// (wal.ReplayPages) — and ended whatever the rollback manages: unpublished,
 // locks released, out of the table. A prepared one stays prepared, for its
 // coordinator to deliver the decision again. A page write that fails after
 // the force does not undo the commit: the page goes to the manager's repair
@@ -339,15 +339,15 @@ func (t *Tx) unforced(prepared bool, cause error) error {
 }
 
 // writeBack writes the pages t's changes deferred to its commit, whose
-// record, at commit, is durable: from the images t shipped, or — t
-// prepared before, or restart adopted it — rebuilt from its log chain. Each
-// write's proof comes from the log's wal.Durable for that commit, and from
-// nowhere else. The pages whose write fails go to the manager's repair;
+// record, at commit, is durable: from the images t shipped, each on a proof
+// from the log's wal.Durable for that commit, or — t prepared before, or
+// restart adopted it — rebuilt by the one replay of page history
+// (replayed). The pages whose write fails go to the manager's repair;
 // without one, writeBack reports them.
 func (t *Tx) writeBack(commit page.LSN) error {
 	m := t.m
 	t.mu.Lock()
-	writes, deferred := t.writes, t.deferred
+	writes, deferred, mine := t.writes, t.deferred, t.logged
 	t.mu.Unlock()
 	if !deferred {
 		return nil
@@ -357,25 +357,30 @@ func (t *Tx) writeBack(commit page.LSN) error {
 		t.writes, t.at, t.deferred = nil, nil, false
 		t.mu.Unlock()
 	}()
-	d, err := m.log.Durable(t.id, commit)
-	if err == nil && writes == nil {
-		writes, err = t.chainWrites(commit)
+	var failed []page.ID
+	var cause error
+	fail := func(pid page.ID, err error) {
+		failed = append(failed, pid)
+		if cause == nil {
+			cause = err
+		}
 	}
+	d, err := m.log.Durable(t.id, commit)
 	if err != nil {
 		return err
 	}
-	var failed []page.ID
-	var cause error
+	if writes == nil {
+		if err := m.replayed(mine, fail); err != nil {
+			return err
+		}
+	}
 	for _, w := range writes {
 		proof, err := d.Proof(w.rec)
 		if err == nil {
 			err = m.pager.WritePage(proof, w.img)
 		}
 		if err != nil {
-			failed = append(failed, w.pid)
-			if cause == nil {
-				cause = err
-			}
+			fail(w.pid, err)
 		}
 	}
 	if failed == nil {
@@ -387,41 +392,32 @@ func (t *Tx) writeBack(commit page.LSN) error {
 	return m.repair(failed, cause)
 }
 
-// chainWrites rebuilds from t's log chain, which ends at its commit record,
-// the page writes its changes defer to that commit: each page as the store
-// holds it, the changes laid on in log order, on the proof of the last of
-// them.
-func (t *Tx) chainWrites(commit page.LSN) ([]shipped, error) {
-	m := t.m
-	var recs []*wal.Record
-	for next := commit; next != 0; {
-		rec, err := m.log.ReadRecord(next)
-		if err != nil {
-			return nil, fmt.Errorf("tx %d: commit read at %d: %w", t.id, next, err)
-		}
-		recs = append(recs, rec)
-		next = rec.PrevLSN
+// replayed writes the pages of a decided branch, whose records are mine (in
+// log order, its durable TCommit the last): each page as the replay of the
+// log from the branch's first record leaves it, keeping the branch's records
+// alone — the mirror of preImages — over what the store holds, on the proof
+// of its last change, as restart redo writes a page. The replay hands the
+// branch's changes on at its TCommit, which the walk reads only once it is
+// durable. fail gets each page whose write fails.
+func (m *Manager) replayed(mine []page.LSN, fail func(page.ID, error)) error {
+	pages, err := wal.ReplayPages(m.log, mine[0], func(lsn page.LSN, _ *wal.Change) bool {
+		_, own := slices.BinarySearch(mine, lsn)
+		return own
+	}, m.pager.ReadPage)
+	if err != nil {
+		return err
 	}
-	var writes []shipped
-	at := make(map[page.ID]int)
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := recs[i]
-		for j := range rec.Changes {
-			c := &rec.Changes[j]
-			k, ok := at[c.Page]
-			if !ok {
-				img := make([]byte, page.Size)
-				if err := m.pager.ReadPage(c.Page, img); err != nil {
-					return nil, err
-				}
-				k, at[c.Page] = len(writes), len(writes)
-				writes = append(writes, shipped{pid: c.Page, img: img})
-			}
-			copy(writes[k].img[c.Off:], c.After)
-			writes[k].rec = rec.Pending(j)
+	ids := make([]page.ID, 0, len(pages))
+	for id := range pages {
+		ids = append(ids, id)
+	}
+	sortPages(ids)
+	for _, id := range ids {
+		if err := m.pager.WritePage(pages[id].Last, pages[id].Data); err != nil {
+			fail(id, err)
 		}
 	}
-	return writes, nil
+	return nil
 }
 
 // Abort rolls the transaction back: it drops what t queued — its page writes
@@ -491,9 +487,9 @@ func (t *Tx) rollback(decided bool) error {
 
 // Prepare logs and forces a prepare record (2PC participant vote), which
 // carries the changes t queued, and writes nothing: the pages its changes
-// describe wait for a commit decision, which reads them back from its log
-// chain — Prepare lets go of the images the caller shipped. The transaction
-// holds its locks until the decision.
+// describe wait for a commit decision, which rebuilds them by replaying t's
+// records from the log (writeBack) — Prepare lets go of the images the caller
+// shipped. The transaction holds its locks until the decision.
 func (t *Tx) Prepare() error {
 	lsn, err := t.logEnd(Prepared, wal.TPrepare, nil)
 	if err != nil {

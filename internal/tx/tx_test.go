@@ -350,10 +350,7 @@ func TestCheckpointCapturesActiveState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := l.ReadRecord(lsn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := readRec(t, l, lsn)
 	if len(rec.DirtyPages) != 1 || rec.DirtyPages[0] != (wal.CkptPage{Page: pid, RecLSN: tr.LastLSN()}) {
 		t.Fatalf("checkpoint dirty pages = %+v, want %v at the prepare, %d", rec.DirtyPages, pid, tr.LastLSN())
 	}

@@ -82,10 +82,7 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	if err := l.Flush(lsn); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := l.ReadRecord(lsn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := readRec(t, l, lsn)
 	if string(rec.After) != "after-image" || string(rec.Before) != "before" {
 		t.Fatalf("log kept the caller's memory: %q / %q", rec.Before, rec.After)
 	}

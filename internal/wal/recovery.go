@@ -19,8 +19,9 @@ import (
 // left it before the rolled-back transaction's first record, rebuilt by the
 // same replay. Redo replays each page of the redo set in memory from its
 // anchor and writes it once; the server's repair runs the same replay
-// (ReplayPages) over a page's whole history. All of them take page changes in
-// the order the Replayer hands them on.
+// (ReplayPages) over a page's whole history, and a decided 2PC branch's commit
+// over its own records (tx.Tx.Commit). All of them take page changes in the
+// order the replayer hands them on.
 
 // Pager is the page store recovery replays against. WritePage stores data as
 // the whole of page proof.Page() and rejects the zero proof with ErrNotLogged:
@@ -55,11 +56,17 @@ type RecoveryStats struct {
 }
 
 // Unfinished is a transaction the log leaves open: a loser to end, or, when
-// Prepared, a 2PC branch to keep until its coordinator decides.
+// Prepared, a 2PC branch to keep until its coordinator decides. Logged and
+// Dirty are what its own run kept in memory, which restart gives back to it
+// (tx.Restart): the LSNs of its records — spills, TPrepare, TRollback records
+// — in log order, and for each page they change the recLSN a checkpoint lists
+// while it stays open: where redo starts the page, or the transaction's first
+// change of it if that is earlier or redo does not replay the page.
 type Unfinished struct {
 	Tx       uint64
-	LastLSN  page.LSN
 	Prepared bool
+	Logged   []page.LSN
+	Dirty    map[page.ID]page.LSN
 }
 
 // Analysis is what restart learns of the log in one forward pass: the
@@ -67,22 +74,23 @@ type Unfinished struct {
 // ends or keeps in doubt (tx.Restart), and the pages redo must replay.
 type Analysis struct {
 	Stats   RecoveryStats
-	Open    []Unfinished // latest record first
+	Open    []Unfinished // by their last record, latest first
 	log     *Log
 	dirty   map[page.ID]page.LSN // the redo set: page → recLSN
 	anchors map[page.ID]page.LSN // every page's latest anchor that took effect
 }
 
-// Replayer hands the page changes of a forward walk of the log — one record
+// replayer hands the page changes of a forward walk of the log — one record
 // at a time (Add) — on to apply in the order they take effect. That order is
-// the one rule every reader of page history follows (restart redo and the
-// server's repair, both through ReplayPages):
+// the one rule every reader of page history follows — restart redo, the
+// server's repair, a rollback's pre-images and a decided 2PC branch's page
+// writes, all through ReplayPages:
 //   - a transaction's page changes take effect at its TCommit, in its own
 //     order: first those of its spills (TRedo) and its TPrepare, which the
-//     Replayer holds until then, then those the TCommit carries;
-//   - a TAbort drops what the Replayer holds of its transaction's spills and
+//     replayer holds until then, then those the TCommit carries;
+//   - a TAbort drops what the replayer holds of its transaction's spills and
 //     TPrepare, and its anchors take effect where it stands, after those of
-//     the rollback's TRollback records, which the Replayer holds until then —
+//     the rollback's TRollback records, which the replayer holds until then —
 //     also after a TCommit whose force failed, which tx.Tx.Commit rolls back:
 //     the anchors put back what the commit's changes had replaced;
 //   - changes of a transaction still open or in doubt when the walk ends, and
@@ -91,28 +99,28 @@ type Analysis struct {
 //
 // apply gets each change with the proof a store of its page takes: that of
 // the record that carries it.
-type Replayer struct {
+type replayer struct {
 	apply   func(lsn page.LSN, c *Change, proof Logged) error
 	held    map[uint64][]heldChange // by transaction: its spilled and prepared changes so far
 	rolling map[uint64][]heldChange // by transaction: its rollback's TRollback anchors so far
 }
 
-// heldChange is a change a Replayer holds, with the LSN of its record.
+// heldChange is a change a replayer holds, with the LSN of its record.
 type heldChange struct {
 	Change
 	lsn page.LSN
 }
 
-// NewReplayer returns a Replayer that hands page changes to apply.
-func NewReplayer(apply func(lsn page.LSN, c *Change, proof Logged) error) *Replayer {
-	return &Replayer{apply: apply, held: make(map[uint64][]heldChange), rolling: make(map[uint64][]heldChange)}
+// newReplayer returns a replayer that hands page changes to apply.
+func newReplayer(apply func(lsn page.LSN, c *Change, proof Logged) error) *replayer {
+	return &replayer{apply: apply, held: make(map[uint64][]heldChange), rolling: make(map[uint64][]heldChange)}
 }
 
 // Add takes the record at lsn, the next one of the walk. It holds a copy of
 // each change of a TRedo, TPrepare or TRollback, whose images must stay as
-// they are until the Replayer hands the change on or drops it; rec itself is
+// they are until the replayer hands the change on or drops it; rec itself is
 // free again once Add returns.
-func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
+func (r *replayer) Add(lsn page.LSN, rec *Record) error {
 	switch rec.Type {
 	case TRedo, TPrepare:
 		r.hold(r.held, lsn, rec)
@@ -143,7 +151,7 @@ func (r *Replayer) Add(lsn page.LSN, rec *Record) error {
 
 // hold adds rec's changes, carried by the record at lsn, to what in holds of
 // its transaction.
-func (r *Replayer) hold(in map[uint64][]heldChange, lsn page.LSN, rec *Record) {
+func (r *replayer) hold(in map[uint64][]heldChange, lsn page.LSN, rec *Record) {
 	if len(rec.Changes) == 0 {
 		return
 	}
@@ -155,7 +163,7 @@ func (r *Replayer) hold(in map[uint64][]heldChange, lsn page.LSN, rec *Record) {
 }
 
 // handHeld applies, in order, and forgets what in holds of transaction tx.
-func (r *Replayer) handHeld(in map[uint64][]heldChange, tx uint64) error {
+func (r *replayer) handHeld(in map[uint64][]heldChange, tx uint64) error {
 	h := in[tx]
 	delete(in, tx)
 	for i := range h {
@@ -167,7 +175,7 @@ func (r *Replayer) handHeld(in map[uint64][]heldChange, tx uint64) error {
 }
 
 // hand applies c, carried by the record at lsn.
-func (r *Replayer) hand(lsn page.LSN, c *Change) error {
+func (r *replayer) hand(lsn page.LSN, c *Change) error {
 	return r.apply(lsn, c, Logged{page: c.Page, lsn: lsn})
 }
 
@@ -186,7 +194,7 @@ func (r *Replayer) hand(lsn page.LSN, c *Change) error {
 //
 // The redo set is the pages the last checkpoint's dirty-page table names and
 // those the log changes after it. A page's recLSN is its latest anchor — the
-// last whole-page change that took effect where the Replayer hands it on: at
+// last whole-page change that took effect where the replayer hands it on: at
 // a TCommit, its own or one of a spill or TPrepare its transaction held, and
 // at a TAbort, whose anchors and those of the TRollback records before it
 // re-anchor the pages of a rollback; never one of a transaction open or in
@@ -199,11 +207,22 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	a := &Analysis{log: l, dirty: make(map[page.ID]page.LSN), anchors: make(map[page.ID]page.LSN)}
 	st := &a.Stats
 	type txInfo struct {
-		lastLSN page.LSN
 		status  Type
-		anchors []CkptPage // whole-page changes of its spills and TPrepare
+		logged  []page.LSN
+		pages   map[page.ID]page.LSN // each page its records change → the first that does
+		anchors []CkptPage           // whole-page changes of its spills and TPrepare
 	}
-	txs := make(map[uint64]txInfo)
+	txs := make(map[uint64]*txInfo)
+	// note adds the record at lsn to what ti knows of its transaction.
+	note := func(ti *txInfo, lsn page.LSN, rec *Record) {
+		ti.status = rec.Type
+		ti.logged = append(ti.logged, lsn)
+		for i := range rec.Changes {
+			if _, ok := ti.pages[rec.Changes[i].Page]; !ok {
+				ti.pages[rec.Changes[i].Page] = lsn
+			}
+		}
+	}
 	winners := make(map[uint64]bool)
 	rolling := make(map[uint64][]CkptPage) // by transaction: its TRollback anchors
 	settle := func(lsn page.LSN, rec *Record) {
@@ -224,24 +243,30 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 		switch rec.Type {
 		case TRedo, TPrepare:
 			ti := txs[rec.Tx]
-			ti.lastLSN, ti.status = lsn, rec.Type
+			if ti == nil {
+				ti = &txInfo{pages: make(map[page.ID]page.LSN)}
+				txs[rec.Tx] = ti
+			}
+			note(ti, lsn, rec)
 			for i := range rec.Changes {
 				if rec.Changes[i].WholePage() {
 					ti.anchors = append(ti.anchors, CkptPage{Page: rec.Changes[i].Page, RecLSN: lsn})
 				}
 			}
-			txs[rec.Tx] = ti
 		case TCommit:
-			for _, e := range txs[rec.Tx].anchors {
-				a.anchors[e.Page] = e.RecLSN
+			if ti := txs[rec.Tx]; ti != nil {
+				for _, e := range ti.anchors {
+					a.anchors[e.Page] = e.RecLSN
+				}
 			}
 			settle(lsn, rec)
 			delete(txs, rec.Tx)
 			winners[rec.Tx] = true
 		case TRollback:
-			if _, open := txs[rec.Tx]; open {
+			if ti := txs[rec.Tx]; ti != nil {
 				// Its spills and TPrepare will never take effect.
-				txs[rec.Tx] = txInfo{lastLSN: lsn, status: TRollback}
+				note(ti, lsn, rec)
+				ti.anchors = nil
 			}
 			for i := range rec.Changes {
 				if rec.Changes[i].WholePage() {
@@ -272,19 +297,6 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 		return nil, err
 	}
 
-	for tx, ti := range txs {
-		switch ti.status {
-		case TRedo, TRollback:
-			st.Losers = append(st.Losers, tx)
-			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN})
-		case TPrepare:
-			st.InDoubt = append(st.InDoubt, tx)
-			a.Open = append(a.Open, Unfinished{Tx: tx, LastLSN: ti.lastLSN, Prepared: true})
-		}
-	}
-	for tx := range winners {
-		st.Winners = append(st.Winners, tx)
-	}
 	for p, al := range a.anchors {
 		if _, dirty := a.dirty[p]; dirty {
 			a.dirty[p] = al
@@ -293,6 +305,23 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 			st.AnchorHorizon = al
 		}
 	}
+	for tx, ti := range txs {
+		for p, first := range ti.pages {
+			if rl, dirty := a.dirty[p]; dirty && rl < first {
+				ti.pages[p] = rl
+			}
+		}
+		u := Unfinished{Tx: tx, Prepared: ti.status == TPrepare, Logged: ti.logged, Dirty: ti.pages}
+		a.Open = append(a.Open, u)
+		if u.Prepared {
+			st.InDoubt = append(st.InDoubt, tx)
+		} else {
+			st.Losers = append(st.Losers, tx)
+		}
+	}
+	for tx := range winners {
+		st.Winners = append(st.Winners, tx)
+	}
 	st.RedoStartLSN = max(st.CheckpointLSN, firstLSN)
 	for _, rl := range a.dirty {
 		st.RedoStartLSN = min(st.RedoStartLSN, rl)
@@ -300,7 +329,8 @@ func Analyze(l *Log, visit func(lsn page.LSN, rec *Record) error) (*Analysis, er
 	for _, ids := range [][]uint64{st.Losers, st.Winners, st.InDoubt} {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
-	sort.Slice(a.Open, func(i, j int) bool { return a.Open[i].LastLSN > a.Open[j].LastLSN })
+	last := func(u Unfinished) page.LSN { return u.Logged[len(u.Logged)-1] }
+	sort.Slice(a.Open, func(i, j int) bool { return last(a.Open[i]) > last(a.Open[j]) })
 	return a, nil
 }
 
@@ -321,7 +351,7 @@ func (a *Analysis) Anchor(p page.ID) (page.LSN, bool) {
 }
 
 // Redo repeats history onto p: every page change of the redo set from the
-// redo start on, in the order it takes effect (Replayer), each only if its
+// redo start on, in the order it takes effect (replayer), each only if its
 // record is at or after its page's recLSN. It replays each page in memory
 // (ReplayPages) and writes it once, on its last change's proof. Changes are
 // byte ranges, so where a page's replay starts matters: the logging rule
@@ -371,18 +401,19 @@ type Image struct {
 }
 
 // ReplayPages rebuilds pages in memory from the log: it walks the log from
-// from, hands a Replayer every page change keep accepts — and every
+// from, hands a replayer every page change keep accepts — and every
 // transaction's other records — and lays each change it hands on over an
 // image of its page, one image per page. A page's image starts as what base
 // reads for it (zeroes if base is nil) unless its first change replayed is a
-// whole page, which needs nothing under it. keep runs before the Replayer
+// whole page, which needs nothing under it. keep runs before the replayer
 // holds a change, so the walk holds the bytes of the pages it rebuilds and of
-// no other. This is the one page replay of restart redo (Analysis.Redo) and
-// of the server's repair.
+// no other. This is the one page replay of restart redo (Analysis.Redo), of
+// the server's repair, of a rollback's pre-images and of a decided 2PC
+// branch's page writes (internal/tx).
 func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, c *Change) bool, base func(id page.ID, buf []byte) error) (map[page.ID]*Image, error) {
 	pages := make(map[page.ID]*Image)
 	// Every change lies within its page: the decoder takes no other.
-	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
+	rp := newReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
 		img := pages[c.Page]
 		if img == nil {
 			img = &Image{Data: make([]byte, page.Size)}
@@ -400,13 +431,13 @@ func ReplayPages(l *Log, from page.LSN, keep func(lsn page.LSN, c *Change) bool,
 		return nil
 	})
 	// The walk lends each record, which is the walk's to trim to the changes
-	// kept: only those the Replayer holds until a later record — a spill's, a
+	// kept: only those the replayer holds until a later record — a spill's, a
 	// TPrepare's, a TRollback's — get bytes of their own.
 	if err := l.walk(from, false, func(lsn page.LSN, rec *Record) error {
 		held := rec.Type == TRedo || rec.Type == TPrepare || rec.Type == TRollback
 		kept := rec.Changes[:0]
-		for _, c := range rec.Changes {
-			if len(c.After) == 0 || !keep(lsn, &c) {
+		for i, c := range rec.Changes {
+			if len(c.After) == 0 || !keep(lsn, &rec.Changes[i]) {
 				continue
 			}
 			if held {

@@ -101,8 +101,13 @@ func TestRedoReportsTheUnfinished(t *testing.T) {
 	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[1] [2] [3]" {
 		t.Fatalf("winners %v losers %v in doubt %v", st.Winners, st.Losers, st.InDoubt)
 	}
-	want := []Unfinished{{Tx: 2, LastLSN: last2}, {Tx: 3, LastLSN: prep, Prepared: true}}
-	if len(open) != 2 || open[0] != want[0] || open[1] != want[1] {
+	// Each comes with its records, and each page they change with where redo
+	// starts it — or the transaction's first change of it, if that is earlier.
+	want := []Unfinished{
+		{Tx: 2, Logged: []page.LSN{lsn2, last2}, Dirty: map[page.ID]page.LSN{pA: lsn1, pB: lsn3}},
+		{Tx: 3, Prepared: true, Logged: []page.LSN{lsn3, prep}, Dirty: map[page.ID]page.LSN{pB: lsn3}},
+	}
+	if !reflect.DeepEqual(open, want) {
 		t.Fatalf("unfinished = %+v, want %+v", open, want)
 	}
 	buf := make([]byte, page.Size)
@@ -294,7 +299,7 @@ func TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor(t *testing.T) {
 // TestAnalyzePreparedAcrossCheckpoints: a transaction's status is its own last
 // record, wherever the last checkpoint falls. Two checkpoints follow a
 // prepared branch, and one falls between a loser's records: after a crash the
-// branch prepared before both is in doubt with its last LSN, the loser is a
+// branch prepared before both is in doubt with its records, the loser is a
 // loser, and the transaction committed before both is no winner — the
 // checkpoint vouches for its pages — though redo repeats its history from the
 // recLSN the checkpoint lists.
@@ -319,7 +324,10 @@ func TestAnalyzePreparedAcrossCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Unfinished{{Tx: 3, LastLSN: last}, {Tx: 2, LastLSN: prep, Prepared: true}}
+	want := []Unfinished{
+		{Tx: 3, Logged: []page.LSN{u, last}, Dirty: map[page.ID]page.LSN{pA: w}},
+		{Tx: 2, Prepared: true, Logged: []page.LSN{b, prep}, Dirty: map[page.ID]page.LSN{pB: b}},
+	}
 	if fmt.Sprint(st.Winners, st.Losers, st.InDoubt) != "[] [3] [2]" || !reflect.DeepEqual(open, want) {
 		t.Fatalf("winners %v losers %v in doubt %v, open %+v; want open %+v", st.Winners, st.Losers, st.InDoubt, open, want)
 	}
@@ -439,9 +447,8 @@ func TestRedoPassesOverCatalogRecords(t *testing.T) {
 		t.Fatal("catalog records in the log changed what restart rebuilt")
 	}
 	for _, lsn := range []page.LSN{first, last} {
-		rec, err := l.ReadRecord(lsn)
-		if err != nil || rec.Type != TCatalog || !bytes.Equal(rec.Body, body) || rec.Tx != 0 {
-			t.Fatalf("catalog record at %d came back as %+v (%v)", lsn, rec, err)
+		if rec := readRec(t, l, lsn); rec.Type != TCatalog || !bytes.Equal(rec.Body, body) || rec.Tx != 0 {
+			t.Fatalf("catalog record at %d came back as %+v", lsn, rec)
 		}
 	}
 	if _, err := l.Verify(); err != nil {
@@ -486,7 +493,7 @@ func TestRollbackRecordsTakeEffectAtTheAbort(t *testing.T) {
 	}
 
 	var order []string
-	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
+	rp := newReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
 		order = append(order, fmt.Sprintf("%d:%c", c.Page.Page, c.After[0]))
 		return nil
 	})

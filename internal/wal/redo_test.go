@@ -45,10 +45,7 @@ func TestRedoRecordHasNoUndoHalf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range records {
-		got, err := l.ReadRecord(lsns[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := readRec(t, l, lsns[i])
 		if got.Type != TRedo || got.Tx != 1 || got.PrevLSN != want.PrevLSN || !sameChanges(got.Changes, want.Changes) ||
 			got.Before != nil || got.After != nil || got.UndoOff != 0 {
 			t.Fatalf("record %d came back as %+v", i, got)
@@ -159,7 +156,7 @@ func TestReplayerAppliesRedoAtCommit(t *testing.T) {
 	}
 
 	var order []string
-	rp := NewReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
+	rp := newReplayer(func(lsn page.LSN, c *Change, proof Logged) error {
 		if proof.LSN() != lsn || proof.Page() != c.Page {
 			return fmt.Errorf("change at %d handed on with the proof %+v", lsn, proof)
 		}

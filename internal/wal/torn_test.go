@@ -147,8 +147,7 @@ func TestFlushRetryAfterTransientSyncError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	rec, err := l2.ReadRecord(lsn)
-	if err != nil || rec.Type != TCommit || rec.Tx != 1 {
-		t.Fatalf("record not durable after retried flush: %+v, %v", rec, err)
+	if rec := readRec(t, l2, lsn); rec.Type != TCommit || rec.Tx != 1 {
+		t.Fatalf("record not durable after retried flush: %+v", rec)
 	}
 }

@@ -53,7 +53,7 @@ const (
 	_            // 2: retired (the compensation record); no log this build reads holds one
 	// TCommit ends a transaction that committed, carrying the page changes it
 	// had not logged yet (Changes), which take effect here — with those of its
-	// earlier TRedo and TPrepare records (Replayer). A decided TCommit after a
+	// earlier TRedo and TPrepare records (replayer). A decided TCommit after a
 	// TPrepare carries none.
 	TCommit
 	// TAbort ends a transaction that rolled back. If its page changes reached
@@ -76,11 +76,11 @@ const (
 	// half and no undo half: its pages are written only once its transaction's
 	// commit record is durable (Durable), so there is never anything on a page
 	// to take back. It takes effect at that commit, not where it stands
-	// (Replayer).
+	// (replayer).
 	TRedo
 	// TRollback is a rollback's spill: whole-page anchors of a rollback larger
 	// than a log buffer, logged ahead of its TAbort. They take effect at the
-	// TAbort, with its own (Replayer): a rollback cut short by a crash re-anchors
+	// TAbort, with its own (replayer): a rollback cut short by a crash re-anchors
 	// nothing.
 	TRollback
 
@@ -195,7 +195,7 @@ func (t Type) carries() bool {
 // overwrites the page (log before data, DESIGN.md §4f). Only this package
 // makes a non-zero one, and only for a page change whose transaction's
 // commit is durable (Durable.Proof) or that a walk of the log hands on where
-// it takes effect (Replayer) — so a store cannot be asked to write a page
+// it takes effect (replayer) — so a store cannot be asked to write a page
 // nothing was logged for, nor one for a transaction that has not committed.
 // It says a record of the page precedes the store, not that the bytes stored
 // are that record's.
@@ -892,12 +892,13 @@ func OpenMemFrom(img []byte) (*Log, error) {
 	return l, nil
 }
 
-// init finishes constructing a Log that no other goroutine can see yet.
-//
-//bess:prepublish
+// init finishes constructing a Log that no other goroutine can see yet, under
+// l.mu all the same: the one rule for its fields holds from the start.
 func (l *Log) init() error {
 	l.mu.Init("Log.mu", RankLogMu)
 	l.syncDone.L = &l.mu
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	size := l.back.Size()
 	if size == 0 {
 		if _, err := l.back.WriteAt(logMagic, 0); err != nil {
@@ -922,7 +923,7 @@ func (l *Log) init() error {
 		return fmt.Errorf("wal: log format version %d, this build reads %d", have, want)
 	}
 	// Scan to the last valid record: a torn tail ends the log.
-	r := logReader{back: l.back, limit: size, ahead: readAhead}
+	r := logReader{back: l.back, limit: size}
 	lsn := firstLSN
 	for {
 		rec, next, err := r.next(lsn, false)
@@ -946,10 +947,9 @@ func (l *Log) init() error {
 // broken record whose stored length leads to a record that checks out is rot in
 // the middle of history, not a tail lost to a crash. (A rotted record whose
 // length was destroyed too cannot be told from a torn tail in a
-// length-prefixed log.)
-//
-//bess:prepublish
+// length-prefixed log.) The caller holds l.mu.
 func (l *Log) cutTail(r *logReader, size int64) error {
+	l.mu.AssertHeld()
 	end := int64(l.flushed)
 	if end >= size {
 		return nil
@@ -1190,7 +1190,6 @@ const readAhead = 256 << 10
 type logReader struct {
 	back  Backing
 	limit int64
-	ahead int    // bytes to read beyond what a call asks for
 	win   []byte // the file's bytes [at, at+len(win))
 	at    int64
 	rec   Record // what next decodes into without own
@@ -1203,7 +1202,7 @@ func (r *logReader) bytes(off int64, n int) []byte {
 		if off+int64(n) > r.limit {
 			return nil
 		}
-		want := int(min(int64(max(n, r.ahead)), r.limit-off))
+		want := int(min(int64(max(n, readAhead)), r.limit-off))
 		if cap(r.win) < want {
 			r.win = make([]byte, want)
 		}
@@ -1261,10 +1260,10 @@ func (r *logReader) next(lsn page.LSN, own bool) (*Record, page.LSN, error) {
 }
 
 // durable returns the durable frontier and a reader of the records below it.
-func (l *Log) durable(ahead int) (page.LSN, logReader) {
+func (l *Log) durable() (page.LSN, logReader) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flushed, logReader{back: l.back, limit: int64(l.flushed), ahead: ahead}
+	return l.flushed, logReader{back: l.back, limit: int64(l.flushed)}
 }
 
 // VerifyStats summarizes one Verify walk.
@@ -1281,7 +1280,7 @@ type VerifyStats struct {
 // *page.CorruptError wrapping ErrCorrupt with the record's LSN as the byte
 // offset.
 func (l *Log) Verify() (VerifyStats, error) {
-	end, r := l.durable(readAhead)
+	end, r := l.durable()
 	var st VerifyStats
 	for lsn := firstLSN; lsn < end; {
 		rec, next, err := r.next(lsn, false)
@@ -1312,7 +1311,7 @@ func (l *Log) Iterate(from page.LSN, fn func(lsn page.LSN, rec *Record) error) e
 // walk is Iterate; without own, the record fn gets, with its images and body,
 // is the reader's and is gone once fn returns (logReader.next).
 func (l *Log) walk(from page.LSN, own bool, fn func(lsn page.LSN, rec *Record) error) error {
-	end, r := l.durable(readAhead)
+	end, r := l.durable()
 	for lsn := max(from, firstLSN); lsn < end; {
 		rec, next, err := r.next(lsn, own)
 		if err != nil {
@@ -1327,21 +1326,6 @@ func (l *Log) walk(from page.LSN, own bool, fn func(lsn page.LSN, rec *Record) e
 		lsn = next
 	}
 	return nil
-}
-
-// ReadRecord returns the durable record at lsn.
-func (l *Log) ReadRecord(lsn page.LSN) (*Record, error) {
-	_, r := l.durable(0)
-	rec, _, err := r.next(lsn, true)
-	if err != nil {
-		return nil, err
-	}
-	if rec == nil {
-		// Keep the sentinel identity (errors.Is) while telling the operator
-		// which byte offset of the log file failed its checksum.
-		return nil, fmt.Errorf("wal: no valid record at byte offset %d: %w", lsn, ErrCorrupt)
-	}
-	return rec, nil
 }
 
 // DurableBytes snapshots the flushed log image (crash simulation).

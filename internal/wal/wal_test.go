@@ -20,6 +20,18 @@ func upd(tx uint64, prev page.LSN, pid page.ID, off uint32, after string) *Recor
 	return redo(tx, prev, pid, off, []byte(after))
 }
 
+// readRec returns the durable record at lsn, failing t if none checks out
+// there.
+func readRec(t *testing.T, l *Log, lsn page.LSN) *Record {
+	t.Helper()
+	_, r := l.durable()
+	rec, _, err := r.next(lsn, true)
+	if rec == nil || err != nil {
+		t.Fatalf("no record at lsn %d (%v)", lsn, err)
+	}
+	return rec
+}
+
 func TestAppendFlushIterate(t *testing.T) {
 	l := NewMem()
 	pid := page.ID{Area: 1, Page: 10}
@@ -79,10 +91,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := l.ReadRecord(lsn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := readRec(t, l, lsn)
 	if !reflect.DeepEqual(rec.DirtyPages, dirty) {
 		t.Fatalf("dirty pages: %+v", rec.DirtyPages)
 	}
