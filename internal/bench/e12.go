@@ -83,25 +83,25 @@ func e12Binary(payload []byte) *e12Caller {
 			if err != nil {
 				return
 			}
-			p.Serve(map[string]rpc.Method{
-				"Lock": rpc.Typed(func(*proto.LockArgs) (*proto.Empty, error) {
+			p.Serve(
+				rpc.Typed(proto.MethodLock, func(*proto.LockArgs) (*proto.Empty, error) {
 					return &proto.Empty{}, nil
 				}),
-				"FetchSeg": rpc.Typed(func(*proto.ClientSegArgs) (*proto.SegImage, error) {
+				rpc.Typed(proto.MethodFetchSeg, func(*proto.ClientSegArgs) (*proto.SegImage, error) {
 					return &proto.SegImage{Seg: e12Seg, Data: payload}, nil
 				}),
-			})
+			)
 		}
 	})
 	c, err := rpc.Dial(l.Addr())
 	must(err)
 	return &e12Caller{
 		lock: func() error {
-			return c.Call("Lock", &proto.LockArgs{Client: 1, Tx: 42, Seg: e12Seg, Mode: proto.LockX}, &proto.Empty{})
+			return rpc.Call(c, proto.MethodLock, &proto.LockArgs{Client: 1, Tx: 42, Seg: e12Seg, Mode: proto.LockX}, &proto.Empty{})
 		},
 		fetch: func() (int, error) {
 			var img proto.SegImage
-			err := c.Call("FetchSeg", &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img)
+			err := rpc.Call(c, proto.MethodFetchSeg, &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img)
 			return len(img.Data), err
 		},
 		stats: c.WireStats,
@@ -120,10 +120,10 @@ func e12Gob(payload []byte) *e12Caller {
 			if err != nil {
 				return
 			}
-			p.Handle("Lock", func(body []byte) ([]byte, error) {
+			p.Handle(proto.MethodLock.Name, func(body []byte) ([]byte, error) {
 				return gobBody(&proto.Empty{}), nil
 			})
-			p.Handle("FetchSeg", func(body []byte) ([]byte, error) {
+			p.Handle(proto.MethodFetchSeg.Name, func(body []byte) ([]byte, error) {
 				return gobBody(&proto.SegImage{Seg: e12Seg, Data: payload}), nil
 			})
 		}
@@ -132,11 +132,11 @@ func e12Gob(payload []byte) *e12Caller {
 	must(err)
 	return &e12Caller{
 		lock: func() error {
-			return c.Call("Lock", &proto.LockArgs{Client: 1, Tx: 42, Seg: e12Seg, Mode: proto.LockX}, &proto.Empty{})
+			return c.Call(proto.MethodLock.Name, &proto.LockArgs{Client: 1, Tx: 42, Seg: e12Seg, Mode: proto.LockX}, &proto.Empty{})
 		},
 		fetch: func() (int, error) {
 			var img proto.SegImage
-			if err := c.Call("FetchSeg", &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img); err != nil {
+			if err := c.Call(proto.MethodFetchSeg.Name, &proto.ClientSegArgs{Client: 1, Seg: e12Seg}, &img); err != nil {
 				return 0, err
 			}
 			return len(img.Data), nil

@@ -141,7 +141,7 @@ func (st *scanStream) fail(err error) {
 
 // credit returns n consumed bytes to the server's push window.
 func (st *scanStream) credit(n int) error {
-	return st.r.scanCtl(st.id, false, uint64(n))
+	return rpc.SendStream(st.r.p, proto.StreamScanCtl, st.id, &proto.ScanCtl{Credit: uint64(n)})
 }
 
 // close cancels the scan if still live, stops delivery, and lets go of every
@@ -150,7 +150,7 @@ func (st *scanStream) close() {
 	st.r.unregisterScan(st.id)
 	// A cancel for a finished cursor is dropped server-side; on a dead
 	// peer the send fails, which is equally fine.
-	_ = st.r.scanCtl(st.id, true, 0)
+	_ = rpc.SendStream(st.r.p, proto.StreamScanCtl, st.id, &proto.ScanCtl{Cancel: true})
 	st.mu.Lock()
 	st.draining = true
 	clear(st.ready)
@@ -182,12 +182,12 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 	// cold reads to SnapFetchSeg.
 	snapID, inSnap := s.snapState()
 	args := proto.ScanStartArgs{Client: s.client, DB: s.db, FileID: fileID, BatchBytes: uint32(s.scanBatch)}
-	var started proto.ScanStartReply
+	var started *proto.ScanStartReply
 	var err error
 	if inSnap {
-		err = s.remote.call("SnapScanStart", &proto.SnapScanStartArgs{ScanStartArgs: args, Snap: snapID}, &started)
+		started, err = call(s.remote, proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: args, Snap: snapID})
 	} else {
-		err = s.remote.call("ScanStart", &args, &started)
+		started, err = call(s.remote, proto.MethodScanStart, &args)
 	}
 	if err != nil {
 		return err

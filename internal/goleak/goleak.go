@@ -42,21 +42,41 @@ type Group struct {
 // else its owner closes before Stop (a connection, a queue). Go reports
 // false, and runs nothing, once the group is stopping.
 func (g *Group) Go(name string, fn func(stop <-chan struct{})) bool {
+	stop, ok := g.admit()
+	if ok {
+		go run(g, track(name), fn, stop)
+	}
+	return ok
+}
+
+// GoWith is Go for a task that takes one argument and no stop channel (it
+// ends once its owner closes what it runs against): arg travels with the
+// goroutine rather than in a closure, so an owner that starts a task per
+// event allocates no closure per event.
+func GoWith[T any](g *Group, name string, fn func(T), arg T) bool {
+	_, ok := g.admit()
+	if ok {
+		go run(g, track(name), fn, arg)
+	}
+	return ok
+}
+
+// admit counts a task in and returns the group's stop channel, or reports
+// false once the group is stopping.
+func (g *Group) admit() (<-chan struct{}, bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.stopped {
-		g.mu.Unlock()
-		return false
+		return nil, false
 	}
 	if g.stop == nil {
 		g.stop = make(chan struct{})
 	}
 	g.running++
-	g.mu.Unlock()
-	go g.run(track(name), fn)
-	return true
+	return g.stop, true
 }
 
-func (g *Group) run(id uint64, fn func(<-chan struct{})) {
+func run[T any](g *Group, id uint64, fn func(T), arg T) {
 	// Deferred, so a task that ends in runtime.Goexit is still counted out.
 	defer func() {
 		untrack(id)
@@ -67,7 +87,7 @@ func (g *Group) run(id uint64, fn func(<-chan struct{})) {
 		}
 		g.mu.Unlock()
 	}()
-	fn(g.stop) // set before this goroutine started, and never reassigned
+	fn(arg)
 }
 
 // halt closes stop and returns the channel the last task out closes, nil when
@@ -89,6 +109,10 @@ func (g *Group) halt() <-chan struct{} {
 	}
 	return g.idle
 }
+
+// Halt refuses every later Go and closes the tasks' stop channel, without
+// waiting for them: a Stop after it joins them.
+func (g *Group) Halt() { g.halt() }
 
 // Stop closes the tasks' stop channel and returns once every task has
 // returned. Idempotent, and safe beside Go and other Stops; a task that stops

@@ -15,10 +15,34 @@ func TestGoAfterStopRunsNothing(t *testing.T) {
 	if g.Go("test.late", func(<-chan struct{}) { ran.Store(true) }) {
 		t.Fatal("Go after Stop reported true")
 	}
+	if GoWith(&g, "test.late", func(int) { ran.Store(true) }, 1) {
+		t.Fatal("GoWith after Stop reported true")
+	}
 	g.Stop()
 	if ran.Load() {
 		t.Fatal("Go after Stop ran its task")
 	}
+}
+
+// Halt refuses new tasks at once but waits for none: the running task is
+// joined by the Stop after it.
+func TestHaltRefusesWithoutWaiting(t *testing.T) {
+	var g Group
+	release := make(chan struct{})
+	var got, exited atomic.Int64
+	if !GoWith(&g, "test.held", func(n int64) { got.Store(n); <-release; exited.Store(1) }, 7) {
+		t.Fatal("GoWith on a fresh group refused")
+	}
+	g.Halt()
+	if g.Go("test.late", func(<-chan struct{}) {}) || GoWith(&g, "test.late", func(int64) {}, 0) {
+		t.Fatal("a halted group admitted a task")
+	}
+	close(release)
+	g.Stop()
+	if got.Load() != 7 || exited.Load() != 1 {
+		t.Fatalf("task saw %d, exited %d: want its argument 7, joined by Stop", got.Load(), exited.Load())
+	}
+	Check(t, "test.")
 }
 
 func TestStopClosesStopAndJoins(t *testing.T) {

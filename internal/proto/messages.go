@@ -9,8 +9,8 @@ import (
 // The wire messages: the args and reply of every rpc method, the scan
 // stream frames, the commit image, and the catalog's log record. Each type's
 // Fields method, right below it, is its whole wire layout (cursor.go). The
-// method that carries a message is named in its comment; internal/rpc/frame.go
-// holds the id table.
+// method that carries a message is named in its comment; methods.go declares
+// each method with its messages.
 
 // Empty is the reply of a method that returns only an error.
 type Empty struct{}

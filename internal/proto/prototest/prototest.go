@@ -1,7 +1,8 @@
-// Package prototest is the test support of the wire codec: the registry of
-// every rpc method's args and reply message and of the catalog's log record,
-// and the checks every message layout must pass. The tests of proto, rpc (the method table) and server
-// (the catalog file) share it.
+// Package prototest is the test support of the wire codec: a sample of
+// every method's args and reply message in internal/proto's method table and
+// of the catalog's log record, and the checks every message layout must
+// pass. The tests of proto, rpc (the method table) and server (the catalog
+// records) share it.
 package prototest
 
 import (
@@ -16,11 +17,21 @@ import (
 	"bess/internal/proto"
 )
 
-// Method pairs one rpc method with a populated sample of its args and of
-// its reply. Reply is nil for the one-way stream methods.
+// Method pairs one entry of internal/proto's method table with a populated
+// sample of its args and of its reply. Reply is nil for the one-way streams,
+// whose Args is a sample of their frame's message.
 type Method struct {
-	Name        string
+	proto.Desc
 	Args, Reply proto.Message
+}
+
+// method and stream make a table entry's samples, of its own types.
+func method[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], args *A, reply *R) Method {
+	return Method{m.Desc, PA(args), PR(reply)}
+}
+
+func stream[M any, PM proto.Ptr[M]](s proto.Stream[M], msg *M) Method {
+	return Method{s.Desc, PM(msg), nil}
 }
 
 var (
@@ -40,46 +51,46 @@ var (
 		{Seg: seg, SlottedPages: 2}, {Seg: proto.SegKey{Area: 8}, SlottedPages: 1}}}
 )
 
-// Methods lists every method of rpc's id table, in id order.
+// Methods lists every entry of internal/proto's method table, in id order.
 var Methods = []Method{
-	{"Hello", &proto.HelloArgs{Name: "alice"}, &proto.IDReply{ID: 3}},
-	{"OpenDB", &proto.OpenDBArgs{Name: "db", Create: true}, &proto.OpenDBReply{DB: 4, Host: 2}},
-	{"NewTx", &proto.ClientArgs{Client: 3}, &proto.NewTxReply{Tx: 99}},
-	{"RegisterType", &proto.RegisterTypeArgs{DB: 4, Info: info}, &proto.RegisterTypeReply{Info: info}},
-	{"Types", dbArgs, &proto.TypesReply{Infos: []proto.TypeInfo{info, {ID: 6, Name: "Leaf"}}}},
-	{"NewFileID", dbArgs, &proto.IDReply{ID: 9}},
-	{"AddArea", dbArgs, &proto.IDReply{ID: 7}},
-	{"CreateSegment", &proto.CreateSegmentArgs{Client: 3, Tx: 99, DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1},
-		&proto.CreateSegmentReply{Seg: seg, DataStart: 1<<40 + 2, DataPages: 16}},
-	{"SegInfo", &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}},
-	{"FetchLarge", &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw},
-	{"FetchSeg", fetchArgs, &img},
-	{"Resolve", &proto.ResolveArgs{DB: 4, HeaderOff: 1 << 33}, &proto.ResolveReply{Seg: seg, Slot: 11}},
-	{"Lock", &proto.LockArgs{Client: 3, Tx: 99, Seg: seg, Mode: proto.LockX}, empty},
-	{"LockObject", &proto.LockObjectArgs{Client: 3, Tx: 99, Seg: seg, Slot: 11, Mode: proto.LockS}, empty},
-	{"Commit", commit, empty},
-	{"Abort", &proto.AbortArgs{Client: 3, Tx: 99}, empty},
-	{"Prepare", commit, empty},
-	{"Decide", &proto.DecideArgs{Tx: 99, Commit: true}, empty},
-	{"SegmentsOf", &proto.SegmentsOfArgs{DB: 4, FileID: 9}, &proto.SegmentsOfReply{Segs: []proto.SegKey{seg, {Area: 8}}}},
-	{"Released", &proto.ReleasedArgs{Client: 3, Segs: []proto.SegKey{seg, {Area: 8}}}, empty},
-	{"AllocRun", &proto.AllocRunArgs{DB: 4, NPages: 8}, &proto.AllocRunReply{Area: 7, Start: 1 << 20, Granted: 8}},
-	{"FreeRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20}, empty},
-	{"ReadRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, NPages: 2}, raw},
-	{"WriteRun", &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, Data: []byte("run bytes")}, empty},
-	{"NameBind", &proto.NameBindArgs{DB: 4, Name: "root", OID: root}, empty},
-	{"NameLookup", &proto.NameArgs{DB: 4, Name: "root"}, &proto.NameLookupReply{OID: root}},
-	{"NameUnbind", &proto.NameArgs{DB: 4, Name: "root"}, empty},
-	{"NameRemoveOID", &proto.NameRemoveOIDArgs{DB: 4, OID: root}, empty},
-	{"Callback", &proto.SegArgs{Seg: seg}, &proto.CallbackReply{Refused: true}},
-	{"ScanStart", &scanStart, scanPlan},
-	{"ScanData", &proto.ScanBatch{Seq: 2, Last: true, Err: "boom", Images: []proto.SegImage{img, img2}}, nil},
-	{"ScanCtl", &proto.ScanCtl{Cancel: true, Credit: 1 << 20}, nil},
-	{"SnapOpen", &proto.ClientArgs{Client: 3}, &proto.SnapOpenReply{Snap: 11, Stamp: 1 << 33}},
-	{"SnapClose", &proto.SnapCloseArgs{Client: 3, Snap: 11}, empty},
-	{"SnapFetchSeg", &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img},
-	{"SnapScanStart", &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanPlan},
-	{"StoreLarge", &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw},
+	method(proto.MethodHello, &proto.HelloArgs{Name: "alice"}, &proto.IDReply{ID: 3}),
+	method(proto.MethodOpenDB, &proto.OpenDBArgs{Name: "db", Create: true}, &proto.OpenDBReply{DB: 4, Host: 2}),
+	method(proto.MethodNewTx, &proto.ClientArgs{Client: 3}, &proto.NewTxReply{Tx: 99}),
+	method(proto.MethodRegisterType, &proto.RegisterTypeArgs{DB: 4, Info: info}, &proto.RegisterTypeReply{Info: info}),
+	method(proto.MethodTypes, dbArgs, &proto.TypesReply{Infos: []proto.TypeInfo{info, {ID: 6, Name: "Leaf"}}}),
+	method(proto.MethodNewFileID, dbArgs, &proto.IDReply{ID: 9}),
+	method(proto.MethodAddArea, dbArgs, &proto.IDReply{ID: 7}),
+	method(proto.MethodCreateSegment, &proto.CreateSegmentArgs{Client: 3, Tx: 99, DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1},
+		&proto.CreateSegmentReply{Seg: seg, DataStart: 1<<40 + 2, DataPages: 16}),
+	method(proto.MethodSegInfo, &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}),
+	method(proto.MethodFetchLarge, &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw),
+	method(proto.MethodFetchSeg, fetchArgs, &img),
+	method(proto.MethodResolve, &proto.ResolveArgs{DB: 4, HeaderOff: 1 << 33}, &proto.ResolveReply{Seg: seg, Slot: 11}),
+	method(proto.MethodLock, &proto.LockArgs{Client: 3, Tx: 99, Seg: seg, Mode: proto.LockX}, empty),
+	method(proto.MethodLockObject, &proto.LockObjectArgs{Client: 3, Tx: 99, Seg: seg, Slot: 11, Mode: proto.LockS}, empty),
+	method(proto.MethodCommit, commit, empty),
+	method(proto.MethodAbort, &proto.AbortArgs{Client: 3, Tx: 99}, empty),
+	method(proto.MethodPrepare, commit, empty),
+	method(proto.MethodDecide, &proto.DecideArgs{Tx: 99, Commit: true}, empty),
+	method(proto.MethodSegmentsOf, &proto.SegmentsOfArgs{DB: 4, FileID: 9}, &proto.SegmentsOfReply{Segs: []proto.SegKey{seg, {Area: 8}}}),
+	method(proto.MethodReleased, &proto.ReleasedArgs{Client: 3, Segs: []proto.SegKey{seg, {Area: 8}}}, empty),
+	method(proto.MethodAllocRun, &proto.AllocRunArgs{DB: 4, NPages: 8}, &proto.AllocRunReply{Area: 7, Start: 1 << 20, Granted: 8}),
+	method(proto.MethodFreeRun, &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20}, empty),
+	method(proto.MethodReadRun, &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, NPages: 2}, raw),
+	method(proto.MethodWriteRun, &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, Data: []byte("run bytes")}, empty),
+	method(proto.MethodNameBind, &proto.NameBindArgs{DB: 4, Name: "root", OID: root}, empty),
+	method(proto.MethodNameLookup, &proto.NameArgs{DB: 4, Name: "root"}, &proto.NameLookupReply{OID: root}),
+	method(proto.MethodNameUnbind, &proto.NameArgs{DB: 4, Name: "root"}, empty),
+	method(proto.MethodNameRemoveOID, &proto.NameRemoveOIDArgs{DB: 4, OID: root}, empty),
+	method(proto.MethodCallback, &proto.SegArgs{Seg: seg}, &proto.CallbackReply{Refused: true}),
+	method(proto.MethodScanStart, &scanStart, scanPlan),
+	stream(proto.StreamScanData, &proto.ScanBatch{Seq: 2, Last: true, Err: "boom", Images: []proto.SegImage{img, img2}}),
+	stream(proto.StreamScanCtl, &proto.ScanCtl{Cancel: true, Credit: 1 << 20}),
+	method(proto.MethodSnapOpen, &proto.ClientArgs{Client: 3}, &proto.SnapOpenReply{Snap: 11, Stamp: 1 << 33}),
+	method(proto.MethodSnapClose, &proto.SnapCloseArgs{Client: 3, Snap: 11}, empty),
+	method(proto.MethodSnapFetchSeg, &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img),
+	method(proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanPlan),
+	method(proto.MethodStoreLarge, &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw),
 }
 
 // CatalogOps holds a populated proto.CatalogOp — the body of the catalog's

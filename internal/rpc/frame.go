@@ -73,62 +73,6 @@ var ErrBadFrame = errors.New("rpc: bad frame encoding")
 // unframeable past this point and is shut down.
 var ErrFrameChecksum = errors.New("rpc: frame checksum mismatch")
 
-// Method ids. The table below is part of the wire protocol: ids are append-only
-// and never reassigned (the golden wire test pins them); "" marks a retired id,
-// answered with ErrNoHandler. Id 0 is reserved for named-method frames.
-var methodNames = [...]string{
-	1:  "Hello",
-	2:  "OpenDB",
-	3:  "NewTx",
-	4:  "RegisterType",
-	5:  "Types",
-	6:  "NewFileID",
-	7:  "AddArea",
-	8:  "CreateSegment",
-	9:  "SegInfo",
-	10: "", // retired: the slotted-part fetch (FetchSeg carries the whole image)
-	11: "", // retired: the data-part fetch
-	12: "FetchLarge",
-	13: "FetchSeg",
-	14: "Resolve",
-	15: "Lock",
-	16: "LockObject",
-	17: "Commit",
-	18: "Abort",
-	19: "Prepare",
-	20: "Decide",
-	21: "SegmentsOf",
-	22: "Released",
-	23: "", // retired: the server-side large-object create (StoreLarge stores the content only)
-	24: "AllocRun",
-	25: "FreeRun",
-	26: "ReadRun",
-	27: "WriteRun",
-	28: "NameBind",
-	29: "NameLookup",
-	30: "NameUnbind",
-	31: "NameRemoveOID",
-	32: "Callback",
-	33: "ScanStart",
-	34: "ScanData",
-	35: "ScanCtl",
-	36: "SnapOpen",
-	37: "SnapClose",
-	38: "SnapFetchSeg",
-	39: "SnapScanStart",
-	40: "StoreLarge",
-}
-
-var methodIDs = func() map[string]uint16 {
-	m := make(map[string]uint16, len(methodNames))
-	for id, name := range methodNames {
-		if name != "" {
-			m[name] = uint16(id)
-		}
-	}
-	return m
-}()
-
 // frame is the wire unit. A frame read off the wire has its body; a frame
 // being sent has either a message (msg), which appendFrame encodes straight
 // into the send batch, or — the bytes already encoded — a body.
@@ -245,8 +189,8 @@ func (f *frame) setPayload(payload []byte) error {
 		}
 		f.name = string(payload[2 : 2+n])
 		payload = payload[2+n:]
-	} else if f.flags&flagReply == 0 && int(f.method) < len(methodNames) {
-		f.name = methodNames[f.method]
+	} else if f.flags&flagReply == 0 && int(f.method) < len(proto.Methods) {
+		f.name = proto.Methods[f.method].Name // the handler's name
 	}
 	if len(payload) > 0 {
 		f.body = payload

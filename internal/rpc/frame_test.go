@@ -4,8 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"strings"
 	"testing"
+
+	"bess/internal/proto"
+	"bess/internal/proto/prototest"
 )
 
 // TestGoldenWireFormat pins the frame encoding byte for byte. These bytes
@@ -118,28 +124,39 @@ func TestGoldenWireFormat(t *testing.T) {
 	}
 }
 
-// TestMethodIDTablePinned pins the method-id assignments. Ids are part of
-// the wire protocol: append-only, never reassigned.
+// TestMethodIDTablePinned pins the method table, the wire's id table, to
+// testdata/methods.golden: every id in order with its name and its args and
+// reply types (a stream's one message type), a retired id as "retired". Ids
+// are part of the wire protocol: append-only, never reassigned, so a new
+// method is one appended line, and a renumbered or reused id fails here.
 func TestMethodIDTablePinned(t *testing.T) {
-	want := map[string]uint16{
-		"Hello": 1, "OpenDB": 2, "NewTx": 3, "RegisterType": 4, "Types": 5,
-		"NewFileID": 6, "AddArea": 7, "CreateSegment": 8, "SegInfo": 9,
-		"FetchLarge": 12, "FetchSeg": 13, // 10 and 11 are retired
-		"Resolve": 14, "Lock": 15, "LockObject": 16, "Commit": 17, "Abort": 18,
-		"Prepare": 19, "Decide": 20, "SegmentsOf": 21, "Released": 22,
-		"AllocRun": 24, "FreeRun": 25, "ReadRun": 26, // 23 is retired
-		"WriteRun": 27, "NameBind": 28, "NameLookup": 29, "NameUnbind": 30,
-		"NameRemoveOID": 31, "Callback": 32, "ScanStart": 33, "ScanData": 34,
-		"ScanCtl": 35, "SnapOpen": 36, "SnapClose": 37, "SnapFetchSeg": 38,
-		"SnapScanStart": 39, "StoreLarge": 40,
+	samples := make(map[uint16]prototest.Method)
+	for _, m := range prototest.Methods {
+		samples[m.ID] = m
 	}
-	if len(methodIDs) != len(want) {
-		t.Fatalf("method table has %d entries, want %d", len(methodIDs), len(want))
-	}
-	for name, id := range want {
-		if got := methodIDs[name]; got != id {
-			t.Fatalf("method %q = id %d, want %d", name, got, id)
+	var got strings.Builder
+	for id, d := range proto.Methods[1:] {
+		id++
+		m, ok := samples[d.ID]
+		switch {
+		case d.ID == 0:
+			fmt.Fprintf(&got, "%d retired\n", id)
+		case d.ID != uint16(id):
+			t.Fatalf("table entry %d carries id %d", id, d.ID)
+		case !ok:
+			fmt.Fprintf(&got, "%d %s (no sample)\n", id, d.Name)
+		case m.Reply == nil:
+			fmt.Fprintf(&got, "%d %s stream %s\n", id, d.Name, prototest.Name(m.Args))
+		default:
+			fmt.Fprintf(&got, "%d %s %s %s\n", id, d.Name, prototest.Name(m.Args), prototest.Name(m.Reply))
 		}
+	}
+	want, err := os.ReadFile("testdata/methods.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("method table differs from testdata/methods.golden — ids are the wire protocol:\n%s", got.String())
 	}
 }
 

@@ -7,7 +7,9 @@
 // Wire format: a stream of length-prefixed binary frames (see frame.go);
 // each frame carries a request or a reply matched by id. A body is one
 // message in the internal/proto codec: Call and Typed encode and decode it,
-// CallRaw and a bare Handler move bytes that are already encoded.
+// CallRaw and a bare Handler move bytes that are already encoded. Call, Typed,
+// SendStream and HandleStream take their method's descriptor from
+// internal/proto's method table, which types its messages and gives its id.
 //
 // One hop, one buffer. Outbound, a sender sizes its frame's message before it
 // takes the batch lock — an unencodable message fails there, with nothing
@@ -73,10 +75,13 @@ func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
 // allocation and now the handler's: it may be retained and written to.
 type Handler func(body []byte) ([]byte, error)
 
-// Method serves one method as Handler does, but returns its reply as a
-// message, which the peer encodes straight into its send batch: the message
-// must not change once returned. Typed builds one over decoded messages.
-type Method func(body []byte) (proto.Message, error)
+// Method is one entry of a peer's handler table: a method's name and the
+// function serving it, whose reply message the peer encodes straight into
+// its send batch: the message must not change once returned.
+type Method struct {
+	name  string
+	serve func(body []byte) (proto.Message, error)
+}
 
 // StreamHandler consumes one one-way stream frame. Stream handlers run
 // synchronously on the read loop so frames of one stream arrive in order;
@@ -132,7 +137,7 @@ type Peer struct {
 	grouped  int64  // guarded by wmu
 
 	mu       lockcheck.Mutex
-	handlers map[string]Method        // guarded by mu
+	handlers map[string]Method        // guarded by mu; by name
 	streams  map[string]StreamHandler // guarded by mu
 	calls    map[uint64]chan frame    // guarded by mu
 	closed   bool                     // guarded by mu
@@ -179,6 +184,7 @@ func newPeer(conn io.ReadWriteCloser) *Peer {
 	p := &Peer{
 		conn:     conn,
 		handlers: make(map[string]Method),
+		streams:  make(map[string]StreamHandler),
 		calls:    make(map[uint64]chan frame),
 		served:   make(chan struct{}),
 	}
@@ -193,10 +199,10 @@ func newPeer(conn io.ReadWriteCloser) *Peer {
 // Listener.Accept it also releases the requests that arrived before it: an
 // accepted peer answers nothing until its first Serve, so a client that
 // calls the moment it connects can never find half a handler table.
-func (p *Peer) Serve(handlers map[string]Method) {
+func (p *Peer) Serve(handlers ...Method) {
 	p.mu.Lock()
-	for method, h := range handlers {
-		p.handlers[method] = h
+	for _, h := range handlers {
+		p.handlers[h.name] = h
 	}
 	p.mu.Unlock()
 	p.release()
@@ -204,7 +210,7 @@ func (p *Peer) Serve(handlers map[string]Method) {
 
 // Handle is Serve for a single method served over raw bytes.
 func (p *Peer) Handle(method string, h Handler) {
-	p.Serve(map[string]Method{method: func(body []byte) (proto.Message, error) {
+	p.Serve(Method{method, func(body []byte) (proto.Message, error) {
 		r, err := h(body)
 		return &proto.Bytes{Data: r}, err
 	}})
@@ -212,49 +218,42 @@ func (p *Peer) Handle(method string, h Handler) {
 
 func (p *Peer) release() { p.servedOnce.Do(func() { close(p.served) }) }
 
-// HandleStream registers a handler for one-way stream frames of method. A
-// stream frame whose method has no handler is silently dropped — frames in
-// flight after a cancel are normal, not an error.
-func (p *Peer) HandleStream(method string, h StreamHandler) {
+// HandleStream registers h for the one-way frames of stream s. A stream
+// frame whose stream has no handler is silently dropped — frames in flight
+// after a cancel are normal, not an error.
+func HandleStream[M any](p *Peer, s proto.Stream[M], h StreamHandler) {
 	p.mu.Lock()
-	if p.streams == nil {
-		p.streams = make(map[string]StreamHandler)
-	}
-	p.streams[method] = h
+	p.streams[s.Name] = h
 	p.mu.Unlock()
 }
 
-// SendStream sends a one-way stream frame: no reply is expected or matched.
-// The bytes ride the same coalescing writer as requests and replies, so
-// stream data interleaves with — and never starves — regular traffic.
-func (p *Peer) SendStream(method string, stream uint64, body []byte) error {
-	f := frame{id: stream, flags: flagStream, body: body}
-	f.setMethod(method)
+// SendStream sends msg as one frame of stream s — encoded once, into the
+// send batch — and expects no reply. The frame rides the same coalescing
+// writer as requests and replies, so stream data interleaves with — and
+// never starves — regular traffic. msg is not kept past the call.
+func SendStream[M any, PM proto.Ptr[M]](p *Peer, s proto.Stream[M], stream uint64, msg *M) error {
+	f := frame{id: stream, flags: flagStream}
+	f.setMethod(s.Desc)
+	if err := f.setMsg(PM(msg)); err != nil {
+		return fmt.Errorf("rpc: encode %s: %w", s.Name, err)
+	}
 	return p.send(&f)
 }
 
 // setMethod names the method f calls: by its id, or inline if it has none.
-func (f *frame) setMethod(method string) {
-	if mid, ok := methodIDs[method]; ok {
-		f.method = mid
-	} else {
+func (f *frame) setMethod(d proto.Desc) {
+	f.method, f.name = d.ID, d.Name
+	if d.ID == 0 {
 		f.flags |= flagNamed
-		f.name = method
 	}
 }
 
-// Typed adapts a function over decoded messages to a Method: the request
-// body is decoded into a fresh A (a malformed or out-of-range body is
-// refused before fn runs) and fn's reply is the reply body, encoded into the
-// send batch (a reply that cannot be encoded goes back as an error).
-func Typed[A, R any, PA interface {
-	*A
-	proto.Message
-}, PR interface {
-	*R
-	proto.Message
-}](fn func(*A) (*R, error)) Method {
-	return func(body []byte) (proto.Message, error) {
+// Typed serves m with fn, over decoded messages: the request body is decoded
+// into a fresh A (a malformed or out-of-range body is refused before fn runs)
+// and fn's reply is the reply body, encoded into the send batch (a reply that
+// cannot be encoded goes back as an error).
+func Typed[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], fn func(*A) (*R, error)) Method {
+	return Method{m.Name, func(body []byte) (proto.Message, error) {
 		a := new(A)
 		if err := proto.Decode(body, PA(a)); err != nil {
 			return nil, err
@@ -264,17 +263,18 @@ func Typed[A, R any, PA interface {
 			return nil, err
 		}
 		return PR(r), nil
-	}
+	}}
 }
 
-// CallRaw sends a request whose body is already encoded and returns the
-// reply body, which is the reply frame's own allocation and now the caller's.
+// CallRaw sends a request whose body is already encoded, as a named frame,
+// and returns the reply body, which is the reply frame's own allocation and
+// now the caller's.
 func (p *Peer) CallRaw(method string, body []byte) ([]byte, error) {
-	return p.call(method, frame{body: body})
+	return p.call(frame{flags: flagNamed, name: method, body: body})
 }
 
-// call sends f as a request for method and waits for the reply body.
-func (p *Peer) call(method string, f frame) ([]byte, error) {
+// call sends f as a request and waits for the reply body.
+func (p *Peer) call(f frame) ([]byte, error) {
 	id := p.nextID.Add(1)
 	ch := make(chan frame, 1)
 	p.mu.Lock()
@@ -290,7 +290,6 @@ func (p *Peer) call(method string, f frame) ([]byte, error) {
 	p.mu.Unlock()
 
 	f.id = id
-	f.setMethod(method)
 	if err := p.send(&f); err != nil {
 		p.dropCall(id)
 		return nil, err
@@ -305,20 +304,21 @@ func (p *Peer) call(method string, f frame) ([]byte, error) {
 	return rf.body, nil
 }
 
-// Call sends args as the request body — encoded once, into the send batch —
-// and decodes the reply body into reply; a nil reply ignores the body. args
-// is not kept past the call.
-func (p *Peer) Call(method string, args, reply proto.Message) error {
+// Call calls m over p: args is the request body — encoded once, into the
+// send batch — and the reply body is decoded into reply. args is not kept
+// past the call.
+func Call[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](p *Peer, m proto.Method[A, R], args *A, reply *R) error {
 	var f frame
-	if err := f.setMsg(args); err != nil {
-		return fmt.Errorf("rpc: encode %s args: %w", method, err)
+	f.setMethod(m.Desc)
+	if err := f.setMsg(PA(args)); err != nil {
+		return fmt.Errorf("rpc: encode %s args: %w", m.Name, err)
 	}
-	rb, err := p.call(method, f)
-	if err != nil || reply == nil {
+	rb, err := p.call(f)
+	if err != nil {
 		return err
 	}
-	if err := proto.Decode(rb, reply); err != nil {
-		return fmt.Errorf("rpc: decode %s reply: %w", method, err)
+	if err := proto.Decode(rb, PR(reply)); err != nil {
+		return fmt.Errorf("rpc: decode %s reply: %w", m.Name, err)
 	}
 	return nil
 }
@@ -437,6 +437,7 @@ func (p *Peer) WireStats() Stats {
 // readLoop ends when the connection does: closing it is what stops it.
 func (p *Peer) readLoop(<-chan struct{}) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
+	dispatch := p.dispatch // one func value for the peer, not one per request
 	var err error
 	for {
 		var f frame
@@ -472,9 +473,10 @@ func (p *Peer) readLoop(<-chan struct{}) {
 			continue
 		}
 		// Request: dispatch in its own goroutine so a handler that calls
-		// back over the same peer cannot deadlock the loop. Refused means
-		// Close is under way: the request is never dispatched.
-		if !p.g.Go("rpc.dispatch", func(<-chan struct{}) { p.dispatch(f) }) {
+		// back over the same peer cannot deadlock the loop. The frame is the
+		// goroutine's argument, not a closure's capture. Refused means Close
+		// is under way: the request is never dispatched.
+		if !goleak.GoWith(&p.g, "rpc.dispatch", dispatch, f) {
 			err = ErrClosed
 			break
 		}
@@ -485,10 +487,10 @@ func (p *Peer) readLoop(<-chan struct{}) {
 func (p *Peer) dispatch(f frame) {
 	<-p.served // an accepted peer's first Serve, or shutdown
 	p.mu.Lock()
-	h := p.handlers[f.name]
+	h, ok := p.handlers[f.name]
 	p.mu.Unlock()
 	reply := frame{id: f.id, flags: flagReply}
-	if h == nil {
+	if !ok {
 		name := f.name
 		if name == "" {
 			name = fmt.Sprintf("#%d", f.method)
@@ -496,7 +498,7 @@ func (p *Peer) dispatch(f frame) {
 		reply.flags |= flagError
 		reply.body = []byte(ErrNoHandler.Error() + ": " + name)
 	} else {
-		msg, err := h(f.body)
+		msg, err := h.serve(f.body)
 		if err == nil {
 			err = reply.setMsg(msg)
 		}

@@ -24,11 +24,11 @@ func TestCallOverPipe(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	serve1(b, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("echo"), func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "re: " + in.Msg}, nil
 	}))
 	var rep echoReply
-	if err := a.Call("echo", &echoArgs{Msg: "hi"}, &rep); err != nil {
+	if err := Call(a, named("echo"), &echoArgs{Msg: "hi"}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Msg != "re: hi" {
@@ -40,10 +40,10 @@ func TestRemoteError(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	serve1(b, "boom", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("boom"), func(in *echoArgs) (*echoReply, error) {
 		return nil, errors.New("kapow")
 	}))
-	err := a.Call("boom", &echoArgs{}, &echoReply{})
+	err := Call(a, named("boom"), &echoArgs{}, &echoReply{})
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "kapow" {
 		t.Fatalf("err = %v", err)
@@ -54,7 +54,7 @@ func TestUnknownMethod(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	err := a.Call("nope", &echoArgs{}, nil)
+	err := Call(a, named("nope"), &echoArgs{}, &echoReply{})
 	if err == nil || !strings.Contains(err.Error(), "no handler") {
 		t.Fatalf("err = %v", err)
 	}
@@ -73,9 +73,9 @@ func TestRetiredAndUnknownIDsAnswered(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(c)
-	for i, method := range []uint16{10, 11, 23, uint16(len(methodNames)), 0xFFFF} {
-		if int(method) < len(methodNames) && methodNames[method] != "" {
-			t.Fatalf("id %d is assigned to %q", method, methodNames[method])
+	for i, method := range []uint16{10, 11, 23, uint16(len(proto.Methods)), 0xFFFF} {
+		if int(method) < len(proto.Methods) && proto.Methods[method].Name != "" {
+			t.Fatalf("id %d is assigned to %q", method, proto.Methods[method].Name)
 		}
 		id := uint64(100 + i)
 		// net.Pipe is unbuffered: the peer reads as this writes.
@@ -96,20 +96,20 @@ func TestBidirectionalCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	serve1(a, "client-side", Typed(func(in *echoArgs) (*echoReply, error) {
+	a.Serve(Typed(named("client-side"), func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "from-a"}, nil
 	}))
 	// b's handler calls back into a over the same connection — the callback
 	// locking pattern.
-	serve1(b, "server-side", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("server-side"), func(in *echoArgs) (*echoReply, error) {
 		var rep echoReply
-		if err := b.Call("client-side", &echoArgs{}, &rep); err != nil {
+		if err := Call(b, named("client-side"), &echoArgs{}, &rep); err != nil {
 			return nil, err
 		}
 		return &echoReply{Msg: "server saw " + rep.Msg}, nil
 	}))
 	var rep echoReply
-	if err := a.Call("server-side", &echoArgs{}, &rep); err != nil {
+	if err := Call(a, named("server-side"), &echoArgs{}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Msg != "server saw from-a" {
@@ -121,7 +121,7 @@ func TestConcurrentCalls(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	serve1(b, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("echo"), func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: in.Msg}, nil
 	}))
 	var wg sync.WaitGroup
@@ -132,7 +132,7 @@ func TestConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			var rep echoReply
 			msg := strings.Repeat("x", i+1)
-			if err := a.Call("echo", &echoArgs{Msg: msg}, &rep); err != nil {
+			if err := Call(a, named("echo"), &echoArgs{Msg: msg}, &rep); err != nil {
 				errs <- err
 				return
 			}
@@ -158,7 +158,7 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 	t.Cleanup(func() { goleak.Check(t, "rpc.") })
 	a, b := Pipe()
 	release := make(chan struct{})
-	serve1(b, "slow", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("slow"), func(in *echoArgs) (*echoReply, error) {
 		<-release
 		return &echoReply{}, nil
 	}))
@@ -166,7 +166,7 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 	const pending = 8
 	done := make(chan error, pending)
 	for i := 0; i < pending; i++ {
-		go func() { done <- a.Call("slow", &echoArgs{}, &echoReply{}) }()
+		go func() { done <- Call(a, named("slow"), &echoArgs{}, &echoReply{}) }()
 	}
 	time.Sleep(20 * time.Millisecond)
 	a.Close()
@@ -180,7 +180,7 @@ func TestCloseFailsPendingAndFutureCalls(t *testing.T) {
 			t.Fatal("pending call deadlocked after close")
 		}
 	}
-	if err := a.Call("echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+	if err := Call(a, named("echo"), &echoArgs{}, &echoReply{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close err = %v, want ErrClosed", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestCloseRecordsErrClosedFirst(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Call("echo", &echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+	if err := Call(a, named("echo"), &echoArgs{}, &echoReply{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close err = %v, want ErrClosed", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestCloseMidBurstDrainsDispatch(t *testing.T) {
 	a, b := Pipe()
 	var entered, exited atomic.Int32
 	release := make(chan struct{})
-	serve1(b, "slow", Typed(func(in *echoArgs) (*echoReply, error) {
+	b.Serve(Typed(named("slow"), func(in *echoArgs) (*echoReply, error) {
 		entered.Add(1)
 		<-release
 		exited.Add(1)
@@ -239,7 +239,7 @@ func TestCloseMidBurstDrainsDispatch(t *testing.T) {
 	const burst = 16
 	done := make(chan error, burst)
 	for i := 0; i < burst; i++ {
-		go func() { done <- a.Call("slow", &echoArgs{}, &echoReply{}) }()
+		go func() { done <- Call(a, named("slow"), &echoArgs{}, &echoReply{}) }()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for entered.Load() != burst {
@@ -385,7 +385,7 @@ func TestTCPTransport(t *testing.T) {
 		if err != nil {
 			return
 		}
-		serve1(p, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
+		p.Serve(Typed(named("echo"), func(in *echoArgs) (*echoReply, error) {
 			return &echoReply{Msg: "tcp " + in.Msg}, nil
 		}))
 	}()
@@ -397,7 +397,7 @@ func TestTCPTransport(t *testing.T) {
 	// The handler registers asynchronously after accept; the accepted peer
 	// holds the request until then.
 	var rep echoReply
-	if err := c.Call("echo", &echoArgs{Msg: "net"}, &rep); err != nil {
+	if err := Call(c, named("echo"), &echoArgs{Msg: "net"}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Msg != "tcp net" {
@@ -422,7 +422,7 @@ func TestAcceptHoldsRequestsUntilServe(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	var rep echoReply
-	go func() { done <- c.Call("echo", &echoArgs{Msg: "early"}, &rep) }()
+	go func() { done <- Call(c, named("echo"), &echoArgs{Msg: "early"}, &rep) }()
 	for c.WireStats().Flushes == 0 { // the request is on the socket
 		time.Sleep(time.Millisecond)
 	}
@@ -438,7 +438,7 @@ func TestAcceptHoldsRequestsUntilServe(t *testing.T) {
 		t.Fatalf("call finished before any handler was installed: %v", err)
 	default:
 	}
-	serve1(p, "echo", Typed(func(in *echoArgs) (*echoReply, error) {
+	p.Serve(Typed(named("echo"), func(in *echoArgs) (*echoReply, error) {
 		return &echoReply{Msg: "re: " + in.Msg}, nil
 	}))
 	if err := <-done; err != nil || rep.Msg != "re: early" {

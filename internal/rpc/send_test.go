@@ -41,15 +41,19 @@ func TestSendEncodesFrameOnce(t *testing.T) {
 	p := NewPeer(newSinkConn())
 	defer p.Close()
 	body := make([]byte, size)
-	// Warm the method lookup and both batch buffers with a small frame each.
+	batch := func(data []byte) *proto.ScanBatch {
+		return &proto.ScanBatch{Images: []proto.SegImage{{Data: data}}}
+	}
+	// Warm both batch buffers with a small frame each.
+	small, big := batch(body[:64]), batch(body)
 	for i := 0; i < 2; i++ {
-		if err := p.SendStream("ScanData", 1, body[:64]); err != nil {
+		if err := SendStream(p, proto.StreamScanData, 1, small); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := p.SendStream("ScanData", 1, body); err != nil {
+	if err := SendStream(p, proto.StreamScanData, 1, big); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -77,7 +81,7 @@ func TestSendSmallFrameAllocs(t *testing.T) {
 	p := NewPeer(newSinkConn())
 	defer p.Close()
 	body := make([]byte, 300)
-	f := frame{id: 1, flags: flagStream, method: methodIDs["ScanData"], body: body}
+	f := frame{id: 1, flags: flagStream, method: proto.StreamScanData.ID, body: body}
 	var img proto.SegImage
 	m := frame{id: 2, flags: flagReply}
 	if err := m.setMsg(&img); err != nil {
@@ -165,7 +169,7 @@ func TestBatchEncodingIsEncode(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/crc=%v", m.Name, sample.kind, crc), func(t *testing.T) {
 					f := frame{id: 9, flags: sample.flags}
 					if sample.flags&flagReply == 0 {
-						f.setMethod(m.Name)
+						f.setMethod(m.Desc)
 					}
 					if err := f.setMsg(sample.msg); err != nil {
 						t.Fatal(err)
@@ -208,7 +212,7 @@ func TestSendTakesBackChangedMessage(t *testing.T) {
 	defer p.Close()
 	m := &resized{n: 3}
 	f := frame{id: 1}
-	f.setMethod("Lock")
+	f.setMethod(proto.MethodLock.Desc)
 	if err := f.setMsg(m); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +227,7 @@ func TestSendTakesBackChangedMessage(t *testing.T) {
 		t.Fatalf("the batch holds %d bytes of a refused frame", held)
 	}
 	g := frame{id: 2}
-	g.setMethod("Lock")
+	g.setMethod(proto.MethodLock.Desc)
 	if err := g.setMsg(m); err != nil {
 		t.Fatal(err)
 	}

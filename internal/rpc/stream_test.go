@@ -1,10 +1,11 @@
 package rpc
 
 import (
-	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
+
+	"bess/internal/proto"
 )
 
 // TestStreamFramesOrderedPerStream checks that stream frames dispatch
@@ -18,10 +19,14 @@ func TestStreamFramesOrderedPerStream(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[uint64][]uint32)
 	done := make(chan struct{}, 1)
-	b.HandleStream("ScanData", func(stream uint64, body []byte) {
-		seq := binary.BigEndian.Uint32(body)
+	HandleStream(b, proto.StreamScanData, func(stream uint64, body []byte) {
+		sb, err := proto.DecodeScanBatch(body)
+		if err != nil {
+			t.Errorf("stream %d: %v", stream, err)
+			return
+		}
 		mu.Lock()
-		got[stream] = append(got[stream], seq)
+		got[stream] = append(got[stream], sb.Seq)
 		n := len(got[1]) + len(got[2])
 		mu.Unlock()
 		if n == 8 {
@@ -32,9 +37,7 @@ func TestStreamFramesOrderedPerStream(t *testing.T) {
 
 	for i := uint32(0); i < 4; i++ {
 		for _, stream := range []uint64{1, 2} {
-			var body [4]byte
-			binary.BigEndian.PutUint32(body[:], i)
-			if err := a.SendStream("ScanData", stream, body[:]); err != nil {
+			if err := SendStream(a, proto.StreamScanData, stream, &proto.ScanBatch{Seq: i}); err != nil {
 				t.Fatalf("SendStream: %v", err)
 			}
 		}
@@ -71,10 +74,10 @@ func TestStreamUnknownMethodDropped(t *testing.T) {
 	defer b.Close()
 	b.Handle("echo", func(body []byte) ([]byte, error) { return body, nil })
 
-	if err := a.SendStream("ScanData", 9, []byte("orphan")); err != nil {
+	if err := SendStream(a, proto.StreamScanData, 9, &proto.ScanBatch{Err: "orphan"}); err != nil {
 		t.Fatalf("SendStream: %v", err)
 	}
-	if err := a.SendStream("NoSuchStream", 9, []byte("named orphan")); err != nil {
+	if err := SendStream(a, proto.Stream[proto.ScanBatch]{Desc: proto.Desc{Name: "NoSuchStream"}}, 9, &proto.ScanBatch{Err: "named orphan"}); err != nil {
 		t.Fatalf("SendStream named: %v", err)
 	}
 	rb, err := a.CallRaw("echo", []byte("still alive"))
@@ -88,7 +91,7 @@ func TestStreamSendAfterClose(t *testing.T) {
 	a, b := Pipe()
 	b.Close()
 	a.Close()
-	if err := a.SendStream("ScanData", 1, []byte("x")); err == nil {
+	if err := SendStream(a, proto.StreamScanData, 1, &proto.ScanBatch{}); err == nil {
 		t.Fatal("SendStream on closed peer succeeded")
 	}
 }

@@ -222,7 +222,7 @@ func TestSnapCloseIsTheCallers(t *testing.T) {
 	defer cEnd.Close()
 	ServePeer(s, sEnd)
 	var re *rpc.RemoteError
-	err = cEnd.Call("SnapClose", &proto.SnapCloseArgs{Client: other, Snap: snap}, &proto.Empty{})
+	err = rpc.Call(cEnd, proto.MethodSnapClose, &proto.SnapCloseArgs{Client: other, Snap: snap}, &proto.Empty{})
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, cache.ErrNotOwner.Error()) {
 		t.Fatalf("another client's close over rpc: %v, want a remote %q", err, cache.ErrNotOwner)
 	}

@@ -167,11 +167,10 @@ func TestEveryReadPathVerifies(t *testing.T) {
 			ServePeer(s, sEnd)
 			cli := newScanClient(cEnd)
 			var started proto.ScanStartReply
-			if err := cEnd.Call("ScanStart", &proto.ScanStartArgs{Client: cl, DB: 1, FileID: 1, BatchBytes: 64 << 10}, &started); err != nil {
+			if err := rpc.Call(cEnd, proto.MethodScanStart, &proto.ScanStartArgs{Client: cl, DB: 1, FileID: 1, BatchBytes: 64 << 10}, &started); err != nil {
 				t.Fatal(err)
 			}
-			grant, _ := proto.Encode(&proto.ScanCtl{Credit: 1 << 20})
-			if err := cEnd.SendStream("ScanCtl", started.Scan, grant); err != nil {
+			if err := rpc.SendStream(cEnd, proto.StreamScanCtl, started.Scan, &proto.ScanCtl{Credit: 1 << 20}); err != nil {
 				t.Fatal(err)
 			}
 			seen := false

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bess/internal/area"
+	"bess/internal/client"
 	"bess/internal/goleak"
 	"bess/internal/oid"
 	"bess/internal/proto"
@@ -28,199 +29,228 @@ func callPeer(t *testing.T) (*Server, *rpc.Peer) {
 	return s, cEnd
 }
 
+// TestRPCFullSurface drives every proto.Conn method of client.Remote against
+// ServePeer over a pipe: each call and its handler, end to end.
 func TestRPCFullSurface(t *testing.T) {
 	s, p := callPeer(t)
+	r := client.NewRemote(p)
 
-	var hello proto.IDReply
-	if err := p.Call("Hello", &proto.HelloArgs{Name: "rpc-test"}, &hello); err != nil {
+	cl, err := r.Hello("rpc-test")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hello.ID == 0 {
+	if cl == 0 {
 		t.Fatal("no client id")
 	}
 
-	var odb proto.OpenDBReply
-	if err := p.Call("OpenDB", &proto.OpenDBArgs{Name: "db", Create: true}, &odb); err != nil {
+	db, _, err := r.OpenDB("db", true)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	var fid proto.IDReply
-	if err := p.Call("NewFileID", &proto.DBArgs{DB: odb.DB}, &fid); err != nil {
+	fid, err := r.NewFileID(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fid.ID == 0 {
+	if fid == 0 {
 		t.Fatal("file id 0")
 	}
 
-	var aa proto.IDReply
-	if err := p.Call("AddArea", &proto.DBArgs{DB: odb.DB}, &aa); err != nil {
+	if _, err := r.AddArea(db); err != nil {
 		t.Fatal(err)
 	}
 
-	var rt proto.RegisterTypeReply
-	if err := p.Call("RegisterType", &proto.RegisterTypeArgs{
-		DB: odb.DB, Info: proto.TypeInfo{Name: "T", Size: 16, RefOffsets: []int{0}},
-	}, &rt); err != nil {
+	if _, err := r.RegisterType(db, proto.TypeInfo{Name: "T", Size: 16, RefOffsets: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	var tys proto.TypesReply
-	if err := p.Call("Types", &proto.DBArgs{DB: odb.DB}, &tys); err != nil {
+	tys, err := r.Types(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tys.Infos) != 1 || tys.Infos[0].Name != "T" {
-		t.Fatalf("types = %+v", tys.Infos)
+	if len(tys) != 1 || tys[0].Name != "T" {
+		t.Fatalf("types = %+v", tys)
 	}
 
-	var cs proto.CreateSegmentReply
-	if err := p.Call("CreateSegment", &proto.CreateSegmentArgs{
-		Client: hello.ID, DB: odb.DB, FileID: fid.ID, SlottedPages: 1, DataPages: 2, AreaHint: 1,
-	}, &cs); err != nil {
+	cs, err := r.CreateSegment(cl, 0, db, fid, 1, 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.DataPages != 2 || cs.DataStart == 0 {
 		t.Fatalf("create reply carries geometry %+v, want the granted 2 data pages and their start", cs)
 	}
-	var si proto.SegInfoReply
-	if err := p.Call("SegInfo", &proto.SegArgs{Seg: cs.Seg}, &si); err != nil {
+	n, err := r.SegInfo(cs.Seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if si.SlottedPages != 1 {
-		t.Fatalf("slotted pages = %d", si.SlottedPages)
+	if n != 1 {
+		t.Fatalf("slotted pages = %d", n)
 	}
 
-	var segs proto.SegmentsOfReply
-	if err := p.Call("SegmentsOf", &proto.SegmentsOfArgs{DB: odb.DB, FileID: fid.ID}, &segs); err != nil {
+	segs, err := r.SegmentsOf(db, fid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs.Segs) != 1 || segs.Segs[0] != cs.Seg {
-		t.Fatalf("segments = %v", segs.Segs)
+	if len(segs) != 1 || segs[0] != cs.Seg {
+		t.Fatalf("segments = %v", segs)
 	}
 
-	fetch := &proto.ClientSegArgs{Client: hello.ID, Seg: cs.Seg}
+	fetch := &proto.ClientSegArgs{Client: cl, Seg: cs.Seg}
 	// The two-step fetch is off the wire: a peer that still asks is told so.
+	body, err := proto.Encode(fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, retired := range []string{"FetchSlotted", "FetchData"} {
-		if err := p.Call(retired, fetch, nil); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
+		if _, err := p.CallRaw(retired, body); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
 			t.Fatalf("%s: %v, want %v", retired, err, rpc.ErrNoHandler)
 		}
 	}
-	var img proto.SegImage
-	if err := p.Call("FetchSeg", fetch, &img); err != nil {
+	sl, ov, data, err := r.FetchSeg(cl, cs.Seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Seg != cs.Seg || len(img.Slotted) == 0 || len(img.Data) == 0 {
+	if len(sl) == 0 || len(data) == 0 {
+		t.Fatalf("combined fetch image: %d slotted, %d data bytes", len(sl), len(data))
+	}
+	// Remote hands back the parts; the reply itself names its segment.
+	var img proto.SegImage
+	if err := rpc.Call(p, proto.MethodFetchSeg, fetch, &img); err != nil {
+		t.Fatal(err)
+	}
+	if img.Seg != cs.Seg {
 		t.Fatalf("combined fetch image = %+v", img.Seg)
 	}
 
-	var ntx proto.NewTxReply
-	if err := p.Call("NewTx", &proto.ClientArgs{Client: hello.ID}, &ntx); err != nil {
+	tx, err := r.NewTx()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("Lock", &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {
+	if err := r.Lock(cl, tx, cs.Seg, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("LockObject", &proto.LockObjectArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockS}, &proto.Empty{}); err != nil {
+	if err := r.LockObject(cl, tx, cs.Seg, 0, proto.LockS); err != nil {
 		t.Fatal(err)
 	}
 
 	// Transparent large object over the wire: the content stored, the
 	// descriptor shipped in the segment's image.
-	var desc proto.Bytes
 	content := bytes.Repeat([]byte("x"), 5000)
-	if err := p.Call("StoreLarge", &proto.StoreLargeArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Content: content}, &desc); err != nil {
+	desc, err := r.StoreLarge(cl, tx, cs.Seg, content)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seg := decodeSeg(t, img.Slotted, img.Overflow, img.Data)
+	seg := decodeSeg(t, sl, ov, data)
 	seg.EnsureOverflow(1)
-	slot, err := seg.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), desc.Data)
+	slot, err := seg.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shipped := proto.SegImage{Seg: cs.Seg, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow}
-	if err := p.Call("Commit", &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx, Segs: []proto.SegImage{shipped}}, &proto.Empty{}); err != nil {
+	if err := r.Commit(cl, tx, []proto.SegImage{shipped}); err != nil {
 		t.Fatal(err)
 	}
-	var fl proto.Bytes
-	if err := p.Call("FetchLarge", &proto.FetchLargeArgs{Client: hello.ID, Seg: cs.Seg, Slot: slot}, &fl); err != nil {
+	fl, err := r.FetchLarge(cl, cs.Seg, slot)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fl.Data, content) {
+	if !bytes.Equal(fl, content) {
 		t.Fatal("large content over RPC")
 	}
 
+	// Snapshot reads: the committed image, as of the snapshot's stamp.
+	snap, stamp, err := r.SnapOpen(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stamp == 0 {
+		t.Fatal("snapshot stamp 0 after a commit")
+	}
+	committed, _, _, err := r.FetchSeg(cl, cs.Seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ssl, _, _, err := r.SnapFetchSeg(cl, snap, cs.Seg); err != nil || !bytes.Equal(ssl, committed) {
+		t.Fatalf("snapshot fetch: err %v, or not the committed slotted image", err)
+	}
+	if err := r.SnapClose(cl, snap); err != nil {
+		t.Fatal(err)
+	}
+
 	// Raw runs.
-	var ar proto.AllocRunReply
-	if err := p.Call("AllocRun", &proto.AllocRunArgs{DB: odb.DB, NPages: 2}, &ar); err != nil {
+	runArea, runStart, _, err := r.AllocRun(db, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 2*4096)
-	copy(data, "raw-run")
-	if err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
+	run := make([]byte, 2*4096)
+	copy(run, "raw-run")
+	if err := r.WriteRun(db, runArea, runStart, run); err != nil {
 		t.Fatal(err)
 	}
-	var rr proto.Bytes
-	if err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 1}, &rr); err != nil {
+	rr, err := r.ReadRun(db, runArea, runStart, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rr.Data[:7]) != "raw-run" {
-		t.Fatalf("run data %q", rr.Data[:7])
+	if string(rr[:7]) != "raw-run" {
+		t.Fatalf("run data %q", rr[:7])
 	}
-	if err := p.Call("FreeRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start}, &proto.Empty{}); err != nil {
+	if err := r.FreeRun(db, runArea, runStart); err != nil {
 		t.Fatal(err)
 	}
 
 	// Resolve.
-	var rv proto.ResolveReply
 	off := uint64(cs.Seg.Area)<<32 | uint64(cs.Seg.Start)*4096 + 128
-	if err := p.Call("Resolve", &proto.ResolveArgs{DB: odb.DB, HeaderOff: off}, &rv); err != nil {
+	rseg, rslot, err := r.Resolve(db, off)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rv.Seg != cs.Seg || rv.Slot != 0 {
-		t.Fatalf("resolve = %+v", rv)
+	if rseg != cs.Seg || rslot != 0 {
+		t.Fatalf("resolve = %+v slot %d", rseg, rslot)
 	}
 
 	// Names.
-	o := oid.OID{Host: 1, DB: uint16(odb.DB), Offset: off, Unique: 0}
-	nb := proto.NameBindArgs{DB: odb.DB, Name: "root", OID: o}
-	if err := p.Call("NameBind", &nb, &proto.Empty{}); err != nil {
+	o := oid.OID{Host: 1, DB: uint16(db), Offset: off, Unique: 0}
+	if err := r.NameBind(db, "root", o); err != nil {
 		t.Fatal(err)
 	}
-	var nl proto.NameLookupReply
-	if err := p.Call("NameLookup", &proto.NameArgs{DB: odb.DB, Name: "root"}, &nl); err != nil {
+	got, err := r.NameLookup(db, "root")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.OID != o {
-		t.Fatalf("lookup = %v", nl.OID)
+	if got != o {
+		t.Fatalf("lookup = %v", got)
 	}
-	if err := p.Call("NameRemoveOID", &proto.NameRemoveOIDArgs{DB: odb.DB, OID: o}, &proto.Empty{}); err != nil {
+	if err := r.NameRemoveOID(db, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("NameLookup", &proto.NameArgs{DB: odb.DB, Name: "root"}, &nl); err == nil {
+	if _, err := r.NameLookup(db, "root"); err == nil {
 		t.Fatal("name survived RemoveOID over RPC")
 	}
-	if err := p.Call("NameBind", &nb, &proto.Empty{}); err != nil {
+	if err := r.NameBind(db, "root", o); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("NameUnbind", &proto.NameArgs{DB: odb.DB, Name: "root"}, &proto.Empty{}); err != nil {
+	if err := r.NameUnbind(db, "root"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := r.NameLookup(db, "root"); err == nil {
+		t.Fatal("name survived Unbind over RPC")
 	}
 
 	// 2PC over RPC.
-	var ntx2 proto.NewTxReply
-	p.Call("NewTx", &proto.ClientArgs{}, &ntx2)
-	if err := p.Call("Prepare", &proto.CommitArgs{Client: hello.ID, Tx: ntx2.Tx}, &proto.Empty{}); err != nil {
+	tx2, _ := r.NewTx()
+	if err := r.Prepare(cl, tx2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Call("Decide", &proto.DecideArgs{Tx: ntx2.Tx, Commit: false}, &proto.Empty{}); err != nil {
+	if err := r.Decide(tx2, false); err != nil {
 		t.Fatal(err)
 	}
 
 	// Abort of a never-started tx is a no-op.
-	if err := p.Call("Abort", &proto.AbortArgs{Client: hello.ID, Tx: 999999}, &proto.Empty{}); err != nil {
+	if err := r.Abort(cl, 999999); err != nil {
 		t.Fatal(err)
 	}
 
 	// Released.
-	if err := p.Call("Released", &proto.ReleasedArgs{Client: hello.ID, Segs: []proto.SegKey{cs.Seg}}, &proto.Empty{}); err != nil {
+	if err := r.Released(cl, []proto.SegKey{cs.Seg}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,11 +274,11 @@ func TestRPCFullSurface(t *testing.T) {
 func TestRPCRunBoundsRejected(t *testing.T) {
 	s, p := callPeer(t)
 	var odb proto.OpenDBReply
-	if err := p.Call("OpenDB", &proto.OpenDBArgs{Name: "db", Create: true}, &odb); err != nil {
+	if err := rpc.Call(p, proto.MethodOpenDB, &proto.OpenDBArgs{Name: "db", Create: true}, &odb); err != nil {
 		t.Fatal(err)
 	}
 	var ar proto.AllocRunReply
-	if err := p.Call("AllocRun", &proto.AllocRunArgs{DB: odb.DB, NPages: 2}, &ar); err != nil {
+	if err := rpc.Call(p, proto.MethodAllocRun, &proto.AllocRunArgs{DB: odb.DB, NPages: 2}, &ar); err != nil {
 		t.Fatal(err)
 	}
 	limit := int64(s.lookupArea(ar.Area).Pages())
@@ -271,7 +301,7 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		}
 		var rr proto.Bytes
 		sent := p.WireStats().FramesSent
-		err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
+		err := rpc.Call(p, proto.MethodReadRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
 		if c.nPages < 0 || c.nPages > math.MaxInt32 {
 			// Not representable in the field's 31 bits: the call never leaves,
 			// and nothing of it is queued.
@@ -319,20 +349,20 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 	}
 
 	data := bytes.Repeat([]byte{0xAB}, 2*4096)
-	if err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
+	if err := rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	ragged := make([]byte, 4096+100)
 	if err := s.WriteRun(odb.DB, ar.Area, ar.Start, ragged); !errors.Is(err, ErrBadRun) {
 		t.Errorf("ragged WriteRun = %v, want ErrBadRun", err)
 	}
-	err := p.Call("WriteRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: ragged}, &proto.Empty{})
+	err := rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: ragged}, &proto.Empty{})
 	if err == nil || !strings.Contains(err.Error(), ErrBadRun.Error()) {
 		t.Errorf("ragged WriteRun over RPC = %v, want ErrBadRun", err)
 	}
 	// The server is still up, and the rejected write touched nothing.
 	var rr proto.Bytes
-	if err := p.Call("ReadRun", &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
+	if err := rpc.Call(p, proto.MethodReadRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rr.Data, data) {
@@ -343,16 +373,16 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 func TestRPCDisconnectCleans(t *testing.T) {
 	s, p := callPeer(t)
 	var hello proto.IDReply
-	if err := p.Call("Hello", &proto.HelloArgs{Name: "flaky"}, &hello); err != nil {
+	if err := rpc.Call(p, proto.MethodHello, &proto.HelloArgs{Name: "flaky"}, &hello); err != nil {
 		t.Fatal(err)
 	}
 	var odb proto.OpenDBReply
-	p.Call("OpenDB", &proto.OpenDBArgs{Name: "db", Create: true}, &odb)
+	rpc.Call(p, proto.MethodOpenDB, &proto.OpenDBArgs{Name: "db", Create: true}, &odb)
 	var cs proto.CreateSegmentReply
-	p.Call("CreateSegment", &proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1, DataPages: 1}, &cs)
+	rpc.Call(p, proto.MethodCreateSegment, &proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1, DataPages: 1}, &cs)
 	var ntx proto.NewTxReply
-	p.Call("NewTx", &proto.ClientArgs{}, &ntx)
-	if err := p.Call("Lock", &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {
+	rpc.Call(p, proto.MethodNewTx, &proto.ClientArgs{}, &ntx)
+	if err := rpc.Call(p, proto.MethodLock, &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	p.Close() // connection drops; OnClose disconnects the client

@@ -31,15 +31,6 @@ const (
 	maxScanBatch     = 4 << 20
 )
 
-// scanBatchPool recycles encoded ScanData bodies: SendStream copies the
-// bytes into the peer's write batch before returning, so the sender
-// goroutine can hand each body straight back for the next flush instead
-// of allocating ~1MB per batch.
-var scanBatchPool = sync.Pool{New: func() any { b := make([]byte, 0, defaultScanBatch); return &b }}
-
-func getScanBuf() *[]byte  { return scanBatchPool.Get().(*[]byte) }
-func putScanBuf(b *[]byte) { scanBatchPool.Put(b) }
-
 // scanCursor is one in-flight streaming scan.
 type scanCursor struct {
 	id    uint64
@@ -51,13 +42,6 @@ type scanCursor struct {
 	credit    int64 // bytes granted minus bytes pushed; guarded by mu
 	peak      int64 // high-water credit balance (the window); guarded by mu
 	cancelled bool  // guarded by mu
-}
-
-func newScanCursor(id uint64, batch int, plan []proto.ScanSeg) *scanCursor {
-	c := &scanCursor{id: id, batch: batch, plan: plan}
-	c.mu.Init("scanCursor.mu", 0) // unranked: never held across other locks
-	c.cond = sync.NewCond(&c.mu)
-	return c
 }
 
 // grant credits n more bytes (or cancels) and wakes the cursor.
@@ -105,11 +89,10 @@ func (c *scanCursor) waitCredit(n int) bool {
 
 // scanTable tracks one peer's live cursors and owns their goroutines.
 type scanTable struct {
-	g      goleak.Group
-	mu     lockcheck.Mutex
-	next   uint64                 // guarded by mu
-	scans  map[uint64]*scanCursor // guarded by mu
-	closed bool                   // guarded by mu; the peer went away: no new cursors
+	g     goleak.Group
+	mu    lockcheck.Mutex
+	next  uint64                 // guarded by mu
+	scans map[uint64]*scanCursor // guarded by mu
 }
 
 func newScanTable() *scanTable {
@@ -118,17 +101,23 @@ func newScanTable() *scanTable {
 	return t
 }
 
-// add registers a new cursor; nil once the table is closed.
-func (t *scanTable) add(batch int, plan []proto.ScanSeg) *scanCursor {
+// start registers a new cursor and runs it over p in the table's group. Once
+// close has halted the group, the group refuses the cursor's goroutine: start
+// removes the cursor again and fails.
+func (t *scanTable) start(p *rpc.Peer, batch int, plan []proto.ScanSeg, fetch segFetch) (*scanCursor, error) {
+	c := &scanCursor{batch: batch, plan: plan}
+	c.mu.Init("scanCursor.mu", 0) // unranked: never held across other locks
+	c.cond = sync.NewCond(&c.mu)
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
 	t.next++
-	c := newScanCursor(t.next, batch, plan)
+	c.id = t.next
 	t.scans[c.id] = c
-	return c
+	t.mu.Unlock()
+	if !t.g.Go("server.runScan", func(<-chan struct{}) { runScan(p, t, c, fetch) }) {
+		t.remove(c.id)
+		return nil, rpc.ErrClosed
+	}
+	return c, nil
 }
 
 func (t *scanTable) remove(id uint64) {
@@ -144,13 +133,13 @@ func (t *scanTable) lookup(id uint64) *scanCursor {
 }
 
 // close cancels every live cursor and joins their goroutines (the peer went
-// away). A ScanStart still in dispatch finds the table closed and fails, so
-// every cursor there will ever be is one cancelled here: the join cannot wait
-// on a cursor nobody cancels. It is short — the peer's sends fail by now, so
-// a cursor is at most inside one fetch.
+// away). It halts the group first: a ScanStart still in dispatch is refused
+// its goroutine and fails, so every cursor that runs is one cancelled here
+// and the join cannot wait on a cursor nobody cancels. It is short — the
+// peer's sends fail by now, so a cursor is at most inside one fetch.
 func (t *scanTable) close() {
+	t.g.Halt()
 	t.mu.Lock()
-	t.closed = true
 	cs := make([]*scanCursor, 0, len(t.scans))
 	for _, c := range t.scans {
 		cs = append(cs, c)
@@ -162,9 +151,9 @@ func (t *scanTable) close() {
 	t.g.Stop()
 }
 
-// serveScan adds the streaming-scan handlers of one peer to its handler
-// table h and registers the ScanCtl stream.
-func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Method) {
+// serveScan registers one peer's ScanCtl stream and returns its two
+// streaming-scan handlers.
+func serveScan(s *Server, p *rpc.Peer) []rpc.Method {
 	table := newScanTable()
 	p.SetOnClose(func(error) { table.close() })
 
@@ -193,39 +182,14 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Method) {
 			}
 			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
 		}
-		c := table.add(b, plan)
-		if c == nil || !table.g.Go("server.runScan", func(<-chan struct{}) { runScan(p, table, c, fetch) }) {
-			return nil, rpc.ErrClosed
+		c, err := table.start(p, b, plan, fetch)
+		if err != nil {
+			return nil, err
 		}
 		return &proto.ScanStartReply{Scan: c.id, Segs: plan}, nil
 	}
 
-	// A live scan ships what FetchSeg would: the usual short read locks and
-	// a copy-table registration for the scanning client.
-	h["ScanStart"] = rpc.Typed(func(a *proto.ScanStartArgs) (*proto.ScanStartReply, error) {
-		return start(a, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
-			return s.FetchSeg(a.Client, seg)
-		})
-	})
-
-	// SnapScanStart opens the same push cursor, but every image the cursor
-	// ships is read as of the snapshot's stamp — a stable analytics scan
-	// while updaters commit underneath (DESIGN.md §7). The fetch is the
-	// reader's: no locks, no copy-table registration, so the pushed images
-	// never join the callback protocol.
-	h["SnapScanStart"] = rpc.Typed(func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
-		stamp, err := s.vs.Stamp(a.Snap)
-		if err != nil {
-			return nil, err
-		}
-		rd := &s.reader
-		return start(&a.ScanStartArgs, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
-			sl, ov, data, _, err := rd.readAsOf(seg, 0, stamp) // shared or not, the encoder only reads
-			return sl, ov, data, err
-		})
-	})
-
-	p.HandleStream("ScanCtl", func(stream uint64, body []byte) {
+	rpc.HandleStream(p, proto.StreamScanCtl, func(stream uint64, body []byte) {
 		var ctl proto.ScanCtl
 		if proto.Decode(body, &ctl) != nil {
 			return // a garbled ctl frame is dropped, not fatal
@@ -234,23 +198,51 @@ func serveScan(s *Server, p *rpc.Peer, h map[string]rpc.Method) {
 			c.grant(ctl.Cancel, ctl.Credit)
 		}
 	})
+
+	return []rpc.Method{
+		// A live scan ships what FetchSeg would: the usual short read locks
+		// and a copy-table registration for the scanning client.
+		rpc.Typed(proto.MethodScanStart, func(a *proto.ScanStartArgs) (*proto.ScanStartReply, error) {
+			return start(a, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
+				return s.FetchSeg(a.Client, seg)
+			})
+		}),
+
+		// SnapScanStart opens the same push cursor, but every image the
+		// cursor ships is read as of the snapshot's stamp — a stable
+		// analytics scan while updaters commit underneath (DESIGN.md §7).
+		// The fetch is the reader's: no locks, no copy-table registration,
+		// so the pushed images never join the callback protocol.
+		rpc.Typed(proto.MethodSnapScanStart, func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
+			stamp, err := s.vs.Stamp(a.Snap)
+			if err != nil {
+				return nil, err
+			}
+			rd := &s.reader
+			return start(&a.ScanStartArgs, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
+				sl, ov, data, _, err := rd.readAsOf(seg, 0, stamp) // shared or not, the encoder only reads
+				return sl, ov, data, err
+			})
+		}),
+	}
 }
 
 // segFetch reads one segment's image for a scan.
 type segFetch func(proto.SegKey) (sl, ov, data []byte, err error)
 
 // runScan drives one cursor: fetch each planned segment, coalesce images
-// into batches, and push them as credits allow. Encoded batches are handed
-// to a sender goroutine so fetching the next segment overlaps the credit
-// wait and socket write of the previous batch. It exits on cancel, on a
+// into batches, and push them as credits allow. Batches are handed to a
+// sender goroutine, which encodes each straight into the peer's send batch,
+// so fetching the next segment overlaps the credit wait and socket write of
+// the previous batch. It exits on cancel, on a
 // send error (peer gone), or after the final batch. It has no Server: what
 // a scan can reach is what its fetch can, and a snapshot scan's fetch is the
 // reader's (DESIGN.md §4f).
 func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 	defer t.remove(c.id)
 	type push struct {
-		buf  *[]byte // pooled backing array; returned to the pool after the send
-		size int
+		batch *proto.ScanBatch
+		size  int // image bytes, what the batch costs in credit
 	}
 	var (
 		seq    uint32
@@ -264,27 +256,20 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 	defer close(sendCh)
 	sender.Go("server.scanSender", func(<-chan struct{}) {
 		for sp := range sendCh {
-			if !failed.Load() {
-				// Draining continues after a failure so the fetch loop
-				// never blocks; every batch still returns to the pool.
-				if !c.waitCredit(sp.size) || p.SendStream("ScanData", c.id, *sp.buf) != nil {
-					failed.Store(true)
-				}
+			// Draining continues after a failure so the fetch loop never
+			// blocks.
+			if !failed.Load() && (!c.waitCredit(sp.size) || rpc.SendStream(p, proto.StreamScanData, c.id, sp.batch) != nil) {
+				failed.Store(true)
 			}
-			putScanBuf(sp.buf)
 		}
 	})
-	// flush encodes the accumulated images into a pooled buffer and queues
-	// the batch for the sender. An error batch carries no images and is
-	// always last.
+	// flush queues the accumulated images as one batch for the sender, whose
+	// they are from then on. An error batch carries no images and is always
+	// last.
 	flush := func(last bool, errMsg string) {
-		sb := proto.ScanBatch{Seq: seq, Last: last, Err: errMsg, Images: images}
-		bp := getScanBuf()
-		*bp = proto.AppendScanBatch((*bp)[:0], &sb)
+		sendCh <- push{&proto.ScanBatch{Seq: seq, Last: last, Err: errMsg, Images: images}, size}
 		seq++
-		sz := size
-		images, size = images[:0], 0
-		sendCh <- push{buf: bp, size: sz}
+		images, size = nil, 0
 	}
 	for _, e := range c.plan {
 		if c.isCancelled() || failed.Load() {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +24,7 @@ type scanClient struct {
 
 func newScanClient(p *rpc.Peer) *scanClient {
 	c := &scanClient{p: p, done: make(chan struct{})}
-	p.HandleStream("ScanData", func(stream uint64, body []byte) {
+	rpc.HandleStream(p, proto.StreamScanData, func(stream uint64, body []byte) {
 		sb, err := proto.DecodeScanBatch(body)
 		if err != nil {
 			panic(err)
@@ -77,7 +78,7 @@ func TestScanCursorProtocol(t *testing.T) {
 	cli := newScanClient(cEnd)
 
 	var started proto.ScanStartReply
-	if err := cEnd.Call("ScanStart", &proto.ScanStartArgs{Client: 1, DB: db, FileID: fileID, BatchBytes: 8 << 10}, &started); err != nil {
+	if err := rpc.Call(cEnd, proto.MethodScanStart, &proto.ScanStartArgs{Client: 1, DB: db, FileID: fileID, BatchBytes: 8 << 10}, &started); err != nil {
 		t.Fatal(err)
 	}
 	scanID, plan := started.Scan, started.Segs
@@ -101,8 +102,7 @@ func TestScanCursorProtocol(t *testing.T) {
 	}
 	cli.mu.Unlock()
 
-	grant, _ := proto.Encode(&proto.ScanCtl{Credit: 1 << 20})
-	if err := cEnd.SendStream("ScanCtl", scanID, grant); err != nil {
+	if err := rpc.SendStream(cEnd, proto.StreamScanCtl, scanID, &proto.ScanCtl{Credit: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	batches := cli.wait(t)
@@ -151,13 +151,16 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 	cli := newScanClient(cEnd)
 
 	table := newScanTable()
-	c := table.add(8<<10, []proto.ScanSeg{
+	defer table.close()
+	c, err := table.start(sEnd, 8<<10, []proto.ScanSeg{
 		{Seg: real1, SlottedPages: 1},
 		{Seg: phantom, SlottedPages: 1},
 		{Seg: real2, SlottedPages: 1},
-	})
+	}, liveFetch(s, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.grant(false, 1<<20)
-	testGroup(t).Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) })
 
 	batches := cli.wait(t)
 	var segs []proto.SegKey
@@ -221,14 +224,17 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	defer cEnd.Close()
 	defer sEnd.Close()
 	var batches atomic.Int32
-	cEnd.HandleStream("ScanData", func(stream uint64, body []byte) { batches.Add(1) })
+	rpc.HandleStream(cEnd, proto.StreamScanData, func(stream uint64, body []byte) { batches.Add(1) })
 
 	// One byte of credit: the overdraw escape lets the first batch out,
 	// then the sender parks in waitCredit with the window deep in debt.
 	table := newScanTable()
-	c := table.add(1, plan)
+	defer table.close()
+	c, err := table.start(sEnd, 1, plan, liveFetch(s, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.grant(false, 1)
-	testGroup(t).Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) })
 
 	deadline := time.Now().Add(5 * time.Second)
 	for batches.Load() == 0 {
@@ -248,9 +254,9 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 }
 
 // TestScanTableCloseJoinsCursors: the peer's close hook cancels every cursor,
-// joins its goroutines, and leaves a table no ScanStart can add to — a cursor
-// added after the cancel would wait for credit from a peer that is gone, and
-// the join would wait for it.
+// joins its goroutines, and leaves a table no ScanStart can start a cursor in
+// — a cursor started after the cancel would wait for credit from a peer that
+// is gone, and the join would wait for it.
 func TestScanTableCloseJoinsCursors(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -267,10 +273,10 @@ func TestScanTableCloseJoinsCursors(t *testing.T) {
 	defer sEnd.Close()
 
 	table := newScanTable()
-	c := table.add(1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}})
 	// No credit is ever granted: the sender parks in waitCredit.
-	if !table.g.Go("server.runScan", func(<-chan struct{}) { runScan(sEnd, table, c, liveFetch(s, 1)) }) {
-		t.Fatal("a fresh table refused a cursor")
+	c, err := table.start(sEnd, 1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}}, liveFetch(s, 1))
+	if err != nil {
+		t.Fatalf("a fresh table refused a cursor: %v", err)
 	}
 	closed := make(chan struct{})
 	testGroup(t).Go("server.scanTable.close", func(<-chan struct{}) { table.close(); close(closed) })
@@ -282,8 +288,61 @@ func TestScanTableCloseJoinsCursors(t *testing.T) {
 	if table.lookup(c.id) != nil {
 		t.Fatal("close returned with the cursor still in the table")
 	}
-	if table.add(1, nil) != nil {
-		t.Fatal("a closed table took a new cursor")
+	if _, err := table.start(sEnd, 1, nil, liveFetch(s, 1)); !errors.Is(err, rpc.ErrClosed) {
+		t.Fatalf("start on a closed table: %v, want %v", err, rpc.ErrClosed)
+	}
+	if n := scanCount(table); n != 0 {
+		t.Fatalf("a closed table holds %d cursors", n)
 	}
 	goleak.Check(t, "server.")
+}
+
+// TestScanStartRacingCloseFails: ScanStarts racing the peer's close each
+// either start a cursor the close cancels and joins, or are refused their
+// goroutine — the table's group is halted before the close cancels anything
+// — and fail, taking their cursor out again. Either way no cursor and no
+// goroutine outlive the close.
+func TestScanStartRacingCloseFails(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, err := s.OpenDB("racedb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := createSeg(s, db, 3, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cEnd, sEnd := rpc.Pipe()
+	defer cEnd.Close()
+	defer sEnd.Close()
+
+	for round := 0; round < 20; round++ {
+		table := newScanTable()
+		var starts goleak.Group
+		var refused atomic.Int32
+		for i := 0; i < 4; i++ {
+			starts.Go("server.test.scanStart", func(<-chan struct{}) {
+				_, err := table.start(sEnd, 1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}}, liveFetch(s, 1))
+				if errors.Is(err, rpc.ErrClosed) {
+					refused.Add(1)
+				} else if err != nil {
+					t.Errorf("start: %v", err)
+				}
+			})
+		}
+		table.close()
+		starts.Stop()
+		if n := scanCount(table); n != 0 {
+			t.Fatalf("round %d: %d cursors outlive the close (%d starts refused)", round, n, refused.Load())
+		}
+	}
+	goleak.Check(t, "server.")
+}
+
+// scanCount is the number of cursors in t.
+func scanCount(t *scanTable) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.scans)
 }
