@@ -46,7 +46,7 @@ func runE11(clients, commitsPerClient int, scrubEvery time.Duration) E11Result {
 	db, _, err := srv.OpenDB("e11", true)
 	must(err)
 	if scrubEvery > 0 {
-		srv.StartScrub(scrubEvery, 0)
+		srv.StartScrub(scrubEvery)
 	}
 
 	keys := make([]proto.SegKey, clients)

@@ -37,7 +37,7 @@ func TestScrubOverhead(t *testing.T) {
 			env := SetupE18(2, 4, 10, 2048)
 			defer env.Close()
 			if scrub > 0 {
-				env.srv.StartScrub(scrub, 0)
+				env.srv.StartScrub(scrub)
 			}
 			t0 := time.Now()
 			for i := 0; i < 12; i++ {

@@ -70,22 +70,6 @@ func NewRemote(p *rpc.Peer) *Remote {
 	return r
 }
 
-// Dial connects to a server address with the default fault-hardened dialer
-// (connect timeout, jittered retry — see rpc.Dialer) and wraps the peer.
-func Dial(addr string) (*Remote, error) {
-	var d rpc.Dialer
-	return DialWith(&d, addr)
-}
-
-// DialWith connects with an explicit dialer configuration.
-func DialWith(d *rpc.Dialer, addr string) (*Remote, error) {
-	p, err := d.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewRemote(p), nil
-}
-
 // SetCallback implements proto.Conn. The server calls back over this
 // connection, which carries one client: cb answers its Callback requests.
 func (r *Remote) SetCallback(_ uint32, cb func(proto.SegKey) (bool, error)) error {

@@ -532,31 +532,18 @@ func (s *Session) ensureWriteLocks(images []proto.SegImage) error {
 // stays resident for the next transaction.
 func (s *Session) Commit() error {
 	s.mu.Lock()
-	if s.snapMode {
-		s.mu.Unlock()
+	snap := s.snapMode
+	s.mu.Unlock()
+	if snap {
 		return s.EndSnapshot() // a snapshot commits nothing; just close it
 	}
-	if !s.inTx {
-		s.mu.Unlock()
-		return ErrNoTx
-	}
-	txid := s.txID
-	s.mu.Unlock()
-	images, err := s.shipImages()
-	if err == nil {
-		err = s.ensureWriteLocks(images)
-	}
+	images, err := s.ship(false)
 	if err != nil {
-		_ = s.Abort()
+		if err != ErrNoTx {
+			_ = s.Abort()
+		}
 		return err
 	}
-	if err := s.conn.Commit(s.client, txid, images); err != nil {
-		_ = s.Abort()
-		return err
-	}
-	s.mu.Lock()
-	s.stats.SegsShipped += int64(len(images))
-	s.mu.Unlock()
 	for _, img := range images {
 		s.mapper.MarkClean(segID(img.Seg))
 	}
@@ -567,27 +554,38 @@ func (s *Session) Commit() error {
 // PrepareCommit is the distributed variant's phase-1: ship images and vote.
 // FinishCommit delivers the coordinator's decision.
 func (s *Session) PrepareCommit() error {
+	_, err := s.ship(true)
+	return err
+}
+
+// ship is what Commit and PrepareCommit share: it builds the commit payload,
+// takes X on every segment in it and hands it to the server under the
+// current transaction — to commit, or to prepare for a 2PC decision — and
+// returns what it shipped.
+func (s *Session) ship(prepare bool) ([]proto.SegImage, error) {
 	s.mu.Lock()
 	if !s.inTx {
 		s.mu.Unlock()
-		return ErrNoTx
+		return nil, ErrNoTx
 	}
 	txid := s.txID
 	s.mu.Unlock()
 	images, err := s.shipImages()
+	if err == nil {
+		err = s.ensureWriteLocks(images)
+	}
+	if err == nil && prepare {
+		err = s.conn.Prepare(s.client, txid, images)
+	} else if err == nil {
+		err = s.conn.Commit(s.client, txid, images)
+	}
 	if err != nil {
-		return err
-	}
-	if err := s.ensureWriteLocks(images); err != nil {
-		return err
-	}
-	if err := s.conn.Prepare(s.client, txid, images); err != nil {
-		return err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.stats.SegsShipped += int64(len(images))
 	s.mu.Unlock()
-	return nil
+	return images, nil
 }
 
 // FinishCommit completes a prepared transaction with the 2PC decision.

@@ -591,6 +591,28 @@ func TestVeryLargeObjectOverConnection(t *testing.T) {
 	}
 }
 
+// TestRunStoreFree: the session's run store hands a freed run back to the
+// server's area, so a second free of the same run is refused.
+func TestRunStoreFree(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	s, _ := openRemote(t, srv, "runs")
+	store, err := s.RunStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, granted, err := store.Alloc(4)
+	if err != nil || granted < 4 {
+		t.Fatalf("Alloc(4): %d pages at %d, %v", granted, start, err)
+	}
+	if err := store.Free(start); err != nil {
+		t.Fatalf("Free of an allocated run: %v", err)
+	}
+	if err := store.Free(start); err == nil {
+		t.Fatal("a run freed once was freed again")
+	}
+}
+
 func TestDeleteObjectRemovesRootName(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()

@@ -341,3 +341,60 @@ func TestNilRefGuards(t *testing.T) {
 		t.Fatal("NilRef not nil")
 	}
 }
+
+// TestTypedPut: Put re-encodes a typed object in place, and the next
+// transaction reads the new value through Get.
+func TestTypedPut(t *testing.T) {
+	_, db := openDB(t)
+	ty, _ := Register(db, personDesc, encPerson, decPerson)
+	f, _ := db.CreateFile("people")
+	db.Begin()
+	r, err := ty.New(f, &person{Name: "Erin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Commit()
+
+	db.Begin()
+	if err := ty.Put(db, r, &person{Name: "Frank"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.Begin()
+	defer db.Commit()
+	if p, err := ty.Get(db, r); err != nil || p.Name != "Frank" {
+		t.Fatalf("after Put: %+v, %v", p, err)
+	}
+}
+
+// TestUnsetRootKeepsTheObject: UnsetRoot removes a name and nothing else —
+// the object stays where its references find it — and a name that is not
+// bound cannot be removed.
+func TestUnsetRootKeepsTheObject(t *testing.T) {
+	_, db := openDB(t)
+	ty, _ := Register(db, personDesc, encPerson, decPerson)
+	f, _ := db.CreateFile("people")
+	db.Begin()
+	r, _ := ty.New(f, &person{Name: "Gil"})
+	if err := db.SetRoot("gil", r); err != nil {
+		t.Fatal(err)
+	}
+	db.Commit()
+
+	if err := db.UnsetRoot("gil"); err != nil {
+		t.Fatal(err)
+	}
+	db.Begin()
+	defer db.Commit()
+	if _, err := db.Root("gil"); err == nil {
+		t.Fatal("the root survived UnsetRoot")
+	}
+	if p, err := ty.Get(db, r); err != nil || p.Name != "Gil" {
+		t.Fatalf("the object after UnsetRoot: %+v, %v", p, err)
+	}
+	if err := db.UnsetRoot("gil"); err == nil {
+		t.Fatal("UnsetRoot of a name no longer bound succeeded")
+	}
+}

@@ -269,3 +269,50 @@ func TestInDoubtAbortAfterRestart(t *testing.T) {
 		t.Fatalf("aborted branch visible: %d", got)
 	}
 }
+
+// TestFileStreamScanOverTCP: over an RPC connection, File.StreamScan visits
+// every live object of a file that spans several segments, each once, from a
+// cold cache.
+func TestFileStreamScanOverTCP(t *testing.T) {
+	_, addr := tcpServer(t, 1)
+	db := dialDB(t, addr, "scandb")
+	ty, err := Register(db, acctDesc, encU64, decU64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := db.CreateFile("accts", WithGeometry(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	db.Begin()
+	for i := uint64(1); i <= n; i++ {
+		if _, err := ty.New(f, &i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := dialDB(t, addr, "scandb")
+	cf, err := cold.OpenFile("accts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := cf.segments(); err != nil || len(segs) < 2 {
+		t.Fatalf("the file spans %d segments (%v), want several", len(segs), err)
+	}
+	cold.Begin()
+	defer cold.Commit()
+	seen, visits := make(map[uint64]bool), 0
+	err = cf.StreamScan(func(o *Object) error {
+		b, err := o.Bytes()
+		seen[*decU64(b)] = true
+		visits++
+		return err
+	})
+	if err != nil || len(seen) != n || visits != n {
+		t.Fatalf("StreamScan made %d visits to %d distinct objects of %d (%v)", visits, len(seen), n, err)
+	}
+}

@@ -128,7 +128,7 @@ func TestAsOfRetainsNothingUnread(t *testing.T) {
 	}
 }
 
-// TestAsOfCommitReadsDataOnce: updateBase's image is both the chain's
+// TestAsOfCommitReadsDataOnce: applyOne's image is both the chain's
 // pre-update image and the before-image of every run the commit overwrites in
 // place, so a commit reads the same pages whether a snapshot is open or not.
 func TestAsOfCommitReadsDataOnce(t *testing.T) {
@@ -166,7 +166,7 @@ func TestAsOfCommitReadsDataOnce(t *testing.T) {
 }
 
 // TestAsOfChainImagesAreNeverWritten: the image a chain keeps is the buffer
-// updateBase read, so nothing may write it afterwards — a commit that adds a
+// applyOne read, so nothing may write it afterwards — a commit that adds a
 // large object's descriptor to the overflow run logs a new image of the run,
 // and the snapshot's image still verifies against its own header.
 func TestAsOfChainImagesAreNeverWritten(t *testing.T) {

@@ -125,3 +125,61 @@ func TestOpenWithoutItsLogKeepsEveryArea(t *testing.T) {
 		}
 	}
 }
+
+// TestAddAreaWithoutItsRecordLeavesNoFile: an area is created, whole, before
+// the record that names it; an AddArea whose record cannot be logged closes
+// the area and removes its file again (discardArea), so nothing the log does
+// not name is left for restart to judge.
+func TestAddAreaWithoutItsRecordLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	db, _, err := s.OpenDB("d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "area-*.bess"))
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddArea(db); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("AddArea over a closed log: %v, want wal.ErrClosed", err)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "area-*.bess")); len(after) != len(before) {
+		t.Fatalf("area files %v after the failed AddArea, want %v", after, before)
+	}
+}
+
+// TestMemServerLeavesTheDirectoryAlone: every server opens through restart,
+// but only a file-backed one owns a directory. A memory server opened in a
+// working directory that holds an area file no log names — one a file
+// server's restart would remove — leaves the file where it is.
+func TestMemServerLeavesTheDirectoryAlone(t *testing.T) {
+	dir := t.TempDir()
+	junk := filepath.Join(dir, "area-9.bess")
+	if err := os.WriteFile(junk, []byte("not an area"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s := NewMem(1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(junk); err != nil || string(b) != "not an area" {
+		t.Fatalf("%s after a memory server's open: %q, %v", junk, b, err)
+	}
+}

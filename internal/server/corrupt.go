@@ -233,20 +233,15 @@ func (s *Server) ScrubOnce() (ScrubStats, error) {
 			return s.ScrubStatus(), err
 		}
 		s.scrubCtr.pagesVerified.Add(int64((len(sl) + len(over) + len(data)) / page.Size))
-		if s.scrubPace > 0 {
-			time.Sleep(s.scrubPace)
-		}
 	}
 	return s.ScrubStatus(), nil
 }
 
 // StartScrub launches the background scrubber: one full pass every
-// interval, sleeping pace between segments so a pass never monopolizes the
-// disk. One-shot per server: a second call is a no-op, and StopScrub (or
+// interval. One-shot per server: a second call is a no-op, and StopScrub (or
 // Close) retires the scrubber for good.
-func (s *Server) StartScrub(interval, pace time.Duration) {
+func (s *Server) StartScrub(interval time.Duration) {
 	s.scrubOnce.Do(func() {
-		s.scrubPace = pace
 		s.scrub.Go("server.scrubber", func(stop <-chan struct{}) {
 			t := time.NewTicker(interval)
 			defer t.Stop()

@@ -190,8 +190,8 @@ func TestBackgroundScrubberRepairs(t *testing.T) {
 	sl, _, _, _ := s.FetchSeg(0, key)
 	dec, _ := segment.DecodeSlotted(sl)
 	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 11)
-	s.StartScrub(time.Millisecond, 0)
-	s.StartScrub(time.Millisecond, 0) // idempotent while running
+	s.StartScrub(time.Millisecond)
+	s.StartScrub(time.Millisecond) // idempotent while running
 	deadline := time.Now().Add(5 * time.Second)
 	for s.ScrubStatus().Repaired == 0 {
 		if time.Now().After(deadline) {

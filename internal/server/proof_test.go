@@ -70,9 +70,10 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 	}
 }
 
-// TestLogAndApplyRequiresStaging: no page of a segment is logged or written
-// for a transaction that did not stage the overwrite with the version store;
-// the staged one is written by its commit, and not before.
+// TestLogAndApplyRequiresStaging: no page of a shipped segment is logged
+// (logShipped) or written for a transaction that did not stage the overwrite
+// with the version store; the staged one is written by its commit, and not
+// before.
 func TestLogAndApplyRequiresStaging(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -84,21 +85,22 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 
 	tr, other := s.txm.Begin(), s.txm.Begin()
 	defer func() { _, _ = tr.Abort(), other.Abort() }()
-	_, _, foreign, err := s.updateBase(other, key)
+	_, sl, ov, dt, err := s.readImage(key, secAll, s.live())
 	if err != nil {
 		t.Fatal(err)
 	}
+	foreign := s.vs.StageUpdate(other.ID(), vkeyOf(key), cache.VImage{Slotted: sl, Overflow: ov, Data: dt})
 	end := s.log.NextLSN()
 	for name, staged := range map[string]cache.Staged{"zero": {}, "another transaction's": foreign} {
-		if err := s.logAndApply(staged, tr, key.Area, page.No(key.Start), nil, data, new([]byte)); !errors.Is(err, ErrNotStaged) {
-			t.Fatalf("logAndApply on %s Staged: %v, want ErrNotStaged", name, err)
+		if err := s.logShipped(tr, staged, key, nil, data, nil, new([]byte)); !errors.Is(err, ErrNotStaged) {
+			t.Fatalf("logShipped on %s Staged: %v, want ErrNotStaged", name, err)
 		}
 	}
 	if s.log.NextLSN() != end || !bytes.Equal(readPage(t, s, pid), was) {
 		t.Fatal("an unstaged overwrite was logged or written")
 	}
-	if err := s.logAndApply(foreign, other, key.Area, page.No(key.Start), nil, data, new([]byte)); err != nil {
-		t.Fatalf("logAndApply on the transaction's own Staged: %v", err)
+	if err := s.logShipped(other, foreign, key, nil, data, nil, new([]byte)); err != nil {
+		t.Fatalf("logShipped on the transaction's own Staged: %v", err)
 	}
 	if !bytes.Equal(readPage(t, s, pid), was) {
 		t.Fatal("a shipped overwrite reached the area before its commit")

@@ -100,7 +100,6 @@ type Server struct {
 	// group StopScrub and Close stop.
 	scrub     goleak.Group
 	scrubOnce sync.Once
-	scrubPace time.Duration // set before the scrubber starts
 
 	// media, when non-nil, supplies the durable devices instead of dir
 	// (OpenMedia: fault-injection harnesses run the full stack over
@@ -181,9 +180,7 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		return nil, err
 	}
 	s.cat = newCatalog(s.log)
-	if dir == "" && media == nil {
-		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
-	} else if err = s.restart(); err != nil {
+	if err = s.restart(); err != nil {
 		errs := []error{err, s.log.Close()}
 		for _, a := range s.openAreas() {
 			errs = append(errs, a.Close())
@@ -206,19 +203,20 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	return s, nil
 }
 
-// restart brings a file-backed or Media server's storage to what its log
-// describes, outermost structure first: the catalog (rebuilt from the ops the
-// log holds, found in the one analysis pass over it), then the storage those
-// ops name — an area file created, a segment's runs allocated and formatted —
-// and only then the pages and the transaction table (tx.Restart: repeat
-// history, roll back losers, keep in-doubt 2PC branches for the
-// coordinator's decision), which need both.
+// restart brings a server's storage to what its log describes — nothing, for
+// a memory server's empty log — outermost structure first: the catalog
+// (rebuilt from the ops the log holds, found in the one analysis pass over
+// it), then the storage those ops name — an area file created, a segment's
+// runs allocated and formatted — and only then the pages and the transaction
+// table (tx.Restart: repeat history, roll back losers, keep in-doubt 2PC
+// branches for the coordinator's decision), which need both. Only a
+// file-backed server owns a directory whose unnamed area files it removes.
 func (s *Server) restart() error {
 	an, segs, err := s.cat.replay()
 	if err != nil {
 		return err
 	}
-	if s.media == nil {
+	if s.dir != "" {
 		if err := s.removeOrphanAreas(); err != nil {
 			return err
 		}
@@ -832,165 +830,183 @@ func (s *Server) LockObject(client uint32, txid uint64, seg proto.SegKey, slot i
 
 // --- commit / abort / 2PC ---
 
-// applySegImages logs the shipped images under t, allocating new runs when a
-// segment's data or overflow grew (server-side relocation). It writes no
-// page: the records are redo-only, and t's commit writes their pages once its
-// commit record is durable (tx.Tx.Commit).
-func (s *Server) applySegImages(t *tx.Tx, segs []proto.SegImage) error {
-	// One buffer for the current content of every data and overflow run the
-	// commit overwrites, grown to the largest and reused from segment to
-	// segment: t keeps the new images until it commits, never the old.
+// apply is what a commit and a prepare share: it logs the shipped images
+// under txid's branch, which must hold X (or SIX) on each of their segments,
+// and returns the branch, rolled back if an image fails. It writes no page —
+// the records are redo-only, and the branch's commit writes their pages once
+// its commit record is durable (tx.Tx.Commit) — and forces nothing: the one
+// force of the commit or prepare record covers these buffered records, so a
+// commit never pays a second fsync or waits on another transaction's tail.
+func (s *Server) apply(client uint32, txid uint64, segs []proto.SegImage) (*tx.Tx, error) {
+	s.stats.messages.Add(1)
+	for _, si := range segs {
+		if err := s.requireX(txid, si.Seg); err != nil {
+			return nil, err
+		}
+	}
+	t := s.ensureTx(client, txid)
+	// One buffer for the current content of every fresh run the commit fills,
+	// grown to the largest and reused from segment to segment: t keeps the
+	// new images until it commits, never the old.
 	var scratch []byte
 	for _, si := range segs {
 		if err := s.applyOne(t, si, &scratch); err != nil {
-			return err
+			_ = t.Abort()
+			return nil, err
 		}
 	}
-	// No force here: the single force of the commit/prepare record's LSN
-	// (tx.Commit / tx.Prepare) covers these buffered records, so a commit
-	// never pays a second fsync or waits on another transaction's tail.
-	return nil
+	return t, nil
 }
 
+// applyOne logs one shipped segment under t. It reads the current image once
+// and stages it with the version store: the image is the before-image of
+// every run that stays where it is, and the version chain's pre-update image,
+// which the store owns from here on, so nobody writes its bytes. Until t
+// ends, snapshot reads of the segment wait out the overwrite; unstaged, an
+// open snapshot's Recheck would pass (the stamp never advanced) while pages
+// change underneath it. The data and overflow sections then take one step
+// each (place), and the slotted image, re-encoded over their final geometry,
+// is logged ahead of them (logShipped).
 func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
-	newSeg, err := segment.DecodeSlotted(si.Slotted)
+	nu, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
-	cur, old, staged, err := s.updateBase(t, si.Seg)
+	cur, sl, over, data, err := s.readImage(si.Seg, secAll, s.live())
 	if err != nil {
 		return err
 	}
-	// updateBase's image is each run's before-image, unless the run moves.
-	dataBefore, overBefore := old.Data, old.Overflow
-	dataMoves := int(newSeg.Hdr.DataPages) > int(cur.Hdr.DataPages) ||
-		newSeg.Hdr.DataStart != cur.Hdr.DataStart
-	overGrows := int(newSeg.Hdr.OverPages) > int(cur.Hdr.OverPages)
-	// A section that ships covers its whole run (a moved run is padded out
-	// below): the server checksums what lands on disk, and could not vouch
-	// for a run it received only part of.
-	if len(si.Data) > 0 && !dataMoves && len(si.Data) < int(newSeg.Hdr.DataPages)*page.Size ||
-		len(si.Overflow) > 0 && !overGrows && len(si.Overflow) < int(cur.Hdr.OverPages)*page.Size {
-		return ErrShortSection
+	old := cache.VImage{Slotted: sl, Overflow: over, Data: data}
+	staged := s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg), old)
+	nh, ch := &nu.Hdr, &cur.Hdr
+	secs := [2]section{
+		// A data section moves when it grows or the shipped header names
+		// another run (on-the-fly relocation: references name slots, so none
+		// changes); an overflow section only when it grows.
+		{nu: dataFields(nh), cur: dataFields(ch), ship: si.Data, before: old.Data,
+			moves: nh.DataPages > ch.DataPages || nh.DataStart != ch.DataStart},
+		{nu: overFields(nh), cur: overFields(ch), ship: si.Overflow, before: old.Overflow,
+			moves: nh.OverPages > ch.OverPages},
 	}
-	// Grown data segment? Allocate a fresh run and point the header at it
-	// — on-the-fly relocation; existing references are unaffected because
-	// they name slots.
-	if dataMoves {
-		a := s.lookupArea(si.Seg.Area)
-		if a == nil {
-			return ErrNoArea
+	// A section that ships and stays covers its whole run: the server
+	// checksums what lands on disk, and could not vouch for a run it received
+	// only part of. Neither section takes a run before both are known whole.
+	for _, sec := range secs {
+		if len(sec.ship) > 0 && !sec.moves && len(sec.ship) < int(*sec.cur.pages)*page.Size {
+			return ErrShortSection
 		}
-		start, granted, err2 := a.AllocSegment(int(newSeg.Hdr.DataPages))
-		if err2 != nil {
-			return err2
-		}
-		newSeg.Hdr.DataArea = page.AreaID(si.Seg.Area)
-		newSeg.Hdr.DataStart = start
-		newSeg.Hdr.DataPages = uint32(granted)
-		dataBefore = nil
-		if len(si.Data) < granted*page.Size {
-			grown := make([]byte, granted*page.Size)
-			copy(grown, si.Data)
-			si.Data = grown
-		}
-	} else {
-		newSeg.Hdr.DataArea = cur.Hdr.DataArea
-		newSeg.Hdr.DataStart = cur.Hdr.DataStart
 	}
-	// Overflow growth likewise.
-	if overGrows {
-		a := s.lookupArea(si.Seg.Area)
-		if a == nil {
-			return ErrNoArea
-		}
-		start, granted, err2 := a.AllocSegment(int(newSeg.Hdr.OverPages))
-		if err2 != nil {
-			return err2
-		}
-		newSeg.Hdr.OverArea = page.AreaID(si.Seg.Area)
-		newSeg.Hdr.OverStart = start
-		newSeg.Hdr.OverPages = uint32(granted)
-		overBefore = nil
-		if len(si.Overflow) < granted*page.Size {
-			grown := make([]byte, granted*page.Size)
-			copy(grown, si.Overflow)
-			si.Overflow = grown
-		}
-	} else if cur.Hdr.OverPages > 0 {
-		newSeg.Hdr.OverArea = cur.Hdr.OverArea
-		newSeg.Hdr.OverStart = cur.Hdr.OverStart
-		newSeg.Hdr.OverPages = cur.Hdr.OverPages
-	}
-	// The server is authoritative for section checksums: a client-encoded
-	// header may carry CRCs that predate server-side relocation padding, or
-	// cover a cached data section this commit does not ship. Recompute over
-	// the bytes that will actually land on disk; carry the current
-	// (verified) CRC forward when the section is untouched.
-	dataLen, overLen := int(newSeg.Hdr.DataPages)*page.Size, int(newSeg.Hdr.OverPages)*page.Size
-	if len(si.Data) > 0 {
-		newSeg.Hdr.DataCRC = page.Checksum(si.Data[:dataLen])
-		newSeg.Hdr.CRCFlags |= segment.CRCData
-	} else if cur.Hdr.CRCFlags&segment.CRCData != 0 {
-		newSeg.Hdr.DataCRC = cur.Hdr.DataCRC
-		newSeg.Hdr.CRCFlags |= segment.CRCData
-	} else {
-		newSeg.Hdr.CRCFlags &^= segment.CRCData
-	}
-	if len(si.Overflow) > 0 && overLen > 0 {
-		newSeg.Hdr.OverCRC = page.Checksum(si.Overflow[:overLen])
-		newSeg.Hdr.CRCFlags |= segment.CRCOver
-	} else if cur.Hdr.OverPages > 0 && newSeg.Hdr.OverStart == cur.Hdr.OverStart &&
-		cur.Hdr.CRCFlags&segment.CRCOver != 0 {
-		newSeg.Hdr.OverCRC = cur.Hdr.OverCRC
-		newSeg.Hdr.CRCFlags |= segment.CRCOver
-	} else {
-		newSeg.Hdr.CRCFlags &^= segment.CRCOver
-	}
-	// Re-encode with the final geometry and log everything.
-	img := newSeg.EncodeSlotted()
-	if err := s.logAndApply(staged, t, si.Seg.Area, page.No(si.Seg.Start), old.Slotted, img[:len(old.Slotted)], scratch); err != nil {
-		return err
-	}
-	if len(si.Data) > 0 {
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.DataArea), newSeg.Hdr.DataStart, dataBefore, si.Data[:dataLen], scratch); err != nil {
+	for i := range secs {
+		if err := s.place(&secs[i], si.Seg.Area); err != nil {
 			return err
 		}
 	}
-	if len(si.Overflow) > 0 && overLen > 0 {
-		if err := s.logAndApply(staged, t, uint32(newSeg.Hdr.OverArea), newSeg.Hdr.OverStart, overBefore, si.Overflow[:overLen], scratch); err != nil {
+	img := nu.EncodeSlotted()
+	return s.logShipped(t, staged, si.Seg, old.Slotted, img[:len(old.Slotted)], secs[:], scratch)
+}
+
+// section is one section of a shipped segment, its data or its overflow, on
+// its way to the log: its fields in the shipped header (which the server
+// rewrites) and in the current one, whether it moves into a fresh run, the
+// bytes shipped for it (none: it does not ship) and the run's current
+// content (nil once it moves).
+type section struct {
+	nu, cur      fields
+	moves        bool
+	ship, before []byte
+}
+
+// fields are the header fields of one section: where its run lies and its
+// checksum, valid when bit is set in flags.
+type fields struct {
+	area  *page.AreaID
+	start *page.No
+	pages *uint32
+	crc   *uint32
+	flags *uint8
+	bit   uint8
+}
+
+func dataFields(h *segment.Header) fields {
+	return fields{&h.DataArea, &h.DataStart, &h.DataPages, &h.DataCRC, &h.CRCFlags, segment.CRCData}
+}
+
+func overFields(h *segment.Header) fields {
+	return fields{&h.OverArea, &h.OverStart, &h.OverPages, &h.OverCRC, &h.CRCFlags, segment.CRCOver}
+}
+
+// place settles where sec lands and what its checksum is. A section that
+// moves gets a fresh run in area aid, its bytes zero-padded to the run the
+// area grants (freshRun); one that stays keeps the current run. The server is
+// authoritative for the checksum — the shipped header's may predate the
+// padding, or cover a cached section this commit does not ship: it covers the
+// bytes that land in the run when the section ships, is carried from the
+// current (verified) header when the run stays untouched, and is claimed for
+// nothing else. A run of no pages lands nothing, so its section ships none.
+func (s *Server) place(sec *section, aid uint32) error {
+	nu, cur := sec.nu, sec.cur
+	if sec.moves {
+		start, run, err := s.freshRun(aid, int(*nu.pages), sec.ship)
+		if err != nil {
 			return err
 		}
+		*nu.area, *nu.start, *nu.pages = page.AreaID(aid), start, uint32(len(run)/page.Size)
+		sec.ship, sec.before = run, nil
+	} else {
+		*nu.area, *nu.start, *nu.pages = *cur.area, *cur.start, *cur.pages
+	}
+	n := int(*nu.pages) * page.Size
+	if n == 0 {
+		sec.ship = nil
+	}
+	switch {
+	case len(sec.ship) > 0:
+		sec.ship = sec.ship[:n]
+		*nu.crc, *nu.flags = page.Checksum(sec.ship), *nu.flags|nu.bit
+	case *cur.pages > 0 && *cur.flags&cur.bit != 0:
+		*nu.crc, *nu.flags = *cur.crc, *nu.flags|nu.bit
+	default:
+		*nu.flags &^= nu.bit
 	}
 	return nil
 }
 
-// updateBase starts t's overwrite of seg: it reads the decoded current header
-// (overflow attached) and the current image, and stages the image with the
-// version store, whose proof of that is what logAndApply takes to log a page.
-// The image is read once and serves twice: it is the before-image of every
-// run the overwrite does not move, and it is the
-// version chain's pre-update image, which the store owns from here on — so
-// neither the caller nor anyone else writes its bytes. From here until t
-// ends, snapshot reads of the segment wait out the overwrite window. Without
-// the staging an open snapshot's Recheck passes (the stamp never advanced)
-// while pages change underneath it: a torn as-of read.
-func (s *Server) updateBase(t *tx.Tx, seg proto.SegKey) (cur *segment.Seg, old cache.VImage, staged cache.Staged, err error) {
-	cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(seg, secAll, s.live())
-	if err != nil {
-		return nil, old, staged, err
+// freshRun allocates a run of at least pages pages in area aid and returns
+// its start and its content: content, zero-padded to the pages the area
+// granted, in a buffer of its own.
+func (s *Server) freshRun(aid uint32, pages int, content []byte) (page.No, []byte, error) {
+	a := s.lookupArea(aid)
+	if a == nil {
+		return 0, nil, ErrNoArea
 	}
-	return cur, old, s.vs.StageUpdate(t.ID(), vkeyOf(seg), old), nil
+	start, granted, err := a.AllocSegment(pages)
+	if err != nil {
+		return 0, nil, err
+	}
+	run := make([]byte, granted*page.Size)
+	copy(run, content)
+	return start, run, nil
 }
 
-// logAndApply logs data over the run at start for a shipped commit, page by
-// page (eachPage). staged is updateBase's proof that t staged the segment
-// these pages belong to.
-func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
+// logShipped logs the runs of a shipped segment seg for t: its slotted image
+// over before, then each section that ships. staged is applyOne's proof that
+// t staged seg with the version store; no page of a segment is logged
+// without it.
+func (s *Server) logShipped(t *tx.Tx, staged cache.Staged, seg proto.SegKey, before, slotted []byte, secs []section, scratch *[]byte) error {
 	if !staged.By(t.ID()) {
 		return ErrNotStaged
 	}
-	return s.eachPage(t, areaID, start, before, data, scratch)
+	if err := s.eachPage(t, seg.Area, page.No(seg.Start), before, slotted, scratch); err != nil {
+		return err
+	}
+	for _, sec := range secs {
+		if len(sec.ship) > 0 {
+			if err := s.eachPage(t, uint32(*sec.nu.area), *sec.nu.start, sec.before, sec.ship, scratch); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // eachPage logs each page of the run at start that data changes as a
@@ -999,11 +1015,10 @@ func (s *Server) logAndApply(staged cache.Staged, t *tx.Tx, areaID uint32, start
 // writes, whole, after its force. Nothing here can write one: LogRedo hands
 // back no proof. Unchanged pages are neither logged nor written. before is the
 // run's current content in whole pages, as the caller read it; a nil before —
-// a run the transaction allocated, or that updateBase's image does not cover —
-// is read here, into *scratch, which grows geometrically to the largest run it
-// has served and is the caller's to hand to the next call. data is whole
-// pages: every caller cuts or pads it to its run, and LogRedo refuses a page
-// it would end inside.
+// a fresh run — is read here, into *scratch, which grows geometrically to the
+// largest run it has served and is the caller's to hand to the next call.
+// data is whole pages: every caller cuts or pads it to its run, and LogRedo
+// refuses a page it would end inside.
 func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
 	if before == nil {
 		a := s.lookupArea(areaID)
@@ -1027,16 +1042,6 @@ func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data [
 	return nil
 }
 
-// requireLocks verifies the tx holds X (or SIX) on each shipped segment.
-func (s *Server) requireLocks(txid uint64, segs []proto.SegImage) error {
-	for _, si := range segs {
-		if err := s.requireX(txid, si.Seg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // requireX verifies the tx holds X (or SIX) on seg.
 func (s *Server) requireX(txid uint64, seg proto.SegKey) error {
 	if m := s.locks.Holds(lock.TxID(txid), segLockName(seg)); m != lock.X && m != lock.SIX {
@@ -1049,22 +1054,14 @@ func (s *Server) requireX(txid uint64, seg proto.SegKey) error {
 // Their records are redo-only, and their pages are written after the commit
 // record is durable (tx.Tx.Commit).
 func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error {
-	s.stats.messages.Add(1)
-	if len(segs) > 0 {
-		if err := s.requireLocks(txid, segs); err != nil {
-			return err
-		}
+	t, err := s.apply(client, txid, segs)
+	if err == nil {
+		err = t.Commit()
 	}
-	t := s.ensureTx(client, txid)
-	if err := s.applySegImages(t, segs); err != nil {
-		_ = t.Abort()
-		return err
+	if err == nil {
+		s.stats.commits.Add(1)
 	}
-	if err := t.Commit(); err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	return nil
+	return err
 }
 
 // Abort implements proto.Conn.
@@ -1083,15 +1080,8 @@ func (s *Server) Abort(client uint32, txid uint64) error {
 // nothing is written; the branch stays prepared (locks held) until Decide,
 // whose commit writes the pages from the branch's log chain.
 func (s *Server) Prepare(client uint32, txid uint64, segs []proto.SegImage) error {
-	s.stats.messages.Add(1)
-	if len(segs) > 0 {
-		if err := s.requireLocks(txid, segs); err != nil {
-			return err
-		}
-	}
-	t := s.ensureTx(client, txid)
-	if err := s.applySegImages(t, segs); err != nil {
-		_ = t.Abort()
+	t, err := s.apply(client, txid, segs)
+	if err != nil {
 		return err
 	}
 	return t.Prepare()
@@ -1137,21 +1127,15 @@ func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, conten
 	if err := s.hk.FireData(hooks.EvObjectFlush, seg, &content); err != nil {
 		return nil, err
 	}
-	a := s.lookupArea(seg.Area)
-	if a == nil {
-		return nil, ErrNoArea
-	}
-	start, granted, err := a.AllocSegment(max((len(content)+page.Size-1)/page.Size, 1))
+	start, run, err := s.freshRun(seg.Area, max((len(content)+page.Size-1)/page.Size, 1), content)
 	if err != nil {
 		return nil, err
 	}
-	padded := make([]byte, granted*page.Size)
-	copy(padded, content)
 	// A fresh run no segment names yet: there is nothing to stage.
-	if err := s.eachPage(s.ensureTx(client, txid), seg.Area, start, nil, padded, new([]byte)); err != nil {
+	if err := s.eachPage(s.ensureTx(client, txid), seg.Area, start, nil, run, new([]byte)); err != nil {
 		return nil, err
 	}
-	d := segment.LargeDesc{Area: page.AreaID(seg.Area), Start: start, Pages: uint32(granted),
+	d := segment.LargeDesc{Area: page.AreaID(seg.Area), Start: start, Pages: uint32(len(run) / page.Size),
 		Stored: uint32(len(content)), CRC: page.Checksum(content)}
 	return d.Encode(), nil
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"bess/internal/hooks"
 	"bess/internal/lock"
@@ -80,10 +79,6 @@ type Manager struct {
 	nextID  uint64               // guarded by mu
 	active  map[uint64]*Tx       // guarded by mu; active and prepared, by id
 	anchors map[page.ID]page.LSN // guarded by mu; see logging.go
-
-	// LockTimeout is passed to lock acquisitions made through transactions;
-	// the paper uses timeouts for distributed deadlock detection.
-	LockTimeout time.Duration
 
 	commits, aborts int64 // guarded by mu
 
@@ -243,7 +238,9 @@ func (t *Tx) LastLSN() page.LSN {
 }
 
 // Lock acquires (or upgrades) a lock on behalf of the transaction, firing
-// the lock hooks and mapping deadlocks to the deadlock event.
+// the lock hooks and mapping deadlocks to the deadlock event. It waits the
+// lock manager's DefaultTimeout (the paper detects distributed deadlock by
+// timeout).
 func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 	t.mu.Lock()
 	if t.state != Active {
@@ -251,7 +248,7 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 		return ErrNotActive
 	}
 	t.mu.Unlock()
-	err := t.m.locks.Acquire(lock.TxID(t.id), name, mode, t.m.LockTimeout)
+	err := t.m.locks.Acquire(lock.TxID(t.id), name, mode, 0)
 	if err == nil {
 		t.m.fire(hooks.EvLockAcquire, name)
 	} else if errors.Is(err, lock.ErrDeadlock) {

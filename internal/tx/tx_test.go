@@ -181,7 +181,7 @@ func TestLocksReleasedAtEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2 := m.Begin()
-	m.LockTimeout = 20 * time.Millisecond
+	m.locks.DefaultTimeout = 20 * time.Millisecond
 	if err := t2.Lock(name, lock.X); err != lock.ErrTimeout {
 		t.Fatalf("conflicting lock: %v", err)
 	}
