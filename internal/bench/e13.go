@@ -756,19 +756,16 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 	rep.WorkloadLog = int64(base.log.NextLSN())
 	rep.WorkloadEvents = fmt.Sprintf("(%d, %d]", rep.SetupEvents, rep.TotalEvents)
 
-	points := make([]int64, 0, rep.TotalEvents-rep.SetupEvents)
-	for n := rep.SetupEvents + 1; n <= rep.TotalEvents; n++ {
-		points = append(points, n)
-	}
+	points := upTo(rep.TotalEvents)[rep.SetupEvents:]
 	if from := base.writesFrom; from > rep.SetupEvents {
 		// Every point before the page writes, and a few of them.
 		rep.Sampled = true
 		k := int(from - rep.SetupEvents)
-		points = append(points[:k:k], e13Spread(points[k:], e13WriteBackPoints)...)
+		points = append(points[:k:k], spread(points[k:], e13WriteBackPoints)...)
 	}
 	if sample > 0 && sample < len(points) {
 		rep.Sampled = true
-		points = e13Spread(points, sample)
+		points = spread(points, sample)
 	}
 	rep.CrashPoints = len(points)
 
@@ -822,10 +819,20 @@ func e13Enumerate(seed int64, sample int, workload func(*e13World)) (E13Report, 
 	return rep, nil
 }
 
-// e13Spread returns k of points, evenly spaced, the first among them; all of
-// them if there are no more than k.
-func e13Spread(points []int64, k int) []int64 {
-	if len(points) <= k {
+// upTo returns 1..n.
+func upTo(n int64) []int64 {
+	points := make([]int64, n)
+	for i := range points {
+		points[i] = int64(i) + 1
+	}
+	return points
+}
+
+// spread returns k of points, evenly spaced, the first among them; all of
+// them if k is not positive or there are no more than k. It is the one
+// sampler of the crash and rot enumerations (E13, E19).
+func spread(points []int64, k int) []int64 {
+	if k <= 0 || len(points) <= k {
 		return points
 	}
 	stride := float64(len(points)) / float64(k)

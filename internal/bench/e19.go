@@ -122,24 +122,6 @@ func (r *E19Report) fail(f string) {
 	}
 }
 
-// e19SamplePoints returns 1..total, or at most sample evenly spaced values
-// of it when sample is positive and smaller.
-func e19SamplePoints(total int64, sample int) []int64 {
-	points := make([]int64, 0, total)
-	for n := int64(1); n <= total; n++ {
-		points = append(points, n)
-	}
-	if sample > 0 && sample < len(points) {
-		stride := float64(len(points)) / float64(sample)
-		picked := make([]int64, 0, sample)
-		for i := 0; i < sample; i++ {
-			picked = append(picked, points[int(float64(i)*stride)])
-		}
-		points = picked
-	}
-	return points
-}
-
 // e19World is one full server over fault-injected media: separate event
 // clocks for the area stores and the WAL store, so a corruption point
 // attributes cleanly to one medium.
@@ -351,7 +333,7 @@ func e19Pages(seed int64, sample int, rep *E19Report) (E19Category, error) {
 	}
 	total := base.injArea.Events()
 	base.close()
-	for _, n := range e19SamplePoints(total, sample) {
+	for _, n := range spread(upTo(total), sample) {
 		n := n
 		label := fmt.Sprintf("pages rot@%d", n)
 		w, err := e19Run(seed, func(ww *e19World) { ww.injArea.RotAt(n, e19RotBytes) })
@@ -397,7 +379,7 @@ func e19WALBody(seed int64, sample int, rep *E19Report) (E19Category, error) {
 	}
 	total := base.injWAL.Events()
 	base.close()
-	for _, n := range e19SamplePoints(total, sample) {
+	for _, n := range spread(upTo(total), sample) {
 		n := n
 		label := fmt.Sprintf("wal rot@%d", n)
 		w, err := e19Run(seed, func(ww *e19World) { ww.injWAL.RotAt(n, e19RotBytes) })
@@ -528,7 +510,7 @@ func e19Checkpoint(sample int, rep *E19Report) (E19Category, error) {
 		return c, fmt.Errorf("clean recovery state: %w", err)
 	}
 
-	offs := e19SamplePoints(int64(ckpt2End-ckpt2), sample)
+	offs := spread(upTo(int64(ckpt2End-ckpt2)), sample)
 	for _, o := range offs {
 		off := int64(ckpt2) + o - 1 // o is 1-based within the record
 		label := fmt.Sprintf("checkpoint flip@+%d", o-1)
@@ -620,7 +602,7 @@ func e19Wire(sample int, rep *E19Report) (E19Category, error) {
 		}
 	}
 
-	for _, i := range e19SamplePoints(frameLen, sample) {
+	for _, i := range spread(upTo(frameLen), sample) {
 		label := fmt.Sprintf("wire flip@%d", i)
 		reply, err := echo(i)
 		if err == nil {

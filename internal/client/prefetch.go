@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
@@ -17,11 +18,14 @@ import (
 // batch is decoded where it arrived: its images are views of the frame body,
 // which rpc allocated for that frame and handed over, and they wait in ready
 // as they are until the iterator hands each to the fetcher — no frame pool,
-// no second copy. Flow control is credit-based in image bytes and is the
-// memory bound: the window opens with one ScanCtl grant after the stream is
-// registered (no push can race the registration), every consumed image tops
-// it back up, and the server never has more than the window (or, for a batch
-// larger than the whole window, that one batch) pushed and unconsumed.
+// no second copy. The server pushes the file's segments in order, so the
+// iterator takes images in the order they arrived; the batches' Seq numbers
+// are checked on delivery, and a gap or a repeat fails the scan. Flow
+// control is credit-based in image bytes and is the memory bound: the
+// window opens with one ScanCtl grant after the stream is registered (no
+// push can race the registration), every consumed image tops it back up,
+// and the server never has more than the window (or, for a batch larger
+// than the whole window, that one batch) pushed and unconsumed.
 //
 // The prefetcher deliberately spawns nothing: delivery runs on the peer's
 // read loop and the iterator runs on the caller.
@@ -34,35 +38,36 @@ func imageBytes(img *proto.SegImage) int {
 	return len(img.Slotted) + len(img.Overflow) + len(img.Data)
 }
 
-// scanStream is the client side of one streaming scan.
+// ScanOrderError fails a streaming scan whose pushed batches are out of
+// sequence: the server numbers a scan's batches from zero, one apart, and a
+// gap or a repeat means an image was lost or doubled on the way.
+type ScanOrderError struct {
+	Scan      uint64
+	Got, Want uint32 // the batch's Seq and the one due
+}
+
+func (e *ScanOrderError) Error() string {
+	return fmt.Sprintf("client: scan %d: batch %d arrived where %d was due", e.Scan, e.Got, e.Want)
+}
+
+// scanStream is the client side of one streaming scan: a queue of pushed
+// images, taken in the order they arrived.
 type scanStream struct {
 	r    *Remote
 	id   uint64
-	plan []proto.ScanSeg
-	idx  map[proto.SegKey]int // segment → plan position
 	hook func(images, bytes int)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	ready    map[proto.SegKey]*proto.SegImage // delivered, not yet consumed; guarded by mu
-	frontier int                              // plan positions below this pushed or skipped; guarded by mu
-	done     bool                             // final batch arrived; guarded by mu
-	err      error                            // sticky failure; guarded by mu
-	draining bool                             // closed: discard further deliveries; guarded by mu
+	ready    []*proto.SegImage // delivered, not yet consumed, in push order; guarded by mu
+	seq      uint32            // Seq the next batch must carry; guarded by mu
+	done     bool              // final batch arrived; guarded by mu
+	err      error             // sticky failure; guarded by mu
+	draining bool              // closed: discard further deliveries; guarded by mu
 }
 
-func newScanStream(r *Remote, id uint64, plan []proto.ScanSeg, hook func(int, int)) *scanStream {
-	st := &scanStream{
-		r:     r,
-		id:    id,
-		plan:  plan,
-		idx:   make(map[proto.SegKey]int, len(plan)),
-		hook:  hook,
-		ready: make(map[proto.SegKey]*proto.SegImage),
-	}
-	for i, e := range plan {
-		st.idx[e.Seg] = i
-	}
+func newScanStream(r *Remote, id uint64, hook func(int, int)) *scanStream {
+	st := &scanStream{r: r, id: id, hook: hook}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
@@ -76,29 +81,25 @@ func (st *scanStream) deliver(body []byte) {
 		return
 	}
 	bytes := 0
+	for i := range sb.Images {
+		bytes += imageBytes(&sb.Images[i])
+	}
 	st.mu.Lock()
-	if st.draining {
-		st.mu.Unlock()
+	if st.draining || st.err != nil {
+		st.mu.Unlock() // closed or failed: nothing more is taken
 		return
 	}
-	for i := range sb.Images {
-		img := &sb.Images[i]
-		pos, ok := st.idx[img.Seg]
-		if !ok {
-			continue // not in the plan; nothing will ever wait for it
+	if sb.Seq != st.seq {
+		st.err = &ScanOrderError{Scan: st.id, Got: sb.Seq, Want: st.seq}
+	} else {
+		st.seq++
+		for i := range sb.Images {
+			st.ready = append(st.ready, &sb.Images[i])
 		}
-		bytes += imageBytes(img)
-		st.ready[img.Seg] = img
-		if pos+1 > st.frontier {
-			st.frontier = pos + 1
+		if sb.Err != "" {
+			st.err = &rpc.RemoteError{Msg: sb.Err}
 		}
-	}
-	if sb.Err != "" && st.err == nil {
-		st.err = &rpc.RemoteError{Msg: sb.Err}
-	}
-	if sb.Last {
-		st.done = true
-		st.frontier = len(st.plan)
+		st.done = sb.Last
 	}
 	st.cond.Broadcast()
 	st.mu.Unlock()
@@ -107,22 +108,22 @@ func (st *scanStream) deliver(body []byte) {
 	}
 }
 
-// take blocks until the image for plan position i is available and hands it
-// over. A (nil, nil) return means the server skipped the segment (dropped
-// after planning); the iterator skips it too.
-func (st *scanStream) take(i int) (*proto.SegImage, error) {
-	seg := st.plan[i].Seg
+// next blocks until the next pushed image is available and hands it over.
+// A (nil, nil) return means the final batch has been consumed.
+func (st *scanStream) next() (*proto.SegImage, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
-		if img, ok := st.ready[seg]; ok {
-			delete(st.ready, seg)
+		if len(st.ready) > 0 {
+			img := st.ready[0]
+			st.ready[0] = nil
+			st.ready = st.ready[1:]
 			return img, nil
 		}
 		if st.err != nil {
 			return nil, st.err
 		}
-		if st.frontier > i || st.done {
+		if st.done {
 			return nil, nil
 		}
 		st.cond.Wait()
@@ -153,7 +154,7 @@ func (st *scanStream) close() {
 	_ = rpc.SendStream(st.r.p, proto.StreamScanCtl, st.id, &proto.ScanCtl{Cancel: true})
 	st.mu.Lock()
 	st.draining = true
-	clear(st.ready)
+	st.ready = nil
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
@@ -192,10 +193,9 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 	if err != nil {
 		return err
 	}
-	scanID, plan := started.Scan, started.Segs
-	st := newScanStream(s.remote, scanID, plan, s.scanHook)
+	st := newScanStream(s.remote, started.Scan, s.scanHook)
 	s.lastScan = st // leak inspection for tests
-	s.remote.registerScan(scanID, st)
+	s.remote.registerScan(started.Scan, st)
 	defer st.close()
 	// Open the window; the server pushes nothing before this grant.
 	if err := st.credit(window); err != nil {
@@ -207,13 +207,10 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 	// least 3/4 of the budget open while cutting the reverse control
 	// traffic (and its round trips) by the batching factor.
 	owed := 0
-	for i := range plan {
-		img, err := st.take(i)
-		if err != nil {
+	for {
+		img, err := st.next()
+		if err != nil || img == nil {
 			return err
-		}
-		if img == nil {
-			continue // dropped server-side after planning; skip like Scan does
 		}
 		// The mapper's load of this segment is served from the pushed image,
 		// with zero round trips. A segment it has cached already needs none:
@@ -232,7 +229,6 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 			owed = 0
 		}
 	}
-	return nil
 }
 
 // SetScanBatchHook installs fn to run as each pushed batch arrives, with

@@ -25,12 +25,11 @@ var (
 
 // Stats are per-session counters: the quantities E2/E6 report.
 type Stats struct {
-	Transactions int64
-	Snapshots    int64 // snapshot transactions opened (E16)
-	LocalGrants  int64 // segment accesses served from the inter-tx cache
-	SegsShipped  int64 // segment images shipped at commits
-	Drops        int64 // cached copies dropped by callbacks
-	Refusals     int64 // callbacks refused (copy in use)
+	Snapshots   int64 // snapshot transactions opened (E16)
+	LocalGrants int64 // segment accesses served from the inter-tx cache
+	SegsShipped int64 // segment images shipped at commits
+	Drops       int64 // cached copies dropped by callbacks
+	Refusals    int64 // callbacks refused (copy in use)
 }
 
 // Session is one application's copy-on-access connection to a database:
@@ -483,7 +482,6 @@ func (s *Session) Begin() error {
 	s.mu.Lock()
 	s.txID = id
 	s.touched = make(map[proto.SegKey]bool)
-	s.stats.Transactions++
 	s.mu.Unlock()
 	return nil
 }

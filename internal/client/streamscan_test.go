@@ -21,7 +21,8 @@ import (
 var blobType = segment.TypeDesc{Name: "ScanBlob", Size: 0}
 
 // populateScanFile creates nSegs segments under fileID, each holding objsPer
-// blob objects of blobLen bytes, in one committed transaction.
+// blob objects of blobLen bytes, in one committed transaction. A blob's
+// first byte is the index of the segment it was created in.
 func populateScanFile(t *testing.T, s *Session, fileID uint32, nSegs, objsPer, blobLen int) []proto.SegKey {
 	t.Helper()
 	td, err := s.RegisterType(blobType)
@@ -39,9 +40,11 @@ func populateScanFile(t *testing.T, s *Session, fileID uint32, nSegs, objsPer, b
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range segs {
+	for i, k := range segs {
+		blob := make([]byte, blobLen)
+		blob[0] = byte(i)
 		for j := 0; j < objsPer; j++ {
-			if _, err := s.CreateObject(k, td.ID, make([]byte, blobLen)); err != nil {
+			if _, err := s.CreateObject(k, td.ID, blob); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -441,4 +444,199 @@ func (c phantomSegConn) SegmentsOf(db, fileID uint32) ([]proto.SegKey, error) {
 	out := append([]proto.SegKey(nil), segs[:len(segs)/2]...)
 	out = append(out, proto.SegKey{Area: segs[0].Area, Start: 1 << 40})
 	return append(out, segs[len(segs)/2:]...), nil
+}
+
+// TestStreamScanVisitsInFileOrder: over TCP, with a window and batches
+// small enough that the file crosses in several batches and many credit
+// grants, a cold streaming scan visits the objects segment by segment, in
+// the order SegmentsOf lists the segments.
+func TestStreamScanVisitsInFileOrder(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	l, err := rpc.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cli, err := rpc.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	sp, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.ServePeer(srv, sp)
+	s, err := Open(NewRemote(cli), "ordered", "testdb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fileID, nSegs, objsPer = 17, 12, 6
+	created := populateScanFile(t, s, fileID, nSegs, objsPer, 1024)
+	listed, err := srv.SegmentsOf(s.db, fileID)
+	if err != nil || len(listed) != nSegs {
+		t.Fatalf("SegmentsOf lists %d segments (%v), want %d", len(listed), err, nSegs)
+	}
+	index := make(map[proto.SegKey]byte, nSegs)
+	for i, k := range created {
+		index[k] = byte(i)
+	}
+	var want []byte
+	for _, k := range listed {
+		for j := 0; j < objsPer; j++ {
+			want = append(want, index[k])
+		}
+	}
+
+	s.DropAllCached()
+	s.scanWindow, s.scanBatch = 16<<10, 8<<10
+	batches := 0
+	s.SetScanBatchHook(func(_, _ int) { batches++ })
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	err = s.StreamScan(fileID, func(_ vmem.Addr, obj *swizzle.Object) error {
+		b, err := obj.Bytes()
+		if err == nil {
+			got = append(got, b[0])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("StreamScan: %v", err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if batches < 3 {
+		t.Fatalf("the file crossed in %d batches, want several", batches)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("visited segments %v, want %v", got, want)
+	}
+}
+
+// TestStreamScanCountsOneMessagePerSegment: a streaming scan of an
+// N-segment file is one SegmentsOf and one fetch per segment on the
+// server's message count, 1 + N — nothing is counted for a message that
+// never crossed the wire.
+func TestStreamScanCountsOneMessagePerSegment(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	s, _ := openRemote(t, srv, "counted")
+	const fileID, nSegs = 19, 7
+	populateScanFile(t, s, fileID, nSegs, 3, 256)
+	s.DropAllCached()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Snapshot().Messages
+	if err := s.StreamScan(fileID, func(vmem.Addr, *swizzle.Object) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Snapshot().Messages - before; got != 1+nSegs {
+		t.Fatalf("a scan of %d segments counted %d server messages, want %d", nSegs, got, 1+nSegs)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamScanRefusesOutOfOrderBatch: a server peer whose ScanStart is
+// driven by hand pushes batches out of sequence — a gap (Seq 0, then 2) or a
+// repeat (Seq 0 twice). StreamScan fails with a ScanOrderError, and close
+// leaves nothing held: neither the refused batch's images nor a batch that
+// arrives after the close, which is dropped before its Seq is looked at.
+func TestStreamScanRefusesOutOfOrderBatch(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	setup := openDirect(t, srv, "setup")
+	const fileID = 23
+	segs := populateScanFile(t, setup, fileID, 2, 3, 256)
+
+	for _, tc := range []struct {
+		name string
+		seqs [2]uint32
+	}{
+		{"gap", [2]uint32{0, 2}},
+		{"repeat", [2]uint32{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cEnd, sEnd := rpc.Pipe()
+			defer cEnd.Close()
+			server.ServePeer(srv, sEnd)
+			r := NewRemote(cEnd)
+			s, err := Open(r, "disordered", "testdb", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The hand-driven cursor: at the first grant, push one
+			// segment's image per batch, numbered as the case says, then
+			// a final batch that would end a scan blind to the numbering.
+			const scanID = 77
+			sEnd.Serve(rpc.Typed(proto.MethodScanStart, func(*proto.ScanStartArgs) (*proto.ScanStartReply, error) {
+				return &proto.ScanStartReply{Scan: scanID}, nil
+			}))
+			granted := false
+			rpc.HandleStream(sEnd, proto.StreamScanCtl, func(_ uint64, body []byte) {
+				var ctl proto.ScanCtl
+				if proto.Decode(body, &ctl) != nil || ctl.Cancel || granted {
+					return
+				}
+				granted = true
+				for i, seq := range tc.seqs {
+					sl, ov, data, err := srv.FetchSeg(s.client, segs[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					batch := proto.ScanBatch{Seq: seq, Images: []proto.SegImage{{Seg: segs[i], Slotted: sl, Overflow: ov, Data: data}}}
+					if err := rpc.SendStream(sEnd, proto.StreamScanData, scanID, &batch); err != nil {
+						t.Error(err)
+					}
+				}
+				last := proto.ScanBatch{Seq: tc.seqs[1] + 1, Last: true}
+				if err := rpc.SendStream(sEnd, proto.StreamScanData, scanID, &last); err != nil {
+					t.Error(err)
+				}
+			})
+			var batches atomic.Int32 // the hook runs on the read loop
+			s.SetScanBatchHook(func(_, _ int) { batches.Add(1) })
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			err = s.StreamScan(fileID, func(vmem.Addr, *swizzle.Object) error { return nil })
+			var order *ScanOrderError
+			if !errors.As(err, &order) || order.Got != tc.seqs[1] || order.Want != 1 {
+				t.Fatalf("StreamScan: %v, want a ScanOrderError for batch %d where 1 was due", err, tc.seqs[1])
+			}
+			st := s.lastScan
+			if held := heldBytes(st); held != 0 {
+				t.Fatalf("%d bytes still held after close", held)
+			}
+			// The two numbered batches reach the hook; a late one, delivered
+			// here and so hooked here if at all, does not.
+			for deadline := time.Now().Add(5 * time.Second); batches.Load() < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the hook saw %d batches, want 2", batches.Load())
+				}
+			}
+			late := proto.ScanBatch{Seq: 1, Images: []proto.SegImage{{Seg: segs[1], Data: make([]byte, 4096)}}}
+			st.deliver(proto.AppendScanBatch(nil, &late))
+			if held, n := heldBytes(st), batches.Load(); held != 0 || n != 2 {
+				t.Fatalf("a delivery after close left %d bytes held; the hook saw %d batches, want 2", held, n)
+			}
+			r.mu.Lock()
+			live := len(r.scans)
+			r.mu.Unlock()
+			if live != 0 {
+				t.Fatalf("%d scans still routed after close", live)
+			}
+			if err := s.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

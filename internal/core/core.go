@@ -352,19 +352,11 @@ func (f *File) segmentHasRoom(key proto.SegKey) bool {
 	return int(seg.Hdr.DataPages) < f.growCap()
 }
 
-// Scan visits every live object in the file through a cursor (§2).
+// Scan visits every live object in the file through a cursor (§2). On an
+// rpc connection the server pushes segment images ahead of the cursor, so a
+// cold scan costs one round trip instead of two per segment (DESIGN.md §6);
+// on a direct connection, which has no stream to push over, it pulls.
 func (f *File) Scan(fn func(*Object) error) error {
-	return f.db.sess.Scan(f.id, func(_ vmem.Addr, obj *swizzle.Object) error {
-		return fn(&Object{obj: obj, db: f.db})
-	})
-}
-
-// StreamScan visits every live object like Scan, but through the
-// push-based streaming pipeline when the session is RPC-backed: the server
-// streams segment images ahead of the cursor, so a cold scan costs one
-// round trip instead of two per segment (DESIGN.md §6). On a direct
-// connection, which has no stream to push over, it is Scan.
-func (f *File) StreamScan(fn func(*Object) error) error {
 	return f.db.sess.StreamScan(f.id, func(_ vmem.Addr, obj *swizzle.Object) error {
 		return fn(&Object{obj: obj, db: f.db})
 	})

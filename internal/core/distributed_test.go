@@ -270,7 +270,7 @@ func TestInDoubtAbortAfterRestart(t *testing.T) {
 	}
 }
 
-// TestFileStreamScanOverTCP: over an RPC connection, File.StreamScan visits
+// TestFileStreamScanOverTCP: over an RPC connection, File.Scan streams and visits
 // every live object of a file that spans several segments, each once, from a
 // cold cache.
 func TestFileStreamScanOverTCP(t *testing.T) {
@@ -306,13 +306,13 @@ func TestFileStreamScanOverTCP(t *testing.T) {
 	cold.Begin()
 	defer cold.Commit()
 	seen, visits := make(map[uint64]bool), 0
-	err = cf.StreamScan(func(o *Object) error {
+	err = cf.Scan(func(o *Object) error {
 		b, err := o.Bytes()
 		seen[*decU64(b)] = true
 		visits++
 		return err
 	})
 	if err != nil || len(seen) != n || visits != n {
-		t.Fatalf("StreamScan made %d visits to %d distinct objects of %d (%v)", visits, len(seen), n, err)
+		t.Fatalf("Scan made %d visits to %d distinct objects of %d (%v)", visits, len(seen), n, err)
 	}
 }

@@ -128,7 +128,6 @@ func TestDecodeRejects(t *testing.T) {
 		{"commit: frame longer than its image", &proto.CommitArgs{}, append(with(commit, 19, byte(len(commit)-20+1)), 0)},
 		{"batch: bad last flag", &proto.ScanBatch{}, with(batch, 4, 2)},
 		{"batch: hostile image count", &proto.ScanBatch{}, with(batch, len(batch)-4, 0xFF, 0xFF, 0xFF, 0xFF)},
-		{"plan: hostile count", &proto.ScanStartReply{}, with(enc(&proto.ScanStartReply{Scan: 1}), 8, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"ctl: bad cancel flag", &proto.ScanCtl{}, with(enc(&proto.ScanCtl{}), 0, 7)},
 		{"callback reply: bad flag", &proto.CallbackReply{}, []byte{2}},
 		{"page count over 31 bits", &proto.CreateSegmentArgs{}, with(enc(&proto.CreateSegmentArgs{}), 20, 0x80)},
@@ -170,7 +169,6 @@ func TestSmallestElementsDecode(t *testing.T) {
 		&proto.RegisterTypeReply{Info: proto.TypeInfo{RefOffsets: []int{0}}},
 		&proto.SegmentsOfReply{Segs: []proto.SegKey{{}}},
 		&proto.ReleasedArgs{Segs: []proto.SegKey{{}}},
-		&proto.ScanStartReply{Segs: []proto.ScanSeg{{}}},
 		&proto.CommitArgs{Segs: []proto.SegImage{{}}},
 		&proto.ScanBatch{Images: []proto.SegImage{{}}},
 	} {

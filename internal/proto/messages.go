@@ -526,29 +526,13 @@ func (m *SnapScanStartArgs) Fields(c *Cursor) {
 	c.U64(&m.Snap)
 }
 
-// ScanSeg is one entry of a scan plan: the segment key plus its slotted
-// geometry, so the prefetching client can reserve address space without a
-// per-segment SegInfo round trip.
-type ScanSeg struct {
-	Seg          SegKey
-	SlottedPages uint32
-}
-
-// ScanStartReply carries the scan id and the plan: the segment list the
-// cursor will walk, in push order.
+// ScanStartReply names the scan: the id its ScanData and ScanCtl frames
+// carry.
 type ScanStartReply struct {
 	Scan uint64
-	Segs []ScanSeg
 }
 
-func (m *ScanStartReply) Fields(c *Cursor) {
-	c.U64(&m.Scan)
-	segs := Repeat(c, &m.Segs, 16)
-	for i := range segs {
-		c.SegKey(&segs[i].Seg)
-		c.U32(&segs[i].SlottedPages)
-	}
-}
+func (m *ScanStartReply) Fields(c *Cursor) { c.U64(&m.Scan) }
 
 // ScanBatch is one pushed batch of segment images. Seq numbers batches from
 // zero within a scan; Last marks the final batch. A non-empty Err reports a

@@ -47,8 +47,7 @@ var (
 	dbArgs    = &proto.DBArgs{DB: 4}
 	commit    = &proto.CommitArgs{Client: 3, Tx: 99, Segs: []proto.SegImage{img, img2}}
 	scanStart = proto.ScanStartArgs{Client: 3, DB: 1, FileID: 9, BatchBytes: 64 << 10}
-	scanPlan  = &proto.ScanStartReply{Scan: 42, Segs: []proto.ScanSeg{
-		{Seg: seg, SlottedPages: 2}, {Seg: proto.SegKey{Area: 8}, SlottedPages: 1}}}
+	scanReply = &proto.ScanStartReply{Scan: 42}
 )
 
 // Methods lists every entry of internal/proto's method table, in id order.
@@ -83,13 +82,13 @@ var Methods = []Method{
 	method(proto.MethodNameUnbind, &proto.NameArgs{DB: 4, Name: "root"}, empty),
 	method(proto.MethodNameRemoveOID, &proto.NameRemoveOIDArgs{DB: 4, OID: root}, empty),
 	method(proto.MethodCallback, &proto.SegArgs{Seg: seg}, &proto.CallbackReply{Refused: true}),
-	method(proto.MethodScanStart, &scanStart, scanPlan),
+	method(proto.MethodScanStart, &scanStart, scanReply),
 	stream(proto.StreamScanData, &proto.ScanBatch{Seq: 2, Last: true, Err: "boom", Images: []proto.SegImage{img, img2}}),
 	stream(proto.StreamScanCtl, &proto.ScanCtl{Cancel: true, Credit: 1 << 20}),
 	method(proto.MethodSnapOpen, &proto.ClientArgs{Client: 3}, &proto.SnapOpenReply{Snap: 11, Stamp: 1 << 33}),
 	method(proto.MethodSnapClose, &proto.SnapCloseArgs{Client: 3, Snap: 11}, empty),
 	method(proto.MethodSnapFetchSeg, &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img),
-	method(proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanPlan),
+	method(proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanReply),
 	method(proto.MethodStoreLarge, &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw),
 }
 

@@ -12,13 +12,14 @@ import (
 )
 
 // Streaming scan cursor (DESIGN.md §6): the server walks a file's segments
-// and pushes their images to the client in coalesced ScanData batches,
-// ahead of the client's iterator. Flow control is credit-based and counted
-// in image bytes: the client grants a window up front, the cursor deducts
-// each batch from it, and the client tops the window back up as it consumes
-// images. A batch larger than the whole window may be sent once the full
-// window is available (the overdraw escape), so one giant segment cannot
-// stall the pipeline forever.
+// in the order SegmentsOf lists them and pushes their images to the client
+// in coalesced ScanData batches, numbered from zero, ahead of the client's
+// iterator. Flow control is credit-based and counted in image bytes: the
+// client grants a window up front, the cursor deducts each batch from it,
+// and the client tops the window back up as it consumes images. A batch
+// larger than the whole window may be sent once the full window is
+// available (the overdraw escape), so one giant segment cannot stall the
+// pipeline forever.
 //
 // A cursor's goroutine belongs to its peer's scan table, which the peer's
 // close hook stops; the sender beside it belongs to the cursor's call frame
@@ -35,7 +36,7 @@ const (
 type scanCursor struct {
 	id    uint64
 	batch int
-	plan  []proto.ScanSeg
+	segs  []proto.SegKey // the file's segments, in push order
 
 	mu        lockcheck.Mutex
 	cond      *sync.Cond
@@ -104,8 +105,8 @@ func newScanTable() *scanTable {
 // start registers a new cursor and runs it over p in the table's group. Once
 // close has halted the group, the group refuses the cursor's goroutine: start
 // removes the cursor again and fails.
-func (t *scanTable) start(p *rpc.Peer, batch int, plan []proto.ScanSeg, fetch segFetch) (*scanCursor, error) {
-	c := &scanCursor{batch: batch, plan: plan}
+func (t *scanTable) start(p *rpc.Peer, batch int, segs []proto.SegKey, fetch segFetch) (*scanCursor, error) {
+	c := &scanCursor{batch: batch, segs: segs}
 	c.mu.Init("scanCursor.mu", 0) // unranked: never held across other locks
 	c.cond = sync.NewCond(&c.mu)
 	t.mu.Lock()
@@ -171,22 +172,11 @@ func serveScan(s *Server, p *rpc.Peer) []rpc.Method {
 		if err != nil {
 			return nil, err
 		}
-		plan := make([]proto.ScanSeg, 0, len(segs))
-		for _, k := range segs {
-			n, err := s.SegInfo(k)
-			if errors.Is(err, ErrNoSegment) {
-				continue // dropped since listing; the scan skips it
-			}
-			if err != nil {
-				return nil, err
-			}
-			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
-		}
-		c, err := table.start(p, b, plan, fetch)
+		c, err := table.start(p, b, segs, fetch)
 		if err != nil {
 			return nil, err
 		}
-		return &proto.ScanStartReply{Scan: c.id, Segs: plan}, nil
+		return &proto.ScanStartReply{Scan: c.id}, nil
 	}
 
 	rpc.HandleStream(p, proto.StreamScanCtl, func(stream uint64, body []byte) {
@@ -230,11 +220,11 @@ func serveScan(s *Server, p *rpc.Peer) []rpc.Method {
 // segFetch reads one segment's image for a scan.
 type segFetch func(proto.SegKey) (sl, ov, data []byte, err error)
 
-// runScan drives one cursor: fetch each planned segment, coalesce images
-// into batches, and push them as credits allow. Batches are handed to a
-// sender goroutine, which encodes each straight into the peer's send batch,
-// so fetching the next segment overlaps the credit wait and socket write of
-// the previous batch. It exits on cancel, on a
+// runScan drives one cursor: fetch each of the file's segments in order,
+// coalesce images into batches, and push them as credits allow. Batches are
+// handed to a sender goroutine, which encodes each straight into the peer's
+// send batch, so fetching the next segment overlaps the credit wait and
+// socket write of the previous batch. It exits on cancel, on a
 // send error (peer gone), or after the final batch. It has no Server: what
 // a scan can reach is what its fetch can, and a snapshot scan's fetch is the
 // reader's (DESIGN.md §4f).
@@ -271,13 +261,13 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 		seq++
 		images, size = nil, 0
 	}
-	for _, e := range c.plan {
+	for _, k := range c.segs {
 		if c.isCancelled() || failed.Load() {
 			break
 		}
-		sl, ov, data, err := fetch(e.Seg)
+		sl, ov, data, err := fetch(k)
 		if errors.Is(err, ErrNoSegment) {
-			continue // dropped between plan and read; the client skips it too
+			continue // dropped since SegmentsOf listed it: nothing to push
 		}
 		if err != nil {
 			// Ship what was already read, then report the failure.
@@ -287,7 +277,7 @@ func runScan(p *rpc.Peer, t *scanTable, c *scanCursor, fetch segFetch) {
 			flush(true, err.Error())
 			return
 		}
-		images = append(images, proto.SegImage{Seg: e.Seg, Slotted: sl, Overflow: ov, Data: data})
+		images = append(images, proto.SegImage{Seg: k, Slotted: sl, Overflow: ov, Data: data})
 		size += len(sl) + len(ov) + len(data)
 		if size >= c.batch {
 			flush(false, "")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bess/internal/goleak"
+	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 )
@@ -53,8 +54,8 @@ func (c *scanClient) wait(t *testing.T) []*proto.ScanBatch {
 }
 
 // TestScanCursorProtocol drives ScanStart/ScanCtl/ScanData over a pipe:
-// every planned segment is pushed, batches respect the credit window, and
-// the final batch is flagged.
+// every segment of the file is pushed, in the order SegmentsOf lists them,
+// batches are numbered from zero, and the final batch is flagged.
 func TestScanCursorProtocol(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -81,18 +82,7 @@ func TestScanCursorProtocol(t *testing.T) {
 	if err := rpc.Call(cEnd, proto.MethodScanStart, &proto.ScanStartArgs{Client: 1, DB: db, FileID: fileID, BatchBytes: 8 << 10}, &started); err != nil {
 		t.Fatal(err)
 	}
-	scanID, plan := started.Scan, started.Segs
-	if len(plan) != len(want) {
-		t.Fatalf("plan has %d segments, want %d", len(plan), len(want))
-	}
-	for i, e := range plan {
-		if e.Seg != want[i] {
-			t.Fatalf("plan[%d] = %v, want %v", i, e.Seg, want[i])
-		}
-		if e.SlottedPages != 1 {
-			t.Fatalf("plan[%d] slotted pages = %d, want 1", i, e.SlottedPages)
-		}
-	}
+	scanID := started.Scan
 	// Nothing may be pushed before the first grant.
 	time.Sleep(20 * time.Millisecond)
 	cli.mu.Lock()
@@ -106,7 +96,7 @@ func TestScanCursorProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := cli.wait(t)
-	got := make(map[proto.SegKey]bool)
+	var pushed []proto.SegImage
 	for i, sb := range batches {
 		if sb.Seq != uint32(i) {
 			t.Fatalf("batch %d has seq %d", i, sb.Seq)
@@ -114,19 +104,23 @@ func TestScanCursorProtocol(t *testing.T) {
 		if sb.Err != "" {
 			t.Fatalf("batch %d carries error %q", i, sb.Err)
 		}
-		for j := range sb.Images {
-			got[sb.Images[j].Seg] = true
-		}
+		pushed = append(pushed, sb.Images...)
 	}
-	for _, k := range want {
-		if !got[k] {
-			t.Fatalf("segment %v never pushed", k)
+	if len(pushed) != len(want) {
+		t.Fatalf("%d segments pushed, want %d", len(pushed), len(want))
+	}
+	for i, im := range pushed {
+		if im.Seg != want[i] {
+			t.Fatalf("pushed[%d] = %v, want %v", i, im.Seg, want[i])
+		}
+		if len(im.Slotted) != page.Size {
+			t.Fatalf("pushed[%d] slotted part is %d bytes, want one page", i, len(im.Slotted))
 		}
 	}
 }
 
 // TestRunScanSkipsVanishedSegment checks the cursor race guard directly: a
-// plan entry that no longer resolves (dropped between planning and the
+// listed segment that no longer resolves (dropped between SegmentsOf and the
 // read) is skipped, not fatal.
 func TestRunScanSkipsVanishedSegment(t *testing.T) {
 	s := NewMem(1)
@@ -152,11 +146,7 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 
 	table := newScanTable()
 	defer table.close()
-	c, err := table.start(sEnd, 8<<10, []proto.ScanSeg{
-		{Seg: real1, SlottedPages: 1},
-		{Seg: phantom, SlottedPages: 1},
-		{Seg: real2, SlottedPages: 1},
-	}, liveFetch(s, 1))
+	c, err := table.start(sEnd, 8<<10, []proto.SegKey{real1, phantom, real2}, liveFetch(s, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +201,13 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := make([]proto.ScanSeg, 0, 3)
+	plan := make([]proto.SegKey, 0, 3)
 	for i := 0; i < 3; i++ {
 		k, err := createSeg(s, db, 3, 1, 2, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: 1})
+		plan = append(plan, k)
 	}
 
 	cEnd, sEnd := rpc.Pipe()
@@ -274,7 +264,7 @@ func TestScanTableCloseJoinsCursors(t *testing.T) {
 
 	table := newScanTable()
 	// No credit is ever granted: the sender parks in waitCredit.
-	c, err := table.start(sEnd, 1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}}, liveFetch(s, 1))
+	c, err := table.start(sEnd, 1, []proto.SegKey{k}, liveFetch(s, 1))
 	if err != nil {
 		t.Fatalf("a fresh table refused a cursor: %v", err)
 	}
@@ -323,7 +313,7 @@ func TestScanStartRacingCloseFails(t *testing.T) {
 		var refused atomic.Int32
 		for i := 0; i < 4; i++ {
 			starts.Go("server.test.scanStart", func(<-chan struct{}) {
-				_, err := table.start(sEnd, 1, []proto.ScanSeg{{Seg: k, SlottedPages: 1}}, liveFetch(s, 1))
+				_, err := table.start(sEnd, 1, []proto.SegKey{k}, liveFetch(s, 1))
 				if errors.Is(err, rpc.ErrClosed) {
 					refused.Add(1)
 				} else if err != nil {

@@ -138,8 +138,6 @@ type Stats struct {
 	Faults         int64 // total faults delivered
 	FaultsByKind   [4]int64
 	ProtectCalls   int64 // Protect invocations (mprotect analogue)
-	ReserveCalls   int64
-	MapCalls       int64
 	ReservedFrames int64 // current
 	MappedFrames   int64 // current
 }
@@ -161,8 +159,6 @@ type Space struct {
 		faults       atomic.Int64
 		faultsByKind [4]atomic.Int64
 		protects     atomic.Int64
-		reserves     atomic.Int64
-		maps         atomic.Int64
 		reserved     atomic.Int64
 		mapped       atomic.Int64
 	}
@@ -199,7 +195,6 @@ func (s *Space) Reserve(n int) (Addr, error) {
 		s.frames[base+i] = &frame{prot: ProtNone}
 	}
 	s.mu.Unlock()
-	s.stats.reserves.Add(1)
 	s.stats.reserved.Add(int64(n))
 	return FrameAddr(base), nil
 }
@@ -245,7 +240,6 @@ func (s *Space) Map(addr Addr, backing []byte, prot Prot) error {
 	}
 	fr.data = backing
 	fr.prot = prot
-	s.stats.maps.Add(1)
 	s.stats.mapped.Add(1)
 	return nil
 }
@@ -283,7 +277,6 @@ func (s *Space) Remap(addr Addr, backing []byte, prot Prot) error {
 	}
 	if fr.data == nil {
 		s.stats.mapped.Add(1)
-		s.stats.maps.Add(1)
 	}
 	fr.data = backing
 	fr.prot = prot
@@ -442,8 +435,6 @@ func (s *Space) Snapshot() Stats {
 		st.FaultsByKind[i] = s.stats.faultsByKind[i].Load()
 	}
 	st.ProtectCalls = s.stats.protects.Load()
-	st.ReserveCalls = s.stats.reserves.Load()
-	st.MapCalls = s.stats.maps.Load()
 	st.ReservedFrames = s.stats.reserved.Load()
 	st.MappedFrames = s.stats.mapped.Load()
 	return st
