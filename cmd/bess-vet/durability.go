@@ -23,7 +23,7 @@ var monitored = map[string]map[string]bool{
 		"EnsureSegment": true, "Sync": true, "Close": true,
 	},
 	"bess/internal/area.store":     {"Sync": true, "Close": true, "WriteAt": true, "Truncate": true},
-	"bess/internal/largeobj.Store": {"WriteRun": true, "Free": true},
+	"bess/internal/largeobj.Store": {"WriteRun": true}, // a run store's Free keeps the run
 	"bess/internal/server.Server":  {"Close": true},
 }
 

@@ -19,6 +19,9 @@
 //   - chanflow: channel protocol discipline — no double-close or
 //     send-after-close on any path, no unbuffered sends from a Group.Go
 //     literal without a select escape.
+//   - areawrite: an area is written only on the proof of a log record,
+//     through a wal.Pager, or by the named writers of a page that has no
+//     history yet (a fresh segment's format, a repair's zero page).
 //   - directive: a //bess: comment with an unknown verb or a malformed
 //     argument is itself a finding — typos must not silently disable
 //     checking.
@@ -103,9 +106,9 @@ func main() {
 	}
 }
 
-// analyzerNames are the six analyzers plus the directive check, in the order
-// run applies them; -only takes any subset.
-var analyzerNames = []string{"directive", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow"}
+// analyzerNames are the seven analyzers plus the directive check, in the
+// order run applies them; -only takes any subset.
+var analyzerNames = []string{"directive", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow", "areawrite"}
 
 // run loads the module rooted at (or above) dir and applies the selected
 // analyzers to the packages matching patterns.
@@ -169,6 +172,9 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 	}
 	if enabled["chanflow"] {
 		analyzeChanFlow(pkgs, r)
+	}
+	if enabled["areawrite"] {
+		analyzeAreaWrite(pkgs, r)
 	}
 	return r.sorted(), nil
 }

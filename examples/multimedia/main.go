@@ -82,6 +82,8 @@ func main() {
 
 	// A continuous-media track as a very large object: append "samples",
 	// then splice a clip into the middle — only the touched segments move.
+	// Every update is a change of the open transaction, written at its
+	// commit.
 	track, err := db.NewVLO(32 << 20)
 	if err != nil {
 		log.Fatal(err)
@@ -90,14 +92,19 @@ func main() {
 	for i := range sample {
 		sample[i] = byte(i)
 	}
+	db.Begin()
 	for s := 0; s < 512; s++ { // 2MB of samples
 		if err := track.Append(sample); err != nil {
 			log.Fatal(err)
 		}
 	}
+	if err := db.Commit(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("track: %d bytes in %d segments, tree depth %d\n",
 		track.Size(), track.Segments(), track.Depth())
 
+	db.Begin()
 	r0, w0, _, _ := track.Stats()
 	clip := bytes.Repeat([]byte("CLIP"), 1024)
 	if err := track.Insert(track.Size()/2, clip); err != nil {
@@ -113,7 +120,6 @@ func main() {
 	}
 	fmt.Printf("after cut: %d bytes\n", track.Size())
 
-	db.Begin()
 	if err := db.SaveVLO("track-1", track); err != nil {
 		log.Fatal(err)
 	}

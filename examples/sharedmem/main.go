@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -29,8 +30,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Seed three disk pages A, B, C through the node.
+	// Seed three disk pages A, B, C through the node, in one transaction.
 	seed, err := client.Open(node, "seeder", "db", true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tx, err := node.NewTx()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,14 +45,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		data := make([]byte, page.Size)
-		for i := range data {
-			data[i] = tag
-		}
-		if err := node.WriteRun(seed.DB(), area, start, data); err != nil {
+		data := bytes.Repeat([]byte{tag}, page.Size)
+		if err := node.WriteRun(seed.Client(), tx, seed.DB(), area, start, data); err != nil {
 			log.Fatal(err)
 		}
 		pages[tag] = page.ID{Area: page.AreaID(area), Page: page.No(start)}
+	}
+	if err := node.Commit(seed.Client(), tx, nil); err != nil {
+		log.Fatal(err)
 	}
 
 	// Two application processes attach to the shared cache.
@@ -122,7 +127,8 @@ func main() {
 	}
 	fmt.Println("P1 crashed; its slots and latches were reclaimed; P2 continues")
 
-	// Write-back of dirty pages to the server's disk.
+	// Write-back of dirty pages to the server's disk: each page one
+	// committed transaction, durable when FlushDirty returns.
 	if err := node.SharedCache().FlushDirty(); err != nil {
 		log.Fatal(err)
 	}

@@ -171,14 +171,17 @@ func SetupE2(nPages int) *E2Env {
 	sess, err := client.Open(node, "coa", "db", true)
 	must(err)
 	env := &E2Env{srv: srv, node: node, sess: sess}
+	tx, err := node.NewTx()
+	must(err)
 	for i := 0; i < nPages; i++ {
 		area, start, _, err := node.AllocRun(sess.DB(), 1)
 		must(err)
 		data := make([]byte, page.Size)
 		data[0] = byte(i)
-		must(node.WriteRun(sess.DB(), area, start, data))
+		must(node.WriteRun(sess.Client(), tx, sess.DB(), area, start, data))
 		env.pages = append(env.pages, page.ID{Area: page.AreaID(area), Page: page.No(start)})
 	}
+	must(node.Commit(sess.Client(), tx, nil))
 	env.shmP, err = node.AttachShared()
 	must(err)
 	return env

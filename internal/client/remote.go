@@ -262,12 +262,6 @@ func (r *Remote) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
 	return rep.Area, rep.Start, rep.Granted, err
 }
 
-// FreeRun implements proto.Conn.
-func (r *Remote) FreeRun(db, area uint32, start int64) error {
-	_, err := call(r, proto.MethodFreeRun, &proto.RunArgs{DB: db, Area: area, Start: start})
-	return err
-}
-
 // ReadRun implements proto.Conn.
 func (r *Remote) ReadRun(db, area uint32, start int64, nPages int) ([]byte, error) {
 	rep, err := call(r, proto.MethodReadRun, &proto.RunArgs{DB: db, Area: area, Start: start, NPages: nPages})
@@ -275,8 +269,8 @@ func (r *Remote) ReadRun(db, area uint32, start int64, nPages int) ([]byte, erro
 }
 
 // WriteRun implements proto.Conn.
-func (r *Remote) WriteRun(db, area uint32, start int64, data []byte) error {
-	_, err := call(r, proto.MethodWriteRun, &proto.RunArgs{DB: db, Area: area, Start: start, Data: data})
+func (r *Remote) WriteRun(client uint32, tx uint64, db, area uint32, start int64, data []byte) error {
+	_, err := call(r, proto.MethodWriteRun, &proto.RunArgs{Client: client, Tx: tx, DB: db, Area: area, Start: start, Data: data})
 	return err
 }
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,6 +53,10 @@ type Session struct {
 	inTx    bool                  // guarded by mu
 	xLocked map[proto.SegKey]bool // guarded by mu
 	touched map[proto.SegKey]bool // guarded by mu
+	// written holds the pages the transaction wrote through a run store, by
+	// run address (runStore): until it commits the area holds what they
+	// replace.
+	written map[page.No][]byte // guarded by mu
 
 	// Snapshot mode (snapshot.go): while snapMode is set the session is a
 	// read-only transaction pinned to snapStamp. snapFetched tracks as-of
@@ -87,6 +92,7 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		space:        vmem.New(),
 		xLocked:      make(map[proto.SegKey]bool),
 		touched:      make(map[proto.SegKey]bool),
+		written:      make(map[page.No][]byte),
 		pendingDrops: make(map[proto.SegKey]bool),
 		scanWindow:   defaultScanWindow,
 	}
@@ -657,9 +663,24 @@ func (s *Session) endTx() {
 	s.mu.Lock()
 	s.inTx = false
 	s.txID = 0
+	clear(s.written)
 	s.xLocked = make(map[proto.SegKey]bool)
 	s.touched = make(map[proto.SegKey]bool)
 	s.mu.Unlock()
+}
+
+// updateTx returns the transaction an update runs under: there is none in a
+// snapshot, which is read-only, or outside a transaction.
+func (s *Session) updateTx() (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.snapMode:
+		return 0, ErrSnapshotRead
+	case !s.inTx:
+		return 0, ErrNoTx
+	}
+	return s.txID, nil
 }
 
 // --- object operations ---
@@ -669,17 +690,10 @@ func (s *Session) endTx() {
 // detection still drives segment X locks on actual writes; object locks
 // let applications serialize logical conflicts below segment granularity.
 func (s *Session) LockObject(ref vmem.Addr, exclusive bool) error {
-	s.mu.Lock()
-	if s.snapMode {
-		s.mu.Unlock()
-		return ErrSnapshotRead // snapshots hold no locks, S included
+	txid, err := s.updateTx() // snapshots hold no locks, S included
+	if err != nil {
+		return err
 	}
-	if !s.inTx {
-		s.mu.Unlock()
-		return ErrNoTx
-	}
-	txid := s.txID
-	s.mu.Unlock()
 	obj, err := s.Deref(ref)
 	if err != nil {
 		return err
@@ -774,16 +788,9 @@ func (s *Session) AddrOfSlot(seg proto.SegKey, slot int) (vmem.Addr, error) {
 // CreateObject allocates an object in seg, returning its slot address. The
 // segment is X-locked and its image ships at commit.
 func (s *Session) CreateObject(seg proto.SegKey, typ segment.TypeID, data []byte) (vmem.Addr, error) {
-	s.mu.Lock()
-	if s.snapMode {
-		s.mu.Unlock()
-		return vmem.NilAddr, ErrSnapshotRead
+	if _, err := s.updateTx(); err != nil {
+		return vmem.NilAddr, err
 	}
-	if !s.inTx {
-		s.mu.Unlock()
-		return vmem.NilAddr, ErrNoTx
-	}
-	s.mu.Unlock()
 	if err := s.writeLock(seg); err != nil {
 		return vmem.NilAddr, err
 	}
@@ -930,17 +937,10 @@ func (s *Session) UnsetRoot(name string) error {
 // segment is X-locked, ships at commit, and until then no other client can
 // find the object. The creator reads it from its own copy, with no fetch.
 func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []byte) (vmem.Addr, error) {
-	s.mu.Lock()
-	if s.snapMode {
-		s.mu.Unlock()
-		return vmem.NilAddr, ErrSnapshotRead
+	txid, err := s.updateTx()
+	if err != nil {
+		return vmem.NilAddr, err
 	}
-	if !s.inTx {
-		s.mu.Unlock()
-		return vmem.NilAddr, ErrNoTx
-	}
-	txid := s.txID
-	s.mu.Unlock()
 	if err := s.writeLock(seg); err != nil {
 		return vmem.NilAddr, err
 	}
@@ -1025,51 +1025,74 @@ func (s *Session) Scan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Objec
 	return nil
 }
 
-// runStore adapts the connection's raw-run methods to largeobj.Store so
-// very large objects live on server disk. It is bound to one storage area
-// (the database's run area), discovered at construction.
-type runStore struct {
-	s    *Session
-	area uint32
-}
+// runStore adapts the connection's raw-run methods to largeobj.Store, so a
+// very large object lives on server disk and each write of it is a change of
+// the session's transaction. A run's address in the store packs its area
+// above its start, as a header offset does (Resolve), so an object's
+// descriptor names its runs whatever area they are in.
+type runStore struct{ s *Session }
 
-var _ largeobj.Store = (*runStore)(nil)
+// RunStore returns a largeobj.Store over this session's database.
+func (s *Session) RunStore() largeobj.Store { return runStore{s} }
 
-// RunStore returns a largeobj.Store backed by this session's database.
-func (s *Session) RunStore() (largeobj.Store, error) {
-	a, start, _, err := s.conn.AllocRun(s.db, 1)
-	if err != nil {
-		return nil, err
+func runAddr(area uint32, start int64) page.No { return page.No(int64(area)<<32 | start) }
+
+func splitRun(p page.No) (area uint32, start int64) { return uint32(p >> 32), int64(p & (1<<32 - 1)) }
+
+// Alloc allocates a run for the session's transaction to write.
+func (r runStore) Alloc(nPages int) (page.No, int, error) {
+	if _, err := r.s.updateTx(); err != nil {
+		return 0, 0, err
 	}
-	if err := s.conn.FreeRun(s.db, a, start); err != nil {
-		return nil, err
-	}
-	return &runStore{s: s, area: a}, nil
-}
-
-func (r *runStore) Alloc(nPages int) (page.No, int, error) {
 	a, start, granted, err := r.s.conn.AllocRun(r.s.db, nPages)
-	if err == nil && a != r.area {
-		return 0, 0, fmt.Errorf("client: run area changed (%d → %d)", r.area, a)
+	if err == nil && start>>32 != 0 {
+		err = fmt.Errorf("client: run start %d does not fit a run address", start)
 	}
-	return page.No(start), granted, err
+	return runAddr(a, start), granted, err
 }
 
-func (r *runStore) Free(start page.No) error {
-	return r.s.conn.FreeRun(r.s.db, r.area, int64(start))
-}
+// Free keeps the run allocated: the log holds its pages' history, which
+// restart would replay over anything allocated there later (DESIGN.md §5).
+func (r runStore) Free(page.No) error { return nil }
 
-func (r *runStore) ReadRun(start page.No, n int, buf []byte) error {
-	data, err := r.s.conn.ReadRun(r.s.db, r.area, int64(start), n)
+// ReadRun reads the run as the session's transaction sees it: what the area
+// holds, under the pages the transaction wrote.
+func (r runStore) ReadRun(start page.No, n int, buf []byte) error {
+	a, at := splitRun(start)
+	data, err := r.s.conn.ReadRun(r.s.db, a, at, n)
 	if err != nil {
 		return err
 	}
 	copy(buf, data)
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	for i := range n {
+		if p := r.s.written[start+page.No(i)]; p != nil {
+			copy(buf[i*page.Size:], p)
+		}
+	}
 	return nil
 }
 
-func (r *runStore) WriteRun(start page.No, data []byte) error {
-	return r.s.conn.WriteRun(r.s.db, r.area, int64(start), data)
+// WriteRun writes data over the run as a change of the session's
+// transaction, which the server writes at its commit.
+func (r runStore) WriteRun(start page.No, data []byte) error {
+	s := r.s
+	txid, err := s.updateTx()
+	if err != nil {
+		return err
+	}
+	a, at := splitRun(start)
+	if err := s.conn.WriteRun(s.client, txid, s.db, a, at, data); err != nil {
+		return err
+	}
+	own := bytes.Clone(data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < len(own); i += page.Size {
+		s.written[start+page.No(i/page.Size)] = own[i : i+page.Size]
+	}
+	return nil
 }
 
 // DropAllCached drops every cached segment (benchmarks compare cold/warm

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bess/internal/largeobj"
+	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
@@ -555,11 +556,7 @@ func TestVeryLargeObjectOverConnection(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
 	s, _ := openRemote(t, srv, "vlo")
-	store, err := s.RunStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := largeobj.Create(store, 0)
+	o, err := largeobj.Create(s.RunStore(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,22 +564,33 @@ func TestVeryLargeObjectOverConnection(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
+	if err := o.Append(data); !errors.Is(err, ErrNoTx) {
+		t.Fatalf("Append outside a transaction = %v, want ErrNoTx", err)
+	}
+	s.Begin()
 	if err := o.Append(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Insert(1000, []byte("inserted")); err != nil {
 		t.Fatal(err)
 	}
+	// The transaction reads its own writes, which the server holds back
+	// until the commit.
+	buf := make([]byte, 8)
+	if err := o.Read(1000, buf); err != nil || string(buf) != "inserted" {
+		t.Fatalf("read own write %q, %v", buf, err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	desc := o.EncodeDescriptor()
 
 	// Reopen through a second connection.
 	s2, _ := openRemote(t, srv, "vlo2")
-	store2, _ := s2.RunStore()
-	o2, err := largeobj.Open(store2, desc)
+	o2, err := largeobj.Open(s2.RunStore(), desc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 8)
 	if err := o2.Read(1000, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -591,25 +599,41 @@ func TestVeryLargeObjectOverConnection(t *testing.T) {
 	}
 }
 
-// TestRunStoreFree: the session's run store hands a freed run back to the
-// server's area, so a second free of the same run is refused.
+// TestRunStoreFree: a very large object's run stays allocated
+// when the object frees it — the log holds its pages' history, which restart
+// would replay over anything allocated there later — so its bytes are still
+// there and the next run goes elsewhere.
 func TestRunStoreFree(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
 	s, _ := openRemote(t, srv, "runs")
-	store, err := s.RunStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := s.RunStore()
+	s.Begin()
 	start, granted, err := store.Alloc(4)
 	if err != nil || granted < 4 {
 		t.Fatalf("Alloc(4): %d pages at %d, %v", granted, start, err)
 	}
+	run := bytes.Repeat([]byte{0x7E}, granted*page.Size)
+	if err := store.WriteRun(start, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s.Begin()
 	if err := store.Free(start); err != nil {
 		t.Fatalf("Free of an allocated run: %v", err)
 	}
-	if err := store.Free(start); err == nil {
-		t.Fatal("a run freed once was freed again")
+	next, _, err := store.Alloc(4)
+	if err != nil || next == start {
+		t.Fatalf("the run after a free: at %d (the freed run is at %d), %v", next, start, err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(run))
+	if err := store.ReadRun(start, granted, got); err != nil || !bytes.Equal(got, run) {
+		t.Fatalf("the freed run no longer holds its bytes: %v", err)
 	}
 }
 

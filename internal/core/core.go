@@ -506,17 +506,15 @@ func (f *File) NewLarge(typ segment.TypeID, content []byte) (Ref, error) {
 // interface: read, write, insert, delete, append, truncate).
 type VLO = largeobj.Object
 
-// NewVLO creates a very large object; sizeHint tunes its segment size.
+// NewVLO creates a very large object; sizeHint tunes its segment size. Its
+// updates are changes of the database's open transaction, and are refused
+// outside one.
 func (db *Database) NewVLO(sizeHint int64) (*VLO, error) {
-	store, err := db.sess.RunStore()
-	if err != nil {
-		return nil, err
-	}
-	return largeobj.Create(store, sizeHint)
+	return largeobj.Create(db.sess.RunStore(), sizeHint)
 }
 
 // SaveVLO persists the object's index as a named blob so it can be
-// reopened; the data segments are already on the server.
+// reopened; the data segments are already changes of the transaction.
 func (db *Database) SaveVLO(name string, o *VLO) error {
 	desc := o.EncodeDescriptor()
 	f, err := db.CreateFile("")
@@ -544,11 +542,7 @@ func (db *Database) OpenVLO(name string) (*VLO, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := db.sess.RunStore()
-	if err != nil {
-		return nil, err
-	}
-	return largeobj.Open(store, desc)
+	return largeobj.Open(db.sess.RunStore(), desc)
 }
 
 // --- generic typed layer ---

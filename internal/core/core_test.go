@@ -274,13 +274,13 @@ func TestVLOLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := bytes.Repeat([]byte("0123456789"), 50_000) // 500KB
+	db.Begin()
 	if err := vlo.Append(base); err != nil {
 		t.Fatal(err)
 	}
 	if err := vlo.Insert(1000, []byte("<<injected>>")); err != nil {
 		t.Fatal(err)
 	}
-	db.Begin()
 	if err := db.SaveVLO("track-1", vlo); err != nil {
 		t.Fatal(err)
 	}

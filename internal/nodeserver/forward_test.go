@@ -63,6 +63,10 @@ func (u *recordingUpstream) StoreLarge(c uint32, _ uint64, _ proto.SegKey, _ []b
 	u.saw["StoreLarge"] = c
 	return nil, nil
 }
+func (u *recordingUpstream) WriteRun(c uint32, _ uint64, _, _ uint32, _ int64, _ []byte) error {
+	u.saw["WriteRun"] = c
+	return nil
+}
 func (u *recordingUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
 	u.saw["SnapOpen"] = c
 	return 1, 0, nil
@@ -89,7 +93,7 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 		"Hello":  true, // registers a local; the node said its own Hello at New
 		"OpenDB": true, "NewTx": true, "RegisterType": true, "Types": true, "AddArea": true,
 		"NewFileID": true, "SegInfo": true, "Resolve": true, "Decide": true,
-		"SegmentsOf": true, "AllocRun": true, "FreeRun": true, "ReadRun": true, "WriteRun": true,
+		"SegmentsOf": true, "AllocRun": true, "ReadRun": true,
 		"NameBind": true, "NameLookup": true, "NameUnbind": true, "NameRemoveOID": true,
 	}
 	up := &recordingUpstream{saw: make(map[string]uint32)}
@@ -113,6 +117,7 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	ns.Released(local, []proto.SegKey{seg})
 	ns.CreateSegment(local, 1, 1, 1, 1, 1, -1)
 	ns.StoreLarge(local, 1, seg, nil)
+	ns.WriteRun(local, 1, 1, 1, 8, nil)
 	ns.SnapOpen(local)
 	ns.SnapClose(local, 1)
 	ns.SnapFetchSeg(local, 1, seg)

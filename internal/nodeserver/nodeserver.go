@@ -39,7 +39,7 @@ type Stats struct {
 
 // NodeServer is the node-local BeSS process. It is a proto.Conn for the
 // node's applications by being one to its upstream: the embedded Conn answers
-// every call the node has nothing to add to (catalog, names, raw runs, Decide),
+// every call the node has nothing to add to (catalog, names, run reads, Decide),
 // and the methods below are the ones it changes — it registers the locals and
 // calls them back itself, serves fetches from its image cache, and speaks
 // upstream under its own client id.
@@ -335,6 +335,11 @@ func (ns *NodeServer) StoreLarge(local uint32, tx uint64, seg proto.SegKey, cont
 	return ns.Conn.StoreLarge(ns.client, tx, seg, content)
 }
 
+// WriteRun forwards under the node server's client id.
+func (ns *NodeServer) WriteRun(local uint32, tx uint64, db, area uint32, start int64, data []byte) error {
+	return ns.Conn.WriteRun(ns.client, tx, db, area, start, data)
+}
+
 var _ proto.Conn = (*NodeServer)(nil)
 
 // pageBacking adapts the upstream raw-run interface to the shared cache's
@@ -345,6 +350,16 @@ func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
 	return b.ns.ReadRun(b.ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), 1)
 }
 
+// WriteBack writes the page back as a transaction of its own, so it is
+// durable when WriteBack returns.
 func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
-	return b.ns.WriteRun(b.ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), data)
+	ns := b.ns
+	tx, err := ns.Conn.NewTx()
+	if err == nil {
+		err = ns.Conn.WriteRun(ns.client, tx, ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), data)
+	}
+	if err == nil {
+		return ns.Conn.Commit(ns.client, tx, nil)
+	}
+	return errors.Join(err, ns.Conn.Abort(ns.client, tx))
 }

@@ -261,8 +261,8 @@ func TestUpstreamCallbackReachesLocals(t *testing.T) {
 func TestSharedMemoryModeOnNode(t *testing.T) {
 	_, ns := env(t)
 	s, _ := client.Open(ns, "seed", "db", true)
-	// Write raw pages through the run interface so the shared cache has
-	// real disk pages to serve.
+	// Write raw pages through the run interface, in a committed
+	// transaction, so the shared cache has real disk pages to serve.
 	_, _, _, err := ns.AllocRun(s.DB(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,11 @@ func TestSharedMemoryModeOnNode(t *testing.T) {
 	}
 	pageData := make([]byte, 2*page.Size)
 	copy(pageData, []byte("shared-mode-page"))
-	if err := ns.WriteRun(s.DB(), areaID, start, pageData); err != nil {
+	tx, _ := ns.NewTx()
+	if err := ns.WriteRun(s.Client(), tx, s.DB(), areaID, start, pageData); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Commit(s.Client(), tx, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -396,9 +396,11 @@ func (m *AllocRunReply) Fields(c *Cursor) {
 	c.Count(&m.Granted)
 }
 
-// RunArgs addresses a raw page run: the args of FreeRun, ReadRun (NPages;
-// the reply is Bytes) and WriteRun (Data).
+// RunArgs addresses a raw page run: the args of ReadRun (NPages; the reply
+// is Bytes) and WriteRun (Data, a change of the client's Tx).
 type RunArgs struct {
+	Client uint32
+	Tx     uint64
 	DB     uint32
 	Area   uint32
 	Start  int64
@@ -407,6 +409,8 @@ type RunArgs struct {
 }
 
 func (m *RunArgs) Fields(c *Cursor) {
+	c.U32(&m.Client)
+	c.U64(&m.Tx)
 	c.U32(&m.DB)
 	c.U32(&m.Area)
 	c.I64(&m.Start)

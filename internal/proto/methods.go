@@ -5,8 +5,9 @@ package proto
 // calls and prototest samples name a method by its descriptor, so the
 // compiler holds them to its types. Ids are the wire protocol: append-only,
 // never reassigned (internal/rpc/testdata/methods.golden pins them). 10 and
-// 11 (the two-step fetch FetchSeg replaced) and 23 (the server-side
-// large-object create) are retired; 0 is a named frame's.
+// 11 (the two-step fetch FetchSeg replaced), 23 (the server-side
+// large-object create) and 25 (FreeRun: a logged run is never freed) are
+// retired; 0 is a named frame's.
 
 // Desc is a method's wire identity. A Desc with ID 0 names a method outside
 // the table, which travels under its name (tests and probes).
@@ -50,7 +51,6 @@ var (
 	MethodSegmentsOf    = method[SegmentsOfArgs, SegmentsOfReply](21, "SegmentsOf")
 	MethodReleased      = method[ReleasedArgs, Empty](22, "Released")
 	MethodAllocRun      = method[AllocRunArgs, AllocRunReply](24, "AllocRun")
-	MethodFreeRun       = method[RunArgs, Empty](25, "FreeRun")
 	MethodReadRun       = method[RunArgs, Bytes](26, "ReadRun")
 	MethodWriteRun      = method[RunArgs, Empty](27, "WriteRun")
 	MethodNameBind      = method[NameBindArgs, Empty](28, "NameBind")

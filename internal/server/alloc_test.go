@@ -81,7 +81,7 @@ func TestFormatSegmentAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.FreeRun(db, area, start); err != nil {
+	if err := s.lookupArea(area).FreeSegment(page.No(start)); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

@@ -110,7 +110,7 @@ func TestOverflowChecksumCarried(t *testing.T) {
 }
 
 // TestDataChecksumClearedWithoutOne: a segment whose header carries no data
-// checksum — its slotted run written raw (WriteRun), as an image from before
+// checksum — its slotted run written straight to the area, as an image from before
 // section checksums would be — keeps none through a commit that ships no
 // data. The server vouches only for bytes it received or a checksum it held:
 // the shipped header's claim for a run it never saw is dropped.
@@ -126,7 +126,7 @@ func TestDataChecksumClearedWithoutOne(t *testing.T) {
 	}
 	bare := decodeSeg(t, sl, ov, nil)
 	bare.Hdr.CRCFlags &^= segment.CRCData
-	if err := s.WriteRun(db, key.Area, key.Start, bare.EncodeSlots()); err != nil {
+	if err := s.lookupArea(key.Area).WriteRun(page.No(key.Start), bare.EncodeSlots()); err != nil {
 		t.Fatal(err)
 	}
 	if h := fetchHeader(t, s, key); h.CRCFlags&segment.CRCData != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,9 +13,11 @@ import (
 	"bess/internal/client"
 	"bess/internal/goleak"
 	"bess/internal/oid"
+	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
+	"bess/internal/tx"
 )
 
 // callPeer builds a served pipe and a typed call helper, exercising the
@@ -176,14 +179,18 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw runs.
+	// Raw runs, written by a transaction.
 	runArea, runStart, _, err := r.AllocRun(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := make([]byte, 2*4096)
 	copy(run, "raw-run")
-	if err := r.WriteRun(db, runArea, runStart, run); err != nil {
+	runTx, _ := r.NewTx()
+	if err := r.WriteRun(cl, runTx, db, runArea, runStart, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(cl, runTx, nil); err != nil {
 		t.Fatal(err)
 	}
 	rr, err := r.ReadRun(db, runArea, runStart, 1)
@@ -192,9 +199,6 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 	if string(rr[:7]) != "raw-run" {
 		t.Fatalf("run data %q", rr[:7])
-	}
-	if err := r.FreeRun(db, runArea, runStart); err != nil {
-		t.Fatal(err)
 	}
 
 	// Resolve.
@@ -331,8 +335,8 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		method string
 		body   []byte
 	}{
-		{"ReadRun", body(run, 16, 0xFFFFFFFF)}, // int32(-1)
-		{"ReadRun", body(run, 16, 0x80000000)},
+		{"ReadRun", body(run, 28, 0xFFFFFFFF)}, // int32(-1)
+		{"ReadRun", body(run, 28, 0x80000000)},
 		{"AllocRun", body(&proto.AllocRunArgs{DB: odb.DB}, 4, 0xFFFFFFFF)},
 		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, DataPages: 1}, 20, 0xFFFFFFFF)},
 		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1}, 24, 0x80000000)},
@@ -348,25 +352,122 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		}
 	}
 
+	// A write is a change of a transaction: none, and it is refused.
+	var hello proto.IDReply
+	if err := rpc.Call(p, proto.MethodHello, &proto.HelloArgs{Name: "runs"}, &hello); err != nil {
+		t.Fatal(err)
+	}
 	data := bytes.Repeat([]byte{0xAB}, 2*4096)
-	if err := rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{}); err != nil {
+	write := func(tx uint64, data []byte) error {
+		return rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{Client: hello.ID, Tx: tx, DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{})
+	}
+	if err := write(0, data); err == nil || !strings.Contains(err.Error(), tx.ErrNotActive.Error()) {
+		t.Errorf("WriteRun outside a transaction = %v, want tx.ErrNotActive", err)
+	}
+	var ntx proto.NewTxReply
+	if err := rpc.Call(p, proto.MethodNewTx, &proto.ClientArgs{Client: hello.ID}, &ntx); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(ntx.Tx, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.Call(p, proto.MethodCommit, &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx}, &proto.Empty{}); err != nil {
 		t.Fatal(err)
 	}
 	ragged := make([]byte, 4096+100)
-	if err := s.WriteRun(odb.DB, ar.Area, ar.Start, ragged); !errors.Is(err, ErrBadRun) {
+	if err := s.WriteRun(hello.ID, ntx.Tx+1, odb.DB, ar.Area, ar.Start, ragged); !errors.Is(err, ErrBadRun) {
 		t.Errorf("ragged WriteRun = %v, want ErrBadRun", err)
 	}
-	err := rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: ragged}, &proto.Empty{})
-	if err == nil || !strings.Contains(err.Error(), ErrBadRun.Error()) {
+	if err := write(ntx.Tx+2, ragged); err == nil || !strings.Contains(err.Error(), ErrBadRun.Error()) {
 		t.Errorf("ragged WriteRun over RPC = %v, want ErrBadRun", err)
 	}
-	// The server is still up, and the rejected write touched nothing.
+	// The server is still up, and the rejected writes touched nothing.
 	var rr proto.Bytes
 	if err := rpc.Call(p, proto.MethodReadRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rr.Data, data) {
-		t.Fatal("rejected WriteRun modified the run")
+		t.Fatal("a rejected WriteRun modified the run")
+	}
+}
+
+// TestWriteRunWaitsForTheWriter: a run is X-locked by the transaction that
+// writes it, so a second writer waits for the first one's commit, and its
+// change is then taken over what that commit wrote.
+func TestWriteRunWaitsForTheWriter(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	cl, _ := s.Hello("c")
+	aid, start, _, err := s.AllocRun(db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := bytes.Repeat([]byte{1}, page.Size), bytes.Repeat([]byte{2}, page.Size)
+	if err := s.WriteRun(cl, 1, db, aid, start, first); err != nil {
+		t.Fatal(err)
+	}
+	blocks := s.locks.Snapshot().Blocks
+	wrote := make(chan error, 1)
+	go func() {
+		err := s.WriteRun(cl, 2, db, aid, start, second)
+		if err == nil {
+			err = s.Commit(cl, 2, nil)
+		}
+		wrote <- err
+	}()
+	for s.locks.Snapshot().Blocks == blocks { // until the second writer waits
+		select {
+		case err := <-wrote:
+			t.Fatalf("the second writer went ahead of the first one's commit (%v)", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	if got, _ := s.ReadRun(db, aid, start, 1); bytes.Equal(got, first) {
+		t.Fatal("the first write reached the area before its commit")
+	}
+	if err := s.Commit(cl, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.ReadRun(db, aid, start, 1); !bytes.Equal(got, second) {
+		t.Fatal("the run does not hold the second commit's write")
+	}
+}
+
+// TestRunsStayInTheirDatabase: a run is reached through the database whose
+// area holds it; named through another, ReadRun and WriteRun find no area.
+func TestRunsStayInTheirDatabase(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	mine, _, _ := s.OpenDB("mine", true)
+	other, _, _ := s.OpenDB("other", true)
+	cl, _ := s.Hello("c")
+	aid, start, _, err := s.AllocRun(mine, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := bytes.Repeat([]byte{0x5E}, page.Size)
+	if err := s.WriteRun(cl, 1, mine, aid, start, secret); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(cl, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadRun(other, aid, start, 1); !errors.Is(err, ErrNoArea) {
+		t.Errorf("ReadRun through another database = %d bytes, %v; want ErrNoArea", len(got), err)
+	}
+	if err := s.WriteRun(cl, 2, other, aid, start, make([]byte, page.Size)); !errors.Is(err, ErrNoArea) {
+		t.Errorf("WriteRun through another database = %v, want ErrNoArea", err)
+	}
+	if err := s.Commit(cl, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadRun(mine, aid, start, 1); err != nil || !bytes.Equal(got, secret) {
+		t.Fatalf("the run through its own database: %v", err)
 	}
 }
 

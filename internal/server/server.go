@@ -12,10 +12,12 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1142,7 +1144,8 @@ func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, conten
 
 // --- raw runs (very-large-object substrate) ---
 
-// AllocRun implements proto.Conn.
+// AllocRun implements proto.Conn. A run is never freed: restart would replay
+// its pages' history over a segment allocated there (DESIGN.md §5).
 func (s *Server) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
 	s.stats.messages.Add(1)
 	m, err := s.cat.db(db)
@@ -1160,22 +1163,28 @@ func (s *Server) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
 	return aid, int64(start), granted, nil
 }
 
-// FreeRun implements proto.Conn.
-func (s *Server) FreeRun(db uint32, areaID uint32, start int64) error {
-	s.stats.messages.Add(1)
-	a := s.lookupArea(areaID)
-	if a == nil {
-		return ErrNoArea
+// runArea returns area areaID if db has it, and ErrNoArea if not: a run is
+// reached through the database that allocated it.
+func (s *Server) runArea(db, areaID uint32) (*area.Area, error) {
+	m, err := s.cat.db(db)
+	if err != nil {
+		return nil, err
 	}
-	return a.FreeSegment(page.No(start))
+	s.cat.mu.Lock()
+	mine := slices.Contains(m.Areas, areaID)
+	s.cat.mu.Unlock()
+	if a := s.lookupArea(areaID); mine && a != nil {
+		return a, nil
+	}
+	return nil, ErrNoArea
 }
 
 // ReadRun implements proto.Conn.
 func (s *Server) ReadRun(db uint32, areaID uint32, start int64, nPages int) ([]byte, error) {
 	s.stats.messages.Add(1)
-	a := s.lookupArea(areaID)
-	if a == nil {
-		return nil, ErrNoArea
+	a, err := s.runArea(db, areaID)
+	if err != nil {
+		return nil, err
 	}
 	// nPages arrives off the wire: bound it before it sizes an allocation.
 	// Area.ReadRun checks the range itself.
@@ -1189,20 +1198,27 @@ func (s *Server) ReadRun(db uint32, areaID uint32, start int64, nPages int) ([]b
 	return buf, nil
 }
 
-// WriteRun implements proto.Conn.
-func (s *Server) WriteRun(db uint32, areaID uint32, start int64, data []byte) error {
+// WriteRun implements proto.Conn: txid takes X on the run at start, named as
+// a segment is by its start, and logs the pages data changes as a shipped
+// section's (eachPage), which its commit writes after the force.
+func (s *Server) WriteRun(client uint32, txid uint64, db, areaID uint32, start int64, data []byte) error {
 	s.stats.messages.Add(1)
-	a := s.lookupArea(areaID)
-	if a == nil {
-		return ErrNoArea
+	if txid == 0 {
+		return tx.ErrNotActive
 	}
 	if len(data)%page.Size != 0 {
 		return fmt.Errorf("%w: %d bytes is not a whole number of pages", ErrBadRun, len(data))
 	}
-	if len(data) == 0 {
-		return nil
+	if _, err := s.runArea(db, areaID); err != nil || len(data) == 0 {
+		return err
 	}
-	return a.WriteRun(page.No(start), data)
+	t := s.ensureTx(client, txid)
+	if err := t.Lock(segLockName(proto.SegKey{Area: areaID, Start: start}), lock.X); err != nil {
+		return err
+	}
+	// t keeps the after-images until it ends, and data may be a view of the
+	// request frame.
+	return s.eachPage(t, areaID, page.No(start), nil, bytes.Clone(data), new([]byte))
 }
 
 // --- names ---
