@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bess/internal/bench"
+	"bess/internal/torture"
 )
 
 func main() {
@@ -370,31 +371,36 @@ func e13(quick bool, jsonOut bool) {
 	if quick {
 		sample = 12
 	}
-	rep, err := bench.RunE13(42, sample)
+	rep, err := torture.RunE13(42, sample)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bess-bench: E13: %v\n", err)
 		os.Exit(1)
 	}
+	printCrash("transactions", rep.CrashReport)
+	fmt.Printf("recovery: mean redo %.1f per restart\n", rep.MeanRedo)
+	printCrash("server", rep.Server)
+	if jsonOut {
+		writeJSON("E13", rep)
+	}
+}
+
+// printCrash prints one workload's crash enumeration.
+func printCrash(name string, rep torture.CrashReport) {
 	scope := "full enumeration"
 	if rep.Sampled {
 		scope = "sampled"
 	}
-	fmt.Printf("crash points %d (%s, events %s), crash modes %d, trials %d\n",
-		rep.CrashPoints, scope, rep.WorkloadEvents, len(rep.Modes), rep.Trials)
+	fmt.Printf("%s: crash points %d (%s, events %s), crash modes %d, trials %d\n",
+		name, rep.CrashPoints, scope, rep.WorkloadEvents, len(rep.Modes), rep.Trials)
 	for _, m := range rep.Modes {
 		fmt.Printf("  %-8s %4d trials   %4d consistent   %d inconsistent\n",
 			m.Mode, m.Trials, m.Consistent, m.Inconsistent)
 	}
-	fmt.Printf("recovery: mean %.0f us, max %.0f us; mean redo %.1f per restart\n",
-		rep.MeanRecoverUs, rep.MaxRecoverUs, rep.MeanRedo)
 	if rep.Inconsistent > 0 {
 		fmt.Printf("FAILURES:\n")
 		for _, f := range rep.Failures {
 			fmt.Printf("  %s\n", f)
 		}
-	}
-	if jsonOut {
-		writeJSON("E13", rep)
 	}
 }
 
@@ -404,7 +410,7 @@ func e19(quick bool, jsonOut bool) {
 	if quick {
 		sample = 12
 	}
-	rep, err := bench.RunE19(42, sample)
+	rep, err := torture.RunE19(42, sample)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bess-bench: E19: %v\n", err)
 		os.Exit(1)

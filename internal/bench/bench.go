@@ -10,7 +10,6 @@ package bench
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"bess/internal/client"
 	"bess/internal/core"
 	"bess/internal/largeobj"
-	"bess/internal/lock"
 	"bess/internal/nodeserver"
 	"bess/internal/oid"
 	"bess/internal/page"
@@ -30,7 +28,7 @@ import (
 	"bess/internal/server"
 	"bess/internal/shm"
 	"bess/internal/swizzle"
-	"bess/internal/tx"
+	"bess/internal/torture"
 	"bess/internal/vmem"
 	"bess/internal/wal"
 )
@@ -618,59 +616,12 @@ func RunE8(txns, updates int, checkpoint bool) E8Result {
 	crashed, err := wal.OpenMemFrom(l.DurableBytes())
 	must(err)
 	logBytes := int64(crashed.NextLSN()) // what restart reads, before its rollbacks append
-	_, st, err := restart(crashed, &memPager{log: crashed, pages: make(map[page.ID][]byte)})
+	_, st, err := torture.Restart(crashed, torture.NewMemPager(crashed))
 	must(err)
 	return E8Result{
 		Txns: txns, UpdatesPerTx: updates, Checkpoint: checkpoint, LogBytes: logBytes,
 		RecordsAnalyzed: st.RecordsAnalyzed, RedoApplied: st.RedoApplied, Losers: len(st.Losers),
 	}
-}
-
-// restart is the product's restart (wal.Analyze, tx.Restart) over l and p.
-func restart(l *wal.Log, p wal.Pager) (*tx.Manager, *wal.RecoveryStats, error) {
-	an, err := wal.Analyze(l, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tx.Restart(an, lock.NewManager(), p, nil)
-}
-
-// memPager is the in-memory database image E8 and E19's checkpoint trials
-// recover log onto: pages never written read as zeroes.
-type memPager struct {
-	log   *wal.Log
-	pages map[page.ID][]byte
-}
-
-// checkProof is what every pager of this package asserts of a store: the proof
-// names a page, by a record that is in l.
-func checkProof(l *wal.Log, proof wal.Logged) error {
-	if proof.LSN() == 0 {
-		return wal.ErrNotLogged
-	}
-	if proof.Page().Area == 0 || proof.LSN() >= l.NextLSN() {
-		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
-	}
-	return nil
-}
-
-func (p *memPager) ReadPage(id page.ID, buf []byte) error {
-	if pg, ok := p.pages[id]; ok {
-		copy(buf, pg)
-		return nil
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	return nil
-}
-
-func (p *memPager) WritePage(proof wal.Logged, data []byte) error {
-	if err := checkProof(p.log, proof); err != nil {
-		return err
-	}
-	p.pages[proof.Page()] = append([]byte(nil), data...)
-	return nil
 }
 
 // --- E9: multifile parallel scan ---

@@ -57,6 +57,8 @@ type Session struct {
 	// run address (runStore): until it commits the area holds what they
 	// replace.
 	written map[page.No][]byte // guarded by mu
+	// onEnd holds what runs when the transaction ends (runStore.OnEnd).
+	onEnd []func(committed bool) // guarded by mu
 
 	// Snapshot mode (snapshot.go): while snapMode is set the session is a
 	// read-only transaction pinned to snapStamp. snapFetched tracks as-of
@@ -551,7 +553,7 @@ func (s *Session) Commit() error {
 	for _, img := range images {
 		s.mapper.MarkClean(segID(img.Seg))
 	}
-	s.endTx()
+	s.endTx(true)
 	return nil
 }
 
@@ -609,7 +611,7 @@ func (s *Session) FinishCommit(commit bool) error {
 	} else {
 		err = errors.Join(err, s.dropDirty())
 	}
-	s.endTx()
+	s.endTx(commit && err == nil)
 	return err
 }
 
@@ -629,7 +631,7 @@ func (s *Session) Abort() error {
 	txid := s.txID
 	s.mu.Unlock()
 	err := errors.Join(s.dropDirty(), s.conn.Abort(s.client, txid))
-	s.endTx()
+	s.endTx(false)
 	return err
 }
 
@@ -658,7 +660,7 @@ func (s *Session) release(ids []swizzle.SegID) error {
 	return errors.Join(append(errs, s.conn.Released(s.client, keys))...)
 }
 
-func (s *Session) endTx() {
+func (s *Session) endTx(committed bool) {
 	s.det.EndTransaction()
 	s.mu.Lock()
 	s.inTx = false
@@ -666,7 +668,12 @@ func (s *Session) endTx() {
 	clear(s.written)
 	s.xLocked = make(map[proto.SegKey]bool)
 	s.touched = make(map[proto.SegKey]bool)
+	ends := s.onEnd
+	s.onEnd = nil
 	s.mu.Unlock()
+	for _, end := range ends {
+		end(committed)
+	}
 }
 
 // updateTx returns the transaction an update runs under: there is none in a
@@ -1032,12 +1039,24 @@ func (s *Session) Scan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Objec
 // descriptor names its runs whatever area they are in.
 type runStore struct{ s *Session }
 
-// RunStore returns a largeobj.Store over this session's database.
-func (s *Session) RunStore() largeobj.Store { return runStore{s} }
+// RunStore returns a largeobj.TxStore over this session's database.
+func (s *Session) RunStore() largeobj.TxStore { return runStore{s} }
 
 func runAddr(area uint32, start int64) page.No { return page.No(int64(area)<<32 | start) }
 
 func splitRun(p page.No) (area uint32, start int64) { return uint32(p >> 32), int64(p & (1<<32 - 1)) }
+
+// OnEnd implements largeobj.TxStore: end runs when the session's
+// transaction ends.
+func (r runStore) OnEnd(end func(committed bool)) error {
+	if _, err := r.s.updateTx(); err != nil {
+		return err
+	}
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	r.s.onEnd = append(r.s.onEnd, end)
+	return nil
+}
 
 // Alloc allocates a run for the session's transaction to write.
 func (r runStore) Alloc(nPages int) (page.No, int, error) {

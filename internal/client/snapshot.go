@@ -94,7 +94,7 @@ func (s *Session) EndSnapshot() error {
 		_ = s.dropSeg(segID(key)) // promised to the server mid-snapshot
 	}
 	err := s.conn.SnapClose(s.client, snap)
-	s.endTx()
+	s.endTx(false)
 	return err
 }
 

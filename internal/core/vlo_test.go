@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"bess/internal/area"
 	"bess/internal/fault"
+	"bess/internal/largeobj"
 	"bess/internal/server"
 )
 
@@ -154,5 +156,68 @@ func TestVLOAbortKeepsCommittedContent(t *testing.T) {
 	}
 	if !bytes.Equal(got, committed) {
 		t.Fatalf("after the abort another session reads %d bytes (%d committed) that are not the committed content", len(got), len(committed))
+	}
+}
+
+// TestVLOAbortRestoresTheHandle: after an aborted Append the handle the
+// transaction changed is the committed object again — its size and its bytes
+// — and takes the next transaction's changes from there. A call refused for
+// its arguments needs no transaction and changes nothing an abort undoes.
+func TestVLOAbortRestoresTheHandle(t *testing.T) {
+	_, db := openDB(t)
+	committed := bytes.Repeat([]byte("c"), 1000)
+	vlo, err := db.NewVLO(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Begin()
+	if err := vlo.Append(committed); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A call refused for its arguments, or with nothing to do, changes
+	// nothing, so it needs no transaction.
+	if err := vlo.Append(nil); err != nil {
+		t.Fatalf("empty append outside a transaction: %v", err)
+	}
+	if err := vlo.Write(5000, []byte("x")); !errors.Is(err, largeobj.ErrBadRange) {
+		t.Fatalf("write past the end outside a transaction: %v, want ErrBadRange", err)
+	}
+	db.Begin()
+	if err := vlo.Delete(0, 5000); !errors.Is(err, largeobj.ErrBadRange) {
+		t.Fatalf("delete past the end: %v, want ErrBadRange", err)
+	}
+	if err := db.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	db.Begin()
+	if err := vlo.Append(bytes.Repeat([]byte("a"), 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	read := func() []byte {
+		t.Helper()
+		got := make([]byte, vlo.Size())
+		if err := vlo.Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(); !bytes.Equal(got, committed) {
+		t.Fatalf("after the abort the handle reads %d bytes, want the %d committed", len(got), len(committed))
+	}
+	db.Begin()
+	if err := vlo.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := read(), append(bytes.Clone(committed), "next"...); !bytes.Equal(got, want) {
+		t.Fatalf("the next transaction's append left %d bytes, want %d", len(got), len(want))
 	}
 }

@@ -37,6 +37,17 @@ type Store interface {
 	WriteRun(start page.No, data []byte) error
 }
 
+// TxStore is a Store whose writes are changes of a transaction. An object
+// over one keeps, at its first change in a transaction, what it was, and
+// goes back to it if the transaction aborts: the runs the aborted changes
+// wrote hold nothing of the object then.
+type TxStore interface {
+	Store
+	// OnEnd has end called once, when the current transaction ends, with
+	// whether it committed. It fails outside a transaction.
+	OnEnd(end func(committed bool)) error
+}
+
 // Errors returned by large-object operations.
 var (
 	ErrBadRange  = errors.New("largeobj: byte range out of bounds")
@@ -90,6 +101,7 @@ type Object struct {
 	segHint   int // target bytes per allocated segment
 	fanout    int
 	destroyed bool
+	inTx      bool // a TxStore's transaction changed it, and has not ended
 
 	// Stats for E5.
 	segReads, segWrites, allocs, frees int64
@@ -422,6 +434,33 @@ func (o *Object) checkLive() error {
 	return nil
 }
 
+// change is called by an update whose arguments are checked, before it
+// writes: over a TxStore the first update of a transaction keeps the object
+// as it was, for an abort to go back to.
+func (o *Object) change() error {
+	ts, ok := o.store.(TxStore)
+	if !ok || o.inTx {
+		return nil
+	}
+	saved := o.EncodeDescriptor()
+	if err := ts.OnEnd(func(committed bool) {
+		o.inTx = false
+		if committed {
+			return
+		}
+		r, err := Open(o.store, saved)
+		if err != nil {
+			o.destroyed = true // unreachable: saved is the object's own encoding
+			return
+		}
+		o.root, o.size, o.destroyed = r.root, r.size, false
+	}); err != nil {
+		return err
+	}
+	o.inTx = true
+	return nil
+}
+
 // --- byte-range operations ---
 
 // Read copies bytes [off, off+len(buf)) into buf.
@@ -462,6 +501,9 @@ func (o *Object) Write(off int64, data []byte) error {
 	}
 	if len(data) == 0 {
 		return nil
+	}
+	if err := o.change(); err != nil {
+		return err
 	}
 	// Overhang beyond size is an append.
 	overlap := o.size - off
@@ -509,6 +551,9 @@ func (o *Object) Append(data []byte) error {
 	}
 	if len(data) == 0 {
 		return nil
+	}
+	if err := o.change(); err != nil {
+		return err
 	}
 	// Fill the tail of the last extent, if any space remains.
 	if o.size > 0 {
@@ -562,6 +607,9 @@ func (o *Object) Insert(off int64, data []byte) error {
 	}
 	if len(data) == 0 {
 		return nil
+	}
+	if err := o.change(); err != nil {
+		return err
 	}
 	if off == o.size {
 		return o.Append(data)
@@ -626,6 +674,9 @@ func (o *Object) Delete(off, n int64) error {
 	if n == 0 {
 		return nil
 	}
+	if err := o.change(); err != nil {
+		return err
+	}
 	type hit struct {
 		e      extent
 		objOff int64
@@ -682,6 +733,9 @@ func (o *Object) Truncate(n int64) error {
 // Destroy frees every segment; the object becomes unusable.
 func (o *Object) Destroy() error {
 	if err := o.checkLive(); err != nil {
+		return err
+	}
+	if err := o.change(); err != nil {
 		return err
 	}
 	var firstErr error

@@ -465,19 +465,21 @@ func (s *Server) AddArea(db uint32) (uint32, error) {
 }
 
 // createArea creates storage area aid, empty, on the server's medium. A file
-// is synced before anything can name it.
+// or a device is synced before anything can name it.
 func (s *Server) createArea(aid uint32) (*area.Area, error) {
+	var a *area.Area
+	var err error
 	switch {
 	case s.media != nil:
-		st, err := s.media.NewArea(aid)
-		if err != nil {
-			return nil, err
+		var st area.Store
+		if st, err = s.media.NewArea(aid); err == nil {
+			a, err = area.Create(st, page.AreaID(aid), 1, true)
 		}
-		return area.Create(st, page.AreaID(aid), 1, true)
 	case s.dir == "":
 		return area.NewMem(page.AreaID(aid), 1, true)
+	default:
+		a, err = area.CreateFile(s.areaPath(aid), page.AreaID(aid), 1)
 	}
-	a, err := area.CreateFile(s.areaPath(aid), page.AreaID(aid), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -83,27 +83,6 @@ func (a hookedArea) WriteAt(p []byte, off int64) (int, error) {
 	return a.AreaView.WriteAt(p, off)
 }
 
-// rawSegment reads seg's slotted run and the data run its header names
-// straight off the area: what is on the pages, with no verification and no
-// repair.
-func rawSegment(t *testing.T, s *Server, seg proto.SegKey) []byte {
-	t.Helper()
-	n, err := s.SegInfo(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl := make([]byte, n*page.Size)
-	if err := s.lookupArea(seg.Area).ReadRun(page.No(seg.Start), sl); err != nil {
-		t.Fatal(err)
-	}
-	dec := decodeSeg(t, sl, nil, nil)
-	data := make([]byte, int(dec.Hdr.DataPages)*page.Size)
-	if err := s.lookupArea(uint32(dec.Hdr.DataArea)).ReadRun(dec.Hdr.DataStart, data); err != nil {
-		t.Fatal(err)
-	}
-	return append(sl, data...)
-}
-
 // crcPayload is n bytes of fill that end in the CRC-32C of the bytes before
 // them, little-endian: an object that carries its own checksum, as the
 // benchmark's payloads do. A CRC-32C over a block that ends in its own
@@ -267,85 +246,6 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 		r := d.copy().open(t)
 		if b, err := fetchObject(t, r, key); err != nil || string(b) != "after the failing commit!" {
 			t.Fatalf("restart after the quarantine: %q, %v — the commit did not stand", b, err)
-		}
-		r.Close()
-	}
-}
-
-// TestProcessCrashDuringCommit enumerates a process crash at every device
-// event of one shipped commit: every write the process issued survives, the
-// log tail it never wrote out does not. Restarted, the segment's pages hold
-// its old image or its new one, never a mix — the new one exactly when the
-// commit record survived.
-func TestProcessCrashDuringCommit(t *testing.T) {
-	oldBody := []byte("the old image of the object")
-	newBody := bytes.ToUpper(oldBody)
-	// run sets the segment up and commits the overwrite, the process dying
-	// at event kill (0: never); it returns the events around the commit. The
-	// checkpoint before it leaves restart's redo nothing older to repeat: what
-	// the pages hold then is what the commit and its log left.
-	run := func(kill int64) (d *devices, key proto.SegKey, txid uint64, old, cur []byte, from, to int64) {
-		inj := fault.NewInjector(3)
-		d = newDevices(inj, inj)
-		s := d.open(t)
-		db, _, _ := s.OpenDB("d", true)
-		key = commitOne(t, s, db, oldBody)
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		old = rawSegment(t, s, key)
-		img := overwriteImage(t, s, key, newBody)
-		cl, _ := s.Hello("c")
-		txid, _ = s.NewTx()
-		if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
-			t.Fatal(err)
-		}
-		from = inj.Events()
-		if kill != 0 {
-			inj.KillAt(kill)
-		}
-		err := s.Commit(cl, txid, []proto.SegImage{img})
-		to = inj.Events()
-		if kill == 0 {
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur = rawSegment(t, s, key)
-		}
-		s.Close() // after a crash, a dead process's: what it does is lost
-		return d, key, txid, old, cur, from, to
-	}
-	_, key, txid, old, want, from, to := run(0)
-	if to-from < 3 {
-		t.Fatalf("the commit spans %d device events", to-from)
-	}
-	for kill := from + 1; kill <= to; kill++ {
-		d, _, _, _, _, _, _ := run(kill)
-		after := d.copy()
-		committed := false
-		if l, err := wal.OpenMemFrom(after.log.Image()); err != nil {
-			t.Fatal(err)
-		} else {
-			l.Iterate(0, func(_ page.LSN, r *wal.Record) error {
-				committed = committed || r.Type == wal.TCommit && r.Tx == txid
-				return nil
-			})
-		}
-		r := after.open(t)
-		got, body := rawSegment(t, r, key), oldBody
-		switch {
-		case committed && !bytes.Equal(got, want):
-			t.Fatalf("crash at event %d of (%d, %d]: the commit record survived, the pages do not hold the new image", kill, from, to)
-		case !committed && !bytes.Equal(got, old):
-			t.Fatalf("crash at event %d of (%d, %d]: no commit record survived, the pages do not hold the old image", kill, from, to)
-		case committed:
-			body = newBody
-		}
-		if b, err := fetchObject(t, r, key); err != nil || !bytes.Equal(b, body) {
-			t.Fatalf("crash at event %d: object reads %q, %v; want %q", kill, b, err, body)
-		}
-		if st := r.ScrubStatus(); st.CorruptionsFound != 0 {
-			t.Fatalf("crash at event %d: restart left pages that fail their checksums: %+v", kill, st)
 		}
 		r.Close()
 	}

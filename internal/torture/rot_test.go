@@ -1,4 +1,4 @@
-package bench
+package torture
 
 import "testing"
 
@@ -12,11 +12,11 @@ import "testing"
 // record, 73 under log format 4 (91.2% repaired) and 18 under format 5
 // (87.9%), with the same quarantined points.
 func TestE19Corruption(t *testing.T) {
-	sample := 0
+	run := fullE19
 	if testing.Short() {
-		sample = 6
+		run = func() (E19Report, error) { return RunE19(42, 6) }
 	}
-	rep, err := RunE19(42, sample)
+	rep, err := run()
 	if err != nil {
 		t.Fatalf("RunE19: %v", err)
 	}

@@ -1,9 +1,12 @@
-package bench
+package torture
 
 import (
+	"reflect"
 	"testing"
 
+	"bess/internal/area"
 	"bess/internal/page"
+	"bess/internal/tx"
 	"bess/internal/wal"
 )
 
@@ -27,11 +30,7 @@ func TestE13CrashTorture(t *testing.T) {
 	if runs != 128 {
 		t.Fatalf("the fault-free run's last commit carries %d runs, want a page in 128", runs)
 	}
-	sample := 0
-	if testing.Short() {
-		sample = 12
-	}
-	rep, err := RunE13(42, sample)
+	rep, err := crashRun(12, txWorkload(e13Workload), func(r E13Report) CrashReport { return r.CrashReport })
 	if err != nil {
 		t.Fatalf("E13: %v", err)
 	}
@@ -45,23 +44,23 @@ func TestE13CrashTorture(t *testing.T) {
 	if rep.WorkloadAcked == 0 {
 		t.Fatal("E13 baseline run acknowledged no commits")
 	}
-	t.Logf("E13: %d crash points x %d modes, %d consistent, mean recover %.1fus",
-		rep.CrashPoints, len(rep.Modes), rep.Consistent, rep.MeanRecoverUs)
+	t.Logf("E13: %d crash points x %d modes, %d consistent, mean redo %.1f",
+		rep.CrashPoints, len(rep.Modes), rep.Consistent, rep.MeanRedo)
 }
 
-// TestE13SeedStability: two runs with the same seed must agree exactly —
-// the property that makes a failing crash point replayable.
+// TestE13SeedStability: two runs of the main workload with the same seed
+// must agree exactly — the property that makes a failing crash point
+// replayable. (The server workload's is TestReportsMatchGoldens'.)
 func TestE13SeedStability(t *testing.T) {
-	a, err := RunE13(7, 6)
+	a, err := enumerate(7, 6, txWorkload(e13Workload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunE13(7, 6)
+	b, err := enumerate(7, 6, txWorkload(e13Workload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalEvents != b.TotalEvents || a.Trials != b.Trials ||
-		a.Consistent != b.Consistent || a.Inconsistent != b.Inconsistent {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
@@ -91,7 +90,7 @@ func TestE13LongTransaction(t *testing.T) {
 	if testing.Short() {
 		sample = 6
 	}
-	rep, err := e13Enumerate(42, sample, e13LongTx)
+	rep, err := enumerate(42, sample, txWorkload(e13LongTx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestE13LongTransaction(t *testing.T) {
 // checkpoint is taken while it is in doubt, and other transactions keep
 // running — one commits, one is left in flight. No decision reaches the
 // branch before the crash.
-func e13PreparedBranch(w *e13World) {
+func e13PreparedBranch(w *txWorld) {
 	pg := func(i uint64) page.No { return w.pages[i] }
 	t := w.txm.Ensure(1, 0)
 	if w.ship(t, pg(1), 0, 0, page.Size) != nil || w.ship(t, pg(2), 0, 0, page.Size) != nil || w.commit(t) != nil {
@@ -150,7 +149,7 @@ func TestE13PreparedBranch(t *testing.T) {
 	if testing.Short() {
 		sample = 12
 	}
-	rep, err := e13Enumerate(42, sample, e13PreparedBranch)
+	rep, err := enumerate(42, sample, txWorkload(e13PreparedBranch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestE13FreshPages(t *testing.T) {
 	if testing.Short() {
 		sample = 16
 	}
-	rep, err := e13Enumerate(42, sample, e13FreshPages)
+	rep, err := enumerate(42, sample, txWorkload(e13FreshPages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,4 +224,125 @@ func TestE13FreshPages(t *testing.T) {
 	}
 	t.Logf("%d crash points x %d modes over %d bytes of log, %d consistent",
 		rep.CrashPoints, len(rep.Modes), rep.WorkloadLog, rep.Consistent)
+}
+
+// e13LongPages is how many pages e13LongTx rewrites: a log buffer's worth of
+// whole pages and some.
+const e13LongPages = wal.BufSize/page.Size + 64
+
+// e13LongTx is a second workload for the same enumeration: one transaction
+// whose changes pass the log buffer several times over — each of its pages
+// rewritten whole three times, 13.4 MB of log, 1.6 times the log's buffer
+// set — then its commit. Its spills reach the file in the forces of two
+// checkpoints it straddles and in between in a round the appender leads
+// itself when the buffer set is full (wal.Log), so a crash can fall between
+// any two of them, or inside one. Restart must leave all of it or none of
+// it. Its pages are allocated, and made durable, before the crash window
+// opens.
+func e13LongTx(w *txWorld) {
+	var pages []page.No
+	for len(pages) < e13LongPages {
+		start, got, err := w.area.AllocSegment(min(area.MaxSegmentPages, e13LongPages-len(pages)))
+		if err != nil {
+			return
+		}
+		for i := 0; i < got; i++ {
+			pages = append(pages, start+page.No(i))
+		}
+	}
+	if w.World.area(e13AreaID).Area().Sync() != nil {
+		return
+	}
+	w.setupEvents = w.Area.Events()
+	t := w.txm.Ensure(1, 0)
+	const updates = 3 * e13LongPages
+	for k := 0; k < updates; k++ {
+		if w.ship(t, pages[k%e13LongPages], k, 0, page.Size) != nil {
+			return
+		}
+		// A checkpoint before the first spill, and one after the third: the
+		// first two spills fill the buffer set, and the third one's append
+		// leads the round that writes them.
+		if (k == updates/8 || k == updates-64) && w.checkpoint() != nil {
+			return
+		}
+	}
+	w.midWB = func() error {
+		w.writesFrom = w.Area.Events()
+		return nil
+	}
+	_ = w.commit(t)
+}
+
+// e13FreshPages is a third workload: pages nothing was ever logged for, all
+// zero, are filled — anchors whose image is the fill — and the fill is taken
+// back every way it can be: rolled back at run time with nothing logged, so
+// that the next writer anchors the pages, before a checkpoint; prepared
+// before it and rolled back after it, the abort record anchoring the page's
+// zeroes again; and left in flight across the checkpoint. Committed
+// fills are then zeroed — a range of an anchored page, which the log keeps as
+// a length; a range beside a changed one of the same page, which one change
+// covers with them; and a page filled whole zeroed whole, a whole-page image
+// of zeroes — once rolled back and once committed. Every page ends all zero
+// or byte-exact as its last winner left it.
+func e13FreshPages(w *txWorld) {
+	pg := func(i uint64) page.No { return w.pages[i] }
+	fill := func(t *tx.Tx, p page.No) error { return w.ship(t, p, 0, 0, page.Size) }
+
+	// Filled and rolled back at run time: still zeroes, nothing logged.
+	t := w.txm.Ensure(2, 0)
+	if fill(t, pg(1)) != nil || fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 700, 300) != nil || w.abort(t) != nil {
+		return
+	}
+
+	// The second page filled again, the fourth and the eleventh filled and a
+	// range of the third — anchored afresh, all four — and committed: the
+	// winner every later change starts from.
+	t = w.txm.Ensure(1, 0)
+	if fill(t, pg(2)) != nil || w.ship(t, pg(3), 1, 1500, 1100) != nil || fill(t, pg(4)) != nil || fill(t, pg(11)) != nil ||
+		w.commit(t) != nil {
+		return
+	}
+
+	// Filled and prepared before a checkpoint, rolled back after it; and one
+	// that fills fresh pages before and after the checkpoint and is never
+	// heard of again.
+	late, loser := w.txm.Ensure(4, 0), w.txm.Ensure(6, 0)
+	if fill(late, pg(5)) != nil || w.prepare(late) != nil || fill(loser, pg(6)) != nil || fill(loser, pg(7)) != nil || w.checkpoint() != nil {
+		return
+	}
+	if w.abort(late) != nil || fill(loser, pg(8)) != nil || w.ship(loser, pg(9), 1, 64, 3000) != nil {
+		return
+	}
+
+	// The committed fill changed in ranges; the third page changed in a range
+	// and zeroed in another, which its one change covers both of; a range of
+	// the eleventh zeroed, and nothing else of it changed; and a page zeroed
+	// whole: rolled back, then committed.
+	for _, id := range []uint64{8, 5} {
+		t = w.txm.Ensure(id, 0)
+		if w.ship(t, pg(2), 2, 100, 50) != nil || w.ship(t, pg(3), 2, 1000, 50) != nil || w.zero(t, pg(3), 2000, 500) != nil ||
+			w.zero(t, pg(11), 2000, 500) != nil || w.zero(t, pg(4), 0, page.Size) != nil || w.ship(t, pg(2), 3, 3000, 10) != nil {
+			return
+		}
+		end := w.abort
+		if id == 5 {
+			end = w.commit
+		}
+		if end(t) != nil {
+			return
+		}
+	}
+
+	// And a last winner over a rolled-back page and a fresh one.
+	t = w.txm.Ensure(3, 0)
+	if fill(t, pg(1)) != nil || fill(t, pg(10)) != nil {
+		return
+	}
+	_ = w.commit(t)
+}
+
+// zero has t zero n bytes of pg at off.
+func (w *txWorld) zero(t *tx.Tx, pg page.No, off, n int) error {
+	return w.change(t, pg, func(img []byte) { clear(img[off : off+n]) })
 }
