@@ -51,7 +51,7 @@ func main() {
 		}
 		pages[tag] = page.ID{Area: page.AreaID(area), Page: page.No(start)}
 	}
-	if err := node.Commit(seed.Client(), tx, nil); err != nil {
+	if err := node.Publish(seed.Client(), tx, nil, nil, false); err != nil {
 		log.Fatal(err)
 	}
 

@@ -13,7 +13,8 @@
 //
 // The extent map records the live (offset, order) buddy allocations so the
 // allocator state survives restarts; it is written through on every
-// allocation change.
+// allocation change but a reservation's (Reserve), which is taken in memory
+// only until Publish enters it.
 package area
 
 import (
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"bess/internal/buddy"
@@ -138,6 +140,7 @@ type Area struct {
 	st       Store
 	id       page.AreaID
 	extents  []*buddy.Allocator // one per extent
+	reserved map[page.No]bool   // runs allocated in memory only, by start
 	growable bool
 	closed   bool
 
@@ -308,7 +311,7 @@ func (a *Area) persistExtent(e int) error {
 	count := 0
 	pos := 8
 	for off := int64(1); off < int64(page.PerExtent); off++ {
-		if sz, ok := alloc.BlockSize(off); ok {
+		if sz, ok := alloc.BlockSize(off); ok && !a.reserved[extentStart(e)+page.No(off)] {
 			k, _ := buddy.OrderFor(sz)
 			buf[pos] = byte(off)
 			buf[pos+1] = byte(k)
@@ -469,9 +472,26 @@ func runPages(n int) (int, error) {
 }
 
 // AllocSegment allocates a disk segment of at least nPages contiguous pages,
-// growing the area by one extent at a time if needed and permitted.
-// It returns the absolute start page and the granted page count.
+// growing the area by one extent at a time if needed and permitted, and
+// enters it in its extent map: a reservation published at once. It returns
+// the absolute start page and the granted page count.
 func (a *Area) AllocSegment(nPages int) (page.No, int, error) {
+	start, granted, err := a.Reserve(nPages)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := a.Publish(start); err != nil {
+		return 0, 0, errors.Join(err, a.FreeSegment(start))
+	}
+	return start, granted, nil
+}
+
+// Reserve allocates a run of at least nPages contiguous pages, growing the
+// area by one extent at a time if needed and permitted, in memory only: no
+// extent map names it until Publish, so a restart finds it free, and
+// FreeSegment gives it back without a write. It returns the absolute start
+// page and the granted page count.
+func (a *Area) Reserve(nPages int) (page.No, int, error) {
 	if nPages <= 0 {
 		return 0, 0, buddy.ErrBadRequest
 	}
@@ -485,13 +505,13 @@ func (a *Area) AllocSegment(nPages int) (page.No, int, error) {
 	}
 	for {
 		for e, alloc := range a.extents {
-			off, granted, err := alloc.Alloc(int64(nPages))
-			if err == nil {
-				if err := a.persistExtent(e); err != nil {
-					_ = alloc.Free(off)
-					return 0, 0, err
+			if off, granted, err := alloc.Alloc(int64(nPages)); err == nil {
+				start := extentStart(e) + page.No(off)
+				if a.reserved == nil {
+					a.reserved = make(map[page.No]bool)
 				}
-				return extentStart(e) + page.No(off), int(granted), nil
+				a.reserved[start] = true
+				return start, int(granted), nil
 			}
 		}
 		if !a.growable {
@@ -503,7 +523,37 @@ func (a *Area) AllocSegment(nPages int) (page.No, int, error) {
 	}
 }
 
-// FreeSegment releases the segment starting at absolute page start.
+// Publish enters the reserved runs at starts in their extent maps, writing
+// each map once. A start that is not reserved is ErrNotSegment, and nothing
+// is published.
+func (a *Area) Publish(starts ...page.No) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return ErrClosed
+	}
+	for _, start := range starts {
+		if !a.reserved[start] {
+			return ErrNotSegment
+		}
+	}
+	var touched []int
+	for _, start := range starts {
+		delete(a.reserved, start)
+		if e := int((start - 1) / page.PerExtent); !slices.Contains(touched, e) {
+			touched = append(touched, e)
+		}
+	}
+	for _, e := range touched {
+		if err := a.persistExtent(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FreeSegment releases the segment starting at absolute page start — a
+// reservation, which no extent map names, without a write.
 func (a *Area) FreeSegment(start page.No) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -516,6 +566,10 @@ func (a *Area) FreeSegment(start page.No) error {
 	}
 	if err := a.extents[e].Free(off); err != nil {
 		return ErrNotSegment
+	}
+	if a.reserved[start] {
+		delete(a.reserved, start)
+		return nil
 	}
 	return a.persistExtent(e)
 }

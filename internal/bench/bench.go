@@ -179,7 +179,7 @@ func SetupE2(nPages int) *E2Env {
 		must(node.WriteRun(sess.Client(), tx, sess.DB(), area, start, data))
 		env.pages = append(env.pages, page.ID{Area: page.AreaID(area), Page: page.No(start)})
 	}
-	must(node.Commit(sess.Client(), tx, nil))
+	must(node.Publish(sess.Client(), tx, nil, nil, false))
 	env.shmP, err = node.AttachShared()
 	must(err)
 	return env

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
-	"time"
 
 	"bess/internal/nodeserver"
 	"bess/internal/proto"
@@ -16,11 +16,13 @@ import (
 	"bess/internal/vmem"
 )
 
-// A segment's creator never fetches it: the image is built from the reply of
-// CreateSegment (fetcher.image). These tests hold that image to the server's
-// own, pin what a fresh segment costs in messages, and check that the note a
-// creation leaves is a registered copy like any other — called back, dropped,
-// and never built from afterwards.
+// A segment's creator never fetches it: the image is built from the geometry
+// of the run pair it was made of (fetcher.image), and the commit that
+// publishes it makes the creator a holder. These tests hold that image to the
+// server's own, pin what a fresh segment costs in messages, check that nobody
+// else finds a segment before its publish and that an abort gives its runs
+// back, and that the note a creation leaves is, once published, a registered
+// copy like any other — called back, dropped, and never built from afterwards.
 
 // conns returns the three ways a session reaches a server: linked directly,
 // over rpc, and through a node server.
@@ -62,6 +64,7 @@ func TestCreatedImageIsTheServers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				publish(t, s)
 				if got := len(built.Data) / 4096; got != sh.granted {
 					t.Fatalf("built %d data pages, the allocator grants %d for a request of %d", got, sh.granted, sh.data)
 				}
@@ -94,10 +97,23 @@ func TestCreatedImageIsTheServers(t *testing.T) {
 	}
 }
 
+// publish has s commit an empty transaction, which publishes the segments it
+// created.
+func publish(t *testing.T, s *Session) {
+	t.Helper()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFreshSegmentRoundTrips: creating a segment inside a transaction, filling
-// it and committing is CreateSegment + Commit. Created before Begin it takes no
-// lock at birth, so the first CreateObject pays the Lock — and still no SegInfo
-// and no FetchSeg.
+// it and committing is the session's first ReserveSegments + Commit. The next
+// one, created before Begin, draws a batch of two (ReserveSegments + NewTx +
+// Commit), and the one after it costs NewTx + Commit: no Lock (the commit
+// that publishes a segment takes X), no SegInfo and no FetchSeg.
 func TestFreshSegmentRoundTrips(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -129,7 +145,7 @@ func TestFreshSegmentRoundTrips(t *testing.T) {
 	}
 	fill(seg)
 	if d := r.Calls() - before; d != 2 {
-		t.Errorf("a segment created and filled inside a transaction cost %d RPCs, want 2 (CreateSegment + Commit)", d)
+		t.Errorf("a segment created and filled inside a transaction cost %d RPCs, want 2 (ReserveSegments + Commit)", d)
 	}
 	segs = append(segs, seg)
 
@@ -141,8 +157,16 @@ func TestFreshSegmentRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(seg)
-	if d := r.Calls() - before; d != 4 {
-		t.Errorf("a segment created before Begin cost %d RPCs, want 4 (CreateSegment + NewTx + Lock + Commit)", d)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if seg, err = s.CreateSegment(1, 1, 2, -1); err != nil {
+		t.Fatal(err)
+	}
+	fill(seg)
+	segs = append(segs, seg)
+	if d := r.Calls() - before; d != 5 {
+		t.Errorf("two segments, created before Begin and inside, cost %d RPCs, want 5 (ReserveSegments + NewTx + Commit, then NewTx + Commit)", d)
 	}
 	segs = append(segs, seg)
 
@@ -226,9 +250,9 @@ func readSlot0(t *testing.T, s *Session, seg proto.SegKey) uint64 {
 	return val
 }
 
-// TestCreatorIsCalledBack: the creator holds a copy from the moment of
-// creation, so another client's write calls it back — whether the creator has
-// loaded the segment or only holds the note of having created it — and its
+// TestCreatorIsCalledBack: the creator holds a copy from the publish of its
+// segment on, so another client's write calls it back — whether the creator
+// has loaded the segment or only holds the note of having created it — and its
 // next touch fetches the other's commit. With the holder record forgotten the
 // creator would go on reading its own image.
 func TestCreatorIsCalledBack(t *testing.T) {
@@ -258,6 +282,8 @@ func TestCreatorIsCalledBack(t *testing.T) {
 					if err := a.Commit(); err != nil {
 						t.Fatal(err)
 					}
+				} else if !touched {
+					publish(t, a) // readSlot0's transaction publishes it otherwise
 				}
 				if touched {
 					if got := readSlot0(t, a, seg); got != 0 {
@@ -280,10 +306,11 @@ func TestCreatorIsCalledBack(t *testing.T) {
 	}
 }
 
-// TestAbortedCreationBuildsNothing: the segment of an aborted creator stays
-// (DDL is redo-only), but the creator gives its copy up with the abort — in the
-// same message as the copies it dirtied — so it is not called back for it and
-// what it reads next is the server's.
+// TestAbortedCreationBuildsNothing: an aborted creator's segments, created
+// before Begin or inside the transaction, dirtied or not, were never
+// published: nothing of them is in the catalog, the abort tells the server
+// nothing about them, and their runs go back to the session, whose next
+// creations reuse them without a message.
 func TestAbortedCreationBuildsNothing(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -292,7 +319,8 @@ func TestAbortedCreationBuildsNothing(t *testing.T) {
 	if _, err := a.RegisterType(nodeType); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.RegisterType(nodeType); err != nil {
+	before, err := a.CreateSegment(1, 1, 2, -1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Begin(); err != nil {
@@ -309,25 +337,53 @@ func TestAbortedCreationBuildsNothing(t *testing.T) {
 	if _, err := a.CreateObject(dirtied, a.Types().LookupName(nodeType.Name).ID, nodeBytes(1)); err != nil {
 		t.Fatal(err)
 	}
-	before := r.Calls()
+	calls := r.Calls()
 	if err := a.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if d := r.Calls() - before; d != 2 {
-		t.Errorf("abort cost %d RPCs, want 2 (one Released for both segments + Abort)", d)
+	if d := r.Calls() - calls; d != 1 {
+		t.Errorf("abort cost %d RPCs, want 1 (Abort; no segment to release)", d)
 	}
-	callbacks := srv.Snapshot().Callbacks
-	writeSlot0(t, b, seg, 7)
-	if d := srv.Snapshot().Callbacks - callbacks; d != 0 {
-		t.Errorf("the writer's lock issued %d callbacks: the copy table still names the aborted creator", d)
+	if segs, err := a.SegmentsOf(1); err != nil || len(segs) != 0 {
+		t.Fatalf("after the abort the file lists %v (%v), want nothing", segs, err)
 	}
-	if got := readSlot0(t, a, seg); got != 7 {
-		t.Fatalf("the aborted creator reads %d after the writer committed 7: it built the image of a segment it gave up", got)
+	if segs, err := srv.SegmentsOf(a.DB(), 1); err != nil || len(segs) != 0 {
+		t.Fatalf("after the abort the server lists %v (%v), want nothing", segs, err)
+	}
+	if err := b.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	btx, _ := b.TxID()
+	if err := srv.Lock(b.Client(), btx, seg, proto.LockX); !errors.Is(err, server.ErrNoSegment) {
+		t.Errorf("another client's Lock on an aborted creation: %v, want ErrNoSegment", err)
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	calls = r.Calls()
+	again := map[proto.SegKey]bool{}
+	for range 3 {
+		k, err := a.CreateSegment(1, 1, 2, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again[k] = true
+	}
+	if d := r.Calls() - calls; d != 0 {
+		t.Errorf("three creations after the abort cost %d RPCs, want 0: the runs went back to the session", d)
+	}
+	if !again[before] || !again[seg] || !again[dirtied] {
+		t.Errorf("the creations after the abort got %v, want the aborted segments' runs %v, %v, %v", again, before, seg, dirtied)
+	}
+	writeSlot0(t, a, dirtied, 7)
+	if got := readSlot0(t, a, dirtied); got != 7 {
+		t.Fatalf("a segment made again of an aborted creation's runs reads %d, want 7", got)
 	}
 }
 
-// TestDroppedCreationBuildsNothing: DropAllCached gives up the note of a
-// segment the session created and never looked at, like any cached copy.
+// TestDroppedCreationBuildsNothing: DropAllCached keeps a segment the session
+// has not published — no copy of anything the server has — and gives up the
+// note of one it published and never looked at, like any cached copy.
 func TestDroppedCreationBuildsNothing(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -336,27 +392,33 @@ func TestDroppedCreationBuildsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DropAllCached(); err != nil {
-		t.Fatal(err)
+	touch := func(want int64, why string) {
+		t.Helper()
+		if err := a.DropAllCached(); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		before := r.Calls()
+		if err := a.ScanSegment(seg, func(vmem.Addr, *swizzle.Object) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if d := r.Calls() - before; d != want {
+			t.Errorf("touching a %s segment cost %d RPCs, want %d", why, d, want)
+		}
+		if err := a.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	before := r.Calls()
-	if err := a.ScanSegment(seg, func(vmem.Addr, *swizzle.Object) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if d := r.Calls() - before; d != 1 {
-		t.Errorf("touching a created-then-dropped segment cost %d RPCs, want 1: the FetchSeg a dropped copy owes", d)
-	}
-	if err := a.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	touch(0, "created, unpublished and dropped")
+	touch(1, "published and dropped") // the FetchSeg a dropped copy owes
 }
 
-// TestCreatedSegmentIsBornLocked: a segment created inside a transaction is
-// X-locked for it before anyone can find it, so a second client's Lock waits
-// for that transaction's end.
+// TestCreatedSegmentIsBornLocked: a segment the session created is its alone
+// until the commit that publishes it: another client's Lock is refused — it
+// finds no such segment, so it never waits on the creator, and the creator's
+// publish never waits on it — and succeeds once the creator has committed.
 func TestCreatedSegmentIsBornLocked(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -373,26 +435,97 @@ func TestCreatedSegmentIsBornLocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	btx, _ := b.TxID()
-	locked := make(chan error, 1)
-	go func() { locked <- srv.Lock(b.Client(), btx, seg, proto.LockX) }()
-	select {
-	case err := <-locked:
-		t.Fatalf("the second client's Lock returned (%v) while the creating transaction is open", err)
-	case <-time.After(50 * time.Millisecond):
+	if err := srv.Lock(b.Client(), btx, seg, proto.LockX); !errors.Is(err, server.ErrNoSegment) {
+		t.Fatalf("the second client's Lock before the publish: %v, want ErrNoSegment", err)
+	}
+	if _, err := srv.SegInfo(seg); !errors.Is(err, server.ErrNoSegment) {
+		t.Fatalf("SegInfo before the publish: %v, want ErrNoSegment", err)
+	}
+	if _, _, _, err := srv.FetchSeg(b.Client(), seg); !errors.Is(err, server.ErrNoSegment) {
+		t.Fatalf("FetchSeg before the publish: %v, want ErrNoSegment", err)
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-locked:
-		if err != nil {
-			t.Fatalf("Lock after the creator's commit: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the second client's Lock still waits after the creating transaction ended")
+	if err := srv.Lock(b.Client(), btx, seg, proto.LockX); err != nil {
+		t.Fatalf("Lock after the creator's commit: %v", err)
 	}
 	if err := b.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreshSegmentsCostNoMessage: 64 segments created and filled in four
+// transactions, the first of each created before Begin, cost the session's
+// ReserveSegments calls beyond each transaction's NewTx and Commit — one per
+// batch, each batch twice the last: seven.
+func TestFreshSegmentsCostNoMessage(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	for name, conn := range conns(t, srv) {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(conn, "loader-"+name, "testdb", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			td, err := s.RegisterType(nodeType)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fid, err := conn.NewFileID(s.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs := srv.Snapshot().Messages
+			var segs []proto.SegKey
+			for tx := 0; tx < 4; tx++ {
+				for i := 0; i < 16; i++ {
+					seg, err := s.CreateSegment(fid, 1, 2, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						if err := s.Begin(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := s.CreateObject(seg, td.ID, nodeBytes(uint64(len(segs)))); err != nil {
+						t.Fatal(err)
+					}
+					segs = append(segs, seg)
+				}
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := srv.Snapshot().Messages - msgs - 2*4; d > 8 {
+				t.Errorf("64 fresh segments cost the server %d messages beyond NewTx and Commit, want at most 8", d)
+			}
+			listed, err := srv.SegmentsOf(s.DB(), fid)
+			if err != nil || !slices.Equal(listed, segs) {
+				t.Fatalf("the server lists %d segments (%v), want the 64 created, in creation order", len(listed), err)
+			}
+			rd := openDirect(t, srv, "reader-"+name)
+			if err := rd.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			for i, seg := range segs {
+				a, err := rd.AddrOfSlot(seg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj, err := rd.Deref(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nodeVal(obj) != uint64(i) {
+					t.Fatalf("segment %d reads %d", i, nodeVal(obj))
+				}
+			}
+			if err := rd.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -443,6 +576,7 @@ func TestReleaseErrorsAreReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	publish(t, s)
 	if err := s.DropAllCached(); !errors.Is(err, lost) {
 		t.Fatalf("DropAllCached: %v, want the Released error", err)
 	}
@@ -460,5 +594,131 @@ func TestReleaseErrorsAreReported(t *testing.T) {
 	}
 	if _, in := s.TxID(); in {
 		t.Fatal("the failed release left the transaction open")
+	}
+}
+
+// mangledCreate is a Conn that counts what each ReserveSegments asks for and,
+// while mangle is set, publishes the first created segment of a commit as
+// belonging to no file, which the server refuses before it changes anything.
+type mangledCreate struct {
+	proto.Conn
+	mangle bool
+	asked  []int
+}
+
+func (m *mangledCreate) ReserveSegments(client uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]proto.Reserved, error) {
+	m.asked = append(m.asked, n)
+	return m.Conn.ReserveSegments(client, db, areaHint, slottedPages, dataPages, n)
+}
+
+func (m *mangledCreate) Publish(client uint32, tx uint64, created []proto.Created, segs []proto.SegImage, prepare bool) error {
+	if m.mangle && len(created) > 0 {
+		created = slices.Clone(created)
+		created[0].FileID = 0
+	}
+	return m.Conn.Publish(client, tx, created, segs, prepare)
+}
+
+// TestRefusedCommitGivesRunsBack: a commit the server refuses before it
+// publishes anything leaves the session's created segments' runs reserved to
+// it, so the failed commit gives them back to the spares as an abort does:
+// the next creations reuse them without a message, and their commit
+// publishes them.
+func TestRefusedCommitGivesRunsBack(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	for name, conn := range conns(t, srv) {
+		t.Run(name, func(t *testing.T) {
+			m := &mangledCreate{Conn: conn, mangle: true}
+			s, err := Open(m, "refused-"+name, "testdb", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			td, err := s.RegisterType(nodeType)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fid, err := conn.NewFileID(s.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.CreateSegment(fid, 1, 2, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			inside, err := s.CreateSegment(fid, 1, 2, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CreateObject(inside, td.ID, nodeBytes(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); !proto.Refused(err) {
+				t.Fatalf("commit: %v, want a refusal", err)
+			}
+			if segs, err := srv.SegmentsOf(s.DB(), fid); err != nil || len(segs) != 0 {
+				t.Fatalf("after the refusal the server lists %v (%v), want nothing", segs, err)
+			}
+			if segs, err := s.SegmentsOf(fid); err != nil || len(segs) != 0 {
+				t.Fatalf("after the refusal the session lists %v (%v), want nothing", segs, err)
+			}
+			m.mangle = false
+			asked := len(m.asked)
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			again := map[proto.SegKey]bool{}
+			for range 3 { // the two refused and the spare the second batch left
+				k, err := s.CreateSegment(fid, 1, 2, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.CreateObject(k, td.ID, nodeBytes(2)); err != nil {
+					t.Fatal(err)
+				}
+				again[k] = true
+			}
+			if len(m.asked) != asked {
+				t.Errorf("the creations after the refusal asked for runs %v, want none", m.asked[asked:])
+			}
+			if !again[before] || !again[inside] {
+				t.Errorf("the creations after the refusal got %v, want the refused segments' runs %v and %v", again, before, inside)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if segs, err := srv.SegmentsOf(s.DB(), fid); err != nil || len(segs) != 3 {
+				t.Fatalf("the server lists %v (%v), want the three segments", segs, err)
+			}
+		})
+	}
+}
+
+// TestReserveBatchIsPerGeometry: each geometry's batches start at one and
+// double on their own, so a new geometry's first creation reserves one pair
+// however many another geometry's refills have asked for.
+func TestReserveBatchIsPerGeometry(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	m := &mangledCreate{Conn: srv}
+	s, err := Open(m, "loader", "testdb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 7 {
+		if _, err := s.CreateSegment(1, 1, 2, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		if _, err := s.CreateSegment(1, 1, 8, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{1, 2, 4, 1, 2}; !slices.Equal(m.asked, want) {
+		t.Fatalf("ReserveSegments asked for %v, want %v", m.asked, want)
 	}
 }

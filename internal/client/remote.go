@@ -149,13 +149,12 @@ func (r *Remote) AddArea(db uint32) (uint32, error) {
 	return rep.ID, err
 }
 
-// CreateSegment implements proto.Conn.
-func (r *Remote) CreateSegment(client uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
-	rep, err := call(r, proto.MethodCreateSegment, &proto.CreateSegmentArgs{
-		Client: client, Tx: tx, DB: db, FileID: fileID,
-		SlottedPages: slottedPages, DataPages: dataPages, AreaHint: areaHint,
+// ReserveSegments implements proto.Conn.
+func (r *Remote) ReserveSegments(client uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]proto.Reserved, error) {
+	rep, err := call(r, proto.MethodReserveSegments, &proto.ReserveSegmentsArgs{
+		Client: client, DB: db, AreaHint: areaHint, SlottedPages: slottedPages, DataPages: dataPages, N: n,
 	})
-	return *rep, err
+	return rep.Runs, err
 }
 
 // SegInfo implements proto.Conn.
@@ -214,21 +213,20 @@ func (r *Remote) LockObject(client uint32, tx uint64, seg proto.SegKey, slot int
 	return err
 }
 
-// Commit implements proto.Conn.
-func (r *Remote) Commit(client uint32, tx uint64, segs []proto.SegImage) error {
-	_, err := call(r, proto.MethodCommit, &proto.CommitArgs{Client: client, Tx: tx, Segs: segs})
+// Publish implements proto.Conn: one Commit message, or Prepare's, which
+// carries the created segments beside the images.
+func (r *Remote) Publish(client uint32, tx uint64, created []proto.Created, segs []proto.SegImage, prepare bool) error {
+	m := proto.MethodCommit
+	if prepare {
+		m = proto.MethodPrepare
+	}
+	_, err := call(r, m, &proto.CommitArgs{Client: client, Tx: tx, Segs: segs, Created: created})
 	return err
 }
 
 // Abort implements proto.Conn.
 func (r *Remote) Abort(client uint32, tx uint64) error {
 	_, err := call(r, proto.MethodAbort, &proto.AbortArgs{Client: client, Tx: tx})
-	return err
-}
-
-// Prepare implements proto.Conn.
-func (r *Remote) Prepare(client uint32, tx uint64, segs []proto.SegImage) error {
-	_, err := call(r, proto.MethodPrepare, &proto.CommitArgs{Client: client, Tx: tx, Segs: segs})
 	return err
 }
 

@@ -60,6 +60,16 @@ type Session struct {
 	// onEnd holds what runs when the transaction ends (runStore.OnEnd).
 	onEnd []func(committed bool) // guarded by mu
 
+	// The segments the session creates (CreateSegment) are made of run pairs
+	// the server reserved to it: spare holds, by the geometry asked for, the
+	// pairs not used yet; created holds, in creation order, the segments no
+	// commit has published yet, and unpublished their keys. Nobody else can
+	// find, lock or fetch those: they are X-held here, and the session is the
+	// only holder of a copy.
+	spare       map[geometry]*spares  // guarded by mu
+	created     []createdSeg          // guarded by mu
+	unpublished map[proto.SegKey]bool // guarded by mu
+
 	// Snapshot mode (snapshot.go): while snapMode is set the session is a
 	// read-only transaction pinned to snapStamp. snapFetched tracks as-of
 	// images cached by the fetcher and snapDrops the copies revoked during
@@ -96,6 +106,8 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		touched:      make(map[proto.SegKey]bool),
 		written:      make(map[page.No][]byte),
 		pendingDrops: make(map[proto.SegKey]bool),
+		spare:        make(map[geometry]*spares),
+		unpublished:  make(map[proto.SegKey]bool),
 		scanWindow:   defaultScanWindow,
 	}
 	s.mu.Init("Session.mu", 0)
@@ -178,11 +190,12 @@ func (s *Session) RegisterType(td segment.TypeDesc) (*segment.TypeDesc, error) {
 // (Session.dropSeg), so a refetch never sees stale data.
 //
 // A segment this session created does not travel at all: its initial image is
-// a function of the geometry CreateSegment's reply carried (segment.Format,
-// which the server wrote it with), kept in fresh until the mapper first asks
-// and built then. The creator is in the server's copy table from the moment
-// of creation, so the note is a registered copy like any other: a revocation
-// reaches it through dropSeg, and nothing is built from it afterwards.
+// a function of the geometry of the runs it was made of (segment.Format, which
+// the server formats them with when it publishes the segment), kept in fresh
+// until the mapper first asks and built then. The commit that publishes the
+// segment records the creator in the server's copy table, so from then on the
+// note is a registered copy like any other: a revocation reaches it through
+// dropSeg, and nothing is built from it afterwards.
 type fetcher struct {
 	s *Session
 
@@ -373,10 +386,12 @@ func (s *Session) onAccess(k detect.PageKey, write bool) error {
 	return s.writeLock(key)
 }
 
-// writeLock takes X on key at the server unless this transaction has it.
+// writeLock takes X on key at the server unless this transaction has it, or
+// the segment is one the session created and has not published, whose
+// publishing commit takes X.
 func (s *Session) writeLock(key proto.SegKey) error {
 	s.mu.Lock()
-	have, txid := s.xLocked[key], s.txID
+	have, txid := s.xLocked[key] || s.unpublished[key], s.txID
 	s.mu.Unlock()
 	if have {
 		return nil
@@ -566,8 +581,11 @@ func (s *Session) PrepareCommit() error {
 
 // ship is what Commit and PrepareCommit share: it builds the commit payload,
 // takes X on every segment in it and hands it to the server under the
-// current transaction — to commit, or to prepare for a 2PC decision — and
-// returns what it shipped.
+// current transaction — to commit, or to prepare for a 2PC decision — with
+// every segment the session created and has not published, and returns what
+// it shipped. A refusal that changed nothing (proto.Refused) gives those
+// segments' runs back to the spares, as an abort does; after any other
+// answer they are spent: published, or the server's to keep as it left them.
 func (s *Session) ship(prepare bool) ([]proto.SegImage, error) {
 	s.mu.Lock()
 	if !s.inTx {
@@ -575,16 +593,28 @@ func (s *Session) ship(prepare bool) ([]proto.SegImage, error) {
 		return nil, ErrNoTx
 	}
 	txid := s.txID
+	created := make([]proto.Created, len(s.created))
+	for i, c := range s.created {
+		created[i] = c.Created
+	}
 	s.mu.Unlock()
 	images, err := s.shipImages()
 	if err == nil {
 		err = s.ensureWriteLocks(images)
 	}
-	if err == nil && prepare {
-		err = s.conn.Prepare(s.client, txid, images)
-	} else if err == nil {
-		err = s.conn.Commit(s.client, txid, images)
+	if err != nil {
+		return nil, err
 	}
+	err = s.conn.Publish(s.client, txid, created, images, prepare)
+	if proto.Refused(err) {
+		return nil, errors.Join(err, s.unpublish())
+	}
+	s.mu.Lock()
+	for _, c := range s.created[:len(created)] {
+		delete(s.unpublished, c.Seg)
+	}
+	s.created = s.created[len(created):]
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +647,8 @@ func (s *Session) FinishCommit(commit bool) error {
 
 // Abort rolls back: local changes are discarded (dirty cached copies are
 // dropped so the next access refetches committed state) and the server
-// releases locks.
+// releases locks. The segments the session created and has not published,
+// before Begin or since, are taken back (unpublish).
 func (s *Session) Abort() error {
 	s.mu.Lock()
 	if s.snapMode {
@@ -630,9 +661,28 @@ func (s *Session) Abort() error {
 	}
 	txid := s.txID
 	s.mu.Unlock()
-	err := errors.Join(s.dropDirty(), s.conn.Abort(s.client, txid))
+	err := errors.Join(s.unpublish(), s.dropDirty(), s.conn.Abort(s.client, txid))
 	s.endTx(false)
 	return err
+}
+
+// unpublish takes back every segment the session created and has not
+// published: its image goes and its runs go back to the spares, still
+// reserved to the session. Nobody else ever saw it.
+func (s *Session) unpublish() error {
+	s.mu.Lock()
+	back := s.created
+	s.created = nil
+	clear(s.unpublished)
+	s.mu.Unlock()
+	var errs []error
+	for _, c := range back {
+		errs = append(errs, s.dropSeg(segID(c.Seg)))
+		s.mu.Lock()
+		s.spare[c.geom].runs = append(s.spare[c.geom].runs, c.Reserved)
+		s.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }
 
 // dropDirty gives up every copy the transaction being rolled back changed
@@ -645,9 +695,19 @@ func (s *Session) dropDirty() error {
 // release drops the cached copies of ids, and with them the note of every
 // segment the session created and has not built the image of yet, and tells
 // the server so in one message. A segment is named to the server even if
-// dropping it failed: the session will not serve it again either way.
+// dropping it failed: the session will not serve it again either way. A
+// segment the session has not published is no copy: it stays.
 func (s *Session) release(ids []swizzle.SegID) error {
 	ids = append(ids, s.fetch.unbuilt()...) // never loaded, so in neither list twice
+	kept := ids[:0]
+	s.mu.Lock()
+	for _, id := range ids {
+		if !s.unpublished[segKey(id)] {
+			kept = append(kept, id)
+		}
+	}
+	s.mu.Unlock()
+	ids = kept
 	if len(ids) == 0 {
 		return nil
 	}
@@ -716,35 +776,107 @@ func (s *Session) LockObject(ref vmem.Addr, exclusive bool) error {
 	return s.conn.LockObject(s.client, txid, segKey(id), obj.Slot, mode)
 }
 
-// CreateSegment allocates a new object segment in the session's database.
-// It is the only message a fresh segment costs: created inside a transaction
-// the segment is born X-locked for it, and either way the reply is all the
-// session needs to build the segment's image itself when it first looks
+// CreateSegment creates a new object segment in the session's database, of
+// a run pair reserved to the session, and sends nothing: the pairs come in
+// batches (ReserveSegments, one message per batch, each batch of a geometry
+// twice its last up to proto.MaxReserve), and the session's next commit publishes the
+// segment. Until then it is X-held by the session and nobody else can find
+// it; an abort gives its runs back to the session. The runs' geometry is all
+// the session needs to build the segment's image itself when it first looks
 // (fetcher.image).
 func (s *Session) CreateSegment(fileID uint32, slottedPages, dataPages, areaHint int) (proto.SegKey, error) {
 	s.mu.Lock()
-	if s.snapMode {
-		s.mu.Unlock()
+	snap := s.snapMode
+	s.mu.Unlock()
+	if snap {
 		return proto.SegKey{}, ErrSnapshotRead
 	}
-	txid := s.txID // 0 outside a transaction
-	s.mu.Unlock()
-	rep, err := s.conn.CreateSegment(s.client, txid, s.db, fileID, slottedPages, dataPages, areaHint)
+	g := geometry{slottedPages, dataPages, areaHint}
+	r, err := s.reserved(g)
 	if err != nil {
 		return proto.SegKey{}, err
 	}
-	s.fetch.created(segID(rep.Seg), freshSeg{fileID: fileID, slottedPages: slottedPages, dataStart: rep.DataStart, dataPages: rep.DataPages})
+	id := segID(r.Seg)
+	s.fetch.created(id, freshSeg{fileID: fileID, slottedPages: slottedPages, dataStart: r.DataStart, dataPages: r.DataPages})
 	// Reserved now, while the size is at hand: the reservation outlives a
 	// drop of the note, so no later touch has to ask the server for it.
-	if _, err := s.mapper.ReserveSeg(segID(rep.Seg)); err != nil {
+	if _, err := s.mapper.ReserveSeg(id); err != nil {
+		s.fetch.drop(id)
+		s.mu.Lock()
+		s.spare[g].runs = append(s.spare[g].runs, r)
+		s.mu.Unlock()
 		return proto.SegKey{}, err
 	}
-	if txid != 0 {
-		s.mu.Lock()
-		s.xLocked[rep.Seg] = true
-		s.mu.Unlock()
+	s.mu.Lock()
+	s.created = append(s.created, createdSeg{proto.Created{Reserved: r, FileID: fileID}, g})
+	s.unpublished[r.Seg] = true
+	s.mu.Unlock()
+	return r.Seg, nil
+}
+
+// geometry is what a CreateSegment asks for: the runs' sizes and the area.
+type geometry struct{ slotted, data, areaHint int }
+
+// spares are the run pairs of one geometry no segment is made of yet, and how
+// many the geometry's next ReserveSegments asks for.
+type spares struct {
+	runs []proto.Reserved
+	next int
+}
+
+// createdSeg is a segment the session created and has not published, and
+// the geometry it was asked for.
+type createdSeg struct {
+	proto.Created
+	geom geometry
+}
+
+// reserved takes a spare run pair of geometry g, first refilling the spares
+// with one ReserveSegments when there is none.
+func (s *Session) reserved(g geometry) (proto.Reserved, error) {
+	s.mu.Lock()
+	sp := s.spare[g]
+	if sp == nil {
+		sp = &spares{next: 1}
+		s.spare[g] = sp
 	}
-	return rep.Seg, nil
+	if len(sp.runs) > 0 {
+		r := sp.runs[0]
+		sp.runs = sp.runs[1:]
+		s.mu.Unlock()
+		return r, nil
+	}
+	n := sp.next
+	sp.next = min(2*n, proto.MaxReserve)
+	s.mu.Unlock()
+	runs, err := s.conn.ReserveSegments(s.client, s.db, g.areaHint, g.slotted, g.data, n)
+	if err == nil && len(runs) == 0 {
+		err = fmt.Errorf("client: the server reserved none of %d run pairs", n)
+	}
+	if err != nil {
+		return proto.Reserved{}, err
+	}
+	s.mu.Lock()
+	sp.runs = append(sp.runs, runs[1:]...)
+	s.mu.Unlock()
+	return runs[0], nil
+}
+
+// SegmentsOf lists the segments of file fileID as the session finds them: the
+// server's, then those the session created and has not published.
+func (s *Session) SegmentsOf(fileID uint32) ([]proto.SegKey, error) {
+	segs, err := s.conn.SegmentsOf(s.db, fileID)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.created {
+		if c.FileID == fileID {
+			segs = append(segs, c.Seg)
+		}
+	}
+	return segs, nil
 }
 
 // Deref resolves a reference (slot virtual address) to an object handle,
@@ -1015,7 +1147,7 @@ func (s *Session) ScanSegment(k proto.SegKey, fn func(addr vmem.Addr, obj *swizz
 // calling fn with each object's address. This is the cursor mechanism files
 // provide (§2).
 func (s *Session) Scan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Object) error) error {
-	segs, err := s.conn.SegmentsOf(s.db, fileID)
+	segs, err := s.SegmentsOf(fileID)
 	if err != nil {
 		return err
 	}

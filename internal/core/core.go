@@ -272,7 +272,7 @@ func (f *File) IsMultifile() bool { return f.spread > 1 }
 
 // segments refreshes and returns the file's segment list.
 func (f *File) segments() ([]proto.SegKey, error) {
-	segs, err := f.db.sess.Conn().SegmentsOf(f.db.sess.DB(), f.id)
+	segs, err := f.db.sess.SegmentsOf(f.id)
 	if err != nil {
 		return nil, err
 	}

@@ -97,17 +97,14 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 	committed := make(map[proto.SegKey]uint64) // the model's disk
 	for i := range segs {
 		// Each segment is created by a different client, through whatever tier
-		// it sits behind. The creator can build the image without fetching it,
-		// so it holds a copy from the start: the model says so, and a tier that
-		// forgot to record it would let the first other writer through below
-		// with the creator never called back.
+		// it sits behind: of runs reserved to it, published by a commit. The
+		// creator can build the image without fetching it, so it holds a copy
+		// from the publish on: the model says so, and a tier that forgot to
+		// record it would let the first other writer through below with the
+		// creator never called back.
 		c := clients[i%nClients]
-		created, err := c.conn.CreateSegment(c.id, 0, db, 1, 1, 2, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs[i] = created.Seg
-		c.cached[created.Seg] = true
+		segs[i] = publishSeg(t, c.conn, c.id, db)
+		c.cached[segs[i]] = true
 	}
 
 	// fetch is a client reading seg into its cache; whatever tier serves it,
@@ -207,7 +204,7 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 				t.Fatal(err)
 			}
 			img := proto.SegImage{Seg: seg, Slotted: dec.EncodeSlotted(), Overflow: dec.Overflow, Data: dec.Data}
-			if err := c.conn.Commit(c.id, txid, []proto.SegImage{img}); err != nil {
+			if err := c.conn.Publish(c.id, txid, nil, []proto.SegImage{img}, false); err != nil {
 				t.Fatalf("%s: commit: %v", at("write"), err)
 			}
 			committed[seg]++

@@ -39,21 +39,17 @@ func (u *recordingUpstream) LockObject(c uint32, _ uint64, _ proto.SegKey, _ int
 	u.saw["LockObject"] = c
 	return nil
 }
-func (u *recordingUpstream) Commit(c uint32, _ uint64, _ []proto.SegImage) error {
-	u.saw["Commit"] = c
-	return nil
-}
 func (u *recordingUpstream) Abort(c uint32, _ uint64) error {
 	u.saw["Abort"] = c
 	return nil
 }
-func (u *recordingUpstream) Prepare(c uint32, _ uint64, _ []proto.SegImage) error {
-	u.saw["Prepare"] = c
-	return nil
+func (u *recordingUpstream) ReserveSegments(c uint32, _ uint32, _, _, _, _ int) ([]proto.Reserved, error) {
+	u.saw["ReserveSegments"] = c
+	return []proto.Reserved{{Seg: proto.SegKey{Area: 1, Start: 8}}}, nil
 }
-func (u *recordingUpstream) CreateSegment(c uint32, _ uint64, _, _ uint32, _, _, _ int) (proto.CreateSegmentReply, error) {
-	u.saw["CreateSegment"] = c
-	return proto.CreateSegmentReply{}, nil
+func (u *recordingUpstream) Publish(c uint32, _ uint64, _ []proto.Created, _ []proto.SegImage, _ bool) error {
+	u.saw["Publish"] = c
+	return nil
 }
 func (u *recordingUpstream) Released(c uint32, _ []proto.SegKey) error {
 	u.saw["Released"] = c
@@ -111,11 +107,10 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	ns.FetchLarge(local, seg, 0)
 	ns.Lock(local, 1, seg, proto.LockX)
 	ns.LockObject(local, 1, seg, 0, proto.LockX)
-	ns.Commit(local, 1, segs)
 	ns.Abort(local, 1)
-	ns.Prepare(local, 1, segs)
 	ns.Released(local, []proto.SegKey{seg})
-	ns.CreateSegment(local, 1, 1, 1, 1, 1, -1)
+	ns.ReserveSegments(local, 1, -1, 1, 1, 1)
+	ns.Publish(local, 1, []proto.Created{{Reserved: proto.Reserved{Seg: seg}}}, segs, false)
 	ns.StoreLarge(local, 1, seg, nil)
 	ns.WriteRun(local, 1, 1, 1, 8, nil)
 	ns.SnapOpen(local)

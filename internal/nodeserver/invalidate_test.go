@@ -104,11 +104,9 @@ func TestPrepareThroughNodePublishesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	created, err := ns.CreateSegment(0, 0, db, 1, 1, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := created.Seg
+	creator, _ := ns.Hello("creator")
+	key := publishSeg(t, ns, creator, db)
+	ns.Disconnect(creator)
 	a, _ := ns.Hello("a")
 	overwrite := func(body []byte) proto.SegImage {
 		t.Helper()
@@ -127,7 +125,7 @@ func TestPrepareThroughNodePublishesNothing(t *testing.T) {
 		}
 		return proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
 	}
-	ship := func(img proto.SegImage, send func(uint32, uint64, []proto.SegImage) error) uint64 {
+	ship := func(img proto.SegImage, prepare bool) uint64 {
 		t.Helper()
 		txid, err := ns.NewTx()
 		if err != nil {
@@ -136,13 +134,13 @@ func TestPrepareThroughNodePublishesNothing(t *testing.T) {
 		if err := ns.Lock(a, txid, key, proto.LockX); err != nil {
 			t.Fatal(err)
 		}
-		if err := send(a, txid, []proto.SegImage{img}); err != nil {
+		if err := ns.Publish(a, txid, nil, []proto.SegImage{img}, prepare); err != nil {
 			t.Fatal(err)
 		}
 		return txid
 	}
-	ship(overwrite([]byte("committed")), ns.Commit)
-	txid := ship(overwrite([]byte("undecided")), ns.Prepare)
+	ship(overwrite([]byte("committed")), false)
+	txid := ship(overwrite([]byte("undecided")), true)
 	if err := ns.Decide(txid, false); err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +164,9 @@ func TestDeadLocalIsForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	created, err := ns.CreateSegment(0, 0, db, 1, 1, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := created.Seg
+	creator, _ := ns.Hello("creator")
+	key := publishSeg(t, ns, creator, db)
+	ns.Disconnect(creator)
 	dead, _ := ns.Hello("dead")
 	calls := 0
 	if err := ns.SetCallback(dead, func(proto.SegKey) (bool, error) {
@@ -211,4 +207,23 @@ func TestDeadLocalIsForgotten(t *testing.T) {
 	if err := ns.SetCallback(gone, nil); err == nil {
 		t.Fatal("a disconnected local is still registered")
 	}
+}
+
+// publishSeg creates a segment of file 1 in db through conn for client: one
+// run pair reserved to it and published by a commit of its own.
+func publishSeg(t *testing.T, conn proto.Conn, client, db uint32) proto.SegKey {
+	t.Helper()
+	runs, err := conn.ReserveSegments(client, db, -1, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txid, err := conn.NewTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := proto.Created{Reserved: runs[0], FileID: 1}
+	if err := conn.Publish(client, txid, []proto.Created{c}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	return c.Seg
 }

@@ -14,6 +14,8 @@ package nodeserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +58,12 @@ type NodeServer struct {
 	mu     sync.Mutex
 	images map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
 	snaps  map[uint64]uint32                // guarded by mu; the local that opened each open snapshot
+	// Upstream every reserved run pair is the node's. reserved records, by
+	// slotted run, the local each unpublished pair was handed to, and pool
+	// holds the pairs locals left unpublished when they went away, by the
+	// geometry they were reserved for, for the next local that asks for it.
+	reserved map[proto.SegKey]heldRuns     // guarded by mu
+	pool     map[geometry][]proto.Reserved // guarded by mu
 
 	defaultDB atomic.Uint32 // the database the shared cache's pages belong to
 
@@ -81,6 +89,8 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		locals:        callback.New(ErrRevocation, nil),
 		images:        make(map[proto.SegKey]*proto.SegImage),
 		snaps:         make(map[uint64]uint32),
+		reserved:      make(map[proto.SegKey]heldRuns),
+		pool:          make(map[geometry][]proto.Reserved),
 		RevokeTimeout: time.Second,
 	}
 	sc, err := shm.NewSharedCache(cacheSlots, frames, &pageBacking{ns: ns})
@@ -137,8 +147,9 @@ func (ns *NodeServer) SetCallback(local uint32, cb func(proto.SegKey) (bool, err
 }
 
 // Disconnect forgets a local application that went away: its copies no
-// longer stand in the way of the node's other writers, and the snapshots it
-// left open close upstream, where they would pin the server's versions.
+// longer stand in the way of the node's other writers, the snapshots it left
+// open close upstream, where they would pin the server's versions, and the
+// run pairs it left unpublished go to the pool.
 func (ns *NodeServer) Disconnect(local uint32) {
 	ns.locals.Remove(local)
 	var open []uint64
@@ -147,6 +158,12 @@ func (ns *NodeServer) Disconnect(local uint32) {
 		if owner == local {
 			open = append(open, snap)
 			delete(ns.snaps, snap)
+		}
+	}
+	for seg, h := range ns.reserved {
+		if h.local == local {
+			delete(ns.reserved, seg)
+			ns.pool[h.geom] = append(ns.pool[h.geom], h.run)
 		}
 	}
 	ns.mu.Unlock()
@@ -165,17 +182,56 @@ func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
 	return db, host, err
 }
 
-// CreateSegment creates upstream under the node server's client id — the node
-// is the holder its server calls back — and records the creating local, whose
-// copy is the image it builds from the reply; the node itself keeps none.
-func (ns *NodeServer) CreateSegment(local uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
-	rep, err := ns.Conn.CreateSegment(ns.client, tx, db, fileID, slottedPages, dataPages, areaHint)
-	if err == nil {
-		ns.mu.Lock()
-		ns.locals.Record(rep.Seg, local)
-		ns.mu.Unlock()
+// geometry is what a ReserveSegments asks for.
+type geometry struct {
+	db                                uint32
+	areaHint, slottedPages, dataPages int
+}
+
+// heldRuns is a run pair a local holds, and the geometry it was reserved for.
+type heldRuns struct {
+	local uint32
+	geom  geometry
+	run   proto.Reserved
+}
+
+// ReserveSegments hands local up to n run pairs from the pool, or, with none
+// there, n reserved upstream under the node server's client id: the node is
+// the client its server knows, and the runs it has not published go free
+// when the node does. The node records local as their holder.
+func (ns *NodeServer) ReserveSegments(local uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]proto.Reserved, error) {
+	g := geometry{db, areaHint, slottedPages, dataPages}
+	ns.mu.Lock()
+	pooled := ns.pool[g]
+	runs := slices.Clone(pooled[:min(max(n, 0), len(pooled))])
+	ns.pool[g] = pooled[len(runs):]
+	ns.mu.Unlock()
+	if len(runs) == 0 {
+		var err error
+		if runs, err = ns.Conn.ReserveSegments(ns.client, db, areaHint, slottedPages, dataPages, n); err != nil {
+			return nil, err
+		}
 	}
-	return rep, err
+	ns.hold(local, g, runs)
+	if !ns.locals.Registered(local) { // recorded after Disconnect looked
+		ns.Disconnect(local)
+		return nil, callback.ErrUnknownClient
+	}
+	return runs, nil
+}
+
+// hold records local as the holder of runs, reserved for g.
+func (ns *NodeServer) hold(local uint32, g geometry, runs []proto.Reserved) {
+	ns.mu.Lock()
+	for _, r := range runs {
+		ns.reserved[r.Seg] = heldRuns{local, g, r}
+	}
+	ns.mu.Unlock()
+}
+
+// notHeld refuses local a segment made of runs another local holds.
+func notHeld(seg proto.SegKey) error {
+	return fmt.Errorf("%w: %w: segment %d/%d", proto.ErrRefused, proto.ErrNotReserved, seg.Area, seg.Start)
 }
 
 // FetchSeg serves from the node cache when it can; otherwise one upstream
@@ -280,26 +336,48 @@ func (ns *NodeServer) LockObject(local uint32, tx uint64, seg proto.SegKey, slot
 	return ns.Conn.LockObject(ns.client, tx, seg, slot, mode)
 }
 
-// Commit forwards and drops the node's images of the shipped segments, so the
-// next local fetch goes upstream. What was shipped is no substitute: the slices
-// are the committing session's own, which it keeps writing to, and the header
-// is the one from before the server settled geometry and checksums.
-func (ns *NodeServer) Commit(local uint32, tx uint64, segs []proto.SegImage) error {
-	return ns.ship(ns.Conn.Commit, tx, segs)
-}
-
-// Prepare forwards the 2PC vote. The shipped segments are applied upstream
-// but undecided: the node keeps no image of them either way.
-func (ns *NodeServer) Prepare(local uint32, tx uint64, segs []proto.SegImage) error {
-	return ns.ship(ns.Conn.Prepare, tx, segs)
-}
-
-func (ns *NodeServer) ship(send func(uint32, uint64, []proto.SegImage) error, tx uint64, segs []proto.SegImage) error {
-	err := send(ns.client, tx, segs)
+// Publish forwards a commit or a prepare under the node server's client id:
+// the node is the holder its server records for the segments it publishes,
+// and the one it calls back. A created segment must be made of runs local
+// holds. Once published, local is recorded as holding a copy of each — the
+// image it built of the runs — and the node's images of the shipped segments
+// go, so the next local fetch goes upstream. What was shipped is no
+// substitute: the slices are the committing session's own, which it keeps
+// writing to, and the header is the one from before the server settled
+// geometry and checksums. A prepared branch is undecided: the node keeps no
+// image of it either way.
+func (ns *NodeServer) Publish(local uint32, tx uint64, created []proto.Created, segs []proto.SegImage, prepare bool) error {
+	held := make([]heldRuns, len(created))
+	ns.mu.Lock()
+	for i, c := range created {
+		h, ok := ns.reserved[c.Seg]
+		if !ok || h.local != local {
+			ns.mu.Unlock()
+			return notHeld(c.Seg)
+		}
+		held[i] = h
+	}
+	for _, c := range created { // in flight: no Disconnect pools them
+		delete(ns.reserved, c.Seg)
+	}
+	ns.mu.Unlock()
+	err := ns.Conn.Publish(ns.client, tx, created, segs, prepare)
+	if proto.Refused(err) { // still reserved upstream: local's again
+		for _, h := range held {
+			ns.hold(local, h.geom, []proto.Reserved{h.run})
+		}
+		if !ns.locals.Registered(local) {
+			ns.Disconnect(local)
+		}
+		return err
+	}
 	if err == nil {
 		ns.mu.Lock()
 		for _, si := range segs {
 			delete(ns.images, si.Seg)
+		}
+		for _, c := range created {
+			ns.locals.Record(c.Seg, local)
 		}
 		ns.mu.Unlock()
 	}
@@ -329,9 +407,17 @@ func (ns *NodeServer) Released(local uint32, segs []proto.SegKey) error {
 	return ns.Conn.Released(ns.client, gone)
 }
 
-// StoreLarge forwards. The image stays: the segment changes only when the
-// transaction ships it at commit.
+// StoreLarge forwards, unless seg is made of runs another local holds: to
+// the server they are the node's, which needs no X to store into them. The
+// image stays: the segment changes only when the transaction ships it at
+// commit.
 func (ns *NodeServer) StoreLarge(local uint32, tx uint64, seg proto.SegKey, content []byte) ([]byte, error) {
+	ns.mu.Lock()
+	h, ok := ns.reserved[seg]
+	ns.mu.Unlock()
+	if ok && h.local != local {
+		return nil, notHeld(seg)
+	}
 	return ns.Conn.StoreLarge(ns.client, tx, seg, content)
 }
 
@@ -359,7 +445,7 @@ func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
 		err = ns.Conn.WriteRun(ns.client, tx, ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), data)
 	}
 	if err == nil {
-		return ns.Conn.Commit(ns.client, tx, nil)
+		return ns.Conn.Publish(ns.client, tx, nil, nil, false)
 	}
 	return errors.Join(err, ns.Conn.Abort(ns.client, tx))
 }

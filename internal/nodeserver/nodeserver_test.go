@@ -277,7 +277,7 @@ func TestSharedMemoryModeOnNode(t *testing.T) {
 	if err := ns.WriteRun(s.Client(), tx, s.DB(), areaID, start, pageData); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Commit(s.Client(), tx, nil); err != nil {
+	if err := ns.Publish(s.Client(), tx, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 

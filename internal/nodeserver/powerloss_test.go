@@ -71,7 +71,7 @@ func TestFlushDirtySurvivesPowerLoss(t *testing.T) {
 	if err := ns.WriteRun(s.Client(), tx, s.DB(), areaID, start, bytes.Repeat([]byte{'s'}, page.Size)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Commit(s.Client(), tx, nil); err != nil {
+	if err := ns.Publish(s.Client(), tx, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 

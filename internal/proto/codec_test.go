@@ -73,6 +73,7 @@ func TestCatalogOpKinds(t *testing.T) {
 		"050000000400000004726f6f74000100040100000000000002",
 		"060000000400000004726f6f74",
 		"0700000004000100040100000000000002",
+		"080000000400000007000001000000000000000010",
 	}
 	if len(golden) != len(prototest.CatalogOps) {
 		t.Fatalf("%d golden vectors for %d kinds", len(golden), len(prototest.CatalogOps))
@@ -130,8 +131,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"batch: hostile image count", &proto.ScanBatch{}, with(batch, len(batch)-4, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"ctl: bad cancel flag", &proto.ScanCtl{}, with(enc(&proto.ScanCtl{}), 0, 7)},
 		{"callback reply: bad flag", &proto.CallbackReply{}, []byte{2}},
-		{"page count over 31 bits", &proto.CreateSegmentArgs{}, with(enc(&proto.CreateSegmentArgs{}), 20, 0x80)},
-		{"create reply: negative data pages", &proto.CreateSegmentReply{}, with(enc(&proto.CreateSegmentReply{}), 20, 0xFF, 0xFF, 0xFF, 0xFF)},
+		{"page count over 31 bits", &proto.ReserveSegmentsArgs{}, with(enc(&proto.ReserveSegmentsArgs{}), 12, 0x80)},
+		{"reserve reply: hostile run count", &proto.ReserveSegmentsReply{}, with(enc(&proto.ReserveSegmentsReply{}), 0, 0xFF, 0xFF, 0xFF, 0xFF)},
+		{"reserve reply: negative data pages", &proto.ReserveSegmentsReply{}, with(enc(&proto.ReserveSegmentsReply{Runs: make([]proto.Reserved, 1)}), 4+24, 0xFF, 0xFF, 0xFF, 0xFF)},
+		{"commit: hostile created count", &proto.CommitArgs{}, with(enc(&proto.CommitArgs{}), 16, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"released: hostile segment count", &proto.ReleasedArgs{}, with(enc(&proto.ReleasedArgs{Client: 1}), 4, 0xFF, 0xFF, 0xFF, 0xFF)},
 		{"negative page count", &proto.AllocRunArgs{}, with(enc(&proto.AllocRunArgs{}), 4, 0xFF, 0xFF, 0xFF, 0xFF)},
 	}
@@ -146,15 +149,15 @@ func TestDecodeRejects(t *testing.T) {
 		&proto.AllocRunArgs{NPages: -1},
 		&proto.RunArgs{NPages: 1 << 31},
 		&proto.LockObjectArgs{Slot: 1 << 31},
-		&proto.CreateSegmentArgs{AreaHint: -1 << 32},
+		&proto.ReserveSegmentsArgs{AreaHint: -1 << 32},
 	} {
 		if _, err := proto.Encode(m); !errors.Is(err, proto.ErrBadMessage) {
 			t.Errorf("encode %+v: err = %v, want ErrBadMessage", m, err)
 		}
 	}
 	// -1 is a legal area hint and slot: 32 signed bits both ways.
-	in := &proto.CreateSegmentArgs{AreaHint: -1}
-	var out proto.CreateSegmentArgs
+	in := &proto.ReserveSegmentsArgs{AreaHint: -1}
+	var out proto.ReserveSegmentsArgs
 	if err := proto.Decode(enc(in), &out); err != nil || out.AreaHint != -1 {
 		t.Errorf("area hint -1 came back as %d, err %v", out.AreaHint, err)
 	}
@@ -196,7 +199,8 @@ func TestEntryPoints(t *testing.T) {
 		want proto.Message
 	}{
 		{"AppendSegImage", proto.AppendSegImage([]byte("x"), img)[1:], img},
-		{"AppendCommitArgs", proto.AppendCommitArgs([]byte("x"), commit.Client, commit.Tx, commit.Segs)[1:], commit},
+		{"AppendCommitArgs", proto.AppendCommitArgs([]byte("x"), commit.Client, commit.Tx, commit.Segs)[1:],
+			&proto.CommitArgs{Client: commit.Client, Tx: commit.Tx, Segs: commit.Segs}},
 		{"AppendScanBatch", proto.AppendScanBatch([]byte("x"), batch)[1:], batch},
 	} {
 		if want, _ := proto.Encode(tc.want); !bytes.Equal(tc.got, want) {
@@ -279,7 +283,7 @@ func TestDecodedSectionsAliasInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit[len(commit)-1] ^= 0xFF
+	commit[len(commit)-5] ^= 0xFF // the last image's last byte, ahead of the empty created list
 	batch[len(batch)-1] ^= 0xFF
 	if d := segs[1].Data; d[len(d)-1] != 'a'^0xFF {
 		t.Errorf("CommitArgs image data %q does not see a write to the input", d)
@@ -372,7 +376,7 @@ func FuzzScanFrameDecode(f *testing.F) {
 
 func FuzzProtoDecode(f *testing.F) {
 	seed(f, "SegImage", "TypesReply", "RegisterTypeArgs", "StoreLargeArgs", "RunArgs", "SegmentsOfReply", "NameBindArgs",
-		"CreateSegmentArgs", "CreateSegmentReply", "ReleasedArgs")
+		"ReserveSegmentsArgs", "ReserveSegmentsReply", "ReleasedArgs")
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		prototest.Fuzz(t, wire)
 		carve(t, wire)

@@ -112,43 +112,72 @@ func (m *TypesReply) Fields(c *Cursor) {
 	}
 }
 
-// CreateSegmentArgs allocates an object segment on behalf of Client. With Tx
-// set, the segment is created X-locked for that transaction; Tx 0 creates it
-// unlocked. AreaHint is -1 for "the first area".
-type CreateSegmentArgs struct {
+// ReserveSegmentsArgs asks for N run pairs in DB's area AreaHint (-1 for
+// "the first area"), each a slotted run of SlottedPages pages and a data run
+// of at least DataPages, reserved to Client to create segments from.
+type ReserveSegmentsArgs struct {
 	Client       uint32
-	Tx           uint64
 	DB           uint32
-	FileID       uint32
+	AreaHint     int
 	SlottedPages int
 	DataPages    int
-	AreaHint     int
+	N            int
 }
 
-func (m *CreateSegmentArgs) Fields(c *Cursor) {
+func (m *ReserveSegmentsArgs) Fields(c *Cursor) {
 	c.U32(&m.Client)
-	c.U64(&m.Tx)
 	c.U32(&m.DB)
-	c.U32(&m.FileID)
+	c.I32(&m.AreaHint)
 	c.Count(&m.SlottedPages)
 	c.Count(&m.DataPages)
-	c.I32(&m.AreaHint)
+	c.Count(&m.N)
 }
 
-// CreateSegmentReply names the new segment and the geometry the server
-// settled: where its data run starts (in Seg.Area) and how many pages it was
-// granted. With what the caller asked for, that is everything the segment's
-// initial image is made of (segment.Format), so nobody fetches it.
-type CreateSegmentReply struct {
-	Seg       SegKey
-	DataStart int64
-	DataPages int
+// MaxReserve is the most run pairs one ReserveSegments hands out.
+const MaxReserve = 64
+
+// Reserved is one run pair ReserveSegments hands out, both runs in Seg.Area:
+// the slotted run at Seg.Start, whose key the segment made of it has, and the
+// data run at DataStart, of the DataPages the area granted. With a file id,
+// that is everything the segment's initial image is made of
+// (segment.Format), so nobody fetches it.
+type Reserved struct {
+	Seg          SegKey
+	SlottedPages int
+	DataStart    int64
+	DataPages    int
 }
 
-func (m *CreateSegmentReply) Fields(c *Cursor) {
+// reservedSize is the encoded size of a Reserved: a key, two counts, a start.
+const reservedSize = 12 + 4 + 8 + 4
+
+func (m *Reserved) Fields(c *Cursor) {
 	c.SegKey(&m.Seg)
+	c.Count(&m.SlottedPages)
 	c.I64(&m.DataStart)
 	c.Count(&m.DataPages)
+}
+
+// ReserveSegmentsReply carries the reserved run pairs.
+type ReserveSegmentsReply struct{ Runs []Reserved }
+
+func (m *ReserveSegmentsReply) Fields(c *Cursor) {
+	runs := Repeat(c, &m.Runs, reservedSize)
+	for i := range runs {
+		runs[i].Fields(c)
+	}
+}
+
+// Created is a segment a client made of a reserved run pair, for the file
+// FileID, which its next commit publishes (CommitArgs.Created).
+type Created struct {
+	Reserved
+	FileID uint32
+}
+
+func (m *Created) Fields(c *Cursor) {
+	m.Reserved.Fields(c)
+	c.U32(&m.FileID)
 }
 
 // SegArgs names a segment: the args of SegInfo (its slotted geometry) and of
@@ -299,18 +328,24 @@ func (c *Cursor) images(s *[]SegImage) {
 	}
 }
 
-// CommitArgs ships a transaction's dirty segments: the args of Commit and
+// CommitArgs ships a transaction's dirty segments, and publishes the
+// segments its client created since its last commit: the args of Commit and
 // of Prepare (the 2PC vote request for a distributed branch).
 type CommitArgs struct {
-	Client uint32
-	Tx     uint64
-	Segs   []SegImage
+	Client  uint32
+	Tx      uint64
+	Segs    []SegImage
+	Created []Created
 }
 
 func (m *CommitArgs) Fields(c *Cursor) {
 	c.U32(&m.Client)
 	c.U64(&m.Tx)
 	c.images(&m.Segs)
+	created := Repeat(c, &m.Created, reservedSize+4)
+	for i := range created {
+		created[i].Fields(c)
+	}
 }
 
 // AbortArgs aborts a transaction.
@@ -582,9 +617,10 @@ const (
 	CatNameBind                          // DB, Name, OID
 	CatNameUnbind                        // DB, Name
 	CatNameRemove                        // DB, OID
+	CatAddRun                            // DB, Seg (the run's area and start), DataPages (as granted)
 )
 
-var catalogOpNames = [...]string{"create-db", "add-area", "new-file", "register-type", "add-segment", "name-bind", "name-unbind", "name-remove"}
+var catalogOpNames = [...]string{"create-db", "add-area", "new-file", "register-type", "add-segment", "name-bind", "name-unbind", "name-remove", "add-run"}
 
 // String names the kind.
 func (k CatalogOpKind) String() string {
@@ -609,6 +645,7 @@ type CatalogOp struct {
 
 	// CatAddSegment: the slotted run is Seg.Start for SlottedPages pages, the
 	// data run DataStart for DataPages pages as granted, both in Seg.Area.
+	// CatAddRun: the run is Seg.Start for DataPages pages as granted.
 	Seg          SegKey
 	FileID       uint32
 	SlottedPages int
@@ -637,6 +674,9 @@ func (m *CatalogOp) Fields(c *Cursor) {
 		c.OID(&m.OID)
 	case CatNameRemove:
 		c.OID(&m.OID)
+	case CatAddRun:
+		c.SegKey(&m.Seg)
+		c.Count(&m.DataPages)
 	default:
 		c.Failf("catalog op of unknown kind %d", m.Kind)
 	}
@@ -660,6 +700,8 @@ func (m *CatalogOp) String() string {
 		s += fmt.Sprintf(" name=%q oid=%v", m.Name, m.OID)
 	case CatNameRemove:
 		s += fmt.Sprintf(" oid=%v", m.OID)
+	case CatAddRun:
+		s += fmt.Sprintf(" run=%d/%d pages=%d", m.Seg.Area, m.Seg.Start, m.DataPages)
 	}
 	return s
 }

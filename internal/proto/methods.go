@@ -4,8 +4,9 @@ package proto
 // its wire id, its name and, as type parameters, its messages. Handlers,
 // calls and prototest samples name a method by its descriptor, so the
 // compiler holds them to its types. Ids are the wire protocol: append-only,
-// never reassigned (internal/rpc/testdata/methods.golden pins them). 10 and
-// 11 (the two-step fetch FetchSeg replaced), 23 (the server-side
+// never reassigned (internal/rpc/testdata/methods.golden pins them). 8
+// (CreateSegment: a session creates segments from ReserveSegments' runs), 10
+// and 11 (the two-step fetch FetchSeg replaced), 23 (the server-side
 // large-object create) and 25 (FreeRun: a logged run is never freed) are
 // retired; 0 is a named frame's.
 
@@ -30,42 +31,42 @@ type Ptr[T any] interface {
 }
 
 var (
-	MethodHello         = method[HelloArgs, IDReply](1, "Hello")
-	MethodOpenDB        = method[OpenDBArgs, OpenDBReply](2, "OpenDB")
-	MethodNewTx         = method[ClientArgs, NewTxReply](3, "NewTx")
-	MethodRegisterType  = method[RegisterTypeArgs, RegisterTypeReply](4, "RegisterType")
-	MethodTypes         = method[DBArgs, TypesReply](5, "Types")
-	MethodNewFileID     = method[DBArgs, IDReply](6, "NewFileID")
-	MethodAddArea       = method[DBArgs, IDReply](7, "AddArea")
-	MethodCreateSegment = method[CreateSegmentArgs, CreateSegmentReply](8, "CreateSegment")
-	MethodSegInfo       = method[SegArgs, SegInfoReply](9, "SegInfo")
-	MethodFetchLarge    = method[FetchLargeArgs, Bytes](12, "FetchLarge")
-	MethodFetchSeg      = method[ClientSegArgs, SegImage](13, "FetchSeg")
-	MethodResolve       = method[ResolveArgs, ResolveReply](14, "Resolve")
-	MethodLock          = method[LockArgs, Empty](15, "Lock")
-	MethodLockObject    = method[LockObjectArgs, Empty](16, "LockObject")
-	MethodCommit        = method[CommitArgs, Empty](17, "Commit")
-	MethodAbort         = method[AbortArgs, Empty](18, "Abort")
-	MethodPrepare       = method[CommitArgs, Empty](19, "Prepare")
-	MethodDecide        = method[DecideArgs, Empty](20, "Decide")
-	MethodSegmentsOf    = method[SegmentsOfArgs, SegmentsOfReply](21, "SegmentsOf")
-	MethodReleased      = method[ReleasedArgs, Empty](22, "Released")
-	MethodAllocRun      = method[AllocRunArgs, AllocRunReply](24, "AllocRun")
-	MethodReadRun       = method[RunArgs, Bytes](26, "ReadRun")
-	MethodWriteRun      = method[RunArgs, Empty](27, "WriteRun")
-	MethodNameBind      = method[NameBindArgs, Empty](28, "NameBind")
-	MethodNameLookup    = method[NameArgs, NameLookupReply](29, "NameLookup")
-	MethodNameUnbind    = method[NameArgs, Empty](30, "NameUnbind")
-	MethodNameRemoveOID = method[NameRemoveOIDArgs, Empty](31, "NameRemoveOID")
-	MethodCallback      = method[SegArgs, CallbackReply](32, "Callback")
-	MethodScanStart     = method[ScanStartArgs, ScanStartReply](33, "ScanStart")
-	StreamScanData      = stream[ScanBatch](34, "ScanData")
-	StreamScanCtl       = stream[ScanCtl](35, "ScanCtl")
-	MethodSnapOpen      = method[ClientArgs, SnapOpenReply](36, "SnapOpen")
-	MethodSnapClose     = method[SnapCloseArgs, Empty](37, "SnapClose")
-	MethodSnapFetchSeg  = method[SnapFetchArgs, SegImage](38, "SnapFetchSeg")
-	MethodSnapScanStart = method[SnapScanStartArgs, ScanStartReply](39, "SnapScanStart")
-	MethodStoreLarge    = method[StoreLargeArgs, Bytes](40, "StoreLarge")
+	MethodHello           = method[HelloArgs, IDReply](1, "Hello")
+	MethodOpenDB          = method[OpenDBArgs, OpenDBReply](2, "OpenDB")
+	MethodNewTx           = method[ClientArgs, NewTxReply](3, "NewTx")
+	MethodRegisterType    = method[RegisterTypeArgs, RegisterTypeReply](4, "RegisterType")
+	MethodTypes           = method[DBArgs, TypesReply](5, "Types")
+	MethodNewFileID       = method[DBArgs, IDReply](6, "NewFileID")
+	MethodAddArea         = method[DBArgs, IDReply](7, "AddArea")
+	MethodSegInfo         = method[SegArgs, SegInfoReply](9, "SegInfo")
+	MethodFetchLarge      = method[FetchLargeArgs, Bytes](12, "FetchLarge")
+	MethodFetchSeg        = method[ClientSegArgs, SegImage](13, "FetchSeg")
+	MethodResolve         = method[ResolveArgs, ResolveReply](14, "Resolve")
+	MethodLock            = method[LockArgs, Empty](15, "Lock")
+	MethodLockObject      = method[LockObjectArgs, Empty](16, "LockObject")
+	MethodCommit          = method[CommitArgs, Empty](17, "Commit")
+	MethodAbort           = method[AbortArgs, Empty](18, "Abort")
+	MethodPrepare         = method[CommitArgs, Empty](19, "Prepare")
+	MethodDecide          = method[DecideArgs, Empty](20, "Decide")
+	MethodSegmentsOf      = method[SegmentsOfArgs, SegmentsOfReply](21, "SegmentsOf")
+	MethodReleased        = method[ReleasedArgs, Empty](22, "Released")
+	MethodAllocRun        = method[AllocRunArgs, AllocRunReply](24, "AllocRun")
+	MethodReadRun         = method[RunArgs, Bytes](26, "ReadRun")
+	MethodWriteRun        = method[RunArgs, Empty](27, "WriteRun")
+	MethodNameBind        = method[NameBindArgs, Empty](28, "NameBind")
+	MethodNameLookup      = method[NameArgs, NameLookupReply](29, "NameLookup")
+	MethodNameUnbind      = method[NameArgs, Empty](30, "NameUnbind")
+	MethodNameRemoveOID   = method[NameRemoveOIDArgs, Empty](31, "NameRemoveOID")
+	MethodCallback        = method[SegArgs, CallbackReply](32, "Callback")
+	MethodScanStart       = method[ScanStartArgs, ScanStartReply](33, "ScanStart")
+	StreamScanData        = stream[ScanBatch](34, "ScanData")
+	StreamScanCtl         = stream[ScanCtl](35, "ScanCtl")
+	MethodSnapOpen        = method[ClientArgs, SnapOpenReply](36, "SnapOpen")
+	MethodSnapClose       = method[SnapCloseArgs, Empty](37, "SnapClose")
+	MethodSnapFetchSeg    = method[SnapFetchArgs, SegImage](38, "SnapFetchSeg")
+	MethodSnapScanStart   = method[SnapScanStartArgs, ScanStartReply](39, "SnapScanStart")
+	MethodStoreLarge      = method[StoreLargeArgs, Bytes](40, "StoreLarge")
+	MethodReserveSegments = method[ReserveSegmentsArgs, ReserveSegmentsReply](41, "ReserveSegments")
 )
 
 // Methods is the table by id: every entry's Desc at its id, a zero Desc at

@@ -6,9 +6,28 @@
 package proto
 
 import (
+	"errors"
+	"strings"
+
 	"bess/internal/oid"
 	"bess/internal/segment"
 )
+
+var (
+	// ErrNotReserved refuses a published segment whose runs are not reserved
+	// to the publishing client as it names them.
+	ErrNotReserved = errors.New("segment runs are not reserved to this client")
+	// ErrRefused marks a Publish refused before it changed anything: the
+	// runs of the segments it was to publish are still reserved to the
+	// client.
+	ErrRefused = errors.New("refused before publishing")
+)
+
+// Refused reports whether err is a refusal marked ErrRefused, here or — as
+// the text every error becomes on the wire — across it.
+func Refused(err error) bool {
+	return errors.Is(err, ErrRefused) || err != nil && strings.Contains(err.Error(), ErrRefused.Error())
+}
 
 // SegKey identifies an object segment by its immovable slotted segment.
 type SegKey struct {
@@ -66,17 +85,18 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // fetch registers the caller as a holder of a cached copy, and the copy stays
 // consistent only because the Conn can call it back — so delivering
 // revocations (SetCallback) is part of the contract, not an extra some
-// implementations have. The one copy nobody fetches is a new segment's:
-// CreateSegment's reply is all its initial image is made of, so the creator
-// is registered as a holder by the creation itself.
+// implementations have. The one copy nobody fetches is a new segment's: a
+// client makes it of runs ReserveSegments reserved to it, whose geometry is
+// all its initial image is made of, and the commit that publishes it
+// (Publish) registers the creator as a holder.
 //
 // A byte slice a method returns is the caller's, to keep and to write to (the
 // mapper swizzles a fetched data image in place): an implementation serving
 // from something it retains — a version chain, a node cache — returns a copy.
 //
-// The other way round, a segment image handed to Commit or Prepare is only
-// lent: no implementation keeps a shipped byte past the call. A server's
-// commit writes its pages back before Commit returns, and a prepare drops
+// The other way round, a segment image handed to Publish is only lent: no
+// implementation keeps a shipped byte past the call. A server's commit
+// writes its pages back before Publish returns, and a prepare drops
 // them once its record is logged (Decide rebuilds them from the log); a node
 // server forwards them and keeps none. So a client ships its live sections,
 // not copies of them (swizzle.Mapper.UnswizzledData), and may write to them
@@ -101,13 +121,14 @@ type Conn interface {
 	AddArea(db uint32) (uint32, error)
 	// NewFileID allocates a fresh BeSS file id in db.
 	NewFileID(db uint32) (uint32, error)
-	// CreateSegment allocates a fresh object segment in db for client, which
-	// it records as holding a copy: the reply carries the geometry the
-	// segment's initial image is made of, so the creator has that image
-	// without fetching it. With tx set the segment is born X-locked for tx;
-	// tx 0 takes no lock. areaHint picks the db area by index (-1 = first),
-	// letting multifiles spread their segments over areas.
-	CreateSegment(client uint32, tx uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (CreateSegmentReply, error)
+	// ReserveSegments reserves n run pairs (at most MaxReserve) in db's area
+	// areaHint (by index, -1 = first: multifiles spread their segments over
+	// areas) for client to create segments from: a slotted run of
+	// slottedPages pages and a data run of at least dataPages each. A
+	// reserved run is taken in memory only, no other client can lock, fetch
+	// or find a segment at its key, and the runs client has not published
+	// when it goes free again.
+	ReserveSegments(client uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]Reserved, error)
 	// SegInfo returns the slotted size of seg in pages.
 	SegInfo(seg SegKey) (slottedPages int, err error)
 	// FetchSeg returns the encoded slotted image (header + slots), the
@@ -125,8 +146,14 @@ type Conn interface {
 	// software-based finer-granularity locking of §2.3/[27]. The owning
 	// segment gets the matching intention lock.
 	LockObject(client uint32, tx uint64, seg SegKey, slot int, mode LockMode) error
-	// Commit logs, applies, and commits tx's segment images.
-	Commit(client uint32, tx uint64, segs []SegImage) error
+	// Publish commits tx — or, with prepare set, logs it as a 2PC branch
+	// voting yes (Decide ends it) — shipping segs, its segments' images, and
+	// first publishing created: segments client made of runs reserved to it,
+	// X-locked for tx and recorded with client as their holder, which every
+	// other client finds from tx's commit on. A run not reserved to client,
+	// as created names it, is refused (ErrNotReserved); a refusal marked
+	// ErrRefused changed nothing.
+	Publish(client uint32, tx uint64, created []Created, segs []SegImage, prepare bool) error
 	// Abort rolls tx back and releases its locks.
 	Abort(client uint32, tx uint64) error
 	// SegmentsOf lists the segments of a file in db (scans).
@@ -146,9 +173,9 @@ type Conn interface {
 	AllocRun(db uint32, nPages int) (area uint32, start int64, granted int, err error)
 	ReadRun(db uint32, area uint32, start int64, nPages int) ([]byte, error)
 	WriteRun(client uint32, tx uint64, db, area uint32, start int64, data []byte) error
-	// Prepare and Decide are the 2PC participant surface for distributed
-	// transactions coordinated by a client or another server.
-	Prepare(client uint32, tx uint64, segs []SegImage) error
+	// Decide delivers the 2PC decision for a branch Publish prepared: the
+	// participant surface for distributed transactions coordinated by a
+	// client or another server.
 	Decide(tx uint64, commit bool) error
 	// SnapOpen opens a read-only snapshot for the client and returns its id
 	// and version stamp (the commit LSN it observes). Snapshot reads take no

@@ -45,7 +45,9 @@ var (
 	raw       = &proto.Bytes{Data: []byte("raw reply bytes")}
 	fetchArgs = &proto.ClientSegArgs{Client: 3, Seg: seg}
 	dbArgs    = &proto.DBArgs{DB: 4}
-	commit    = &proto.CommitArgs{Client: 3, Tx: 99, Segs: []proto.SegImage{img, img2}}
+	reserved  = proto.Reserved{Seg: seg, SlottedPages: 2, DataStart: 1<<40 + 2, DataPages: 16}
+	commit    = &proto.CommitArgs{Client: 3, Tx: 99, Segs: []proto.SegImage{img, img2},
+		Created: []proto.Created{{Reserved: reserved, FileID: 9}}}
 	scanStart = proto.ScanStartArgs{Client: 3, DB: 1, FileID: 9, BatchBytes: 64 << 10}
 	scanReply = &proto.ScanStartReply{Scan: 42}
 )
@@ -59,8 +61,6 @@ var Methods = []Method{
 	method(proto.MethodTypes, dbArgs, &proto.TypesReply{Infos: []proto.TypeInfo{info, {ID: 6, Name: "Leaf"}}}),
 	method(proto.MethodNewFileID, dbArgs, &proto.IDReply{ID: 9}),
 	method(proto.MethodAddArea, dbArgs, &proto.IDReply{ID: 7}),
-	method(proto.MethodCreateSegment, &proto.CreateSegmentArgs{Client: 3, Tx: 99, DB: 4, FileID: 9, SlottedPages: 2, DataPages: 16, AreaHint: -1},
-		&proto.CreateSegmentReply{Seg: seg, DataStart: 1<<40 + 2, DataPages: 16}),
 	method(proto.MethodSegInfo, &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}),
 	method(proto.MethodFetchLarge, &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw),
 	method(proto.MethodFetchSeg, fetchArgs, &img),
@@ -89,6 +89,8 @@ var Methods = []Method{
 	method(proto.MethodSnapFetchSeg, &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img),
 	method(proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanReply),
 	method(proto.MethodStoreLarge, &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw),
+	method(proto.MethodReserveSegments, &proto.ReserveSegmentsArgs{Client: 3, DB: 4, AreaHint: -1, SlottedPages: 2, DataPages: 16, N: 2},
+		&proto.ReserveSegmentsReply{Runs: []proto.Reserved{reserved, {Seg: proto.SegKey{Area: 8}, SlottedPages: 1}}}),
 }
 
 // CatalogOps holds a populated proto.CatalogOp — the body of the catalog's
@@ -102,6 +104,7 @@ var CatalogOps = []*proto.CatalogOp{
 	{Kind: proto.CatNameBind, DB: 4, Name: "root", OID: root},
 	{Kind: proto.CatNameUnbind, DB: 4, Name: "root"},
 	{Kind: proto.CatNameRemove, DB: 4, OID: root},
+	{Kind: proto.CatAddRun, DB: 4, Seg: seg, DataPages: 16},
 }
 
 // Messages returns one populated sample per distinct message type in

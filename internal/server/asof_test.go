@@ -88,7 +88,7 @@ func TestAsOfOpenedMidCommit(t *testing.T) {
 	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prepare(cl, txid, []proto.SegImage{overwriteImage(t, s, key, body(2))}); err != nil {
+	if err := s.Publish(cl, txid, nil, []proto.SegImage{overwriteImage(t, s, key, body(2))}, true); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := s.SnapOpen(cl)

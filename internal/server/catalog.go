@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bess/internal/lockcheck"
@@ -72,8 +73,8 @@ func newCatalog(log *wal.Log) *catalog {
 var ErrCatalogCorrupt = errors.New("server: catalog record is corrupt")
 
 // replay rebuilds the catalog from the log: it applies every catalog record,
-// in log order, and returns the add-segment ops with their LSNs, for open to
-// re-establish the storage they name. It finds the records in restart's one
+// in log order, and returns the add-segment and add-run ops with their LSNs,
+// for open to re-establish the storage they name. It finds the records in restart's one
 // pass over the log (wal.Analyze), whose analysis it returns for the pages
 // and the transactions (tx.Restart).
 func (c *catalog) replay() (*wal.Analysis, []loggedOp, error) {
@@ -97,7 +98,7 @@ func (c *catalog) replay() (*wal.Analysis, []loggedOp, error) {
 			return fmt.Errorf("%w: at lsn %d: %v", ErrCatalogCorrupt, lsn, err)
 		}
 		n++
-		if op.Kind == proto.CatAddSegment {
+		if op.Kind == proto.CatAddSegment || op.Kind == proto.CatAddRun {
 			segs = append(segs, loggedOp{op, lsn})
 		}
 		return nil
@@ -127,6 +128,18 @@ type loggedOp struct {
 // failed effect leaves the op logged but not applied, restart will apply it,
 // and the caller must leave behind what the op's redo expects.
 func (c *catalog) change(op *proto.CatalogOp, effect func() error) (page.LSN, error) {
+	lsn, err := c.record(op, effect)
+	if err != nil {
+		return lsn, err
+	}
+	return lsn, c.apply(op)
+}
+
+// record is change but for the apply, which the caller makes later: a
+// published segment is logged with its transaction's images and enters the
+// catalog when the transaction ends (Server.reveal). No op a record leaves
+// unapplied is one another op depends on.
+func (c *catalog) record(op *proto.CatalogOp, effect func() error) (page.LSN, error) {
 	c.mu.AssertHeld()
 	body, err := proto.Encode(op)
 	if err != nil {
@@ -141,7 +154,7 @@ func (c *catalog) change(op *proto.CatalogOp, effect func() error) (page.LSN, er
 			return lsn, err
 		}
 	}
-	return lsn, c.apply(op)
+	return lsn, nil
 }
 
 // apply makes the change op describes to the in-memory catalog. An error
@@ -184,6 +197,8 @@ func (c *catalog) apply(op *proto.CatalogOp) error {
 		return m.Names.Unbind(op.Name)
 	case proto.CatNameRemove:
 		m.Names.ObjectRemoved(op.OID)
+	case proto.CatAddRun:
+		// Storage only: restart re-establishes the run (Server.restart).
 	default:
 		return fmt.Errorf("catalog op of unknown kind %d", op.Kind)
 	}
@@ -350,6 +365,18 @@ func (c *catalog) nameRemoveOID(db *dbMeta, o oid.OID) error {
 		}
 		return &proto.CatalogOp{Kind: proto.CatNameRemove, OID: o}, nil
 	})
+}
+
+// dbOfAreaLocked returns the id of the database area aid belongs to, 0 if
+// none. The caller holds mu.
+func (c *catalog) dbOfAreaLocked(aid uint32) uint32 {
+	c.mu.AssertHeld()
+	for _, m := range c.Created {
+		if slices.Contains(m.Areas, aid) {
+			return m.ID
+		}
+	}
+	return 0
 }
 
 // areaIDs lists every attached area id across databases (startup).

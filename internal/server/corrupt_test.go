@@ -383,7 +383,7 @@ func TestAbortedBranchOverRotRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
-	if err := s.Prepare(cl, txid, []proto.SegImage{img}); err != nil {
+	if err := s.Publish(cl, txid, nil, []proto.SegImage{img}, true); err != nil {
 		t.Fatal(err)
 	}
 	flipPageByte(t, s, key.Area, page.No(key.Start), segment.HeaderSize+3)

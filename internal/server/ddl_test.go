@@ -27,11 +27,12 @@ import (
 // that redo of an add-segment record never clobbers.
 
 // TestCreateSegmentTouchesNoFile is the tier-1 tripwire against a slide back
-// to a catalog file of its own: CreateSegment is a buffered log append. A
-// hundred of them add no file to the directory and force the log not once;
-// the log alone gives a reopened server all of them, before a checkpoint and
-// after one, and neither a checkpoint nor Close leaves any file in the
-// directory but the log and the areas.
+// to a catalog file of its own: a created segment is a buffered log record
+// that its publishing commit forces with its own record. Fifty segments
+// reserved and published by one commit add no file to the directory and
+// force the log once, for the commit; the log alone gives a reopened server
+// all of them, before a checkpoint and after one, and neither a checkpoint
+// nor Close leaves any file in the directory but the log and the areas.
 func TestCreateSegmentTouchesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 1)
@@ -47,6 +48,7 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl, _ := s.Hello("creator")
 	files := func(what string) {
 		t.Helper()
 		ents, err := os.ReadDir(dir)
@@ -65,17 +67,23 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 	create := func(n int) {
 		t.Helper()
 		syncs := s.Log().Stats().Syncs
-		for i := 0; i < n; i++ {
-			key, err := createSeg(s, db, fid, 1, 2, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, key)
+		runs, err := s.ReserveSegments(cl, db, -1, 1, 2, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := s.Log().Stats().Syncs; got != syncs {
-			t.Fatalf("%d CreateSegment calls forced the log %d times", n, got-syncs)
+		created := make([]proto.Created, n)
+		for i, r := range runs {
+			created[i] = proto.Created{Reserved: r, FileID: fid}
+			want = append(want, r.Seg)
 		}
-		files(fmt.Sprintf("after %d CreateSegment calls", n))
+		txid, _ := s.NewTx()
+		if err := s.Publish(cl, txid, created, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Log().Stats().Syncs; got != syncs+1 {
+			t.Fatalf("%d segments reserved and published by one commit forced the log %d times, want 1", n, got-syncs)
+		}
+		files(fmt.Sprintf("after %d segments", n))
 	}
 	reopened := func(what string) {
 		t.Helper()
@@ -91,9 +99,6 @@ func TestCreateSegmentTouchesNoFile(t *testing.T) {
 
 	files("after OpenDB")
 	create(50)
-	if err := s.Log().Flush(0); err != nil {
-		t.Fatal(err)
-	}
 	reopened("before a checkpoint")
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -137,9 +142,9 @@ func TestCreateSegmentFailureFreesRuns(t *testing.T) {
 
 // TestCreateSegmentLocksAndRecordsCreator: created for a client and a
 // transaction, a segment is X-locked for that transaction and the client is in
-// the copy table before anyone else can find the key; a creation that fails
-// leaves neither behind, so the next segment allocated at the same start does
-// not wait on a lock nobody will release for it.
+// the copy table, and nobody else finds the key before the transaction ends;
+// a creation that fails leaves neither behind, so the next segment allocated
+// at the same start does not wait on a lock nobody will release for it.
 func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -152,6 +157,7 @@ func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
 	if err := s.SetCallback(creator, func(proto.SegKey) (bool, error) { revoked++; return false, nil }); err != nil {
 		t.Fatal(err)
 	}
+	other, _ := s.Hello("other")
 	tx1, _ := s.NewTx()
 	rep, err := s.CreateSegment(creator, tx1, db, 1, 1, 3, -1)
 	if err != nil {
@@ -160,6 +166,16 @@ func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
 	if m := s.locks.Holds(lock.TxID(tx1), segLockName(rep.Seg)); m != lock.X {
 		t.Fatalf("the creating transaction holds %v on its segment, want X", m)
 	}
+	tx2, _ := s.NewTx()
+	if _, _, _, err := s.FetchSeg(other, rep.Seg); !errors.Is(err, ErrNoSegment) {
+		t.Fatalf("FetchSeg before the creating transaction ended: %v, want ErrNoSegment", err)
+	}
+	if err := s.Lock(other, tx2, rep.Seg, proto.LockX); !errors.Is(err, ErrNoSegment) {
+		t.Fatalf("Lock before the creating transaction ended: %v, want ErrNoSegment", err)
+	}
+	if err := s.Commit(creator, tx1, nil); err != nil {
+		t.Fatal(err)
+	}
 	sl, ov, data, err := s.FetchSeg(0, rep.Seg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +183,6 @@ func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
 	if h := decodeSeg(t, sl, ov, data).Hdr; rep.DataStart != int64(h.DataStart) || rep.DataPages != int(h.DataPages) || rep.DataPages != 4 {
 		t.Fatalf("reply geometry %+v, header %+v: want the settled run, 3 pages rounded to 4", rep, h)
 	}
-	if err := s.Commit(creator, tx1, nil); err != nil {
-		t.Fatal(err)
-	}
-	other, _ := s.Hello("other")
-	tx2, _ := s.NewTx()
 	if err := s.Lock(other, tx2, rep.Seg, proto.LockX); err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func TestLoggingRuleProperty(t *testing.T) {
 			img, _ := overwrite(key)
 			cl, txid := lock()
 			// Phase 1 logs the image; the decision rolls it back.
-			if err := s.Prepare(cl, txid, []proto.SegImage{img}); err != nil {
+			if err := s.Publish(cl, txid, nil, []proto.SegImage{img}, true); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Decide(txid, false); err != nil {

@@ -74,12 +74,23 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatalf("types = %+v", tys)
 	}
 
-	cs, err := r.CreateSegment(cl, 0, db, fid, 1, 2, 1)
+	runs, err := r.ReserveSegments(cl, db, 1, 1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.DataPages != 2 || cs.DataStart == 0 {
-		t.Fatalf("create reply carries geometry %+v, want the granted 2 data pages and their start", cs)
+	cs := proto.Created{Reserved: runs[0], FileID: fid}
+	if len(runs) != 1 || cs.DataPages != 2 || cs.DataStart == 0 {
+		t.Fatalf("reserve reply carries %+v, want one run pair with the granted 2 data pages and their start", runs)
+	}
+	if _, err := r.SegInfo(cs.Seg); err == nil {
+		t.Fatal("SegInfo found a segment before the commit that publishes it")
+	}
+	ptx, err := r.NewTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Publish(cl, ptx, []proto.Created{cs}, nil, false); err != nil {
+		t.Fatal(err)
 	}
 	n, err := r.SegInfo(cs.Seg)
 	if err != nil {
@@ -149,7 +160,7 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipped := proto.SegImage{Seg: cs.Seg, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow}
-	if err := r.Commit(cl, tx, []proto.SegImage{shipped}); err != nil {
+	if err := r.Publish(cl, tx, nil, []proto.SegImage{shipped}, false); err != nil {
 		t.Fatal(err)
 	}
 	fl, err := r.FetchLarge(cl, cs.Seg, slot)
@@ -190,7 +201,7 @@ func TestRPCFullSurface(t *testing.T) {
 	if err := r.WriteRun(cl, runTx, db, runArea, runStart, run); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Commit(cl, runTx, nil); err != nil {
+	if err := r.Publish(cl, runTx, nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	rr, err := r.ReadRun(db, runArea, runStart, 1)
@@ -241,7 +252,7 @@ func TestRPCFullSurface(t *testing.T) {
 
 	// 2PC over RPC.
 	tx2, _ := r.NewTx()
-	if err := r.Prepare(cl, tx2, nil); err != nil {
+	if err := r.Publish(cl, tx2, nil, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Decide(tx2, false); err != nil {
@@ -338,8 +349,8 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		{"ReadRun", body(run, 28, 0xFFFFFFFF)}, // int32(-1)
 		{"ReadRun", body(run, 28, 0x80000000)},
 		{"AllocRun", body(&proto.AllocRunArgs{DB: odb.DB}, 4, 0xFFFFFFFF)},
-		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, DataPages: 1}, 20, 0xFFFFFFFF)},
-		{"CreateSegment", body(&proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1}, 24, 0x80000000)},
+		{"ReserveSegments", body(&proto.ReserveSegmentsArgs{DB: odb.DB, DataPages: 1, N: 1}, 12, 0xFFFFFFFF)},
+		{"ReserveSegments", body(&proto.ReserveSegmentsArgs{DB: odb.DB, SlottedPages: 1, N: 1}, 16, 0x80000000)},
 		{"Released", body(&proto.ReleasedArgs{Client: 1}, 4, 0xFFFFFFFF)},
 	} {
 		before := s.Snapshot().Messages
@@ -479,8 +490,10 @@ func TestRPCDisconnectCleans(t *testing.T) {
 	}
 	var odb proto.OpenDBReply
 	rpc.Call(p, proto.MethodOpenDB, &proto.OpenDBArgs{Name: "db", Create: true}, &odb)
-	var cs proto.CreateSegmentReply
-	rpc.Call(p, proto.MethodCreateSegment, &proto.CreateSegmentArgs{DB: odb.DB, FileID: 1, SlottedPages: 1, DataPages: 1}, &cs)
+	cs, err := s.CreateSegment(0, 0, odb.DB, 1, 1, 1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ntx proto.NewTxReply
 	rpc.Call(p, proto.MethodNewTx, &proto.ClientArgs{}, &ntx)
 	if err := rpc.Call(p, proto.MethodLock, &proto.LockArgs{Client: hello.ID, Tx: ntx.Tx, Seg: cs.Seg, Mode: proto.LockX}, &proto.Empty{}); err != nil {

@@ -60,9 +60,9 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			id, err := s.AddArea(a.DB)
 			return &proto.IDReply{ID: id}, err
 		}),
-		rpc.Typed(proto.MethodCreateSegment, func(a *proto.CreateSegmentArgs) (*proto.CreateSegmentReply, error) {
-			rep, err := s.CreateSegment(a.Client, a.Tx, a.DB, a.FileID, a.SlottedPages, a.DataPages, a.AreaHint)
-			return &rep, err
+		rpc.Typed(proto.MethodReserveSegments, func(a *proto.ReserveSegmentsArgs) (*proto.ReserveSegmentsReply, error) {
+			runs, err := s.ReserveSegments(a.Client, a.DB, a.AreaHint, a.SlottedPages, a.DataPages, a.N)
+			return &proto.ReserveSegmentsReply{Runs: runs}, err
 		}),
 		rpc.Typed(proto.MethodSegInfo, func(a *proto.SegArgs) (*proto.SegInfoReply, error) {
 			n, err := s.SegInfo(a.Seg)
@@ -99,13 +99,13 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			return empty, s.LockObject(a.Client, a.Tx, a.Seg, a.Slot, a.Mode)
 		}),
 		rpc.Typed(proto.MethodCommit, func(a *proto.CommitArgs) (*proto.Empty, error) {
-			return empty, s.Commit(a.Client, a.Tx, a.Segs)
+			return empty, s.Publish(a.Client, a.Tx, a.Created, a.Segs, false)
 		}),
 		rpc.Typed(proto.MethodAbort, func(a *proto.AbortArgs) (*proto.Empty, error) {
 			return empty, s.Abort(a.Client, a.Tx)
 		}),
 		rpc.Typed(proto.MethodPrepare, func(a *proto.CommitArgs) (*proto.Empty, error) {
-			return empty, s.Prepare(a.Client, a.Tx, a.Segs)
+			return empty, s.Publish(a.Client, a.Tx, a.Created, a.Segs, true)
 		}),
 		rpc.Typed(proto.MethodDecide, func(a *proto.DecideArgs) (*proto.Empty, error) {
 			return empty, s.Decide(a.Tx, a.Commit)

@@ -96,6 +96,10 @@ type Server struct {
 	// which of them caches which segment.
 	copies *callback.Table
 
+	// res holds the reserved runs and the published segments not yet in the
+	// catalog (reserve.go).
+	res reservations
+
 	closed atomic.Bool
 
 	// The background scrubber (corrupt.go): StartScrub starts it once, in a
@@ -198,8 +202,10 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 		clock = nl - 1
 	}
 	s.vs = cache.NewVersionStore(clock)
-	s.txm.SetCommitHook(s.vs.CommitTx)
-	s.txm.SetAbortHook(s.vs.AbortTx)
+	// A transaction's end, either way, enters the segments it published in
+	// the catalog, before its locks release.
+	s.txm.SetCommitHook(func(id uint64, lsn page.LSN) { s.vs.CommitTx(id, lsn); s.reveal(id) })
+	s.txm.SetAbortHook(func(id uint64) { s.vs.AbortTx(id); s.reveal(id) })
 	s.txm.SetRepair(s.repairWrites)
 	s.nextTx.Store(uint64(host)<<48 | 1)
 	return s, nil
@@ -400,13 +406,15 @@ func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error))
 	return s.copies.SetCallback(client, cb)
 }
 
-// Disconnect drops a client: its cached copies are forgotten, its active
-// transactions aborted, and its open snapshots closed (unpinning the
-// version watermark). A branch it prepared is not this server's to abort: it
-// stays in doubt, locks held, until Decide (tx.Manager.AbortOwned).
+// Disconnect drops a client: its cached copies are forgotten, the runs
+// reserved to it and not published go free, its active transactions are
+// aborted, and its open snapshots closed (unpinning the version watermark). A
+// branch it prepared is not this server's to abort: it stays in doubt, locks
+// held, until Decide (tx.Manager.AbortOwned).
 func (s *Server) Disconnect(client uint32) {
 	s.vs.CloseOwner(client)
 	s.copies.Remove(client)
+	s.freeReserved(client)
 	// A rollback that fails leaves its transaction in the table, as a failed
 	// Abort does; there is no caller to tell.
 	_ = s.txm.AbortOwned(client)
@@ -555,73 +563,6 @@ func (s *Server) areaOf(m *dbMeta, hint int) (*area.Area, uint32, error) {
 	return a, aid, nil
 }
 
-// CreateSegment implements proto.Conn: allocate slotted + data runs, log the
-// segment, and write its initial images. Nothing is forced: the segment is
-// durable with the next log force, and the log is a prefix, so its record
-// precedes the commit record of any object stored in it.
-//
-// The reply's geometry is all the initial images are made of, so the creator
-// has its copy without a fetch, and it is in the copy table from the moment of
-// creation, like anyone who can have a copy. With txid set the segment is also
-// born X-locked for that transaction. Lock and holder record both precede the
-// catalog op that publishes the key: no other transaction can have asked for
-// the lock yet, so taking it never waits, and nobody finds the segment before
-// a write to it would call the creator back.
-func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.CreateSegmentReply, error) {
-	s.stats.messages.Add(1)
-	var none proto.CreateSegmentReply
-	m, err := s.cat.db(db)
-	if err != nil {
-		return none, err
-	}
-	if fileID == 0 {
-		return none, errors.New("server: fileID 0 is reserved")
-	}
-	a, aid, err := s.areaOf(m, areaHint)
-	if err != nil {
-		return none, err
-	}
-	slStart, _, err := a.AllocSegment(slottedPages)
-	if err != nil {
-		return none, err
-	}
-	dtStart, dtGranted, err := a.AllocSegment(dataPages)
-	if err != nil {
-		return none, errors.Join(err, a.FreeSegment(slStart))
-	}
-	op := &proto.CatalogOp{
-		Kind: proto.CatAddSegment, DB: m.ID, Seg: proto.SegKey{Area: aid, Start: int64(slStart)},
-		FileID: fileID, SlottedPages: slottedPages, DataStart: int64(dtStart), DataPages: dtGranted,
-	}
-	if txid != 0 {
-		err = s.ensureTx(client, txid).Lock(segLockName(op.Seg), lock.X)
-	}
-	var lsn page.LSN
-	if err == nil {
-		s.copies.Record(op.Seg, client)
-		// The record goes first, the images after it: a crash in between leaks
-		// the two runs, or — the record durable — has restart format them
-		// (redoSegment); it never catalogs a segment nobody formats.
-		s.cat.mu.Lock()
-		lsn, err = s.cat.change(op, func() error { return formatSegment(a, op) })
-		s.cat.mu.Unlock()
-	}
-	if err != nil {
-		// This server never learns of the segment, so nothing of it stays: not
-		// the holder, not the lock (the next segment allocated at this start
-		// must not wait for it).
-		s.copies.Drop(op.Seg, client)
-		s.locks.Release(lock.TxID(txid), segLockName(op.Seg))
-		if lsn == 0 {
-			err = errors.Join(err, a.FreeSegment(slStart), a.FreeSegment(dtStart))
-		}
-		// Else the op is in the log and restart will apply it: the runs stay
-		// allocated, as its redo expects to find or make them.
-		return none, err
-	}
-	return proto.CreateSegmentReply{Seg: op.Seg, DataStart: op.DataStart, DataPages: op.DataPages}, nil
-}
-
 // formatSegment writes the initial images of the segment op adds: the empty
 // slotted segment and the zeroed data section, one write per run. The header
 // carries the zero section's checksum, so the segment verifies from its very
@@ -635,9 +576,10 @@ func formatSegment(a *area.Area, op *proto.CatalogOp) error {
 	return a.WriteRun(page.No(op.DataStart), zeroRun[:op.DataPages*page.Size])
 }
 
-// zeroRun is the data section formatSegment writes, shared by every segment
-// it formats and written by nobody. Both its callers bound DataPages by
-// area.MaxSegmentPages (AllocSegment, EnsureSegment).
+// zeroRun is the data section formatSegment writes and a published segment's
+// before-image (applyOne), shared by every segment and written by nobody.
+// Every caller bounds DataPages by area.MaxSegmentPages (Reserve,
+// EnsureSegment).
 var zeroRun [area.MaxSegmentPages * page.Size]byte
 
 // redoSegment re-establishes at restart the storage of a replayed add-segment
@@ -648,12 +590,17 @@ var zeroRun [area.MaxSegmentPages * page.Size]byte
 // with page redo starting later still (at a checkpoint past the commit,
 // DESIGN.md §5), so a page the log changed after the op is left to redo and
 // repair, and a slotted page that verifies as this segment is left alone.
+//
+// An add-run op's run is made live, and no more: its pages are the log's.
 func (s *Server) redoSegment(op loggedOp, an *wal.Analysis) error {
 	a := s.lookupArea(op.Seg.Area)
 	if a == nil {
 		return ErrNoArea
 	}
 	slStart := page.No(op.Seg.Start)
+	if op.Kind == proto.CatAddRun {
+		return a.EnsureSegment(slStart, op.DataPages)
+	}
 	if err := a.EnsureSegment(slStart, op.SlottedPages); err != nil {
 		return err
 	}
@@ -800,8 +747,15 @@ func (s *Server) ensureTx(client uint32, id uint64) *tx.Tx {
 
 // Lock implements proto.Conn. Exclusive locks drive callback revocation of
 // other clients' cached copies (callback locking, §3).
+//
+// A key the catalog does not have — a reserved run's, or a segment whose
+// publishing transaction has not ended — is ErrNoSegment: nobody waits on a
+// segment before it exists, and its publisher never waits on anybody.
 func (s *Server) Lock(client uint32, txid uint64, seg proto.SegKey, mode proto.LockMode) error {
 	s.stats.messages.Add(1)
+	if _, _, ok := s.cat.segMetaOf(seg); !ok {
+		return ErrNoSegment
+	}
 	t := s.ensureTx(client, txid)
 	lm := lock.Mode(mode)
 	if err := t.Lock(segLockName(seg), lm); err != nil {
@@ -834,53 +788,83 @@ func (s *Server) LockObject(client uint32, txid uint64, seg proto.SegKey, slot i
 
 // --- commit / abort / 2PC ---
 
-// apply is what a commit and a prepare share: it logs the shipped images
-// under txid's branch, which must hold X (or SIX) on each of their segments,
-// and returns the branch, rolled back if an image fails. It writes no page —
-// the records are redo-only, and the branch's commit writes their pages once
-// its commit record is durable (tx.Tx.Commit) — and forces nothing: the one
-// force of the commit or prepare record covers these buffered records, so a
-// commit never pays a second fsync or waits on another transaction's tail.
-func (s *Server) apply(client uint32, txid uint64, segs []proto.SegImage) (*tx.Tx, error) {
+// apply is what a commit and a prepare share: it publishes created, then
+// logs the shipped images under txid's branch, which must hold X (or SIX) on
+// each of their segments, and returns the branch, rolled back if an image
+// fails, and the LSN of the last segment it published. An image of a
+// segment the branch has not locked, or a created entry that does not name
+// runs reserved to client, refuses the whole call before anything changes
+// (proto.ErrRefused). apply writes no page — the records are redo-only, and the
+// branch's commit writes their pages once its commit record is durable
+// (tx.Tx.Commit) — and forces nothing: the one force of the commit or prepare
+// record covers these buffered records, so a commit never pays a second fsync
+// or waits on another transaction's tail.
+func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs []proto.SegImage) (*tx.Tx, page.LSN, error) {
 	s.stats.messages.Add(1)
 	for _, si := range segs {
+		if slices.ContainsFunc(created, func(c proto.Created) bool { return c.Seg == si.Seg }) {
+			continue
+		}
 		if err := s.requireX(txid, si.Seg); err != nil {
-			return nil, err
+			return nil, 0, fmt.Errorf("%w: %w", proto.ErrRefused, err)
 		}
 	}
+	ops, err := s.take(client, created)
+	if err != nil {
+		return nil, 0, err
+	}
 	t := s.ensureTx(client, txid)
+	lsn, err := s.publish(client, t, ops)
 	// One buffer for the current content of every fresh run the commit fills,
 	// grown to the largest and reused from segment to segment: t keeps the
 	// new images until it commits, never the old.
 	var scratch []byte
 	for _, si := range segs {
-		if err := s.applyOne(t, si, &scratch); err != nil {
-			_ = t.Abort()
-			return nil, err
+		if err != nil {
+			break
 		}
+		i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Seg == si.Seg })
+		var fresh *proto.CatalogOp
+		if i >= 0 {
+			fresh = ops[i]
+		}
+		err = s.applyOne(t, si, fresh, &scratch)
 	}
-	return t, nil
+	if err != nil {
+		_ = t.Abort()
+		return nil, 0, err
+	}
+	return t, lsn, nil
 }
 
 // applyOne logs one shipped segment under t. It reads the current image once
-// and stages it with the version store: the image is the before-image of
-// every run that stays where it is, and the version chain's pre-update image,
-// which the store owns from here on, so nobody writes its bytes. Until t
-// ends, snapshot reads of the segment wait out the overwrite; unstaged, an
+// — or, for a segment t publishes (fresh), builds it, as formatSegment wrote
+// it — and stages it with the version store: the image is the before-image
+// of every run that stays where it is, and the version chain's pre-update
+// image, which the store owns from here on, so nobody writes its bytes. Until
+// t ends, snapshot reads of the segment wait out the overwrite; unstaged, an
 // open snapshot's Recheck would pass (the stamp never advanced) while pages
 // change underneath it. The data and overflow sections then take one step
 // each (place), and the slotted image, re-encoded over their final geometry,
-// is logged ahead of them (logShipped).
-func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, scratch *[]byte) error {
+// is logged ahead of them (logShipped). Every page of a fresh segment is
+// logged whole: it is its first change since the server opened.
+func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, fresh *proto.CatalogOp, scratch *[]byte) error {
 	nu, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
-	cur, sl, over, data, err := s.readImage(si.Seg, secAll, s.live())
+	var cur *segment.Seg
+	var old cache.VImage
+	if fresh != nil {
+		old.Slotted = segment.Format(fresh.FileID, fresh.SlottedPages, fresh.DataPages, page.AreaID(fresh.Seg.Area), page.No(fresh.DataStart))
+		old.Data = zeroRun[: fresh.DataPages*page.Size : fresh.DataPages*page.Size]
+		cur, err = segment.DecodeSlotted(old.Slotted)
+	} else {
+		cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(si.Seg, secAll, s.live())
+	}
 	if err != nil {
 		return err
 	}
-	old := cache.VImage{Slotted: sl, Overflow: over, Data: data}
 	staged := s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg), old)
 	nh, ch := &nu.Hdr, &cur.Hdr
 	secs := [2]section{
@@ -983,7 +967,7 @@ func (s *Server) freshRun(aid uint32, pages int, content []byte) (page.No, []byt
 	if a == nil {
 		return 0, nil, ErrNoArea
 	}
-	start, granted, err := a.AllocSegment(pages)
+	start, granted, err := s.allocRun(a, aid, pages)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1054,20 +1038,6 @@ func (s *Server) requireX(txid uint64, seg proto.SegKey) error {
 	return nil
 }
 
-// Commit implements proto.Conn: single-server commit of the shipped images.
-// Their records are redo-only, and their pages are written after the commit
-// record is durable (tx.Tx.Commit).
-func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error {
-	t, err := s.apply(client, txid, segs)
-	if err == nil {
-		err = t.Commit()
-	}
-	if err == nil {
-		s.stats.commits.Add(1)
-	}
-	return err
-}
-
 // Abort implements proto.Conn.
 func (s *Server) Abort(client uint32, txid uint64) error {
 	s.stats.messages.Add(1)
@@ -1078,17 +1048,6 @@ func (s *Server) Abort(client uint32, txid uint64) error {
 	err := t.Abort()
 	s.stats.aborts.Add(1)
 	return err
-}
-
-// Prepare implements proto.Conn: 2PC phase-1 vote. Images are logged and
-// nothing is written; the branch stays prepared (locks held) until Decide,
-// whose commit writes the pages from the branch's log chain.
-func (s *Server) Prepare(client uint32, txid uint64, segs []proto.SegImage) error {
-	t, err := s.apply(client, txid, segs)
-	if err != nil {
-		return err
-	}
-	return t.Prepare()
 }
 
 // Decide implements proto.Conn: 2PC phase-2 decision delivery.
@@ -1118,13 +1077,17 @@ func (s *Server) Decide(txid uint64, commit bool) error {
 // t's commit writes after its force, like every page it ships: nothing is
 // written or forced here, and no page of seg changes — until t commits, no
 // reader of seg can find the object.
+//
+// A segment reserved to client, which only client can publish, needs no X.
 func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, content []byte) ([]byte, error) {
 	s.stats.messages.Add(1)
 	if len(content) > segment.MaxTransparentLarge {
 		return nil, ErrTooLarge
 	}
-	if err := s.requireX(txid, seg); err != nil {
-		return nil, err
+	if !s.heldBy(client, seg) {
+		if err := s.requireX(txid, seg); err != nil {
+			return nil, err
+		}
 	}
 	// Flush-side user transforms (compression, §2.4) may change the stored
 	// byte count; the slot keeps the logical size.
@@ -1158,11 +1121,30 @@ func (s *Server) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	start, granted, err := a.AllocSegment(nPages)
+	start, granted, err := s.allocRun(a, aid, nPages)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	return aid, int64(start), granted, nil
+}
+
+// allocRun allocates a run of at least nPages pages in area a (id aid) and
+// logs it as an add-run op, which restart re-establishes (redoSegment): an
+// extent map write is not synced, and a commit that fills the run must not
+// lose it to a power loss. The op is durable no later than that commit.
+func (s *Server) allocRun(a *area.Area, aid uint32, nPages int) (page.No, int, error) {
+	start, granted, err := a.AllocSegment(nPages)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.cat.mu.Lock()
+	defer s.cat.mu.Unlock()
+	op := &proto.CatalogOp{Kind: proto.CatAddRun, DB: s.cat.dbOfAreaLocked(aid),
+		Seg: proto.SegKey{Area: aid, Start: int64(start)}, DataPages: granted}
+	if _, err := s.cat.change(op, nil); err != nil {
+		return 0, 0, err
+	}
+	return start, granted, nil
 }
 
 // runArea returns area areaID if db has it, and ErrNoArea if not: a run is

@@ -152,10 +152,10 @@ func TestTwoPCAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Phase 1.
-	if err := s1.Prepare(c1, gid, []proto.SegImage{img1}); err != nil {
+	if err := s1.Publish(c1, gid, nil, []proto.SegImage{img1}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Prepare(c2, gid, []proto.SegImage{img2}); err != nil {
+	if err := s2.Publish(c2, gid, nil, []proto.SegImage{img2}, true); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 2: commit both.
@@ -188,7 +188,7 @@ func TestTwoPCAbortDecision(t *testing.T) {
 	c, _ := s.Hello("coord")
 	gid := uint64(7)
 	s.Lock(c, gid, key, proto.LockX)
-	if err := s.Prepare(c, gid, []proto.SegImage{img}); err != nil {
+	if err := s.Publish(c, gid, nil, []proto.SegImage{img}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Decide(gid, false); err != nil {
@@ -376,7 +376,7 @@ func TestPreparedSurvivesDisconnect(t *testing.T) {
 		if err := s.Lock(c, txid, key, proto.LockX); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Prepare(c, txid, []proto.SegImage{img}); err != nil {
+		if err := s.Publish(c, txid, nil, []proto.SegImage{img}, true); err != nil {
 			t.Fatal(err)
 		}
 		s.Disconnect(c)

@@ -100,7 +100,7 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	if err := s1.Lock(cl, tx3, key, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Prepare(cl, tx3, []proto.SegImage{overwriteImage(t, s1, key, []byte("v3......"))}); err != nil {
+	if err := s1.Publish(cl, tx3, nil, []proto.SegImage{overwriteImage(t, s1, key, []byte("v3......"))}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil {
@@ -185,7 +185,7 @@ func TestPreparedBranchSurvivesCheckpoint(t *testing.T) {
 	if err := s1.Lock(cl, tx2, key, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Prepare(cl, tx2, []proto.SegImage{overwriteImage(t, s1, key, []byte("v2......"))}); err != nil {
+	if err := s1.Publish(cl, tx2, nil, []proto.SegImage{overwriteImage(t, s1, key, []byte("v2......"))}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Checkpoint(); err != nil {

@@ -140,7 +140,8 @@ func (sw *srvWorld) classify(rep *E19Report, label string) string {
 // with onLog set, of the wal-body category — rot at log event n. Rot in
 // durable log bytes must be reported by Log.Verify (the history behind it can
 // no longer back a repair — operationally a quarantine of the log), while
-// every page read stays correct: the rot never touched the areas.
+// every page read stays correct: the rot never touched the areas, and a page
+// whose history a commit needs from the rotted log is quarantined.
 func rotHistory(seed int64, rep *E19Report, onLog bool) func(int64) string {
 	return func(n int64) string {
 		w, label := rotWorld(seed), fmt.Sprintf("pages rot@%d", n)
@@ -153,11 +154,13 @@ func rotHistory(seed int64, rep *E19Report, onLog bool) func(int64) string {
 		sw, err := srvHistory(w)
 		defer sw.close()
 		switch {
-		case !onLog && errors.Is(err, server.ErrQuarantined):
+		case errors.Is(err, server.ErrQuarantined):
 			// The workload itself tripped over the rot — typically the
 			// segment's initial unlogged image, detected when the commit
-			// path read it back. A typed quarantine with everything
-			// committed so far still served correctly is the contract.
+			// path read it back, or a prepared branch's record, detected
+			// when the decision replays it. A typed quarantine with
+			// everything committed so far still served correctly is the
+			// contract.
 			if wrong, _ := sw.served(rep, label+" after quarantine"); wrong > 0 {
 				return "silent"
 			}

@@ -3,6 +3,7 @@ package torture
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -17,7 +18,8 @@ import (
 // world's devices): segments created and committed with one object each, then
 // updated three times; a checkpoint; a large object; a relocating growth; a
 // raw run (srvWorkload's only: no checksum covers one, so rot in it is
-// served silently); a 2PC branch; and a segment created and abandoned, whose
+// served silently); a 2PC branch; a session-style commit that publishes two
+// segments made of reserved runs; and a segment created and abandoned, whose
 // initial image has no logged history — the designed unrepairable case. E19's
 // pages and wal-body categories rot it; srvWorkload kills it.
 
@@ -35,6 +37,9 @@ type srvWorld struct {
 	setup  int64          // events before the first segment is created
 	keys   []proto.SegKey // the segments the history created, in order
 	rawRun bool           // the history writes a raw run
+	geoms  [][2]int       // the slotted and data pages of every run pair and run it allocated
+
+	published pubSegs // the segments a commit published
 
 	objs  []*object
 	acked map[uint64]wal.Type // commits (TCommit) and yes votes (TPrepare) acknowledged
@@ -47,11 +52,26 @@ type object struct {
 	name   string
 	read   func(s *server.Server) ([]byte, error)
 	writes []objWrite
+	run    proto.SegKey // a raw run's area and start: free space once its allocation is lost
 }
 
 type objWrite struct {
 	tx  uint64
 	val []byte
+}
+
+// pubSeg is a segment made of reserved runs and the transaction whose commit
+// published it.
+type pubSeg struct {
+	key proto.SegKey
+	tx  uint64
+}
+
+// allocated notes a geometry the history allocated.
+func (sw *srvWorld) allocated(slotted, data int) {
+	if g := [2]int{slotted, data}; !slices.Contains(sw.geoms, g) {
+		sw.geoms = append(sw.geoms, g)
+	}
 }
 
 // want returns what o holds when the transactions in won are the winners:
@@ -135,6 +155,7 @@ func (sw *srvWorld) history() error {
 			return fmt.Errorf("create segment %d: %w", i, err)
 		}
 		sw.keys = append(sw.keys, created.Seg)
+		sw.allocated(1, 2)
 		sw.objs = append(sw.objs, slot(fmt.Sprintf("segment %d/%d", created.Seg.Area, created.Seg.Start), created.Seg, 0))
 		if _, err := sw.put(i, body(i, 0), false); err != nil {
 			return fmt.Errorf("commit segment %d: %w", i, err)
@@ -160,6 +181,7 @@ func (sw *srvWorld) history() error {
 	var at int
 	large := &object{name: "large object", read: func(s *server.Server) ([]byte, error) { return s.FetchLarge(0, key, at) }}
 	sw.objs = append(sw.objs, large)
+	sw.allocated(1, (len(big)+page.Size-1)/page.Size)
 	if _, err := sw.ship(key, false, func(txid uint64, seg *segment.Seg) error {
 		desc, err := srv.StoreLarge(sw.cl, txid, key, big)
 		if err != nil {
@@ -180,6 +202,7 @@ func (sw *srvWorld) history() error {
 		if err := seg.ResizeData(2 * int(seg.Hdr.DataPages)); err != nil {
 			return err
 		}
+		sw.allocated(1, int(seg.Hdr.DataPages))
 		return seg.ResizeObject(0, grown)
 	}); err != nil {
 		return fmt.Errorf("grow segment 1: %w", err)
@@ -198,11 +221,51 @@ func (sw *srvWorld) history() error {
 	if err := sw.ack(txid, wal.TCommit, srv.Decide(txid, true)); err != nil {
 		return fmt.Errorf("decide: %w", err)
 	}
+	if err := sw.publish(); err != nil {
+		return fmt.Errorf("publish: %w", err)
+	}
 	// The abandoned segment: slotted image on disk, nothing in the log.
 	if _, err := srv.CreateSegment(0, 0, sw.db, 2, 1, 1, -1); err != nil {
 		return fmt.Errorf("create bare segment: %w", err)
 	}
+	sw.allocated(1, 1)
 	return nil
+}
+
+// publish commits as a session does what it created: two segments made of
+// run pairs reserved to the client, one reserved before the transaction began
+// and one inside it, published by the commit that ships an object into the
+// first; the second ships nothing.
+func (sw *srvWorld) publish() error {
+	s := sw.srv
+	before, err := s.ReserveSegments(sw.cl, sw.db, -1, 1, 2, 1)
+	if err != nil {
+		return err
+	}
+	txid, err := s.NewTx()
+	if err != nil {
+		return err
+	}
+	inside, err := s.ReserveSegments(sw.cl, sw.db, -1, 1, 2, 1)
+	if err != nil {
+		return err
+	}
+	sw.allocated(1, 2)
+	created := []proto.Created{{Reserved: before[0], FileID: 3}, {Reserved: inside[0], FileID: 3}}
+	r := before[0]
+	seg := segment.New(3, r.SlottedPages, r.DataPages, page.AreaID(r.Seg.Area), page.No(r.DataStart))
+	body := []byte("e19 published object: created before its transaction began")
+	if _, err := seg.CreateObject(0, body); err != nil {
+		return err
+	}
+	o := slot(fmt.Sprintf("published segment %d/%d", r.Seg.Area, r.Seg.Start), r.Seg, 0)
+	o.writes = []objWrite{{txid, body}}
+	sw.objs = append(sw.objs, o)
+	for _, c := range created {
+		sw.published = append(sw.published, pubSeg{c.Seg, txid})
+	}
+	img := []proto.SegImage{{Seg: r.Seg, Slotted: seg.EncodeSlots(), Data: seg.Data}}
+	return sw.ack(txid, wal.TCommit, s.Publish(sw.cl, txid, created, img, false))
 }
 
 // writeRun allocates a raw run of two pages and has one transaction write
@@ -219,7 +282,8 @@ func (sw *srvWorld) writeRun() error {
 	}
 	data := bytes.Repeat([]byte("E19 raw run. "), 2*page.Size/13+1)[:2*page.Size]
 	sw.objs = append(sw.objs, &object{name: "raw run", writes: []objWrite{{0, make([]byte, len(data))}, {txid, data}},
-		read: func(s *server.Server) ([]byte, error) { return s.ReadRun(sw.db, aid, start, 2) }})
+		read: func(s *server.Server) ([]byte, error) { return s.ReadRun(sw.db, aid, start, 2) },
+		run:  proto.SegKey{Area: aid, Start: start}})
 	if err := s.WriteRun(sw.cl, txid, sw.db, aid, start, data); err != nil {
 		return err
 	}
@@ -252,10 +316,11 @@ func (sw *srvWorld) ship(key proto.SegKey, prepare bool, change func(txid uint64
 	// The header ships with the checksums it was fetched with, as a session
 	// ships it (EncodeSlots): the server computes what lands on disk.
 	img := []proto.SegImage{{Seg: key, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: seg.Data}}
+	typ := wal.TCommit
 	if prepare {
-		return txid, sw.ack(txid, wal.TPrepare, s.Prepare(sw.cl, txid, img))
+		typ = wal.TPrepare
 	}
-	return txid, sw.ack(txid, wal.TCommit, s.Commit(sw.cl, txid, img))
+	return txid, sw.ack(txid, typ, s.Publish(sw.cl, txid, nil, img, prepare))
 }
 
 // ack records that the server acknowledged typ of txid, unless err.
@@ -294,8 +359,12 @@ func (sw *srvWorld) close() {
 // (2) every object reads back byte-exact (FetchSeg, FetchLarge, ReadRun) as
 // its last durable commit left it, and one with none reads as nothing; (3) a
 // branch whose prepare survived is in doubt, and its coordinator's commit
-// (every mode but torn) or abort then holds; (4) ScrubOnce finds no
-// corruption; (5) a second restart changes no byte of any device.
+// (every mode but torn) or abort then holds; (4) a published segment exists
+// exactly when its add-segment record survived, which its durable publishing
+// commit implies, and without that commit it exists empty; (5) with one new
+// segment of every geometry the history allocated, over whatever runs restart
+// left free, every object still reads back as (2) says; (6) ScrubOnce finds
+// no corruption; (7) a second restart changes no byte of any device.
 func srvWorkload(seed int64) (trial, error) {
 	sw, err := srvOpen(crashWorld(seed))
 	if err != nil {
@@ -329,10 +398,27 @@ func (sw *srvWorld) check(commit bool) (int, error) {
 	if commit {
 		end = wal.TCommit
 	}
-	for round := range 2 { // every object right after restart, and after the decisions
+	logged, err := cataloged(s.Log())
+	if err != nil {
+		return 0, err
+	}
+	if err := sw.published.hold(s, won, logged); err != nil {
+		return 0, err
+	}
+	for round := range 3 { // every object right after restart, after the decisions, and after new segments
+		if round == 2 {
+			for _, g := range sw.geoms {
+				if _, err := s.CreateSegment(0, 0, sw.db, 9, g[0], g[1], -1); err != nil {
+					return 0, fmt.Errorf("a segment of %d+%d pages after restart: %w", g[0], g[1], err)
+				}
+			}
+		}
 		for _, o := range sw.objs {
+			if round == 2 && o.run != (proto.SegKey{}) && !logged[o.run] {
+				continue // its allocation is lost with its commit: the new segments may take the run
+			}
 			if err := o.holds(s, won); err != nil {
-				return 0, fmt.Errorf("restart (decided %v): %w", round > 0, err)
+				return 0, fmt.Errorf("restart (round %d): %w", round, err)
 			}
 		}
 		for tx, typ := range decided {
@@ -360,4 +446,49 @@ func (sw *srvWorld) check(commit bool) (int, error) {
 		return 0, fmt.Errorf("a second restart changed the devices")
 	}
 	return 0, nil
+}
+
+// cataloged returns the segments and runs whose add-segment and add-run
+// records are in l.
+func cataloged(l *wal.Log) (map[proto.SegKey]bool, error) {
+	added := make(map[proto.SegKey]bool)
+	if err := l.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
+		op := new(proto.CatalogOp)
+		if rec.Type == wal.TCatalog && proto.Decode(rec.Body, op) == nil &&
+			(op.Kind == proto.CatAddSegment || op.Kind == proto.CatAddRun) {
+			added[op.Seg] = true
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("scan the surviving log: %w", err)
+	}
+	return added, nil
+}
+
+// pubSegs are the segments the history published.
+type pubSegs []pubSeg
+
+// hold checks the published segments on a restarted server s, where won says
+// which transactions' commits survived: a segment exists exactly when its
+// add-segment record is in the log, its publishing commit surviving implies
+// that, and one that exists without it is empty — the formatted segment
+// restart rebuilds from the record alone. added holds the segments whose
+// record is in the log (cataloged).
+func (ps pubSegs) hold(s *server.Server, won func(tx uint64) bool, added map[proto.SegKey]bool) error {
+	for _, p := range ps {
+		sl, _, _, err := s.FetchSeg(0, p.key)
+		exists := err == nil
+		switch {
+		case exists != added[p.key]:
+			return fmt.Errorf("published segment %v: exists %v (%v), its add-segment record durable %v", p.key, exists, err, added[p.key])
+		case won(p.tx) && !exists:
+			return fmt.Errorf("published segment %v: its commit %d survived, the segment did not", p.key, p.tx)
+		case exists && !won(p.tx):
+			dec, err := segment.DecodeSlotted(sl)
+			if err != nil || len(dec.LiveSlots()) > 0 {
+				return fmt.Errorf("published segment %v: its add-segment record survived its commit %d, and it is not empty (%v)", p.key, p.tx, err)
+			}
+		}
+	}
+	return nil
 }

@@ -11,7 +11,8 @@ import (
 // TestServerCrashTorture kills the server history's process, or its power,
 // at every device event after its database exists — among them every event
 // of each shipped commit, of the relocating growth, the large object, the raw
-// run, the prepared branch and its decision, and of the checkpoint — and
+// run, the prepared branch and its decision, the commit that publishes two
+// segments, and of the checkpoint — and
 // requires every restart to hold the object-level model (srvWorkload). Under
 // -short an evenly spaced sample runs. The fault-free run must hold the
 // record shapes the enumeration is for.
@@ -47,9 +48,9 @@ func TestServerCrashTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !decided || checkpoints == 0 || len(base.acked) != 28 || grown.Hdr.DataPages != 4 {
-		t.Fatalf("fault-free run: branch %d decided %v, %d checkpoints, %d acknowledgements, the grown data section %d pages",
-			prepared, decided, checkpoints, len(base.acked), grown.Hdr.DataPages)
+	if !decided || checkpoints == 0 || len(base.acked) != 29 || grown.Hdr.DataPages != 4 || len(base.published) != 2 {
+		t.Fatalf("fault-free run: branch %d decided %v, %d checkpoints, %d acknowledgements, the grown data section %d pages, %d segments published",
+			prepared, decided, checkpoints, len(base.acked), grown.Hdr.DataPages, len(base.published))
 	}
 	rep, err := crashRun(24, srvWorkload, func(r E13Report) CrashReport { return r.Server })
 	if err != nil {

@@ -368,7 +368,18 @@ func (t *Tx) writeBack(commit page.LSN) error {
 	}
 	if writes == nil {
 		if err := m.replayed(mine, fail); err != nil {
-			return err
+			// The branch's history no longer reads (rot in the log): none of
+			// its pages can be rebuilt from it, and each is a failed write.
+			t.mu.Lock()
+			pages := make([]page.ID, 0, len(t.dirty))
+			for pid := range t.dirty {
+				pages = append(pages, pid)
+			}
+			t.mu.Unlock()
+			sortPages(pages)
+			for _, pid := range pages {
+				fail(pid, err)
+			}
 		}
 	}
 	for _, w := range writes {

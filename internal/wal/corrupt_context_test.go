@@ -12,7 +12,7 @@ import (
 // TestCorruptRecordErrorContext pins the error contract for log rot: a
 // record whose CRC no longer matches must surface with the ErrCorrupt
 // sentinel intact (errors.Is) and the byte offset of the damage in its
-// context, through the full-log Verify sweep.
+// context, through the full-log Verify sweep and through a live walk.
 func TestCorruptRecordErrorContext(t *testing.T) {
 	l := NewMem()
 	defer l.Close()
@@ -48,6 +48,14 @@ func TestCorruptRecordErrorContext(t *testing.T) {
 		}
 	}
 	check(l)
+	// A live walk over the rotted record fails on it: a replay that took it
+	// for the end of the log would hand back a history without its changes.
+	if err := l.Iterate(FirstLSN(), func(page.LSN, *Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Iterate over the rot: %v, want ErrCorrupt", err)
+	}
+	if _, err := ReplayPages(l, FirstLSN(), func(page.LSN, *Change) bool { return true }, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReplayPages over the rot: %v, want ErrCorrupt", err)
+	}
 	// Rot is local: the intact record past the damage still reads clean.
 	if rec := readRec(t, l, lsn2); rec.Type != TCommit {
 		t.Fatalf("intact record at %d: %+v", lsn2, rec)

@@ -1303,7 +1303,12 @@ func (l *Log) Verify() (VerifyStats, error) {
 }
 
 // Iterate calls fn for every durable record with LSN >= from (use firstLSN
-// or a checkpoint LSN). Stops at the first error.
+// or a checkpoint LSN). Stops at the first error. A record below the durable
+// frontier that no longer reads is rot — open cut the log at its first
+// invalid record, and every one appended since was whole when it was synced
+// — and the walk fails on it with a *page.CorruptError wrapping ErrCorrupt,
+// rather than take it for the end of the log: a replay that stopped there
+// would hand back a page's history without its last changes.
 func (l *Log) Iterate(from page.LSN, fn func(lsn page.LSN, rec *Record) error) error {
 	return l.walk(from, true, fn)
 }
@@ -1318,7 +1323,7 @@ func (l *Log) walk(from page.LSN, own bool, fn func(lsn page.LSN, rec *Record) e
 			return err
 		}
 		if rec == nil {
-			return nil
+			return &page.CorruptError{Section: "wal", Off: int64(lsn), Len: crcSize, Err: ErrCorrupt}
 		}
 		if err := fn(lsn, rec); err != nil {
 			return err
