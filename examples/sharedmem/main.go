@@ -30,30 +30,45 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Seed three disk pages A, B, C through the node, in one transaction.
+	// Three disk pages A, B, C: a shared-cache page is the data page of a
+	// segment, named by the segment's key. A seeding session creates the
+	// three segments in one transaction, and a seeding process fills them in
+	// place; FlushDirty commits each page back.
 	seed, err := client.Open(node, "seeder", "db", true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tx, err := node.NewTx()
-	if err != nil {
+	if err := seed.Begin(); err != nil {
 		log.Fatal(err)
 	}
 	pages := map[byte]page.ID{}
 	for _, tag := range []byte{'A', 'B', 'C'} {
-		area, start, _, err := node.AllocRun(seed.DB(), 1)
+		k, err := seed.CreateSegment(1, 1, 1, -1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		data := bytes.Repeat([]byte{tag}, page.Size)
-		if err := node.WriteRun(seed.Client(), tx, seed.DB(), area, start, data); err != nil {
-			log.Fatal(err)
-		}
-		pages[tag] = page.ID{Area: page.AreaID(area), Page: page.No(start)}
+		pages[tag] = nodeserver.PageOf(k)
 	}
-	if err := node.Publish(seed.Client(), tx, nil, nil, false); err != nil {
+	if err := seed.Commit(); err != nil {
 		log.Fatal(err)
 	}
+	p0, err := node.AttachShared()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, tag := range []byte{'A', 'B', 'C'} {
+		r, err := p0.Access(pages[tag])
+		if err == nil {
+			err = p0.WithLatch(r, func() error { return p0.Write(r, bytes.Repeat([]byte{tag}, page.Size)) })
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := node.SharedCache().FlushDirty(); err != nil {
+		log.Fatal(err)
+	}
+	p0.Detach()
 
 	// Two application processes attach to the shared cache.
 	p1, err := node.AttachShared()

@@ -150,16 +150,19 @@ func (e *E1Env) Close() {
 // --- E2: operation modes — copy-on-access vs shared memory ---
 
 // E2Env wires a server, a node server, a copy-on-access session through
-// the node, and shared-memory processes on the node's cache.
+// the node, and shared-memory processes on the node's cache. Each page is the
+// data page of a segment of its own.
 type E2Env struct {
-	srv   *server.Server
-	node  *nodeserver.NodeServer
-	sess  *client.Session
-	shmP  *shm.Process
-	pages []page.ID
+	srv  *server.Server
+	node *nodeserver.NodeServer
+	sess *client.Session
+	shmP *shm.Process
+	segs []proto.SegKey
 }
 
-// SetupE2 seeds nPages disk pages and attaches both modes.
+// SetupE2 seeds nPages disk pages and attaches both modes: the session
+// creates their segments in one transaction, and the shared-memory process
+// fills them in place and writes them back.
 func SetupE2(nPages int) *E2Env {
 	srv := server.NewMem(1)
 	cEnd, sEnd := rpc.Pipe()
@@ -169,19 +172,21 @@ func SetupE2(nPages int) *E2Env {
 	sess, err := client.Open(node, "coa", "db", true)
 	must(err)
 	env := &E2Env{srv: srv, node: node, sess: sess}
-	tx, err := node.NewTx()
-	must(err)
+	must(sess.Begin())
 	for i := 0; i < nPages; i++ {
-		area, start, _, err := node.AllocRun(sess.DB(), 1)
+		k, err := sess.CreateSegment(1, 1, 1, -1)
 		must(err)
-		data := make([]byte, page.Size)
-		data[0] = byte(i)
-		must(node.WriteRun(sess.Client(), tx, sess.DB(), area, start, data))
-		env.pages = append(env.pages, page.ID{Area: page.AreaID(area), Page: page.No(start)})
+		env.segs = append(env.segs, k)
 	}
-	must(node.Publish(sess.Client(), tx, nil, nil, false))
+	must(sess.Commit())
 	env.shmP, err = node.AttachShared()
 	must(err)
+	for i, k := range env.segs {
+		r, err := env.shmP.Access(nodeserver.PageOf(k))
+		must(err)
+		must(env.shmP.WithLatch(r, func() error { return env.shmP.Write(r, []byte{byte(i)}) }))
+	}
+	must(node.SharedCache().FlushDirty())
 	return env
 }
 
@@ -190,8 +195,7 @@ func SetupE2(nPages int) *E2Env {
 func (e *E2Env) ShortTxShared(k int) {
 	var b [8]byte
 	for i := 0; i < k; i++ {
-		id := e.pages[i%len(e.pages)]
-		r, err := e.shmP.Access(id)
+		r, err := e.shmP.Access(nodeserver.PageOf(e.segs[i%len(e.segs)]))
 		if err != nil {
 			panic(err)
 		}
@@ -202,13 +206,12 @@ func (e *E2Env) ShortTxShared(k int) {
 }
 
 // ShortTxCopy touches k pages through the node server with per-request
-// copying (copy on access): each access fetches the page into the private
-// space and reads the copy.
+// copying (copy on access): each access fetches the page's segment image
+// from the node into the private space and reads the copy.
 func (e *E2Env) ShortTxCopy(k int) {
 	var b [8]byte
 	for i := 0; i < k; i++ {
-		id := e.pages[i%len(e.pages)]
-		data, err := e.node.ReadRun(e.sess.DB(), uint32(id.Area), int64(id.Page), 1)
+		_, _, data, err := e.node.FetchSeg(e.sess.Client(), e.segs[i%len(e.segs)])
 		if err != nil {
 			panic(err)
 		}

@@ -293,7 +293,8 @@ type E18Mixed struct {
 }
 
 // RunE18Mixed scans scanFile in the given mode while a second session runs
-// create/delete update transactions against updFile until the scan ends.
+// create/delete update transactions against updFile until the scan ends. The
+// scan starts once the updater's first pair of transactions has committed.
 // Only the scanning connection pays the emulated network; the updater
 // models a co-located writer.
 func RunE18Mixed(env *E18Env, mode string, scanFile, updFile uint32, lan bool) E18Mixed {
@@ -308,6 +309,7 @@ func RunE18Mixed(env *E18Env, mode string, scanFile, updFile uint32, lan bool) E
 	var lat Hist
 	var commits int
 	var updater goleak.Group
+	committed := make(chan struct{})
 	// Joined on every exit path: a scan that panics mid-run must not strand
 	// the updater against a server the deferred Closes are tearing down.
 	defer updater.Stop()
@@ -330,10 +332,13 @@ func RunE18Mixed(env *E18Env, mode string, scanFile, updFile uint32, lan bool) E
 			must(u.DeleteObject(addr))
 			must(u.Commit())
 			lat.Observe(time.Since(t0))
-			commits += 2
+			if commits += 2; commits == 2 {
+				close(committed)
+			}
 		}
 	})
 
+	<-committed
 	scan := RunE18Scan(env, mode, scanFile, lan)
 	updater.Stop()
 	return E18Mixed{

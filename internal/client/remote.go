@@ -254,24 +254,6 @@ func (r *Remote) StoreLarge(client uint32, tx uint64, seg proto.SegKey, content 
 	return rep.Data, err
 }
 
-// AllocRun implements proto.Conn.
-func (r *Remote) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
-	rep, err := call(r, proto.MethodAllocRun, &proto.AllocRunArgs{DB: db, NPages: nPages})
-	return rep.Area, rep.Start, rep.Granted, err
-}
-
-// ReadRun implements proto.Conn.
-func (r *Remote) ReadRun(db, area uint32, start int64, nPages int) ([]byte, error) {
-	rep, err := call(r, proto.MethodReadRun, &proto.RunArgs{DB: db, Area: area, Start: start, NPages: nPages})
-	return rep.Data, err
-}
-
-// WriteRun implements proto.Conn.
-func (r *Remote) WriteRun(client uint32, tx uint64, db, area uint32, start int64, data []byte) error {
-	_, err := call(r, proto.MethodWriteRun, &proto.RunArgs{Client: client, Tx: tx, DB: db, Area: area, Start: start, Data: data})
-	return err
-}
-
 // NameBind implements proto.Conn.
 func (r *Remote) NameBind(db uint32, name string, o oid.OID) error {
 	_, err := call(r, proto.MethodNameBind, &proto.NameBindArgs{DB: db, Name: name, OID: o})

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -53,12 +52,11 @@ type Session struct {
 	inTx    bool                  // guarded by mu
 	xLocked map[proto.SegKey]bool // guarded by mu
 	touched map[proto.SegKey]bool // guarded by mu
-	// written holds the pages the transaction wrote through a run store, by
-	// run address (runStore): until it commits the area holds what they
-	// replace.
-	written map[page.No][]byte // guarded by mu
 	// onEnd holds what runs when the transaction ends (runStore.OnEnd).
 	onEnd []func(committed bool) // guarded by mu
+	// runFile is the file the segments a run store allocates belong to, 0
+	// until the first (runStore.Alloc).
+	runFile uint32 // guarded by mu
 
 	// The segments the session creates (CreateSegment) are made of run pairs
 	// the server reserved to it: spare holds, by the geometry asked for, the
@@ -104,7 +102,6 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		space:        vmem.New(),
 		xLocked:      make(map[proto.SegKey]bool),
 		touched:      make(map[proto.SegKey]bool),
-		written:      make(map[page.No][]byte),
 		pendingDrops: make(map[proto.SegKey]bool),
 		spare:        make(map[geometry]*spares),
 		unpublished:  make(map[proto.SegKey]bool),
@@ -725,7 +722,6 @@ func (s *Session) endTx(committed bool) {
 	s.mu.Lock()
 	s.inTx = false
 	s.txID = 0
-	clear(s.written)
 	s.xLocked = make(map[proto.SegKey]bool)
 	s.touched = make(map[proto.SegKey]bool)
 	ends := s.onEnd
@@ -1164,19 +1160,25 @@ func (s *Session) Scan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Objec
 	return nil
 }
 
-// runStore adapts the connection's raw-run methods to largeobj.Store, so a
-// very large object lives on server disk and each write of it is a change of
-// the session's transaction. A run's address in the store packs its area
-// above its start, as a header offset does (Resolve), so an object's
-// descriptor names its runs whatever area they are in.
+// runStore is a largeobj.TxStore over the session's segments: every run a
+// very large object allocates is a segment of its own, with no object in it,
+// whose data section holds the run's pages. It is created from the session's
+// reserved runs (CreateSegment: no message), and read and written through the
+// mapper like any segment: a fetch goes through the server's read pipeline,
+// the first write of a transaction takes X (update detection), and the
+// commit ships it and publishes a new one. A run's address packs its
+// segment's area above its start, as a header offset does (Resolve), so an
+// object's descriptor names its runs whatever area they are in.
 type runStore struct{ s *Session }
 
 // RunStore returns a largeobj.TxStore over this session's database.
 func (s *Session) RunStore() largeobj.TxStore { return runStore{s} }
 
-func runAddr(area uint32, start int64) page.No { return page.No(int64(area)<<32 | start) }
+func runAddr(k proto.SegKey) page.No { return page.No(int64(k.Area)<<32 | k.Start) }
 
-func splitRun(p page.No) (area uint32, start int64) { return uint32(p >> 32), int64(p & (1<<32 - 1)) }
+func runKey(p page.No) proto.SegKey {
+	return proto.SegKey{Area: uint32(p >> 32), Start: int64(p & (1<<32 - 1))}
+}
 
 // OnEnd implements largeobj.TxStore: end runs when the session's
 // transaction ends.
@@ -1190,60 +1192,80 @@ func (r runStore) OnEnd(end func(committed bool)) error {
 	return nil
 }
 
-// Alloc allocates a run for the session's transaction to write.
+// Alloc creates a segment of at least nPages data pages for the session's
+// transaction to write, in the file of the session's runs, which the first
+// Alloc asks the server for.
 func (r runStore) Alloc(nPages int) (page.No, int, error) {
-	if _, err := r.s.updateTx(); err != nil {
+	s := r.s
+	if _, err := s.updateTx(); err != nil {
 		return 0, 0, err
 	}
-	a, start, granted, err := r.s.conn.AllocRun(r.s.db, nPages)
-	if err == nil && start>>32 != 0 {
-		err = fmt.Errorf("client: run start %d does not fit a run address", start)
+	s.mu.Lock()
+	file := s.runFile
+	s.mu.Unlock()
+	if file == 0 {
+		var err error
+		if file, err = s.conn.NewFileID(s.db); err != nil {
+			return 0, 0, err
+		}
+		s.mu.Lock()
+		s.runFile = file
+		s.mu.Unlock()
 	}
-	return runAddr(a, start), granted, err
+	k, err := s.CreateSegment(file, 1, nPages, -1)
+	if err != nil {
+		return 0, 0, err
+	}
+	if k.Start>>32 != 0 {
+		return 0, 0, fmt.Errorf("client: segment start %d does not fit a run address", k.Start)
+	}
+	data, err := r.data(k)
+	return runAddr(k), len(data) / page.Size, err
 }
 
-// Free keeps the run allocated: the log holds its pages' history, which
-// restart would replay over anything allocated there later (DESIGN.md §5).
+// Free keeps the segment: the log holds its pages' history, which restart
+// would replay over anything allocated there later (DESIGN.md §5).
 func (r runStore) Free(page.No) error { return nil }
 
-// ReadRun reads the run as the session's transaction sees it: what the area
-// holds, under the pages the transaction wrote.
+// ReadRun reads the run as the session's transaction sees it: its segment's
+// data as the session's copy holds it.
 func (r runStore) ReadRun(start page.No, n int, buf []byte) error {
-	a, at := splitRun(start)
-	data, err := r.s.conn.ReadRun(r.s.db, a, at, n)
+	data, err := r.data(runKey(start))
 	if err != nil {
 		return err
 	}
-	copy(buf, data)
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	for i := range n {
-		if p := r.s.written[start+page.No(i)]; p != nil {
-			copy(buf[i*page.Size:], p)
-		}
+	if n*page.Size > len(data) {
+		return fmt.Errorf("client: %d pages read of a run of %d", n, len(data)/page.Size)
 	}
+	copy(buf, data[:n*page.Size])
 	return nil
 }
 
 // WriteRun writes data over the run as a change of the session's
-// transaction, which the server writes at its commit.
+// transaction: its first write takes X on the segment, and the commit ships
+// it.
 func (r runStore) WriteRun(start page.No, data []byte) error {
-	s := r.s
-	txid, err := s.updateTx()
-	if err != nil {
+	if _, err := r.s.updateTx(); err != nil {
 		return err
 	}
-	a, at := splitRun(start)
-	if err := s.conn.WriteRun(s.client, txid, s.db, a, at, data); err != nil {
+	k := runKey(start)
+	if _, err := r.data(k); err != nil {
 		return err
 	}
-	own := bytes.Clone(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < len(own); i += page.Size {
-		s.written[start+page.No(i/page.Size)] = own[i : i+page.Size]
+	return r.s.mapper.WriteData(segID(k), data)
+}
+
+// data is the data section of the session's copy of segment k, loaded.
+func (r runStore) data(k proto.SegKey) ([]byte, error) {
+	if err := r.s.drainDrop(k); err != nil {
+		return nil, err
 	}
-	return nil
+	id := segID(k)
+	if err := r.s.mapper.EnsureData(id); err != nil {
+		return nil, err
+	}
+	seg, _ := r.s.mapper.Seg(id)
+	return seg.Data, nil
 }
 
 // DropAllCached drops every cached segment (benchmarks compare cold/warm

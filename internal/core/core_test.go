@@ -87,6 +87,9 @@ func TestPersonGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if root.Size() != personSize || root.TypeID() != personType.Desc.ID {
+		t.Fatalf("root object: %d bytes of type %d, want %d of type %d", root.Size(), root.TypeID(), personSize, personType.Desc.ID)
+	}
 	spouseRef, err := root.Ref(0)
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +107,9 @@ func TestPersonGraph(t *testing.T) {
 	back, _ := personType.Get(db, backRef)
 	if back.Name != "Alice" {
 		t.Fatalf("spouse's spouse = %q", back.Name)
+	}
+	if backRef != root.Self() {
+		t.Fatal("the spouse's spouse is not the root object's own reference")
 	}
 	db.Commit()
 }

@@ -8,6 +8,7 @@ import (
 	"bess/internal/area"
 	"bess/internal/fault"
 	"bess/internal/largeobj"
+	"bess/internal/page"
 	"bess/internal/server"
 )
 
@@ -219,5 +220,74 @@ func TestVLOAbortRestoresTheHandle(t *testing.T) {
 	}
 	if got, want := read(), append(bytes.Clone(committed), "next"...); !bytes.Equal(got, want) {
 		t.Fatalf("the next transaction's append left %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestVLORotIsRepairedOrRefused: a byte of a committed very large object that
+// rots on its area is caught when the object is read — the read is repaired
+// from the log, or refused with the typed quarantine error — and never served
+// wrong: every byte an object's extent holds is a segment's, under its
+// section checksum.
+func TestVLORotIsRepairedOrRefused(t *testing.T) {
+	m := newMedia()
+	srv := m.open(t)
+	defer srv.Close()
+	db, err := OpenDatabase(srv, "app", "media", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := make([]byte, 64<<10)
+	for i := range content {
+		content[i] = byte(i%251) + 1
+	}
+	vlo, err := db.NewVLO(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Begin()
+	if err := vlo.Append(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveVLO("clip", vlo); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rot one byte of the page that holds the object's first bytes.
+	rotted := false
+	for _, st := range m.areas {
+		img := st.Image()
+		for off := 0; off+page.Size <= len(img) && !rotted; off += page.Size {
+			if bytes.Equal(img[off:off+page.Size], content[:page.Size]) {
+				if _, err := st.Area().WriteAt([]byte{^img[off+100]}, int64(off+100)); err != nil {
+					t.Fatal(err)
+				}
+				rotted = true
+			}
+		}
+	}
+	if !rotted {
+		t.Fatal("no area page holds the object's first bytes")
+	}
+
+	reader, err := OpenDatabase(srv, "reader", "media", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader.Begin()
+	defer reader.Commit()
+	again, err := reader.OpenVLO("clip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(content))
+	switch err := again.Read(0, got); {
+	case errors.Is(err, server.ErrQuarantined):
+	case err != nil:
+		t.Fatalf("reading the rotted object: %v, want a repair or server.ErrQuarantined", err)
+	case !bytes.Equal(got, content):
+		t.Fatal("the rotted object read back wrong with no error")
 	}
 }

@@ -59,10 +59,6 @@ func (u *recordingUpstream) StoreLarge(c uint32, _ uint64, _ proto.SegKey, _ []b
 	u.saw["StoreLarge"] = c
 	return nil, nil
 }
-func (u *recordingUpstream) WriteRun(c uint32, _ uint64, _, _ uint32, _ int64, _ []byte) error {
-	u.saw["WriteRun"] = c
-	return nil
-}
 func (u *recordingUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
 	u.saw["SnapOpen"] = c
 	return 1, 0, nil
@@ -89,8 +85,8 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 		"Hello":  true, // registers a local; the node said its own Hello at New
 		"OpenDB": true, "NewTx": true, "RegisterType": true, "Types": true, "AddArea": true,
 		"NewFileID": true, "SegInfo": true, "Resolve": true, "Decide": true,
-		"SegmentsOf": true, "AllocRun": true, "ReadRun": true,
-		"NameBind": true, "NameLookup": true, "NameUnbind": true, "NameRemoveOID": true,
+		"SegmentsOf": true,
+		"NameBind":   true, "NameLookup": true, "NameUnbind": true, "NameRemoveOID": true,
 	}
 	up := &recordingUpstream{saw: make(map[string]uint32)}
 	ns, err := New(up, "node", 4, 8)
@@ -112,7 +108,6 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	ns.ReserveSegments(local, 1, -1, 1, 1, 1)
 	ns.Publish(local, 1, []proto.Created{{Reserved: proto.Reserved{Seg: seg}}}, segs, false)
 	ns.StoreLarge(local, 1, seg, nil)
-	ns.WriteRun(local, 1, 1, 1, 8, nil)
 	ns.SnapOpen(local)
 	ns.SnapClose(local, 1)
 	ns.SnapFetchSeg(local, 1, seg)

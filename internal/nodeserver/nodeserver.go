@@ -41,7 +41,7 @@ type Stats struct {
 
 // NodeServer is the node-local BeSS process. It is a proto.Conn for the
 // node's applications by being one to its upstream: the embedded Conn answers
-// every call the node has nothing to add to (catalog, names, run reads, Decide),
+// every call the node has nothing to add to (catalog, names, Decide),
 // and the methods below are the ones it changes — it registers the locals and
 // calls them back itself, serves fetches from its image cache, and speaks
 // upstream under its own client id.
@@ -64,8 +64,6 @@ type NodeServer struct {
 	// geometry they were reserved for, for the next local that asks for it.
 	reserved map[proto.SegKey]heldRuns     // guarded by mu
 	pool     map[geometry][]proto.Reserved // guarded by mu
-
-	defaultDB atomic.Uint32 // the database the shared cache's pages belong to
 
 	sc *shm.SharedCache
 
@@ -93,7 +91,11 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		pool:          make(map[geometry][]proto.Reserved),
 		RevokeTimeout: time.Second,
 	}
-	sc, err := shm.NewSharedCache(cacheSlots, frames, &pageBacking{ns: ns})
+	backing := &pageBacking{ns: ns, local: ns.locals.Register()}
+	if err := ns.locals.SetCallback(backing.local, func(proto.SegKey) (bool, error) { return false, nil }); err != nil {
+		return nil, err
+	}
+	sc, err := shm.NewSharedCache(cacheSlots, frames, backing)
 	if err != nil {
 		return nil, err
 	}
@@ -170,16 +172,6 @@ func (ns *NodeServer) Disconnect(local uint32) {
 	for _, snap := range open {
 		_ = ns.Conn.SnapClose(ns.client, snap) // there is no caller to tell
 	}
-}
-
-// OpenDB delegates upstream, remembering the database the shared cache's
-// pages belong to.
-func (ns *NodeServer) OpenDB(name string, create bool) (uint32, uint16, error) {
-	db, host, err := ns.Conn.OpenDB(name, create)
-	if err == nil {
-		ns.defaultDB.Store(db)
-	}
-	return db, host, err
 }
 
 // geometry is what a ReserveSegments asks for.
@@ -421,31 +413,51 @@ func (ns *NodeServer) StoreLarge(local uint32, tx uint64, seg proto.SegKey, cont
 	return ns.Conn.StoreLarge(ns.client, tx, seg, content)
 }
 
-// WriteRun forwards under the node server's client id.
-func (ns *NodeServer) WriteRun(local uint32, tx uint64, db, area uint32, start int64, data []byte) error {
-	return ns.Conn.WriteRun(ns.client, tx, db, area, start, data)
-}
-
 var _ proto.Conn = (*NodeServer)(nil)
 
-// pageBacking adapts the upstream raw-run interface to the shared cache's
-// page fetch/write-back.
-type pageBacking struct{ ns *NodeServer }
-
-func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
-	return b.ns.ReadRun(b.ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), 1)
+// pageBacking serves the shared cache's pages as segments' data pages: a
+// page.ID names a segment (Area, and Page its slotted run's start), and the
+// page is the first page of its data section. The backing is one of the
+// node's locals: it fetches through the node's image cache, as a session
+// does, and gives every revocation up at once (the shared cache keeps no
+// transaction's copy).
+type pageBacking struct {
+	ns    *NodeServer
+	local uint32
 }
 
-// WriteBack writes the page back as a transaction of its own, so it is
-// durable when WriteBack returns.
+// PageOf is the shared-cache page of segment seg: the first page of its data
+// section.
+func PageOf(seg proto.SegKey) page.ID {
+	return page.ID{Area: page.AreaID(seg.Area), Page: page.No(seg.Start)}
+}
+
+func pageSeg(id page.ID) proto.SegKey {
+	return proto.SegKey{Area: uint32(id.Area), Start: int64(id.Page)}
+}
+
+func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
+	_, _, data, err := b.ns.FetchSeg(b.local, pageSeg(id))
+	return data[:min(len(data), page.Size)], err
+}
+
+// WriteBack writes the page back as a transaction of its own, which takes X
+// on the segment and ships its image, the page in it: durable when WriteBack
+// returns.
 func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
-	ns := b.ns
-	tx, err := ns.Conn.NewTx()
-	if err == nil {
-		err = ns.Conn.WriteRun(ns.client, tx, ns.defaultDB.Load(), uint32(id.Area), int64(id.Page), data)
+	ns, img := b.ns, proto.SegImage{Seg: pageSeg(id)}
+	tx, err := ns.NewTx()
+	if err != nil {
+		return err
+	}
+	if err = ns.Lock(b.local, tx, img.Seg, proto.LockX); err == nil {
+		img.Slotted, img.Overflow, img.Data, err = ns.FetchSeg(b.local, img.Seg)
 	}
 	if err == nil {
-		return ns.Conn.Publish(ns.client, tx, nil, nil, false)
+		copy(img.Data, data)
+		if err = ns.Publish(b.local, tx, nil, []proto.SegImage{img}, false); err == nil {
+			return nil
+		}
 	}
-	return errors.Join(err, ns.Conn.Abort(ns.client, tx))
+	return errors.Join(err, ns.Abort(b.local, tx))
 }

@@ -261,25 +261,27 @@ func TestUpstreamCallbackReachesLocals(t *testing.T) {
 func TestSharedMemoryModeOnNode(t *testing.T) {
 	_, ns := env(t)
 	s, _ := client.Open(ns, "seed", "db", true)
-	// Write raw pages through the run interface, in a committed
-	// transaction, so the shared cache has real disk pages to serve.
-	_, _, _, err := ns.AllocRun(s.DB(), 2)
-	if err != nil {
+	// Two pages in segments of their own, written by a committed
+	// transaction (a very large object's runs), so the shared cache has real
+	// disk pages to serve.
+	store := s.RunStore()
+	s.Begin()
+	if _, _, err := store.Alloc(2); err != nil {
 		t.Fatal(err)
 	}
-	areaID, start, _, err := ns.AllocRun(s.DB(), 2)
+	at, _, err := store.Alloc(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pageData := make([]byte, 2*page.Size)
 	copy(pageData, []byte("shared-mode-page"))
-	tx, _ := ns.NewTx()
-	if err := ns.WriteRun(s.Client(), tx, s.DB(), areaID, start, pageData); err != nil {
+	if err := store.WriteRun(at, pageData); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Publish(s.Client(), tx, nil, nil, false); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	seg := proto.SegKey{Area: uint32(at >> 32), Start: int64(at & (1<<32 - 1))}
 
 	p1, err := ns.AttachShared()
 	if err != nil {
@@ -289,7 +291,7 @@ func TestSharedMemoryModeOnNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := page.ID{Area: page.AreaID(areaID), Page: page.No(start)}
+	id := PageOf(seg)
 	r1, err := p1.Access(id)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +324,7 @@ func TestSharedMemoryModeOnNode(t *testing.T) {
 	if err := ns.SharedCache().FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ns.ReadRun(s.DB(), areaID, start, 1)
+	_, _, back, err := ns.Conn.FetchSeg(0, seg)
 	if err != nil {
 		t.Fatal(err)
 	}

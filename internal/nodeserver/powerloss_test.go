@@ -50,8 +50,9 @@ func (m *media) powerLoss() *media {
 }
 
 // TestFlushDirtySurvivesPowerLoss: the shared cache writes a page back as a
-// committed transaction, so a page written in place by a shared-memory
-// process is durable once FlushDirty returns, though no area was synced.
+// committed transaction that ships the page's segment, so a page written in
+// place by a shared-memory process is durable once FlushDirty returns, though
+// no area was synced; it reads back through FetchSeg.
 func TestFlushDirtySurvivesPowerLoss(t *testing.T) {
 	m := newMedia()
 	srv := m.open(t)
@@ -63,15 +64,14 @@ func TestFlushDirtySurvivesPowerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	areaID, start, _, err := ns.AllocRun(s.DB(), 1)
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	k, err := s.CreateSegment(1, 1, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, _ := ns.NewTx()
-	if err := ns.WriteRun(s.Client(), tx, s.DB(), areaID, start, bytes.Repeat([]byte{'s'}, page.Size)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Publish(s.Client(), tx, nil, nil, false); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,24 +79,22 @@ func TestFlushDirtySurvivesPowerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Access(page.ID{Area: page.AreaID(areaID), Page: page.No(start)})
+	r, err := p.Access(PageOf(k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WithLatch(r, func() error { return p.Write(r, []byte("written in place")) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.SharedCache().FlushDirty(); err != nil {
-		t.Fatal(err)
+	for _, b := range [][]byte{bytes.Repeat([]byte{'s'}, page.Size), []byte("written in place")} {
+		if err := p.WithLatch(r, func() error { return p.Write(r, b) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.SharedCache().FlushDirty(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	after := m.powerLoss().open(t)
 	defer after.Close()
-	db, _, err := after.OpenDB("db", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := after.ReadRun(db, areaID, start, 1)
+	_, _, got, err := after.FetchSeg(0, k)
 	if err != nil {
 		t.Fatal(err)
 	}

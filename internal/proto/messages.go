@@ -17,7 +17,7 @@ type Empty struct{}
 
 func (*Empty) Fields(*Cursor) {}
 
-// Bytes is a reply that is one byte string (FetchLarge, StoreLarge, ReadRun):
+// Bytes is a reply that is one byte string (FetchLarge, StoreLarge):
 // it travels as the raw frame body with no wrapper at all.
 type Bytes struct{ Data []byte }
 
@@ -405,52 +405,6 @@ func (m *StoreLargeArgs) Fields(c *Cursor) {
 	c.U64(&m.Tx)
 	c.SegKey(&m.Seg)
 	c.Section(&m.Content)
-}
-
-// AllocRunArgs allocates a raw page run.
-type AllocRunArgs struct {
-	DB     uint32
-	NPages int
-}
-
-func (m *AllocRunArgs) Fields(c *Cursor) {
-	c.U32(&m.DB)
-	c.Count(&m.NPages)
-}
-
-// AllocRunReply names the run.
-type AllocRunReply struct {
-	Area    uint32
-	Start   int64
-	Granted int
-}
-
-func (m *AllocRunReply) Fields(c *Cursor) {
-	c.U32(&m.Area)
-	c.I64(&m.Start)
-	c.Count(&m.Granted)
-}
-
-// RunArgs addresses a raw page run: the args of ReadRun (NPages; the reply
-// is Bytes) and WriteRun (Data, a change of the client's Tx).
-type RunArgs struct {
-	Client uint32
-	Tx     uint64
-	DB     uint32
-	Area   uint32
-	Start  int64
-	NPages int
-	Data   []byte
-}
-
-func (m *RunArgs) Fields(c *Cursor) {
-	c.U32(&m.Client)
-	c.U64(&m.Tx)
-	c.U32(&m.DB)
-	c.U32(&m.Area)
-	c.I64(&m.Start)
-	c.Count(&m.NPages)
-	c.Section(&m.Data)
 }
 
 // NameArgs names a root object: the args of NameLookup and NameUnbind.

@@ -7,8 +7,9 @@ package proto
 // never reassigned (internal/rpc/testdata/methods.golden pins them). 8
 // (CreateSegment: a session creates segments from ReserveSegments' runs), 10
 // and 11 (the two-step fetch FetchSeg replaced), 23 (the server-side
-// large-object create) and 25 (FreeRun: a logged run is never freed) are
-// retired; 0 is a named frame's.
+// large-object create), 25 (FreeRun: a logged run is never freed) and 24, 26
+// and 27 (AllocRun, ReadRun and WriteRun: a client reaches area bytes only
+// through segments) are retired; 0 is a named frame's.
 
 // Desc is a method's wire identity. A Desc with ID 0 names a method outside
 // the table, which travels under its name (tests and probes).
@@ -50,9 +51,6 @@ var (
 	MethodDecide          = method[DecideArgs, Empty](20, "Decide")
 	MethodSegmentsOf      = method[SegmentsOfArgs, SegmentsOfReply](21, "SegmentsOf")
 	MethodReleased        = method[ReleasedArgs, Empty](22, "Released")
-	MethodAllocRun        = method[AllocRunArgs, AllocRunReply](24, "AllocRun")
-	MethodReadRun         = method[RunArgs, Bytes](26, "ReadRun")
-	MethodWriteRun        = method[RunArgs, Empty](27, "WriteRun")
 	MethodNameBind        = method[NameBindArgs, Empty](28, "NameBind")
 	MethodNameLookup      = method[NameArgs, NameLookupReply](29, "NameLookup")
 	MethodNameUnbind      = method[NameArgs, Empty](30, "NameUnbind")

@@ -166,13 +166,6 @@ type Conn interface {
 	// (segment.LargeDesc), which the client adds to its copy of seg and ships
 	// with it. seg itself does not change.
 	StoreLarge(client uint32, tx uint64, seg SegKey, content []byte) (desc []byte, err error)
-	// Raw runs back the very-large-object tree (largeobj.Store) and the
-	// shared cache's pages. A run is never freed. WriteRun is a change of
-	// tx, which takes X on the run by its start: logged like a shipped page,
-	// written at tx's commit and dropped by its abort.
-	AllocRun(db uint32, nPages int) (area uint32, start int64, granted int, err error)
-	ReadRun(db uint32, area uint32, start int64, nPages int) ([]byte, error)
-	WriteRun(client uint32, tx uint64, db, area uint32, start int64, data []byte) error
 	// Decide delivers the 2PC decision for a branch Publish prepared: the
 	// participant surface for distributed transactions coordinated by a
 	// client or another server.

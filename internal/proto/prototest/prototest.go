@@ -73,9 +73,6 @@ var Methods = []Method{
 	method(proto.MethodDecide, &proto.DecideArgs{Tx: 99, Commit: true}, empty),
 	method(proto.MethodSegmentsOf, &proto.SegmentsOfArgs{DB: 4, FileID: 9}, &proto.SegmentsOfReply{Segs: []proto.SegKey{seg, {Area: 8}}}),
 	method(proto.MethodReleased, &proto.ReleasedArgs{Client: 3, Segs: []proto.SegKey{seg, {Area: 8}}}, empty),
-	method(proto.MethodAllocRun, &proto.AllocRunArgs{DB: 4, NPages: 8}, &proto.AllocRunReply{Area: 7, Start: 1 << 20, Granted: 8}),
-	method(proto.MethodReadRun, &proto.RunArgs{DB: 4, Area: 7, Start: 1 << 20, NPages: 2}, raw),
-	method(proto.MethodWriteRun, &proto.RunArgs{Client: 3, Tx: 99, DB: 4, Area: 7, Start: 1 << 20, Data: []byte("run bytes")}, empty),
 	method(proto.MethodNameBind, &proto.NameBindArgs{DB: 4, Name: "root", OID: root}, empty),
 	method(proto.MethodNameLookup, &proto.NameArgs{DB: 4, Name: "root"}, &proto.NameLookupReply{OID: root}),
 	method(proto.MethodNameUnbind, &proto.NameArgs{DB: 4, Name: "root"}, empty),

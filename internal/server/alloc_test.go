@@ -80,14 +80,22 @@ func TestFormatSegmentAllocs(t *testing.T) {
 	}
 	// TotalAlloc counts every goroutine of the process, so a goroutine left
 	// from another test can only add to a measure: the least of a few holds.
+	m, err := s.cat.db(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := s.areaOf(m, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, limit := uint64(math.MaxUint64), uint64(2*slotted*page.Size+16<<10)
 	for range 4 {
 		// Room for the measured segment's data run, so that it grows no extent.
-		area, start, _, err := s.AllocRun(db, dataPages)
+		start, _, err := a.AllocSegment(dataPages)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.lookupArea(area).FreeSegment(page.No(start)); err != nil {
+		if err := a.FreeSegment(start); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
@@ -97,7 +105,7 @@ func TestFormatSegmentAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.DataStart != start {
+		if page.No(rep.DataStart) != start {
 			t.Fatalf("the data run went to %d, not to the freed run at %d: the measure includes an extent", rep.DataStart, start)
 		}
 		got = min(got, after.TotalAlloc-before.TotalAlloc)

@@ -8,8 +8,8 @@
 // replay restart redo runs) — the anchors whole, the byte-range records over
 // them — ends at its current content. The same replay rebuilds a page whose
 // write after a commit's force failed (repairWrites).
-// Pages with no logged history (initial images written
-// by CreateSegment, raw WriteRun traffic) cannot be reconstructed; their
+// Pages with no logged history (the initial images a segment's publish
+// formats) cannot be reconstructed; their
 // segment is quarantined with a typed error while the rest of the server
 // keeps serving.
 //

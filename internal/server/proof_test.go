@@ -39,11 +39,19 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	aid, start, _, err := s.AllocRun(db, 1)
+	m, err := s.cat.db(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pid := page.ID{Area: page.AreaID(aid), Page: page.No(start)}
+	a, aid, err := s.areaOf(m, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, _, err := s.allocRun(a, aid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := page.ID{Area: page.AreaID(aid), Page: start}
 	was := readPage(t, s, pid)
 	junk := bytes.Repeat([]byte{0xC3}, page.Size)
 	written := s.Snapshot().PagesWritten

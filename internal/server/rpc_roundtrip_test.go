@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bess/internal/area"
+	"bess/internal/buddy"
 	"bess/internal/client"
 	"bess/internal/goleak"
 	"bess/internal/oid"
@@ -17,7 +19,6 @@ import (
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
-	"bess/internal/tx"
 )
 
 // callPeer builds a served pipe and a typed call helper, exercising the
@@ -190,28 +191,6 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw runs, written by a transaction.
-	runArea, runStart, _, err := r.AllocRun(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := make([]byte, 2*4096)
-	copy(run, "raw-run")
-	runTx, _ := r.NewTx()
-	if err := r.WriteRun(cl, runTx, db, runArea, runStart, run); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Publish(cl, runTx, nil, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := r.ReadRun(db, runArea, runStart, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rr[:7]) != "raw-run" {
-		t.Fatalf("run data %q", rr[:7])
-	}
-
 	// Resolve.
 	off := uint64(cs.Seg.Area)<<32 | uint64(cs.Seg.Start)*4096 + 128
 	rseg, rslot, err := r.Resolve(db, off)
@@ -281,53 +260,50 @@ func TestRPCFullSurface(t *testing.T) {
 }
 
 // TestRPCRunBoundsRejected: page counts arrive off the wire, so every
-// malformed one must come back as an error — a negative page count used to
-// panic the server process and a huge one sized a gigabyte buffer before the
-// first range check; a ragged WriteRun payload silently lost its tail. A
-// count outside 31 bits no longer reaches a handler at all: the message's
-// field list refuses it at decode, on every page-count field.
+// malformed one must come back as an error before it sizes anything — a
+// negative page count used to panic the server process and a huge one sized
+// a gigabyte buffer before the first range check. A run pair's page counts
+// (ReserveSegments) outside a segment's are refused. A count outside 31 bits
+// no longer reaches a handler at all: the message's field list refuses it at
+// decode, on every page-count field.
 func TestRPCRunBoundsRejected(t *testing.T) {
 	s, p := callPeer(t)
 	var odb proto.OpenDBReply
 	if err := rpc.Call(p, proto.MethodOpenDB, &proto.OpenDBArgs{Name: "db", Create: true}, &odb); err != nil {
 		t.Fatal(err)
 	}
-	var ar proto.AllocRunReply
-	if err := rpc.Call(p, proto.MethodAllocRun, &proto.AllocRunArgs{DB: odb.DB, NPages: 2}, &ar); err != nil {
+	var hello proto.IDReply
+	if err := rpc.Call(p, proto.MethodHello, &proto.HelloArgs{Name: "runs"}, &hello); err != nil {
 		t.Fatal(err)
 	}
-	limit := int64(s.lookupArea(ar.Area).Pages())
 	for _, c := range []struct {
 		name   string
-		start  int64
 		nPages int
 		want   error
 	}{
-		{"negative count", ar.Start, -1, area.ErrOutOfRange},
-		{"zero count", ar.Start, 0, area.ErrOutOfRange},
-		{"huge count", ar.Start, 1 << 40, area.ErrOutOfRange},
-		{"over a segment", ar.Start, area.MaxSegmentPages + 1, area.ErrOutOfRange},
-		{"negative start", -1, 1, area.ErrOutOfRange},
-		{"past the limit", limit - 1, 2, area.ErrOutOfRange},
-		{"at the limit", limit, 1, area.ErrOutOfRange},
+		{"negative count", -1, buddy.ErrBadRequest},
+		{"zero count", 0, buddy.ErrBadRequest},
+		{"huge count", 1 << 40, area.ErrTooLarge},
+		{"over a segment", area.MaxSegmentPages + 1, area.ErrTooLarge},
 	} {
-		if _, err := s.ReadRun(odb.DB, ar.Area, c.start, c.nPages); !errors.Is(err, c.want) {
-			t.Errorf("%s: ReadRun = %v, want %v", c.name, err, c.want)
+		if _, err := s.ReserveSegments(hello.ID, odb.DB, -1, 1, c.nPages, 1); !errors.Is(err, c.want) {
+			t.Errorf("%s: ReserveSegments = %v, want %v", c.name, err, c.want)
 		}
-		var rr proto.Bytes
+		var rep proto.ReserveSegmentsReply
 		sent := p.WireStats().FramesSent
-		err := rpc.Call(p, proto.MethodReadRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: c.start, NPages: c.nPages}, &rr)
+		err := rpc.Call(p, proto.MethodReserveSegments, &proto.ReserveSegmentsArgs{Client: hello.ID, DB: odb.DB, AreaHint: -1,
+			SlottedPages: 1, DataPages: c.nPages, N: 1}, &rep)
 		if c.nPages < 0 || c.nPages > math.MaxInt32 {
 			// Not representable in the field's 31 bits: the call never leaves,
 			// and nothing of it is queued.
 			if !errors.Is(err, proto.ErrBadMessage) {
-				t.Errorf("%s: ReadRun over RPC = %v, want ErrBadMessage from the encoder", c.name, err)
+				t.Errorf("%s: ReserveSegments over RPC = %v, want ErrBadMessage from the encoder", c.name, err)
 			}
 			if n := p.WireStats().FramesSent - sent; n != 0 {
 				t.Errorf("%s: a call the encoder refused queued %d frames", c.name, n)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), c.want.Error()) {
-			t.Errorf("%s: ReadRun over RPC = %v, want %v", c.name, err, c.want)
+			t.Errorf("%s: ReserveSegments over RPC = %v, want %v", c.name, err, c.want)
 		}
 	}
 
@@ -341,14 +317,10 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 		binary.BigEndian.PutUint32(b[off:], word)
 		return b
 	}
-	run := &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start}
 	for _, c := range []struct {
 		method string
 		body   []byte
 	}{
-		{"ReadRun", body(run, 28, 0xFFFFFFFF)}, // int32(-1)
-		{"ReadRun", body(run, 28, 0x80000000)},
-		{"AllocRun", body(&proto.AllocRunArgs{DB: odb.DB}, 4, 0xFFFFFFFF)},
 		{"ReserveSegments", body(&proto.ReserveSegmentsArgs{DB: odb.DB, DataPages: 1, N: 1}, 12, 0xFFFFFFFF)},
 		{"ReserveSegments", body(&proto.ReserveSegmentsArgs{DB: odb.DB, SlottedPages: 1, N: 1}, 16, 0x80000000)},
 		{"Released", body(&proto.ReleasedArgs{Client: 1}, 4, 0xFFFFFFFF)},
@@ -362,123 +334,59 @@ func TestRPCRunBoundsRejected(t *testing.T) {
 			t.Errorf("%s with a hostile count reached its handler", c.method)
 		}
 	}
-
-	// A write is a change of a transaction: none, and it is refused.
-	var hello proto.IDReply
-	if err := rpc.Call(p, proto.MethodHello, &proto.HelloArgs{Name: "runs"}, &hello); err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{0xAB}, 2*4096)
-	write := func(tx uint64, data []byte) error {
-		return rpc.Call(p, proto.MethodWriteRun, &proto.RunArgs{Client: hello.ID, Tx: tx, DB: odb.DB, Area: ar.Area, Start: ar.Start, Data: data}, &proto.Empty{})
-	}
-	if err := write(0, data); err == nil || !strings.Contains(err.Error(), tx.ErrNotActive.Error()) {
-		t.Errorf("WriteRun outside a transaction = %v, want tx.ErrNotActive", err)
-	}
-	var ntx proto.NewTxReply
-	if err := rpc.Call(p, proto.MethodNewTx, &proto.ClientArgs{Client: hello.ID}, &ntx); err != nil {
-		t.Fatal(err)
-	}
-	if err := write(ntx.Tx, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := rpc.Call(p, proto.MethodCommit, &proto.CommitArgs{Client: hello.ID, Tx: ntx.Tx}, &proto.Empty{}); err != nil {
-		t.Fatal(err)
-	}
-	ragged := make([]byte, 4096+100)
-	if err := s.WriteRun(hello.ID, ntx.Tx+1, odb.DB, ar.Area, ar.Start, ragged); !errors.Is(err, ErrBadRun) {
-		t.Errorf("ragged WriteRun = %v, want ErrBadRun", err)
-	}
-	if err := write(ntx.Tx+2, ragged); err == nil || !strings.Contains(err.Error(), ErrBadRun.Error()) {
-		t.Errorf("ragged WriteRun over RPC = %v, want ErrBadRun", err)
-	}
-	// The server is still up, and the rejected writes touched nothing.
-	var rr proto.Bytes
-	if err := rpc.Call(p, proto.MethodReadRun, &proto.RunArgs{DB: odb.DB, Area: ar.Area, Start: ar.Start, NPages: 2}, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rr.Data, data) {
-		t.Fatal("a rejected WriteRun modified the run")
-	}
 }
 
-// TestWriteRunWaitsForTheWriter: a run is X-locked by the transaction that
-// writes it, so a second writer waits for the first one's commit, and its
-// change is then taken over what that commit wrote.
+// TestWriteRunWaitsForTheWriter: a run store's run is a segment, X-locked by
+// the first write of the transaction that writes it (update detection), so a
+// second session's write waits for the first one's commit, and its change is
+// then committed over what that commit wrote.
 func TestWriteRunWaitsForTheWriter(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
-	db, _, _ := s.OpenDB("d", true)
-	cl, _ := s.Hello("c")
-	aid, start, _, err := s.AllocRun(db, 1)
+	var sess [3]*client.Session
+	for i := range sess {
+		var err error
+		if sess[i], err = client.Open(s, fmt.Sprint("writer ", i), "d", true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := sess[0], sess[1]
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, page.Size) }
+	a.Begin()
+	at, _, err := a.RunStore().Alloc(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := bytes.Repeat([]byte{1}, page.Size), bytes.Repeat([]byte{2}, page.Size)
-	if err := s.WriteRun(cl, 1, db, aid, start, first); err != nil {
+	if err := a.RunStore().WriteRun(at, fill(1)); err != nil {
 		t.Fatal(err)
 	}
-	blocks := s.locks.Snapshot().Blocks
-	wrote := make(chan error, 1)
-	go func() {
-		err := s.WriteRun(cl, 2, db, aid, start, second)
-		if err == nil {
-			err = s.Commit(cl, 2, nil)
-		}
-		wrote <- err
-	}()
-	for s.locks.Snapshot().Blocks == blocks { // until the second writer waits
-		select {
-		case err := <-wrote:
-			t.Fatalf("the second writer went ahead of the first one's commit (%v)", err)
-		default:
-			runtime.Gosched()
-		}
-	}
-	if got, _ := s.ReadRun(db, aid, start, 1); bytes.Equal(got, first) {
-		t.Fatal("the first write reached the area before its commit")
-	}
-	if err := s.Commit(cl, 1, nil); err != nil {
+	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-wrote; err != nil {
+	a.Begin()
+	if err := a.RunStore().WriteRun(at, fill(2)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.ReadRun(db, aid, start, 1); !bytes.Equal(got, second) {
-		t.Fatal("the run does not hold the second commit's write")
+	b.Begin()
+	done := make(chan error, 1)
+	go func() { done <- b.RunStore().WriteRun(at, fill(3)) }()
+	select {
+	case err := <-done:
+		t.Fatalf("a second writer wrote the run while the first held it: %v", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-}
-
-// TestRunsStayInTheirDatabase: a run is reached through the database whose
-// area holds it; named through another, ReadRun and WriteRun find no area.
-func TestRunsStayInTheirDatabase(t *testing.T) {
-	s := NewMem(1)
-	defer s.Close()
-	mine, _, _ := s.OpenDB("mine", true)
-	other, _, _ := s.OpenDB("other", true)
-	cl, _ := s.Hello("c")
-	aid, start, _, err := s.AllocRun(mine, 1)
-	if err != nil {
+	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	secret := bytes.Repeat([]byte{0x5E}, page.Size)
-	if err := s.WriteRun(cl, 1, mine, aid, start, secret); err != nil {
+	if err := <-done; err != nil {
+		t.Fatalf("the second writer, after the first committed: %v", err)
+	}
+	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(cl, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.ReadRun(other, aid, start, 1); !errors.Is(err, ErrNoArea) {
-		t.Errorf("ReadRun through another database = %d bytes, %v; want ErrNoArea", len(got), err)
-	}
-	if err := s.WriteRun(cl, 2, other, aid, start, make([]byte, page.Size)); !errors.Is(err, ErrNoArea) {
-		t.Errorf("WriteRun through another database = %v, want ErrNoArea", err)
-	}
-	if err := s.Commit(cl, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.ReadRun(mine, aid, start, 1); err != nil || !bytes.Equal(got, secret) {
-		t.Fatalf("the run through its own database: %v", err)
+	got := make([]byte, page.Size)
+	if err := sess[2].RunStore().ReadRun(at, 1, got); err != nil || !bytes.Equal(got, fill(3)) {
+		t.Fatalf("the run after both commits: %v, or not the second writer's bytes", err)
 	}
 }
 

@@ -121,17 +121,6 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			d, err := s.StoreLarge(a.Client, a.Tx, a.Seg, a.Content)
 			return &proto.Bytes{Data: d}, err
 		}),
-		rpc.Typed(proto.MethodAllocRun, func(a *proto.AllocRunArgs) (*proto.AllocRunReply, error) {
-			areaID, start, granted, err := s.AllocRun(a.DB, a.NPages)
-			return &proto.AllocRunReply{Area: areaID, Start: start, Granted: granted}, err
-		}),
-		rpc.Typed(proto.MethodReadRun, func(a *proto.RunArgs) (*proto.Bytes, error) {
-			d, err := s.ReadRun(a.DB, a.Area, a.Start, a.NPages)
-			return &proto.Bytes{Data: d}, err
-		}),
-		rpc.Typed(proto.MethodWriteRun, func(a *proto.RunArgs) (*proto.Empty, error) {
-			return empty, s.WriteRun(a.Client, a.Tx, a.DB, a.Area, a.Start, a.Data)
-		}),
 		rpc.Typed(proto.MethodNameBind, func(a *proto.NameBindArgs) (*proto.Empty, error) {
 			return empty, s.NameBind(a.DB, a.Name, a.OID)
 		}),

@@ -12,7 +12,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -45,7 +44,6 @@ var (
 	ErrUnknownTx = errors.New("server: unknown transaction")
 	ErrTooLarge  = errors.New("server: object exceeds transparent large-object limit")
 	ErrShutdown  = errors.New("server: shut down")
-	ErrBadRun    = errors.New("server: bad raw run")
 	ErrNotStaged = errors.New("server: segment overwrite not staged with the version store by this transaction")
 	// ErrShortSection refuses a commit that ships a data or overflow section
 	// shorter than the run it overwrites.
@@ -317,9 +315,6 @@ func (s *Server) removeOrphanAreas() error {
 func (s *Server) areaPath(id uint32) string {
 	return filepath.Join(s.dir, fmt.Sprintf("area-%d.bess", id))
 }
-
-// Host returns the server's host number (embedded in OIDs).
-func (s *Server) Host() uint16 { return s.host }
 
 // SetLockTimeout adjusts how long lock acquisitions wait before the
 // timeout-based (distributed) deadlock detection gives up (paper §3).
@@ -1107,27 +1102,6 @@ func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, conten
 	return d.Encode(), nil
 }
 
-// --- raw runs (very-large-object substrate) ---
-
-// AllocRun implements proto.Conn. A run is never freed: restart would replay
-// its pages' history over a segment allocated there (DESIGN.md §5).
-func (s *Server) AllocRun(db uint32, nPages int) (uint32, int64, int, error) {
-	s.stats.messages.Add(1)
-	m, err := s.cat.db(db)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	a, aid, err := s.areaOf(m, -1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	start, granted, err := s.allocRun(a, aid, nPages)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return aid, int64(start), granted, nil
-}
-
 // allocRun allocates a run of at least nPages pages in area a (id aid) and
 // logs it as an add-run op, which restart re-establishes (redoSegment): an
 // extent map write is not synced, and a commit that fills the run must not
@@ -1145,64 +1119,6 @@ func (s *Server) allocRun(a *area.Area, aid uint32, nPages int) (page.No, int, e
 		return 0, 0, err
 	}
 	return start, granted, nil
-}
-
-// runArea returns area areaID if db has it, and ErrNoArea if not: a run is
-// reached through the database that allocated it.
-func (s *Server) runArea(db, areaID uint32) (*area.Area, error) {
-	m, err := s.cat.db(db)
-	if err != nil {
-		return nil, err
-	}
-	s.cat.mu.Lock()
-	mine := slices.Contains(m.Areas, areaID)
-	s.cat.mu.Unlock()
-	if a := s.lookupArea(areaID); mine && a != nil {
-		return a, nil
-	}
-	return nil, ErrNoArea
-}
-
-// ReadRun implements proto.Conn.
-func (s *Server) ReadRun(db uint32, areaID uint32, start int64, nPages int) ([]byte, error) {
-	s.stats.messages.Add(1)
-	a, err := s.runArea(db, areaID)
-	if err != nil {
-		return nil, err
-	}
-	// nPages arrives off the wire: bound it before it sizes an allocation.
-	// Area.ReadRun checks the range itself.
-	if nPages <= 0 || nPages > area.MaxSegmentPages {
-		return nil, fmt.Errorf("%w: run of %d pages", area.ErrOutOfRange, nPages)
-	}
-	buf := make([]byte, nPages*page.Size)
-	if err := a.ReadRun(page.No(start), buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// WriteRun implements proto.Conn: txid takes X on the run at start, named as
-// a segment is by its start, and logs the pages data changes as a shipped
-// section's (eachPage), which its commit writes after the force.
-func (s *Server) WriteRun(client uint32, txid uint64, db, areaID uint32, start int64, data []byte) error {
-	s.stats.messages.Add(1)
-	if txid == 0 {
-		return tx.ErrNotActive
-	}
-	if len(data)%page.Size != 0 {
-		return fmt.Errorf("%w: %d bytes is not a whole number of pages", ErrBadRun, len(data))
-	}
-	if _, err := s.runArea(db, areaID); err != nil || len(data) == 0 {
-		return err
-	}
-	t := s.ensureTx(client, txid)
-	if err := t.Lock(segLockName(proto.SegKey{Area: areaID, Start: start}), lock.X); err != nil {
-		return err
-	}
-	// t keeps the after-images until it ends, and data may be a view of the
-	// request frame.
-	return s.eachPage(t, areaID, page.No(start), nil, bytes.Clone(data), new([]byte))
 }
 
 // --- names ---

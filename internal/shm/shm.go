@@ -287,12 +287,6 @@ func (sc *SharedCache) Attach() (*Process, error) {
 	return p, nil
 }
 
-// ID returns the process id.
-func (p *Process) ID() int { return p.id }
-
-// Space returns the process' address space (tests).
-func (p *Process) Space() *vmem.Space { return p.space }
-
 // AddrOf translates a shared reference to this process' address — the
 // shm_ref<T> conversion.
 func (p *Process) AddrOf(r Ref) vmem.Addr {

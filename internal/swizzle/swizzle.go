@@ -886,6 +886,25 @@ func (m *Mapper) MarkDataDirty(id SegID) {
 	}
 }
 
+// WriteData writes buf over the start of id's mapped data section through the
+// space, as Object.Write writes an object: subject to its write protection,
+// so the first write of each page faults and the installed update-detection
+// policy decides. It marks the data dirty.
+func (m *Mapper) WriteData(id SegID, buf []byte) error {
+	ms, ok := m.bySeg[id]
+	if !ok || ms.state < stDataMapped {
+		return ErrUnknownAddr
+	}
+	if len(buf) > ms.dataPages*page.Size {
+		return fmt.Errorf("%w: %d bytes over a data section of %d pages", ErrBadField, len(buf), ms.dataPages)
+	}
+	if err := m.space.WriteRange(ms.dataBase, buf); err != nil {
+		return err
+	}
+	ms.dirtyData = true
+	return nil
+}
+
 // DropSeg gives up the cached copy of a segment and returns it to wave 1, as
 // the paper has it: the slotted pages are unmapped and the data and
 // large-object ranges released, but the slotted reservation stays (a slotted

@@ -25,8 +25,9 @@ import (
 // model), quarantined (detected, not repairable; typed errors, healthy data
 // still served), benign (nothing depends on the bytes: overwritten later, or
 // an unflushed log tail) or silent (a read returned wrong bytes without an
-// error). The history has no raw run, the one kind of committed data no
-// checksum covers. Acceptance (EXPERIMENTS.md): ≥100 points, zero silent,
+// error). The history is the crash workload's (srvHistory): every byte it
+// commits is a segment's, which a checksum covers, a very large object's
+// extent included. Acceptance (EXPERIMENTS.md): ≥100 points, zero silent,
 // every checkpoint and wire point repaired, ≥85% of the rest repaired.
 
 // RotCounts are the outcomes of a set of corruption trials.

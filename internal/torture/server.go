@@ -2,6 +2,7 @@ package torture
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -17,11 +18,11 @@ import (
 // One deterministic history drives a full server (server.OpenMedia on a
 // world's devices): segments created and committed with one object each, then
 // updated three times; a checkpoint; a large object; a relocating growth; a
-// raw run (srvWorkload's only: no checksum covers one, so rot in it is
-// served silently); a 2PC branch; a session-style commit that publishes two
-// segments made of reserved runs; and a segment created and abandoned, whose
-// initial image has no logged history — the designed unrepairable case. E19's
-// pages and wal-body categories rot it; srvWorkload kills it.
+// 2PC branch; a session-style commit that publishes three segments made of
+// reserved runs, one of them a very large object's extent; and a segment
+// created and abandoned, whose initial image has no logged history — the
+// designed unrepairable case. E19's pages and wal-body categories rot it;
+// srvWorkload kills it.
 
 const (
 	srvSegs     = 6 // committed segments (each created, populated, updated)
@@ -36,7 +37,6 @@ type srvWorld struct {
 	db, cl uint32
 	setup  int64          // events before the first segment is created
 	keys   []proto.SegKey // the segments the history created, in order
-	rawRun bool           // the history writes a raw run
 	geoms  [][2]int       // the slotted and data pages of every run pair and run it allocated
 
 	published pubSegs // the segments a commit published
@@ -52,7 +52,6 @@ type object struct {
 	name   string
 	read   func(s *server.Server) ([]byte, error)
 	writes []objWrite
-	run    proto.SegKey // a raw run's area and start: free space once its allocation is lost
 }
 
 type objWrite struct {
@@ -113,6 +112,22 @@ func slot(name string, seg proto.SegKey, i int) *object {
 		}
 		dec.Overflow, dec.Data = ov, data
 		return dec.ObjectBytes(i)
+	}}
+}
+
+// errNoExtent is what an extent's read returns when its data is all zero:
+// no commit filled it.
+var errNoExtent = errors.New("torture: the extent holds nothing")
+
+// extent returns a very large object's extent, the data section of seg, read
+// through FetchSeg.
+func extent(name string, seg proto.SegKey) *object {
+	return &object{name: name, read: func(s *server.Server) ([]byte, error) {
+		_, _, data, err := s.FetchSeg(0, seg)
+		if err == nil && !slices.ContainsFunc(data, func(b byte) bool { return b != 0 }) {
+			err = errNoExtent
+		}
+		return data, err
 	}}
 }
 
@@ -207,12 +222,6 @@ func (sw *srvWorld) history() error {
 	}); err != nil {
 		return fmt.Errorf("grow segment 1: %w", err)
 	}
-	// A raw run, written by a transaction and committed with no segment.
-	if sw.rawRun {
-		if err := sw.writeRun(); err != nil {
-			return fmt.Errorf("write run: %w", err)
-		}
-	}
 	// A 2PC branch: a yes vote on the third segment, then the commit decision.
 	txid, err := sw.put(2, body(2, 4), true)
 	if err != nil {
@@ -232,10 +241,12 @@ func (sw *srvWorld) history() error {
 	return nil
 }
 
-// publish commits as a session does what it created: two segments made of
+// publish commits as a session does what it created: three segments made of
 // run pairs reserved to the client, one reserved before the transaction began
-// and one inside it, published by the commit that ships an object into the
-// first; the second ships nothing.
+// and two inside it, published by the commit that ships an object into the
+// first and a very large object's extent into the third — no object, its data
+// section written whole, as a session's run store writes one; the second
+// ships nothing.
 func (sw *srvWorld) publish() error {
 	s := sw.srv
 	before, err := s.ReserveSegments(sw.cl, sw.db, -1, 1, 2, 1)
@@ -246,12 +257,12 @@ func (sw *srvWorld) publish() error {
 	if err != nil {
 		return err
 	}
-	inside, err := s.ReserveSegments(sw.cl, sw.db, -1, 1, 2, 1)
+	inside, err := s.ReserveSegments(sw.cl, sw.db, -1, 1, 2, 2)
 	if err != nil {
 		return err
 	}
 	sw.allocated(1, 2)
-	created := []proto.Created{{Reserved: before[0], FileID: 3}, {Reserved: inside[0], FileID: 3}}
+	created := []proto.Created{{Reserved: before[0], FileID: 3}, {Reserved: inside[0], FileID: 3}, {Reserved: inside[1], FileID: 3}}
 	r := before[0]
 	seg := segment.New(3, r.SlottedPages, r.DataPages, page.AreaID(r.Seg.Area), page.No(r.DataStart))
 	body := []byte("e19 published object: created before its transaction began")
@@ -260,34 +271,17 @@ func (sw *srvWorld) publish() error {
 	}
 	o := slot(fmt.Sprintf("published segment %d/%d", r.Seg.Area, r.Seg.Start), r.Seg, 0)
 	o.writes = []objWrite{{txid, body}}
-	sw.objs = append(sw.objs, o)
+	x := inside[1]
+	content := bytes.Repeat([]byte("E19 VLO extent. "), x.DataPages*page.Size/16)
+	e := extent(fmt.Sprintf("extent %d/%d", x.Seg.Area, x.Seg.Start), x.Seg)
+	e.writes = []objWrite{{txid, content}}
+	sw.objs = append(sw.objs, o, e)
 	for _, c := range created {
 		sw.published = append(sw.published, pubSeg{c.Seg, txid})
 	}
-	img := []proto.SegImage{{Seg: r.Seg, Slotted: seg.EncodeSlots(), Data: seg.Data}}
+	img := []proto.SegImage{{Seg: r.Seg, Slotted: seg.EncodeSlots(), Data: seg.Data},
+		{Seg: x.Seg, Slotted: segment.Format(3, x.SlottedPages, x.DataPages, page.AreaID(x.Seg.Area), page.No(x.DataStart)), Data: content}}
 	return sw.ack(txid, wal.TCommit, s.Publish(sw.cl, txid, created, img, false))
-}
-
-// writeRun allocates a raw run of two pages and has one transaction write
-// it whole (server.WriteRun) and commit.
-func (sw *srvWorld) writeRun() error {
-	s := sw.srv
-	aid, start, _, err := s.AllocRun(sw.db, 2)
-	if err != nil {
-		return err
-	}
-	txid, err := s.NewTx()
-	if err != nil {
-		return err
-	}
-	data := bytes.Repeat([]byte("E19 raw run. "), 2*page.Size/13+1)[:2*page.Size]
-	sw.objs = append(sw.objs, &object{name: "raw run", writes: []objWrite{{0, make([]byte, len(data))}, {txid, data}},
-		read: func(s *server.Server) ([]byte, error) { return s.ReadRun(sw.db, aid, start, 2) },
-		run:  proto.SegKey{Area: aid, Start: start}})
-	if err := s.WriteRun(sw.cl, txid, sw.db, aid, start, data); err != nil {
-		return err
-	}
-	return sw.ack(txid, wal.TCommit, s.Commit(sw.cl, txid, nil))
 }
 
 // ship has one transaction change key's image and ship it, to commit or, with
@@ -356,7 +350,7 @@ func (sw *srvWorld) close() {
 // srvWorkload kills the history's server at every device event after its
 // database exists, restarts a server on what survived, and holds it to the
 // object-level model: (1) every acknowledged commit and yes vote is durable;
-// (2) every object reads back byte-exact (FetchSeg, FetchLarge, ReadRun) as
+// (2) every object reads back byte-exact (FetchSeg, FetchLarge) as
 // its last durable commit left it, and one with none reads as nothing; (3) a
 // branch whose prepare survived is in doubt, and its coordinator's commit
 // (every mode but torn) or abort then holds; (4) a published segment exists
@@ -371,7 +365,6 @@ func srvWorkload(seed int64) (trial, error) {
 		sw.close()
 		return nil, err
 	}
-	sw.rawRun = true
 	return sw, nil
 }
 
@@ -414,9 +407,6 @@ func (sw *srvWorld) check(commit bool) (int, error) {
 			}
 		}
 		for _, o := range sw.objs {
-			if round == 2 && o.run != (proto.SegKey{}) && !logged[o.run] {
-				continue // its allocation is lost with its commit: the new segments may take the run
-			}
 			if err := o.holds(s, won); err != nil {
 				return 0, fmt.Errorf("restart (round %d): %w", round, err)
 			}
@@ -448,14 +438,12 @@ func (sw *srvWorld) check(commit bool) (int, error) {
 	return 0, nil
 }
 
-// cataloged returns the segments and runs whose add-segment and add-run
-// records are in l.
+// cataloged returns the segments whose add-segment records are in l.
 func cataloged(l *wal.Log) (map[proto.SegKey]bool, error) {
 	added := make(map[proto.SegKey]bool)
 	if err := l.Iterate(wal.FirstLSN(), func(_ page.LSN, rec *wal.Record) error {
 		op := new(proto.CatalogOp)
-		if rec.Type == wal.TCatalog && proto.Decode(rec.Body, op) == nil &&
-			(op.Kind == proto.CatAddSegment || op.Kind == proto.CatAddRun) {
+		if rec.Type == wal.TCatalog && proto.Decode(rec.Body, op) == nil && op.Kind == proto.CatAddSegment {
 			added[op.Seg] = true
 		}
 		return nil
