@@ -19,12 +19,10 @@ import (
 var ErrUnknownClient = errors.New("callback: unknown client")
 
 // Func revokes a client's cached copy of seg. refused means a live
-// transaction is using the copy and the caller must ask again; an error means
-// the client cannot be reached at all.
+// transaction is using the copy: the client lets it go when that transaction
+// ends and says so (Drop), which is what a refused Revoke waits for; an error
+// means the client cannot be reached at all.
 type Func func(seg proto.SegKey) (refused bool, err error)
-
-// pollInterval is how long Revoke waits before asking refusers again.
-const pollInterval = 5 * time.Millisecond
 
 // rankTableMu places Table.mu in the server's lock hierarchy
 // (internal/server/lockorder.go): inside reader.areaMu, outside Manager.mu.
@@ -40,6 +38,10 @@ type Table struct {
 	clients map[uint32]Func                  // guarded by mu; nil Func until SetCallback
 	next    uint32                           // guarded by mu
 	copies  map[proto.SegKey]map[uint32]bool // guarded by mu
+	// changed holds, for a segment a Revoke has called back, a channel
+	// closed when one of its holders lets its copy go; no segment nobody
+	// caches has one.
+	changed map[proto.SegKey]chan struct{} // guarded by mu
 
 	callbacks, refusals atomic.Int64
 }
@@ -55,6 +57,7 @@ func New(timedOut error, gone func(client uint32)) *Table {
 		gone:     gone,
 		clients:  make(map[uint32]Func),
 		copies:   make(map[proto.SegKey]map[uint32]bool),
+		changed:  make(map[proto.SegKey]chan struct{}),
 	}
 	t.mu.Init("Table.mu", rankTableMu)
 	return t
@@ -111,17 +114,24 @@ func (t *Table) Record(seg proto.SegKey, client uint32) {
 func (t *Table) Drop(seg proto.SegKey, client uint32) (last bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dropLocked(seg, client)
+	t.dropLocked(seg, client, true)
 	return len(t.copies[seg]) == 0
 }
 
-func (t *Table) dropLocked(seg proto.SegKey, client uint32) {
+// dropLocked forgets client's copy of seg. It wakes the Revokes waiting on
+// seg if wake is set or nobody caches seg any more.
+func (t *Table) dropLocked(seg proto.SegKey, client uint32, wake bool) {
 	t.mu.AssertHeld()
 	if set := t.copies[seg]; set != nil {
 		delete(set, client)
 		if len(set) == 0 {
 			delete(t.copies, seg)
+			wake = true
 		}
+	}
+	if ch := t.changed[seg]; ch != nil && wake {
+		close(ch)
+		delete(t.changed, seg)
 	}
 }
 
@@ -133,7 +143,7 @@ func (t *Table) Remove(client uint32) bool {
 	_, ok := t.clients[client]
 	delete(t.clients, client)
 	for seg := range t.copies {
-		t.dropLocked(seg, client)
+		t.dropLocked(seg, client, true)
 	}
 	return ok
 }
@@ -150,9 +160,10 @@ type holder struct {
 }
 
 // reachable lists the holders of seg other than except that can be called
-// back. A holder with no callback (never installed, or the client is gone)
-// cannot be: its copy is forgotten.
-func (t *Table) reachable(seg proto.SegKey, except uint32) []holder {
+// back and, if there are any, the channel the next of them to let go closes.
+// A holder with no callback (never installed, or the client is gone) cannot
+// be called back: its copy is forgotten.
+func (t *Table) reachable(seg proto.SegKey, except uint32) ([]holder, <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var hs []holder
@@ -163,22 +174,46 @@ func (t *Table) reachable(seg proto.SegKey, except uint32) []holder {
 		if cb := t.clients[id]; cb != nil {
 			hs = append(hs, holder{id, cb})
 		} else {
-			t.dropLocked(seg, id)
+			t.dropLocked(seg, id, true)
 		}
 	}
-	return hs
+	if len(hs) == 0 {
+		return nil, nil
+	}
+	ch := t.changed[seg]
+	if ch == nil {
+		ch = make(chan struct{})
+		t.changed[seg] = ch
+	}
+	return hs, ch
+}
+
+// complied forgets client's copy of seg, given up to a Revoke: that is news
+// to no other Revoke while somebody still caches seg.
+func (t *Table) complied(seg proto.SegKey, client uint32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dropLocked(seg, client, false)
 }
 
 // Revoke calls back every client caching seg, except `except`, until each has
 // given its copy up: a client that complies is forgotten as a holder, one that
-// refuses is asked again every pollInterval, one that cannot be reached is
-// removed from the table altogether. If refusals outlast timeout, Revoke
-// returns the table's timed-out error.
+// cannot be reached is removed from the table altogether, and one that
+// refuses is asked once. Revoke then waits for a holder of seg to let its copy
+// go — its Drop (the client's Released) or its Remove — before it asks the
+// holders left again. If a refusal stands for timeout, Revoke returns the
+// table's timed-out error.
 func (t *Table) Revoke(seg proto.SegKey, except uint32, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	var deadline *time.Timer
+	defer func() {
+		if deadline != nil {
+			deadline.Stop()
+		}
+	}()
 	for {
+		hs, changed := t.reachable(seg, except)
 		refused := false
-		for _, h := range t.reachable(seg, except) {
+		for _, h := range hs {
 			t.callbacks.Add(1)
 			switch no, err := h.cb(seg); {
 			case err != nil:
@@ -189,15 +224,19 @@ func (t *Table) Revoke(seg proto.SegKey, except uint32, timeout time.Duration) e
 				t.refusals.Add(1)
 				refused = true
 			default:
-				t.Drop(seg, h.id)
+				t.complied(seg, h.id)
 			}
 		}
 		if !refused {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if deadline == nil {
+			deadline = time.NewTimer(timeout)
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
 			return t.timedOut
 		}
-		time.Sleep(pollInterval)
 	}
 }

@@ -63,20 +63,62 @@ func TestRevokeSkipsExceptAndForgetsCompliers(t *testing.T) {
 	}
 }
 
-func TestRefusalIsRetriedUntilTheDeadline(t *testing.T) {
+// refuser returns a callback that refuses, counting its calls and telling
+// refused of each refusal.
+func refuser(calls *atomic.Int64, refused chan<- struct{}) Func {
+	return func(proto.SegKey) (bool, error) {
+		calls.Add(1)
+		refused <- struct{}{}
+		return true, nil
+	}
+}
+
+// waitsOn reports whether the table keeps a wake-up channel for s.
+func (t *Table) waitsOn(s proto.SegKey) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.changed[s] != nil
+}
+
+func TestRefusalParksUntilADrop(t *testing.T) {
 	tb := New(errTimedOut, nil)
 	busy := tb.Register()
 	var calls atomic.Int64
-	release := make(chan struct{})
-	tb.SetCallback(busy, func(proto.SegKey) (bool, error) {
-		calls.Add(1)
-		select {
-		case <-release:
-			return false, nil
-		default:
-			return true, nil
-		}
-	})
+	refused := make(chan struct{}, 1)
+	tb.SetCallback(busy, refuser(&calls, refused))
+	tb.Record(seg(1), busy)
+	revoked := make(chan error)
+	go func() { revoked <- tb.Revoke(seg(1), 0, 10*time.Second) }()
+	<-refused
+	// Long enough for a revoke that asked again on a timer to have done so
+	// several times; one that waits for the holder's Drop asks nothing.
+	time.Sleep(30 * time.Millisecond)
+	select {
+	case err := <-revoked:
+		t.Fatalf("the revoke returned %v while its copy was still refused", err)
+	default:
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("a refuser was asked %d times before it let go, want 1", n)
+	}
+	tb.Drop(seg(1), busy) // the holder's transaction ended: its Released
+	if err := <-revoked; err != nil {
+		t.Fatal(err)
+	}
+	if cb, ref := tb.Counts(); cb != 1 || ref != 1 {
+		t.Fatalf("counts = %d callbacks, %d refusals; want one of each", cb, ref)
+	}
+	if tb.holds(seg(1), busy) || tb.waitsOn(seg(1)) {
+		t.Fatal("the revoke left a holder or a wake-up channel behind")
+	}
+}
+
+func TestRefusalWithNoDropTimesOut(t *testing.T) {
+	tb := New(errTimedOut, nil)
+	busy := tb.Register()
+	var calls atomic.Int64
+	refused := make(chan struct{}, 1)
+	tb.SetCallback(busy, refuser(&calls, refused))
 	tb.Record(seg(1), busy)
 	start := time.Now()
 	if err := tb.Revoke(seg(1), 0, 40*time.Millisecond); err != errTimedOut {
@@ -85,23 +127,48 @@ func TestRefusalIsRetriedUntilTheDeadline(t *testing.T) {
 	if d := time.Since(start); d < 40*time.Millisecond {
 		t.Fatalf("gave up after %v, before the deadline", d)
 	}
-	n := calls.Load()
-	if n < 2 {
-		t.Fatalf("a refuser was asked %d times, want a retry", n)
-	}
-	if cb, ref := tb.Counts(); cb != n || ref != n {
-		t.Fatalf("counts = %d callbacks, %d refusals after %d refused calls", cb, ref, n)
+	if cb, ref := tb.Counts(); cb != 1 || ref != 1 || calls.Load() != 1 {
+		t.Fatalf("counts = %d callbacks, %d refusals, %d calls; want the one ask", cb, ref, calls.Load())
 	}
 	if !tb.holds(seg(1), busy) {
 		t.Fatal("a refused copy was forgotten")
 	}
-	// The transaction ends while a revoke is polling: it succeeds.
-	time.AfterFunc(3*pollInterval, func() { close(release) })
-	if err := tb.Revoke(seg(1), 0, 5*time.Second); err != nil {
-		t.Fatal(err)
+	tb.Drop(seg(1), busy) // the transaction ends after all
+	if tb.waitsOn(seg(1)) {
+		t.Fatal("the holder's Drop left the timed-out revoke's wake-up channel behind")
 	}
-	if tb.holds(seg(1), busy) {
-		t.Fatal("a copy given up is still recorded")
+}
+
+// TestDropRacingARefusalWakesTheRevoke: the holder's Drop lands anywhere
+// between the ask and the park — inside the callback, before its refusal is
+// even returned, or from another goroutine at the same time — and the revoke
+// still ends at once, not at its deadline.
+func TestDropRacingARefusalWakesTheRevoke(t *testing.T) {
+	for _, inside := range []bool{true, false} {
+		tb := New(errTimedOut, nil)
+		busy := tb.Register()
+		var wg sync.WaitGroup
+		tb.SetCallback(busy, func(s proto.SegKey) (bool, error) {
+			if inside {
+				tb.Drop(s, busy)
+			} else {
+				wg.Add(1)
+				go func() { defer wg.Done(); tb.Drop(s, busy) }()
+			}
+			return true, nil
+		})
+		tb.Record(seg(1), busy)
+		start := time.Now()
+		if err := tb.Revoke(seg(1), 0, 10*time.Second); err != nil {
+			t.Fatalf("drop inside the callback %v: %v", inside, err)
+		}
+		wg.Wait()
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("drop inside the callback %v: the revoke waited %v for a drop that had landed", inside, d)
+		}
+		if cb, ref := tb.Counts(); cb != 1 || ref != 1 {
+			t.Fatalf("drop inside the callback %v: counts = %d callbacks, %d refusals; want one of each", inside, cb, ref)
+		}
 	}
 }
 
@@ -194,7 +261,7 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	if len(tb.copies) != 0 {
-		t.Fatalf("%d segments still have holders after everything was revoked", len(tb.copies))
+	if len(tb.copies) != 0 || len(tb.changed) != 0 {
+		t.Fatalf("%d segments still have holders, %d a wake-up channel, after everything was revoked", len(tb.copies), len(tb.changed))
 	}
 }

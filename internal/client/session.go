@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"bess/internal/detect"
@@ -28,7 +29,7 @@ type Stats struct {
 	Snapshots   int64 // snapshot transactions opened (E16)
 	LocalGrants int64 // segment accesses served from the inter-tx cache
 	SegsShipped int64 // segment images shipped at commits
-	Drops       int64 // cached copies dropped by callbacks
+	Drops       int64 // cached copies given up to callbacks, refused ones when their transaction ends
 	Refusals    int64 // callbacks refused (copy in use)
 }
 
@@ -80,8 +81,10 @@ type Session struct {
 	// pendingDrops holds callback revocations accepted between
 	// transactions; the application thread applies them at the next Begin
 	// (the mapper is single-threaded by design, so the RPC goroutine never
-	// touches it).
+	// touches it). refused holds the copies the current transaction refused
+	// to give up: they are dropped, and named in one Released, when it ends.
 	pendingDrops map[proto.SegKey]bool // guarded by mu
+	refused      map[proto.SegKey]bool // guarded by mu
 
 	// Streaming scan (prefetch.go). Not touched by the RPC goroutine.
 	scanWindow int // credit window in image bytes: defaultScanWindow
@@ -103,11 +106,12 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 		xLocked:      make(map[proto.SegKey]bool),
 		touched:      make(map[proto.SegKey]bool),
 		pendingDrops: make(map[proto.SegKey]bool),
+		refused:      make(map[proto.SegKey]bool),
 		spare:        make(map[geometry]*spares),
 		unpublished:  make(map[proto.SegKey]bool),
 		scanWindow:   defaultScanWindow,
 	}
-	s.mu.Init("Session.mu", 0)
+	s.mu.Init("Session.mu", rankSessionMu)
 	id, err := conn.Hello(name)
 	if err != nil {
 		return nil, err
@@ -138,6 +142,12 @@ func Open(conn proto.Conn, name, dbName string, create bool) (*Session, error) {
 	}
 	return s, nil
 }
+
+// rankSessionMu places Session.mu innermost of the server's and the rpc
+// layer's locks (internal/server/lockorder.go): it is never held across a
+// call of the session's Conn, whose first ranked lock would be out of order,
+// so a callback that takes it never waits on the session's own call.
+const rankSessionMu lockcheck.Rank = 65
 
 // segKey / segID convert between wire and mapper segment names.
 func segKey(id swizzle.SegID) proto.SegKey {
@@ -345,7 +355,8 @@ func (f *fetcher) FetchData(id swizzle.SegID, dec *segment.Seg) ([]byte, error) 
 
 func (f *fetcher) FetchLarge(id swizzle.SegID, _ *segment.Seg, slot int) ([]byte, error) {
 	if _, inSnap := f.s.snapState(); inSnap {
-		// FetchLarge takes an S lock server-side; snapshot reads hold none.
+		// Server.FetchLarge reads the live descriptor and its run, which
+		// may postdate the snapshot's stamp.
 		return nil, ErrSnapLarge
 	}
 	return f.s.conn.FetchLarge(f.s.client, segKey(id), slot)
@@ -403,16 +414,13 @@ func (s *Session) writeLock(key proto.SegKey) error {
 }
 
 // onCallback handles a server revocation. It runs on the RPC goroutine, so
-// it never touches the (single-threaded) mapper: while a transaction is
-// active the callback is refused — the paper's "callback waits until the
-// client's transaction ends" — and between transactions the drop is queued
-// for the application thread to apply at the next Begin. TryLock keeps the
-// callback from deadlocking against an in-flight remote call that holds
-// the session.
+// it never touches the (single-threaded) mapper: while the current
+// transaction uses the copy the callback is refused — the paper's "callback
+// waits until the client's transaction ends" — and the copy is given up when
+// it does (endTx); otherwise the drop is queued for the application thread
+// to apply at the next Begin.
 func (s *Session) onCallback(key proto.SegKey) (refused bool) {
-	if !s.mu.TryLock() {
-		return true
-	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A snapshot always accepts: the revoking writer's commit stamp is
 	// strictly above this snapshot's (the callback precedes its commit,
@@ -429,6 +437,7 @@ func (s *Session) onCallback(key proto.SegKey) (refused bool) {
 	// (drainDropLocked).
 	if s.inTx && (s.touched[key] || s.xLocked[key]) {
 		s.stats.Refusals++
+		s.refused[key] = true
 		return true
 	}
 	s.pendingDrops[key] = true
@@ -565,7 +574,9 @@ func (s *Session) Commit() error {
 	for _, img := range images {
 		s.mapper.MarkClean(segID(img.Seg))
 	}
-	s.endTx(true)
+	// The commit stands whatever the Released says: a holder record the
+	// server keeps costs one accepted callback later.
+	_ = s.endTx(true, nil)
 	return nil
 }
 
@@ -635,11 +646,10 @@ func (s *Session) FinishCommit(commit bool) error {
 		for _, id := range s.mapper.DirtySegs() {
 			s.mapper.MarkClean(id)
 		}
-	} else {
-		err = errors.Join(err, s.dropDirty())
+		_ = s.endTx(true, nil) // as after Commit
+		return nil
 	}
-	s.endTx(commit && err == nil)
-	return err
+	return errors.Join(err, s.endTx(false, s.rolledBack()))
 }
 
 // Abort rolls back: local changes are discarded (dirty cached copies are
@@ -658,9 +668,8 @@ func (s *Session) Abort() error {
 	}
 	txid := s.txID
 	s.mu.Unlock()
-	err := errors.Join(s.unpublish(), s.dropDirty(), s.conn.Abort(s.client, txid))
-	s.endTx(false)
-	return err
+	err := errors.Join(s.unpublish(), s.conn.Abort(s.client, txid))
+	return errors.Join(err, s.endTx(false, s.rolledBack()))
 }
 
 // unpublish takes back every segment the session created and has not
@@ -682,20 +691,21 @@ func (s *Session) unpublish() error {
 	return errors.Join(errs...)
 }
 
-// dropDirty gives up every copy the transaction being rolled back changed
-// (and, release's share, every segment created and not looked at since): what
-// the session reads next of any of them comes from the server.
-func (s *Session) dropDirty() error {
-	return s.release(s.mapper.DirtySegs())
+// rolledBack lists the copies a rollback gives up: every one the transaction
+// changed, and every segment created and not looked at since. What the
+// session reads next of any of them comes from the server.
+func (s *Session) rolledBack() []swizzle.SegID {
+	return append(s.mapper.DirtySegs(), s.fetch.unbuilt()...) // never loaded, so in neither list twice
 }
 
-// release drops the cached copies of ids, and with them the note of every
-// segment the session created and has not built the image of yet, and tells
-// the server so in one message. A segment is named to the server even if
-// dropping it failed: the session will not serve it again either way. A
-// segment the session has not published is no copy: it stays.
+// release drops the cached copies of ids and tells the server so in one
+// message. A segment is named to the server even if dropping it failed: the
+// session will not serve it again either way. A segment the session has not
+// published is no copy: it stays.
 func (s *Session) release(ids []swizzle.SegID) error {
-	ids = append(ids, s.fetch.unbuilt()...) // never loaded, so in neither list twice
+	if len(ids) == 0 {
+		return nil
+	}
 	kept := ids[:0]
 	s.mu.Lock()
 	for _, id := range ids {
@@ -717,19 +727,31 @@ func (s *Session) release(ids []swizzle.SegID) error {
 	return errors.Join(append(errs, s.conn.Released(s.client, keys))...)
 }
 
-func (s *Session) endTx(committed bool) {
+// endTx ends the transaction at the session, once it has ended at the
+// server: drop is what it gives up (a rollback's copies), and with them go
+// the copies it refused a callback for, all named in one Released.
+func (s *Session) endTx(committed bool, drop []swizzle.SegID) error {
 	s.det.EndTransaction()
 	s.mu.Lock()
 	s.inTx = false
 	s.txID = 0
 	s.xLocked = make(map[proto.SegKey]bool)
 	s.touched = make(map[proto.SegKey]bool)
+	for key := range s.refused {
+		if id := segID(key); !slices.Contains(drop, id) {
+			drop = append(drop, id)
+		}
+	}
+	s.stats.Drops += int64(len(s.refused))
+	clear(s.refused)
 	ends := s.onEnd
 	s.onEnd = nil
 	s.mu.Unlock()
+	err := s.release(drop)
 	for _, end := range ends {
 		end(committed)
 	}
+	return err
 }
 
 // updateTx returns the transaction an update runs under: there is none in a
@@ -1268,10 +1290,11 @@ func (r runStore) data(k proto.SegKey) ([]byte, error) {
 	return seg.Data, nil
 }
 
-// DropAllCached drops every cached segment (benchmarks compare cold/warm
-// behaviour) and tells the server in one message.
+// DropAllCached drops every cached segment, and the note of every segment
+// created and not looked at since (benchmarks compare cold/warm behaviour),
+// and tells the server in one message.
 func (s *Session) DropAllCached() error {
-	return s.release(s.mapper.CachedSegs())
+	return s.release(append(s.mapper.CachedSegs(), s.fetch.unbuilt()...))
 }
 
 func (s *Session) String() string {

@@ -93,9 +93,7 @@ func (s *Session) EndSnapshot() error {
 	for key := range revoked {
 		_ = s.dropSeg(segID(key)) // promised to the server mid-snapshot
 	}
-	err := s.conn.SnapClose(s.client, snap)
-	s.endTx(false)
-	return err
+	return errors.Join(s.conn.SnapClose(s.client, snap), s.endTx(false, nil))
 }
 
 // snapState returns the snapshot id and whether snapshot mode is active —

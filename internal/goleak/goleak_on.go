@@ -19,9 +19,10 @@ const Enabled = true
 var checkBudget = 2 * time.Second
 
 var reg = struct {
-	mu   sync.Mutex
-	next uint64
-	live map[uint64]string // spawn id -> site label
+	mu    sync.Mutex
+	next  uint64
+	live  map[uint64]string // spawn id -> site label
+	ended chan struct{}     // made by a waiting Check, closed by the next untrack
 }{live: make(map[uint64]string)}
 
 // track registers a goroutine about to start under the site label name;
@@ -37,7 +38,21 @@ func track(name string) uint64 {
 func untrack(id uint64) {
 	reg.mu.Lock()
 	delete(reg.live, id)
+	if reg.ended != nil {
+		close(reg.ended)
+		reg.ended = nil
+	}
 	reg.mu.Unlock()
+}
+
+// ending returns a channel the next tracked goroutine to end closes.
+func ending() <-chan struct{} {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if reg.ended == nil {
+		reg.ended = make(chan struct{})
+	}
+	return reg.ended
 }
 
 // Live returns the site labels of the tracked goroutines currently running,
@@ -62,22 +77,27 @@ func matches(name string, prefixes []string) bool {
 }
 
 // Check fails t if any tracked goroutine (matching the prefixes, when
-// given) is still live after a short drain window. The failure names each
-// leaked site with its live count.
+// given) is still live after a short drain window; it looks again each time a
+// tracked goroutine ends. The failure names each leaked site with its live
+// count.
 func Check(t TB, prefixes ...string) {
 	t.Helper()
-	deadline := time.Now().Add(checkBudget)
+	budget := time.NewTimer(checkBudget)
+	defer budget.Stop()
 	for {
-		left := Live(prefixes...)
-		if len(left) == 0 {
+		ended := ending() // before looking, so no end goes unseen
+		if len(Live(prefixes...)) == 0 {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Errorf("goleak: %d tracked goroutine(s) still live: %s",
-				len(left), strings.Join(aggregate(left), ", "))
+		select {
+		case <-ended:
+		case <-budget.C:
+			if left := Live(prefixes...); len(left) > 0 {
+				t.Errorf("goleak: %d tracked goroutine(s) still live: %s",
+					len(left), strings.Join(aggregate(left), ", "))
+			}
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -67,3 +67,31 @@ func TestCheckReportsLeakBySite(t *testing.T) {
 	g.Stop()
 	Check(t, "test.leak")
 }
+
+// TestCheckWaitsForTheGoroutineToEnd: a goroutine still running when Check
+// starts, which ends well inside the budget, passes, and Check returns when
+// it ends, not when the budget runs out.
+func TestCheckWaitsForTheGoroutineToEnd(t *testing.T) {
+	old := checkBudget
+	checkBudget = time.Minute
+	defer func() { checkBudget = old }()
+
+	var g Group
+	release := make(chan struct{})
+	g.Go("test.draining", func(<-chan struct{}) { <-release })
+	checked := make(chan []string)
+	go func() {
+		var f fakeTB
+		Check(&f, "test.draining")
+		checked <- f.msgs
+	}()
+	close(release)
+	start := time.Now()
+	if msgs := <-checked; len(msgs) != 0 {
+		t.Fatalf("Check reported %q for a goroutine that ended", msgs)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Check took %v to see the goroutine end", d)
+	}
+	g.Stop()
+}

@@ -51,10 +51,11 @@ func isRevocationTimeout(err error) bool {
 // The callback runs on whatever goroutine the Conn delivers it on, so the
 // model is under mu.
 type confClient struct {
-	conn   proto.Conn
-	id     uint32
-	cached map[proto.SegKey]bool // fetched, and not given up since
-	busy   map[proto.SegKey]bool // a transaction of this client is reading its copy
+	conn    proto.Conn
+	id      uint32
+	cached  map[proto.SegKey]bool // fetched, and not given up since
+	busy    map[proto.SegKey]bool // a transaction of this client is reading its copy
+	refused map[proto.SegKey]bool // called back while busy: given up, with Released, when it stops
 }
 
 // callbackConformance drives clients spread over conns through a seeded random
@@ -62,14 +63,16 @@ type confClient struct {
 // against a shadow model, and checks at every step: a write is granted exactly
 // when no other client is using a copy, and then no other client has one; a
 // write blocked by a copy in use fails with the tier's typed error; and every
-// fetch, by anyone, through any tier, returns the last committed value.
+// fetch, by anyone, through any tier, returns the last committed value. A
+// client keeps the contract of proto.Conn.SetCallback: a copy it refused to
+// give up while busy it gives up, with Released, when it stops being busy.
 func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 	const nClients, nSegs, steps = 5, 3, 160
 	rng := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex
 	clients := make([]*confClient, nClients)
 	for i := range clients {
-		c := &confClient{conn: conns[i%len(conns)], cached: map[proto.SegKey]bool{}, busy: map[proto.SegKey]bool{}}
+		c := &confClient{conn: conns[i%len(conns)], cached: map[proto.SegKey]bool{}, busy: map[proto.SegKey]bool{}, refused: map[proto.SegKey]bool{}}
 		id, err := c.conn.Hello("conformance")
 		if err != nil {
 			t.Fatal(err)
@@ -79,6 +82,7 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 			mu.Lock()
 			defer mu.Unlock()
 			if c.busy[seg] {
+				c.refused[seg] = true
 				return true, nil
 			}
 			c.cached[seg] = false
@@ -142,12 +146,22 @@ func callbackConformance(t *testing.T, conns []proto.Conn, seed int64) {
 			fetch(at("fetch"), c, seg)
 		case op < 5: // a transaction starts or stops reading the cached copy
 			mu.Lock()
+			owed := false
 			if c.busy[seg] {
 				c.busy[seg] = false
+				owed = c.refused[seg]
+				if owed {
+					c.refused[seg], c.cached[seg] = false, false
+				}
 			} else if c.cached[seg] {
 				c.busy[seg] = true
 			}
 			mu.Unlock()
+			if owed {
+				if err := c.conn.Released(c.id, []proto.SegKey{seg}); err != nil {
+					t.Fatalf("%s: %v", at("release a refused copy"), err)
+				}
+			}
 		case op < 6:
 			mu.Lock()
 			idle := c.cached[seg] && !c.busy[seg]

@@ -69,7 +69,8 @@ type NodeServer struct {
 
 	stats struct{ upstream, hits, callbacks atomic.Int64 }
 
-	// RevokeTimeout bounds local revocation loops.
+	// RevokeTimeout bounds how long a local revocation waits for a refusing
+	// local's Released.
 	RevokeTimeout time.Duration
 }
 
@@ -128,7 +129,8 @@ func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach
 // onUpstreamCallback revokes the node's copy of seg. The image goes first, so
 // that from here on a local fetch goes upstream instead of becoming a new
 // holder of the image the node is about to say it gave up; then every local
-// copy must drop.
+// copy must drop. A local that refuses is waited for: its Released reaches
+// Released, whose Drop wakes the revoke.
 func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
 	ns.stats.callbacks.Add(1)
 	ns.mu.Lock()

@@ -106,8 +106,10 @@ type Conn interface {
 	Hello(name string) (uint32, error)
 	// SetCallback installs client's revocation handler: before a write to a
 	// segment is granted, every other client caching it is asked through cb
-	// to drop its copy. refused means a live transaction is using the copy
-	// (the asker waits and asks again); an error means the client is gone.
+	// to drop its copy. refused means a live transaction is using the copy: a
+	// client that refuses must send Released when it lets the copy go, which
+	// is what the asker waits for before it asks again; an error means the
+	// client is gone.
 	SetCallback(client uint32, cb func(SegKey) (refused bool, err error)) error
 	// OpenDB opens (or creates, if create) a database by name.
 	OpenDB(name string, create bool) (db uint32, host uint16, err error)

@@ -6,11 +6,11 @@
 // every acquisition is checked against the locks its goroutine holds. Lower
 // rank = acquired earlier (outermost): a goroutine holding a may acquire b
 // only if rank(a) < rank(b), and locks of equal rank must not nest at all.
-// Rank 0 (area.Area.mu, the lock manager's internals, client-side session
-// locks, the scan table, the shared cache's SMT lock) is unranked: no
-// ordering constraint, still checked for recursive acquisition at runtime.
+// Rank 0 (area.Area.mu, the lock manager's internals, the scan table, the
+// shared cache's SMT lock) is unranked: no ordering constraint, still checked
+// for recursive acquisition at runtime.
 //
-// The constants live beside the locks they rank, in eight packages (none of
+// The constants live beside the locks they rank, in nine packages (none of
 // which can import server): `grep -rn 'lockcheck.Rank = ' internal` prints
 // the whole order. What the numbers cannot say is why:
 //
@@ -23,6 +23,11 @@
 // snapshot registry, sits innermost but for Log.mu — commit hooks publish
 // staged versions while the committing transaction still holds everything
 // else.
+//
+// client.Session.mu ranks inside every lock a call of its Conn takes, the
+// server's and the rpc.Peer's (65): a session never holds it across a call,
+// so a callback, which takes it on whatever goroutine delivers it, never
+// waits on a call of the session's own.
 //
 // The shared-memory cache (internal/shm) is outside the server but in the
 // same order. A slot latch ranks outermost of all (1, below the rpc.Peer
