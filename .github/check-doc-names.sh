@@ -6,7 +6,9 @@
 # (or no Type, or no Member). A rename or a deletion then fails here instead
 # of leaving the docs naming code that is gone. File names (`wal.log`,
 # `catalog.bess`) and dotted metric names (`wal.syncs_per_commit`) are not
-# code and are skipped.
+# code and are skipped. A path into the tree (`internal/…`, `cmd/…`,
+# `examples/…`) must exist; one that ends in `.Ident` (`internal/goleak.Group`)
+# names a package directory and something that package declares.
 #
 # Usage: .github/check-doc-names.sh [doc.md ...]   (default: DESIGN.md README.md)
 set -euo pipefail
@@ -48,6 +50,22 @@ for doc in "$@"; do
 		echo "$doc: \`$name\` names no declaration" >&2
 		fail=1
 	done < <(grep -oE '`([a-z][a-z0-9]*(\.[A-Za-z][A-Za-z0-9]*){1,2}|(Test|Fuzz|Benchmark)[A-Za-z0-9_]+)`' "$doc" | tr -d '`' | sort -u)
+done
+for doc in "$@"; do
+	while IFS= read -r path; do
+		n=$((n + 1))
+		ident=
+		if [[ $path =~ ^(.*[^.])\.([A-Z][A-Za-z0-9]*)$ ]]; then
+			path=${BASH_REMATCH[1]} ident=${BASH_REMATCH[2]}
+		fi
+		if [ -n "$ident" ]; then
+			[ -d "$path" ] && declares "$path" "$ident" && continue
+		else
+			[ -e "$path" ] && continue
+		fi
+		echo "$doc: \`$path${ident:+.$ident}\` names no file, directory or declaration" >&2
+		fail=1
+	done < <(grep -oE '`(internal|cmd|examples)/[^` ]*`' "$doc" | tr -d '`' | sort -u)
 done
 echo "$n names checked" >&2
 exit $fail

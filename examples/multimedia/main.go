@@ -18,11 +18,15 @@ import (
 func main() {
 	srv := server.NewMem(1)
 	defer srv.Close()
+	db, err := core.OpenDatabase(srv, "prospector", "media", true)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// §2.4: "compressing [very large objects] when they are stored on disk,
 	// and uncompressing them when they are fetched" — the functions are
-	// written by the user and registered with the BeSS system.
-	srv.Hooks().Register(hooks.EvObjectFlush, func(i *hooks.Info) error {
+	// written by the user and registered with the session that stores them.
+	db.Session().Hooks().Register(hooks.EvObjectFlush, func(i *hooks.Info) error {
 		var buf bytes.Buffer
 		w, err := flate.NewWriter(&buf, flate.BestSpeed)
 		if err != nil {
@@ -38,7 +42,7 @@ func main() {
 		*i.Data = buf.Bytes()
 		return nil
 	})
-	srv.Hooks().Register(hooks.EvObjectFetch, func(i *hooks.Info) error {
+	db.Session().Hooks().Register(hooks.EvObjectFetch, func(i *hooks.Info) error {
 		r := flate.NewReader(bytes.NewReader(*i.Data))
 		out, err := io.ReadAll(r)
 		if err != nil {
@@ -48,10 +52,6 @@ func main() {
 		return nil
 	})
 
-	db, err := core.OpenDatabase(srv, "prospector", "media", true)
-	if err != nil {
-		log.Fatal(err)
-	}
 	tracks, err := db.CreateFile("tracks")
 	if err != nil {
 		log.Fatal(err)

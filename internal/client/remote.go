@@ -170,12 +170,6 @@ func (r *Remote) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []by
 	return img.Slotted, img.Overflow, img.Data, err
 }
 
-// FetchLarge implements proto.Conn.
-func (r *Remote) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
-	rep, err := call(r, proto.MethodFetchLarge, &proto.FetchLargeArgs{Client: client, Seg: seg, Slot: slot})
-	return rep.Data, err
-}
-
 // SnapOpen implements proto.Conn: open a server-side snapshot.
 func (r *Remote) SnapOpen(client uint32) (uint64, uint64, error) {
 	rep, err := call(r, proto.MethodSnapOpen, &proto.ClientArgs{Client: client})
@@ -246,12 +240,6 @@ func (r *Remote) SegmentsOf(db, fileID uint32) ([]proto.SegKey, error) {
 func (r *Remote) Released(client uint32, segs []proto.SegKey) error {
 	_, err := call(r, proto.MethodReleased, &proto.ReleasedArgs{Client: client, Segs: segs})
 	return err
-}
-
-// StoreLarge implements proto.Conn.
-func (r *Remote) StoreLarge(client uint32, tx uint64, seg proto.SegKey, content []byte) ([]byte, error) {
-	rep, err := call(r, proto.MethodStoreLarge, &proto.StoreLargeArgs{Client: client, Tx: tx, Seg: seg, Content: content})
-	return rep.Data, err
 }
 
 // NameBind implements proto.Conn.

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"bess/internal/detect"
+	"bess/internal/hooks"
 	"bess/internal/largeobj"
 	"bess/internal/lockcheck"
 	"bess/internal/oid"
@@ -22,6 +23,7 @@ var (
 	ErrNoTx      = errors.New("client: no active transaction")
 	ErrTxActive  = errors.New("client: transaction already active")
 	ErrStaleRoot = errors.New("client: root object OID is stale")
+	ErrTooLarge  = errors.New("client: object exceeds transparent large-object limit")
 )
 
 // Stats are per-session counters: the quantities E2/E6 report.
@@ -169,6 +171,10 @@ func (s *Session) Types() *segment.Registry { return s.types }
 
 // Mapper exposes the underlying mapper (benches and tools).
 func (s *Session) Mapper() *swizzle.Mapper { return s.mapper }
+
+// Hooks returns the session's hook registry (§2.4): the large-object data
+// hooks run here, where the content is built (CreateLarge) and read.
+func (s *Session) Hooks() *hooks.Registry { return s.mapper.Hooks() }
 
 // Snapshot returns the session counters.
 func (s *Session) Snapshot() Stats {
@@ -351,15 +357,6 @@ func (f *fetcher) FetchData(id swizzle.SegID, dec *segment.Seg) ([]byte, error) 
 		}
 	}
 	return img.Data, nil
-}
-
-func (f *fetcher) FetchLarge(id swizzle.SegID, _ *segment.Seg, slot int) ([]byte, error) {
-	if _, inSnap := f.s.snapState(); inSnap {
-		// Server.FetchLarge reads the live descriptor and its run, which
-		// may postdate the snapshot's stamp.
-		return nil, ErrSnapLarge
-	}
-	return f.s.conn.FetchLarge(f.s.client, segKey(id), slot)
 }
 
 func (f *fetcher) Resolve(headerOff uint64) (swizzle.SegID, int, error) {
@@ -963,17 +960,13 @@ func (s *Session) CreateObject(seg proto.SegKey, typ segment.TypeID, data []byte
 		var err error
 		slot, err = sg.CreateObject(typ, data)
 		if err == segment.ErrDataFull {
-			// Grow the data segment and relocate (server re-homes it at
-			// commit); references are unaffected.
-			pages := int(sg.Hdr.DataPages) * 2
-			if pages == 0 {
-				pages = 1
+			// The data section moves to a run of twice the pages;
+			// references name slots, so none changes.
+			if err := s.moveSection(sg, true, max(2*int(sg.Hdr.DataPages), 1)); err != nil {
+				return err
 			}
-			if err2 := sg.ResizeData(pages); err2 != nil {
-				return err2
-			}
-			if err2 := s.mapper.RelocateData(id); err2 != nil {
-				return err2
+			if err := s.mapper.RelocateData(id); err != nil {
+				return err
 			}
 			slot, err = sg.CreateObject(typ, data)
 		}
@@ -1089,14 +1082,20 @@ func (s *Session) UnsetRoot(name string) error {
 }
 
 // CreateLarge stores a transparent large object in seg, returning its slot
-// address. The server stores the content (StoreLarge) and the session adds
-// the descriptor to its copy of seg, as CreateObject adds a small object: the
-// segment is X-locked, ships at commit, and until then no other client can
-// find the object. The creator reads it from its own copy, with no fetch.
+// address. Its content, as the flush-side hooks (§2.4: compression) leave it,
+// is the data section of a segment of its own, created from the session's
+// reserved runs as a run store's is, with no message; the session adds a
+// descriptor naming that segment to its copy of seg, as CreateObject adds a
+// small object. Both ship at commit, which publishes the content segment, and
+// until then no other client can find the object. The creator reads it from
+// its own copy, with no fetch; another reader fetches the content segment
+// like any other (swizzle's loadLarge).
 func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []byte) (vmem.Addr, error) {
-	txid, err := s.updateTx()
-	if err != nil {
+	if _, err := s.updateTx(); err != nil {
 		return vmem.NilAddr, err
+	}
+	if len(content) > segment.MaxTransparentLarge {
+		return vmem.NilAddr, ErrTooLarge
 	}
 	if err := s.writeLock(seg); err != nil {
 		return vmem.NilAddr, err
@@ -1108,17 +1107,29 @@ func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []by
 	if err := s.mapper.EnsureLoaded(id); err != nil {
 		return vmem.NilAddr, err
 	}
-	desc, err := s.conn.StoreLarge(s.client, txid, seg, content)
+	stored := content
+	if err := s.Hooks().FireData(hooks.EvObjectFlush, id, &stored); err != nil {
+		return vmem.NilAddr, err
+	}
+	rs := runStore{s}
+	run, _, err := rs.Alloc(max((len(stored)+page.Size-1)/page.Size, 1))
+	if err == nil {
+		err = rs.WriteRun(run, stored)
+	}
 	if err != nil {
 		return vmem.NilAddr, err
 	}
+	k := runKey(run)
+	desc := segment.LargeDesc{Area: page.AreaID(k.Area), Start: page.No(k.Start), Stored: uint32(len(stored)), CRC: page.Checksum(stored)}
 	var slot int
 	err = s.mapper.TrustedSlotUpdate(id, func(sg *segment.Seg) error {
 		if sg.Hdr.OverPages == 0 {
-			sg.EnsureOverflow(1) // the server allocates the run at commit
+			if err := s.moveSection(sg, false, 1); err != nil {
+				return err
+			}
 		}
 		var err error
-		slot, err = sg.CreateDescriptor(segment.KindLarge, typ, uint32(len(content)), desc)
+		slot, err = sg.CreateDescriptor(segment.KindLarge, typ, uint32(len(content)), desc.Encode())
 		return err
 	})
 	if err == nil {
@@ -1129,6 +1140,41 @@ func (s *Session) CreateLarge(seg proto.SegKey, typ segment.TypeID, content []by
 	}
 	s.mapper.MarkDataDirty(id)
 	return s.mapper.AddrOfSlot(id, slot)
+}
+
+// moveSection moves a section of sg that outgrows its run — its data (data
+// set) or its overflow — to a lone run of at least pages pages reserved to
+// the session, and sizes it to the run the area granted. The shipped header
+// names the run, and so does the commit (Created), which publishes it: the
+// server allocates nothing while committing. An abort gives the run back to
+// the spares, as it gives back a created segment's runs; so does a second
+// move in the same transaction give back the run the first one took.
+func (s *Session) moveSection(sg *segment.Seg, data bool, pages int) error {
+	g := geometry{0, pages, -1}
+	r, err := s.reserved(g)
+	if err != nil {
+		return err
+	}
+	h := &sg.Hdr
+	area, start := &h.OverArea, &h.OverStart
+	if data {
+		area, start = &h.DataArea, &h.DataStart
+		if err := sg.ResizeData(r.DataPages); err != nil { // never: the run only grows
+			return err
+		}
+	} else {
+		sg.EnsureOverflow(r.DataPages)
+	}
+	from := proto.SegKey{Area: uint32(*area), Start: int64(*start)}
+	*area, *start = page.AreaID(r.Seg.Area), page.No(r.DataStart)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.IndexFunc(s.created, func(c createdSeg) bool { return c.SlottedPages == 0 && c.Seg == from }); i >= 0 {
+		s.spare[s.created[i].geom].runs = append(s.spare[s.created[i].geom].runs, s.created[i].Reserved)
+		s.created = slices.Delete(s.created, i, i+1)
+	}
+	s.created = append(s.created, createdSeg{proto.Created{Reserved: r}, g})
+	return nil
 }
 
 // Conn exposes the underlying connection (the core layer issues catalog
@@ -1295,8 +1341,4 @@ func (r runStore) data(k proto.SegKey) ([]byte, error) {
 // and tells the server in one message.
 func (s *Session) DropAllCached() error {
 	return s.release(append(s.mapper.CachedSegs(), s.fetch.unbuilt()...))
-}
-
-func (s *Session) String() string {
-	return fmt.Sprintf("session{client=%d db=%d}", s.client, s.db)
 }

@@ -461,27 +461,28 @@ func TestLargeObjectTransparent(t *testing.T) {
 	s.Commit()
 }
 
-// largeCounter is a proto.Conn that counts the FetchLarge calls it passes on.
-type largeCounter struct {
+// fetchCounter is a proto.Conn that counts the FetchSeg calls it passes on.
+type fetchCounter struct {
 	proto.Conn
 	fetches int
 }
 
-func (c *largeCounter) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
+func (c *fetchCounter) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	c.fetches++
-	return c.Conn.FetchLarge(client, seg, slot)
+	return c.Conn.FetchSeg(client, seg)
 }
 
 // TestLargeObjectReadInItsTransaction: two large objects and a small one go
 // into one segment in one transaction, and each reads back before the commit
-// from the creator's own copy — no FetchLarge — and after it from another
-// session's, whichever way the sessions reach the server.
+// from the creator's own copy — no fetch: the segment and the large objects'
+// content segments are the creator's — and after it from another session's,
+// whichever way the sessions reach the server.
 func TestLargeObjectReadInItsTransaction(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
 	for name, conn := range conns(t, srv) {
 		t.Run(name, func(t *testing.T) {
-			counted := &largeCounter{Conn: conn}
+			counted := &fetchCounter{Conn: conn}
 			w, err := Open(counted, "creator-"+name, "testdb", true)
 			if err != nil {
 				t.Fatal(err)
@@ -527,7 +528,7 @@ func TestLargeObjectReadInItsTransaction(t *testing.T) {
 			}
 			slots := check(w, "creator before its commit")
 			if counted.fetches != 0 {
-				t.Fatalf("the creator fetched %d large objects it holds", counted.fetches)
+				t.Fatalf("the creator fetched %d segments it holds", counted.fetches)
 			}
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)

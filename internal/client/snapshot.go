@@ -21,7 +21,6 @@ import (
 var (
 	ErrSnapshotRead = errors.New("client: snapshot transactions are read-only")
 	ErrNoSnap       = errors.New("client: no open snapshot")
-	ErrSnapLarge    = errors.New("client: large objects are not available in snapshot mode")
 )
 
 // BeginSnapshot opens a read-only snapshot transaction at the server's

@@ -286,8 +286,9 @@ func TestDirectHandleSnapshotLeavesChainImageIntact(t *testing.T) {
 }
 
 // TestSnapshotWritesRefused pins the read-only contract: every mutation and
-// every lock-taking path fails with ErrSnapshotRead (or ErrSnapLarge for
-// large objects, whose fetch is lock-coupled), and the session stays usable.
+// every lock-taking path fails with ErrSnapshotRead — while a large object,
+// its content a segment like any other, reads as of the stamp — and the
+// session stays usable.
 func TestSnapshotWritesRefused(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -304,7 +305,8 @@ func TestSnapshotWritesRefused(t *testing.T) {
 	if err := w.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.CreateLarge(largeSeg, 0, make([]byte, 30_000)); err != nil {
+	large := bytes.Repeat([]byte("as of the stamp "), 30_000/16)
+	if _, err := w.CreateLarge(largeSeg, 0, large); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -349,11 +351,12 @@ func TestSnapshotWritesRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	lobj, err := r.Deref(laddr)
+	var got []byte
 	if err == nil {
-		_, err = lobj.Bytes()
+		got, err = lobj.Bytes()
 	}
-	if err == nil || !strings.Contains(err.Error(), ErrSnapLarge.Error()) {
-		t.Fatalf("large object in snapshot: %v, want ErrSnapLarge", err)
+	if err != nil || !bytes.Equal(got, large) {
+		t.Fatalf("large object in snapshot: %d bytes, %v", len(got), err)
 	}
 	if err := r.EndSnapshot(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -611,6 +612,9 @@ func TestStreamScanRefusesOutOfOrderBatch(t *testing.T) {
 			var order *ScanOrderError
 			if !errors.As(err, &order) || order.Got != tc.seqs[1] || order.Want != 1 {
 				t.Fatalf("StreamScan: %v, want a ScanOrderError for batch %d where 1 was due", err, tc.seqs[1])
+			}
+			if got, want := order.Error(), fmt.Sprintf("client: scan %d: batch %d arrived where 1 was due", scanID, tc.seqs[1]); got != want {
+				t.Fatalf("the error reads %q, want %q", got, want)
 			}
 			st := s.lastScan
 			if held := heldBytes(st); held != 0 {

@@ -31,9 +31,6 @@ func (f *memFetcher) FetchSlotted(id swizzle.SegID) (*segment.Seg, error) {
 func (f *memFetcher) FetchData(id swizzle.SegID, _ *segment.Seg) ([]byte, error) {
 	return append([]byte(nil), f.segs[id].Data...), nil
 }
-func (f *memFetcher) FetchLarge(swizzle.SegID, *segment.Seg, int) ([]byte, error) {
-	return nil, errors.New("no large objects")
-}
 func (f *memFetcher) Resolve(off uint64) (swizzle.SegID, int, error) {
 	area, byteOff := swizzle.SplitHeaderOffset(off)
 	for id, s := range f.segs {

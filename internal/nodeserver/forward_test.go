@@ -27,10 +27,6 @@ func (u *recordingUpstream) FetchSeg(c uint32, _ proto.SegKey) ([]byte, []byte, 
 	u.saw["FetchSeg"] = c
 	return nil, nil, nil, nil
 }
-func (u *recordingUpstream) FetchLarge(c uint32, _ proto.SegKey, _ int) ([]byte, error) {
-	u.saw["FetchLarge"] = c
-	return nil, nil
-}
 func (u *recordingUpstream) Lock(c uint32, _ uint64, _ proto.SegKey, _ proto.LockMode) error {
 	u.saw["Lock"] = c
 	return nil
@@ -54,10 +50,6 @@ func (u *recordingUpstream) Publish(c uint32, _ uint64, _ []proto.Created, _ []p
 func (u *recordingUpstream) Released(c uint32, _ []proto.SegKey) error {
 	u.saw["Released"] = c
 	return nil
-}
-func (u *recordingUpstream) StoreLarge(c uint32, _ uint64, _ proto.SegKey, _ []byte) ([]byte, error) {
-	u.saw["StoreLarge"] = c
-	return nil, nil
 }
 func (u *recordingUpstream) SnapOpen(c uint32) (uint64, uint64, error) {
 	u.saw["SnapOpen"] = c
@@ -100,14 +92,12 @@ func TestLocalIDsNeverReachUpstream(t *testing.T) {
 	seg := proto.SegKey{Area: 1, Start: 8}
 	segs := []proto.SegImage{{Seg: seg}}
 	ns.FetchSeg(local, seg)
-	ns.FetchLarge(local, seg, 0)
 	ns.Lock(local, 1, seg, proto.LockX)
 	ns.LockObject(local, 1, seg, 0, proto.LockX)
 	ns.Abort(local, 1)
 	ns.Released(local, []proto.SegKey{seg})
 	ns.ReserveSegments(local, 1, -1, 1, 1, 1)
 	ns.Publish(local, 1, []proto.Created{{Reserved: proto.Reserved{Seg: seg}}}, segs, false)
-	ns.StoreLarge(local, 1, seg, nil)
 	ns.SnapOpen(local)
 	ns.SnapClose(local, 1)
 	ns.SnapFetchSeg(local, 1, seg)

@@ -259,12 +259,6 @@ func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, 
 	return bytes.Clone(img.Slotted), bytes.Clone(img.Overflow), bytes.Clone(img.Data), nil
 }
 
-// FetchLarge delegates upstream (large objects are not image-cached).
-func (ns *NodeServer) FetchLarge(local uint32, seg proto.SegKey, slot int) ([]byte, error) {
-	ns.stats.upstream.Add(1)
-	return ns.Conn.FetchLarge(ns.client, seg, slot)
-}
-
 // SnapOpen forwards: snapshots live on the owning server, whose commit
 // stamps define the version clock. Node-cached images are never served to a
 // snapshot — they track the live state, not the as-of one. Upstream every
@@ -332,8 +326,8 @@ func (ns *NodeServer) LockObject(local uint32, tx uint64, seg proto.SegKey, slot
 
 // Publish forwards a commit or a prepare under the node server's client id:
 // the node is the holder its server records for the segments it publishes,
-// and the one it calls back. A created segment must be made of runs local
-// holds. Once published, local is recorded as holding a copy of each — the
+// and the one it calls back. A created segment, or a lone run a shipped
+// section moved to, must be made of runs local holds. Once published, local is recorded as holding a copy of each — the
 // image it built of the runs — and the node's images of the shipped segments
 // go, so the next local fetch goes upstream. What was shipped is no
 // substitute: the slices are the committing session's own, which it keeps
@@ -371,7 +365,9 @@ func (ns *NodeServer) Publish(local uint32, tx uint64, created []proto.Created, 
 			delete(ns.images, si.Seg)
 		}
 		for _, c := range created {
-			ns.locals.Record(c.Seg, local)
+			if c.SlottedPages > 0 { // a lone run is no segment to hold
+				ns.locals.Record(c.Seg, local)
+			}
 		}
 		ns.mu.Unlock()
 	}
@@ -399,20 +395,6 @@ func (ns *NodeServer) Released(local uint32, segs []proto.SegKey) error {
 		return nil
 	}
 	return ns.Conn.Released(ns.client, gone)
-}
-
-// StoreLarge forwards, unless seg is made of runs another local holds: to
-// the server they are the node's, which needs no X to store into them. The
-// image stays: the segment changes only when the transaction ships it at
-// commit.
-func (ns *NodeServer) StoreLarge(local uint32, tx uint64, seg proto.SegKey, content []byte) ([]byte, error) {
-	ns.mu.Lock()
-	h, ok := ns.reserved[seg]
-	ns.mu.Unlock()
-	if ok && h.local != local {
-		return nil, notHeld(seg)
-	}
-	return ns.Conn.StoreLarge(ns.client, tx, seg, content)
 }
 
 var _ proto.Conn = (*NodeServer)(nil)

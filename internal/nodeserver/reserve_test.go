@@ -10,8 +10,9 @@ import (
 
 // TestLocalsReservationsStayApart: upstream every run pair a node reserves is
 // the node's, so the node itself keeps the locals apart. A local cannot
-// publish, or store a large object into, a segment made of runs another local
-// holds — the refusal changes nothing, and the holder publishes it after — and
+// publish a segment made of runs another local holds, or a lone run another
+// local holds for a section to move to — the refusal changes nothing, and the
+// holder publishes them after — and
 // the pairs a local leaves unpublished when it goes away serve the next
 // local's ReserveSegments of the same geometry, with no upstream message.
 func TestLocalsReservationsStayApart(t *testing.T) {
@@ -26,19 +27,23 @@ func TestLocalsReservationsStayApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	theirs := proto.Created{Reserved: runs[0], FileID: 1}
-	txid, _ := ns.NewTx()
-	if err := ns.Publish(b, txid, []proto.Created{theirs}, nil, false); !errors.Is(err, proto.ErrNotReserved) || !proto.Refused(err) {
-		t.Fatalf("b publishing a's runs: %v, want a refusal with ErrNotReserved", err)
+	lone, err := ns.ReserveSegments(a, db, -1, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ns.StoreLarge(b, txid, theirs.Seg, []byte("not yours")); !errors.Is(err, proto.ErrNotReserved) {
-		t.Fatalf("b storing into a's runs: %v, want ErrNotReserved", err)
+	theirs := proto.Created{Reserved: runs[0], FileID: 1}
+	theirRun := proto.Created{Reserved: lone[0]}
+	txid, _ := ns.NewTx()
+	for _, c := range []proto.Created{theirs, theirRun} {
+		if err := ns.Publish(b, txid, []proto.Created{c}, nil, false); !errors.Is(err, proto.ErrNotReserved) || !proto.Refused(err) {
+			t.Fatalf("b publishing a's runs %v: %v, want a refusal with ErrNotReserved", c.Seg, err)
+		}
 	}
 	if err := ns.Abort(b, txid); err != nil {
 		t.Fatal(err)
 	}
 	txid, _ = ns.NewTx()
-	if err := ns.Publish(a, txid, []proto.Created{theirs}, nil, false); err != nil {
+	if err := ns.Publish(a, txid, []proto.Created{theirs, theirRun}, nil, false); err != nil {
 		t.Fatalf("a publishing its own runs after b was refused: %v", err)
 	}
 	if _, err := srv.SegInfo(theirs.Seg); err != nil {

@@ -17,8 +17,8 @@ type Empty struct{}
 
 func (*Empty) Fields(*Cursor) {}
 
-// Bytes is a reply that is one byte string (FetchLarge, StoreLarge):
-// it travels as the raw frame body with no wrapper at all.
+// Bytes is a reply that is one byte string, as a named frame's raw call
+// (rpc.Peer.CallRaw) gets it: the raw frame body with no wrapper at all.
 type Bytes struct{ Data []byte }
 
 func (m *Bytes) Fields(c *Cursor) { c.Rest(&m.Data) }
@@ -140,7 +140,8 @@ const MaxReserve = 64
 // the slotted run at Seg.Start, whose key the segment made of it has, and the
 // data run at DataStart, of the DataPages the area granted. With a file id,
 // that is everything the segment's initial image is made of
-// (segment.Format), so nobody fetches it.
+// (segment.Format), so nobody fetches it. Asked for with no slotted pages it
+// is a lone run, keyed by its DataStart: the run a growing section moves to.
 type Reserved struct {
 	Seg          SegKey
 	SlottedPages int
@@ -169,7 +170,9 @@ func (m *ReserveSegmentsReply) Fields(c *Cursor) {
 }
 
 // Created is a segment a client made of a reserved run pair, for the file
-// FileID, which its next commit publishes (CommitArgs.Created).
+// FileID, which its next commit publishes (CommitArgs.Created); with no
+// slotted pages and no file, a lone run one of the commit's shipped sections
+// moved to.
 type Created struct {
 	Reserved
 	FileID uint32
@@ -216,19 +219,6 @@ func (m *ReleasedArgs) Fields(c *Cursor) {
 	for i := range segs {
 		c.SegKey(&segs[i])
 	}
-}
-
-// FetchLargeArgs fetches a transparent large object; the reply is Bytes.
-type FetchLargeArgs struct {
-	Client uint32
-	Seg    SegKey
-	Slot   int
-}
-
-func (m *FetchLargeArgs) Fields(c *Cursor) {
-	c.U32(&m.Client)
-	c.SegKey(&m.Seg)
-	c.I32(&m.Slot)
 }
 
 // ResolveArgs resolves a header offset.
@@ -389,22 +379,6 @@ func (m *SegmentsOfReply) Fields(c *Cursor) {
 	for i := range segs {
 		c.SegKey(&segs[i])
 	}
-}
-
-// StoreLargeArgs stores a transparent large object's content; the reply is
-// Bytes, its descriptor.
-type StoreLargeArgs struct {
-	Client  uint32
-	Tx      uint64
-	Seg     SegKey
-	Content []byte
-}
-
-func (m *StoreLargeArgs) Fields(c *Cursor) {
-	c.U32(&m.Client)
-	c.U64(&m.Tx)
-	c.SegKey(&m.Seg)
-	c.Section(&m.Content)
 }
 
 // NameArgs names a root object: the args of NameLookup and NameUnbind.
@@ -571,7 +545,7 @@ const (
 	CatNameBind                          // DB, Name, OID
 	CatNameUnbind                        // DB, Name
 	CatNameRemove                        // DB, OID
-	CatAddRun                            // DB, Seg (the run's area and start), DataPages (as granted)
+	CatAddRun                            // DB, Seg (a published lone run's area and start), DataPages (as granted)
 )
 
 var catalogOpNames = [...]string{"create-db", "add-area", "new-file", "register-type", "add-segment", "name-bind", "name-unbind", "name-remove", "add-run"}
@@ -599,7 +573,8 @@ type CatalogOp struct {
 
 	// CatAddSegment: the slotted run is Seg.Start for SlottedPages pages, the
 	// data run DataStart for DataPages pages as granted, both in Seg.Area.
-	// CatAddRun: the run is Seg.Start for DataPages pages as granted.
+	// CatAddRun: a lone run a commit published (a section moved there), at
+	// Seg.Start for DataPages pages as granted.
 	Seg          SegKey
 	FileID       uint32
 	SlottedPages int

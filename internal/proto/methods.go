@@ -7,9 +7,11 @@ package proto
 // never reassigned (internal/rpc/testdata/methods.golden pins them). 8
 // (CreateSegment: a session creates segments from ReserveSegments' runs), 10
 // and 11 (the two-step fetch FetchSeg replaced), 23 (the server-side
-// large-object create), 25 (FreeRun: a logged run is never freed) and 24, 26
+// large-object create), 25 (FreeRun: a logged run is never freed), 24, 26
 // and 27 (AllocRun, ReadRun and WriteRun: a client reaches area bytes only
-// through segments) are retired; 0 is a named frame's.
+// through segments) and 12 and 40 (FetchLarge and StoreLarge: a large
+// object's content is a segment of its own) are retired; 0 is a named
+// frame's.
 
 // Desc is a method's wire identity. A Desc with ID 0 names a method outside
 // the table, which travels under its name (tests and probes).
@@ -40,7 +42,6 @@ var (
 	MethodNewFileID       = method[DBArgs, IDReply](6, "NewFileID")
 	MethodAddArea         = method[DBArgs, IDReply](7, "AddArea")
 	MethodSegInfo         = method[SegArgs, SegInfoReply](9, "SegInfo")
-	MethodFetchLarge      = method[FetchLargeArgs, Bytes](12, "FetchLarge")
 	MethodFetchSeg        = method[ClientSegArgs, SegImage](13, "FetchSeg")
 	MethodResolve         = method[ResolveArgs, ResolveReply](14, "Resolve")
 	MethodLock            = method[LockArgs, Empty](15, "Lock")
@@ -63,7 +64,6 @@ var (
 	MethodSnapClose       = method[SnapCloseArgs, Empty](37, "SnapClose")
 	MethodSnapFetchSeg    = method[SnapFetchArgs, SegImage](38, "SnapFetchSeg")
 	MethodSnapScanStart   = method[SnapScanStartArgs, ScanStartReply](39, "SnapScanStart")
-	MethodStoreLarge      = method[StoreLargeArgs, Bytes](40, "StoreLarge")
 	MethodReserveSegments = method[ReserveSegmentsArgs, ReserveSegmentsReply](41, "ReserveSegments")
 )
 

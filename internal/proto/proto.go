@@ -126,10 +126,11 @@ type Conn interface {
 	// ReserveSegments reserves n run pairs (at most MaxReserve) in db's area
 	// areaHint (by index, -1 = first: multifiles spread their segments over
 	// areas) for client to create segments from: a slotted run of
-	// slottedPages pages and a data run of at least dataPages each. A
-	// reserved run is taken in memory only, no other client can lock, fetch
-	// or find a segment at its key, and the runs client has not published
-	// when it goes free again.
+	// slottedPages pages and a data run of at least dataPages each — or, with
+	// slottedPages 0, lone runs for sections to move to. A reserved run is
+	// taken in memory only, no other client can lock, fetch or find a segment
+	// at its key, and the runs client has not published when it goes free
+	// again.
 	ReserveSegments(client uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]Reserved, error)
 	// SegInfo returns the slotted size of seg in pages.
 	SegInfo(seg SegKey) (slottedPages int, err error)
@@ -137,8 +138,6 @@ type Conn interface {
 	// overflow image and the data segment image in one round trip, and
 	// records client as caching seg.
 	FetchSeg(client uint32, seg SegKey) (slotted, overflow, data []byte, err error)
-	// FetchLarge returns the content of a transparent large object.
-	FetchLarge(client uint32, seg SegKey, slot int) ([]byte, error)
 	// Resolve maps a 48-bit header offset to its segment and slot.
 	Resolve(db uint32, headerOff uint64) (SegKey, int, error)
 	// Lock acquires mode on seg for tx, driving callbacks to other clients
@@ -152,9 +151,11 @@ type Conn interface {
 	// voting yes (Decide ends it) — shipping segs, its segments' images, and
 	// first publishing created: segments client made of runs reserved to it,
 	// X-locked for tx and recorded with client as their holder, which every
-	// other client finds from tx's commit on. A run not reserved to client,
-	// as created names it, is refused (ErrNotReserved); a refusal marked
-	// ErrRefused changed nothing.
+	// other client finds from tx's commit on, and the lone runs reserved to
+	// it that shipped sections moved to. A run not reserved to client, as
+	// created names it, is refused (ErrNotReserved), and so is a section
+	// moved to a run created does not name; a refusal marked ErrRefused
+	// changed nothing.
 	Publish(client uint32, tx uint64, created []Created, segs []SegImage, prepare bool) error
 	// Abort rolls tx back and releases its locks.
 	Abort(client uint32, tx uint64) error
@@ -162,12 +163,6 @@ type Conn interface {
 	SegmentsOf(db uint32, fileID uint32) ([]SegKey, error)
 	// Released tells the server the client dropped its cached copies of segs.
 	Released(client uint32, segs []SegKey) error
-	// StoreLarge stores the content of a transparent (≤64KB) large object for
-	// tx, which holds X on seg: it goes to freshly allocated pages, written at
-	// tx's commit, and the reply is the object's descriptor
-	// (segment.LargeDesc), which the client adds to its copy of seg and ships
-	// with it. seg itself does not change.
-	StoreLarge(client uint32, tx uint64, seg SegKey, content []byte) (desc []byte, err error)
 	// Decide delivers the 2PC decision for a branch Publish prepared: the
 	// participant surface for distributed transactions coordinated by a
 	// client or another server.

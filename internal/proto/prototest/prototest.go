@@ -42,7 +42,6 @@ var (
 	root = oid.OID{Host: 1, DB: 4, Offset: 1 << 40, Unique: 2}
 
 	empty     = &proto.Empty{}
-	raw       = &proto.Bytes{Data: []byte("raw reply bytes")}
 	fetchArgs = &proto.ClientSegArgs{Client: 3, Seg: seg}
 	dbArgs    = &proto.DBArgs{DB: 4}
 	reserved  = proto.Reserved{Seg: seg, SlottedPages: 2, DataStart: 1<<40 + 2, DataPages: 16}
@@ -62,7 +61,6 @@ var Methods = []Method{
 	method(proto.MethodNewFileID, dbArgs, &proto.IDReply{ID: 9}),
 	method(proto.MethodAddArea, dbArgs, &proto.IDReply{ID: 7}),
 	method(proto.MethodSegInfo, &proto.SegArgs{Seg: seg}, &proto.SegInfoReply{SlottedPages: 2}),
-	method(proto.MethodFetchLarge, &proto.FetchLargeArgs{Client: 3, Seg: seg, Slot: 11}, raw),
 	method(proto.MethodFetchSeg, fetchArgs, &img),
 	method(proto.MethodResolve, &proto.ResolveArgs{DB: 4, HeaderOff: 1 << 33}, &proto.ResolveReply{Seg: seg, Slot: 11}),
 	method(proto.MethodLock, &proto.LockArgs{Client: 3, Tx: 99, Seg: seg, Mode: proto.LockX}, empty),
@@ -85,7 +83,6 @@ var Methods = []Method{
 	method(proto.MethodSnapClose, &proto.SnapCloseArgs{Client: 3, Snap: 11}, empty),
 	method(proto.MethodSnapFetchSeg, &proto.SnapFetchArgs{Client: 3, Snap: 11, Seg: seg}, &img),
 	method(proto.MethodSnapScanStart, &proto.SnapScanStartArgs{ScanStartArgs: scanStart, Snap: 11}, scanReply),
-	method(proto.MethodStoreLarge, &proto.StoreLargeArgs{Client: 3, Tx: 99, Seg: seg, Content: []byte("large content")}, raw),
 	method(proto.MethodReserveSegments, &proto.ReserveSegmentsArgs{Client: 3, DB: 4, AreaHint: -1, SlottedPages: 2, DataPages: 16, N: 2},
 		&proto.ReserveSegmentsReply{Runs: []proto.Reserved{reserved, {Seg: proto.SegKey{Area: 8}, SlottedPages: 1}}}),
 }
@@ -105,7 +102,8 @@ var CatalogOps = []*proto.CatalogOp{
 }
 
 // Messages returns one populated sample per distinct message type in
-// Methods, keyed by the type's name, plus CatalogOp's (its add-segment kind).
+// Methods, keyed by the type's name, plus CatalogOp's (its add-segment kind)
+// and Bytes', the reply of a named frame's raw call.
 func Messages() map[string]proto.Message { return messages }
 
 var messages = func() map[string]proto.Message {
@@ -118,6 +116,7 @@ var messages = func() map[string]proto.Message {
 		}
 	}
 	out["CatalogOp"] = CatalogOps[proto.CatAddSegment]
+	out["Bytes"] = &proto.Bytes{Data: []byte("raw reply bytes")}
 	return out
 }()
 

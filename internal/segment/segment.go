@@ -62,6 +62,9 @@ var (
 	ErrSizeChange  = errors.New("segment: in-place update must preserve size")
 	ErrNotSmall    = errors.New("segment: operation requires a small object slot")
 	ErrOverflowOff = errors.New("segment: overflow offset out of range")
+	// ErrOldLargeDesc refuses a large-object descriptor an older build wrote,
+	// which named a bare run where the content now is a segment of its own.
+	ErrOldLargeDesc = errors.New("segment: large-object descriptor written by an older build")
 )
 
 // Kind classifies what a slot's object header describes.
@@ -407,16 +410,20 @@ func (s *Seg) EnsureOverflow(nPages int) {
 // LargeDescSize is the encoded size of a LargeDesc.
 const LargeDescSize = 24
 
+// largeDescTag marks a LargeDesc that names a content segment; where it
+// stands, an older build's descriptor held its run's page count.
+const largeDescTag = 0x4C4F4232 // "LOB2"
+
 // LargeDesc is a transparent large object's descriptor, the overflow blob of
-// its KindLarge slot: the run holding the object's stored bytes and their
-// CRC-32C. Stored may differ from the slot's logical object size when a
-// flush-side hook (compression) transformed the content; the checksum covers
-// exactly the stored bytes, so a fetch verifies the run end to end before any
+// its KindLarge slot: the segment, created with the object, whose data
+// section holds the object's stored bytes, and their count and CRC-32C.
+// Stored may differ from the slot's logical object size when a flush-side
+// hook (compression) transformed the content; the checksum covers exactly
+// the stored bytes, so a read checks them against the descriptor before any
 // fetch-side hook runs.
 type LargeDesc struct {
 	Area   page.AreaID
-	Start  page.No
-	Pages  uint32
+	Start  page.No // the content segment's slotted run
 	Stored uint32
 	CRC    uint32
 }
@@ -426,29 +433,27 @@ func (d LargeDesc) Encode() []byte {
 	be := binary.BigEndian
 	b := be.AppendUint32(make([]byte, 0, LargeDescSize), uint32(d.Area))
 	b = be.AppendUint64(b, uint64(d.Start))
-	b = be.AppendUint32(b, d.Pages)
+	b = be.AppendUint32(b, largeDescTag)
 	b = be.AppendUint32(b, d.Stored)
 	return be.AppendUint32(b, d.CRC)
 }
 
-// DecodeLargeDesc parses the LargeDescSize bytes at the head of b, and
-// refuses a descriptor whose stored bytes overrun its run.
+// DecodeLargeDesc parses the LargeDescSize bytes at the head of b. A
+// descriptor an older build wrote is ErrOldLargeDesc.
 func DecodeLargeDesc(b []byte) (LargeDesc, error) {
 	if len(b) < LargeDescSize {
 		return LargeDesc{}, ErrOverflowOff
 	}
 	be := binary.BigEndian
-	d := LargeDesc{
+	if be.Uint32(b[12:]) != largeDescTag {
+		return LargeDesc{}, ErrOldLargeDesc
+	}
+	return LargeDesc{
 		Area:   page.AreaID(be.Uint32(b)),
 		Start:  page.No(be.Uint64(b[4:])),
-		Pages:  be.Uint32(b[12:]),
 		Stored: be.Uint32(b[16:]),
 		CRC:    be.Uint32(b[20:]),
-	}
-	if uint64(d.Stored) > uint64(d.Pages)*page.Size {
-		return LargeDesc{}, ErrOverflowOff
-	}
-	return d, nil
+	}, nil
 }
 
 // ObjectBytes returns the live bytes of small/forward object i. The slice

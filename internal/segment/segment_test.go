@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -535,11 +536,11 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestLargeDescRoundTrip: a descriptor encodes to its fixed size and back, and
-// one whose stored bytes overrun its run — it arrives in a client's shipped
-// overflow section — or that is cut short is refused.
+// TestLargeDescRoundTrip: a descriptor encodes to its fixed size and back;
+// one cut short is refused, and so, by name, is one an older build wrote,
+// which named a bare run of some pages where the content segment is now.
 func TestLargeDescRoundTrip(t *testing.T) {
-	d := LargeDesc{Area: 3, Start: 1 << 40, Pages: 2, Stored: 2*page.Size - 1, CRC: 0xDEADBEEF}
+	d := LargeDesc{Area: 3, Start: 1 << 40, Stored: 2*page.Size - 1, CRC: 0xDEADBEEF}
 	b := d.Encode()
 	if len(b) != LargeDescSize {
 		t.Fatalf("encoded %d bytes, want %d", len(b), LargeDescSize)
@@ -547,11 +548,11 @@ func TestLargeDescRoundTrip(t *testing.T) {
 	if got, err := DecodeLargeDesc(b); err != nil || got != d {
 		t.Fatalf("round trip: %+v, %v", got, err)
 	}
-	d.Stored = 2*page.Size + 1
-	if _, err := DecodeLargeDesc(d.Encode()); !errors.Is(err, ErrOverflowOff) {
-		t.Fatalf("stored bytes past the run: %v", err)
-	}
 	if _, err := DecodeLargeDesc(b[:LargeDescSize-1]); !errors.Is(err, ErrOverflowOff) {
 		t.Fatalf("a short descriptor: %v", err)
+	}
+	old := binary.BigEndian.AppendUint32(append([]byte(nil), b[:12]...), 2) // its run's pages
+	if _, err := DecodeLargeDesc(append(old, b[16:]...)); !errors.Is(err, ErrOldLargeDesc) {
+		t.Fatalf("an older build's descriptor: %v, want ErrOldLargeDesc", err)
 	}
 }

@@ -30,10 +30,11 @@ func fetchHeader(t *testing.T, s *Server, key proto.SegKey) segment.Header {
 }
 
 // TestRelocationPadsTheGrantedRun: a data section that grows is moved into a
-// fresh run, which the area may grant larger than the header asked for. The
-// shipped section is shorter than that run: the server zero-pads it, logs the
-// whole run, and the header's checksum covers the padded run — so the run
-// verifies, and reads, from its first fetch.
+// lone run reserved to the committing client, which the area may grant larger
+// than the client asked for. The shipped section is shorter than that run:
+// the server zero-pads it, logs the whole run, and the header's checksum
+// covers the padded run — so the run verifies, and reads, from its first
+// fetch.
 func TestRelocationPadsTheGrantedRun(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -47,6 +48,8 @@ func TestRelocationPadsTheGrantedRun(t *testing.T) {
 	}
 	dec := decodeSeg(t, sl, ov, data)
 	asked := int(was.DataPages) + 1
+	cl, _ := s.Hello("mover")
+	moved := moveRun(t, s, cl, key, &dec.Hdr.DataArea, &dec.Hdr.DataStart, asked)
 	if err := dec.ResizeData(asked); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestRelocationPadsTheGrantedRun(t *testing.T) {
 		dec.Data[i] = byte(i)
 	}
 	shipped := append([]byte(nil), dec.Data...)
-	commitImage(t, s, proto.SegImage{Seg: key, Slotted: dec.EncodeSlotted(), Data: dec.Data})
+	commitAs(t, s, cl, []proto.Created{moved}, proto.SegImage{Seg: key, Slotted: dec.EncodeSlotted(), Data: dec.Data})
 
 	h := fetchHeader(t, s, key)
 	if h.DataStart == was.DataStart || int(h.DataPages) <= asked {
@@ -84,10 +87,12 @@ func TestOverflowChecksumCarried(t *testing.T) {
 
 	grown := overwriteImage(t, s, key, []byte("grown"))
 	dec := decodeSeg(t, grown.Slotted, grown.Overflow, grown.Data)
+	cl, _ := s.Hello("mover")
+	moved := moveRun(t, s, cl, key, &dec.Hdr.OverArea, &dec.Hdr.OverStart, 2)
 	dec.EnsureOverflow(2)
 	copy(dec.Overflow[100:], "overflow bytes")
 	grown.Slotted, grown.Overflow = dec.EncodeSlotted(), dec.Overflow
-	commitImage(t, s, grown)
+	commitAs(t, s, cl, []proto.Created{moved}, grown)
 	was := fetchHeader(t, s, key)
 	if was.OverPages == 0 || was.CRCFlags&segment.CRCOver == 0 {
 		t.Fatalf("overflow of %d pages, flags %#x: want a checksummed run", was.OverPages, was.CRCFlags)

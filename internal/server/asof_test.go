@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bess/internal/cache"
+	"bess/internal/client"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
@@ -175,8 +176,23 @@ func TestAsOfChainImagesAreNeverWritten(t *testing.T) {
 	db, _, _ := s.OpenDB("d", true)
 	key := commitOne(t, s, db, body(0))
 	cl, _ := s.Hello("c")
-	large := func() { storeLarge(t, s, cl, key, bytes.Repeat([]byte("L"), 5000)) }
-	large() // allocates the overflow run
+	w, err := client.Open(s, "w", "d", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := func() {
+		t.Helper()
+		if err := w.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.CreateLarge(key, 0, bytes.Repeat([]byte("L"), 5000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	large() // moves the overflow section to its first run
 	snap, _, err := s.SnapOpen(cl)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"bess/internal/lockcheck"
@@ -365,18 +364,6 @@ func (c *catalog) nameRemoveOID(db *dbMeta, o oid.OID) error {
 		}
 		return &proto.CatalogOp{Kind: proto.CatNameRemove, OID: o}, nil
 	})
-}
-
-// dbOfAreaLocked returns the id of the database area aid belongs to, 0 if
-// none. The caller holds mu.
-func (c *catalog) dbOfAreaLocked(aid uint32) uint32 {
-	c.mu.AssertHeld()
-	for _, m := range c.Created {
-		if slices.Contains(m.Areas, aid) {
-			return m.ID
-		}
-	}
-	return 0
 }
 
 // areaIDs lists every attached area id across databases (startup).

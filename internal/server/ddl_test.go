@@ -225,25 +225,30 @@ func TestCreateSegmentLocksAndRecordsCreator(t *testing.T) {
 	}
 }
 
-// growImage returns key's current image with one object of body created in
-// it and, if grow, the data section doubled first — which makes the server
-// re-home the data run at commit and the header's DataStart change.
-func growImage(t *testing.T, s *Server, key proto.SegKey, body []byte, grow bool) proto.SegImage {
+// growImage commits, as a transaction of a client of its own, key's current
+// image with one object of body created in it and, if grow, the data section
+// first moved to a lone run of twice the pages reserved to the client — so
+// the header's DataStart changes, as a session's move does.
+func growImage(t *testing.T, s *Server, key proto.SegKey, body []byte, grow bool) {
 	t.Helper()
 	sl, ov, data, err := s.FetchSeg(0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := decodeSeg(t, sl, ov, data)
+	cl, _ := s.Hello("g")
+	var created []proto.Created
 	if grow {
-		if err := dec.ResizeData(2 * int(dec.Hdr.DataPages)); err != nil {
+		pages := 2 * int(dec.Hdr.DataPages)
+		created = append(created, moveRun(t, s, cl, key, &dec.Hdr.DataArea, &dec.Hdr.DataStart, pages))
+		if err := dec.ResizeData(pages); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := dec.CreateObject(0, body); err != nil {
 		t.Fatal(err)
 	}
-	return proto.SegImage{Seg: key, Slotted: dec.EncodeSlotted(), Overflow: dec.Overflow, Data: dec.Data}
+	commitAs(t, s, cl, created, proto.SegImage{Seg: key, Slotted: dec.EncodeSlotted(), Overflow: dec.Overflow, Data: dec.Data})
 }
 
 // TestRedoSegmentNeverClobbers is the hazard of DESIGN.md §5 made
@@ -274,7 +279,7 @@ func TestRedoSegmentNeverClobbers(t *testing.T) {
 				t.Fatal(err)
 			}
 			body := bytes.Repeat([]byte("committed "), 20)
-			commitImage(t, s, growImage(t, s, key, body, grow))
+			growImage(t, s, key, body, grow)
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -726,7 +731,7 @@ func TestDDLCrashProperty(t *testing.T) {
 			bare = append(bare[:i], bare[i+1:]...)
 			body := make([]byte, 100+rng.Intn(200))
 			rng.Read(body)
-			commitImage(t, s, growImage(t, s, key, body, rng.Intn(3) == 0))
+			growImage(t, s, key, body, rng.Intn(3) == 0)
 			committed[key] = body
 		case r < 18:
 			what = "checkpoint"

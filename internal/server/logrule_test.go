@@ -50,11 +50,19 @@ func objects(t *testing.T, dec *segment.Seg) [][]byte {
 func commitImage(t *testing.T, s *Server, img proto.SegImage) {
 	t.Helper()
 	cl, _ := s.Hello("c")
+	commitAs(t, s, cl, nil, img)
+}
+
+// commitAs commits imgs as one transaction of cl, which publishes created.
+func commitAs(t *testing.T, s *Server, cl uint32, created []proto.Created, imgs ...proto.SegImage) {
+	t.Helper()
 	txid, _ := s.NewTx()
-	if err := s.Lock(cl, txid, img.Seg, proto.LockX); err != nil {
-		t.Fatal(err)
+	for _, img := range imgs {
+		if err := s.Lock(cl, txid, img.Seg, proto.LockX); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Commit(cl, txid, []proto.SegImage{img}); err != nil {
+	if err := s.Publish(cl, txid, created, imgs, false); err != nil {
 		t.Fatal(err)
 	}
 }

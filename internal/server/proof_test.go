@@ -39,19 +39,12 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
 	db, _, _ := s.OpenDB("d", true)
-	m, err := s.cat.db(db)
+	key, err := createSeg(s, db, 1, 1, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, aid, err := s.areaOf(m, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, _, err := s.allocRun(a, aid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pid := page.ID{Area: page.AreaID(aid), Page: start}
+	h := fetchHeader(t, s, key)
+	pid := page.ID{Area: h.DataArea, Page: h.DataStart}
 	was := readPage(t, s, pid)
 	junk := bytes.Repeat([]byte{0xC3}, page.Size)
 	written := s.Snapshot().PagesWritten
@@ -126,7 +119,6 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 // the history being in the log, serve the repaired bytes.
 func TestEveryReadPathVerifies(t *testing.T) {
 	body := []byte("verified wherever it is read")
-	big := bytes.Repeat([]byte("large-object-content."), 300)
 	wantBody := func(t *testing.T, sl, ov, data []byte) {
 		t.Helper()
 		if b, err := decodeSeg(t, sl, ov, data).ObjectBytes(0); err != nil || !bytes.Equal(b, body) {
@@ -137,41 +129,34 @@ func TestEveryReadPathVerifies(t *testing.T) {
 	const (
 		slotted target = iota
 		data
-		largeRun
 	)
 	cases := []struct {
 		name string
 		rot  target
-		read func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey, slot int)
+		read func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey)
 	}{
-		{"FetchSeg of a rotted slotted page", slotted, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+		{"FetchSeg of a rotted slotted page", slotted, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey) {
 			sl, ov, d, err := s.FetchSeg(0, key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantBody(t, sl, ov, d)
 		}},
-		{"FetchSeg", data, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, _ int) {
+		{"FetchSeg", data, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey) {
 			sl, ov, d, err := s.FetchSeg(0, key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantBody(t, sl, ov, d)
 		}},
-		{"FetchLarge", largeRun, func(t *testing.T, s *Server, _ uint32, _ uint64, key proto.SegKey, slot int) {
-			got, err := s.FetchLarge(0, key, slot)
-			if err != nil || !bytes.Equal(got, big) {
-				t.Fatalf("large object after rot: %d bytes, %v", len(got), err)
-			}
-		}},
-		{"SnapFetchSeg", data, func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey, _ int) {
+		{"SnapFetchSeg", data, func(t *testing.T, s *Server, cl uint32, snap uint64, key proto.SegKey) {
 			sl, ov, d, err := s.SnapFetchSeg(cl, snap, key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantBody(t, sl, ov, d)
 		}},
-		{"StreamScan", data, func(t *testing.T, s *Server, cl uint32, _ uint64, key proto.SegKey, _ int) {
+		{"StreamScan", data, func(t *testing.T, s *Server, cl uint32, _ uint64, key proto.SegKey) {
 			cEnd, sEnd := rpc.Pipe()
 			defer cEnd.Close()
 			ServePeer(s, sEnd)
@@ -199,7 +184,7 @@ func TestEveryReadPathVerifies(t *testing.T) {
 				t.Fatal("the scan never pushed the segment")
 			}
 		}},
-		{"ScrubOnce", data, func(t *testing.T, s *Server, _ uint32, _ uint64, _ proto.SegKey, _ int) {
+		{"ScrubOnce", data, func(t *testing.T, s *Server, _ uint32, _ uint64, _ proto.SegKey) {
 			if _, err := s.ScrubOnce(); err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +197,6 @@ func TestEveryReadPathVerifies(t *testing.T) {
 			db, _, _ := s.OpenDB("d", true)
 			key := commitOne(t, s, db, body)
 			cl, _ := s.Hello("reader")
-			slot := storeLarge(t, s, cl, key, big)
 			snap, _, err := s.SnapOpen(cl)
 			if err != nil {
 				t.Fatal(err)
@@ -227,12 +211,9 @@ func TestEveryReadPathVerifies(t *testing.T) {
 				flipPageByte(t, s, key.Area, page.No(key.Start), segment.HeaderSize+3)
 			case data:
 				flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 5)
-			case largeRun:
-				d := largeDesc(t, s, key, slot)
-				flipPageByte(t, s, uint32(d.Area), d.Start+1, 9)
 			}
 			before := s.ScrubStatus()
-			c.read(t, s, cl, snap, key, slot)
+			c.read(t, s, cl, snap, key)
 			if st := s.ScrubStatus(); st.CorruptionsFound != before.CorruptionsFound+1 || st.Repaired != before.Repaired+1 || st.Quarantined != 0 {
 				t.Fatalf("counters %+v, before the read %+v: the flipped byte went unnoticed or unrepaired", st, before)
 			}

@@ -1,6 +1,6 @@
 // The server's one read pipeline (DESIGN.md §5, §7). A disk segment is a
-// contiguous run (paper §2), so every section — slotted, overflow, data,
-// large-object body — moves with one area.ReadRun, and every consumer
+// contiguous run (paper §2), so every section — slotted, overflow, data —
+// moves with one area.ReadRun, and every consumer
 // (fetches, snapshot reads, commit's current-image read, the scrubber)
 // gets its bytes from the two functions below: readRun verifies one run
 // and owns the repair/quarantine sequence; readImage assembles a segment
@@ -47,8 +47,8 @@ type reader struct {
 	}
 
 	stats struct {
-		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
-		commits, aborts, pagesWritten, snapFetches          atomic.Int64
+		messages, slottedFetches, dataFetches      atomic.Int64
+		commits, aborts, pagesWritten, snapFetches atomic.Int64
 	}
 }
 
@@ -63,8 +63,8 @@ type runRead struct {
 	Area  uint32
 	Start page.No
 	Pages int
-	// ZeroBase marks runs whose unlogged initial state is all zeroes (data,
-	// overflow, large-object runs), so repairRange can replay them from an
+	// ZeroBase marks runs whose unlogged initial state is all zeroes (data
+	// and overflow runs), so repairRange can replay them from an
 	// empty history; a slotted run needs a logged full-page image.
 	ZeroBase bool
 	// Verify checks the run against the checksum recorded for it.

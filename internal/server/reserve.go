@@ -14,14 +14,17 @@ import (
 	"bess/internal/tx"
 )
 
-// reservations are the run pairs ReserveSegments handed out and nobody has
-// published yet, and the segments published by transactions that have not
-// ended. A segment is created in three steps: its runs are reserved to a
-// client (in memory only: no extent map and no log record names them); the
-// client's commit publishes it (its add-segment op is logged, its runs
+// reservations are the run pairs and lone runs ReserveSegments handed out and
+// nobody has published yet, and the segments published by transactions that
+// have not ended. A segment is created in three steps: its runs are reserved
+// to a client (in memory only: no extent map and no log record names them);
+// the client's commit publishes it (its add-segment op is logged, its runs
 // formatted and entered in their extent maps, X taken for the transaction);
 // and when that transaction ends it enters the catalog, where every other
-// client finds it. mu is a plain mutex, held while taking no other lock.
+// client finds it. A lone run takes the first two steps: the commit that
+// moves a section to it logs its add-run op and enters it in its extent map.
+// Reservation is the only way to a run: nothing allocates while committing.
+// mu is a plain mutex, held while taking no other lock.
 type reservations struct {
 	mu      sync.Mutex
 	runs    map[proto.SegKey]reservation  // guarded by mu; by slotted run
@@ -50,8 +53,8 @@ func (s *Server) ReserveSegments(client uint32, db uint32, areaHint, slottedPage
 	return runs, err
 }
 
-// reserve takes n run pairs in db's area areaHint and reserves them to
-// client: all of them, or none.
+// reserve takes n run pairs — lone runs, with no slotted pages — in db's
+// area areaHint and reserves them to client: all of them, or none.
 func (s *Server) reserve(client uint32, db uint32, areaHint, slottedPages, dataPages, n int) ([]proto.Reserved, error) {
 	m, err := s.cat.db(db)
 	if err != nil {
@@ -66,14 +69,19 @@ func (s *Server) reserve(client uint32, db uint32, areaHint, slottedPages, dataP
 	for range n {
 		var sl, dt page.No
 		var granted int
-		if sl, _, err = a.Reserve(slottedPages); err != nil {
-			break
+		if slottedPages > 0 {
+			if sl, _, err = a.Reserve(slottedPages); err != nil {
+				break
+			}
+			starts = append(starts, sl)
 		}
-		starts = append(starts, sl)
 		if dt, granted, err = a.Reserve(dataPages); err != nil {
 			break
 		}
 		starts = append(starts, dt)
+		if slottedPages == 0 {
+			sl = dt
+		}
 		runs = append(runs, proto.Reserved{Seg: proto.SegKey{Area: aid, Start: int64(sl)},
 			SlottedPages: slottedPages, DataStart: int64(dt), DataPages: granted})
 	}
@@ -109,25 +117,28 @@ func (s *Server) freeReserved(client uint32) {
 	for _, r := range mine {
 		if a := s.lookupArea(r.Seg.Area); a != nil {
 			// A run nobody ever wrote or named: freeing it writes nothing,
-			// and there is no caller to tell if it fails.
-			_ = a.FreeSegment(page.No(r.Seg.Start))
+			// and there is no caller to tell if it fails. A lone run's key is
+			// its start.
+			if r.SlottedPages > 0 {
+				_ = a.FreeSegment(page.No(r.Seg.Start))
+			}
 			_ = a.FreeSegment(page.No(r.DataStart))
 		}
 	}
 }
 
-// heldBy reports whether seg's runs are reserved to client.
-func (s *Server) heldBy(client uint32, seg proto.SegKey) bool {
-	s.res.mu.Lock()
-	defer s.res.mu.Unlock()
-	r, ok := s.res.runs[seg]
-	return ok && r.client == client
+// starts lists the runs op adds: a segment's two, or a lone run.
+func starts(op *proto.CatalogOp) []page.No {
+	if op.Kind == proto.CatAddRun {
+		return []page.No{page.No(op.Seg.Start)}
+	}
+	return []page.No{page.No(op.Seg.Start), page.No(op.DataStart)}
 }
 
 // take checks that every entry of created names runs reserved to client, as
-// reserved, for a file, once, and takes them out of the reservations: all of
-// them, returned as the ops that add their segments, or — refused with
-// proto.ErrNotReserved — none.
+// reserved, once — a run pair for a file, a lone run for none — and takes
+// them out of the reservations: all of them, returned as the ops that add
+// their segments and runs, or — refused with proto.ErrNotReserved — none.
 func (s *Server) take(client uint32, created []proto.Created) ([]*proto.CatalogOp, error) {
 	if len(created) == 0 {
 		return nil, nil
@@ -138,11 +149,15 @@ func (s *Server) take(client uint32, created []proto.Created) ([]*proto.CatalogO
 	for i, c := range created {
 		r, ok := s.res.runs[c.Seg]
 		dup := slices.ContainsFunc(created[:i], func(d proto.Created) bool { return d.Seg == c.Seg })
-		if !ok || r.client != client || r.run != c.Reserved || c.FileID == 0 || dup {
+		lone := c.SlottedPages == 0
+		if !ok || r.client != client || r.run != c.Reserved || (c.FileID == 0) != lone || dup {
 			return nil, fmt.Errorf("%w: %w: segment %d/%d", proto.ErrRefused, proto.ErrNotReserved, c.Seg.Area, c.Seg.Start)
 		}
 		ops[i] = &proto.CatalogOp{Kind: proto.CatAddSegment, DB: r.db, Seg: c.Seg, FileID: c.FileID,
 			SlottedPages: c.SlottedPages, DataStart: c.DataStart, DataPages: c.DataPages}
+		if lone {
+			ops[i] = &proto.CatalogOp{Kind: proto.CatAddRun, DB: r.db, Seg: c.Seg, DataPages: c.DataPages}
+		}
 	}
 	for _, c := range created {
 		delete(s.res.runs, c.Seg)
@@ -154,13 +169,18 @@ func (s *Server) take(client uint32, created []proto.Created) ([]*proto.CatalogO
 // which never waits (no other transaction can ask for a lock on a key the
 // catalog does not have), the creator recorded as holding a copy, each op
 // logged with its runs formatted, and the runs entered in their extent maps,
-// each map written once. The segments enter the catalog when t ends (reveal),
-// or at once with no t. It returns the LSN of the last record it logged: the
-// segments are durable once the log is forced that far. The runs of an op
-// not logged go free, and its lock and holder record with them.
+// each map written once. A lone run is logged and entered, and no more: its
+// pages come from the section t moves there. The segments enter the catalog
+// when t ends (reveal), or at once with no t. It returns the LSN of the last
+// record it logged: the segments are durable once the log is forced that
+// far. The runs of an op not logged go free, and its lock and holder record
+// with them.
 func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.LSN, error) {
 	var err error
 	for _, op := range ops {
+		if op.Kind == proto.CatAddRun {
+			continue
+		}
 		if t != nil {
 			if err = t.Lock(segLockName(op.Seg), lock.X); err != nil {
 				break
@@ -177,9 +197,12 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 	if err == nil {
 		s.cat.mu.Lock()
 		for i, op := range ops {
-			a := areas[i]
+			var format func() error // a lone run's pages are the log's
+			if op.Kind == proto.CatAddSegment {
+				format = func() error { return formatSegment(areas[i], op) }
+			}
 			var l page.LSN
-			l, err = s.cat.record(op, func() error { return formatSegment(a, op) })
+			l, err = s.cat.record(op, format)
 			if l != 0 {
 				lsn = l
 				logged++
@@ -191,18 +214,21 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 		s.cat.mu.Unlock()
 	}
 	for i, op := range ops[logged:] {
-		if t != nil {
-			s.locks.Release(lock.TxID(t.ID()), segLockName(op.Seg))
+		if op.Kind == proto.CatAddSegment {
+			if t != nil {
+				s.locks.Release(lock.TxID(t.ID()), segLockName(op.Seg))
+			}
+			s.copies.Drop(op.Seg, client)
 		}
-		s.copies.Drop(op.Seg, client)
-		a := areas[logged+i]
-		err = errors.Join(err, a.FreeSegment(page.No(op.Seg.Start)), a.FreeSegment(page.No(op.DataStart)))
+		for _, start := range starts(op) {
+			err = errors.Join(err, areas[logged+i].FreeSegment(start))
+		}
 	}
 	ops = ops[:logged]
 	// Restart re-establishes a logged op's runs whatever its extent map says.
 	byArea := make(map[*area.Area][]page.No)
 	for i, op := range ops {
-		byArea[areas[i]] = append(byArea[areas[i]], page.No(op.Seg.Start), page.No(op.DataStart))
+		byArea[areas[i]] = append(byArea[areas[i]], starts(op)...)
 	}
 	for a, starts := range byArea {
 		err = errors.Join(err, a.Publish(starts...))

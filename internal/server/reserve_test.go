@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"bess/internal/client"
 	"bess/internal/fault"
 	"bess/internal/lock"
 	"bess/internal/page"
@@ -137,59 +138,37 @@ func TestDisconnectFreesReservedRuns(t *testing.T) {
 
 // TestCommittedRunsSurvivePowerLoss: every run a durable commit fills is
 // re-established by restart, whatever the extent map on the device says — a
-// transparent large object's run (StoreLarge) and the run a growing data
-// section moves to — so segments allocated after the restart land elsewhere,
-// and each reads back as committed.
+// transparent large object's content segment and the lone run a growing data
+// section moves to, both reserved by the session and published by its commit
+// (add-segment and add-run records) — so segments allocated after the
+// restart land elsewhere, and each object reads back as committed.
 func TestCommittedRunsSurvivePowerLoss(t *testing.T) {
 	inj := fault.NewInjector(0)
 	d := newDevices(inj, inj)
 	s := d.open(t)
-	db, _, err := s.OpenDB("d", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := s.Hello("c")
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 
 	// A large object in one segment, a relocating growth of another.
-	large, err := createSeg(s, db, 1, 1, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown, err := createSeg(s, db, 1, 1, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	content := fill(10_000, 0x5A)
-	txid, _ := s.NewTx()
-	if err := s.Lock(cl, txid, large, proto.LockX); err != nil {
-		t.Fatal(err)
-	}
-	desc, err := s.StoreLarge(cl, txid, large, content)
+	large, at, w := sessionLarge(t, s, content)
+	grown, err := w.CreateSegment(1, 1, 2, -1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	sl, ov, data, err := s.FetchSeg(0, large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := decodeSeg(t, sl, ov, data)
-	seg.EnsureOverflow(1)
-	at, err := seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(content)), desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Lock(cl, txid, grown, proto.LockX); err != nil {
 		t.Fatal(err)
 	}
 	body := fill(12_000, 0x3C)
-	imgs := []proto.SegImage{
-		{Seg: large, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: seg.Data},
-		growImage(t, s, grown, body, true),
-	}
-	if err := s.Commit(cl, txid, imgs); err != nil {
+	if err := w.Begin(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := w.CreateObject(grown, 0, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if h := fetchHeader(t, s, grown); h.DataPages < 4 {
+		t.Fatalf("the grown segment's data section has %d pages: it did not move", h.DataPages)
+	}
+	db := w.DB()
 
 	// Power loss: each device keeps what it synced. No area was synced.
 	inj = fault.NewInjector(0)
@@ -219,10 +198,10 @@ func TestCommittedRunsSurvivePowerLoss(t *testing.T) {
 		}
 		return n
 	}
-	if got, err := after.FetchLarge(0, large, at); err != nil || wrong(got, content) > 0 {
-		t.Errorf("large object: %d of %d bytes wrong (%v)", wrong(got, content), len(content), err)
+	if _, _, data, err := after.FetchSeg(0, contentOf(t, after, large, at)); err != nil || wrong(data, content) > 0 {
+		t.Errorf("large object: %d of %d bytes wrong (%v)", wrong(data, content), len(content), err)
 	}
-	sl, ov, data, err = after.FetchSeg(0, grown)
+	sl, ov, data, err := after.FetchSeg(0, grown)
 	if err != nil {
 		t.Fatalf("grown segment: %v", err)
 	}
@@ -239,5 +218,63 @@ func TestCommittedRunsSurvivePowerLoss(t *testing.T) {
 			t.Errorf("segment %v allocated after the restart: %v", key, err)
 			break
 		}
+	}
+}
+
+// TestAbortedLargeAndMoveLeaveFreePages: a session's aborted CreateLarge and
+// its aborted move of a growing data section allocate nothing on the area —
+// their runs were reserved to the session, go back to its spares on abort
+// and serve the next try with no new reservation — and once the session is
+// gone the area has every page free it had before.
+func TestAbortedLargeAndMoveLeaveFreePages(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	w, err := client.Open(s, "w", "d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := w.CreateSegment(1, 1, 1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := func(change func() error, end func() error) {
+		t.Helper()
+		if err := w.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := change(); err != nil {
+			t.Fatal(err)
+		}
+		if err := end(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx(func() error { _, err := w.CreateObject(seg, 0, []byte("small")); return err }, w.Commit)
+	try := func() {
+		t.Helper()
+		tx(func() error {
+			if _, err := w.CreateLarge(seg, 0, bytes.Repeat([]byte("L"), 10_000)); err != nil {
+				return err
+			}
+			_, err := w.CreateObject(seg, 0, bytes.Repeat([]byte("G"), 6_000)) // outgrows the one data page
+			return err
+		}, w.Abort)
+	}
+	a := s.lookupArea(seg.Area)
+	free := a.FreePages()
+	try()
+	spared := a.FreePages()
+	for range 3 {
+		try()
+	}
+	if got := a.FreePages(); got != spared {
+		t.Fatalf("three more aborted tries left %d pages free, %d after the first: they took pages", got, spared)
+	}
+	if h := fetchHeader(t, s, seg); h.OverPages != 0 || h.DataPages != 1 {
+		t.Fatalf("the aborted moves reached the segment: %d overflow and %d data pages", h.OverPages, h.DataPages)
+	}
+	s.Disconnect(w.Client())
+	if got := a.FreePages(); got != free {
+		t.Fatalf("with the session gone %d pages are free, %d before its aborted tries", got, free)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
-	"bess/internal/segment"
 )
 
 // callPeer builds a served pipe and a typed call helper, exercising the
@@ -110,12 +109,13 @@ func TestRPCFullSurface(t *testing.T) {
 	}
 
 	fetch := &proto.ClientSegArgs{Client: cl, Seg: cs.Seg}
-	// The two-step fetch is off the wire: a peer that still asks is told so.
+	// The two-step fetch and the large-object pair are off the wire: a peer
+	// that still asks is told so.
 	body, err := proto.Encode(fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"FetchSlotted", "FetchData"} {
+	for _, retired := range []string{"FetchSlotted", "FetchData", "FetchLarge", "StoreLarge"} {
 		if _, err := p.CallRaw(retired, body); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
 			t.Fatalf("%s: %v, want %v", retired, err, rpc.ErrNoHandler)
 		}
@@ -147,29 +147,22 @@ func TestRPCFullSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Transparent large object over the wire: the content stored, the
-	// descriptor shipped in the segment's image.
-	content := bytes.Repeat([]byte("x"), 5000)
-	desc, err := r.StoreLarge(cl, tx, cs.Seg, content)
+	// A section moved over the wire: the overflow section takes a lone run
+	// reserved to the client, which the commit names beside the image.
+	lone, err := r.ReserveSegments(cl, db, -1, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := decodeSeg(t, sl, ov, data)
-	seg.EnsureOverflow(1)
-	slot, err := seg.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), desc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg.EnsureOverflow(lone[0].DataPages)
+	seg.Hdr.OverArea, seg.Hdr.OverStart = page.AreaID(lone[0].Seg.Area), page.No(lone[0].DataStart)
+	copy(seg.Overflow, "moved overflow")
 	shipped := proto.SegImage{Seg: cs.Seg, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow}
-	if err := r.Publish(cl, tx, nil, []proto.SegImage{shipped}, false); err != nil {
+	if err := r.Publish(cl, tx, []proto.Created{{Reserved: lone[0]}}, []proto.SegImage{shipped}, false); err != nil {
 		t.Fatal(err)
 	}
-	fl, err := r.FetchLarge(cl, cs.Seg, slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fl, content) {
-		t.Fatal("large content over RPC")
+	if _, ov, _, err := r.FetchSeg(cl, cs.Seg); err != nil || !bytes.HasPrefix(ov, []byte("moved overflow")) {
+		t.Fatalf("moved overflow over RPC: %q, %v", ov[:min(len(ov), 16)], err)
 	}
 
 	// Snapshot reads: the committed image, as of the snapshot's stamp.

@@ -72,10 +72,6 @@ func ServePeer(s *Server, p *rpc.Peer) {
 			sl, ov, data, err := s.FetchSeg(a.Client, a.Seg)
 			return &proto.SegImage{Seg: a.Seg, Slotted: sl, Overflow: ov, Data: data}, err
 		}),
-		rpc.Typed(proto.MethodFetchLarge, func(a *proto.FetchLargeArgs) (*proto.Bytes, error) {
-			d, err := s.FetchLarge(a.Client, a.Seg, a.Slot)
-			return &proto.Bytes{Data: d}, err
-		}),
 		// Snapshot reads (DESIGN.md §7): zero locks server-side.
 		rpc.Typed(proto.MethodSnapOpen, func(a *proto.ClientArgs) (*proto.SnapOpenReply, error) {
 			snap, stamp, err := s.SnapOpen(a.Client)
@@ -116,10 +112,6 @@ func ServePeer(s *Server, p *rpc.Peer) {
 		}),
 		rpc.Typed(proto.MethodReleased, func(a *proto.ReleasedArgs) (*proto.Empty, error) {
 			return empty, s.Released(a.Client, a.Segs)
-		}),
-		rpc.Typed(proto.MethodStoreLarge, func(a *proto.StoreLargeArgs) (*proto.Bytes, error) {
-			d, err := s.StoreLarge(a.Client, a.Tx, a.Seg, a.Content)
-			return &proto.Bytes{Data: d}, err
 		}),
 		rpc.Typed(proto.MethodNameBind, func(a *proto.NameBindArgs) (*proto.Empty, error) {
 			return empty, s.NameBind(a.DB, a.Name, a.OID)

@@ -42,7 +42,6 @@ var (
 	ErrNotLocked = errors.New("server: transaction does not hold the required lock")
 	ErrCallback  = errors.New("server: callback revocation timed out")
 	ErrUnknownTx = errors.New("server: unknown transaction")
-	ErrTooLarge  = errors.New("server: object exceeds transparent large-object limit")
 	ErrShutdown  = errors.New("server: shut down")
 	ErrNotStaged = errors.New("server: segment overwrite not staged with the version store by this transaction")
 	// ErrShortSection refuses a commit that ships a data or overflow section
@@ -55,7 +54,6 @@ type Stats struct {
 	Messages         int64 // client requests handled
 	SlottedFetches   int64
 	DataFetches      int64
-	LargeFetches     int64
 	Commits          int64
 	Aborts           int64
 	Callbacks        int64
@@ -335,7 +333,6 @@ func (s *Server) Snapshot() Stats {
 		Messages:         s.stats.messages.Load(),
 		SlottedFetches:   s.stats.slottedFetches.Load(),
 		DataFetches:      s.stats.dataFetches.Load(),
-		LargeFetches:     s.stats.largeFetches.Load(),
 		Commits:          s.stats.commits.Load(),
 		Aborts:           s.stats.aborts.Load(),
 		Callbacks:        callbacks,
@@ -647,48 +644,6 @@ func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []by
 	return img, over, data, nil
 }
 
-// FetchLarge implements proto.Conn: the descriptor names the run holding
-// the object's pages.
-func (s *Server) FetchLarge(client uint32, seg proto.SegKey, slot int) ([]byte, error) {
-	s.stats.messages.Add(1)
-	s.stats.largeFetches.Add(1)
-	v := s.live()
-	dec, _, _, _, err := s.readImage(seg, secOverflow, v)
-	if err != nil {
-		return nil, err
-	}
-	if !dec.Live(slot) || dec.Slots[slot].Kind != segment.KindLarge {
-		return nil, segment.ErrBadSlot
-	}
-	b, err := dec.Descriptor(slot, segment.LargeDescSize)
-	if err != nil {
-		return nil, err
-	}
-	d, err := segment.DecodeLargeDesc(b)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := s.readRun(seg, runRead{
-		Area: uint32(d.Area), Start: d.Start, Pages: int(d.Pages), ZeroBase: true,
-		Verify: func(run []byte) error {
-			return page.Verify(run[:d.Stored], d.CRC, "large", segment.ErrChecksum)
-		},
-	}, v)
-	if err != nil {
-		return nil, err
-	}
-	content := buf[:d.Stored]
-	// Decompression and similar user transforms run here (§2.4); they must
-	// restore the object's logical size.
-	if err := s.hk.FireData(hooks.EvObjectFetch, seg, &content); err != nil {
-		return nil, err
-	}
-	if len(content) != int(dec.Slots[slot].Size) {
-		return nil, fmt.Errorf("server: fetch hooks produced %d bytes, object is %d", len(content), dec.Slots[slot].Size)
-	}
-	return content, nil
-}
-
 // Resolve implements proto.Conn.
 func (s *Server) Resolve(db uint32, headerOff uint64) (proto.SegKey, int, error) {
 	s.stats.messages.Add(1)
@@ -818,12 +773,7 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 		if err != nil {
 			break
 		}
-		i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Seg == si.Seg })
-		var fresh *proto.CatalogOp
-		if i >= 0 {
-			fresh = ops[i]
-		}
-		err = s.applyOne(t, si, fresh, &scratch)
+		err = s.applyOne(t, si, ops, &scratch)
 	}
 	if err != nil {
 		_ = t.Abort()
@@ -832,25 +782,27 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 	return t, lsn, nil
 }
 
-// applyOne logs one shipped segment under t. It reads the current image once
-// — or, for a segment t publishes (fresh), builds it, as formatSegment wrote
-// it — and stages it with the version store: the image is the before-image
-// of every run that stays where it is, and the version chain's pre-update
-// image, which the store owns from here on, so nobody writes its bytes. Until
-// t ends, snapshot reads of the segment wait out the overwrite; unstaged, an
-// open snapshot's Recheck would pass (the stamp never advanced) while pages
-// change underneath it. The data and overflow sections then take one step
-// each (place), and the slotted image, re-encoded over their final geometry,
-// is logged ahead of them (logShipped). Every page of a fresh segment is
-// logged whole: it is its first change since the server opened.
-func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, fresh *proto.CatalogOp, scratch *[]byte) error {
+// applyOne logs one shipped segment under t, whose commit publishes ops. It
+// reads the current image once — or, for a segment t publishes (fresh),
+// builds it, as formatSegment wrote it — and stages it with the version
+// store: the image is the before-image of every run that stays where it is,
+// and the version chain's pre-update image, which the store owns from here
+// on, so nobody writes its bytes. Until t ends, snapshot reads of the segment
+// wait out the overwrite; unstaged, an open snapshot's Recheck would pass (the
+// stamp never advanced) while pages change underneath it. The data and
+// overflow sections then take one step each (place), and the slotted image,
+// re-encoded over their final geometry, is logged ahead of them
+// (logShipped). Every page of a fresh segment or run is logged whole: it is
+// its first change since the server opened.
+func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, ops []*proto.CatalogOp, scratch *[]byte) error {
 	nu, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
 	var cur *segment.Seg
 	var old cache.VImage
-	if fresh != nil {
+	if i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Kind == proto.CatAddSegment && op.Seg == si.Seg }); i >= 0 {
+		fresh := ops[i]
 		old.Slotted = segment.Format(fresh.FileID, fresh.SlottedPages, fresh.DataPages, page.AreaID(fresh.Seg.Area), page.No(fresh.DataStart))
 		old.Data = zeroRun[: fresh.DataPages*page.Size : fresh.DataPages*page.Size]
 		cur, err = segment.DecodeSlotted(old.Slotted)
@@ -863,24 +815,11 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, fresh *proto.CatalogOp, s
 	staged := s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg), old)
 	nh, ch := &nu.Hdr, &cur.Hdr
 	secs := [2]section{
-		// A data section moves when it grows or the shipped header names
-		// another run (on-the-fly relocation: references name slots, so none
-		// changes); an overflow section only when it grows.
-		{nu: dataFields(nh), cur: dataFields(ch), ship: si.Data, before: old.Data,
-			moves: nh.DataPages > ch.DataPages || nh.DataStart != ch.DataStart},
-		{nu: overFields(nh), cur: overFields(ch), ship: si.Overflow, before: old.Overflow,
-			moves: nh.OverPages > ch.OverPages},
-	}
-	// A section that ships and stays covers its whole run: the server
-	// checksums what lands on disk, and could not vouch for a run it received
-	// only part of. Neither section takes a run before both are known whole.
-	for _, sec := range secs {
-		if len(sec.ship) > 0 && !sec.moves && len(sec.ship) < int(*sec.cur.pages)*page.Size {
-			return ErrShortSection
-		}
+		{nu: dataFields(nh), cur: dataFields(ch), ship: si.Data, before: old.Data},
+		{nu: overFields(nh), cur: overFields(ch), ship: si.Overflow, before: old.Overflow},
 	}
 	for i := range secs {
-		if err := s.place(&secs[i], si.Seg.Area); err != nil {
+		if err := place(&secs[i], ops); err != nil {
 			return err
 		}
 	}
@@ -890,12 +829,10 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, fresh *proto.CatalogOp, s
 
 // section is one section of a shipped segment, its data or its overflow, on
 // its way to the log: its fields in the shipped header (which the server
-// rewrites) and in the current one, whether it moves into a fresh run, the
-// bytes shipped for it (none: it does not ship) and the run's current
-// content (nil once it moves).
+// rewrites) and in the current one, the bytes shipped for it (none: it does
+// not ship) and the run's current content (nil once it moves).
 type section struct {
 	nu, cur      fields
-	moves        bool
 	ship, before []byte
 }
 
@@ -918,25 +855,38 @@ func overFields(h *segment.Header) fields {
 	return fields{&h.OverArea, &h.OverStart, &h.OverPages, &h.OverCRC, &h.CRCFlags, segment.CRCOver}
 }
 
-// place settles where sec lands and what its checksum is. A section that
-// moves gets a fresh run in area aid, its bytes zero-padded to the run the
-// area grants (freshRun); one that stays keeps the current run. The server is
-// authoritative for the checksum — the shipped header's may predate the
-// padding, or cover a cached section this commit does not ship: it covers the
-// bytes that land in the run when the section ships, is carried from the
-// current (verified) header when the run stays untouched, and is claimed for
-// nothing else. A run of no pages lands nothing, so its section ships none.
-func (s *Server) place(sec *section, aid uint32) error {
+// place settles where sec lands and what its checksum is. A section whose
+// shipped header names another run than its current one moves there — it
+// outgrew its run, or relocates on the fly (references name slots, so none
+// changes) — and the run must be a lone run ops publish: one reserved to the
+// committing client and named in its commit, so the server allocates nothing
+// here. The section's bytes land zero-padded to the pages the area granted
+// the run. One that stays keeps the current run, and covers it whole if it
+// ships: the server checksums what lands on disk, and could not vouch for a
+// run it received only part of. The server is authoritative for the
+// checksum — the shipped header's may predate the padding, or cover a cached
+// section this commit does not ship: it covers the bytes that land in the run
+// when the section ships, is carried from the current (verified) header when
+// the run stays untouched, and is claimed for nothing else. A run of no pages
+// lands nothing, so its section ships none.
+func place(sec *section, ops []*proto.CatalogOp) error {
 	nu, cur := sec.nu, sec.cur
-	if sec.moves {
-		start, run, err := s.freshRun(aid, int(*nu.pages), sec.ship)
-		if err != nil {
-			return err
+	switch {
+	case *nu.area != *cur.area || *nu.start != *cur.start:
+		to := proto.SegKey{Area: uint32(*nu.area), Start: int64(*nu.start)}
+		i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Kind == proto.CatAddRun && op.Seg == to })
+		if i < 0 {
+			return fmt.Errorf("%w: a section moves to run %d/%d, which the commit does not publish", proto.ErrNotReserved, to.Area, to.Start)
 		}
-		*nu.area, *nu.start, *nu.pages = page.AreaID(aid), start, uint32(len(run)/page.Size)
-		sec.ship, sec.before = run, nil
-	} else {
-		*nu.area, *nu.start, *nu.pages = *cur.area, *cur.start, *cur.pages
+		run := make([]byte, ops[i].DataPages*page.Size)
+		copy(run, sec.ship)
+		*nu.pages, sec.ship, sec.before = uint32(ops[i].DataPages), run, nil
+	case *nu.pages > *cur.pages:
+		return fmt.Errorf("%w: a section outgrows its run without moving", proto.ErrNotReserved)
+	case len(sec.ship) > 0 && len(sec.ship) < int(*cur.pages)*page.Size:
+		return ErrShortSection
+	default:
+		*nu.pages = *cur.pages
 	}
 	n := int(*nu.pages) * page.Size
 	if n == 0 {
@@ -952,23 +902,6 @@ func (s *Server) place(sec *section, aid uint32) error {
 		*nu.flags &^= nu.bit
 	}
 	return nil
-}
-
-// freshRun allocates a run of at least pages pages in area aid and returns
-// its start and its content: content, zero-padded to the pages the area
-// granted, in a buffer of its own.
-func (s *Server) freshRun(aid uint32, pages int, content []byte) (page.No, []byte, error) {
-	a := s.lookupArea(aid)
-	if a == nil {
-		return 0, nil, ErrNoArea
-	}
-	start, granted, err := s.allocRun(a, aid, pages)
-	if err != nil {
-		return 0, nil, err
-	}
-	run := make([]byte, granted*page.Size)
-	copy(run, content)
-	return start, run, nil
 }
 
 // logShipped logs the runs of a shipped segment seg for t: its slotted image
@@ -1061,64 +994,6 @@ func (s *Server) Decide(txid uint64, commit bool) error {
 		s.stats.aborts.Add(1)
 	}
 	return err
-}
-
-// --- large objects ---
-
-// StoreLarge implements proto.Conn: it stores the content of a transparent
-// large object (≤64KB) for t, which holds X on seg, and returns the object's
-// descriptor (segment.LargeDesc) for the client to add to its copy of seg.
-// The content goes to a freshly allocated run as t's redo-only records, which
-// t's commit writes after its force, like every page it ships: nothing is
-// written or forced here, and no page of seg changes — until t commits, no
-// reader of seg can find the object.
-//
-// A segment reserved to client, which only client can publish, needs no X.
-func (s *Server) StoreLarge(client uint32, txid uint64, seg proto.SegKey, content []byte) ([]byte, error) {
-	s.stats.messages.Add(1)
-	if len(content) > segment.MaxTransparentLarge {
-		return nil, ErrTooLarge
-	}
-	if !s.heldBy(client, seg) {
-		if err := s.requireX(txid, seg); err != nil {
-			return nil, err
-		}
-	}
-	// Flush-side user transforms (compression, §2.4) may change the stored
-	// byte count; the slot keeps the logical size.
-	if err := s.hk.FireData(hooks.EvObjectFlush, seg, &content); err != nil {
-		return nil, err
-	}
-	start, run, err := s.freshRun(seg.Area, max((len(content)+page.Size-1)/page.Size, 1), content)
-	if err != nil {
-		return nil, err
-	}
-	// A fresh run no segment names yet: there is nothing to stage.
-	if err := s.eachPage(s.ensureTx(client, txid), seg.Area, start, nil, run, new([]byte)); err != nil {
-		return nil, err
-	}
-	d := segment.LargeDesc{Area: page.AreaID(seg.Area), Start: start, Pages: uint32(len(run) / page.Size),
-		Stored: uint32(len(content)), CRC: page.Checksum(content)}
-	return d.Encode(), nil
-}
-
-// allocRun allocates a run of at least nPages pages in area a (id aid) and
-// logs it as an add-run op, which restart re-establishes (redoSegment): an
-// extent map write is not synced, and a commit that fills the run must not
-// lose it to a power loss. The op is durable no later than that commit.
-func (s *Server) allocRun(a *area.Area, aid uint32, nPages int) (page.No, int, error) {
-	start, granted, err := a.AllocSegment(nPages)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.cat.mu.Lock()
-	defer s.cat.mu.Unlock()
-	op := &proto.CatalogOp{Kind: proto.CatAddRun, DB: s.cat.dbOfAreaLocked(aid),
-		Seg: proto.SegKey{Area: aid, Start: int64(start)}, DataPages: granted}
-	if _, err := s.cat.change(op, nil); err != nil {
-		return 0, 0, err
-	}
-	return start, granted, nil
 }
 
 // --- names ---

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bess/internal/client"
 	"bess/internal/hooks"
 	"bess/internal/lock"
 	"bess/internal/oid"
@@ -44,34 +45,60 @@ func mkSegImage(t *testing.T, s *Server, db uint32, body []byte) (proto.SegKey, 
 	return key, proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
 }
 
-// storeLarge creates a large object in key as a client does: a transaction of
-// cl stores the content (StoreLarge), adds the descriptor to its copy of the
-// segment and ships it. It returns the object's slot.
-func storeLarge(t *testing.T, s *Server, cl uint32, key proto.SegKey, content []byte) int {
+// sessionLarge creates a large object holding content in a fresh segment of
+// database "d", as a session of its own over s does, and commits it. It
+// returns the segment, the object's slot and the session.
+func sessionLarge(t *testing.T, s *Server, content []byte) (proto.SegKey, int, *client.Session) {
 	t.Helper()
-	txid, _ := s.NewTx()
-	if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
-		t.Fatal(err)
-	}
-	desc, err := s.StoreLarge(cl, txid, key, content)
+	w, err := client.Open(s, "large", "d", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, ov, data, err := s.FetchSeg(cl, key)
+	key, err := w.CreateSegment(1, 1, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := decodeSeg(t, sl, ov, data)
-	seg.EnsureOverflow(1)
-	slot, err := seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(content)), desc)
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := w.CreateLarge(key, 7, content)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := proto.SegImage{Seg: key, Slotted: seg.EncodeSlotted(), Overflow: seg.Overflow, Data: seg.Data}
-	if err := s.Commit(cl, txid, []proto.SegImage{img}); err != nil {
+	obj, err := w.Deref(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return slot
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return key, obj.Slot, w
+}
+
+// contentOf is the key of the segment that holds the content of the large
+// object in slot of key.
+func contentOf(t *testing.T, s *Server, key proto.SegKey, slot int) proto.SegKey {
+	t.Helper()
+	d := largeDesc(t, s, key, slot)
+	return proto.SegKey{Area: uint32(d.Area), Start: int64(d.Start)}
+}
+
+// moveRun reserves to cl a lone run of at least pages pages in key's database
+// and points a section of key's header at it — area and start are the
+// section's fields — as a session moves a section that outgrows its run. The
+// commit names the run it returns.
+func moveRun(t *testing.T, s *Server, cl uint32, key proto.SegKey, area *page.AreaID, start *page.No, pages int) proto.Created {
+	t.Helper()
+	_, m, ok := s.cat.segMetaOf(key)
+	if !ok {
+		t.Fatalf("no segment %v", key)
+	}
+	runs, err := s.ReserveSegments(cl, m.ID, -1, 0, pages, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	*area, *start = page.AreaID(runs[0].Seg.Area), page.No(runs[0].DataStart)
+	return proto.Created{Reserved: runs[0]}
 }
 
 func TestCommitRequiresLock(t *testing.T) {
@@ -315,31 +342,67 @@ func TestCommitHook(t *testing.T) {
 	}
 }
 
+// TestCompressionHooks: the §2.4 data hooks run on the sessions of this
+// server, where a large object's content is built and read — a writer's
+// flush hook transforms what is stored (the content segment this server
+// holds), and a reader's fetch hook turns it back into the object.
 func TestCompressionHooks(t *testing.T) {
-	// Large objects compressed on store, decompressed on fetch (§2.4).
 	s := NewMem(1)
 	defer s.Close()
-	s.Hooks().Register(hooks.EvObjectFlush, func(i *hooks.Info) error {
-		*i.Data = append([]byte("Z:"), *i.Data...) // mock compressor
-		return nil
-	})
-	s.Hooks().Register(hooks.EvObjectFetch, func(i *hooks.Info) error {
-		if len(*i.Data) >= 2 && string((*i.Data)[:2]) == "Z:" {
-			*i.Data = (*i.Data)[2:]
-		}
-		return nil
-	})
-	db, _, _ := s.OpenDB("d", true)
-	key, _ := createSeg(s, db, 1, 1, 2, -1)
-	c, _ := s.Hello("app")
-	content := bytes.Repeat([]byte("media"), 1000)
-	slot := storeLarge(t, s, c, key, content)
-	got, err := s.FetchLarge(0, key, slot)
+	w, err := client.Open(s, "writer", "d", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("round trip through compression hooks failed (%d vs %d bytes)", len(got), len(content))
+	r, err := client.Open(s, "reader", "d", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Hooks().Register(hooks.EvObjectFlush, func(i *hooks.Info) error {
+		*i.Data = append([]byte("Z:"), *i.Data...) // mock compressor
+		return nil
+	})
+	r.Hooks().Register(hooks.EvObjectFetch, func(i *hooks.Info) error {
+		if !bytes.HasPrefix(*i.Data, []byte("Z:")) {
+			return errors.New("not compressed")
+		}
+		*i.Data = (*i.Data)[2:]
+		return nil
+	})
+	key, err := w.CreateSegment(1, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("media"), 1000)
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := w.CreateLarge(key, 0, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := w.Deref(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, stored, err := s.FetchSeg(0, contentOf(t, s, key, obj.Slot)); err != nil || !bytes.HasPrefix(stored, []byte("Z:media")) {
+		t.Fatalf("the content segment does not hold the flushed form (%v)", err)
+	}
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Commit()
+	at, err := r.AddrOfSlot(key, obj.Slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj, err = r.Deref(at); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := obj.Bytes(); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("round trip through compression hooks failed (%d vs %d bytes, %v)", len(got), len(content), err)
 	}
 }
 
@@ -426,25 +489,36 @@ func TestCreateSegmentValidation(t *testing.T) {
 	}
 }
 
-// TestCreateLargeTooBig: StoreLarge refuses content past the transparent
-// limit, and content for a segment the transaction has not X-locked.
+// TestCreateLargeTooBig: a session refuses a large object past the
+// transparent limit, and one outside a transaction, before this server hears
+// of it.
 func TestCreateLargeTooBig(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
-	db, _, _ := s.OpenDB("d", true)
-	key, _ := createSeg(s, db, 1, 1, 2, -1)
-	c, _ := s.Hello("app")
-	tx, _ := s.NewTx()
-	if _, err := s.StoreLarge(c, tx, key, []byte("unlocked")); !errors.Is(err, ErrNotLocked) {
-		t.Fatalf("large object in a segment not X-locked: %v", err)
-	}
-	if err := s.Lock(c, tx, key, proto.LockX); err != nil {
+	w, err := client.Open(s, "app", "d", true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StoreLarge(c, tx, key, make([]byte, segment.MaxTransparentLarge+1)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized large object: %v", err)
+	key, err := w.CreateSegment(1, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Abort(c, tx)
+	msgs := s.Snapshot().Messages
+	if _, err := w.CreateLarge(key, 0, []byte("no transaction")); !errors.Is(err, client.ErrNoTx) {
+		t.Fatalf("large object outside a transaction: %v, want client.ErrNoTx", err)
+	}
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.CreateLarge(key, 0, make([]byte, segment.MaxTransparentLarge+1)); !errors.Is(err, client.ErrTooLarge) {
+		t.Fatalf("oversized large object: %v, want client.ErrTooLarge", err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Snapshot().Messages - msgs; d != 2 {
+		t.Fatalf("the refused objects cost %d messages, want only the transaction's NewTx and Abort", d)
+	}
 }
 
 func TestNewFileIDsDistinct(t *testing.T) {

@@ -9,10 +9,10 @@ import (
 	"testing"
 
 	"bess/internal/area"
+	"bess/internal/client"
 	"bess/internal/fault"
 	"bess/internal/page"
 	"bess/internal/proto"
-	"bess/internal/segment"
 	"bess/internal/wal"
 )
 
@@ -251,20 +251,21 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 	}
 }
 
-// TestLargeObjectInvisibleUntilCommit: a large object's content is stored for
-// its transaction and its descriptor ships with the segment at commit, so
-// until then no other client finds it — a live FetchSeg takes no lock and
-// reads the disk — and an abort leaves the segment's slotted and overflow runs
-// and the content's run as they were, with nothing of the transaction in the
-// log: its content was queued for a commit record that never came.
+// TestLargeObjectInvisibleUntilCommit: a large object's content is a segment
+// its session builds from runs reserved to it, and its descriptor ships with
+// the segment at commit, so until then no other client finds it — a live
+// FetchSeg takes no lock and reads the disk — and an abort leaves the
+// segment's slotted and overflow runs as they were, no page on the area
+// holding the content, and nothing of the transaction in the log.
 func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
-	db, _, _ := s.OpenDB("d", true)
-	key := commitOne(t, s, db, []byte("small"))
-	a, _ := s.Hello("a")
+	key, _, _ := sessionLarge(t, s, []byte("committed: the overflow run exists"))
+	a, err := client.Open(s, "a", "d", false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, _ := s.Hello("b")
-	storeLarge(t, s, a, key, []byte("committed: the overflow run exists"))
 	run := func(areaID uint32, start page.No, pages int) []byte {
 		t.Helper()
 		buf := make([]byte, pages*page.Size)
@@ -283,23 +284,26 @@ func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 			run(uint32(dec.Hdr.OverArea), dec.Hdr.OverStart, int(dec.Hdr.OverPages))...)
 	}
 	before := runs()
+	onArea := func(content []byte) bool {
+		t.Helper()
+		for p := page.No(1); p < s.lookupArea(key.Area).Pages(); p++ {
+			if bytes.Equal(run(key.Area, p, 1), content[:page.Size]) {
+				return true
+			}
+		}
+		return false
+	}
 
 	content := bytes.Repeat([]byte("uncommitted large object."), 400)
-	txid, _ := s.NewTx()
-	if err := s.Lock(a, txid, key, proto.LockX); err != nil {
+	if err := a.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	desc, err := s.StoreLarge(a, txid, key, content)
-	if err != nil {
+	txid, _ := a.TxID()
+	if _, err := a.CreateLarge(key, 0, content); err != nil {
 		t.Fatal(err)
 	}
-	d, err := segment.DecodeLargeDesc(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := run(uint32(d.Area), d.Start, int(d.Pages))
-	if bytes.Contains(stored, content[:page.Size]) {
-		t.Fatal("the content reached its run before its commit")
+	if onArea(content) {
+		t.Fatal("the content reached the area before its commit")
 	}
 	sl, ov, _, err = s.FetchSeg(b, key)
 	if err != nil {
@@ -308,11 +312,11 @@ func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 	if got, want := len(decodeSeg(t, sl, ov, nil).LiveSlots()), len(dec.LiveSlots()); got != want {
 		t.Fatalf("another client sees %d live slots before the creator commits, want %d", got, want)
 	}
-	if err := s.Abort(a, txid); err != nil {
+	if err := a.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(runs(), before) || !bytes.Equal(run(uint32(d.Area), d.Start, int(d.Pages)), stored) {
-		t.Fatal("the aborted large object changed a run on the area")
+	if !bytes.Equal(runs(), before) || onArea(content) {
+		t.Fatal("the aborted large object changed the area")
 	}
 	if err := s.log.Flush(0); err != nil {
 		t.Fatal(err)
@@ -326,5 +330,16 @@ func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 	})
 	if len(types) != 0 {
 		t.Fatalf("the aborted transaction's records: %v, want none", types)
+	}
+	// Committed, the same object's content is on the area: the look above can
+	// see it.
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.CreateLarge(key, 0, content); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil || !onArea(content) {
+		t.Fatalf("the committed content is not on the area (%v)", err)
 	}
 }

@@ -19,10 +19,12 @@
 package swizzle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"bess/internal/hooks"
 	"bess/internal/page"
 	"bess/internal/segment"
 	"bess/internal/vmem"
@@ -82,9 +84,6 @@ type Fetcher interface {
 	// FetchData returns the data segment bytes for seg
 	// (len = DataPages*page.Size).
 	FetchData(id SegID, seg *segment.Seg) ([]byte, error)
-	// FetchLarge returns the full contents of the transparent large object
-	// in slot (KindLarge), used to populate its reserved range on fault.
-	FetchLarge(id SegID, seg *segment.Seg, slot int) ([]byte, error)
 	// Resolve maps a 48-bit header offset to its segment and slot index.
 	Resolve(headerOff uint64) (SegID, int, error)
 }
@@ -135,7 +134,6 @@ type Stats struct {
 	RefsSwizzled      int64 // reference fields converted to virtual addresses
 	DPFixups          int64 // slot DP adjustments (two arithmetic ops each)
 	DeniedWrites      int64 // user writes to protected control structures
-	LargeFetches      int64
 }
 
 // Mapper manages one process' view of the database: a vmem.Space plus the
@@ -157,6 +155,10 @@ type Mapper struct {
 	// walks this, not every reservation the session ever made.
 	loaded map[SegID]*mseg
 
+	// hk holds the §2.4 hooks the process registers; the data hooks run where
+	// a large object's content is built (the session) and read (loadLarge).
+	hk *hooks.Registry
+
 	stats Stats
 }
 
@@ -170,10 +172,14 @@ func NewMapper(space *vmem.Space, fetch Fetcher, types *segment.Registry) *Mappe
 		bySeg:   make(map[SegID]*mseg),
 		byFrame: make(map[int64]*mseg),
 		loaded:  make(map[SegID]*mseg),
+		hk:      hooks.NewRegistry(),
 	}
 	space.SetHandler(m.handleFault)
 	return m
 }
+
+// Hooks returns the mapper's hook registry.
+func (m *Mapper) Hooks() *hooks.Registry { return m.hk }
 
 // Space returns the underlying address space.
 func (m *Mapper) Space() *vmem.Space { return m.space }
@@ -507,19 +513,41 @@ func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
 
 // loadLarge populates a transparent large object's reserved range: "the
 // actual object data may be fetched from the network in one step" (§2.1).
+// The descriptor names the segment whose data section holds the object's
+// stored bytes, a copy the mapper keeps like any other; the bytes are checked
+// against the descriptor, and the fetch-side hooks (§2.4: decompression) turn
+// them back into the object, whose size they must restore.
 func (m *Mapper) loadLarge(ms *mseg, slot int) error {
 	if _, mapped, _ := m.space.ProtOf(ms.largeBase[slot]); mapped {
 		return nil
 	}
-	content, err := m.fetch.FetchLarge(ms.id, ms.seg, slot)
+	b, err := ms.seg.Descriptor(slot, segment.LargeDescSize)
 	if err != nil {
 		return err
 	}
-	if err := m.mapLarge(ms, slot, content); err != nil {
+	d, err := segment.DecodeLargeDesc(b)
+	if err != nil {
 		return err
 	}
-	m.stats.LargeFetches++
-	return nil
+	cid := SegID{Area: d.Area, Start: d.Start}
+	if err := m.EnsureData(cid); err != nil {
+		return err
+	}
+	stored := m.bySeg[cid].seg.Data
+	if int(d.Stored) > len(stored) {
+		return segment.ErrOverflowOff
+	}
+	content := bytes.Clone(stored[:d.Stored]) // the hooks may rewrite it in place
+	if err := page.Verify(content, d.CRC, "large", segment.ErrChecksum); err != nil {
+		return err
+	}
+	if err := m.hk.FireData(hooks.EvObjectFetch, ms.id, &content); err != nil {
+		return err
+	}
+	if size := int(ms.seg.Slots[slot].Size); len(content) != size {
+		return fmt.Errorf("swizzle: fetch hooks produced %d bytes, object is %d", len(content), size)
+	}
+	return m.mapLarge(ms, slot, content)
 }
 
 // MapLarge reserves the range of slot, a large object just created in the

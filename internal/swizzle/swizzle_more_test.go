@@ -59,24 +59,27 @@ func TestDropSegWithLargeObjects(t *testing.T) {
 	reg := segment.NewRegistry()
 	id := SegID{Area: 1, Start: 10}
 	s := segment.New(1, 1, 1, 1, 100)
-	s.EnsureOverflow(1)
 	content := make([]byte, 10000)
-	slot, _ := s.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), []byte("loc"))
 	f := newMemFetcher()
+	cid := SegID{Area: 1, Start: 200}
+	slot := f.addLarge(t, s, cid, content)
 	f.add(id, s)
-	f.large[id] = map[int][]byte{slot: content}
 	m := NewMapper(vmem.New(), f, reg)
 	addr, _ := m.AddrOfSlot(id, slot)
 	obj, _ := m.Deref(addr)
 	if err := obj.Read(0, make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DropSeg(id); err != nil {
-		t.Fatal(err)
+	// The content segment is a copy of its own: the owner's drop leaves it,
+	// and its own drop takes it.
+	for _, drop := range []SegID{id, cid} {
+		if err := m.DropSeg(drop); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap := m.Space().Snapshot()
-	if snap.ReservedFrames != 1 || snap.MappedFrames != 0 {
-		t.Fatalf("after drop: %d frames reserved, %d mapped; only the slotted reservation (1 page) remains", snap.ReservedFrames, snap.MappedFrames)
+	if snap.ReservedFrames != 2 || snap.MappedFrames != 0 {
+		t.Fatalf("after drop: %d frames reserved, %d mapped; only the two slotted reservations (1 page each) remain", snap.ReservedFrames, snap.MappedFrames)
 	}
 }
 

@@ -15,22 +15,35 @@ import (
 // memFetcher is an in-memory database: a set of object segments addressable
 // by SegID, serving decoded copies like a page server would.
 type memFetcher struct {
-	segs  map[SegID]*segment.Seg
-	large map[SegID]map[int][]byte
+	segs map[SegID]*segment.Seg
 
 	slottedFetches int
 	dataFetches    int
-	largeFetches   int
 }
 
 func newMemFetcher() *memFetcher {
-	return &memFetcher{
-		segs:  make(map[SegID]*segment.Seg),
-		large: make(map[SegID]map[int][]byte),
-	}
+	return &memFetcher{segs: make(map[SegID]*segment.Seg)}
 }
 
 func (f *memFetcher) add(id SegID, s *segment.Seg) { f.segs[id] = s }
+
+// addLarge creates a large object in s holding content, as a session does:
+// the content is the data section of a segment of its own, at id, and the
+// slot's descriptor names it. It returns the object's slot.
+func (f *memFetcher) addLarge(t *testing.T, s *segment.Seg, id SegID, content []byte) int {
+	t.Helper()
+	pages := (len(content) + page.Size - 1) / page.Size
+	cs := segment.New(9, 1, pages, id.Area, id.Start+1)
+	copy(cs.Data, content)
+	f.add(id, cs)
+	s.EnsureOverflow(1)
+	d := segment.LargeDesc{Area: id.Area, Start: id.Start, Stored: uint32(len(content)), CRC: page.Checksum(content)}
+	slot, err := s.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), d.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slot
+}
 
 func (f *memFetcher) SlottedPages(id SegID) (int, error) {
 	s, ok := f.segs[id]
@@ -62,19 +75,6 @@ func (f *memFetcher) FetchData(id SegID, _ *segment.Seg) ([]byte, error) {
 	}
 	f.dataFetches++
 	return append([]byte(nil), s.Data...), nil
-}
-
-func (f *memFetcher) FetchLarge(id SegID, _ *segment.Seg, slot int) ([]byte, error) {
-	m, ok := f.large[id]
-	if !ok {
-		return nil, errors.New("no large objects in segment")
-	}
-	c, ok := m[slot]
-	if !ok {
-		return nil, errors.New("no such large object")
-	}
-	f.largeFetches++
-	return c, nil
 }
 
 func (f *memFetcher) Resolve(headerOff uint64) (SegID, int, error) {
@@ -538,15 +538,10 @@ func TestTransparentLargeObject(t *testing.T) {
 	reg := segment.NewRegistry()
 	id := SegID{Area: 1, Start: 10}
 	s := segment.New(1, 1, 1, 1, 100)
-	s.EnsureOverflow(1)
 	content := bytes.Repeat([]byte("LARGE!"), 3000) // ~18KB, spans 5 frames
-	slot, err := s.CreateDescriptor(segment.KindLarge, 0, uint32(len(content)), []byte("loc"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := newMemFetcher()
+	slot := f.addLarge(t, s, SegID{Area: 1, Start: 200}, content)
 	f.add(id, s)
-	f.large[id] = map[int][]byte{slot: content}
 
 	m := NewMapper(vmem.New(), f, reg)
 	addr, _ := m.AddrOfSlot(id, slot)
@@ -557,7 +552,7 @@ func TestTransparentLargeObject(t *testing.T) {
 	if obj.Kind != segment.KindLarge || obj.Size != len(content) {
 		t.Fatalf("obj = %+v", obj)
 	}
-	if f.largeFetches != 0 {
+	if f.dataFetches != 0 {
 		t.Fatal("large object fetched before access")
 	}
 	// Read a span crossing frame boundaries.
@@ -568,8 +563,8 @@ func TestTransparentLargeObject(t *testing.T) {
 	if !bytes.Equal(buf, content[page.Size-50:page.Size+50]) {
 		t.Fatal("large object content mismatch")
 	}
-	if f.largeFetches != 1 {
-		t.Fatalf("large fetches = %d", f.largeFetches)
+	if f.dataFetches != 1 {
+		t.Fatalf("data fetches = %d, want the content segment's one", f.dataFetches)
 	}
 	// Whole-object read via Bytes.
 	all, err := obj.Bytes()

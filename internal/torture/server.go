@@ -17,8 +17,9 @@ import (
 //
 // One deterministic history drives a full server (server.OpenMedia on a
 // world's devices): segments created and committed with one object each, then
-// updated three times; a checkpoint; a large object; a relocating growth; a
-// 2PC branch; a session-style commit that publishes three segments made of
+// updated three times; a checkpoint; a large object, its content a segment
+// made of reserved runs; a relocating growth into a reserved run; a 2PC
+// branch; a session-style commit that publishes three segments made of
 // reserved runs, one of them a very large object's extent; and a segment
 // created and abandoned, whose initial image has no logged history — the
 // designed unrepairable case. E19's pages and wal-body categories rot it;
@@ -115,6 +116,39 @@ func slot(name string, seg proto.SegKey, i int) *object {
 	}}
 }
 
+// largeObj returns the large object at *at in seg, read as a session reads
+// one: its descriptor through FetchSeg of seg, its content through FetchSeg
+// of the segment the descriptor names.
+func largeObj(name string, seg proto.SegKey, at *int) *object {
+	return &object{name: name, read: func(s *server.Server) ([]byte, error) {
+		sl, ov, _, err := s.FetchSeg(0, seg)
+		if err != nil {
+			return nil, err
+		}
+		dec, err := segment.DecodeSlotted(sl)
+		if err != nil {
+			return nil, err
+		}
+		dec.Overflow = ov
+		b, err := dec.Descriptor(*at, segment.LargeDescSize)
+		if err != nil {
+			return nil, err
+		}
+		d, err := segment.DecodeLargeDesc(b)
+		if err != nil {
+			return nil, err
+		}
+		_, _, data, err := s.FetchSeg(0, proto.SegKey{Area: uint32(d.Area), Start: int64(d.Start)})
+		if err == nil && int(d.Stored) > len(data) {
+			err = segment.ErrOverflowOff
+		}
+		if err != nil {
+			return nil, err
+		}
+		return data[:d.Stored], nil
+	}}
+}
+
 // errNoExtent is what an extent's read returns when its data is all zero:
 // no commit filled it.
 var errNoExtent = errors.New("torture: the extent holds nothing")
@@ -189,35 +223,58 @@ func (sw *srvWorld) history() error {
 	if err := srv.Checkpoint(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	// One multi-page large object, stored as a client stores one: the content
-	// by StoreLarge, the descriptor in the segment's shipped image.
+	// One multi-page large object, stored as a session stores one: its
+	// content is the data section of a segment made of reserved runs, which
+	// the commit that ships the descriptor publishes, and the segment's
+	// overflow section moves to a reserved lone run the commit names too.
 	key := sw.keys[0]
 	big := bytes.Repeat([]byte("E19-large-object-payload."), 400) // ~10 KB, 3 pages
 	var at int
-	large := &object{name: "large object", read: func(s *server.Server) ([]byte, error) { return s.FetchLarge(0, key, at) }}
+	large := largeObj("large object", key, &at)
 	sw.objs = append(sw.objs, large)
-	sw.allocated(1, (len(big)+page.Size-1)/page.Size)
-	if _, err := sw.ship(key, false, func(txid uint64, seg *segment.Seg) error {
-		desc, err := srv.StoreLarge(sw.cl, txid, key, big)
+	if _, err := sw.ship(key, false, func(txid uint64, seg *segment.Seg, c *commit) error {
+		pages := (len(big) + page.Size - 1) / page.Size
+		runs, err := srv.ReserveSegments(sw.cl, sw.db, -1, 1, pages, 1)
 		if err != nil {
 			return err
 		}
-		seg.EnsureOverflow(1)
+		lone, err := srv.ReserveSegments(sw.cl, sw.db, -1, 0, 1, 1)
+		if err != nil {
+			return err
+		}
+		r, o := runs[0], lone[0]
+		sw.allocated(1, r.DataPages)
+		sw.allocated(1, o.DataPages)
+		cs := segment.New(4, r.SlottedPages, r.DataPages, page.AreaID(r.Seg.Area), page.No(r.DataStart))
+		copy(cs.Data, big)
+		seg.EnsureOverflow(o.DataPages)
+		seg.Hdr.OverArea, seg.Hdr.OverStart = page.AreaID(o.Seg.Area), page.No(o.DataStart)
+		d := segment.LargeDesc{Area: page.AreaID(r.Seg.Area), Start: page.No(r.Seg.Start), Stored: uint32(len(big)), CRC: page.Checksum(big)}
+		c.created = []proto.Created{{Reserved: r, FileID: 4}, {Reserved: o}}
+		c.imgs = []proto.SegImage{{Seg: r.Seg, Slotted: cs.EncodeSlots(), Data: cs.Data}}
+		sw.published = append(sw.published, pubSeg{r.Seg, txid})
 		large.writes = append(large.writes, objWrite{txid, big})
-		at, err = seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(big)), desc)
+		at, err = seg.CreateDescriptor(segment.KindLarge, 7, uint32(len(big)), d.Encode())
 		return err
 	}); err != nil {
 		return fmt.Errorf("create large: %w", err)
 	}
 	// A relocating growth: the second segment's object outgrows its data
-	// section, which moves to a fresh run of twice the pages.
+	// section, which moves to a reserved lone run of twice the pages.
 	grown := bytes.Repeat([]byte("E19-grown-object."), 700) // ~12 KB
-	if _, err := sw.ship(sw.keys[1], false, func(txid uint64, seg *segment.Seg) error {
+	if _, err := sw.ship(sw.keys[1], false, func(txid uint64, seg *segment.Seg, c *commit) error {
 		sw.objs[1].writes = append(sw.objs[1].writes, objWrite{txid, grown})
-		if err := seg.ResizeData(2 * int(seg.Hdr.DataPages)); err != nil {
+		lone, err := srv.ReserveSegments(sw.cl, sw.db, -1, 0, 2*int(seg.Hdr.DataPages), 1)
+		if err != nil {
 			return err
 		}
-		sw.allocated(1, int(seg.Hdr.DataPages))
+		r := lone[0]
+		if err := seg.ResizeData(r.DataPages); err != nil {
+			return err
+		}
+		seg.MoveData(page.AreaID(r.Seg.Area), page.No(r.DataStart))
+		c.created = []proto.Created{{Reserved: r}}
+		sw.allocated(1, r.DataPages)
 		return seg.ResizeObject(0, grown)
 	}); err != nil {
 		return fmt.Errorf("grow segment 1: %w", err)
@@ -284,9 +341,16 @@ func (sw *srvWorld) publish() error {
 	return sw.ack(txid, wal.TCommit, s.Publish(sw.cl, txid, created, img, false))
 }
 
+// commit is what a change adds to the commit that ships its segment: the
+// reserved runs it publishes and the images of other segments.
+type commit struct {
+	created []proto.Created
+	imgs    []proto.SegImage
+}
+
 // ship has one transaction change key's image and ship it, to commit or, with
 // prepare set, to vote yes. It returns the transaction.
-func (sw *srvWorld) ship(key proto.SegKey, prepare bool, change func(txid uint64, seg *segment.Seg) error) (uint64, error) {
+func (sw *srvWorld) ship(key proto.SegKey, prepare bool, change func(txid uint64, seg *segment.Seg, c *commit) error) (uint64, error) {
 	s := sw.srv
 	sl, ov, data, err := s.FetchSeg(0, key)
 	if err != nil {
@@ -304,17 +368,18 @@ func (sw *srvWorld) ship(key proto.SegKey, prepare bool, change func(txid uint64
 	if err := s.Lock(sw.cl, txid, key, proto.LockX); err != nil {
 		return 0, err
 	}
-	if err := change(txid, seg); err != nil {
+	var c commit
+	if err := change(txid, seg, &c); err != nil {
 		return 0, err
 	}
 	// The header ships with the checksums it was fetched with, as a session
 	// ships it (EncodeSlots): the server computes what lands on disk.
-	img := []proto.SegImage{{Seg: key, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: seg.Data}}
+	img := append([]proto.SegImage{{Seg: key, Slotted: seg.EncodeSlots(), Overflow: seg.Overflow, Data: seg.Data}}, c.imgs...)
 	typ := wal.TCommit
 	if prepare {
 		typ = wal.TPrepare
 	}
-	return txid, sw.ack(txid, typ, s.Publish(sw.cl, txid, nil, img, prepare))
+	return txid, sw.ack(txid, typ, s.Publish(sw.cl, txid, c.created, img, prepare))
 }
 
 // ack records that the server acknowledged typ of txid, unless err.
@@ -329,7 +394,7 @@ func (sw *srvWorld) ack(txid uint64, typ wal.Type, err error) error {
 // with prepare set, to vote yes.
 func (sw *srvWorld) put(i int, body []byte, prepare bool) (uint64, error) {
 	o := sw.objs[i]
-	return sw.ship(sw.keys[i], prepare, func(txid uint64, seg *segment.Seg) error {
+	return sw.ship(sw.keys[i], prepare, func(txid uint64, seg *segment.Seg, _ *commit) error {
 		o.writes = append(o.writes, objWrite{txid, body})
 		if seg.Live(0) {
 			return seg.ResizeObject(0, body)
@@ -350,7 +415,7 @@ func (sw *srvWorld) close() {
 // srvWorkload kills the history's server at every device event after its
 // database exists, restarts a server on what survived, and holds it to the
 // object-level model: (1) every acknowledged commit and yes vote is durable;
-// (2) every object reads back byte-exact (FetchSeg, FetchLarge) as
+// (2) every object reads back byte-exact through FetchSeg as
 // its last durable commit left it, and one with none reads as nothing; (3) a
 // branch whose prepare survived is in doubt, and its coordinator's commit
 // (every mode but torn) or abort then holds; (4) a published segment exists

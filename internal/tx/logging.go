@@ -16,10 +16,9 @@ import (
 //
 // A redo half, and nothing else, carried by the transaction's commit record.
 // Every page change — a client's commit or prepare, the server's whole write
-// set at the moment the transaction ends, and a large object's content,
-// stored in the middle of its transaction (server.StoreLarge) — is queued by
-// LogRedo beside the page's image in Tx.writes, and logged when the
-// transaction ends, in its TCommit or TPrepare (logEnd): one record, one CRC,
+// set at the moment the transaction ends — is queued by LogRedo beside the
+// page's image in Tx.writes, and logged when the transaction ends, in its
+// TCommit or TPrepare (logEnd): one record, one CRC,
 // one transaction id per commit, however many pages it changes. A transaction
 // whose queued changes would pass a log buffer (wal.BufSize) logs them ahead,
 // in a spill: a multi-page TRedo. Its pages are written after the
