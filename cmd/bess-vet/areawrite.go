@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -13,8 +14,8 @@ import (
 // log never saw over such a page, so a call of (*area.Area).WriteRun or
 // WritePage outside internal/area is a finding unless it is made by
 //
-//   - a WritePage whose first parameter is a wal.Logged: a pager writing on
-//     the proof it was handed;
+//   - a WriteRun whose first parameter is a []wal.Logged: a pager writing a
+//     run of pages on the proofs it was handed, one per page;
 //   - one of unloggedWriters, which write a page before it has a history:
 //     a fresh segment's initial image, and the zeros a page that has none
 //     is repaired to.
@@ -54,9 +55,13 @@ func analyzeAreaWrite(pkgs []*pkg, r *reporter) {
 	}
 }
 
-// writesOnProof reports whether fd is a WritePage whose first parameter is a
-// wal.Logged.
+// writesOnProof reports whether fd is a WriteRun whose first parameter is a
+// []wal.Logged.
 func writesOnProof(p *pkg, fd *ast.FuncDecl) bool {
 	params := fd.Type.Params.List
-	return fd.Name.Name == "WritePage" && len(params) > 0 && isNamedIn(p.info.TypeOf(params[0].Type), "internal/wal", "Logged")
+	if fd.Name.Name != "WriteRun" || len(params) == 0 {
+		return false
+	}
+	proofs, ok := p.info.TypeOf(params[0].Type).(*types.Slice)
+	return ok && isNamedIn(proofs.Elem(), "internal/wal", "Logged")
 }

@@ -12,9 +12,25 @@ func formatSegment(a *area.Area, img []byte) error { return a.WriteRun(0, img) }
 
 type reader struct{ a *area.Area }
 
-// WritePage writes on the proof it is handed.
-func (rd reader) WritePage(proof wal.Logged, data []byte) error {
-	return rd.a.WritePage(proof.Page, data)
+// WriteRun writes a run on the proofs it is handed.
+func (rd reader) WriteRun(proofs []wal.Logged, data []byte) error {
+	return rd.a.WriteRun(proofs[0].Page, data)
+}
+
+// rawPager's run write names its run by where it starts, not by its proofs.
+type rawPager struct{ a *area.Area }
+
+// WriteRun writes a run and holds no proof.
+func (rp rawPager) WriteRun(start int64, data []byte) error {
+	return rp.a.WriteRun(start, data) // want areawrite
+}
+
+// onePage's run write holds one page's proof, not a run's.
+type onePage struct{ a *area.Area }
+
+// WriteRun writes a run on one proof.
+func (op onePage) WriteRun(proof wal.Logged, data []byte) error {
+	return op.a.WriteRun(proof.Page, data) // want areawrite
 }
 
 // storePage writes a page and holds no proof.

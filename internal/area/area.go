@@ -79,6 +79,12 @@ func (s fileStore) Truncate(size int64) error { return s.f.Truncate(size) }
 func (s fileStore) Sync() error               { return s.f.Sync() }
 func (s fileStore) Close() error              { return s.f.Close() }
 
+// hintEvery is how many bytes an area writes between two writeback hints: one
+// log buffer (wal.BufSize). A commit's write-back then reaches the device
+// while the next commits are logged, and the checkpoint's Sync finds little
+// left to write. A hint is only a hint: durability comes from Sync alone.
+const hintEvery = 4 << 20
+
 // memStore backs an area with a growable byte slice.
 type memStore struct {
 	mu  sync.RWMutex
@@ -144,8 +150,19 @@ type Area struct {
 	growable bool
 	closed   bool
 
-	// Stats.
-	reads, writes, grows int64
+	// The bytes written since the last hint or Sync, and the range they lie
+	// in (noteWritten).
+	unhinted, hintLo, hintHi int64
+
+	stats Stats
+}
+
+// Stats are an area's cumulative counters.
+type Stats struct {
+	Reads, Writes int64 // pages read and written
+	WriteCalls    int64 // store writes: one per WriteRun or WritePage
+	Grows         int64 // extents added
+	Hints         int64 // writeback hints (hintEvery), on any store
 }
 
 // CreateFile creates a new file-backed area at path with initialExtents
@@ -297,7 +314,7 @@ func (a *Area) addExtentLocked() error {
 		a.extents = a.extents[:e]
 		return err
 	}
-	a.grows++
+	a.stats.Grows++
 	return a.writeHeader(len(a.extents))
 }
 
@@ -419,7 +436,7 @@ func (a *Area) ReadRun(start page.No, buf []byte) error {
 		return ErrClosed
 	}
 	limit := extentStart(len(a.extents))
-	a.reads += int64(n)
+	a.stats.Reads += int64(n)
 	a.mu.Unlock()
 	if start < 0 || start > limit-page.No(n) {
 		return ErrOutOfRange
@@ -438,7 +455,7 @@ func (a *Area) WritePage(p page.No, data []byte) error {
 
 // WriteRun writes data over the len(data)/page.Size contiguous pages starting
 // at start — ReadRun's twin: one latch, one bounds check, one store write.
-// Stats counts it as one write per page.
+// Stats counts it as one write call and one write per page.
 func (a *Area) WriteRun(start page.No, data []byte) error {
 	n, err := runPages(len(data))
 	if err != nil {
@@ -450,13 +467,43 @@ func (a *Area) WriteRun(start page.No, data []byte) error {
 		return ErrClosed
 	}
 	limit := extentStart(len(a.extents))
-	a.writes += int64(n)
+	a.stats.Writes += int64(n)
+	a.stats.WriteCalls++
 	a.mu.Unlock()
 	if start < 0 || start > limit-page.No(n) {
 		return ErrOutOfRange
 	}
-	_, err = a.st.WriteAt(data, int64(start)*page.Size)
-	return err
+	off := int64(start) * page.Size
+	if _, err = a.st.WriteAt(data, off); err != nil {
+		return err
+	}
+	a.noteWritten(off, int64(len(data)))
+	return nil
+}
+
+// noteWritten counts n bytes written at off. Once hintEvery bytes are written
+// since the last hint or Sync, it asks the kernel to start writing the range
+// they lie in back, if the store is a file (startWriteback: Linux's
+// sync_file_range; nothing elsewhere).
+func (a *Area) noteWritten(off, n int64) {
+	a.mu.Lock()
+	if a.unhinted == 0 {
+		a.hintLo, a.hintHi = off, off+n
+	} else {
+		a.hintLo, a.hintHi = min(a.hintLo, off), max(a.hintHi, off+n)
+	}
+	if a.unhinted += n; a.unhinted < hintEvery {
+		a.mu.Unlock()
+		return
+	}
+	lo, hi := a.hintLo, a.hintHi
+	a.unhinted = 0
+	a.stats.Hints++
+	a.mu.Unlock()
+	if fs, ok := a.st.(fileStore); ok {
+		// A hint that fails starts nothing: the next Sync writes it all.
+		_ = startWriteback(fs.f, lo, hi-lo)
+	}
 }
 
 // runPages is the page count of a run buffer of n bytes: a whole number of
@@ -630,12 +677,11 @@ func (a *Area) locate(p page.No) (extent int, offset int64, err error) {
 	return e, int64(p - extentStart(e)), nil
 }
 
-// Stats reports cumulative I/O counters: page reads, page writes, and
-// extent growths.
-func (a *Area) Stats() (reads, writes, grows int64) {
+// Stats reports the area's cumulative counters.
+func (a *Area) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.reads, a.writes, a.grows
+	return a.stats
 }
 
 // FreePages returns the number of allocatable pages currently free.
@@ -662,8 +708,14 @@ func (a *Area) Empty() bool {
 	return true
 }
 
-// Sync flushes the backing store.
-func (a *Area) Sync() error { return a.st.Sync() }
+// Sync flushes the backing store. What it finds unwritten, it writes: the
+// count toward the next writeback hint starts again.
+func (a *Area) Sync() error {
+	a.mu.Lock()
+	a.unhinted = 0
+	a.mu.Unlock()
+	return a.st.Sync()
+}
 
 // Close syncs and closes the area. Further operations fail with ErrClosed.
 func (a *Area) Close() error {

@@ -3,6 +3,7 @@ package area
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -121,8 +122,7 @@ func TestGrowableExpands(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	_, _, grows := a.Stats()
-	if grows < 2 {
+	if grows := a.Stats().Grows; grows < 2 {
 		t.Fatalf("grows = %d", grows)
 	}
 }
@@ -321,12 +321,12 @@ func TestReadRun(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				n := 1 + rng.Intn(MaxSegmentPages)
 				start := page.No(rng.Int63n(int64(limit) - int64(n) + 1))
-				reads0, _, _ := a.Stats()
+				reads0 := a.Stats().Reads
 				run := make([]byte, n*page.Size)
 				if err := a.ReadRun(start, run); err != nil {
 					t.Fatalf("ReadRun(%d, %d pages): %v", start, n, err)
 				}
-				if reads1, _, _ := a.Stats(); reads1-reads0 != int64(n) {
+				if reads1 := a.Stats().Reads; reads1-reads0 != int64(n) {
 					t.Fatalf("Stats reads advanced by %d for a %d-page run", reads1-reads0, n)
 				}
 				for j := 0; j < n; j++ {
@@ -367,7 +367,7 @@ func TestReadRun(t *testing.T) {
 }
 
 // TestWriteRun pins WriteRun against the per-page reference the same way: a
-// run write is byte-for-byte n WritePage calls, counts n writes, touches
+// run write is byte-for-byte n WritePage calls, counts n writes in one call, touches
 // nothing outside the run, and rejects every malformed request before
 // touching the store.
 func TestWriteRun(t *testing.T) {
@@ -396,12 +396,12 @@ func TestWriteRun(t *testing.T) {
 				start := page.No(rng.Int63n(int64(limit) - int64(n) + 1))
 				run := make([]byte, n*page.Size)
 				rng.Read(run)
-				_, writes0, _ := a.Stats()
+				st0 := a.Stats()
 				if err := a.WriteRun(start, run); err != nil {
 					t.Fatalf("WriteRun(%d, %d pages): %v", start, n, err)
 				}
-				if _, writes1, _ := a.Stats(); writes1-writes0 != int64(n) {
-					t.Fatalf("Stats writes advanced by %d for a %d-page run", writes1-writes0, n)
+				if st1 := a.Stats(); st1.Writes-st0.Writes != int64(n) || st1.WriteCalls-st0.WriteCalls != 1 {
+					t.Fatalf("Stats writes advanced by %d in %d calls for a %d-page run", st1.Writes-st0.Writes, st1.WriteCalls-st0.WriteCalls, n)
 				}
 				copy(shadow[int(start)*page.Size:], run)
 			}
@@ -551,4 +551,51 @@ func segmentPages(a *Area, start page.No) (int, bool) {
 	}
 	sz, ok := a.extents[e].BlockSize(off)
 	return int(sz), ok
+}
+
+// TestWritebackHintEvery: an area asks for writeback once it has written
+// hintEvery bytes since its last hint or Sync, and a Sync starts the count
+// again. On a file the hint reaches the kernel, and fails nothing.
+func TestWritebackHintEvery(t *testing.T) {
+	a, err := CreateFile(filepath.Join(t.TempDir(), "a.bess"), 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	run := bytes.Repeat([]byte{7}, MaxSegmentPages*page.Size)
+	per := hintEvery / len(run)
+	write := func(k int) {
+		for i := range k {
+			if err := a.WriteRun(extentStart(i%4)+1, run); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(per - 1)
+	if h := a.Stats().Hints; h != 0 {
+		t.Fatalf("%d hints after %d bytes, want 0", h, (per-1)*len(run))
+	}
+	write(1)
+	if h := a.Stats().Hints; h != 1 {
+		t.Fatalf("%d hints after %d bytes, want 1", h, per*len(run))
+	}
+	write(per - 1)
+	if err := a.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	write(1)
+	if h := a.Stats().Hints; h != 1 {
+		t.Fatalf("%d hints: a Sync did not start the count again", h)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(run); err != nil {
+		t.Fatal(err)
+	}
+	if err := startWriteback(f, 0, int64(len(run))); err != nil {
+		t.Fatalf("writeback hint on a file: %v", err)
+	}
 }

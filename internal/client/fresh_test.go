@@ -722,3 +722,68 @@ func TestReserveBatchIsPerGeometry(t *testing.T) {
 		t.Fatalf("ReserveSegments asked for %v, want %v", m.asked, want)
 	}
 }
+
+// TestPublishedEmptySegmentsReadFormatted: a segment published with no image
+// at all (created, nothing written) and one published with an image that holds
+// no object (one created and deleted in the publishing transaction) both read
+// back as formatted segments — decoded, verified, no live object — whether the
+// creator reaches the server directly or over rpc. The server writes no format
+// when it publishes: the commit writes every page of the fresh runs, the
+// format included when nothing ships.
+func TestPublishedEmptySegmentsReadFormatted(t *testing.T) {
+	for _, via := range []string{"server", "remote"} {
+		t.Run(via, func(t *testing.T) {
+			srv := server.NewMem(1)
+			defer srv.Close()
+			s := openDirect(t, srv, "creator")
+			if via == "remote" {
+				s, _ = openRemote(t, srv, "creator")
+			}
+			td, err := s.RegisterType(nodeType)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			bare, err := s.CreateSegment(3, 1, 4, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emptied, err := s.CreateSegment(3, 1, 4, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := s.CreateObject(emptied, td.ID, nodeBytes(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeleteObject(addr); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if written := srv.Snapshot().FormatPages; written != 0 {
+				t.Fatalf("the publish formatted %d pages; the commit writes them", written)
+			}
+			rd := openDirect(t, srv, "reader")
+			for name, seg := range map[string]proto.SegKey{"no image": bare, "no object": emptied} {
+				sl, _, data, err := srv.FetchSeg(rd.client, seg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				dec, err := segment.DecodeSlotted(sl)
+				if err == nil {
+					err = dec.VerifyData(data)
+				}
+				if err != nil {
+					t.Fatalf("%s: the segment does not read back formatted: %v", name, err)
+				}
+				if live := dec.LiveSlots(); len(live) != 0 {
+					t.Fatalf("%s: %d live objects in an empty segment", name, len(live))
+				}
+			}
+		})
+	}
+}

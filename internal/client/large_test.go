@@ -161,3 +161,46 @@ func TestLargeObjectCalledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplacedLargeObjectReleasesItsRange: a large object deleted and created
+// again in its slot, ten times in one session, gives its reserved range back
+// each time, so dropping every cached segment leaves no frame mapped and only
+// the slotted reservations reserved. The old ranges used to stay reserved and
+// mapped for the session's life.
+func TestReplacedLargeObjectReleasesItsRange(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	w := openDirect(t, srv, "writer")
+	seg, err := w.CreateSegment(1, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("twenty KB "), 2048)
+	slot := createLarge(t, w, seg, content)
+	if err := w.DropAllCached(); err != nil {
+		t.Fatal(err)
+	}
+	before := w.space.Snapshot()
+	for i := range 10 {
+		content[0] = byte(i)
+		replaceLarge(t, w, seg, slot, content)
+	}
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLarge(t, w, seg, slot); !bytes.Equal(got, content) {
+		t.Fatalf("the last replacement reads %d bytes, want its %d", len(got), len(content))
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DropAllCached(); err != nil {
+		t.Fatal(err)
+	}
+	// Each replacement's content is a segment of its own, whose slotted
+	// reservation stays, as every segment's does.
+	if st := w.space.Snapshot(); st.MappedFrames != 0 || st.ReservedFrames != before.ReservedFrames+10 {
+		t.Fatalf("after dropping every copy: %d frames mapped (want 0), %d reserved (want %d)",
+			st.MappedFrames, st.ReservedFrames, before.ReservedFrames+10)
+	}
+}

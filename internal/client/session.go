@@ -203,12 +203,12 @@ func (s *Session) RegisterType(td segment.TypeDesc) (*segment.TypeDesc, error) {
 // (Session.dropSeg), so a refetch never sees stale data.
 //
 // A segment this session created does not travel at all: its initial image is
-// a function of the geometry of the runs it was made of (segment.Format, which
-// the server formats them with when it publishes the segment), kept in fresh
-// until the mapper first asks and built then. The commit that publishes the
-// segment records the creator in the server's copy table, so from then on the
-// note is a registered copy like any other: a revocation reaches it through
-// dropSeg, and nothing is built from it afterwards.
+// a function of the geometry of the runs it was made of (segment.Format, the
+// image the server's commit writes when nothing of the segment ships), kept
+// in fresh until the mapper first asks and built then. The commit that
+// publishes the segment records the creator in the server's copy table, so
+// from then on the note is a registered copy like any other: a revocation
+// reaches it through dropSeg, and nothing is built from it afterwards.
 type fetcher struct {
 	s *Session
 

@@ -49,8 +49,10 @@ type Cursor struct {
 	off  int    // decoding: read position
 	end  int    // decoding: end of the innermost open frame
 	n    int    // sizing: bytes counted
+	kept int    // sizing: of those, the bytes of sections Append leaves in place
 	mode uint8
 	err  error
+	refs *[]Ref // encoding: where large sections are recorded (Append); nil: copied
 }
 
 const (
@@ -101,22 +103,40 @@ func Encode(m Message) ([]byte, error) {
 		return raw.Data, nil
 	}
 	size := walk(Cursor{mode: sizing}, m).n
-	return Append(make([]byte, 0, size), m)
+	return Append(make([]byte, 0, size), m, nil)
 }
 
-// Size returns the length of m's encoding, or the error encoding m fails
-// with: sizing checks every value encoding checks, so a message that sizes
-// encodes, to exactly that many bytes, as long as nobody changes it between.
-func Size(m Message) (int, error) {
+// Size returns the length of m's encoding and how many of those bytes are
+// sections Append leaves in place, or the error encoding m fails with:
+// sizing checks every value encoding checks, so a message that sizes encodes,
+// to exactly that many bytes, as long as nobody changes it between.
+func Size(m Message) (n, inPlace int, err error) {
 	c := walk(Cursor{mode: sizing}, m)
-	return c.n, c.err
+	return c.n, c.kept, c.err
 }
 
-// Append appends the encoding of m to b. It allocates nothing when b has the
-// room: rpc encodes a frame's message straight into the peer's send batch.
-// On an error the returned slice holds a partial encoding past len(b).
-func Append(b []byte, m Message) ([]byte, error) {
-	c := walk(Cursor{buf: b}, m)
+// Ref is a byte section an encoding leaves where it is instead of copying it
+// into the buffer (Append): Data belongs in front of the buffer's byte At.
+// The encoding is the buffer with every Ref's Data put in at its At, in the
+// order recorded — what rpc hands the socket, one write of the pieces.
+type Ref struct {
+	At   int
+	Data []byte
+}
+
+// MinRef is the smallest section Append leaves in place: below it the copy
+// costs less than one more piece of a write.
+const MinRef = 16 << 10
+
+// Append appends the encoding of m to b. It allocates nothing when b (and
+// *refs) have the room: rpc encodes a frame's message straight into the
+// peer's send batch. With refs, each byte section (Section, Rest) of at least
+// MinRef bytes is appended to *refs instead of to b — its length prefix and
+// the lengths of the frames around it count it where it belongs — and stays
+// m's own bytes, which must not change until the encoding has been used. On
+// an error the returned slice holds a partial encoding past len(b).
+func Append(b []byte, m Message, refs *[]Ref) ([]byte, error) {
+	c := walk(Cursor{buf: b, refs: refs}, m)
 	return c.buf, c.err
 }
 
@@ -282,6 +302,15 @@ func (c *Cursor) Section(v *[]byte) { c.bytes(v, c.length(len(*v))) }
 //
 // TestAppendSegImageAllocs and TestDecodeSegImageAllocs pin its allocation budget.
 func (c *Cursor) bytes(v *[]byte, n int) {
+	if len(*v) >= MinRef && c.err == nil {
+		switch {
+		case c.mode == sizing:
+			c.kept += len(*v)
+		case c.mode == encoding && c.refs != nil:
+			*c.refs = append(*c.refs, Ref{At: len(c.buf), Data: *v})
+			return
+		}
+	}
 	b := run(c, *v, n)
 	if c.mode == decoding {
 		*v = nil
@@ -346,7 +375,7 @@ func (c *Cursor) close(mark int) {
 	switch {
 	case c.err != nil || c.mode == sizing:
 	case c.mode == encoding:
-		if n := len(c.buf) - mark; uint64(n) > math.MaxUint32 {
+		if n := len(c.buf) - mark + c.inPlace(mark); uint64(n) > math.MaxUint32 {
 			c.Failf("frame of %d bytes does not fit a u32 length", n)
 		} else {
 			binary.BigEndian.PutUint32(c.buf[mark-4:], uint32(n))
@@ -357,4 +386,18 @@ func (c *Cursor) close(mark int) {
 		}
 		c.end = mark
 	}
+}
+
+// inPlace counts the bytes of the sections recorded in place from the
+// buffer's byte from on: every one recorded since the frame whose mark it is
+// opened.
+func (c *Cursor) inPlace(from int) int {
+	if c.refs == nil {
+		return 0
+	}
+	n := 0
+	for rs, i := *c.refs, len(*c.refs)-1; i >= 0 && rs[i].At >= from; i-- {
+		n += len(rs[i].Data)
+	}
+	return n
 }

@@ -84,16 +84,17 @@ type frame struct {
 	body   []byte
 	msg    proto.Message
 	size   int // msg's encoded length (setMsg)
+	kept   int // of those, the bytes an encoding with refs leaves in place
 }
 
 // setMsg makes m the body of f, sizing it: a message that cannot be encoded
 // fails here, before its sender queues anything.
 func (f *frame) setMsg(m proto.Message) error {
-	n, err := proto.Size(m)
+	n, kept, err := proto.Size(m)
 	if err != nil {
 		return err
 	}
-	f.msg, f.size = m, n
+	f.msg, f.size, f.kept = m, n, kept
 	return nil
 }
 
@@ -117,15 +118,40 @@ func (f *frame) wireLen() int {
 	return frameHdrLen + f.payloadLen()
 }
 
-// appendFrame serializes f onto dst, returning the extended slice. It runs
-// once per frame on the send path, straight into the peer's pending batch,
-// and must not allocate beyond dst: a message is encoded in place, its
-// length put in the header after it. A message that fails to encode leaves
-// dst as it was.
+// inPlace is how many of f's wireLen bytes appendFrameRefs leaves in place:
+// its message's large sections, or its body if that is large.
+func (f *frame) inPlace() int {
+	switch {
+	case f.msg != nil:
+		return f.kept
+	case len(f.body) >= proto.MinRef:
+		return len(f.body)
+	}
+	return 0
+}
+
+// appendFrame serializes f onto dst, returning the extended slice: the
+// frame's every byte copied (appendFrameRefs with no refs).
+func appendFrame(dst []byte, f *frame) []byte {
+	return appendFrameRefs(dst, nil, f)
+}
+
+// appendFrameRefs serializes f onto dst, returning the extended slice. It
+// runs once per frame on the send path, straight into the peer's pending
+// batch, and must not allocate beyond dst and *refs: a message is encoded in
+// place, its length put in the header after it. With refs, each byte section
+// of at least proto.MinRef bytes — of the message, or the body itself — is
+// appended to *refs, not to dst (proto.Append): the frame is dst with
+// those sections put in where they belong, and its header's length and CRC
+// trailer count them. A message that fails to encode leaves dst and *refs as
+// they were.
 //
 // TestAppendFrameAllocs pins its allocation budget.
-func appendFrame(dst []byte, f *frame) []byte {
-	start := len(dst)
+func appendFrameRefs(dst []byte, refs *[]proto.Ref, f *frame) []byte {
+	start, nref := len(dst), 0
+	if refs != nil {
+		nref = len(*refs)
+	}
 	dst = binary.BigEndian.AppendUint64(dst, f.id)
 	dst = append(dst, f.flags)
 	dst = binary.BigEndian.AppendUint16(dst, f.method)
@@ -134,19 +160,43 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.name)))
 		dst = append(dst, f.name...)
 	}
-	if f.msg == nil {
-		dst = append(dst, f.body...)
-	} else {
+	switch {
+	case f.msg != nil:
 		var err error
-		if dst, err = proto.Append(dst, f.msg); err != nil {
+		if dst, err = proto.Append(dst, f.msg, refs); err != nil {
+			if refs != nil {
+				*refs = (*refs)[:nref]
+			}
 			return dst[:start]
 		}
+	case refs != nil && len(f.body) >= proto.MinRef:
+		*refs = append(*refs, proto.Ref{At: len(dst), Data: f.body})
+	default:
+		dst = append(dst, f.body...)
 	}
-	binary.BigEndian.PutUint32(dst[start+11:], uint32(len(dst)-start-frameHdrLen))
+	var mine []proto.Ref
+	if refs != nil {
+		mine = (*refs)[nref:]
+	}
+	binary.BigEndian.PutUint32(dst[start+11:], uint32(len(dst)-start-frameHdrLen+refBytes(mine)))
 	if f.flags&flagCRC != 0 {
-		dst = binary.BigEndian.AppendUint32(dst, page.Checksum(dst[start:]))
+		crc, at := page.Checksum(nil), start
+		for _, r := range mine {
+			crc = page.ChecksumUpdate(page.ChecksumUpdate(crc, dst[at:r.At]), r.Data)
+			at = r.At
+		}
+		dst = binary.BigEndian.AppendUint32(dst, page.ChecksumUpdate(crc, dst[at:]))
 	}
 	return dst
+}
+
+// refBytes counts the bytes of refs' sections.
+func refBytes(refs []proto.Ref) int {
+	n := 0
+	for _, r := range refs {
+		n += len(r.Data)
+	}
+	return n
 }
 
 // parseHeader validates a fixed header and returns the partial frame plus
@@ -205,12 +255,25 @@ func (f *frame) setPayload(payload []byte) error {
 // (a Handler, a StreamHandler, the caller of CallRaw), who may keep it, view
 // into it and write to it.
 func readFrame(br *bufio.Reader) (frame, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	// The header and the trailer are read where the reader buffers them
+	// (Peek), not copied out: an array handed to a Read or a checksum
+	// escapes to the heap.
+	hdr, err := br.Peek(frameHdrLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, err
 	}
-	f, plen, err := parseHeader(&hdr)
+	f, plen, err := parseHeader((*[frameHdrLen]byte)(hdr))
 	if err != nil {
+		return frame{}, err
+	}
+	var crc uint32
+	if f.flags&flagCRC != 0 {
+		crc = page.Checksum(hdr)
+	}
+	if _, err := br.Discard(frameHdrLen); err != nil {
 		return frame{}, err
 	}
 	payload := make([]byte, plen)
@@ -221,16 +284,19 @@ func readFrame(br *bufio.Reader) (frame, error) {
 		return frame{}, err
 	}
 	if f.flags&flagCRC != 0 {
-		var trailer [4]byte
-		if _, err := io.ReadFull(br, trailer[:]); err != nil {
+		trailer, err := br.Peek(4)
+		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return frame{}, err
 		}
-		crc := page.Checksum(hdr[:])
 		crc = page.ChecksumUpdate(crc, payload)
-		if got := binary.BigEndian.Uint32(trailer[:]); got != crc {
+		got := binary.BigEndian.Uint32(trailer)
+		if _, err := br.Discard(4); err != nil {
+			return frame{}, err
+		}
+		if got != crc {
 			return frame{}, fmt.Errorf("%w: frame id %d: crc %08x want %08x", ErrFrameChecksum, f.id, crc, got)
 		}
 	}

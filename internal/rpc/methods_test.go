@@ -36,9 +36,12 @@ func TestEveryMethodHasArgsAndReply(t *testing.T) {
 }
 
 // TestColdCallAllocBudget bounds a whole NewTx-shaped round trip — encode,
-// frame, dispatch, decode, and back — over net.Pipe, at the 10 allocations
-// it measures. With a gob body per direction the same call cost 335, and
-// with each dispatch's frame captured in a closure 11.
+// frame, dispatch, decode, and back — over net.Pipe, at 10 allocations. It
+// measures 8: a frame's header and CRC trailer are read where the reader
+// buffers them, where each used to cost one more. Under -race it measures 9:
+// the race runtime's sync.Pool drops a quarter of the codec cursors it is
+// given back. With a gob body per direction the same call cost 335, and with
+// each dispatch's frame captured in a closure 11.
 func TestColdCallAllocBudget(t *testing.T) {
 	if goleak.Enabled || lockcheck.Enabled {
 		t.Skip("the runtime checkers allocate per spawn and per lock acquisition")

@@ -16,12 +16,16 @@
 // queued — and then encodes it once, straight into the peer's pending batch:
 // a Call's args and a Typed reply (a FetchSeg image, say) are never encoded
 // anywhere else, and bytes already encoded (CallRaw, a bare Handler's reply,
-// a stream frame) are copied into the batch once. The first sender to reach
-// the socket writes the batch for everyone queued behind it — the same
-// leader/follower pattern the WAL uses for group commit, applied to writes
-// instead of fsyncs. The batch goes to the connection as it is; while it is
-// on the socket senders fill the one spare, and the two swap (an idle peer
-// keeps at most 2 x maxSpare).
+// a stream frame) are copied into the batch once. A byte section of at least
+// proto.MinRef bytes — a segment's data, a large body — is not copied at all:
+// the batch names it (a proto.Ref) and the socket gets it from where it is,
+// which is safe because send returns only once its frame is on the socket.
+// The first sender to reach the socket writes the batch for everyone queued
+// behind it — the same leader/follower pattern the WAL uses for group commit,
+// applied to writes instead of fsyncs. The batch and the sections it names go
+// to the connection in one write (net.Buffers); while they are on the socket
+// senders fill the one spare, and the two swap (an idle peer keeps at most 2
+// x maxSpare).
 // Inbound, a frame's body is allocated for that frame and belongs to whoever
 // receives it — handler, stream handler or caller — to keep, view into and
 // write to; nothing on the read side is recycled. Transports: TCP
@@ -94,6 +98,7 @@ type StreamHandler func(stream uint64, body []byte)
 // the socket by another sender's flush count as Coalesced.
 type Stats struct {
 	FramesSent int64
+	BytesSent  int64
 	Flushes    int64
 	Coalesced  int64
 }
@@ -126,15 +131,19 @@ type Peer struct {
 	// sender's body and the socket.
 	wmu      lockcheck.Mutex
 	wcond    *sync.Cond
-	pending  []byte // guarded by wmu; frames encoded, not yet handed to a write
-	spare    []byte // guarded by wmu; the last batch written, empty, at most maxSpare
-	wseq     uint64 // guarded by wmu; frames appended
-	wflushed uint64 // guarded by wmu; frames on the socket
-	writing  bool   // guarded by wmu; a leader is on the socket
-	werr     error  // guarded by wmu; sticky first write error
-	frames   int64  // guarded by wmu
-	flushes  int64  // guarded by wmu
-	grouped  int64  // guarded by wmu
+	pending  []byte      // guarded by wmu; frames encoded, not yet handed to a write
+	refs     []proto.Ref // guarded by wmu; the sections pending leaves where they are
+	spare    []byte      // guarded by wmu; the last batch written, empty, at most maxSpare
+	spareRef []proto.Ref // guarded by wmu; the last batch's refs, empty
+	iov      net.Buffers // the leader's, on the socket: a batch cut at its refs
+	wseq     uint64      // guarded by wmu; frames appended
+	wflushed uint64      // guarded by wmu; frames on the socket
+	writing  bool        // guarded by wmu; a leader is on the socket
+	werr     error       // guarded by wmu; sticky first write error
+	frames   int64       // guarded by wmu
+	bytes    int64       // guarded by wmu
+	flushes  int64       // guarded by wmu
+	grouped  int64       // guarded by wmu
 
 	mu       lockcheck.Mutex
 	handlers map[string]Method        // guarded by mu; by name
@@ -334,11 +343,12 @@ func (p *Peer) dropCall(id uint64) {
 // so calling this on one end at handshake time protects both directions.
 func (p *Peer) EnableChecksums() { p.crcOut.Store(true) }
 
-// send encodes f straight into the pending batch and returns once those
-// bytes are on the socket — written either by this sender as leader or by
-// another sender's write that covered them. A message is sized already
-// (setMsg); one that changed since, and no longer encodes to that size, is
-// taken back out of the batch and fails the send.
+// send encodes f straight into the pending batch — its large sections as
+// refs to where they are — and returns once those bytes are on the socket,
+// written either by this sender as leader or by another sender's write that
+// covered them: until then nothing may change the sections. A message is
+// sized already (setMsg); one that changed since, and no longer encodes to
+// that size, is taken back out of the batch and fails the send.
 func (p *Peer) send(f *frame) error {
 	if p.crcOut.Load() {
 		f.flags |= flagCRC
@@ -349,18 +359,20 @@ func (p *Peer) send(f *frame) error {
 	if p.werr != nil {
 		return p.werr
 	}
-	// Grow at most once per frame, by its whole size: a large frame must not
-	// double its way up from a small batch.
-	start := len(p.pending)
-	if need := start + n; need > cap(p.pending) {
+	// Grow at most once per frame, by what of it the batch holds: a large
+	// frame must not double its way up from a small batch, nor make room for
+	// the sections it leaves in place.
+	start, nref := len(p.pending), len(p.refs)
+	if need := start + n - f.inPlace(); need > cap(p.pending) {
 		p.pending = append(make([]byte, 0, max(need, 2*cap(p.pending))), p.pending...)
 	}
-	if p.pending = appendFrame(p.pending, f); len(p.pending) != start+n {
-		p.pending = p.pending[:start]
+	if p.pending = appendFrameRefs(p.pending, &p.refs, f); len(p.pending)-start+refBytes(p.refs[nref:]) != n {
+		p.pending, p.refs = p.pending[:start], p.refs[:nref]
 		return fmt.Errorf("%w: message changed while being sent", proto.ErrBadMessage)
 	}
 	p.wseq++
 	p.frames++
+	p.bytes += int64(n)
 	return p.flushPending(p.wseq)
 }
 
@@ -400,15 +412,15 @@ func (p *Peer) flushPending(seq uint64) error {
 	// while senders fill the spare, and becomes the spare once written.
 	p.writing = true
 	for p.werr == nil && len(p.pending) > 0 {
-		buf := p.pending
+		buf, refs := p.pending, p.refs
 		top := p.wseq
 		p.pending, p.spare = p.spare, nil
+		p.refs, p.spareRef = p.spareRef, nil
 		p.wmu.Unlock()
-		n, err := p.conn.Write(buf)
-		if err == nil && n < len(buf) {
-			err = io.ErrShortWrite
-		}
+		err := p.write(buf, refs)
+		clear(refs) // the senders' sections are theirs again
 		p.wmu.Lock()
+		p.spareRef = refs[:0]
 		if err != nil {
 			// The stream is byte-oriented: a short write leaves the socket
 			// unframeable, so the connection is done for — fail everyone.
@@ -427,11 +439,43 @@ func (p *Peer) flushPending(seq uint64) error {
 	return p.werr
 }
 
+// write hands the connection a batch and the sections its refs name, in one
+// write: the batch alone, or — cut at its refs — as net.Buffers, which a TCP
+// connection writes with one writev. Only the leader calls it.
+func (p *Peer) write(buf []byte, refs []proto.Ref) error {
+	want := len(buf) + refBytes(refs)
+	var n int64
+	var err error
+	if len(refs) == 0 {
+		var k int
+		k, err = p.conn.Write(buf)
+		n = int64(k)
+	} else {
+		iov, at := p.iov[:0], 0
+		for _, r := range refs {
+			if r.At > at {
+				iov = append(iov, buf[at:r.At])
+			}
+			iov, at = append(iov, r.Data), r.At
+		}
+		if at < len(buf) {
+			iov = append(iov, buf[at:])
+		}
+		p.iov = iov
+		n, err = iov.WriteTo(p.conn)
+		clear(p.iov[:cap(p.iov)])
+	}
+	if err == nil && n < int64(want) {
+		err = io.ErrShortWrite
+	}
+	return err
+}
+
 // WireStats reports cumulative write-side counters.
 func (p *Peer) WireStats() Stats {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	return Stats{FramesSent: p.frames, Flushes: p.flushes, Coalesced: p.grouped}
+	return Stats{FramesSent: p.frames, BytesSent: p.bytes, Flushes: p.flushes, Coalesced: p.grouped}
 }
 
 // readLoop ends when the connection does: closing it is what stops it.

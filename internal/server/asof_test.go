@@ -140,8 +140,7 @@ func TestAsOfCommitReadsDataOnce(t *testing.T) {
 	cl, _ := s.Hello("c")
 	reads := func() (n int64) {
 		for _, a := range s.openAreas() {
-			r, _, _ := a.Stats()
-			n += r
+			n += a.Stats().Reads
 		}
 		return n
 	}

@@ -103,8 +103,7 @@ func corruptionIn(err error) bool {
 // aborted one's never, a rollback's anchors at its abort) — its anchors
 // whole, its byte ranges over them — which leaves the page as redo would. zeroBase marks ranges whose
 // initial on-disk state was all zeroes
-// (data and overflow runs, which CreateSegment and the allocator zero without
-// logging) — those replay correctly from an empty history, while a slotted
+// (data and overflow runs, which a format zeroes without logging) — those replay correctly from an empty history, while a slotted
 // page is only repairable from a whole-page image, which the anchor rule
 // makes the first record any commit logs of it. A page with history is
 // rewritten on the proof of the last record replayed; a zeroBase page with
@@ -143,7 +142,7 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 		if !ph.Whole && !zeroBase {
 			return fmt.Errorf("server: repair: page %d:%d has no full-page image in the log", areaID, pno)
 		}
-		if err := rd.WritePage(ph.Last, ph.Data); err != nil {
+		if err := rd.WriteRun([]wal.Logged{ph.Last}, ph.Data); err != nil {
 			return err
 		}
 	}

@@ -32,9 +32,9 @@ func readPage(t *testing.T, s *Server, id page.ID) []byte {
 }
 
 // TestWritePageRejectsZeroProof: the page store writes nothing on the zero
-// wal.Logged, and as the transaction manager's pager it takes a commit's
-// stores, after the force, on the proofs the commit's wal.Durable makes — a
-// logged change has no other way to the area.
+// wal.Logged, alone or in a run, and as the transaction manager's pager it
+// takes a commit's stores, after the force, on the proofs the commit's
+// wal.Durable makes — a logged change has no other way to the area.
 func TestWritePageRejectsZeroProof(t *testing.T) {
 	s := NewMem(1)
 	defer s.Close()
@@ -49,8 +49,11 @@ func TestWritePageRejectsZeroProof(t *testing.T) {
 	junk := bytes.Repeat([]byte{0xC3}, page.Size)
 	written := s.Snapshot().PagesWritten
 
-	if err := s.WritePage(wal.Logged{}, junk); !errors.Is(err, wal.ErrNotLogged) {
-		t.Fatalf("WritePage on the zero proof: %v, want wal.ErrNotLogged", err)
+	if err := s.WriteRun([]wal.Logged{{}}, junk); !errors.Is(err, wal.ErrNotLogged) {
+		t.Fatalf("WriteRun on the zero proof: %v, want wal.ErrNotLogged", err)
+	}
+	if err := s.WriteRun([]wal.Logged{{}, {}}, append(junk, junk...)); !errors.Is(err, wal.ErrNotLogged) {
+		t.Fatalf("WriteRun on two zero proofs: %v, want wal.ErrNotLogged", err)
 	}
 	if !bytes.Equal(readPage(t, s, pid), was) || s.Snapshot().PagesWritten != written {
 		t.Fatal("a store without a log record reached the area")
@@ -93,14 +96,14 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 	foreign := s.vs.StageUpdate(other.ID(), vkeyOf(key), cache.VImage{Slotted: sl, Overflow: ov, Data: dt})
 	end := s.log.NextLSN()
 	for name, staged := range map[string]cache.Staged{"zero": {}, "another transaction's": foreign} {
-		if err := s.logShipped(tr, staged, key, nil, data, nil, new([]byte)); !errors.Is(err, ErrNotStaged) {
+		if err := s.logShipped(tr, staged, key, nil, data, nil); !errors.Is(err, ErrNotStaged) {
 			t.Fatalf("logShipped on %s Staged: %v, want ErrNotStaged", name, err)
 		}
 	}
 	if s.log.NextLSN() != end || !bytes.Equal(readPage(t, s, pid), was) {
 		t.Fatal("an unstaged overwrite was logged or written")
 	}
-	if err := s.logShipped(other, foreign, key, nil, data, nil, new([]byte)); err != nil {
+	if err := s.logShipped(other, foreign, key, nil, data, nil); err != nil {
 		t.Fatalf("logShipped on the transaction's own Staged: %v", err)
 	}
 	if !bytes.Equal(readPage(t, s, pid), was) {

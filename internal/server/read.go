@@ -49,6 +49,7 @@ type reader struct {
 	stats struct {
 		messages, slottedFetches, dataFetches      atomic.Int64
 		commits, aborts, pagesWritten, snapFetches atomic.Int64
+		formatPages, released                      atomic.Int64
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
+	"bess/internal/segment"
 	"bess/internal/tx"
 )
 
@@ -19,10 +20,12 @@ import (
 // have not ended. A segment is created in three steps: its runs are reserved
 // to a client (in memory only: no extent map and no log record names them);
 // the client's commit publishes it (its add-segment op is logged, its runs
-// formatted and entered in their extent maps, X taken for the transaction);
-// and when that transaction ends it enters the catalog, where every other
-// client finds it. A lone run takes the first two steps: the commit that
-// moves a section to it logs its add-run op and enters it in its extent map.
+// entered in their extent maps, X taken for the transaction, and every page
+// of its runs queued as the commit's change, written after its force); and
+// when that transaction ends it enters the catalog, where every other client
+// finds it — formatted by the rollback if the transaction aborts. A lone run
+// takes the first two steps: the commit that moves a section to it logs its
+// add-run op and enters it in its extent map.
 // Reservation is the only way to a run: nothing allocates while committing.
 // mu is a plain mutex, held while taking no other lock.
 type reservations struct {
@@ -168,13 +171,16 @@ func (s *Server) take(client uint32, created []proto.Created) ([]*proto.CatalogO
 // publish creates the segments ops add, of runs take took: X-locked for t,
 // which never waits (no other transaction can ask for a lock on a key the
 // catalog does not have), the creator recorded as holding a copy, each op
-// logged with its runs formatted, and the runs entered in their extent maps,
-// each map written once. A lone run is logged and entered, and no more: its
-// pages come from the section t moves there. The segments enter the catalog
-// when t ends (reveal), or at once with no t. It returns the LSN of the last
-// record it logged: the segments are durable once the log is forced that
-// far. The runs of an op not logged go free, and its lock and holder record
-// with them.
+// logged, and the runs entered in their extent maps, each map written once.
+// It writes no page of a segment t publishes: t's commit writes every page of
+// its runs after the force — the image t ships of it, or its format
+// (logFormat) — and its rollback formats it (formatAborted). With no t the
+// segment is formatted at once. A lone run is logged and entered, and no
+// more: its pages come from the section t moves there. The segments enter the
+// catalog when t ends (reveal), or at once with no t. It returns the LSN of
+// the last record it logged: the segments are durable once the log is forced
+// that far. The runs of an op not logged go free, and its lock and holder
+// record with them.
 func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.LSN, error) {
 	var err error
 	for _, op := range ops {
@@ -197,9 +203,9 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 	if err == nil {
 		s.cat.mu.Lock()
 		for i, op := range ops {
-			var format func() error // a lone run's pages are the log's
-			if op.Kind == proto.CatAddSegment {
-				format = func() error { return formatSegment(areas[i], op) }
+			var format func() error // a lone run's pages are the log's, and so are t's
+			if op.Kind == proto.CatAddSegment && t == nil {
+				format = func() error { return s.formatSegment(areas[i], op) }
 			}
 			var l page.LSN
 			l, err = s.cat.record(op, format)
@@ -244,6 +250,48 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 	s.res.pending[t.ID()] = append(s.res.pending[t.ID()], ops...)
 	s.res.mu.Unlock()
 	return lsn, err
+}
+
+// published lists the ops transaction txid published and that have not
+// entered the catalog: t has not ended.
+func (s *Server) published(txid uint64) []*proto.CatalogOp {
+	s.res.mu.Lock()
+	defer s.res.mu.Unlock()
+	return slices.Clone(s.res.pending[txid])
+}
+
+// formatAborted formats the segments transaction txid published: it is
+// rolling back, and they enter the catalog as restart would rebuild them from
+// their ops — formatted and empty. It runs before the rollback reads a page
+// (tx.Manager.SetRollbackHook), so what the rollback re-anchors a page to is
+// the format, not whatever the fresh run held. A lone run needs nothing: no
+// section of the aborted transaction lands there.
+func (s *Server) formatAborted(txid uint64) error {
+	var err error
+	for _, op := range s.published(txid) {
+		if op.Kind != proto.CatAddSegment {
+			continue
+		}
+		a := s.lookupArea(op.Seg.Area)
+		if a == nil {
+			err = errors.Join(err, ErrNoArea)
+			continue
+		}
+		err = errors.Join(err, s.formatSegment(a, op))
+	}
+	return err
+}
+
+// logFormat queues the initial images of the segment op adds — the empty
+// slotted segment and the zeroed data section, every page whole — as t's
+// change of its pages, for t's commit to write after its force: t publishes
+// the segment and ships no image of it.
+func (s *Server) logFormat(t *tx.Tx, op *proto.CatalogOp) error {
+	sl := segment.Format(op.FileID, op.SlottedPages, op.DataPages, page.AreaID(op.Seg.Area), page.No(op.DataStart))
+	if err := s.eachPage(t, op.Seg.Area, page.No(op.Seg.Start), nil, sl); err != nil {
+		return err
+	}
+	return s.eachPage(t, op.Seg.Area, page.No(op.DataStart), nil, zeroRun[:op.DataPages*page.Size])
 }
 
 // reveal enters the segments transaction txid published in the catalog: it
@@ -301,10 +349,10 @@ func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error
 
 // CreateSegment creates a segment of file fileID in db for an in-process
 // caller, as a session's create and publish do: one run pair reserved to
-// client and published at once — under txid, X-locked for it and found by
-// others when it ends, or with txid 0 unlocked and in the catalog when
-// CreateSegment returns. Nothing is forced: the segment is durable with the
-// next log force.
+// client and published at once — under txid, X-locked for it, formatted by
+// its commit (or its rollback) and found by others when it ends, or with txid
+// 0 formatted, unlocked and in the catalog when CreateSegment returns.
+// Nothing is forced: the segment is durable with the next log force.
 func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, slottedPages, dataPages, areaHint int) (proto.Created, error) {
 	if fileID == 0 {
 		return proto.Created{}, errors.New("server: fileID 0 is reserved")
@@ -318,10 +366,13 @@ func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, sl
 	if err != nil {
 		return proto.Created{}, err
 	}
-	var t *tx.Tx
-	if txid != 0 {
-		t = s.ensureTx(client, txid)
+	if txid == 0 {
+		_, err = s.publish(client, nil, ops)
+		return c, err
 	}
-	_, err = s.publish(client, t, ops)
+	t := s.ensureTx(client, txid)
+	if _, err = s.publish(client, t, ops); err == nil {
+		err = s.logFormat(t, ops[0])
+	}
 	return c, err
 }

@@ -59,7 +59,9 @@ type Stats struct {
 	Callbacks        int64
 	CallbackRefusals int64
 	PagesWritten     int64
+	FormatPages      int64 // pages formatSegment wrote, with no record
 	SnapFetches      int64 // as-of segment fetches served to snapshots
+	Released         int64 // Released calls: copies given up
 
 	// WAL counters (group commit, experiment E11): Syncs stays far below
 	// Commits under concurrency because committers share fsyncs.
@@ -67,6 +69,10 @@ type Stats struct {
 	WALFlushes        int64
 	WALSyncs          int64
 	WALGroupedCommits int64
+
+	// Areas sums the open areas' counters: pages and store calls, and
+	// writeback hints.
+	Areas area.Stats
 }
 
 // Server is one BeSS server.
@@ -202,6 +208,7 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	// the catalog, before its locks release.
 	s.txm.SetCommitHook(func(id uint64, lsn page.LSN) { s.vs.CommitTx(id, lsn); s.reveal(id) })
 	s.txm.SetAbortHook(func(id uint64) { s.vs.AbortTx(id); s.reveal(id) })
+	s.txm.SetRollbackHook(s.formatAborted)
 	s.txm.SetRepair(s.repairWrites)
 	s.nextTx.Store(uint64(host)<<48 | 1)
 	return s, nil
@@ -329,6 +336,12 @@ func (s *Server) Log() *wal.Log { return s.log }
 func (s *Server) Snapshot() Stats {
 	ls := s.log.Stats()
 	callbacks, refusals := s.copies.Counts()
+	var as area.Stats
+	for _, a := range s.openAreas() {
+		st := a.Stats()
+		as.Reads, as.Writes, as.WriteCalls = as.Reads+st.Reads, as.Writes+st.Writes, as.WriteCalls+st.WriteCalls
+		as.Grows, as.Hints = as.Grows+st.Grows, as.Hints+st.Hints
+	}
 	return Stats{
 		Messages:         s.stats.messages.Load(),
 		SlottedFetches:   s.stats.slottedFetches.Load(),
@@ -338,12 +351,15 @@ func (s *Server) Snapshot() Stats {
 		Callbacks:        callbacks,
 		CallbackRefusals: refusals,
 		PagesWritten:     s.stats.pagesWritten.Load(),
+		FormatPages:      s.stats.formatPages.Load(),
 		SnapFetches:      s.stats.snapFetches.Load(),
+		Released:         s.stats.released.Load(),
 
 		WALAppends:        ls.Appends,
 		WALFlushes:        ls.Flushes,
 		WALSyncs:          ls.Syncs,
 		WALGroupedCommits: ls.GroupedCommits,
+		Areas:             as,
 	}
 }
 
@@ -366,20 +382,21 @@ func (rd *reader) ReadPage(id page.ID, buf []byte) error {
 	return a.ReadPage(id.Page, buf)
 }
 
-// WritePage implements wal.Pager: the page-store choke point for every logged
-// mutation. The page it writes is the one proof's record changed, so there is
-// no calling it for a page nothing was logged for (DESIGN.md §4f).
-func (rd *reader) WritePage(proof wal.Logged, data []byte) error {
-	if proof.LSN() == 0 {
-		return wal.ErrNotLogged
+// WriteRun implements wal.Pager: the page-store choke point for every logged
+// mutation. The pages it writes are the ones its proofs' records changed, in
+// one area write, so there is no calling it for a page nothing was logged for
+// (DESIGN.md §4f).
+func (rd *reader) WriteRun(proofs []wal.Logged, data []byte) error {
+	id, err := wal.RunOf(proofs, data)
+	if err != nil {
+		return err
 	}
-	id := proof.Page()
 	a := rd.lookupArea(uint32(id.Area))
 	if a == nil {
 		return ErrNoArea
 	}
-	rd.stats.pagesWritten.Add(1)
-	return a.WritePage(id.Page, data)
+	rd.stats.pagesWritten.Add(int64(len(proofs)))
+	return a.WriteRun(id.Page, data)
 }
 
 // --- client registry ---
@@ -558,9 +575,11 @@ func (s *Server) areaOf(m *dbMeta, hint int) (*area.Area, uint32, error) {
 // formatSegment writes the initial images of the segment op adds: the empty
 // slotted segment and the zeroed data section, one write per run. The header
 // carries the zero section's checksum, so the segment verifies from its very
-// first read. The zeros are written, not left to the area: a data run's first
-// write-back would pay for the fresh blocks instead.
-func formatSegment(a *area.Area, op *proto.CatalogOp) error {
+// first read. It writes a segment no transaction publishes, one whose
+// publishing transaction rolls back (formatAborted), and one restart finds
+// without its pages (redoSegment); a committed transaction's writes its own.
+func (rd *reader) formatSegment(a *area.Area, op *proto.CatalogOp) error {
+	rd.stats.formatPages.Add(int64(op.SlottedPages + op.DataPages))
 	slotted := segment.Format(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
 	if err := a.WriteRun(page.No(op.Seg.Start), slotted); err != nil {
 		return err
@@ -568,8 +587,9 @@ func formatSegment(a *area.Area, op *proto.CatalogOp) error {
 	return a.WriteRun(page.No(op.DataStart), zeroRun[:op.DataPages*page.Size])
 }
 
-// zeroRun is the data section formatSegment writes and a published segment's
-// before-image (applyOne), shared by every segment and written by nobody.
+// zeroRun is the data section formatSegment writes and logFormat queues, and a
+// published segment's pre-update image (applyOne), shared by every segment
+// and written by nobody.
 // Every caller bounds DataPages by area.MaxSegmentPages (Reserve,
 // EnsureSegment).
 var zeroRun [area.MaxSegmentPages * page.Size]byte
@@ -614,7 +634,7 @@ func (s *Server) redoSegment(op loggedOp, an *wal.Analysis) error {
 		on.Hdr.FileID == op.FileID && on.Hdr.DataStart == page.No(op.DataStart) {
 		return nil
 	}
-	return formatSegment(a, op.CatalogOp)
+	return s.formatSegment(a, op.CatalogOp)
 }
 
 // SegInfo implements proto.Conn.
@@ -678,6 +698,7 @@ func (s *Server) SegmentsOf(db uint32, fileID uint32) ([]proto.SegKey, error) {
 // Released implements proto.Conn: the client dropped its cached copies.
 func (s *Server) Released(client uint32, segs []proto.SegKey) error {
 	s.stats.messages.Add(1)
+	s.stats.released.Add(1)
 	for _, seg := range segs {
 		s.copies.Drop(seg, client)
 	}
@@ -765,15 +786,20 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 	}
 	t := s.ensureTx(client, txid)
 	lsn, err := s.publish(client, t, ops)
-	// One buffer for the current content of every fresh run the commit fills,
-	// grown to the largest and reused from segment to segment: t keeps the
-	// new images until it commits, never the old.
-	var scratch []byte
+	mine := s.published(t.ID())
 	for _, si := range segs {
 		if err != nil {
 			break
 		}
-		err = s.applyOne(t, si, ops, &scratch)
+		err = s.applyOne(t, si, mine)
+	}
+	for _, op := range ops {
+		if err != nil {
+			break
+		}
+		if op.Kind == proto.CatAddSegment && !slices.ContainsFunc(segs, func(si proto.SegImage) bool { return si.Seg == op.Seg }) {
+			err = s.logFormat(t, op)
+		}
 	}
 	if err != nil {
 		_ = t.Abort()
@@ -782,26 +808,28 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 	return t, lsn, nil
 }
 
-// applyOne logs one shipped segment under t, whose commit publishes ops. It
-// reads the current image once — or, for a segment t publishes (fresh),
-// builds it, as formatSegment wrote it — and stages it with the version
-// store: the image is the before-image of every run that stays where it is,
-// and the version chain's pre-update image, which the store owns from here
-// on, so nobody writes its bytes. Until t ends, snapshot reads of the segment
+// applyOne logs one shipped segment under t, which publishes ops. It reads
+// the current image once — or, for a segment t publishes (fresh), builds it,
+// as formatSegment would write it — and stages it with the version store: the
+// image is the before-image of every run that stays where it is, and the
+// version chain's pre-update image, which the store owns from here on, so
+// nobody writes its bytes. Until t ends, snapshot reads of the segment
 // wait out the overwrite; unstaged, an open snapshot's Recheck would pass (the
 // stamp never advanced) while pages change underneath it. The data and
 // overflow sections then take one step each (place), and the slotted image,
 // re-encoded over their final geometry, is logged ahead of them
-// (logShipped). Every page of a fresh segment or run is logged whole: it is
-// its first change since the server opened.
-func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, ops []*proto.CatalogOp, scratch *[]byte) error {
+// (logShipped). Every page of a fresh segment or run is logged whole, zeros
+// too, and written by t's commit: nothing was ever written to it, so its
+// change is from nothing, not from the format it is built from.
+func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, ops []*proto.CatalogOp) error {
 	nu, err := segment.DecodeSlotted(si.Slotted)
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
 	var cur *segment.Seg
 	var old cache.VImage
-	if i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Kind == proto.CatAddSegment && op.Seg == si.Seg }); i >= 0 {
+	i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Kind == proto.CatAddSegment && op.Seg == si.Seg })
+	if i >= 0 {
 		fresh := ops[i]
 		old.Slotted = segment.Format(fresh.FileID, fresh.SlottedPages, fresh.DataPages, page.AreaID(fresh.Seg.Area), page.No(fresh.DataStart))
 		old.Data = zeroRun[: fresh.DataPages*page.Size : fresh.DataPages*page.Size]
@@ -824,13 +852,18 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, ops []*proto.CatalogOp, s
 		}
 	}
 	img := nu.EncodeSlotted()
-	return s.logShipped(t, staged, si.Seg, old.Slotted, img[:len(old.Slotted)], secs[:], scratch)
+	before := old.Slotted
+	if i >= 0 {
+		before, secs[0].before = nil, nil
+	}
+	return s.logShipped(t, staged, si.Seg, before, img[:len(old.Slotted)], secs[:])
 }
 
 // section is one section of a shipped segment, its data or its overflow, on
 // its way to the log: its fields in the shipped header (which the server
 // rewrites) and in the current one, the bytes shipped for it (none: it does
-// not ship) and the run's current content (nil once it moves).
+// not ship) and the run's current content (nil for a fresh run: once it
+// moves, or in a fresh segment).
 type section struct {
 	nu, cur      fields
 	ship, before []byte
@@ -908,16 +941,16 @@ func place(sec *section, ops []*proto.CatalogOp) error {
 // over before, then each section that ships. staged is applyOne's proof that
 // t staged seg with the version store; no page of a segment is logged
 // without it.
-func (s *Server) logShipped(t *tx.Tx, staged cache.Staged, seg proto.SegKey, before, slotted []byte, secs []section, scratch *[]byte) error {
+func (s *Server) logShipped(t *tx.Tx, staged cache.Staged, seg proto.SegKey, before, slotted []byte, secs []section) error {
 	if !staged.By(t.ID()) {
 		return ErrNotStaged
 	}
-	if err := s.eachPage(t, seg.Area, page.No(seg.Start), before, slotted, scratch); err != nil {
+	if err := s.eachPage(t, seg.Area, page.No(seg.Start), before, slotted); err != nil {
 		return err
 	}
 	for _, sec := range secs {
 		if len(sec.ship) > 0 {
-			if err := s.eachPage(t, uint32(*sec.nu.area), *sec.nu.start, sec.before, sec.ship, scratch); err != nil {
+			if err := s.eachPage(t, uint32(*sec.nu.area), *sec.nu.start, sec.before, sec.ship); err != nil {
 				return err
 			}
 		}
@@ -930,28 +963,18 @@ func (s *Server) logShipped(t *tx.Tx, staged cache.Staged, seg proto.SegKey, bef
 // page's whole-image anchor when one is due (internal/tx/logging.go) — whose page t's commit
 // writes, whole, after its force. Nothing here can write one: LogRedo hands
 // back no proof. Unchanged pages are neither logged nor written. before is the
-// run's current content in whole pages, as the caller read it; a nil before —
-// a fresh run — is read here, into *scratch, which grows geometrically to the
-// largest run it has served and is the caller's to hand to the next call.
-// data is whole pages: every caller cuts or pads it to its run, and LogRedo
-// refuses a page it would end inside.
-func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data []byte, scratch *[]byte) error {
-	if before == nil {
-		a := s.lookupArea(areaID)
-		if a == nil {
-			return ErrNoArea
-		}
-		if cap(*scratch) < len(data) {
-			*scratch = make([]byte, max(len(data), 2*cap(*scratch)))
-		}
-		before = (*scratch)[:len(data)]
-		if err := a.ReadRun(start, before); err != nil {
-			return err
-		}
-	}
+// run's current content in whole pages, as the caller read it; a nil before
+// is a fresh run, nothing ever written to it, whose every page is logged
+// whole and written. data is whole pages: every caller cuts or pads it to its
+// run, and LogRedo refuses a page it would end inside.
+func (s *Server) eachPage(t *tx.Tx, areaID uint32, start page.No, before, data []byte) error {
 	for lo := 0; lo < len(data); lo += page.Size {
 		hi := min(lo+page.Size, len(data))
-		if err := t.LogRedo(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, before[lo:hi], data[lo:hi]); err != nil {
+		var b []byte
+		if before != nil {
+			b = before[lo:hi]
+		}
+		if err := t.LogRedo(page.ID{Area: page.AreaID(areaID), Page: start + page.No(lo/page.Size)}, b, data[lo:hi]); err != nil {
 			return err
 		}
 	}

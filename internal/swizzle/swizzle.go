@@ -121,9 +121,18 @@ type mseg struct {
 	// dp[i] is slot i's in-memory DP: the virtual address of the object's
 	// data. It mirrors what the paper stores in the mapped slot itself.
 	dp []vmem.Addr
-	// largeBase[i] is the reserved range for a KindLarge slot's object.
-	largeBase map[int]vmem.Addr
+	// large[i] is the reserved range for a KindLarge slot's object, held
+	// until the slot holds another object or none (releaseLarge) or the
+	// segment unloads.
+	large     map[int]largeRange
 	dirtyData bool
+}
+
+// largeRange is a large object's reserved range: its first frame's address
+// and how many frames it was reserved with.
+type largeRange struct {
+	base vmem.Addr
+	n    int
 }
 
 // Stats counts wave activity for one Mapper.
@@ -294,7 +303,7 @@ func (m *Mapper) FrameInfo(frame int64) (id SegID, kind FrameKind, pageIdx int, 
 		return ms.id, FrameData, int(frame - ms.dataBase.Frame()), true
 	default:
 		if slot, isLarge := m.largeSlotForFrame(ms, frame); isLarge {
-			return ms.id, FrameLarge, int(frame - ms.largeBase[slot].Frame()), true
+			return ms.id, FrameLarge, int(frame - ms.large[slot].base.Frame()), true
 		}
 		return ms.id, FrameUnknown, 0, true
 	}
@@ -349,9 +358,8 @@ func (m *Mapper) inDataRange(ms *mseg, frame int64) bool {
 }
 
 func (m *Mapper) largeSlotForFrame(ms *mseg, frame int64) (int, bool) {
-	for slot, base := range ms.largeBase {
-		n := framesFor(int(ms.seg.Slots[slot].Size))
-		if frame >= base.Frame() && frame < base.Frame()+int64(n) {
+	for slot, r := range ms.large {
+		if frame >= r.base.Frame() && frame < r.base.Frame()+int64(r.n) {
 			return slot, true
 		}
 	}
@@ -411,7 +419,7 @@ func (m *Mapper) mapSlotted(ms *mseg, seg *segment.Seg) error {
 	// arithmetic operations". Transparent large objects instead get their
 	// own reserved, access-protected range big enough for the whole object.
 	ms.dp = make([]vmem.Addr, len(seg.Slots))
-	ms.largeBase = make(map[int]vmem.Addr)
+	ms.large = make(map[int]largeRange)
 	for i := range seg.Slots {
 		sl := &seg.Slots[i]
 		switch sl.Kind {
@@ -492,11 +500,14 @@ func (m *Mapper) swizzleDataRefs(ms *mseg) error {
 }
 
 // reserveLarge reserves the access-protected range of slot, a large object of
-// the loaded segment ms, and points its DP there. A slot whose descriptor is
-// not inside the segment's overflow section is refused: nothing could fetch
-// the object.
+// the loaded segment ms, and points its DP there; the range of an object the
+// slot held before goes. A slot whose descriptor is not inside the segment's
+// overflow section is refused: nothing could fetch the object.
 func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
 	if _, err := ms.seg.Descriptor(slot, segment.LargeDescSize); err != nil {
+		return err
+	}
+	if err := m.releaseLarge(ms, slot); err != nil {
 		return err
 	}
 	n := max(framesFor(int(ms.seg.Slots[slot].Size)), 1)
@@ -504,11 +515,25 @@ func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
 	if err != nil {
 		return err
 	}
-	ms.largeBase[slot], ms.dp[slot] = base, base
+	ms.large[slot], ms.dp[slot] = largeRange{base, n}, base
 	for f := 0; f < n; f++ {
 		m.byFrame[base.Frame()+int64(f)] = ms
 	}
 	return nil
+}
+
+// releaseLarge gives back the range reserved for slot's large object, mapped
+// frames and all, if it has one.
+func (m *Mapper) releaseLarge(ms *mseg, slot int) error {
+	r, ok := ms.large[slot]
+	if !ok {
+		return nil
+	}
+	delete(ms.large, slot)
+	for f := 0; f < r.n; f++ {
+		delete(m.byFrame, r.base.Frame()+int64(f))
+	}
+	return m.space.Release(r.base, r.n)
 }
 
 // loadLarge populates a transparent large object's reserved range: "the
@@ -518,7 +543,7 @@ func (m *Mapper) reserveLarge(ms *mseg, slot int) error {
 // against the descriptor, and the fetch-side hooks (§2.4: decompression) turn
 // them back into the object, whose size they must restore.
 func (m *Mapper) loadLarge(ms *mseg, slot int) error {
-	if _, mapped, _ := m.space.ProtOf(ms.largeBase[slot]); mapped {
+	if _, mapped, _ := m.space.ProtOf(ms.large[slot].base); mapped {
 		return nil
 	}
 	b, err := ms.seg.Descriptor(slot, segment.LargeDescSize)
@@ -566,7 +591,7 @@ func (m *Mapper) MapLarge(id SegID, slot int, content []byte) error {
 
 // mapLarge maps content, read-only, into slot's reserved range.
 func (m *Mapper) mapLarge(ms *mseg, slot int, content []byte) error {
-	base := ms.largeBase[slot]
+	base := ms.large[slot].base
 	n := framesFor(int(ms.seg.Slots[slot].Size))
 	padded := make([]byte, n*page.Size)
 	copy(padded, content)
@@ -853,6 +878,12 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 	ferr := fn(ms.seg)
 	if ferr == nil {
 		m.refreshSlotted(ms)
+		// A large object the update deleted gives its range back.
+		for slot := range ms.large {
+			if slot >= len(ms.seg.Slots) || ms.seg.Slots[slot].Kind != segment.KindLarge {
+				ferr = errors.Join(ferr, m.releaseLarge(ms, slot))
+			}
+		}
 	}
 	if err := m.space.Protect(ms.slottedBase, ms.slottedPages, vmem.ProtRead); err != nil {
 		return err
@@ -968,8 +999,8 @@ func (m *Mapper) unload(ms *mseg) error {
 			return err
 		}
 	}
-	for slot, base := range ms.largeBase {
-		if err := release(base, max(framesFor(int(ms.seg.Slots[slot].Size)), 1)); err != nil {
+	for _, r := range ms.large {
+		if err := release(r.base, r.n); err != nil {
 			return err
 		}
 	}

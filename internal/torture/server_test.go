@@ -57,7 +57,10 @@ func TestServerCrashTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inconsistent != 0 || !rep.Sampled && rep.CrashPoints < 150 {
+	// 147 points: a fresh run goes to disk as one write, not a format and
+	// one write per page, so the history has fewer device events than the
+	// 158 it had when its writes were pages.
+	if rep.Inconsistent != 0 || !rep.Sampled && rep.CrashPoints < 145 {
 		t.Fatalf("%d crash points, %d/%d trials inconsistent; first failures: %v",
 			rep.CrashPoints, rep.Inconsistent, rep.Trials, rep.Failures)
 	}

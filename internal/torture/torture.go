@@ -314,22 +314,27 @@ func (p *MemPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *MemPager) WritePage(proof wal.Logged, data []byte) error {
-	if err := checkProof(p.log, proof); err != nil {
+func (p *MemPager) WriteRun(proofs []wal.Logged, data []byte) error {
+	if _, err := checkRun(p.log, proofs, data); err != nil {
 		return err
 	}
-	p.pages[proof.Page()] = append([]byte(nil), data...)
+	for i, proof := range proofs {
+		p.pages[proof.Page()] = append([]byte(nil), data[i*page.Size:(i+1)*page.Size]...)
+	}
 	return nil
 }
 
-// checkProof is what every pager of this package asserts of a store: the proof
-// names a page, by a record that is in l.
-func checkProof(l *wal.Log, proof wal.Logged) error {
-	if proof.LSN() == 0 {
-		return wal.ErrNotLogged
+// checkRun is what every pager of this package asserts of a store: the proofs
+// name consecutive pages, each by a record that is in l. It returns the first.
+func checkRun(l *wal.Log, proofs []wal.Logged, data []byte) (page.ID, error) {
+	first, err := wal.RunOf(proofs, data)
+	if err != nil {
+		return page.ID{}, err
 	}
-	if proof.Page().Area == 0 || proof.LSN() >= l.NextLSN() {
-		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
+	for _, proof := range proofs {
+		if proof.Page().Area == 0 || proof.LSN() >= l.NextLSN() {
+			return page.ID{}, fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
+		}
 	}
-	return nil
+	return first, nil
 }

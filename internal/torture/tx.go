@@ -358,11 +358,11 @@ func (p e13Pager) ReadPage(id page.ID, buf []byte) error {
 	return p.a.ReadPage(id.Page, buf)
 }
 
-func (p e13Pager) WritePage(proof wal.Logged, data []byte) error {
-	if err := checkProof(p.l, proof); err != nil {
+func (p e13Pager) WriteRun(proofs []wal.Logged, data []byte) error {
+	id, err := checkRun(p.l, proofs, data)
+	if err != nil {
 		return fmt.Errorf("e13: %w", err)
 	}
-	id := proof.Page()
 	if id.Area != e13AreaID {
 		return fmt.Errorf("e13: write of foreign area %d", id.Area)
 	}
@@ -373,7 +373,7 @@ func (p e13Pager) WritePage(proof wal.Logged, data []byte) error {
 			return err
 		}
 	}
-	return p.a.WritePage(id.Page, data)
+	return p.a.WriteRun(id.Page, data)
 }
 
 // check reboots onto the surviving images, recovers, and checks the

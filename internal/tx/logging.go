@@ -78,8 +78,10 @@ import (
 // append. Nobody holds it across a log force.
 //
 // The rule assumes what the server guarantees: a page that has been logged
-// is never again written without a record (unlogged initial images and raw
-// runs only ever precede a page's first record).
+// is never again written without a record. An unlogged initial image (a
+// format) precedes a page's first record, or — a rolled-back publish's —
+// precedes the abort record that re-anchors the page to it (the rollback
+// hook, SetRollbackHook, runs before the rollback reads the page).
 
 // changeOverhead bounds the bytes a page change takes in a record beside its
 // images, as its first run: page id, offset and image length; runOverhead
@@ -124,9 +126,11 @@ func runsCost(runs []run) int {
 // before, and the queued write becomes this one: a commit writes each page
 // once. Equal images queue nothing. If the change would take t's queued
 // changes past a log buffer, those are logged first, in a spill. after must
-// stay unchanged until t commits or aborts, or until its Prepare returns.
+// stay unchanged until t commits or aborts, or until its Prepare returns. A
+// nil before is a fresh page, one nothing was ever written to: its change is
+// its whole after-image, logged whatever it holds, zeros too.
 func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
-	if len(before) != page.Size || len(after) != page.Size {
+	if (before != nil && len(before) != page.Size) || len(after) != page.Size {
 		return fmt.Errorf("tx %d: update of %v: images of %d and %d bytes, want whole pages",
 			t.id, pid, len(before), len(after))
 	}
@@ -172,8 +176,9 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 // widen returns the runs pid's entry queues once the page changes from before
 // to after — the union of the runs it queues already and those that differ,
 // or under the anchor rule the whole page if it queues none and the page has
-// no anchor, which takes no diff — and the bytes that adds to t's queue; no
-// runs if the change is none. The caller holds t.mu.
+// no anchor, which takes no diff, or if it is fresh (a nil before) — and the
+// bytes that adds to t's queue; no runs if the change is none. The caller
+// holds t.mu.
 func (t *Tx) widen(pid page.ID, queued []run, before, after []byte) ([]run, int) {
 	wholly := len(queued) == 1 && queued[0] == whole[0]
 	if len(queued) == 0 {
@@ -185,6 +190,8 @@ func (t *Tx) widen(pid page.ID, queued []run, before, after []byte) ([]run, int)
 	}
 	var runs []run
 	switch {
+	case before == nil:
+		runs = whole
 	case wholly:
 		if bytes.Equal(before, after) {
 			return nil, 0

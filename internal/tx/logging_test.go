@@ -385,10 +385,10 @@ func (p *lockedPager) ReadPage(id page.ID, buf []byte) error {
 	return p.p.ReadPage(id, buf)
 }
 
-func (p *lockedPager) WritePage(proof wal.Logged, data []byte) error {
+func (p *lockedPager) WriteRun(proofs []wal.Logged, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.p.WritePage(proof, data)
+	return p.p.WriteRun(proofs, data)
 }
 
 // TestCheckpointInterleaving runs updaters (ship, commit, abort, or stay in

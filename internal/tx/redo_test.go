@@ -12,17 +12,20 @@ import (
 	"bess/internal/wal"
 )
 
-// watchPager is a memPager that runs before (if set) ahead of each store.
+// watchPager is a memPager that runs before (if set) ahead of each store, on
+// each of its proofs.
 type watchPager struct {
 	*memPager
 	before func(proof wal.Logged)
 }
 
-func (p *watchPager) WritePage(proof wal.Logged, data []byte) error {
+func (p *watchPager) WriteRun(proofs []wal.Logged, data []byte) error {
 	if p.before != nil {
-		p.before(proof)
+		for _, proof := range proofs {
+			p.before(proof)
+		}
 	}
-	return p.memPager.WritePage(proof, data)
+	return p.memPager.WriteRun(proofs, data)
 }
 
 // TestLogRedoWritesAfterTheForce: a shipped change is queued, not logged;

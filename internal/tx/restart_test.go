@@ -435,9 +435,9 @@ func (p *countingPager) ReadPage(id page.ID, buf []byte) error {
 	return p.memPager.ReadPage(id, buf)
 }
 
-func (p *countingPager) WritePage(proof wal.Logged, data []byte) error {
-	p.writes++
-	return p.memPager.WritePage(proof, data)
+func (p *countingPager) WriteRun(proofs []wal.Logged, data []byte) error {
+	p.writes += len(proofs)
+	return p.memPager.WriteRun(proofs, data)
 }
 
 // TestRestartRebuildsHotPagesOnce: 64 hot pages take single-page commits

@@ -90,6 +90,8 @@ type Manager struct {
 	// concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
+	// rollbackHook runs as a rollback starts, before it reads a page.
+	rollbackHook func(txID uint64) error
 	// repair is given the pages a durable commit failed to write (SetRepair).
 	repair func(pages []page.ID, cause error) error
 }
@@ -336,8 +338,10 @@ func (t *Tx) unforced(prepared bool, cause error) error {
 }
 
 // writeBack writes the pages t's changes deferred to its commit, whose
-// record, at commit, is durable: from the images t shipped, each on a proof
-// from the log's wal.Durable for that commit, or — t prepared before, or
+// record, at commit, is durable: from the images t shipped, on proofs from the
+// log's wal.Durable for that commit — each run of pages that lie next to each
+// other in their area and in memory (a shipped section, a fresh segment's
+// runs) in one write, on the proofs of all its pages — or — t prepared before, or
 // restart adopted it — rebuilt by the one replay of page history
 // (replayed). The pages whose write fails go to the manager's repair;
 // without one, writeBack reports them.
@@ -382,14 +386,26 @@ func (t *Tx) writeBack(commit page.LSN) error {
 			}
 		}
 	}
-	for _, w := range writes {
-		proof, err := d.Proof(w.rec)
+	proofs := make([]wal.Logged, len(writes))
+	for lo := 0; lo < len(writes); {
+		hi, data := lo+1, writes[lo].img
+		for hi < len(writes) && follows(writes[hi-1], writes[hi]) {
+			data = data[:len(data)+page.Size]
+			hi++
+		}
+		var err error
+		for i := lo; i < hi && err == nil; i++ {
+			proofs[i], err = d.Proof(writes[i].rec)
+		}
 		if err == nil {
-			err = m.pager.WritePage(proof, w.img)
+			err = m.pager.WriteRun(proofs[lo:hi], data)
 		}
 		if err != nil {
-			fail(w.pid, err)
+			for _, w := range writes[lo:hi] {
+				fail(w.pid, err)
+			}
 		}
+		lo = hi
 	}
 	if failed == nil {
 		return nil
@@ -398,6 +414,14 @@ func (t *Tx) writeBack(commit page.LSN) error {
 		return fmt.Errorf("tx %d: %d page(s) of a durable commit not written: %w", t.id, len(failed), cause)
 	}
 	return m.repair(failed, cause)
+}
+
+// follows reports whether w's page comes right after prev's, both in its area
+// and in memory: the two are one run write, with nothing copied to join them.
+func follows(prev, w shipped) bool {
+	a, b := prev.img, w.img
+	return w.pid.Area == prev.pid.Area && w.pid.Page == prev.pid.Page+1 &&
+		cap(a) > len(a) && &a[:len(a)+1][len(a)] == &b[0]
 }
 
 // replayed writes the pages of a decided branch, whose records are mine (in
@@ -421,7 +445,7 @@ func (m *Manager) replayed(mine []page.LSN, fail func(page.ID, error)) error {
 	}
 	sortPages(ids)
 	for _, id := range ids {
-		if err := m.pager.WritePage(pages[id].Last, pages[id].Data); err != nil {
+		if err := m.pager.WriteRun([]wal.Logged{pages[id].Last}, pages[id].Data); err != nil {
 			fail(id, err)
 		}
 	}
@@ -469,6 +493,11 @@ func (t *Tx) rollback(decided bool) error {
 	mine := t.logged
 	t.writes, t.at, t.queued, t.deferred = nil, nil, 0, false
 	t.mu.Unlock()
+	if h := m.rollbackHook; h != nil {
+		if err := h(t.id); err != nil {
+			return fmt.Errorf("tx %d: rollback: %w", t.id, err)
+		}
+	}
 	anchors, err := m.preImages(pages, from, mine)
 	if err != nil {
 		return fmt.Errorf("tx %d: rollback: %w", t.id, err)
@@ -519,6 +548,12 @@ func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.co
 // record is durable and before locks release. Same registration contract as
 // SetCommitHook.
 func (m *Manager) SetAbortHook(fn func(txID uint64)) { m.abortHook = fn }
+
+// SetRollbackHook installs fn to run as every runtime rollback starts, before
+// it reads a page for its re-anchors: what fn writes there is what the
+// rollback finds. An error from fn fails the rollback, which leaves t in the
+// table. Same registration contract as SetCommitHook.
+func (m *Manager) SetRollbackHook(fn func(txID uint64) error) { m.rollbackHook = fn }
 
 // SetRepair installs fn to be given the pages a commit failed to write after
 // its force, and the first write's error, before the commit's locks release:

@@ -31,14 +31,16 @@ func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *memPager) WritePage(proof wal.Logged, data []byte) error {
-	if proof.LSN() == 0 {
-		return wal.ErrNotLogged
+func (p *memPager) WriteRun(proofs []wal.Logged, data []byte) error {
+	if _, err := wal.RunOf(proofs, data); err != nil {
+		return err
 	}
-	if p.log != nil && proof.LSN() >= p.log.NextLSN() {
-		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+	for i, proof := range proofs {
+		if p.log != nil && proof.LSN() >= p.log.NextLSN() {
+			return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+		}
+		p.pages[proof.Page()] = append([]byte(nil), data[i*page.Size:(i+1)*page.Size]...)
 	}
-	p.pages[proof.Page()] = append([]byte(nil), data...)
 	return nil
 }
 

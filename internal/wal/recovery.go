@@ -23,12 +23,34 @@ import (
 // over its own records (tx.Tx.Commit). All of them take page changes in the
 // order the replayer hands them on.
 
-// Pager is the page store recovery replays against. WritePage stores data as
-// the whole of page proof.Page() and rejects the zero proof with ErrNotLogged:
-// there is no way to name a page to it other than by a record of that page.
+// Pager is the page store recovery replays against. WriteRun stores data as
+// the whole of the pages its proofs name, one page per proof, which must be
+// consecutive pages of one area (RunOf checks them): there is no way to name
+// a page to it other than by a record of that page. A single page is a run of
+// one.
 type Pager interface {
 	ReadPage(id page.ID, buf []byte) error
-	WritePage(proof Logged, data []byte) error
+	WriteRun(proofs []Logged, data []byte) error
+}
+
+// RunOf checks a run write's proofs against its data and returns the run's
+// first page: at least one proof, none of them the zero Logged
+// (ErrNotLogged), each naming the page after the one before it in the same
+// area (ErrNotConsecutive), and one page of data per proof.
+func RunOf(proofs []Logged, data []byte) (page.ID, error) {
+	if len(proofs) == 0 || len(data) != len(proofs)*page.Size {
+		return page.ID{}, fmt.Errorf("wal: a run write of %d bytes on %d proofs", len(data), len(proofs))
+	}
+	first := proofs[0].page
+	for i, p := range proofs {
+		if p.lsn == 0 {
+			return page.ID{}, ErrNotLogged
+		}
+		if p.page.Area != first.Area || p.page.Page != first.Page+page.No(i) {
+			return page.ID{}, fmt.Errorf("%w: %v after %v", ErrNotConsecutive, p.page, first)
+		}
+	}
+	return first, nil
 }
 
 // RecoveryStats summarizes one restart: Analyze fills in what analysis found,
@@ -384,7 +406,7 @@ func (a *Analysis) Redo(p Pager) error {
 	})
 	for _, id := range ids {
 		img := pages[id]
-		if err := p.WritePage(img.Last, img.Data); err != nil {
+		if err := p.WriteRun([]Logged{img.Last}, img.Data); err != nil {
 			return fmt.Errorf("wal: redo write %v: %w", id, err)
 		}
 		st.RedoApplied += img.Changes

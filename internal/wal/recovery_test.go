@@ -32,14 +32,16 @@ func (p *memPager) ReadPage(id page.ID, buf []byte) error {
 	return nil
 }
 
-func (p *memPager) WritePage(proof Logged, data []byte) error {
-	if proof.LSN() == 0 {
-		return ErrNotLogged
+func (p *memPager) WriteRun(proofs []Logged, data []byte) error {
+	if _, err := RunOf(proofs, data); err != nil {
+		return err
 	}
-	if proof.LSN() >= p.log.NextLSN() {
-		return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+	for i, proof := range proofs {
+		if proof.LSN() >= p.log.NextLSN() {
+			return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), p.log.NextLSN())
+		}
+		p.put(proof.Page(), data[i*page.Size:(i+1)*page.Size])
 	}
-	p.put(proof.Page(), data)
 	return nil
 }
 
@@ -217,9 +219,9 @@ func (p *countingPager) ReadPage(id page.ID, buf []byte) error {
 	return p.memPager.ReadPage(id, buf)
 }
 
-func (p *countingPager) WritePage(proof Logged, data []byte) error {
-	p.writes++
-	return p.memPager.WritePage(proof, data)
+func (p *countingPager) WriteRun(proofs []Logged, data []byte) error {
+	p.writes += len(proofs)
+	return p.memPager.WriteRun(proofs, data)
 }
 
 // TestAnalyzeStartsEachPageAtItsLatestCommittedAnchor: a page's replay starts
@@ -515,6 +517,41 @@ func TestRollbackRecordsTakeEffectAtTheAbort(t *testing.T) {
 	for pid, want := range map[page.ID]page.LSN{pg(1): pAnchor, pg(2): qAnchor, pg(3): rAnchor, pg(4): sAnchor} {
 		if got, ok := a.RecLSN(pid); !ok || got != want {
 			t.Fatalf("page %v: replay starts at %d (in the redo set: %v), want %d", pid, got, ok, want)
+		}
+	}
+}
+
+// TestRunOfRefusesBadProofs: a run write names its pages by their proofs, one
+// per page, consecutive in one area. A zero proof anywhere in the run, a gap,
+// a step back, a second area, or data that is not one page per proof is
+// refused; a run of one is a single page.
+func TestRunOfRefusesBadProofs(t *testing.T) {
+	at := func(area page.AreaID, p page.No) Logged { return Logged{page: page.ID{Area: area, Page: p}, lsn: 9} }
+	pages := func(n int) []byte { return make([]byte, n*page.Size) }
+	for _, tc := range []struct {
+		name   string
+		proofs []Logged
+		data   []byte
+		want   error
+	}{
+		{"zero proof", []Logged{{}}, pages(1), ErrNotLogged},
+		{"zero proof inside", []Logged{at(1, 4), {}, at(1, 6)}, pages(3), ErrNotLogged},
+		{"a gap", []Logged{at(1, 4), at(1, 6)}, pages(2), ErrNotConsecutive},
+		{"a step back", []Logged{at(1, 4), at(1, 3)}, pages(2), ErrNotConsecutive},
+		{"a repeat", []Logged{at(1, 4), at(1, 4)}, pages(2), ErrNotConsecutive},
+		{"two areas", []Logged{at(1, 4), at(2, 5)}, pages(2), ErrNotConsecutive},
+		{"short data", []Logged{at(1, 4), at(1, 5)}, pages(1), nil},
+		{"no proof", nil, nil, nil},
+	} {
+		_, err := RunOf(tc.proofs, tc.data)
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want a refusal (%v)", tc.name, err, tc.want)
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		proofs := []Logged{at(3, 10), at(3, 11), at(3, 12)}[:n]
+		if first, err := RunOf(proofs, pages(n)); err != nil || first != (page.ID{Area: 3, Page: 10}) {
+			t.Errorf("a run of %d consecutive pages: first %v, %v", n, first, err)
 		}
 	}
 }

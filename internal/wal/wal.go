@@ -261,6 +261,9 @@ var (
 	ErrClosed  = errors.New("wal: closed")
 	// ErrNotLogged is a page store's answer to the zero Logged.
 	ErrNotLogged = errors.New("wal: page store without a log record")
+	// ErrNotConsecutive is a page store's answer to a run write whose proofs
+	// do not name consecutive pages of one area (RunOf).
+	ErrNotConsecutive = errors.New("wal: run write proofs not consecutive")
 	// ErrUnencodable is Append's answer to a record the log could not read
 	// back: one whose PrevLSN or a recLSN is not behind it, whose body is
 	// longer than maxBody, one of whose page changes runs past its page's end
