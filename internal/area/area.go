@@ -27,6 +27,7 @@ import (
 
 	"bess/internal/buddy"
 	"bess/internal/page"
+	"bess/internal/writeback"
 )
 
 // MaxSegmentPages is the largest segment one AllocSegment call can grant:
@@ -483,7 +484,7 @@ func (a *Area) WriteRun(start page.No, data []byte) error {
 
 // noteWritten counts n bytes written at off. Once hintEvery bytes are written
 // since the last hint or Sync, it asks the kernel to start writing the range
-// they lie in back, if the store is a file (startWriteback: Linux's
+// they lie in back, if the store is a file (writeback.Start: Linux's
 // sync_file_range; nothing elsewhere).
 func (a *Area) noteWritten(off, n int64) {
 	a.mu.Lock()
@@ -502,7 +503,7 @@ func (a *Area) noteWritten(off, n int64) {
 	a.mu.Unlock()
 	if fs, ok := a.st.(fileStore); ok {
 		// A hint that fails starts nothing: the next Sync writes it all.
-		_ = startWriteback(fs.f, lo, hi-lo)
+		_ = writeback.Start(fs.f, lo, hi-lo)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bess/internal/page"
+	"bess/internal/writeback"
 )
 
 func TestMemCreateGeometry(t *testing.T) {
@@ -595,7 +596,7 @@ func TestWritebackHintEvery(t *testing.T) {
 	if _, err := f.Write(run); err != nil {
 		t.Fatal(err)
 	}
-	if err := startWriteback(f, 0, int64(len(run))); err != nil {
+	if err := writeback.Start(f, 0, int64(len(run))); err != nil {
 		t.Fatalf("writeback hint on a file: %v", err)
 	}
 }

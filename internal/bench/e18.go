@@ -133,7 +133,9 @@ func SetupE18(files, segsPerFile, objsPerSeg, blobLen int) *E18Env {
 		}
 	}
 	// Settle: flush the dirty pages populate left behind, so the measured
-	// scans read clean pages instead of paying eviction write-back.
+	// scans read clean pages instead of paying eviction write-back, once the
+	// last commit, which answered first, has written them.
+	srv.WaitWriteBacks()
 	must(srv.Checkpoint())
 	return env
 }

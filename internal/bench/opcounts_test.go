@@ -92,6 +92,7 @@ func setupCounts(c opCounters) []count {
 		{"format_pages", c.srv.FormatPages},
 		{"writeback_hints", c.srv.Areas.Hints},
 		{"log_bytes", c.lsn},
+		{"log_written_ahead", c.srv.WALWrittenAhead},
 		{"frames_to_server", c.clientWire.FramesSent},
 		{"bytes_to_server", c.clientWire.BytesSent},
 		{"frames_to_client", c.serverWire.FramesSent},
@@ -146,6 +147,7 @@ func runOpShape(t *testing.T, sh opShape) ([]count, []count) {
 	if err := w.populate(); err != nil {
 		t.Fatal(err)
 	}
+	srv.WaitWriteBacks() // the last commit answered before it wrote its pages
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +157,7 @@ func runOpShape(t *testing.T, sh opShape) ([]count, []count) {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
 	}
+	srv.WaitWriteBacks() // the last commit answered before it wrote its pages
 	return setupCounts(before), opCounts(before, readCounters(srv, cp, sp))
 }
 

@@ -24,7 +24,10 @@ import (
 // before overwriting its pages, handing StageUpdate the pre-update image it
 // read (the store owns those bytes from then on), and publishes the staged
 // set at commit (CommitTx advances the clock, stamps each image with its
-// validity window and bumps the segment's commit stamp). A snapshot read at
+// validity window and bumps the segment's commit stamp). A commit writes its
+// pages after it is published, so its segments stay staged until the
+// write-back ends (Landed): every read at the new clock — a snapshot's in
+// AsOf, a live one in WaitWritten — waits the write out. A snapshot read at
 // stamp T resolves to exactly one of: a chain entry whose [from, until)
 // window contains T, or the current disk image (when the segment's stamp is
 // ≤ T and no update is mid-overwrite). Nothing else: the store keeps every
@@ -70,11 +73,13 @@ type version struct {
 }
 
 // stagedUpdate is one segment an in-flight transaction has begun
-// overwriting: the pre-update image and the stamp that produced it.
+// overwriting: the pre-update image and the stamp that produced it — or, with
+// bare set, none of them (StageWrite).
 type stagedUpdate struct {
 	key  VKey
 	from page.LSN
 	old  VImage
+	bare bool
 }
 
 // VStats counts version-store activity.
@@ -85,6 +90,7 @@ type VStats struct {
 	ChainHits int64 // AsOf served from a chain entry
 	DiskReads int64 // AsOf resolved to the current disk image
 	Waits     int64 // AsOf blocked on a mid-overwrite segment
+	Written   int64 // reads that waited out a published commit's page writes
 	Trimmed   int64 // AsOf found no image: a VersionMiss
 	Trims     int64 // entries dropped as snapshots closed
 }
@@ -124,8 +130,11 @@ type VersionStore struct {
 	lastID  uint64                    // last snapshot id issued; guarded by mu
 	chains  map[VKey][]version        // ascending from; guarded by mu
 	stamp   map[VKey]page.LSN         // last commit stamp per key; guarded by mu
-	staged  map[VKey]int              // in-flight overwrites per key; guarded by mu
-	pending map[uint64][]stagedUpdate // per-tx staged updates; guarded by mu
+	staged  map[VKey]int              // in-flight overwrites per key, until written; guarded by mu
+	pending map[uint64][]stagedUpdate // per-tx staged updates, until it ends; guarded by mu
+	landing map[uint64][]stagedUpdate // per committed tx, its staged updates while it writes their pages; guarded by mu
+	writing map[VKey]int              // per key, the committed txs writing its pages; guarded by mu
+	nwrite  atomic.Int64              // sum of writing: WaitWritten's fast path; written under mu
 	floor   page.LSN                  // highest watermark reclaimed at; guarded by mu
 	stats   VStats                    // guarded by mu
 }
@@ -146,6 +155,8 @@ func NewVersionStore(clock page.LSN) *VersionStore {
 		stamp:   make(map[VKey]page.LSN),
 		staged:  make(map[VKey]int),
 		pending: make(map[uint64][]stagedUpdate),
+		landing: make(map[uint64][]stagedUpdate),
+		writing: make(map[VKey]int),
 	}
 	vs.clock.Store(uint64(clock))
 	vs.mu.Init("VersionStore.mu", RankVersionStoreMu)
@@ -251,17 +262,42 @@ func (vs *VersionStore) StageUpdate(txID uint64, key VKey, old VImage) Staged {
 	return Staged{tx: txID, ok: true}
 }
 
+// StageWrite records that txID's commit writes key's pages with no
+// pre-update image for the chains: a segment it creates, or one of a branch
+// restart adopted, whose image before the branch nobody read. Reads wait the
+// write out as for StageUpdate, and the segment's stamp stays where it was.
+func (vs *VersionStore) StageWrite(txID uint64, key VKey) {
+	vs.mu.Lock()
+	vs.pending[txID] = append(vs.pending[txID], stagedUpdate{key: key, bare: true})
+	vs.staged[key]++
+	vs.mu.Unlock()
+}
+
+// HasStaged reports whether txID has staged anything it has not committed.
+func (vs *VersionStore) HasStaged(txID uint64) bool {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return len(vs.pending[txID]) > 0
+}
+
 // CommitTx publishes txID's staged updates at commit stamp: the clock
 // advances to stamp (it only moves forward: commit hooks can race), each old
-// image joins its chain with until=stamp unless no snapshot can reach it,
-// segment stamps advance, and waiting snapshot reads wake. Runs from the tx
-// commit hook, after the commit record is durable and before lock release.
+// image joins its chain with until=stamp unless no snapshot can reach it, and
+// segment stamps advance. The segments stay staged while the commit writes
+// their pages, until Landed. Runs from the tx commit hook, after the commit
+// record is durable and before the write-back.
 func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 	vs.mu.Lock()
 	vs.clock.Store(uint64(max(vs.Clock(), stamp)))
 	w := vs.watermarkLocked()
 	vs.floor = max(vs.floor, w)
-	for _, u := range vs.pending[txID] {
+	us := vs.pending[txID]
+	for i, u := range us {
+		us[i].old = VImage{} // the chain has it, or nobody can read it
+		vs.writing[u.key]++
+		if u.bare {
+			continue
+		}
 		// A segment the transaction staged twice ends its chain with this
 		// commit's image already: the second stage read the transaction's own
 		// write, not a committed image.
@@ -273,11 +309,69 @@ func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 			vs.stats.Captures++
 		}
 		vs.stamp[u.key] = stamp
-		vs.unstageLocked(u.key)
 	}
 	delete(vs.pending, txID)
-	vs.cond.Broadcast()
+	if len(us) > 0 {
+		vs.landing[txID] = us
+		vs.nwrite.Add(int64(len(us)))
+	}
+	vs.cond.Broadcast() // snapshot reads below stamp take the chain
 	vs.mu.Unlock()
+}
+
+// Landed ends what CommitTx began for txID: its pages are written, and the
+// reads waiting for them wake. A transaction that committed nothing staged
+// is a no-op.
+func (vs *VersionStore) Landed(txID uint64) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	us, ok := vs.landing[txID]
+	if !ok {
+		return
+	}
+	for _, u := range us {
+		vs.unstageLocked(u.key)
+		if n := vs.writing[u.key]; n > 1 {
+			vs.writing[u.key] = n - 1
+		} else {
+			delete(vs.writing, u.key)
+		}
+	}
+	delete(vs.landing, txID)
+	vs.nwrite.Add(-int64(len(us)))
+	vs.cond.Broadcast()
+}
+
+// WaitWritten returns once no commit published at or before the clock is
+// still writing key's pages: a live read's wait, for a read at the clock.
+func (vs *VersionStore) WaitWritten(key VKey) {
+	if vs.nwrite.Load() == 0 {
+		return
+	}
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if vs.writing[key] > 0 {
+		vs.stats.Written++
+	}
+	for vs.writing[key] > 0 {
+		vs.cond.Wait()
+	}
+}
+
+// WaitLanded returns once every commit writing its pages when it is called
+// has written them; commits published later it does not wait for.
+func (vs *VersionStore) WaitLanded() {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	ids := make([]uint64, 0, len(vs.landing))
+	for id := range vs.landing {
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		for vs.landing[id] != nil {
+			vs.cond.Wait()
+		}
+	}
 }
 
 // AbortTx drops txID's staged updates (the old pages were never overwritten)
@@ -310,9 +404,9 @@ func (vs *VersionStore) unstageLocked(key VKey) {
 //     update may stage mid-read); on a false Recheck, call AsOf again.
 //   - (_, false, *VersionMiss): no image covers t.
 //
-// AsOf blocks while key is mid-overwrite by an uncommitted update that a
-// disk read would race (snapshot reads never block on locks, only on the
-// short page-copy window of a committing writer).
+// AsOf blocks while key is mid-overwrite by an update that a disk read would
+// race, until its commit has written its pages (snapshot reads never block on
+// locks, only on the window of a committing writer).
 func (vs *VersionStore) AsOf(key VKey, t page.LSN) (img VImage, hit bool, err error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -334,13 +428,16 @@ func (vs *VersionStore) SnapAsOf(id uint64, key VKey) (t page.LSN, img VImage, h
 
 func (vs *VersionStore) asOfLocked(key VKey, t page.LSN) (img VImage, hit bool, err error) {
 	vs.mu.AssertHeld()
-	for vs.stamp[key] <= t {
+	for waited := false; vs.stamp[key] <= t; waited = true {
 		// Current image is old enough. A zero stamp means the segment has
 		// not been updated since startup; its image predates every snapshot
 		// this store can have issued.
 		if vs.staged[key] == 0 {
 			vs.stats.DiskReads++
 			return VImage{}, false, nil
+		}
+		if !waited && vs.writing[key] > 0 {
+			vs.stats.Written++
 		}
 		vs.stats.Waits++
 		vs.cond.Wait()

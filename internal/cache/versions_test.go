@@ -3,6 +3,8 @@ package cache
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,10 +39,12 @@ func image(tag byte) VImage {
 	return VImage{Slotted: bytes.Repeat([]byte{tag}, 8), Overflow: []byte{tag}, Data: bytes.Repeat([]byte{tag}, 16)}
 }
 
-// update runs one update of key: the image tagged old is superseded at stamp.
+// update runs one update of key: the image tagged old is superseded at stamp,
+// and the commit's pages are written.
 func update(vs *VersionStore, tx uint64, key VKey, old byte, stamp page.LSN) {
 	vs.StageUpdate(tx, key, image(old))
 	vs.CommitTx(tx, stamp)
+	vs.Landed(tx)
 }
 
 func TestAsOfOutcomes(t *testing.T) {
@@ -244,8 +248,9 @@ func TestStageTwiceKeepsCommittedImage(t *testing.T) {
 	if st := vs.VersionStats(); st.Entries != 1 || st.Captures != 1 {
 		t.Fatalf("%+v", st)
 	}
+	vs.Landed(1)
 	if !vs.Recheck(key, 10) {
-		t.Fatal("both stages were not released at commit")
+		t.Fatal("both stages were not released once the commit was written")
 	}
 }
 
@@ -265,6 +270,7 @@ func TestRecheckAfterRacingStage(t *testing.T) {
 		t.Fatal("recheck passed under a staged update")
 	}
 	vs.CommitTx(1, 10)
+	vs.Landed(1)
 	if vs.Recheck(key, 5) {
 		t.Fatal("recheck passed after a commit above the stamp")
 	}
@@ -306,5 +312,65 @@ func TestAsOfImageOutlivesEviction(t *testing.T) {
 	update(vs, 99, key, 0xEE, 1000) // new captures reuse the chain's slots
 	if !sameImage(img, want) {
 		t.Fatal("an image handed out by AsOf changed when its chain entry was evicted")
+	}
+}
+
+// TestReadsWaitForTheWriteBack: a commit is published before it writes its
+// pages. Until Landed, a snapshot read at or above its stamp waits in AsOf and
+// a live read in WaitWritten, while one below its stamp takes the chain and a
+// live read of a segment staged but not committed does not wait; WaitLanded
+// waits for the commits writing. A segment staged with StageWrite joins the
+// wait without a chain entry or a new stamp.
+func TestReadsWaitForTheWriteBack(t *testing.T) {
+	key, fresh := VKey{Area: 1, Start: 7}, VKey{Area: 1, Start: 9}
+	vs, _ := newStore(t)
+	update(vs, 1, key, 'a', 10)
+	vs.StageUpdate(2, key, image('b'))
+	vs.StageWrite(2, fresh)
+	if !vs.HasStaged(2) || vs.HasStaged(1) {
+		t.Fatal("HasStaged does not name the transaction staging")
+	}
+	vs.WaitWritten(key) // staged, not committed: the disk holds the last commit
+	vs.CommitTx(2, 20)
+	if img, hit, err := vs.AsOf(key, 15); !hit || err != nil || img.Slotted[0] != 'b' {
+		t.Fatalf("as of 15, below the commit: %q hit=%v err=%v, want the chain's 'b'", img.Slotted, hit, err)
+	}
+	done := make(chan string, 4)
+	go func() { vs.WaitWritten(key); done <- "live read" }()
+	go func() { vs.WaitWritten(fresh); done <- "live read of the created segment" }()
+	go func() {
+		_, hit, err := vs.AsOf(key, 20)
+		done <- fmt.Sprintf("snapshot read at the commit (hit=%v err=%v)", hit, err)
+	}()
+	go func() { vs.WaitLanded(); done <- "WaitLanded" }()
+	for deadline := time.Now().Add(5 * time.Second); vs.VersionStats().Written < 3; time.Sleep(time.Millisecond) {
+		select {
+		case r := <-done:
+			t.Fatalf("%s returned before the write-back ended", r)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%+v: the reads did not wait", vs.VersionStats())
+		}
+	}
+	vs.Landed(2)
+	for range 4 {
+		select {
+		case r := <-done:
+			if strings.HasPrefix(r, "snapshot") && r != "snapshot read at the commit (hit=false err=<nil>)" {
+				t.Fatal(r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a wait outlasted the write-back it waited for")
+		}
+	}
+	if _, hit, err := vs.AsOf(fresh, 5); hit || err != nil {
+		t.Fatalf("the created segment: hit=%v err=%v, want the disk image at every stamp", hit, err)
+	}
+	if st := vs.VersionStats(); st.Captures != 2 {
+		t.Fatalf("%d captures, want 2: StageWrite adds none", st.Captures)
+	}
+	if !vs.Recheck(key, 20) || !vs.Recheck(fresh, 20) {
+		t.Fatal("a segment stays staged after its commit was written")
 	}
 }

@@ -96,11 +96,13 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 //
 // The other way round, a segment image handed to Publish is only lent: no
 // implementation keeps a shipped byte past the call. A server's commit
-// writes its pages back before Publish returns, and a prepare drops
-// them once its record is logged (Decide rebuilds them from the log); a node
-// server forwards them and keeps none. So a client ships its live sections,
-// not copies of them (swizzle.Mapper.UnswizzledData), and may write to them
-// again the moment the call returns.
+// writes its pages back before Publish returns — over the wire the reply
+// leaves first, and the write-back after it reads the server's own copy, the
+// frame the commit arrived in — and a prepare drops them once its record is
+// logged (Decide rebuilds them from the log); a node server forwards them and
+// keeps none. So a client ships its live sections, not copies of them
+// (swizzle.Mapper.UnswizzledData), and may write to them again the moment the
+// call returns.
 type Conn interface {
 	// Hello registers the caller and returns its client id.
 	Hello(name string) (uint32, error)
@@ -155,7 +157,10 @@ type Conn interface {
 	// it that shipped sections moved to. A run not reserved to client, as
 	// created names it, is refused (ErrNotReserved), and so is a section
 	// moved to a run created does not name; a refusal marked ErrRefused
-	// changed nothing.
+	// changed nothing. Over the wire a commit answers at its publication,
+	// before its pages are written: a page write that fails after that is
+	// the server's to repair or quarantine, and the reply says the commit
+	// stands.
 	Publish(client uint32, tx uint64, created []Created, segs []SegImage, prepare bool) error
 	// Abort rolls tx back and releases its locks.
 	Abort(client uint32, tx uint64) error

@@ -81,10 +81,11 @@ type Handler func(body []byte) ([]byte, error)
 
 // Method is one entry of a peer's handler table: a method's name and the
 // function serving it, whose reply message the peer encodes straight into
-// its send batch: the message must not change once returned.
+// its send batch: the message must not change once returned. The function may
+// also return work to do after the reply (TypedThen).
 type Method struct {
 	name  string
-	serve func(body []byte) (proto.Message, error)
+	serve func(body []byte) (proto.Message, func(), error)
 }
 
 // StreamHandler consumes one one-way stream frame. Stream handlers run
@@ -219,9 +220,9 @@ func (p *Peer) Serve(handlers ...Method) {
 
 // Handle is Serve for a single method served over raw bytes.
 func (p *Peer) Handle(method string, h Handler) {
-	p.Serve(Method{method, func(body []byte) (proto.Message, error) {
+	p.Serve(Method{method, func(body []byte) (proto.Message, func(), error) {
 		r, err := h(body)
-		return &proto.Bytes{Data: r}, err
+		return &proto.Bytes{Data: r}, nil, err
 	}})
 }
 
@@ -262,16 +263,27 @@ func (f *frame) setMethod(d proto.Desc) {
 // and fn's reply is the reply body, encoded into the send batch (a reply that
 // cannot be encoded goes back as an error).
 func Typed[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], fn func(*A) (*R, error)) Method {
-	return Method{m.Name, func(body []byte) (proto.Message, error) {
+	return TypedThen[A, R, PA, PR](m, func(a *A) (*R, func(), error) {
+		r, err := fn(a)
+		return r, nil, err
+	})
+}
+
+// TypedThen is Typed for a method whose work goes on past its answer: fn
+// returns the reply and then, which the peer runs on the same dispatch
+// goroutine once the reply is on the socket — or could not be sent. A
+// non-nil then runs whatever the reply, which error included.
+func TypedThen[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], fn func(*A) (*R, func(), error)) Method {
+	return Method{m.Name, func(body []byte) (proto.Message, func(), error) {
 		a := new(A)
 		if err := proto.Decode(body, PA(a)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		r, err := fn(a)
+		r, then, err := fn(a)
 		if err != nil {
-			return nil, err
+			return nil, then, err
 		}
-		return PR(r), nil
+		return PR(r), then, nil
 	}}
 }
 
@@ -534,6 +546,7 @@ func (p *Peer) dispatch(f frame) {
 	h, ok := p.handlers[f.name]
 	p.mu.Unlock()
 	reply := frame{id: f.id, flags: flagReply}
+	var then func()
 	if !ok {
 		name := f.name
 		if name == "" {
@@ -542,7 +555,9 @@ func (p *Peer) dispatch(f frame) {
 		reply.flags |= flagError
 		reply.body = []byte(ErrNoHandler.Error() + ": " + name)
 	} else {
-		msg, err := h.serve(f.body)
+		var msg proto.Message
+		var err error
+		msg, then, err = h.serve(f.body)
 		if err == nil {
 			err = reply.setMsg(msg)
 		}
@@ -556,6 +571,9 @@ func (p *Peer) dispatch(f frame) {
 		// both directions: shut it down so pending calls fail fast instead
 		// of hanging until TCP notices.
 		p.shutdown(err)
+	}
+	if then != nil {
+		then()
 	}
 }
 

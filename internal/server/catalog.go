@@ -136,7 +136,7 @@ func (c *catalog) change(op *proto.CatalogOp, effect func() error) (page.LSN, er
 
 // record is change but for the apply, which the caller makes later: a
 // published segment is logged with its transaction's images and enters the
-// catalog when the transaction ends (Server.reveal). No op a record leaves
+// catalog when the transaction ends (Server.ended). No op a record leaves
 // unapplied is one another op depends on.
 func (c *catalog) record(op *proto.CatalogOp, effect func() error) (page.LSN, error) {
 	c.mu.AssertHeld()

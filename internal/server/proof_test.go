@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"bess/internal/cache"
 	"bess/internal/callback"
@@ -119,7 +120,9 @@ func TestLogAndApplyRequiresStaging(t *testing.T) {
 
 // TestEveryReadPathVerifies flips a byte on disk under each consumer of
 // readImage: every one of them must notice (the corruption counter moves) and,
-// the history being in the log, serve the repaired bytes.
+// the history being in the log, serve the repaired bytes. Each first waits out
+// the write-back of a commit published and still writing the segment's pages
+// (cache.VersionStore.Landed), as every read must.
 func TestEveryReadPathVerifies(t *testing.T) {
 	body := []byte("verified wherever it is read")
 	wantBody := func(t *testing.T, sl, ov, data []byte) {
@@ -216,7 +219,24 @@ func TestEveryReadPathVerifies(t *testing.T) {
 				flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 5)
 			}
 			before := s.ScrubStatus()
+			const writer = 1 << 40 // a commit published and still writing the segment
+			s.vs.StageWrite(writer, vkeyOf(key))
+			s.vs.CommitTx(writer, s.live())
+			waited := make(chan bool, 1)
+			go func() {
+				defer s.vs.Landed(writer)
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if s.Snapshot().WriteBackWaits > 0 {
+						waited <- true
+						return
+					}
+				}
+				waited <- false
+			}()
 			c.read(t, s, cl, snap, key)
+			if !<-waited {
+				t.Fatal("the read did not wait out the write-back pending on its segment")
+			}
 			if st := s.ScrubStatus(); st.CorruptionsFound != before.CorruptionsFound+1 || st.Repaired != before.Repaired+1 || st.Quarantined != 0 {
 				t.Fatalf("counters %+v, before the read %+v: the flipped byte went unnoticed or unrepaired", st, before)
 			}

@@ -77,13 +77,16 @@ type runRead struct {
 func (s *Server) live() page.LSN { return s.vs.Clock() }
 
 // readRun reads r for a read at stamp t (a snapshot's, or live) and verifies
-// it: detect → repair → re-read → quarantine. Damage is repaired in place by
-// replaying the run's WAL history and the read retried once; a run that still
-// fails takes seg out of service. A checksum failure while vs.Recheck reports
+// it: detect → repair → re-read → quarantine. It first waits out the
+// write-back of a commit published and still writing seg's pages
+// (cache.VersionStore.WaitWritten). Damage is repaired in place by replaying
+// the run's WAL history and the read retried once; a run that still fails
+// takes seg out of service. A checksum failure while vs.Recheck reports
 // an update staged, or committed since t, underneath the read is a torn read,
 // not rot: it returns ErrTornRead and counts, repairs, and quarantines
 // nothing.
 func (rd *reader) readRun(seg proto.SegKey, r runRead, t page.LSN) ([]byte, error) {
+	rd.vs.WaitWritten(vkeyOf(seg))
 	if err := rd.quarCheck(seg); err != nil {
 		return nil, err
 	}

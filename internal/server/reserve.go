@@ -177,7 +177,7 @@ func (s *Server) take(client uint32, created []proto.Created) ([]*proto.CatalogO
 // (logFormat) — and its rollback formats it (formatAborted). With no t the
 // segment is formatted at once. A lone run is logged and entered, and no
 // more: its pages come from the section t moves there. The segments enter the
-// catalog when t ends (reveal), or at once with no t. It returns the LSN of
+// catalog when t ends (ended), or at once with no t. It returns the LSN of
 // the last record it logged: the segments are durable once the log is forced
 // that far. The runs of an op not logged go free, and its lock and holder
 // record with them.
@@ -294,15 +294,15 @@ func (s *Server) logFormat(t *tx.Tx, op *proto.CatalogOp) error {
 	return s.eachPage(t, op.Seg.Area, page.No(op.DataStart), nil, zeroRun[:op.DataPages*page.Size])
 }
 
-// reveal enters the segments transaction txid published in the catalog: it
-// has ended. Committed, its pages are written; aborted, its segments are
+// ended takes the ops transaction txid published, for the catalog: it has
+// ended. Committed, its pages are being written; aborted, its segments are
 // what restart would rebuild from their ops — formatted and empty.
-func (s *Server) reveal(txid uint64) {
+func (s *Server) ended(txid uint64) []*proto.CatalogOp {
 	s.res.mu.Lock()
+	defer s.res.mu.Unlock()
 	ops := s.res.pending[txid]
 	delete(s.res.pending, txid)
-	s.res.mu.Unlock()
-	s.enter(ops)
+	return ops
 }
 
 // enter applies logged add-segment ops to the catalog.
@@ -320,25 +320,46 @@ func (s *Server) enter(ops []*proto.CatalogOp) {
 
 // Publish implements proto.Conn: apply's publish and images, then the commit
 // or the prepare. A commit's records are redo-only, and its pages are written
-// after its commit record is durable (tx.Tx.Commit); one that logs no record
-// of its own forces the published segments' records itself. A prepare (2PC
-// phase-1 vote) writes nothing: the branch stays prepared, locks held, until
-// Decide, whose commit writes the pages from the branch's log chain.
+// after its commit record is durable and the commit is published (tx.Tx.Commit);
+// one that logs no record of its own forces the published segments' records
+// itself. A prepare (2PC phase-1 vote) writes nothing: the branch stays
+// prepared, locks held, until Decide, whose commit writes the pages from the
+// branch's log chain. Publish returns once the commit's pages are written;
+// the wire's Commit answers at publication (publishing) and writes them after.
 func (s *Server) Publish(client uint32, txid uint64, created []proto.Created, segs []proto.SegImage, prepare bool) error {
-	t, lsn, err := s.apply(client, txid, created, segs)
-	if err != nil {
-		return err
-	}
-	if prepare {
-		return t.Prepare()
-	}
-	if err = t.Commit(); err == nil && lsn != 0 {
-		err = s.log.Flush(lsn)
-	}
-	if err == nil {
-		s.stats.commits.Add(1)
+	t, err := s.publishing(client, txid, created, segs, prepare)
+	if t != nil {
+		if ferr := t.Finish(); err == nil {
+			err = ferr
+		}
 	}
 	return err
+}
+
+// publishing is Publish up to the commit's publication: the commit stands on
+// a nil error, and a non-nil t is the transaction whose write-back and lock
+// release the caller must finish; a prepare has none.
+func (s *Server) publishing(client uint32, txid uint64, created []proto.Created, segs []proto.SegImage, prepare bool) (*tx.Tx, error) {
+	t, lsn, err := s.apply(client, txid, created, segs)
+	if err != nil {
+		return nil, err
+	}
+	if prepare {
+		return nil, t.Prepare()
+	}
+	if err = t.Publish(); err != nil {
+		return nil, err
+	}
+	if lsn != 0 {
+		// A commit that logged no record of its own forces the records of
+		// the segments it published here. If that fails, the caller still
+		// finishes t: it holds their locks.
+		if err = s.log.Flush(lsn); err != nil {
+			return t, err
+		}
+	}
+	s.stats.commits.Add(1)
+	return t, nil
 }
 
 // Commit is Publish for an in-process caller that creates no segments and

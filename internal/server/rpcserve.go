@@ -94,8 +94,16 @@ func ServePeer(s *Server, p *rpc.Peer) {
 		rpc.Typed(proto.MethodLockObject, func(a *proto.LockObjectArgs) (*proto.Empty, error) {
 			return empty, s.LockObject(a.Client, a.Tx, a.Seg, a.Slot, a.Mode)
 		}),
-		rpc.Typed(proto.MethodCommit, func(a *proto.CommitArgs) (*proto.Empty, error) {
-			return empty, s.Publish(a.Client, a.Tx, a.Created, a.Segs, false)
+		// A commit answers at its publication, and writes its pages after
+		// the reply, on this dispatch goroutine, before its locks release. A
+		// write that fails then is repaired or quarantined (repairWrites):
+		// the commit stands, and the reply said so.
+		rpc.TypedThen(proto.MethodCommit, func(a *proto.CommitArgs) (*proto.Empty, func(), error) {
+			t, err := s.publishing(a.Client, a.Tx, a.Created, a.Segs, false)
+			if t == nil {
+				return empty, nil, err
+			}
+			return empty, func() { _ = t.Finish() }, err
 		}),
 		rpc.Typed(proto.MethodAbort, func(a *proto.AbortArgs) (*proto.Empty, error) {
 			return empty, s.Abort(a.Client, a.Tx)

@@ -62,6 +62,7 @@ type Stats struct {
 	FormatPages      int64 // pages formatSegment wrote, with no record
 	SnapFetches      int64 // as-of segment fetches served to snapshots
 	Released         int64 // Released calls: copies given up
+	WriteBackWaits   int64 // reads that waited out a published commit's page writes
 
 	// WAL counters (group commit, experiment E11): Syncs stays far below
 	// Commits under concurrency because committers share fsyncs.
@@ -69,6 +70,7 @@ type Stats struct {
 	WALFlushes        int64
 	WALSyncs          int64
 	WALGroupedCommits int64
+	WALWrittenAhead   int64 // bytes the log writer wrote ahead of their force
 
 	// Areas sums the open areas' counters: pages and store calls, and
 	// writeback hints.
@@ -205,9 +207,21 @@ func open(dir string, host uint16, media *Media) (*Server, error) {
 	}
 	s.vs = cache.NewVersionStore(clock)
 	// A transaction's end, either way, enters the segments it published in
-	// the catalog, before its locks release.
-	s.txm.SetCommitHook(func(id uint64, lsn page.LSN) { s.vs.CommitTx(id, lsn); s.reveal(id) })
-	s.txm.SetAbortHook(func(id uint64) { s.vs.AbortTx(id); s.reveal(id) })
+	// the catalog, before its locks release. A commit stages them first, with
+	// no pre-image (they are new), so that reads wait for its write-back of
+	// them as for the segments it ships; the written hook ends the wait.
+	s.txm.SetCommitHook(func(id uint64, lsn page.LSN) {
+		ops := s.ended(id)
+		for _, op := range ops {
+			if op.Kind == proto.CatAddSegment {
+				s.vs.StageWrite(id, vkeyOf(op.Seg))
+			}
+		}
+		s.vs.CommitTx(id, lsn)
+		s.enter(ops)
+	})
+	s.txm.SetAbortHook(func(id uint64) { s.vs.AbortTx(id); s.enter(s.ended(id)) })
+	s.txm.SetWrittenHook(s.vs.Landed)
 	s.txm.SetRollbackHook(s.formatAborted)
 	s.txm.SetRepair(s.repairWrites)
 	s.nextTx.Store(uint64(host)<<48 | 1)
@@ -354,11 +368,13 @@ func (s *Server) Snapshot() Stats {
 		FormatPages:      s.stats.formatPages.Load(),
 		SnapFetches:      s.stats.snapFetches.Load(),
 		Released:         s.stats.released.Load(),
+		WriteBackWaits:   s.vs.VersionStats().Written,
 
 		WALAppends:        ls.Appends,
 		WALFlushes:        ls.Flushes,
 		WALSyncs:          ls.Syncs,
 		WALGroupedCommits: ls.GroupedCommits,
+		WALWrittenAhead:   ls.WrittenAhead,
 		Areas:             as,
 	}
 }
@@ -1010,6 +1026,13 @@ func (s *Server) Decide(txid uint64, commit bool) error {
 	}
 	var err error
 	if commit {
+		if !s.vs.HasStaged(txid) {
+			// A branch restart adopted staged nothing: its segments join
+			// the write-back's wait here, found from the pages it changed.
+			for _, seg := range s.segmentsHolding(t.Pages()) {
+				s.vs.StageWrite(txid, vkeyOf(seg))
+			}
+		}
 		err = t.Commit()
 		s.stats.commits.Add(1)
 	} else {
@@ -1102,11 +1125,14 @@ func (s *Server) Inspect() InspectInfo {
 }
 
 // Checkpoint makes what the log's earlier part describes durable outside it
-// and writes a fuzzy checkpoint record, in this order: sync every area →
-// append and force the checkpoint record. Restart redoes only the pages the
-// record lists and those the log changes after it, so every page write of a
-// transaction that ended before the sync is on the device by then.
+// and writes a fuzzy checkpoint record, in this order: let the log writer's
+// complete chunks land (wal.Log.Settle) → sync every area → append and force
+// the checkpoint record. Restart redoes only the pages the record lists and
+// those the log changes after it, so every page write of a transaction that
+// ended before the sync is on the device by then; a commit still writing its
+// pages has them listed (tx.Manager.Checkpoint).
 func (s *Server) Checkpoint() error {
+	s.log.Settle()
 	for _, a := range s.openAreas() {
 		if err := a.Sync(); err != nil {
 			return err
@@ -1127,6 +1153,12 @@ func (s *Server) openAreas() []*area.Area {
 	return areas
 }
 
+// WaitWriteBacks returns once every commit writing its pages when it is
+// called has written them; it waits for no commit published later. Over the
+// wire a commit answers before it writes its pages (ServePeer): counters that
+// include its writes are read after this.
+func (s *Server) WaitWriteBacks() { s.vs.WaitLanded() }
+
 // Close flushes the log and shuts down; closing an area syncs it. Everything
 // is closed whatever fails on the way; the errors come back joined.
 func (s *Server) Close() error {
@@ -1134,6 +1166,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.StopScrub()
+	s.WaitWriteBacks()
 	errs := []error{s.log.Close()}
 	for _, a := range s.openAreas() {
 		errs = append(errs, a.Close())

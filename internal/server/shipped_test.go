@@ -193,61 +193,83 @@ func TestCommitLogFootprint(t *testing.T) {
 // TestCommitWriteFailureRepairs: a page write that fails after the commit's
 // force does not undo the commit. The page is rebuilt from the log before the
 // commit's locks release; if it cannot be, its segment is quarantined with
-// the write's error as the cause — and a restart still finds the commit.
+// the write's error as the cause — and a restart still finds the commit. In
+// process, Commit returns what the repair answers. Over the wire the reply
+// leaves at the commit's publication, before the write: it is success, since
+// the commit stands, and the repair or the quarantine shows once the
+// write-back has ended.
 func TestCommitWriteFailureRepairs(t *testing.T) {
-	for _, rebuildFails := range []bool{false, true} {
-		areaInj := fault.NewInjector(2)
-		d := newDevices(fault.NewInjector(1), areaInj)
-		s := d.open(t)
-		db, _, _ := s.OpenDB("d", true)
-		key := commitOne(t, s, db, []byte("before the failing commit"))
-		img := overwriteImage(t, s, key, []byte("after the failing commit!"))
-		cl, _ := s.Hello("c")
-		txid, _ := s.NewTx()
-		if err := s.Lock(cl, txid, key, proto.LockX); err != nil {
-			t.Fatal(err)
-		}
-		// Nothing reaches an area before the force, so the area clock's next
-		// event is the first page write after it.
-		first := areaInj.Events() + 1
-		areaInj.FailAt(first, nil)
-		if rebuildFails {
-			for n := first + 1; n < first+16; n++ {
-				areaInj.FailAt(n, nil)
+	for _, wire := range []bool{false, true} {
+		for _, rebuildFails := range []bool{false, true} {
+			areaInj := fault.NewInjector(2)
+			d := newDevices(fault.NewInjector(1), areaInj)
+			s := d.open(t)
+			db, _, _ := s.OpenDB("d", true)
+			key := commitOne(t, s, db, []byte("before the failing commit"))
+			img := overwriteImage(t, s, key, []byte("after the failing commit!"))
+			var conn proto.Conn = s
+			cl, _ := s.Hello("c")
+			if wire {
+				cl, conn, _ = wireClient(t, s, "c")
 			}
-		}
-		err := s.Commit(cl, txid, []proto.SegImage{img})
-		if !rebuildFails {
-			if err != nil {
-				t.Fatalf("commit whose page write failed after the force: %v", err)
+			txid, _ := conn.NewTx()
+			if err := conn.Lock(cl, txid, key, proto.LockX); err != nil {
+				t.Fatal(err)
 			}
-			if b, err := fetchObject(t, s, key); err != nil || string(b) != "after the failing commit!" {
-				t.Fatalf("after the repair: %q, %v", b, err)
+			// Nothing reaches an area before the force, so the area clock's next
+			// event is the first page write after it.
+			first := areaInj.Events() + 1
+			areaInj.FailAt(first, nil)
+			if rebuildFails {
+				for n := first + 1; n < first+16; n++ {
+					areaInj.FailAt(n, nil)
+				}
 			}
-			if st := s.ScrubStatus(); st.Repaired == 0 || st.Quarantined != 0 {
-				t.Fatalf("counters %+v", st)
+			err := conn.Publish(cl, txid, nil, []proto.SegImage{img}, false)
+			if wire {
+				if err != nil {
+					t.Fatalf("wire commit whose page write failed after the force: %v, want success: the commit stands", err)
+				}
+				s.WaitWriteBacks()
+			}
+			if !rebuildFails {
+				if err != nil {
+					t.Fatalf("commit whose page write failed after the force: %v", err)
+				}
+				if b, err := fetchObject(t, s, key); err != nil || string(b) != "after the failing commit!" {
+					t.Fatalf("after the repair: %q, %v", b, err)
+				}
+				if st := s.ScrubStatus(); st.Repaired == 0 || st.Quarantined != 0 {
+					t.Fatalf("counters %+v", st)
+				}
+				if s.txm.Lookup(txid) != nil || s.locks.Holders(segLockName(key)) != nil {
+					t.Fatal("the commit kept its transaction or its lock")
+				}
+				s.Close()
+				continue
+			}
+			if !wire && !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("commit whose pages could be neither written nor rebuilt: %v, want ErrQuarantined", err)
+			}
+			if st := s.ScrubStatus(); st.Quarantined != 1 {
+				t.Fatalf("counters %+v, want the segment quarantined", st)
+			}
+			if cause := s.Quarantined()[key]; !strings.Contains(cause, fault.ErrInjected.Error()) {
+				t.Fatalf("quarantine cause %q, want the write's error", cause)
+			}
+			if _, err := fetchObject(t, s, key); !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("fetch of the quarantined segment: %v", err)
+			}
+			if m := s.txm.Lookup(txid); m != nil || s.locks.Holders(segLockName(key)) != nil {
+				t.Fatal("the commit kept its transaction or its lock")
 			}
 			s.Close()
-			continue
+			r := d.copy().open(t)
+			if b, err := fetchObject(t, r, key); err != nil || string(b) != "after the failing commit!" {
+				t.Fatalf("restart after the quarantine: %q, %v — the commit did not stand", b, err)
+			}
+			r.Close()
 		}
-		if !errors.Is(err, ErrQuarantined) {
-			t.Fatalf("commit whose pages could be neither written nor rebuilt: %v, want ErrQuarantined", err)
-		}
-		if cause := s.Quarantined()[key]; !strings.Contains(cause, fault.ErrInjected.Error()) {
-			t.Fatalf("quarantine cause %q, want the write's error", cause)
-		}
-		if _, err := fetchObject(t, s, key); !errors.Is(err, ErrQuarantined) {
-			t.Fatalf("fetch of the quarantined segment: %v", err)
-		}
-		if m := s.txm.Lookup(txid); m != nil || s.locks.Holders(segLockName(key)) != nil {
-			t.Fatal("the commit kept its transaction or its lock")
-		}
-		s.Close()
-		r := d.copy().open(t)
-		if b, err := fetchObject(t, r, key); err != nil || string(b) != "after the failing commit!" {
-			t.Fatalf("restart after the quarantine: %q, %v — the commit did not stand", b, err)
-		}
-		r.Close()
 	}
 }
 

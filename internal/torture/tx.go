@@ -213,8 +213,11 @@ func (w *txWorld) abort(t *tx.Tx) error {
 
 // checkpoint syncs the area and takes the product's checkpoint. A checkpoint's
 // dirty-page table holds only the pages of transactions whose writes are still
-// to come, so every write a commit made must be durable first.
+// to come, so every write a commit made must be durable first. Like the
+// server's, it first lets the log writer land its chunks, so that the area's
+// sync falls at the same event on the one clock every run.
 func (w *txWorld) checkpoint() error {
+	w.log.Settle()
 	if err := w.area.Sync(); err != nil {
 		return err
 	}

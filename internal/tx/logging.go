@@ -20,8 +20,8 @@ import (
 // page's image in Tx.writes, and logged when the transaction ends, in its
 // TCommit or TPrepare (logEnd): one record, one CRC,
 // one transaction id per commit, however many pages it changes. A transaction
-// whose queued changes would pass a log buffer (wal.BufSize) logs them ahead,
-// in a spill: a multi-page TRedo. Its pages are written after the
+// whose queued changes would pass what one log buffer holds (wal.BufBody) logs
+// them ahead, in a spill: a multi-page TRedo. Its pages are written after the
 // transaction's commit record is durable (Commit, writeBack) and never
 // before: the write takes a proof only a wal.Durable can make, and the log
 // mints one only once its flushed frontier covers the commit record. So
@@ -159,7 +159,7 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 		t.writes = append(t.writes, shipped{pid: pid})
 	}
 	w := &t.writes[i]
-	if t.queued+cost > wal.BufSize && t.queued > 0 {
+	if t.queued+cost > wal.BufBody && t.queued > 0 {
 		if _, err := t.logQueued(&wal.Record{Type: wal.TRedo, Tx: t.id}); err != nil {
 			return err
 		}
@@ -309,7 +309,7 @@ func (t *Tx) logAnchors(anchors []wal.Change) (page.LSN, error) {
 		n, size := 0, 0
 		for ; n < len(anchors); n++ {
 			cost := len(anchors[n].After) + changeOverhead
-			if n > 0 && size+cost > wal.BufSize {
+			if n > 0 && size+cost > wal.BufBody {
 				break
 			}
 			size += cost

@@ -85,11 +85,14 @@ type Manager struct {
 	// Multiversion read support (DESIGN.md §7). commitHook/abortHook are set
 	// once at open time, before any transaction runs, and are read without
 	// m.mu thereafter. The commit hook runs after the commit record is
-	// durable but before locks release, so a version store can advance its
-	// clock and publish the committed images while the writer still excludes
-	// concurrent stagers.
+	// durable, before the commit's page writes and before its locks release,
+	// so a version store can advance its clock and publish the committed
+	// images while the writer still excludes concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
+	// writtenHook runs once a published commit's pages are written, before
+	// its locks release.
+	writtenHook func(txID uint64)
 	// rollbackHook runs as a rollback starts, before it reads a page.
 	rollbackHook func(txID uint64) error
 	// repair is given the pages a durable commit failed to write (SetRepair).
@@ -139,6 +142,9 @@ type Tx struct {
 	// queued is what the changes queued in writes would take in a record, as
 	// LogRedo bounds it: the spill's measure.
 	queued int
+	// commitLSN is the commit record Publish forced, for Finish; 0 for a
+	// commit that logged nothing.
+	commitLSN page.LSN
 }
 
 // shipped is one page write t's changes defer to its commit, and the change
@@ -239,6 +245,18 @@ func (t *Tx) LastLSN() page.LSN {
 	return t.lastLSN
 }
 
+// Pages returns the pages t's changes touch, in page order.
+func (t *Tx) Pages() []page.ID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pages := make([]page.ID, 0, len(t.dirty))
+	for pid := range t.dirty {
+		pages = append(pages, pid)
+	}
+	sortPages(pages)
+	return pages
+}
+
 // Lock acquires (or upgrades) a lock on behalf of the transaction, firing
 // the lock hooks and mapping deadlocks to the deadlock event. It waits the
 // lock manager's DefaultTimeout (the paper detects distributed deadlock by
@@ -260,12 +278,14 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 }
 
 // Commit logs and forces a commit record, which carries the changes t queued,
-// writes the pages its changes deferred to it (writeBack), releases all locks
-// (strict 2PL), and retires the transaction, in this order: commit record →
-// force → page writes → version publication → lock release. A transaction
-// that logged and queued nothing commits without a record or a force: nothing
-// of it is in the log to resolve, and it runs the abort hook, not the commit
-// hook: it published nothing.
+// publishes the commit (the commit hook), writes the pages its changes
+// deferred to it (writeBack), releases all locks (strict 2PL), and retires the
+// transaction, in this order: commit record → force → version publication →
+// page write-back → lock release. It is Publish, then Finish: a caller that
+// answers at publication — the server's wire reply — runs the two apart. A
+// transaction that logged and queued nothing commits without a record or a
+// force: nothing of it is in the log to resolve, and it runs the abort hook,
+// not the commit hook: it published nothing.
 //
 // A commit whose record the log refuses, or whose force fails, did not
 // happen. An active transaction is rolled back — after a failed force its
@@ -278,6 +298,18 @@ func (t *Tx) Lock(name lock.Name, mode lock.Mode) error {
 // (SetRepair) before the locks release, and Commit returns what the repair
 // answers.
 func (t *Tx) Commit() error {
+	if err := t.Publish(); err != nil {
+		return err
+	}
+	return t.Finish()
+}
+
+// Publish is Commit up to its publication: the commit record is appended and
+// forced, and the commit hook has run — or, for a transaction with nothing to
+// log, the abort hook. On nil the commit stands, and the caller must call
+// Finish, which writes its pages and releases its locks; on an error it did
+// not happen (Commit), and there is nothing to finish.
+func (t *Tx) Publish() error {
 	m := t.m
 	prepared := t.State() == Prepared
 	lsn, err := t.logEnd(Committed, wal.TCommit, nil)
@@ -292,19 +324,39 @@ func (t *Tx) Commit() error {
 			return t.unforced(prepared, err)
 		}
 	}
-	var werr error
+	t.mu.Lock()
+	t.commitLSN = lsn
+	t.mu.Unlock()
 	if lsn != 0 {
-		werr = t.writeBack(lsn)
 		// Version-store publication order: the hook advances the version
 		// clock and publishes the committed images in one step, while this
 		// writer's X locks still exclude any concurrent stager of the same
-		// segments; then the locks release.
+		// segments; the pages are written after it (Finish), and then the
+		// locks release.
 		if h := m.commitHook; h != nil {
 			h(t.id, lsn)
 		}
 	} else if h := m.abortHook; h != nil {
 		// What it staged with the version store was left unchanged.
 		h(t.id)
+	}
+	return nil
+}
+
+// Finish ends a commit Publish published: it writes the pages t's changes
+// deferred to it (writeBack), runs the written hook, releases t's locks and
+// retires it, and returns what the write-back answers.
+func (t *Tx) Finish() error {
+	m := t.m
+	t.mu.Lock()
+	lsn := t.commitLSN
+	t.mu.Unlock()
+	var werr error
+	if lsn != 0 {
+		werr = t.writeBack(lsn)
+		if h := m.writtenHook; h != nil {
+			h(t.id)
+		}
 	}
 	t.finish()
 	m.fire(hooks.EvTxCommit, t.id)
@@ -374,14 +426,7 @@ func (t *Tx) writeBack(commit page.LSN) error {
 		if err := m.replayed(mine, fail); err != nil {
 			// The branch's history no longer reads (rot in the log): none of
 			// its pages can be rebuilt from it, and each is a failed write.
-			t.mu.Lock()
-			pages := make([]page.ID, 0, len(t.dirty))
-			for pid := range t.dirty {
-				pages = append(pages, pid)
-			}
-			t.mu.Unlock()
-			sortPages(pages)
-			for _, pid := range pages {
+			for _, pid := range t.Pages() {
 				fail(pid, err)
 			}
 		}
@@ -539,10 +584,16 @@ func (t *Tx) Prepare() error {
 }
 
 // SetCommitHook installs fn to run on every commit, after the commit record
-// is durable and before the transaction's locks release, with the
-// transaction id and its commit LSN (the version stamp). Must be called
-// before any transaction begins; the hook is read unsynchronized.
+// is durable and before the commit's page writes and the transaction's lock
+// release, with the transaction id and its commit LSN (the version stamp): a
+// reader fn lets see the commit may find its pages not yet written. Must be
+// called before any transaction begins; the hook is read unsynchronized.
 func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.commitHook = fn }
+
+// SetWrittenHook installs fn to run on every commit the commit hook saw, once
+// its page writes have ended (repaired or not) and before its locks release.
+// Same registration contract as SetCommitHook.
+func (m *Manager) SetWrittenHook(fn func(txID uint64)) { m.writtenHook = fn }
 
 // SetAbortHook installs fn to run on every runtime abort, after its abort
 // record is durable and before locks release. Same registration contract as

@@ -37,8 +37,10 @@ import (
 	"slices"
 	"sync"
 
+	"bess/internal/goleak"
 	"bess/internal/lockcheck"
 	"bess/internal/page"
+	"bess/internal/writeback"
 )
 
 // Type is a log record type.
@@ -711,6 +713,18 @@ type Backing interface {
 
 type fileBacking struct{ f *os.File }
 
+// writeBacker is a backing that can start the writeback of a range it was
+// given: the log writer asks it to for every chunk it writes ahead of a force,
+// so that the force's sync finds the chunk on its way to the device.
+type writeBacker interface {
+	StartWriteback(off, n int64)
+}
+
+// StartWriteback asks the kernel to start writing the range back
+// (writeback.Start). A hint that fails starts nothing: the next Sync writes
+// it all.
+func (b fileBacking) StartWriteback(off, n int64) { _ = writeback.Start(b.f, off, n) }
+
 func (b fileBacking) WriteAt(p []byte, off int64) (int, error) { return b.f.WriteAt(p, off) }
 func (b fileBacking) ReadAt(p []byte, off int64) (int, error)  { return b.f.ReadAt(p, off) }
 func (b fileBacking) Sync() error                              { return b.f.Sync() }
@@ -775,6 +789,11 @@ const (
 	logBufSize = 4 << 20
 )
 
+// chunkSize is the log writer's unit: the log is cut into chunks of this many
+// bytes on fixed LSN boundaries, and the writer writes each one as soon as
+// appends complete it.
+const chunkSize = 1 << 20
+
 // Log is an append-only write-ahead log with group commit. Safe for
 // concurrent use: committers that arrive while a sync is in flight park on
 // a condition variable and are woken when the leader's sync covers their
@@ -788,9 +807,20 @@ const (
 // next round writes them again. With every slot sealed an appender leads a
 // round, or waits for the one in flight: the log's memory is bounded by the
 // set, whatever the size of a transaction.
+//
+// The log writer, one goroutine of the log's group at a time — running while
+// there is a chunk to write, joined by Close — writes the buffered bytes ahead
+// of their force: each chunk (chunkSize) as soon as appends complete it, with
+// a writeback hint (writeBacker). A round waits for it to write the
+// complete chunks below the round's end, then writes only the tail and syncs,
+// so a large transaction's force waits for its last chunk, not for all of it.
+// The writer writes nothing while a round writes or syncs, and a round nothing
+// while the writer writes: the device sees one writer at a time, and the
+// sequence of its writes and syncs is a function of the bytes appended and
+// the forces asked for, not of scheduling.
 type Log struct {
 	mu       lockcheck.Mutex
-	syncDone sync.Cond // broadcast at the end of every sync round
+	syncDone sync.Cond // broadcast at the end of every sync round, and of every chunk the writer writes
 	back     Backing
 	bufs     [logBufs][]byte // guarded by mu; a slot is nil until first used, and sealed slots are the round leader's to read
 	first    int             // guarded by mu; slot holding the oldest non-durable byte, the one at flushed
@@ -798,7 +828,16 @@ type Log struct {
 	nextLSN  page.LSN        // guarded by mu; LSN of the next record to append
 	flushed  page.LSN        // guarded by mu; all bytes below this are durable
 	syncing  bool            // guarded by mu; a leader is writing+syncing outside the lock
+	roundEnd page.LSN        // guarded by mu; while syncing, the end of the round in flight
 	closed   bool            // guarded by mu
+
+	// The log writer's state. Bytes below written are on the backing, synced
+	// or not; flushed <= written <= nextLSN.
+	writer   goleak.Group
+	running  bool     // guarded by mu; the writer goroutine is running
+	written  page.LSN // guarded by mu
+	writing  bool     // guarded by mu; the writer is writing a chunk outside the lock
+	aheadErr error    // guarded by mu; a chunk write failed: the writer waits for the next round, which writes what it did not
 
 	// lost is set by init when the record at the recovered end is broken but
 	// its stored length leads to a record that checks out: rot in the middle
@@ -809,6 +848,7 @@ type Log struct {
 	flushes int64 // guarded by mu
 	syncs   int64 // guarded by mu
 	grouped int64 // guarded by mu
+	ahead   int64 // guarded by mu
 }
 
 // LogStats are cumulative log counters. Under group commit Syncs stays far
@@ -819,6 +859,7 @@ type LogStats struct {
 	Flushes        int64 // Flush calls
 	Syncs          int64 // physical write+sync rounds against the backing
 	GroupedCommits int64 // Flush calls made durable by another caller's sync
+	WrittenAhead   int64 // bytes the log writer wrote ahead of their force
 }
 
 // firstLSN is the LSN of the first record: offsets start after a small file
@@ -841,11 +882,22 @@ const firstLSN = page.LSN(8)
 // version 7, a version-6 entry of area 1 would be a continuation.
 var logMagic = []byte{0xBE, 0x55, 0x10, 0x60, 0, 0, 0, 7}
 
-// BufSize is the size of one log buffer: a transaction whose queued page
-// changes would pass it logs them ahead of its commit record, in a spill
-// (TRedo), and a rollback whose anchors would pass it logs them ahead of its
-// abort record (TRollback), so that no record outgrows a buffer.
+// BufSize is the size of one log buffer.
 const BufSize = logBufSize
+
+// BufBody is the most bytes of page changes — their images and entry heads,
+// as internal/tx bounds them — that one record carries and still fits one log
+// buffer, with its frame and fixed fields at their widest (maxHead): a
+// transaction whose queued changes would pass it logs them ahead of its commit
+// record, in a spill (TRedo), and a rollback whose anchors would pass it logs
+// them ahead of its abort record (TRollback), so that no record outgrows a
+// buffer.
+const BufBody = logBufSize - maxHead
+
+// maxHead bounds the bytes of a record that carries page changes besides its
+// entries, as Append reserves them: CRC, length, type, transaction id (two
+// uvarints), the reference back, and the entry count.
+const maxHead = crcSize + binary.MaxVarintLen32 + 1 + 3*binary.MaxVarintLen64 + binary.MaxVarintLen32
 
 // OpenFile opens (creating if absent) a file-backed log, scanning to find
 // the durable end.
@@ -854,8 +906,8 @@ func OpenFile(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{back: fileBacking{f}}
-	if err := l.init(); err != nil {
+	l, err := Open(fileBacking{f})
+	if err != nil {
 		// Preserve err's identity when the cleanup Close succeeds.
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -878,8 +930,8 @@ func Open(b Backing) (*Log, error) {
 
 // NewMem returns a memory-backed log (tests and crash simulation).
 func NewMem() *Log {
-	l := &Log{back: &memBacking{}}
-	if err := l.init(); err != nil {
+	l, err := Open(&memBacking{})
+	if err != nil {
 		panic(err) // memBacking cannot fail
 	}
 	return l
@@ -888,11 +940,7 @@ func NewMem() *Log {
 // OpenMemFrom rebuilds a memory log from a durable image produced by
 // DurableBytes — the crash-recovery entry point for tests.
 func OpenMemFrom(img []byte) (*Log, error) {
-	l := &Log{back: &memBacking{buf: append([]byte(nil), img...)}}
-	if err := l.init(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return Open(&memBacking{buf: append([]byte(nil), img...)})
 }
 
 // init finishes constructing a Log that no other goroutine can see yet, under
@@ -910,7 +958,7 @@ func (l *Log) init() error {
 		if err := l.back.Sync(); err != nil {
 			return err
 		}
-		l.nextLSN, l.flushed = firstLSN, firstLSN
+		l.nextLSN, l.flushed, l.written = firstLSN, firstLSN, firstLSN
 		return nil
 	}
 	hdr := make([]byte, 8)
@@ -935,7 +983,7 @@ func (l *Log) init() error {
 		}
 		lsn = next
 	}
-	l.nextLSN, l.flushed = lsn, lsn
+	l.nextLSN, l.flushed, l.written = lsn, lsn, lsn
 	return l.cutTail(&r, size)
 }
 
@@ -1015,6 +1063,9 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 	l.bufs[slot] = b
 	l.nextLSN += page.LSN(len(b) - at)
 	l.appends++
+	if l.nextLSN/chunkSize != lsn/chunkSize {
+		l.startWriter() // a chunk is complete
+	}
 	rec.lsn = lsn
 	return lsn, nil
 }
@@ -1113,49 +1164,150 @@ func (l *Log) flushTo(target page.LSN) error {
 	}
 }
 
-// syncRound leads one round: it seals the buffer appends are going into and
-// writes and syncs every sealed buffer outside the lock, so appends (into the
-// next free slot) and later committers keep running; they ride this round if
-// it covers them, or lead the next one. Called with l.mu held and no round in
-// flight; returns with it held. On error nothing is released: the bytes stay
-// sealed for the next round, and woken followers retry leadership and surface
-// their own error.
+// syncRound leads one round: it seals the buffer appends are going into, waits
+// for the writer to write the complete chunks below the round's end, and
+// writes the rest of the sealed buffers — the tail — and syncs outside the
+// lock, so appends (into the next free slot) and later committers keep
+// running; they ride this round if it covers them, or lead the next one.
+// Called with l.mu held and no round in flight; returns with it held. On
+// error nothing is released: the bytes stay sealed, and the next round (or the
+// writer) writes them all again — a failed sync may have dropped what was
+// written ahead — while woken followers retry leadership and surface their
+// own error.
 func (l *Log) syncRound() error {
 	l.mu.AssertHeld()
 	if l.sealed < logBufs && len(l.bufs[(l.first+l.sealed)%logBufs]) > 0 {
 		l.sealed++
 	}
-	var round [logBufs][]byte
-	k := l.sealed
-	for i := range round[:k] {
-		round[i] = l.bufs[(l.first+i)%logBufs]
+	k, end := l.sealed, l.nextLSN // every byte not durable is in a sealed buffer now
+	l.syncing, l.roundEnd = true, end
+	l.startWriter()
+	for l.writing || l.written < end/chunkSize*chunkSize && l.aheadErr == nil {
+		l.syncDone.Wait()
 	}
-	off := int64(l.flushed)
-	l.syncing = true
+	var tail [logBufs][]byte
+	pieces, off := l.pieces(tail[:0], l.written, end), l.written
 	l.mu.Unlock()
-	var err error
-	for _, b := range round[:k] {
-		if _, err = l.back.WriteAt(b, off); err != nil {
-			break
-		}
-		off += int64(len(b))
-	}
+	err := l.writeAt(pieces, off)
 	if err == nil {
 		err = l.back.Sync()
 	}
 	l.mu.Lock()
-	l.syncing = false
+	l.syncing, l.aheadErr = false, nil
 	if err == nil {
 		for ; k > 0; k-- {
 			l.release(l.first)
 			l.first = (l.first + 1) % logBufs
 			l.sealed--
 		}
-		l.flushed = page.LSN(off)
+		l.flushed, l.written = end, end
 		l.syncs++
+	} else {
+		l.written = l.flushed
 	}
 	l.syncDone.Broadcast()
+	l.startWriter()
 	return err
+}
+
+// writeAt writes pieces to the backing, one after another from off.
+func (l *Log) writeAt(pieces [][]byte, off page.LSN) error {
+	for _, b := range pieces {
+		if _, err := l.back.WriteAt(b, int64(off)); err != nil {
+			return err
+		}
+		off += page.LSN(len(b))
+	}
+	return nil
+}
+
+// pieces appends to dst the buffered bytes of the log's [lo, hi), which lie
+// at or past the durable frontier and below nextLSN: one piece per buffer
+// they span. The caller holds l.mu; the bytes stay as they are until a round
+// releases their buffer.
+func (l *Log) pieces(dst [][]byte, lo, hi page.LSN) [][]byte {
+	l.mu.AssertHeld()
+	at := l.flushed
+	for i := 0; i < logBufs && at < hi; i++ {
+		b := l.bufs[(l.first+i)%logBufs]
+		if end := at + page.LSN(len(b)); lo < end {
+			dst = append(dst, b[max(lo, at)-at:min(hi, end)-at])
+		}
+		at += page.LSN(len(b))
+	}
+	return dst
+}
+
+// chunk returns the next chunk the writer is to write, [lo, hi): from what it
+// has written to the next chunk boundary, once appends have completed it —
+// and, while a round is in flight, only below the round's end, which the
+// round waits for. ok is false if there is none. The caller holds l.mu.
+func (l *Log) chunk() (lo, hi page.LSN, ok bool) {
+	l.mu.AssertHeld()
+	if l.closed || l.aheadErr != nil {
+		return 0, 0, false
+	}
+	lo = l.written
+	hi = (lo/chunkSize + 1) * chunkSize
+	limit := l.nextLSN
+	if l.syncing {
+		limit = l.roundEnd
+	}
+	return lo, hi, hi <= limit
+}
+
+// startWriter starts the log writer if a chunk is there to write and it is
+// not running. The caller holds l.mu.
+func (l *Log) startWriter() {
+	l.mu.AssertHeld()
+	if _, _, ok := l.chunk(); ok && !l.running {
+		l.running = goleak.GoWith(&l.writer, "wal.writer", (*Log).writeAhead, l)
+	}
+}
+
+// writeAhead is the log writer: it writes each chunk appends complete, with
+// a writeback hint, and returns when there is none to write — an idle log
+// keeps no goroutine — to be started again by the next (startWriter, with no
+// closure to allocate). A write that fails leaves the chunk to the next round.
+func (l *Log) writeAhead() {
+	var buf [logBufs][]byte
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		lo, hi, ok := l.chunk()
+		if !ok {
+			l.running = false
+			return
+		}
+		pieces := l.pieces(buf[:0], lo, hi)
+		l.writing = true
+		l.mu.Unlock()
+		err := l.writeAt(pieces, lo)
+		if wb, hint := l.back.(writeBacker); hint && err == nil {
+			wb.StartWriteback(int64(lo), int64(hi-lo))
+		}
+		l.mu.Lock()
+		l.writing = false
+		if err != nil {
+			l.aheadErr = err
+		} else {
+			l.written = hi
+			l.ahead += int64(hi - lo)
+		}
+		l.syncDone.Broadcast()
+	}
+}
+
+// Settle returns once the log writer has written every chunk that is complete
+// when it is called, or failed to: a caller about to use a device the log
+// shares for something else (a checkpoint's area sync) does so after them,
+// in an order that is a function of what was appended.
+func (l *Log) Settle() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for target := l.nextLSN / chunkSize * chunkSize; !l.closed && l.aheadErr == nil && (l.writing || l.written < target); {
+		l.syncDone.Wait()
+	}
 }
 
 // Durable returns the proof that tx's commit record, at commit, is durable —
@@ -1180,7 +1332,7 @@ func (l *Log) NextLSN() page.LSN {
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LogStats{Appends: l.appends, Flushes: l.flushes, Syncs: l.syncs, GroupedCommits: l.grouped}
+	return LogStats{Appends: l.appends, Flushes: l.flushes, Syncs: l.syncs, GroupedCommits: l.grouped, WrittenAhead: l.ahead}
 }
 
 // readAhead is how far a walk of the log reads beyond the record it is at.
@@ -1350,24 +1502,23 @@ func (l *Log) DurableBytes() []byte {
 // FirstLSN exposes the start-of-log LSN.
 func FirstLSN() page.LSN { return firstLSN }
 
-// Close flushes and closes the log.
+// Close flushes the log, joins its writer and closes the backing: all three
+// whatever the flush returns, which Close returns.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
-	if err := l.flushTo(l.nextLSN); err != nil && err != ErrClosed {
-		return err
-	}
+	err := l.flushTo(l.nextLSN)
 	// Wait out any round still in flight for later appends before closing
 	// the backing underneath it.
 	for l.syncing {
 		l.syncDone.Wait()
 	}
-	if l.closed {
-		return nil
-	}
 	l.closed = true
-	return l.back.Close()
+	l.syncDone.Broadcast()
+	l.mu.Unlock()
+	l.writer.Stop()
+	return errors.Join(err, l.back.Close())
 }
