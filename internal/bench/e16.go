@@ -33,17 +33,13 @@ const (
 )
 
 // SetupE16 builds the E16 dataset: one file of segs segments, objs objects
-// each, on a loopback-TCP server (the E18 harness). The lock timeout is cut
-// short: under hot-set contention a 2PL reader's S lock can only be granted
-// after the writer's revocation clears, and the writer's revocation only
-// clears when the reader's transaction ends — a cycle the lock manager
-// breaks by timeout. The default multi-second timeout would turn the
-// baseline into a stall benchmark; a short one lets it degrade into the
-// abort-and-retry behavior the sweep is meant to measure.
+// each, on a loopback-TCP server (the E18 harness), at the default lock
+// timeout. Under hot-set contention a 2PL reader that refuses a writer's
+// callback and then asks for its S lock behind that writer's X closes a
+// cycle; the one waits-for graph fails the reader's request at once
+// (lock.ErrDeadlock), and the reader aborts and retries.
 func SetupE16(segs, objs, blob int) *E18Env {
-	env := SetupE18(1, segs, objs, blob)
-	env.srv.SetLockTimeout(150 * time.Millisecond)
-	return env
+	return SetupE18(1, segs, objs, blob)
 }
 
 // E16Row is one measured configuration.
@@ -66,6 +62,8 @@ type E16Row struct {
 
 	LockAcquires   int64 `json:"lock_acquires"` // server lock-manager delta
 	LockBlocks     int64 `json:"lock_blocks"`
+	LockTimeouts   int64 `json:"lock_timeouts"`
+	Deadlocks      int64 `json:"deadlocks"`
 	Refusals       int64 `json:"refusals"`        // callbacks refused, all sessions
 	ReaderRefusals int64 `json:"reader_refusals"` // refused by pure-reader sessions only
 	Drops          int64 `json:"drops"`           // cached copies revoked
@@ -245,6 +243,8 @@ func runE16(env *E18Env, mode, dist string, fracs []float64, dur time.Duration, 
 	row.Aborts = aborts.Load()
 	row.LockAcquires = lockAfter.Acquires - lockBefore.Acquires
 	row.LockBlocks = lockAfter.Blocks - lockBefore.Blocks
+	row.LockTimeouts = lockAfter.Timeouts - lockBefore.Timeouts
+	row.Deadlocks = lockAfter.Deadlocks - lockBefore.Deadlocks
 	row.SnapFetches = env.srv.Snapshot().SnapFetches - snapBefore
 	row.ChainHits = vsAfter.ChainHits - vsBefore.ChainHits
 	return row
@@ -345,6 +345,6 @@ func FormatE16Row(r E16Row) string {
 	if r.Workers > 0 {
 		pop = fmt.Sprintf("n=%d mix=%.0f/%.0f", r.Workers, r.ReadFrac*100, (1-r.ReadFrac)*100)
 	}
-	return fmt.Sprintf("%-4s %-7s %-14s reads/s=%-8.0f %s  writes/s=%-7.0f locks=%-6d refusals=%d",
-		r.Mode, r.Dist, pop, r.ReadPerSec, FormatLatency(r.ReadLat), r.WritePerSec, r.LockAcquires, r.Refusals)
+	return fmt.Sprintf("%-4s %-7s %-14s reads/s=%-8.0f %s  writes/s=%-7.0f locks=%-6d refusals=%-4d timeouts=%-3d deadlocks=%d",
+		r.Mode, r.Dist, pop, r.ReadPerSec, FormatLatency(r.ReadLat), r.WritePerSec, r.LockAcquires, r.Refusals, r.LockTimeouts, r.Deadlocks)
 }

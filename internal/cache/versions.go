@@ -288,10 +288,13 @@ func (vs *VersionStore) HasStaged(txID uint64) bool {
 // record is durable and before the write-back.
 func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 	vs.mu.Lock()
+	us := vs.pending[txID]
+	// WaitWritten's fast path reads nwrite without mu: it must count these
+	// writes before a reader can take the stamp they are published at.
+	vs.nwrite.Add(int64(len(us)))
 	vs.clock.Store(uint64(max(vs.Clock(), stamp)))
 	w := vs.watermarkLocked()
 	vs.floor = max(vs.floor, w)
-	us := vs.pending[txID]
 	for i, u := range us {
 		us[i].old = VImage{} // the chain has it, or nobody can read it
 		vs.writing[u.key]++
@@ -313,7 +316,6 @@ func (vs *VersionStore) CommitTx(txID uint64, stamp page.LSN) {
 	delete(vs.pending, txID)
 	if len(us) > 0 {
 		vs.landing[txID] = us
-		vs.nwrite.Add(int64(len(us)))
 	}
 	vs.cond.Broadcast() // snapshot reads below stamp take the chain
 	vs.mu.Unlock()

@@ -14,7 +14,6 @@ import (
 func TestObjectLevelLocking(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 200 * time.Millisecond
 	srv.SetLockTimeout(150 * time.Millisecond)
 
 	a := openDirect(t, srv, "a")

@@ -239,7 +239,7 @@ func TestInterTransactionCaching(t *testing.T) {
 func TestCallbackInvalidation(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 500 * time.Millisecond
+	srv.SetLockTimeout(500 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")
@@ -301,7 +301,7 @@ func TestCallbackInvalidation(t *testing.T) {
 func TestCallbackRefusedWhileInUse(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 200 * time.Millisecond
+	srv.SetLockTimeout(200 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")

@@ -17,7 +17,7 @@ import (
 func TestAddressSurvivesRevocation(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 300 * time.Millisecond
+	srv.SetLockTimeout(300 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")
@@ -82,7 +82,7 @@ func TestAddressSurvivesRevocation(t *testing.T) {
 func TestFollowReferenceAfterRevocation(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 300 * time.Millisecond
+	srv.SetLockTimeout(300 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")
@@ -190,7 +190,7 @@ func TestDropAllCachedForcesRefetch(t *testing.T) {
 func TestPendingDropAppliedOnTouch(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 300 * time.Millisecond
+	srv.SetLockTimeout(300 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")
@@ -251,7 +251,7 @@ func TestPendingDropAppliedOnTouch(t *testing.T) {
 func TestCommitThroughDanglingReference(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 300 * time.Millisecond
+	srv.SetLockTimeout(300 * time.Millisecond)
 
 	writer, _ := openRemote(t, srv, "writer")
 	reader, _ := openRemote(t, srv, "reader")

@@ -21,7 +21,6 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 	}
 	srv := server.NewMem(1)
 	defer srv.Close()
-	srv.CallbackTimeout = 50 * time.Millisecond
 	srv.SetLockTimeout(100 * time.Millisecond)
 
 	setup := openRemoteT(t, srv, "setup")

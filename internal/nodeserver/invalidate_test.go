@@ -156,10 +156,11 @@ func TestPrepareThroughNodePublishesNothing(t *testing.T) {
 
 // TestDeadLocalIsForgotten: a local application whose callback fails is gone.
 // The node forgets it, so a segment only it held is revoked at once — by this
-// writer and by every later one — instead of each waiting out RevokeTimeout.
+// writer and by every later one — instead of each waiting out the lock timeout.
 func TestDeadLocalIsForgotten(t *testing.T) {
 	_, ns := env(t)
-	ns.RevokeTimeout = 2 * time.Second
+	const wait = 2 * time.Second
+	ns.SetLockTimeout(wait)
 	db, _, err := ns.OpenDB("db", true)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestDeadLocalIsForgotten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := time.Since(start); d >= ns.RevokeTimeout {
+	if d := time.Since(start); d >= wait {
 		t.Fatalf("three writes past a dead local took %v: each waited out the revocation timeout", d)
 	}
 	if calls != 1 {

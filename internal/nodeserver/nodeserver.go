@@ -21,14 +21,11 @@ import (
 	"time"
 
 	"bess/internal/cache"
-	"bess/internal/callback"
+	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/shm"
 )
-
-// ErrRevocation is returned when a local copy revocation times out.
-var ErrRevocation = errors.New("nodeserver: local copy revocation timed out")
 
 // Stats are node-server counters: upstream traffic vs locally served
 // requests (E2 and E6 read them).
@@ -49,12 +46,16 @@ type NodeServer struct {
 	proto.Conn        // upstream
 	client     uint32 // the node server's upstream client id
 
-	// locals is callback locking among the node's applications: the same
-	// table a server keeps for its clients.
-	locals *callback.Table
+	// locals is the holder table of the node's applications, the same a
+	// server keeps for its clients: their copies, and the X each local
+	// transaction holds once its server granted it.
+	locals *lock.Manager
+	// revokes numbers the X the node takes in locals on its server's behalf,
+	// above the ids a server hands out (host<<48 | n).
+	revokes atomic.Uint64
 
-	// mu is held across locals.Record and locals.Drop (neither calls back), so
-	// it nests outside Table.mu; never across an upstream call or a Revoke.
+	// mu is held across locals.Drop (which calls nothing back), so it nests
+	// outside lock.Manager.mu; never across an upstream call or a lock wait.
 	mu     sync.Mutex
 	images map[proto.SegKey]*proto.SegImage // guarded by mu; an image is immutable once cached
 	snaps  map[uint64]uint32                // guarded by mu; the local that opened each open snapshot
@@ -68,10 +69,6 @@ type NodeServer struct {
 	sc *shm.SharedCache
 
 	stats struct{ upstream, hits, callbacks atomic.Int64 }
-
-	// RevokeTimeout bounds how long a local revocation waits for a refusing
-	// local's Released.
-	RevokeTimeout time.Duration
 }
 
 // New attaches a node server to an upstream connection (typically a
@@ -83,19 +80,16 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		return nil, err
 	}
 	ns := &NodeServer{
-		Conn:          up,
-		client:        id,
-		locals:        callback.New(ErrRevocation, nil),
-		images:        make(map[proto.SegKey]*proto.SegImage),
-		snaps:         make(map[uint64]uint32),
-		reserved:      make(map[proto.SegKey]heldRuns),
-		pool:          make(map[geometry][]proto.Reserved),
-		RevokeTimeout: time.Second,
+		Conn:     up,
+		client:   id,
+		locals:   lock.NewManager(),
+		images:   make(map[proto.SegKey]*proto.SegImage),
+		snaps:    make(map[uint64]uint32),
+		reserved: make(map[proto.SegKey]heldRuns),
+		pool:     make(map[geometry][]proto.Reserved),
 	}
+	ns.locals.DefaultTimeout = time.Second
 	backing := &pageBacking{ns: ns, local: ns.locals.Register()}
-	if err := ns.locals.SetCallback(backing.local, func(proto.SegKey) (bool, error) { return false, nil }); err != nil {
-		return nil, err
-	}
 	sc, err := shm.NewSharedCache(cacheSlots, frames, backing)
 	if err != nil {
 		return nil, err
@@ -110,13 +104,20 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 
 // Snapshot returns the node's counters.
 func (ns *NodeServer) Snapshot() Stats {
-	local, _ := ns.locals.Counts()
 	return Stats{
 		UpstreamFetches: ns.stats.upstream.Load(),
 		LocalHits:       ns.stats.hits.Load(),
 		Callbacks:       ns.stats.callbacks.Load(),
-		LocalCallbacks:  local,
+		LocalCallbacks:  ns.locals.Snapshot().Callbacks,
 	}
+}
+
+// SetLockTimeout adjusts how long a local's request — a fetch behind another
+// local's X, an X behind a refused copy — waits in the node's table.
+func (ns *NodeServer) SetLockTimeout(d time.Duration) { ns.locals.DefaultTimeout = d }
+
+func segName(seg proto.SegKey) lock.Name {
+	return lock.Name{Kind: lock.KindSegment, Q0: uint64(seg.Area), Q1: uint64(seg.Start)}
 }
 
 // SharedCache exposes the node's shared cache for shared-memory-mode
@@ -126,17 +127,20 @@ func (ns *NodeServer) SharedCache() *shm.SharedCache { return ns.sc }
 // AttachShared attaches a shared-memory-mode process.
 func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach() }
 
-// onUpstreamCallback revokes the node's copy of seg. The image goes first, so
-// that from here on a local fetch goes upstream instead of becoming a new
-// holder of the image the node is about to say it gave up; then every local
-// copy must drop. A local that refuses is waited for: its Released reaches
-// Released, whose Drop wakes the revoke.
+// onUpstreamCallback gives up the node's copy of seg. The image goes first, so
+// no local fetch hits it from here on; then the node takes X on seg in its own
+// table on its server's behalf, which calls every local copy back and queues
+// local fills behind it, and lets it go. A refusing local is waited for, until
+// its Released or the lock timeout: then the node refuses in turn.
 func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
 	ns.stats.callbacks.Add(1)
 	ns.mu.Lock()
 	delete(ns.images, seg)
 	ns.mu.Unlock()
-	return ns.locals.Revoke(seg, 0, ns.RevokeTimeout) != nil, nil
+	tx := lock.TxID(1<<63 | ns.revokes.Add(1))
+	err = ns.locals.Acquire(tx, segName(seg), lock.X, 0)
+	ns.locals.ReleaseAll(tx)
+	return err != nil, nil
 }
 
 // --- the proto.Conn methods the node answers differently from its upstream ---
@@ -147,7 +151,11 @@ func (ns *NodeServer) Hello(name string) (uint32, error) { return ns.locals.Regi
 
 // SetCallback installs a local application's revocation handler.
 func (ns *NodeServer) SetCallback(local uint32, cb func(proto.SegKey) (bool, error)) error {
-	return ns.locals.SetCallback(local, cb)
+	var lcb lock.Callback
+	if cb != nil {
+		lcb = func(n lock.Name) (bool, error) { return cb(proto.SegKey{Area: uint32(n.Q0), Start: int64(n.Q1)}) }
+	}
+	return ns.locals.SetCallback(local, lcb)
 }
 
 // Disconnect forgets a local application that went away: its copies no
@@ -209,7 +217,7 @@ func (ns *NodeServer) ReserveSegments(local uint32, db uint32, areaHint, slotted
 	ns.hold(local, g, runs)
 	if !ns.locals.Registered(local) { // recorded after Disconnect looked
 		ns.Disconnect(local)
-		return nil, callback.ErrUnknownClient
+		return nil, lock.ErrUnknownClient
 	}
 	return runs, nil
 }
@@ -230,33 +238,39 @@ func notHeld(seg proto.SegKey) error {
 
 // FetchSeg serves from the node cache when it can; otherwise one upstream
 // FetchSeg under the node server's client id fills the cache entry. The
-// cached image is shared by the node's local sessions and a fetched image is
-// the caller's to write to (proto.Conn), so a hit and a fill alike hand out a
-// copy. Finding (or storing) the image and recording its new holder are one
-// step under mu, as dropping the last holder and the image are in Released: a
-// local never holds a copy of an image the node has already released upstream.
+// local's copy is taken in the node's table first, behind any X there: a hit
+// or a fill is a holder from the start, and a fill whose copy was called back
+// while it was upstream stores nothing and goes again. The cached image is
+// shared and a fetched image is the caller's to write to (proto.Conn), so a
+// hit and a fill alike hand out a copy.
 func (ns *NodeServer) FetchSeg(local uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
-	ns.mu.Lock()
-	img := ns.images[seg]
-	if img != nil {
-		ns.locals.Record(seg, local)
-	}
-	ns.mu.Unlock()
-	if img != nil {
-		ns.stats.hits.Add(1)
-	} else {
-		sl, ov, d, err := ns.Conn.FetchSeg(ns.client, seg)
-		if err != nil {
+	name := segName(seg)
+	for {
+		if err := ns.locals.Copy(local, name); err != nil {
 			return nil, nil, nil, err
 		}
-		ns.stats.upstream.Add(1)
-		img = &proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: d}
 		ns.mu.Lock()
-		ns.images[seg] = img
-		ns.locals.Record(seg, local)
+		img := ns.images[seg]
 		ns.mu.Unlock()
+		if img != nil {
+			ns.stats.hits.Add(1)
+		} else {
+			sl, ov, d, err := ns.Conn.FetchSeg(ns.client, seg)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			ns.stats.upstream.Add(1)
+			ns.mu.Lock()
+			if ns.locals.Holding(local, name) {
+				img = &proto.SegImage{Seg: seg, Slotted: sl, Overflow: ov, Data: d}
+				ns.images[seg] = img
+			}
+			ns.mu.Unlock()
+		}
+		if img != nil {
+			return bytes.Clone(img.Slotted), bytes.Clone(img.Overflow), bytes.Clone(img.Data), nil
+		}
 	}
-	return bytes.Clone(img.Slotted), bytes.Clone(img.Overflow), bytes.Clone(img.Data), nil
 }
 
 // SnapOpen forwards: snapshots live on the owning server, whose commit
@@ -274,7 +288,7 @@ func (ns *NodeServer) SnapOpen(local uint32) (uint64, uint64, error) {
 	ns.mu.Unlock()
 	if !ns.locals.Registered(local) { // recorded after Disconnect looked
 		ns.Disconnect(local)
-		return 0, 0, callback.ErrUnknownClient
+		return 0, 0, lock.ErrUnknownClient
 	}
 	return snap, stamp, nil
 }
@@ -305,22 +319,29 @@ func (ns *NodeServer) SnapFetchSeg(local uint32, snap uint64, seg proto.SegKey) 
 }
 
 // Lock acquires upstream under the node server's client id (the node server
-// "acquires locks on behalf of the local applications").
+// "acquires locks on behalf of the local applications"). An X granted there is
+// taken in the node's table too, which calls the other locals' copies back
+// and holds their fetches off until tx ends (Publish, Abort, Decide).
 func (ns *NodeServer) Lock(local uint32, tx uint64, seg proto.SegKey, mode proto.LockMode) error {
-	if err := ns.Conn.Lock(ns.client, tx, seg, mode); err != nil {
+	if err := ns.Conn.Lock(ns.client, tx, seg, mode); err != nil || mode != proto.LockX {
 		return err
 	}
-	// Intra-node consistency: an exclusive intent revokes the other local
-	// applications' copies before the write proceeds.
-	if mode == proto.LockX || mode == proto.LockSIX || mode == proto.LockIX {
-		return ns.locals.Revoke(seg, local, ns.RevokeTimeout)
-	}
-	return nil
+	ns.locals.Bind(lock.TxID(tx), local)
+	return ns.locals.Acquire(lock.TxID(tx), segName(seg), lock.X, 0)
 }
 
-// LockObject forwards under the node server's client id. Object locks are
-// logical; cache revocation stays tied to segment X locks.
+// LockObject forwards under the node server's client id, once the segment's
+// intention lock is taken in the node's table, where a read behind an X its
+// local refused is a deadlock found at once. Object locks are logical.
 func (ns *NodeServer) LockObject(local uint32, tx uint64, seg proto.SegKey, slot int, mode proto.LockMode) error {
+	intent := lock.IS
+	if mode == proto.LockX || mode == proto.LockIX || mode == proto.LockSIX {
+		intent = lock.IX
+	}
+	ns.locals.Bind(lock.TxID(tx), local)
+	if err := ns.locals.Acquire(lock.TxID(tx), segName(seg), intent, 0); err != nil {
+		return err
+	}
 	return ns.Conn.LockObject(ns.client, tx, seg, slot, mode)
 }
 
@@ -364,19 +385,34 @@ func (ns *NodeServer) Publish(local uint32, tx uint64, created []proto.Created, 
 		for _, si := range segs {
 			delete(ns.images, si.Seg)
 		}
+		ns.mu.Unlock()
 		for _, c := range created {
 			if c.SlottedPages > 0 { // a lone run is no segment to hold
-				ns.locals.Record(c.Seg, local)
+				_ = ns.locals.Copy(local, segName(c.Seg)) // nobody else knows it: granted at once
 			}
 		}
-		ns.mu.Unlock()
+	}
+	if !prepare || err != nil { // tx has ended upstream, or never will
+		ns.locals.ReleaseAll(lock.TxID(tx))
 	}
 	return err
 }
 
-// Abort forwards.
+// Abort forwards, and ends tx in the node's table.
 func (ns *NodeServer) Abort(local uint32, tx uint64) error {
-	return ns.Conn.Abort(ns.client, tx)
+	err := ns.Conn.Abort(ns.client, tx)
+	ns.locals.ReleaseAll(lock.TxID(tx))
+	return err
+}
+
+// Decide forwards a 2PC decision, and ends the prepared tx in the node's
+// table once it is delivered.
+func (ns *NodeServer) Decide(tx uint64, commit bool) error {
+	err := ns.Conn.Decide(tx, commit)
+	if err == nil {
+		ns.locals.ReleaseAll(lock.TxID(tx))
+	}
+	return err
 }
 
 // Released drops local's copies; upstream hears, in one call, of the segments
@@ -385,7 +421,7 @@ func (ns *NodeServer) Released(local uint32, segs []proto.SegKey) error {
 	var gone []proto.SegKey
 	ns.mu.Lock()
 	for _, seg := range segs {
-		if ns.locals.Drop(seg, local) {
+		if ns.locals.Drop(local, segName(seg)) {
 			delete(ns.images, seg)
 			gone = append(gone, seg)
 		}
@@ -403,8 +439,8 @@ var _ proto.Conn = (*NodeServer)(nil)
 // page.ID names a segment (Area, and Page its slotted run's start), and the
 // page is the first page of its data section. The backing is one of the
 // node's locals: it fetches through the node's image cache, as a session
-// does, and gives every revocation up at once (the shared cache keeps no
-// transaction's copy).
+// does, and has no callback, so an X forgets its copy at once (the shared
+// cache keeps no transaction's copy).
 type pageBacking struct {
 	ns    *NodeServer
 	local uint32

@@ -166,7 +166,7 @@ func TestLocalFetchLeavesNodeCacheIntact(t *testing.T) {
 
 func TestIntraNodeInvalidation(t *testing.T) {
 	_, ns := env(t)
-	ns.RevokeTimeout = 300 * time.Millisecond
+	ns.SetLockTimeout(300 * time.Millisecond)
 	s1, _ := client.Open(ns, "writer", "db", true)
 	td, _ := s1.RegisterType(nodeType)
 	seg, _ := s1.CreateSegment(1, 1, 2, -1)
@@ -212,7 +212,7 @@ func TestIntraNodeInvalidation(t *testing.T) {
 
 func TestUpstreamCallbackReachesLocals(t *testing.T) {
 	srv, ns := env(t)
-	srv.CallbackTimeout = 500 * time.Millisecond
+	srv.SetLockTimeout(500 * time.Millisecond)
 	// A local session on the node caches the segment.
 	local, _ := client.Open(ns, "local", "db", true)
 	td, _ := local.RegisterType(nodeType)

@@ -207,9 +207,10 @@ func (rd *reader) segmentsHolding(pages []page.ID) []proto.SegKey {
 // --- background scrubber ---
 
 // ScrubOnce walks every cataloged segment through the verified read path
-// (readImage), repairing or quarantining whatever it finds. Segments with an
-// active lock holder are skipped (a writer is mid-flight; the next pass will
-// see the committed image), as are already-quarantined ones. It returns the
+// (readImage), repairing or quarantining whatever it finds. Segments a
+// transaction holds a lock on (a writer may be mid-flight; the next pass sees
+// its image) are skipped — a cached copy is no transaction's — as are
+// already-quarantined ones. It returns the
 // cumulative counters and the first non-corruption error.
 //
 // The walker is shared by three consumers: the background scrubber

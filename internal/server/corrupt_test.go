@@ -184,6 +184,34 @@ func TestScrubOnceRepairs(t *testing.T) {
 	}
 }
 
+// TestScrubberChecksCachedSegments: a client's cached copy is a grant in the
+// lock manager, but no transaction's: the scrubber, which skips a segment a
+// writer may be changing, still checks and repairs a segment an idle client
+// caches.
+func TestScrubberChecksCachedSegments(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("cached, and rotting"))
+	idle, _ := s.Hello("idle")
+	sl, _, _, err := s.FetchSeg(idle, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.locks.Holding(idle, segLockName(key)) {
+		t.Fatal("the fetch left no copy in the lock manager")
+	}
+	dec, _ := segment.DecodeSlotted(sl)
+	flipPageByte(t, s, uint32(dec.Hdr.DataArea), dec.Hdr.DataStart, 100)
+	st, err := s.ScrubOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsChecked != 1 || st.CorruptionsFound != 1 || st.Repaired != 1 {
+		t.Fatalf("scrubbing a segment an idle client caches: %+v, want it checked and repaired", st)
+	}
+}
+
 func TestBackgroundScrubberRepairs(t *testing.T) {
 	s := NewMem(1)
 	db, _, _ := s.OpenDB("d", true)

@@ -6,13 +6,16 @@
 // every acquisition is checked against the locks its goroutine holds. Lower
 // rank = acquired earlier (outermost): a goroutine holding a may acquire b
 // only if rank(a) < rank(b), and locks of equal rank must not nest at all.
-// Rank 0 (area.Area.mu, the lock manager's internals, the scan table, the
-// shared cache's SMT lock) is unranked: no ordering constraint, still checked
-// for recursive acquisition at runtime.
+// Rank 0 (area.Area.mu, the scan table, the shared cache's SMT lock) is
+// unranked: no ordering constraint, still checked for recursive acquisition
+// at runtime.
 //
 // The constants live beside the locks they rank, in nine packages (none of
 // which can import server): `grep -rn 'lockcheck.Rank = ' internal` prints
 // the whole order. What the numbers cannot say is why:
+//
+// lock.Manager.mu (20) is never held across a callback, so a node server's
+// holder table never nests in its server's.
 //
 // The rpc.Peer locks rank below (outside) every server lock: a dispatch
 // handler holds Peer.mu briefly before touching server state, and the

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"bess/internal/area"
-	"bess/internal/callback"
 	"bess/internal/lock"
 	"bess/internal/page"
 	"bess/internal/proto"
@@ -49,9 +48,9 @@ func (s *Server) ReserveSegments(client uint32, db uint32, areaHint, slottedPage
 		return nil, fmt.Errorf("server: %d run pairs asked for, not 1 to %d", n, proto.MaxReserve)
 	}
 	runs, err := s.reserve(client, db, areaHint, slottedPages, dataPages, n)
-	if err == nil && !s.copies.Registered(client) { // reserved after Disconnect freed the client's
+	if err == nil && !s.locks.Registered(client) { // reserved after Disconnect freed the client's
 		s.freeReserved(client)
-		return nil, callback.ErrUnknownClient
+		return nil, lock.ErrUnknownClient
 	}
 	return runs, err
 }
@@ -192,7 +191,9 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 				break
 			}
 		}
-		s.copies.Record(op.Seg, client)
+		if err = s.locks.Copy(client, segLockName(op.Seg)); err != nil {
+			break
+		}
 	}
 	areas := make([]*area.Area, len(ops))
 	for i, op := range ops {
@@ -224,7 +225,7 @@ func (s *Server) publish(client uint32, t *tx.Tx, ops []*proto.CatalogOp) (page.
 			if t != nil {
 				s.locks.Release(lock.TxID(t.ID()), segLockName(op.Seg))
 			}
-			s.copies.Drop(op.Seg, client)
+			s.locks.Drop(client, segLockName(op.Seg))
 		}
 		for _, start := range starts(op) {
 			err = errors.Join(err, areas[logged+i].FreeSegment(start))
@@ -391,7 +392,7 @@ func (s *Server) CreateSegment(client uint32, txid uint64, db, fileID uint32, sl
 		_, err = s.publish(client, nil, ops)
 		return c, err
 	}
-	t := s.ensureTx(client, txid)
+	t := s.txm.Ensure(txid, client)
 	if _, err = s.publish(client, t, ops); err == nil {
 		err = s.logFormat(t, ops[0])
 	}

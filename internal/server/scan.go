@@ -190,8 +190,8 @@ func serveScan(s *Server, p *rpc.Peer) []rpc.Method {
 	})
 
 	return []rpc.Method{
-		// A live scan ships what FetchSeg would: the usual short read locks
-		// and a copy-table registration for the scanning client.
+		// A live scan ships what FetchSeg would: each image under the
+		// scanning client's copy lock.
 		rpc.Typed(proto.MethodScanStart, func(a *proto.ScanStartArgs) (*proto.ScanStartReply, error) {
 			return start(a, func(seg proto.SegKey) ([]byte, []byte, []byte, error) {
 				return s.FetchSeg(a.Client, seg)
@@ -201,8 +201,8 @@ func serveScan(s *Server, p *rpc.Peer) []rpc.Method {
 		// SnapScanStart opens the same push cursor, but every image the
 		// cursor ships is read as of the snapshot's stamp — a stable
 		// analytics scan while updaters commit underneath (DESIGN.md §7).
-		// The fetch is the reader's: no locks, no copy-table registration,
-		// so the pushed images never join the callback protocol.
+		// The fetch is the reader's: no locks and no copy, so the pushed
+		// images never join the callback protocol.
 		rpc.Typed(proto.MethodSnapScanStart, func(a *proto.SnapScanStartArgs) (*proto.ScanStartReply, error) {
 			stamp, err := s.vs.Stamp(a.Snap)
 			if err != nil {

@@ -23,7 +23,6 @@ import (
 
 	"bess/internal/area"
 	"bess/internal/cache"
-	"bess/internal/callback"
 	"bess/internal/goleak"
 	"bess/internal/hooks"
 	"bess/internal/lock"
@@ -40,7 +39,6 @@ var (
 	ErrNoArea    = errors.New("server: no such storage area")
 	ErrNoSegment = errors.New("server: no such segment")
 	ErrNotLocked = errors.New("server: transaction does not hold the required lock")
-	ErrCallback  = errors.New("server: callback revocation timed out")
 	ErrUnknownTx = errors.New("server: unknown transaction")
 	ErrShutdown  = errors.New("server: shut down")
 	ErrNotStaged = errors.New("server: segment overwrite not staged with the version store by this transaction")
@@ -81,8 +79,8 @@ type Stats struct {
 //
 // Locking is striped per concern so fetches, lock calls, and commits from
 // different clients do not contend on one server-wide mutex: the reader's
-// areaMu guards the area table (read-mostly), the client registry and
-// cached-copy table share the copy table's lock (callback.Table), and the
+// areaMu guards the area table (read-mostly), the lock manager's mutex its
+// one holder table of clients, copies and locks (lock.Manager), and the
 // transaction table is the transaction manager's (tx.Manager: the only one).
 // None of these locks is ever held while acquiring another; the permitted
 // nesting order, should one ever be introduced, is the ranks their Init calls
@@ -95,10 +93,6 @@ type Server struct {
 	// reader is the read pipeline with the state it runs on (read.go):
 	// areas, catalog, log, version store, quarantine, counters.
 	reader
-
-	// copies is the callback-locking state (§3): the connected clients and
-	// which of them caches which segment.
-	copies *callback.Table
 
 	// res holds the reserved runs and the published segments not yet in the
 	// catalog (reserve.go).
@@ -116,15 +110,13 @@ type Server struct {
 	// simulated stores).
 	media *Media
 
+	// locks is the one holder table (§3): the connected clients, the
+	// transactions' locks, and which clients cache which segment.
 	locks *lock.Manager
 	txm   *tx.Manager
 	hk    *hooks.Registry
 
 	nextTx atomic.Uint64
-
-	// CallbackTimeout bounds revocation waits (paper: timeouts detect
-	// distributed deadlock).
-	CallbackTimeout time.Duration
 }
 
 // NewMem creates an in-memory server (tests, benches).
@@ -164,18 +156,17 @@ func OpenMedia(m Media, host uint16) (*Server, error) {
 
 func open(dir string, host uint16, media *Media) (*Server, error) {
 	s := &Server{
-		host:            host,
-		dir:             dir,
-		media:           media,
-		reader:          reader{areas: make(map[uint32]*area.Area)},
-		locks:           lock.NewManager(),
-		hk:              hooks.NewRegistry(),
-		CallbackTimeout: 2 * time.Second,
+		host:   host,
+		dir:    dir,
+		media:  media,
+		reader: reader{areas: make(map[uint32]*area.Area)},
+		locks:  lock.NewManager(),
+		hk:     hooks.NewRegistry(),
 	}
 	s.areaMu.Init("reader.areaMu", rankAreaMu)
 	// A client whose callback fails is gone: what else the server keeps for
 	// it goes too.
-	s.copies = callback.New(ErrCallback, s.Disconnect)
+	s.locks.Gone = s.Disconnect
 	s.locks.DefaultTimeout = 5 * time.Second
 	var err error
 	switch {
@@ -335,8 +326,8 @@ func (s *Server) areaPath(id uint32) string {
 	return filepath.Join(s.dir, fmt.Sprintf("area-%d.bess", id))
 }
 
-// SetLockTimeout adjusts how long lock acquisitions wait before the
-// timeout-based (distributed) deadlock detection gives up (paper §3).
+// SetLockTimeout adjusts how long a lock request (a fetch's copy too) waits
+// before the timeout-based (distributed) deadlock detection gives up (§3).
 func (s *Server) SetLockTimeout(d time.Duration) { s.locks.DefaultTimeout = d }
 
 // Hooks exposes the server's hook registry ("value added" code registers
@@ -348,8 +339,7 @@ func (s *Server) Log() *wal.Log { return s.log }
 
 // Snapshot returns cumulative statistics.
 func (s *Server) Snapshot() Stats {
-	ls := s.log.Stats()
-	callbacks, refusals := s.copies.Counts()
+	ls, lk := s.log.Stats(), s.locks.Snapshot()
 	var as area.Stats
 	for _, a := range s.openAreas() {
 		st := a.Stats()
@@ -362,8 +352,8 @@ func (s *Server) Snapshot() Stats {
 		DataFetches:      s.stats.dataFetches.Load(),
 		Commits:          s.stats.commits.Load(),
 		Aborts:           s.stats.aborts.Load(),
-		Callbacks:        callbacks,
-		CallbackRefusals: refusals,
+		Callbacks:        lk.Callbacks,
+		CallbackRefusals: lk.Refusals,
 		PagesWritten:     s.stats.pagesWritten.Load(),
 		FormatPages:      s.stats.formatPages.Load(),
 		SnapFetches:      s.stats.snapFetches.Load(),
@@ -422,13 +412,17 @@ func (s *Server) Hello(name string) (uint32, error) {
 	if s.closed.Load() {
 		return 0, ErrShutdown
 	}
-	return s.copies.Register(), nil
+	return s.locks.Register(), nil
 }
 
 // SetCallback implements proto.Conn: in-process clients pass a closure;
 // ServePeer wires the RPC callback.
 func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error)) error {
-	return s.copies.SetCallback(client, cb)
+	var lcb lock.Callback
+	if cb != nil {
+		lcb = func(n lock.Name) (bool, error) { return cb(proto.SegKey{Area: uint32(n.Q0), Start: int64(n.Q1)}) }
+	}
+	return s.locks.SetCallback(client, lcb)
 }
 
 // Disconnect drops a client: its cached copies are forgotten, the runs
@@ -438,7 +432,7 @@ func (s *Server) SetCallback(client uint32, cb func(proto.SegKey) (bool, error))
 // held, until Decide (tx.Manager.AbortOwned).
 func (s *Server) Disconnect(client uint32) {
 	s.vs.CloseOwner(client)
-	s.copies.Remove(client)
+	s.locks.Remove(client)
 	s.freeReserved(client)
 	// A rollback that fails leaves its transaction in the table, as a failed
 	// Abort does; there is no caller to tell.
@@ -664,18 +658,25 @@ func (s *Server) SegInfo(seg proto.SegKey) (int, error) {
 }
 
 // FetchSeg implements proto.Conn: the one way a live segment image leaves
-// the server — slotted, overflow and data in a single message — recording the
-// client in the copy table so callbacks reach it. Both per-kind fetch counters
-// advance (E3's fault accounting counts segment faults, not messages).
+// the server — slotted, overflow and data in a single message — under the
+// client's copy (lock.Manager.Copy), taken before the read behind another
+// client's X, so callbacks reach every image that leaves. Both per-kind fetch
+// counters advance (E3's fault accounting counts segment faults, not
+// messages).
 func (s *Server) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	s.stats.messages.Add(1)
 	s.stats.slottedFetches.Add(1)
 	s.stats.dataFetches.Add(1)
+	if _, _, ok := s.cat.segMetaOf(seg); !ok {
+		return nil, nil, nil, ErrNoSegment // nobody waits on a segment before it exists
+	}
+	if err := s.locks.Copy(client, segLockName(seg)); err != nil {
+		return nil, nil, nil, err
+	}
 	_, img, over, data, err := s.readImage(seg, secAll, s.live())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.copies.Record(seg, client)
 	_ = s.hk.Fire(hooks.EvSegmentFault, seg)
 	return img, over, data, nil
 }
@@ -716,7 +717,7 @@ func (s *Server) Released(client uint32, segs []proto.SegKey) error {
 	s.stats.messages.Add(1)
 	s.stats.released.Add(1)
 	for _, seg := range segs {
-		s.copies.Drop(seg, client)
+		s.locks.Drop(client, segLockName(seg))
 	}
 	return nil
 }
@@ -727,13 +728,8 @@ func segLockName(seg proto.SegKey) lock.Name {
 	return lock.Name{Kind: lock.KindSegment, Q0: uint64(seg.Area), Q1: uint64(seg.Start)}
 }
 
-// ensureTx returns the live server-side branch for id, creating it lazily.
-func (s *Server) ensureTx(client uint32, id uint64) *tx.Tx {
-	return s.txm.Ensure(id, client)
-}
-
-// Lock implements proto.Conn. Exclusive locks drive callback revocation of
-// other clients' cached copies (callback locking, §3).
+// Lock implements proto.Conn. An X calls back the other clients' cached
+// copies of the segment before it is granted (callback locking, §3).
 //
 // A key the catalog does not have — a reserved run's, or a segment whose
 // publishing transaction has not ended — is ErrNoSegment: nobody waits on a
@@ -743,15 +739,7 @@ func (s *Server) Lock(client uint32, txid uint64, seg proto.SegKey, mode proto.L
 	if _, _, ok := s.cat.segMetaOf(seg); !ok {
 		return ErrNoSegment
 	}
-	t := s.ensureTx(client, txid)
-	lm := lock.Mode(mode)
-	if err := t.Lock(segLockName(seg), lm); err != nil {
-		return err
-	}
-	if lm == lock.X || lm == lock.SIX || lm == lock.IX {
-		return s.copies.Revoke(seg, client, s.CallbackTimeout)
-	}
-	return nil
+	return s.txm.Ensure(txid, client).Lock(segLockName(seg), lock.Mode(mode))
 }
 
 // LockObject implements proto.Conn: software object-level locking
@@ -761,7 +749,7 @@ func (s *Server) Lock(client uint32, txid uint64, seg proto.SegKey, mode proto.L
 // other objects in the segment keep their copies.
 func (s *Server) LockObject(client uint32, txid uint64, seg proto.SegKey, slot int, mode proto.LockMode) error {
 	s.stats.messages.Add(1)
-	t := s.ensureTx(client, txid)
+	t := s.txm.Ensure(txid, client)
 	lm := lock.Mode(mode)
 	intent := lock.IS
 	if lm == lock.X || lm == lock.IX || lm == lock.SIX {
@@ -800,7 +788,7 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 	if err != nil {
 		return nil, 0, err
 	}
-	t := s.ensureTx(client, txid)
+	t := s.txm.Ensure(txid, client)
 	lsn, err := s.publish(client, t, ops)
 	mine := s.published(t.ID())
 	for _, si := range segs {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bess/internal/area"
 	"bess/internal/client"
@@ -198,6 +199,18 @@ func TestCommitLogFootprint(t *testing.T) {
 // leaves at the commit's publication, before the write: it is success, since
 // the commit stands, and the repair or the quarantine shows once the
 // write-back has ended.
+// awaitEnded fails the test unless transaction txid leaves the table and
+// lets its lock on key go: a wire commit ends after its write-back, which
+// WaitWriteBacks waits for, and after its written hook.
+func awaitEnded(t *testing.T, s *Server, txid uint64, key proto.SegKey) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.txm.Lookup(txid) != nil || s.locks.Holders(segLockName(key)) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the commit kept its transaction or its lock")
+		}
+	}
+}
+
 func TestCommitWriteFailureRepairs(t *testing.T) {
 	for _, wire := range []bool{false, true} {
 		for _, rebuildFails := range []bool{false, true} {
@@ -242,9 +255,7 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 				if st := s.ScrubStatus(); st.Repaired == 0 || st.Quarantined != 0 {
 					t.Fatalf("counters %+v", st)
 				}
-				if s.txm.Lookup(txid) != nil || s.locks.Holders(segLockName(key)) != nil {
-					t.Fatal("the commit kept its transaction or its lock")
-				}
+				awaitEnded(t, s, txid, key)
 				s.Close()
 				continue
 			}
@@ -260,9 +271,7 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 			if _, err := fetchObject(t, s, key); !errors.Is(err, ErrQuarantined) {
 				t.Fatalf("fetch of the quarantined segment: %v", err)
 			}
-			if m := s.txm.Lookup(txid); m != nil || s.locks.Holders(segLockName(key)) != nil {
-				t.Fatal("the commit kept its transaction or its lock")
-			}
+			awaitEnded(t, s, txid, key)
 			s.Close()
 			r := d.copy().open(t)
 			if b, err := fetchObject(t, r, key); err != nil || string(b) != "after the failing commit!" {
@@ -276,7 +285,7 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 // TestLargeObjectInvisibleUntilCommit: a large object's content is a segment
 // its session builds from runs reserved to it, and its descriptor ships with
 // the segment at commit, so until then no other client finds it — a live
-// FetchSeg takes no lock and reads the disk — and an abort leaves the
+// FetchSeg waits for the creator's X, and then reads the disk — and an abort leaves the
 // segment's slotted and overflow runs as they were, no page on the area
 // holding the content, and nothing of the transaction in the log.
 func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
@@ -327,15 +336,26 @@ func TestLargeObjectInvisibleUntilCommit(t *testing.T) {
 	if onArea(content) {
 		t.Fatal("the content reached the area before its commit")
 	}
-	sl, ov, _, err = s.FetchSeg(b, key)
-	if err != nil {
-		t.Fatal(err)
+	// Another client's fetch waits for the creator's X to end: here, its abort.
+	type fetched struct {
+		sl, ov []byte
+		err    error
 	}
-	if got, want := len(decodeSeg(t, sl, ov, nil).LiveSlots()), len(dec.LiveSlots()); got != want {
-		t.Fatalf("another client sees %d live slots before the creator commits, want %d", got, want)
-	}
+	done := make(chan fetched, 1)
+	go func() {
+		sl, ov, _, err := s.FetchSeg(b, key)
+		done <- fetched{sl, ov, err}
+	}()
+	time.Sleep(10 * time.Millisecond)
 	if err := a.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	f := <-done
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	if got, want := len(decodeSeg(t, f.sl, f.ov, nil).LiveSlots()), len(dec.LiveSlots()); got != want {
+		t.Fatalf("another client sees %d live slots of a segment whose creator aborted, want %d", got, want)
 	}
 	if !bytes.Equal(runs(), before) || onArea(content) {
 		t.Fatal("the aborted large object changed the area")

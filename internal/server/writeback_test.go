@@ -43,7 +43,9 @@ func awaitWaits(t *testing.T, s *Server, n int64) {
 // the force held, the committing client's Commit returns; and a read issued
 // then — another client's FetchSeg, a SnapFetchSeg from a snapshot opened
 // after the reply, a scan of the segment — waits out the write and returns
-// the committed image, never the area's old one.
+// the committed image, never the area's old one. A live read waits at its
+// copy for the writer's X, which releases after the write-back; the
+// snapshot's in the version store's write-back wait.
 func TestWireReplyBeforeWriteBack(t *testing.T) {
 	d := newDevices(fault.NewInjector(1), fault.NewInjector(2))
 	s := d.open(t)
@@ -97,7 +99,12 @@ func TestWireReplyBeforeWriteBack(t *testing.T) {
 	if err := rpc.SendStream(rp, proto.StreamScanCtl, started.Scan, &proto.ScanCtl{Credit: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	awaitWaits(t, s, 3)
+	awaitWaits(t, s, 1)
+	for deadline := time.Now().Add(5 * time.Second); s.LockStats().Blocks < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d live reads wait for the writer's X, want 2", s.LockStats().Blocks)
+		}
+	}
 	free()
 	got := []read{<-reads, <-reads}
 	for _, sb := range scan.wait(t) {

@@ -177,11 +177,22 @@ func (m *Manager) Begin() *Tx {
 }
 
 // Ensure returns the live transaction id, beginning it for owner if there is
-// none (servers use the global id of the client's transaction). Concurrent
-// calls for one id begin it once.
+// none (servers use the global id of the client's transaction), and binds it
+// to owner in the lock manager, so that it never waits on its own client's
+// cached copies (lock.Manager.Bind). Concurrent calls for one id begin it
+// once.
 func (m *Manager) Ensure(id uint64, owner uint32) *Tx {
 	m.mu.Lock()
 	t, live := m.active[id]
+	m.mu.Unlock()
+	if live {
+		return t
+	}
+	if owner != 0 { // bound before anyone can find it: its first lock already knows
+		m.locks.Bind(lock.TxID(id), owner)
+	}
+	m.mu.Lock()
+	t, live = m.active[id]
 	if !live {
 		t = m.register(id, owner, Active, 0)
 	}

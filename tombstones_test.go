@@ -46,8 +46,8 @@ var tombstones = []tombstone{
 		"the client holds pushed images as they arrived: no private frame pool in the prefetcher (DESIGN.md §4b)"},
 	{`methodNames|methodIDs`, tree, []string{"*_test.go"},
 		"every rpc method is declared once, in internal/proto's method table: no hand-kept id table (DESIGN.md §4b)"},
-	{`map\[proto\.SegKey\]map\[uint32\]bool|^func \([a-z]* \*?[A-Za-z]*\) [rR]evoke`, tree, []string{"*_test.go", "internal/callback/"},
-		"one copy table and one revoke loop, internal/callback's, for the server and the node server alike (DESIGN.md §9)"},
+	{`map\[proto\.SegKey\]map\[uint32\]bool|^func \([a-z]* \*?[A-Za-z]*\) [rR]evoke|^package callback\b|"bess/internal/callback"`, tree, nil,
+		"one holder table, internal/lock's: a cached copy is a lock, and an X calls the copies back itself, for the server and the node server alike; no copy table or revoke loop beside it, and no internal/callback (DESIGN.md §9)"},
 	{`\bFetchSlotted\b`, tree, []string{"*_test.go", "internal/swizzle/", "internal/client/session.go"},
 		"a segment image leaves a server one way, FetchSeg: the two-step fetch is only the mapper's client-side steps over the one held image (DESIGN.md §9)"},
 	{`walcheck|bess:walorder|bess:walsink|bess:verified`, tree, nil,
