@@ -25,7 +25,8 @@ import (
 // and a successful decode always re-encodes to the identical bytes (the
 // encoding is canonical). Byte fields have one ownership rule: a decoded
 // Section or Rest is a view of the input, not a copy — decoding hands the
-// input over (rpc allocates a body per frame and never reuses it) — and a
+// input over (rpc allocates a body per frame, except that a large Commit's
+// is memory its peer lends until the commit's dispatch has ended) — and a
 // view's capacity ends with its bytes, so appending to one field reallocates
 // instead of reaching the next.
 

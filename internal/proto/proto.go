@@ -98,7 +98,8 @@ func FromDesc(d *segment.TypeDesc) TypeInfo {
 // implementation keeps a shipped byte past the call. A server's commit
 // writes its pages back before Publish returns — over the wire the reply
 // leaves first, and the write-back after it reads the server's own copy, the
-// frame the commit arrived in — and a prepare drops them once its record is
+// frame the commit arrived in, which its peer takes back once the write-back
+// has ended — and a prepare drops them once its record is
 // logged (Decide rebuilds them from the log); a node server forwards them and
 // keeps none. So a client ships its live sections, not copies of them
 // (swizzle.Mapper.UnswizzledData), and may write to them again the moment the

@@ -83,8 +83,9 @@ type frame struct {
 	name   string // resolved method name ("" on replies)
 	body   []byte
 	msg    proto.Message
-	size   int // msg's encoded length (setMsg)
-	kept   int // of those, the bytes an encoding with refs leaves in place
+	size   int  // msg's encoded length (setMsg)
+	kept   int  // of those, the bytes an encoding with refs leaves in place
+	lent   bool // body is memory the peer lent: dispatch takes it back
 }
 
 // setMsg makes m the body of f, sizing it: a message that cannot be encoded
@@ -250,11 +251,15 @@ func (f *frame) setPayload(payload []byte) error {
 	return nil
 }
 
-// readFrame reads and parses one frame from br. The body is allocated for
-// this frame and never reused: it belongs to whoever the frame is handed to
-// (a Handler, a StreamHandler, the caller of CallRaw), who may keep it, view
-// into it and write to it.
-func readFrame(br *bufio.Reader) (frame, error) {
+// readFrame reads and parses one frame from br. A large Commit request
+// (lends) is read into lend's memory, and the frame says so (lent): the peer
+// lends it to the commit and takes it back once the dispatch has ended, when
+// nothing views into it any more. Every other body — replies, stream and
+// named frames, a Prepare, a small Commit, any frame with a nil lend — is
+// allocated for its frame and never reused: it belongs to whoever the frame
+// is handed to (a Handler, a StreamHandler, the caller of CallRaw), who may
+// keep it, view into it and write to it.
+func readFrame(br *bufio.Reader, lend func(n int) []byte) (frame, error) {
 	// The header and the trailer are read where the reader buffers them
 	// (Peek), not copied out: an array handed to a Read or a checksum
 	// escapes to the heap.
@@ -276,7 +281,12 @@ func readFrame(br *bufio.Reader) (frame, error) {
 	if _, err := br.Discard(frameHdrLen); err != nil {
 		return frame{}, err
 	}
-	payload := make([]byte, plen)
+	var payload []byte
+	if lend != nil && lends(&f, plen) {
+		payload, f.lent = lend(plen), true
+	} else {
+		payload = make([]byte, plen)
+	}
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -304,4 +314,14 @@ func readFrame(br *bufio.Reader) (frame, error) {
 		return frame{}, err
 	}
 	return f, nil
+}
+
+// lends reports whether a frame with header f and a payload of plen bytes is
+// read into memory its peer lends (readFrame): a Commit request of at least
+// proto.MinRef bytes. Its server writes the commit's pages back from the body
+// after the reply and keeps no view into it once that dispatch has ended
+// (DESIGN.md §4b); a Prepare's branch is decided later, so it is not lent.
+func lends(f *frame, plen int) bool {
+	return f.flags&(flagReply|flagError|flagNamed|flagStream) == 0 &&
+		f.method == proto.MethodCommit.ID && plen >= proto.MinRef
 }

@@ -110,7 +110,7 @@ func TestGoldenWireFormat(t *testing.T) {
 				t.Fatalf("encoding changed:\n got %#v\nwant %#v", got, tc.want)
 			}
 			br := bufio.NewReader(bytes.NewReader(got))
-			dec, err := readFrame(br)
+			dec, err := readFrame(br, nil)
 			if err != nil || br.Buffered() != 0 {
 				t.Fatalf("decode: %d bytes left, err=%v", br.Buffered(), err)
 			}
@@ -204,7 +204,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.b))); !errors.Is(err, tc.want) {
+			if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.b)), nil); !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})

@@ -17,7 +17,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendFrame(nil, &frame{id: 0x0102030405060708, method: 17, body: []byte("body")}))
 	f.Add(appendFrame(nil, &frame{id: 2, flags: flagNamed, name: "echo", body: []byte("hi")}))
 	f.Add(appendFrame(nil, &frame{id: 3, flags: flagReply | flagError, body: []byte("boom")}))
-	read := func(b []byte) (frame, error) { return readFrame(bufio.NewReader(bytes.NewReader(b))) }
+	read := func(b []byte) (frame, error) { return readFrame(bufio.NewReader(bytes.NewReader(b)), nil) }
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// readFrame sizes a body by its header before reading it, as a
 		// connection must: keep to lengths the input could back, and those

@@ -186,7 +186,7 @@ func TestCoalescedSectionsDecodeIntact(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(c.take()))
 	got := make(map[uint32][]byte)
 	for range 3 {
-		f, err := readFrame(br)
+		f, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,11 @@
 // x maxSpare).
 // Inbound, a frame's body is allocated for that frame and belongs to whoever
 // receives it — handler, stream handler or caller — to keep, view into and
-// write to; nothing on the read side is recycled. Transports: TCP
-// (cmd/bess-server) and net.Pipe for in-process deterministic tests.
+// write to, with one exception: a large Commit request is read into memory
+// the peer lends it and takes back once its dispatch has ended (lend), so a
+// peer that commits again and again zeroes no fresh body for each commit.
+// Transports: TCP (cmd/bess-server) and net.Pipe for in-process
+// deterministic tests.
 //
 // Besides request/reply, a peer carries one-way stream frames (SendStream /
 // HandleStream): server-pushed scan batches and their credit/cancel flow
@@ -76,7 +79,8 @@ func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
 
 // Handler serves one method: parse the request body, return the encoded
 // reply body (nil for an empty reply). The body is the frame's own
-// allocation and now the handler's: it may be retained and written to.
+// allocation and now the handler's: it may be retained and written to (a
+// Handler travels as a named frame, which is never lent).
 type Handler func(body []byte) ([]byte, error)
 
 // Method is one entry of a peer's handler table: a method's name and the
@@ -96,12 +100,16 @@ type StreamHandler func(stream uint64, body []byte)
 
 // Stats are cumulative wire counters. With write coalescing Flushes stays
 // below FramesSent under concurrency: followers whose frame was carried to
-// the socket by another sender's flush count as Coalesced.
+// the socket by another sender's flush count as Coalesced. Reused counts the
+// Commit bodies read into memory an earlier commit gave back; Idle, not a
+// count, is 1 while the peer holds such a body for its next commit, else 0.
 type Stats struct {
 	FramesSent int64
 	BytesSent  int64
 	Flushes    int64
 	Coalesced  int64
+	Reused     int64
+	Idle       int
 }
 
 // Peer is one end of a connection. Both sides may Call and Serve. Safe for
@@ -154,6 +162,11 @@ type Peer struct {
 	closeErr error                    // guarded by mu
 
 	onClose func(error) // guarded by mu; runs once when the read loop exits
+
+	// idle is a Commit request body back from its dispatch, for the next
+	// one to be read into (lend), or nil. Close drops it.
+	idle   []byte // guarded by mu
+	reused int64  // guarded by mu
 
 	// served is closed when inbound requests may be dispatched: at once on
 	// a peer from NewPeer, at the first Serve on one from Listener.Accept.
@@ -272,7 +285,10 @@ func Typed[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], fn 
 // TypedThen is Typed for a method whose work goes on past its answer: fn
 // returns the reply and then, which the peer runs on the same dispatch
 // goroutine once the reply is on the socket — or could not be sent. A
-// non-nil then runs whatever the reply, which error included.
+// non-nil then runs whatever the reply, which error included. A body the
+// peer lent (a large Commit's) goes back once then has returned: the decoded
+// request's byte sections are views of it, valid until then, and neither fn
+// nor then may keep one past that.
 func TypedThen[A, R any, PA proto.Ptr[A], PR proto.Ptr[R]](m proto.Method[A, R], fn func(*A) (*R, func(), error)) Method {
 	return Method{m.Name, func(body []byte) (proto.Message, func(), error) {
 		a := new(A)
@@ -483,21 +499,78 @@ func (p *Peer) write(buf []byte, refs []proto.Ref) error {
 	return err
 }
 
-// WireStats reports cumulative write-side counters.
+// WireStats reports cumulative write-side counters and the lent bodies.
 func (p *Peer) WireStats() Stats {
 	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	return Stats{FramesSent: p.frames, BytesSent: p.bytes, Flushes: p.flushes, Coalesced: p.grouped}
+	st := Stats{FramesSent: p.frames, BytesSent: p.bytes, Flushes: p.flushes, Coalesced: p.grouped}
+	p.wmu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st.Reused = p.reused
+	if p.idle != nil {
+		st.Idle = 1
+	}
+	return st
+}
+
+// maxIdle bounds the bytes of the one Commit body a peer keeps for its next
+// commit: 16 MB, which holds a commit of 16 segments of 512 KB (the
+// benchmark's scan_stream set-up). A larger body goes back to the GC, as a
+// send batch past maxSpare does, so a connection pins at most 16 MB of
+// received commit bytes, whatever the largest commit it ever read.
+const maxIdle = 16 << 20
+
+// poison fills a body given back in an invariants build.
+const poison = 0xDB
+
+// lend returns n bytes for a Commit request body to be read into: the idle
+// body if it holds them or, if not, a fresh one, which the dispatch gives
+// back all the same.
+func (p *Peer) lend(n int) []byte {
+	p.mu.Lock()
+	body := p.idle
+	if cap(body) >= n {
+		p.idle = nil
+		p.reused++
+	}
+	p.mu.Unlock()
+	if cap(body) < n {
+		return make([]byte, n)
+	}
+	return body[:n]
+}
+
+// giveBack takes back a lent body whose dispatch has ended: it becomes the
+// idle one if there is none or it is larger, unless it is past maxIdle or
+// the peer is closed. An invariants build first fills it with poison, so
+// that a view into it kept past its dispatch reads garbage, never a later
+// commit's bytes by chance.
+func (p *Peer) giveBack(body []byte) {
+	body = body[:cap(body)]
+	if lockcheck.Enabled {
+		for i := range body {
+			body[i] = poison
+		}
+	}
+	if len(body) > maxIdle {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed && cap(body) > cap(p.idle) {
+		p.idle = body
+	}
 }
 
 // readLoop ends when the connection does: closing it is what stops it.
 func (p *Peer) readLoop(<-chan struct{}) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	dispatch := p.dispatch // one func value for the peer, not one per request
+	lend := p.lend
 	var err error
 	for {
 		var f frame
-		if f, err = readFrame(br); err != nil {
+		if f, err = readFrame(br, lend); err != nil {
 			break
 		}
 		if f.flags&flagCRC != 0 {
@@ -575,6 +648,9 @@ func (p *Peer) dispatch(f frame) {
 	if then != nil {
 		then()
 	}
+	if f.lent {
+		p.giveBack(f.body)
+	}
 }
 
 // shutdown closes the peer for err, unless it is closed already, and returns
@@ -587,6 +663,7 @@ func (p *Peer) shutdown(err error) error {
 	}
 	p.closed = true
 	p.closeErr = err
+	p.idle = nil
 	for id, ch := range p.calls {
 		close(ch)
 		delete(p.calls, id)

@@ -82,7 +82,7 @@ func TestRetiredAndUnknownIDsAnswered(t *testing.T) {
 		if _, err := c.Write(appendFrame(nil, &frame{id: id, method: method, body: []byte("args")})); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := readFrame(br)
+		rep, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatalf("id %d: no reply: %v", method, err)
 		}

@@ -235,7 +235,7 @@ func TestSendTakesBackChangedMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(bytes.NewReader(c.take()))
-	if got, err := readFrame(br); err != nil || got.id != 2 || len(got.body) != 5 || br.Buffered() != 0 {
+	if got, err := readFrame(br, nil); err != nil || got.id != 2 || len(got.body) != 5 || br.Buffered() != 0 {
 		t.Fatalf("on the wire: frame %d of %d bytes, %d bytes more, err %v; want frame 2 of 5 bytes alone", got.id, len(got.body), br.Buffered(), err)
 	}
 }

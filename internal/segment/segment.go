@@ -155,13 +155,32 @@ type Seg struct {
 	// that assigns into Slots directly is not followed — and its header and
 	// checksums as of the last EncodeSlots.
 	img []byte
+	// dirtyLo and dirtyHi bound the slots changed since the last
+	// ChangedSlots (putSlot); an empty range is none.
+	dirtyLo, dirtyHi int
 }
 
-// putSlot writes slot i through to the kept image, if there is one.
+// putSlot writes slot i through to the kept image, if there is one, and
+// counts it changed.
 func (s *Seg) putSlot(i int) {
 	if s.img != nil {
 		encodeSlot(s.img[SlotByteOffset(i):], &s.Slots[i])
 	}
+	if s.dirtyLo == s.dirtyHi {
+		s.dirtyLo, s.dirtyHi = i, i+1
+	} else {
+		s.dirtyLo, s.dirtyHi = min(s.dirtyLo, i), max(s.dirtyHi, i+1)
+	}
+}
+
+// ChangedSlots returns the range [lo, hi) of the slots that changed since it
+// was last called (every slot a method wrote, and maybe some between them)
+// and starts the next range empty: what a caller that derives something of
+// each slot must bring up to date (swizzle.Mapper.TrustedSlotUpdate).
+func (s *Seg) ChangedSlots() (lo, hi int) {
+	lo, hi = s.dirtyLo, s.dirtyHi
+	s.dirtyLo, s.dirtyHi = 0, 0
+	return lo, hi
 }
 
 // SlotCapacity returns the number of slots a slotted segment of n pages holds.

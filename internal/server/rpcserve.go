@@ -97,7 +97,12 @@ func ServePeer(s *Server, p *rpc.Peer) {
 		// A commit answers at its publication, and writes its pages after
 		// the reply, on this dispatch goroutine, before its locks release. A
 		// write that fails then is repaired or quarantined (repairWrites):
-		// the commit stands, and the reply said so.
+		// the commit stands, and the reply said so. The pages are written
+		// from the request's own body, which a large commit's peer lends it
+		// and takes back once Finish has returned: nothing of the commit —
+		// its queued writes, its log record, the version chains, which hold
+		// area-read images — keeps a view into the body past that. A
+		// prepare's body is never lent.
 		rpc.TypedThen(proto.MethodCommit, func(a *proto.CommitArgs) (*proto.Empty, func(), error) {
 			t, err := s.publishing(a.Client, a.Tx, a.Created, a.Segs, false)
 			if t == nil {

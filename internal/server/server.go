@@ -1142,9 +1142,10 @@ func (s *Server) openAreas() []*area.Area {
 }
 
 // WaitWriteBacks returns once every commit writing its pages when it is
-// called has written them; it waits for no commit published later. Over the
-// wire a commit answers before it writes its pages (ServePeer): counters that
-// include its writes are read after this.
+// called has written them, released its locks and left the transaction
+// table; it waits for no commit published later. Over the wire a commit
+// answers before it writes its pages (ServePeer): counters that include its
+// writes, and its locks, are read after this.
 func (s *Server) WaitWriteBacks() { s.vs.WaitLanded() }
 
 // Close flushes the log and shuts down; closing an area syncs it. Everything

@@ -191,6 +191,16 @@ func TestCommitLogFootprint(t *testing.T) {
 	}
 }
 
+// ended fails the test unless transaction txid has left the table and let
+// its lock on key go: a commit has, once Publish or — over the wire, where it
+// answers first — WaitWriteBacks has returned.
+func ended(t *testing.T, s *Server, txid uint64, key proto.SegKey) {
+	t.Helper()
+	if s.txm.Lookup(txid) != nil || s.locks.Holders(segLockName(key)) != nil {
+		t.Fatal("the commit kept its transaction or its lock")
+	}
+}
+
 // TestCommitWriteFailureRepairs: a page write that fails after the commit's
 // force does not undo the commit. The page is rebuilt from the log before the
 // commit's locks release; if it cannot be, its segment is quarantined with
@@ -199,18 +209,6 @@ func TestCommitLogFootprint(t *testing.T) {
 // leaves at the commit's publication, before the write: it is success, since
 // the commit stands, and the repair or the quarantine shows once the
 // write-back has ended.
-// awaitEnded fails the test unless transaction txid leaves the table and
-// lets its lock on key go: a wire commit ends after its write-back, which
-// WaitWriteBacks waits for, and after its written hook.
-func awaitEnded(t *testing.T, s *Server, txid uint64, key proto.SegKey) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); s.txm.Lookup(txid) != nil || s.locks.Holders(segLockName(key)) != nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the commit kept its transaction or its lock")
-		}
-	}
-}
-
 func TestCommitWriteFailureRepairs(t *testing.T) {
 	for _, wire := range []bool{false, true} {
 		for _, rebuildFails := range []bool{false, true} {
@@ -255,7 +253,7 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 				if st := s.ScrubStatus(); st.Repaired == 0 || st.Quarantined != 0 {
 					t.Fatalf("counters %+v", st)
 				}
-				awaitEnded(t, s, txid, key)
+				ended(t, s, txid, key)
 				s.Close()
 				continue
 			}
@@ -271,7 +269,7 @@ func TestCommitWriteFailureRepairs(t *testing.T) {
 			if _, err := fetchObject(t, s, key); !errors.Is(err, ErrQuarantined) {
 				t.Fatalf("fetch of the quarantined segment: %v", err)
 			}
-			awaitEnded(t, s, txid, key)
+			ended(t, s, txid, key)
 			s.Close()
 			r := d.copy().open(t)
 			if b, err := fetchObject(t, r, key); err != nil || string(b) != "after the failing commit!" {

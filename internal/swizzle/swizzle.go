@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"bess/internal/hooks"
+	"bess/internal/lockcheck"
 	"bess/internal/page"
 	"bess/internal/segment"
 	"bess/internal/vmem"
@@ -896,18 +897,30 @@ func (m *Mapper) TrustedSlotUpdate(id SegID, fn func(*segment.Seg) error) error 
 // slots are in the image already, so the image costs its header and the two
 // checksums of the slotted pages — the section checksums are not this image's
 // business (EncodeSlots): an object created in a full-size segment must not
-// cost a CRC of the whole data section.
+// cost a CRC of the whole data section. Nor must it cost every slot's DP: it
+// re-fixes those of the slots that changed since the last refresh
+// (segment.Seg.ChangedSlots), and an invariants build checks every DP
+// against a full recompute.
 //
 // TestRefreshSlottedAllocs pins its allocation budget.
 func (m *Mapper) refreshSlotted(ms *mseg) {
 	ms.seg.EncodeSlots()
 	// Re-fix the DPs: the update may have created, moved, or resized
 	// objects (two arithmetic operations per slot, as at load).
-	for i := range ms.seg.Slots {
+	lo, hi := ms.seg.ChangedSlots()
+	for i := lo; i < hi; i++ {
 		sl := &ms.seg.Slots[i]
 		if sl.Kind == segment.KindSmall || sl.Kind == segment.KindForward {
 			ms.dp[i] = ms.dataBase + vmem.Addr(sl.DataOff)
 			m.stats.DPFixups++
+		}
+	}
+	if lockcheck.Enabled {
+		for i := range ms.seg.Slots {
+			sl := &ms.seg.Slots[i]
+			if (sl.Kind == segment.KindSmall || sl.Kind == segment.KindForward) && ms.dp[i] != ms.dataBase+vmem.Addr(sl.DataOff) {
+				panic(fmt.Sprintf("swizzle: slot %d's DP is stale after a trusted update", i))
+			}
 		}
 	}
 }

@@ -90,8 +90,8 @@ type Manager struct {
 	// images while the writer still excludes concurrent stagers.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
-	// writtenHook runs once a published commit's pages are written, before
-	// its locks release.
+	// writtenHook runs once a published commit's pages are written, its
+	// locks released and the transaction out of the table.
 	writtenHook func(txID uint64)
 	// rollbackHook runs as a rollback starts, before it reads a page.
 	rollbackHook func(txID uint64) error
@@ -355,8 +355,9 @@ func (t *Tx) Publish() error {
 }
 
 // Finish ends a commit Publish published: it writes the pages t's changes
-// deferred to it (writeBack), runs the written hook, releases t's locks and
-// retires it, and returns what the write-back answers.
+// deferred to it (writeBack), releases t's locks and retires it, runs the
+// written hook — whoever waits on that finds the commit ended — and returns
+// what the write-back answers.
 func (t *Tx) Finish() error {
 	m := t.m
 	t.mu.Lock()
@@ -365,15 +366,15 @@ func (t *Tx) Finish() error {
 	var werr error
 	if lsn != 0 {
 		werr = t.writeBack(lsn)
-		if h := m.writtenHook; h != nil {
-			h(t.id)
-		}
 	}
 	t.finish()
 	m.fire(hooks.EvTxCommit, t.id)
 	m.mu.Lock()
 	m.commits++
 	m.mu.Unlock()
+	if h := m.writtenHook; h != nil && lsn != 0 {
+		h(t.id)
+	}
 	return werr
 }
 
@@ -602,7 +603,8 @@ func (t *Tx) Prepare() error {
 func (m *Manager) SetCommitHook(fn func(txID uint64, commitLSN page.LSN)) { m.commitHook = fn }
 
 // SetWrittenHook installs fn to run on every commit the commit hook saw, once
-// its page writes have ended (repaired or not) and before its locks release.
+// its page writes have ended (repaired or not), its locks are released and
+// it is out of the table.
 // Same registration contract as SetCommitHook.
 func (m *Manager) SetWrittenHook(fn func(txID uint64)) { m.writtenHook = fn }
 

@@ -41,7 +41,7 @@ var tombstones = []tombstone{
 	{`//bess:holds|//bess:hotpath|runVettool|analyzeLockOrder|analyzeHotAlloc`, tree, nil,
 		"lock order and caller-holds are internal/lockcheck's at run time, allocation budgets are AllocsPerRun tests, and bess-vet has one driver (DESIGN.md §4c, §4f)"},
 	{`bufio\.NewWriter|sync\.Pool|proto\.Encode\(`, []string{"internal/rpc"}, []string{"*_test.go"},
-		"a frame's message is encoded once, straight into the peer's pending batch: no encoded body copied in, no pooled scratch, no bufio.Writer (DESIGN.md §4b)"},
+		"a frame's message is encoded once, straight into the peer's pending batch: no encoded body copied in, no bufio.Writer; a Commit body is lent by its peer until its write-back ends, and nothing else is pooled (DESIGN.md §4b)"},
 	{`"bess/internal/cache"`, []string{"internal/client"}, []string{"*_test.go"},
 		"the client holds pushed images as they arrived: no private frame pool in the prefetcher (DESIGN.md §4b)"},
 	{`methodNames|methodIDs`, tree, []string{"*_test.go"},
