@@ -319,7 +319,7 @@ func (b *countingBacking) Fetch(id page.ID) ([]byte, error) {
 	d := make([]byte, page.Size)
 	return d, nil
 }
-func (b *countingBacking) WriteBack(page.ID, []byte) error { return nil }
+func (b *countingBacking) WriteBack(_ page.ID, _, data []byte) ([]byte, error) { return data, nil }
 
 // RunE4 drives procs processes over a Zipf-ish page population through the
 // shared cache (two-level clock) and through an LRU of the same size.

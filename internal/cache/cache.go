@@ -39,6 +39,10 @@ type Slot struct {
 	Dirty   bool
 	Pins    int
 	Counter int // number of processes that can access this slot (§4.2)
+	// Stale: the page was called back since the slot's bytes were filled
+	// (Invalidate); they are to be brought up to date (Refresh) before
+	// anyone reads them again.
+	Stale bool
 
 	// claimed: a Pin taken on a miss is replacing this slot's page. The slot
 	// is a hit for nobody until the pin Fills it or lets it go.
@@ -51,6 +55,7 @@ type Evicted struct {
 	ID    page.ID
 	Dirty bool
 	Data  []byte // copy of the evicted bytes when dirty, nil otherwise
+	Fill  []byte // copy of the image the slot was filled from when dirty
 }
 
 // Stats are cumulative pool counters.
@@ -72,6 +77,7 @@ type Pool struct {
 	// data is deliberately unguarded: SlotData hands out slices into the
 	// arena and pin counts, not mu, keep concurrent users apart.
 	data   []byte          // nslots * page.Size, one contiguous arena (Figure 3)
+	fill   []byte          // each slot's page as it was filled or last refreshed: what its processes changed is the difference
 	slots  []Slot          // guarded by mu
 	lookup map[page.ID]int // guarded by mu
 	hand   int             // guarded by mu
@@ -85,6 +91,7 @@ func NewPool(nslots int) *Pool {
 	}
 	p := &Pool{
 		data:   make([]byte, nslots*page.Size),
+		fill:   make([]byte, nslots*page.Size),
 		slots:  make([]Slot, nslots),
 		lookup: make(map[page.ID]int, nslots),
 	}
@@ -97,6 +104,12 @@ func NewPool(nslots int) *Pool {
 // arena; processes map it into their address spaces.
 func (p *Pool) SlotData(i int) []byte {
 	return p.data[i*page.Size : (i+1)*page.Size]
+}
+
+// FillData returns the image slot i was filled from, or last refreshed to. It
+// changes only under a pin, with the slot's bytes.
+func (p *Pool) FillData(i int) []byte {
+	return p.fill[i*page.Size : (i+1)*page.Size]
 }
 
 // Peek finds the slot holding id's bytes without counting a hit or a miss. A
@@ -152,6 +165,7 @@ func (p *Pool) Acquire(id page.ID) (*Pin, error) {
 		h.victim = &Evicted{ID: s.ID, Dirty: s.Dirty}
 		if s.Dirty {
 			h.victim.Data = append([]byte(nil), p.SlotData(i)...)
+			h.victim.Fill = append([]byte(nil), p.FillData(i)...)
 		}
 	}
 	s.claimed, s.Pins = true, 1
@@ -221,6 +235,7 @@ func (h *Pin) Fill(data []byte) {
 	}
 	// Unlocked: nobody else can reach a claimed slot's bytes.
 	copy(h.p.SlotData(h.slot), data)
+	copy(h.p.FillData(h.slot), data)
 	h.p.mu.Lock()
 	if s := &h.p.slots[h.slot]; s.Valid {
 		delete(h.p.lookup, s.ID)
@@ -246,6 +261,33 @@ func (h *Pin) Release() {
 		h.p.settled.Broadcast()
 	}
 	h.p.mu.Unlock()
+}
+
+// Refresh makes data the bytes of slot i, and the image it was filled from:
+// the slot is clean and current. The caller keeps the slot's page in it, and
+// its users off its bytes (a shared-memory slot latch); the copy is made
+// under mu, as a miss that takes the slot copies a dirty victim.
+func (p *Pool) Refresh(i int, data []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	copy(p.SlotData(i), data)
+	copy(p.FillData(i), data)
+	s := &p.slots[i]
+	s.Dirty, s.Stale = false, false
+}
+
+// Invalidate marks the slot that holds id's bytes stale (Slot.Stale) and
+// returns it; ok is false if no slot holds them — a slot claimed for id does
+// not yet.
+func (p *Pool) Invalidate(id page.ID) (slot int, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, ok := p.lookup[id]
+	if !ok || p.slots[i].claimed || !p.slots[i].Valid || p.slots[i].ID != id {
+		return 0, false
+	}
+	p.slots[i].Stale = true
+	return i, true
 }
 
 // MarkDirty flags slot i for write-back on eviction.

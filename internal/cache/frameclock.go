@@ -152,18 +152,24 @@ func (fc *FrameClock) SweepOne() (frame, slot int) {
 
 // Release invalidates every frame this process holds (transaction end in
 // per-transaction caching, or process exit cleanup).
-func (fc *FrameClock) Release() {
+func (fc *FrameClock) Release() { fc.invalidate(-1) }
+
+// InvalidateSlot invalidates every frame of this process that maps pool slot
+// s: the process's next access to one of them faults.
+func (fc *FrameClock) InvalidateSlot(s int) { fc.invalidate(s) }
+
+// invalidate invalidates the frames that map slot s, every frame for s < 0.
+func (fc *FrameClock) invalidate(s int) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	for f := range fc.states {
-		if fc.states[f] != FrameInvalid {
-			s := fc.slot[f]
+		if slot := fc.slot[f]; fc.states[f] != FrameInvalid && (s < 0 || slot == s) {
 			fc.states[f] = FrameInvalid
 			fc.slot[f] = -1
 			if fc.onInv != nil {
-				fc.onInv(f, s)
+				fc.onInv(f, slot)
 			}
-			_ = fc.pool.DecCounter(s)
+			_ = fc.pool.DecCounter(slot)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bess/internal/nodeserver"
+	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 	"bess/internal/segment"
@@ -41,8 +42,8 @@ func conns(t *testing.T, srv *server.Server) map[string]proto.Conn {
 }
 
 // TestCreatedImageIsTheServers: for several geometries — data sizes the buddy
-// allocator rounds up included — the image the creator builds is byte for byte
-// what FetchSeg returns, through every kind of Conn.
+// allocator rounds up included — the segment the creator builds, decoded, is
+// encoded byte for byte as FetchSeg returns it, through every kind of Conn.
 func TestCreatedImageIsTheServers(t *testing.T) {
 	srv := server.NewMem(1)
 	defer srv.Close()
@@ -60,10 +61,14 @@ func TestCreatedImageIsTheServers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				built, err := s.fetch.image(segID(key))
+				h, err := s.fetch.image(segID(key))
 				if err != nil {
 					t.Fatal(err)
 				}
+				if want := bytes.Clone(h.img.Slotted); h.built == nil || !bytes.Equal(h.built.EncodeSlots(), want) {
+					t.Fatal("a created segment's image was not built, or is not its segment's encoding")
+				}
+				built := h.img
 				publish(t, s)
 				if got := len(built.Data) / 4096; got != sh.granted {
 					t.Fatalf("built %d data pages, the allocator grants %d for a request of %d", got, sh.granted, sh.data)
@@ -783,6 +788,103 @@ func TestPublishedEmptySegmentsReadFormatted(t *testing.T) {
 				if live := dec.LiveSlots(); len(live) != 0 {
 					t.Fatalf("%s: %d live objects in an empty segment", name, len(live))
 				}
+			}
+		})
+	}
+}
+
+// rotConn flips one data byte of every image FetchSeg and SnapFetchSeg return
+// while rot is set: rot in transit, after the server's checks.
+type rotConn struct {
+	proto.Conn
+	rot bool
+}
+
+func flipData(sl, ov, data []byte, err error) ([]byte, []byte, []byte, error) {
+	if err == nil && len(data) > 0 {
+		data[len(data)/2] ^= 0x01
+	}
+	return sl, ov, data, err
+}
+
+func (c *rotConn) FetchSeg(client uint32, seg proto.SegKey) ([]byte, []byte, []byte, error) {
+	if !c.rot {
+		return c.Conn.FetchSeg(client, seg)
+	}
+	return flipData(c.Conn.FetchSeg(client, seg))
+}
+
+func (c *rotConn) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
+	if !c.rot {
+		return c.Conn.SnapFetchSeg(client, snap, seg)
+	}
+	return flipData(c.Conn.SnapFetchSeg(client, snap, seg))
+}
+
+// TestFetchedRotIsRefused: a created segment's image is built, not fetched,
+// and handed over unverified; every image that came off the wire is checked
+// as before. One flipped data byte in a live fetch, in an as-of fetch, or in
+// an image held for the mapper is refused when the mapper takes the data.
+func TestFetchedRotIsRefused(t *testing.T) {
+	srv := server.NewMem(1)
+	defer srv.Close()
+	conn := &rotConn{Conn: srv}
+	s, err := Open(conn, "reader", "testdb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.CreateSegment(7, 1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := segID(key)
+	dec, err := s.fetch.FetchSlotted(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := s.fetch.FetchData(id, dec); err != nil || len(data) != 2*page.Size {
+		t.Fatalf("the built segment: %d data bytes, %v", len(data), err)
+	}
+	publish(t, s)
+	sl, ov, data, err := srv.FetchSeg(s.client, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		setup func()
+	}{
+		{"fetched", func() { conn.rot = true }},
+		{"as-of", func() {
+			conn.rot = true
+			if err := s.BeginSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"held", func() {
+			rotten := bytes.Clone(data)
+			rotten[len(rotten)/2] ^= 0x01
+			s.fetch.hold(id, held{img: &proto.SegImage{Seg: key, Slotted: sl, Overflow: ov, Data: rotten}})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s.fetch.drop(id)
+			c.setup()
+			defer func() {
+				conn.rot = false
+				if s.snapMode {
+					if err := s.EndSnapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}()
+			dec, err := s.fetch.FetchSlotted(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.fetch.FetchData(id, dec); !errors.Is(err, segment.ErrChecksum) {
+				t.Fatalf("an image with a flipped data byte was taken: %v", err)
 			}
 		})
 	}

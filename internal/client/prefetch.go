@@ -217,7 +217,7 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 		// that image is let go here.
 		id := segID(img.Seg)
 		if _, cached := s.mapper.Seg(id); !cached {
-			s.fetch.hold(id, img)
+			s.fetch.hold(id, held{img: img})
 		}
 		if err := s.ScanSegment(img.Seg, fn); err != nil {
 			return err

@@ -203,18 +203,28 @@ func (s *Session) RegisterType(td segment.TypeDesc) (*segment.TypeDesc, error) {
 // (Session.dropSeg), so a refetch never sees stale data.
 //
 // A segment this session created does not travel at all: its initial image is
-// a function of the geometry of the runs it was made of (segment.Format, the
-// image the server's commit writes when nothing of the segment ships), kept
-// in fresh until the mapper first asks and built then. The commit that
-// publishes the segment records the creator in the server's copy table, so
-// from then on the note is a registered copy like any other: a revocation
-// reaches it through dropSeg, and nothing is built from it afterwards.
+// a function of the geometry of the runs it was made of (segment.Empty, the
+// segment the server's commit writes when nothing of it ships), kept in fresh
+// until the mapper first asks and built then, decoded already, with its zero
+// data section: nothing of it came off the wire, so nothing of it is decoded
+// or verified. The commit that publishes the segment records the creator in
+// the server's copy table, so from then on the note is a registered copy like
+// any other: a revocation reaches it through dropSeg, and nothing is built
+// from it afterwards.
 type fetcher struct {
 	s *Session
 
 	mu    sync.Mutex
-	ready map[swizzle.SegID]*proto.SegImage // guarded by mu
-	fresh map[swizzle.SegID]freshSeg        // guarded by mu
+	ready map[swizzle.SegID]held     // guarded by mu
+	fresh map[swizzle.SegID]freshSeg // guarded by mu
+}
+
+// held is an image on its way to the mapper. built is its decoded slotted
+// segment, which keeps img.Slotted, when the image was built from the note of
+// the segment's creation; nil for one that came off the wire.
+type held struct {
+	img   *proto.SegImage
+	built *segment.Seg
 }
 
 // freshSeg is what the initial image of a segment is made of.
@@ -230,12 +240,12 @@ type freshSeg struct {
 // fetched at its stamp — and this is the one place it is marked for the
 // end-of-snapshot drop. (Data held over from a live fetch that preceded the
 // snapshot is not held again, so a registered copy stays cached.)
-func (f *fetcher) hold(id swizzle.SegID, img *proto.SegImage) {
+func (f *fetcher) hold(id swizzle.SegID, h held) {
 	f.mu.Lock()
 	if f.ready == nil {
-		f.ready = make(map[swizzle.SegID]*proto.SegImage)
+		f.ready = make(map[swizzle.SegID]held)
 	}
-	f.ready[id] = img
+	f.ready[id] = h
 	f.mu.Unlock()
 	f.s.markSnapFetched(id)
 }
@@ -269,30 +279,32 @@ func (f *fetcher) drop(id swizzle.SegID) {
 // image hands over id's image: the held one if there is one, else fetched
 // in one round trip as of the open snapshot's stamp, else built from the note
 // of its creation, else fetched live.
-func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
+func (f *fetcher) image(id swizzle.SegID) (held, error) {
 	f.mu.Lock()
-	img := f.ready[id]
+	h, ok := f.ready[id]
 	delete(f.ready, id)
 	n, created := f.fresh[id]
 	delete(f.fresh, id) // whichever image the mapper gets now, the note is spent
 	f.mu.Unlock()
-	if img != nil {
-		return img, nil
+	if ok {
+		return h, nil
 	}
-	img = &proto.SegImage{Seg: segKey(id)}
+	img := &proto.SegImage{Seg: segKey(id)}
 	var err error
 	if snap, inSnap := f.s.snapState(); inSnap {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.SnapFetchSeg(f.s.client, snap, img.Seg)
 	} else if created {
-		img.Slotted = segment.Format(n.fileID, n.slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
+		var built *segment.Seg
+		built, img.Slotted = segment.Empty(n.fileID, n.slottedPages, n.dataPages, id.Area, page.No(n.dataStart))
 		img.Data = make([]byte, n.dataPages*page.Size)
+		return held{img, built}, nil
 	} else {
 		img.Slotted, img.Overflow, img.Data, err = f.s.conn.FetchSeg(f.s.client, img.Seg)
 	}
 	if err != nil {
-		return nil, err
+		return held{}, err
 	}
-	return img, nil
+	return held{img: img}, nil
 }
 
 // SlottedPages is asked once per segment and session — the reservation it
@@ -303,60 +315,63 @@ func (f *fetcher) image(id swizzle.SegID) (*proto.SegImage, error) {
 // the FetchSlotted that follows.
 func (f *fetcher) SlottedPages(id swizzle.SegID) (int, error) {
 	f.mu.Lock()
-	img := f.ready[id]
+	h, ok := f.ready[id]
 	n, created := f.fresh[id]
 	f.mu.Unlock()
 	if created {
 		return n.slottedPages, nil
 	}
-	if img == nil {
+	if !ok {
 		if _, inSnap := f.s.snapState(); !inSnap {
 			return f.s.conn.SegInfo(segKey(id))
 		}
 		var err error
-		if img, err = f.image(id); err != nil {
+		if h, err = f.image(id); err != nil {
 			return 0, err
 		}
-		f.hold(id, img)
+		f.hold(id, h)
 	}
-	return len(img.Slotted) / page.Size, nil
+	return len(h.img.Slotted) / page.Size, nil
 }
 
 // FetchSlotted and FetchData are the end-to-end verification at cache
 // fault-in, each over its part of the one image: wire or transport
-// corruption is caught before the bytes enter the client cache.
+// corruption is caught before the bytes enter the client cache. A built
+// image is handed over as it was built.
 func (f *fetcher) FetchSlotted(id swizzle.SegID) (*segment.Seg, error) {
-	img, err := f.image(id)
+	h, err := f.image(id)
 	if err != nil {
 		return nil, err
 	}
-	// DecodeSlotted checks the header and slot-region CRCs; the overflow
-	// bytes are checked against the header's recorded section checksum.
-	dec, err := segment.DecodeSlotted(img.Slotted)
-	if err != nil {
-		return nil, err
+	dec := h.built
+	if dec == nil {
+		// DecodeSlotted checks the header and slot-region CRCs; the overflow
+		// bytes are checked against the header's recorded section checksum.
+		if dec, err = segment.DecodeSlotted(h.img.Slotted); err != nil {
+			return nil, err
+		}
+		dec.Overflow = h.img.Overflow
+		if err := dec.VerifySections(); err != nil {
+			return nil, err
+		}
 	}
-	dec.Overflow = img.Overflow
-	if err := dec.VerifySections(); err != nil {
-		return nil, err
-	}
-	f.hold(id, img) // the data part waits for FetchData
+	f.hold(id, h) // the data part waits for FetchData
 	return dec, nil
 }
 
 func (f *fetcher) FetchData(id swizzle.SegID, dec *segment.Seg) ([]byte, error) {
-	img, err := f.image(id)
+	h, err := f.image(id)
 	if err != nil {
 		return nil, err
 	}
 	// Checked against the cached header's checksum (skipped when the caller
 	// has no decoded header or the bytes are not the full on-disk section).
-	if dec != nil && len(img.Data) == int(dec.Hdr.DataPages)*page.Size {
-		if err := dec.VerifyData(img.Data); err != nil {
+	if data := h.img.Data; h.built == nil && dec != nil && len(data) == int(dec.Hdr.DataPages)*page.Size {
+		if err := dec.VerifyData(data); err != nil {
 			return nil, err
 		}
 	}
-	return img.Data, nil
+	return h.img.Data, nil
 }
 
 func (f *fetcher) Resolve(headerOff uint64) (swizzle.SegID, int, error) {

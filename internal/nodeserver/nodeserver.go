@@ -95,6 +95,13 @@ func New(up proto.Conn, name string, cacheSlots, frames int) (*NodeServer, error
 		return nil, err
 	}
 	ns.sc = sc
+	// A local's X calls the shared cache's copy back: its page goes stale.
+	if err := ns.locals.SetCallback(backing.local, func(n lock.Name) (bool, error) {
+		sc.Invalidate(PageOf(proto.SegKey{Area: uint32(n.Q0), Start: int64(n.Q1)}))
+		return false, nil
+	}); err != nil {
+		return nil, err
+	}
 	// Upstream revocations arrive here; forward to the locals.
 	if err := up.SetCallback(id, ns.onUpstreamCallback); err != nil {
 		return nil, err
@@ -128,15 +135,17 @@ func (ns *NodeServer) SharedCache() *shm.SharedCache { return ns.sc }
 func (ns *NodeServer) AttachShared() (*shm.Process, error) { return ns.sc.Attach() }
 
 // onUpstreamCallback gives up the node's copy of seg. The image goes first, so
-// no local fetch hits it from here on; then the node takes X on seg in its own
-// table on its server's behalf, which calls every local copy back and queues
-// local fills behind it, and lets it go. A refusing local is waited for, until
-// its Released or the lock timeout: then the node refuses in turn.
+// no local fetch hits it from here on, and the shared cache's page of seg goes
+// stale; then the node takes X on seg in its own table on its server's behalf,
+// which calls every local copy back and queues local fills behind it, and
+// lets it go. A refusing local is waited for, until its Released or the lock
+// timeout: then the node refuses in turn.
 func (ns *NodeServer) onUpstreamCallback(seg proto.SegKey) (refused bool, err error) {
 	ns.stats.callbacks.Add(1)
 	ns.mu.Lock()
 	delete(ns.images, seg)
 	ns.mu.Unlock()
+	ns.sc.Invalidate(PageOf(seg))
 	tx := lock.TxID(1<<63 | ns.revokes.Add(1))
 	err = ns.locals.Acquire(tx, segName(seg), lock.X, 0)
 	ns.locals.ReleaseAll(tx)
@@ -439,8 +448,8 @@ var _ proto.Conn = (*NodeServer)(nil)
 // page.ID names a segment (Area, and Page its slotted run's start), and the
 // page is the first page of its data section. The backing is one of the
 // node's locals: it fetches through the node's image cache, as a session
-// does, and has no callback, so an X forgets its copy at once (the shared
-// cache keeps no transaction's copy).
+// does, and its callback gives its copy up at once and makes the page stale
+// in the shared cache (the shared cache keeps no transaction's copy).
 type pageBacking struct {
 	ns    *NodeServer
 	local uint32
@@ -462,22 +471,28 @@ func (b *pageBacking) Fetch(id page.ID) ([]byte, error) {
 }
 
 // WriteBack writes the page back as a transaction of its own, which takes X
-// on the segment and ships its image, the page in it: durable when WriteBack
-// returns.
-func (b *pageBacking) WriteBack(id page.ID, data []byte) error {
+// on the segment and ships its image: the committed one, with the bytes at
+// which data differs from fill — the processes' changes — written over it.
+// The page is durable when WriteBack returns it.
+func (b *pageBacking) WriteBack(id page.ID, fill, data []byte) ([]byte, error) {
 	ns, img := b.ns, proto.SegImage{Seg: pageSeg(id)}
 	tx, err := ns.NewTx()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err = ns.Lock(b.local, tx, img.Seg, proto.LockX); err == nil {
 		img.Slotted, img.Overflow, img.Data, err = ns.FetchSeg(b.local, img.Seg)
 	}
 	if err == nil {
-		copy(img.Data, data)
+		pg := img.Data[:min(len(img.Data), page.Size)]
+		for i := range pg {
+			if data[i] != fill[i] {
+				pg[i] = data[i]
+			}
+		}
 		if err = ns.Publish(b.local, tx, nil, []proto.SegImage{img}, false); err == nil {
-			return nil
+			return pg, nil
 		}
 	}
-	return errors.Join(err, ns.Abort(b.local, tx))
+	return nil, errors.Join(err, ns.Abort(b.local, tx))
 }

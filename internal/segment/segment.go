@@ -261,18 +261,28 @@ func empty(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dat
 	return s
 }
 
-// Format returns the initial slotted image of an empty object segment, New's
-// encoded, section checksums set. Its data section is dataPages zero pages:
-// their checksum comes from page.ZeroChecksum, and no data is built. The
-// image and the zero pages are what a server writes when it creates the
-// segment, and — the geometry being all they depend on — what the creating
-// client builds for itself instead of fetching them back.
-func Format(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) []byte {
+// Empty returns an empty object segment of the given geometry as a server
+// formats it and its creator maps it: decoded — no data or overflow section
+// attached — and its slotted image, encoded once and kept by the segment
+// (EncodeSlots), with every section checksum set. The data section is
+// dataPages zero pages: its checksum comes from page.ZeroChecksum, and no
+// data is built. Nothing of the segment has changed yet (ChangedSlots).
+func Empty(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) (*Seg, []byte) {
 	s := empty(fileID, slottedPages, dataPages, dataArea, dataStart)
 	// As EncodeSlotted sets them over New's zeroed data and absent overflow.
-	s.Hdr.DataCRC = page.ZeroChecksum(dataPages)
+	s.Hdr.DataCRC, s.Hdr.OverCRC = page.ZeroChecksum(dataPages), page.ZeroChecksum(0)
 	s.Hdr.CRCFlags = CRCData | CRCOver
-	return s.EncodeSlots()
+	img := s.EncodeSlots()
+	s.dirtyLo, s.dirtyHi = 0, 0
+	return s, img
+}
+
+// Format returns Empty's slotted image: what a server writes when it creates
+// the segment, and — the geometry being all it depends on — what the
+// creating client maps instead of fetching it back.
+func Format(fileID uint32, slottedPages, dataPages int, dataArea page.AreaID, dataStart page.No) []byte {
+	_, img := Empty(fileID, slottedPages, dataPages, dataArea, dataStart)
+	return img
 }
 
 // AllocSlot takes a slot off the free list and initializes it.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -421,6 +422,31 @@ func TestFormatIsNewEncoded(t *testing.T) {
 		}
 		if dec, err := DecodeSlotted(sl); err != nil || dec.VerifyData(make([]byte, n*page.Size)) != nil {
 			t.Fatalf("%d data pages: a formatted segment does not verify: %v", n, err)
+		}
+	}
+}
+
+// TestEmptyIsFormatDecoded: Empty's segment is what decoding Format's image
+// gives, header and slots, with that image kept and nothing changed yet; its
+// encodings are the image, unchanged.
+func TestEmptyIsFormatDecoded(t *testing.T) {
+	for _, n := range []int{0, 1, 126, page.PerExtent} {
+		for _, slotted := range []int{1, 3} {
+			seg, img := Empty(1, slotted, n, 9, 100)
+			dec, err := DecodeSlotted(Format(1, slotted, n, 9, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg.Hdr != dec.Hdr || !slices.Equal(seg.Slots, dec.Slots) || seg.Data != nil || seg.Overflow != nil {
+				t.Fatalf("%d+%d pages: Empty is not Format's image decoded:\n%+v\n%+v", slotted, n, seg.Hdr, dec.Hdr)
+			}
+			if lo, hi := seg.ChangedSlots(); lo != hi {
+				t.Fatalf("%d+%d pages: an empty segment has changed slots [%d, %d)", slotted, n, lo, hi)
+			}
+			want := bytes.Clone(img)
+			if got := seg.EncodeSlotted(); &got[0] != &img[0] || !bytes.Equal(got, want) {
+				t.Fatalf("%d+%d pages: the encoding is not the kept image, unchanged", slotted, n)
+			}
 		}
 	}
 }

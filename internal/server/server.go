@@ -789,6 +789,7 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 		return nil, 0, err
 	}
 	t := s.txm.Ensure(txid, client)
+	t.Grow(shippedPages(segs, ops))
 	lsn, err := s.publish(client, t, ops)
 	mine := s.published(t.ID())
 	for _, si := range segs {
@@ -812,9 +813,23 @@ func (s *Server) apply(client uint32, txid uint64, created []proto.Created, segs
 	return t, lsn, nil
 }
 
+// shippedPages is about how many pages apply logs for segs and for the
+// segments ops add — a created segment that ships counts twice — for t.Grow.
+func shippedPages(segs []proto.SegImage, ops []*proto.CatalogOp) int {
+	n := 0
+	for _, si := range segs {
+		n += (len(si.Slotted) + len(si.Overflow) + len(si.Data) + page.Size - 1) / page.Size
+	}
+	for _, op := range ops {
+		n += op.SlottedPages + op.DataPages
+	}
+	return n
+}
+
 // applyOne logs one shipped segment under t, which publishes ops. It reads
-// the current image once — or, for a segment t publishes (fresh), builds it,
-// as formatSegment would write it — and stages it with the version store: the
+// the current image once — or, for a segment t publishes (fresh), builds it
+// decoded, as formatSegment would write it (segment.Empty; cur keeps the image,
+// and nothing changes cur) — and stages it with the version store: the
 // image is the before-image of every run that stays where it is, and the
 // version chain's pre-update image, which the store owns from here on, so
 // nobody writes its bytes. Until t ends, snapshot reads of the segment
@@ -835,9 +850,8 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage, ops []*proto.CatalogOp) e
 	i := slices.IndexFunc(ops, func(op *proto.CatalogOp) bool { return op.Kind == proto.CatAddSegment && op.Seg == si.Seg })
 	if i >= 0 {
 		fresh := ops[i]
-		old.Slotted = segment.Format(fresh.FileID, fresh.SlottedPages, fresh.DataPages, page.AreaID(fresh.Seg.Area), page.No(fresh.DataStart))
+		cur, old.Slotted = segment.Empty(fresh.FileID, fresh.SlottedPages, fresh.DataPages, page.AreaID(fresh.Seg.Area), page.No(fresh.DataStart))
 		old.Data = zeroRun[: fresh.DataPages*page.Size : fresh.DataPages*page.Size]
-		cur, err = segment.DecodeSlotted(old.Slotted)
 	} else {
 		cur, old.Slotted, old.Overflow, old.Data, err = s.readImage(si.Seg, secAll, s.live())
 	}

@@ -34,11 +34,11 @@ func (b *flakyBacking) Fetch(id page.ID) ([]byte, error) {
 	return b.memBacking.Fetch(id)
 }
 
-func (b *flakyBacking) WriteBack(id page.ID, data []byte) error {
+func (b *flakyBacking) WriteBack(id page.ID, fill, data []byte) ([]byte, error) {
 	if b.failWrite.Add(-1) >= 0 {
-		return errBacking
+		return nil, errBacking
 	}
-	return b.memBacking.WriteBack(id, data)
+	return b.memBacking.WriteBack(id, fill, data)
 }
 
 func firstByte(p *Process, id page.ID) (byte, error) {
@@ -274,11 +274,11 @@ type checkedBacking struct {
 	foreign atomic.Int32
 }
 
-func (b *checkedBacking) WriteBack(id page.ID, data []byte) error {
-	if data[0] != byte(id.Page) {
+func (b *checkedBacking) WriteBack(id page.ID, fill, data []byte) ([]byte, error) {
+	if data[0] != byte(id.Page) || fill[0] != byte(id.Page) {
 		b.foreign.Add(1)
 	}
-	return b.memBacking.WriteBack(id, data)
+	return b.memBacking.WriteBack(id, fill, data)
 }
 
 // Flushes racing evictions: every write-back carries the bytes of the page it

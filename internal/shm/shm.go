@@ -19,6 +19,7 @@ package shm
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"bess/internal/cache"
 	"bess/internal/lockcheck"
@@ -36,10 +37,14 @@ var (
 )
 
 // Backing supplies pages to the shared cache and accepts write-backs: in a
-// node server this is the path to the owning BeSS servers.
+// node server this is the path to the owning BeSS servers. A write-back is
+// of the bytes at which data, the page, differs from fill, the image it was
+// filled from — what the cache's processes changed — over the page as it is
+// committed, which may have changed since the fill; it returns the page as
+// written.
 type Backing interface {
 	Fetch(id page.ID) ([]byte, error)
-	WriteBack(id page.ID, data []byte) error
+	WriteBack(id page.ID, fill, data []byte) ([]byte, error)
 }
 
 // Ref is an SVMA offset — the shared-space pointer representation. Ref 0 is
@@ -89,6 +94,11 @@ type SharedCache struct {
 	// slotLatch[i] serializes access to pool slot i — the paper's latches
 	// for atomic read/write of cached objects.
 	slotLatch []lockcheck.Mutex
+
+	// invalidations counts Invalidate calls. A fill, refresh or write-back
+	// that saw it move while it fetched may have missed its page's: the
+	// slot is left stale.
+	invalidations atomic.Uint64
 }
 
 // NewSharedCache builds a cache of nslots pages with an SVMA of nframes
@@ -151,9 +161,10 @@ func (sc *SharedCache) releaseFrameLocked(id page.ID) {
 }
 
 // acquireSlot brings id into the cache (fetching on miss), handling
-// eviction write-back and SMT maintenance, and returns the pin on its slot.
-// A failed write-back or fetch gives the claimed slot back untouched: the
-// victim keeps its bytes and its dirty flag, and id is cached nowhere.
+// eviction write-back and SMT maintenance, and returns the pin on its slot,
+// brought up to date if it was stale (refresh). A failed write-back or fetch
+// gives the claimed slot back untouched: the victim keeps its bytes and its
+// dirty flag, and id is cached nowhere.
 func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		pin, err := sc.pool.Acquire(id)
@@ -175,37 +186,116 @@ func (sc *SharedCache) acquireSlot(id page.ID) (*cache.Pin, error) {
 			}
 			continue
 		}
-		if err != nil || pin.Hit() {
-			return pin, err
+		if err == nil && !pin.Hit() {
+			err = sc.fill(pin, id)
 		}
-		ev := pin.Victim()
-		if ev != nil && ev.Dirty {
-			err = sc.backing.WriteBack(ev.ID, ev.Data)
-		}
-		var data []byte
 		if err == nil {
+			err = sc.refresh(pin, id)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return pin, nil
+	}
+	return nil, ErrNoVictim
+}
+
+// fill completes pin's miss of id: it writes the victim back if it is dirty,
+// and fills the slot with id's page. On an error the pin is released.
+func (sc *SharedCache) fill(pin *cache.Pin, id page.ID) error {
+	ev := pin.Victim()
+	var err error
+	if ev != nil && ev.Dirty {
+		_, err = sc.backing.WriteBack(ev.ID, ev.Fill, ev.Data)
+	}
+	var data []byte
+	n := sc.invalidations.Load()
+	if err == nil {
+		data, err = sc.backing.Fetch(id)
+	}
+	if err != nil {
+		pin.Release()
+		return err
+	}
+	if ev != nil {
+		// The victim leaves the cache: free its SVMA frame while the
+		// processes waiting for it are still parked on the claim, so the
+		// one that brings it back assigns it a frame afresh.
+		sc.mu.Lock()
+		sc.releaseFrameLocked(ev.ID)
+		sc.mu.Unlock()
+	}
+	// Slot bytes change hands under the slot latch (FlushDirty reads
+	// them under it).
+	sc.slotLatch[pin.Slot()].Lock()
+	pin.Fill(data)
+	sc.settled(id, n)
+	sc.slotLatch[pin.Slot()].Unlock()
+	return nil
+}
+
+// Invalidate is a callback of page id: the slot that holds it becomes stale
+// and every process's mapping of it goes, so the next access to the page
+// refreshes it to the committed image — a dirty slot by its write-back, which
+// ships what its processes changed over that image.
+func (sc *SharedCache) Invalidate(id page.ID) {
+	sc.invalidations.Add(1)
+	slot, ok := sc.pool.Invalidate(id)
+	if !ok {
+		return
+	}
+	sc.mu.Lock()
+	procs := make([]*Process, 0, len(sc.procs))
+	for _, p := range sc.procs {
+		procs = append(procs, p)
+	}
+	sc.mu.Unlock()
+	for _, p := range procs {
+		p.fclock.InvalidateSlot(slot)
+	}
+}
+
+// settled is called once id's slot holds what was fetched or written back
+// after the invalidation count read n. If the count has moved since, an
+// invalidation of id may have come in between: the slot is stale again.
+func (sc *SharedCache) settled(id page.ID, n uint64) {
+	if sc.invalidations.Load() != n {
+		sc.pool.Invalidate(id)
+	}
+}
+
+// refresh brings the slot pin holds for id up to the committed image while it
+// is stale: a clean one is fetched again, a dirty one written back. On an
+// error the pin is released.
+func (sc *SharedCache) refresh(pin *cache.Pin, id page.ID) error {
+	slot := pin.Slot()
+	if s, _ := sc.pool.Slot(slot); !s.Stale {
+		return nil
+	}
+	sc.slotLatch[slot].Lock()
+	defer sc.slotLatch[slot].Unlock()
+	for s, _ := sc.pool.Slot(slot); s.Stale; s, _ = sc.pool.Slot(slot) {
+		n := sc.invalidations.Load()
+		var data []byte
+		var err error
+		if s.Dirty {
+			data, err = sc.writeBack(slot, id)
+		} else {
 			data, err = sc.backing.Fetch(id)
 		}
 		if err != nil {
 			pin.Release()
-			return nil, err
+			return err
 		}
-		if ev != nil {
-			// The victim leaves the cache: free its SVMA frame while the
-			// processes waiting for it are still parked on the claim, so the
-			// one that brings it back assigns it a frame afresh.
-			sc.mu.Lock()
-			sc.releaseFrameLocked(ev.ID)
-			sc.mu.Unlock()
-		}
-		// Slot bytes change hands under the slot latch (FlushDirty reads
-		// them under it).
-		sc.slotLatch[pin.Slot()].Lock()
-		pin.Fill(data)
-		sc.slotLatch[pin.Slot()].Unlock()
-		return pin, nil
+		sc.pool.Refresh(slot, data)
+		sc.settled(id, n)
 	}
-	return nil, ErrNoVictim
+	return nil
+}
+
+// writeBack writes slot's page id back. The caller holds the slot latch.
+func (sc *SharedCache) writeBack(slot int, id page.ID) ([]byte, error) {
+	return sc.backing.WriteBack(id, append([]byte(nil), sc.pool.FillData(slot)...), append([]byte(nil), sc.pool.SlotData(slot)...))
 }
 
 // FlushDirty writes every dirty slot back to the backing store (shutdown,
@@ -232,10 +322,13 @@ func (sc *SharedCache) flushPage(id page.ID) error {
 	if cur, ok := sc.pool.Peek(id); !ok || cur != slot {
 		return nil // replaced meanwhile: the miss that took the slot wrote it back
 	}
-	if err := sc.backing.WriteBack(id, append([]byte(nil), sc.pool.SlotData(slot)...)); err != nil {
+	n := sc.invalidations.Load()
+	data, err := sc.writeBack(slot, id)
+	if err != nil {
 		return err
 	}
-	sc.pool.MarkClean(slot)
+	sc.pool.Refresh(slot, data)
+	sc.settled(id, n)
 	return nil
 }
 

@@ -37,12 +37,23 @@ func (b *memBacking) Fetch(id page.ID) ([]byte, error) {
 	return make([]byte, page.Size), nil
 }
 
-func (b *memBacking) WriteBack(id page.ID, data []byte) error {
+// WriteBack writes the bytes at which data differs from fill over the stored
+// page, as a node server's write-back does over the committed one.
+func (b *memBacking) WriteBack(id page.ID, fill, data []byte) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.writes++
-	b.pages[id] = append([]byte(nil), data...)
-	return nil
+	pg, ok := b.pages[id]
+	if !ok {
+		pg = make([]byte, page.Size)
+		b.pages[id] = pg
+	}
+	for i := range pg {
+		if data[i] != fill[i] {
+			pg[i] = data[i]
+		}
+	}
+	return append([]byte(nil), pg...), nil
 }
 
 func pid(n int) page.ID { return page.ID{Area: 1, Page: page.No(n)} }

@@ -173,6 +173,18 @@ func (t *Tx) LogRedo(pid page.ID, before, after []byte) error {
 	return nil
 }
 
+// Grow makes room in t for n more pages' changes, so that the LogRedo calls
+// that queue them, and the records that carry them, grow nothing page by page:
+// a caller that knows how many pages it is about to log says so first.
+func (t *Tx) Grow(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.writes = slices.Grow(t.writes, n)
+	if t.at == nil {
+		t.at = make(map[page.ID]int, n)
+	}
+}
+
 // widen returns the runs pid's entry queues once the page changes from before
 // to after — the union of the runs it queues already and those that differ,
 // or under the anchor rule the whole page if it queues none and the page has
@@ -211,6 +223,11 @@ func (t *Tx) widen(pid page.ID, queued []run, before, after []byte) ([]run, int)
 // changed the pages. Then it settles what the record carries (carried) and
 // empties the queue. The caller holds m.epoch shared and t.mu.
 func (t *Tx) logQueued(rec *wal.Record) (page.LSN, error) {
+	n := 0
+	for _, w := range t.writes {
+		n += len(w.runs)
+	}
+	rec.Changes = make([]wal.Change, 0, n)
 	for _, w := range t.writes {
 		for _, r := range w.runs {
 			rec.Changes = append(rec.Changes, wal.Change{Page: w.pid, Off: uint32(r.lo), After: w.img[r.lo:r.hi]})

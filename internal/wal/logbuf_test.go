@@ -211,6 +211,54 @@ func TestLogBytesIdenticalToSerialEncoding(t *testing.T) {
 	}
 }
 
+// TestSmallRecordsKeepSmallBuffers: a log that takes only small records,
+// forced now and then, holds no more than 2 x minLogBuf of buffer; one record
+// of a megabyte grows the buffer it goes into, and a forced log of small
+// records after it keeps what it has and allocates no buffer.
+func TestSmallRecordsKeepSmallBuffers(t *testing.T) {
+	l := NewMem()
+	defer l.Close()
+	held := func() (n int) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, b := range l.bufs {
+			n += cap(b)
+		}
+		return n
+	}
+	small := func() {
+		t.Helper()
+		for i := range 5000 {
+			if _, err := l.Append(&Record{Type: TCommit, Tx: uint64(i + 1), Changes: []Change{{Page: page.ID{Area: 1, Page: 7}, Off: 640, After: bytes.Repeat([]byte{0xAB}, 128)}}}); err != nil {
+				t.Fatal(err)
+			}
+			if i%100 == 99 {
+				if err := l.Flush(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	small()
+	if n := held(); n == 0 || n > logBufs*minLogBuf {
+		t.Fatalf("a log of small records holds %d bytes of buffer, want some and at most %d", n, logBufs*minLogBuf)
+	}
+	if _, err := l.Append(&Record{Type: TCatalog, Body: make([]byte, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	grown := held()
+	if grown <= logBufs*minLogBuf || grown > logBufs*logBufSize {
+		t.Fatalf("after a 1 MB record the log holds %d bytes of buffer", grown)
+	}
+	small()
+	if n := held(); n != grown {
+		t.Fatalf("the buffers went from %d to %d bytes: sizes only go up, and the grown ones are reused", grown, n)
+	}
+}
+
 // flakyBacking fails a seeded share of its writes and syncs, and remembers how
 // far the file was written when a sync last succeeded.
 type flakyBacking struct {
@@ -247,7 +295,9 @@ func (b *flakyBacking) Sync() error {
 // over a backing that fails every fifth write or sync. Every append that
 // returned an LSN is in the log exactly once with its own bytes, every
 // acknowledged force was covered by a sync that succeeded, a failed append
-// took no LSN, and the log never holds more than its fixed buffers.
+// took no LSN, and the log never holds more than its buffer set: each slot's
+// buffer is none or a power of two up to logBufSize, and no more than the set
+// holds is buffered.
 func TestLogBufferStress(t *testing.T) {
 	appenders, perAppender := 4, 120
 	if testing.Short() {
@@ -334,8 +384,8 @@ func TestLogBufferStress(t *testing.T) {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		for i, b := range l.bufs {
-			if cap(b) != 0 && cap(b) != logBufSize {
-				t.Errorf("slot %d holds a %d-byte buffer", i, cap(b))
+			if n := cap(b); n != 0 && (n&(n-1) != 0 || n > logBufSize) {
+				t.Errorf("slot %d holds a %d-byte buffer, not a power of two up to %d", i, n, logBufSize)
 			}
 		}
 		if buffered := l.nextLSN - l.flushed; buffered > logBufs*logBufSize {

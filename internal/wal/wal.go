@@ -780,13 +780,21 @@ func (b *memBacking) Size() int64 {
 // the log while holding the transaction table, never the reverse.
 const RankLogMu lockcheck.Rank = 60
 
-// The log buffer: a fixed set of fixed-size buffers the Log owns and recycles.
-// 2 x 4 MB: one buffer rides a sync round while appends fill the other, and a
-// round never starts before the previous one ended, so two sessions that
-// alternate commits never find the set empty.
+// The log buffer: a fixed set of buffers the Log owns and recycles, each at
+// most logBufSize. 2 x 4 MB: one buffer rides a sync round while appends fill
+// the other, and a round never starts before the previous one ended, so two
+// sessions that alternate commits never find the set empty. A slot's buffer
+// grows with what it logs, to the smallest power of two, minLogBuf at least,
+// that holds its bytes and the record appended (reserve): a log of small
+// records holds 2 x minLogBuf. Sizes only go up, and once grown the set
+// allocates nothing. Where records go is as if every buffer were
+// logBufSize: a record seals the buffer it would not fit at that size, and
+// no other, so the rounds, and what the log writer writes, do not depend on
+// how far the buffers have grown.
 const (
 	logBufs    = 2
 	logBufSize = 4 << 20
+	minLogBuf  = 64 << 10
 )
 
 // chunkSize is the log writer's unit: the log is cut into chunks of this many
@@ -1071,9 +1079,9 @@ func (l *Log) Append(rec *Record) (page.LSN, error) {
 }
 
 // reserve returns the slot whose buffer has room for need more bytes, sealing
-// the current one if it has not. With every slot sealed it leads a sync round,
-// or waits for the one in flight: the appender is held back, the log never
-// grows past its set.
+// the current one if a full-size one would not have, and growing it if it
+// must. With every slot sealed it leads a sync round, or waits for the one in
+// flight: the appender is held back, the log never grows past its set.
 func (l *Log) reserve(need int) (int, error) {
 	l.mu.AssertHeld()
 	for {
@@ -1090,24 +1098,30 @@ func (l *Log) reserve(need int) (int, error) {
 		}
 		slot := (l.first + l.sealed) % logBufs
 		b := l.bufs[slot]
-		switch {
-		case len(b)+need <= cap(b):
+		switch n := len(b) + need; {
+		case n <= cap(b):
 			return slot, nil
+		case n <= logBufSize:
+			// The buffer grows. The slot is not sealed, so no round reads it;
+			// the log writer may be writing a chunk of its bytes, from the
+			// old array, which nobody writes again.
+			l.bufs[slot] = append(make([]byte, 0, 1<<bits.Len(uint(max(n, minLogBuf)-1))), b...)
 		case len(b) > 0:
 			l.sealed++
 		default:
-			// The slot's first use — or a record larger than a buffer, which
-			// gets a buffer of its own that release drops.
-			l.bufs[slot] = make([]byte, 0, max(need, logBufSize))
+			// A record larger than a buffer gets a buffer of its own, which
+			// release replaces.
+			l.bufs[slot] = make([]byte, 0, need)
 		}
 	}
 }
 
-// release returns a slot whose bytes are durable to the free set.
+// release returns a slot whose bytes are durable to the free set. A record's
+// own buffer, larger than logBufSize, gives way to one of logBufSize.
 func (l *Log) release(slot int) {
 	l.mu.AssertHeld()
 	if cap(l.bufs[slot]) > logBufSize {
-		l.bufs[slot] = nil
+		l.bufs[slot] = make([]byte, 0, logBufSize)
 	} else {
 		l.bufs[slot] = l.bufs[slot][:0]
 	}
