@@ -43,13 +43,13 @@ func (r *reporter) sorted() []finding {
 
 // --- guarded: annotated fields only touched with their mutex held ---
 
-func analyzeGuarded(flows []*flowResult, dirs *directives, r *reporter) {
+func analyzeGuarded(flows []*flowResult, g guards, r *reporter) {
 	for _, fr := range flows {
 		for _, ev := range fr.events {
 			if ev.kind != evAccess {
 				continue
 			}
-			mu := dirs.guarded[ev.field]
+			mu := g[ev.field]
 			if mu == "" || ev.name == "" {
 				continue
 			}

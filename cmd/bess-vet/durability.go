@@ -19,7 +19,7 @@ var monitored = map[string]map[string]bool{
 	"bess/internal/wal.Log":     {"Append": true, "Flush": true, "Close": true},
 	"bess/internal/wal.backing": {"Sync": true, "Close": true, "WriteAt": true},
 	"bess/internal/area.Area": {
-		"WritePage": true, "WriteRun": true, "AllocSegment": true, "FreeSegment": true,
+		"WriteRun": true, "WriteUnlogged": true, "AllocSegment": true, "FreeSegment": true,
 		"EnsureSegment": true, "Sync": true, "Close": true,
 	},
 	"bess/internal/area.store":     {"Sync": true, "Close": true, "WriteAt": true, "Truncate": true},

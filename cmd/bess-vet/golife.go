@@ -10,15 +10,12 @@ import (
 // --- golife: a goroutine has an owner ---
 //
 // internal/goleak.Group starts, stops and joins every goroutine of the module
-// (DESIGN.md §4e), which leaves two things to check:
-//
-//   - a `go` statement outside internal/goleak is a finding (test files are
-//     not loaded): Group.Go is the one way to start a goroutine;
-//   - a struct that holds a Group in a named field must have a method that
-//     calls Stop or StopWithin on that field: an owner that cannot stop what
-//     it starts is a leak with a type.
-//
-// A Group in a local variable is joined where the reader can see it.
+// (DESIGN.md §4e; a `go` statement outside internal/goleak is a row of
+// tombstones_test.go). What a row cannot see is the owner: a struct that
+// holds a Group in a named field must have a method that calls Stop or
+// StopWithin on that field, since an owner that cannot stop what it starts is
+// a leak with a type. A Group in a local variable is joined where the reader
+// can see it.
 
 const goleakPath = "internal/goleak"
 
@@ -33,8 +30,6 @@ func analyzeGoLife(pkgs []*pkg, r *reporter) {
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.GoStmt:
-					r.report(n.Pos(), "golife", "go statement: start the goroutine with Go on a goleak.Group its owner stops")
 				case *ast.StructType:
 					for _, fld := range n.Fields.List {
 						for _, name := range fld.Names {

@@ -81,19 +81,19 @@ func (st *fstate) find(name string) int {
 type flow struct {
 	walk     pathWalker[*fstate]
 	p        *pkg
-	dirs     *directives
+	guards   guards
 	res      *flowResult
 	exempt   map[types.Object]bool // locals still private to this function
 	litDepth int                   // >0 while walking a function literal body
 }
 
 // flowsOf runs the lock-flow walk over every function in the package.
-func flowsOf(p *pkg, dirs *directives) []*flowResult {
+func flowsOf(p *pkg, g guards) []*flowResult {
 	var out []*flowResult
 	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				out = append(out, walkFunc(p, dirs, fd))
+				out = append(out, walkFunc(p, g, fd))
 			}
 		}
 	}
@@ -101,12 +101,12 @@ func flowsOf(p *pkg, dirs *directives) []*flowResult {
 }
 
 // walkFunc runs the lock-flow analysis over one function declaration.
-func walkFunc(p *pkg, dirs *directives, decl *ast.FuncDecl) *flowResult {
+func walkFunc(p *pkg, g guards, decl *ast.FuncDecl) *flowResult {
 	res := &flowResult{}
 	if decl.Body == nil {
 		return res
 	}
-	w := &flow{p: p, dirs: dirs, res: res, exempt: make(map[types.Object]bool)}
+	w := &flow{p: p, guards: g, res: res, exempt: make(map[types.Object]bool)}
 	w.walk.h = w
 	w.body(decl.Body, &fstate{})
 	return res
@@ -336,7 +336,7 @@ func (w *flow) emitAccess(sel *ast.SelectorExpr, st *fstate, write bool) {
 	if !ok {
 		return
 	}
-	if _, guarded := w.dirs.guarded[fieldVar]; !guarded {
+	if _, guarded := w.guards[fieldVar]; !guarded {
 		return
 	}
 	if base := w.baseObject(sel.X); base != nil && w.exempt[base] {

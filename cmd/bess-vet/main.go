@@ -1,8 +1,12 @@
 // Command bess-vet is BeSS's project-specific static analyzer. It enforces
-// the invariants that go vet, the race detector and the invariants build
-// cannot see. Each property has one checker: lock order, and a function's
-// "caller holds mu" contract (mu.AssertHeld), are internal/lockcheck's at run
-// time under -tags invariants, and allocation budgets are AllocsPerRun tests.
+// the invariants that go vet, the race detector, the invariants build, the
+// types and the rows of tombstones_test.go cannot see. Each property has one
+// checker: lock order and a function's "caller holds mu" contract
+// (mu.AssertHeld) are internal/lockcheck's at run time under -tags
+// invariants, allocation budgets are AllocsPerRun tests, a page reaches an
+// area only on a wal proof (area.Area.WriteRun's type), and a `go` statement
+// outside internal/goleak, a call of sync/atomic's package-level functions
+// and a directive comment are rows of tombstones_test.go.
 //
 //   - durability: error results of Sync/Close/Write/Append/Flush on files,
 //     the WAL, and storage areas must not be silently dropped or shadowed.
@@ -10,26 +14,16 @@
 //     touched with that mutex held (writes need the exclusive lock).
 //   - defers: every Lock/RLock is paired with an Unlock on every exit path,
 //     and a function that calls mu.AssertHeld() returns with mu held.
-//   - atomicmix: atomic access is a property of a variable's type — any call
-//     of sync/atomic's package-level Load/Store/Add/Swap/CompareAndSwap
-//     functions is a finding; use atomic.Int64 and friends.
-//   - golife: a goroutine has an owner — a `go` statement outside
-//     internal/goleak is a finding, and so is a goleak.Group held in a
-//     struct none of whose methods stops it.
+//   - golife: a goleak.Group held in a struct none of whose methods stops
+//     it is a finding.
 //   - chanflow: channel protocol discipline — no double-close or
 //     send-after-close on any path, no unbuffered sends from a Group.Go
 //     literal without a select escape.
-//   - areawrite: an area is written only on the proof of a log record,
-//     through a wal.Pager, or by the named writers of a page that has no
-//     history yet (a fresh segment's format, a repair's zero page).
-//   - directive: a //bess: comment with an unknown verb or a malformed
-//     argument is itself a finding — typos must not silently disable
-//     checking.
 //
 // Usage:
 //
 //	go run ./cmd/bess-vet ./...
-//	go run ./cmd/bess-vet -json ./internal/... ./cmd/...
+//	go run ./cmd/bess-vet -json ./...
 //
 // Exits 1 when any finding is reported, 2 on loader errors. With -json the
 // findings are printed as a JSON array (empty array when clean) instead of
@@ -49,15 +43,14 @@ import (
 func main() {
 	var (
 		dir     = flag.String("C", ".", "module directory to analyze")
-		only    = flag.String("only", "", "comma-separated analyzer subset ("+strings.Join(analyzerNames, ",")+")")
 		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	)
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
-		patterns = []string{"./internal/...", "./cmd/..."}
+		patterns = []string{"./..."}
 	}
-	findings, err := run(*dir, patterns, *only)
+	findings, err := run(*dir, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bess-vet: %v\n", err)
 		os.Exit(2)
@@ -106,26 +99,9 @@ func main() {
 	}
 }
 
-// analyzerNames are the seven analyzers plus the directive check, in the
-// order run applies them; -only takes any subset.
-var analyzerNames = []string{"directive", "guarded", "defers", "durability", "atomicmix", "golife", "chanflow", "areawrite"}
-
-// run loads the module rooted at (or above) dir and applies the selected
-// analyzers to the packages matching patterns.
-func run(dir string, patterns []string, only string) ([]finding, error) {
-	enabled := map[string]bool{}
-	for _, a := range analyzerNames {
-		enabled[a] = only == ""
-	}
-	for _, a := range strings.Split(only, ",") {
-		if a = strings.TrimSpace(a); a == "" {
-			continue
-		}
-		if _, known := enabled[a]; !known {
-			return nil, fmt.Errorf("-only: no analyzer %q (have %s)", a, strings.Join(analyzerNames, ", "))
-		}
-		enabled[a] = true
-	}
+// run loads the module rooted at (or above) dir and applies every analyzer to
+// the packages matching patterns.
+func run(dir string, patterns []string) ([]finding, error) {
 	modRoot, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -139,42 +115,20 @@ func run(dir string, patterns []string, only string) ([]finding, error) {
 		return nil, fmt.Errorf("no packages matched %v", patterns)
 	}
 
-	dirs := newDirectives()
+	g := guards{}
 	for _, p := range pkgs {
-		dirs.collect(p)
+		g.collect(p)
 	}
-
 	var flows []*flowResult
 	for _, p := range pkgs {
-		flows = append(flows, flowsOf(p, dirs)...)
+		flows = append(flows, flowsOf(p, g)...)
 	}
 
 	r := &reporter{fset: l.fset}
-	if enabled["directive"] {
-		for _, b := range dirs.bad {
-			r.report(b.pos, "directive", "%s", b.msg)
-		}
-	}
-	if enabled["guarded"] {
-		analyzeGuarded(flows, dirs, r)
-	}
-	if enabled["defers"] {
-		analyzeDefers(flows, r)
-	}
-	if enabled["durability"] {
-		analyzeDurability(pkgs, r)
-	}
-	if enabled["atomicmix"] {
-		analyzeAtomicMix(pkgs, r)
-	}
-	if enabled["golife"] {
-		analyzeGoLife(pkgs, r)
-	}
-	if enabled["chanflow"] {
-		analyzeChanFlow(pkgs, r)
-	}
-	if enabled["areawrite"] {
-		analyzeAreaWrite(pkgs, r)
-	}
+	analyzeGuarded(flows, g, r)
+	analyzeDefers(flows, r)
+	analyzeDurability(pkgs, r)
+	analyzeGoLife(pkgs, r)
+	analyzeChanFlow(pkgs, r)
 	return r.sorted(), nil
 }

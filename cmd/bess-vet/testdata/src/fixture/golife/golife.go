@@ -1,6 +1,5 @@
-// Package golifefix exercises the goroutine-ownership analyzer: a `go`
-// statement is a finding wherever it is, and so is a goleak.Group held by a
-// struct that no method of it stops.
+// Package golifefix exercises the goroutine-ownership analyzer: a
+// goleak.Group held by a struct that no method of it stops is a finding.
 package golifefix
 
 import (
@@ -12,21 +11,6 @@ import (
 var sink int
 
 func work() { sink++ }
-
-// --- a bare go statement has no owner ---
-
-func fireAndForget() {
-	go work() // want golife
-}
-
-func literal() {
-	done := make(chan struct{})
-	go func() { // want golife
-		work()
-		close(done)
-	}()
-	<-done
-}
 
 // --- a Group in a struct needs a method that stops it ---
 

@@ -48,7 +48,7 @@ func collectWants(t *testing.T, root string) map[string]bool {
 // fixtures must produce nothing else (no false positives).
 func TestFixtures(t *testing.T) {
 	root := filepath.Join("testdata", "src", "fixture")
-	findings, err := run(root, []string{"./..."}, "")
+	findings, err := run(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,39 +79,13 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSubset checks -only filtering.
-func TestAnalyzerSubset(t *testing.T) {
-	root := filepath.Join("testdata", "src", "fixture")
-	findings, err := run(root, []string{"./..."}, "guarded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.analyzer != "guarded" {
-			t.Errorf("-only=guarded reported %s finding at %s:%d", f.analyzer, f.pos.Filename, f.pos.Line)
-		}
-	}
-	if len(findings) == 0 {
-		t.Fatal("guarded fixtures produced no findings")
-	}
-	// A name -only does not know selects nothing, silently, unless it is
-	// refused: the analyzers that became types (poollife, lockfree), the
-	// lock order lockcheck checks at run time and the allocation budgets
-	// AllocsPerRun tests pin are gone by name too.
-	for _, gone := range []string{"poollife", "guarded,lockfree", "lockorder", "hotalloc"} {
-		if _, err := run(root, []string{"./..."}, gone); err == nil {
-			t.Errorf("-only=%s accepted", gone)
-		}
-	}
-}
-
-// TestRealTreeClean is the acceptance gate: the repository's own packages
-// must be clean under every analyzer.
+// TestRealTreeClean is the acceptance gate: every package of the module,
+// examples included, must be clean under every analyzer.
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	findings, err := run(".", []string{"./internal/...", "./cmd/..."}, "")
+	findings, err := run(".", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

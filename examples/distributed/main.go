@@ -5,6 +5,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 
@@ -39,8 +40,11 @@ func main() {
 	var accepting goleak.Group
 	srv1, l1 := startServer(1, &accepting)
 	srv2, l2 := startServer(2, &accepting)
-	defer srv1.Close()
-	defer srv2.Close()
+	defer func() {
+		if err := errors.Join(srv1.Close(), srv2.Close()); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	defer accepting.Stop()
 	defer l1.Close()
 	defer l2.Close()

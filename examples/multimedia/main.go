@@ -17,7 +17,6 @@ import (
 
 func main() {
 	srv := server.NewMem(1)
-	defer srv.Close()
 	db, err := core.OpenDatabase(srv, "prospector", "media", true)
 	if err != nil {
 		log.Fatal(err)
@@ -138,4 +137,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("reopened track: %d bytes, probe at midpoint: %q\n", reopened.Size(), probe)
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -36,7 +36,6 @@ func main() {
 	// A file-backed server would be server.Open(dir, host); memory keeps
 	// the example self-contained.
 	srv := server.NewMem(1)
-	defer srv.Close()
 
 	db, err := core.OpenDatabase(srv, "quickstart", "people", true)
 	if err != nil {
@@ -120,4 +119,7 @@ func main() {
 	st := db.Session().Mapper().Stats()
 	fmt.Printf("waves: %d reservations, %d slotted loads, %d data loads, %d refs swizzled\n",
 		st.Wave1Reservations, st.Wave2SlottedLoads, st.Wave3DataLoads, st.RefsSwizzled)
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

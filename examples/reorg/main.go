@@ -14,7 +14,6 @@ import (
 
 func main() {
 	srv := server.NewMem(1)
-	defer srv.Close()
 	db, err := core.OpenDatabase(srv, "federation", "warehouse", true)
 	if err != nil {
 		log.Fatal(err)
@@ -101,4 +100,7 @@ func main() {
 
 	st := srv.Snapshot()
 	fmt.Printf("server: %d commits, %d pages written\n", st.Commits, st.PagesWritten)
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

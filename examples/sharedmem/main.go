@@ -22,7 +22,6 @@ func main() {
 	// A BeSS server owning the storage, and a node server connected to it
 	// over RPC (node 2 of Figure 2 would link them directly).
 	srv := server.NewMem(1)
-	defer srv.Close()
 	cEnd, sEnd := rpc.Pipe()
 	server.ServePeer(srv, sEnd)
 	node, err := nodeserver.New(client.NewRemote(cEnd), "node-1", 4, 32)
@@ -151,4 +150,7 @@ func main() {
 	fmt.Printf("cache: %d hits, %d misses, %d evictions, %d clock steps\n",
 		st.Hits, st.Misses, st.Evictions, st.SweepSteps)
 	p2.Detach()
+	if err := srv.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"bess/internal/buddy"
 	"bess/internal/page"
+	"bess/internal/wal"
 	"bess/internal/writeback"
 )
 
@@ -44,6 +45,8 @@ var (
 	ErrNoSpace     = errors.New("area: no space and area is not growable")
 	ErrNotSegment  = errors.New("area: page is not the start of a live segment")
 	ErrClosed      = errors.New("area: closed")
+	// ErrForeignProof is WriteRun's answer to a proof of another area's page.
+	ErrForeignProof = errors.New("area: write on the proof of another area's page")
 )
 
 const (
@@ -161,7 +164,7 @@ type Area struct {
 // Stats are an area's cumulative counters.
 type Stats struct {
 	Reads, Writes int64 // pages read and written
-	WriteCalls    int64 // store writes: one per WriteRun or WritePage
+	WriteCalls    int64 // store writes: one per WriteRun or WriteUnlogged
 	Grows         int64 // extents added
 	Hints         int64 // writeback hints (hintEvery), on any store
 }
@@ -446,18 +449,28 @@ func (a *Area) ReadRun(start page.No, buf []byte) error {
 	return err
 }
 
-// WritePage writes data (page.Size bytes) to page p.
-func (a *Area) WritePage(p page.No, data []byte) error {
-	if len(data) != page.Size {
-		return fmt.Errorf("area: WritePage buffer is %d bytes, want %d", len(data), page.Size)
+// WriteRun writes data over the pages its proofs name, one proof a page:
+// they must name consecutive pages of this area (wal.RunOf), so a page whose
+// history is in the log reaches the area only on the proof of a record of it
+// (DESIGN.md §5). It is ReadRun's twin: one latch, one bounds check, one
+// store write. Stats counts it as one write call and one write per page.
+func (a *Area) WriteRun(proofs []wal.Logged, data []byte) error {
+	first, err := wal.RunOf(proofs, data)
+	if err != nil {
+		return err
 	}
-	return a.WriteRun(p, data)
+	if first.Area != a.id {
+		return fmt.Errorf("%w: page %v", ErrForeignProof, first)
+	}
+	return a.WriteUnlogged(first.Page, data)
 }
 
-// WriteRun writes data over the len(data)/page.Size contiguous pages starting
-// at start — ReadRun's twin: one latch, one bounds check, one store write.
-// Stats counts it as one write call and one write per page.
-func (a *Area) WriteRun(start page.No, data []byte) error {
+// WriteUnlogged writes data over the len(data)/page.Size contiguous pages
+// starting at start, on no proof: WriteRun's store once its proofs hold, and
+// on its own only for a page with no history in the log yet — a fresh
+// segment's format and a repair's zero page, both in internal/server's
+// unlogged.go — and tests (tombstones_test.go holds every other caller out).
+func (a *Area) WriteUnlogged(start page.No, data []byte) error {
 	n, err := runPages(len(data))
 	if err != nil {
 		return err

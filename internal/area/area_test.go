@@ -43,7 +43,7 @@ func TestReadWritePage(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	if err := a.WritePage(start, data); err != nil {
+	if err := a.WriteUnlogged(start, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, page.Size)
@@ -60,7 +60,7 @@ func TestPageBufferSizeChecked(t *testing.T) {
 	if err := a.ReadPage(1, make([]byte, 10)); err == nil {
 		t.Fatal("short read buffer accepted")
 	}
-	if err := a.WritePage(1, make([]byte, 10)); err == nil {
+	if err := a.WriteUnlogged(1, make([]byte, 10)); err == nil {
 		t.Fatal("short write buffer accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestOutOfRange(t *testing.T) {
 	if err := a.ReadPage(-1, buf); err != ErrOutOfRange {
 		t.Fatalf("read negative: %v", err)
 	}
-	if err := a.WritePage(a.Pages()+5, buf); err != ErrOutOfRange {
+	if err := a.WriteUnlogged(a.Pages()+5, buf); err != ErrOutOfRange {
 		t.Fatalf("write past end: %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestFilePersistence(t *testing.T) {
 		segs = append(segs, seg{s, n})
 		data := make([]byte, page.Size)
 		data[0] = byte(i + 1)
-		if err := a.WritePage(s, data); err != nil {
+		if err := a.WriteUnlogged(s, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestReadRun(t *testing.T) {
 			pg := make([]byte, page.Size)
 			for p := page.No(0); p < limit; p++ {
 				rng.Read(pg)
-				if err := a.WritePage(p, pg); err != nil {
+				if err := a.WriteUnlogged(p, pg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -367,10 +367,10 @@ func TestReadRun(t *testing.T) {
 	}
 }
 
-// TestWriteRun pins WriteRun against the per-page reference the same way: a
-// run write is byte-for-byte n WritePage calls, counts n writes in one call, touches
-// nothing outside the run, and rejects every malformed request before
-// touching the store.
+// TestWriteRun pins the run write WriteRun and WriteUnlogged share against
+// the per-page reference the same way: a run write is byte-for-byte n
+// one-page writes, counts n writes in one call, touches nothing outside the
+// run, and rejects every malformed request before touching the store.
 func TestWriteRun(t *testing.T) {
 	mem, err := NewMem(1, 2, false)
 	if err != nil {
@@ -398,8 +398,8 @@ func TestWriteRun(t *testing.T) {
 				run := make([]byte, n*page.Size)
 				rng.Read(run)
 				st0 := a.Stats()
-				if err := a.WriteRun(start, run); err != nil {
-					t.Fatalf("WriteRun(%d, %d pages): %v", start, n, err)
+				if err := a.WriteUnlogged(start, run); err != nil {
+					t.Fatalf("WriteUnlogged(%d, %d pages): %v", start, n, err)
 				}
 				if st1 := a.Stats(); st1.Writes-st0.Writes != int64(n) || st1.WriteCalls-st0.WriteCalls != 1 {
 					t.Fatalf("Stats writes advanced by %d in %d calls for a %d-page run", st1.Writes-st0.Writes, st1.WriteCalls-st0.WriteCalls, n)
@@ -417,26 +417,26 @@ func TestWriteRun(t *testing.T) {
 			}
 
 			two := make([]byte, 2*page.Size)
-			if err := a.WriteRun(limit-2, two); err != nil {
+			if err := a.WriteUnlogged(limit-2, two); err != nil {
 				t.Fatalf("run ending at the limit: %v", err)
 			}
 			for _, start := range []page.No{limit - 1, limit, limit + 7, -1, 1<<62 + 5} {
-				if err := a.WriteRun(start, two); err != ErrOutOfRange {
-					t.Fatalf("WriteRun(%d, 2 pages) = %v, want ErrOutOfRange", start, err)
+				if err := a.WriteUnlogged(start, two); err != ErrOutOfRange {
+					t.Fatalf("WriteUnlogged(%d, 2 pages) = %v, want ErrOutOfRange", start, err)
 				}
 			}
-			if err := a.WriteRun(1, make([]byte, (MaxSegmentPages+1)*page.Size)); err != ErrTooLarge {
+			if err := a.WriteUnlogged(1, make([]byte, (MaxSegmentPages+1)*page.Size)); err != ErrTooLarge {
 				t.Fatalf("oversized run = %v, want ErrTooLarge", err)
 			}
 			for _, size := range []int{0, 10, page.Size + 1} {
-				if err := a.WriteRun(1, make([]byte, size)); err == nil {
+				if err := a.WriteUnlogged(1, make([]byte, size)); err == nil {
 					t.Fatalf("%d-byte buffer accepted", size)
 				}
 			}
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.WriteRun(1, two); err != ErrClosed {
+			if err := a.WriteUnlogged(1, two); err != ErrClosed {
 				t.Fatalf("write after close: %v", err)
 			}
 		})
@@ -567,7 +567,7 @@ func TestWritebackHintEvery(t *testing.T) {
 	per := hintEvery / len(run)
 	write := func(k int) {
 		for i := range k {
-			if err := a.WriteRun(extentStart(i%4)+1, run); err != nil {
+			if err := a.WriteUnlogged(extentStart(i%4)+1, run); err != nil {
 				t.Fatal(err)
 			}
 		}

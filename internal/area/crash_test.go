@@ -31,10 +31,10 @@ func TestCrashTruncatedImage(t *testing.T) {
 		p1, p2 = p2, p1
 	}
 	intact := bytes.Repeat([]byte{0x5A}, page.Size)
-	if err := a.WritePage(p1, intact); err != nil {
+	if err := a.WriteUnlogged(p1, intact); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WritePage(p2, bytes.Repeat([]byte{0x77}, page.Size)); err != nil {
+	if err := a.WriteUnlogged(p2, bytes.Repeat([]byte{0x77}, page.Size)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Area().Sync(); err != nil {
@@ -79,13 +79,13 @@ func TestCrashLostUnsyncedPageWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := bytes.Repeat([]byte{0x01}, page.Size)
-	if err := a.WritePage(p, durable); err != nil {
+	if err := a.WriteUnlogged(p, durable); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Area().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WritePage(p, bytes.Repeat([]byte{0x02}, page.Size)); err != nil {
+	if err := a.WriteUnlogged(p, bytes.Repeat([]byte{0x02}, page.Size)); err != nil {
 		t.Fatal(err)
 	}
 	// No sync: the 0x02 write dies with the machine.

@@ -397,7 +397,7 @@ func TestAreaOverFaultStore(t *testing.T) {
 	}
 
 	buf := bytes.Repeat([]byte{0x42}, page.Size)
-	if err := a.WritePage(first, buf); err != nil {
+	if err := a.WriteUnlogged(first, buf); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before the page write is synced.

@@ -39,7 +39,7 @@ func (s *AreaStore) ReadRun(start page.No, n int, buf []byte) error {
 func (s *AreaStore) WriteRun(start page.No, data []byte) error {
 	n := len(data) / page.Size
 	for i := 0; i < n; i++ {
-		if err := s.A.WritePage(start+page.No(i), data[i*page.Size:(i+1)*page.Size]); err != nil {
+		if err := s.A.WriteUnlogged(start+page.No(i), data[i*page.Size:(i+1)*page.Size]); err != nil {
 			return err
 		}
 	}

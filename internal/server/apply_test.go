@@ -131,7 +131,7 @@ func TestDataChecksumClearedWithoutOne(t *testing.T) {
 	}
 	bare := decodeSeg(t, sl, ov, nil)
 	bare.Hdr.CRCFlags &^= segment.CRCData
-	if err := s.lookupArea(key.Area).WriteRun(page.No(key.Start), bare.EncodeSlots()); err != nil {
+	if err := s.lookupArea(key.Area).WriteUnlogged(page.No(key.Start), bare.EncodeSlots()); err != nil {
 		t.Fatal(err)
 	}
 	if h := fetchHeader(t, s, key); h.CRCFlags&segment.CRCData != 0 {

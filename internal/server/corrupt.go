@@ -107,8 +107,8 @@ func corruptionIn(err error) bool {
 // page is only repairable from a whole-page image, which the anchor rule
 // makes the first record any commit logs of it. A page with history is
 // rewritten on the proof of the last record replayed; a zeroBase page with
-// none gets its unlogged initial image back the way it first got it, by an
-// area write (formatSegment).
+// none gets its unlogged initial image back the way it first got it
+// (repairZero).
 func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool) error {
 	rd.repairMu.Lock()
 	defer rd.repairMu.Unlock()
@@ -125,7 +125,6 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 	if err != nil {
 		return fmt.Errorf("server: repair: log history unreadable: %w", err)
 	}
-	zero := make([]byte, page.Size)
 	for i := 0; i < n; i++ {
 		pno := start + page.No(i)
 		ph := hist[page.ID{Area: page.AreaID(areaID), Page: pno}]
@@ -133,10 +132,9 @@ func (rd *reader) repairRange(areaID uint32, start page.No, n int, zeroBase bool
 			if !zeroBase {
 				return fmt.Errorf("server: repair: page %d:%d has no logged history", areaID, pno)
 			}
-			if err := a.WritePage(pno, zero); err != nil {
+			if err := rd.repairZero(a, pno); err != nil {
 				return err
 			}
-			rd.stats.pagesWritten.Add(1)
 			continue
 		}
 		if !ph.Whole && !zeroBase {

@@ -26,7 +26,7 @@ func flipPageByte(t *testing.T, s *Server, areaID uint32, pno page.No, off int) 
 		t.Fatal(err)
 	}
 	buf[off] ^= 0x5A
-	if err := a.WritePage(pno, buf); err != nil {
+	if err := a.WriteUnlogged(pno, buf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -389,20 +389,26 @@ func (rd *reader) ReadPage(id page.ID, buf []byte) error {
 }
 
 // WriteRun implements wal.Pager: the page-store choke point for every logged
-// mutation. The pages it writes are the ones its proofs' records changed, in
-// one area write, so there is no calling it for a page nothing was logged for
-// (DESIGN.md §4f).
+// mutation. It hands the proofs to the area of the first, which writes the
+// pages their records changed in one write and nothing else, so there is no
+// calling it for a page nothing was logged for (DESIGN.md §4f).
 func (rd *reader) WriteRun(proofs []wal.Logged, data []byte) error {
-	id, err := wal.RunOf(proofs, data)
-	if err != nil {
-		return err
+	var a *area.Area
+	if len(proofs) > 0 {
+		a = rd.lookupArea(uint32(proofs[0].Page().Area))
 	}
-	a := rd.lookupArea(uint32(id.Area))
 	if a == nil {
+		// A zero proof, or none, names no area: say what is wrong with them.
+		if _, err := wal.RunOf(proofs, data); err != nil {
+			return err
+		}
 		return ErrNoArea
 	}
+	if err := a.WriteRun(proofs, data); err != nil {
+		return err
+	}
 	rd.stats.pagesWritten.Add(int64(len(proofs)))
-	return a.WriteRun(id.Page, data)
+	return nil
 }
 
 // --- client registry ---
@@ -581,28 +587,6 @@ func (s *Server) areaOf(m *dbMeta, hint int) (*area.Area, uint32, error) {
 	}
 	return a, aid, nil
 }
-
-// formatSegment writes the initial images of the segment op adds: the empty
-// slotted segment and the zeroed data section, one write per run. The header
-// carries the zero section's checksum, so the segment verifies from its very
-// first read. It writes a segment no transaction publishes, one whose
-// publishing transaction rolls back (formatAborted), and one restart finds
-// without its pages (redoSegment); a committed transaction's writes its own.
-func (rd *reader) formatSegment(a *area.Area, op *proto.CatalogOp) error {
-	rd.stats.formatPages.Add(int64(op.SlottedPages + op.DataPages))
-	slotted := segment.Format(op.FileID, op.SlottedPages, op.DataPages, a.ID(), page.No(op.DataStart))
-	if err := a.WriteRun(page.No(op.Seg.Start), slotted); err != nil {
-		return err
-	}
-	return a.WriteRun(page.No(op.DataStart), zeroRun[:op.DataPages*page.Size])
-}
-
-// zeroRun is the data section formatSegment writes and logFormat queues, and a
-// published segment's pre-update image (applyOne), shared by every segment
-// and written by nobody.
-// Every caller bounds DataPages by area.MaxSegmentPages (Reserve,
-// EnsureSegment).
-var zeroRun [area.MaxSegmentPages * page.Size]byte
 
 // redoSegment re-establishes at restart the storage of a replayed add-segment
 // op: both runs are made live in the extent map (the map write may not have

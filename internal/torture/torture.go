@@ -315,7 +315,7 @@ func (p *MemPager) ReadPage(id page.ID, buf []byte) error {
 }
 
 func (p *MemPager) WriteRun(proofs []wal.Logged, data []byte) error {
-	if _, err := checkRun(p.log, proofs, data); err != nil {
+	if err := checkRun(p.log, proofs, data); err != nil {
 		return err
 	}
 	for i, proof := range proofs {
@@ -325,16 +325,15 @@ func (p *MemPager) WriteRun(proofs []wal.Logged, data []byte) error {
 }
 
 // checkRun is what every pager of this package asserts of a store: the proofs
-// name consecutive pages, each by a record that is in l. It returns the first.
-func checkRun(l *wal.Log, proofs []wal.Logged, data []byte) (page.ID, error) {
-	first, err := wal.RunOf(proofs, data)
-	if err != nil {
-		return page.ID{}, err
+// name consecutive pages, each by a record that is in l.
+func checkRun(l *wal.Log, proofs []wal.Logged, data []byte) error {
+	if _, err := wal.RunOf(proofs, data); err != nil {
+		return err
 	}
 	for _, proof := range proofs {
 		if proof.Page().Area == 0 || proof.LSN() >= l.NextLSN() {
-			return page.ID{}, fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
+			return fmt.Errorf("store of %v on a proof at lsn %d, past the log end %d", proof.Page(), proof.LSN(), l.NextLSN())
 		}
 	}
-	return first, nil
+	return nil
 }

@@ -362,12 +362,8 @@ func (p e13Pager) ReadPage(id page.ID, buf []byte) error {
 }
 
 func (p e13Pager) WriteRun(proofs []wal.Logged, data []byte) error {
-	id, err := checkRun(p.l, proofs, data)
-	if err != nil {
+	if err := checkRun(p.l, proofs, data); err != nil {
 		return fmt.Errorf("e13: %w", err)
-	}
-	if id.Area != e13AreaID {
-		return fmt.Errorf("e13: write of foreign area %d", id.Area)
 	}
 	if p.before != nil && *p.before != nil {
 		hook := *p.before
@@ -376,7 +372,7 @@ func (p e13Pager) WriteRun(proofs []wal.Logged, data []byte) error {
 			return err
 		}
 	}
-	return p.a.WriteRun(id.Page, data)
+	return p.a.WriteRun(proofs, data)
 }
 
 // check reboots onto the surviving images, recovers, and checks the

@@ -38,8 +38,16 @@ type tombstone struct {
 var tree = []string{"internal", "cmd", "examples", "bench_test.go"}
 
 var tombstones = []tombstone{
-	{`//bess:holds|//bess:hotpath|runVettool|analyzeLockOrder|analyzeHotAlloc`, tree, nil,
-		"lock order and caller-holds are internal/lockcheck's at run time, allocation budgets are AllocsPerRun tests, and bess-vet has one driver (DESIGN.md §4c, §4f)"},
+	{`runVettool|analyzeLockOrder|analyzeHotAlloc|analyzeAtomicMix|analyzeAreaWrite`, tree, nil,
+		"lock order and caller-holds are internal/lockcheck's at run time, allocation budgets are AllocsPerRun tests, bess-vet has one driver, and what a type or a row says no analyzer repeats (DESIGN.md §4c, §4f)"},
+	{`//[[:space:]]*bess:|bess:(walorder|walsink|verified|resource|lockfree)`, tree, nil,
+		"bess-vet reads no directive: lock order and caller-holds are lockcheck's, log before data is wal.Logged, a cache pin is a cache.Pin; a //bess: comment would look as if it checked something (DESIGN.md §4c, §4d, §4f)"},
+	{`atomic\.(Load|Store|Add|Swap|CompareAndSwap)[A-Z]`, tree, nil,
+		"atomic access is a property of a variable's type: atomic.Int64 and friends, no sync/atomic function on a plain variable (DESIGN.md §4d)"},
+	{`^[[:space:]]*go[[:space:]]+[^[:space:]]*\(`, tree, []string{"internal/goleak/", "*_test.go"},
+		"a goroutine is started by a goleak.Group its owner stops and joins: no go statement outside internal/goleak (DESIGN.md §4e)"},
+	{`\.WriteUnlogged\b`, tree, []string{"internal/area/", "internal/server/unlogged.go", "*_test.go"},
+		"a page with a history in the log reaches its area only on its records' proofs (area.Area.WriteRun); the writes of a page with none are internal/server/unlogged.go's (DESIGN.md §5)"},
 	{`bufio\.NewWriter|sync\.Pool|proto\.Encode\(`, []string{"internal/rpc"}, []string{"*_test.go"},
 		"a frame's message is encoded once, straight into the peer's pending batch: no encoded body copied in, no bufio.Writer; a Commit body is lent by its peer until its write-back ends, and nothing else is pooled (DESIGN.md §4b)"},
 	{`"bess/internal/cache"`, []string{"internal/client"}, []string{"*_test.go"},
@@ -50,14 +58,12 @@ var tombstones = []tombstone{
 		"one holder table, internal/lock's: a cached copy is a lock, and an X calls the copies back itself, for the server and the node server alike; no copy table or revoke loop beside it, and no internal/callback (DESIGN.md §9)"},
 	{`\bFetchSlotted\b`, tree, []string{"*_test.go", "internal/swizzle/", "internal/client/session.go"},
 		"a segment image leaves a server one way, FetchSeg: the two-step fetch is only the mapper's client-side steps over the one held image (DESIGN.md §9)"},
-	{`walcheck|bess:walorder|bess:walsink|bess:verified`, tree, nil,
+	{`walcheck`, tree, nil,
 		"log before data is a type: page stores take a wal.Logged, overwrites a cache.Staged (DESIGN.md §4f)"},
 	{`LogUpdate|logAndSteal|TCLR|UndoNext|UndoApplied|\.Logged\(\)|ErrDirtySeg`, tree, nil,
 		"nothing steals: no page reaches an area before its commit record is durable, so no undo half, compensation record, undo pass or steal path (DESIGN.md §4f)"},
 	{`Type: *(wal\.)?TUpdate`, tree, []string{"internal/wal/*_test.go"},
 		"an update record is the codec's, kept for the benchmark module's log probe; only package wal's tests make one (DESIGN.md §4f)"},
-	{`bess:resource|bess:lockfree`, tree, nil,
-		"a cache pin is a cache.Pin handle and the snapshot read path holds no lock manager: the analyzers' directives are gone (DESIGN.md §4d)"},
 	{`^[[:space:]]+pins[[:space:]]|func \(vs \*VersionStore\) Release`, []string{"internal/cache/versions.go"}, nil,
 		"a version image is returned by value: no version pin (DESIGN.md §4d)"},
 	{`map\[uint64\]\*tx\.Tx|map\[uint64\]txEntry`, tree, []string{"internal/tx/"},
